@@ -6,8 +6,8 @@ use axml_bench::workload::{catalog, selective_query};
 use axml_query::eval::NoDocs;
 use axml_types::content::{Content, Item};
 use axml_xml::equiv::canonical_hash;
-use axml_xml::label::Label;
 use axml_xml::tree::Tree;
+use axml_xml::Label;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
 fn bench_xml(c: &mut Criterion) {

@@ -192,11 +192,7 @@ impl AxmlSystem {
             };
             let (provider, service) = match sc.provider {
                 ScProvider::Peer(p) => (p, sc.service.clone()),
-                ScProvider::Any => {
-                    let policy = self.pick_policy;
-                    self.catalog
-                        .pick_service(policy, at, &sc.service, &*self.net)?
-                }
+                ScProvider::Any => self.pick_any(at, &sc.service, &[])?,
             };
             self.check_peer(provider)?;
             let params: Vec<Vec<Tree>> = sc.params.iter().map(|p| vec![p.clone()]).collect();

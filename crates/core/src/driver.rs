@@ -1,5 +1,7 @@
-//! Evaluation drivers: the sequential reference loop and the parallel
-//! peer-mailbox driver.
+//! Evaluation drivers: the parallel peer-mailbox driver, beside the
+//! sequential reference loop in [`crate::engine`]'s pump. Everything
+//! speculative — precompute, request collapsing, their counters — lives
+//! in this module.
 //!
 //! The simulator's semantics are defined by the **sequential** driver:
 //! drain ready tasks in FIFO order, deliver the earliest batch of
@@ -16,9 +18,13 @@
 //!    *state epoch* (a counter bumped on every peer-state mutation).
 //! 2. **Ordered commit** (coordinator): the wave is then replayed in
 //!    exactly the sequential order through exactly the sequential code
-//!    path. A precomputed result is used only if its epoch still
-//!    matches — i.e. no earlier commit in the wave mutated that peer —
-//!    otherwise it is discarded and recomputed inline. Everything with
+//!    path. Right before committing an entry the driver stages its
+//!    precomputed value in the session's `Speculation` hook — the
+//!    only channel between this module and the engine — and the
+//!    committing task takes it at the point where it would otherwise
+//!    compute inline. A precomputed result is used only if its epoch
+//!    still matches — i.e. no earlier commit in the wave mutated that
+//!    peer — otherwise it is discarded and recomputed inline. Everything with
 //!    global ordering (network sends, call ids, metrics, trace events,
 //!    slot fills, the tie-breaking PRNG) happens only here, on one
 //!    thread, which is what makes equivalence structural rather than
@@ -52,6 +58,7 @@ use crate::system::AxmlSystem;
 use axml_query::Query;
 use axml_xml::ids::{PeerId, ServiceName};
 use axml_xml::tree::Tree;
+use std::collections::HashMap;
 
 /// Which driver [`AxmlSystem`] uses to run evaluation sessions.
 ///
@@ -72,41 +79,6 @@ pub enum DriverKind {
         /// pool is bypassed but request collapsing stays active.
         threads: usize,
     },
-}
-
-/// The sequential reference driver (see [`DriverKind::Sequential`]).
-pub struct SequentialDriver;
-
-/// The parallel peer-mailbox driver (see [`DriverKind::Parallel`]).
-pub struct ParallelDriver {
-    /// Worker threads (`0` = auto).
-    pub threads: usize,
-}
-
-/// Drives one [`EvalSession`] to quiescence. Both drivers call back
-/// into the engine's task/delivery methods, so all observable effects
-/// go through identical code.
-pub(crate) trait SessionDriver {
-    fn drive(&self, sys: &mut AxmlSystem, s: &mut EvalSession) -> CoreResult<()>;
-}
-
-impl SessionDriver for SequentialDriver {
-    fn drive(&self, sys: &mut AxmlSystem, s: &mut EvalSession) -> CoreResult<()> {
-        sys.run_session_sequential(s)
-    }
-}
-
-impl SessionDriver for ParallelDriver {
-    fn drive(&self, sys: &mut AxmlSystem, s: &mut EvalSession) -> CoreResult<()> {
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        } else {
-            self.threads
-        };
-        sys.run_session_parallel(s, threads)
-    }
 }
 
 /// Cumulative counters of the parallel driver (not part of
@@ -145,7 +117,7 @@ impl ParallelStats {
 /// A pure precompute job extracted from one wave entry. Jobs only ever
 /// *read* Σ; everything they need beyond Σ is borrowed from the wave
 /// itself, so results are functions of (inputs, peer state @ epoch).
-pub(crate) enum Job<'a> {
+enum Job<'a> {
     /// [`Cont::ApplyFinish`]: run the query over the gathered forests.
     Apply {
         peer: PeerId,
@@ -165,7 +137,7 @@ pub(crate) enum Job<'a> {
 
 impl<'a> Job<'a> {
     /// The precomputable part of a ready task, if any.
-    pub(crate) fn for_task(t: &'a Runnable) -> Option<Job<'a>> {
+    fn for_task(t: &'a Runnable) -> Option<Job<'a>> {
         let Runnable::Resume { peer, cont, input } = t else {
             return None;
         };
@@ -187,7 +159,7 @@ impl<'a> Job<'a> {
     }
 
     /// The precomputable part of a mailbox delivery, if any.
-    pub(crate) fn for_delivery(d: &'a Delivery) -> Option<Job<'a>> {
+    fn for_delivery(d: &'a Delivery) -> Option<Job<'a>> {
         match &d.wire.intent {
             Intent::Invoke {
                 caller,
@@ -222,7 +194,7 @@ impl<'a> Job<'a> {
 }
 
 /// Canonical cache key for a parameter-forest list.
-pub(crate) fn params_key(params: &[Vec<Tree>]) -> String {
+fn params_key(params: &[Vec<Tree>]) -> String {
     let mut key = String::new();
     for p in params {
         key.push_str(&AxmlSystem::serialize_forest(p));
@@ -235,7 +207,7 @@ pub(crate) fn params_key(params: &[Vec<Tree>]) -> String {
 /// against. The committing coordinator uses it only if the epoch still
 /// matches; `Payload` is a pure function of the wave entry's own data
 /// and needs no guard.
-pub(crate) enum Precomp {
+enum Precomp {
     /// A forest result of [`Job::Apply`].
     Forest {
         peer: PeerId,
@@ -325,9 +297,9 @@ fn run_job(peers: &[PeerState], epochs: &[u64], job: &Job<'_>) -> Precomp {
 
 /// Statistics of one precompute phase, returned to the coordinator.
 #[derive(Default)]
-pub(crate) struct WaveStats {
-    pub(crate) jobs: u64,
-    pub(crate) dedup_hits: u64,
+struct WaveStats {
+    jobs: u64,
+    dedup_hits: u64,
 }
 
 /// Speculatively evaluate a wave's jobs on up to `threads` workers.
@@ -339,7 +311,7 @@ pub(crate) struct WaveStats {
 /// representative's result. Per-worker outputs are merged at the scope
 /// join barrier, preserving wave-index association regardless of which
 /// worker ran what.
-pub(crate) fn precompute(
+fn precompute(
     peers: &[PeerState],
     epochs: &[u64],
     jobs: Vec<(usize, Job<'_>)>,
@@ -355,8 +327,7 @@ pub(crate) fn precompute(
     let mut unique: Vec<(usize, &Job<'_>)> = Vec::new();
     let mut dup_of: Vec<(usize, usize)> = Vec::new(); // (wave ix, unique ix)
     {
-        let mut seen: std::collections::HashMap<(PeerId, &ServiceName, String, bool), usize> =
-            std::collections::HashMap::new();
+        let mut seen: HashMap<(PeerId, &ServiceName, String, bool), usize> = HashMap::new();
         for (ix, job) in &jobs {
             match job.collapse_key() {
                 Some(key) => match seen.get(&key) {
@@ -420,4 +391,241 @@ pub(crate) fn precompute(
         out[ix] = out[rep_ix[u]].as_ref().map(Precomp::clone_for_duplicate);
     }
     (out, stats)
+}
+
+/// One memoized service evaluation (see `Speculation::svc_cache`).
+struct CachedCall {
+    epoch: u64,
+    results: Vec<Tree>,
+    payload: Option<String>,
+}
+
+/// The parallel driver's session-side state, and the one hook through
+/// which a committing task receives what the workers precomputed for
+/// it: the driver stages a wave entry's [`Precomp`] right before
+/// committing the entry, and the three `AxmlSystem` accessors below
+/// take it. Inert under the sequential driver — nothing is ever staged
+/// and the cache stays off, so every accessor computes inline.
+pub(crate) struct Speculation {
+    /// Whether this session collapses identical service calls (parallel
+    /// driver only — the sequential reference never caches).
+    collapse: bool,
+    /// The precomputed value of the wave entry being committed.
+    staged: Option<Precomp>,
+    /// Session-scoped service-result cache: `(provider, service,
+    /// canonical params) → result @ epoch`. Entries are only reused
+    /// while the provider's state epoch is unchanged, so a hit is
+    /// bit-identical to recomputing.
+    svc_cache: HashMap<(PeerId, ServiceName, String), CachedCall>,
+}
+
+impl Speculation {
+    pub(crate) fn new(driver: DriverKind) -> Self {
+        Speculation {
+            collapse: matches!(driver, DriverKind::Parallel { .. }),
+            staged: None,
+            svc_cache: HashMap::new(),
+        }
+    }
+}
+
+impl AxmlSystem {
+    /// Select the evaluation driver. The default is
+    /// [`DriverKind::Sequential`], the reference implementation; the
+    /// parallel driver produces bit-identical results and reports.
+    pub fn set_driver(&mut self, driver: DriverKind) {
+        self.driver = driver;
+    }
+
+    /// The currently selected evaluation driver.
+    pub fn driver(&self) -> DriverKind {
+        self.driver
+    }
+
+    /// Cumulative parallel-driver counters (all zero while the
+    /// sequential driver is selected).
+    pub fn parallel_stats(&self) -> ParallelStats {
+        self.par_stats
+    }
+
+    /// The wave-based parallel loop (see the module docs for the
+    /// precompute/commit split and the equivalence argument). Spawned
+    /// tasks land on `s.ready` *behind* the wave being committed, so
+    /// the global task order is exactly the sequential FIFO; deliveries
+    /// never push into mailboxes, so draining all mailboxes up front is
+    /// order-equivalent to the sequential per-peer drain.
+    pub(crate) fn run_session_parallel(
+        &mut self,
+        s: &mut EvalSession,
+        threads: usize,
+    ) -> CoreResult<()> {
+        let threads = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        };
+        loop {
+            while !s.ready.is_empty() {
+                let wave: Vec<Runnable> = s.ready.drain(..).collect();
+                let jobs = wave.iter().map(Job::for_task);
+                let pre = self.precompute_wave(jobs, threads);
+                for (task, p) in wave.into_iter().zip(pre) {
+                    s.spec.staged = p;
+                    self.run_task(s, task)?;
+                }
+            }
+            if !self.next_arrival_batch(s) {
+                break;
+            }
+            let mut wave: Vec<Delivery> = Vec::new();
+            for (_, mb) in std::mem::take(&mut s.mailboxes) {
+                wave.extend(mb);
+            }
+            let jobs = wave.iter().map(Job::for_delivery);
+            let pre = self.precompute_wave(jobs, threads);
+            for (d, p) in wave.into_iter().zip(pre) {
+                s.spec.staged = p;
+                self.deliver(s, d)?;
+            }
+        }
+        self.check_quiescent(s)
+    }
+
+    /// Precompute one wave (`jobs[i]` belongs to wave entry `i`) and
+    /// book its statistics.
+    fn precompute_wave<'a>(
+        &mut self,
+        jobs: impl ExactSizeIterator<Item = Option<Job<'a>>>,
+        threads: usize,
+    ) -> Vec<Option<Precomp>> {
+        let slots = jobs.len();
+        let jobs = jobs
+            .enumerate()
+            .filter_map(|(i, j)| j.map(|j| (i, j)))
+            .collect();
+        let (pre, wave) = precompute(&self.peers, &self.state_epochs, jobs, slots, threads);
+        self.par_stats.waves += 1;
+        self.par_stats.jobs += wave.jobs;
+        self.par_stats.dedup_hits += wave.dedup_hits;
+        pre
+    }
+
+    /// A valid (same peer, same epoch) precomputed forest, or `None` to
+    /// compute inline. Stale precomps are counted and discarded.
+    pub(crate) fn take_forest_precomp(
+        &mut self,
+        s: &mut EvalSession,
+        peer: PeerId,
+    ) -> Option<CoreResult<Vec<Tree>>> {
+        match s.spec.staged.take() {
+            Some(Precomp::Forest {
+                peer: p,
+                epoch,
+                result,
+            }) if p == peer && epoch == self.state_epochs[peer.index()] => {
+                self.par_stats.precomp_used += 1;
+                Some(result)
+            }
+            Some(_) => {
+                self.par_stats.invalidated += 1;
+                None
+            }
+            None => None,
+        }
+    }
+
+    /// A precomputed wire payload (pure in the forest, so never stale),
+    /// or serialize inline.
+    pub(crate) fn take_payload_precomp(&mut self, s: &mut EvalSession, forest: &[Tree]) -> String {
+        match s.spec.staged.take() {
+            Some(Precomp::Payload(p)) => {
+                self.par_stats.precomp_used += 1;
+                p
+            }
+            other => {
+                if other.is_some() {
+                    self.par_stats.invalidated += 1;
+                }
+                Self::serialize_forest(forest)
+            }
+        }
+    }
+
+    /// The provider-side evaluation of one service call: results plus
+    /// (when the call must be answered over the wire) the serialized
+    /// response payload. Resolution order: a valid precomputed result
+    /// from the parallel driver's workers, then — in collapsing
+    /// sessions — the epoch-guarded session cache, then inline
+    /// evaluation. All three produce bit-identical values: service
+    /// bodies are pure in (parameters, provider state @ epoch).
+    pub(crate) fn service_results(
+        &mut self,
+        s: &mut EvalSession,
+        prov: PeerId,
+        service: &ServiceName,
+        params: &[Vec<Tree>],
+        need_payload: bool,
+    ) -> CoreResult<(Vec<Tree>, Option<String>)> {
+        let epoch = self.state_epochs[prov.index()];
+        let key = s
+            .spec
+            .collapse
+            .then(|| (prov, service.clone(), params_key(params)));
+        match s.spec.staged.take() {
+            Some(Precomp::Service {
+                peer,
+                epoch: e,
+                result,
+            }) if peer == prov && e == epoch => {
+                self.par_stats.precomp_used += 1;
+                let value = result?;
+                // Feed the session cache so later identical calls
+                // collapse onto this evaluation.
+                if let Some(k) = key {
+                    s.spec.svc_cache.insert(
+                        k,
+                        CachedCall {
+                            epoch,
+                            results: value.0.clone(),
+                            payload: value.1.clone(),
+                        },
+                    );
+                }
+                return Ok(value);
+            }
+            Some(_) => self.par_stats.invalidated += 1,
+            None => {}
+        }
+        if let Some(k) = &key {
+            if let Some(hit) = s.spec.svc_cache.get_mut(k) {
+                if hit.epoch == epoch {
+                    self.par_stats.cache_hits += 1;
+                    if need_payload && hit.payload.is_none() {
+                        hit.payload = Some(Self::serialize_forest(&hit.results));
+                    }
+                    return Ok((hit.results.clone(), hit.payload.clone()));
+                }
+            }
+        }
+        let svc = self.peers[prov.index()].service(service, prov)?;
+        if svc.arity() != params.len() {
+            return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
+                expected: svc.arity(),
+                got: params.len(),
+            }));
+        }
+        let query = svc.query.clone();
+        let results = query.eval_with_docs(params, &self.peers[prov.index()])?;
+        let payload = need_payload.then(|| Self::serialize_forest(&results));
+        if let Some(k) = key {
+            s.spec.svc_cache.insert(
+                k,
+                CachedCall {
+                    epoch,
+                    results: results.clone(),
+                    payload: payload.clone(),
+                },
+            );
+        }
+        Ok((results, payload))
+    }
 }

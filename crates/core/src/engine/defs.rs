@@ -1,0 +1,835 @@
+//! The definitions: the task form of the paper's definitions (1)–(8) —
+//! `step_eval` decomposes one expression node, `resume` finishes a
+//! parked continuation, and the service-call steps of §2.2 run between
+//! them. Generic references (definition (9)) are handed to
+//! [`super::any`]; every message leaves through [`super::send`].
+
+use super::pump::{Cont, EvalSession, Intent, Out, Runnable};
+use crate::error::{CoreError, CoreResult};
+use crate::expr::{Expr, PeerRef, SendDest};
+use crate::message::AxmlMessage;
+use crate::sc::{ActivationMode, ScNode, ScProvider};
+use crate::service::Service;
+use crate::system::AxmlSystem;
+use axml_obs::{DataTag, TraceEvent};
+use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
+use axml_xml::store::Document;
+use axml_xml::tree::Tree;
+use std::collections::VecDeque;
+
+/// One service activation: who calls what, with which parameter
+/// forests and forward list. The provider travels beside it — generic
+/// until definition (9) resolved it, a concrete peer afterwards.
+pub(super) struct ScCall<'a> {
+    pub(super) caller: PeerId,
+    pub(super) service: &'a ServiceName,
+    pub(super) param_forests: Vec<Vec<Tree>>,
+    pub(super) forward: &'a [NodeAddr],
+}
+
+impl AxmlSystem {
+    /// Decompose one expression node — the task form of definitions
+    /// (1)–(9). Each case either fills `out` directly, spawns child
+    /// tasks plus a continuation, or ships a message whose intent will.
+    pub(super) fn step_eval(
+        &mut self,
+        s: &mut EvalSession,
+        at: PeerId,
+        expr: Expr,
+        out: Out,
+    ) -> CoreResult<()> {
+        match expr {
+            // ---- definitions (1)/(5): literal trees -------------------
+            Expr::Tree { tree, at: loc } => {
+                if loc == at {
+                    self.record_def(1, at, "tree");
+                    self.materialize_tree_tasks(s, at, &tree, out)
+                } else {
+                    self.fetch_remote(s, at, loc, Expr::Tree { tree, at: loc }, out)
+                }
+            }
+
+            // ---- documents (+ definition (9) for d@any) ---------------
+            Expr::Doc { name, at: loc } => match loc {
+                PeerRef::At(home) => self.fetch_doc(s, at, home, name, out),
+                PeerRef::Any => self.resolve_any(s, at, &name, |sys, s, home, concrete| {
+                    sys.fetch_doc(s, at, home, concrete, out)
+                }),
+            },
+
+            // ---- definitions (2)/(7): query application ---------------
+            Expr::Apply { query, args } => {
+                if query.query.arity() != args.len() {
+                    return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
+                        expected: query.query.arity(),
+                        got: args.len(),
+                    }));
+                }
+                // Definition (7): a remote definition is shipped to the
+                // evaluation site; part 0 gates on its arrival.
+                let gated = query.def_at != at;
+                let skip = usize::from(gated);
+                let slot = s.new_slot(args.len() + skip);
+                if gated {
+                    self.record_def(7, at, "apply");
+                    let def = query.query.to_xml().serialize();
+                    self.send_wire(
+                        s,
+                        query.def_at,
+                        at,
+                        AxmlMessage::Data {
+                            payload: def,
+                            tag: DataTag::QueryDef,
+                        },
+                        Intent::Reply {
+                            forest: Vec::new(),
+                            out: (slot, 0),
+                        },
+                    )?;
+                } else {
+                    self.record_def(2, at, "apply");
+                }
+                // Arguments evaluate concurrently — remote fetches for
+                // different arguments overlap on independent links.
+                for (i, a) in args.into_iter().enumerate() {
+                    self.schedule(
+                        s,
+                        Runnable::Eval {
+                            at,
+                            expr: a,
+                            out: (slot, skip + i),
+                        },
+                    );
+                }
+                self.register_pending(
+                    s,
+                    slot,
+                    at,
+                    Cont::ApplyFinish {
+                        query: query.query,
+                        skip,
+                        out,
+                    },
+                )?;
+                Ok(())
+            }
+
+            // ---- definitions (3)/(4) + send-to-new-doc ----------------
+            Expr::Send { dest, payload } => {
+                let slot = s.new_slot(1);
+                self.schedule(
+                    s,
+                    Runnable::Eval {
+                        at,
+                        expr: *payload,
+                        out: (slot, 0),
+                    },
+                );
+                let cont = match dest {
+                    SendDest::Peer(q) => Cont::SendPeer { dest: q, out },
+                    SendDest::Nodes(addrs) => Cont::SendNodes { addrs, out },
+                    SendDest::NewDoc { peer, name } => Cont::SendNewDoc { peer, name, out },
+                };
+                self.register_pending(s, slot, at, cont)?;
+                Ok(())
+            }
+
+            // ---- definition (6): service calls ------------------------
+            Expr::Sc {
+                provider,
+                service,
+                params,
+                forward,
+            } => {
+                let provider = match provider {
+                    PeerRef::At(p) => ScProvider::Peer(p),
+                    PeerRef::Any => ScProvider::Any,
+                };
+                let slot = s.new_slot(params.len());
+                for (i, p) in params.into_iter().enumerate() {
+                    self.schedule(
+                        s,
+                        Runnable::Eval {
+                            at,
+                            expr: p,
+                            out: (slot, i),
+                        },
+                    );
+                }
+                self.register_pending(
+                    s,
+                    slot,
+                    at,
+                    Cont::ScReady {
+                        provider,
+                        service,
+                        forward,
+                        out,
+                    },
+                )?;
+                Ok(())
+            }
+
+            // ---- rules (14)–(16): delegated evaluation ----------------
+            Expr::EvalAt { peer, expr: inner } => {
+                self.obs.metrics.delegations += 1;
+                let now = self.now_ms();
+                let (from, to) = (at, peer);
+                self.obs.emit(|| TraceEvent::Delegation {
+                    from,
+                    to,
+                    at_ms: now,
+                });
+                let mut shipped = *inner;
+                if peer != at {
+                    // The delegated plan crosses the wire (embedded
+                    // query definitions travel with it).
+                    let expr_xml = shipped.to_xml().serialize();
+                    shipped.relocate_query_defs(peer);
+                    // Capture the common delegation shape: the inner
+                    // expression sends its value straight back to us.
+                    let intent = match shipped {
+                        Expr::Send {
+                            dest: SendDest::Peer(back),
+                            payload,
+                        } if back == at => Intent::EvalAndReply {
+                            expr: *payload,
+                            reply_to: at,
+                            tag: DataTag::DelegatedResult,
+                            out,
+                        },
+                        other => Intent::EvalHere {
+                            expr: other,
+                            done: out,
+                        },
+                    };
+                    self.send_wire(s, at, peer, AxmlMessage::Request { expr_xml }, intent)
+                } else {
+                    match shipped {
+                        Expr::Send {
+                            dest: SendDest::Peer(back),
+                            payload,
+                        } if back == at => {
+                            self.schedule(
+                                s,
+                                Runnable::Eval {
+                                    at: peer,
+                                    expr: *payload,
+                                    out,
+                                },
+                            );
+                        }
+                        other => {
+                            let slot = s.new_slot(1);
+                            self.schedule(
+                                s,
+                                Runnable::Eval {
+                                    at: peer,
+                                    expr: other,
+                                    out: (slot, 0),
+                                },
+                            );
+                            self.register_pending(s, slot, peer, Cont::Discard { out })?;
+                        }
+                    }
+                    Ok(())
+                }
+            }
+
+            // ---- definition (8): code shipping ------------------------
+            Expr::Deploy {
+                to,
+                query,
+                as_service,
+            } => {
+                self.record_def(8, at, "deploy");
+                if query.def_at != to {
+                    let gate = s.new_slot(1);
+                    self.send_wire(
+                        s,
+                        query.def_at,
+                        to,
+                        AxmlMessage::DeployQuery {
+                            query_xml: query.query.to_xml().serialize(),
+                            as_service: as_service.clone(),
+                        },
+                        Intent::Deploy {
+                            query: query.query,
+                            as_service,
+                            notify: (gate, 0),
+                        },
+                    )?;
+                    self.register_pending(s, gate, at, Cont::Discard { out })?;
+                } else {
+                    self.peers[to.index()]
+                        .register_service(Service::declarative(as_service, query.query));
+                    self.touch_peer(to);
+                    self.fill(s, out, Vec::new())?;
+                }
+                Ok(())
+            }
+
+            // ---- sequencing (rule (13) plans) -------------------------
+            Expr::Seq(es) => {
+                self.obs.metrics.seq_steps += es.len() as u64;
+                let mut rest: VecDeque<Expr> = es.into();
+                match rest.pop_front() {
+                    None => {
+                        self.fill(s, out, Vec::new())?;
+                        Ok(())
+                    }
+                    Some(first) => {
+                        let slot = s.new_slot(1);
+                        self.schedule(
+                            s,
+                            Runnable::Eval {
+                                at,
+                                expr: first,
+                                out: (slot, 0),
+                            },
+                        );
+                        self.register_pending(s, slot, at, Cont::SeqStep { rest, out })?;
+                        Ok(())
+                    }
+                }
+            }
+        }
+    }
+
+    pub(super) fn resume(
+        &mut self,
+        s: &mut EvalSession,
+        peer: PeerId,
+        cont: Cont,
+        input: Vec<Vec<Tree>>,
+    ) -> CoreResult<()> {
+        match cont {
+            Cont::ApplyFinish { query, skip, out } => {
+                let res = match self.take_forest_precomp(s, peer) {
+                    Some(result) => result?,
+                    None => query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?,
+                };
+                self.fill(s, out, res)?;
+                Ok(())
+            }
+            Cont::ScReady {
+                provider,
+                service,
+                forward,
+                out,
+            } => self.start_service_call(
+                s,
+                provider,
+                ScCall {
+                    caller: peer,
+                    service: &service,
+                    param_forests: input,
+                    forward: &forward,
+                },
+                out,
+            ),
+            Cont::SendPeer { dest, out } => {
+                self.record_def(3, peer, "send");
+                let forest = input.into_iter().next().unwrap_or_default();
+                if dest != peer {
+                    let payload = self.take_payload_precomp(s, &forest);
+                    self.send_wire(
+                        s,
+                        peer,
+                        dest,
+                        AxmlMessage::Data {
+                            payload,
+                            tag: DataTag::Send,
+                        },
+                        Intent::None,
+                    )?;
+                }
+                // Definition (3): the send expression itself evaluates
+                // to ∅; the data's arrival is the side effect (captured
+                // by EvalAt delegation when the destination is the
+                // delegating peer).
+                self.fill(s, out, Vec::new())?;
+                Ok(())
+            }
+            Cont::SendNodes { addrs, out } => {
+                self.record_def(4, peer, "send-nodes");
+                let forest = input.into_iter().next().unwrap_or_default();
+                let gate = self.deliver_to_nodes(s, peer, &addrs, &forest)?;
+                self.register_pending(s, gate, peer, Cont::Discard { out })?;
+                Ok(())
+            }
+            Cont::SendNewDoc {
+                peer: dest,
+                name,
+                out,
+            } => {
+                self.record_def(3, peer, "send-newdoc");
+                let forest = input.into_iter().next().unwrap_or_default();
+                if dest != peer {
+                    let gate = s.new_slot(1);
+                    let payload = self.take_payload_precomp(s, &forest);
+                    self.send_wire(
+                        s,
+                        peer,
+                        dest,
+                        AxmlMessage::InstallDoc {
+                            name: name.clone(),
+                            payload,
+                        },
+                        Intent::InstallDoc {
+                            name,
+                            forest,
+                            notify: (gate, 0),
+                        },
+                    )?;
+                    self.register_pending(s, gate, peer, Cont::Discard { out })?;
+                } else {
+                    self.install_new_doc(dest, &name, &forest)?;
+                    self.fill(s, out, Vec::new())?;
+                }
+                Ok(())
+            }
+            Cont::TreeFinish {
+                mut tree,
+                grafts,
+                out,
+            } => {
+                for (i, parent) in grafts.iter().enumerate() {
+                    if let Some(p) = parent {
+                        for r in &input[i] {
+                            tree.graft(*p, r, r.root())?;
+                        }
+                    }
+                }
+                self.fill(s, out, vec![tree])?;
+                Ok(())
+            }
+            Cont::SeqStep { mut rest, out } => {
+                match rest.pop_front() {
+                    None => {
+                        let last = input.into_iter().next().unwrap_or_default();
+                        self.fill(s, out, last)?;
+                    }
+                    Some(next) => {
+                        let slot = s.new_slot(1);
+                        self.schedule(
+                            s,
+                            Runnable::Eval {
+                                at: peer,
+                                expr: next,
+                                out: (slot, 0),
+                            },
+                        );
+                        self.register_pending(s, slot, peer, Cont::SeqStep { rest, out })?;
+                    }
+                }
+                Ok(())
+            }
+            Cont::ReplyData {
+                reply_to,
+                tag,
+                remote_out,
+            } => {
+                let forest = input.into_iter().next().unwrap_or_default();
+                if reply_to != peer {
+                    let payload = self.take_payload_precomp(s, &forest);
+                    self.send_wire(
+                        s,
+                        peer,
+                        reply_to,
+                        AxmlMessage::Data { payload, tag },
+                        Intent::Reply {
+                            forest,
+                            out: remote_out,
+                        },
+                    )?;
+                } else {
+                    self.fill(s, remote_out, forest)?;
+                }
+                Ok(())
+            }
+            Cont::Discard { out } => {
+                self.fill(s, out, Vec::new())?;
+                Ok(())
+            }
+        }
+    }
+
+    /// `eval@at(d@home)` for a concrete document: definition (1) when it
+    /// is hosted here, definition (5) otherwise.
+    fn fetch_doc(
+        &mut self,
+        s: &mut EvalSession,
+        at: PeerId,
+        home: PeerId,
+        name: DocName,
+        out: Out,
+    ) -> CoreResult<()> {
+        if home == at {
+            self.record_def(1, at, "doc");
+            let tree = self.peers[at.index()].doc(&name, at)?.clone();
+            self.fill(s, out, vec![tree])
+        } else {
+            let expr = Expr::Doc {
+                name,
+                at: PeerRef::At(home),
+            };
+            self.fetch_remote(s, at, home, expr, out)
+        }
+    }
+
+    /// Definition (5): `eval@at(x@loc)` for remote `x` — ship a request
+    /// that *names* the datum (a literal `t@loc` is identified by
+    /// reference, as the paper's `n@p` identifiers would, so fetching a
+    /// tree never ships the tree's own bytes in the request direction);
+    /// the owner evaluates and ships the result back.
+    fn fetch_remote(
+        &mut self,
+        s: &mut EvalSession,
+        at: PeerId,
+        loc: PeerId,
+        expr: Expr,
+        out: Out,
+    ) -> CoreResult<()> {
+        self.record_def(5, at, "fetch");
+        let request_xml = match &expr {
+            Expr::Tree { tree, .. } => format!(
+                r#"<fetch kind="tree" at="p{}" ref="{:016x}"/>"#,
+                loc.0,
+                axml_xml::equiv::canonical_hash(tree, tree.root())
+            ),
+            other => other.to_xml().serialize(),
+        };
+        let mut local = expr;
+        relocate(&mut local, loc);
+        self.send_wire(
+            s,
+            at,
+            loc,
+            AxmlMessage::Request {
+                expr_xml: request_xml,
+            },
+            Intent::EvalAndReply {
+                expr: local,
+                reply_to: at,
+                tag: DataTag::Fetch,
+                out,
+            },
+        )
+    }
+
+    /// Definition (1) + (6): copy a tree, activating its immediate `sc`
+    /// elements concurrently. Results with an explicit forward list
+    /// leave side effects elsewhere; calls without one accumulate as
+    /// siblings of the `sc` node (§2.2 step 3), with the `sc` kept in
+    /// place (AXML semantics — the call may stream more later).
+    fn materialize_tree_tasks(
+        &mut self,
+        s: &mut EvalSession,
+        at: PeerId,
+        tree: &Tree,
+        out: Out,
+    ) -> CoreResult<()> {
+        let copy = tree.clone();
+        let mut active = Vec::new();
+        for sc_id in ScNode::find_all(&copy, copy.root()) {
+            let sc = ScNode::parse(&copy, sc_id)?;
+            if sc.mode != ActivationMode::Immediate {
+                continue;
+            }
+            let parent = if sc.forward.is_empty() {
+                Some(
+                    copy.parent(sc_id)
+                        .ok_or_else(|| CoreError::Malformed("sc at document root".into()))?,
+                )
+            } else {
+                None
+            };
+            active.push((sc, parent));
+        }
+        if active.is_empty() {
+            self.fill(s, out, vec![copy])?;
+            return Ok(());
+        }
+        let slot = s.new_slot(active.len());
+        let mut grafts = Vec::with_capacity(active.len());
+        for (i, (sc, parent)) in active.into_iter().enumerate() {
+            grafts.push(parent);
+            let params: Vec<Vec<Tree>> = sc.params.iter().map(|p| vec![p.clone()]).collect();
+            self.start_service_call(
+                s,
+                sc.provider,
+                ScCall {
+                    caller: at,
+                    service: &sc.service,
+                    param_forests: params,
+                    forward: &sc.forward,
+                },
+                (slot, i),
+            )?;
+        }
+        self.register_pending(
+            s,
+            slot,
+            at,
+            Cont::TreeFinish {
+                tree: copy,
+                grafts,
+                out,
+            },
+        )?;
+        Ok(())
+    }
+
+    /// §2.2's activation steps 1–3 / definition (6), as engine tasks:
+    /// resolve the provider, ship the parameters, and let the `Invoke`
+    /// intent run the service on arrival.
+    fn start_service_call(
+        &mut self,
+        s: &mut EvalSession,
+        provider: ScProvider,
+        call: ScCall<'_>,
+        out: Out,
+    ) -> CoreResult<()> {
+        match provider {
+            ScProvider::Peer(p) => self.dispatch_service_call(s, p, call, out),
+            // Definition (9): on a failover the parameters are
+            // re-shipped to the newly picked provider.
+            ScProvider::Any => {
+                self.resolve_any(s, call.caller, call.service, |sys, s, prov, concrete| {
+                    let call = ScCall {
+                        service: &concrete,
+                        param_forests: call.param_forests.clone(),
+                        ..call
+                    };
+                    sys.dispatch_service_call(s, prov, call, out)
+                })
+            }
+        }
+    }
+
+    /// The resolved-provider half of definition (6): charge the call,
+    /// ship the parameters (or run locally when the provider is the
+    /// caller).
+    fn dispatch_service_call(
+        &mut self,
+        s: &mut EvalSession,
+        prov: PeerId,
+        call: ScCall<'_>,
+        out: Out,
+    ) -> CoreResult<()> {
+        let caller = call.caller;
+        self.check_peer(prov)?;
+        self.record_def(6, caller, "sc");
+        self.obs.metrics.service_calls += 1;
+        let call_id = self.fresh_call_id();
+        let now = self.now_ms();
+        self.obs.emit(|| TraceEvent::ServiceCall {
+            caller,
+            provider: prov,
+            service: call.service.as_str().to_string(),
+            call_id,
+            at_ms: now,
+        });
+        // Step 1: params to the provider (the service runs on arrival —
+        // a missing service or arity clash is still charged the invoke,
+        // exactly as a real provider would reject after receiving).
+        if prov != caller {
+            self.send_wire(
+                s,
+                caller,
+                prov,
+                AxmlMessage::Invoke {
+                    service: call.service.clone(),
+                    params: call
+                        .param_forests
+                        .iter()
+                        .map(|f| Self::serialize_forest(f))
+                        .collect(),
+                    forward: call.forward.to_vec(),
+                    call_id,
+                },
+                Intent::Invoke {
+                    caller,
+                    service: call.service.clone(),
+                    params: call.param_forests,
+                    forward: call.forward.to_vec(),
+                    call_id,
+                    out,
+                },
+            )
+        } else {
+            self.run_service_at(s, prov, call, call_id, out)
+        }
+    }
+
+    /// §2.2 steps 2–3 at the provider: apply the implementation query,
+    /// then ship results back (or to the forward list).
+    pub(super) fn run_service_at(
+        &mut self,
+        s: &mut EvalSession,
+        prov: PeerId,
+        call: ScCall<'_>,
+        call_id: u64,
+        out: Out,
+    ) -> CoreResult<()> {
+        let ScCall {
+            caller,
+            service,
+            param_forests,
+            forward,
+        } = call;
+        let need_payload = forward.is_empty() && prov != caller;
+        let (results, payload) =
+            self.service_results(s, prov, service, &param_forests, need_payload)?;
+        if forward.is_empty() {
+            if prov != caller {
+                let payload = payload.unwrap_or_else(|| Self::serialize_forest(&results));
+                self.send_wire(
+                    s,
+                    prov,
+                    caller,
+                    AxmlMessage::Response { call_id, payload },
+                    Intent::Reply {
+                        forest: results,
+                        out,
+                    },
+                )
+            } else {
+                self.fill(s, out, results)?;
+                Ok(())
+            }
+        } else {
+            let gate = self.deliver_to_nodes(s, prov, forward, &results)?;
+            self.register_pending(s, gate, prov, Cont::Discard { out })?;
+            Ok(())
+        }
+    }
+
+    /// The engine form of [`AxmlSystem::call_service`]'s old synchronous
+    /// contract: run one service call in its own session and block until
+    /// the result materializes (used by lazy/type-driven activation).
+    pub(crate) fn call_service(
+        &mut self,
+        caller: PeerId,
+        provider: ScProvider,
+        service: &ServiceName,
+        param_forests: Vec<Vec<Tree>>,
+        forward: &[NodeAddr],
+    ) -> CoreResult<Vec<Tree>> {
+        let mut s = self.new_session();
+        let slot = s.new_slot(1);
+        let call = ScCall {
+            caller,
+            service,
+            param_forests,
+            forward,
+        };
+        match self.start_service_call(&mut s, provider, call, (slot, 0)) {
+            Ok(()) => {
+                self.run_session(&mut s)?;
+                Ok(s.take(slot)?)
+            }
+            Err(e) => {
+                self.net.clear_in_flight();
+                Err(e)
+            }
+        }
+    }
+
+    /// Definition (4): one concurrent delivery per `n@p` address.
+    /// Returns the gate slot that becomes ready once every graft landed.
+    pub(crate) fn deliver_to_nodes(
+        &mut self,
+        s: &mut EvalSession,
+        from: PeerId,
+        addrs: &[NodeAddr],
+        forest: &[Tree],
+    ) -> CoreResult<usize> {
+        let gate = s.new_slot(addrs.len());
+        for (i, addr) in addrs.iter().enumerate() {
+            self.check_peer(addr.peer)?;
+            if addr.peer != from {
+                self.send_wire(
+                    s,
+                    from,
+                    addr.peer,
+                    AxmlMessage::Data {
+                        payload: Self::serialize_forest(forest),
+                        tag: DataTag::Forward,
+                    },
+                    Intent::Graft {
+                        addr: addr.clone(),
+                        forest: forest.to_vec(),
+                        notify: Some((gate, i)),
+                    },
+                )?;
+            } else {
+                self.graft_at(addr, forest)?;
+                self.fill(s, (gate, i), Vec::new())?;
+            }
+        }
+        Ok(gate)
+    }
+
+    /// Graft a forest under the addressed node.
+    pub(crate) fn graft_at(&mut self, addr: &NodeAddr, forest: &[Tree]) -> CoreResult<()> {
+        let peer = &mut self.peers[addr.peer.index()];
+        let doc = peer
+            .docs
+            .get_mut(&addr.doc)
+            .ok_or_else(|| CoreError::NoSuchDoc {
+                doc: addr.doc.clone(),
+                at: addr.peer,
+            })?;
+        let tree = doc.tree_mut();
+        if !tree.contains(addr.node) {
+            return Err(CoreError::Xml(axml_xml::XmlError::InvalidNode {
+                index: addr.node.index() as u32,
+            }));
+        }
+        for t in forest {
+            tree.graft(addr.node, t, t.root())?;
+        }
+        self.touch_peer(addr.peer);
+        Ok(())
+    }
+
+    pub(super) fn install_new_doc(
+        &mut self,
+        at: PeerId,
+        name: &DocName,
+        forest: &[Tree],
+    ) -> CoreResult<()> {
+        let mut doc = Tree::new(name.as_str());
+        let root = doc.root();
+        for t in forest {
+            doc.graft(root, t, t.root()).expect("fresh root");
+        }
+        self.touch_peer(at);
+        self.peers[at.index()].install_doc(Document::new(name.clone(), doc))
+    }
+
+    /// Count one firing of paper definition `def` and, when a trace sink
+    /// is attached, stream the matching [`TraceEvent::Definition`].
+    pub(crate) fn record_def(&mut self, def: u8, peer: PeerId, expr: &'static str) {
+        self.obs.metrics.record_def(def);
+        let at_ms = self.net.now_ms();
+        self.obs.emit(|| TraceEvent::Definition {
+            def,
+            peer,
+            expr: expr.into(),
+            at_ms,
+        });
+    }
+}
+
+/// Re-pin the location of the outermost data reference to `loc` (used
+/// when the owner evaluates a fetched expression locally).
+fn relocate(expr: &mut Expr, loc: PeerId) {
+    match expr {
+        Expr::Tree { at, .. } => *at = loc,
+        Expr::Doc { at, .. } => *at = PeerRef::At(loc),
+        _ => {}
+    }
+}

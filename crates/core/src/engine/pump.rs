@@ -1,0 +1,543 @@
+//! The core pump: what travels ([`Wire`], `Intent`), what waits
+//! (`Runnable`, `Cont`, result slots) and the loop that drives an
+//! `EvalSession` to quiescence — drain ready tasks, then deliver the
+//! earliest batch of in-flight messages to the peers' mailboxes, repeat.
+//!
+//! The pump knows nothing about retry, `@any` failover or speculative
+//! precompute: sends go through [`super::send`], generic references
+//! through [`super::any`], and the parallel driver keeps its state in the
+//! session's [`Speculation`] hook, which only [`crate::driver`] reads.
+
+use super::defs::ScCall;
+use crate::driver::{DriverKind, Speculation};
+use crate::error::{CoreResult, EngineError};
+use crate::expr::Expr;
+use crate::message::AxmlMessage;
+use crate::sc::ScProvider;
+use crate::service::Service;
+use crate::system::AxmlSystem;
+use axml_net::{FramedPayload, Payload};
+use axml_obs::{DataTag, TraceEvent};
+use axml_prng::SplitMix64;
+use axml_query::Query;
+use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
+use axml_xml::tree::{NodeId, Tree};
+use std::collections::{BTreeMap, VecDeque};
+
+/// A result destination: `(slot, part)` inside the session's slot table.
+pub(crate) type Out = (usize, usize);
+
+/// What travels on a link: the charged message plus the receiver-side
+/// continuation. Only `msg` contributes to the wire size — intents are
+/// bookkeeping for the simulation, not payload.
+pub struct Wire {
+    pub(crate) msg: AxmlMessage,
+    pub(crate) intent: Intent,
+}
+
+impl Payload for Wire {
+    fn wire_size(&self) -> usize {
+        self.msg.wire_size()
+    }
+}
+
+impl FramedPayload for Wire {
+    /// Only the [`AxmlMessage`] crosses the wire: the `Intent` is the
+    /// sender-side continuation bookkeeping (which slot a reply fills),
+    /// not message content — a real remote peer would reconstruct it
+    /// from correlation ids.
+    fn frame_payload(&self) -> Vec<u8> {
+        self.msg.frame_bytes()
+    }
+}
+
+impl std::fmt::Debug for Wire {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Wire({})", self.msg.kind())
+    }
+}
+
+/// The effect a message has when it reaches its receiver's mailbox.
+pub(crate) enum Intent {
+    /// Pure data transfer; the send's value was already determined.
+    None,
+    /// Fill a waiting slot with a forest (responses, fetched data).
+    Reply { forest: Vec<Tree>, out: Out },
+    /// Definition (5) / delegated-send shape: the receiver evaluates
+    /// `expr` and ships the result back as `Data(tag)` into `out`.
+    EvalAndReply {
+        expr: Expr,
+        reply_to: PeerId,
+        tag: DataTag,
+        out: Out,
+    },
+    /// General `eval@p`: the receiver evaluates `expr`; the delegating
+    /// side's value is ∅, filled into `done` once the inner completes.
+    EvalHere { expr: Expr, done: Out },
+    /// Definition (4) / forward lists: graft `forest` under `addr`.
+    Graft {
+        addr: NodeAddr,
+        forest: Vec<Tree>,
+        notify: Option<Out>,
+    },
+    /// `send(d@p, t)`: install a new document at the receiver.
+    InstallDoc {
+        name: DocName,
+        forest: Vec<Tree>,
+        notify: Out,
+    },
+    /// Definition (8): register the shipped query as a service.
+    Deploy {
+        query: Query,
+        as_service: ServiceName,
+        notify: Out,
+    },
+    /// Definition (6) step 1 arriving: the provider runs the service.
+    Invoke {
+        caller: PeerId,
+        service: ServiceName,
+        params: Vec<Vec<Tree>>,
+        forward: Vec<NodeAddr>,
+        call_id: u64,
+        out: Out,
+    },
+    /// Replica maintenance: graft into the receiving replica and pump
+    /// its subscriptions.
+    ReplicaFeed { doc: DocName, tree: Tree },
+}
+
+/// One fixed-arity result slot: ready when every part is filled.
+struct Slot {
+    parts: Vec<Option<Vec<Tree>>>,
+    missing: usize,
+    /// The continuation (and the peer it runs at) parked on this slot;
+    /// the fill of the last part resumes it.
+    parked: Option<(PeerId, Cont)>,
+}
+
+/// A task on the ready queue.
+pub(crate) enum Runnable {
+    /// Decompose `expr` at a peer; its value lands in `out`.
+    Eval { at: PeerId, expr: Expr, out: Out },
+    /// Resume a continuation whose inputs are all available.
+    Resume {
+        peer: PeerId,
+        cont: Cont,
+        input: Vec<Vec<Tree>>,
+    },
+}
+
+impl Runnable {
+    fn peer(&self) -> PeerId {
+        match self {
+            Runnable::Eval { at, .. } => *at,
+            Runnable::Resume { peer, .. } => *peer,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Runnable::Eval { .. } => "eval",
+            Runnable::Resume { cont, .. } => cont.name(),
+        }
+    }
+}
+
+/// The suspended remainder of one definition's evaluation.
+pub(crate) enum Cont {
+    /// Definitions (2)/(7): run the query over the gathered argument
+    /// forests (`skip` leading parts are the remote-definition gate).
+    ApplyFinish { query: Query, skip: usize, out: Out },
+    /// Definition (6): all `sc` parameters evaluated — start the call.
+    ScReady {
+        provider: ScProvider,
+        service: ServiceName,
+        forward: Vec<NodeAddr>,
+        out: Out,
+    },
+    /// Definition (3): payload evaluated — ship it.
+    SendPeer { dest: PeerId, out: Out },
+    /// Definition (4): payload evaluated — deliver to the node list.
+    SendNodes { addrs: Vec<NodeAddr>, out: Out },
+    /// `send(d@p, t)`: payload evaluated — install the new document.
+    SendNewDoc {
+        peer: PeerId,
+        name: DocName,
+        out: Out,
+    },
+    /// Definition (1): embedded `sc` results ready — graft them back
+    /// into the copied tree (`grafts[i]` is part `i`'s parent; `None`
+    /// for forward-listed calls whose results landed elsewhere).
+    TreeFinish {
+        tree: Tree,
+        grafts: Vec<Option<NodeId>>,
+        out: Out,
+    },
+    /// Rule (13): one sequence step finished — run the rest.
+    SeqStep { rest: VecDeque<Expr>, out: Out },
+    /// Remote fetch/delegation: the inner result must travel back.
+    ReplyData {
+        reply_to: PeerId,
+        tag: DataTag,
+        remote_out: Out,
+    },
+    /// Completion gate: inputs arrived, the observable value is ∅.
+    Discard { out: Out },
+}
+
+impl Cont {
+    fn name(&self) -> &'static str {
+        match self {
+            Cont::ApplyFinish { .. } => "apply",
+            Cont::ScReady { .. } => "sc",
+            Cont::SendPeer { .. } => "send",
+            Cont::SendNodes { .. } => "send-nodes",
+            Cont::SendNewDoc { .. } => "send-newdoc",
+            Cont::TreeFinish { .. } => "tree",
+            Cont::SeqStep { .. } => "seq",
+            Cont::ReplyData { .. } => "reply",
+            Cont::Discard { .. } => "fill",
+        }
+    }
+}
+
+/// A message popped off the network, parked in its receiver's mailbox.
+pub(crate) struct Delivery {
+    pub(crate) from: PeerId,
+    pub(crate) to: PeerId,
+    pub(crate) wire: Wire,
+    pub(crate) at: f64,
+}
+
+/// One evaluation session: everything the engine needs besides Σ.
+///
+/// Sessions are pure data — all logic lives in `AxmlSystem` methods so
+/// the driver can borrow peers, network and observability freely.
+pub(crate) struct EvalSession {
+    slots: Vec<Slot>,
+    pub(crate) ready: VecDeque<Runnable>,
+    /// Per-peer arrival mailboxes, keyed by peer index. Sparse — only
+    /// peers that actually receive something get an entry, so a session
+    /// over 10⁵ peers costs O(touched peers), and the ascending key
+    /// iteration reproduces the dense `0..n` drain order bit-exactly.
+    pub(crate) mailboxes: BTreeMap<u32, VecDeque<Delivery>>,
+    rng: SplitMix64,
+    /// Result trees delivered by arrival-side subscription pumps
+    /// (replica maintenance accumulates its downstream count here).
+    pub(crate) delivered: usize,
+    /// The parallel driver's session-side hook (inert under the
+    /// sequential reference); only [`crate::driver`] looks inside.
+    pub(crate) spec: Speculation,
+}
+
+impl EvalSession {
+    /// Allocate a slot with `parts` ordered parts (0 parts = ready now).
+    pub(crate) fn new_slot(&mut self, parts: usize) -> usize {
+        self.slots.push(Slot {
+            parts: vec![None; parts],
+            missing: parts,
+            parked: None,
+        });
+        self.slots.len() - 1
+    }
+
+    /// Take the first part of a finished slot (the session's result).
+    ///
+    /// A part that was never filled means a delivery was lost somewhere
+    /// between the peers — that is a [`EngineError::LostResult`], not an
+    /// empty answer. (A part filled with an empty forest is a perfectly
+    /// valid result and comes back as `Ok(vec![])`.)
+    pub(crate) fn take(&mut self, slot: usize) -> Result<Vec<Tree>, EngineError> {
+        self.slots[slot]
+            .parts
+            .get_mut(0)
+            .and_then(Option::take)
+            .ok_or(EngineError::LostResult { slot, part: 0 })
+    }
+
+    fn gather(&mut self, slot: usize) -> Result<Vec<Vec<Tree>>, EngineError> {
+        self.slots[slot]
+            .parts
+            .iter_mut()
+            .enumerate()
+            .map(|(part, p)| p.take().ok_or(EngineError::LostResult { slot, part }))
+            .collect()
+    }
+}
+
+impl AxmlSystem {
+    /// A fresh session with a deterministic, per-session PRNG seed.
+    pub(crate) fn new_session(&mut self) -> EvalSession {
+        let n = self.sessions;
+        self.sessions += 1;
+        EvalSession {
+            slots: Vec::new(),
+            ready: VecDeque::new(),
+            mailboxes: BTreeMap::new(),
+            rng: SplitMix64::new(self.engine_seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            delivered: 0,
+            spec: Speculation::new(self.driver),
+        }
+    }
+
+    /// Put a task on the ready queue (emitting [`TraceEvent::TaskScheduled`]).
+    pub(crate) fn schedule(&mut self, s: &mut EvalSession, task: Runnable) {
+        let peer = task.peer();
+        let name = task.name();
+        let at_ms = self.net.now_ms();
+        self.obs.emit(|| TraceEvent::TaskScheduled {
+            peer,
+            task: name.into(),
+            at_ms,
+        });
+        s.ready.push_back(task);
+    }
+
+    /// Drive the session to quiescence: run ready tasks, then deliver
+    /// the earliest batch of in-flight messages, until both are empty.
+    /// On error the network's in-flight queue is cleared (statistics are
+    /// kept — the bytes were charged when they entered the link). Either
+    /// way the trace sink is flushed (best effort) so file-backed sinks
+    /// are durable up to every quiescence point.
+    pub(crate) fn run_session(&mut self, s: &mut EvalSession) -> CoreResult<()> {
+        let r = match self.driver {
+            DriverKind::Sequential => self.run_session_sequential(s),
+            DriverKind::Parallel { threads } => self.run_session_parallel(s, threads),
+        };
+        if r.is_err() {
+            self.net.clear_in_flight();
+        }
+        if let Err(e) = self.obs.flush() {
+            eprintln!("axml-core: trace flush at session quiescence failed: {e}");
+        }
+        r
+    }
+
+    /// The single-threaded reference loop (see [`crate::driver`]).
+    fn run_session_sequential(&mut self, s: &mut EvalSession) -> CoreResult<()> {
+        loop {
+            while let Some(task) = s.ready.pop_front() {
+                self.run_task(s, task)?;
+            }
+            if !self.next_arrival_batch(s) {
+                break;
+            }
+            // Deliveries never push into mailboxes (only
+            // `next_arrival_batch` does), so taking the whole map and
+            // draining in ascending peer order is exactly the old dense
+            // `0..n` per-peer scan.
+            for (_, mut mb) in std::mem::take(&mut s.mailboxes) {
+                while let Some(d) = mb.pop_front() {
+                    self.deliver(s, d)?;
+                }
+            }
+        }
+        self.check_quiescent(s)
+    }
+
+    /// Pop every message arriving at the earliest pending instant,
+    /// shuffle the batch with the session PRNG (deterministic
+    /// tie-breaking, not biased by send order) and enqueue each message
+    /// into its receiver's mailbox. Returns `false` when nothing is in
+    /// flight. Both drivers share this — it is the *only* consumer of
+    /// the session PRNG, which keeps the stream identical across them.
+    pub(crate) fn next_arrival_batch(&mut self, s: &mut EvalSession) -> bool {
+        if !self.net.has_pending() {
+            return false;
+        }
+        let t = self
+            .net
+            .peek_arrival()
+            .expect("pending messages have an arrival time");
+        let mut batch = Vec::new();
+        while self.net.peek_arrival() == Some(t) {
+            let (from, to, wire, at) = self.net.recv_from().expect("peeked arrival must pop");
+            batch.push(Delivery { from, to, wire, at });
+        }
+        s.rng.shuffle(&mut batch);
+        for d in batch {
+            s.mailboxes.entry(d.to.0).or_default().push_back(d);
+        }
+        true
+    }
+
+    /// A quiescent session with a continuation still parked lost the
+    /// fill that would have resumed it.
+    pub(crate) fn check_quiescent(&self, s: &EvalSession) -> CoreResult<()> {
+        let mut parked = s.slots.iter().filter_map(|slot| slot.parked.as_ref());
+        match parked.next() {
+            Some(&(peer, _)) => Err(EngineError::Stalled {
+                peer,
+                waiting: 1 + parked.count(),
+            }
+            .into()),
+            None => Ok(()),
+        }
+    }
+
+    pub(crate) fn run_task(&mut self, s: &mut EvalSession, task: Runnable) -> CoreResult<()> {
+        match task {
+            Runnable::Eval { at, expr, out } => self.step_eval(s, at, expr, out),
+            Runnable::Resume { peer, cont, input } => self.resume(s, peer, cont, input),
+        }
+    }
+
+    pub(crate) fn deliver(&mut self, s: &mut EvalSession, d: Delivery) -> CoreResult<()> {
+        let Delivery { from, to, wire, at } = d;
+        let kind = wire.msg.kind();
+        let charged = self
+            .net
+            .link(from, to)
+            .charged_bytes_u64(wire.msg.wire_size());
+        self.obs.emit(|| TraceEvent::MessageDelivered {
+            from,
+            to,
+            kind,
+            bytes: charged,
+            at_ms: at,
+        });
+        self.apply_intent(s, to, wire.intent)
+    }
+
+    /// Run a message's receiver-side effect at `to` (local sends apply
+    /// it at once, cross-peer ones on delivery).
+    pub(super) fn apply_intent(
+        &mut self,
+        s: &mut EvalSession,
+        to: PeerId,
+        intent: Intent,
+    ) -> CoreResult<()> {
+        match intent {
+            Intent::None => Ok(()),
+            Intent::Reply { forest, out } => self.fill(s, out, forest),
+            Intent::EvalAndReply {
+                expr,
+                reply_to,
+                tag,
+                out,
+            } => {
+                let slot = s.new_slot(1);
+                self.schedule(
+                    s,
+                    Runnable::Eval {
+                        at: to,
+                        expr,
+                        out: (slot, 0),
+                    },
+                );
+                self.register_pending(
+                    s,
+                    slot,
+                    to,
+                    Cont::ReplyData {
+                        reply_to,
+                        tag,
+                        remote_out: out,
+                    },
+                )
+            }
+            Intent::EvalHere { expr, done } => {
+                let slot = s.new_slot(1);
+                self.schedule(
+                    s,
+                    Runnable::Eval {
+                        at: to,
+                        expr,
+                        out: (slot, 0),
+                    },
+                );
+                self.register_pending(s, slot, to, Cont::Discard { out: done })
+            }
+            Intent::Graft {
+                addr,
+                forest,
+                notify,
+            } => {
+                self.graft_at(&addr, &forest)?;
+                match notify {
+                    Some(n) => self.fill(s, n, Vec::new()),
+                    None => Ok(()),
+                }
+            }
+            Intent::InstallDoc {
+                name,
+                forest,
+                notify,
+            } => {
+                self.install_new_doc(to, &name, &forest)?;
+                self.fill(s, notify, Vec::new())
+            }
+            Intent::Deploy {
+                query,
+                as_service,
+                notify,
+            } => {
+                self.peers[to.index()].register_service(Service::declarative(as_service, query));
+                self.touch_peer(to);
+                self.fill(s, notify, Vec::new())
+            }
+            Intent::Invoke {
+                caller,
+                service,
+                params,
+                forward,
+                call_id,
+                out,
+            } => {
+                let call = ScCall {
+                    caller,
+                    service: &service,
+                    param_forests: params,
+                    forward: &forward,
+                };
+                self.run_service_at(s, to, call, call_id, out)
+            }
+            Intent::ReplicaFeed { doc, tree } => {
+                let n = self.feed_into(s, to, &doc, tree)?;
+                s.delivered += n;
+                Ok(())
+            }
+        }
+    }
+
+    /// Fill one slot part; the fill of a slot's last part resumes the
+    /// continuation parked on it (if one is — otherwise the parts stay
+    /// for a later [`AxmlSystem::register_pending`] or `take`).
+    pub(super) fn fill(
+        &mut self,
+        s: &mut EvalSession,
+        out: Out,
+        forest: Vec<Tree>,
+    ) -> CoreResult<()> {
+        let slot = &mut s.slots[out.0];
+        debug_assert!(slot.parts[out.1].is_none(), "slot part filled twice");
+        slot.parts[out.1] = Some(forest);
+        slot.missing -= 1;
+        if slot.missing == 0 {
+            if let Some((peer, cont)) = slot.parked.take() {
+                let input = s.gather(out.0)?;
+                self.schedule(s, Runnable::Resume { peer, cont, input });
+            }
+        }
+        Ok(())
+    }
+
+    /// Park `cont` on `slot` until it is ready (resuming immediately if
+    /// it already is — e.g. zero-part gates or all-local fills).
+    pub(super) fn register_pending(
+        &mut self,
+        s: &mut EvalSession,
+        slot: usize,
+        peer: PeerId,
+        cont: Cont,
+    ) -> CoreResult<()> {
+        if s.slots[slot].missing == 0 {
+            let input = s.gather(slot)?;
+            self.schedule(s, Runnable::Resume { peer, cont, input });
+        } else {
+            debug_assert!(s.slots[slot].parked.is_none(), "slot parked twice");
+            s.slots[slot].parked = Some((peer, cont));
+        }
+        Ok(())
+    }
+}

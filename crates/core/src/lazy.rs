@@ -24,8 +24,8 @@ use axml_query::plan::{Plan, PlanTest};
 use axml_query::Query;
 use axml_types::{Schema, TypeName};
 use axml_xml::ids::{DocName, PeerId};
-use axml_xml::label::Label;
 use axml_xml::tree::Tree;
+use axml_xml::Label;
 use std::collections::HashSet;
 
 /// The set of element labels a query navigates through or constructs

@@ -87,7 +87,7 @@ pub mod service;
 pub mod system;
 
 pub use builder::{DocSource, PeerSel, SystemBuilder};
-pub use driver::{DriverKind, ParallelDriver, ParallelStats, SequentialDriver};
+pub use driver::{DriverKind, ParallelStats};
 pub use error::{CoreError, CoreResult, EngineError};
 pub use expr::{Expr, LocatedQuery, PeerRef, SendDest};
 pub use retry::RetryPolicy;
@@ -98,7 +98,7 @@ pub mod prelude {
     pub use crate::builder::{DocSource, PeerSel, SystemBuilder};
     pub use crate::continuous::{MatcherMode, Subscription, Trigger};
     pub use crate::cost::{Cost, CostModel};
-    pub use crate::driver::{DriverKind, ParallelDriver, ParallelStats, SequentialDriver};
+    pub use crate::driver::{DriverKind, ParallelStats};
     pub use crate::error::{CoreError, CoreResult, EngineError};
     pub use crate::expr::{Expr, LocatedQuery, PeerRef, SendDest};
     pub use crate::optimizer::{Explained, Optimizer};

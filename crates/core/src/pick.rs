@@ -29,6 +29,34 @@ pub enum PickPolicy {
     RoundRobin,
 }
 
+/// The members of every class of one kind, in registration order.
+type Members<N> = BTreeMap<N, Vec<(PeerId, N)>>;
+
+/// A name that can denote an equivalence class. Documents and services
+/// are the two kinds; each has its own member table and its own
+/// per-class cursors (advanced by the round-robin and random policies)
+/// in the [`Catalog`].
+pub(crate) trait ClassName: Ord + Clone + std::fmt::Display {
+    /// The paper's name of the pick function for this kind.
+    const PICK: &'static str;
+    /// This kind's member table and cursors.
+    fn table(catalog: &mut Catalog) -> (&Members<Self>, &mut BTreeMap<Self, usize>);
+}
+
+impl ClassName for DocName {
+    const PICK: &'static str = "pickDoc";
+    fn table(catalog: &mut Catalog) -> (&Members<Self>, &mut BTreeMap<Self, usize>) {
+        (&catalog.docs, &mut catalog.rr_state)
+    }
+}
+
+impl ClassName for ServiceName {
+    const PICK: &'static str = "pickService";
+    fn table(catalog: &mut Catalog) -> (&Members<Self>, &mut BTreeMap<Self, usize>) {
+        (&catalog.services, &mut catalog.rr_state_svc)
+    }
+}
+
 /// The distributed catalog of equivalence classes.
 ///
 /// The paper deliberately abstracts the network structure (*"we make no
@@ -37,8 +65,8 @@ pub enum PickPolicy {
 /// facility exists, and the cost model can charge a lookup if desired.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    docs: BTreeMap<DocName, Vec<(PeerId, DocName)>>,
-    services: BTreeMap<ServiceName, Vec<(PeerId, ServiceName)>>,
+    docs: Members<DocName>,
+    services: Members<ServiceName>,
     rr_state: BTreeMap<DocName, usize>,
     rr_state_svc: BTreeMap<ServiceName, usize>,
 }
@@ -101,154 +129,72 @@ impl Catalog {
             .collect()
     }
 
-    /// `pickDoc(d@any)` evaluated at `at` — definition (9).
-    pub fn pick_doc<M: Payload>(
+    /// `pickDoc(d@any)` / `pickService(s@any)` evaluated at `at` —
+    /// definition (9).
+    ///
+    /// With `excluded` empty the pick is *blind*: every member is a
+    /// candidate, reachable or not (a peer only discovers a dead
+    /// replica by timing out on it). A non-empty `excluded` is the
+    /// failover re-pick: the engine lists the replicas it has already
+    /// failed to reach, and the candidates are the remaining members
+    /// currently reachable from `at` (link administratively up, no
+    /// fault-plan outage, peer not crashed).
+    pub(crate) fn pick<N: ClassName, M: Payload>(
         &mut self,
         policy: PickPolicy,
         at: PeerId,
-        class: &DocName,
-        net: &dyn Transport<M>,
-    ) -> CoreResult<(PeerId, DocName)> {
-        let members = self
-            .docs
-            .get(class)
-            .filter(|v| !v.is_empty())
-            .ok_or_else(|| CoreError::EmptyEquivalenceClass(class.to_string()))?;
-        let idx = pick_index(
-            policy,
-            at,
-            members.iter().map(|(p, _)| *p),
-            net,
-            self.rr_state.entry(class.clone()).or_insert(0),
-        );
-        Ok(members[idx].clone())
-    }
-
-    /// `pickDoc(d@any)` restricted to *live* candidates: members whose
-    /// peer is not in `excluded` and is currently reachable from `at`
-    /// (link administratively up, no fault-plan outage, peer not
-    /// crashed). This is the failover variant of [`Catalog::pick_doc`]:
-    /// the engine excludes replicas it has already failed to reach and
-    /// re-picks among the rest.
-    pub fn pick_doc_excluding<M: Payload>(
-        &mut self,
-        policy: PickPolicy,
-        at: PeerId,
-        class: &DocName,
+        class: &N,
         net: &dyn Transport<M>,
         excluded: &[PeerId],
-    ) -> CoreResult<(PeerId, DocName)> {
-        let members = self
-            .docs
+    ) -> CoreResult<(PeerId, N)> {
+        let (members, cursors) = N::table(self);
+        let candidates: Vec<&(PeerId, N)> = members
             .get(class)
-            .ok_or_else(|| CoreError::EmptyEquivalenceClass(class.to_string()))?;
-        let live: Vec<(PeerId, DocName)> = members
-            .iter()
-            .filter(|(p, _)| !excluded.contains(p) && net.reachable(at, *p))
-            .cloned()
+            .into_iter()
+            .flatten()
+            .filter(|(p, _)| {
+                excluded.is_empty() || (!excluded.contains(p) && net.reachable(at, *p))
+            })
             .collect();
-        if live.is_empty() {
+        if candidates.is_empty() {
             return Err(CoreError::EmptyEquivalenceClass(class.to_string()));
         }
-        let idx = pick_index(
-            policy,
-            at,
-            live.iter().map(|(p, _)| *p),
-            net,
-            self.rr_state.entry(class.clone()).or_insert(0),
-        );
-        Ok(live[idx].clone())
-    }
-
-    /// `pickService(s@any)` evaluated at `at`.
-    pub fn pick_service<M: Payload>(
-        &mut self,
-        policy: PickPolicy,
-        at: PeerId,
-        class: &ServiceName,
-        net: &dyn Transport<M>,
-    ) -> CoreResult<(PeerId, ServiceName)> {
-        let members = self
-            .services
-            .get(class)
-            .filter(|v| !v.is_empty())
-            .ok_or_else(|| CoreError::EmptyEquivalenceClass(class.to_string()))?;
-        let idx = pick_index(
-            policy,
-            at,
-            members.iter().map(|(p, _)| *p),
-            net,
-            self.rr_state_svc.entry(class.clone()).or_insert(0),
-        );
-        Ok(members[idx].clone())
-    }
-
-    /// `pickService(s@any)` restricted to live candidates — the failover
-    /// variant of [`Catalog::pick_service`]; see
-    /// [`Catalog::pick_doc_excluding`].
-    pub fn pick_service_excluding<M: Payload>(
-        &mut self,
-        policy: PickPolicy,
-        at: PeerId,
-        class: &ServiceName,
-        net: &dyn Transport<M>,
-        excluded: &[PeerId],
-    ) -> CoreResult<(PeerId, ServiceName)> {
-        let members = self
-            .services
-            .get(class)
-            .ok_or_else(|| CoreError::EmptyEquivalenceClass(class.to_string()))?;
-        let live: Vec<(PeerId, ServiceName)> = members
-            .iter()
-            .filter(|(p, _)| !excluded.contains(p) && net.reachable(at, *p))
-            .cloned()
-            .collect();
-        if live.is_empty() {
-            return Err(CoreError::EmptyEquivalenceClass(class.to_string()));
-        }
-        let idx = pick_index(
-            policy,
-            at,
-            live.iter().map(|(p, _)| *p),
-            net,
-            self.rr_state_svc.entry(class.clone()).or_insert(0),
-        );
-        Ok(live[idx].clone())
+        let cursor = cursors.entry(class.clone()).or_insert(0);
+        Ok(candidates[pick_index(policy, at, &candidates, net, cursor)].clone())
     }
 }
 
 const NOMINAL_BYTES: usize = 64 * 1024;
 
-fn pick_index<M: Payload>(
+fn pick_index<N, M: Payload>(
     policy: PickPolicy,
     at: PeerId,
-    peers: impl Iterator<Item = PeerId>,
+    candidates: &[&(PeerId, N)],
     net: &dyn Transport<M>,
-    rr: &mut usize,
+    cursor: &mut usize,
 ) -> usize {
-    let peers: Vec<PeerId> = peers.collect();
     match policy {
         PickPolicy::First => 0,
-        PickPolicy::Closest => peers
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let ca = net.link(at, **a).transfer_ms(NOMINAL_BYTES);
-                let cb = net.link(at, **b).transfer_ms(NOMINAL_BYTES);
-                ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-            .unwrap_or(0),
+        PickPolicy::Closest => {
+            let cost = |c: &&(PeerId, N)| net.link(at, c.0).transfer_ms(NOMINAL_BYTES);
+            candidates
+                .iter()
+                .enumerate()
+                // `total_cmp`, like the optimizer's beam ordering: a NaN
+                // link cost must not make the choice order-dependent.
+                .min_by(|(_, a), (_, b)| cost(a).total_cmp(&cost(b)))
+                .map_or(0, |(i, _)| i)
+        }
         PickPolicy::Random(seed) => {
             // Derive the choice from the seed, the site and the class size
             // so repeated picks are deterministic but well spread.
-            let mut rng = SplitMix64::new(seed ^ ((at.0 as u64) << 32) ^ *rr as u64);
-            *rr += 1;
-            rng.gen_range(0..peers.len())
+            let mut rng = SplitMix64::new(seed ^ ((at.0 as u64) << 32) ^ *cursor as u64);
+            *cursor += 1;
+            rng.gen_range(0..candidates.len())
         }
         PickPolicy::RoundRobin => {
-            let i = *rr % peers.len();
-            *rr += 1;
+            let i = *cursor % candidates.len();
+            *cursor += 1;
             i
         }
     }
@@ -260,6 +206,7 @@ mod tests {
     use axml_net::link::LinkCost;
     use axml_net::sim::SimTransport as Network;
 
+    /// a ⇄ b slow, a ⇄ c lan, b ⇄ c wan.
     fn net3() -> Network<String> {
         let mut net: Network<String> = Network::new();
         let a = net.add_peer("a");
@@ -271,85 +218,101 @@ mod tests {
         net
     }
 
+    /// The same two replicas (on b and c) as a document class `cat` and
+    /// as a service class `cat`.
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
         cat.add_doc_replica("cat", PeerId(1), "cat-on-b");
         cat.add_doc_replica("cat", PeerId(2), "cat-on-c");
+        cat.add_service_replica("cat", PeerId(1), "cat-on-b");
+        cat.add_service_replica("cat", PeerId(2), "cat-on-c");
         cat
     }
 
-    #[test]
-    fn first_policy() {
-        let net = net3();
-        let mut cat = catalog();
-        let (p, name) = cat
-            .pick_doc(PickPolicy::First, PeerId(0), &"cat".into(), &net)
-            .unwrap();
-        assert_eq!((p, name.as_str()), (PeerId(1), "cat-on-b"));
+    /// A pick's outcome; `None` = empty equivalence class.
+    fn shown<N: ClassName>(pick: CoreResult<(PeerId, N)>) -> Option<(PeerId, String)> {
+        match pick {
+            Ok((p, name)) => Some((p, name.to_string())),
+            Err(CoreError::EmptyEquivalenceClass(_)) => None,
+            Err(e) => panic!("unexpected pick error: {e}"),
+        }
+    }
+
+    /// Pick at peer a over the document class and the service class of
+    /// that name, which must agree.
+    fn pick_both(
+        cat: &mut Catalog,
+        policy: PickPolicy,
+        class: &str,
+        net: &Network<String>,
+        excluded: &[PeerId],
+    ) -> Option<(PeerId, String)> {
+        let doc = shown(cat.pick(policy, PeerId(0), &DocName::from(class), net, excluded));
+        let svc = shown(cat.pick(policy, PeerId(0), &ServiceName::from(class), net, excluded));
+        assert_eq!(doc, svc, "one rule, two kinds");
+        doc
     }
 
     #[test]
-    fn closest_policy_prefers_cheap_link() {
-        let net = net3();
-        let mut cat = catalog();
-        let (p, _) = cat
-            .pick_doc(PickPolicy::Closest, PeerId(0), &"cat".into(), &net)
-            .unwrap();
-        assert_eq!(p, PeerId(2), "lan link to c beats slow link to b");
+    fn one_pick_rule_for_documents_and_services() {
+        use PickPolicy::{Closest, First};
+        const B: PeerId = PeerId(1);
+        const C: PeerId = PeerId(2);
+        /// (policy, class, link a→b down?, excluded, expected member)
+        type Case = (
+            PickPolicy,
+            &'static str,
+            bool,
+            &'static [PeerId],
+            Option<PeerId>,
+        );
+        let cases: [Case; 9] = [
+            (First, "cat", false, &[], Some(B)),
+            (Closest, "cat", false, &[], Some(C)), // lan to c beats slow to b
+            (First, "none", false, &[], None),
+            // Blind first pick: an empty `excluded` does not look at
+            // reachability — the dead replica is found by timing out.
+            (First, "cat", true, &[], Some(B)),
+            // A re-pick skips the excluded and the unreachable.
+            (Closest, "cat", false, &[C], Some(B)),
+            (First, "cat", false, &[B], Some(C)),
+            (First, "cat", true, &[PeerId(9)], Some(C)),
+            (Closest, "cat", true, &[C], None),
+            (First, "none", false, &[B], None),
+        ];
+        for (policy, class, b_down, excluded, want) in cases {
+            let mut net = net3();
+            if b_down {
+                net.fail_link(PeerId(0), B);
+            }
+            let got = pick_both(&mut catalog(), policy, class, &net, excluded);
+            assert_eq!(
+                got.as_ref().map(|(p, _)| *p),
+                want,
+                "{policy:?} over `{class}`, a→b down: {b_down}, excluded {excluded:?}"
+            );
+            if let Some((p, name)) = got {
+                assert_eq!(name, if p == B { "cat-on-b" } else { "cat-on-c" });
+            }
+        }
     }
 
     #[test]
-    fn excluding_pick_skips_dead_and_unreachable_replicas() {
-        let mut net = net3();
-        let mut cat = catalog();
-        // Excluding the closest replica re-picks the other one.
-        let (p, name) = cat
-            .pick_doc_excluding(
-                PickPolicy::Closest,
-                PeerId(0),
-                &"cat".into(),
-                &net,
-                &[PeerId(2)],
-            )
-            .unwrap();
-        assert_eq!((p, name.as_str()), (PeerId(1), "cat-on-b"));
-        // An unreachable replica is skipped even when not excluded.
-        net.fail_link(PeerId(0), PeerId(1));
-        let err = cat
-            .pick_doc_excluding(
-                PickPolicy::Closest,
-                PeerId(0),
-                &"cat".into(),
-                &net,
-                &[PeerId(2)],
-            )
-            .unwrap_err();
-        assert!(matches!(err, CoreError::EmptyEquivalenceClass(_)));
-        // With nothing excluded, the down link still filters b out.
-        let (p, _) = cat
-            .pick_doc_excluding(PickPolicy::First, PeerId(0), &"cat".into(), &net, &[])
-            .unwrap();
-        assert_eq!(p, PeerId(2), "down link to b filters it out");
-    }
-
-    #[test]
-    fn round_robin_cycles() {
+    fn round_robin_cycles_with_a_cursor_per_kind() {
         let net = net3();
         let mut cat = catalog();
-        let p1 = cat
-            .pick_doc(PickPolicy::RoundRobin, PeerId(0), &"cat".into(), &net)
-            .unwrap()
-            .0;
-        let p2 = cat
-            .pick_doc(PickPolicy::RoundRobin, PeerId(0), &"cat".into(), &net)
-            .unwrap()
-            .0;
-        let p3 = cat
-            .pick_doc(PickPolicy::RoundRobin, PeerId(0), &"cat".into(), &net)
-            .unwrap()
-            .0;
+        let rr = PickPolicy::RoundRobin;
+        let doc = |cat: &mut Catalog| {
+            let pick = cat.pick(rr, PeerId(0), &DocName::from("cat"), &net, &[]);
+            pick.unwrap().0
+        };
+        let (p1, p2, p3) = (doc(&mut cat), doc(&mut cat), doc(&mut cat));
         assert_ne!(p1, p2);
         assert_eq!(p1, p3);
+        // Three document picks did not move the service class's cursor.
+        let svc = cat.pick(rr, PeerId(0), &ServiceName::from("cat"), &net, &[]);
+        assert_eq!(svc.unwrap().0, p1, "the service class starts its own cycle");
+        assert_eq!(doc(&mut cat), p2, "and the document cycle goes on");
     }
 
     #[test]
@@ -358,40 +321,36 @@ mod tests {
         let pick = |seed| {
             let mut cat = catalog();
             (0..5)
-                .map(|_| {
-                    cat.pick_doc(PickPolicy::Random(seed), PeerId(0), &"cat".into(), &net)
-                        .unwrap()
-                        .0
-                })
+                .map(|_| pick_both(&mut cat, PickPolicy::Random(seed), "cat", &net, &[]))
                 .collect::<Vec<_>>()
         };
         assert_eq!(pick(42), pick(42));
     }
 
     #[test]
-    fn empty_class_errors() {
-        let net = net3();
-        let mut cat = Catalog::new();
-        assert!(matches!(
-            cat.pick_doc(PickPolicy::First, PeerId(0), &"none".into(), &net),
-            Err(CoreError::EmptyEquivalenceClass(_))
-        ));
-        assert!(cat
-            .pick_service(PickPolicy::First, PeerId(0), &"none".into(), &net)
-            .is_err());
-    }
-
-    #[test]
-    fn service_classes() {
-        let net = net3();
-        let mut cat = Catalog::new();
-        cat.add_service_replica("search", PeerId(1), "search-b");
-        cat.add_service_replica("search", PeerId(2), "search-c");
-        assert_eq!(cat.service_replicas(&"search".into()).len(), 2);
-        let (p, _) = cat
-            .pick_service(PickPolicy::Closest, PeerId(0), &"search".into(), &net)
-            .unwrap();
-        assert_eq!(p, PeerId(2));
+    fn closest_orders_nan_costs_totally() {
+        let nan = LinkCost {
+            latency_ms: f64::NAN,
+            ..LinkCost::lan()
+        };
+        // Whichever replica is registered first, the one behind the
+        // NaN-cost link loses to the one with a real cost.
+        for order in [[1, 2], [2, 1]] {
+            let mut net = net3();
+            net.set_link(PeerId(0), PeerId(1), nan);
+            let mut cat = Catalog::new();
+            for p in order {
+                cat.add_doc_replica("cat", PeerId(p), "cat");
+            }
+            let pick = cat.pick(
+                PickPolicy::Closest,
+                PeerId(0),
+                &DocName::from("cat"),
+                &net,
+                &[],
+            );
+            assert_eq!(pick.unwrap().0, PeerId(2), "registration order {order:?}");
+        }
     }
 
     #[test]
@@ -399,5 +358,6 @@ mod tests {
         let cat = catalog();
         assert_eq!(cat.doc_replicas(&"cat".into()).len(), 2);
         assert!(cat.doc_replicas(&"other".into()).is_empty());
+        assert_eq!(cat.service_replicas(&"cat".into()).len(), 2);
     }
 }

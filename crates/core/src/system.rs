@@ -129,24 +129,6 @@ impl AxmlSystem {
         &mut self.peers[p.index()]
     }
 
-    /// Select the evaluation driver (see [`crate::driver`]). The default
-    /// is [`DriverKind::Sequential`], the reference implementation; the
-    /// parallel driver produces bit-identical results and reports.
-    pub fn set_driver(&mut self, driver: DriverKind) {
-        self.driver = driver;
-    }
-
-    /// The currently selected evaluation driver.
-    pub fn driver(&self) -> DriverKind {
-        self.driver
-    }
-
-    /// Cumulative parallel-driver counters (all zero while the
-    /// sequential driver is selected).
-    pub fn parallel_stats(&self) -> ParallelStats {
-        self.par_stats
-    }
-
     /// Record a mutation of `p`'s state Σ|p: bumps the peer's epoch so
     /// speculative results computed against the old state are discarded
     /// instead of committed (see [`crate::driver`]).
@@ -201,43 +183,6 @@ impl AxmlSystem {
     /// The catalog, read-only.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// Set the engine's [`RetryPolicy`] for failed send attempts. The
-    /// default is [`RetryPolicy::none`]: the first transient failure
-    /// surfaces immediately as a typed error, the engine's historical
-    /// behavior. Both drivers honor the policy identically.
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.retry = policy;
-    }
-
-    /// The engine's current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Enable or disable replica failover for generic (`@any`)
-    /// references: when a picked replica turns out to be unreachable
-    /// (even after retries), `pickDoc`/`pickService` re-resolve to the
-    /// next live replica instead of failing the evaluation. Off by
-    /// default.
-    pub fn set_failover(&mut self, enabled: bool) {
-        self.failover = enabled;
-    }
-
-    /// Whether replica failover is enabled.
-    pub fn failover_enabled(&self) -> bool {
-        self.failover
-    }
-
-    /// Set the `pickDoc`/`pickService` policy (definition (9)).
-    pub fn set_pick_policy(&mut self, policy: PickPolicy) {
-        self.pick_policy = policy;
-    }
-
-    /// The current pick policy.
-    pub fn pick_policy(&self) -> PickPolicy {
-        self.pick_policy
     }
 
     /// Install a document on a peer.

@@ -135,12 +135,7 @@ impl From<io::Error> for FrameError {
 /// integrity *tripwire* for the differential oracle, not a
 /// cryptographic MAC.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    axml_xml::symbol::fnv1a64(bytes)
 }
 
 /// Write the 6-byte connection preamble.

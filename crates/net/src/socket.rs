@@ -14,8 +14,8 @@
 //! # Layering and determinism
 //!
 //! The engine is a single-process discrete-event coordinator, so the
-//! socket backend keeps the **model** — virtual clock, [`LinkCost`]
-//! timing, seeded [`FaultPlan`] draws, [`NetStats`] charging — in an
+//! socket backend keeps the **model** — virtual clock, [`LinkCost`](crate::link::LinkCost)
+//! timing, seeded [`FaultPlan`](crate::sim::FaultPlan) draws, [`NetStats`](crate::stats::NetStats) charging — in an
 //! inner [`SimTransport`], and layers the wire underneath it:
 //!
 //! ```text
@@ -65,9 +65,7 @@ use crate::error::{NetError, NetResult};
 use crate::frame::{
     fnv1a64, read_frame, read_preamble, write_frame, write_preamble, Frame, FrameError,
 };
-use crate::link::LinkCost;
-use crate::sim::{FaultPlan, SimTransport};
-use crate::stats::NetStats;
+use crate::sim::SimTransport;
 use crate::transport::{FramedPayload, Transport};
 use crate::Payload;
 use axml_xml::ids::PeerId;
@@ -78,7 +76,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// Client-side ledger of real wire traffic, kept separately from
-/// [`NetStats`] so the deterministic statistics stay bit-identical to
+/// [`NetStats`](crate::stats::NetStats) so the deterministic statistics stay bit-identical to
 /// the simulator's. One entry per peer endpoint.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WireStats {
@@ -317,7 +315,7 @@ impl<M: Payload + FramedPayload> SocketTransport<M> {
 
     /// Ask every endpoint for its own traffic counters and verify them
     /// against the client-side ledger. This is the physical half of the
-    /// differential oracle: the deterministic [`NetStats`] prove the
+    /// differential oracle: the deterministic [`NetStats`](crate::stats::NetStats) prove the
     /// *model* matched the simulator, the reconciled reports prove the
     /// counted messages really crossed the process boundary.
     pub fn reconcile(&mut self) -> NetResult<Vec<EndpointReport>> {
@@ -439,52 +437,12 @@ impl<M: Payload + FramedPayload> Transport<M> for SocketTransport<M> {
         peer
     }
 
-    fn peer_count(&self) -> usize {
-        self.sim.peer_count()
+    fn model(&self) -> &SimTransport<M> {
+        &self.sim
     }
 
-    fn peer_name(&self, p: PeerId) -> NetResult<&str> {
-        self.sim.peer_name(p)
-    }
-
-    fn set_link(&mut self, a: PeerId, b: PeerId, cost: LinkCost) {
-        self.sim.set_link(a, b, cost)
-    }
-
-    fn set_link_directed(&mut self, from: PeerId, to: PeerId, cost: LinkCost) {
-        self.sim.set_link_directed(from, to, cost)
-    }
-
-    fn link(&self, from: PeerId, to: PeerId) -> LinkCost {
-        self.sim.link(from, to)
-    }
-
-    fn fail_link(&mut self, a: PeerId, b: PeerId) {
-        self.sim.fail_link(a, b)
-    }
-
-    fn restore_link(&mut self, a: PeerId, b: PeerId) {
-        self.sim.restore_link(a, b)
-    }
-
-    fn link_up(&self, from: PeerId, to: PeerId) -> bool {
-        self.sim.link_up(from, to)
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.sim.set_fault_plan(plan)
-    }
-
-    fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        self.sim.clear_fault_plan()
-    }
-
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.sim.fault_plan()
-    }
-
-    fn reachable(&self, from: PeerId, to: PeerId) -> bool {
-        self.sim.reachable(from, to)
+    fn model_mut(&mut self) -> &mut SimTransport<M> {
+        &mut self.sim
     }
 
     /// Runs the deterministic fault gate, ships the accepted message's
@@ -510,54 +468,6 @@ impl<M: Payload + FramedPayload> Transport<M> for SocketTransport<M> {
             }
         }
         Ok(self.sim.enqueue(from, to, msg, jitter))
-    }
-
-    fn recv_from(&mut self) -> Option<(PeerId, PeerId, M, f64)> {
-        self.sim.recv_from()
-    }
-
-    fn peek_arrival(&self) -> Option<f64> {
-        self.sim.peek_arrival()
-    }
-
-    fn clear_in_flight(&mut self) {
-        self.sim.clear_in_flight()
-    }
-
-    fn has_pending(&self) -> bool {
-        self.sim.has_pending()
-    }
-
-    fn pending_len(&self) -> usize {
-        self.sim.pending_len()
-    }
-
-    fn now_ms(&self) -> f64 {
-        self.sim.now_ms()
-    }
-
-    fn advance(&mut self, ms: f64) {
-        self.sim.advance(ms)
-    }
-
-    fn stats(&self) -> &NetStats {
-        self.sim.stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.sim.reset_stats()
-    }
-
-    fn scheduler_kind(&self) -> crate::wheel::SchedulerKind {
-        self.sim.scheduler_kind()
-    }
-
-    fn set_scheduler(&mut self, kind: crate::wheel::SchedulerKind) {
-        self.sim.set_scheduler(kind)
-    }
-
-    fn sched_stats(&self) -> crate::wheel::SchedStats {
-        self.sim.sched_stats()
     }
 }
 
@@ -703,6 +613,8 @@ pub fn drain(stream: &mut TcpStream) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::LinkCost;
+    use crate::sim::FaultPlan;
 
     #[test]
     fn ships_every_accepted_message_and_reconciles() {

@@ -8,7 +8,7 @@
 //! and per-link statistics ([`Transport::stats`]) — so the engine is
 //! *transport-blind*: the same session runs unchanged over the
 //! discrete-event reference backend
-//! ([`SimTransport`](crate::sim::SimTransport)) or the real
+//! ([`SimTransport`]) or the real
 //! multi-process loopback backend
 //! ([`SocketTransport`](crate::socket::SocketTransport)).
 //!
@@ -38,7 +38,7 @@
 
 use crate::error::{NetError, NetResult};
 use crate::link::{LinkCost, Topology};
-use crate::sim::FaultPlan;
+use crate::sim::{FaultPlan, SimTransport};
 use crate::stats::NetStats;
 use crate::wheel::{SchedStats, SchedulerKind};
 use crate::Payload;
@@ -74,10 +74,25 @@ impl FramedPayload for &str {
 /// Object-safe on purpose: `axml-core` holds a
 /// `Box<dyn Transport<Wire> + Send>` and never names a concrete
 /// backend. See the [module docs](self) for the behavioral contract.
+///
+/// **Every backend is the model plus a wire.** Peers, links, faults,
+/// the virtual clock, the delivery queue and the statistics live in one
+/// deterministic [`SimTransport`] model that each backend exposes
+/// through [`Transport::model`] / [`Transport::model_mut`]; everything
+/// that only reads or updates the model is a provided method over those
+/// two accessors. A backend implements what touches its wire:
+/// [`Transport::backend`], [`Transport::add_peer`] and
+/// [`Transport::send_attempt`].
 pub trait Transport<M: Payload> {
     /// A short backend label for reports and diagnostics
     /// (`"sim"`, `"socket"`, …).
     fn backend(&self) -> &'static str;
+
+    /// The deterministic network model under this backend.
+    fn model(&self) -> &SimTransport<M>;
+
+    /// The model, mutably.
+    fn model_mut(&mut self) -> &mut SimTransport<M>;
 
     /// Connect a new peer, returning its id (ids are dense and
     /// assigned in registration order). For the simulator this is a
@@ -85,98 +100,150 @@ pub trait Transport<M: Payload> {
     /// handshake with the peer's endpoint process.
     fn add_peer(&mut self, name: &str) -> PeerId;
 
-    /// Number of connected peers.
-    fn peer_count(&self) -> usize;
-
-    /// The display name of a peer.
-    fn peer_name(&self, p: PeerId) -> NetResult<&str>;
-
-    /// Configure both directions of a link.
-    fn set_link(&mut self, a: PeerId, b: PeerId, cost: LinkCost);
-
-    /// Configure one direction of a link.
-    fn set_link_directed(&mut self, from: PeerId, to: PeerId, cost: LinkCost);
-
-    /// The cost of the directed link `from → to`.
-    fn link(&self, from: PeerId, to: PeerId) -> LinkCost;
-
-    /// Administratively fail both directions of a link.
-    fn fail_link(&mut self, a: PeerId, b: PeerId);
-
-    /// Undo a [`Transport::fail_link`].
-    fn restore_link(&mut self, a: PeerId, b: PeerId);
-
-    /// Is the directed link administratively up?
-    fn link_up(&self, from: PeerId, to: PeerId) -> bool;
-
-    /// Install a seeded fault plan (replaces any previous plan and
-    /// restarts its attempt streams).
-    fn set_fault_plan(&mut self, plan: FaultPlan);
-
-    /// Remove the installed fault plan, returning it.
-    fn clear_fault_plan(&mut self) -> Option<FaultPlan>;
-
-    /// The installed fault plan, if any.
-    fn fault_plan(&self) -> Option<&FaultPlan>;
-
-    /// Is `to` reachable from `from` right now (administratively up, no
-    /// outage window, neither peer crashed)?
-    fn reachable(&self, from: PeerId, to: PeerId) -> bool;
-
     /// Attempt to send `msg`; on success returns the (virtual) arrival
     /// time, on failure returns the typed error *and the message back*
     /// so the caller can retry the same payload.
     fn send_attempt(&mut self, from: PeerId, to: PeerId, msg: M) -> Result<f64, (NetError, M)>;
 
+    // ---- the model, through either backend ------------------------
+
+    /// Number of connected peers.
+    fn peer_count(&self) -> usize {
+        self.model().peer_count()
+    }
+
+    /// The display name of a peer.
+    fn peer_name<'a>(&'a self, p: PeerId) -> NetResult<&'a str>
+    where
+        M: 'a,
+    {
+        self.model().peer_name(p)
+    }
+
+    /// Configure both directions of a link.
+    fn set_link(&mut self, a: PeerId, b: PeerId, cost: LinkCost) {
+        self.model_mut().set_link(a, b, cost)
+    }
+
+    /// Configure one direction of a link.
+    fn set_link_directed(&mut self, from: PeerId, to: PeerId, cost: LinkCost) {
+        self.model_mut().set_link_directed(from, to, cost)
+    }
+
+    /// The cost of the directed link `from → to`.
+    fn link(&self, from: PeerId, to: PeerId) -> LinkCost {
+        self.model().link(from, to)
+    }
+
+    /// Administratively fail both directions of a link.
+    fn fail_link(&mut self, a: PeerId, b: PeerId) {
+        self.model_mut().fail_link(a, b)
+    }
+
+    /// Undo a [`Transport::fail_link`].
+    fn restore_link(&mut self, a: PeerId, b: PeerId) {
+        self.model_mut().restore_link(a, b)
+    }
+
+    /// Is the directed link administratively up?
+    fn link_up(&self, from: PeerId, to: PeerId) -> bool {
+        self.model().link_up(from, to)
+    }
+
+    /// Install a seeded fault plan (replaces any previous plan and
+    /// restarts its attempt streams).
+    fn set_fault_plan(&mut self, plan: FaultPlan) {
+        self.model_mut().set_fault_plan(plan)
+    }
+
+    /// Remove the installed fault plan, returning it.
+    fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
+        self.model_mut().clear_fault_plan()
+    }
+
+    /// The installed fault plan, if any.
+    fn fault_plan<'a>(&'a self) -> Option<&'a FaultPlan>
+    where
+        M: 'a,
+    {
+        self.model().fault_plan()
+    }
+
+    /// Is `to` reachable from `from` right now (administratively up, no
+    /// outage window, neither peer crashed)?
+    fn reachable(&self, from: PeerId, to: PeerId) -> bool {
+        self.model().reachable(from, to)
+    }
+
     /// Deliver the earliest pending message with its sender, advancing
     /// the virtual clock to its arrival time.
-    fn recv_from(&mut self) -> Option<(PeerId, PeerId, M, f64)>;
+    fn recv_from(&mut self) -> Option<(PeerId, PeerId, M, f64)> {
+        self.model_mut().recv_from()
+    }
 
     /// Arrival time of the earliest pending delivery, if any.
-    fn peek_arrival(&self) -> Option<f64>;
+    fn peek_arrival(&self) -> Option<f64> {
+        self.model().peek_arrival()
+    }
 
     /// Drop every in-flight message without delivering it (statistics
     /// are kept — they were charged at send time).
-    fn clear_in_flight(&mut self);
+    fn clear_in_flight(&mut self) {
+        self.model_mut().clear_in_flight()
+    }
 
     /// Are deliveries pending?
-    fn has_pending(&self) -> bool;
+    fn has_pending(&self) -> bool {
+        self.model().has_pending()
+    }
 
     /// Number of queued deliveries.
-    fn pending_len(&self) -> usize;
+    fn pending_len(&self) -> usize {
+        self.model().pending_len()
+    }
 
     /// Current virtual time in milliseconds.
-    fn now_ms(&self) -> f64;
+    fn now_ms(&self) -> f64 {
+        self.model().now_ms()
+    }
 
     /// Advance the virtual clock (models local computation time).
-    fn advance(&mut self, ms: f64);
+    fn advance(&mut self, ms: f64) {
+        self.model_mut().advance(ms)
+    }
 
     /// Accumulated transfer statistics.
-    fn stats(&self) -> &NetStats;
+    fn stats<'a>(&'a self) -> &'a NetStats
+    where
+        M: 'a,
+    {
+        self.model().stats()
+    }
 
     /// Reset statistics (keeps peers, links, clock and queue).
-    fn reset_stats(&mut self);
+    fn reset_stats(&mut self) {
+        self.model_mut().reset_stats()
+    }
 
-    // ---- provided conveniences ------------------------------------
-
-    /// The active event-scheduler backend. Backends without a pluggable
-    /// scheduler report the reference [`SchedulerKind::Queue`].
+    /// The active event-scheduler backend.
     fn scheduler_kind(&self) -> SchedulerKind {
-        SchedulerKind::Queue
+        self.model().scheduler_kind()
     }
 
     /// Select the event-scheduler backend, migrating any pending
     /// events. Delivery order is bit-identical across backends (the
     /// equivalence contract of [`crate::wheel`]), so this is safe
-    /// mid-run. Backends without a pluggable scheduler ignore the call.
+    /// mid-run.
     fn set_scheduler(&mut self, kind: SchedulerKind) {
-        let _ = kind;
+        self.model_mut().set_scheduler(kind)
     }
 
-    /// Event-scheduler counters (zeros for backends without one).
+    /// Event-scheduler counters.
     fn sched_stats(&self) -> SchedStats {
-        SchedStats::default()
+        self.model().sched_stats()
     }
+
+    // ---- conveniences over the required surface -------------------
 
     /// Fallible send discarding the returned message on error.
     fn try_send(&mut self, from: PeerId, to: PeerId, msg: M) -> NetResult<f64> {
@@ -215,126 +282,37 @@ pub trait Transport<M: Payload> {
     }
 }
 
-impl<M: Payload> Transport<M> for crate::sim::SimTransport<M> {
+impl<M: Payload> Transport<M> for SimTransport<M> {
     fn backend(&self) -> &'static str {
         "sim"
     }
 
+    fn model(&self) -> &SimTransport<M> {
+        self
+    }
+
+    fn model_mut(&mut self) -> &mut SimTransport<M> {
+        self
+    }
+
     fn add_peer(&mut self, name: &str) -> PeerId {
-        crate::sim::SimTransport::add_peer(self, name)
-    }
-
-    fn peer_count(&self) -> usize {
-        crate::sim::SimTransport::peer_count(self)
-    }
-
-    fn peer_name(&self, p: PeerId) -> NetResult<&str> {
-        crate::sim::SimTransport::peer_name(self, p)
-    }
-
-    fn set_link(&mut self, a: PeerId, b: PeerId, cost: LinkCost) {
-        crate::sim::SimTransport::set_link(self, a, b, cost)
-    }
-
-    fn set_link_directed(&mut self, from: PeerId, to: PeerId, cost: LinkCost) {
-        crate::sim::SimTransport::set_link_directed(self, from, to, cost)
-    }
-
-    fn link(&self, from: PeerId, to: PeerId) -> LinkCost {
-        crate::sim::SimTransport::link(self, from, to)
-    }
-
-    fn fail_link(&mut self, a: PeerId, b: PeerId) {
-        crate::sim::SimTransport::fail_link(self, a, b)
-    }
-
-    fn restore_link(&mut self, a: PeerId, b: PeerId) {
-        crate::sim::SimTransport::restore_link(self, a, b)
-    }
-
-    fn link_up(&self, from: PeerId, to: PeerId) -> bool {
-        crate::sim::SimTransport::link_up(self, from, to)
-    }
-
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        crate::sim::SimTransport::set_fault_plan(self, plan)
-    }
-
-    fn clear_fault_plan(&mut self) -> Option<FaultPlan> {
-        crate::sim::SimTransport::clear_fault_plan(self)
-    }
-
-    fn fault_plan(&self) -> Option<&FaultPlan> {
-        crate::sim::SimTransport::fault_plan(self)
-    }
-
-    fn reachable(&self, from: PeerId, to: PeerId) -> bool {
-        crate::sim::SimTransport::reachable(self, from, to)
+        SimTransport::add_peer(self, name)
     }
 
     fn send_attempt(&mut self, from: PeerId, to: PeerId, msg: M) -> Result<f64, (NetError, M)> {
-        crate::sim::SimTransport::send_attempt(self, from, to, msg)
-    }
-
-    fn recv_from(&mut self) -> Option<(PeerId, PeerId, M, f64)> {
-        crate::sim::SimTransport::recv_from(self)
-    }
-
-    fn peek_arrival(&self) -> Option<f64> {
-        crate::sim::SimTransport::peek_arrival(self)
-    }
-
-    fn clear_in_flight(&mut self) {
-        crate::sim::SimTransport::clear_in_flight(self)
-    }
-
-    fn has_pending(&self) -> bool {
-        crate::sim::SimTransport::has_pending(self)
-    }
-
-    fn pending_len(&self) -> usize {
-        crate::sim::SimTransport::pending_len(self)
-    }
-
-    fn now_ms(&self) -> f64 {
-        crate::sim::SimTransport::now_ms(self)
-    }
-
-    fn advance(&mut self, ms: f64) {
-        crate::sim::SimTransport::advance(self, ms)
-    }
-
-    fn stats(&self) -> &NetStats {
-        crate::sim::SimTransport::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        crate::sim::SimTransport::reset_stats(self)
-    }
-
-    fn scheduler_kind(&self) -> SchedulerKind {
-        crate::sim::SimTransport::scheduler_kind(self)
-    }
-
-    fn set_scheduler(&mut self, kind: SchedulerKind) {
-        crate::sim::SimTransport::set_scheduler(self, kind)
-    }
-
-    fn sched_stats(&self) -> SchedStats {
-        crate::sim::SimTransport::sched_stats(self)
+        SimTransport::send_attempt(self, from, to, msg)
     }
 
     fn install_topology(&mut self, topology: &Topology) {
         // O(n) fast path: the simulator stores topologies by rule
         // instead of materializing the n² link matrix.
-        crate::sim::SimTransport::install_topology(self, topology)
+        SimTransport::install_topology(self, topology)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::SimTransport;
 
     #[test]
     fn sim_behaves_identically_through_the_trait_object() {

@@ -13,8 +13,8 @@
 
 use crate::ast::{Axis, CmpOp};
 use crate::plan::{Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, StartRef};
-use axml_xml::label::Label;
 use axml_xml::tree::{NodeKind, Tree};
+use axml_xml::Label;
 use std::collections::HashMap;
 
 /// Default selectivity of an equality predicate when the number of

@@ -12,7 +12,7 @@ use crate::plan::{
     StartRef, TemplatePlan,
 };
 use axml_xml::ids::DocName;
-use axml_xml::label::Label;
+use axml_xml::Label;
 use std::collections::HashMap;
 
 /// Lower a parsed query body into a plan. `min_arity` lets callers force a

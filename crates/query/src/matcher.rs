@@ -80,8 +80,8 @@ use crate::plan::{
 };
 use crate::query::Query;
 use axml_xml::ids::DocName;
-use axml_xml::label::Label;
 use axml_xml::tree::{NodeId, NodeKind, Tree};
+use axml_xml::Label;
 use std::collections::{BTreeSet, HashMap};
 
 /// Index of a structural state (0 = the document root).

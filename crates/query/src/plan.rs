@@ -20,7 +20,7 @@
 
 use crate::ast::{Axis, CmpOp};
 use axml_xml::ids::DocName;
-use axml_xml::label::Label;
+use axml_xml::Label;
 use std::fmt;
 
 /// Index of a variable slot in the binding tuple.

@@ -12,7 +12,7 @@
 //! unordered trees.
 
 use crate::schema::TypeName;
-use axml_xml::label::Label;
+use axml_xml::Label;
 use std::fmt;
 
 /// A content-model expression.

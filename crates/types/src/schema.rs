@@ -8,8 +8,8 @@
 
 use crate::content::{Content, Item};
 use crate::error::{TypeError, TypeResult};
-use axml_xml::label::Label;
 use axml_xml::tree::{NodeId, NodeKind, Tree};
+use axml_xml::Label;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;

@@ -8,8 +8,8 @@
 
 use crate::error::{TypeError, TypeResult};
 use crate::schema::{Schema, TypeName};
-use axml_xml::label::Label;
 use axml_xml::tree::Tree;
+use axml_xml::Label;
 use std::fmt;
 
 /// One tree type τ ∈ Θ: a root label plus the named schema type of its

@@ -2,7 +2,7 @@
 //! exponential reference matcher on random small models and item strings.
 
 use axml_types::content::{Content, Item};
-use axml_xml::label::Label;
+use axml_xml::Label;
 use proptest::prelude::*;
 
 /// Reference semantics by brute force: try every split/alternative.

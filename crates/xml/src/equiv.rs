@@ -12,7 +12,7 @@
 //! order. Two trees are equivalent iff their canonical forms are equal;
 //! the canonical hash is the hash of that form.
 
-use crate::label::Label;
+use crate::symbol::Label;
 use crate::tree::{NodeId, NodeKind, Tree};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

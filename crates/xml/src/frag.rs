@@ -17,7 +17,7 @@
 //! and the consumer can never observe mutation — snapshot isolation by
 //! construction.
 
-use crate::label::Label;
+use crate::symbol::Label;
 use crate::tree::{Node, NodeId, Tree};
 use std::fmt;
 use std::sync::Arc;

@@ -48,7 +48,6 @@ pub mod error;
 pub mod escape;
 pub mod frag;
 pub mod ids;
-pub mod label;
 pub mod parse;
 pub mod serialize;
 pub mod stats;
@@ -59,8 +58,7 @@ pub mod tree;
 pub use error::{XmlError, XmlResult};
 pub use frag::Frag;
 pub use ids::{DocName, NodeAddr, PeerId, QueryName, ServiceName};
-pub use label::Label;
 pub use stats::CopyStats;
 pub use store::{DocStore, Document};
-pub use symbol::Symbol;
+pub use symbol::{Label, Symbol};
 pub use tree::{Node, NodeId, NodeKind, Tree};

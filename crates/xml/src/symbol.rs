@@ -48,21 +48,24 @@ use std::sync::Mutex;
 ///
 /// `Symbol` is `Copy` — pass it by value everywhere. Equality compares
 /// two `u32`s; `Hash` writes a cached content hash (one table lookup).
-/// The historical name [`Label`](crate::label::Label) remains as an
-/// alias.
+/// [`Label`] is the same type under the paper's name — the established
+/// vocabulary in data-model positions.
 #[derive(Clone, Copy)]
 pub struct Symbol(u32);
+
+pub use self::Symbol as Label;
 
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
 const SHARD_MASK: u32 = (SHARDS as u32) - 1;
 
-/// Stable 64-bit FNV-1a over the label bytes — used both to pick the
-/// shard and as the cached content hash. Must never change: canonical
-/// hashes across peer processes depend on it.
-fn fnv1a(s: &str) -> u64 {
+/// Stable 64-bit FNV-1a — the workspace's one implementation. Over a
+/// label's bytes it picks the interner shard and is the cached content
+/// hash; `axml-net` uses it as the frame-acknowledgement digest. Must
+/// never change: canonical hashes across peer processes depend on it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.as_bytes() {
+    for b in bytes {
         h ^= *b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -109,7 +112,7 @@ impl Symbol {
     /// Lock-free on the hit path; a miss takes the owning shard's write
     /// lock once per *distinct* string per process lifetime.
     pub fn new(s: &str) -> Self {
-        let h = fnv1a(s);
+        let h = fnv1a64(s.as_bytes());
         let shard = &shards()[(h & SHARD_MASK as u64) as usize];
         // Fast path: immutable snapshot probe, no lock.
         let snap = unsafe { &*shard.current.load(Ordering::Acquire) };
@@ -318,6 +321,9 @@ mod tests {
         assert_eq!(l.len(), 3);
         assert!(!l.is_empty());
         assert!(Symbol::new("").is_empty());
+        // `Label` names the same type; the `From` conversions intern too.
+        let from_str: Label = "pkg".into();
+        assert_eq!((l, l), (from_str, String::from("pkg").into()));
     }
 
     #[test]
@@ -330,7 +336,7 @@ mod tests {
         };
         assert_eq!(h(&Symbol::new("x")), h(&Symbol::new("x")));
         // content hash is the raw FNV — stable across processes.
-        assert_eq!(Symbol::new("x").content_hash(), fnv1a("x"));
+        assert_eq!(Symbol::new("x").content_hash(), fnv1a64(b"x"));
     }
 
     #[test]

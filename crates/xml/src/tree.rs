@@ -25,7 +25,7 @@
 
 use crate::error::{XmlError, XmlResult};
 use crate::frag::Frag;
-use crate::label::Label;
+use crate::symbol::Label;
 use std::fmt;
 use std::sync::Arc;
 

@@ -103,4 +103,10 @@ grep -q "rss-budget-ok" "$TRACE_TMP/e14.out"
 test "$(grep -c "seq/\|par/" "$TRACE_TMP/e14.out")" -eq 4
 test "$(awk '/seq\/|par\//{print $NF}' "$TRACE_TMP/e14.out" | sort -u | wc -l)" -eq 1
 
+echo "== tier-1: benchmark package (fmt, clippy, tests, 8-run smoke) =="
+# benchmark/ is a package outside this workspace that compiles against
+# the public items of crates/*; a change that breaks that surface must
+# fail here, not in the pipeline that runs BENCHMARK.json.
+timeout 600 bash benchmark/ci.sh
+
 echo "tier-1: all green"
