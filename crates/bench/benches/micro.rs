@@ -94,6 +94,19 @@ fn bench_optimizer(c: &mut Criterion) {
                 .cost
         })
     });
+    // The pieces of one search step: a snapshot over unchanged documents
+    // (statistics come from the system's cache), and the emitter's byte
+    // count and text for a plan the search produced.
+    c.bench_function("cost_model/from_system_warm", |b| {
+        b.iter(|| CostModel::from_system(black_box(&sys)).peer_count())
+    });
+    let plan = Optimizer::standard().optimize(&model, client, &naive).expr;
+    c.bench_function("expr/wire_size", |b| {
+        b.iter(|| black_box(&plan).wire_size())
+    });
+    c.bench_function("expr/fingerprint", |b| {
+        b.iter(|| black_box(&plan).fingerprint())
+    });
 }
 
 fn bench_observability(c: &mut Criterion) {

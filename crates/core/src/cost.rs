@@ -15,14 +15,18 @@
 //! only has to rank candidate plans correctly.
 
 use crate::expr::{Expr, PeerRef, SendDest};
+use crate::peer::PeerState;
 use crate::pick::PickPolicy;
 use crate::system::AxmlSystem;
 use axml_net::link::LinkCost;
 use axml_query::estimate::{estimate as estimate_query, ForestStats};
 use axml_query::Query;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
+use axml_xml::tree::Tree;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
 /// Estimated cost of an evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -91,15 +95,71 @@ pub const DEFAULT_QUERY_RATIO: f64 = 0.3;
 /// serialized expression.
 pub const REQUEST_OVERHEAD: f64 = 0.0;
 
-/// A snapshot of the cost-relevant state of an [`AxmlSystem`].
+/// What the cost model knows about the documents one peer hosts.
+/// Collected once per state epoch of the peer — the stamp
+/// [`AxmlSystem::touch_peer`] bumps on every mutation of Σ|p — and shared
+/// by `Arc` with every model snapshot taken until the peer changes.
+#[derive(Debug, PartialEq)]
+pub(crate) struct PeerStats {
+    /// Per document; its serialized size is the statistics' `total_bytes`.
+    docs: HashMap<DocName, ForestStats>,
+    /// Over all hosted documents together (what `doc("…")` sources read).
+    all: ForestStats,
+}
+
+impl PeerStats {
+    fn collect(peer: &PeerState) -> Self {
+        let trees: Vec<Tree> = peer.docs.iter().map(|d| d.tree().clone()).collect();
+        PeerStats {
+            docs: peer
+                .docs
+                .names()
+                .zip(&trees)
+                .map(|(name, t)| (name.clone(), ForestStats::collect(std::slice::from_ref(t))))
+                .collect(),
+            all: ForestStats::collect(&trees),
+        }
+    }
+}
+
+/// Per-peer statistics cache: the state epoch the entry was collected
+/// at, and the statistics.
+pub(crate) type StatsCache = Mutex<Vec<Option<(u64, Arc<PeerStats>)>>>;
+
+impl AxmlSystem {
+    /// Every peer's document statistics, re-collected only for peers
+    /// whose state epoch moved since the cached entry was taken.
+    fn peer_stats(&self) -> Vec<Arc<PeerStats>> {
+        let mut cache = self
+            .stats_cache
+            .lock()
+            .expect("a thread panicked while collecting statistics");
+        cache.resize(self.peers.len(), None);
+        let fresh = self.peers.iter().zip(&self.state_epochs);
+        cache
+            .iter_mut()
+            .zip(fresh)
+            .map(|(entry, (peer, &epoch))| match entry {
+                Some((at, stats)) if *at == epoch => Arc::clone(stats),
+                _ => {
+                    let stats = Arc::new(PeerStats::collect(peer));
+                    *entry = Some((epoch, Arc::clone(&stats)));
+                    stats
+                }
+            })
+            .collect()
+    }
+}
+
+/// A snapshot of the cost-relevant state of an [`AxmlSystem`]. The
+/// document statistics are shared with the system's cache, so taking a
+/// snapshot costs O(peers² + services + catalog), not O(data).
 #[derive(Debug, Clone)]
 pub struct CostModel {
     n_peers: usize,
     links: Vec<Vec<LinkCost>>,
     up: Vec<Vec<bool>>,
-    doc_sizes: HashMap<(PeerId, DocName), f64>,
-    doc_stats: HashMap<(PeerId, DocName), ForestStats>,
-    peer_stats: HashMap<PeerId, ForestStats>,
+    stats: Vec<Arc<PeerStats>>,
     services: HashMap<(PeerId, ServiceName), Query>,
     doc_replicas: HashMap<DocName, Vec<(PeerId, DocName)>>,
     service_replicas: HashMap<ServiceName, Vec<(PeerId, ServiceName)>>,
@@ -118,47 +178,22 @@ impl CostModel {
                 up[a][b] = sys.net().link_up(PeerId(a as u32), PeerId(b as u32));
             }
         }
-        let mut doc_sizes = HashMap::new();
-        let mut doc_stats = HashMap::new();
-        let mut peer_stats = HashMap::new();
         let mut services = HashMap::new();
         for p in 0..n {
             let pid = PeerId(p as u32);
-            let state = sys.peer(pid);
-            let mut all_trees = Vec::new();
-            for doc in state.docs.iter() {
-                let tree = doc.tree().clone();
-                doc_sizes.insert((pid, doc.name().clone()), tree.serialized_size() as f64);
-                doc_stats.insert(
-                    (pid, doc.name().clone()),
-                    ForestStats::collect(std::slice::from_ref(&tree)),
-                );
-                all_trees.push(tree);
-            }
-            peer_stats.insert(pid, ForestStats::collect(&all_trees));
-            for (name, svc) in &state.services {
+            for (name, svc) in &sys.peer(pid).services {
                 services.insert((pid, name.clone()), svc.query.clone());
             }
-        }
-        let mut doc_replicas: HashMap<DocName, Vec<(PeerId, DocName)>> = HashMap::new();
-        let mut service_replicas: HashMap<ServiceName, Vec<(PeerId, ServiceName)>> = HashMap::new();
-        // The catalog is read through its public views.
-        for (class, members) in sys.catalog_view() {
-            doc_replicas.insert(class, members);
-        }
-        for (class, members) in sys.catalog_service_view() {
-            service_replicas.insert(class, members);
         }
         CostModel {
             n_peers: n,
             links,
             up,
-            doc_sizes,
-            doc_stats,
-            peer_stats,
+            stats: sys.peer_stats(),
             services,
-            doc_replicas,
-            service_replicas,
+            // The catalog is read through its public views.
+            doc_replicas: sys.catalog_view().into_iter().collect(),
+            service_replicas: sys.catalog_service_view().into_iter().collect(),
             pick: sys.pick_policy(),
         }
     }
@@ -182,9 +217,13 @@ impl CostModel {
         self.links[a.index()][b.index()]
     }
 
+    fn doc_stats(&self, at: PeerId, name: &DocName) -> Option<&ForestStats> {
+        self.stats.get(at.index())?.docs.get(name)
+    }
+
     /// The size of a document, if known.
     pub fn doc_size(&self, at: PeerId, name: &DocName) -> Option<f64> {
-        self.doc_sizes.get(&(at, name.clone())).copied()
+        self.doc_stats(at, name).map(|s| s.total_bytes as f64)
     }
 
     /// The visible definition of a service (declarative services only).
@@ -219,24 +258,25 @@ impl CostModel {
     ) -> Option<(PeerId, DocName)> {
         match at {
             PeerRef::At(p) => Some((*p, name.clone())),
-            PeerRef::Any => {
-                let members = self.doc_replicas(name);
-                match self.pick {
-                    PickPolicy::Closest => members
-                        .iter()
-                        .min_by(|(a, _), (b, _)| {
-                            let ca = self.link(site, *a).transfer_ms(65536);
-                            let cb = self.link(site, *b).transfer_ms(65536);
-                            ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .cloned(),
-                    // First/Random/RoundRobin: the first member is the
-                    // deterministic representative (exact for First, a
-                    // representative sample otherwise).
-                    _ => members.first().cloned(),
-                }
-            }
+            PeerRef::Any => self.resolve_any(site, self.doc_replicas(name)),
         }
+    }
+
+    /// The member of a generic class that definition (9) picks for a
+    /// requester at `site` under the system's pick policy — for `d@any`
+    /// and `s@any` alike.
+    fn resolve_any<N: Clone>(&self, site: PeerId, members: &[(PeerId, N)]) -> Option<(PeerId, N)> {
+        let nominal_ms = |p: PeerId| self.link(site, p).transfer_ms(65536);
+        match self.pick {
+            PickPolicy::Closest => members
+                .iter()
+                .min_by(|(a, _), (b, _)| nominal_ms(*a).total_cmp(&nominal_ms(*b))),
+            // First/Random/RoundRobin: the first member is the
+            // deterministic representative (exact for First, a
+            // representative sample otherwise).
+            _ => members.first(),
+        }
+        .cloned()
     }
 
     /// Estimate `eval@site(expr)`.
@@ -321,16 +361,7 @@ impl CostModel {
             } => {
                 let (prov, concrete) = match provider {
                     PeerRef::At(p) => (*p, service.clone()),
-                    PeerRef::Any => match self
-                        .service_replicas(service)
-                        .iter()
-                        .min_by(|(a, _), (b, _)| {
-                            let ca = self.link(site, *a).transfer_ms(65536);
-                            let cb = self.link(site, *b).transfer_ms(65536);
-                            ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .cloned()
-                    {
+                    PeerRef::Any => match self.resolve_any(site, self.service_replicas(service)) {
                         Some(m) => m,
                         None => return 0.0,
                     },
@@ -417,16 +448,16 @@ impl CostModel {
         if let Some(plan) = query.plan() {
             // Build stats per parameter where the argument is a document
             // reference with known statistics.
-            let mut stats: Vec<ForestStats> = Vec::with_capacity(args.len());
+            let mut stats: Vec<Cow<ForestStats>> = Vec::with_capacity(args.len());
             let mut usable = !args.is_empty() || plan.arity == 0;
             for a in args {
                 match a {
                     Expr::Doc { name, at } => {
                         match self
                             .resolve_doc(site, name, at)
-                            .and_then(|(p, n)| self.doc_stats.get(&(p, n)))
+                            .and_then(|(p, n)| self.doc_stats(p, &n))
                         {
-                            Some(s) => stats.push(s.clone()),
+                            Some(s) => stats.push(Cow::Borrowed(s)),
                             None => {
                                 usable = false;
                                 break;
@@ -434,7 +465,7 @@ impl CostModel {
                         }
                     }
                     Expr::Tree { tree, .. } => {
-                        stats.push(ForestStats::collect(std::slice::from_ref(tree)));
+                        stats.push(Cow::Owned(ForestStats::collect(std::slice::from_ref(tree))));
                     }
                     _ => {
                         usable = false;
@@ -446,8 +477,8 @@ impl CostModel {
                 // doc("…") sources read the evaluation site's documents.
                 let mut all = stats;
                 if all.is_empty() {
-                    if let Some(ps) = self.peer_stats.get(&site) {
-                        all.push(ps.clone());
+                    if let Some(ps) = self.stats.get(site.index()) {
+                        all.push(Cow::Borrowed(&ps.all));
                     }
                 }
                 let e = estimate_query(plan, &all);
@@ -589,6 +620,149 @@ mod tests {
         let (home, _) = m.resolve_doc(a, &"cat".into(), &PeerRef::Any).unwrap();
         assert_eq!(home, c);
         assert!(m.resolve_doc(a, &"none".into(), &PeerRef::Any).is_none());
+    }
+
+    /// `s@any` is priced at the replica definition (9) will pick under
+    /// the system's policy, not at the closest one whatever the policy.
+    #[test]
+    fn generic_service_follows_the_pick_policy() {
+        let mut sys = AxmlSystem::new();
+        let a = sys.add_peer("a");
+        let far = sys.add_peer("far");
+        let near = sys.add_peer("near");
+        sys.net_mut().set_link(a, far, LinkCost::slow());
+        sys.net_mut().set_link(a, near, LinkCost::lan());
+        for (p, name) in [(far, "scan-far"), (near, "scan-near")] {
+            sys.register_declarative_service(p, name, "for $x in $0//pkg return {$x}")
+                .unwrap();
+            sys.catalog_mut().add_service_replica("scan", p, name);
+        }
+        let call = |provider, service: &str| Expr::Sc {
+            provider,
+            service: service.into(),
+            params: vec![Expr::Tree {
+                tree: Tree::parse("<c><pkg/></c>").unwrap(),
+                at: a,
+            }],
+            forward: vec![],
+        };
+        let any = call(PeerRef::Any, "scan");
+        for (policy, picked) in [
+            (PickPolicy::First, call(PeerRef::At(far), "scan-far")),
+            (PickPolicy::RoundRobin, call(PeerRef::At(far), "scan-far")),
+            (PickPolicy::Closest, call(PeerRef::At(near), "scan-near")),
+        ] {
+            sys.set_pick_policy(policy);
+            let m = CostModel::from_system(&sys);
+            assert_eq!(
+                m.estimate(a, &any).cost,
+                m.estimate(a, &picked).cost,
+                "{policy:?}"
+            );
+        }
+        // A NaN link sorts after every finite one (total order) instead of
+        // comparing "equal" to whatever it meets: the finite replica wins
+        // wherever the poisoned one sits in the class.
+        sys.net_mut().set_link(
+            a,
+            far,
+            LinkCost {
+                latency_ms: f64::NAN,
+                bytes_per_ms: 1.0,
+                per_msg_bytes: 0,
+            },
+        );
+        let m = CostModel::from_system(&sys);
+        let scan = m.service_replicas(&"scan".into());
+        assert_eq!(m.resolve_any(a, scan).unwrap().0, near);
+        let reversed: Vec<_> = scan.iter().rev().cloned().collect();
+        assert_eq!(m.resolve_any(a, &reversed).unwrap().0, near);
+    }
+
+    /// Every mutation path of Σ invalidates exactly through the peer's
+    /// state epoch: after each one the (warm) cached model equals
+    /// statistics collected from scratch.
+    #[test]
+    fn cached_statistics_follow_every_mutation_path() {
+        fn assert_fresh(sys: &AxmlSystem, after: &str) {
+            let model = CostModel::from_system(sys);
+            for (cached, peer) in model.stats.iter().zip(&sys.peers) {
+                assert_eq!(**cached, PeerStats::collect(peer), "stale after {after}");
+            }
+            // and the next snapshot shares every peer's statistics
+            let again = CostModel::from_system(sys);
+            assert!(model
+                .stats
+                .iter()
+                .zip(&again.stats)
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        let (mut sys, a, b) = system();
+        let root = |sys: &AxmlSystem, at: PeerId, doc: &str| {
+            let t = sys.peer(at).docs.get(&doc.into()).unwrap().tree();
+            axml_xml::ids::NodeAddr::new(at, doc, t.root())
+        };
+        let item =
+            |v: &str| Tree::parse(&format!(r#"<pkg name="{v}"><size>7</size></pkg>"#)).unwrap();
+        assert_fresh(&sys, "construction");
+        sys.install_doc(a, "inbox", Tree::parse("<inbox/>").unwrap())
+            .unwrap();
+        assert_fresh(&sys, "install_doc");
+        sys.install_replica(a, "cat", "cat-a", item("replica"))
+            .unwrap();
+        assert_fresh(&sys, "install_replica");
+        let lit = |at| Expr::Tree {
+            tree: item("sent"),
+            at,
+        };
+        for (dest, what) in [
+            (
+                SendDest::Nodes(vec![root(&sys, a, "inbox")]),
+                "send to nodes",
+            ),
+            (
+                SendDest::NewDoc {
+                    peer: a,
+                    name: "fresh".into(),
+                },
+                "send to a new document",
+            ),
+        ] {
+            sys.eval(
+                b,
+                &Expr::Send {
+                    dest,
+                    payload: Box::new(lit(b)),
+                },
+            )
+            .unwrap();
+            assert_fresh(&sys, what);
+        }
+        // a continuous call, a lazy call, and the feeds that drive them
+        sys.register_declarative_service(b, "pkgs", r#"doc("catalog")/pkg"#)
+            .unwrap();
+        for (doc, mode) in [("live", "immediate"), ("lazy", "lazy")] {
+            let xml = format!(
+                r#"<d><sc mode="{mode}"><peer>p{}</peer><service>pkgs</service></sc></d>"#,
+                b.0
+            );
+            sys.install_doc(a, doc, Tree::parse(&xml).unwrap()).unwrap();
+        }
+        let subs = sys.activate_document(a, &"live".into()).unwrap();
+        assert_fresh(&sys, "activate_document");
+        sys.feed(b, "catalog", item("fed")).unwrap();
+        assert_fresh(&sys, "feed");
+        let q = Query::parse("all", "$0/*").unwrap();
+        let (_, activated) = sys.query_document(a, &"lazy".into(), &q).unwrap();
+        assert_eq!(activated, 1);
+        assert_fresh(&sys, "lazy materialization");
+        assert!(sys.unsubscribe(subs[0]));
+        sys.feed(b, "catalog", item("unheard")).unwrap();
+        assert_fresh(&sys, "unsubscribe + feed");
+        let inbox = sys.peer_mut(a).docs.require_mut(&"inbox".into()).unwrap();
+        let r = inbox.tree().root();
+        inbox.tree_mut().add_text_element(r, "note", "by hand");
+        assert_fresh(&sys, "peer_mut");
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl AxmlSystem {
                 let slot = s.new_slot(args.len() + skip);
                 if gated {
                     self.record_def(7, at, "apply");
-                    let def = query.query.to_xml().serialize();
+                    let def = query.query.wire_xml().to_owned();
                     self.send_wire(
                         s,
                         query.def_at,
@@ -184,7 +184,7 @@ impl AxmlSystem {
                 if peer != at {
                     // The delegated plan crosses the wire (embedded
                     // query definitions travel with it).
-                    let expr_xml = shipped.to_xml().serialize();
+                    let expr_xml = shipped.fingerprint();
                     shipped.relocate_query_defs(peer);
                     // Capture the common delegation shape: the inner
                     // expression sends its value straight back to us.
@@ -250,7 +250,7 @@ impl AxmlSystem {
                         query.def_at,
                         to,
                         AxmlMessage::DeployQuery {
-                            query_xml: query.query.to_xml().serialize(),
+                            query_xml: query.query.wire_xml().to_owned(),
                             as_service: as_service.clone(),
                         },
                         Intent::Deploy {
@@ -498,7 +498,7 @@ impl AxmlSystem {
                 loc.0,
                 axml_xml::equiv::canonical_hash(tree, tree.root())
             ),
-            other => other.to_xml().serialize(),
+            other => other.fingerprint(),
         };
         let mut local = expr;
         relocate(&mut local, loc);

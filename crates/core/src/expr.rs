@@ -25,6 +25,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use axml_query::Query;
+use axml_xml::escape::{write_attr, write_text};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::tree::{NodeId, Tree};
 use std::fmt;
@@ -328,16 +329,111 @@ impl Expr {
         }
     }
 
-    /// A canonical string identity (used for memoization in the optimizer
-    /// and for equality in tests) — the compact XML serialization.
+    /// A canonical string identity (equality in tests, the text the
+    /// engine ships) — the compact XML serialization, byte for byte
+    /// `self.to_xml().serialize()`.
     pub fn fingerprint(&self) -> String {
-        self.to_xml().serialize()
+        let mut text = String::new();
+        self.emit(&mut text);
+        text
     }
 
     /// Wire size in bytes when this expression is shipped (delegations,
-    /// requests).
+    /// requests): the length of [`Expr::fingerprint`], without the text.
     pub fn wire_size(&self) -> usize {
-        self.to_xml().serialized_size()
+        let mut count = ByteCount(0);
+        self.emit(&mut count);
+        count.0
+    }
+
+    /// A 128-bit hash of [`Expr::fingerprint`], without the text: the
+    /// optimizer's memo key and rule (13)'s argument comparison.
+    pub(crate) fn fingerprint_hash(&self) -> u128 {
+        let mut hash = Fnv128::new();
+        self.emit(&mut hash);
+        hash.0
+    }
+
+    // -------------------- the streaming emitter -----------------------
+
+    fn emit(&self, sink: &mut impl fmt::Write) {
+        self.write_wire(sink)
+            .expect("a String, a byte count and a hash accept every write");
+    }
+
+    /// Write the compact XML of this expression into `out` — the one
+    /// description of the wire format besides [`Expr::to_xml`], which
+    /// builds the same document as a tree for [`Expr::from_xml`].
+    fn write_wire<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+        match self {
+            Expr::Tree { tree, at } => {
+                write!(out, "<tree at=\"{}\">", at.index())?;
+                tree.write_compact(tree.root(), out)?;
+                out.write_str("</tree>")
+            }
+            Expr::Doc { name, at } => {
+                out.write_str("<doc name=\"")?;
+                write_attr(out, name.as_str())?;
+                write!(out, "\" at=\"{at}\"/>")
+            }
+            Expr::Apply { query, args } => {
+                write!(out, "<apply def-at=\"{}\">", query.def_at.index())?;
+                out.write_str(query.query.wire_xml())?;
+                write_wrapped(out, "args", args)?;
+                out.write_str("</apply>")
+            }
+            Expr::Send { dest, payload } => {
+                out.write_str("<send")?;
+                match dest {
+                    SendDest::Peer(p) => write!(out, " peer=\"{}\">", p.index())?,
+                    SendDest::Nodes(addrs) => {
+                        out.write_char('>')?;
+                        write_forwards(out, addrs)?;
+                    }
+                    SendDest::NewDoc { peer, name } => {
+                        write!(out, " newdoc-peer=\"{}\" newdoc-name=\"", peer.index())?;
+                        write_attr(out, name.as_str())?;
+                        out.write_str("\">")?;
+                    }
+                }
+                write_wrapped(out, "payload", std::slice::from_ref(&**payload))?;
+                out.write_str("</send>")
+            }
+            Expr::Sc {
+                provider,
+                service,
+                params,
+                forward,
+            } => {
+                write!(out, "<sc><peer>{provider}</peer><service>")?;
+                write_text(out, service.as_str())?;
+                out.write_str("</service>")?;
+                for (i, p) in params.iter().enumerate() {
+                    write!(out, "<param{}>", i + 1)?;
+                    p.write_wire(out)?;
+                    write!(out, "</param{}>", i + 1)?;
+                }
+                write_forwards(out, forward)?;
+                out.write_str("</sc>")
+            }
+            Expr::EvalAt { peer, expr } => {
+                write!(out, "<evalat peer=\"{}\">", peer.index())?;
+                expr.write_wire(out)?;
+                out.write_str("</evalat>")
+            }
+            Expr::Deploy {
+                to,
+                query,
+                as_service,
+            } => {
+                write!(out, "<deploy to=\"{}\" as=\"", to.index())?;
+                write_attr(out, as_service.as_str())?;
+                write!(out, "\" def-at=\"{}\">", query.def_at.index())?;
+                out.write_str(query.query.wire_xml())?;
+                out.write_str("</deploy>")
+            }
+            Expr::Seq(es) => write_wrapped(out, "seq", es),
+        }
     }
 
     // -------------------- XML serialization ---------------------------
@@ -708,6 +804,57 @@ impl fmt::Display for Expr {
     }
 }
 
+/// `<label>` around the given expressions; `<label/>` around none.
+fn write_wrapped<W: fmt::Write>(out: &mut W, label: &str, exprs: &[Expr]) -> fmt::Result {
+    if exprs.is_empty() {
+        return write!(out, "<{label}/>");
+    }
+    write!(out, "<{label}>")?;
+    for e in exprs {
+        e.write_wire(out)?;
+    }
+    write!(out, "</{label}>")
+}
+
+/// One `<forw>` element per address.
+fn write_forwards<W: fmt::Write>(out: &mut W, addrs: &[NodeAddr]) -> fmt::Result {
+    for a in addrs {
+        out.write_str("<forw>")?;
+        write_text(out, &format_addr(a))?;
+        out.write_str("</forw>")?;
+    }
+    Ok(())
+}
+
+/// Emitter sink: the number of bytes written.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// Emitter sink: 128-bit FNV-1a of the bytes written, independent of
+/// how the writes were cut.
+struct Fnv128(u128);
+
+impl Fnv128 {
+    fn new() -> Self {
+        Fnv128(0x6c62272e07bb014262b821756295c58d)
+    }
+}
+
+impl fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for &b in s.as_bytes() {
+            self.0 = (self.0 ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013b);
+        }
+        Ok(())
+    }
+}
+
 /// Format a node address for the wire: `doc#index@pN`.
 pub fn format_addr(a: &NodeAddr) -> String {
     format!("{}#{}@p{}", a.doc, a.node.index(), a.peer.0)
@@ -902,9 +1049,15 @@ mod tests {
 
     #[test]
     fn wire_size_positive_and_stable() {
+        let mut hashes = std::collections::HashSet::new();
         for e in samples() {
             assert!(e.wire_size() > 10, "{e}");
             assert_eq!(e.wire_size(), e.fingerprint().len());
+            // the hash sink sees the same bytes, however the writes are cut
+            let mut whole = Fnv128::new();
+            fmt::Write::write_str(&mut whole, &e.fingerprint()).unwrap();
+            assert_eq!(e.fingerprint_hash(), whole.0, "{e}");
+            assert!(hashes.insert(whole.0), "{e}");
         }
     }
 

@@ -138,8 +138,8 @@ impl Optimizer {
             trace: Vec::new(),
             explored: 1,
         };
-        let mut seen: HashSet<String> = HashSet::new();
-        seen.insert(expr.fingerprint());
+        let mut seen: HashSet<u128> = HashSet::new();
+        seen.insert(expr.fingerprint_hash());
         note_unique_candidate(&mut obs.metrics);
         // Open list: (scalar cost, expr, trace). Kept sorted; cheap first.
         let mut open: Vec<(f64, Expr, Vec<&'static str>)> =
@@ -154,8 +154,7 @@ impl Optimizer {
             let batch: Vec<_> = open.drain(..open.len().min(self.beam_width)).collect();
             for (_, cur, trace) in batch {
                 for (rule, candidate) in all_rewrites(&self.rules, site, &cur, &ctx) {
-                    let fp = candidate.fingerprint();
-                    if !seen.insert(fp) {
+                    if !seen.insert(candidate.fingerprint_hash()) {
                         obs.metrics.memo_hits += 1;
                         continue;
                     }

@@ -351,7 +351,7 @@ impl RewriteRule for R13ShareTransfer {
                     Some(h) => h != site,
                     None => false,
                 };
-                if remote && args[i].fingerprint() == args[j].fingerprint() {
+                if remote && args[i].fingerprint_hash() == args[j].fingerprint_hash() {
                     shared = Some((i, j));
                     break 'outer;
                 }

@@ -45,6 +45,9 @@ pub struct AxmlSystem {
     pub(crate) sessions: u64,
     pub(crate) driver: DriverKind,
     pub(crate) state_epochs: Vec<u64>,
+    /// The cost model's document statistics, valid per peer while its
+    /// state epoch stands (see [`crate::cost`]).
+    pub(crate) stats_cache: crate::cost::StatsCache,
     pub(crate) par_stats: ParallelStats,
     pub(crate) retry: RetryPolicy,
     pub(crate) failover: bool,
@@ -85,6 +88,7 @@ impl AxmlSystem {
             sessions: 0,
             driver: DriverKind::Sequential,
             state_epochs,
+            stats_cache: Default::default(),
             par_stats: ParallelStats::default(),
             retry: RetryPolicy::none(),
             failover: false,

@@ -5,6 +5,7 @@
 
 use axml_core::cost::CostModel;
 use axml_core::prelude::*;
+use axml_prng::SplitMix64;
 use axml_xml::equiv::forest_equiv;
 use axml_xml::tree::Tree;
 use proptest::prelude::*;
@@ -92,6 +93,126 @@ fn arb_expr() -> impl Strategy<Value = Expr> {
             proptest::collection::vec(inner, 1..3).prop_map(Expr::Seq),
         ]
     })
+}
+
+/// Names and text that the serializer must escape, or that are empty
+/// or multi-byte.
+const AWKWARD: [&str; 6] = ["plain", "", "a\"b", "<&>", "日本·語", "q 'x' \"y\" & z"];
+
+fn awkward(rng: &mut SplitMix64) -> &'static str {
+    rng.choose(&AWKWARD).unwrap()
+}
+
+fn arb_query(rng: &mut SplitMix64, depth: u32) -> Query {
+    const SRCS: [&str; 3] = [
+        "$0//pkg",
+        r#"for $x in $0//pkg where $x/@name = "a&b" and $x/size/text() > 4000 return <big>{$x/@name}</big>"#,
+        "for $x in $0//v return <got>{$x/text()}</got>",
+    ];
+    let name = format!("q{}", awkward(rng));
+    if depth == 0 || rng.gen_bool(0.6) {
+        return Query::parse(name.as_str(), rng.choose(&SRCS).unwrap()).unwrap();
+    }
+    // every source above is unary, so outer(inner) composes
+    let outer = arb_query(rng, depth - 1);
+    let inner = arb_query(rng, depth - 1);
+    Query::compose(name.as_str(), outer, vec![inner]).unwrap()
+}
+
+fn arb_addrs(rng: &mut SplitMix64) -> Vec<NodeAddr> {
+    (0..rng.gen_range(0..3usize))
+        .map(|_| {
+            let node = axml_xml::tree::NodeId::from_index(rng.gen_range(0..9usize)).unwrap();
+            NodeAddr::new(PeerId(rng.gen_range(0..N_PEERS)), awkward(rng), node)
+        })
+        .collect()
+}
+
+/// Any expression the constructors admit — not necessarily evaluable.
+fn arb_wire_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
+    let peer = |rng: &mut SplitMix64| PeerId(rng.gen_range(0..N_PEERS));
+    let peer_ref = |rng: &mut SplitMix64| match rng.gen_range(0..3u32) {
+        0 => PeerRef::Any,
+        _ => PeerRef::At(PeerId(rng.gen_range(0..N_PEERS))),
+    };
+    let children = |rng: &mut SplitMix64| -> Vec<Expr> {
+        (0..rng.gen_range(0..3usize))
+            .map(|_| arb_wire_expr(rng, depth.saturating_sub(1)))
+            .collect()
+    };
+    let kind = if depth == 0 {
+        rng.gen_range(0..3u32)
+    } else {
+        rng.gen_range(0..8u32)
+    };
+    match kind {
+        0 => Expr::Doc {
+            name: awkward(rng).into(),
+            at: peer_ref(rng),
+        },
+        1 => {
+            let mut tree = Tree::new("lit");
+            let root = tree.root();
+            tree.set_attr(root, "k", awkward(rng)).unwrap();
+            tree.add_text_element(root, "v", awkward(rng));
+            tree.add_text(root, awkward(rng));
+            // a subtree view: the emitter must clip at the view's root
+            let whole = rng.gen_bool(0.5);
+            Expr::Tree {
+                tree: if whole {
+                    tree
+                } else {
+                    tree.subtree(tree.children(root)[0]).unwrap()
+                },
+                at: peer(rng),
+            }
+        }
+        2 => Expr::Deploy {
+            to: peer(rng),
+            query: LocatedQuery::new(arb_query(rng, 2), peer(rng)),
+            as_service: awkward(rng).into(),
+        },
+        3 => Expr::Apply {
+            query: LocatedQuery::new(arb_query(rng, 2), peer(rng)),
+            args: children(rng),
+        },
+        4 => Expr::Send {
+            dest: match rng.gen_range(0..3u32) {
+                0 => SendDest::Peer(peer(rng)),
+                1 => SendDest::Nodes(arb_addrs(rng)),
+                _ => SendDest::NewDoc {
+                    peer: peer(rng),
+                    name: awkward(rng).into(),
+                },
+            },
+            payload: Box::new(arb_wire_expr(rng, depth - 1)),
+        },
+        5 => Expr::Sc {
+            provider: peer_ref(rng),
+            service: awkward(rng).into(),
+            params: children(rng),
+            forward: arb_addrs(rng),
+        },
+        6 => Expr::EvalAt {
+            peer: peer(rng),
+            expr: Box::new(arb_wire_expr(rng, depth - 1)),
+        },
+        _ => Expr::Seq(children(rng)),
+    }
+}
+
+/// The streaming emitter and the tree serializer describe one format:
+/// the emitted text is `to_xml().serialize()` byte for byte, and the
+/// emitted count is `to_xml().serialized_size()`.
+#[test]
+fn emitter_matches_the_tree_serializer() {
+    let mut rng = SplitMix64::new(0xE317_7E12);
+    for case in 0..600 {
+        let e = arb_wire_expr(&mut rng, 3);
+        let xml = e.to_xml();
+        assert_eq!(e.fingerprint(), xml.serialize(), "case {case}: {e}");
+        assert_eq!(e.wire_size(), xml.serialized_size(), "case {case}: {e}");
+    }
 }
 
 proptest! {

@@ -15,7 +15,8 @@ use crate::ast::{Axis, CmpOp};
 use crate::plan::{Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, StartRef};
 use axml_xml::tree::{NodeKind, Tree};
 use axml_xml::Label;
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::{HashMap, HashSet};
 
 /// Default selectivity of an equality predicate when the number of
 /// distinct values is unknown.
@@ -30,7 +31,7 @@ pub const SEL_CONTAINS: f64 = 0.25;
 pub const SEL_EXISTS: f64 = 0.8;
 
 /// Per-label statistics over one forest.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LabelStats {
     /// Total occurrences of the label.
     pub count: usize,
@@ -41,7 +42,7 @@ pub struct LabelStats {
 }
 
 /// Statistics of a forest, driving the estimator.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ForestStats {
     /// Number of trees.
     pub n_trees: usize,
@@ -53,11 +54,62 @@ pub struct ForestStats {
     pub labels: HashMap<Label, LabelStats>,
 }
 
+/// Distinct string values sampled per label.
+const DISTINCT_CAP: usize = 256;
+
 impl ForestStats {
-    /// Collect statistics over a forest.
+    /// Collect statistics over a forest — one bottom-up pass per tree.
     pub fn collect(forest: &[Tree]) -> Self {
+        let mut stats = ForestStats {
+            n_trees: forest.len(),
+            ..ForestStats::default()
+        };
+        let mut values: HashMap<Label, HashSet<String>> = HashMap::new();
+        // The text leaves seen so far, in document order: an element's
+        // string value is the tail its subtree appended.
+        let mut text = String::new();
+        // Text bytes per finished subtree not yet claimed by a parent.
+        let mut text_lens: Vec<usize> = Vec::new();
+        for t in forest {
+            text.clear();
+            text_lens.clear();
+            stats.total_bytes += t.serialized_sizes(t.root(), &mut |n, size| {
+                let label = match t.node(n).kind() {
+                    NodeKind::Text(s) => {
+                        text.push_str(s);
+                        text_lens.push(s.len());
+                        return;
+                    }
+                    NodeKind::Element { label, .. } => *label,
+                };
+                let first_child = text_lens.len() - t.children(n).len();
+                let own: usize = text_lens.drain(first_child..).sum();
+                text_lens.push(own);
+                stats.total_elements += 1;
+                let entry = stats.labels.entry(label).or_default();
+                entry.count += 1;
+                entry.total_bytes += size;
+                let value = &text[text.len() - own..];
+                let vals = values.entry(label).or_default();
+                if vals.len() < DISTINCT_CAP && !vals.contains(value) {
+                    vals.insert(value.to_owned());
+                }
+            });
+        }
+        for (l, vals) in values {
+            if let Some(e) = stats.labels.get_mut(&l) {
+                e.distinct_values = vals.len();
+            }
+        }
+        stats
+    }
+
+    /// The pre-one-pass `collect`: re-measures every element's subtree
+    /// and concatenates its text from scratch. Kept as the test oracle.
+    #[cfg(test)]
+    fn collect_reference(forest: &[Tree]) -> Self {
         let mut stats = ForestStats::default();
-        let mut values: HashMap<Label, std::collections::HashSet<String>> = HashMap::new();
+        let mut values: HashMap<Label, HashSet<String>> = HashMap::new();
         stats.n_trees = forest.len();
         for t in forest {
             stats.total_bytes += t.serialized_size();
@@ -68,7 +120,7 @@ impl ForestStats {
                     entry.count += 1;
                     entry.total_bytes += t.serialized_size_node(n);
                     let vals = values.entry(*label).or_default();
-                    if vals.len() < 256 {
+                    if vals.len() < DISTINCT_CAP {
                         vals.insert(t.text(n));
                     }
                 }
@@ -220,12 +272,13 @@ pub fn pred_selectivity(pred: &PredPlan, stats: &ForestStats) -> f64 {
 
 /// Estimate the output of `plan` when parameter `i` is described by
 /// `stats[i]`.
-pub fn estimate(plan: &Plan, stats: &[ForestStats]) -> Estimate {
+pub fn estimate(plan: &Plan, stats: &[impl Borrow<ForestStats>]) -> Estimate {
     let empty = ForestStats::default();
+    let stats_at = |i: usize| -> &ForestStats { stats.get(i).map_or(&empty, Borrow::borrow) };
     let stats_for = |path: &PathPlan| -> &ForestStats {
         match &path.start {
-            StartRef::Source(crate::plan::SourceRef::Param(i)) => stats.get(*i).unwrap_or(&empty),
-            _ => stats.first().unwrap_or(&empty),
+            StartRef::Source(crate::plan::SourceRef::Param(i)) => stats_at(*i),
+            _ => stats_at(0),
         }
     };
     // Walk the operator chain innermost-first, multiplying cardinalities.
@@ -254,12 +307,11 @@ pub fn estimate(plan: &Plan, stats: &[ForestStats]) -> Estimate {
             }
             Op::LetBind { .. } => {}
             Op::Filter { pred, .. } => {
-                let s = stats.first().unwrap_or(&empty);
-                card *= pred_selectivity(pred, s);
+                card *= pred_selectivity(pred, stats_at(0));
             }
         }
     }
-    if stats.iter().all(|s| s.n_trees == 0) && plan.arity > 0 {
+    if stats.iter().all(|s| s.borrow().n_trees == 0) && plan.arity > 0 {
         return Estimate::zero();
     }
     Estimate {
@@ -302,6 +354,66 @@ mod tests {
         assert_eq!(s.avg_bytes(&Label::new("nothing")), 0.0);
         // sizes are distinct → selectivity ~ 1/10
         assert!((s.eq_selectivity(&Label::new("size")) - 0.1).abs() < 1e-9);
+    }
+
+    /// A random tree: nested elements over a small label alphabet (so
+    /// labels nest inside themselves), attributes and text needing
+    /// escapes, mixed content, empty elements.
+    fn random_tree(rng: &mut axml_prng::SplitMix64, max_nodes: usize) -> Tree {
+        const LABELS: [&str; 4] = ["a", "b", "item", "日本"];
+        const TEXTS: [&str; 5] = ["", "x", "a<b", "q\"&é", "plain text"];
+        let mut t = Tree::new(*rng.choose(&LABELS).unwrap());
+        let mut open = vec![t.root()];
+        for i in 0..rng.gen_range(0..max_nodes) {
+            let parent = *rng.choose(&open).unwrap();
+            if rng.gen_bool(0.4) {
+                let text = if rng.gen_bool(0.5) {
+                    format!("v{}", rng.gen_range(0..2 * max_nodes))
+                } else {
+                    rng.choose(&TEXTS).unwrap().to_string()
+                };
+                t.add_text(parent, text);
+            } else {
+                let el = t.add_element(parent, *rng.choose(&LABELS).unwrap());
+                if rng.gen_bool(0.3) {
+                    t.set_attr(el, "k", format!("{i}\"<")).unwrap();
+                }
+                open.push(el);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn one_pass_collect_matches_the_reference() {
+        let mut rng = axml_prng::SplitMix64::new(0x57A7_5EED);
+        for case in 0..200 {
+            let forest: Vec<Tree> = (0..rng.gen_range(0..4usize))
+                .map(|_| random_tree(&mut rng, 60))
+                .collect();
+            assert_eq!(
+                ForestStats::collect(&forest),
+                ForestStats::collect_reference(&forest),
+                "case {case}"
+            );
+        }
+        // the distinct-value cap: 300 distinct <size> values, one <u> value
+        let wide = forest(300);
+        let s = ForestStats::collect(&wide);
+        assert_eq!(s, ForestStats::collect_reference(&wide));
+        assert_eq!(s.labels[&Label::new("size")].distinct_values, DISTINCT_CAP);
+        // subtree views measure the view, not the arena behind it
+        let big = random_tree(&mut rng, 80);
+        let views: Vec<Tree> = big
+            .children(big.root())
+            .iter()
+            .filter(|&&c| big.node(c).is_element())
+            .map(|&c| big.subtree(c).unwrap())
+            .collect();
+        assert_eq!(
+            ForestStats::collect(&views),
+            ForestStats::collect_reference(&views)
+        );
     }
 
     #[test]

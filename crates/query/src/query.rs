@@ -20,17 +20,25 @@ use crate::lower::lower;
 use crate::parser::parse_query;
 use crate::plan::Plan;
 use crate::rewrite;
+use axml_xml::escape::{write_attr, write_text};
 use axml_xml::ids::QueryName;
 use axml_xml::tree::Tree;
-use std::fmt;
-use std::sync::Arc;
+use std::fmt::{self, Write as _};
+use std::sync::{Arc, OnceLock};
 
 /// A named query: the unit the algebra ships, delegates and composes.
 #[derive(Clone)]
 pub struct Query {
     name: QueryName,
     arity: usize,
-    kind: Arc<QueryKind>,
+    def: Arc<QueryDef>,
+}
+
+/// What clones of a query share. Name, arity and kind never change
+/// after construction, so the wire text is computed at most once.
+struct QueryDef {
+    kind: QueryKind,
+    wire_xml: OnceLock<String>,
 }
 
 #[allow(clippy::large_enum_variant)] // Leaf is by far the common case
@@ -45,6 +53,15 @@ enum QueryKind {
         outer: Query,
         inners: Vec<Query>,
     },
+}
+
+impl QueryDef {
+    fn new(kind: QueryKind) -> Arc<Self> {
+        Arc::new(QueryDef {
+            kind,
+            wire_xml: OnceLock::new(),
+        })
+    }
 }
 
 impl Query {
@@ -66,7 +83,7 @@ impl Query {
         Ok(Query {
             name: name.into(),
             arity: plan.arity,
-            kind: Arc::new(QueryKind::Leaf {
+            def: QueryDef::new(QueryKind::Leaf {
                 source: src.to_string(),
                 body,
                 plan,
@@ -80,7 +97,7 @@ impl Query {
         Query {
             name: name.into(),
             arity: plan.arity,
-            kind: Arc::new(QueryKind::Leaf {
+            def: QueryDef::new(QueryKind::Leaf {
                 source: format!("<compiled>\n{plan}"),
                 body: QueryBody::Bare(crate::ast::Path::start_only(crate::ast::PathStart::Param(
                     0,
@@ -108,7 +125,7 @@ impl Query {
         Ok(Query {
             name: name.into(),
             arity,
-            kind: Arc::new(QueryKind::Composed { outer, inners }),
+            def: QueryDef::new(QueryKind::Composed { outer, inners }),
         })
     }
 
@@ -124,12 +141,12 @@ impl Query {
 
     /// Is this a composition?
     pub fn is_composed(&self) -> bool {
-        matches!(&*self.kind, QueryKind::Composed { .. })
+        matches!(&self.def.kind, QueryKind::Composed { .. })
     }
 
     /// The compiled plan of a leaf query.
     pub fn plan(&self) -> Option<&Plan> {
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Leaf { plan, .. } => Some(plan),
             QueryKind::Composed { .. } => None,
         }
@@ -137,7 +154,7 @@ impl Query {
 
     /// The outer/inner structure of a composition.
     pub fn composition(&self) -> Option<(&Query, &[Query])> {
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Composed { outer, inners } => Some((outer, inners)),
             QueryKind::Leaf { .. } => None,
         }
@@ -161,7 +178,7 @@ impl Query {
             let mut probe = plan.clone();
             crate::rewrite::map_paths(&mut probe, &mut |p| record(p));
         };
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Leaf { plan, .. } => add_from_plan(plan),
             QueryKind::Composed { outer, inners } => {
                 for d in outer.doc_dependencies() {
@@ -183,7 +200,7 @@ impl Query {
 
     /// The source text of a leaf query.
     pub fn source(&self) -> Option<&str> {
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Leaf { source, .. } => Some(source),
             QueryKind::Composed { .. } => None,
         }
@@ -200,7 +217,7 @@ impl Query {
         inputs: &[Forest],
         docs: &dyn DocResolver,
     ) -> QueryResult<Vec<Tree>> {
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Leaf { plan, .. } => plan.eval(inputs, docs),
             QueryKind::Composed { outer, inners } => {
                 let mid: Vec<Forest> = inners
@@ -214,7 +231,7 @@ impl Query {
 
     /// Start a continuous (incremental) evaluation of a **leaf** query.
     pub fn continuous<'d>(&self, docs: &'d dyn DocResolver) -> QueryResult<ContinuousEval<'d>> {
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Leaf { plan, .. } => Ok(ContinuousEval::new(plan.clone(), docs)),
             QueryKind::Composed { .. } => Err(QueryError::NotApplicable(
                 "continuous evaluation of compositions: evaluate stage by stage".into(),
@@ -256,7 +273,7 @@ impl Query {
             .expect("query elements are elements");
         t.set_attr(at, "arity", self.arity.to_string())
             .expect("query elements are elements");
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Leaf { source, .. } => {
                 t.add_text_element(at, "source", source.clone());
             }
@@ -303,10 +320,44 @@ impl Query {
         ))
     }
 
+    /// The compact serialization of [`Query::to_xml`] — the text that
+    /// crosses the wire when the query is shipped — written straight
+    /// from the definition, once per query (clones share it).
+    pub fn wire_xml(&self) -> &str {
+        self.def.wire_xml.get_or_init(|| {
+            let mut out = String::new();
+            self.write_wire(&mut out)
+                .expect("writing to a String cannot fail");
+            out
+        })
+    }
+
+    fn write_wire(&self, out: &mut String) -> fmt::Result {
+        out.push_str("<query name=\"");
+        write_attr(out, self.name.as_str())?;
+        write!(out, "\" arity=\"{}\">", self.arity)?;
+        match &self.def.kind {
+            QueryKind::Leaf { source, .. } => {
+                out.push_str("<source>");
+                write_text(out, source)?;
+                out.push_str("</source>");
+            }
+            QueryKind::Composed { outer, inners } => {
+                out.push_str("<compose>");
+                for q in std::iter::once(outer).chain(inners) {
+                    out.push_str(q.wire_xml());
+                }
+                out.push_str("</compose>");
+            }
+        }
+        out.push_str("</query>");
+        Ok(())
+    }
+
     /// Wire size of the shipped query (definition included) — what the
     /// cost model charges for code shipping (rule (10), definition (8)).
     pub fn wire_size(&self) -> usize {
-        self.to_xml().serialized_size()
+        self.wire_xml().len()
     }
 }
 
@@ -315,7 +366,7 @@ impl PartialEq for Query {
         if self.arity != other.arity {
             return false;
         }
-        match (&*self.kind, &*other.kind) {
+        match (&self.def.kind, &other.def.kind) {
             (QueryKind::Leaf { plan: a, .. }, QueryKind::Leaf { plan: b, .. }) => a == b,
             (
                 QueryKind::Composed {
@@ -336,7 +387,7 @@ impl Eq for Query {}
 
 impl fmt::Debug for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &*self.kind {
+        match &self.def.kind {
             QueryKind::Leaf { source, .. } => {
                 write!(f, "Query({} /{}: {source})", self.name, self.arity)
             }
@@ -438,7 +489,8 @@ mod tests {
         let xml = q.to_xml();
         let back = Query::from_xml(&xml, xml.root()).unwrap();
         assert_eq!(q, back);
-        assert!(q.wire_size() > 20);
+        assert_eq!(q.wire_xml(), xml.serialize());
+        assert_eq!(q.wire_size(), xml.serialized_size());
     }
 
     #[test]
@@ -447,6 +499,7 @@ mod tests {
         let outer = Query::parse("o", "for $t in $0 return <w>{$t}</w>").unwrap();
         let q = Query::compose("c", outer, vec![inner]).unwrap();
         let xml = q.to_xml();
+        assert_eq!(q.wire_xml(), xml.serialize());
         let back = Query::from_xml(&xml, xml.root()).unwrap();
         assert_eq!(q, back);
         let a = q.eval_batch(&[vec![catalog()]]).unwrap();

@@ -1,43 +1,75 @@
 //! Escaping and unescaping of XML character data and attribute values.
 
+use std::fmt;
+
+/// The entity byte `b` is written as; `"` only inside an attribute value.
+/// Every escaped character is one byte of ASCII, so callers may scan
+/// bytes and slice the string at the positions found.
+fn entity(b: u8, in_attr: bool) -> Option<&'static str> {
+    match b {
+        b'&' => Some("&amp;"),
+        b'<' => Some("&lt;"),
+        b'>' => Some("&gt;"),
+        b'"' if in_attr => Some("&quot;"),
+        _ => None,
+    }
+}
+
+/// Write `s` escaped into `out`; the runs between escaped characters go
+/// out as whole slices.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str, in_attr: bool) -> fmt::Result {
+    let mut from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if let Some(e) = entity(b, in_attr) {
+            out.write_str(&s[from..i])?;
+            out.write_str(e)?;
+            from = i + 1;
+        }
+    }
+    out.write_str(&s[from..])
+}
+
+fn escaped_len(s: &str, in_attr: bool) -> usize {
+    let grown: usize = s
+        .bytes()
+        .filter_map(|b| entity(b, in_attr))
+        .map(|e| e.len() - 1)
+        .sum();
+    s.len() + grown
+}
+
+/// Write text content into `out`: `&`, `<`, `>` are replaced by entities.
+pub fn write_text<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    write_escaped(out, s, false)
+}
+
+/// Write a double-quoted attribute value into `out`: also escapes `"`.
+pub fn write_attr<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    write_escaped(out, s, true)
+}
+
 /// Escape text content: `&`, `<`, `>` are replaced by entities.
 pub fn escape_text(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            _ => out.push(c),
-        }
-    }
+    write_text(&mut out, s).expect("writing to a String cannot fail");
     out
 }
 
 /// Escape an attribute value (double-quoted): also escapes `"`.
 pub fn escape_attr(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(c),
-        }
-    }
+    write_attr(&mut out, s).expect("writing to a String cannot fail");
     out
 }
 
 /// Number of bytes `escape_text(s)` would produce, without allocating.
 pub fn escaped_text_len(s: &str) -> usize {
-    s.chars()
-        .map(|c| match c {
-            '&' => 5,
-            '<' | '>' => 4,
-            _ => c.len_utf8(),
-        })
-        .sum()
+    escaped_len(s, false)
+}
+
+/// Number of bytes `escape_attr(s)` would produce, without allocating.
+pub fn escaped_attr_len(s: &str) -> usize {
+    escaped_len(s, true)
 }
 
 /// Resolve one entity (the text between `&` and `;`). Supports the five
@@ -80,10 +112,22 @@ mod tests {
     }
 
     #[test]
-    fn escaped_len_matches() {
-        for s in ["", "plain", "a<b&c>d", "ünïcode <&>", "\"q\""] {
+    fn escaped_lens_match_their_allocating_twins() {
+        for s in [
+            "",
+            "plain",
+            "a<b&c>d",
+            "ünïcode <&>",
+            "\"q\"",
+            "&<>\"",
+            "日本語 \"引用\" & <タグ>",
+            "😀&😀\"",
+        ] {
             assert_eq!(escaped_text_len(s), escape_text(s).len(), "{s:?}");
+            assert_eq!(escaped_attr_len(s), escape_attr(s).len(), "{s:?}");
         }
+        assert_eq!(escape_attr("😀&\"é<"), "😀&amp;&quot;é&lt;");
+        assert_eq!(escape_text("😀&\"é>"), "😀&amp;\"é&gt;");
     }
 
     #[test]

@@ -5,16 +5,20 @@
 //! cost model measures) and a *pretty* form for humans. The
 //! [`Tree::serialized_size`] method computes the compact size **without
 //! allocating the string**, because the optimizer's cost model calls it on
-//! every candidate data transfer.
+//! every candidate data transfer. [`Tree::write_compact`] streams the
+//! compact form into any [`fmt::Write`] sink, so a caller that only
+//! counts or hashes the bytes builds no string either.
 
-use crate::escape::{escape_attr, escape_text, escaped_text_len};
+use crate::escape::{escaped_attr_len, escaped_text_len, write_attr, write_text};
 use crate::tree::{NodeId, NodeKind, Tree};
+use std::fmt;
 
 impl Tree {
     /// Serialize the subtree rooted at `id` compactly.
     pub fn serialize_node(&self, id: NodeId) -> String {
         let mut out = String::with_capacity(self.serialized_size_node(id));
-        self.write_compact(id, &mut out);
+        self.write_compact(id, &mut out)
+            .expect("writing to a String cannot fail");
         out
     }
 
@@ -26,7 +30,8 @@ impl Tree {
     /// Serialize the subtree rooted at `id` with indentation, for humans.
     pub fn pretty_node(&self, id: NodeId) -> String {
         let mut out = String::new();
-        self.write_pretty(id, 0, &mut out);
+        self.write_pretty(id, 0, &mut out)
+            .expect("writing to a String cannot fail");
         out
     }
 
@@ -38,14 +43,21 @@ impl Tree {
     /// Exact byte length of [`Tree::serialize_node`], computed without
     /// building the string. This is the wire size used by the cost model.
     pub fn serialized_size_node(&self, id: NodeId) -> usize {
-        match &self.node(id).kind {
+        self.serialized_sizes(id, &mut |_, _| {})
+    }
+
+    /// [`Tree::serialized_size_node`] of every node of the subtree rooted
+    /// at `id` in one bottom-up pass: `visit` gets each node with its
+    /// size, children before their parent. Returns the size of `id`.
+    pub fn serialized_sizes(&self, id: NodeId, visit: &mut impl FnMut(NodeId, usize)) -> usize {
+        let size = match &self.node(id).kind {
             NodeKind::Text(t) => escaped_text_len(t),
             NodeKind::Element { label, attrs } => {
                 let name = label.len();
                 let attrs_len: usize = attrs
                     .iter()
                     // space + name + ="..."
-                    .map(|(n, v)| 1 + n.len() + 2 + escape_attr(v).len() + 1)
+                    .map(|(n, v)| 1 + n.len() + 2 + escaped_attr_len(v) + 1)
                     .sum();
                 let children = self.children(id);
                 if children.is_empty() {
@@ -53,11 +65,16 @@ impl Tree {
                     1 + name + attrs_len + 2
                 } else {
                     // <name attrs> + children + </name>
-                    let inner: usize = children.iter().map(|&c| self.serialized_size_node(c)).sum();
+                    let inner: usize = children
+                        .iter()
+                        .map(|&c| self.serialized_sizes(c, visit))
+                        .sum();
                     (1 + name + attrs_len + 1) + inner + (2 + name + 1)
                 }
             }
-        }
+        };
+        visit(id, size);
+        size
     }
 
     /// Wire size of the whole tree.
@@ -65,41 +82,43 @@ impl Tree {
         self.serialized_size_node(self.root())
     }
 
-    fn write_compact(&self, id: NodeId, out: &mut String) {
+    /// Write the compact serialization of the subtree rooted at `id`
+    /// into `out` — byte for byte what [`Tree::serialize_node`] returns.
+    pub fn write_compact<W: fmt::Write>(&self, id: NodeId, out: &mut W) -> fmt::Result {
         match &self.node(id).kind {
-            NodeKind::Text(t) => out.push_str(&escape_text(t)),
+            NodeKind::Text(t) => write_text(out, t),
             NodeKind::Element { label, attrs } => {
-                out.push('<');
-                out.push_str(label.as_str());
+                out.write_char('<')?;
+                out.write_str(label.as_str())?;
                 for (n, v) in attrs {
-                    out.push(' ');
-                    out.push_str(n.as_str());
-                    out.push_str("=\"");
-                    out.push_str(&escape_attr(v));
-                    out.push('"');
+                    out.write_char(' ')?;
+                    out.write_str(n.as_str())?;
+                    out.write_str("=\"")?;
+                    write_attr(out, v)?;
+                    out.write_char('"')?;
                 }
                 let children = self.children(id);
                 if children.is_empty() {
-                    out.push_str("/>");
+                    out.write_str("/>")
                 } else {
-                    out.push('>');
+                    out.write_char('>')?;
                     for &c in children {
-                        self.write_compact(c, out);
+                        self.write_compact(c, out)?;
                     }
-                    out.push_str("</");
-                    out.push_str(label.as_str());
-                    out.push('>');
+                    out.write_str("</")?;
+                    out.write_str(label.as_str())?;
+                    out.write_char('>')
                 }
             }
         }
     }
 
-    fn write_pretty(&self, id: NodeId, depth: usize, out: &mut String) {
+    fn write_pretty(&self, id: NodeId, depth: usize, out: &mut String) -> fmt::Result {
         let pad = "  ".repeat(depth);
         match &self.node(id).kind {
             NodeKind::Text(t) => {
                 out.push_str(&pad);
-                out.push_str(&escape_text(t));
+                write_text(out, t)?;
                 out.push('\n');
             }
             NodeKind::Element { label, attrs } => {
@@ -110,7 +129,7 @@ impl Tree {
                     out.push(' ');
                     out.push_str(n.as_str());
                     out.push_str("=\"");
-                    out.push_str(&escape_attr(v));
+                    write_attr(out, v)?;
                     out.push('"');
                 }
                 let children = self.children(id);
@@ -121,7 +140,7 @@ impl Tree {
                     // compactly so indentation never pollutes text nodes.
                     out.push('>');
                     for &c in children {
-                        self.write_compact(c, out);
+                        self.write_compact(c, out)?;
                     }
                     out.push_str("</");
                     out.push_str(label.as_str());
@@ -129,7 +148,7 @@ impl Tree {
                 } else {
                     out.push_str(">\n");
                     for &c in children {
-                        self.write_pretty(c, depth + 1, out);
+                        self.write_pretty(c, depth + 1, out)?;
                     }
                     out.push_str(&pad);
                     out.push_str("</");
@@ -138,6 +157,7 @@ impl Tree {
                 }
             }
         }
+        Ok(())
     }
 }
 
@@ -166,6 +186,14 @@ mod tests {
         t.add_element(r, "empty");
         assert_eq!(t.serialized_size(), t.serialize().len());
         assert_eq!(t.serialized_size_node(child), t.serialize_node(child).len());
+        // the one-pass walk reports the same size for every node, children first
+        let mut seen = Vec::new();
+        t.serialized_sizes(r, &mut |n, size| {
+            assert_eq!(size, t.serialize_node(n).len());
+            seen.push(n);
+        });
+        assert_eq!(seen.len(), t.live_len());
+        assert_eq!(seen.last(), Some(&r));
     }
 
     #[test]

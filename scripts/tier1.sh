@@ -16,6 +16,19 @@ echo "== tier-1: cargo clippy (warnings are errors, redundant clones denied) =="
 # handle that should have moved — keep the discipline mechanical.
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 
+echo "== tier-1: no to_xml()-then-measure under crates/core/src =="
+# Shipped text, wire sizes and memo keys come from the streaming emitter
+# (Expr::fingerprint / wire_size, Query::wire_xml). Building the XML tree
+# first is for from_xml's inverse and for tests, so outside comments and
+# `#[cfg(test)]` modules the round trip must not come back.
+for f in $(find crates/core/src -name '*.rs'); do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
+        | grep -nE 'to_xml\(\)[[:space:]]*\.[[:space:]]*serialize(d_size)?\('; then
+        echo "tier-1: $f serializes or measures through to_xml(); use the emitter" >&2
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
