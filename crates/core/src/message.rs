@@ -229,4 +229,75 @@ mod tests {
             7
         );
     }
+
+    /// Cross-commit pin: the bytes `SocketTransport` ships (and the
+    /// endpoint digests) for one message of every variant, captured
+    /// once as literals. There is no decoder yet, so nothing else would
+    /// notice a reordered field or a widened prefix.
+    #[test]
+    fn frame_bytes_are_pinned() {
+        let hex = |m: &AxmlMessage| -> String {
+            m.frame_bytes().iter().map(|b| format!("{b:02x}")).collect()
+        };
+        let golden: [(AxmlMessage, &str); 7] = [
+            (
+                AxmlMessage::Request {
+                    expr_xml: "<doc name=\"d\"/>".into(),
+                },
+                "010f0000003c646f63206e616d653d2264222f3e",
+            ),
+            (
+                AxmlMessage::Data {
+                    payload: "<a>中</a><b/>".into(),
+                    tag: DataTag::DelegatedResult,
+                },
+                "021000000064656c6567617465642d726573756c740e0000003c613ee4b8ad3c2f613e3c622f3e",
+            ),
+            (
+                AxmlMessage::Invoke {
+                    service: "svc".into(),
+                    params: vec!["<a/>".into(), String::new()],
+                    forward: vec![
+                        NodeAddr::new(PeerId(2), "inbox", NodeId::from_index(5).unwrap()),
+                        NodeAddr::new(PeerId(4_000_000_000), "", NodeId::from_index(0).unwrap()),
+                    ],
+                    call_id: u64::MAX,
+                },
+                "030300000073766302000000040000003c612f3e00000000020000000200000005000000696e626f780500000000286bee0000000000000000ffffffffffffffff",
+            ),
+            (
+                AxmlMessage::Invoke {
+                    service: "empty".into(),
+                    params: vec![],
+                    forward: vec![],
+                    call_id: 0,
+                },
+                "0305000000656d70747900000000000000000000000000000000",
+            ),
+            (
+                AxmlMessage::Response {
+                    call_id: 7,
+                    payload: "<r/>".into(),
+                },
+                "040700000000000000040000003c722f3e",
+            ),
+            (
+                AxmlMessage::DeployQuery {
+                    query_xml: "<query/>".into(),
+                    as_service: "q1".into(),
+                },
+                "05020000007131080000003c71756572792f3e",
+            ),
+            (
+                AxmlMessage::InstallDoc {
+                    name: "doc".into(),
+                    payload: "<t/>".into(),
+                },
+                "0603000000646f63040000003c742f3e",
+            ),
+        ];
+        for (msg, want) in &golden {
+            assert_eq!(hex(msg), *want, "{msg:?}");
+        }
+    }
 }
