@@ -32,6 +32,7 @@
 //! `UnexpectedEof`, which the transport maps to a typed
 //! [`NetError::Wire`](crate::NetError::Wire).
 
+use crate::bytes::{BytesError, Cursor, PutBytes};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -52,11 +53,11 @@ pub const MAX_FRAME_LEN: u32 = 16 * 1024 * 1024;
 
 /// Frame type bytes. Append-only, like the trace-event tags.
 mod ftype {
-    pub const HELLO: u8 = 1;
-    pub const MSG: u8 = 2;
-    pub const ACK: u8 = 3;
-    pub const BYE: u8 = 4;
-    pub const STATS: u8 = 5;
+    pub(super) const HELLO: u8 = 1;
+    pub(super) const MSG: u8 = 2;
+    pub(super) const ACK: u8 = 3;
+    pub(super) const BYE: u8 = 4;
+    pub(super) const STATS: u8 = 5;
 }
 
 /// One decoded wire frame.
@@ -130,6 +131,12 @@ impl From<io::Error> for FrameError {
     }
 }
 
+impl From<BytesError> for FrameError {
+    fn from(e: BytesError) -> Self {
+        FrameError::Malformed(e.to_string())
+    }
+}
+
 /// FNV-1a 64-bit digest — the payload checksum carried by `Ack`
 /// frames. Deliberately tiny and dependency-free; this is an
 /// integrity *tripwire* for the differential oracle, not a
@@ -166,13 +173,8 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), FrameError> {
     Ok(())
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// Bytes before the body: type, sequence number, body length.
+const HEAD_LEN: usize = 13;
 
 /// Encode `frame` with sequence number `seq` into a byte vector.
 ///
@@ -192,49 +194,50 @@ pub fn encode_frame(seq: u64, frame: &Frame) -> Vec<u8> {
 /// write-side mirror of the read-side length-cap check, so an oversized
 /// payload fails at the producer instead of poisoning the stream.
 pub fn try_encode_frame(seq: u64, frame: &Frame) -> Result<Vec<u8>, FrameError> {
-    let (ty, body) = match frame {
+    // One buffer: head with a zero length, body fields, then the length
+    // patched in once the body is known to fit.
+    let begin = |ty: u8, body_hint: usize| {
+        let mut out = Vec::with_capacity(HEAD_LEN + body_hint);
+        out.put_u8(ty);
+        out.put_u64(seq);
+        out.put_u32(0);
+        out
+    };
+    let mut out;
+    match frame {
         Frame::Hello { peer, name } => {
-            let mut b = Vec::with_capacity(8 + name.len());
-            put_u32(&mut b, *peer);
-            put_u32(&mut b, name.len() as u32);
-            b.extend_from_slice(name.as_bytes());
-            (ftype::HELLO, b)
+            out = begin(ftype::HELLO, 8 + name.len());
+            out.put_u32(*peer);
+            out.put_str(name);
         }
         Frame::Msg { from, to, payload } => {
-            let mut b = Vec::with_capacity(8 + payload.len());
-            put_u32(&mut b, *from);
-            put_u32(&mut b, *to);
-            b.extend_from_slice(payload);
-            (ftype::MSG, b)
+            out = begin(ftype::MSG, 8 + payload.len());
+            out.put_u32(*from);
+            out.put_u32(*to);
+            out.extend_from_slice(payload);
         }
         Frame::Ack { digest, len } => {
-            let mut b = Vec::with_capacity(12);
-            put_u64(&mut b, *digest);
-            put_u32(&mut b, *len);
-            (ftype::ACK, b)
+            out = begin(ftype::ACK, 12);
+            out.put_u64(*digest);
+            out.put_u32(*len);
         }
-        Frame::Bye => (ftype::BYE, Vec::new()),
+        Frame::Bye => out = begin(ftype::BYE, 0),
         Frame::Stats {
             frames,
             payload_bytes,
         } => {
-            let mut b = Vec::with_capacity(16);
-            put_u64(&mut b, *frames);
-            put_u64(&mut b, *payload_bytes);
-            (ftype::STATS, b)
+            out = begin(ftype::STATS, 16);
+            out.put_u64(*frames);
+            out.put_u64(*payload_bytes);
         }
-    };
-    if body.len() > MAX_FRAME_LEN as usize {
+    }
+    let body_len = out.len() - HEAD_LEN;
+    if body_len > MAX_FRAME_LEN as usize {
         return Err(FrameError::Malformed(format!(
-            "frame body of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-            body.len()
+            "frame body of {body_len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut out = Vec::with_capacity(13 + body.len());
-    out.push(ty);
-    put_u64(&mut out, seq);
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
+    out.patch_len(HEAD_LEN - 4, body_len);
     Ok(out)
 }
 
@@ -248,68 +251,47 @@ pub fn write_frame(w: &mut impl Write, seq: u64, frame: &Frame) -> io::Result<()
     w.write_all(&bytes)
 }
 
-fn get_u32(body: &[u8], at: usize) -> Result<u32, FrameError> {
-    body.get(at..at + 4)
-        .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-        .ok_or_else(|| FrameError::Malformed("body too short for u32".into()))
-}
-
-fn get_u64(body: &[u8], at: usize) -> Result<u64, FrameError> {
-    body.get(at..at + 8)
-        .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
-        .ok_or_else(|| FrameError::Malformed("body too short for u64".into()))
-}
-
 /// Read one frame from a stream. Blocks until a complete frame arrived
 /// (`read_exact` absorbs partial reads); a connection closed cleanly
-/// *between* frames yields `Io(UnexpectedEof)` on the type byte.
+/// *between* frames yields `Io(UnexpectedEof)` on the type byte. A body
+/// must hold exactly its declared fields — bytes left over are
+/// [`FrameError::Malformed`] — except `Msg`, whose payload is the rest
+/// of the body.
 pub fn read_frame(r: &mut impl Read) -> Result<(u64, Frame), FrameError> {
-    let mut head = [0u8; 13];
+    let mut head = [0u8; HEAD_LEN];
     r.read_exact(&mut head)?;
-    let ty = head[0];
-    let seq = u64::from_le_bytes(head[1..9].try_into().unwrap());
-    let len = u32::from_le_bytes(head[9..13].try_into().unwrap());
-    if len > MAX_FRAME_LEN {
+    let mut h = Cursor::new(&head);
+    let (ty, seq, len) = (h.u8()?, h.u64()?, h.u32()? as usize);
+    if len > MAX_FRAME_LEN as usize {
         return Err(FrameError::Malformed(format!(
             "frame body of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
         )));
     }
-    let mut body = vec![0u8; len as usize];
+    let mut body = vec![0u8; len];
     r.read_exact(&mut body)?;
+    let mut c = Cursor::new(&body);
     let frame = match ty {
-        ftype::HELLO => {
-            let peer = get_u32(&body, 0)?;
-            let nlen = get_u32(&body, 4)? as usize;
-            let name = body
-                .get(8..8 + nlen)
-                .ok_or_else(|| FrameError::Malformed("hello name length overruns body".into()))?;
-            Frame::Hello {
-                peer,
-                name: std::str::from_utf8(name)
-                    .map_err(|_| FrameError::Malformed("hello name is not UTF-8".into()))?
-                    .to_string(),
-            }
-        }
-        ftype::MSG => {
-            let from = get_u32(&body, 0)?;
-            let to = get_u32(&body, 4)?;
-            Frame::Msg {
-                from,
-                to,
-                payload: body[8..].to_vec(),
-            }
-        }
+        ftype::HELLO => Frame::Hello {
+            peer: c.u32()?,
+            name: c.str()?.to_string(),
+        },
+        ftype::MSG => Frame::Msg {
+            from: c.u32()?,
+            to: c.u32()?,
+            payload: c.take(c.remaining())?.to_vec(),
+        },
         ftype::ACK => Frame::Ack {
-            digest: get_u64(&body, 0)?,
-            len: get_u32(&body, 8)?,
+            digest: c.u64()?,
+            len: c.u32()?,
         },
         ftype::BYE => Frame::Bye,
         ftype::STATS => Frame::Stats {
-            frames: get_u64(&body, 0)?,
-            payload_bytes: get_u64(&body, 8)?,
+            frames: c.u64()?,
+            payload_bytes: c.u64()?,
         },
         other => return Err(FrameError::Malformed(format!("unknown frame type {other}"))),
     };
+    c.finish()?;
     Ok((seq, frame))
 }
 
@@ -445,6 +427,43 @@ mod tests {
         bytes.extend_from_slice(&body);
         let err = read_frame(&mut Cursor::new(&bytes)).unwrap_err();
         assert!(err.to_string().contains("UTF-8"), "{err}");
+
+        // A fixed-shape body with bytes after its declared fields is
+        // malformed; `Msg` alone owns its tail.
+        for frame in [
+            Frame::Hello {
+                peer: 3,
+                name: "mirror-3".into(),
+            },
+            Frame::Ack { digest: 1, len: 2 },
+            Frame::Bye,
+            Frame::Stats {
+                frames: 7,
+                payload_bytes: 9,
+            },
+        ] {
+            let mut bytes = encode_frame(5, &frame);
+            bytes.push(0xAB);
+            let body_len = (bytes.len() - 13) as u32;
+            bytes[9..13].copy_from_slice(&body_len.to_le_bytes());
+            let err = read_frame(&mut Cursor::new(&bytes)).unwrap_err();
+            assert!(
+                matches!(&err, FrameError::Malformed(d) if d.contains("trailing")),
+                "{frame:?}: {err}"
+            );
+        }
+        let mut bytes = encode_frame(
+            5,
+            &Frame::Msg {
+                from: 0,
+                to: 1,
+                payload: b"ab".to_vec(),
+            },
+        );
+        bytes.push(0xAB);
+        bytes[9..13].copy_from_slice(&11u32.to_le_bytes());
+        let (_, msg) = read_frame(&mut Cursor::new(&bytes)).unwrap();
+        assert!(matches!(msg, Frame::Msg { payload, .. } if payload == [b'a', b'b', 0xAB]));
     }
 
     #[test]

@@ -57,6 +57,7 @@
 //! assert_eq!(net.stats().total_bytes(), 5 + LinkCost::wan().per_msg_bytes as u64);
 //! ```
 
+pub mod bytes;
 pub mod error;
 pub mod frame;
 pub mod link;

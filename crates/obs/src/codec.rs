@@ -40,8 +40,8 @@
 //! all-numeric events.
 
 use crate::kind::MessageKind;
-use crate::trace::{TraceEvent, TraceStr};
-use axml_xml::ids::PeerId;
+use crate::trace::{owned, FieldSink, FieldSource, TraceEvent, TraceStr};
+use axml_net::bytes::{BytesError, Cursor, PutBytes};
 
 /// The 4-byte magic at offset 0 of every binary trace file.
 pub const MAGIC: [u8; 4] = *b"AXTR";
@@ -49,32 +49,11 @@ pub const MAGIC: [u8; 4] = *b"AXTR";
 /// The current format version byte (offset 4).
 pub const VERSION: u8 = 0x01;
 
-/// Event tag bytes, in [`TraceEvent::kind`] documentation order.
-/// Append-only: new variants take the next free byte, existing bytes
-/// never change meaning.
-mod tag {
-    pub const DEFINITION: u8 = 1;
-    pub const DELEGATION: u8 = 2;
-    pub const MESSAGE_SENT: u8 = 3;
-    pub const MESSAGE_DELIVERED: u8 = 4;
-    pub const TASK_SCHEDULED: u8 = 5;
-    pub const RULE_ATTEMPTED: u8 = 6;
-    pub const PLAN_CHOSEN: u8 = 7;
-    pub const SERVICE_CALL: u8 = 8;
-    pub const SUBSCRIPTION_DELTA: u8 = 9;
-    pub const MESSAGE_DROPPED: u8 = 10;
-    pub const RETRY_SCHEDULED: u8 = 11;
-    pub const FAILOVER: u8 = 12;
-}
-
-/// Append the 5-byte file header to `out`.
-pub fn write_header(out: &mut Vec<u8>) {
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION);
-}
+/// The 5-byte file header: magic, then version.
+pub(crate) const HEADER: [u8; 5] = [MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], VERSION];
 
 /// Check a file header. Returns the number of header bytes consumed.
-pub fn check_header(bytes: &[u8]) -> Result<usize, String> {
+pub(crate) fn check_header(bytes: &[u8]) -> Result<usize, String> {
     if bytes.len() < 5 {
         return Err("file shorter than the 5-byte AXTR header".into());
     }
@@ -90,352 +69,96 @@ pub fn check_header(bytes: &[u8]) -> Result<usize, String> {
     Ok(5)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
+/// The AXTR side of the field schema: each typed field is its
+/// fixed-width little-endian encoding, names are not stored.
+struct Fields<T>(T);
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_peer(out: &mut Vec<u8>, p: PeerId) {
-    put_u32(out, p.0);
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Encode one event as a record payload (no length prefix).
-pub fn encode_payload(event: &TraceEvent, out: &mut Vec<u8>) {
-    match event {
-        TraceEvent::Definition {
-            def,
-            peer,
-            expr,
-            at_ms,
-        } => {
-            out.push(tag::DEFINITION);
-            out.push(*def);
-            put_peer(out, *peer);
-            put_str(out, expr);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::Delegation { from, to, at_ms } => {
-            out.push(tag::DELEGATION);
-            put_peer(out, *from);
-            put_peer(out, *to);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::MessageSent {
-            from,
-            to,
-            kind,
-            bytes,
-            sent_ms,
-            at_ms,
-        } => {
-            out.push(tag::MESSAGE_SENT);
-            put_peer(out, *from);
-            put_peer(out, *to);
-            out.push(kind.wire_code());
-            put_u64(out, *bytes);
-            put_f64(out, *sent_ms);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::MessageDelivered {
-            from,
-            to,
-            kind,
-            bytes,
-            at_ms,
-        } => {
-            out.push(tag::MESSAGE_DELIVERED);
-            put_peer(out, *from);
-            put_peer(out, *to);
-            out.push(kind.wire_code());
-            put_u64(out, *bytes);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::TaskScheduled { peer, task, at_ms } => {
-            out.push(tag::TASK_SCHEDULED);
-            put_peer(out, *peer);
-            put_str(out, task);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::RuleAttempted {
-            rule,
-            accepted,
-            cost,
-        } => {
-            out.push(tag::RULE_ATTEMPTED);
-            put_str(out, rule);
-            out.push(*accepted as u8);
-            put_f64(out, *cost);
-        }
-        TraceEvent::PlanChosen {
-            site,
-            explored,
-            cost,
-            trace,
-        } => {
-            out.push(tag::PLAN_CHOSEN);
-            put_peer(out, *site);
-            put_u32(out, *explored as u32);
-            put_f64(out, *cost);
-            put_u32(out, trace.len() as u32);
-            for rule in trace {
-                put_str(out, rule);
-            }
-        }
-        TraceEvent::ServiceCall {
-            caller,
-            provider,
-            service,
-            call_id,
-            at_ms,
-        } => {
-            out.push(tag::SERVICE_CALL);
-            put_peer(out, *caller);
-            put_peer(out, *provider);
-            put_str(out, service);
-            put_u64(out, *call_id);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::SubscriptionDelta {
-            subscription,
-            provider,
-            fresh,
-            suppressed,
-            at_ms,
-        } => {
-            out.push(tag::SUBSCRIPTION_DELTA);
-            put_u64(out, *subscription);
-            put_peer(out, *provider);
-            put_u32(out, *fresh as u32);
-            put_u32(out, *suppressed as u32);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::MessageDropped {
-            from,
-            to,
-            kind,
-            bytes,
-            at_ms,
-        } => {
-            out.push(tag::MESSAGE_DROPPED);
-            put_peer(out, *from);
-            put_peer(out, *to);
-            out.push(kind.wire_code());
-            put_u64(out, *bytes);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::RetryScheduled {
-            from,
-            to,
-            kind,
-            attempt,
-            backoff_ms,
-            at_ms,
-        } => {
-            out.push(tag::RETRY_SCHEDULED);
-            put_peer(out, *from);
-            put_peer(out, *to);
-            out.push(kind.wire_code());
-            put_u32(out, *attempt);
-            put_f64(out, *backoff_ms);
-            put_f64(out, *at_ms);
-        }
-        TraceEvent::Failover {
-            peer,
-            class,
-            dead,
-            at_ms,
-        } => {
-            out.push(tag::FAILOVER);
-            put_peer(out, *peer);
-            put_str(out, class);
-            put_peer(out, *dead);
-            put_f64(out, *at_ms);
+impl FieldSink for Fields<&mut Vec<u8>> {
+    fn u8(&mut self, _: &'static str, v: u8) {
+        self.0.put_u8(v);
+    }
+    fn u32(&mut self, _: &'static str, v: u32) {
+        self.0.put_u32(v);
+    }
+    fn u64(&mut self, _: &'static str, v: u64) {
+        self.0.put_u64(v);
+    }
+    fn f64(&mut self, _: &'static str, v: f64) {
+        self.0.put_f64(v);
+    }
+    fn bool(&mut self, _: &'static str, v: bool) {
+        self.0.put_u8(v.into());
+    }
+    fn str(&mut self, _: &'static str, v: &str) {
+        self.0.put_str(v);
+    }
+    fn strs(&mut self, _: &'static str, v: &[TraceStr]) {
+        self.0.put_len(v.len());
+        for s in v {
+            self.0.put_str(s);
         }
     }
+    fn msg(&mut self, _: &'static str, v: MessageKind) {
+        self.0.put_u8(v.wire_code());
+    }
+}
+
+fn detail(e: BytesError) -> String {
+    e.to_string()
+}
+
+impl FieldSource for Fields<Cursor<'_>> {
+    fn u8(&mut self, _: &'static str) -> Result<u8, String> {
+        self.0.u8().map_err(detail)
+    }
+    fn u32(&mut self, _: &'static str) -> Result<u32, String> {
+        self.0.u32().map_err(detail)
+    }
+    fn u64(&mut self, _: &'static str) -> Result<u64, String> {
+        self.0.u64().map_err(detail)
+    }
+    fn f64(&mut self, _: &'static str) -> Result<f64, String> {
+        self.0.f64().map_err(detail)
+    }
+    fn bool(&mut self, name: &'static str) -> Result<bool, String> {
+        Ok(self.u8(name)? != 0)
+    }
+    fn str(&mut self, _: &'static str) -> Result<TraceStr, String> {
+        self.0.str().map(owned).map_err(detail)
+    }
+    fn strs(&mut self, name: &'static str) -> Result<Vec<TraceStr>, String> {
+        // Collecting stops at the first short read, so a hostile count
+        // costs no allocation up front.
+        (0..self.u32(name)?).map(|_| self.str(name)).collect()
+    }
+    fn msg(&mut self, name: &'static str) -> Result<MessageKind, String> {
+        let code = self.u8(name)?;
+        MessageKind::from_wire_code(code).ok_or_else(|| format!("unknown message-kind code {code}"))
+    }
+}
+
+/// Encode one event as a record payload (no length prefix): the tag
+/// byte, then the fields [`TraceEvent::visit`] lists.
+pub(crate) fn encode_payload(event: &TraceEvent, out: &mut Vec<u8>) {
+    out.put_u8(event.tag());
+    event.visit(&mut Fields(out));
 }
 
 /// Encode one event as a complete framed record (u32 LE length prefix +
 /// payload), appended to `out`.
-pub fn encode_record(event: &TraceEvent, out: &mut Vec<u8>) {
+pub(crate) fn encode_record(event: &TraceEvent, out: &mut Vec<u8>) {
     let start = out.len();
-    put_u32(out, 0); // patched below
+    out.put_u32(0); // patched below
     encode_payload(event, out);
-    let len = (out.len() - start - 4) as u32;
-    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-}
-
-/// A cursor over one record payload.
-struct Cur<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cur<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.pos + n > self.bytes.len() {
-            return Err("record payload too short".into());
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn peer(&mut self) -> Result<PeerId, String> {
-        Ok(PeerId(self.u32()?))
-    }
-
-    fn str(&mut self) -> Result<TraceStr, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        let s = std::str::from_utf8(bytes).map_err(|_| "invalid UTF-8 in string".to_string())?;
-        Ok(TraceStr::Owned(s.to_string()))
-    }
-
-    fn kind(&mut self) -> Result<MessageKind, String> {
-        let code = self.u8()?;
-        MessageKind::from_wire_code(code).ok_or_else(|| format!("unknown message-kind code {code}"))
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.pos == self.bytes.len() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} trailing bytes after record payload",
-                self.bytes.len() - self.pos
-            ))
-        }
-    }
+    out.patch_len(start, out.len() - start - 4);
 }
 
 /// Decode one record payload (the bytes after the length prefix).
-pub fn decode_payload(payload: &[u8]) -> Result<TraceEvent, String> {
-    let mut c = Cur {
-        bytes: payload,
-        pos: 0,
-    };
-    let event = match c.u8()? {
-        tag::DEFINITION => TraceEvent::Definition {
-            def: c.u8()?,
-            peer: c.peer()?,
-            expr: c.str()?,
-            at_ms: c.f64()?,
-        },
-        tag::DELEGATION => TraceEvent::Delegation {
-            from: c.peer()?,
-            to: c.peer()?,
-            at_ms: c.f64()?,
-        },
-        tag::MESSAGE_SENT => TraceEvent::MessageSent {
-            from: c.peer()?,
-            to: c.peer()?,
-            kind: c.kind()?,
-            bytes: c.u64()?,
-            sent_ms: c.f64()?,
-            at_ms: c.f64()?,
-        },
-        tag::MESSAGE_DELIVERED => TraceEvent::MessageDelivered {
-            from: c.peer()?,
-            to: c.peer()?,
-            kind: c.kind()?,
-            bytes: c.u64()?,
-            at_ms: c.f64()?,
-        },
-        tag::TASK_SCHEDULED => TraceEvent::TaskScheduled {
-            peer: c.peer()?,
-            task: c.str()?,
-            at_ms: c.f64()?,
-        },
-        tag::RULE_ATTEMPTED => TraceEvent::RuleAttempted {
-            rule: c.str()?,
-            accepted: c.u8()? != 0,
-            cost: c.f64()?,
-        },
-        tag::PLAN_CHOSEN => {
-            let site = c.peer()?;
-            let explored = c.u32()? as usize;
-            let cost = c.f64()?;
-            let n = c.u32()? as usize;
-            if n > payload.len() {
-                return Err("rule-chain length exceeds payload".into());
-            }
-            let mut trace = Vec::with_capacity(n);
-            for _ in 0..n {
-                trace.push(c.str()?);
-            }
-            TraceEvent::PlanChosen {
-                site,
-                explored,
-                cost,
-                trace,
-            }
-        }
-        tag::SERVICE_CALL => TraceEvent::ServiceCall {
-            caller: c.peer()?,
-            provider: c.peer()?,
-            service: c.str()?.into_owned(),
-            call_id: c.u64()?,
-            at_ms: c.f64()?,
-        },
-        tag::SUBSCRIPTION_DELTA => TraceEvent::SubscriptionDelta {
-            subscription: c.u64()?,
-            provider: c.peer()?,
-            fresh: c.u32()? as usize,
-            suppressed: c.u32()? as usize,
-            at_ms: c.f64()?,
-        },
-        tag::MESSAGE_DROPPED => TraceEvent::MessageDropped {
-            from: c.peer()?,
-            to: c.peer()?,
-            kind: c.kind()?,
-            bytes: c.u64()?,
-            at_ms: c.f64()?,
-        },
-        tag::RETRY_SCHEDULED => TraceEvent::RetryScheduled {
-            from: c.peer()?,
-            to: c.peer()?,
-            kind: c.kind()?,
-            attempt: c.u32()?,
-            backoff_ms: c.f64()?,
-            at_ms: c.f64()?,
-        },
-        tag::FAILOVER => TraceEvent::Failover {
-            peer: c.peer()?,
-            class: c.str()?.into_owned(),
-            dead: c.peer()?,
-            at_ms: c.f64()?,
-        },
-        other => return Err(format!("unknown event tag {other}")),
-    };
-    c.finish()?;
+pub(crate) fn decode_payload(payload: &[u8]) -> Result<TraceEvent, String> {
+    let mut fields = Fields(Cursor::new(payload));
+    let tag = fields.u8("tag")?;
+    let event = TraceEvent::build(tag, &mut fields)?;
+    fields.0.finish().map_err(detail)?;
     Ok(event)
 }
 
@@ -466,9 +189,7 @@ mod tests {
 
     #[test]
     fn header_checks() {
-        let mut buf = Vec::new();
-        write_header(&mut buf);
-        assert_eq!(check_header(&buf), Ok(5));
+        assert_eq!(check_header(&HEADER), Ok(5));
         assert!(check_header(b"AXT").is_err());
         assert!(check_header(b"NOPE\x01").is_err());
         assert!(check_header(b"AXTR\x7f").unwrap_err().contains("version"));
@@ -494,14 +215,14 @@ mod tests {
         assert!(decode_payload(&[]).is_err());
         assert!(decode_payload(&[0]).is_err());
         assert!(decode_payload(&[99]).is_err());
-        assert!(decode_payload(&[tag::DELEGATION, 1]).is_err());
+        assert!(decode_payload(&[2, 1]).is_err());
         // Trailing junk after a valid payload is an error.
         let mut buf = Vec::new();
         encode_payload(&one_of_each()[1], &mut buf);
         buf.push(0xAB);
         assert!(decode_payload(&buf).unwrap_err().contains("trailing"));
         // Invalid UTF-8 inside a string field.
-        let mut bad = vec![tag::RULE_ATTEMPTED];
+        let mut bad = vec![6]; // a rule event
         bad.extend_from_slice(&2u32.to_le_bytes());
         bad.extend_from_slice(&[0xFF, 0xFE]);
         bad.push(1);

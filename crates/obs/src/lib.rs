@@ -58,7 +58,7 @@ pub use metrics::{EvalMetrics, MsgStats, RuleStats};
 pub use reader::{FollowReader, FollowStep, ReadError, TraceFormat, TraceReader};
 pub use report::RunReport;
 pub use sink::{BinSink, FanoutSink, JsonlSink, SharedBuf};
-pub use socket_sink::{SocketSink, SocketSinkConfig};
+pub use socket_sink::SocketSink;
 pub use trace::{TraceEvent, TraceSink, TraceStr, VecSink};
 
 /// The observability handle: metrics plus an optional trace sink.

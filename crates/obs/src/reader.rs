@@ -17,8 +17,9 @@
 
 use crate::codec;
 use crate::trace::TraceEvent;
+use axml_net::bytes::Cursor;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Read};
+use std::io::{self, BufRead, Read};
 
 /// Which encoding a trace file uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,6 +94,178 @@ impl From<io::Error> for ReadError {
     }
 }
 
+/// Largest accepted record — a binary payload or a JSONL line — in
+/// bytes (16 MiB). Real records are a few dozen bytes; anything larger
+/// means corruption, and the cap keeps a corrupt length prefix or a
+/// newline-free stream from forcing a giant allocation.
+const MAX_RECORD_LEN: usize = 16 << 20;
+
+/// The one piece of framing code: bytes in (in any chunking), whole
+/// records out. It sniffs the header, then cuts JSONL lines or
+/// length-prefixed AXTR records off the front of its buffer and decodes
+/// them. [`FollowReader`] feeds it as bytes arrive, [`TraceReader`]
+/// until end of input, so both see the same records and the same errors
+/// on the same bytes.
+#[derive(Default)]
+struct Splitter {
+    /// Bytes received; `buf[..start]` is already consumed.
+    buf: Vec<u8>,
+    start: usize,
+    /// Pending bytes already searched for a newline, so a long line
+    /// arriving in many chunks is scanned once, not once per chunk.
+    scanned: usize,
+    format: Option<TraceFormat>,
+    record: u64,
+}
+
+impl Splitter {
+    /// Read once from `source` into the buffer; returns the byte count
+    /// (0 = end of input for now).
+    fn fill(&mut self, source: &mut impl Read) -> io::Result<usize> {
+        let mut chunk = [0u8; 8192];
+        let n = source.read(&mut chunk)?;
+        self.buf.drain(..self.start);
+        self.start = 0;
+        self.buf.extend_from_slice(&chunk[..n]);
+        Ok(n)
+    }
+
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.start..]
+    }
+
+    /// Sniff the format once enough bytes are buffered; `Ok(None)`
+    /// means "need more". At `eof` a cut header is typed instead.
+    fn sniff(&mut self, eof: bool) -> Result<Option<TraceFormat>, ReadError> {
+        let head = self.pending();
+        if self.format.is_some() || head.is_empty() {
+            return Ok(self.format);
+        }
+        if head[0] == b'{' {
+            self.format = Some(TraceFormat::Jsonl);
+        } else if !codec::MAGIC.starts_with(&head[..head.len().min(4)]) {
+            return Err(ReadError::BadHeader(
+                "neither AXTR magic nor a JSON line".into(),
+            ));
+        } else if head.len() >= 5 {
+            self.start += codec::check_header(head).map_err(ReadError::BadHeader)?;
+            self.format = Some(TraceFormat::Binary);
+        } else if eof {
+            return Err(ReadError::Truncated {
+                record: 0,
+                detail: format!("AXTR header cut after {} of 5 bytes", head.len()),
+            });
+        }
+        Ok(self.format)
+    }
+
+    /// Cut the next complete record off the buffer, if one is there:
+    /// `(consumed bytes, record bytes)`. Exceeding the cap is fatal —
+    /// framing cannot be trusted past it.
+    fn split(&mut self, format: TraceFormat) -> Result<Option<(usize, &[u8])>, ReadError> {
+        let pending = &self.buf[self.start..];
+        let record = self.record;
+        let over_cap = |what: &str| ReadError::Malformed {
+            record,
+            detail: format!("{what} exceeds the {MAX_RECORD_LEN}-byte cap"),
+        };
+        match format {
+            TraceFormat::Jsonl => {
+                let window = &pending[..pending.len().min(MAX_RECORD_LEN + 1)];
+                let newline = find_newline(&window[self.scanned..]);
+                match newline.map(|i| self.scanned + i) {
+                    Some(nl) => {
+                        self.scanned = 0;
+                        Ok(Some((nl + 1, &pending[..nl])))
+                    }
+                    None if pending.len() > MAX_RECORD_LEN => Err(over_cap("line")),
+                    None => {
+                        self.scanned = window.len();
+                        Ok(None)
+                    }
+                }
+            }
+            TraceFormat::Binary => {
+                let mut c = Cursor::new(pending);
+                let Ok(len) = c.u32() else { return Ok(None) };
+                if len as usize > MAX_RECORD_LEN {
+                    return Err(over_cap(&format!("record length {len}")));
+                }
+                Ok(c.take(len as usize).ok().map(|p| (4 + p.len(), p)))
+            }
+        }
+    }
+
+    /// Decode the next record. [`FollowStep::Pending`] means "no
+    /// complete record buffered"; an `Err` is fatal to the stream.
+    fn next(&mut self) -> Result<FollowStep, ReadError> {
+        let Some(format) = self.sniff(false)? else {
+            return Ok(FollowStep::Pending);
+        };
+        loop {
+            let Some((consumed, bytes)) = self.split(format)? else {
+                return Ok(FollowStep::Pending);
+            };
+            let decoded = decode(format, bytes);
+            self.start += consumed;
+            let Some(decoded) = decoded else { continue }; // blank line
+            let record = self.record;
+            self.record += 1;
+            return Ok(match decoded {
+                Ok(e) => FollowStep::Event(e),
+                Err(detail) => FollowStep::Malformed { record, detail },
+            });
+        }
+    }
+
+    /// The input is over: account for what [`Splitter::next`] left
+    /// behind. A clean boundary is `Ok(None)`; a final complete JSONL
+    /// line missing only its newline decodes; anything else — a cut
+    /// header, a torn binary record, a half-written line — is
+    /// [`ReadError::Truncated`].
+    fn finish(mut self) -> Result<Option<TraceEvent>, ReadError> {
+        let format = self.sniff(true)?;
+        let (tail, record) = (self.pending(), self.record);
+        if tail.is_empty() {
+            return Ok(None);
+        }
+        if format == Some(TraceFormat::Binary) {
+            return Err(ReadError::Truncated {
+                record,
+                detail: format!("{} bytes of a partial record remain", tail.len()),
+            });
+        }
+        decode(TraceFormat::Jsonl, tail)
+            .transpose()
+            .map_err(|detail| ReadError::Truncated {
+                record,
+                detail: format!("final line incomplete: {detail}"),
+            })
+    }
+}
+
+/// Index of the first `\n`. `BufRead::skip_until` is the byte search
+/// std vectorises; a `position` scan costs several times more per line.
+fn find_newline(hay: &[u8]) -> Option<usize> {
+    let mut rest = hay;
+    let skipped = rest.skip_until(b'\n').ok()?;
+    (hay[..skipped].last() == Some(&b'\n')).then(|| skipped - 1)
+}
+
+/// Decode one framed record; `None` for a blank JSONL line. Invalid
+/// UTF-8 in a line is replaced, not fatal: the line then fails to parse
+/// and is reported like any other malformed record.
+fn decode(format: TraceFormat, bytes: &[u8]) -> Option<Result<TraceEvent, String>> {
+    match format {
+        TraceFormat::Binary => Some(codec::decode_payload(bytes)),
+        TraceFormat::Jsonl => {
+            let text = String::from_utf8_lossy(bytes);
+            let line = text.trim();
+            (!line.is_empty()).then(|| TraceEvent::from_json(line))
+        }
+    }
+}
+
 /// A streaming decoder over either trace format.
 ///
 /// Iterate it for `Result<TraceEvent, ReadError>` items:
@@ -111,16 +284,11 @@ impl From<io::Error> for ReadError {
 /// assert_eq!(events.len(), 1);
 /// ```
 pub struct TraceReader<R: Read> {
-    inner: BufReader<io::Chain<io::Cursor<Vec<u8>>, R>>,
+    source: R,
+    /// `None` once the stream ended or failed fatally.
+    split: Option<Splitter>,
     format: TraceFormat,
-    record: u64,
-    done: bool,
 }
-
-/// Largest accepted binary record payload (16 MiB). Real records are a
-/// few dozen bytes; a larger length prefix means corruption, and the
-/// cap keeps a corrupt prefix from forcing a giant allocation.
-const MAX_RECORD_LEN: u32 = 16 << 20;
 
 impl TraceReader<std::fs::File> {
     /// Open a trace file and sniff its format.
@@ -129,43 +297,33 @@ impl TraceReader<std::fs::File> {
     }
 }
 
+/// A blocking read: retry interrupted calls, 0 only at end of input.
+fn fill_blocking(split: &mut Splitter, source: &mut impl Read) -> io::Result<usize> {
+    loop {
+        match split.fill(source) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            done => return done,
+        }
+    }
+}
+
 impl<R: Read> TraceReader<R> {
     /// Wrap a reader, sniffing the format from the first bytes. An
     /// empty input is a valid (JSONL) trace with no events.
-    pub fn new(mut reader: R) -> Result<Self, ReadError> {
-        // Pull at most 5 bytes to sniff, then chain them back in front.
-        let mut head = [0u8; 5];
-        let mut have = 0;
-        while have < head.len() {
-            match reader.read(&mut head[have..]) {
-                Ok(0) => break,
-                Ok(n) => have += n,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e.into()),
+    pub fn new(mut source: R) -> Result<Self, ReadError> {
+        let mut split = Splitter::default();
+        let format = loop {
+            if let Some(format) = split.sniff(false)? {
+                break format;
             }
-        }
-        let head = &head[..have];
-        // Empty input is a valid zero-event (JSONL) trace.
-        let format = if have == 0 || head[0] == b'{' {
-            TraceFormat::Jsonl
-        } else if codec::MAGIC.starts_with(&head[..have.min(4)]) {
-            codec::check_header(head).map_err(ReadError::BadHeader)?;
-            TraceFormat::Binary
-        } else {
-            return Err(ReadError::BadHeader(
-                "neither AXTR magic nor a JSON line".into(),
-            ));
-        };
-        // Chain the sniffed bytes (minus a consumed binary header) back.
-        let replay = match format {
-            TraceFormat::Binary => Vec::new(), // header consumed
-            TraceFormat::Jsonl => head.to_vec(),
+            if fill_blocking(&mut split, &mut source)? == 0 {
+                break split.sniff(true)?.unwrap_or(TraceFormat::Jsonl);
+            }
         };
         Ok(Self {
-            inner: BufReader::new(io::Cursor::new(replay).chain(reader)),
+            source,
+            split: Some(split),
             format,
-            record: 0,
-            done: false,
         })
     }
 
@@ -173,95 +331,30 @@ impl<R: Read> TraceReader<R> {
     pub fn format(&self) -> TraceFormat {
         self.format
     }
+}
 
-    /// Records yielded so far (events plus malformed records).
-    pub fn records_read(&self) -> u64 {
-        self.record
-    }
+impl<R: Read> Iterator for TraceReader<R> {
+    type Item = Result<TraceEvent, ReadError>;
 
-    fn next_jsonl(&mut self) -> Option<Result<TraceEvent, ReadError>> {
-        loop {
-            let mut line = String::new();
-            match self.inner.read_line(&mut line) {
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
+    fn next(&mut self) -> Option<Self::Item> {
+        let split = self.split.as_mut()?;
+        let fatal = loop {
+            match split.next() {
+                Ok(FollowStep::Event(e)) => return Some(Ok(e)),
+                Ok(FollowStep::Malformed { record, detail }) => {
+                    return Some(Err(ReadError::Malformed { record, detail }))
                 }
-                Ok(0) => return None,
+                Ok(FollowStep::Pending) => {}
+                Err(e) => break e,
+            }
+            match fill_blocking(split, &mut self.source) {
+                Ok(0) => return self.split.take()?.finish().transpose(),
                 Ok(_) => {}
+                Err(e) => break e.into(),
             }
-            let terminated = line.ends_with('\n');
-            let trimmed = line.trim_end_matches(['\n', '\r']);
-            if trimmed.trim().is_empty() {
-                continue;
-            }
-            let record = self.record;
-            self.record += 1;
-            match TraceEvent::from_json(trimmed) {
-                Ok(e) => return Some(Ok(e)),
-                Err(detail) if terminated => {
-                    // A complete-but-bad line: framing is intact, keep going.
-                    return Some(Err(ReadError::Malformed { record, detail }));
-                }
-                Err(detail) => {
-                    // Unterminated final line that does not parse: the
-                    // writer was killed mid-line.
-                    self.done = true;
-                    return Some(Err(ReadError::Truncated {
-                        record,
-                        detail: format!("final line incomplete: {detail}"),
-                    }));
-                }
-            }
-        }
-    }
-
-    fn next_binary(&mut self) -> Option<Result<TraceEvent, ReadError>> {
-        let mut len_buf = [0u8; 4];
-        match read_full(&mut self.inner, &mut len_buf) {
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e.into()));
-            }
-            Ok(0) => return None, // clean EOF at a record boundary
-            Ok(n) if n < 4 => {
-                self.done = true;
-                return Some(Err(ReadError::Truncated {
-                    record: self.record,
-                    detail: format!("length prefix cut after {n} of 4 bytes"),
-                }));
-            }
-            Ok(_) => {}
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_RECORD_LEN {
-            self.done = true;
-            return Some(Err(ReadError::Malformed {
-                record: self.record,
-                detail: format!("record length {len} exceeds the {MAX_RECORD_LEN}-byte cap"),
-            }));
-        }
-        let mut payload = vec![0u8; len as usize];
-        match read_full(&mut self.inner, &mut payload) {
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e.into()));
-            }
-            Ok(n) if n < len as usize => {
-                self.done = true;
-                return Some(Err(ReadError::Truncated {
-                    record: self.record,
-                    detail: format!("payload cut after {n} of {len} bytes"),
-                }));
-            }
-            Ok(_) => {}
-        }
-        let record = self.record;
-        self.record += 1;
-        Some(match codec::decode_payload(&payload) {
-            Ok(e) => Ok(e),
-            Err(detail) => Err(ReadError::Malformed { record, detail }),
-        })
+        };
+        self.split = None;
+        Some(Err(fatal))
     }
 }
 
@@ -300,10 +393,7 @@ pub enum FollowStep {
 /// [`ReadError::Truncated`].
 pub struct FollowReader<R: Read> {
     source: R,
-    /// Bytes received but not yet decoded.
-    buf: Vec<u8>,
-    format: Option<TraceFormat>,
-    record: u64,
+    split: Splitter,
     hit_eof: bool,
     /// A fatal decode error happened; the stream is dead.
     failed: bool,
@@ -322,9 +412,7 @@ impl<R: Read> FollowReader<R> {
     pub fn new(source: R) -> Self {
         Self {
             source,
-            buf: Vec::new(),
-            format: None,
-            record: 0,
+            split: Splitter::default(),
             hit_eof: false,
             failed: false,
         }
@@ -332,12 +420,7 @@ impl<R: Read> FollowReader<R> {
 
     /// The sniffed format (`None` until enough bytes arrived).
     pub fn format(&self) -> Option<TraceFormat> {
-        self.format
-    }
-
-    /// Records yielded so far (events plus malformed records).
-    pub fn records_read(&self) -> u64 {
-        self.record
+        self.split.format
     }
 
     /// Whether the most recent read from the source returned 0 bytes.
@@ -348,57 +431,44 @@ impl<R: Read> FollowReader<R> {
         self.hit_eof
     }
 
-    /// Pull newly available bytes into the buffer. Returns `Ok(true)`
-    /// if any byte arrived. `WouldBlock`/`TimedOut` (a socket read
-    /// timeout expiring) count as "nothing available", not errors.
-    fn fill(&mut self) -> io::Result<bool> {
-        let mut chunk = [0u8; 8192];
-        match self.source.read(&mut chunk) {
-            Ok(0) => {
-                self.hit_eof = true;
-                Ok(false)
-            }
-            Ok(n) => {
-                self.hit_eof = false;
-                self.buf.extend_from_slice(&chunk[..n]);
-                Ok(true)
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                Ok(false)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Try to decode the next record; pulls fresh bytes whenever the
-    /// buffer runs dry. Fatal errors ([`ReadError::Io`] on a hard read
-    /// failure, [`ReadError::BadHeader`], a corrupt binary length
-    /// prefix) poison the reader: every later poll returns `Pending`
-    /// with [`FollowReader::hit_eof`] set.
+    /// buffer runs dry. `WouldBlock`/`TimedOut` (a socket read timeout
+    /// expiring) count as "nothing available", not errors. Fatal errors
+    /// ([`ReadError::Io`] on a hard read failure,
+    /// [`ReadError::BadHeader`], a record past the size cap) poison the
+    /// reader: every later poll returns `Pending` with
+    /// [`FollowReader::hit_eof`] set.
     pub fn poll(&mut self) -> Result<FollowStep, ReadError> {
         if self.failed {
             self.hit_eof = true;
             return Ok(FollowStep::Pending);
         }
         loop {
-            match self.try_decode() {
-                Ok(Some(step)) => return Ok(step),
-                Ok(None) => {}
+            match self.split.next() {
+                Ok(FollowStep::Pending) => {}
+                Ok(step) => return Ok(step),
                 Err(e) => {
                     self.failed = true;
                     return Err(e);
                 }
             }
-            match self.fill() {
-                Ok(true) => continue,
-                Ok(false) => return Ok(FollowStep::Pending),
+            match self.split.fill(&mut self.source) {
+                Ok(n) => {
+                    self.hit_eof = n == 0;
+                    if n == 0 {
+                        return Ok(FollowStep::Pending);
+                    }
+                }
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock
+                            | io::ErrorKind::TimedOut
+                            | io::ErrorKind::Interrupted
+                    ) =>
+                {
+                    return Ok(FollowStep::Pending)
+                }
                 Err(e) => {
                     self.failed = true;
                     return Err(e.into());
@@ -407,152 +477,14 @@ impl<R: Read> FollowReader<R> {
         }
     }
 
-    /// Decode one record from the buffer, if a complete one is there.
-    /// `Ok(None)` means "need more bytes".
-    fn try_decode(&mut self) -> Result<Option<FollowStep>, ReadError> {
-        if self.format.is_none() && !self.sniff()? {
-            return Ok(None);
-        }
-        match self.format {
-            Some(TraceFormat::Jsonl) => self.decode_jsonl_line(),
-            Some(TraceFormat::Binary) => self.decode_binary_record(),
-            None => Ok(None),
-        }
-    }
-
-    /// Sniff the format once enough bytes are buffered. Returns whether
-    /// the format is now known.
-    fn sniff(&mut self) -> Result<bool, ReadError> {
-        let Some(&first) = self.buf.first() else {
-            return Ok(false);
-        };
-        if first == b'{' {
-            self.format = Some(TraceFormat::Jsonl);
-            return Ok(true);
-        }
-        if codec::MAGIC.starts_with(&self.buf[..self.buf.len().min(4)]) {
-            if self.buf.len() < 5 {
-                return Ok(false); // a prefix of the magic: wait for more
-            }
-            codec::check_header(&self.buf[..5]).map_err(ReadError::BadHeader)?;
-            self.buf.drain(..5);
-            self.format = Some(TraceFormat::Binary);
-            return Ok(true);
-        }
-        Err(ReadError::BadHeader(
-            "neither AXTR magic nor a JSON line".into(),
-        ))
-    }
-
-    fn decode_jsonl_line(&mut self) -> Result<Option<FollowStep>, ReadError> {
-        loop {
-            let Some(nl) = self.buf.iter().position(|&b| b == b'\n') else {
-                if self.buf.len() as u32 > MAX_RECORD_LEN {
-                    return Err(ReadError::Malformed {
-                        record: self.record,
-                        detail: format!("unterminated line exceeds the {MAX_RECORD_LEN}-byte cap"),
-                    });
-                }
-                return Ok(None);
-            };
-            let line: Vec<u8> = self.buf.drain(..=nl).collect();
-            let text = String::from_utf8_lossy(&line);
-            let trimmed = text.trim_end_matches(['\n', '\r']);
-            if trimmed.trim().is_empty() {
-                continue;
-            }
-            let record = self.record;
-            self.record += 1;
-            return Ok(Some(match TraceEvent::from_json(trimmed) {
-                Ok(e) => FollowStep::Event(e),
-                Err(detail) => FollowStep::Malformed { record, detail },
-            }));
-        }
-    }
-
-    fn decode_binary_record(&mut self) -> Result<Option<FollowStep>, ReadError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap());
-        if len > MAX_RECORD_LEN {
-            // Framing is unrecoverable mid-stream: fatal, unlike the
-            // skippable complete-record Malformed below.
-            return Err(ReadError::Malformed {
-                record: self.record,
-                detail: format!("record length {len} exceeds the {MAX_RECORD_LEN}-byte cap"),
-            });
-        }
-        let total = 4 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let payload: Vec<u8> = self.buf.drain(..total).skip(4).collect();
-        let record = self.record;
-        self.record += 1;
-        Ok(Some(match codec::decode_payload(&payload) {
-            Ok(e) => FollowStep::Event(e),
-            Err(detail) => FollowStep::Malformed { record, detail },
-        }))
-    }
-
     /// Declare the stream over (the writer exited, the socket closed)
-    /// and account for the tail. A clean boundary returns `Ok(None)`;
-    /// a final *complete* JSONL line missing only its newline decodes
-    /// and is returned; anything else — a torn binary record, a
+    /// and account for the tail, once [`FollowReader::poll`] has
+    /// returned `Pending`. A clean boundary returns `Ok(None)`; a final
+    /// *complete* JSONL line missing only its newline decodes and is
+    /// returned; anything else — a cut header, a torn binary record, a
     /// half-written line — is a typed [`ReadError::Truncated`].
-    pub fn finish(mut self) -> Result<Option<TraceEvent>, ReadError> {
-        if self.buf.is_empty() {
-            return Ok(None);
-        }
-        match self.format {
-            Some(TraceFormat::Jsonl) | None => {
-                let text = String::from_utf8_lossy(&std::mem::take(&mut self.buf)).into_owned();
-                let trimmed = text.trim();
-                if trimmed.is_empty() {
-                    return Ok(None);
-                }
-                match TraceEvent::from_json(trimmed) {
-                    Ok(e) => Ok(Some(e)),
-                    Err(detail) => Err(ReadError::Truncated {
-                        record: self.record,
-                        detail: format!("final line incomplete: {detail}"),
-                    }),
-                }
-            }
-            Some(TraceFormat::Binary) => Err(ReadError::Truncated {
-                record: self.record,
-                detail: format!("{} bytes of a partial record remain", self.buf.len()),
-            }),
-        }
-    }
-}
-
-/// Read until `buf` is full or EOF; returns bytes read.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
-    let mut have = 0;
-    while have < buf.len() {
-        match r.read(&mut buf[have..]) {
-            Ok(0) => break,
-            Ok(n) => have += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(have)
-}
-
-impl<R: Read> Iterator for TraceReader<R> {
-    type Item = Result<TraceEvent, ReadError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        match self.format {
-            TraceFormat::Jsonl => self.next_jsonl(),
-            TraceFormat::Binary => self.next_binary(),
-        }
+    pub fn finish(self) -> Result<Option<TraceEvent>, ReadError> {
+        self.split.finish()
     }
 }
 
@@ -699,8 +631,7 @@ mod tests {
 
     #[test]
     fn binary_absurd_length_prefix_is_malformed() {
-        let mut bytes = Vec::new();
-        codec::write_header(&mut bytes);
+        let mut bytes = codec::HEADER.to_vec();
         bytes.extend_from_slice(&u32::MAX.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 16]);
         let items: Vec<_> = TraceReader::new(&bytes[..]).unwrap().collect();

@@ -106,10 +106,8 @@ impl<W: Write> BinSink<W> {
             written: 0,
             scratch: Vec::with_capacity(64),
         };
-        let mut header = Vec::with_capacity(5);
-        codec::write_header(&mut header);
         if let Some(w) = writer_if_ok(&mut sink.writer, &sink.err) {
-            if let Err(e) = w.write_all(&header) {
+            if let Err(e) = w.write_all(&codec::HEADER) {
                 sink.err = Some(e);
             }
         }

@@ -40,6 +40,7 @@
 
 use crate::codec;
 use crate::trace::{TraceEvent, TraceSink};
+use axml_net::bytes::Cursor;
 use axml_net::socket::connect_with_backoff;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -48,37 +49,21 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for a [`SocketSink`].
-#[derive(Debug, Clone)]
-pub struct SocketSinkConfig {
-    /// Queue capacity in bytes. Records that would overflow it are
-    /// counted and dropped (default 4 MiB ≈ hundreds of thousands of
-    /// records).
-    pub capacity_bytes: usize,
-    /// Reconnect attempts after a broken connection before the sink
-    /// goes dead (the *initial* connect is synchronous and not subject
-    /// to this budget).
-    pub reconnect_attempts: u32,
-    /// First reconnect backoff in milliseconds (doubles per attempt).
-    pub backoff_base_ms: u64,
-    /// Backoff cap in milliseconds.
-    pub backoff_cap_ms: u64,
-    /// How long [`TraceSink::flush`] waits for the queue to drain
-    /// before reporting `TimedOut`.
-    pub flush_timeout: Duration,
-}
+/// Queue capacity in bytes. Records that would overflow it are counted
+/// and dropped (4 MiB ≈ hundreds of thousands of records).
+const CAPACITY_BYTES: usize = 4 << 20;
 
-impl Default for SocketSinkConfig {
-    fn default() -> Self {
-        Self {
-            capacity_bytes: 4 << 20,
-            reconnect_attempts: 5,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 250,
-            flush_timeout: Duration::from_secs(5),
-        }
-    }
-}
+/// Reconnect attempts after a broken connection before the sink goes
+/// dead (the *initial* connect is synchronous and not subject to this
+/// budget); the delay starts at `BACKOFF_BASE_MS` and doubles per
+/// attempt up to `BACKOFF_CAP_MS`.
+const RECONNECT_ATTEMPTS: u32 = 5;
+const BACKOFF_BASE_MS: u64 = 10;
+const BACKOFF_CAP_MS: u64 = 250;
+
+/// How long [`TraceSink::flush`] waits for the queue to drain before
+/// reporting `TimedOut`.
+const FLUSH_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Queue state shared between the recording side and the writer thread.
 #[derive(Default)]
@@ -122,14 +107,15 @@ pub struct SocketSink {
 }
 
 impl SocketSink {
-    /// Connect to a consumer at `addr` with default tuning. The initial
-    /// connect is synchronous so a missing consumer fails fast, here.
+    /// Connect to a consumer at `addr`. The initial connect is
+    /// synchronous so a missing consumer fails fast, here.
     pub fn connect(addr: SocketAddr) -> io::Result<Self> {
-        Self::connect_with(addr, SocketSinkConfig::default())
+        Self::connect_tuned(addr, CAPACITY_BYTES, RECONNECT_ATTEMPTS)
     }
 
-    /// Connect with explicit tuning.
-    pub fn connect_with(addr: SocketAddr, cfg: SocketSinkConfig) -> io::Result<Self> {
+    /// [`SocketSink::connect`] with the queue size and reconnect budget
+    /// spelled out (the unit tests shrink both).
+    fn connect_tuned(addr: SocketAddr, capacity: usize, reconnects: u32) -> io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         let shared = Arc::new(Shared {
@@ -141,11 +127,10 @@ impl SocketSink {
             connects: AtomicU64::new(0),
             closing: AtomicBool::new(false),
         });
-        let capacity = cfg.capacity_bytes.max(1024);
         let writer_shared = Arc::clone(&shared);
         let handle = std::thread::Builder::new()
             .name("axml-socket-sink".into())
-            .spawn(move || writer_loop(writer_shared, stream, addr, cfg))
+            .spawn(move || writer_loop(writer_shared, stream, addr, reconnects))
             .map_err(|e| io::Error::other(format!("spawning sink writer: {e}")))?;
         Ok(Self {
             shared,
@@ -241,9 +226,7 @@ impl TraceSink for SocketSink {
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        // default timeout mirrors the config default; the writer wakes
-        // on every enqueue so a healthy consumer drains long before it
-        self.wait_drained(Duration::from_secs(5))
+        self.wait_drained(FLUSH_TIMEOUT)
     }
 }
 
@@ -269,7 +252,7 @@ impl std::fmt::Debug for SocketSink {
 
 /// The writer thread: own the connection, drain the queue, reconnect on
 /// failure, die when the budget is gone or the sink is closing.
-fn writer_loop(shared: Arc<Shared>, stream: TcpStream, addr: SocketAddr, cfg: SocketSinkConfig) {
+fn writer_loop(shared: Arc<Shared>, stream: TcpStream, addr: SocketAddr, reconnects: u32) {
     let mut conn = Some(stream);
     // Recycled drain buffer, swapped with the queue under the lock so
     // both sides keep their steady-state capacity (no per-drain
@@ -286,9 +269,9 @@ fn writer_loop(shared: Arc<Shared>, stream: TcpStream, addr: SocketAddr, cfg: So
                 };
                 match connect_with_backoff(
                     addr,
-                    cfg.reconnect_attempts,
-                    cfg.backoff_base_ms,
-                    cfg.backoff_cap_ms,
+                    reconnects,
+                    BACKOFF_BASE_MS,
+                    BACKOFF_CAP_MS,
                     closing,
                 ) {
                     Ok(s) => {
@@ -302,15 +285,13 @@ fn writer_loop(shared: Arc<Shared>, stream: TcpStream, addr: SocketAddr, cfg: So
                 }
             }
         };
-        let mut header = Vec::with_capacity(5);
-        codec::write_header(&mut header);
-        if stream.write_all(&header).is_err() {
+        if stream.write_all(&codec::HEADER).is_err() {
             conn = None;
             continue 'outer; // reconnect (budget enforced inside)
         }
         shared
             .written
-            .fetch_add(header.len() as u64, Ordering::Relaxed);
+            .fetch_add(codec::HEADER.len() as u64, Ordering::Relaxed);
         shared.connects.fetch_add(1, Ordering::Relaxed);
         // Drain the queue onto this connection until it breaks.
         loop {
@@ -368,11 +349,12 @@ fn writer_loop(shared: Arc<Shared>, stream: TcpStream, addr: SocketAddr, cfg: So
 /// Count whole AXTR frames in an encoded buffer (each is a u32 LE
 /// length prefix plus payload; the buffer only ever holds whole frames).
 fn count_records(buf: &[u8]) -> u64 {
+    let mut frames = Cursor::new(buf);
     let mut n = 0;
-    let mut pos = 0;
-    while pos + 4 <= buf.len() {
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-        pos += 4 + len;
+    while let Ok(len) = frames.u32() {
+        if frames.take(len as usize).is_err() {
+            break;
+        }
         n += 1;
     }
     n
@@ -440,15 +422,7 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         // Accept but never read: the kernel buffers a little, the sink
         // queue (tiny capacity) takes the rest, overflow is dropped.
-        let mut sink = SocketSink::connect_with(
-            addr,
-            SocketSinkConfig {
-                capacity_bytes: 1024,
-                flush_timeout: Duration::from_millis(100),
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut sink = SocketSink::connect_tuned(addr, 1024, RECONNECT_ATTEMPTS).unwrap();
         let _conn = listener.accept().unwrap();
         let start = Instant::now();
         for _ in 0..20_000 {
@@ -467,16 +441,7 @@ mod tests {
     fn dead_sink_surfaces_error_and_counts_queue() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let mut sink = SocketSink::connect_with(
-            addr,
-            SocketSinkConfig {
-                reconnect_attempts: 2,
-                backoff_base_ms: 1,
-                backoff_cap_ms: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut sink = SocketSink::connect_tuned(addr, CAPACITY_BYTES, 2).unwrap();
         // Accept, then drop both the connection and the listener: every
         // reconnect attempt now fails outright.
         {

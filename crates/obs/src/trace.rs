@@ -26,6 +26,7 @@
 //! scalar cost instead of a timestamp — optimization is planning, not
 //! simulated execution.
 
+use crate::json::{self, JsonObject, JsonValue};
 use crate::kind::MessageKind;
 use axml_xml::ids::PeerId;
 use std::borrow::Cow;
@@ -200,32 +201,100 @@ pub enum TraceEvent {
     },
 }
 
+/// `(AXTR tag byte, JSON "kind" string)` of every event shape — the one
+/// place the two spellings are paired ([`TraceEvent::tag`] and
+/// [`TraceEvent::build`] name rows by tag byte). Append-only: new
+/// variants take the next free byte, existing rows never change meaning.
+const KINDS: [(u8, &str); 12] = [
+    (1, "definition"),
+    (2, "delegation"),
+    (3, "message"),
+    (4, "delivered"),
+    (5, "task"),
+    (6, "rule"),
+    (7, "plan"),
+    (8, "service-call"),
+    (9, "delta"),
+    (10, "dropped"),
+    (11, "retry"),
+    (12, "failover"),
+];
+
+// `TraceEvent::kind` indexes the table by tag: row `i` holds tag `i + 1`.
+const _: () = {
+    let mut i = 0;
+    while i < KINDS.len() {
+        assert!(KINDS[i].0 as usize == i + 1);
+        i += 1;
+    }
+};
+
+/// Where [`TraceEvent::visit`] sends an event's fields, in wire order:
+/// one method per wire type. The JSON object writer (below) and the AXTR
+/// payload writer ([`crate::codec`]) are the two implementations.
+pub(crate) trait FieldSink {
+    fn u8(&mut self, name: &'static str, v: u8);
+    fn u32(&mut self, name: &'static str, v: u32);
+    fn u64(&mut self, name: &'static str, v: u64);
+    fn f64(&mut self, name: &'static str, v: f64);
+    fn bool(&mut self, name: &'static str, v: bool);
+    fn str(&mut self, name: &'static str, v: &str);
+    fn strs(&mut self, name: &'static str, v: &[TraceStr]);
+    fn msg(&mut self, name: &'static str, v: MessageKind);
+}
+
+/// Where [`TraceEvent::build`] reads an event's fields from — the
+/// inverse of [`FieldSink`], same methods, same order.
+pub(crate) trait FieldSource {
+    fn u8(&mut self, name: &'static str) -> Result<u8, String>;
+    fn u32(&mut self, name: &'static str) -> Result<u32, String>;
+    fn u64(&mut self, name: &'static str) -> Result<u64, String>;
+    fn f64(&mut self, name: &'static str) -> Result<f64, String>;
+    fn bool(&mut self, name: &'static str) -> Result<bool, String>;
+    fn str(&mut self, name: &'static str) -> Result<TraceStr, String>;
+    fn strs(&mut self, name: &'static str) -> Result<Vec<TraceStr>, String>;
+    fn msg(&mut self, name: &'static str) -> Result<MessageKind, String>;
+}
+
+/// `usize` counters travel as `u32` in both formats; a count past
+/// `u32::MAX` pins at the maximum instead of wrapping.
+fn count(v: usize) -> u32 {
+    u32::try_from(v).unwrap_or(u32::MAX)
+}
+
 impl TraceEvent {
+    /// This variant's AXTR tag byte (its row of the kind table).
+    #[inline]
+    pub(crate) fn tag(&self) -> u8 {
+        match self {
+            TraceEvent::Definition { .. } => 1,
+            TraceEvent::Delegation { .. } => 2,
+            TraceEvent::MessageSent { .. } => 3,
+            TraceEvent::MessageDelivered { .. } => 4,
+            TraceEvent::TaskScheduled { .. } => 5,
+            TraceEvent::RuleAttempted { .. } => 6,
+            TraceEvent::PlanChosen { .. } => 7,
+            TraceEvent::ServiceCall { .. } => 8,
+            TraceEvent::SubscriptionDelta { .. } => 9,
+            TraceEvent::MessageDropped { .. } => 10,
+            TraceEvent::RetryScheduled { .. } => 11,
+            TraceEvent::Failover { .. } => 12,
+        }
+    }
+
     /// Short kind tag, stable for filtering ("definition", "delegation",
     /// "message", "delivered", "task", "rule", "plan", "service-call",
     /// "delta", "dropped", "retry", "failover").
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Definition { .. } => "definition",
-            TraceEvent::Delegation { .. } => "delegation",
-            TraceEvent::MessageSent { .. } => "message",
-            TraceEvent::MessageDelivered { .. } => "delivered",
-            TraceEvent::TaskScheduled { .. } => "task",
-            TraceEvent::RuleAttempted { .. } => "rule",
-            TraceEvent::PlanChosen { .. } => "plan",
-            TraceEvent::ServiceCall { .. } => "service-call",
-            TraceEvent::SubscriptionDelta { .. } => "delta",
-            TraceEvent::MessageDropped { .. } => "dropped",
-            TraceEvent::RetryScheduled { .. } => "retry",
-            TraceEvent::Failover { .. } => "failover",
-        }
+        KINDS[usize::from(self.tag()) - 1].1
     }
 
-    /// The event as a single JSON object.
-    pub fn to_json(&self) -> String {
-        use crate::json::JsonObject;
-        let mut o = JsonObject::new();
-        o.str("kind", self.kind());
+    /// Every field of this event as `(name, typed value)`, in wire
+    /// order — the single definition both encodings are written from.
+    /// To add a field: one line here, the matching line in
+    /// [`TraceEvent::build`], and a bump of [`crate::codec::VERSION`].
+    #[inline]
+    pub(crate) fn visit<S: FieldSink>(&self, s: &mut S) {
         match self {
             TraceEvent::Definition {
                 def,
@@ -233,15 +302,15 @@ impl TraceEvent {
                 expr,
                 at_ms,
             } => {
-                o.num("def", *def as f64);
-                o.num("peer", peer.0 as f64);
-                o.str("expr", expr);
-                o.num("at_ms", *at_ms);
+                s.u8("def", *def);
+                s.u32("peer", peer.0);
+                s.str("expr", expr);
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::Delegation { from, to, at_ms } => {
-                o.num("from", from.0 as f64);
-                o.num("to", to.0 as f64);
-                o.num("at_ms", *at_ms);
+                s.u32("from", from.0);
+                s.u32("to", to.0);
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::MessageSent {
                 from,
@@ -251,12 +320,12 @@ impl TraceEvent {
                 sent_ms,
                 at_ms,
             } => {
-                o.num("from", from.0 as f64);
-                o.num("to", to.0 as f64);
-                o.str("msg", kind.as_str());
-                o.num_u64("bytes", *bytes);
-                o.num("sent_ms", *sent_ms);
-                o.num("at_ms", *at_ms);
+                s.u32("from", from.0);
+                s.u32("to", to.0);
+                s.msg("msg", *kind);
+                s.u64("bytes", *bytes);
+                s.f64("sent_ms", *sent_ms);
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::MessageDelivered {
                 from,
@@ -264,26 +333,33 @@ impl TraceEvent {
                 kind,
                 bytes,
                 at_ms,
+            }
+            | TraceEvent::MessageDropped {
+                from,
+                to,
+                kind,
+                bytes,
+                at_ms,
             } => {
-                o.num("from", from.0 as f64);
-                o.num("to", to.0 as f64);
-                o.str("msg", kind.as_str());
-                o.num_u64("bytes", *bytes);
-                o.num("at_ms", *at_ms);
+                s.u32("from", from.0);
+                s.u32("to", to.0);
+                s.msg("msg", *kind);
+                s.u64("bytes", *bytes);
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::TaskScheduled { peer, task, at_ms } => {
-                o.num("peer", peer.0 as f64);
-                o.str("task", task);
-                o.num("at_ms", *at_ms);
+                s.u32("peer", peer.0);
+                s.str("task", task);
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::RuleAttempted {
                 rule,
                 accepted,
                 cost,
             } => {
-                o.str("rule", rule);
-                o.bool("accepted", *accepted);
-                o.num("cost", *cost);
+                s.str("rule", rule);
+                s.bool("accepted", *accepted);
+                s.f64("cost", *cost);
             }
             TraceEvent::PlanChosen {
                 site,
@@ -291,10 +367,10 @@ impl TraceEvent {
                 cost,
                 trace,
             } => {
-                o.num("site", site.0 as f64);
-                o.num("explored", *explored as f64);
-                o.num("cost", *cost);
-                o.str_array("trace", trace.iter().map(|s| s.as_ref()));
+                s.u32("site", site.0);
+                s.u32("explored", count(*explored));
+                s.f64("cost", *cost);
+                s.strs("trace", trace);
             }
             TraceEvent::ServiceCall {
                 caller,
@@ -303,11 +379,11 @@ impl TraceEvent {
                 call_id,
                 at_ms,
             } => {
-                o.num("caller", caller.0 as f64);
-                o.num("provider", provider.0 as f64);
-                o.str("service", service);
-                o.num_u64("call_id", *call_id);
-                o.num("at_ms", *at_ms);
+                s.u32("caller", caller.0);
+                s.u32("provider", provider.0);
+                s.str("service", service);
+                s.u64("call_id", *call_id);
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::SubscriptionDelta {
                 subscription,
@@ -316,24 +392,11 @@ impl TraceEvent {
                 suppressed,
                 at_ms,
             } => {
-                o.num_u64("subscription", *subscription);
-                o.num("provider", provider.0 as f64);
-                o.num("fresh", *fresh as f64);
-                o.num("suppressed", *suppressed as f64);
-                o.num("at_ms", *at_ms);
-            }
-            TraceEvent::MessageDropped {
-                from,
-                to,
-                kind,
-                bytes,
-                at_ms,
-            } => {
-                o.num("from", from.0 as f64);
-                o.num("to", to.0 as f64);
-                o.str("msg", kind.as_str());
-                o.num_u64("bytes", *bytes);
-                o.num("at_ms", *at_ms);
+                s.u64("subscription", *subscription);
+                s.u32("provider", provider.0);
+                s.u32("fresh", count(*fresh));
+                s.u32("suppressed", count(*suppressed));
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::RetryScheduled {
                 from,
@@ -343,12 +406,12 @@ impl TraceEvent {
                 backoff_ms,
                 at_ms,
             } => {
-                o.num("from", from.0 as f64);
-                o.num("to", to.0 as f64);
-                o.str("msg", kind.as_str());
-                o.num("attempt", *attempt as f64);
-                o.num("backoff_ms", *backoff_ms);
-                o.num("at_ms", *at_ms);
+                s.u32("from", from.0);
+                s.u32("to", to.0);
+                s.msg("msg", *kind);
+                s.u32("attempt", *attempt);
+                s.f64("backoff_ms", *backoff_ms);
+                s.f64("at_ms", *at_ms);
             }
             TraceEvent::Failover {
                 peer,
@@ -356,13 +419,106 @@ impl TraceEvent {
                 dead,
                 at_ms,
             } => {
-                o.num("peer", peer.0 as f64);
-                o.str("class", class);
-                o.num("dead", dead.0 as f64);
-                o.num("at_ms", *at_ms);
+                s.u32("peer", peer.0);
+                s.str("class", class);
+                s.u32("dead", dead.0);
+                s.f64("at_ms", *at_ms);
             }
         }
-        o.finish()
+    }
+
+    /// Rebuild the event with tag byte `tag` by pulling the fields
+    /// [`TraceEvent::visit`] pushed, in the same order.
+    pub(crate) fn build<R: FieldSource>(tag: u8, r: &mut R) -> Result<Self, String> {
+        let peer = |r: &mut R, name| r.u32(name).map(PeerId);
+        Ok(match tag {
+            1 => TraceEvent::Definition {
+                def: r.u8("def")?,
+                peer: peer(r, "peer")?,
+                expr: r.str("expr")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            2 => TraceEvent::Delegation {
+                from: peer(r, "from")?,
+                to: peer(r, "to")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            3 => TraceEvent::MessageSent {
+                from: peer(r, "from")?,
+                to: peer(r, "to")?,
+                kind: r.msg("msg")?,
+                bytes: r.u64("bytes")?,
+                sent_ms: r.f64("sent_ms")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            4 => TraceEvent::MessageDelivered {
+                from: peer(r, "from")?,
+                to: peer(r, "to")?,
+                kind: r.msg("msg")?,
+                bytes: r.u64("bytes")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            5 => TraceEvent::TaskScheduled {
+                peer: peer(r, "peer")?,
+                task: r.str("task")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            6 => TraceEvent::RuleAttempted {
+                rule: r.str("rule")?,
+                accepted: r.bool("accepted")?,
+                cost: r.f64("cost")?,
+            },
+            7 => TraceEvent::PlanChosen {
+                site: peer(r, "site")?,
+                explored: r.u32("explored")? as usize,
+                cost: r.f64("cost")?,
+                trace: r.strs("trace")?,
+            },
+            8 => TraceEvent::ServiceCall {
+                caller: peer(r, "caller")?,
+                provider: peer(r, "provider")?,
+                service: r.str("service")?.into_owned(),
+                call_id: r.u64("call_id")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            9 => TraceEvent::SubscriptionDelta {
+                subscription: r.u64("subscription")?,
+                provider: peer(r, "provider")?,
+                fresh: r.u32("fresh")? as usize,
+                suppressed: r.u32("suppressed")? as usize,
+                at_ms: r.f64("at_ms")?,
+            },
+            10 => TraceEvent::MessageDropped {
+                from: peer(r, "from")?,
+                to: peer(r, "to")?,
+                kind: r.msg("msg")?,
+                bytes: r.u64("bytes")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            11 => TraceEvent::RetryScheduled {
+                from: peer(r, "from")?,
+                to: peer(r, "to")?,
+                kind: r.msg("msg")?,
+                attempt: r.u32("attempt")?,
+                backoff_ms: r.f64("backoff_ms")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            12 => TraceEvent::Failover {
+                peer: peer(r, "peer")?,
+                class: r.str("class")?.into_owned(),
+                dead: peer(r, "dead")?,
+                at_ms: r.f64("at_ms")?,
+            },
+            other => return Err(format!("unknown event tag {other}")),
+        })
+    }
+
+    /// The event as a single JSON object: `"kind"`, then the fields.
+    pub fn to_json(&self) -> String {
+        let mut o = JsonFields(JsonObject::new());
+        o.0.str("kind", self.kind());
+        self.visit(&mut o);
+        o.0.finish()
     }
 
     /// Parse one event back from the JSON produced by
@@ -370,137 +526,102 @@ impl TraceEvent {
     /// `to_json` for every finite-timestamp event; non-finite floats were
     /// written as `null` and decode as NaN.
     pub fn from_json(src: &str) -> Result<Self, String> {
-        use crate::json::{parse, JsonValue};
-        let v = parse(src)?;
+        let v = json::parse(src)?;
         let kind = v
             .get("kind")
             .and_then(JsonValue::as_str)
             .ok_or("missing \"kind\" field")?;
-        let peer = |field: &str| -> Result<PeerId, String> {
-            v.get(field)
-                .and_then(JsonValue::as_u64)
-                .map(|n| PeerId(n as u32))
-                .ok_or_else(|| format!("missing peer field \"{field}\""))
-        };
-        let f64_field = |field: &str| -> Result<f64, String> {
-            v.get(field)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing numeric field \"{field}\""))
-        };
-        let u64_field = |field: &str| -> Result<u64, String> {
-            v.get(field)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("missing integer field \"{field}\""))
-        };
-        let str_field = |field: &str| -> Result<TraceStr, String> {
-            v.get(field)
-                .and_then(JsonValue::as_str)
-                .map(|s| TraceStr::Owned(s.to_string()))
-                .ok_or_else(|| format!("missing string field \"{field}\""))
-        };
-        let msg_kind = || -> Result<MessageKind, String> {
-            let name = v
-                .get("msg")
-                .and_then(JsonValue::as_str)
-                .ok_or("missing \"msg\" field")?;
-            MessageKind::parse(name).ok_or_else(|| format!("unknown message kind {name:?}"))
-        };
-        match kind {
-            "definition" => Ok(TraceEvent::Definition {
-                def: u64_field("def")? as u8,
-                peer: peer("peer")?,
-                expr: str_field("expr")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "delegation" => Ok(TraceEvent::Delegation {
-                from: peer("from")?,
-                to: peer("to")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "message" => Ok(TraceEvent::MessageSent {
-                from: peer("from")?,
-                to: peer("to")?,
-                kind: msg_kind()?,
-                bytes: u64_field("bytes")?,
-                sent_ms: f64_field("sent_ms")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "delivered" => Ok(TraceEvent::MessageDelivered {
-                from: peer("from")?,
-                to: peer("to")?,
-                kind: msg_kind()?,
-                bytes: u64_field("bytes")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "task" => Ok(TraceEvent::TaskScheduled {
-                peer: peer("peer")?,
-                task: str_field("task")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "rule" => Ok(TraceEvent::RuleAttempted {
-                rule: str_field("rule")?,
-                accepted: v
-                    .get("accepted")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("missing \"accepted\" field")?,
-                cost: f64_field("cost")?,
-            }),
-            "plan" => {
-                let trace = v
-                    .get("trace")
-                    .and_then(JsonValue::as_arr)
-                    .ok_or("missing \"trace\" array")?
-                    .iter()
-                    .map(|e| {
-                        e.as_str()
-                            .map(|s| TraceStr::Owned(s.to_string()))
-                            .ok_or_else(|| "non-string rule in \"trace\"".to_string())
-                    })
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(TraceEvent::PlanChosen {
-                    site: peer("site")?,
-                    explored: u64_field("explored")? as usize,
-                    cost: f64_field("cost")?,
-                    trace,
-                })
-            }
-            "service-call" => Ok(TraceEvent::ServiceCall {
-                caller: peer("caller")?,
-                provider: peer("provider")?,
-                service: str_field("service")?.into_owned(),
-                call_id: u64_field("call_id")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "delta" => Ok(TraceEvent::SubscriptionDelta {
-                subscription: u64_field("subscription")?,
-                provider: peer("provider")?,
-                fresh: u64_field("fresh")? as usize,
-                suppressed: u64_field("suppressed")? as usize,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "dropped" => Ok(TraceEvent::MessageDropped {
-                from: peer("from")?,
-                to: peer("to")?,
-                kind: msg_kind()?,
-                bytes: u64_field("bytes")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "retry" => Ok(TraceEvent::RetryScheduled {
-                from: peer("from")?,
-                to: peer("to")?,
-                kind: msg_kind()?,
-                attempt: u64_field("attempt")? as u32,
-                backoff_ms: f64_field("backoff_ms")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            "failover" => Ok(TraceEvent::Failover {
-                peer: peer("peer")?,
-                class: str_field("class")?.into_owned(),
-                dead: peer("dead")?,
-                at_ms: f64_field("at_ms")?,
-            }),
-            other => Err(format!("unknown event kind {other:?}")),
-        }
+        let (tag, _) = KINDS
+            .iter()
+            .find(|(_, k)| *k == kind)
+            .ok_or_else(|| format!("unknown event kind {kind:?}"))?;
+        Self::build(*tag, &mut JsonFields(&v))
+    }
+}
+
+/// The JSON side of the field schema: writing into a [`JsonObject`],
+/// reading (by name, so key order is free) from a parsed object.
+struct JsonFields<T>(T);
+
+impl FieldSink for JsonFields<JsonObject> {
+    fn u8(&mut self, name: &'static str, v: u8) {
+        self.0.num_u64(name, v.into());
+    }
+    fn u32(&mut self, name: &'static str, v: u32) {
+        self.0.num_u64(name, v.into());
+    }
+    fn u64(&mut self, name: &'static str, v: u64) {
+        self.0.num_u64(name, v);
+    }
+    fn f64(&mut self, name: &'static str, v: f64) {
+        self.0.num(name, v);
+    }
+    fn bool(&mut self, name: &'static str, v: bool) {
+        self.0.bool(name, v);
+    }
+    fn str(&mut self, name: &'static str, v: &str) {
+        self.0.str(name, v);
+    }
+    fn strs(&mut self, name: &'static str, v: &[TraceStr]) {
+        self.0.str_array(name, v.iter().map(|s| s.as_ref()));
+    }
+    fn msg(&mut self, name: &'static str, v: MessageKind) {
+        self.0.str(name, v.as_str());
+    }
+}
+
+impl JsonFields<&JsonValue> {
+    fn get<'v, T>(
+        &'v self,
+        name: &str,
+        what: &str,
+        read: impl FnOnce(&'v JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        self.0
+            .get(name)
+            .and_then(read)
+            .ok_or_else(|| format!("missing {what} field \"{name}\""))
+    }
+
+    fn int<T: TryFrom<u64>>(&self, name: &str) -> Result<T, String> {
+        T::try_from(self.get(name, "integer", JsonValue::as_u64)?)
+            .map_err(|_| format!("integer field \"{name}\" out of range"))
+    }
+}
+
+pub(crate) fn owned(s: &str) -> TraceStr {
+    TraceStr::Owned(s.to_string())
+}
+
+impl FieldSource for JsonFields<&JsonValue> {
+    fn u8(&mut self, name: &'static str) -> Result<u8, String> {
+        self.int(name)
+    }
+    fn u32(&mut self, name: &'static str) -> Result<u32, String> {
+        self.int(name)
+    }
+    fn u64(&mut self, name: &'static str) -> Result<u64, String> {
+        self.int(name)
+    }
+    fn f64(&mut self, name: &'static str) -> Result<f64, String> {
+        self.get(name, "numeric", JsonValue::as_f64)
+    }
+    fn bool(&mut self, name: &'static str) -> Result<bool, String> {
+        self.get(name, "boolean", JsonValue::as_bool)
+    }
+    fn str(&mut self, name: &'static str) -> Result<TraceStr, String> {
+        self.get(name, "string", JsonValue::as_str).map(owned)
+    }
+    fn strs(&mut self, name: &'static str) -> Result<Vec<TraceStr>, String> {
+        self.get(name, "array", JsonValue::as_arr)?
+            .iter()
+            .map(|e| e.as_str().map(owned))
+            .collect::<Option<_>>()
+            .ok_or_else(|| format!("non-string element in \"{name}\""))
+    }
+    fn msg(&mut self, name: &'static str) -> Result<MessageKind, String> {
+        let kind = self.get(name, "string", JsonValue::as_str)?;
+        MessageKind::parse(kind).ok_or_else(|| format!("unknown message kind {kind:?}"))
     }
 }
 

@@ -1,14 +1,22 @@
 //! Property tests: arbitrary event streams round-trip bit-exactly
-//! through both file sinks, and truncated files decode to the intact
-//! prefix plus one typed tail error.
+//! through both file sinks, truncated files decode to the intact
+//! prefix plus one typed tail error, and on arbitrarily damaged bytes
+//! the batch and follow readers report exactly the same thing.
 //!
 //! Generation is hand-rolled over `axml-prng`'s SplitMix64 — the
 //! workspace's only randomness source — with fixed seeds, so every run
 //! checks the same (large) sample deterministically.
 
-use axml_obs::{BinSink, JsonlSink, ReadError, SharedBuf, TraceEvent, TraceReader, TraceSink};
+use axml_obs::{
+    BinSink, FollowReader, FollowStep, JsonlSink, ReadError, SharedBuf, TraceEvent, TraceReader,
+    TraceSink,
+};
 use axml_prng::SplitMix64;
 use axml_xml::ids::PeerId;
+use std::cell::RefCell;
+use std::collections::VecDeque;
+use std::io::{self, Read};
+use std::rc::Rc;
 
 /// Names stressing the escaping paths: controls, quotes, non-ASCII,
 /// astral plane, empty.
@@ -271,4 +279,160 @@ fn prop_truncated_jsonl_yields_prefix_and_typed_error() {
             Some(other) => panic!("expected truncation, got {other:?}"),
         }
     }
+}
+
+// ---- batch ≡ follow: one splitter, so one verdict per byte stream ----
+
+/// A byte queue the test fills while a `FollowReader` drains it; an
+/// empty queue reads as "no bytes yet".
+#[derive(Clone, Default)]
+struct Pipe(Rc<RefCell<VecDeque<u8>>>);
+
+impl Read for Pipe {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let mut queue = self.0.borrow_mut();
+        let n = out.len().min(queue.len());
+        for (slot, byte) in out.iter_mut().zip(queue.drain(..n)) {
+            *slot = byte;
+        }
+        Ok(n)
+    }
+}
+
+/// Everything `TraceReader` says about `bytes`: each event (Debug
+/// rendering, so float bits count) or error (Display rendering), in
+/// order, a constructor error included.
+fn batch_verdict(bytes: &[u8]) -> Vec<String> {
+    match TraceReader::new(bytes) {
+        Err(e) => vec![e.to_string()],
+        Ok(reader) => reader
+            .map(|item| match item {
+                Ok(e) => format!("{e:?}"),
+                Err(e) => e.to_string(),
+            })
+            .collect(),
+    }
+}
+
+/// The same for a `FollowReader` fed `bytes` in random chunks of up to
+/// `max_chunk` bytes, with a dry poll before each one, then `finish`.
+fn follow_verdict(bytes: &[u8], max_chunk: usize, rng: &mut SplitMix64) -> Vec<String> {
+    let pipe = Pipe::default();
+    let mut reader = FollowReader::new(pipe.clone());
+    let (mut seen, mut rest) = (Vec::new(), bytes);
+    loop {
+        match reader.poll() {
+            Ok(FollowStep::Event(e)) => seen.push(format!("{e:?}")),
+            Ok(FollowStep::Malformed { record, detail }) => {
+                seen.push(ReadError::Malformed { record, detail }.to_string())
+            }
+            Err(e) => {
+                seen.push(e.to_string());
+                return seen; // fatal: the stream is over
+            }
+            Ok(FollowStep::Pending) if rest.is_empty() => break,
+            Ok(FollowStep::Pending) => {
+                let n = 1 + rng.gen_range(0..rest.len().min(max_chunk));
+                pipe.0.borrow_mut().extend(&rest[..n]);
+                rest = &rest[n..];
+            }
+        }
+    }
+    match reader.finish() {
+        Ok(None) => {}
+        Ok(Some(e)) => seen.push(format!("{e:?}")),
+        Err(e) => seen.push(e.to_string()),
+    }
+    seen
+}
+
+/// One seeded byte-level mutation: flip, truncate, splice or duplicate.
+fn mutate(bytes: &mut Vec<u8>, rng: &mut SplitMix64) {
+    if bytes.is_empty() {
+        return;
+    }
+    let at = rng.gen_range(0..bytes.len());
+    match rng.gen_range(0u32..4) {
+        0 => bytes[at] ^= 1 << rng.gen_range(0u32..8),
+        1 => bytes.truncate(at),
+        2 => {
+            let junk: Vec<u8> = (0..rng.gen_range(1usize..12))
+                .map(|_| rng.gen_range(0u32..256) as u8)
+                .collect();
+            bytes.splice(at..at, junk);
+        }
+        _ => {
+            let end = (at + rng.gen_range(1usize..40)).min(bytes.len());
+            let copy = bytes[at..end].to_vec();
+            bytes.splice(at..at, copy);
+        }
+    }
+}
+
+#[test]
+fn prop_batch_equals_follow_under_byte_mutations() {
+    let mut rng = SplitMix64::new(0xB1A5_0006);
+    let (mut with_events, mut with_errors) = (0, 0);
+    for case in 0..600 {
+        let events = arb_stream(&mut rng, 12);
+        let mut bytes = if case % 2 == 0 {
+            encode_bin(&events)
+        } else {
+            encode_jsonl(&events)
+        };
+        for _ in 0..rng.gen_range(1u32..4) {
+            mutate(&mut bytes, &mut rng);
+        }
+        let batch = batch_verdict(&bytes);
+        assert_eq!(
+            batch,
+            follow_verdict(&bytes, 40, &mut rng),
+            "case {case}: readers disagree on {bytes:?}"
+        );
+        // Debug-rendered events start with the variant name, errors
+        // with a lowercase word.
+        with_events += usize::from(batch.iter().any(|v| v.starts_with(char::is_uppercase)));
+        with_errors += usize::from(batch.iter().any(|v| v.starts_with(char::is_lowercase)));
+    }
+    // The mutations must leave both decodable records and damage.
+    assert!(
+        with_events > 200 && with_errors > 200,
+        "{with_events} / {with_errors}"
+    );
+}
+
+#[test]
+fn batch_equals_follow_on_the_reader_drift_regressions() {
+    let mut rng = SplitMix64::new(0xB1A5_0007);
+    let events = arb_stream(&mut SplitMix64::new(0xB1A5_0008), 20);
+
+    // A complete JSONL line that is not UTF-8. Batch mode used
+    // `read_line`, so it surfaced `Io(InvalidData)` and lost every later
+    // event while follow mode skipped the line.
+    let mut bytes = encode_jsonl(&events);
+    let second_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    bytes.splice(second_line..second_line, *b"{\"kind\":\"\xFF\xFE\"}\n");
+    let batch = batch_verdict(&bytes);
+    assert_eq!(batch, follow_verdict(&bytes, 40, &mut rng));
+    assert_eq!(batch.len(), events.len() + 1);
+    assert!(
+        batch[1].starts_with("malformed trace record 1:"),
+        "{}",
+        batch[1]
+    );
+    let decoded = batch.iter().filter(|v| !v.contains("malformed")).count();
+    assert_eq!(decoded, events.len(), "every later event still decodes");
+
+    // An unterminated line past the 16 MiB record cap. Batch JSONL had
+    // no cap (`read_line` buffered without bound, then reported a torn
+    // tail); now it is the same fatal, typed error in both modes.
+    let endless = vec![b'{'; (16 << 20) + (64 << 10)];
+    let batch = batch_verdict(&endless);
+    assert_eq!(batch, follow_verdict(&endless, 64 << 10, &mut rng));
+    assert_eq!(batch.len(), 1, "the cap is fatal: {batch:?}");
+    assert!(
+        batch[0].starts_with("malformed trace record 0:") && batch[0].contains("cap"),
+        "{}",
+        batch[0]
+    );
 }

@@ -29,6 +29,18 @@ for f in $(find crates/core/src -name '*.rs'); do
     fi
 done
 
+echo "== tier-1: one byte codec (to_le_bytes/from_le_bytes only in net/src/bytes.rs) =="
+# Every wire shape is built from axml_net::bytes (PutBytes + Cursor).
+# Outside comments and `#[cfg(test)]` modules, a crate spelling the
+# little-endian conversions itself is a fifth hand-rolled primitive set.
+for f in $(find crates/*/src -name '*.rs' ! -path crates/net/src/bytes.rs); do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
+        | grep -nE '(to|from)_le_bytes'; then
+        echo "tier-1: $f hand-rolls a little-endian field; use axml_net::bytes" >&2
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 
