@@ -5,7 +5,7 @@
 //! the cost-relevant facts of a system — link parameters, document sizes
 //! and statistics, visible service definitions, replica catalogs — and
 //! [`CostModel::estimate`] predicts, without executing, the traffic of
-//! `eval@site(expr)`: a mirror of the evaluator in [`crate::eval`] that
+//! `eval@site(expr)`: a mirror of the evaluator in [`crate::engine`] that
 //! adds up *estimated* transfers instead of performing them.
 //!
 //! Result sizes of queries come from `axml-query`'s cardinality estimator

@@ -717,24 +717,18 @@ impl AxmlSystem {
         param_forests: Vec<Vec<Tree>>,
         forward: &[NodeAddr],
     ) -> CoreResult<Vec<Tree>> {
-        let mut s = self.new_session();
-        let slot = s.new_slot(1);
         let call = ScCall {
             caller,
             service,
             param_forests,
             forward,
         };
-        match self.start_service_call(&mut s, provider, call, (slot, 0)) {
-            Ok(()) => {
-                self.run_session(&mut s)?;
-                Ok(s.take(slot)?)
-            }
-            Err(e) => {
-                self.net.clear_in_flight();
-                Err(e)
-            }
-        }
+        let (slot, mut s) = self.blocking(|sys, s| {
+            let slot = s.new_slot(1);
+            sys.start_service_call(s, provider, call, (slot, 0))?;
+            Ok(slot)
+        })?;
+        Ok(s.take(slot)?)
     }
 
     /// Definition (4): one concurrent delivery per `n@p` address.

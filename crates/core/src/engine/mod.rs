@@ -10,12 +10,35 @@
 //! (counters are additive and order-invariant), and sequential chains
 //! (request → response) keep identical timing.
 //!
+//! `eval@p(e)` is [`AxmlSystem::eval`](crate::system::AxmlSystem::eval)`(p, e)`:
+//! it returns the forest that materializes **at peer `p`** and performs
+//! every side effect the paper describes — data/query shipping as real
+//! (simulated) messages, results accumulating under forward-list nodes,
+//! new documents and services installed. Evaluation is one-shot over the
+//! current state (continuous propagation is in [`crate::continuous`]);
+//! remote evaluation requests ship the serialized expression and are
+//! charged like any other message.
+//!
+//! | def. | case |
+//! |------|------|
+//! | (1)  | [`crate::expr::Expr::Tree`] at `p` — copy the tree, activating embedded `sc` nodes |
+//! | (2)  | [`crate::expr::Expr::Apply`] with a local definition |
+//! | (3)  | [`crate::expr::Expr::Send`] to a peer — value ∅, data moves |
+//! | (4)  | `Send` to a node list — appended under each `n@p` |
+//! | (5)  | `Tree`/`Doc` located remotely — the remote peer evaluates and ships back |
+//! | (6)  | [`crate::expr::Expr::Sc`] — params to provider, provider applies its query, results to the forward list |
+//! | (7)  | `Apply` with a remote definition — query and arguments shipped to the evaluation site |
+//! | (8)  | [`crate::expr::Expr::Deploy`] — a shipped query becomes a new service |
+//! | (9)  | `PeerRef::Any` / `ScProvider::Any` resolved via `pickDoc`/`pickService` |
+//!
 //! # Module map
 //!
 //! * `pump` — [`Wire`], `Intent`, `Runnable`, `Cont`, `EvalSession` and
 //!   the loop: `schedule`, the sequential `run_session`,
-//!   `next_arrival_batch`, `deliver`, `apply_intent`, slot fill/park.
-//!   Names no policy.
+//!   `next_arrival_batch`, `deliver`, `apply_intent`, slot fill/park;
+//!   also `blocking`, the one place a session is opened — `eval`,
+//!   `activate_document`, `feed`, `feed_replicas` and the lazy
+//!   activations' `call_service` all go through it. Names no policy.
 //! * `defs` — definitions (1)–(8): `step_eval`, `resume` and the
 //!   service-call steps of §2.2.
 //! * `send` — **choke point 1**: `send_wire` and its backoff, the only

@@ -266,8 +266,49 @@ impl EvalSession {
 }
 
 impl AxmlSystem {
+    /// `eval@at(expr)` — evaluate the expression at a peer, returning the
+    /// forest left there. Blocks until the session is quiescent (every
+    /// task run, every in-flight message delivered).
+    pub fn eval(&mut self, at: PeerId, expr: &Expr) -> CoreResult<Vec<Tree>> {
+        self.check_peer(at)?;
+        let (root, mut s) = self.blocking(|sys, s| {
+            let root = s.new_slot(1);
+            sys.schedule(
+                s,
+                Runnable::Eval {
+                    at,
+                    expr: expr.clone(),
+                    out: (root, 0),
+                },
+            );
+            Ok(root)
+        })?;
+        Ok(s.take(root)?)
+    }
+
+    /// The shape of every blocking entry point: open a session, let
+    /// `seed` put work into it, drive it to quiescence, and hand back
+    /// `seed`'s value with the finished session. If `seed` itself fails
+    /// the messages it already sent are dropped from the network.
+    pub(crate) fn blocking<T>(
+        &mut self,
+        seed: impl FnOnce(&mut Self, &mut EvalSession) -> CoreResult<T>,
+    ) -> CoreResult<(T, EvalSession)> {
+        let mut s = self.new_session();
+        match seed(self, &mut s) {
+            Ok(v) => {
+                self.run_session(&mut s)?;
+                Ok((v, s))
+            }
+            Err(e) => {
+                self.net.clear_in_flight();
+                Err(e)
+            }
+        }
+    }
+
     /// A fresh session with a deterministic, per-session PRNG seed.
-    pub(crate) fn new_session(&mut self) -> EvalSession {
+    fn new_session(&mut self) -> EvalSession {
         let n = self.sessions;
         self.sessions += 1;
         EvalSession {
@@ -539,5 +580,458 @@ impl AxmlSystem {
             s.slots[slot].parked = Some((peer, cont));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::CoreError;
+    use crate::expr::{LocatedQuery, PeerRef, SendDest};
+    use axml_net::link::LinkCost;
+    use axml_query::Query;
+    use axml_xml::equiv::forest_equiv;
+    use axml_xml::ids::NodeAddr;
+
+    fn catalog_xml() -> &'static str {
+        r#"<catalog>
+             <pkg name="vim"><size>4000</size></pkg>
+             <pkg name="gcc"><size>90000</size></pkg>
+             <pkg name="vi"><size>100</size></pkg>
+           </catalog>"#
+    }
+
+    fn two_peer_system() -> (AxmlSystem, PeerId, PeerId) {
+        let mut sys = AxmlSystem::new();
+        let a = sys.add_peer("client");
+        let b = sys.add_peer("server");
+        sys.net_mut().set_link(a, b, LinkCost::wan());
+        sys.install_doc(b, "catalog", Tree::parse(catalog_xml()).unwrap())
+            .unwrap();
+        (sys, a, b)
+    }
+
+    #[test]
+    fn unfilled_slot_is_a_lost_result_not_an_empty_one() {
+        use crate::error::EngineError;
+        // A slot part nothing ever wrote to must surface as a typed
+        // error: with deliveries coming from worker threads, silently
+        // turning a lost delivery into an empty forest would be the
+        // worst kind of bug to chase.
+        let mut sys = AxmlSystem::new();
+        sys.add_peer("a");
+        let mut s = sys.new_session();
+        let slot = s.new_slot(1);
+        assert_eq!(s.take(slot), Err(EngineError::LostResult { slot, part: 0 }));
+        // ...whereas an *empty forest* part is a perfectly valid result.
+        let a = PeerId(0);
+        let out = sys
+            .eval(
+                a,
+                &Expr::Apply {
+                    query: LocatedQuery::new(
+                        Query::parse("none", "for $p in $0//nope return {$p}").unwrap(),
+                        a,
+                    ),
+                    args: vec![Expr::Tree {
+                        tree: Tree::parse("<x/>").unwrap(),
+                        at: a,
+                    }],
+                },
+            )
+            .unwrap();
+        assert!(out.is_empty(), "empty forest results stay Ok");
+    }
+
+    #[test]
+    fn def1_local_tree_is_identity() {
+        let mut sys = AxmlSystem::new();
+        let a = sys.add_peer("a");
+        let t = Tree::parse("<x><y>1</y></x>").unwrap();
+        let out = sys
+            .eval(
+                a,
+                &Expr::Tree {
+                    tree: t.clone(),
+                    at: a,
+                },
+            )
+            .unwrap();
+        assert!(forest_equiv(&out, &[t]));
+        assert_eq!(sys.stats().total_messages(), 0, "local eval is free");
+    }
+
+    #[test]
+    fn def5_remote_doc_fetch() {
+        let (mut sys, a, _b) = two_peer_system();
+        let out = sys
+            .eval(
+                a,
+                &Expr::Doc {
+                    name: "catalog".into(),
+                    at: PeerRef::At(PeerId(1)),
+                },
+            )
+            .unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(
+            out[0].serialized_size(),
+            Tree::parse(catalog_xml()).unwrap().serialized_size()
+        );
+        // request + data back
+        assert_eq!(sys.stats().total_messages(), 2);
+        assert!(sys.stats().total_bytes() > out[0].serialized_size() as u64);
+    }
+
+    #[test]
+    fn def2_local_query_on_remote_doc_def7_style() {
+        let (mut sys, a, b) = two_peer_system();
+        let q = Query::parse(
+            "big",
+            r#"for $p in $0//pkg where $p/size/text() > 1000 return {$p/@name}"#,
+        )
+        .unwrap();
+        let e = Expr::Apply {
+            query: LocatedQuery::new(q, a),
+            args: vec![Expr::Doc {
+                name: "catalog".into(),
+                at: PeerRef::At(b),
+            }],
+        };
+        let out = sys.eval(a, &e).unwrap();
+        assert_eq!(out.len(), 2);
+        // naive strategy ships the whole catalog to a
+        let whole = Tree::parse(catalog_xml()).unwrap().serialized_size() as u64;
+        assert!(sys.stats().link(b, a).bytes >= whole);
+    }
+
+    #[test]
+    fn delegation_ships_less_for_selective_queries() {
+        // The rule-10/11 rewritten plan: push the selection to the data.
+        // Needs a catalog large enough that data dwarfs the shipped plan —
+        // the optimizer's cost model captures exactly this crossover.
+        let mut sys = AxmlSystem::new();
+        let a = sys.add_peer("client");
+        let b = sys.add_peer("server");
+        sys.net_mut().set_link(a, b, LinkCost::wan());
+        let mut big = String::from("<catalog>");
+        for i in 0..200 {
+            big.push_str(&format!(
+                r#"<pkg name="pkg{i}"><size>{}</size><desc>a package with a long description {i}</desc></pkg>"#,
+                if i % 50 == 0 { 5000 } else { 10 }
+            ));
+        }
+        big.push_str("</catalog>");
+        sys.install_doc(b, "catalog", Tree::parse(&big).unwrap())
+            .unwrap();
+        let q = Query::parse(
+            "big",
+            r#"for $p in $0//pkg where $p/size/text() > 1000 return {$p/@name}"#,
+        )
+        .unwrap();
+        let naive = Expr::Apply {
+            query: LocatedQuery::new(q.clone(), a),
+            args: vec![Expr::Doc {
+                name: "catalog".into(),
+                at: PeerRef::At(b),
+            }],
+        };
+        let out_naive = sys.eval(a, &naive).unwrap();
+        let naive_bytes = sys.stats().total_bytes();
+        sys.reset_stats();
+
+        let delegated = Expr::EvalAt {
+            peer: b,
+            expr: Box::new(Expr::Send {
+                dest: SendDest::Peer(a),
+                payload: Box::new(Expr::Apply {
+                    query: LocatedQuery::new(q, a),
+                    args: vec![Expr::Doc {
+                        name: "catalog".into(),
+                        at: PeerRef::At(b),
+                    }],
+                }),
+            }),
+        };
+        let out_del = sys.eval(a, &delegated).unwrap();
+        let del_bytes = sys.stats().total_bytes();
+        assert!(forest_equiv(&out_naive, &out_del));
+        assert!(
+            del_bytes < naive_bytes,
+            "delegation must ship less: {del_bytes} vs {naive_bytes}"
+        );
+    }
+
+    #[test]
+    fn def3_send_to_peer_returns_empty() {
+        let (mut sys, a, b) = two_peer_system();
+        let e = Expr::Send {
+            dest: SendDest::Peer(a),
+            payload: Box::new(Expr::Doc {
+                name: "catalog".into(),
+                at: PeerRef::At(b),
+            }),
+        };
+        // evaluated at b: catalog local, shipped to a, value ∅ at b
+        let out = sys.eval(b, &e).unwrap();
+        assert!(out.is_empty());
+        assert_eq!(sys.stats().link(b, a).messages, 1);
+    }
+
+    #[test]
+    fn def4_send_to_nodes_appends() {
+        let (mut sys, a, b) = two_peer_system();
+        sys.install_doc(a, "inbox", Tree::parse("<inbox><new/></inbox>").unwrap())
+            .unwrap();
+        let inbox_tree = sys.peer(a).docs.get(&"inbox".into()).unwrap().tree();
+        let target = inbox_tree
+            .first_child_labeled(inbox_tree.root(), "new")
+            .unwrap();
+        let e = Expr::Send {
+            dest: SendDest::Nodes(vec![NodeAddr::new(a, "inbox", target)]),
+            payload: Box::new(Expr::Tree {
+                tree: Tree::parse("<alert>hi</alert>").unwrap(),
+                at: b,
+            }),
+        };
+        let out = sys.eval(b, &e).unwrap();
+        assert!(out.is_empty());
+        let inbox = sys.peer(a).docs.get(&"inbox".into()).unwrap().tree();
+        assert_eq!(
+            inbox.serialize(),
+            "<inbox><new><alert>hi</alert></new></inbox>"
+        );
+    }
+
+    #[test]
+    fn send_new_doc_installs_and_respects_uniqueness() {
+        let (mut sys, a, b) = two_peer_system();
+        let e = Expr::Send {
+            dest: SendDest::NewDoc {
+                peer: a,
+                name: "copy".into(),
+            },
+            payload: Box::new(Expr::Doc {
+                name: "catalog".into(),
+                at: PeerRef::At(b),
+            }),
+        };
+        sys.eval(b, &e).unwrap();
+        assert!(sys.peer(a).docs.contains(&"copy".into()));
+        // the same name again violates §2.1 uniqueness
+        assert!(sys.eval(b, &e).is_err());
+    }
+
+    #[test]
+    fn def6_service_call_roundtrip() {
+        let (mut sys, a, b) = two_peer_system();
+        sys.register_declarative_service(
+            b,
+            "lookup",
+            r#"for $p in doc("catalog")//pkg where $p/@name = $0/text() return {$p/size}"#,
+        )
+        .unwrap();
+        let e = Expr::Sc {
+            provider: PeerRef::At(b),
+            service: "lookup".into(),
+            params: vec![Expr::Tree {
+                tree: Tree::parse("<q>gcc</q>").unwrap(),
+                at: a,
+            }],
+            forward: vec![],
+        };
+        let out = sys.eval(a, &e).unwrap();
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].serialize(), "<size>90000</size>");
+        // invoke + response
+        assert_eq!(sys.stats().total_messages(), 2);
+    }
+
+    #[test]
+    fn def6_forward_list_redirects_results() {
+        let (mut sys, a, b) = two_peer_system();
+        let c = sys.add_peer("archive");
+        sys.install_doc(c, "log", Tree::parse("<log/>").unwrap())
+            .unwrap();
+        sys.register_declarative_service(b, "scan", r#"doc("catalog")//pkg/@name"#)
+            .unwrap();
+        let log_root = sys.peer(c).docs.get(&"log".into()).unwrap().tree().root();
+        let e = Expr::Sc {
+            provider: PeerRef::At(b),
+            service: "scan".into(),
+            params: vec![],
+            forward: vec![NodeAddr::new(c, "log", log_root)],
+        };
+        let out = sys.eval(a, &e).unwrap();
+        assert!(out.is_empty(), "results went to the forward list");
+        let log = sys.peer(c).docs.get(&"log".into()).unwrap().tree();
+        assert_eq!(log.children(log.root()).len(), 3);
+        // nothing shipped back to the caller
+        assert_eq!(sys.stats().link(b, a).messages, 0);
+        assert_eq!(sys.stats().link(b, c).messages, 1);
+    }
+
+    #[test]
+    fn def8_deploy_creates_service() {
+        let (mut sys, a, b) = two_peer_system();
+        let q = Query::parse("sel", r#"for $p in doc("catalog")//pkg return {$p/@name}"#).unwrap();
+        sys.eval(
+            a,
+            &Expr::Deploy {
+                to: b,
+                query: LocatedQuery::new(q, a),
+                as_service: "names".into(),
+            },
+        )
+        .unwrap();
+        assert!(sys.peer(b).services.contains_key(&"names".into()));
+        // and the deployed service is callable
+        let out = sys
+            .eval(
+                a,
+                &Expr::Sc {
+                    provider: PeerRef::At(b),
+                    service: "names".into(),
+                    params: vec![],
+                    forward: vec![],
+                },
+            )
+            .unwrap();
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn def9_generic_doc_resolution() {
+        let mut sys = AxmlSystem::new();
+        let a = sys.add_peer("a");
+        let b = sys.add_peer("b");
+        let c = sys.add_peer("c");
+        sys.net_mut().set_link(a, b, LinkCost::slow());
+        sys.net_mut().set_link(a, c, LinkCost::lan());
+        sys.install_replica(b, "cat", "cat-b", Tree::parse("<c><p>1</p></c>").unwrap())
+            .unwrap();
+        sys.install_replica(c, "cat", "cat-c", Tree::parse("<c><p>1</p></c>").unwrap())
+            .unwrap();
+        sys.set_pick_policy(crate::pick::PickPolicy::Closest);
+        let out = sys
+            .eval(
+                a,
+                &Expr::Doc {
+                    name: "cat".into(),
+                    at: PeerRef::Any,
+                },
+            )
+            .unwrap();
+        assert_eq!(out.len(), 1);
+        // fetched from c (the cheap link), not b
+        assert!(sys.stats().link(c, a).messages > 0);
+        assert_eq!(sys.stats().link(b, a).messages, 0);
+    }
+
+    #[test]
+    fn sc_inside_tree_materializes() {
+        let (mut sys, a, b) = two_peer_system();
+        sys.register_declarative_service(b, "names", r#"doc("catalog")//pkg/@name"#)
+            .unwrap();
+        let doc = Tree::parse(
+            r#"<report><title>pkgs</title>
+               <sc><peer>p1</peer><service>names</service></sc></report>"#,
+        )
+        .unwrap();
+        let out = sys.eval(a, &Expr::Tree { tree: doc, at: a }).unwrap();
+        assert_eq!(out.len(), 1);
+        let t = &out[0];
+        // 3 results + title + sc element still present
+        assert_eq!(t.children(t.root()).len(), 5);
+        let texts: Vec<String> = t
+            .children_labeled(t.root(), "text")
+            .map(|n| t.text(n))
+            .collect();
+        assert_eq!(texts, ["vim", "gcc", "vi"]);
+    }
+
+    #[test]
+    fn lazy_sc_not_activated() {
+        let (mut sys, a, b) = two_peer_system();
+        sys.register_declarative_service(b, "names", r#"doc("catalog")//pkg/@name"#)
+            .unwrap();
+        let doc = Tree::parse(
+            r#"<report><sc mode="lazy"><peer>p1</peer><service>names</service></sc></report>"#,
+        )
+        .unwrap();
+        let out = sys.eval(a, &Expr::Tree { tree: doc, at: a }).unwrap();
+        assert_eq!(out[0].children(out[0].root()).len(), 1, "sc untouched");
+        assert_eq!(sys.stats().total_messages(), 0);
+    }
+
+    #[test]
+    fn seq_returns_last_value() {
+        let (mut sys, a, b) = two_peer_system();
+        let e = Expr::Seq(vec![
+            Expr::Send {
+                dest: SendDest::NewDoc {
+                    peer: a,
+                    name: "tmp".into(),
+                },
+                payload: Box::new(Expr::Doc {
+                    name: "catalog".into(),
+                    at: PeerRef::At(b),
+                }),
+            },
+            Expr::Doc {
+                name: "tmp".into(),
+                at: PeerRef::At(a),
+            },
+        ]);
+        let out = sys.eval(a, &e).unwrap();
+        assert_eq!(out.len(), 1);
+        assert!(out[0].serialize().starts_with("<tmp>"));
+    }
+
+    #[test]
+    fn errors_propagate() {
+        let (mut sys, a, b) = two_peer_system();
+        assert!(matches!(
+            sys.eval(
+                a,
+                &Expr::Doc {
+                    name: "missing".into(),
+                    at: PeerRef::At(b)
+                }
+            ),
+            Err(CoreError::NoSuchDoc { .. })
+        ));
+        assert!(matches!(
+            sys.eval(
+                a,
+                &Expr::Sc {
+                    provider: PeerRef::At(b),
+                    service: "nope".into(),
+                    params: vec![],
+                    forward: vec![],
+                }
+            ),
+            Err(CoreError::NoSuchService { .. })
+        ));
+        assert!(sys.eval(PeerId(9), &Expr::Seq(vec![])).is_err());
+    }
+
+    #[test]
+    fn rule14_shape_eval_relocation_is_value_preserving() {
+        let (mut sys, a, b) = two_peer_system();
+        let direct = Expr::Doc {
+            name: "catalog".into(),
+            at: PeerRef::At(b),
+        };
+        let out1 = sys.eval(a, &direct).unwrap();
+        let relocated = Expr::EvalAt {
+            peer: b,
+            expr: Box::new(Expr::Send {
+                dest: SendDest::Peer(a),
+                payload: Box::new(direct),
+            }),
+        };
+        let out2 = sys.eval(a, &relocated).unwrap();
+        assert!(forest_equiv(&out1, &out2));
     }
 }

@@ -20,74 +20,45 @@
 use crate::error::{CoreError, CoreResult};
 use crate::sc::{ActivationMode, ScNode, ScProvider};
 use crate::system::AxmlSystem;
-use axml_query::plan::{Plan, PlanTest};
+use axml_query::plan::PlanTest;
 use axml_query::Query;
 use axml_types::{Schema, TypeName};
+use axml_xml::equiv::CanonMultiset;
 use axml_xml::ids::{DocName, PeerId};
-use axml_xml::tree::Tree;
+use axml_xml::tree::{NodeId, Tree};
 use axml_xml::Label;
 use std::collections::HashSet;
 
 /// The set of element labels a query navigates through or constructs
-/// from — its *label footprint*. A service whose output cannot contain
-/// any of these labels cannot affect the query's answer.
-pub fn query_label_footprint(q: &Query) -> HashSet<Label> {
-    let mut labels = HashSet::new();
-    fn from_plan(plan: &Plan, labels: &mut HashSet<Label>) {
-        let mut record = |p: &axml_query::plan::PathPlan| {
+/// from — its *label footprint* — and whether it uses a wildcard step
+/// that could match anything. A service whose output cannot contain any
+/// of these labels cannot affect the query's answer.
+fn query_label_footprint(q: &Query) -> (HashSet<Label>, bool) {
+    let (mut labels, mut wildcard) = (HashSet::new(), false);
+    for plan in q.leaf_plans() {
+        plan.visit_paths(&mut |p| {
             for s in &p.steps {
-                if let PlanTest::Label(l) = &s.test {
-                    labels.insert(*l);
+                match &s.test {
+                    PlanTest::Label(l) => {
+                        labels.insert(*l);
+                    }
+                    PlanTest::Wildcard => wildcard = true,
+                    PlanTest::Text | PlanTest::Attr(_) => {}
                 }
             }
-        };
-        plan.ops.for_each_path(&mut record);
-        let mut probe = plan.clone();
-        axml_query::rewrite::map_paths(&mut probe, &mut |p| record(p));
+        });
     }
-    match q.composition() {
-        Some((outer, inners)) => {
-            from_plan(outer.plan().expect("leaf outer"), &mut labels);
-            for i in inners {
-                labels.extend(query_label_footprint(i));
-            }
-        }
-        None => {
-            if let Some(plan) = q.plan() {
-                from_plan(plan, &mut labels);
-            }
-        }
-    }
-    labels
+    (labels, wildcard)
 }
 
 /// Graft `results` under `parent`, skipping trees already present among
 /// the existing children (canonical multiset delta) — repeated
 /// activations must not duplicate materialized answers.
-fn graft_delta(
-    tree: &mut Tree,
-    parent: axml_xml::tree::NodeId,
-    results: &[Tree],
-) -> CoreResult<usize> {
-    let mut present: std::collections::HashMap<axml_xml::equiv::Canon, usize> =
-        std::collections::HashMap::new();
-    for &c in tree.children(parent) {
-        *present
-            .entry(axml_xml::equiv::canonicalize(tree, c))
-            .or_insert(0) += 1;
+fn graft_delta(tree: &mut Tree, parent: NodeId, results: Vec<Tree>) -> CoreResult<()> {
+    for t in CanonMultiset::of_children(tree, parent).admit(results) {
+        tree.graft(parent, &t, t.root())?;
     }
-    let mut added = 0;
-    for rtree in results {
-        let canon = axml_xml::equiv::canonicalize(rtree, rtree.root());
-        match present.get_mut(&canon) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => {
-                tree.graft(parent, rtree, rtree.root())?;
-                added += 1;
-            }
-        }
-    }
-    Ok(added)
+    Ok(())
 }
 
 impl AxmlSystem {
@@ -129,39 +100,7 @@ impl AxmlSystem {
                 "query_document expects a unary query over the document".into(),
             ));
         }
-        let footprint = query_label_footprint(query);
-        // Does the query use wildcard/descendant-text steps that could
-        // match anything?
-        let wildcard = {
-            let mut found = false;
-            let mut check_plan = |plan: &Plan| {
-                let mut probe = plan.clone();
-                axml_query::rewrite::map_paths(&mut probe, &mut |p| {
-                    for s in &p.steps {
-                        if matches!(s.test, PlanTest::Wildcard) {
-                            found = true;
-                        }
-                    }
-                });
-            };
-            match query.composition() {
-                Some((outer, inners)) => {
-                    check_plan(outer.plan().expect("leaf outer"));
-                    for i in inners {
-                        if let Some(p) = i.plan() {
-                            check_plan(p);
-                        }
-                    }
-                }
-                None => {
-                    if let Some(p) = query.plan() {
-                        check_plan(p);
-                    }
-                }
-            }
-            found
-        };
-
+        let (footprint, wildcard) = query_label_footprint(query);
         let tree = self.peer(at).doc(doc, at)?.clone();
         let mut activated = 0usize;
         for sc_id in ScNode::find_all(&tree, tree.root()) {
@@ -186,7 +125,7 @@ impl AxmlSystem {
                 };
                 let state = self.peer_mut(at);
                 let d = state.docs.require_mut(doc)?;
-                graft_delta(d.tree_mut(), parent, &results)?;
+                graft_delta(d.tree_mut(), parent, results)?;
             }
         }
         let updated = self.peer(at).doc(doc, at)?.clone();
@@ -238,7 +177,7 @@ impl AxmlSystem {
                 .parent(sc_id)
                 .ok_or_else(|| CoreError::Malformed("lazy sc at document root".into()))?;
             d.tree_mut().detach(sc_id)?;
-            graft_delta(d.tree_mut(), parent, &results)?;
+            graft_delta(d.tree_mut(), parent, results)?;
         }
     }
 }
@@ -353,7 +292,8 @@ mod tests {
             r#"for $x in $0//news/wire where $x/tag = "db" return <out>{$x}</out>"#,
         )
         .unwrap();
-        let fp = query_label_footprint(&q);
+        let (fp, wildcard) = query_label_footprint(&q);
+        assert!(!wildcard);
         assert!(fp.contains(&Label::new("news")));
         assert!(fp.contains(&Label::new("wire")));
         assert!(fp.contains(&Label::new("tag")));

@@ -10,7 +10,8 @@
 //! * **peers** hosting documents, declarative services and queries
 //!   ([`peer`], [`service`], [`system`]),
 //! * the **algebra `E` of distributed expressions** ([`expr`]) and its
-//!   evaluation semantics, definitions (1)–(9) ([`eval`]),
+//!   evaluation semantics, definitions (1)–(9)
+//!   ([`AxmlSystem::eval`], [`engine`]),
 //! * **continuous services**: live subscriptions streaming deltas to
 //!   forward-list sinks ([`continuous`]), and replica maintenance for
 //!   generic document classes ([`replication`]),
@@ -72,7 +73,6 @@ pub mod cost;
 pub mod driver;
 pub mod engine;
 pub mod error;
-pub mod eval;
 pub mod expr;
 pub mod lazy;
 pub mod message;

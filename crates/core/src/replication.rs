@@ -32,17 +32,8 @@ impl AxmlSystem {
         class: &DocName,
         tree: Tree,
     ) -> CoreResult<usize> {
-        let mut s = self.new_session();
-        match self.feed_replicas_into(&mut s, origin, class, tree) {
-            Ok(local) => {
-                self.run_session(&mut s)?;
-                Ok(local + s.delivered)
-            }
-            Err(e) => {
-                self.net_mut().clear_in_flight();
-                Err(e)
-            }
-        }
+        let (local, s) = self.blocking(|sys, s| sys.feed_replicas_into(s, origin, class, tree))?;
+        Ok(local + s.delivered)
     }
 
     fn feed_replicas_into(

@@ -17,7 +17,7 @@ use crate::pick::{Catalog, PickPolicy};
 use crate::retry::RetryPolicy;
 use crate::service::Service;
 use axml_net::link::Topology;
-use axml_net::sim::Network;
+use axml_net::sim::SimTransport;
 use axml_net::transport::Transport;
 use axml_net::wheel::SchedulerKind;
 use axml_net::NetStats;
@@ -39,7 +39,8 @@ pub struct AxmlSystem {
     pub(crate) catalog: Catalog,
     pub(crate) pick_policy: PickPolicy,
     pub(crate) next_call: u64,
-    pub(crate) subscriptions: Vec<crate::continuous::Subscription>,
+    /// The continuous engine's state (see [`crate::continuous`]).
+    pub(crate) subs: crate::continuous::SubscriptionTable,
     pub(crate) obs: Obs,
     pub(crate) engine_seed: u64,
     pub(crate) sessions: u64,
@@ -51,25 +52,9 @@ pub struct AxmlSystem {
     pub(crate) par_stats: ParallelStats,
     pub(crate) retry: RetryPolicy,
     pub(crate) failover: bool,
-    /// Shared subscription-matching indexes, per (provider, document).
-    pub(crate) matcher: crate::continuous::MatcherRegistry,
-    /// Subscription ids currently being pumped — the re-entrancy guard
-    /// that turns an undetected `@after` cycle into a typed error
-    /// instead of a stack overflow.
-    pub(crate) pump_stack: Vec<u64>,
-    /// Subscription ids created by each activation, keyed by
-    /// (hosting peer, document) — makes re-activation idempotent.
-    pub(crate) activations: std::collections::HashMap<(PeerId, DocName), Vec<u64>>,
 }
 
 impl AxmlSystem {
-    /// A system over an explicit simulated network (the historical
-    /// constructor; see [`AxmlSystem::with_transport`] for arbitrary
-    /// backends).
-    pub fn with_network(net: Network<Wire>) -> Self {
-        Self::with_transport(Box::new(net))
-    }
-
     /// A system over any [`Transport`] backend. Peers already connected
     /// to the transport get fresh [`PeerState`]s; the engine never
     /// learns which backend it is driving.
@@ -82,7 +67,7 @@ impl AxmlSystem {
             catalog: Catalog::new(),
             pick_policy: PickPolicy::Closest,
             next_call: 0,
-            subscriptions: Vec::new(),
+            subs: Default::default(),
             obs: Obs::new(),
             engine_seed: DEFAULT_ENGINE_SEED,
             sessions: 0,
@@ -92,20 +77,17 @@ impl AxmlSystem {
             par_stats: ParallelStats::default(),
             retry: RetryPolicy::none(),
             failover: false,
-            matcher: crate::continuous::MatcherRegistry::default(),
-            pump_stack: Vec::new(),
-            activations: std::collections::HashMap::new(),
         }
     }
 
     /// A system over a standard topology.
     pub fn with_topology(topology: &Topology) -> Self {
-        Self::with_network(Network::with_topology(topology))
+        Self::with_transport(Box::new(SimTransport::with_topology(topology)))
     }
 
     /// A fresh empty system; add peers with [`AxmlSystem::add_peer`].
     pub fn new() -> Self {
-        Self::with_network(Network::new())
+        Self::with_transport(Box::new(SimTransport::new()))
     }
 
     /// Register a new peer.

@@ -275,11 +275,6 @@ impl FaultPlan {
     }
 }
 
-/// The historical name of [`SimTransport`]: the simulator began life as
-/// plain `Network` before the transport layer became pluggable, and the
-/// alias keeps every existing call site compiling unchanged.
-pub type Network<M> = SimTransport<M>;
-
 /// A simulated network of peers.
 ///
 /// Storage is sparse (see the [module docs](self)): link costs come

@@ -2,7 +2,7 @@
 //! clock, deterministic delivery, and per-link FIFO.
 
 use axml_net::link::LinkCost;
-use axml_net::sim::Network;
+use axml_net::sim::SimTransport;
 use axml_xml::ids::PeerId;
 use proptest::prelude::*;
 
@@ -24,7 +24,7 @@ proptest! {
         link in arb_link(),
         msgs in proptest::collection::vec(("[a-z]{0,64}", 0u8..3, 0u8..3), 1..40),
     ) {
-        let mut net: Network<String> = Network::new();
+        let mut net: SimTransport<String> = SimTransport::new();
         let peers: Vec<PeerId> = (0..3).map(|i| net.add_peer(format!("p{i}"))).collect();
         for a in 0..3 {
             for b in (a + 1)..3 {
@@ -61,7 +61,7 @@ proptest! {
     /// the link parameters.
     #[test]
     fn per_link_fifo(link in arb_link(), n in 1usize..20) {
-        let mut net: Network<String> = Network::new();
+        let mut net: SimTransport<String> = SimTransport::new();
         let a = net.add_peer("a");
         let b = net.add_peer("b");
         net.set_link(a, b, link);
@@ -81,7 +81,7 @@ proptest! {
         msgs in proptest::collection::vec(("[a-z]{0,16}", 0u8..4, 0u8..4), 0..30),
     ) {
         let run = || {
-            let mut net: Network<String> = Network::new();
+            let mut net: SimTransport<String> = SimTransport::new();
             let peers: Vec<PeerId> = (0..4).map(|i| net.add_peer(format!("p{i}"))).collect();
             for x in 0..4 {
                 for y in (x + 1)..4 {

@@ -210,37 +210,30 @@ impl JsonValue {
 /// Parse a complete JSON document (one value, optionally surrounded by
 /// whitespace). Returns a description of the first problem on failure.
 pub fn parse(src: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { src, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != src.len() {
         return Err(format!("trailing garbage at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -253,7 +246,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -301,7 +294,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let raw = &self.src[start..self.pos];
         if raw.parse::<f64>().is_err() {
             return Err(format!("malformed number at byte {start}"));
         }
@@ -360,24 +353,27 @@ impl Parser<'_> {
                 }
                 Some(b) if b < 0x20 => return Err("raw control character in string".into()),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the plain run up to the next quote, escape or
+                    // control byte. All three are ASCII, so the run is a
+                    // whole-character slice of the source.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b >= 0x20 && b != b'"' && b != b'\\')
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
-        if self.pos + 4 > self.bytes.len() {
-            return Err("truncated \\u escape".into());
-        }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| "invalid \\u escape".to_string())?;
+        let hex = self
+            .src
+            .get(self.pos..self.pos + 4)
+            .ok_or("truncated \\u escape")?;
         let v = u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape".to_string())?;
         self.pos += 4;
         Ok(v)
@@ -513,6 +509,10 @@ mod tests {
         assert!(parse(r#""\udc00""#).is_err()); // lone low surrogate
         assert!(parse(r#""\q""#).is_err());
         assert!(parse("\"raw\u{1}\"").is_err());
+        // Long lines: one pass (was quadratic — per-character re-validation).
+        let long = "é🦀x".repeat(300_000);
+        let v = parse(&format!("\"{long}\\n\"")).unwrap();
+        assert_eq!(v.as_str().map(str::len), Some(long.len() + 1));
     }
 
     #[test]

@@ -26,9 +26,8 @@
 use crate::error::QueryResult;
 use crate::eval::{Ctx, DocResolver, Forest};
 use crate::plan::{Op, Plan, SourceRef, StartRef};
-use axml_xml::equiv::{canonicalize, Canon};
+use axml_xml::equiv::CanonMultiset;
 use axml_xml::tree::Tree;
-use std::collections::HashMap;
 
 /// Strategy chosen for one input parameter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,10 +44,9 @@ pub struct ContinuousEval<'d> {
     docs: &'d dyn DocResolver,
     state: Vec<Forest>,
     strategies: Vec<DeltaStrategy>,
-    /// Canonical forms of everything emitted so far (used by the
-    /// difference strategy).
-    emitted: HashMap<Canon, usize>,
-    emitted_count: usize,
+    /// Everything emitted so far (what the difference strategy
+    /// subtracts).
+    emitted: CanonMultiset,
 }
 
 impl<'d> ContinuousEval<'d> {
@@ -63,8 +61,7 @@ impl<'d> ContinuousEval<'d> {
             docs,
             state,
             strategies,
-            emitted: HashMap::new(),
-            emitted_count: 0,
+            emitted: CanonMultiset::default(),
         }
     }
 
@@ -120,11 +117,6 @@ impl<'d> ContinuousEval<'d> {
         &self.state[param]
     }
 
-    /// Number of result trees emitted so far.
-    pub fn emitted_len(&self) -> usize {
-        self.emitted_count
-    }
-
     /// A new tree arrived on input `param`; returns the new results.
     pub fn push(&mut self, param: usize, tree: Tree) -> QueryResult<Vec<Tree>> {
         assert!(param < self.plan.arity, "parameter out of range");
@@ -132,30 +124,18 @@ impl<'d> ContinuousEval<'d> {
             DeltaStrategy::SemiNaive => {
                 let delta = [tree.clone()];
                 let ctx = Ctx::with_override(&self.state, self.docs, param, &delta);
-                self.plan.eval_ctx(&ctx)?
+                let out = self.plan.eval_ctx(&ctx)?;
+                self.emitted.record(&out);
+                out
             }
             DeltaStrategy::Difference => {
                 self.state[param].push(tree.clone());
                 let after = self.plan.eval(&self.state, self.docs)?;
                 self.state[param].pop();
-                // multiset difference vs everything already emitted
-                let mut fresh = Vec::new();
-                let mut budget: HashMap<Canon, usize> = self.emitted.clone();
-                for t in after {
-                    let c = canonicalize(&t, t.root());
-                    match budget.get_mut(&c) {
-                        Some(n) if *n > 0 => *n -= 1,
-                        _ => fresh.push(t),
-                    }
-                }
-                fresh
+                self.emitted.admit(after)
             }
         };
         self.state[param].push(tree);
-        for t in &out {
-            *self.emitted.entry(canonicalize(t, t.root())).or_insert(0) += 1;
-        }
-        self.emitted_count += out.len();
         Ok(out)
     }
 }
@@ -223,7 +203,6 @@ mod tests {
         }
         let batch = p.eval(&[stream.to_vec()], &NoDocs).unwrap();
         assert!(forest_equiv(&all, &batch));
-        assert_eq!(cont.emitted_len(), batch.len());
         assert_eq!(cont.state(0).len(), 4);
     }
 

@@ -75,8 +75,7 @@
 use crate::ast::{Axis, CmpOp};
 use crate::eval::{eval_pred, BindVal, Ctx, NoDocs, PItem};
 use crate::plan::{
-    AttrTplPlan, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, SourceRef,
-    StartRef, TemplatePlan, VarId,
+    Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, SourceRef, StartRef, VarId,
 };
 use crate::query::Query;
 use axml_xml::ids::DocName;
@@ -172,19 +171,10 @@ impl MatchIndex {
         &self.doc
     }
 
-    /// Number of structural states (shared across patterns).
-    pub fn state_count(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Number of registered subscriptions.
-    pub fn registered_count(&self) -> usize {
-        self.registered.len()
-    }
-
-    /// Is this subscription registered here?
-    pub fn is_registered(&self, id: u64) -> bool {
-        self.registered.contains(&id)
+    /// Every registered subscription id, ascending — the subscriptions a
+    /// delta of this document affects.
+    pub fn registered(&self) -> &BTreeSet<u64> {
+        &self.registered
     }
 
     /// Register a subscription's query. Re-registering an id replaces its
@@ -192,10 +182,8 @@ impl MatchIndex {
     pub fn register(&mut self, id: u64, query: &Query) -> Registration {
         self.remove(id);
         self.registered.insert(id);
-        let mut plans = Vec::new();
-        collect_leaf_plans(query, &mut plans);
         let mut added = 0usize;
-        for plan in plans {
+        for plan in query.leaf_plans() {
             self.collect_plan(id, plan, &mut added);
         }
         if self.always.contains(&id) {
@@ -265,19 +253,20 @@ impl MatchIndex {
                 Op::Filter { pred, input } => {
                     // Absolute doc paths used inside predicates are
                     // themselves change sources.
-                    visit_pred_deep(pred, &mut |p| self.add_path(id, p, &[], added));
+                    pred.visit_paths(&mut |p| self.add_path(id, p, &[], added));
                     op = input;
                 }
             }
         }
-        visit_tpl_deep(&plan.template, &mut |p| self.add_path(id, p, &[], added));
+        plan.template
+            .visit_paths(&mut |p| self.add_path(id, p, &[], added));
     }
 
     /// Doc-rooted paths hiding inside `path`'s step predicates.
     fn add_nested(&mut self, id: u64, path: &PathPlan, added: &mut usize) {
         for s in &path.steps {
             for pred in &s.preds {
-                visit_pred_deep(pred, &mut |p| self.add_path(id, p, &[], added));
+                pred.visit_paths(&mut |p| self.add_path(id, p, &[], added));
             }
         }
     }
@@ -563,69 +552,6 @@ fn node_test_matches(test: &PlanTest, t: &Tree, node: NodeId) -> bool {
     }
 }
 
-/// Leaf plans of a query, recursing through compositions (the outer query
-/// and every inner one can each read documents directly).
-fn collect_leaf_plans<'q>(q: &'q Query, out: &mut Vec<&'q Plan>) {
-    if let Some(p) = q.plan() {
-        out.push(p);
-    }
-    if let Some((outer, inners)) = q.composition() {
-        collect_leaf_plans(outer, out);
-        for i in inners {
-            collect_leaf_plans(i, out);
-        }
-    }
-}
-
-/// Visit every path of a predicate, recursing into nested step
-/// predicates.
-fn visit_pred_deep(pred: &PredPlan, f: &mut impl FnMut(&PathPlan)) {
-    match pred {
-        PredPlan::And(a, b) | PredPlan::Or(a, b) => {
-            visit_pred_deep(a, f);
-            visit_pred_deep(b, f);
-        }
-        PredPlan::Not(c) => visit_pred_deep(c, f),
-        PredPlan::Cmp { lhs, rhs, .. } => {
-            visit_path_deep(lhs, f);
-            if let OperandPlan::Path(p) = rhs {
-                visit_path_deep(p, f);
-            }
-        }
-        PredPlan::Contains { path, .. }
-        | PredPlan::Exists(path)
-        | PredPlan::CountCmp { path, .. } => visit_path_deep(path, f),
-    }
-}
-
-fn visit_path_deep(p: &PathPlan, f: &mut impl FnMut(&PathPlan)) {
-    f(p);
-    for s in &p.steps {
-        for pred in &s.preds {
-            visit_pred_deep(pred, f);
-        }
-    }
-}
-
-fn visit_tpl_deep(tpl: &TemplatePlan, f: &mut impl FnMut(&PathPlan)) {
-    match tpl {
-        TemplatePlan::Element {
-            attrs, children, ..
-        } => {
-            for (_, a) in attrs {
-                if let AttrTplPlan::Splice(p) = a {
-                    visit_path_deep(p, f);
-                }
-            }
-            for c in children {
-                visit_tpl_deep(c, f);
-            }
-        }
-        TemplatePlan::Text(_) => {}
-        TemplatePlan::Splice(p) => visit_path_deep(p, f),
-    }
-}
-
 /// `where` conjuncts referencing exactly one `for`-bound variable, keyed
 /// by that variable and rebased onto the context node.
 fn fold_map(plan: &Plan) -> HashMap<VarId, Vec<PredPlan>> {
@@ -745,7 +671,7 @@ fn contextualize(pred: &PredPlan) -> Option<(VarId, PredPlan)> {
 /// predicates can be evaluated exactly on the delta alone.
 fn self_contained(pred: &PredPlan) -> bool {
     let mut ok = true;
-    visit_pred_deep(pred, &mut |p| ok &= p.start == StartRef::Context);
+    pred.visit_paths(&mut |p| ok &= p.start == StartRef::Context);
     ok
 }
 
@@ -882,7 +808,7 @@ mod tests {
             assert!(matches!(reg, Registration::Indexed { .. }));
         }
         // one shared chain: root --child item--> s1
-        assert_eq!(m.state_count(), 2);
+        assert_eq!(m.states.len(), 2);
         assert_eq!(hits(&m, r#"<item topic="db">x</item>"#), vec![1]);
         assert_eq!(hits(&m, r#"<item topic="ai">x</item>"#), vec![2]);
         assert!(hits(&m, r#"<item topic="sports">x</item>"#).is_empty());
@@ -962,7 +888,7 @@ mod tests {
         assert!(m.remove(1));
         assert!(!m.remove(1));
         assert!(hits(&m, "<item/>").is_empty());
-        assert_eq!(m.registered_count(), 0);
+        assert!(m.registered().is_empty());
     }
 
     #[test]

@@ -116,6 +116,17 @@ impl PathPlan {
             .iter()
             .any(|s| s.preds.iter().any(|p| p.references_var(v)))
     }
+
+    /// Visit this path, then every path nested (at any depth) in its step
+    /// predicates.
+    pub(crate) fn visit_paths(&self, f: &mut impl FnMut(&PathPlan)) {
+        f(self);
+        for s in &self.steps {
+            for pred in &s.preds {
+                pred.visit_paths(f);
+            }
+        }
+    }
 }
 
 /// Compiled comparison operand.
@@ -185,6 +196,11 @@ impl PredPlan {
         }
     }
 
+    /// Visit every path of the predicate, at any depth.
+    pub(crate) fn visit_paths(&self, f: &mut impl FnMut(&PathPlan)) {
+        self.paths(&mut |p| p.visit_paths(f));
+    }
+
     /// Does the predicate reference parameter `i` anywhere?
     pub fn references_param(&self, i: usize) -> bool {
         let mut found = false;
@@ -249,6 +265,11 @@ impl TemplatePlan {
             TemplatePlan::Text(_) => {}
             TemplatePlan::Splice(p) => f(p),
         }
+    }
+
+    /// Visit every path of the template, at any depth.
+    pub(crate) fn visit_paths(&self, f: &mut impl FnMut(&PathPlan)) {
+        self.paths(&mut |p| p.visit_paths(f));
     }
 
     /// Variables referenced by the template.
@@ -376,6 +397,22 @@ impl Plan {
             cur = op.input();
         }
         n
+    }
+
+    /// Visit every path of the plan, at any depth: the operator chain
+    /// from the top down (each path before the ones nested in its step
+    /// predicates), then the template.
+    pub fn visit_paths(&self, f: &mut impl FnMut(&PathPlan)) {
+        let mut cur = Some(&self.ops);
+        while let Some(op) = cur {
+            match op {
+                Op::Unit => {}
+                Op::ForEach { path, .. } | Op::LetBind { path, .. } => path.visit_paths(f),
+                Op::Filter { pred, .. } => pred.visit_paths(f),
+            }
+            cur = op.input();
+        }
+        self.template.visit_paths(f);
     }
 
     /// Does the plan reference parameter `i` anywhere at all (scan,

@@ -160,40 +160,32 @@ impl Query {
         }
     }
 
+    /// The compiled plans of every leaf of the query: its own, or for a
+    /// composition the outer's, then each inner's.
+    pub fn leaf_plans(&self) -> Vec<&Plan> {
+        match &self.def.kind {
+            QueryKind::Leaf { plan, .. } => vec![plan],
+            QueryKind::Composed { outer, inners } => std::iter::once(outer)
+                .chain(inners)
+                .flat_map(Query::leaf_plans)
+                .collect(),
+        }
+    }
+
     /// Names of all `doc("…")` sources the query reads, across leaves and
     /// compositions — the documents whose changes can change the query's
     /// answer (used by the continuous-service trigger logic).
     pub fn doc_dependencies(&self) -> Vec<axml_xml::ids::DocName> {
         use crate::plan::{SourceRef, StartRef};
         let mut out: Vec<axml_xml::ids::DocName> = Vec::new();
-        let mut add_from_plan = |plan: &Plan| {
-            let mut record = |p: &crate::plan::PathPlan| {
+        for plan in self.leaf_plans() {
+            plan.visit_paths(&mut |p| {
                 if let StartRef::Source(SourceRef::Doc(d)) = &p.start {
                     if !out.contains(d) {
                         out.push(d.clone());
                     }
                 }
-            };
-            plan.ops.for_each_path(&mut record);
-            let mut probe = plan.clone();
-            crate::rewrite::map_paths(&mut probe, &mut |p| record(p));
-        };
-        match &self.def.kind {
-            QueryKind::Leaf { plan, .. } => add_from_plan(plan),
-            QueryKind::Composed { outer, inners } => {
-                for d in outer.doc_dependencies() {
-                    if !out.contains(&d) {
-                        out.push(d);
-                    }
-                }
-                for q in inners {
-                    for d in q.doc_dependencies() {
-                        if !out.contains(&d) {
-                            out.push(d);
-                        }
-                    }
-                }
-            }
+            });
         }
         out
     }

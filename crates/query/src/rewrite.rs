@@ -137,33 +137,16 @@ pub fn decompose_selection(q: &Plan) -> Option<(Plan, Plan)> {
         return None;
     }
     // Filters and template must depend only on `var` (no params/docs).
+    let mut clean = true;
+    let mut check = |p: &PathPlan| {
+        clean &= matches!(p.start, StartRef::Var(v) if v == var) || p.start == StartRef::Context;
+    };
     for pred in &filters {
-        let mut clean = true;
-        let mut check = |p: &PathPlan| {
-            clean &=
-                matches!(p.start, StartRef::Var(v) if v == var) || p.start == StartRef::Context;
-        };
-        // reuse map_paths on a clone to inspect
-        visit_pred_paths(pred, &mut check);
-        if !clean {
-            return None;
-        }
+        pred.visit_paths(&mut check);
     }
-    {
-        let mut clean = true;
-        let mut probe_plan = Plan {
-            arity: q.arity,
-            n_vars: q.n_vars,
-            ops: Op::Unit,
-            template: q.template.clone(),
-        };
-        map_paths(&mut probe_plan, &mut |p| {
-            clean &=
-                matches!(p.start, StartRef::Var(v) if v == var) || p.start == StartRef::Context;
-        });
-        if !clean {
-            return None;
-        }
+    q.template.visit_paths(&mut check);
+    if !clean {
+        return None;
     }
 
     // pushed: original scan + filters, template = copy of the match.
@@ -200,35 +183,6 @@ pub fn decompose_selection(q: &Plan) -> Option<(Plan, Plan)> {
     Some((outer, pushed))
 }
 
-/// Visit every path of a predicate, including paths nested inside step
-/// predicates.
-fn visit_pred_paths(pred: &PredPlan, f: &mut impl FnMut(&PathPlan)) {
-    fn path_deep(p: &PathPlan, f: &mut impl FnMut(&PathPlan)) {
-        for s in &p.steps {
-            for pr in &s.preds {
-                visit_pred_paths(pr, f);
-            }
-        }
-        f(p);
-    }
-    match pred {
-        PredPlan::And(a, b) | PredPlan::Or(a, b) => {
-            visit_pred_paths(a, f);
-            visit_pred_paths(b, f);
-        }
-        PredPlan::Not(c) => visit_pred_paths(c, f),
-        PredPlan::Cmp { lhs, rhs, .. } => {
-            path_deep(lhs, f);
-            if let OperandPlan::Path(p) = rhs {
-                path_deep(p, f);
-            }
-        }
-        PredPlan::Contains { path, .. } => path_deep(path, f),
-        PredPlan::Exists(p) => path_deep(p, f),
-        PredPlan::CountCmp { path, .. } => path_deep(path, f),
-    }
-}
-
 /// Fold a `Filter` that sits directly above a `ForEach` into the scan
 /// path's final step predicate, when the filter only looks *downward* from
 /// the scanned variable. A purely local rewrite: the plan computes the
@@ -251,7 +205,7 @@ pub fn push_filter_into_path(q: &Plan) -> Option<Plan> {
     }
     // Predicate must reference only `var`.
     let mut only_var = true;
-    visit_pred_paths(pred, &mut |p| {
+    pred.visit_paths(&mut |p| {
         only_var &= matches!(p.start, StartRef::Var(v) if v == *var);
     });
     if !only_var {

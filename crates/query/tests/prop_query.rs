@@ -8,9 +8,10 @@
 
 use axml_query::eval::NoDocs;
 use axml_query::Query;
-use axml_xml::equiv::forest_equiv;
+use axml_xml::equiv::{canonicalize, forest_equiv, Canon, CanonMultiset};
 use axml_xml::tree::Tree;
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// Random package catalogs: the workload family used across the repo.
 fn arb_catalog() -> impl Strategy<Value = Tree> {
@@ -72,8 +73,58 @@ fn arb_monotone_query() -> impl Strategy<Value = Query> {
     (0..pool.len()).prop_map(move |i| Query::parse("q", pool[i]).unwrap())
 }
 
+/// The delta filter `CanonMultiset::admit` replaced, kept as its
+/// reference: spend a clone of the delivered counts as a budget, then
+/// count the fresh trees in.
+fn budget_reference(emitted: &mut HashMap<Canon, usize>, results: Vec<Tree>) -> Vec<Tree> {
+    let mut budget = emitted.clone();
+    let mut fresh = Vec::new();
+    for t in results {
+        match budget.get_mut(&canonicalize(&t, t.root())) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => fresh.push(t),
+        }
+    }
+    for t in &fresh {
+        *emitted.entry(canonicalize(t, t.root())).or_insert(0) += 1;
+    }
+    fresh
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `admit` lets through exactly what the budget reference does, in the
+    /// same order, on batches with repeats — including a second batch that
+    /// re-sends part of the first and a third that re-sends everything.
+    #[test]
+    fn admit_equals_budget_reference(
+        first in proptest::collection::vec((0usize..6, 0u8..2), 0..12),
+        extra in proptest::collection::vec(0usize..8, 0..8),
+    ) {
+        // Equivalent up to sibling order: odd positions flip the children.
+        let tree = |at: usize, i: usize| {
+            let xml = [format!("<r><a>{i}</a><b/></r>"), format!("<r><b/><a>{i}</a></r>")];
+            Tree::parse(&xml[at & 1]).unwrap()
+        };
+        let batch1: Vec<Tree> = first.iter().enumerate().map(|(at, (i, _))| tree(at, *i)).collect();
+        let mut batch2: Vec<Tree> = first
+            .iter()
+            .enumerate()
+            .filter(|(_, (_, resend))| *resend == 1)
+            .map(|(at, (i, _))| tree(at + 1, *i))
+            .collect();
+        batch2.extend(extra.iter().enumerate().map(|(at, i)| tree(at, *i)));
+        let batch3: Vec<Tree> = batch1.iter().chain(&batch2).cloned().collect();
+        let (mut set, mut reference) = (CanonMultiset::default(), HashMap::new());
+        for batch in [batch1, batch2, batch3] {
+            let ser = |ts: Vec<Tree>| ts.iter().map(Tree::serialize).collect::<Vec<_>>();
+            prop_assert_eq!(
+                ser(set.admit(batch.clone())),
+                ser(budget_reference(&mut reference, batch))
+            );
+        }
+    }
 
     /// Continuous evaluation emits, across a whole stream, exactly the
     /// batch result over the accumulated forest.

@@ -14,7 +14,7 @@
 
 use crate::symbol::Label;
 use crate::tree::{NodeId, NodeKind, Tree};
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, HashMap};
 use std::hash::{Hash, Hasher};
 
 /// The canonical (order-normalized) form of a subtree.
@@ -55,6 +55,60 @@ pub fn canonicalize(tree: &Tree, node: NodeId) -> Canon {
                 children,
             }
         }
+    }
+}
+
+/// A grow-only multiset of trees up to equivalence: what an append-only
+/// stream (§2.2 — answers accumulate, none is retracted) has delivered so
+/// far, and so the one place that decides which trees of a re-evaluated
+/// result are new.
+#[derive(Debug, Clone, Default)]
+pub struct CanonMultiset(HashMap<Canon, Copies>);
+
+/// Per tree: copies delivered so far, and copies seen in the batch that
+/// [`CanonMultiset::admit`] is looking at.
+#[derive(Debug, Clone, Copy, Default)]
+struct Copies {
+    delivered: usize,
+    batch: usize,
+}
+
+impl CanonMultiset {
+    fn copies(&mut self, tree: &Tree, node: NodeId) -> &mut Copies {
+        self.0.entry(canonicalize(tree, node)).or_default()
+    }
+
+    /// The multiset of `parent`'s children.
+    pub fn of_children(tree: &Tree, parent: NodeId) -> Self {
+        let mut set = Self::default();
+        for &c in tree.children(parent) {
+            set.copies(tree, c).delivered += 1;
+        }
+        set
+    }
+
+    /// Count every tree of `trees` as delivered (the caller knows they
+    /// are new — the semi-naive path).
+    pub fn record(&mut self, trees: &[Tree]) {
+        for t in trees {
+            self.copies(t, t.root()).delivered += 1;
+        }
+    }
+
+    /// The multiset difference `results ∖ self`, in result order: the
+    /// `k`-th copy of a tree within this batch is new iff fewer than `k`
+    /// copies were delivered before. Everything let through counts as
+    /// delivered from then on.
+    pub fn admit(&mut self, mut results: Vec<Tree>) -> Vec<Tree> {
+        self.0.values_mut().for_each(|c| c.batch = 0);
+        results.retain(|t| {
+            let c = self.copies(t, t.root());
+            c.batch += 1;
+            let fresh = c.batch > c.delivered;
+            c.delivered = c.delivered.max(c.batch);
+            fresh
+        });
+        results
     }
 }
 

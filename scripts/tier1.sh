@@ -41,6 +41,30 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/net/src/bytes.rs); do
     fi
 done
 
+echo "== tier-1: one delta filter (HashMap<Canon only in xml/src/equiv.rs) =="
+# "Which of these trees were already delivered" is answered by
+# axml_xml::equiv::CanonMultiset alone. Outside comments and
+# `#[cfg(test)]` modules, another map keyed by `Canon` is a second copy
+# of that logic.
+for f in $(find crates/*/src -name '*.rs' ! -path crates/xml/src/equiv.rs); do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
+        | grep -nE 'HashMap<[[:space:]]*(axml_xml::equiv::)?Canon\b'; then
+        echo "tier-1: $f keeps its own canonical multiset; use CanonMultiset" >&2
+        exit 1
+    fi
+done
+
+echo "== tier-1: one blocking-session wrapper (new_session() only in core/src/engine/) =="
+# Every blocking entry point opens its session through
+# AxmlSystem::blocking (engine/pump.rs), which also owns the
+# clear-in-flight-on-error rule.
+for f in $(find crates/core/src -name '*.rs' ! -path 'crates/core/src/engine/*'); do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" | grep -n 'new_session()'; then
+        echo "tier-1: $f opens an EvalSession itself; go through AxmlSystem::blocking" >&2
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 

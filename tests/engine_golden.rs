@@ -587,7 +587,7 @@ fn continuous(driver: DriverKind) -> String {
         }
         Err(e) => r.forest(Err(e)),
     }
-    let first = r.sys.subscriptions()[0].id;
+    let first = r.sys.subscriptions().next().unwrap().id;
     let gone = r.sys.unsubscribe(first);
     r.note(format_args!("unsubscribed {gone}"));
     let n = r
