@@ -102,7 +102,8 @@ const LIVE_ITEM_CAP: usize = 25;
 
 /// The same delta semantics on a live two-peer system, as an
 /// observability snapshot: one subscription, `n_items` distinct feeds
-/// plus one duplicate (which the delta cache suppresses).
+/// plus one duplicate (which ships: streams are multisets). Every feed
+/// is answered from the appended item alone, so nothing is suppressed.
 fn live_subscription_snapshot(n_items: usize) -> axml_core::prelude::RunReport {
     use axml_core::prelude::*;
     let copy0 = axml_xml::stats::CopyStats::snapshot();
@@ -133,8 +134,7 @@ fn live_subscription_snapshot(n_items: usize) -> axml_core::prelude::RunReport {
         )
         .unwrap();
     }
-    // the first item again: the already-delivered copy is suppressed by
-    // the delta cache; only the new (multiset) copy ships
+    // the first item again: only the new (multiset) copy ships
     sys.feed(provider, "feed", Tree::parse("<item>i0</item>").unwrap())
         .unwrap();
     sys.run_report(format!(

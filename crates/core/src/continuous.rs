@@ -10,19 +10,27 @@
 //! (performing the initial exchange); `@after` chains become subscriptions
 //! triggered by their predecessor's answers. [`AxmlSystem::feed`] appends a
 //! new tree to a source document and propagates: every subscription whose
-//! service reads that document re-evaluates and ships only its **new**
-//! results (multiset delta over canonical forms) to its sink — the forward
-//! list, or the `sc`'s parent by default.
+//! service reads that document ships only its **new** results to its sink
+//! — the forward list, or the `sc`'s parent by default. A pump finds them
+//! by one of two arms: it evaluates the service's plan over the appended
+//! child alone where [`pick_strategy`] and the document's history make
+//! that exact, and otherwise re-evaluates in full and filters through
+//! what it delivered before (multiset delta over canonical forms).
 
 use crate::engine::{EvalSession, Intent};
 use crate::error::{CoreError, CoreResult};
+use crate::peer::PeerState;
 use crate::sc::{ActivationMode, ScNode, ScProvider};
 use crate::system::AxmlSystem;
 use axml_obs::TraceEvent;
+use axml_query::delta::{pick_strategy, DeltaStrategy};
+use axml_query::eval::{Ctx, Delta};
 use axml_query::matcher::MatchIndex;
+use axml_query::plan::SourceRef;
 use axml_query::Query;
 use axml_xml::equiv::CanonMultiset;
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
+use axml_xml::store::Document;
 use axml_xml::tree::{NodeId, Tree};
 use std::collections::{BTreeMap, HashMap};
 
@@ -45,8 +53,10 @@ pub enum MatcherMode {
     /// about). The default.
     #[default]
     Shared,
-    /// Re-evaluate every affected subscription — the per-subscription
-    /// reference loop the shared matcher must stay bit-identical to.
+    /// Re-evaluate every affected subscription in full — the
+    /// per-subscription reference loop that both of the default's
+    /// shortcuts (skipping a subscription, evaluating one over the delta
+    /// alone) must stay bit-identical to.
     Naive,
 }
 
@@ -73,8 +83,37 @@ pub struct Subscription {
     pub trigger: Trigger,
     /// Everything delivered so far.
     emitted: CanonMultiset,
+    /// Was `emitted` exactly the answer when the subscription last
+    /// evaluated in full? Once a result has gone away again (a detached
+    /// node, a changed aggregate) it is a superset, the full arm would
+    /// hold back a later copy of that result as already delivered, and
+    /// an evaluation over the delta alone cannot know to do the same.
+    exact: bool,
+    /// The service's query, if a feed of the one document it reads may
+    /// be answered from the appended child alone — [`pick_strategy`]'s
+    /// verdict on it, taken once by [`SubscriptionTable::insert`]. A pump
+    /// that finds the service redefined since evaluates in full.
+    delta_query: Option<Query>,
     /// Total trees delivered.
     pub delivered: usize,
+}
+
+/// What a feed of one provider-side document consults.
+#[derive(Debug)]
+struct Watch {
+    /// The shared matching index over the doc-triggered subscriptions
+    /// reading the document.
+    index: MatchIndex,
+    /// The document's stamp when its watchers were last known to be in
+    /// step with it: as the first of them registered, then as each feed
+    /// that pumped all it had to left it. Evaluating a delta alone
+    /// presumes `emitted` is the answer over everything before the
+    /// append, and any mutation that is not such a feed — a delivery
+    /// grafted into the document, a `peer_mut()` edit, a lazy call's
+    /// graft, a replacement, a feed that failed half-way — breaks that
+    /// silently. It also moves the stamp, so the next feed sees the
+    /// mismatch and sends every watcher through the full arm once.
+    in_step_at: Option<u64>,
 }
 
 /// All state of the continuous engine. [`SubscriptionTable::insert`] and
@@ -88,9 +127,11 @@ pub(crate) struct SubscriptionTable {
     /// Deliveries are identical in both modes; only evaluation work (and
     /// the `matcher_*` counters) differ.
     mode: MatcherMode,
-    /// Per (provider, document): the shared matching index over the
-    /// doc-triggered subscriptions reading that document.
-    indexes: HashMap<(PeerId, DocName), MatchIndex>,
+    /// Per (provider, document): its doc-triggered subscriptions. An
+    /// entry dies with its last subscription.
+    watches: HashMap<(PeerId, DocName), Watch>,
+    /// Per `sc` id: the subscriptions chained `after` it, ascending.
+    after: HashMap<String, Vec<u64>>,
     /// Per (hosting peer, document): the live subscriptions its
     /// activation created — makes re-activation idempotent.
     book: HashMap<(PeerId, DocName), Vec<u64>>,
@@ -102,15 +143,35 @@ pub(crate) struct SubscriptionTable {
 
 impl SubscriptionTable {
     /// Add a subscription; a doc-triggered one registers `query` (its
-    /// service's) under every document it reads.
-    fn insert(&mut self, sub: Subscription, query: Option<&Query>) {
-        if let (Trigger::DocChange(deps), Some(query)) = (&sub.trigger, query) {
-            for d in deps {
-                self.indexes
-                    .entry((sub.provider, d.clone()))
-                    .or_insert_with(|| MatchIndex::new(d.clone()))
-                    .register(sub.id, query);
+    /// service's) under every document it reads, looked up in `peers`.
+    fn insert(&mut self, mut sub: Subscription, query: Option<&Query>, peers: &[PeerState]) {
+        match (&sub.trigger, query) {
+            (Trigger::DocChange(deps), Some(query)) => {
+                for d in deps {
+                    self.watches
+                        .entry((sub.provider, d.clone()))
+                        .or_insert_with(|| Watch {
+                            index: MatchIndex::new(d.clone()),
+                            in_step_at: peers[sub.provider.index()]
+                                .docs
+                                .get(d)
+                                .map(Document::stamp),
+                        })
+                        .index
+                        .register(sub.id, query);
+                }
+                // `in_step_at` vouches for one document, so a
+                // subscription reading several always evaluates in full.
+                if let ([d], Some(plan)) = (deps.as_slice(), query.plan()) {
+                    if pick_strategy(plan, &SourceRef::Doc(d.clone())) == DeltaStrategy::SemiNaive {
+                        sub.delta_query = Some(query.clone());
+                    }
+                }
             }
+            (Trigger::AfterAnswer(pred), _) => {
+                self.after.entry(pred.clone()).or_default().push(sub.id);
+            }
+            (Trigger::DocChange(_), None) => {}
         }
         self.book
             .entry((sub.caller, sub.doc.clone()))
@@ -119,27 +180,38 @@ impl SubscriptionTable {
         self.live.insert(sub.id, sub);
     }
 
-    /// Drop a subscription from the table, its indexes and the book (an
-    /// entry dies with its last subscription). Returns whether it existed.
+    /// Drop a subscription from the table, its indexes, the `after` map
+    /// and the book. Returns whether it existed.
     fn remove(&mut self, id: u64) -> bool {
         let Some(sub) = self.live.remove(&id) else {
             return false;
         };
-        if let Trigger::DocChange(deps) = sub.trigger {
-            for d in deps {
-                if let Some(ix) = self.indexes.get_mut(&(sub.provider, d)) {
-                    ix.remove(id);
+        match sub.trigger {
+            Trigger::DocChange(deps) => {
+                for d in deps {
+                    let key = (sub.provider, d);
+                    if let Some(w) = self.watches.get_mut(&key) {
+                        w.index.remove(id);
+                        if w.index.registered().is_empty() {
+                            self.watches.remove(&key);
+                        }
+                    }
                 }
             }
+            Trigger::AfterAnswer(pred) => drop_id(&mut self.after, &pred, id),
         }
-        let key = (sub.caller, sub.doc);
-        if let Some(ids) = self.book.get_mut(&key) {
-            ids.retain(|i| *i != id);
-            if ids.is_empty() {
-                self.book.remove(&key);
-            }
-        }
+        drop_id(&mut self.book, &(sub.caller, sub.doc), id);
         true
+    }
+}
+
+/// Take `id` out of `map[key]`; an entry dies with its last id.
+fn drop_id<K: std::hash::Hash + Eq>(map: &mut HashMap<K, Vec<u64>>, key: &K, id: u64) {
+    if let Some(ids) = map.get_mut(key) {
+        ids.retain(|i| *i != id);
+        if ids.is_empty() {
+            map.remove(key);
+        }
     }
 }
 
@@ -262,16 +334,19 @@ impl AxmlSystem {
                     sink,
                     trigger,
                     emitted: CanonMultiset::default(),
+                    exact: false,
+                    delta_query: None,
                     delivered: 0,
                 },
                 query.as_ref(),
+                &self.peers,
             );
         }
         // Initial evaluation (steps 2–3) for non-`after` calls — done after
         // *all* subscriptions exist, so `@after` chains see their triggers.
         for &(id, is_after) in &created {
             if !is_after {
-                self.pump_into(s, id)?;
+                self.pump_into(s, id, None)?;
             }
         }
         Ok(created.into_iter().map(|(id, _)| id).collect())
@@ -286,10 +361,11 @@ impl AxmlSystem {
     /// recursion need not terminate.
     fn check_after_cycles(&self, calls: &[(NodeId, ScNode)]) -> CoreResult<()> {
         let mut edges: HashMap<&str, Vec<&str>> = HashMap::new();
-        for sub in self.subs.live.values() {
-            if let (Some(sid), Trigger::AfterAnswer(pred)) = (&sub.sc_id, &sub.trigger) {
-                edges.entry(pred.as_str()).or_default().push(sid.as_str());
-            }
+        for (pred, ids) in &self.subs.after {
+            let named = ids
+                .iter()
+                .filter_map(|id| self.subs.live[id].sc_id.as_deref());
+            edges.entry(pred.as_str()).or_default().extend(named);
         }
         for (_, sc) in calls {
             if let (Some(sid), ActivationMode::After(pred)) = (&sc.id, &sc.mode) {
@@ -354,52 +430,72 @@ impl AxmlSystem {
         tree: Tree,
     ) -> CoreResult<usize> {
         self.check_peer(at)?;
-        self.touch_peer(at);
-        {
-            let d =
-                self.peers[at.index()]
-                    .docs
-                    .get_mut(doc)
-                    .ok_or_else(|| CoreError::NoSuchDoc {
-                        doc: doc.clone(),
-                        at,
-                    })?;
-            let root = d.tree().root();
-            d.tree_mut().graft(root, &tree, tree.root())?;
-        }
-        // The affected subscriptions are exactly the ones registered in
-        // this document's index. Shared-matcher probe: one automaton pass
-        // over the delta decides, for every one of them, whether its
-        // results can possibly have changed (fallback registrations are
-        // always reported).
-        let (affected, hits) = match self.subs.indexes.get(&(at, doc.clone())) {
-            Some(ix) if !ix.registered().is_empty() => (
-                ix.registered().iter().copied().collect::<Vec<u64>>(),
-                (self.subs.mode == MatcherMode::Shared).then(|| ix.probe(&tree)),
-            ),
-            _ => return Ok(0),
+        let no_doc = || CoreError::NoSuchDoc {
+            doc: doc.clone(),
+            at,
         };
+        let d = self.peers[at.index()]
+            .docs
+            .get_mut(doc)
+            .ok_or_else(no_doc)?;
+        let (before, root) = (d.stamp(), d.tree().root());
+        let child = d.tree_mut().graft(root, &tree, tree.root())?;
+        let fed = d.stamp();
+        self.touch_peer(at);
+        // The affected subscriptions are exactly the ones registered in
+        // this document's index. While they are in step with the document
+        // one automaton pass over the delta decides, for every one of
+        // them, whether its results can possibly have changed (fallback
+        // registrations are always reported), and the hits may evaluate
+        // over `child` alone. Otherwise — the reference mode, or a
+        // document someone else has touched — all of them re-evaluate in
+        // full.
+        let key = (at, doc.clone());
+        let Some(watch) = self.subs.watches.get(&key) else {
+            return Ok(0);
+        };
+        let shared = self.subs.mode == MatcherMode::Shared;
+        let in_step = shared && watch.in_step_at == Some(before);
+        let registered = watch.index.registered();
+        let pumped = if in_step {
+            watch.index.probe(&tree)
+        } else {
+            registered.clone()
+        };
+        if shared {
+            let (all, hit) = (registered.len() as u64, pumped.len() as u64);
+            self.obs.metrics.matcher_probes += all;
+            self.obs.metrics.matcher_hits += hit;
+            self.obs.metrics.matcher_skips += all - hit;
+        }
+        let delta = in_step.then_some(Delta::DocChild { doc, child });
         let mut delivered = 0;
-        for id in affected {
-            if let Some(hits) = &hits {
-                self.obs.metrics.matcher_probes += 1;
-                if !hits.contains(&id) {
-                    self.obs.metrics.matcher_skips += 1;
-                    continue;
-                }
-                self.obs.metrics.matcher_hits += 1;
-            }
-            delivered += self.pump_into(s, id)?;
+        for id in pumped {
+            delivered += self.pump_into(s, id, delta)?;
+        }
+        // Only now, every pump having delivered: the watchers have seen
+        // the document as this feed's graft left it. A delivery that
+        // landed in it since has moved its stamp past `fed`.
+        if let Some(watch) = self.subs.watches.get_mut(&key) {
+            watch.in_step_at = Some(fed);
         }
         Ok(delivered)
     }
 
-    /// Re-evaluate one subscription inside an open session, deliver only
-    /// new results, and fire `@after` chains. Returns the number of trees
-    /// delivered (including chained deliveries). Guarded against `@after`
-    /// cycles: a subscription already on the pump stack means the chain
-    /// closed on itself, so the pump would recurse without bound.
-    fn pump_into(&mut self, s: &mut EvalSession, id: u64) -> CoreResult<usize> {
+    /// Pump one subscription inside an open session: deliver its new
+    /// results and fire `@after` chains. `delta` is the child a feed just
+    /// appended to the document the subscription reads, offered when its
+    /// earlier deliveries are known to be the answer without that child;
+    /// without it the pump re-evaluates in full. Returns the number of
+    /// trees delivered (including chained deliveries). Guarded against
+    /// `@after` cycles: a subscription already on the pump stack means
+    /// the chain closed on itself, so the pump would recurse without bound.
+    fn pump_into(
+        &mut self,
+        s: &mut EvalSession,
+        id: u64,
+        delta: Option<Delta<'_>>,
+    ) -> CoreResult<usize> {
         let stack = &self.subs.pump_stack;
         if stack.contains(&id) {
             let chain: Vec<String> = stack
@@ -411,7 +507,7 @@ impl AxmlSystem {
             return Err(CoreError::AfterCycle(chain.join(" -> ")));
         }
         self.subs.pump_stack.push(id);
-        let out = self.pump_inner(s, id);
+        let out = self.pump_inner(s, id, delta);
         self.subs.pump_stack.pop();
         out
     }
@@ -419,23 +515,42 @@ impl AxmlSystem {
     /// The pump body. Chained `@after` calls fire as soon as their
     /// predecessor's deliveries are *issued* (in flight) — they read
     /// provider-side documents, so issue order is enough.
-    fn pump_inner(&mut self, s: &mut EvalSession, id: u64) -> CoreResult<usize> {
-        let sub = self
-            .subs
-            .live
-            .get_mut(&id)
-            .ok_or_else(|| CoreError::Malformed(format!("no subscription {id}")))?;
+    fn pump_inner(
+        &mut self,
+        s: &mut EvalSession,
+        id: u64,
+        delta: Option<Delta<'_>>,
+    ) -> CoreResult<usize> {
+        let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
+        let sub = self.subs.live.get_mut(&id).ok_or_else(no_sub)?;
         let provider = sub.provider;
-        // Steps 2: the provider evaluates its query over the current state.
         let state = &self.peers[provider.index()];
         let svc = state.service(&sub.service, provider)?;
-        let results = svc.query.eval_with_docs(&sub.params, state)?;
-        // Delta: only what was never delivered before.
-        let recomputed = results.len();
-        let fresh = sub.emitted.admit(results);
-        sub.delivered += fresh.len();
+        // Step 2: the provider computes what is new …
+        let delta_plan = match (delta, &sub.delta_query) {
+            (Some(delta), Some(q)) if sub.exact && *q == svc.query => {
+                q.plan().map(|plan| (plan, delta))
+            }
+            _ => None,
+        };
+        let (fresh, suppressed) = match delta_plan {
+            // … from the appended child alone: all of it is new,
+            Some((plan, delta)) => {
+                let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
+                sub.emitted.record(&fresh);
+                (fresh, 0)
+            }
+            // … or from the current state, less what was delivered before.
+            None => {
+                let results = svc.query.eval_with_docs(&sub.params, state)?;
+                let recomputed = results.len();
+                let fresh = sub.emitted.admit(results);
+                sub.exact = sub.emitted.delivered() == recomputed;
+                let suppressed = recomputed - fresh.len();
+                (fresh, suppressed)
+            }
+        };
         let (sink, sc_id) = (sub.sink.clone(), sub.sc_id.clone());
-        let suppressed = recomputed - fresh.len();
         self.obs.metrics.delta_fresh += fresh.len() as u64;
         self.obs.metrics.delta_suppressed += suppressed as u64;
         let now = self.now_ms();
@@ -451,20 +566,21 @@ impl AxmlSystem {
             return Ok(0);
         }
         // Step 3: ship to the sink (repeatedly, for continuous services).
-        self.deliver_to_nodes(s, provider, &sink, &fresh)?;
+        // Only what was issued counts as delivered: trees a failed
+        // delivery never sent are new again at the next pump.
+        let issued = self.deliver_to_nodes(s, provider, &sink, &fresh);
+        let sub = self.subs.live.get_mut(&id).ok_or_else(no_sub)?;
+        if let Err(e) = issued {
+            sub.emitted.retract(&fresh);
+            sub.exact = false;
+            return Err(e);
+        }
+        sub.delivered += fresh.len();
         let mut total = fresh.len();
         // §2.2: a call chained `after` this one activates per answer batch.
-        if let Some(my_id) = sc_id {
-            let chained: Vec<u64> = self
-                .subs
-                .live
-                .values()
-                .filter(|sub| matches!(&sub.trigger, Trigger::AfterAnswer(p) if *p == my_id))
-                .map(|sub| sub.id)
-                .collect();
-            for c in chained {
-                total += self.pump_into(s, c)?;
-            }
+        let chained = sc_id.and_then(|my_id| self.subs.after.get(&my_id).cloned());
+        for c in chained.unwrap_or_default() {
+            total += self.pump_into(s, c, None)?;
         }
         Ok(total)
     }
@@ -611,6 +727,54 @@ mod tests {
         );
     }
 
+    /// A delivery that fails is not a delivery: the trees it never sent
+    /// are still owed once the sink is back.
+    #[test]
+    fn failed_delivery_is_not_recorded_as_delivered() {
+        let mut sys = AxmlSystem::new();
+        let client = sys.add_peer("client");
+        let server = sys.add_peer("server");
+        sys.net_mut().set_link(client, server, LinkCost::wan());
+        sys.install_doc(server, "feed", Tree::parse("<feed/>").unwrap())
+            .unwrap();
+        sys.install_doc(server, "log", Tree::parse("<log/>").unwrap())
+            .unwrap();
+        sys.register_declarative_service(server, "items", r#"doc("feed")/item"#)
+            .unwrap();
+        let log_root = sys.peer(server).doc(&"log".into(), server).unwrap().root();
+        sys.install_doc(client, "inbox", {
+            let mut t = Tree::parse("<inbox/>").unwrap();
+            let root = t.root();
+            let sc = ScNode {
+                id: None,
+                provider: ScProvider::Peer(server),
+                service: "items".into(),
+                params: vec![],
+                forward: vec![NodeAddr::new(server, "log", log_root)],
+                mode: ActivationMode::Immediate,
+            };
+            sc.write(&mut t, root);
+            t
+        })
+        .unwrap();
+        let ids = sys.activate_document(client, &"inbox".into()).unwrap();
+        let log = sys.peer_mut(server).docs.remove(&"log".into()).unwrap();
+        let item = |v: &str| Tree::parse(&format!("<item>{v}</item>")).unwrap();
+        let lost = sys.feed(server, "feed", item("a")).unwrap_err();
+        assert!(matches!(lost, CoreError::NoSuchDoc { .. }), "{lost:?}");
+        sys.peer_mut(server).docs.insert(log).unwrap();
+        let delivered = sys.feed(server, "feed", item("b")).unwrap();
+        let sub = sys.subscriptions().find(|s| s.id == ids[0]).unwrap();
+        assert_eq!((delivered, sub.delivered), (2, 2), "a is owed, b is new");
+        assert_eq!(
+            sys.peer(server)
+                .doc(&"log".into(), server)
+                .unwrap()
+                .serialize(),
+            "<log><item>a</item><item>b</item></log>"
+        );
+    }
+
     #[test]
     fn after_chain_fires_per_answer() {
         let (mut sys, client, server) = news_system();
@@ -690,9 +854,16 @@ mod tests {
     #[test]
     fn feed_unknown_doc_errors() {
         let (mut sys, _client, server) = news_system();
+        // Nothing changed, so nothing computed against the peer's state
+        // (cost-model statistics, driver precomputes) goes stale.
+        let epoch = sys.state_epochs[server.index()];
         assert!(sys
             .feed(server, "nope", Tree::parse("<x/>").unwrap())
             .is_err());
+        assert_eq!(sys.state_epochs[server.index()], epoch);
+        sys.feed(server, "news", Tree::parse("<x/>").unwrap())
+            .unwrap();
+        assert_eq!(sys.state_epochs[server.index()], epoch + 1);
     }
 }
 

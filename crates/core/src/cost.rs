@@ -752,6 +752,11 @@ mod tests {
         assert_fresh(&sys, "activate_document");
         sys.feed(b, "catalog", item("fed")).unwrap();
         assert_fresh(&sys, "feed");
+        // a feed that changes nothing leaves the warm statistics shared
+        let warm = CostModel::from_system(&sys);
+        assert!(sys.feed(b, "no-such-doc", item("lost")).is_err());
+        let still = CostModel::from_system(&sys);
+        assert!(Arc::ptr_eq(&warm.stats[b.index()], &still.stats[b.index()]));
         let q = Query::parse("all", "$0/*").unwrap();
         let (_, activated) = sys.query_document(a, &"lazy".into(), &q).unwrap();
         assert_eq!(activated, 1);

@@ -60,8 +60,9 @@ pub struct EvalMetrics {
     pub explored: u64,
     /// Continuous-subscription results delivered (never seen before).
     pub delta_fresh: u64,
-    /// Continuous-subscription results recomputed but suppressed by the
-    /// per-subscription delta cache — re-delivery avoided.
+    /// Continuous-subscription results evaluated and found already
+    /// delivered — work a full re-evaluation spent on re-deriving them.
+    /// Pumps that evaluate only what a feed appended add nothing here.
     pub delta_suppressed: u64,
     /// Backoff retries the engine armed after failed send attempts.
     pub retries: u64,
@@ -194,7 +195,7 @@ impl EvalMetrics {
     }
 
     /// Continuous-delta suppression rate in `[0, 1]` — the fraction of
-    /// recomputed results the cache kept off the wire (`None` before
+    /// evaluated results that had already been delivered (`None` before
     /// any pump).
     pub fn delta_suppression_rate(&self) -> Option<f64> {
         let total = self.delta_fresh + self.delta_suppressed;

@@ -142,15 +142,17 @@ pub enum TraceEvent {
         /// Simulated time at activation.
         at_ms: f64,
     },
-    /// A continuous subscription re-evaluated and shipped its delta.
+    /// A continuous subscription was pumped and shipped its delta.
     SubscriptionDelta {
         /// Subscription id.
         subscription: u64,
-        /// The provider that re-evaluated.
+        /// The provider that evaluated.
         provider: PeerId,
         /// Trees delivered (never seen before by this subscription).
         fresh: usize,
-        /// Trees recomputed but suppressed by the delta cache.
+        /// Trees evaluated and found already delivered. A pump that
+        /// evaluates only what a feed appended never evaluates them,
+        /// and reports 0.
         suppressed: usize,
         /// Simulated time of the pump.
         at_ms: f64,

@@ -8,12 +8,14 @@
 //!
 //! [`ContinuousEval`] implements exactly that contract: feed it one arrived
 //! tree at a time with [`ContinuousEval::push`], get back the *new* result
-//! trees. Two strategies are used:
+//! trees. The engine's subscription pump (`axml-core`) does the same for a
+//! document that `feed` appends to. Both ask [`pick_strategy`] which of
+//! two strategies a source allows:
 //!
-//! * **semi-naive** — when exactly one `ForEach` scans the touched
-//!   parameter and nothing else references it, the new results are
-//!   obtained by evaluating with that parameter bound to just the new
-//!   tree: O(|delta|) instead of O(|state|);
+//! * **semi-naive** — when exactly one `ForEach` scans the touched source
+//!   and nothing else references it, the new results are obtained by
+//!   evaluating with that source narrowed to just the new tree
+//!   ([`Delta`]): O(|delta|) instead of O(|state|);
 //! * **difference** — otherwise (joins of a stream with itself, `let`
 //!   over the stream, predicates reading the stream), results are the
 //!   canonical-multiset difference `eval(state ∪ {t}) ∖ eval(state)`.
@@ -24,18 +26,67 @@
 //! retracted, per §2.2's accumulate-as-siblings semantics).
 
 use crate::error::QueryResult;
-use crate::eval::{Ctx, DocResolver, Forest};
-use crate::plan::{Op, Plan, SourceRef, StartRef};
+use crate::eval::{Ctx, Delta, DocResolver, Forest};
+use crate::plan::{Op, PathPlan, Plan, PlanTest, SourceRef, StartRef};
 use axml_xml::equiv::CanonMultiset;
 use axml_xml::tree::Tree;
 
-/// Strategy chosen for one input parameter.
+/// Strategy chosen for one source of a plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaStrategy {
-    /// Evaluate with the parameter restricted to the new tree.
+    /// Evaluate with the source narrowed to the new tree.
     SemiNaive,
     /// Full evaluation + canonical multiset difference.
     Difference,
+}
+
+/// May `plan` be evaluated over just what arrived on `source` — a tree
+/// pushed onto a parameter's stream, or a child appended under a
+/// document's root — to get exactly its new results?
+///
+/// The argument, stated once: streams are append-only and answers are
+/// never retracted (the *positive* rewriting of "Verifying Recursive
+/// Active Documents with Positive Data Tree Rewriting"), and both plan
+/// axes navigate strictly downward. So when a single `ForEach` scans the
+/// source and no other path anywhere in the plan — another scan, a `let`,
+/// a predicate, the template — starts at it, the answer is a sum over the
+/// scan's items, each term reading only its item's subtree and the other
+/// sources, and every item an arrival adds lies inside the arrival.
+///
+/// A document adds two conditions. The scan's first step must select
+/// elements: a leading `text()`/`@attr`, or no step at all, reads the
+/// root's own value, which an append changes rather than extends. And the
+/// scan must be the outermost loop, so the new results are a *suffix* of
+/// the full answer: the engine promises the very trees, in the very
+/// order, that re-evaluating in full and filtering would deliver.
+pub fn pick_strategy(plan: &Plan, source: &SourceRef) -> DeltaStrategy {
+    let reads = |p: &PathPlan| matches!(&p.start, StartRef::Source(s) if s == source);
+    let mut references = 0;
+    plan.visit_paths(&mut |p| references += usize::from(reads(p)));
+    // Walking `input` goes from the innermost loop outwards.
+    let chain = std::iter::successors(Some(&plan.ops), |op| op.input());
+    let mut scan = None;
+    let mut loops_around_scan = 0;
+    for op in chain {
+        match op {
+            Op::ForEach { path, .. } if reads(path) => scan = Some(path),
+            Op::ForEach { .. } if scan.is_some() => loops_around_scan += 1,
+            _ => {}
+        }
+    }
+    let sound = match (references, scan, source) {
+        (1, Some(_), SourceRef::Param(_)) => true,
+        (1, Some(scan), SourceRef::Doc(_)) => {
+            let first = scan.steps.first().map(|s| &s.test);
+            matches!(first, Some(PlanTest::Label(_) | PlanTest::Wildcard)) && loops_around_scan == 0
+        }
+        _ => false,
+    };
+    if sound {
+        DeltaStrategy::SemiNaive
+    } else {
+        DeltaStrategy::Difference
+    }
 }
 
 /// An incrementally-evaluated continuous query instance.
@@ -53,7 +104,7 @@ impl<'d> ContinuousEval<'d> {
     /// Set up a continuous evaluation of `plan`.
     pub fn new(plan: Plan, docs: &'d dyn DocResolver) -> Self {
         let strategies = (0..plan.arity)
-            .map(|i| Self::pick_strategy(&plan, i))
+            .map(|i| pick_strategy(&plan, &SourceRef::Param(i)))
             .collect();
         let state = vec![Vec::new(); plan.arity];
         ContinuousEval {
@@ -63,48 +114,6 @@ impl<'d> ContinuousEval<'d> {
             strategies,
             emitted: CanonMultiset::default(),
         }
-    }
-
-    fn pick_strategy(plan: &Plan, param: usize) -> DeltaStrategy {
-        // Semi-naive requires: exactly one ForEach whose path *starts* at
-        // the parameter, and no other reference to the parameter anywhere
-        // (other scans, let-binds, nested predicates, the template).
-        let direct_scans = {
-            let mut n = 0;
-            let mut cur = Some(&plan.ops);
-            while let Some(op) = cur {
-                match op {
-                    Op::ForEach { path, .. }
-                        if path.start == StartRef::Source(SourceRef::Param(param)) =>
-                    {
-                        n += 1
-                    }
-                    Op::LetBind { path, .. }
-                        if path.start == StartRef::Source(SourceRef::Param(param)) =>
-                    {
-                        // let over the stream is not decomposable per-tree
-                        return DeltaStrategy::Difference;
-                    }
-                    _ => {}
-                }
-                cur = op.input();
-            }
-            n
-        };
-        if direct_scans != 1 {
-            return DeltaStrategy::Difference;
-        }
-        // Count *all* references; the single scan accounts for exactly one.
-        let mut refs = 0;
-        plan.ops.for_each_path(&mut |p| {
-            if p.references_param(param) {
-                refs += 1;
-            }
-        });
-        if refs != 1 || plan.template.references_param(param) {
-            return DeltaStrategy::Difference;
-        }
-        DeltaStrategy::SemiNaive
     }
 
     /// The strategy used for a parameter.
@@ -123,7 +132,11 @@ impl<'d> ContinuousEval<'d> {
         let out = match self.strategies[param] {
             DeltaStrategy::SemiNaive => {
                 let delta = [tree.clone()];
-                let ctx = Ctx::with_override(&self.state, self.docs, param, &delta);
+                let delta = Delta::Param {
+                    param,
+                    trees: &delta,
+                };
+                let ctx = Ctx::with_delta(&self.state, self.docs, delta);
                 let out = self.plan.eval_ctx(&ctx)?;
                 self.emitted.record(&out);
                 out
@@ -187,6 +200,108 @@ mod tests {
         );
         let c = ContinuousEval::new(p, &NoDocs);
         assert_eq!(c.strategy(0), DeltaStrategy::Difference);
+    }
+
+    fn doc_strategy(src: &str) -> DeltaStrategy {
+        pick_strategy(&plan(src, 1), &SourceRef::Doc("d".into()))
+    }
+
+    #[test]
+    fn semi_naive_selected_for_a_single_document_scan() {
+        for src in [
+            r#"for $i in doc("d")/item where $i/@topic = "db" return {$i}"#,
+            r#"for $p in doc("d")//pkg where $p/size/text() > 1000 return <big>{$p/@name}</big>"#,
+            r#"doc("d")/item"#,
+            r#"for $i in doc("d")/*[@k = $0/k/text()] return <hit>{$i/@k}</hit>"#,
+            r#"for $i in doc("d")/item for $x in $0/x where $i/@k = $x/@k return {$i}"#,
+        ] {
+            assert_eq!(doc_strategy(src), DeltaStrategy::SemiNaive, "{src}");
+        }
+    }
+
+    #[test]
+    fn difference_selected_where_a_document_delta_is_unsound() {
+        for (why, src) in [
+            (
+                "self-join",
+                r#"for $a in doc("d")/item for $b in doc("d")/item where $a/@k = $b/@k return <m/>"#,
+            ),
+            (
+                "let over the document",
+                r#"let $all := doc("d")/item where exists($all) return <n>{$all}</n>"#,
+            ),
+            (
+                "read again in a where clause",
+                r#"for $i in doc("d")/item where count(doc("d")/item) < 3 return {$i}"#,
+            ),
+            (
+                "read again in a step predicate",
+                r#"for $i in doc("d")/item[@k = doc("d")/key/text()] return {$i}"#,
+            ),
+            (
+                "read again in the template",
+                r#"for $i in doc("d")/item return <r>{$i}{doc("d")/stamp}</r>"#,
+            ),
+            ("the bare document", r#"doc("d")"#),
+            ("the root's own text", r#"doc("d")/text()"#),
+            (
+                "the root's own attribute",
+                r#"for $a in doc("d")/@v return <v>{$a}</v>"#,
+            ),
+            (
+                "only ever read in a predicate",
+                r#"for $x in $0/x where exists(doc("d")/item) return {$x}"#,
+            ),
+            (
+                "not the outermost loop",
+                r#"for $x in $0/x for $i in doc("d")/item where $i/@k = $x/@k return {$i}"#,
+            ),
+        ] {
+            assert_eq!(doc_strategy(src), DeltaStrategy::Difference, "{why}: {src}");
+        }
+        // Another document's scan is untouched by what `d` may do.
+        assert_eq!(
+            pick_strategy(
+                &plan(r#"for $i in doc("d")/item return {$i}"#, 0),
+                &SourceRef::Doc("other".into())
+            ),
+            DeltaStrategy::Difference
+        );
+    }
+
+    #[test]
+    fn document_delta_evaluates_the_appended_child_in_place() {
+        use std::collections::HashMap;
+        let mut doc =
+            Tree::parse(r#"<d><item k="1">old</item><box><item k="2">deep</item></box></d>"#)
+                .unwrap();
+        let fed =
+            Tree::parse(r#"<box><item k="3">new</item><box><item k="4">newer</item></box></box>"#)
+                .unwrap();
+        let root = doc.root();
+        let child = doc.graft(root, &fed, fed.root()).unwrap();
+        let docs: HashMap<_, _> = [("d".into(), doc)].into();
+        let name = "d".into();
+        let delta = Delta::DocChild { doc: &name, child };
+        for (src, expect) in [
+            (r#"for $i in doc("d")//item return {$i/@k}"#, vec!["3", "4"]),
+            (r#"for $i in doc("d")/box/item return {$i/@k}"#, vec!["3"]),
+            (
+                r#"for $i in doc("d")//box[item/@k = "4"] return {$i/item/@k}"#,
+                vec!["4"],
+            ),
+            (r#"for $i in doc("d")/item return {$i/@k}"#, vec![]),
+            (r#"for $i in doc("d")/* return {$i/item/@k}"#, vec!["3"]),
+        ] {
+            let p = plan(src, 0);
+            assert_eq!(doc_strategy(src), DeltaStrategy::SemiNaive, "{src}");
+            let out = p.eval_ctx(&Ctx::with_delta(&[], &docs, delta)).unwrap();
+            let got: Vec<String> = out.iter().map(|t| t.text(t.root())).collect();
+            assert_eq!(got, expect, "{src}");
+        }
+        // A path the picker refuses is refused by the evaluator too.
+        let p = plan(r#"doc("d")/text()"#, 0);
+        assert!(p.eval_ctx(&Ctx::with_delta(&[], &docs, delta)).is_err());
     }
 
     #[test]

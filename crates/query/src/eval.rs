@@ -86,12 +86,34 @@ pub enum BindVal<'a> {
 
 type Binds<'a> = Vec<Option<BindVal<'a>>>;
 
+/// What a semi-naive evaluation reads in place of one whole source: the
+/// part of it that just arrived. [`crate::delta::pick_strategy`] decides
+/// when evaluating over that alone yields exactly the new results.
+#[derive(Debug, Clone, Copy)]
+pub enum Delta<'a> {
+    /// Parameter `param` holds only the newly arrived trees.
+    Param {
+        /// The parameter.
+        param: usize,
+        /// The arrivals.
+        trees: &'a [Tree],
+    },
+    /// Paths starting at document `doc` see, of its root's children, only
+    /// `child` — the one just appended, inside the document's own tree.
+    DocChild {
+        /// The document.
+        doc: &'a DocName,
+        /// The appended child of its root.
+        child: NodeId,
+    },
+}
+
 /// Evaluation context: the input forests plus a document resolver, with an
-/// optional per-parameter override used by the delta evaluator.
+/// optional [`Delta`] narrowing one source to its latest arrival.
 pub struct Ctx<'a> {
     inputs: &'a [Forest],
     docs: &'a dyn DocResolver,
-    override_param: Option<(usize, &'a [Tree])>,
+    delta: Option<Delta<'a>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -100,28 +122,22 @@ impl<'a> Ctx<'a> {
         Ctx {
             inputs,
             docs,
-            override_param: None,
+            delta: None,
         }
     }
 
-    /// A context in which parameter `param` is replaced by `trees`
-    /// (delta evaluation binds it to just the newly-arrived tree).
-    pub fn with_override(
-        inputs: &'a [Forest],
-        docs: &'a dyn DocResolver,
-        param: usize,
-        trees: &'a [Tree],
-    ) -> Self {
+    /// A context in which one source is narrowed to `delta`.
+    pub fn with_delta(inputs: &'a [Forest], docs: &'a dyn DocResolver, delta: Delta<'a>) -> Self {
         Ctx {
             inputs,
             docs,
-            override_param: Some((param, trees)),
+            delta: Some(delta),
         }
     }
 
     fn param(&self, i: usize) -> QueryResult<&'a [Tree]> {
-        if let Some((p, trees)) = self.override_param {
-            if p == i {
+        if let Some(Delta::Param { param, trees }) = self.delta {
+            if param == i {
                 return Ok(trees);
             }
         }
@@ -228,6 +244,11 @@ pub fn eval_path<'a>(
                 .docs
                 .resolve(d)
                 .ok_or_else(|| QueryError::UnresolvedDoc(d.to_string()))?;
+            if let Some(Delta::DocChild { doc, child }) = ctx.delta {
+                if doc == d {
+                    return eval_doc_delta(path, tree, child, ctx, binds);
+                }
+            }
             vec![PItem::Node {
                 tree,
                 node: tree.root(),
@@ -255,6 +276,53 @@ pub fn eval_path<'a>(
         items = apply_step(step, &items, ctx, binds)?;
     }
     Ok(items)
+}
+
+/// A document path over [`Delta::DocChild`]: what the path yields through
+/// `child` and no other child of the root. Both axes only go down, so the
+/// first step is the only one that looks at the root's children.
+fn eval_doc_delta<'a>(
+    path: &PathPlan,
+    tree: &'a Tree,
+    child: NodeId,
+    ctx: &Ctx<'a>,
+    binds: &Binds<'a>,
+) -> QueryResult<Vec<PItem<'a>>> {
+    // The root's own text and attributes are not a sum over its
+    // children; the picker never narrows such a path.
+    let (first, rest) = match path.steps.split_first() {
+        Some((first, rest)) if !matches!(first.test, PlanTest::Text | PlanTest::Attr(_)) => {
+            (first, rest)
+        }
+        _ => {
+            return Err(QueryError::Internal(
+                "document delta under a path that does not start with an element step".into(),
+            ))
+        }
+    };
+    let below: Vec<NodeId> = match first.axis {
+        Axis::Child => vec![child],
+        Axis::Descendant => tree.descendants_with_self(child).collect(),
+    };
+    let nodes = below
+        .into_iter()
+        .filter(|n| node_test_matches(&first.test, tree, *n))
+        .map(|node| PItem::Node { tree, node })
+        .collect();
+    let mut items = keep_satisfying(first, nodes, ctx, binds)?;
+    for step in rest {
+        items = apply_step(step, &items, ctx, binds)?;
+    }
+    Ok(items)
+}
+
+/// Does `node` pass a node test? (Atom tests select no node.)
+pub(crate) fn node_test_matches(test: &PlanTest, t: &Tree, node: NodeId) -> bool {
+    match test {
+        PlanTest::Label(l) => t.label(node) == Some(*l),
+        PlanTest::Wildcard => t.node(node).is_element(),
+        PlanTest::Text | PlanTest::Attr(_) => false,
+    }
 }
 
 fn apply_step<'a>(
@@ -321,7 +389,16 @@ fn apply_step<'a>(
             }
         }
     }
-    // Apply predicates to the surviving items.
+    keep_satisfying(step, out, ctx, binds)
+}
+
+/// The items of `out` that satisfy every predicate of `step`.
+fn keep_satisfying<'a>(
+    step: &PlanStep,
+    out: Vec<PItem<'a>>,
+    ctx: &Ctx<'a>,
+    binds: &Binds<'a>,
+) -> QueryResult<Vec<PItem<'a>>> {
     if step.preds.is_empty() {
         return Ok(out);
     }

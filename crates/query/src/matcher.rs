@@ -73,7 +73,7 @@
 //! workloads like `for $i in doc("b")/item where $i/@topic = "t7"`.
 
 use crate::ast::{Axis, CmpOp};
-use crate::eval::{eval_pred, BindVal, Ctx, NoDocs, PItem};
+use crate::eval::{eval_pred, node_test_matches, BindVal, Ctx, NoDocs, PItem};
 use crate::plan::{
     Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, SourceRef, StartRef, VarId,
 };
@@ -542,14 +542,6 @@ impl MatchIndex {
 
 fn is_atom_test(t: &PlanTest) -> bool {
     matches!(t, PlanTest::Text | PlanTest::Attr(_))
-}
-
-fn node_test_matches(test: &PlanTest, t: &Tree, node: NodeId) -> bool {
-    match test {
-        PlanTest::Label(l) => t.label(node) == Some(*l),
-        PlanTest::Wildcard => t.node(node).is_element(),
-        PlanTest::Text | PlanTest::Attr(_) => false,
-    }
 }
 
 /// `where` conjuncts referencing exactly one `for`-bound variable, keyed

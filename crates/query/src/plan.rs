@@ -96,17 +96,6 @@ impl PathPlan {
         }
     }
 
-    /// Does any part of this path (including nested predicates) reference
-    /// the given parameter?
-    pub fn references_param(&self, i: usize) -> bool {
-        if self.start == StartRef::Source(SourceRef::Param(i)) {
-            return true;
-        }
-        self.steps
-            .iter()
-            .any(|s| s.preds.iter().any(|p| p.references_param(i)))
-    }
-
     /// Does this path (including nested predicates) reference variable `v`?
     pub fn references_var(&self, v: VarId) -> bool {
         if self.start == StartRef::Var(v) {
@@ -201,13 +190,6 @@ impl PredPlan {
         self.paths(&mut |p| p.visit_paths(f));
     }
 
-    /// Does the predicate reference parameter `i` anywhere?
-    pub fn references_param(&self, i: usize) -> bool {
-        let mut found = false;
-        self.paths(&mut |p| found |= p.references_param(i));
-        found
-    }
-
     /// Does the predicate reference variable `v` anywhere?
     pub fn references_var(&self, v: VarId) -> bool {
         let mut found = false;
@@ -284,13 +266,6 @@ impl TemplatePlan {
         });
         vars
     }
-
-    /// Does the template reference parameter `i`?
-    pub fn references_param(&self, i: usize) -> bool {
-        let mut found = false;
-        self.paths(&mut |p| found |= p.references_param(i));
-        found
-    }
 }
 
 /// Compiled attribute template.
@@ -349,24 +324,6 @@ impl Op {
     pub fn chain_len(&self) -> usize {
         1 + self.input().map_or(0, Op::chain_len)
     }
-
-    /// Visit every path in this operator chain (not templates).
-    pub fn for_each_path(&self, f: &mut impl FnMut(&PathPlan)) {
-        match self {
-            Op::Unit => {}
-            Op::ForEach { path, input, .. } | Op::LetBind { path, input, .. } => {
-                f(path);
-                path.steps
-                    .iter()
-                    .for_each(|s| s.preds.iter().for_each(|p| p.paths(f)));
-                input.for_each_path(f);
-            }
-            Op::Filter { pred, input } => {
-                pred.paths(f);
-                input.for_each_path(f);
-            }
-        }
-    }
 }
 
 /// A complete compiled query plan.
@@ -413,15 +370,6 @@ impl Plan {
             cur = op.input();
         }
         self.template.visit_paths(f);
-    }
-
-    /// Does the plan reference parameter `i` anywhere at all (scan,
-    /// predicate or template)?
-    pub fn references_param(&self, i: usize) -> bool {
-        let mut found = self.template.references_param(i);
-        self.ops
-            .for_each_path(&mut |p| found |= p.references_param(i));
-        found
     }
 }
 
@@ -551,8 +499,6 @@ mod tests {
         let p = sample_plan();
         assert_eq!(p.scans_of_param(0), 1);
         assert_eq!(p.scans_of_param(1), 0);
-        assert!(p.references_param(0));
-        assert!(!p.references_param(1));
         assert_eq!(p.ops.chain_len(), 3);
     }
 
@@ -563,7 +509,6 @@ mod tests {
             assert!(pred.references_var(0));
             assert!(!pred.references_var(1));
             assert_eq!(pred.referenced_vars(), vec![0]);
-            assert!(!pred.references_param(0));
         } else {
             panic!("expected filter on top");
         }
@@ -600,7 +545,5 @@ mod tests {
         };
         assert!(p.references_var(2));
         assert!(!p.references_var(0));
-        assert!(p.references_param(3));
-        assert!(!p.references_param(0));
     }
 }

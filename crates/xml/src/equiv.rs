@@ -63,7 +63,11 @@ pub fn canonicalize(tree: &Tree, node: NodeId) -> Canon {
 /// far, and so the one place that decides which trees of a re-evaluated
 /// result are new.
 #[derive(Debug, Clone, Default)]
-pub struct CanonMultiset(HashMap<Canon, Copies>);
+pub struct CanonMultiset {
+    copies: HashMap<Canon, Copies>,
+    /// Sum of every tree's delivered copies.
+    delivered: usize,
+}
 
 /// Per tree: copies delivered so far, and copies seen in the batch that
 /// [`CanonMultiset::admit`] is looking at.
@@ -75,7 +79,7 @@ struct Copies {
 
 impl CanonMultiset {
     fn copies(&mut self, tree: &Tree, node: NodeId) -> &mut Copies {
-        self.0.entry(canonicalize(tree, node)).or_default()
+        self.copies.entry(canonicalize(tree, node)).or_default()
     }
 
     /// The multiset of `parent`'s children.
@@ -84,7 +88,16 @@ impl CanonMultiset {
         for &c in tree.children(parent) {
             set.copies(tree, c).delivered += 1;
         }
+        set.delivered = tree.children(parent).len();
         set
+    }
+
+    /// How many trees the multiset holds, copies counted. After
+    /// [`CanonMultiset::admit`] this equals the admitted batch's length
+    /// exactly when the multiset *is* that batch — nothing delivered
+    /// earlier is missing from it.
+    pub fn delivered(&self) -> usize {
+        self.delivered
     }
 
     /// Count every tree of `trees` as delivered (the caller knows they
@@ -93,6 +106,20 @@ impl CanonMultiset {
         for t in trees {
             self.copies(t, t.root()).delivered += 1;
         }
+        self.delivered += trees.len();
+    }
+
+    /// Take back one delivered copy of every tree of `trees` — for trees
+    /// [`CanonMultiset::record`] or [`CanonMultiset::admit`] just counted
+    /// whose delivery then failed, so that they are new again next time.
+    pub fn retract(&mut self, trees: &[Tree]) {
+        for t in trees {
+            let c = self.copies(t, t.root());
+            if c.delivered > 0 {
+                c.delivered -= 1;
+                self.delivered -= 1;
+            }
+        }
     }
 
     /// The multiset difference `results ∖ self`, in result order: the
@@ -100,7 +127,7 @@ impl CanonMultiset {
     /// copies were delivered before. Everything let through counts as
     /// delivered from then on.
     pub fn admit(&mut self, mut results: Vec<Tree>) -> Vec<Tree> {
-        self.0.values_mut().for_each(|c| c.batch = 0);
+        self.copies.values_mut().for_each(|c| c.batch = 0);
         results.retain(|t| {
             let c = self.copies(t, t.root());
             c.batch += 1;
@@ -108,6 +135,7 @@ impl CanonMultiset {
             c.delivered = c.delivered.max(c.batch);
             fresh
         });
+        self.delivered += results.len();
         results
     }
 }
@@ -200,6 +228,29 @@ mod tests {
         let pb = b.first_child_labeled(b.root(), "pkg").unwrap();
         assert!(tree_equiv(&a, pa, &b, pb));
         assert!(!tree_equiv(&a, a.root(), &b, b.root()));
+    }
+
+    #[test]
+    fn multiset_counts_and_takes_back() {
+        let t = |xml: &str| Tree::parse(xml).unwrap();
+        let (a, a_flipped, b) = (t("<r><x/><y/></r>"), t("<r><y/><x/></r>"), t("<b/>"));
+        let mut set = CanonMultiset::default();
+        assert_eq!(set.admit(vec![a.clone(), b.clone()]).len(), 2);
+        assert_eq!(set.delivered(), 2);
+        // one more copy of `a` (up to sibling order) is new, `b` is not
+        let fresh = set.admit(vec![a.clone(), b.clone(), a_flipped.clone()]);
+        assert_eq!(fresh.len(), 1);
+        assert_eq!(set.delivered(), 3);
+        // its delivery failed: it is new again, and again only once
+        set.retract(&fresh);
+        assert_eq!(set.delivered(), 2);
+        let again = set.admit(vec![a.clone(), b.clone(), a_flipped]);
+        assert_eq!(again.len(), 1);
+        // a batch that lacks something delivered earlier is not the multiset
+        assert!(set.admit(vec![b]).is_empty());
+        assert_eq!(set.delivered(), 3, "more than the batch's one tree");
+        set.record(&[a]);
+        assert_eq!(set.delivered(), 4);
     }
 
     #[test]

@@ -9,12 +9,24 @@ use crate::frag::Frag;
 use crate::ids::DocName;
 use crate::tree::{NodeId, Tree};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The source of [`Document::stamp`]s. One counter for the whole process,
+/// so a document that is removed and installed again under its old name
+/// can never come back carrying a stamp its predecessor once had.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_stamp() -> u64 {
+    // Relaxed: the value only has to be unique; it publishes nothing.
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
+}
 
 /// A named XML document (the tuple `(t, d)`), hosted by one peer.
 #[derive(Debug, Clone)]
 pub struct Document {
     name: DocName,
     tree: Tree,
+    stamp: u64,
 }
 
 impl Document {
@@ -23,6 +35,7 @@ impl Document {
         Document {
             name: name.into(),
             tree,
+            stamp: fresh_stamp(),
         }
     }
 
@@ -37,8 +50,19 @@ impl Document {
     }
 
     /// Mutable access to the tree (service responses accumulate here).
+    /// The only mutable door, so it moves the [`Document::stamp`].
     pub fn tree_mut(&mut self) -> &mut Tree {
+        self.stamp = fresh_stamp();
         &mut self.tree
+    }
+
+    /// The mutation stamp: drawn afresh, from a counter that only grows,
+    /// when the document is created and every time [`Document::tree_mut`]
+    /// is taken. Two reads returning the same stamp therefore saw the
+    /// same tree — what lets a reader that remembers a stamp notice every
+    /// mutation it did not make itself, a replaced document included.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Consume the document, yielding its tree.
@@ -236,6 +260,27 @@ mod tests {
         d.tree_mut().add_text_element(r, "b", "1");
         assert_eq!(d.tree().serialize(), "<a><b>1</b></a>");
         assert_eq!(d.name().as_str(), "d");
+    }
+
+    #[test]
+    fn stamp_moves_with_every_mutable_borrow_and_replacement() {
+        let mut s = DocStore::new();
+        s.insert(doc("d", "<a/>")).unwrap();
+        let v0 = s.get(&"d".into()).unwrap().stamp();
+        assert_eq!(s.get(&"d".into()).unwrap().stamp(), v0, "reads keep it");
+        let d = s.get_mut(&"d".into()).unwrap();
+        let r = d.tree().root();
+        d.tree_mut().add_element(r, "b");
+        let v1 = d.stamp();
+        assert!(v1 > v0, "monotone");
+        assert_eq!(d.clone().stamp(), v1, "a clone is the same tree");
+        // Replaced, or removed and installed again: never an old stamp.
+        s.insert_or_replace(doc("d", "<a><b/></a>"));
+        let v2 = s.get(&"d".into()).unwrap().stamp();
+        assert!(v2 > v1);
+        s.remove(&"d".into()).unwrap();
+        s.insert(doc("d", "<a><b/></a>")).unwrap();
+        assert!(s.get(&"d".into()).unwrap().stamp() > v2);
     }
 
     #[test]

@@ -65,6 +65,30 @@ for f in $(find crates/core/src -name '*.rs' ! -path 'crates/core/src/engine/*')
     fi
 done
 
+echo "== tier-1: one strategy picker, one full arm (eval_with_docs once in core/src/continuous.rs) =="
+# A pump finds what is new either from the appended child alone or by
+# re-evaluating in full and filtering; delta.rs's pick_strategy decides
+# which is sound. Outside comments and `#[cfg(test)]` modules the engine
+# re-evaluates at one call site, and nothing but pick_strategy makes a
+# DeltaStrategy (match arms and `==` comparisons only read one).
+code() { sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$1"; }
+if [ "$(code crates/core/src/continuous.rs | grep -c 'eval_with_docs(')" -ne 1 ]; then
+    echo "tier-1: continuous.rs must call eval_with_docs at exactly one site" >&2
+    exit 1
+fi
+for f in $(find crates/*/src -name '*.rs'); do
+    made=$(code "$f" | grep -E 'DeltaStrategy::(SemiNaive|Difference)' \
+        | grep -cvE '=>|[=!]= *DeltaStrategy::' || true)
+    case "$f" in
+        crates/query/src/delta.rs) want=2 ;; # pick_strategy's two outcomes
+        *) want=0 ;;
+    esac
+    if [ "$made" -ne "$want" ]; then
+        echo "tier-1: $f constructs a DeltaStrategy outside pick_strategy" >&2
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 

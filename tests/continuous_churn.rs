@@ -3,9 +3,14 @@
 //! differentially comparing [`MatcherMode::Shared`] against
 //! [`MatcherMode::Naive`] across seeds and across both drivers. The two
 //! modes must deliver *bit-identical* results in the same order — the
-//! matcher may only skip work, never change it.
+//! matcher may only skip work, never change it. The same holds for the
+//! default mode's other shortcut, evaluating a feed's hits over the
+//! appended child alone: the second property drives it over random plan
+//! shapes, duplicate items and mutations of the fed document that no feed
+//! made, against the same reference.
 
 use axml::prelude::*;
+use axml::xml::store::Document;
 use axml::xml::tree::Tree;
 use axml_prng::SplitMix64;
 
@@ -138,4 +143,216 @@ fn shared_matcher_is_equivalent_under_churn() {
             );
         }
     }
+}
+
+/// Service bodies over `doc("board")`, `{t}` being a topic. The first
+/// five are shapes a feed may answer from the appended child alone; the
+/// picker must refuse the rest (second reference to the board, `let`,
+/// the root's own value, an outer loop, a second document).
+const SHAPES: [&str; 13] = [
+    r#"for $i in doc("board")/item where $i/@topic = "{t}" return {$i}"#,
+    r#"for $i in doc("board")//item where $i/@topic = "{t}" return <hit>{$i/text()}</hit>"#,
+    r#"doc("board")/item[@topic = "{t}"]"#,
+    r#"for $i in doc("board")/*[item/@topic = "{t}"] return <in>{$i/item}</in>"#,
+    r#"for $i in doc("board")/item[@topic = $0/text()] for $w in $0 return <w t="{$w/text()}">{$i/text()}</w>"#,
+    r#"for $a in doc("board")/item for $b in doc("board")/item where $a/@topic = "{t}" and $a/text() = $b/text() return <pair>{$a/text()}</pair>"#,
+    r#"let $all := doc("board")/item[@topic = "{t}"] where exists($all) return <all>{$all}</all>"#,
+    r#"for $i in doc("board")/item where $i/@topic = "{t}" and count(doc("board")/item) < 12 return {$i}"#,
+    r#"for $i in doc("board")/item where $i/@topic = "{t}" return <r>{$i/text()}<n>{doc("board")/box}</n></r>"#,
+    r#"doc("board")/text()"#,
+    r#"doc("board")"#,
+    r#"for $w in $0 for $i in doc("board")/item where $i/@topic = $w/text() return {$i}"#,
+    r#"for $i in doc("board")/item for $m in doc("side")/item where $i/@topic = "{t}" and $i/@topic = $m/@topic return <m>{$i/text()}</m>"#,
+];
+
+const PROP_TOPICS: usize = 4;
+const PROP_INBOXES: usize = 8;
+
+/// A provider hosting `board` (what is fed), `side` (read by the last
+/// shape and by `relay`) and every shape × topic as a service; a client
+/// with `PROP_INBOXES` documents of random calls, plus one whose call
+/// forwards `side`'s items *into the board* — a delivery no feed of the
+/// board made.
+fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
+    let mut rng = SplitMix64::new(seed ^ 0x5EED_0B0A);
+    let driver = [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }][seed as usize % 2];
+    let mut b = AxmlSystem::builder()
+        .peers(["provider", "client"])
+        .driver(driver)
+        .link("provider", "client", LinkCost::lan())
+        .doc(
+            "provider",
+            "board",
+            r#"<board><item topic="t0">seed</item></board>"#,
+        )
+        .doc("provider", "side", "<side/>")
+        .service("provider", "relay", r#"doc("side")/item"#);
+    for (k, shape) in SHAPES.iter().enumerate() {
+        for t in 0..PROP_TOPICS {
+            b = b.service(
+                "provider",
+                format!("s{k}-{t}"),
+                &shape.replace("{t}", &format!("t{t}")),
+            );
+        }
+    }
+    for d in 0..PROP_INBOXES {
+        let mut xml = format!("<inbox{d}>");
+        for _ in 0..rng.gen_range(2..7usize) {
+            let (k, t) = (
+                rng.gen_range(0..SHAPES.len()),
+                rng.gen_range(0..PROP_TOPICS),
+            );
+            let w = rng.gen_range(0..PROP_TOPICS);
+            xml.push_str(&format!(
+                "<sc><peer>p0</peer><service>s{k}-{t}</service><param1><w>t{w}</w></param1></sc>"
+            ));
+        }
+        xml.push_str(&format!("</inbox{d}>"));
+        b = b.doc("client", format!("inbox{d}"), xml.as_str());
+    }
+    let mut sys = b.build().unwrap();
+    let provider = sys.peer_id("provider").unwrap();
+    let client = sys.peer_id("client").unwrap();
+    let board = sys.peer(provider).doc(&"board".into(), provider).unwrap();
+    let relay = format!(
+        "<relay><sc><peer>p0</peer><service>relay</service><forw>board#{}@p0</forw></sc></relay>",
+        board.root().index()
+    );
+    sys.install_doc(client, "relay", Tree::parse(&relay).unwrap())
+        .unwrap();
+    sys.set_matcher_mode(mode);
+    sys
+}
+
+/// One seeded schedule of feeds (some repeating the previous item, some
+/// nested), foreign mutations of the board, activations and
+/// unsubscriptions. Returns the transcript of per-step outcomes and the
+/// final bytes of every document that received anything.
+fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>) {
+    let provider = sys.peer_id("provider").unwrap();
+    let client = sys.peer_id("client").unwrap();
+    let board: DocName = "board".into();
+    let mut rng = SplitMix64::new(seed);
+    let mut live: Vec<u64> = Vec::new();
+    let mut pending: Vec<String> = (0..PROP_INBOXES).map(|d| format!("inbox{d}")).collect();
+    pending.insert(rng.gen_range(0..4usize), "relay".into());
+    pending.reverse();
+    let activate = |sys: &mut AxmlSystem, doc: String, live: &mut Vec<u64>| {
+        let ids = sys.activate_document(client, &doc.as_str().into());
+        live.extend(ids.as_ref().unwrap());
+        format!("activate {doc} -> {ids:?}")
+    };
+    let mut last_item = String::from(r#"<item topic="t0">seed</item>"#);
+    let mut log: Vec<String> = (0..3)
+        .map(|_| activate(sys, pending.pop().unwrap(), &mut live))
+        .collect();
+    for step in 0..80 {
+        let item = format!(
+            r#"<item topic="t{}">s{step}</item>"#,
+            rng.gen_range(0..PROP_TOPICS)
+        );
+        match rng.gen_range(0..20u32) {
+            0..=10 => {
+                let xml = match rng.gen_range(0..4u32) {
+                    0 => last_item.clone(),
+                    1 => format!("<box>{item}<box>{last_item}</box></box>"),
+                    _ => item,
+                };
+                let n = sys.feed(provider, "board", Tree::parse(&xml).unwrap());
+                log.push(format!("feed {xml} -> {n:?}"));
+                if xml.starts_with("<item") {
+                    last_item = xml;
+                }
+            }
+            11 | 12 => {
+                // Lands in the board through `relay`, once that is live.
+                let n = sys.feed(provider, "side", Tree::parse(&item).unwrap());
+                log.push(format!("side {n:?}"));
+            }
+            13 | 14 => {
+                // An edit by hand: one more item, or the newest child gone
+                // (often the item the next feed repeats).
+                let doc = sys.peer_mut(provider).docs.require_mut(&board).unwrap();
+                let root = doc.tree().root();
+                match doc.tree().children(root).last().copied() {
+                    Some(newest) if rng.gen_bool(0.4) => doc.tree_mut().detach(newest).unwrap(),
+                    _ => {
+                        let t = Tree::parse(&item).unwrap();
+                        doc.tree_mut().graft(root, &t, t.root()).unwrap();
+                    }
+                }
+                log.push("edit".into());
+            }
+            15 => {
+                // The document replaced: in one step, or removed and
+                // installed again — with one more item than it had.
+                let docs = &mut sys.peer_mut(provider).docs;
+                let mut tree = docs.require(&board).unwrap().tree().clone();
+                let (root, t) = (tree.root(), Tree::parse(&item).unwrap());
+                tree.graft(root, &t, t.root()).unwrap();
+                if rng.gen_bool(0.5) {
+                    docs.insert_or_replace(Document::new(board.clone(), tree));
+                } else {
+                    docs.remove(&board).unwrap();
+                    docs.insert(Document::new(board.clone(), tree)).unwrap();
+                }
+                log.push("replace".into());
+            }
+            14..=16 => {
+                if let Some(doc) = pending.pop() {
+                    let ids = sys.activate_document(client, &doc.as_str().into()).unwrap();
+                    log.push(format!("activate {doc} -> {ids:?}"));
+                    live.extend(ids);
+                }
+            }
+            _ => {
+                if !live.is_empty() {
+                    let id = live.swap_remove(rng.gen_range(0..live.len()));
+                    assert!(sys.unsubscribe(id));
+                    log.push(format!("unsubscribe {id}"));
+                }
+            }
+        }
+    }
+    let deliveries: Vec<_> = sys.subscriptions().map(|s| (s.id, s.delivered)).collect();
+    log.push(format!("delivered {deliveries:?}"));
+    let mut docs: Vec<String> = (0..PROP_INBOXES)
+        .map(|d| (client, format!("inbox{d}")))
+        .chain([(provider, "board".to_string())])
+        .map(|(at, name)| {
+            let tree = sys.peer(at).doc(&name.as_str().into(), at).unwrap();
+            tree.serialize()
+        })
+        .collect();
+    docs.push(format!("{}", sys.stats().total_bytes()));
+    (log, docs)
+}
+
+#[test]
+fn delta_pumps_are_equivalent_to_full_re_evaluation() {
+    let (mut on_delta, mut in_full) = (0, 0);
+    for seed in 0..24u64 {
+        let seed = 0xD_E17A_0000 + seed;
+        let mut shared = prop_build(MatcherMode::Shared, seed);
+        let mut naive = prop_build(MatcherMode::Naive, seed);
+        let (log_shared, docs_shared) = prop_run(&mut shared, seed);
+        let (log_naive, docs_naive) = prop_run(&mut naive, seed);
+        assert_eq!(
+            log_shared, log_naive,
+            "transcripts diverged (seed {seed:#x})"
+        );
+        assert_eq!(
+            docs_shared, docs_naive,
+            "documents diverged (seed {seed:#x})"
+        );
+        let (m, n) = (shared.metrics(), naive.metrics());
+        assert_eq!(m.delta_fresh, n.delta_fresh, "seed {seed:#x}");
+        assert!(m.matcher_consistent());
+        on_delta += n.delta_suppressed - m.delta_suppressed;
+        in_full += m.delta_suppressed;
+    }
+    // Both arms ran: trees the reference re-derived and the default mode
+    // never looked at, and trees the default mode re-derived as well.
+    assert!(on_delta > 0 && in_full > 0, "{on_delta} / {in_full}");
 }
