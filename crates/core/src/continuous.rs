@@ -89,11 +89,12 @@ pub struct Subscription {
     /// hold back a later copy of that result as already delivered, and
     /// an evaluation over the delta alone cannot know to do the same.
     exact: bool,
-    /// The service's query, if a feed of the one document it reads may
-    /// be answered from the appended child alone — [`pick_strategy`]'s
-    /// verdict on it, taken once by [`SubscriptionTable::insert`]. A pump
-    /// that finds the service redefined since evaluates in full.
-    delta_query: Option<Query>,
+    /// May a feed of the one document the service reads be answered from
+    /// the appended child alone? [`pick_strategy`]'s verdict on its query,
+    /// taken once by [`SubscriptionTable::insert`] along with the index
+    /// registration and the trigger — like them, it is not revisited if
+    /// the service is redefined under a live subscription.
+    semi_naive: bool,
     /// Total trees delivered.
     pub delivered: usize,
 }
@@ -163,9 +164,8 @@ impl SubscriptionTable {
                 // `in_step_at` vouches for one document, so a
                 // subscription reading several always evaluates in full.
                 if let ([d], Some(plan)) = (deps.as_slice(), query.plan()) {
-                    if pick_strategy(plan, &SourceRef::Doc(d.clone())) == DeltaStrategy::SemiNaive {
-                        sub.delta_query = Some(query.clone());
-                    }
+                    sub.semi_naive =
+                        pick_strategy(plan, &SourceRef::Doc(d.clone())) == DeltaStrategy::SemiNaive;
                 }
             }
             (Trigger::AfterAnswer(pred), _) => {
@@ -335,7 +335,7 @@ impl AxmlSystem {
                     trigger,
                     emitted: CanonMultiset::default(),
                     exact: false,
-                    delta_query: None,
+                    semi_naive: false,
                     delivered: 0,
                 },
                 query.as_ref(),
@@ -457,7 +457,7 @@ impl AxmlSystem {
         let shared = self.subs.mode == MatcherMode::Shared;
         let in_step = shared && watch.in_step_at == Some(before);
         let registered = watch.index.registered();
-        let pumped = if in_step {
+        let mut pumped = if in_step {
             watch.index.probe(&tree)
         } else {
             registered.clone()
@@ -468,10 +468,25 @@ impl AxmlSystem {
             self.obs.metrics.matcher_hits += hit;
             self.obs.metrics.matcher_skips += all - hit;
         }
-        let delta = in_step.then_some(Delta::DocChild { doc, child });
+        let mut delta = in_step.then_some(Delta::DocChild { doc, child });
         let mut delivered = 0;
-        for id in pumped {
+        while let Some(id) = pumped.pop_first() {
             delivered += self.pump_into(s, id, delta)?;
+            // A delivery that landed in the fed document itself: the
+            // watchers still to come would see more than `child`, and
+            // more than the probe looked at. All of them evaluate in
+            // full, as the reference does — those skipped included.
+            let stamp = || self.peers[at.index()].docs.get(doc).map(Document::stamp);
+            if delta.is_some() && stamp() != Some(fed) {
+                delta = None;
+                let hits = pumped.len() as u64;
+                if let Some(watch) = self.subs.watches.get(&key) {
+                    pumped = watch.index.registered().range(id + 1..).copied().collect();
+                }
+                let skipped = pumped.len() as u64 - hits;
+                self.obs.metrics.matcher_hits += skipped;
+                self.obs.metrics.matcher_skips -= skipped;
+            }
         }
         // Only now, every pump having delivered: the watchers have seen
         // the document as this feed's graft left it. A delivery that
@@ -527,13 +542,8 @@ impl AxmlSystem {
         let state = &self.peers[provider.index()];
         let svc = state.service(&sub.service, provider)?;
         // Step 2: the provider computes what is new …
-        let delta_plan = match (delta, &sub.delta_query) {
-            (Some(delta), Some(q)) if sub.exact && *q == svc.query => {
-                q.plan().map(|plan| (plan, delta))
-            }
-            _ => None,
-        };
-        let (fresh, suppressed) = match delta_plan {
+        let delta = delta.filter(|_| sub.semi_naive && sub.exact);
+        let (fresh, suppressed) = match svc.query.plan().zip(delta) {
             // … from the appended child alone: all of it is new,
             Some((plan, delta)) => {
                 let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
@@ -566,8 +576,13 @@ impl AxmlSystem {
             return Ok(0);
         }
         // Step 3: ship to the sink (repeatedly, for continuous services).
-        // Only what was issued counts as delivered: trees a failed
-        // delivery never sent are new again at the next pump.
+        // Only what was issued to every sink counts as delivered: after
+        // a failure the whole batch is new again at the next pump (and
+        // counted in `delta_fresh` again — that is what evaluation found
+        // new, not what arrived). A forward list is walked in order, so
+        // the sinks before the failing one get the batch a second time:
+        // delivery is at least once per sink, exactly once when no
+        // delivery fails.
         let issued = self.deliver_to_nodes(s, provider, &sink, &fresh);
         let sub = self.subs.live.get_mut(&id).ok_or_else(no_sub)?;
         if let Err(e) = issued {
@@ -1213,6 +1228,64 @@ mod matcher_tests {
         );
         assert!(shared.metrics().matcher_skips > 0);
         assert_eq!(naive.metrics().matcher_probes, 0, "naive mode never probes");
+    }
+
+    /// `echo` forwards into the very document it reads, so the watchers
+    /// pumped after it in the same feed see more than the fed child:
+    /// `all` would be hit anyway, `saw` only reads what `echo` leaves.
+    fn echo_run(mode: MatcherMode) -> (Vec<usize>, String) {
+        let mut sys = AxmlSystem::new();
+        let client = sys.add_peer("client");
+        let server = sys.add_peer("server");
+        sys.set_matcher_mode(mode);
+        sys.install_doc(server, "board", Tree::parse("<board/>").unwrap())
+            .unwrap();
+        for (name, src) in [
+            (
+                "echo",
+                r#"for $i in doc("board")/item return <echo>{$i/text()}</echo>"#,
+            ),
+            (
+                "all",
+                r#"for $i in doc("board")/* return <got>{$i/text()}</got>"#,
+            ),
+            (
+                "saw",
+                r#"for $e in doc("board")/echo return <saw>{$e/text()}</saw>"#,
+            ),
+        ] {
+            sys.register_declarative_service(server, name, src).unwrap();
+        }
+        let root = sys
+            .peer(server)
+            .doc(&"board".into(), server)
+            .unwrap()
+            .root();
+        let inbox = format!(
+            "<inbox><sc><peer>p1</peer><service>echo</service><forw>board#{}@p1</forw></sc>\
+             <sc><peer>p1</peer><service>all</service></sc>\
+             <sc><peer>p1</peer><service>saw</service></sc></inbox>",
+            root.index()
+        );
+        sys.install_doc(client, "inbox", Tree::parse(&inbox).unwrap())
+            .unwrap();
+        sys.activate_document(client, &"inbox".into()).unwrap();
+        let counts = ["a", "b", "a"]
+            .map(|v| {
+                let item = Tree::parse(&format!("<item>{v}</item>")).unwrap();
+                sys.feed(server, "board", item).unwrap()
+            })
+            .to_vec();
+        assert!(sys.metrics().matcher_consistent());
+        let inbox = sys.peer(client).doc(&"inbox".into(), client).unwrap();
+        (counts, inbox.serialize())
+    }
+
+    #[test]
+    fn delivery_into_the_fed_document_reaches_the_later_pumps() {
+        let naive = echo_run(MatcherMode::Naive);
+        assert_eq!(naive.0, [4, 4, 4], "echo, item + echo got, echo saw");
+        assert_eq!(echo_run(MatcherMode::Shared), naive);
     }
 
     #[test]

@@ -358,10 +358,6 @@ impl PartialEq for Query {
         if self.arity != other.arity {
             return false;
         }
-        // Clones share their definition: no need to walk the plans.
-        if Arc::ptr_eq(&self.def, &other.def) {
-            return true;
-        }
         match (&self.def.kind, &other.def.kind) {
             (QueryKind::Leaf { plan: a, .. }, QueryKind::Leaf { plan: b, .. }) => a == b,
             (

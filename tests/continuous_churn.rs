@@ -146,15 +146,18 @@ fn shared_matcher_is_equivalent_under_churn() {
 }
 
 /// Service bodies over `doc("board")`, `{t}` being a topic. The first
-/// five are shapes a feed may answer from the appended child alone; the
-/// picker must refuse the rest (second reference to the board, `let`,
-/// the root's own value, an outer loop, a second document).
-const SHAPES: [&str; 13] = [
+/// six are shapes a feed may answer from the appended child alone (the
+/// sixth reads only what `echo` forwards into the board, so the probe of
+/// a fed item skips it); the picker must refuse the rest (second
+/// reference to the board, `let`, the root's own value, an outer loop, a
+/// second document).
+const SHAPES: [&str; 14] = [
     r#"for $i in doc("board")/item where $i/@topic = "{t}" return {$i}"#,
     r#"for $i in doc("board")//item where $i/@topic = "{t}" return <hit>{$i/text()}</hit>"#,
     r#"doc("board")/item[@topic = "{t}"]"#,
     r#"for $i in doc("board")/*[item/@topic = "{t}"] return <in>{$i/item}</in>"#,
     r#"for $i in doc("board")/item[@topic = $0/text()] for $w in $0 return <w t="{$w/text()}">{$i/text()}</w>"#,
+    r#"for $e in doc("board")/echo where $e/@topic = "{t}" return <saw>{$e/text()}</saw>"#,
     r#"for $a in doc("board")/item for $b in doc("board")/item where $a/@topic = "{t}" and $a/text() = $b/text() return <pair>{$a/text()}</pair>"#,
     r#"let $all := doc("board")/item[@topic = "{t}"] where exists($all) return <all>{$all}</all>"#,
     r#"for $i in doc("board")/item where $i/@topic = "{t}" and count(doc("board")/item) < 12 return {$i}"#,
@@ -170,9 +173,10 @@ const PROP_INBOXES: usize = 8;
 
 /// A provider hosting `board` (what is fed), `side` (read by the last
 /// shape and by `relay`) and every shape × topic as a service; a client
-/// with `PROP_INBOXES` documents of random calls, plus one whose call
-/// forwards `side`'s items *into the board* — a delivery no feed of the
-/// board made.
+/// with `PROP_INBOXES` documents of random calls, plus two whose call
+/// forwards *into the board*: `relay` sends `side`'s items there — a
+/// delivery no feed of the board made — and `echo` the board's own, in
+/// the middle of the feed that pumps it.
 fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
     let mut rng = SplitMix64::new(seed ^ 0x5EED_0B0A);
     let driver = [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }][seed as usize % 2];
@@ -186,7 +190,12 @@ fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
             r#"<board><item topic="t0">seed</item></board>"#,
         )
         .doc("provider", "side", "<side/>")
-        .service("provider", "relay", r#"doc("side")/item"#);
+        .service("provider", "relay", r#"doc("side")/item"#)
+        .service(
+            "provider",
+            "echo",
+            r#"for $i in doc("board")/item where $i/@topic != "t0" return <echo topic="{$i/@topic}">{$i/text()}</echo>"#,
+        );
     for (k, shape) in SHAPES.iter().enumerate() {
         for t in 0..PROP_TOPICS {
             b = b.service(
@@ -215,12 +224,14 @@ fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
     let provider = sys.peer_id("provider").unwrap();
     let client = sys.peer_id("client").unwrap();
     let board = sys.peer(provider).doc(&"board".into(), provider).unwrap();
-    let relay = format!(
-        "<relay><sc><peer>p0</peer><service>relay</service><forw>board#{}@p0</forw></sc></relay>",
-        board.root().index()
-    );
-    sys.install_doc(client, "relay", Tree::parse(&relay).unwrap())
-        .unwrap();
+    let root = board.root().index();
+    for name in ["relay", "echo"] {
+        let xml = format!(
+            "<{name}><sc><peer>p0</peer><service>{name}</service><forw>board#{root}@p0</forw></sc></{name}>"
+        );
+        sys.install_doc(client, name, Tree::parse(&xml).unwrap())
+            .unwrap();
+    }
     sys.set_matcher_mode(mode);
     sys
 }
@@ -236,7 +247,9 @@ fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>) {
     let mut rng = SplitMix64::new(seed);
     let mut live: Vec<u64> = Vec::new();
     let mut pending: Vec<String> = (0..PROP_INBOXES).map(|d| format!("inbox{d}")).collect();
-    pending.insert(rng.gen_range(0..4usize), "relay".into());
+    for forwarder in ["relay", "echo"] {
+        pending.insert(rng.gen_range(0..4usize), forwarder.into());
+    }
     pending.reverse();
     let activate = |sys: &mut AxmlSystem, doc: String, live: &mut Vec<u64>| {
         let ids = sys.activate_document(client, &doc.as_str().into());
@@ -299,7 +312,7 @@ fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>) {
                 }
                 log.push("replace".into());
             }
-            14..=16 => {
+            16 => {
                 if let Some(doc) = pending.pop() {
                     let ids = sys.activate_document(client, &doc.as_str().into()).unwrap();
                     log.push(format!("activate {doc} -> {ids:?}"));
