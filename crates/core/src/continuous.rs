@@ -19,6 +19,7 @@
 
 use crate::engine::{EvalSession, Intent};
 use crate::error::{CoreError, CoreResult};
+use crate::message::{AxmlMessage, Body};
 use crate::peer::PeerState;
 use crate::sc::{ActivationMode, ScNode, ScProvider};
 use crate::system::AxmlSystem;
@@ -295,9 +296,9 @@ impl AxmlSystem {
             // is pure accounting — the subscription machinery reads the
             // provider's state directly, so no receiver-side intent.
             if provider != at {
-                let msg = crate::message::AxmlMessage::Invoke {
+                let msg = AxmlMessage::Invoke {
                     service: service.clone(),
-                    params: params.iter().map(|f| Self::serialize_forest(f)).collect(),
+                    params: params.iter().cloned().map(Body::forest).collect(),
                     forward: sink.clone(),
                     call_id: id,
                 };
@@ -739,54 +740,6 @@ mod tests {
             digest.children(digest.root()).len(),
             1,
             "nothing lands at the caller"
-        );
-    }
-
-    /// A delivery that fails is not a delivery: the trees it never sent
-    /// are still owed once the sink is back.
-    #[test]
-    fn failed_delivery_is_not_recorded_as_delivered() {
-        let mut sys = AxmlSystem::new();
-        let client = sys.add_peer("client");
-        let server = sys.add_peer("server");
-        sys.net_mut().set_link(client, server, LinkCost::wan());
-        sys.install_doc(server, "feed", Tree::parse("<feed/>").unwrap())
-            .unwrap();
-        sys.install_doc(server, "log", Tree::parse("<log/>").unwrap())
-            .unwrap();
-        sys.register_declarative_service(server, "items", r#"doc("feed")/item"#)
-            .unwrap();
-        let log_root = sys.peer(server).doc(&"log".into(), server).unwrap().root();
-        sys.install_doc(client, "inbox", {
-            let mut t = Tree::parse("<inbox/>").unwrap();
-            let root = t.root();
-            let sc = ScNode {
-                id: None,
-                provider: ScProvider::Peer(server),
-                service: "items".into(),
-                params: vec![],
-                forward: vec![NodeAddr::new(server, "log", log_root)],
-                mode: ActivationMode::Immediate,
-            };
-            sc.write(&mut t, root);
-            t
-        })
-        .unwrap();
-        let ids = sys.activate_document(client, &"inbox".into()).unwrap();
-        let log = sys.peer_mut(server).docs.remove(&"log".into()).unwrap();
-        let item = |v: &str| Tree::parse(&format!("<item>{v}</item>")).unwrap();
-        let lost = sys.feed(server, "feed", item("a")).unwrap_err();
-        assert!(matches!(lost, CoreError::NoSuchDoc { .. }), "{lost:?}");
-        sys.peer_mut(server).docs.insert(log).unwrap();
-        let delivered = sys.feed(server, "feed", item("b")).unwrap();
-        let sub = sys.subscriptions().find(|s| s.id == ids[0]).unwrap();
-        assert_eq!((delivered, sub.delivered), (2, 2), "a is owed, b is new");
-        assert_eq!(
-            sys.peer(server)
-                .doc(&"log".into(), server)
-                .unwrap()
-                .serialize(),
-            "<log><item>a</item><item>b</item></log>"
         );
     }
 

@@ -12,9 +12,9 @@
 //! phases:
 //!
 //! 1. **Speculative precompute** (workers): the heavy, *pure* pieces of
-//!    a wave — query evaluations against a peer's documents and forest
-//!    serializations for the wire — run on a scoped worker pool over an
-//!    immutable borrow of Σ. Each job snapshots the owning peer's
+//!    a wave — query evaluations against a peer's documents — run on a
+//!    scoped worker pool over an immutable borrow of Σ. Each job
+//!    snapshots the owning peer's
 //!    *state epoch* (a counter bumped on every peer-state mutation).
 //! 2. **Ordered commit** (coordinator): the wave is then replayed in
 //!    exactly the sequential order through exactly the sequential code
@@ -53,8 +53,10 @@
 
 use crate::engine::{Cont, Delivery, EvalSession, Intent, Runnable};
 use crate::error::{CoreError, CoreResult};
+use crate::message::write_forest;
 use crate::peer::PeerState;
 use crate::system::AxmlSystem;
+use axml_net::bytes::PutBytes;
 use axml_query::Query;
 use axml_xml::ids::{PeerId, ServiceName};
 use axml_xml::tree::Tree;
@@ -124,14 +126,11 @@ enum Job<'a> {
         query: &'a Query,
         input: &'a [Vec<Tree>],
     },
-    /// Serialize a forest for the wire (remote sends and replies).
-    Serialize { forest: &'a [Vec<Tree>] },
     /// [`Intent::Invoke`]: run the provider's service body.
     Service {
         prov: PeerId,
         service: &'a ServiceName,
         params: &'a [Vec<Tree>],
-        need_payload: bool,
     },
 }
 
@@ -147,108 +146,59 @@ impl<'a> Job<'a> {
                 query,
                 input: &input[*skip..],
             }),
-            Cont::SendPeer { dest, .. } if dest != peer => Some(Job::Serialize { forest: input }),
-            Cont::ReplyData { reply_to, .. } if reply_to != peer => {
-                Some(Job::Serialize { forest: input })
-            }
-            Cont::SendNewDoc { peer: dest, .. } if dest != peer => {
-                Some(Job::Serialize { forest: input })
-            }
             _ => None,
         }
     }
 
     /// The precomputable part of a mailbox delivery, if any.
     fn for_delivery(d: &'a Delivery) -> Option<Job<'a>> {
-        match &d.wire.intent {
-            Intent::Invoke {
-                caller,
-                service,
-                params,
-                forward,
-                ..
-            } => Some(Job::Service {
+        match &d.intent {
+            Intent::Invoke { service, .. } => Some(Job::Service {
                 prov: d.to,
                 service,
-                params,
-                need_payload: forward.is_empty() && *caller != d.to,
+                params: &d.forests,
             }),
             _ => None,
         }
     }
 
     /// Dedup key for in-wave request collapsing (service jobs only —
-    /// collapsing `Apply`/`Serialize` would buy nothing, their inputs
-    /// are distinct by construction).
-    fn collapse_key(&self) -> Option<(PeerId, &'a ServiceName, String, bool)> {
+    /// collapsing `Apply` would buy nothing, its inputs are distinct by
+    /// construction).
+    fn collapse_key(&self) -> Option<(PeerId, &'a ServiceName, Vec<u8>)> {
         match self {
             Job::Service {
                 prov,
                 service,
                 params,
-                need_payload,
-            } => Some((*prov, service, params_key(params), *need_payload)),
-            _ => None,
+            } => Some((*prov, service, params_key(params))),
+            Job::Apply { .. } => None,
         }
     }
 }
 
-/// Canonical cache key for a parameter-forest list.
-fn params_key(params: &[Vec<Tree>]) -> String {
-    let mut key = String::new();
+/// Canonical cache key for a parameter-forest list: each forest as the
+/// wire would carry it, length-prefixed.
+fn params_key(params: &[Vec<Tree>]) -> Vec<u8> {
+    let mut key = Vec::new();
     for p in params {
-        key.push_str(&AxmlSystem::serialize_forest(p));
-        key.push('\u{1f}');
+        let at = key.len();
+        key.put_u32(0);
+        write_forest(p, &mut key);
+        key.patch_len(at, key.len() - at - 4);
     }
     key
 }
 
-/// A speculative result, tagged with the state epoch it was computed
+/// A speculative result of either job kind — a forest, or why there is
+/// none — tagged with the peer and the state epoch it was computed
 /// against. The committing coordinator uses it only if the epoch still
-/// matches; `Payload` is a pure function of the wave entry's own data
-/// and needs no guard.
-enum Precomp {
-    /// A forest result of [`Job::Apply`].
-    Forest {
-        peer: PeerId,
-        epoch: u64,
-        result: CoreResult<Vec<Tree>>,
-    },
-    /// A wire payload from [`Job::Serialize`].
-    Payload(String),
-    /// Results (and, if requested, the response payload) of
-    /// [`Job::Service`].
-    Service {
-        peer: PeerId,
-        epoch: u64,
-        result: CoreResult<(Vec<Tree>, Option<String>)>,
-    },
-}
-
-impl Precomp {
-    fn clone_for_duplicate(&self) -> Precomp {
-        match self {
-            Precomp::Forest {
-                peer,
-                epoch,
-                result,
-            } => Precomp::Forest {
-                peer: *peer,
-                epoch: *epoch,
-                result: result.clone(),
-            },
-            Precomp::Payload(p) => Precomp::Payload(p.clone()),
-            Precomp::Service {
-                peer,
-                epoch,
-                result,
-            } => Precomp::Service {
-                peer: *peer,
-                epoch: *epoch,
-                result: result.clone(),
-            },
-        }
-    }
+/// matches.
+#[derive(Clone)]
+struct Precomp {
+    peer: PeerId,
+    epoch: u64,
+    result: CoreResult<Vec<Tree>>,
 }
 
 /// Run one job against an immutable Σ. This mirrors — statement for
@@ -256,43 +206,43 @@ impl Precomp {
 /// (epoch-matching) precomp is substitutable without observable
 /// difference.
 fn run_job(peers: &[PeerState], epochs: &[u64], job: &Job<'_>) -> Precomp {
-    match job {
-        Job::Serialize { forest } => {
-            let first = forest.first().map(Vec::as_slice).unwrap_or(&[]);
-            Precomp::Payload(AxmlSystem::serialize_forest(first))
-        }
-        Job::Apply { peer, query, input } => Precomp::Forest {
-            peer: *peer,
-            epoch: epochs[peer.index()],
-            result: query
+    let (peer, result) = match job {
+        Job::Apply { peer, query, input } => (
+            *peer,
+            query
                 .eval_with_docs(input, &peers[peer.index()])
                 .map_err(CoreError::from),
-        },
+        ),
         Job::Service {
             prov,
             service,
             params,
-            need_payload,
-        } => {
-            let result = (|| {
-                let svc = peers[prov.index()].service(service, *prov)?;
-                if svc.arity() != params.len() {
-                    return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
-                        expected: svc.arity(),
-                        got: params.len(),
-                    }));
-                }
-                let results = svc.query.eval_with_docs(params, &peers[prov.index()])?;
-                let payload = need_payload.then(|| AxmlSystem::serialize_forest(&results));
-                Ok((results, payload))
-            })();
-            Precomp::Service {
-                peer: *prov,
-                epoch: epochs[prov.index()],
-                result,
-            }
-        }
+        } => (*prov, run_service(peers, *prov, service, params)),
+    };
+    Precomp {
+        peer,
+        epoch: epochs[peer.index()],
+        result,
     }
+}
+
+/// §2.2 step 2: apply the provider's implementation query to the
+/// parameter forests.
+fn run_service(
+    peers: &[PeerState],
+    prov: PeerId,
+    service: &ServiceName,
+    params: &[Vec<Tree>],
+) -> CoreResult<Vec<Tree>> {
+    let state = &peers[prov.index()];
+    let svc = state.service(service, prov)?;
+    if svc.arity() != params.len() {
+        return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
+            expected: svc.arity(),
+            got: params.len(),
+        }));
+    }
+    Ok(svc.query.eval_with_docs(params, state)?)
 }
 
 /// Statistics of one precompute phase, returned to the coordinator.
@@ -327,7 +277,7 @@ fn precompute(
     let mut unique: Vec<(usize, &Job<'_>)> = Vec::new();
     let mut dup_of: Vec<(usize, usize)> = Vec::new(); // (wave ix, unique ix)
     {
-        let mut seen: HashMap<(PeerId, &ServiceName, String, bool), usize> = HashMap::new();
+        let mut seen: HashMap<(PeerId, &ServiceName, Vec<u8>), usize> = HashMap::new();
         for (ix, job) in &jobs {
             match job.collapse_key() {
                 Some(key) => match seen.get(&key) {
@@ -388,22 +338,18 @@ fn precompute(
     // Duplicates share the representative's result.
     let rep_ix: Vec<usize> = unique.iter().map(|(ix, _)| *ix).collect();
     for (ix, u) in dup_of {
-        out[ix] = out[rep_ix[u]].as_ref().map(Precomp::clone_for_duplicate);
+        out[ix] = out[rep_ix[u]].clone();
     }
     (out, stats)
 }
 
-/// One memoized service evaluation (see `Speculation::svc_cache`).
-struct CachedCall {
-    epoch: u64,
-    results: Vec<Tree>,
-    payload: Option<String>,
-}
+/// Provider, service and [`params_key`]: what makes two calls the same.
+type CallKey = (PeerId, ServiceName, Vec<u8>);
 
 /// The parallel driver's session-side state, and the one hook through
 /// which a committing task receives what the workers precomputed for
 /// it: the driver stages a wave entry's [`Precomp`] right before
-/// committing the entry, and the three `AxmlSystem` accessors below
+/// committing the entry, and the two `AxmlSystem` accessors below
 /// take it. Inert under the sequential driver — nothing is ever staged
 /// and the cache stays off, so every accessor computes inline.
 pub(crate) struct Speculation {
@@ -412,11 +358,10 @@ pub(crate) struct Speculation {
     collapse: bool,
     /// The precomputed value of the wave entry being committed.
     staged: Option<Precomp>,
-    /// Session-scoped service-result cache: `(provider, service,
-    /// canonical params) → result @ epoch`. Entries are only reused
-    /// while the provider's state epoch is unchanged, so a hit is
-    /// bit-identical to recomputing.
-    svc_cache: HashMap<(PeerId, ServiceName, String), CachedCall>,
+    /// Session-scoped service-result cache, `call → (epoch, results)`:
+    /// an entry is reused only while the provider's state epoch is
+    /// unchanged, so a hit is bit-identical to recomputing.
+    svc_cache: HashMap<CallKey, (u64, Vec<Tree>)>,
 }
 
 impl Speculation {
@@ -509,123 +454,54 @@ impl AxmlSystem {
         pre
     }
 
-    /// A valid (same peer, same epoch) precomputed forest, or `None` to
-    /// compute inline. Stale precomps are counted and discarded.
-    pub(crate) fn take_forest_precomp(
+    /// The staged precomputed result if it is valid (same peer, same
+    /// epoch), or `None` to compute inline; stale ones are counted.
+    pub(crate) fn take_precomp(
         &mut self,
         s: &mut EvalSession,
         peer: PeerId,
     ) -> Option<CoreResult<Vec<Tree>>> {
-        match s.spec.staged.take() {
-            Some(Precomp::Forest {
-                peer: p,
-                epoch,
-                result,
-            }) if p == peer && epoch == self.state_epochs[peer.index()] => {
-                self.par_stats.precomp_used += 1;
-                Some(result)
-            }
-            Some(_) => {
-                self.par_stats.invalidated += 1;
-                None
-            }
-            None => None,
+        let staged = s.spec.staged.take()?;
+        if staged.peer == peer && staged.epoch == self.state_epochs[peer.index()] {
+            self.par_stats.precomp_used += 1;
+            Some(staged.result)
+        } else {
+            self.par_stats.invalidated += 1;
+            None
         }
     }
 
-    /// A precomputed wire payload (pure in the forest, so never stale),
-    /// or serialize inline.
-    pub(crate) fn take_payload_precomp(&mut self, s: &mut EvalSession, forest: &[Tree]) -> String {
-        match s.spec.staged.take() {
-            Some(Precomp::Payload(p)) => {
-                self.par_stats.precomp_used += 1;
-                p
-            }
-            other => {
-                if other.is_some() {
-                    self.par_stats.invalidated += 1;
-                }
-                Self::serialize_forest(forest)
-            }
-        }
-    }
-
-    /// The provider-side evaluation of one service call: results plus
-    /// (when the call must be answered over the wire) the serialized
-    /// response payload. Resolution order: a valid precomputed result
-    /// from the parallel driver's workers, then — in collapsing
-    /// sessions — the epoch-guarded session cache, then inline
-    /// evaluation. All three produce bit-identical values: service
-    /// bodies are pure in (parameters, provider state @ epoch).
+    /// The provider-side evaluation of one service call: a valid result
+    /// precomputed by the parallel driver's workers, else — in collapsing
+    /// sessions — the epoch-guarded session cache, else inline. All three
+    /// are bit-identical: service bodies are pure in (parameters,
+    /// provider state @ epoch).
     pub(crate) fn service_results(
         &mut self,
         s: &mut EvalSession,
         prov: PeerId,
         service: &ServiceName,
         params: &[Vec<Tree>],
-        need_payload: bool,
-    ) -> CoreResult<(Vec<Tree>, Option<String>)> {
+    ) -> CoreResult<Vec<Tree>> {
         let epoch = self.state_epochs[prov.index()];
-        let key = s
-            .spec
-            .collapse
-            .then(|| (prov, service.clone(), params_key(params)));
-        match s.spec.staged.take() {
-            Some(Precomp::Service {
-                peer,
-                epoch: e,
-                result,
-            }) if peer == prov && e == epoch => {
-                self.par_stats.precomp_used += 1;
-                let value = result?;
-                // Feed the session cache so later identical calls
-                // collapse onto this evaluation.
-                if let Some(k) = key {
-                    s.spec.svc_cache.insert(
-                        k,
-                        CachedCall {
-                            epoch,
-                            results: value.0.clone(),
-                            payload: value.1.clone(),
-                        },
-                    );
-                }
-                return Ok(value);
-            }
-            Some(_) => self.par_stats.invalidated += 1,
-            None => {}
-        }
-        if let Some(k) = &key {
-            if let Some(hit) = s.spec.svc_cache.get_mut(k) {
-                if hit.epoch == epoch {
+        let collapse = s.spec.collapse;
+        let key = collapse.then(|| (prov, service.clone(), params_key(params)));
+        let results = match self.take_precomp(s, prov) {
+            Some(result) => result?,
+            None => {
+                let hit = key.as_ref().and_then(|k| s.spec.svc_cache.get(k));
+                if let Some((_, results)) = hit.filter(|(cached_at, _)| *cached_at == epoch) {
                     self.par_stats.cache_hits += 1;
-                    if need_payload && hit.payload.is_none() {
-                        hit.payload = Some(Self::serialize_forest(&hit.results));
-                    }
-                    return Ok((hit.results.clone(), hit.payload.clone()));
+                    return Ok(results.clone());
                 }
+                run_service(&self.peers, prov, service, params)?
             }
-        }
-        let svc = self.peers[prov.index()].service(service, prov)?;
-        if svc.arity() != params.len() {
-            return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
-                expected: svc.arity(),
-                got: params.len(),
-            }));
-        }
-        let query = svc.query.clone();
-        let results = query.eval_with_docs(params, &self.peers[prov.index()])?;
-        let payload = need_payload.then(|| Self::serialize_forest(&results));
+        };
+        // Feed the session cache so later identical calls collapse onto
+        // this evaluation.
         if let Some(k) = key {
-            s.spec.svc_cache.insert(
-                k,
-                CachedCall {
-                    epoch,
-                    results: results.clone(),
-                    payload: payload.clone(),
-                },
-            );
+            s.spec.svc_cache.insert(k, (epoch, results.clone()));
         }
-        Ok((results, payload))
+        Ok(results)
     }
 }

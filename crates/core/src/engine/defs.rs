@@ -7,7 +7,7 @@
 use super::pump::{Cont, EvalSession, Intent, Out, Runnable};
 use crate::error::{CoreError, CoreResult};
 use crate::expr::{Expr, PeerRef, SendDest};
-use crate::message::AxmlMessage;
+use crate::message::{AxmlMessage, Body};
 use crate::sc::{ActivationMode, ScNode, ScProvider};
 use crate::service::Service;
 use crate::system::AxmlSystem;
@@ -16,6 +16,7 @@ use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::store::Document;
 use axml_xml::tree::Tree;
 use std::collections::VecDeque;
+use std::iter::repeat_n;
 
 /// One service activation: who calls what, with which parameter
 /// forests and forward list. The provider travels beside it — generic
@@ -72,19 +73,15 @@ impl AxmlSystem {
                 let slot = s.new_slot(args.len() + skip);
                 if gated {
                     self.record_def(7, at, "apply");
-                    let def = query.query.wire_xml().to_owned();
                     self.send_wire(
                         s,
                         query.def_at,
                         at,
                         AxmlMessage::Data {
-                            payload: def,
+                            payload: query.query.wire_xml().into(),
                             tag: DataTag::QueryDef,
                         },
-                        Intent::Reply {
-                            forest: Vec::new(),
-                            out: (slot, 0),
-                        },
+                        Intent::Reply { out: (slot, 0) },
                     )?;
                 } else {
                     self.record_def(2, at, "apply");
@@ -184,7 +181,7 @@ impl AxmlSystem {
                 if peer != at {
                     // The delegated plan crosses the wire (embedded
                     // query definitions travel with it).
-                    let expr_xml = shipped.fingerprint();
+                    let expr_xml = shipped.fingerprint().into();
                     shipped.relocate_query_defs(peer);
                     // Capture the common delegation shape: the inner
                     // expression sends its value straight back to us.
@@ -250,7 +247,7 @@ impl AxmlSystem {
                         query.def_at,
                         to,
                         AxmlMessage::DeployQuery {
-                            query_xml: query.query.wire_xml().to_owned(),
+                            query_xml: query.query.wire_xml().into(),
                             as_service: as_service.clone(),
                         },
                         Intent::Deploy {
@@ -305,7 +302,7 @@ impl AxmlSystem {
     ) -> CoreResult<()> {
         match cont {
             Cont::ApplyFinish { query, skip, out } => {
-                let res = match self.take_forest_precomp(s, peer) {
+                let res = match self.take_precomp(s, peer) {
                     Some(result) => result?,
                     None => query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?,
                 };
@@ -332,13 +329,12 @@ impl AxmlSystem {
                 self.record_def(3, peer, "send");
                 let forest = input.into_iter().next().unwrap_or_default();
                 if dest != peer {
-                    let payload = self.take_payload_precomp(s, &forest);
                     self.send_wire(
                         s,
                         peer,
                         dest,
                         AxmlMessage::Data {
-                            payload,
+                            payload: Body::forest(forest),
                             tag: DataTag::Send,
                         },
                         Intent::None,
@@ -367,18 +363,16 @@ impl AxmlSystem {
                 let forest = input.into_iter().next().unwrap_or_default();
                 if dest != peer {
                     let gate = s.new_slot(1);
-                    let payload = self.take_payload_precomp(s, &forest);
                     self.send_wire(
                         s,
                         peer,
                         dest,
                         AxmlMessage::InstallDoc {
                             name: name.clone(),
-                            payload,
+                            payload: Body::forest(forest),
                         },
                         Intent::InstallDoc {
                             name,
-                            forest,
                             notify: (gate, 0),
                         },
                     )?;
@@ -431,22 +425,9 @@ impl AxmlSystem {
                 remote_out,
             } => {
                 let forest = input.into_iter().next().unwrap_or_default();
-                if reply_to != peer {
-                    let payload = self.take_payload_precomp(s, &forest);
-                    self.send_wire(
-                        s,
-                        peer,
-                        reply_to,
-                        AxmlMessage::Data { payload, tag },
-                        Intent::Reply {
-                            forest,
-                            out: remote_out,
-                        },
-                    )?;
-                } else {
-                    self.fill(s, remote_out, forest)?;
-                }
-                Ok(())
+                let payload = Body::forest(forest);
+                let reply = AxmlMessage::Data { payload, tag };
+                self.send_wire(s, peer, reply_to, reply, Intent::Reply { out: remote_out })
             }
             Cont::Discard { out } => {
                 self.fill(s, out, Vec::new())?;
@@ -507,7 +488,7 @@ impl AxmlSystem {
             at,
             loc,
             AxmlMessage::Request {
-                expr_xml: request_xml,
+                expr_xml: request_xml.into(),
             },
             Intent::EvalAndReply {
                 expr: local,
@@ -641,18 +622,13 @@ impl AxmlSystem {
                 prov,
                 AxmlMessage::Invoke {
                     service: call.service.clone(),
-                    params: call
-                        .param_forests
-                        .iter()
-                        .map(|f| Self::serialize_forest(f))
-                        .collect(),
+                    params: call.param_forests.into_iter().map(Body::forest).collect(),
                     forward: call.forward.to_vec(),
                     call_id,
                 },
                 Intent::Invoke {
                     caller,
                     service: call.service.clone(),
-                    params: call.param_forests,
                     forward: call.forward.to_vec(),
                     call_id,
                     out,
@@ -679,21 +655,18 @@ impl AxmlSystem {
             param_forests,
             forward,
         } = call;
-        let need_payload = forward.is_empty() && prov != caller;
-        let (results, payload) =
-            self.service_results(s, prov, service, &param_forests, need_payload)?;
+        let results = self.service_results(s, prov, service, &param_forests)?;
         if forward.is_empty() {
             if prov != caller {
-                let payload = payload.unwrap_or_else(|| Self::serialize_forest(&results));
                 self.send_wire(
                     s,
                     prov,
                     caller,
-                    AxmlMessage::Response { call_id, payload },
-                    Intent::Reply {
-                        forest: results,
-                        out,
+                    AxmlMessage::Response {
+                        call_id,
+                        payload: Body::forest(results),
                     },
+                    Intent::Reply { out },
                 )
             } else {
                 self.fill(s, out, results)?;
@@ -733,6 +706,8 @@ impl AxmlSystem {
 
     /// Definition (4): one concurrent delivery per `n@p` address.
     /// Returns the gate slot that becomes ready once every graft landed.
+    /// An address naming an unknown peer fails the whole list before
+    /// anything is sent.
     pub(crate) fn deliver_to_nodes(
         &mut self,
         s: &mut EvalSession,
@@ -740,22 +715,28 @@ impl AxmlSystem {
         addrs: &[NodeAddr],
         forest: &[Tree],
     ) -> CoreResult<usize> {
+        for addr in addrs {
+            self.check_peer(addr.peer)?;
+        }
+        // One body for all remote sinks, measured once: `repeat_n` copies
+        // its handles for every sink but the last, which gets the body.
+        let remote = addrs.iter().filter(|a| a.peer != from).count();
+        let body = (remote > 0).then(|| Body::forest(forest.to_vec()));
+        let mut bodies = body.into_iter().flat_map(|b| repeat_n(b, remote));
         let gate = s.new_slot(addrs.len());
         for (i, addr) in addrs.iter().enumerate() {
-            self.check_peer(addr.peer)?;
             if addr.peer != from {
                 self.send_wire(
                     s,
                     from,
                     addr.peer,
                     AxmlMessage::Data {
-                        payload: Self::serialize_forest(forest),
+                        payload: bodies.next().expect("one body per remote sink"),
                         tag: DataTag::Forward,
                     },
                     Intent::Graft {
                         addr: addr.clone(),
-                        forest: forest.to_vec(),
-                        notify: Some((gate, i)),
+                        notify: (gate, i),
                     },
                 )?;
             } else {

@@ -17,7 +17,7 @@ use crate::sc::ScProvider;
 use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_net::{FramedPayload, Payload};
-use axml_obs::{DataTag, TraceEvent};
+use axml_obs::{DataTag, MessageKind, TraceEvent};
 use axml_prng::SplitMix64;
 use axml_query::Query;
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
@@ -28,8 +28,9 @@ use std::collections::{BTreeMap, VecDeque};
 pub(crate) type Out = (usize, usize);
 
 /// What travels on a link: the charged message plus the receiver-side
-/// continuation. Only `msg` contributes to the wire size — intents are
-/// bookkeeping for the simulation, not payload.
+/// continuation. Only `msg` contributes to the wire size, and only `msg`
+/// holds the trees in transit — intents are bookkeeping for the
+/// simulation, not payload.
 pub struct Wire {
     pub(crate) msg: AxmlMessage,
     pub(crate) intent: Intent,
@@ -46,8 +47,8 @@ impl FramedPayload for Wire {
     /// sender-side continuation bookkeeping (which slot a reply fills),
     /// not message content — a real remote peer would reconstruct it
     /// from correlation ids.
-    fn frame_payload(&self) -> Vec<u8> {
-        self.msg.frame_bytes()
+    fn frame_payload(&self, out: &mut Vec<u8>) {
+        self.msg.write_frame(out)
     }
 }
 
@@ -57,12 +58,15 @@ impl std::fmt::Debug for Wire {
     }
 }
 
-/// The effect a message has when it reaches its receiver's mailbox.
+/// The effect a message has when it reaches its receiver's mailbox. The
+/// forests it works on are the ones the message carried
+/// ([`AxmlMessage::into_forests`]).
 pub(crate) enum Intent {
     /// Pure data transfer; the send's value was already determined.
     None,
-    /// Fill a waiting slot with a forest (responses, fetched data).
-    Reply { forest: Vec<Tree>, out: Out },
+    /// Fill a waiting slot with the message's forest (responses, fetched
+    /// data; ∅ for shipped text, whose arrival is all that is awaited).
+    Reply { out: Out },
     /// Definition (5) / delegated-send shape: the receiver evaluates
     /// `expr` and ships the result back as `Data(tag)` into `out`.
     EvalAndReply {
@@ -74,36 +78,29 @@ pub(crate) enum Intent {
     /// General `eval@p`: the receiver evaluates `expr`; the delegating
     /// side's value is ∅, filled into `done` once the inner completes.
     EvalHere { expr: Expr, done: Out },
-    /// Definition (4) / forward lists: graft `forest` under `addr`.
-    Graft {
-        addr: NodeAddr,
-        forest: Vec<Tree>,
-        notify: Option<Out>,
-    },
-    /// `send(d@p, t)`: install a new document at the receiver.
-    InstallDoc {
-        name: DocName,
-        forest: Vec<Tree>,
-        notify: Out,
-    },
+    /// Definition (4) / forward lists: graft the forest under `addr`.
+    Graft { addr: NodeAddr, notify: Out },
+    /// `send(d@p, t)`: install the forest as a new document at the
+    /// receiver.
+    InstallDoc { name: DocName, notify: Out },
     /// Definition (8): register the shipped query as a service.
     Deploy {
         query: Query,
         as_service: ServiceName,
         notify: Out,
     },
-    /// Definition (6) step 1 arriving: the provider runs the service.
+    /// Definition (6) step 1 arriving: the provider runs the service over
+    /// the parameter forests.
     Invoke {
         caller: PeerId,
         service: ServiceName,
-        params: Vec<Vec<Tree>>,
         forward: Vec<NodeAddr>,
         call_id: u64,
         out: Out,
     },
-    /// Replica maintenance: graft into the receiving replica and pump
-    /// its subscriptions.
-    ReplicaFeed { doc: DocName, tree: Tree },
+    /// Replica maintenance: graft the update into the receiving replica
+    /// and pump its subscriptions.
+    ReplicaFeed { doc: DocName },
 }
 
 /// One fixed-arity result slot: ready when every part is filled.
@@ -201,12 +198,17 @@ impl Cont {
     }
 }
 
-/// A message popped off the network, parked in its receiver's mailbox.
+/// A message popped off the network and opened, parked in its receiver's
+/// mailbox: what is left of it is what the trace reports (`kind`, `size`)
+/// and what the receiver acts on (`intent`, `forests`).
 pub(crate) struct Delivery {
     pub(crate) from: PeerId,
     pub(crate) to: PeerId,
-    pub(crate) wire: Wire,
     pub(crate) at: f64,
+    kind: MessageKind,
+    size: usize,
+    pub(crate) intent: Intent,
+    pub(crate) forests: Vec<Vec<Tree>>,
 }
 
 /// One evaluation session: everything the engine needs besides Σ.
@@ -393,7 +395,15 @@ impl AxmlSystem {
         let mut batch = Vec::new();
         while self.net.peek_arrival() == Some(t) {
             let (from, to, wire, at) = self.net.recv_from().expect("peeked arrival must pop");
-            batch.push(Delivery { from, to, wire, at });
+            batch.push(Delivery {
+                from,
+                to,
+                at,
+                kind: wire.msg.kind(),
+                size: wire.msg.wire_size(),
+                intent: wire.intent,
+                forests: wire.msg.into_forests(),
+            });
         }
         s.rng.shuffle(&mut batch);
         for d in batch {
@@ -424,33 +434,33 @@ impl AxmlSystem {
     }
 
     pub(crate) fn deliver(&mut self, s: &mut EvalSession, d: Delivery) -> CoreResult<()> {
-        let Delivery { from, to, wire, at } = d;
-        let kind = wire.msg.kind();
-        let charged = self
-            .net
-            .link(from, to)
-            .charged_bytes_u64(wire.msg.wire_size());
+        let (from, to, kind, at_ms) = (d.from, d.to, d.kind, d.at);
+        let bytes = self.net.link(from, to).charged_bytes_u64(d.size);
         self.obs.emit(|| TraceEvent::MessageDelivered {
             from,
             to,
             kind,
-            bytes: charged,
-            at_ms: at,
+            bytes,
+            at_ms,
         });
-        self.apply_intent(s, to, wire.intent)
+        self.apply_intent(s, to, d.intent, d.forests)
     }
 
-    /// Run a message's receiver-side effect at `to` (local sends apply
-    /// it at once, cross-peer ones on delivery).
+    /// Run a message's receiver-side effect at `to` over the `forests`
+    /// it carried (local sends apply it at once, cross-peer ones on
+    /// delivery).
     pub(super) fn apply_intent(
         &mut self,
         s: &mut EvalSession,
         to: PeerId,
         intent: Intent,
+        forests: Vec<Vec<Tree>>,
     ) -> CoreResult<()> {
+        // Every variant but `Invoke` works on the message's one forest.
+        let forest = |forests: Vec<Vec<Tree>>| forests.into_iter().next().unwrap_or_default();
         match intent {
             Intent::None => Ok(()),
-            Intent::Reply { forest, out } => self.fill(s, out, forest),
+            Intent::Reply { out } => self.fill(s, out, forest(forests)),
             Intent::EvalAndReply {
                 expr,
                 reply_to,
@@ -489,23 +499,12 @@ impl AxmlSystem {
                 );
                 self.register_pending(s, slot, to, Cont::Discard { out: done })
             }
-            Intent::Graft {
-                addr,
-                forest,
-                notify,
-            } => {
-                self.graft_at(&addr, &forest)?;
-                match notify {
-                    Some(n) => self.fill(s, n, Vec::new()),
-                    None => Ok(()),
-                }
+            Intent::Graft { addr, notify } => {
+                self.graft_at(&addr, &forest(forests))?;
+                self.fill(s, notify, Vec::new())
             }
-            Intent::InstallDoc {
-                name,
-                forest,
-                notify,
-            } => {
-                self.install_new_doc(to, &name, &forest)?;
+            Intent::InstallDoc { name, notify } => {
+                self.install_new_doc(to, &name, &forest(forests))?;
                 self.fill(s, notify, Vec::new())
             }
             Intent::Deploy {
@@ -520,7 +519,6 @@ impl AxmlSystem {
             Intent::Invoke {
                 caller,
                 service,
-                params,
                 forward,
                 call_id,
                 out,
@@ -528,14 +526,15 @@ impl AxmlSystem {
                 let call = ScCall {
                     caller,
                     service: &service,
-                    param_forests: params,
+                    param_forests: forests,
                     forward: &forward,
                 };
                 self.run_service_at(s, to, call, call_id, out)
             }
-            Intent::ReplicaFeed { doc, tree } => {
-                let n = self.feed_into(s, to, &doc, tree)?;
-                s.delivered += n;
+            Intent::ReplicaFeed { doc } => {
+                for tree in forest(forests) {
+                    s.delivered += self.feed_into(s, to, &doc, tree)?;
+                }
                 Ok(())
             }
         }
@@ -588,6 +587,7 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::expr::{LocatedQuery, PeerRef, SendDest};
+    use crate::message::tests::FOREST_RENDERS;
     use axml_net::link::LinkCost;
     use axml_query::Query;
     use axml_xml::equiv::forest_equiv;
@@ -664,6 +664,7 @@ mod tests {
     #[test]
     fn def5_remote_doc_fetch() {
         let (mut sys, a, _b) = two_peer_system();
+        let rendered = FOREST_RENDERS.get();
         let out = sys
             .eval(
                 a,
@@ -680,6 +681,7 @@ mod tests {
         );
         // request + data back
         assert_eq!(sys.stats().total_messages(), 2);
+        assert_eq!(FOREST_RENDERS.get(), rendered, "charged by length alone");
         assert!(sys.stats().total_bytes() > out[0].serialized_size() as u64);
     }
 
@@ -840,7 +842,9 @@ mod tests {
             }],
             forward: vec![],
         };
+        let rendered = FOREST_RENDERS.get();
         let out = sys.eval(a, &e).unwrap();
+        assert_eq!(FOREST_RENDERS.get(), rendered, "charged by length alone");
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].serialize(), "<size>90000</size>");
         // invoke + response
@@ -862,7 +866,9 @@ mod tests {
             params: vec![],
             forward: vec![NodeAddr::new(c, "log", log_root)],
         };
+        let rendered = FOREST_RENDERS.get();
         let out = sys.eval(a, &e).unwrap();
+        assert_eq!(FOREST_RENDERS.get(), rendered, "charged by length alone");
         assert!(out.is_empty(), "results went to the forward list");
         let log = sys.peer(c).docs.get(&"log".into()).unwrap().tree();
         assert_eq!(log.children(log.root()).len(), 3);

@@ -51,7 +51,7 @@ impl AxmlSystem {
         self.check_peer(from)?;
         self.check_peer(to)?;
         if from == to {
-            return self.apply_intent(s, to, intent);
+            return self.apply_intent(s, to, intent, msg.into_forests());
         }
         let kind = msg.kind();
         let charged = self.net.link(from, to).charged_bytes_u64(msg.wire_size());

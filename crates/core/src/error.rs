@@ -1,5 +1,6 @@
 //! Error type for the AXML core.
 
+use axml_net::bytes::BytesError;
 use axml_net::NetError;
 use axml_obs::MessageKind;
 use axml_query::QueryError;
@@ -121,8 +122,10 @@ pub enum CoreError {
     NoSuchQuery(String),
     /// A generic (`@any`) reference with no registered replica.
     EmptyEquivalenceClass(String),
-    /// Malformed `sc` element or expression tree.
+    /// Malformed `sc` element, expression tree or message frame.
     Malformed(String),
+    /// A message frame cut short, over-long or not UTF-8.
+    Frame(BytesError),
     /// An `@after` chain closes on itself (e.g. `sc A after B`,
     /// `sc B after A`): activating or pumping it would recurse without
     /// bound. The payload names the cycle.
@@ -150,6 +153,7 @@ impl fmt::Display for CoreError {
                 write!(f, "generic reference `{c}@any` has no replica")
             }
             CoreError::Malformed(m) => write!(f, "malformed: {m}"),
+            CoreError::Frame(e) => write!(f, "message frame: {e}"),
             CoreError::AfterCycle(c) => write!(f, "`@after` cycle: {c}"),
             CoreError::Unsupported(m) => write!(f, "unsupported: {m}"),
             CoreError::Engine(e) => write!(f, "engine: {e}"),
@@ -174,6 +178,12 @@ impl From<QueryError> for CoreError {
 impl From<TypeError> for CoreError {
     fn from(e: TypeError) -> Self {
         CoreError::Type(e)
+    }
+}
+
+impl From<BytesError> for CoreError {
+    fn from(e: BytesError) -> Self {
+        CoreError::Frame(e)
     }
 }
 

@@ -4,11 +4,115 @@
 //! evaluation semantics; the [`Payload`] impl reports exactly the bytes the
 //! cost model charges (XML payloads travel serialized; headers are modelled
 //! by the links' per-message overhead).
+//!
+//! A payload is a [`Body`]: the trees themselves plus their exact
+//! serialized length, which is all the simulator asks for. Only a
+//! socket-backed transport needs bytes, and the message then walks each
+//! tree once, straight into the frame buffer.
 
-use axml_net::bytes::PutBytes;
+use crate::error::{CoreError, CoreResult};
+use axml_net::bytes::{BytesError, Cursor, PutBytes};
 use axml_net::Payload;
 use axml_obs::{DataTag, MessageKind};
-use axml_xml::ids::{DocName, NodeAddr, ServiceName};
+use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
+use axml_xml::tree::{NodeId, Tree};
+
+/// A message payload, rendered on demand: a forest of tree handles, or
+/// text that already exists as a string (a shipped expression, a query
+/// definition, a decoded frame). The byte length is known up front — for
+/// a forest from [`Tree::serialized_size`], which the arena memoizes, so
+/// measuring an unchanged document again is O(1). Two bodies are equal
+/// when they render to the same bytes.
+#[derive(Debug, Clone)]
+pub struct Body {
+    src: Src,
+    len: usize,
+}
+
+#[derive(Debug, Clone)]
+enum Src {
+    Text(String),
+    Forest(Vec<Tree>),
+}
+
+impl Body {
+    /// The concatenated compact serializations of `trees`, not yet
+    /// rendered. Takes the handles: the message is their one holder.
+    pub fn forest(trees: Vec<Tree>) -> Body {
+        let len = trees.iter().map(Tree::serialized_size).sum();
+        Body {
+            src: Src::Forest(trees),
+            len,
+        }
+    }
+
+    /// Exact length of the rendered body in bytes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the body renders to no bytes (the empty forest).
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Append the rendered body — exactly [`Body::len`] bytes — to `out`.
+    pub fn write_into(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        match &self.src {
+            Src::Text(s) => out.extend_from_slice(s.as_bytes()),
+            Src::Forest(trees) => write_forest(trees, out),
+        }
+        debug_assert_eq!(out.len() - start, self.len, "body length drifted");
+    }
+
+    /// The trees the body carries (a text body carries none).
+    fn into_forest(self) -> Vec<Tree> {
+        match self.src {
+            Src::Forest(trees) => trees,
+            Src::Text(_) => Vec::new(),
+        }
+    }
+
+    fn put(&self, out: &mut Vec<u8>) {
+        out.put_len(self.len);
+        self.write_into(out);
+    }
+
+    fn rendered(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        self.write_into(&mut out);
+        out
+    }
+}
+
+impl From<String> for Body {
+    fn from(text: String) -> Body {
+        Body {
+            len: text.len(),
+            src: Src::Text(text),
+        }
+    }
+}
+
+impl From<&str> for Body {
+    fn from(text: &str) -> Body {
+        text.to_owned().into()
+    }
+}
+
+impl PartialEq for Body {
+    fn eq(&self, other: &Body) -> bool {
+        self.len == other.len && self.rendered() == other.rendered()
+    }
+}
+
+impl Eq for Body {}
+
+/// Bytes a length-prefixed field of `len` bytes takes in a frame.
+const fn field(len: usize) -> usize {
+    4 + len
+}
 
 /// A message between peers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,12 +121,12 @@ pub enum AxmlMessage {
     /// (definitions (5)/(7), rules (14)–(16)).
     Request {
         /// The serialized expression tree.
-        expr_xml: String,
+        expr_xml: Body,
     },
     /// Data trees in transit (definitions (3)–(5)).
     Data {
-        /// Serialized forest (concatenated tree serializations).
-        payload: String,
+        /// The forest (concatenated tree serializations).
+        payload: Body,
         /// The exhaustive data refinement ("send", "fetch", …) — which
         /// definition or subsystem produced the transfer.
         tag: DataTag,
@@ -32,8 +136,8 @@ pub enum AxmlMessage {
     Invoke {
         /// Target service.
         service: ServiceName,
-        /// Serialized parameter forests, one string per parameter.
-        params: Vec<String>,
+        /// Parameter forests, one body per parameter.
+        params: Vec<Body>,
         /// Forward list (where the provider must send results).
         forward: Vec<NodeAddr>,
         /// Correlation id.
@@ -43,14 +147,14 @@ pub enum AxmlMessage {
     Response {
         /// Correlation id.
         call_id: u64,
-        /// Serialized result forest.
-        payload: String,
+        /// The result forest.
+        payload: Body,
     },
     /// A shipped query definition, deployed as a new service
     /// (definition (8)).
     DeployQuery {
         /// Serialized query (definition included).
-        query_xml: String,
+        query_xml: Body,
         /// Service name to install it under.
         as_service: ServiceName,
     },
@@ -58,8 +162,8 @@ pub enum AxmlMessage {
     InstallDoc {
         /// New document name.
         name: DocName,
-        /// Serialized tree.
-        payload: String,
+        /// The document's content forest.
+        payload: Body,
     },
 }
 
@@ -78,9 +182,22 @@ impl AxmlMessage {
             AxmlMessage::InstallDoc { .. } => MessageKind::InstallDoc,
         }
     }
-}
 
-impl AxmlMessage {
+    /// The forests the message carries, handed to the receiver: one per
+    /// parameter for an `Invoke`, the payload's for the variants that
+    /// have one, none for shipped text.
+    pub(crate) fn into_forests(self) -> Vec<Vec<Tree>> {
+        match self {
+            AxmlMessage::Invoke { params, .. } => {
+                params.into_iter().map(Body::into_forest).collect()
+            }
+            AxmlMessage::Data { payload, .. }
+            | AxmlMessage::Response { payload, .. }
+            | AxmlMessage::InstallDoc { payload, .. } => vec![payload.into_forest()],
+            AxmlMessage::Request { .. } | AxmlMessage::DeployQuery { .. } => Vec::new(),
+        }
+    }
+
     /// Deterministic byte encoding for the AXTR wire: a variant tag
     /// followed by length-prefixed (u32 LE) fields. Socket-backed
     /// transports ship exactly these bytes across the process boundary
@@ -88,15 +205,49 @@ impl AxmlMessage {
     /// must always encode equally.
     pub fn frame_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.write_frame(&mut out);
+        out
+    }
+
+    /// Exact length of [`AxmlMessage::frame_bytes`], without rendering.
+    fn frame_len(&self) -> usize {
+        1 + match self {
+            AxmlMessage::Request { expr_xml } => field(expr_xml.len()),
+            AxmlMessage::Data { payload, tag } => field(tag.as_str().len()) + field(payload.len()),
+            AxmlMessage::Invoke {
+                service,
+                params,
+                forward,
+                ..
+            } => {
+                field(service.len())
+                    + field(params.iter().map(|p| field(p.len())).sum())
+                    + field(forward.iter().map(|a| 4 + field(a.doc.len()) + 4).sum())
+                    + 8
+            }
+            AxmlMessage::Response { payload, .. } => 8 + field(payload.len()),
+            AxmlMessage::DeployQuery {
+                query_xml,
+                as_service,
+            } => field(as_service.len()) + field(query_xml.len()),
+            AxmlMessage::InstallDoc { name, payload } => field(name.len()) + field(payload.len()),
+        }
+    }
+
+    /// Append [`AxmlMessage::frame_bytes`] to `out`, reserving the exact
+    /// final size first: every tree is walked once, into its final place.
+    pub(crate) fn write_frame(&self, out: &mut Vec<u8>) {
+        let start = out.len();
+        out.reserve(self.frame_len());
         match self {
             AxmlMessage::Request { expr_xml } => {
                 out.put_u8(1);
-                out.put_str(expr_xml);
+                expr_xml.put(out);
             }
             AxmlMessage::Data { payload, tag } => {
                 out.put_u8(2);
                 out.put_str(tag.as_str());
-                out.put_str(payload);
+                payload.put(out);
             }
             AxmlMessage::Invoke {
                 service,
@@ -108,7 +259,7 @@ impl AxmlMessage {
                 out.put_str(service.as_str());
                 out.put_len(params.len());
                 for p in params {
-                    out.put_str(p);
+                    p.put(out);
                 }
                 out.put_len(forward.len());
                 for addr in forward {
@@ -121,7 +272,7 @@ impl AxmlMessage {
             AxmlMessage::Response { call_id, payload } => {
                 out.put_u8(4);
                 out.put_u64(*call_id);
-                out.put_str(payload);
+                payload.put(out);
             }
             AxmlMessage::DeployQuery {
                 query_xml,
@@ -129,15 +280,80 @@ impl AxmlMessage {
             } => {
                 out.put_u8(5);
                 out.put_str(as_service.as_str());
-                out.put_str(query_xml);
+                query_xml.put(out);
             }
             AxmlMessage::InstallDoc { name, payload } => {
                 out.put_u8(6);
                 out.put_str(name.as_str());
-                out.put_str(payload);
+                payload.put(out);
             }
         }
-        out
+        debug_assert_eq!(out.len() - start, self.frame_len(), "frame length drifted");
+    }
+
+    /// Inverse of [`AxmlMessage::frame_bytes`]: every field bounds-checked,
+    /// nothing left over. Bodies come back as text.
+    pub fn decode(bytes: &[u8]) -> CoreResult<AxmlMessage> {
+        let mut c = Cursor::new(bytes);
+        let body = |c: &mut Cursor<'_>| c.str().map(Body::from);
+        let msg = match c.u8()? {
+            1 => AxmlMessage::Request {
+                expr_xml: body(&mut c)?,
+            },
+            2 => {
+                let tag = c.str()?;
+                let Some(MessageKind::Data(tag)) = MessageKind::parse(tag) else {
+                    return Err(CoreError::Malformed(format!("unknown data tag {tag:?}")));
+                };
+                AxmlMessage::Data {
+                    payload: body(&mut c)?,
+                    tag,
+                }
+            }
+            3 => {
+                let service = c.str()?.into();
+                // Counts are untrusted: collect as fields actually
+                // decode, never reserve by them.
+                let params = (0..c.u32()?)
+                    .map(|_| body(&mut c))
+                    .collect::<Result<_, _>>()?;
+                let forward = (0..c.u32()?)
+                    .map(|_| {
+                        let (peer, doc, node) = (c.u32()?, c.str()?, c.u32()? as usize);
+                        let node = NodeId::from_index(node).expect("a u32 is an arena index");
+                        Ok(NodeAddr::new(PeerId(peer), doc, node))
+                    })
+                    .collect::<Result<_, BytesError>>()?;
+                AxmlMessage::Invoke {
+                    service,
+                    params,
+                    forward,
+                    call_id: c.u64()?,
+                }
+            }
+            4 => AxmlMessage::Response {
+                call_id: c.u64()?,
+                payload: body(&mut c)?,
+            },
+            5 => {
+                let as_service = c.str()?.into();
+                AxmlMessage::DeployQuery {
+                    query_xml: body(&mut c)?,
+                    as_service,
+                }
+            }
+            6 => AxmlMessage::InstallDoc {
+                name: c.str()?.into(),
+                payload: body(&mut c)?,
+            },
+            other => {
+                return Err(CoreError::Malformed(format!(
+                    "unknown message variant {other}"
+                )))
+            }
+        };
+        c.finish()?;
+        Ok(msg)
     }
 }
 
@@ -152,10 +368,7 @@ impl Payload for AxmlMessage {
                 forward,
                 ..
             } => {
-                service.len()
-                    + params.iter().map(String::len).sum::<usize>()
-                    + forward.len() * 24
-                    + 8
+                service.len() + params.iter().map(Body::len).sum::<usize>() + forward.len() * 24 + 8
             }
             AxmlMessage::Response { payload, .. } => payload.len() + 8,
             AxmlMessage::DeployQuery {
@@ -167,69 +380,36 @@ impl Payload for AxmlMessage {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use axml_xml::ids::PeerId;
-    use axml_xml::tree::NodeId;
+/// The one byte emitter for data: append the concatenated compact
+/// serializations of `trees` to `out`, each tree walked once.
+pub(crate) fn write_forest(trees: &[Tree], out: &mut Vec<u8>) {
+    #[cfg(test)]
+    tests::FOREST_RENDERS.set(tests::FOREST_RENDERS.get() + 1);
+    for t in trees {
+        t.serialize_into(out);
+    }
+}
 
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    thread_local! {
+        /// Forests rendered on this thread: none, in a test on the simulator.
+        pub(crate) static FOREST_RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The counter the simulator tests hold at zero does count.
     #[test]
-    fn sizes_reflect_payloads() {
-        assert_eq!(
-            AxmlMessage::Request {
-                expr_xml: "<doc/>".into()
-            }
-            .wire_size(),
-            6
-        );
-        assert_eq!(
-            AxmlMessage::Data {
-                payload: "x".repeat(100),
-                tag: DataTag::Send
-            }
-            .wire_size(),
-            100
-        );
-        let inv = AxmlMessage::Invoke {
-            service: "svc".into(),
-            params: vec!["<a/>".into(), "<b/>".into()],
-            forward: vec![NodeAddr::new(
-                PeerId(0),
-                "d",
-                NodeId::from_index(0).unwrap(),
-            )],
-            call_id: 7,
-        };
-        assert_eq!(inv.wire_size(), 3 + 8 + 24 + 8);
-        assert_eq!(
-            AxmlMessage::Response {
-                call_id: 1,
-                payload: "1234".into()
-            }
-            .wire_size(),
-            12
-        );
-        assert_eq!(
-            AxmlMessage::DeployQuery {
-                query_xml: "q".repeat(10),
-                as_service: "ss".into()
-            }
-            .wire_size(),
-            12
-        );
-        assert_eq!(
-            AxmlMessage::InstallDoc {
-                name: "doc".into(),
-                payload: "<t/>".into()
-            }
-            .wire_size(),
-            7
-        );
+    fn rendering_a_forest_is_counted() {
+        let before = FOREST_RENDERS.get();
+        assert_eq!(Body::forest(vec![Tree::new("t")]).rendered(), b"<t/>");
+        assert_eq!(FOREST_RENDERS.get(), before + 1);
     }
 
     /// Cross-commit pin: the bytes `SocketTransport` ships (and the
     /// endpoint digests) for one message of every variant, captured
-    /// once as literals. There is no decoder yet, so nothing else would
+    /// once as literals — a decoder that follows the encoder would not
     /// notice a reordered field or a widened prefix.
     #[test]
     fn frame_bytes_are_pinned() {
@@ -253,7 +433,7 @@ mod tests {
             (
                 AxmlMessage::Invoke {
                     service: "svc".into(),
-                    params: vec!["<a/>".into(), String::new()],
+                    params: vec!["<a/>".into(), "".into()],
                     forward: vec![
                         NodeAddr::new(PeerId(2), "inbox", NodeId::from_index(5).unwrap()),
                         NodeAddr::new(PeerId(4_000_000_000), "", NodeId::from_index(0).unwrap()),

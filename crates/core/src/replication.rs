@@ -13,7 +13,7 @@
 
 use crate::engine::{EvalSession, Intent};
 use crate::error::{CoreError, CoreResult};
-use crate::message::AxmlMessage;
+use crate::message::{AxmlMessage, Body};
 use crate::system::AxmlSystem;
 use axml_obs::DataTag;
 use axml_xml::ids::{DocName, PeerId};
@@ -58,7 +58,9 @@ impl AxmlSystem {
         // Local write first…
         let delivered = self.feed_into(s, origin, &origin_doc, tree.clone())?;
         // …then one charged transfer per sibling replica; the sibling's
-        // own write (and its subscription pumps) happens on arrival.
+        // own write (and its subscription pumps) happens on arrival. The
+        // update is measured once for all of them.
+        let update = Body::forest(vec![tree]);
         for (peer, concrete) in members {
             if peer == origin {
                 continue;
@@ -68,13 +70,10 @@ impl AxmlSystem {
                 origin,
                 peer,
                 AxmlMessage::Data {
-                    payload: tree.serialize(),
+                    payload: update.clone(),
                     tag: DataTag::ReplicaUpdate,
                 },
-                Intent::ReplicaFeed {
-                    doc: concrete,
-                    tree: tree.clone(),
-                },
+                Intent::ReplicaFeed { doc: concrete },
             )?;
         }
         Ok(delivered)
@@ -125,12 +124,15 @@ mod tests {
     fn updates_reach_every_replica() {
         let (mut sys, a, _b, _c) = build();
         assert!(sys.replicas_consistent(&"cat".into()).unwrap());
+        let rendered = crate::message::tests::FOREST_RENDERS.get();
         sys.feed_replicas(
             a,
             &"cat".into(),
             Tree::parse(r#"<pkg name="vim"/>"#).unwrap(),
         )
         .unwrap();
+        let now = crate::message::tests::FOREST_RENDERS.get();
+        assert_eq!(now, rendered, "the simulator charges by length alone");
         assert!(sys.replicas_consistent(&"cat".into()).unwrap());
         for (peer, name) in [
             (PeerId(0), "cat-a"),

@@ -305,15 +305,6 @@ impl AxmlSystem {
         }
     }
 
-    /// Serialize a forest for the wire (concatenated compact trees).
-    pub(crate) fn serialize_forest(forest: &[Tree]) -> String {
-        let mut out = String::new();
-        for t in forest {
-            out.push_str(&t.serialize());
-        }
-        out
-    }
-
     /// Fresh correlation id.
     pub(crate) fn fresh_call_id(&mut self) -> u64 {
         let id = self.next_call;

@@ -198,9 +198,7 @@ pub fn try_encode_frame(seq: u64, frame: &Frame) -> Result<Vec<u8>, FrameError> 
     // patched in once the body is known to fit.
     let begin = |ty: u8, body_hint: usize| {
         let mut out = Vec::with_capacity(HEAD_LEN + body_hint);
-        out.put_u8(ty);
-        out.put_u64(seq);
-        out.put_u32(0);
+        put_head(&mut out, ty, seq);
         out
     };
     let mut out;
@@ -211,10 +209,11 @@ pub fn try_encode_frame(seq: u64, frame: &Frame) -> Result<Vec<u8>, FrameError> 
             out.put_str(name);
         }
         Frame::Msg { from, to, payload } => {
-            out = begin(ftype::MSG, 8 + payload.len());
-            out.put_u32(*from);
-            out.put_u32(*to);
-            out.extend_from_slice(payload);
+            out = Vec::with_capacity(MSG_PAYLOAD_AT + payload.len());
+            try_encode_msg_with(&mut out, seq, *from, *to, |out| {
+                out.extend_from_slice(payload)
+            })?;
+            return Ok(out);
         }
         Frame::Ack { digest, len } => {
             out = begin(ftype::ACK, 12);
@@ -231,6 +230,20 @@ pub fn try_encode_frame(seq: u64, frame: &Frame) -> Result<Vec<u8>, FrameError> 
             out.put_u64(*payload_bytes);
         }
     }
+    patch_body_len(&mut out)?;
+    Ok(out)
+}
+
+/// Type, sequence number and a zero body length for [`patch_body_len`].
+fn put_head(out: &mut Vec<u8>, ty: u8, seq: u64) {
+    out.put_u8(ty);
+    out.put_u64(seq);
+    out.put_u32(0);
+}
+
+/// Patch the body length into the head of the one frame `out` holds,
+/// unless the body is over [`MAX_FRAME_LEN`].
+fn patch_body_len(out: &mut Vec<u8>) -> Result<(), FrameError> {
     let body_len = out.len() - HEAD_LEN;
     if body_len > MAX_FRAME_LEN as usize {
         return Err(FrameError::Malformed(format!(
@@ -238,7 +251,30 @@ pub fn try_encode_frame(seq: u64, frame: &Frame) -> Result<Vec<u8>, FrameError> 
         )));
     }
     out.patch_len(HEAD_LEN - 4, body_len);
-    Ok(out)
+    Ok(())
+}
+
+/// Where a `Msg` frame's payload starts: after the head and `from`/`to`.
+pub const MSG_PAYLOAD_AT: usize = HEAD_LEN + 8;
+
+/// Encode a `Msg` frame into `out` (emptied first) with `payload`
+/// appending the payload bytes in place — byte for byte what
+/// [`try_encode_frame`] makes of a [`Frame::Msg`] holding those bytes,
+/// without their ever being in a vector of their own. The payload is
+/// `out[MSG_PAYLOAD_AT..]`.
+pub fn try_encode_msg_with(
+    out: &mut Vec<u8>,
+    seq: u64,
+    from: u32,
+    to: u32,
+    payload: impl FnOnce(&mut Vec<u8>),
+) -> Result<(), FrameError> {
+    out.clear();
+    put_head(out, ftype::MSG, seq);
+    out.put_u32(from);
+    out.put_u32(to);
+    payload(out);
+    patch_body_len(out)
 }
 
 /// Write one frame to a stream (a single `write_all` — short writes are
@@ -305,6 +341,24 @@ mod tests {
         let (seq, back) = read_frame(&mut Cursor::new(&bytes)).unwrap();
         assert_eq!(seq, 42);
         assert_eq!(back, frame);
+    }
+
+    #[test]
+    fn a_msg_built_in_place_is_the_encoded_frame() {
+        let mut out = b"left over from the last send".to_vec();
+        try_encode_msg_with(&mut out, 9, 3, 4, |out| {
+            out.extend_from_slice(b"<catalog/>")
+        })
+        .unwrap();
+        assert_eq!(&out[MSG_PAYLOAD_AT..], b"<catalog/>");
+        let frame = Frame::Msg {
+            from: 3,
+            to: 4,
+            payload: b"<catalog/>".to_vec(),
+        };
+        assert_eq!(out, encode_frame(9, &frame));
+        let big = |out: &mut Vec<u8>| out.resize(MSG_PAYLOAD_AT + MAX_FRAME_LEN as usize, 0);
+        assert!(try_encode_msg_with(&mut out, 9, 3, 4, big).is_err());
     }
 
     #[test]

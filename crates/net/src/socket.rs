@@ -63,7 +63,8 @@
 
 use crate::error::{NetError, NetResult};
 use crate::frame::{
-    fnv1a64, read_frame, read_preamble, write_frame, write_preamble, Frame, FrameError,
+    fnv1a64, read_frame, read_preamble, try_encode_frame, try_encode_msg_with, write_frame,
+    write_preamble, Frame, FrameError, MSG_PAYLOAD_AT,
 };
 use crate::sim::SimTransport;
 use crate::transport::{FramedPayload, Transport};
@@ -121,17 +122,22 @@ struct Endpoint {
 struct Shared {
     endpoints: Vec<Endpoint>,
     closed: bool,
+    /// The `Msg` frame being shipped, reused from one send to the next.
+    frame: Vec<u8>,
 }
 
-impl Shared {
-    /// Write one frame to endpoint `idx`, flush, read the reply.
-    fn roundtrip(&mut self, idx: usize, frame: &Frame) -> Result<Frame, FrameError> {
-        let ep = &mut self.endpoints[idx];
-        let seq = ep.seq;
-        ep.seq += 1;
-        write_frame(&mut ep.writer, seq, frame)?;
-        ep.writer.flush()?;
-        let (reply_seq, reply) = read_frame(&mut ep.reader)?;
+impl Endpoint {
+    /// The sequence number of the next frame on this connection.
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq - 1
+    }
+
+    /// Write one encoded frame numbered `seq`, flush, read the reply.
+    fn exchange(&mut self, seq: u64, frame: &[u8]) -> Result<Frame, FrameError> {
+        self.writer.write_all(frame)?;
+        self.writer.flush()?;
+        let (reply_seq, reply) = read_frame(&mut self.reader)?;
         if reply_seq != seq {
             return Err(FrameError::Malformed(format!(
                 "reply seq {reply_seq} does not match request seq {seq}"
@@ -139,23 +145,32 @@ impl Shared {
         }
         Ok(reply)
     }
+}
 
-    fn ship(&mut self, from: PeerId, to: PeerId, payload: &[u8]) -> NetResult<()> {
-        let reply = self
-            .roundtrip(
-                to.index(),
-                &Frame::Msg {
-                    from: from.0,
-                    to: to.0,
-                    payload: payload.to_vec(),
-                },
-            )
+impl Shared {
+    /// Write one frame to endpoint `idx`, flush, read the reply.
+    fn roundtrip(&mut self, idx: usize, frame: &Frame) -> Result<Frame, FrameError> {
+        let ep = &mut self.endpoints[idx];
+        let seq = ep.next_seq();
+        ep.exchange(seq, &try_encode_frame(seq, frame)?)
+    }
+
+    /// Ship `msg` as one `Msg` frame built in place — head, addresses,
+    /// then the message rendering itself straight after them — and check
+    /// the endpoint's acknowledgement against those very bytes.
+    fn ship(&mut self, from: PeerId, to: PeerId, msg: &impl FramedPayload) -> NetResult<()> {
+        let Shared {
+            endpoints, frame, ..
+        } = self;
+        let ep = &mut endpoints[to.index()];
+        let seq = ep.next_seq();
+        let reply = try_encode_msg_with(frame, seq, from.0, to.0, |out| msg.frame_payload(out))
+            .and_then(|()| ep.exchange(seq, frame))
             .map_err(|e| wire_err(to, e))?;
+        let payload = &frame[MSG_PAYLOAD_AT..];
+        let sent = fnv1a64(payload);
         match reply {
-            Frame::Ack { digest, len }
-                if digest == fnv1a64(payload) && len as usize == payload.len() =>
-            {
-                let ep = &mut self.endpoints[to.index()];
+            Frame::Ack { digest, len } if digest == sent && len as usize == payload.len() => {
                 ep.wire.frames += 1;
                 ep.wire.payload_bytes += payload.len() as u64;
                 Ok(())
@@ -164,8 +179,7 @@ impl Shared {
                 peer: to,
                 detail: format!(
                     "acknowledgement mismatch: endpoint saw digest {digest:#018x} / {len} bytes, \
-                     sent digest {:#018x} / {} bytes",
-                    fnv1a64(payload),
+                     sent digest {sent:#018x} / {} bytes",
                     payload.len()
                 ),
             }),
@@ -287,6 +301,7 @@ impl<M: Payload + FramedPayload> SocketTransport<M> {
             shared: Arc::new(Mutex::new(Shared {
                 endpoints: Vec::new(),
                 closed: false,
+                frame: Vec::new(),
             })),
             pending_endpoints: VecDeque::new(),
         }
@@ -457,12 +472,11 @@ impl<M: Payload + FramedPayload> Transport<M> for SocketTransport<M> {
             Err(e) => return Err((e, msg)),
         };
         if from != to {
-            let payload = msg.frame_payload();
             let shipped = self
                 .shared
                 .lock()
                 .expect("endpoint table lock")
-                .ship(from, to, &payload);
+                .ship(from, to, &msg);
             if let Err(e) = shipped {
                 return Err((e, msg));
             }

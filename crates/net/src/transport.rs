@@ -53,19 +53,21 @@ use axml_xml::ids::PeerId;
 /// to equal bytes, or the differential oracle's digest reconciliation
 /// would flap.
 pub trait FramedPayload {
-    /// Serialize this message into frame-payload bytes.
-    fn frame_payload(&self) -> Vec<u8>;
+    /// Append this message's frame-payload bytes to `out` — the frame
+    /// under construction, so the message is rendered once, in place.
+    /// An implementation that knows its length reserves it first.
+    fn frame_payload(&self, out: &mut Vec<u8>);
 }
 
 impl FramedPayload for String {
-    fn frame_payload(&self) -> Vec<u8> {
-        self.as_bytes().to_vec()
+    fn frame_payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
     }
 }
 
 impl FramedPayload for &str {
-    fn frame_payload(&self) -> Vec<u8> {
-        self.as_bytes().to_vec()
+    fn frame_payload(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
     }
 }
 
@@ -365,7 +367,9 @@ mod tests {
 
     #[test]
     fn string_frame_payloads_are_their_bytes() {
-        assert_eq!("hi".frame_payload(), b"hi".to_vec());
-        assert_eq!(String::from("hé").frame_payload(), "hé".as_bytes());
+        let mut out = b"head".to_vec();
+        "hi".frame_payload(&mut out);
+        String::from("hé").frame_payload(&mut out);
+        assert_eq!(out, "headhihé".as_bytes(), "appended, nothing overwritten");
     }
 }

@@ -346,29 +346,6 @@ fn follow_verdict(bytes: &[u8], max_chunk: usize, rng: &mut SplitMix64) -> Vec<S
     seen
 }
 
-/// One seeded byte-level mutation: flip, truncate, splice or duplicate.
-fn mutate(bytes: &mut Vec<u8>, rng: &mut SplitMix64) {
-    if bytes.is_empty() {
-        return;
-    }
-    let at = rng.gen_range(0..bytes.len());
-    match rng.gen_range(0u32..4) {
-        0 => bytes[at] ^= 1 << rng.gen_range(0u32..8),
-        1 => bytes.truncate(at),
-        2 => {
-            let junk: Vec<u8> = (0..rng.gen_range(1usize..12))
-                .map(|_| rng.gen_range(0u32..256) as u8)
-                .collect();
-            bytes.splice(at..at, junk);
-        }
-        _ => {
-            let end = (at + rng.gen_range(1usize..40)).min(bytes.len());
-            let copy = bytes[at..end].to_vec();
-            bytes.splice(at..at, copy);
-        }
-    }
-}
-
 #[test]
 fn prop_batch_equals_follow_under_byte_mutations() {
     let mut rng = SplitMix64::new(0xB1A5_0006);
@@ -381,7 +358,7 @@ fn prop_batch_equals_follow_under_byte_mutations() {
             encode_jsonl(&events)
         };
         for _ in 0..rng.gen_range(1u32..4) {
-            mutate(&mut bytes, &mut rng);
+            rng.mutate_bytes(&mut bytes);
         }
         let batch = batch_verdict(&bytes);
         assert_eq!(

@@ -100,6 +100,31 @@ impl SplitMix64 {
         }
     }
 
+    /// One byte-level mutation for decoder robustness properties: flip a
+    /// bit, truncate, splice in junk, or duplicate a run, at a uniformly
+    /// chosen offset. Empty input is left alone.
+    pub fn mutate_bytes(&mut self, bytes: &mut Vec<u8>) {
+        if bytes.is_empty() {
+            return;
+        }
+        let at = self.gen_range(0..bytes.len());
+        match self.gen_range(0u32..4) {
+            0 => bytes[at] ^= 1 << self.gen_range(0u32..8),
+            1 => bytes.truncate(at),
+            2 => {
+                let junk: Vec<u8> = (0..self.gen_range(1usize..12))
+                    .map(|_| self.gen_range(0u32..256) as u8)
+                    .collect();
+                bytes.splice(at..at, junk);
+            }
+            _ => {
+                let end = (at + self.gen_range(1usize..40)).min(bytes.len());
+                let copy = bytes[at..end].to_vec();
+                bytes.splice(at..at, copy);
+            }
+        }
+    }
+
     /// Derive an independent generator (the "split" of splitmix): useful
     /// for giving each parallel task its own stream.
     pub fn split(&mut self) -> SplitMix64 {

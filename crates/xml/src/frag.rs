@@ -18,14 +18,14 @@
 //! construction.
 
 use crate::symbol::Label;
-use crate::tree::{Node, NodeId, Tree};
+use crate::tree::{Arena, NodeId, Tree};
 use std::fmt;
 use std::sync::Arc;
 
 /// An immutable, cheaply cloneable handle on a subtree of some [`Tree`]'s
 /// arena. See the module docs for the sharing model.
 pub struct Frag {
-    nodes: Arc<Vec<Node>>,
+    nodes: Arc<Arena>,
     root: NodeId,
     arena_bytes: u64,
 }
@@ -43,7 +43,7 @@ impl Clone for Frag {
 }
 
 impl Frag {
-    pub(crate) fn from_parts(nodes: Arc<Vec<Node>>, root: NodeId, arena_bytes: u64) -> Frag {
+    pub(crate) fn from_parts(nodes: Arc<Arena>, root: NodeId, arena_bytes: u64) -> Frag {
         Frag {
             nodes,
             root,

@@ -7,7 +7,8 @@
 //! allocating the string**, because the optimizer's cost model calls it on
 //! every candidate data transfer. [`Tree::write_compact`] streams the
 //! compact form into any [`fmt::Write`] sink, so a caller that only
-//! counts or hashes the bytes builds no string either.
+//! counts or hashes the bytes builds no string either, and
+//! [`Tree::serialize_into`] appends it to a byte buffer.
 
 use crate::escape::{escaped_attr_len, escaped_text_len, write_attr, write_text};
 use crate::tree::{NodeId, NodeKind, Tree};
@@ -27,6 +28,21 @@ impl Tree {
         self.serialize_node(self.root())
     }
 
+    /// Append the bytes of [`Tree::serialize`] to `out` — one walk,
+    /// straight into a buffer that may already hold a frame's head.
+    pub fn serialize_into(&self, out: &mut Vec<u8>) {
+        /// UTF-8 text into a byte buffer.
+        struct Bytes<'a>(&'a mut Vec<u8>);
+        impl fmt::Write for Bytes<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0.extend_from_slice(s.as_bytes());
+                Ok(())
+            }
+        }
+        self.write_compact(self.root(), &mut Bytes(out))
+            .expect("writing to a byte buffer cannot fail");
+    }
+
     /// Serialize the subtree rooted at `id` with indentation, for humans.
     pub fn pretty_node(&self, id: NodeId) -> String {
         let mut out = String::new();
@@ -41,15 +57,28 @@ impl Tree {
     }
 
     /// Exact byte length of [`Tree::serialize_node`], computed without
-    /// building the string. This is the wire size used by the cost model.
+    /// building the string. This is the wire size used by the cost model
+    /// and charged for every shipped tree. For the arena's own root it is
+    /// memoized on the arena, so measuring an unchanged document again —
+    /// through this handle or any other sharing the arena — is O(1).
     pub fn serialized_size_node(&self, id: NodeId) -> usize {
-        self.serialized_sizes(id, &mut |_, _| {})
+        match self.memoized_size(id) {
+            Some(size) => size,
+            None => self.serialized_sizes(id, &mut |_, _| {}),
+        }
     }
 
     /// [`Tree::serialized_size_node`] of every node of the subtree rooted
     /// at `id` in one bottom-up pass: `visit` gets each node with its
-    /// size, children before their parent. Returns the size of `id`.
+    /// size, children before their parent. Returns the size of `id` (and
+    /// leaves it memoized, like [`Tree::serialized_size_node`]).
     pub fn serialized_sizes(&self, id: NodeId, visit: &mut impl FnMut(NodeId, usize)) -> usize {
+        let size = self.sizes_below(id, visit);
+        self.memoize_size(id, size);
+        size
+    }
+
+    fn sizes_below(&self, id: NodeId, visit: &mut impl FnMut(NodeId, usize)) -> usize {
         let size = match &self.node(id).kind {
             NodeKind::Text(t) => escaped_text_len(t),
             NodeKind::Element { label, attrs } => {
@@ -65,10 +94,7 @@ impl Tree {
                     1 + name + attrs_len + 2
                 } else {
                     // <name attrs> + children + </name>
-                    let inner: usize = children
-                        .iter()
-                        .map(|&c| self.serialized_sizes(c, visit))
-                        .sum();
+                    let inner: usize = children.iter().map(|&c| self.sizes_below(c, visit)).sum();
                     (1 + name + attrs_len + 1) + inner + (2 + name + 1)
                 }
             }
@@ -174,6 +200,9 @@ mod tests {
         t.add_text(b, "x<y");
         t.add_element(r, "c");
         assert_eq!(t.serialize(), r#"<a k="v&quot;w"><b>x&lt;y</b><c/></a>"#);
+        let mut bytes = b"head".to_vec();
+        t.subtree(b).unwrap().serialize_into(&mut bytes);
+        assert_eq!(bytes, b"head<b>x&lt;y</b>");
     }
 
     #[test]

@@ -27,6 +27,8 @@ use crate::error::{XmlError, XmlResult};
 use crate::frag::Frag;
 use crate::symbol::Label;
 use std::fmt;
+use std::ops::Deref;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a node inside one [`Tree`] — an element of the paper's
@@ -140,10 +142,45 @@ pub(crate) fn node_heap_bytes(n: &Node) -> u64 {
     }
 }
 
+/// The node arena, plus the one fact memoized about it as a whole: the
+/// serialized size of the subtree at slot 0 — where [`Tree::new`] puts
+/// the root, so the size of every handle that is not a subtree view.
+/// An arena is immutable while it is shared; [`Tree::nodes_mut`], the one
+/// way to change it, forgets the size, and a copy-on-write copy starts
+/// without one.
+pub(crate) struct Arena {
+    nodes: Vec<Node>,
+    /// 0 while unknown (no serialization is empty).
+    root_size: AtomicUsize,
+}
+
+impl Arena {
+    fn new(nodes: Vec<Node>) -> Self {
+        Arena {
+            nodes,
+            root_size: AtomicUsize::new(0),
+        }
+    }
+}
+
+impl Clone for Arena {
+    fn clone(&self) -> Self {
+        Arena::new(self.nodes.clone())
+    }
+}
+
+impl Deref for Arena {
+    type Target = [Node];
+
+    fn deref(&self) -> &[Node] {
+        &self.nodes
+    }
+}
+
 /// An unranked, unordered XML tree: a copy-on-write handle onto a shared
 /// node arena, plus the root the handle is scoped to.
 pub struct Tree {
-    pub(crate) nodes: Arc<Vec<Node>>,
+    pub(crate) nodes: Arc<Arena>,
     root: NodeId,
     /// Approximate heap bytes of the referenced arena, maintained
     /// incrementally so clone/COW accounting stays O(1).
@@ -177,7 +214,7 @@ impl Tree {
         };
         let bytes = node_heap_bytes(&root);
         Tree {
-            nodes: Arc::new(vec![root]),
+            nodes: Arc::new(Arena::new(vec![root])),
             root: NodeId(0),
             arena_bytes: bytes,
         }
@@ -190,7 +227,7 @@ impl Tree {
 
     /// Rebuild a handle from raw parts (used by [`Frag`] views). Does not
     /// touch the copy/share counters.
-    pub(crate) fn from_parts(nodes: Arc<Vec<Node>>, root: NodeId, arena_bytes: u64) -> Tree {
+    pub(crate) fn from_parts(nodes: Arc<Arena>, root: NodeId, arena_bytes: u64) -> Tree {
         Tree {
             nodes,
             root,
@@ -216,13 +253,39 @@ impl Tree {
     }
 
     /// Mutable arena access: materializes a private copy first if the
-    /// arena is shared (copy-on-write).
+    /// arena is shared (copy-on-write). Every mutation comes through
+    /// here, so this is also where the memoized size is forgotten.
     fn nodes_mut(&mut self) -> &mut Vec<Node> {
         if Arc::strong_count(&self.nodes) > 1 {
             crate::stats::record_cow();
             crate::stats::record_copy(self.nodes.len() as u64, self.arena_bytes);
         }
-        Arc::make_mut(&mut self.nodes)
+        let arena = Arc::make_mut(&mut self.nodes);
+        *arena.root_size.get_mut() = 0;
+        &mut arena.nodes
+    }
+
+    /// The memoized serialized size of the subtree rooted at `id`: known
+    /// only for slot 0, and only once [`Tree::memoize_size`] has seen it
+    /// since the arena last changed.
+    pub(crate) fn memoized_size(&self, id: NodeId) -> Option<usize> {
+        if id.0 != 0 {
+            return None;
+        }
+        // Relaxed: the value is a pure function of the (immutable) arena,
+        // so racing writers store the same number.
+        match self.nodes.root_size.load(Ordering::Relaxed) {
+            0 => None,
+            size => Some(size),
+        }
+    }
+
+    /// Remember `size` as the serialized size of the subtree rooted at
+    /// `id`, if that is the one subtree the arena keeps a size for.
+    pub(crate) fn memoize_size(&self, id: NodeId, size: usize) {
+        if id.0 == 0 {
+            self.nodes.root_size.store(size, Ordering::Relaxed);
+        }
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut Node {
@@ -925,6 +988,103 @@ mod tests {
         let got = dst.graft_frag(r, &frag).unwrap();
         assert_eq!(dst.serialize_node(got), t.serialize_node(pkg));
         assert!(t.share(NodeId(999)).is_err());
+    }
+
+    /// Every mutating API forgets the memoized size — on the handle's own
+    /// arena, or on the private copy it makes of a shared one, whose
+    /// other holders keep theirs.
+    #[test]
+    fn every_mutation_forgets_the_memoized_size() {
+        // (the tree, its root, its first `pkg`)
+        type Mutation = Box<dyn Fn(&mut Tree, NodeId, NodeId)>;
+        let other = Tree::parse("<x k=\"&lt;\">t &amp; u</x>").unwrap();
+        let (src, frag) = (other.clone(), other.share_root());
+        let mutations: Vec<(&str, Mutation)> = vec![
+            (
+                "new_element",
+                Box::new(|t, _, _| {
+                    t.new_element("e");
+                }),
+            ),
+            (
+                "new_text",
+                Box::new(|t, _, _| {
+                    t.new_text("loose");
+                }),
+            ),
+            (
+                "append_child",
+                Box::new(|t, r, _| {
+                    let e = t.new_element("e");
+                    t.append_child(r, e).unwrap();
+                }),
+            ),
+            (
+                "add_element",
+                Box::new(|t, r, _| {
+                    t.add_element(r, "e");
+                }),
+            ),
+            (
+                "add_text",
+                Box::new(|t, r, _| {
+                    t.add_text(r, "a<b");
+                }),
+            ),
+            (
+                "add_text_element",
+                Box::new(|t, r, _| {
+                    t.add_text_element(r, "v", "1&2");
+                }),
+            ),
+            ("detach", Box::new(|t, _, p| t.detach(p).unwrap())),
+            (
+                "set_attr",
+                Box::new(|t, _, p| t.set_attr(p, "name", "\"q\"").unwrap()),
+            ),
+            (
+                "set_attr (new)",
+                Box::new(|t, _, p| t.set_attr(p, "arch", "x86").unwrap()),
+            ),
+            ("clear_children", Box::new(|t, _, p| t.clear_children(p))),
+            (
+                "graft",
+                Box::new(move |t, r, _| {
+                    t.graft(r, &src, src.root()).unwrap();
+                }),
+            ),
+            (
+                "graft_frag",
+                Box::new(move |t, _, p| {
+                    t.graft_frag(p, &frag).unwrap();
+                }),
+            ),
+        ];
+        for (name, mutate) in &mutations {
+            for shared in [false, true] {
+                let mut t = sample();
+                let (root, pkg) = (t.root(), t.first_child_labeled(t.root(), "pkg").unwrap());
+                let before = t.serialized_size();
+                assert_eq!(t.memoized_size(root), Some(before), "{name}: memo seeded");
+                let holder = shared.then(|| t.clone());
+                mutate(&mut t, root, pkg);
+                assert_eq!(t.memoized_size(root), None, "{name} shared={shared}");
+                assert_eq!(t.serialized_size(), t.serialize().len(), "{name}");
+                assert_eq!(t.memoized_size(root), Some(t.serialize().len()));
+                if let Some(h) = holder {
+                    assert_eq!(h.memoized_size(root), Some(before), "{name}: holder");
+                    assert_eq!(h.serialize().len(), before);
+                }
+            }
+        }
+        // A subtree view never reads or seeds the arena's one memo.
+        let t = sample();
+        let pkg = t.first_child_labeled(t.root(), "pkg").unwrap();
+        let view = t.subtree(pkg).unwrap();
+        assert_eq!(view.serialized_size(), view.serialize().len());
+        assert_eq!(t.memoized_size(t.root()), None);
+        assert_eq!(t.share_root().serialized_size(), t.serialize().len());
+        assert_eq!(view.memoized_size(t.root()), Some(t.serialize().len()));
     }
 
     #[test]

@@ -29,6 +29,21 @@ for f in $(find crates/core/src -name '*.rs'); do
     fi
 done
 
+echo "== tier-1: payloads are measured, not rendered (no serialize on the engine's send paths) =="
+# A message body is tree handles plus a length (message.rs's Body); bytes
+# exist only where a socket asks for them, through Body's one emitter.
+# Outside comments and `#[cfg(test)]` modules, the engine, the continuous
+# and replication paths, the driver and the message codec build no string
+# out of a tree.
+for f in crates/core/src/engine/*.rs crates/core/src/continuous.rs \
+    crates/core/src/replication.rs crates/core/src/driver.rs crates/core/src/message.rs; do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
+        | grep -nE '\.serialize\(\)|serialize_node\(|serialize_forest'; then
+        echo "tier-1: $f renders a tree to a string; carry a Body instead" >&2
+        exit 1
+    fi
+done
+
 echo "== tier-1: one byte codec (to_le_bytes/from_le_bytes only in net/src/bytes.rs) =="
 # Every wire shape is built from axml_net::bytes (PutBytes + Cursor).
 # Outside comments and `#[cfg(test)]` modules, a crate spelling the
