@@ -133,10 +133,14 @@ impl Endpoint {
         self.seq - 1
     }
 
-    /// Write one encoded frame numbered `seq`, flush, read the reply.
-    fn exchange(&mut self, seq: u64, frame: &[u8]) -> Result<Frame, FrameError> {
+    /// Write one encoded frame and flush.
+    fn write(&mut self, frame: &[u8]) -> Result<(), FrameError> {
         self.writer.write_all(frame)?;
-        self.writer.flush()?;
+        Ok(self.writer.flush()?)
+    }
+
+    /// Read the reply to the frame numbered `seq`.
+    fn read_reply(&mut self, seq: u64) -> Result<Frame, FrameError> {
         let (reply_seq, reply) = read_frame(&mut self.reader)?;
         if reply_seq != seq {
             return Err(FrameError::Malformed(format!(
@@ -152,7 +156,8 @@ impl Shared {
     fn roundtrip(&mut self, idx: usize, frame: &Frame) -> Result<Frame, FrameError> {
         let ep = &mut self.endpoints[idx];
         let seq = ep.next_seq();
-        ep.exchange(seq, &try_encode_frame(seq, frame)?)
+        ep.write(&try_encode_frame(seq, frame)?)?;
+        ep.read_reply(seq)
     }
 
     /// Ship `msg` as one `Msg` frame built in place — head, addresses,
@@ -164,11 +169,14 @@ impl Shared {
         } = self;
         let ep = &mut endpoints[to.index()];
         let seq = ep.next_seq();
-        let reply = try_encode_msg_with(frame, seq, from.0, to.0, |out| msg.frame_payload(out))
-            .and_then(|()| ep.exchange(seq, frame))
+        try_encode_msg_with(frame, seq, from.0, to.0, |out| msg.frame_payload(out))
+            .and_then(|()| ep.write(frame))
             .map_err(|e| wire_err(to, e))?;
+        // Digest our copy while the endpoint digests its own: by the time
+        // a large frame's is done the reply is usually already waiting.
         let payload = &frame[MSG_PAYLOAD_AT..];
         let sent = fnv1a64(payload);
+        let reply = ep.read_reply(seq).map_err(|e| wire_err(to, e))?;
         match reply {
             Frame::Ack { digest, len } if digest == sent && len as usize == payload.len() => {
                 ep.wire.frames += 1;
