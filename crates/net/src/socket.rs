@@ -71,10 +71,11 @@ use crate::transport::{FramedPayload, Transport};
 use crate::Payload;
 use axml_xml::ids::PeerId;
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Client-side ledger of real wire traffic, kept separately from
 /// [`NetStats`](crate::stats::NetStats) so the deterministic statistics stay bit-identical to
@@ -101,6 +102,16 @@ pub struct EndpointReport {
     /// Payload bytes the endpoint received inside those frames.
     pub payload_bytes: u64,
 }
+
+/// How long after its write a sender looks for the reply before it
+/// sleeps for it. An endpoint on the same host answers a small frame in
+/// microseconds, and waking a core that went idle for that long costs
+/// several times the wait (35–100 µs on a two-vCPU guest, more when the
+/// host is busy): whether the scheduler put the endpoint on the
+/// sender's core or on the other one used to decide a quarter of a
+/// round trip's latency. Time the sender spent digesting its frame
+/// counts, so after a large frame this is one look.
+const REPLY_POLL: Duration = Duration::from_micros(200);
 
 /// One live connection to a peer's endpoint.
 struct Endpoint {
@@ -133,14 +144,42 @@ impl Endpoint {
         self.seq - 1
     }
 
-    /// Write one encoded frame and flush.
-    fn write(&mut self, frame: &[u8]) -> Result<(), FrameError> {
+    /// Write one encoded frame and flush. Returns when that was done, for
+    /// [`Endpoint::read_reply`].
+    fn write(&mut self, frame: &[u8]) -> Result<Instant, FrameError> {
         self.writer.write_all(frame)?;
-        Ok(self.writer.flush()?)
+        self.writer.flush()?;
+        Ok(Instant::now())
     }
 
-    /// Read the reply to the frame numbered `seq`.
-    fn read_reply(&mut self, seq: u64) -> Result<Frame, FrameError> {
+    /// Until [`REPLY_POLL`] after `written`, look for the reply's first
+    /// bytes without sleeping for them (yielding between looks, so an
+    /// endpoint that shares this core gets it). Leaves the connection
+    /// blocking again.
+    fn poll_reply(&mut self, written: Instant) -> io::Result<()> {
+        self.reader.get_ref().set_nonblocking(true)?;
+        let polled = loop {
+            match self.reader.fill_buf() {
+                // Bytes, or an end of stream for `read_frame` to report.
+                Ok(_) => break Ok(()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    if written.elapsed() >= REPLY_POLL {
+                        break Ok(());
+                    }
+                    std::thread::yield_now();
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => break Err(e),
+            }
+        };
+        self.reader.get_ref().set_nonblocking(false)?;
+        polled
+    }
+
+    /// Read the reply to the frame numbered `seq`, whose write finished
+    /// at `written`.
+    fn read_reply(&mut self, seq: u64, written: Instant) -> Result<Frame, FrameError> {
+        self.poll_reply(written)?;
         let (reply_seq, reply) = read_frame(&mut self.reader)?;
         if reply_seq != seq {
             return Err(FrameError::Malformed(format!(
@@ -156,8 +195,8 @@ impl Shared {
     fn roundtrip(&mut self, idx: usize, frame: &Frame) -> Result<Frame, FrameError> {
         let ep = &mut self.endpoints[idx];
         let seq = ep.next_seq();
-        ep.write(&try_encode_frame(seq, frame)?)?;
-        ep.read_reply(seq)
+        let written = ep.write(&try_encode_frame(seq, frame)?)?;
+        ep.read_reply(seq, written)
     }
 
     /// Ship `msg` as one `Msg` frame built in place — head, addresses,
@@ -169,14 +208,14 @@ impl Shared {
         } = self;
         let ep = &mut endpoints[to.index()];
         let seq = ep.next_seq();
-        try_encode_msg_with(frame, seq, from.0, to.0, |out| msg.frame_payload(out))
+        let written = try_encode_msg_with(frame, seq, from.0, to.0, |out| msg.frame_payload(out))
             .and_then(|()| ep.write(frame))
             .map_err(|e| wire_err(to, e))?;
         // Digest our copy while the endpoint digests its own: by the time
         // a large frame's is done the reply is usually already waiting.
         let payload = &frame[MSG_PAYLOAD_AT..];
         let sent = fnv1a64(payload);
-        let reply = ep.read_reply(seq).map_err(|e| wire_err(to, e))?;
+        let reply = ep.read_reply(seq, written).map_err(|e| wire_err(to, e))?;
         match reply {
             Frame::Ack { digest, len } if digest == sent && len as usize == payload.len() => {
                 ep.wire.frames += 1;
@@ -616,7 +655,7 @@ pub fn connect_with_backoff(
                 return Err(io::Error::new(io::ErrorKind::Interrupted, "cancelled"));
             }
             let slice = (backoff - slept).min(25);
-            std::thread::sleep(std::time::Duration::from_millis(slice));
+            std::thread::sleep(Duration::from_millis(slice));
             slept += slice;
         }
     }
@@ -635,6 +674,7 @@ pub fn drain(stream: &mut TcpStream) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::MAX_FRAME_LEN;
     use crate::link::LinkCost;
     use crate::sim::FaultPlan;
 
@@ -742,6 +782,66 @@ mod tests {
         // a's endpoint is still live; shut it down cleanly. b's Bye on
         // drop fails silently against the closed socket, which is fine.
         net.shutdown();
+    }
+
+    /// An endpoint that answers each `Msg` only `delay` after it arrived.
+    fn slow_endpoint(delay: Duration) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut writer = BufWriter::new(stream);
+            read_preamble(&mut reader).unwrap();
+            loop {
+                let (seq, frame) = read_frame(&mut reader).unwrap();
+                let reply = match frame {
+                    Frame::Hello { name, .. } => Frame::Ack {
+                        digest: fnv1a64(name.as_bytes()),
+                        len: name.len() as u32,
+                    },
+                    Frame::Msg { payload, .. } => {
+                        std::thread::sleep(delay);
+                        Frame::Ack {
+                            digest: fnv1a64(&payload),
+                            len: payload.len() as u32,
+                        }
+                    }
+                    other => other,
+                };
+                write_frame(&mut writer, seq, &reply).unwrap();
+                writer.flush().unwrap();
+                if reply == Frame::Bye {
+                    return;
+                }
+            }
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn a_reply_later_than_the_poll_is_slept_for() {
+        // Fifty polls' worth of delay: the sender gives up looking, blocks
+        // and still gets its acknowledgement. The second frame is larger
+        // than any socket buffer, so its `write_all` only completes on a
+        // connection that the poll left blocking.
+        let (addr, endpoint) = slow_endpoint(REPLY_POLL * 50);
+        let mut net: SocketTransport<String> = SocketTransport::new();
+        let a = net.add_peer("a");
+        net.register_endpoint(addr);
+        let b = net.add_peer("b");
+        net.set_link(a, b, LinkCost::lan());
+        net.send(a, b, "small".to_string());
+        net.send(a, b, "x".repeat(MAX_FRAME_LEN as usize - 64));
+        assert_eq!(
+            net.wire_stats(b),
+            WireStats {
+                frames: 2,
+                payload_bytes: 5 + MAX_FRAME_LEN as u64 - 64
+            }
+        );
+        net.shutdown();
+        endpoint.join().unwrap();
     }
 
     #[test]
