@@ -1,5 +1,5 @@
-//! **E14 — EDOS-scale replica network: determinism and memory
-//! discipline at 10⁴–10⁵ peers.** A uniform-WAN network of `n` peers
+//! **E14 — EDOS-scale replica network: faults and memory discipline at
+//! 10⁴–10⁵ peers.** A uniform-WAN network of `n` peers
 //! carries a handful of catalog mirrors (`catalog@any` replicas plus a
 //! declarative `names@any` service). A fixed population of clients —
 //! each wired to a *home* mirror over a LAN-cost override, so `Closest`
@@ -8,15 +8,15 @@
 //! background drop rate plus outage windows on the hottest route, with
 //! the standard retry policy and failover on.
 //!
-//! Every scale row runs the identical workload under all four
-//! `driver × scheduler` combinations — `Sequential`/`Parallel` engine
-//! drivers crossed with the `queue` (binary-heap) and `wheel`
-//! (hierarchical timing-wheel) event schedulers — and asserts the
-//! **transcript fingerprints are bit-identical**: per-poll serialized
-//! results (or typed errors) plus the final message/byte/drop/makespan
-//! counters, FNV-1a-hashed. This is the experiment-level face of the
-//! scheduler-equivalence contract in `axml_net::wheel` and of the
-//! engine's driver-equivalence guarantee.
+//! Each scale is one row, run under the default driver and scheduler,
+//! with its **transcript fingerprint**: per-poll serialized results (or
+//! typed errors) plus the final message/byte/drop/makespan counters,
+//! FNV-1a-hashed — the same seed prints the same fingerprint on every
+//! run. That the other `driver × scheduler` combinations land on the
+//! same fingerprint is asserted at 10⁴ peers by
+//! `tests/scale_stress.rs::edos_fingerprints_match_across_drivers_and_schedulers`
+//! (and, below it, by `driver_equivalence.rs` and `prop_wheel.rs`), not
+//! re-run here.
 //!
 //! Memory discipline rides along: each row records the process peak RSS
 //! and interner pressure ([`axml_obs::MemStats`]) — the numbers the
@@ -45,7 +45,7 @@ pub const ZIPF_S: f64 = 1.1;
 pub const DROP: f64 = 0.02;
 
 /// Workload seed: poll schedule, client choice and fault plan all
-/// derive from it, so every combination replays bit-for-bit.
+/// derive from it, so every run replays bit-for-bit.
 pub const SEED: u64 = 0xE14_5EED;
 
 /// Peak-RSS budget enforced in smoke mode (MiB). The 10⁴-peer release
@@ -54,9 +54,8 @@ pub const SEED: u64 = 0xE14_5EED;
 /// through it immediately.
 pub const SMOKE_RSS_BUDGET_MB: f64 = 1536.0;
 
-/// One measured `driver × scheduler` cell.
+/// One measured scale.
 struct Cell {
-    label: &'static str,
     ok: usize,
     fingerprint: u64,
     live: LiveStats,
@@ -82,18 +81,12 @@ fn client_count(n: usize) -> usize {
 /// home-mirror routes. Construction is O(n + k + c): the uniform
 /// topology is a rule, not a matrix, and only the home routes exist as
 /// explicit link overrides.
-fn build(
-    n: usize,
-    driver: DriverKind,
-    sched: SchedulerKind,
-) -> (AxmlSystem, Vec<PeerId>, Vec<PeerId>) {
+fn build(n: usize) -> (AxmlSystem, Vec<PeerId>, Vec<PeerId>) {
     let topo = Topology::Uniform {
         n,
         cost: LinkCost::wan(),
     };
     let mut sys = AxmlSystem::with_topology(&topo);
-    sys.set_driver(driver);
-    sys.set_scheduler(sched);
     sys.set_pick_policy(PickPolicy::Closest);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.set_failover(true);
@@ -136,17 +129,10 @@ fn build(
     (sys, clients, mirrors)
 }
 
-/// Run one cell: the full Zipf poll schedule under one
-/// `driver × scheduler` combination, returning the transcript
+/// Run one cell: the full Zipf poll schedule, returning the transcript
 /// fingerprint and the row's observability.
-fn run_cell(
-    n: usize,
-    polls: usize,
-    driver: DriverKind,
-    sched: SchedulerKind,
-    label: &'static str,
-) -> Cell {
-    let (mut sys, clients, _mirrors) = build(n, driver, sched);
+fn run_cell(n: usize, polls: usize) -> Cell {
+    let (mut sys, clients, _mirrors) = build(n);
     let sink = LiveSink::new();
     sys.set_trace_sink(Box::new(sink.clone()));
     let zipf = Zipf::new(clients.len(), ZIPF_S);
@@ -215,9 +201,8 @@ fn run_cell(
     );
     sys.flush_trace().unwrap();
     let mem = MemStats::snapshot();
-    let run = sys.run_report(format!("E14 n={n} {label}")).with_mem(mem);
+    let run = sys.run_report(format!("E14 n={n}")).with_mem(mem);
     Cell {
-        label,
         ok,
         fingerprint,
         live: sink.stats(),
@@ -229,24 +214,6 @@ fn run_cell(
     }
 }
 
-/// The four `driver × scheduler` combinations every scale row runs.
-fn combos() -> [(DriverKind, SchedulerKind, &'static str); 4] {
-    [
-        (DriverKind::Sequential, SchedulerKind::Queue, "seq/queue"),
-        (DriverKind::Sequential, SchedulerKind::Wheel, "seq/wheel"),
-        (
-            DriverKind::Parallel { threads: 0 },
-            SchedulerKind::Queue,
-            "par/queue",
-        ),
-        (
-            DriverKind::Parallel { threads: 0 },
-            SchedulerKind::Wheel,
-            "par/wheel",
-        ),
-    ]
-}
-
 /// Run E14.
 pub fn run() -> Report {
     let mode = std::env::var("AXML_E14").unwrap_or_default();
@@ -256,10 +223,9 @@ pub fn run() -> Report {
     };
     let mut r = Report::new(
         "E14",
-        "EDOS-scale replica network: driver × scheduler determinism at 10⁴–10⁵ peers",
+        "EDOS-scale replica network: churn, failover and peak RSS at 10⁴–10⁵ peers",
         vec![
             "peers",
-            "combo",
             "ok",
             "drops",
             "retries",
@@ -276,45 +242,31 @@ pub fn run() -> Report {
     );
     let mut peak_mb = 0.0f64;
     for &n in &scales {
-        let cells: Vec<Cell> = combos()
-            .into_iter()
-            .map(|(driver, sched, label)| run_cell(n, POLLS, driver, sched, label))
-            .collect();
-        let reference = cells[0].fingerprint;
-        for cell in &cells {
-            assert_eq!(
-                cell.fingerprint, reference,
-                "E14 n={n}: {} fingerprint diverged from seq/queue",
-                cell.label
-            );
-            peak_mb = peak_mb.max(cell.mem.peak_rss_mb());
-            let mut row = vec![
-                n.to_string(),
-                cell.label.to_string(),
-                format!("{}/{POLLS}", cell.ok),
-                cell.drops.to_string(),
-                cell.retries.to_string(),
-                cell.failovers.to_string(),
-                cell.run.stats.total_messages().to_string(),
-                format!("{:.0}", cell.run.stats.makespan_ms()),
-            ];
-            row.extend(tail_cells(&cell.live));
-            row.push(format!("{:.0}", cell.mem.peak_rss_mb()));
-            row.push(format!("{:016x}", cell.fingerprint));
-            r.row_with_run(row, cell.run.clone());
-        }
+        let cell = run_cell(n, POLLS);
+        peak_mb = peak_mb.max(cell.mem.peak_rss_mb());
+        let mut row = vec![
+            n.to_string(),
+            format!("{}/{POLLS}", cell.ok),
+            cell.drops.to_string(),
+            cell.retries.to_string(),
+            cell.failovers.to_string(),
+            cell.run.stats.total_messages().to_string(),
+            format!("{:.0}", cell.run.stats.makespan_ms()),
+        ];
+        row.extend(tail_cells(&cell.live));
+        row.push(format!("{:.0}", cell.mem.peak_rss_mb()));
+        row.push(format!("{:016x}", cell.fingerprint));
+        r.row_with_run(row, cell.run);
     }
     // The representative run attached to the text report comes from a
     // miniature replica of the same structure — the full-scale reports
     // stay row-attached (JSON) where their per-peer sections belong.
-    let mini = run_cell(64, 32, DriverKind::Sequential, SchedulerKind::Wheel, "mini");
+    let mini = run_cell(64, 32);
     r.attach_run(mini.run);
-    r.note("all four driver × scheduler fingerprints are asserted bit-identical per scale row");
+    r.note("default driver and scheduler; tests/scale_stress.rs asserts all four driver × scheduler fingerprints bit-identical at 10⁴ peers");
     r.note("fingerprint = FNV-1a over per-poll serialized results/errors + final traffic counters + makespan bits");
     r.note("clients poll Zipf(s=1.1): 80% catalog@any fetches, 20% names@any service calls, churn on the hottest route");
-    r.note(
-        "peak MiB is process-wide and monotone across cells; the smoke gate budgets the maximum",
-    );
+    r.note("peak MiB is process-wide and monotone across rows; the smoke gate budgets the maximum");
     if mode == "smoke" {
         assert!(
             peak_mb < SMOKE_RSS_BUDGET_MB,
@@ -331,42 +283,24 @@ pub fn run() -> Report {
 mod tests {
     use super::*;
 
-    /// A scaled-down sweep exercising the full cell machinery (the
-    /// default-scale sweep runs in the suite-wide smoke test).
+    /// A scaled-down cell exercising the full machinery (the
+    /// default-scale row runs in the suite-wide smoke test).
     #[test]
-    fn small_scale_cells_agree_and_reconcile() {
-        let cells: Vec<Cell> = combos()
-            .into_iter()
-            .map(|(driver, sched, label)| run_cell(512, 48, driver, sched, label))
-            .collect();
-        for cell in &cells {
-            assert_eq!(
-                cell.fingerprint, cells[0].fingerprint,
-                "{} diverged",
-                cell.label
-            );
-            assert!(cell.run.reconciled, "{} must reconcile", cell.label);
-            assert!(cell.ok > 0, "{} completed no polls", cell.label);
-            assert!(
-                cell.run
-                    .sched
-                    .as_ref()
-                    .expect("sched attached")
-                    .consistent(),
-                "{} scheduler ledger leaks",
-                cell.label
-            );
-            assert!(cell.live.total_messages() > 0);
-        }
-        // The wheel cells actually ran on the wheel.
-        assert_eq!(cells[1].run.sched.as_ref().unwrap().backend, "wheel");
-        assert_eq!(cells[0].run.sched.as_ref().unwrap().backend, "queue");
-        // Churn left marks: drops and failovers happened, yet the
-        // transcripts still matched.
-        assert!(cells[0].drops > 0, "drop rate must bite");
-        assert!(
-            cells[0].failovers > 0,
-            "outage windows must force failovers"
+    fn small_scale_cell_replays_and_reconciles() {
+        let cell = run_cell(512, 48);
+        assert_eq!(
+            cell.fingerprint,
+            run_cell(512, 48).fingerprint,
+            "same seed, same transcript"
         );
+        assert!(cell.run.reconciled);
+        assert!(cell.ok > 0, "completed no polls");
+        let sched = cell.run.sched.as_ref().expect("sched attached");
+        assert!(sched.consistent(), "scheduler ledger leaks");
+        assert_eq!(sched.backend, "queue");
+        assert!(cell.live.total_messages() > 0);
+        // Churn left marks: drops and failovers happened.
+        assert!(cell.drops > 0, "drop rate must bite");
+        assert!(cell.failovers > 0, "outage windows must force failovers");
     }
 }

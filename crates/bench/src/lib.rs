@@ -15,7 +15,8 @@
 //! cargo run --release -p axml-bench --bin experiments -- e1 e3   # subset
 //! ```
 //!
-//! Wall-clock micro-benchmarks (criterion) live in `benches/`.
+//! Wall-clock numbers come from the `benchmark/` package (`axml-perf`),
+//! not from this crate.
 //!
 //! The crate also ships `axml-trace`, a replay CLI that decodes a trace
 //! file (JSONL or AXTR binary, auto-detected) and renders a per-peer

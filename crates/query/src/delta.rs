@@ -157,12 +157,11 @@ impl<'d> ContinuousEval<'d> {
 mod tests {
     use super::*;
     use crate::eval::NoDocs;
-    use crate::lower::lower;
-    use crate::parser::parse_query;
+    use crate::parser::parse_plan;
     use axml_xml::equiv::forest_equiv;
 
     fn plan(src: &str, arity: usize) -> Plan {
-        lower(&parse_query(src).unwrap(), arity).unwrap()
+        parse_plan(src, arity).unwrap()
     }
 
     fn pkg(name: &str, size: u32) -> Tree {

@@ -11,8 +11,9 @@
 //! Estimates are heuristics — property tests assert only sanity (non-
 //! negative, zero on empty input, monotone in input size), not accuracy.
 
-use crate::ast::{Axis, CmpOp};
-use crate::plan::{Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, StartRef};
+use crate::plan::{
+    Axis, CmpOp, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, StartRef,
+};
 use axml_xml::tree::{NodeKind, Tree};
 use axml_xml::Label;
 use std::borrow::Borrow;
@@ -323,8 +324,7 @@ pub fn estimate(plan: &Plan, stats: &[impl Borrow<ForestStats>]) -> Estimate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::parser::parse_query;
+    use crate::parser::parse_plan;
 
     fn forest(n: usize) -> Vec<Tree> {
         (0..n)
@@ -339,7 +339,7 @@ mod tests {
     }
 
     fn plan(src: &str) -> Plan {
-        lower(&parse_query(src).unwrap(), 1).unwrap()
+        parse_plan(src, 1).unwrap()
     }
 
     #[test]

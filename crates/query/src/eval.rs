@@ -16,11 +16,10 @@
 //! * A top-level bare `{path}` template emits one result tree per matched
 //!   item; atoms become `<text>…</text>` trees.
 
-use crate::ast::{Axis, CmpOp};
 use crate::error::{QueryError, QueryResult};
 use crate::plan::{
-    AttrTplPlan, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, SourceRef,
-    StartRef, TemplatePlan,
+    AttrTplPlan, Axis, CmpOp, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan,
+    SourceRef, StartRef, TemplatePlan,
 };
 use axml_xml::ids::DocName;
 use axml_xml::tree::{NodeId, NodeKind, Tree};
@@ -579,11 +578,10 @@ fn fill_element<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::parser::parse_query;
+    use crate::parser::parse_plan;
 
     fn run(src: &str, inputs: &[Forest]) -> Vec<String> {
-        let plan = lower(&parse_query(src).unwrap(), inputs.len()).unwrap();
+        let plan = parse_plan(src, inputs.len()).unwrap();
         plan.eval(inputs, &NoDocs)
             .unwrap()
             .iter()
@@ -707,11 +705,7 @@ mod tests {
     fn doc_resolution() {
         let mut docs = std::collections::HashMap::new();
         docs.insert(DocName::new("cat"), catalog());
-        let plan = lower(
-            &parse_query(r#"for $d in doc("cat")//dep return {$d}"#).unwrap(),
-            0,
-        )
-        .unwrap();
+        let plan = parse_plan(r#"for $d in doc("cat")//dep return {$d}"#, 0).unwrap();
         let out = plan.eval(&[], &docs).unwrap();
         assert_eq!(out.len(), 2);
         // and unresolved docs error
@@ -753,7 +747,7 @@ mod tests {
 
     #[test]
     fn arity_checked() {
-        let plan = lower(&parse_query("$1/x").unwrap(), 0).unwrap();
+        let plan = parse_plan("$1/x", 0).unwrap();
         let e = plan.eval(&[], &NoDocs).unwrap_err();
         assert!(matches!(e, QueryError::ArityMismatch { .. }));
     }
@@ -780,11 +774,10 @@ mod tests {
 #[cfg(test)]
 mod count_tests {
     use super::*;
-    use crate::lower::lower;
-    use crate::parser::parse_query;
+    use crate::parser::parse_plan;
 
     fn run(src: &str, inputs: &[Forest]) -> Vec<String> {
-        let plan = lower(&parse_query(src).unwrap(), inputs.len()).unwrap();
+        let plan = parse_plan(src, inputs.len()).unwrap();
         plan.eval(inputs, &NoDocs)
             .unwrap()
             .iter()
@@ -828,16 +821,25 @@ mod count_tests {
     }
 
     #[test]
-    fn count_display_roundtrip() {
+    fn count_parses_to_a_cardinality_predicate() {
         let src = r#"for $p in $0//pkg where count($p/deps/dep) > 1 return {$p}"#;
-        let body = parse_query(src).unwrap();
-        let rendered = body.to_string();
-        assert_eq!(parse_query(&rendered).unwrap(), body, "{rendered}");
+        let plan = parse_plan(src, 0).unwrap();
+        assert!(matches!(
+            plan.ops,
+            Op::Filter {
+                pred: PredPlan::CountCmp {
+                    op: CmpOp::Gt,
+                    n: 1,
+                    ..
+                },
+                ..
+            }
+        ));
     }
 
     #[test]
     fn count_rejects_non_integer_bound() {
-        assert!(parse_query(r#"for $p in $0 where count($p/x) > 1.5 return {$p}"#).is_err());
-        assert!(parse_query(r#"for $p in $0 where count($p/x) ~ 1 return {$p}"#).is_err());
+        assert!(parse_plan(r#"for $p in $0 where count($p/x) > 1.5 return {$p}"#, 0).is_err());
+        assert!(parse_plan(r#"for $p in $0 where count($p/x) ~ 1 return {$p}"#, 0).is_err());
     }
 }

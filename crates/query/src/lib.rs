@@ -10,7 +10,8 @@
 //!
 //! * a **textual FLWR language** (`for $x in $0//pkg where … return <r>…</r>`)
 //!   with paths, predicates, joins over several `for` clauses, `let`
-//!   bindings and XML construction templates ([`parser`], [`ast`]),
+//!   bindings and XML construction templates, parsed straight into plans
+//!   ([`parser`]),
 //! * a **logical algebra** of plans (DataFusion-style: a tree of operators
 //!   with visitor/rewriter infrastructure) ([`plan`]),
 //! * a **batch evaluator** over forests of input trees and a
@@ -39,12 +40,10 @@
 //! assert_eq!(out[0].serialize(), "<hit><version>9.1</version></hit>");
 //! ```
 
-pub mod ast;
 pub mod delta;
 pub mod error;
 pub mod estimate;
 pub mod eval;
-pub mod lower;
 pub mod matcher;
 pub mod parser;
 pub mod plan;

@@ -72,10 +72,10 @@
 //! satisfy them on that item — this is what makes the probe selective on
 //! workloads like `for $i in doc("b")/item where $i/@topic = "t7"`.
 
-use crate::ast::{Axis, CmpOp};
 use crate::eval::{eval_pred, node_test_matches, BindVal, Ctx, NoDocs, PItem};
 use crate::plan::{
-    Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, SourceRef, StartRef, VarId,
+    Axis, CmpOp, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, SourceRef,
+    StartRef, VarId,
 };
 use crate::query::Query;
 use axml_xml::ids::DocName;

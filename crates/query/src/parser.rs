@@ -1,50 +1,93 @@
-//! Hand-written recursive-descent parser for the query language.
+//! Hand-written recursive-descent parser for the query language: source
+//! text in, [`Plan`] out.
 //!
-//! See [`crate::ast`] for the grammar. The parser is whitespace-lenient
-//! between tokens and reports errors with character offsets.
+//! The grammar is a compact FLWR fragment:
+//!
+//! ```text
+//! query    ::= flwr | path
+//! flwr     ::= clause+ 'return' template
+//! clause   ::= 'for' '$'name 'in' path
+//!            | 'let' '$'name ':=' path
+//!            | 'where' cond
+//! path     ::= start step*
+//! start    ::= '$'N          (parameter N)
+//!            | '$'name       (bound variable)
+//!            | 'doc' '(' string ')'
+//! step     ::= '/' test pred* | '//' test pred*
+//! test     ::= name | '*' | 'text()' | '@'name
+//! pred     ::= '[' cond ']'
+//! cond     ::= or-combination of comparisons, contains(), exists(),
+//!              count(path) op N
+//! template ::= '<'name attrs'>' (template | '{' path '}' | text)* '</'name'>'
+//! ```
+//!
+//! Names are resolved while reading: `$x` becomes the variable slot its
+//! `for`/`let` clause bound (a clause's variable is in scope only *after*
+//! the clause's own path, and may be bound once), `$N` raises the arity,
+//! a path inside `[…]` may start at a test and is then relative to the
+//! predicate's context node, and `@attr`/`text()` end a path. A bare path
+//! `$0//pkg` is shorthand for `for $v in $0//pkg return {$v}`.
+//!
+//! The parser is whitespace-lenient between tokens and reports syntax
+//! errors with byte offsets; the first mistake in source order wins.
 
-use crate::ast::*;
 use crate::error::{QueryError, QueryResult};
+use crate::plan::{
+    AttrTplPlan, Axis, CmpOp, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan,
+    SourceRef, StartRef, TemplatePlan, VarId,
+};
+use axml_xml::ids::DocName;
+use axml_xml::Label;
+use std::collections::HashMap;
 
-/// Parse a query body from source text.
-pub fn parse_query(src: &str) -> QueryResult<QueryBody> {
-    let mut p = P::new(src);
+/// Parse query source text into a plan. `min_arity` lets callers force a
+/// larger arity than the parameters actually referenced.
+pub fn parse_plan(src: &str, min_arity: usize) -> QueryResult<Plan> {
+    let mut p = P {
+        src,
+        pos: 0,
+        vars: HashMap::new(),
+        n_vars: 0,
+        arity: min_arity,
+        pred_depth: 0,
+    };
     p.ws();
-    let body = if p.peek_kw("for") || p.peek_kw("let") || p.peek_kw("where") {
+    let (ops, template) = if p.peek_kw("for") || p.peek_kw("let") || p.peek_kw("where") {
         p.parse_flwr()?
     } else {
+        let var = p.fresh();
         let path = p.parse_path()?;
-        QueryBody::Bare(path)
+        let scan = Op::ForEach {
+            var,
+            path,
+            input: Box::new(Op::Unit),
+        };
+        (scan, TemplatePlan::Splice(PathPlan::var(var)))
     };
     p.ws();
     if !p.done() {
         return Err(p.err("unexpected trailing input"));
     }
-    Ok(body)
-}
-
-/// Parse a standalone path (used by tests and tools).
-pub fn parse_path(src: &str) -> QueryResult<Path> {
-    let mut p = P::new(src);
-    p.ws();
-    let path = p.parse_path()?;
-    p.ws();
-    if !p.done() {
-        return Err(p.err("unexpected trailing input"));
-    }
-    Ok(path)
+    Ok(Plan {
+        arity: p.arity,
+        n_vars: p.n_vars,
+        ops,
+        template,
+    })
 }
 
 struct P<'a> {
     src: &'a str,
     pos: usize,
+    /// Variables in scope, by name (without `$`).
+    vars: HashMap<&'a str, VarId>,
+    n_vars: usize,
+    arity: usize,
+    /// How many `[…]` enclose the current position.
+    pred_depth: usize,
 }
 
 impl<'a> P<'a> {
-    fn new(src: &'a str) -> Self {
-        P { src, pos: 0 }
-    }
-
     fn err(&self, msg: impl Into<String>) -> QueryError {
         QueryError::Syntax {
             msg: msg.into(),
@@ -112,7 +155,7 @@ impl<'a> P<'a> {
         }
     }
 
-    fn parse_name(&mut self) -> QueryResult<String> {
+    fn parse_name(&mut self) -> QueryResult<&'a str> {
         let start = self.pos;
         match self.peek() {
             Some(c) if c.is_alphabetic() || c == '_' => {
@@ -124,7 +167,7 @@ impl<'a> P<'a> {
         {
             self.bump();
         }
-        Ok(self.src[start..self.pos].to_string())
+        Ok(&self.src[start..self.pos])
     }
 
     fn parse_string(&mut self) -> QueryResult<String> {
@@ -146,48 +189,71 @@ impl<'a> P<'a> {
         }
     }
 
+    // --- scope ----------------------------------------------------------
+
+    fn fresh(&mut self) -> VarId {
+        let v = self.n_vars;
+        self.n_vars += 1;
+        v
+    }
+
+    fn bind(&mut self, name: &'a str) -> QueryResult<VarId> {
+        if self.vars.contains_key(name) {
+            return Err(QueryError::DuplicateVariable(format!("${name}")));
+        }
+        let v = self.fresh();
+        self.vars.insert(name, v);
+        Ok(v)
+    }
+
     // --- FLWR ---------------------------------------------------------
 
-    fn parse_flwr(&mut self) -> QueryResult<QueryBody> {
-        let mut clauses = Vec::new();
+    fn parse_flwr(&mut self) -> QueryResult<(Op, TemplatePlan)> {
+        let mut ops = Op::Unit;
         loop {
             self.ws();
             if self.eat_kw("for") {
                 self.ws();
-                let var = self.parse_dollar_name()?;
+                let name = self.parse_dollar_name()?;
                 self.ws();
                 if !self.eat_kw("in") {
                     return Err(self.err("expected `in`"));
                 }
                 self.ws();
-                let source = self.parse_path()?;
-                clauses.push(Clause::For { var, source });
+                let path = self.parse_path()?;
+                ops = Op::ForEach {
+                    var: self.bind(name)?,
+                    path,
+                    input: Box::new(ops),
+                };
             } else if self.eat_kw("let") {
                 self.ws();
-                let var = self.parse_dollar_name()?;
+                let name = self.parse_dollar_name()?;
                 self.ws();
                 self.expect(":=")?;
                 self.ws();
                 let path = self.parse_path()?;
-                clauses.push(Clause::Let { var, path });
+                ops = Op::LetBind {
+                    var: self.bind(name)?,
+                    path,
+                    input: Box::new(ops),
+                };
             } else if self.eat_kw("where") {
                 self.ws();
-                let c = self.parse_cond()?;
-                clauses.push(Clause::Where(c));
+                ops = Op::Filter {
+                    pred: self.parse_cond()?,
+                    input: Box::new(ops),
+                };
             } else if self.eat_kw("return") {
                 self.ws();
-                let ret = self.parse_template()?;
-                if clauses.is_empty() {
-                    return Err(self.err("`return` without any clause"));
-                }
-                return Ok(QueryBody::Flwr { clauses, ret });
+                return Ok((ops, self.parse_template()?));
             } else {
                 return Err(self.err("expected `for`, `let`, `where` or `return`"));
             }
         }
     }
 
-    fn parse_dollar_name(&mut self) -> QueryResult<String> {
+    fn parse_dollar_name(&mut self) -> QueryResult<&'a str> {
         self.expect("$")?;
         if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
             return Err(self.err("`for`/`let` variables must be named, not numeric"));
@@ -197,7 +263,7 @@ impl<'a> P<'a> {
 
     // --- paths ----------------------------------------------------------
 
-    fn parse_path(&mut self) -> QueryResult<Path> {
+    fn parse_path(&mut self) -> QueryResult<PathPlan> {
         let start = if self.eat("$") {
             if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
                 let s = self.pos;
@@ -207,140 +273,155 @@ impl<'a> P<'a> {
                 let n: usize = self.src[s..self.pos]
                     .parse()
                     .map_err(|_| self.err("bad parameter index"))?;
-                PathStart::Param(n)
+                let covers = n
+                    .checked_add(1)
+                    .ok_or_else(|| self.err("bad parameter index"))?;
+                self.arity = self.arity.max(covers);
+                StartRef::Source(SourceRef::Param(n))
             } else {
-                PathStart::Var(self.parse_name()?)
+                let name = self.parse_name()?;
+                match self.vars.get(name) {
+                    Some(&slot) => StartRef::Var(slot),
+                    None => return Err(QueryError::UnboundVariable(format!("${name}"))),
+                }
             }
-        } else if self.peek_kw("doc") {
-            self.eat_kw("doc");
+        } else if self.eat_kw("doc") {
             self.ws();
             self.expect("(")?;
             self.ws();
             let name = self.parse_string()?;
             self.ws();
             self.expect(")")?;
-            PathStart::Doc(name)
+            StartRef::Source(SourceRef::Doc(DocName::new(name)))
         } else {
             return Err(self.err("expected `$var`, `$N` or `doc(\"…\")`"));
         };
-        let steps = self.parse_steps()?;
-        Ok(Path { start, steps })
-    }
-
-    /// A relative path inside a predicate: starts with a test directly.
-    fn parse_rel_path(&mut self) -> QueryResult<Path> {
-        let test = self.parse_test()?;
-        let mut preds = Vec::new();
-        while self.peek() == Some('[') {
-            self.bump();
-            self.ws();
-            let c = self.parse_cond()?;
-            self.ws();
-            self.expect("]")?;
-            preds.push(c);
-        }
-        let first = Step {
-            axis: Axis::Child,
-            test,
-            preds,
-        };
-        let mut steps = vec![first];
-        steps.extend(self.parse_steps()?);
-        Ok(Path {
-            start: PathStart::Var(REL_VAR.to_string()),
-            steps,
-        })
-    }
-
-    fn parse_steps(&mut self) -> QueryResult<Vec<Step>> {
         let mut steps = Vec::new();
+        self.parse_steps(&mut steps)?;
+        Ok(PathPlan { start, steps })
+    }
+
+    /// A path in condition position: absolute (`$…`, `doc(…)`) or, inside
+    /// a predicate, relative — it starts with a test directly and is
+    /// resolved against the predicate's context node.
+    fn parse_cond_path(&mut self) -> QueryResult<PathPlan> {
+        match self.peek() {
+            Some('$') => self.parse_path(),
+            Some(_) if self.peek_kw("doc") => self.parse_path(),
+            Some(c) if c.is_alphabetic() || c == '_' || c == '@' || c == '*' => {
+                if self.pred_depth == 0 {
+                    return Err(QueryError::UnboundVariable(
+                        "relative path outside a predicate".into(),
+                    ));
+                }
+                let mut steps = vec![self.parse_step(Axis::Child)?];
+                self.parse_steps(&mut steps)?;
+                Ok(PathPlan {
+                    start: StartRef::Context,
+                    steps,
+                })
+            }
+            _ => Err(self.err("expected a path")),
+        }
+    }
+
+    fn parse_steps(&mut self, steps: &mut Vec<PlanStep>) -> QueryResult<()> {
         loop {
-            let axis = if self.rest().starts_with("//") {
-                self.pos += 2;
+            let axis = if self.eat("//") {
                 Axis::Descendant
-            } else if self.peek() == Some('/') {
-                self.bump();
+            } else if self.eat("/") {
                 Axis::Child
             } else {
-                return Ok(steps);
+                return Ok(());
             };
-            let test = self.parse_test()?;
-            let mut preds = Vec::new();
-            while self.peek() == Some('[') {
-                self.bump();
-                self.ws();
-                let c = self.parse_cond()?;
-                self.ws();
-                self.expect("]")?;
-                preds.push(c);
-            }
-            steps.push(Step { axis, test, preds });
+            steps.push(self.parse_step(axis)?);
         }
     }
 
-    fn parse_test(&mut self) -> QueryResult<NodeTest> {
-        if self.eat("@") {
-            Ok(NodeTest::Attr(self.parse_name()?))
-        } else if self.eat("*") {
-            Ok(NodeTest::Wildcard)
-        } else if self.peek_kw("text") {
-            let save = self.pos;
-            self.eat_kw("text");
-            if self.eat("()") {
-                Ok(NodeTest::Text)
-            } else {
-                // An element actually named `text`.
-                self.pos = save;
-                Ok(NodeTest::Label(self.parse_name()?))
+    /// A test and its predicates; `@attr`/`text()` take no predicates and
+    /// no further step.
+    fn parse_step(&mut self, axis: Axis) -> QueryResult<PlanStep> {
+        let at = self.pos;
+        let test = self.parse_test()?;
+        if matches!(test, PlanTest::Text | PlanTest::Attr(_)) {
+            if self.peek() == Some('[') {
+                return Err(QueryError::NotApplicable(
+                    "predicates are not allowed on `@attr`/`text()` steps".into(),
+                ));
             }
+            if self.peek() == Some('/') {
+                return Err(QueryError::NotApplicable(format!(
+                    "`{}` must be the final step of a path",
+                    &self.src[at..self.pos]
+                )));
+            }
+        }
+        let mut preds = Vec::new();
+        while self.eat("[") {
+            self.pred_depth += 1;
+            self.ws();
+            preds.push(self.parse_cond()?);
+            self.ws();
+            self.expect("]")?;
+            self.pred_depth -= 1;
+        }
+        Ok(PlanStep { axis, test, preds })
+    }
+
+    fn parse_test(&mut self) -> QueryResult<PlanTest> {
+        if self.eat("@") {
+            Ok(PlanTest::Attr(Label::new(self.parse_name()?)))
+        } else if self.eat("*") {
+            Ok(PlanTest::Wildcard)
+        } else if self.eat("text()") {
+            Ok(PlanTest::Text)
         } else {
-            Ok(NodeTest::Label(self.parse_name()?))
+            // Including an element actually named `text`.
+            Ok(PlanTest::Label(Label::new(self.parse_name()?)))
         }
     }
 
     // --- conditions ------------------------------------------------------
 
-    fn parse_cond(&mut self) -> QueryResult<Cond> {
+    fn parse_cond(&mut self) -> QueryResult<PredPlan> {
         let mut lhs = self.parse_and()?;
         loop {
             self.ws();
             if self.eat_kw("or") {
                 self.ws();
                 let rhs = self.parse_and()?;
-                lhs = Cond::Or(Box::new(lhs), Box::new(rhs));
+                lhs = PredPlan::Or(Box::new(lhs), Box::new(rhs));
             } else {
                 return Ok(lhs);
             }
         }
     }
 
-    fn parse_and(&mut self) -> QueryResult<Cond> {
+    fn parse_and(&mut self) -> QueryResult<PredPlan> {
         let mut lhs = self.parse_prim_cond()?;
         loop {
             self.ws();
             if self.eat_kw("and") {
                 self.ws();
                 let rhs = self.parse_prim_cond()?;
-                lhs = Cond::And(Box::new(lhs), Box::new(rhs));
+                lhs = PredPlan::And(Box::new(lhs), Box::new(rhs));
             } else {
                 return Ok(lhs);
             }
         }
     }
 
-    fn parse_prim_cond(&mut self) -> QueryResult<Cond> {
+    fn parse_prim_cond(&mut self) -> QueryResult<PredPlan> {
         self.ws();
-        if self.peek_kw("not") {
-            self.eat_kw("not");
+        if self.eat_kw("not") {
             self.ws();
             self.expect("(")?;
             let c = self.parse_cond()?;
             self.ws();
             self.expect(")")?;
-            return Ok(Cond::Not(Box::new(c)));
+            return Ok(PredPlan::Not(Box::new(c)));
         }
-        if self.peek_kw("contains") {
-            self.eat_kw("contains");
+        if self.eat_kw("contains") {
             self.ws();
             self.expect("(")?;
             self.ws();
@@ -351,10 +432,9 @@ impl<'a> P<'a> {
             let needle = self.parse_string()?;
             self.ws();
             self.expect(")")?;
-            return Ok(Cond::Contains { path, needle });
+            return Ok(PredPlan::Contains { path, needle });
         }
-        if self.peek_kw("count") {
-            self.eat_kw("count");
+        if self.eat_kw("count") {
             self.ws();
             self.expect("(")?;
             self.ws();
@@ -362,40 +442,26 @@ impl<'a> P<'a> {
             self.ws();
             self.expect(")")?;
             self.ws();
-            let op = if self.eat("!=") {
-                CmpOp::Ne
-            } else if self.eat("<=") {
-                CmpOp::Le
-            } else if self.eat(">=") {
-                CmpOp::Ge
-            } else if self.eat("=") {
-                CmpOp::Eq
-            } else if self.eat("<") {
-                CmpOp::Lt
-            } else if self.eat(">") {
-                CmpOp::Gt
-            } else {
-                return Err(self.err("expected a comparison operator after count(…)"));
-            };
+            let op = self
+                .parse_cmp_op()
+                .ok_or_else(|| self.err("expected a comparison operator after count(…)"))?;
             self.ws();
             let n = self
                 .parse_number()?
                 .parse::<u64>()
                 .map_err(|_| self.err("count(…) compares against a non-negative integer"))?;
-            return Ok(Cond::CountCmp { path, op, n });
+            return Ok(PredPlan::CountCmp { path, op, n });
         }
-        if self.peek_kw("exists") {
-            self.eat_kw("exists");
+        if self.eat_kw("exists") {
             self.ws();
             self.expect("(")?;
             self.ws();
             let p = self.parse_cond_path()?;
             self.ws();
             self.expect(")")?;
-            return Ok(Cond::Exists(p));
+            return Ok(PredPlan::Exists(p));
         }
-        if self.peek() == Some('(') {
-            self.bump();
+        if self.eat("(") {
             let c = self.parse_cond()?;
             self.ws();
             self.expect(")")?;
@@ -404,46 +470,35 @@ impl<'a> P<'a> {
         // A comparison.
         let lhs = self.parse_cond_path()?;
         self.ws();
-        let op = if self.eat("!=") {
-            CmpOp::Ne
-        } else if self.eat("<=") {
-            CmpOp::Le
-        } else if self.eat(">=") {
-            CmpOp::Ge
-        } else if self.eat("=") {
-            CmpOp::Eq
-        } else if self.eat("<") {
-            CmpOp::Lt
-        } else if self.eat(">") {
-            CmpOp::Gt
-        } else {
-            return Err(self.err("expected a comparison operator"));
-        };
+        let op = self
+            .parse_cmp_op()
+            .ok_or_else(|| self.err("expected a comparison operator"))?;
         self.ws();
         let rhs = if self.peek() == Some('"') {
-            Operand::Literal(self.parse_string()?)
+            OperandPlan::Literal(self.parse_string()?)
         } else if matches!(self.peek(), Some(c) if c.is_ascii_digit() || c == '-') {
-            Operand::Literal(self.parse_number()?)
+            OperandPlan::Literal(self.parse_number()?.to_string())
         } else {
-            Operand::Path(self.parse_cond_path()?)
+            OperandPlan::Path(self.parse_cond_path()?)
         };
-        Ok(Cond::Cmp { lhs, op, rhs })
+        Ok(PredPlan::Cmp { lhs, op, rhs })
     }
 
-    /// A path in condition position: absolute (`$…`, `doc(…)`) or relative
-    /// (starts with a test, resolved against the predicate's context node).
-    fn parse_cond_path(&mut self) -> QueryResult<Path> {
-        match self.peek() {
-            Some('$') => self.parse_path(),
-            Some(_) if self.peek_kw("doc") => self.parse_path(),
-            Some(c) if c.is_alphabetic() || c == '_' || c == '@' || c == '*' => {
-                self.parse_rel_path()
-            }
-            _ => Err(self.err("expected a path")),
-        }
+    fn parse_cmp_op(&mut self) -> Option<CmpOp> {
+        // Two-character tokens first: `<=` is not `<` then `=`.
+        [
+            CmpOp::Ne,
+            CmpOp::Le,
+            CmpOp::Ge,
+            CmpOp::Eq,
+            CmpOp::Lt,
+            CmpOp::Gt,
+        ]
+        .into_iter()
+        .find(|op| self.eat(op.symbol()))
     }
 
-    fn parse_number(&mut self) -> QueryResult<String> {
+    fn parse_number(&mut self) -> QueryResult<&'a str> {
         let start = self.pos;
         if self.peek() == Some('-') {
             self.bump();
@@ -462,39 +517,41 @@ impl<'a> P<'a> {
         if !saw {
             return Err(self.err("expected a number"));
         }
-        Ok(self.src[start..self.pos].to_string())
+        Ok(&self.src[start..self.pos])
     }
 
     // --- templates -------------------------------------------------------
 
-    fn parse_template(&mut self) -> QueryResult<Template> {
+    fn parse_template(&mut self) -> QueryResult<TemplatePlan> {
         self.ws();
         match self.peek() {
             Some('<') => self.parse_template_element(),
-            Some('{') => self.parse_splice(),
+            Some('{') => Ok(TemplatePlan::Splice(self.parse_splice()?)),
             _ => Err(self.err("expected `<element>` or `{path}` after `return`")),
         }
     }
 
-    fn parse_splice(&mut self) -> QueryResult<Template> {
+    /// `{ path }`.
+    fn parse_splice(&mut self) -> QueryResult<PathPlan> {
         self.expect("{")?;
         self.ws();
         let p = self.parse_path()?;
         self.ws();
         self.expect("}")?;
-        Ok(Template::Splice(p))
+        Ok(p)
     }
 
-    fn parse_template_element(&mut self) -> QueryResult<Template> {
+    fn parse_template_element(&mut self) -> QueryResult<TemplatePlan> {
         self.expect("<")?;
-        let label = self.parse_name()?;
+        let name = self.parse_name()?;
+        let label = Label::new(name);
         let mut attrs = Vec::new();
         loop {
             self.ws();
             match self.peek() {
                 Some('/') => {
                     self.expect("/>")?;
-                    return Ok(Template::Element {
+                    return Ok(TemplatePlan::Element {
                         label,
                         attrs,
                         children: vec![],
@@ -505,7 +562,7 @@ impl<'a> P<'a> {
                     break;
                 }
                 Some(c) if c.is_alphabetic() || c == '_' => {
-                    let aname = self.parse_name()?;
+                    let aname = Label::new(self.parse_name()?);
                     self.ws();
                     self.expect("=")?;
                     self.ws();
@@ -517,17 +574,16 @@ impl<'a> P<'a> {
         // children until </label>
         let mut children = Vec::new();
         loop {
-            if self.rest().starts_with("</") {
-                self.pos += 2;
+            if self.eat("</") {
                 let close = self.parse_name()?;
-                if close != label {
+                if close != name {
                     return Err(self.err(format!(
-                        "mismatched template tag: `{label}` closed by `{close}`"
+                        "mismatched template tag: `{name}` closed by `{close}`"
                     )));
                 }
                 self.ws();
                 self.expect(">")?;
-                return Ok(Template::Element {
+                return Ok(TemplatePlan::Element {
                     label,
                     attrs,
                     children,
@@ -535,31 +591,26 @@ impl<'a> P<'a> {
             }
             match self.peek() {
                 Some('<') => children.push(self.parse_template_element()?),
-                Some('{') if self.rest().starts_with("{{") => {
-                    children.push(self.parse_template_text()?)
+                Some('{') if !self.rest().starts_with("{{") => {
+                    children.push(TemplatePlan::Splice(self.parse_splice()?))
                 }
-                Some('{') => children.push(self.parse_splice()?),
                 Some(_) => children.push(self.parse_template_text()?),
-                None => return Err(self.err(format!("unterminated template `<{label}>`"))),
+                None => return Err(self.err(format!("unterminated template `<{name}>`"))),
             }
         }
     }
 
-    fn parse_attr_template(&mut self) -> QueryResult<AttrTemplate> {
+    fn parse_attr_template(&mut self) -> QueryResult<AttrTplPlan> {
         self.expect("\"")?;
         if self.peek() == Some('{') {
-            self.bump();
-            self.ws();
-            let p = self.parse_path()?;
-            self.ws();
-            self.expect("}")?;
+            let p = self.parse_splice()?;
             self.expect("\"")?;
-            return Ok(AttrTemplate::Splice(p));
+            return Ok(AttrTplPlan::Splice(p));
         }
         let mut out = String::new();
         loop {
             match self.bump() {
-                Some('"') => return Ok(AttrTemplate::Literal(out)),
+                Some('"') => return Ok(AttrTplPlan::Literal(out)),
                 Some('\\') => match self.bump() {
                     Some('"') => out.push('"'),
                     Some('\\') => out.push('\\'),
@@ -572,20 +623,17 @@ impl<'a> P<'a> {
         }
     }
 
-    fn parse_template_text(&mut self) -> QueryResult<Template> {
+    /// Literal text up to the next tag or splice. Consumes at least one
+    /// character or fails — the children loop above relies on it.
+    fn parse_template_text(&mut self) -> QueryResult<TemplatePlan> {
         let mut out = String::new();
         loop {
             match self.peek() {
                 None | Some('<') => break,
-                Some('{') if self.rest().starts_with("{{") => {
-                    self.pos += 2;
-                    out.push('{');
-                }
-                Some('}') if self.rest().starts_with("}}") => {
-                    self.pos += 2;
-                    out.push('}');
-                }
-                Some('{') | Some('}') => break,
+                Some('{') if self.eat("{{") => out.push('{'),
+                Some('{') => break,
+                Some('}') if self.eat("}}") => out.push('}'),
+                Some('}') => return Err(self.err("unescaped `}` in template text (write `}}`)")),
                 Some('&') => {
                     if self.eat("&lt;") {
                         out.push('<');
@@ -603,172 +651,262 @@ impl<'a> P<'a> {
                 }
             }
         }
-        Ok(Template::Text(out))
+        Ok(TemplatePlan::Text(out))
     }
 }
-
-pub use crate::ast::REL_VAR;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn bare_path() {
-        let q = parse_query("$0//pkg/@name").unwrap();
-        match q {
-            QueryBody::Bare(p) => assert_eq!(p.to_string(), "$0//pkg/@name"),
+    fn plan(src: &str) -> QueryResult<Plan> {
+        parse_plan(src, 0)
+    }
+
+    /// The operator chain, bottom (first clause) first, `Unit` left out.
+    fn clauses(p: &Plan) -> Vec<&Op> {
+        let mut ops: Vec<&Op> = std::iter::successors(Some(&p.ops), |op| op.input()).collect();
+        ops.pop();
+        ops.reverse();
+        ops
+    }
+
+    /// The path a bare-path query scans.
+    fn bare(src: &str) -> PathPlan {
+        match plan(src).unwrap().ops {
+            Op::ForEach { path, .. } => path,
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
+    fn bare_path() {
+        assert_eq!(bare("$0//pkg/@name").to_string(), "$0//pkg/@name");
+    }
+
+    #[test]
     fn doc_path() {
-        let p = parse_path(r#"doc("catalog")/pkg"#).unwrap();
-        assert_eq!(p.start, PathStart::Doc("catalog".into()));
-        assert_eq!(p.to_string(), r#"doc("catalog")/pkg"#);
+        let p = bare(r#"doc("catalog")/pkg"#);
+        assert_eq!(
+            p.start,
+            StartRef::Source(SourceRef::Doc(DocName::new("catalog")))
+        );
     }
 
     #[test]
     fn full_flwr() {
         let src = r#"for $p in $0//pkg where $p/@name = "vim" and exists($p/deps) return <hit v="{$p/version}">{$p/deps}</hit>"#;
-        let q = parse_query(src).unwrap();
-        match &q {
-            QueryBody::Flwr { clauses, .. } => assert_eq!(clauses.len(), 2),
-            other => panic!("{other:?}"),
-        }
-    }
-
-    #[test]
-    fn roundtrip_through_display() {
-        let srcs = [
-            r#"for $p in $0//pkg where $p/@name = "vim" return {$p}"#,
-            r#"for $a in $0/x for $b in $1//y where $a/k = $b/k return <j>{$a}{$b}</j>"#,
-            r#"let $v := $0//version where $v/text() != "0" return <out>{$v}</out>"#,
-            "$0//pkg",
-            r#"for $x in doc("d")/item where contains($x/@id, "a-b") or not(exists($x/old)) return <r/>"#,
-            r#"$0//pkg[version = "9.1"][@name != "x"]/deps[exists(dep)]"#,
-            r#"for $x in $0//pkg[deps/dep = "glibc"] return <r a="{$x/@name}"/>"#,
-        ];
-        for src in srcs {
-            let q1 = parse_query(src).unwrap();
-            let rendered = q1.to_string();
-            let q2 = parse_query(&rendered)
-                .unwrap_or_else(|e| panic!("reparse of `{rendered}` failed: {e}"));
-            assert_eq!(q1, q2, "{src}");
-        }
+        assert_eq!(clauses(&plan(src).unwrap()).len(), 2);
     }
 
     #[test]
     fn relative_paths_in_predicates() {
-        let p = parse_path(r#"$0//pkg[version = "9.1"][@name != "x"]"#).unwrap();
+        let p = bare(r#"$0//pkg[version = "9.1"][@name != "x"]"#);
         let step = &p.steps[0];
         assert_eq!(step.preds.len(), 2);
         match &step.preds[0] {
-            Cond::Cmp { lhs, .. } => {
-                assert_eq!(lhs.start, PathStart::Var(REL_VAR.to_string()));
-            }
+            PredPlan::Cmp { lhs, .. } => assert_eq!(lhs.start, StartRef::Context),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn numbers_as_literals() {
-        let q = parse_query(r#"for $x in $0//v where $x/text() >= 2.5 return {$x}"#).unwrap();
-        match q {
-            QueryBody::Flwr { clauses, .. } => match &clauses[1] {
-                Clause::Where(Cond::Cmp { rhs, .. }) => {
-                    assert_eq!(rhs, &Operand::Literal("2.5".into()));
-                }
-                other => panic!("{other:?}"),
-            },
+        let q = plan(r#"for $x in $0//v where $x/text() >= 2.5 return {$x}"#).unwrap();
+        match clauses(&q)[1] {
+            Op::Filter {
+                pred: PredPlan::Cmp { rhs, .. },
+                ..
+            } => assert_eq!(rhs, &OperandPlan::Literal("2.5".into())),
             other => panic!("{other:?}"),
         }
     }
 
     #[test]
     fn template_text_and_escapes() {
-        let q = parse_query(
-            r#"for $x in $0/a return <out>literal {{braces}} &lt;tag&gt; &amp; {$x}</out>"#,
-        )
-        .unwrap();
-        match q {
-            QueryBody::Flwr { ret, .. } => {
-                let rendered = ret.to_string();
-                let reparsed = parse_query(&format!("for $x in $0/a return {rendered}")).unwrap();
-                match reparsed {
-                    QueryBody::Flwr { ret: r2, .. } => assert_eq!(ret, r2),
-                    _ => unreachable!(),
-                }
-                match &ret {
-                    Template::Element { children, .. } => {
-                        assert!(matches!(&children[0], Template::Text(t)
-                            if t == "literal {braces} <tag> & "));
-                    }
-                    _ => unreachable!(),
-                }
+        let q =
+            plan(r#"for $x in $0/a return <out>literal {{braces}} &lt;tag&gt; &amp; {$x}</out>"#)
+                .unwrap();
+        match &q.template {
+            TemplatePlan::Element { children, .. } => {
+                assert!(matches!(&children[0], TemplatePlan::Text(t)
+                    if t == "literal {braces} <tag> & "));
+                assert_eq!(children[1], TemplatePlan::Splice(PathPlan::var(0)));
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn lone_closing_brace_in_template_text_is_an_error() {
+        // Used to push empty text children until the allocator gave up.
+        let e = plan("for $x in $0 return <a>}</a>").unwrap_err();
+        assert!(matches!(e, QueryError::Syntax { offset: 23, .. }), "{e}");
+        // `}}` stays the escape.
+        let q = plan("for $x in $0 return <a>}}</a>").unwrap();
+        assert!(matches!(&q.template, TemplatePlan::Element { children, .. }
+            if children == &[TemplatePlan::Text("}".into())]));
     }
 
     #[test]
     fn text_step_vs_text_element() {
-        let p1 = parse_path("$x/text()").unwrap();
-        assert_eq!(p1.steps[0].test, NodeTest::Text);
-        let p2 = parse_path("$x/text").unwrap();
-        assert_eq!(p2.steps[0].test, NodeTest::Label("text".into()));
+        assert_eq!(bare("$0/text()").steps[0].test, PlanTest::Text);
+        assert_eq!(
+            bare("$0/text").steps[0].test,
+            PlanTest::Label(Label::new("text"))
+        );
     }
 
     #[test]
     fn wildcard_and_attr_tests() {
-        let p = parse_path("$x/*/@id").unwrap();
-        assert_eq!(p.steps[0].test, NodeTest::Wildcard);
-        assert_eq!(p.steps[1].test, NodeTest::Attr("id".into()));
+        let p = bare("$0/*/@id");
+        assert_eq!(p.steps[0].test, PlanTest::Wildcard);
+        assert_eq!(p.steps[1].test, PlanTest::Attr(Label::new("id")));
     }
 
     #[test]
     fn errors() {
-        assert!(parse_query("").is_err());
-        assert!(parse_query("for $x in").is_err());
-        assert!(parse_query("for $x in $0 return").is_err());
-        assert!(parse_query("return <a/>").is_err());
-        assert!(parse_query("for $1 in $0 return <a/>").is_err());
-        assert!(parse_query(r#"for $x in $0 where $x = return <a/>"#).is_err());
-        assert!(parse_query("for $x in $0 return <a></b>").is_err());
-        assert!(parse_query("for $x in $0 return <a>").is_err());
-        assert!(parse_query("$0//pkg extra").is_err());
-        assert!(parse_query(r#"for $x in $0 where $x < "y"#).is_err());
-        assert!(parse_path("doc(unquoted)").is_err());
+        assert!(plan("").is_err());
+        assert!(plan("for $x in").is_err());
+        assert!(plan("for $x in $0 return").is_err());
+        assert!(plan("return <a/>").is_err());
+        assert!(plan("for $1 in $0 return <a/>").is_err());
+        assert!(plan(r#"for $x in $0 where $x = return <a/>"#).is_err());
+        assert!(plan("for $x in $0 return <a></b>").is_err());
+        assert!(plan("for $x in $0 return <a>").is_err());
+        assert!(plan("$0//pkg extra").is_err());
+        assert!(plan(r#"for $x in $0 where $x < "y"#).is_err());
+        assert!(plan("doc(unquoted)").is_err());
+        // `$N` counts toward an arity of N + 1, which must exist.
+        assert!(plan(&format!("${}", usize::MAX)).is_err());
     }
 
     #[test]
     fn let_clause() {
-        let q =
-            parse_query(r#"let $all := $0//pkg where exists($all) return <n>{$all}</n>"#).unwrap();
-        match q {
-            QueryBody::Flwr { clauses, .. } => {
-                assert!(matches!(&clauses[0], Clause::Let { var, .. } if var == "all"));
-            }
-            other => panic!("{other:?}"),
-        }
+        let q = plan(r#"let $all := $0//pkg where exists($all) return <n>{$all}</n>"#).unwrap();
+        assert!(matches!(clauses(&q)[0], Op::LetBind { var: 0, .. }));
     }
 
     #[test]
     fn nested_parens_and_precedence() {
         // and binds tighter than or
-        let q = parse_query(
-            r#"for $x in $0 where $x/a = "1" or $x/b = "2" and $x/c = "3" return <r/>"#,
-        )
-        .unwrap();
-        match q {
-            QueryBody::Flwr { clauses, .. } => match &clauses[1] {
-                Clause::Where(Cond::Or(_, rhs)) => {
-                    assert!(matches!(**rhs, Cond::And(_, _)));
-                }
-                other => panic!("{other:?}"),
-            },
+        let q = plan(r#"for $x in $0 where $x/a = "1" or $x/b = "2" and $x/c = "3" return <r/>"#)
+            .unwrap();
+        match clauses(&q)[1] {
+            Op::Filter {
+                pred: PredPlan::Or(_, rhs),
+                ..
+            } => assert!(matches!(**rhs, PredPlan::And(_, _))),
             other => panic!("{other:?}"),
         }
+    }
+
+    // --- name resolution (the former lowering pass) ----------------------
+
+    #[test]
+    fn lowers_flwr() {
+        let p = plan(r#"for $x in $0//pkg where $x/@name = "vim" return {$x}"#).unwrap();
+        assert_eq!(p.arity, 1);
+        assert_eq!(p.n_vars, 1);
+        assert!(matches!(p.ops, Op::Filter { .. }));
+        assert_eq!(p.scans_of_param(0), 1);
+    }
+
+    #[test]
+    fn lowers_bare_path() {
+        let p = plan("$1//pkg").unwrap();
+        assert_eq!(p.arity, 2, "arity covers $0 and $1");
+        assert!(matches!(p.ops, Op::ForEach { .. }));
+        assert!(matches!(p.template, TemplatePlan::Splice(_)));
+    }
+
+    #[test]
+    fn min_arity_respected() {
+        let p = parse_plan("$0/a", 3).unwrap();
+        assert_eq!(p.arity, 3);
+    }
+
+    #[test]
+    fn unbound_variable_rejected() {
+        let e = plan("for $x in $0 return {$y}").unwrap_err();
+        assert!(matches!(e, QueryError::UnboundVariable(v) if v == "$y"));
+    }
+
+    #[test]
+    fn duplicate_variable_rejected() {
+        let e = plan("for $x in $0 for $x in $1 return {$x}").unwrap_err();
+        assert!(matches!(e, QueryError::DuplicateVariable(_)));
+    }
+
+    #[test]
+    fn scoping_is_sequential() {
+        // $b defined after its use in $a's clause — rejected.
+        let e = plan("for $a in $b/x for $b in $0 return {$a}").unwrap_err();
+        assert!(matches!(e, QueryError::UnboundVariable(_)));
+        // and the valid order works
+        plan("for $b in $0 for $a in $b/x return {$a}").unwrap();
+    }
+
+    #[test]
+    fn relative_path_only_in_predicates() {
+        plan(r#"for $x in $0//pkg[version = "1"] return {$x}"#).unwrap();
+        // A relative path is a predicate's privilege: in `where` a plain
+        // name is rejected, and an unknown `$y` is an unbound variable.
+        let e = plan(r#"for $x in $0 where v = "1" return {$x}"#).unwrap_err();
+        assert!(matches!(e, QueryError::UnboundVariable(v) if v.starts_with("relative path")));
+        let e = plan(r#"for $x in $0 where $y/v = "1" return {$x}"#).unwrap_err();
+        assert!(matches!(e, QueryError::UnboundVariable(_)));
+    }
+
+    #[test]
+    fn terminal_step_enforced() {
+        let e = plan("for $x in $0/@id/sub return {$x}").unwrap_err();
+        assert!(matches!(e, QueryError::NotApplicable(_)));
+        let e2 = plan("for $x in $0/text()/y return {$x}").unwrap_err();
+        assert!(matches!(e2, QueryError::NotApplicable(_)));
+    }
+
+    #[test]
+    fn doc_source_lowered() {
+        let p = plan(r#"for $x in doc("cat")/pkg return {$x}"#).unwrap();
+        assert_eq!(p.arity, 0);
+        if let Op::ForEach { path, .. } = &p.ops {
+            assert!(matches!(
+                &path.start,
+                StartRef::Source(SourceRef::Doc(d)) if d.as_str() == "cat"
+            ));
+        } else {
+            panic!("expected ForEach");
+        }
+    }
+
+    #[test]
+    fn join_lowering() {
+        let p = plan(r#"for $a in $0/x for $b in $1/y where $a/k = $b/k return <j>{$a}{$b}</j>"#)
+            .unwrap();
+        assert_eq!(p.arity, 2);
+        assert_eq!(p.n_vars, 2);
+        assert_eq!(p.ops.chain_len(), 4);
+        if let Op::Filter { pred, .. } = &p.ops {
+            let mut vars = pred.referenced_vars();
+            vars.sort_unstable();
+            assert_eq!(vars, vec![0, 1]);
+        } else {
+            panic!("expected Filter on top");
+        }
+    }
+
+    #[test]
+    fn let_lowering() {
+        let p = plan("let $all := $0//pkg where exists($all) return <n>{$all}</n>").unwrap();
+        let mut found_let = false;
+        let mut cur = Some(&p.ops);
+        while let Some(op) = cur {
+            if matches!(op, Op::LetBind { .. }) {
+                found_let = true;
+            }
+            cur = op.input();
+        }
+        assert!(found_let);
     }
 }

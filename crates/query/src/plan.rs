@@ -18,13 +18,52 @@
 //! [`crate::rewrite`] and the distributed optimizer of `axml-core`
 //! manipulate them directly, DataFusion-style.
 
-use crate::ast::{Axis, CmpOp};
 use axml_xml::ids::DocName;
 use axml_xml::Label;
 use std::fmt;
 
 /// Index of a variable slot in the binding tuple.
 pub type VarId = usize;
+
+/// Navigation axis of a step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// `/` — children.
+    Child,
+    /// `//` — descendants (excluding self).
+    Descendant,
+}
+
+/// Comparison operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    /// `=`
+    Eq,
+    /// `!=`
+    Ne,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+}
+
+impl CmpOp {
+    /// Surface token.
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "!=",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+}
 
 /// An external input of the plan.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -12,12 +12,10 @@
 //! consume the composition's inputs, and the outer query consumes their
 //! results.
 
-use crate::ast::QueryBody;
 use crate::delta::ContinuousEval;
 use crate::error::{QueryError, QueryResult};
 use crate::eval::{DocResolver, Forest, NoDocs};
-use crate::lower::lower;
-use crate::parser::parse_query;
+use crate::parser::parse_plan;
 use crate::plan::Plan;
 use crate::rewrite;
 use axml_xml::escape::{write_attr, write_text};
@@ -43,16 +41,8 @@ struct QueryDef {
 
 #[allow(clippy::large_enum_variant)] // Leaf is by far the common case
 enum QueryKind {
-    Leaf {
-        source: String,
-        #[allow(dead_code)]
-        body: QueryBody,
-        plan: Plan,
-    },
-    Composed {
-        outer: Query,
-        inners: Vec<Query>,
-    },
+    Leaf { source: String, plan: Plan },
+    Composed { outer: Query, inners: Vec<Query> },
 }
 
 impl QueryDef {
@@ -78,14 +68,12 @@ impl Query {
         src: &str,
         min_arity: usize,
     ) -> QueryResult<Self> {
-        let body = parse_query(src)?;
-        let plan = lower(&body, min_arity)?;
+        let plan = parse_plan(src, min_arity)?;
         Ok(Query {
             name: name.into(),
             arity: plan.arity,
             def: QueryDef::new(QueryKind::Leaf {
                 source: src.to_string(),
-                body,
                 plan,
             }),
         })
@@ -99,9 +87,6 @@ impl Query {
             arity: plan.arity,
             def: QueryDef::new(QueryKind::Leaf {
                 source: format!("<compiled>\n{plan}"),
-                body: QueryBody::Bare(crate::ast::Path::start_only(crate::ast::PathStart::Param(
-                    0,
-                ))),
                 plan,
             }),
         }

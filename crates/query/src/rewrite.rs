@@ -283,13 +283,12 @@ fn rewrite_pred_to_context(pred: &mut PredPlan, var: VarId) {
 mod tests {
     use super::*;
     use crate::eval::NoDocs;
-    use crate::lower::lower;
-    use crate::parser::parse_query;
+    use crate::parser::parse_plan;
     use axml_xml::equiv::forest_equiv;
     use axml_xml::tree::Tree;
 
     fn plan(src: &str) -> Plan {
-        lower(&parse_query(src).unwrap(), 1).unwrap()
+        parse_plan(src, 1).unwrap()
     }
 
     fn catalog() -> Tree {

@@ -1,11 +1,13 @@
 //! Property tests for the query subsystem:
 //!
-//! * display ∘ parse round-trips,
+//! * the parser answers mutated sources with `Ok` or a typed error, and
+//!   what it accepts round-trips through the wire form,
 //! * continuous (delta) evaluation ≡ batch re-evaluation,
 //! * `decompose_selection` and `push_filter_into_path` preserve semantics
 //!   on random inputs — these are the query-level halves of the paper's
 //!   equivalence rules (10)/(11).
 
+use axml_prng::SplitMix64;
 use axml_query::eval::NoDocs;
 use axml_query::Query;
 use axml_xml::equiv::{canonicalize, forest_equiv, Canon, CanonMultiset};
@@ -213,4 +215,37 @@ proptest! {
             }
         }
     }
+}
+
+/// Query text arrives from other peers (definition (8), shipped
+/// expressions): whatever the bytes, `Query::parse` returns — a plan or a
+/// typed error, never a panic, never a loop — and what it accepts survives
+/// the wire form with an equal plan.
+#[test]
+fn parse_survives_mutated_sources() {
+    const SOURCES: [&str; 4] = [
+        r#"for $a in $0//pkg for $b in $1//pkg where $a/@name = $b/@name and not(contains($a/size/text(), "9")) return <pair a="{$a/@name}">{$b/version}</pair>"#,
+        r#"let $all := doc("catalog")//pkg[version = "9.1"][@name != "x"]/deps[exists(dep)] where count($all/dep) >= 2 return <n>{$all}</n>"#,
+        r#"for $x in $0/a return <out k="lit" v="{$x/@id}">héllo {{braces}} &lt;tag&gt; &amp; {$x}<in/>✓</out>"#,
+        r#"$0//pkg[deps/dep = "glibc" or size/text() < 10]/@name"#,
+    ];
+    let mut rng = SplitMix64::new(0x5EED_0018);
+    let (mut parsed, mut rejected) = (0, 0);
+    for i in 0..60_000 {
+        let mut bytes = SOURCES[i % SOURCES.len()].as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1u32..4) {
+            rng.mutate_bytes(&mut bytes);
+        }
+        let src = String::from_utf8_lossy(&bytes);
+        match Query::parse("q", &src) {
+            Ok(q) => {
+                let xml = q.to_xml();
+                let back = Query::from_xml(&xml, xml.root()).unwrap();
+                assert_eq!(q.plan(), back.plan(), "{src:?}");
+                parsed += 1;
+            }
+            Err(_) => rejected += 1,
+        }
+    }
+    assert!(parsed > 1_000 && rejected > 30_000, "{parsed} / {rejected}");
 }

@@ -22,8 +22,8 @@
 //! * the **zero-copy substrate**: labels are interned [`symbol::Symbol`]s
 //!   (`u32` handles, O(1) equality/hash, `Copy`), trees are copy-on-write
 //!   handles over a shared arena, and subtrees move between layers as
-//!   immutable [`frag::Frag`] handles — with every copy and avoided copy
-//!   accounted in [`stats`].
+//!   O(1) views of it ([`tree::Tree::subtree`]) — with every copy and
+//!   avoided copy accounted in [`stats`].
 //!
 //! Everything above sits below the type system (`axml-types`), the query
 //! language (`axml-query`), the network substrate (`axml-net`) and the
@@ -46,7 +46,6 @@
 pub mod equiv;
 pub mod error;
 pub mod escape;
-pub mod frag;
 pub mod ids;
 pub mod parse;
 pub mod serialize;
@@ -56,7 +55,6 @@ pub mod symbol;
 pub mod tree;
 
 pub use error::{XmlError, XmlResult};
-pub use frag::Frag;
 pub use ids::{DocName, NodeAddr, PeerId, QueryName, ServiceName};
 pub use stats::CopyStats;
 pub use store::{DocStore, Document};

@@ -1,7 +1,7 @@
 //! Copy/share accounting for the zero-copy substrate.
 //!
-//! The whole point of the Symbol/[`crate::frag::Frag`] redesign is that
-//! subtrees move by handle, not by copy. This module makes that claim
+//! The whole point of the zero-copy substrate is that subtrees move by
+//! handle ([`crate::tree::Tree::subtree`]), not by copy. This module makes that claim
 //! *measurable*: every materializing copy (an explicit
 //! [`crate::tree::Tree::deep_copy`], a graft, or a copy-on-write
 //! materialization of a shared arena) and every avoided copy (a handle

@@ -5,7 +5,6 @@
 //! a [`DocStore`] enforces exactly that uniqueness for one peer.
 
 use crate::error::{XmlError, XmlResult};
-use crate::frag::Frag;
 use crate::ids::DocName;
 use crate::tree::{NodeId, Tree};
 use std::collections::BTreeMap;
@@ -68,19 +67,6 @@ impl Document {
     /// Consume the document, yielding its tree.
     pub fn into_tree(self) -> Tree {
         self.tree
-    }
-
-    /// Share the whole document as an immutable [`Frag`] handle — O(1).
-    /// This is how a document crosses engine layers without copying:
-    /// the frag stays valid (snapshot semantics) even if the document
-    /// is mutated afterwards.
-    pub fn frag(&self) -> Frag {
-        self.tree.share_root()
-    }
-
-    /// Share the subtree rooted at `node` as a [`Frag`] — O(1).
-    pub fn frag_at(&self, node: NodeId) -> XmlResult<Frag> {
-        self.tree.share(node)
     }
 }
 
@@ -284,12 +270,12 @@ mod tests {
     }
 
     #[test]
-    fn document_frag_is_a_snapshot() {
+    fn document_handles_are_snapshots() {
         let mut d = doc("d", "<a><b/></a>");
-        let f = d.frag();
+        let f = d.tree().clone();
         let b = d.tree().first_child_labeled(d.tree().root(), "b").unwrap();
-        let fb = d.frag_at(b).unwrap();
-        // mutate the document: the frags keep the old snapshot
+        let fb = d.tree().subtree(b).unwrap();
+        // mutate the document: the handles keep the old snapshot
         let r = d.tree().root();
         d.tree_mut().add_text_element(r, "c", "2");
         assert_eq!(f.serialize(), "<a><b/></a>");

@@ -11,8 +11,7 @@
 //!
 //! The arena lives behind an `Arc`, which makes every [`Tree`] value a
 //! cheap **handle**: `Clone` is a reference-count bump, [`Tree::subtree`]
-//! and [`Tree::share`] return O(1) views of a subtree (the latter as an
-//! immutable [`Frag`]), and mutation materializes a
+//! returns an O(1) view of a subtree, and mutation materializes a
 //! private copy of the arena only when it is actually shared
 //! (copy-on-write). Transfers, rewrites and pattern matches therefore move
 //! subtrees by handle; the only deep copies left are explicit
@@ -24,7 +23,6 @@
 //! ([`crate::equiv`]) and query evaluation treat children as a multiset.
 
 use crate::error::{XmlError, XmlResult};
-use crate::frag::Frag;
 use crate::symbol::Label;
 use std::fmt;
 use std::ops::Deref;
@@ -223,16 +221,6 @@ impl Tree {
     /// The root node id.
     pub fn root(&self) -> NodeId {
         self.root
-    }
-
-    /// Rebuild a handle from raw parts (used by [`Frag`] views). Does not
-    /// touch the copy/share counters.
-    pub(crate) fn from_parts(nodes: Arc<Arena>, root: NodeId, arena_bytes: u64) -> Tree {
-        Tree {
-            nodes,
-            root,
-            arena_bytes,
-        }
     }
 
     /// Number of nodes ever allocated in the arena (including detached
@@ -576,29 +564,11 @@ impl Tree {
         crate::stats::record_share(nodes, bytes);
     }
 
-    /// Share the subtree rooted at `id` as an immutable [`Frag`] handle —
-    /// O(1), no nodes are copied. This is the currency for moving
-    /// subtrees between engine layers within a peer.
-    pub fn share(&self, id: NodeId) -> XmlResult<Frag> {
-        if !self.contains(id) {
-            return Err(XmlError::InvalidNode { index: id.0 });
-        }
-        self.credit_subtree_share(id);
-        Ok(Frag::from_parts(
-            Arc::clone(&self.nodes),
-            id,
-            self.arena_bytes,
-        ))
-    }
-
-    /// Share the whole tree as a [`Frag`] — O(1).
-    pub fn share_root(&self) -> Frag {
-        self.share(self.root)
-            .expect("the root is always a valid node")
-    }
-
     /// A zero-copy [`Tree`] handle scoped to the subtree rooted at `id`:
-    /// shares the arena, so it is O(1) and keeps the whole arena alive.
+    /// shares the arena, so it is O(1) and keeps the whole arena alive —
+    /// the currency for moving subtrees between engine layers within a
+    /// peer. The handle is copy-on-write like any other, so its holder
+    /// never observes a later mutation of the source (a pinned snapshot).
     /// Use [`Tree::deep_copy`] instead when the source is large and
     /// short-lived and the subtree must outlive it compactly.
     pub fn subtree(&self, id: NodeId) -> XmlResult<Tree> {
@@ -672,8 +642,8 @@ impl Tree {
     ///
     /// This is the materializing operation — node ids are reallocated in
     /// this arena, so the copy is unavoidable. To move a subtree *within*
-    /// a peer without copying, pass handles ([`Tree::share`] /
-    /// [`Tree::subtree`]) instead and graft only at the final sink.
+    /// a peer without copying, pass handles ([`Tree::subtree`]) instead
+    /// and graft only at the final sink.
     pub fn graft(&mut self, parent: NodeId, src: &Tree, src_node: NodeId) -> XmlResult<NodeId> {
         if !self.contains(parent) {
             return Err(XmlError::InvalidNode { index: parent.0 });
@@ -686,15 +656,6 @@ impl Tree {
             src.subtree_heap_bytes(src_node),
         );
         Ok(self.graft_rec(parent, src, src_node))
-    }
-
-    /// Graft a shared [`Frag`] under `parent`: the frag's nodes are copied
-    /// into this arena (ids are arena-scoped, so a graft is where
-    /// materialization genuinely happens), returning the new subtree
-    /// root. Sharing stays intact on the frag side.
-    pub fn graft_frag(&mut self, parent: NodeId, frag: &Frag) -> XmlResult<NodeId> {
-        let view = frag.view();
-        self.graft(parent, &view, frag.root())
     }
 
     fn graft_rec(&mut self, parent: NodeId, src: &Tree, src_node: NodeId) -> NodeId {
@@ -978,16 +939,21 @@ mod tests {
     }
 
     #[test]
-    fn share_and_graft_frag_roundtrip() {
+    fn grafting_a_view_counts_one_copy() {
+        use crate::stats::CopyStats;
         let t = sample();
         let pkg = t.first_child_labeled(t.root(), "pkg").unwrap();
-        let frag = t.share(pkg).unwrap();
-        assert_eq!(frag.serialize(), t.serialize_node(pkg));
+        let view = t.subtree(pkg).unwrap();
+        let s0 = CopyStats::snapshot();
         let mut dst = Tree::new("mirror");
         let r = dst.root();
-        let got = dst.graft_frag(r, &frag).unwrap();
+        let got = dst.graft(r, &view, view.root()).unwrap();
         assert_eq!(dst.serialize_node(got), t.serialize_node(pkg));
-        assert!(t.share(NodeId(999)).is_err());
+        // Counters are process-wide, so parallel tests may add to the
+        // delta; assert the monotone lower bound only (the view has 3 nodes).
+        let d = CopyStats::snapshot().delta_since(&s0);
+        assert!(d.nodes_copied >= 3, "nodes_copied = {}", d.nodes_copied);
+        assert!(d.bytes_copied > 0);
     }
 
     /// Every mutating API forgets the memoized size — on the handle's own
@@ -997,8 +963,7 @@ mod tests {
     fn every_mutation_forgets_the_memoized_size() {
         // (the tree, its root, its first `pkg`)
         type Mutation = Box<dyn Fn(&mut Tree, NodeId, NodeId)>;
-        let other = Tree::parse("<x k=\"&lt;\">t &amp; u</x>").unwrap();
-        let (src, frag) = (other.clone(), other.share_root());
+        let src = Tree::parse("<x k=\"&lt;\">t &amp; u</x>").unwrap();
         let mutations: Vec<(&str, Mutation)> = vec![
             (
                 "new_element",
@@ -1053,12 +1018,6 @@ mod tests {
                     t.graft(r, &src, src.root()).unwrap();
                 }),
             ),
-            (
-                "graft_frag",
-                Box::new(move |t, _, p| {
-                    t.graft_frag(p, &frag).unwrap();
-                }),
-            ),
         ];
         for (name, mutate) in &mutations {
             for shared in [false, true] {
@@ -1083,7 +1042,7 @@ mod tests {
         let view = t.subtree(pkg).unwrap();
         assert_eq!(view.serialized_size(), view.serialize().len());
         assert_eq!(t.memoized_size(t.root()), None);
-        assert_eq!(t.share_root().serialized_size(), t.serialize().len());
+        assert_eq!(t.serialized_size(), t.serialize().len());
         assert_eq!(view.memoized_size(t.root()), Some(t.serialize().len()));
     }
 

@@ -1,8 +1,8 @@
-//! Property tests for the zero-copy substrate: `Frag` share/graft
+//! Property tests for the zero-copy substrate: subtree-view/graft
 //! round-trips, copy-on-write snapshot isolation, and structural-sharing
 //! invariants.
 //!
-//! The central claim of the Symbol/Frag redesign is that handles are
+//! The central claim of the zero-copy substrate is that handles are
 //! *observationally identical* to deep clones: serialization and canonical
 //! equivalence must be bit-identical whether a subtree moved by handle or
 //! by copy. These tests drive random trees (proptest) and random mutation
@@ -136,17 +136,17 @@ proptest! {
     /// deep-copying it: serialization AND canonical hash agree with the
     /// deep-clone oracle.
     #[test]
-    fn frag_graft_matches_deep_clone_oracle(t in arb_tree(), sel in any::<u64>()) {
+    fn view_graft_matches_deep_clone_oracle(t in arb_tree(), sel in any::<u64>()) {
         let live: Vec<NodeId> = t.descendants_with_self(t.root())
             .filter(|&n| t.node(n).is_element())
             .collect();
         let node = live[(sel as usize) % live.len()];
 
         // by-handle path
-        let frag = t.share(node).unwrap();
+        let view = t.subtree(node).unwrap();
         let mut via_handle = Tree::new("sink");
         let r = via_handle.root();
-        via_handle.graft_frag(r, &frag).unwrap();
+        via_handle.graft(r, &view, view.root()).unwrap();
 
         // by-copy oracle
         let oracle_sub = t.deep_copy(node);
@@ -156,8 +156,8 @@ proptest! {
 
         prop_assert_eq!(via_handle.serialize(), via_copy.serialize());
         prop_assert_eq!(canonical_hash(&via_handle, via_handle.root()), canonical_hash(&via_copy, via_copy.root()));
-        // and the frag itself serializes exactly like the source subtree
-        prop_assert_eq!(frag.serialize(), t.serialize_node(node));
+        // and the view itself serializes exactly like the source subtree
+        prop_assert_eq!(view.serialize(), t.serialize_node(node));
     }
 
     /// A subtree view is observationally equal to a compact deep copy.
@@ -206,23 +206,23 @@ proptest! {
         prop_assert!(!shared.shares_arena_with(&t));
     }
 
-    /// Frags pin their snapshot across arbitrary source mutations.
+    /// Subtree views pin their snapshot across arbitrary source mutations.
     #[test]
-    fn frag_pins_snapshot_across_mutations(t in arb_tree(), sel in any::<u64>(), seed in any::<u64>()) {
+    fn view_pins_snapshot_across_mutations(t in arb_tree(), sel in any::<u64>(), seed in any::<u64>()) {
         let live: Vec<NodeId> = t.descendants_with_self(t.root())
             .filter(|&n| t.node(n).is_element())
             .collect();
         let node = live[(sel as usize) % live.len()];
-        let frag = t.share(node).unwrap();
-        let before = frag.serialize();
+        let view = t.subtree(node).unwrap();
+        let before = view.serialize();
 
         let mut mutated = t.clone();
         let mut rng = SplitMix64::new(seed);
         for _ in 0..8 {
             mutate_once(&mut mutated, &mut rng);
         }
-        prop_assert_eq!(frag.serialize(), before);
-        prop_assert_eq!(frag.serialize(), t.serialize_node(node));
+        prop_assert_eq!(view.serialize(), before);
+        prop_assert_eq!(view.serialize(), t.serialize_node(node));
     }
 
     /// Structural sharing holds until (and only until) mutation.

@@ -177,19 +177,17 @@ timeout 300 cargo run --release -q -p axml-bench --bin experiments -- e13 \
 grep -q "E13" "$TRACE_TMP/e13.out"
 grep -q "skipped" "$TRACE_TMP/e13.out"
 
-echo "== tier-1: E14 smoke (EDOS-scale determinism + peak-RSS budget) =="
-# The 10⁴-peer replica network under all four driver × scheduler
-# combinations. The experiment itself asserts the fingerprints are
-# bit-identical and (in --smoke mode) that peak RSS stays inside the
-# budget, printing the rss-budget-ok marker we require below. The hard
-# timeout keeps a wedged scheduler from hanging the gate.
+echo "== tier-1: E14 smoke (EDOS-scale peak-RSS budget) =="
+# The 10⁴-peer replica network under churn, default driver and scheduler.
+# In --smoke mode the experiment asserts that peak RSS stays inside the
+# budget and prints the rss-budget-ok marker we require below. (That the
+# four driver × scheduler combinations agree at this scale is
+# tests/scale_stress.rs's job, run by `cargo test` above.) The
+# hard timeout keeps a wedged scheduler from hanging the gate.
 timeout 300 cargo run --release -q -p axml-bench --bin experiments -- \
     e14 --smoke > "$TRACE_TMP/e14.out"
 grep -q "E14" "$TRACE_TMP/e14.out"
 grep -q "rss-budget-ok" "$TRACE_TMP/e14.out"
-# All four combos completed and agreed (one fingerprint, four rows).
-test "$(grep -c "seq/\|par/" "$TRACE_TMP/e14.out")" -eq 4
-test "$(awk '/seq\/|par\//{print $NF}' "$TRACE_TMP/e14.out" | sort -u | wc -l)" -eq 1
 
 echo "== tier-1: benchmark package (fmt, clippy, tests, 8-run smoke) =="
 # benchmark/ is a package outside this workspace that compiles against
