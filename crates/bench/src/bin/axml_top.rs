@@ -124,14 +124,7 @@ fn snapshot_once(path: &str) -> ExitCode {
             }
         }
     }
-    match reader.finish() {
-        Ok(None) => {}
-        Ok(Some(e)) => dash.fold(&e), // complete final line missing its newline
-        Err(e) => {
-            eprintln!("axml-top: {path}: {e}");
-            dash.tail_errors += 1;
-        }
-    }
+    settle_tail(reader, &mut dash, path);
     print!("{}", dash.render_plain(path));
     ExitCode::SUCCESS
 }
@@ -151,6 +144,15 @@ fn drain(reader: &mut FollowReader<impl Read>, dash: &mut Dashboard, source: &st
                 return false;
             }
         }
+    }
+}
+
+/// The stream is over: a record the writer left half-written is a tail
+/// error, reported and counted.
+fn settle_tail(reader: FollowReader<impl Read>, dash: &mut Dashboard, source: &str) {
+    if let Err(e) = reader.finish() {
+        eprintln!("axml-top: {source}: {e}");
+        dash.tail_errors += 1;
     }
 }
 
@@ -185,14 +187,7 @@ fn follow_file(path: &str, args: &Args) -> ExitCode {
         }
         std::thread::sleep(Duration::from_millis(args.interval_ms));
     }
-    match reader.finish() {
-        Ok(None) => {}
-        Ok(Some(e)) => dash.fold(&e),
-        Err(e) => {
-            eprintln!("axml-top: {path}: {e}");
-            dash.tail_errors += 1;
-        }
-    }
+    settle_tail(reader, &mut dash, path);
     // Final plain snapshot so the last state survives in scrollback.
     print!("\n{}", dash.render_plain(path));
     ExitCode::SUCCESS
@@ -238,14 +233,7 @@ fn listen_socket(addr: &str, args: &Args) -> ExitCode {
         }
         if reader.hit_eof() {
             // The producer closed the socket: account for the tail.
-            match reader.finish() {
-                Ok(None) => {}
-                Ok(Some(e)) => dash.fold(&e),
-                Err(e) => {
-                    eprintln!("axml-top: {source}: {e}");
-                    dash.tail_errors += 1;
-                }
-            }
+            settle_tail(reader, &mut dash, &source);
             break;
         }
     }

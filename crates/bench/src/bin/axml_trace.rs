@@ -4,9 +4,9 @@
 //! axml-trace FILE [--width N] [--svg OUT.svg] [--stats]
 //! ```
 //!
-//! `FILE` is a trace produced by `JsonlSink` or `BinSink`; the format is
-//! auto-detected from the first bytes. A truncated or partially corrupt
-//! file is not fatal: the decodable prefix is rendered and the tail
+//! `FILE` is an `AXTR` trace, as `BinSink` writes it (a file that does
+//! not start with that header is refused). A truncated or partially
+//! corrupt file is not fatal: the decodable prefix is rendered and the tail
 //! error goes to stderr (exit status stays 0 — a killed writer is an
 //! expected way for a trace to end).
 
@@ -66,7 +66,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let format = reader.format();
     // Decode the longest good prefix; report tail errors without dying.
     let mut events: Vec<TraceEvent> = Vec::new();
     let mut tail_errors = 0usize;
@@ -80,7 +79,7 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "{}: {format} trace, {} events{}",
+        "{}: binary trace, {} events{}",
         args.file,
         events.len(),
         if tail_errors > 0 {

@@ -118,8 +118,6 @@ pub enum CoreError {
         /// The peer it was looked up on.
         at: PeerId,
     },
-    /// A named query not found on a peer.
-    NoSuchQuery(String),
     /// A generic (`@any`) reference with no registered replica.
     EmptyEquivalenceClass(String),
     /// Malformed `sc` element, expression tree or message frame.
@@ -148,7 +146,6 @@ impl fmt::Display for CoreError {
             CoreError::NoSuchService { service, at } => {
                 write!(f, "no service `{service}` at {at}")
             }
-            CoreError::NoSuchQuery(q) => write!(f, "no query `{q}`"),
             CoreError::EmptyEquivalenceClass(c) => {
                 write!(f, "generic reference `{c}@any` has no replica")
             }
@@ -229,7 +226,6 @@ mod tests {
         .to_string()
         .contains("s"));
         assert!(CoreError::UnknownPeer(PeerId(7)).to_string().contains("p7"));
-        assert!(CoreError::NoSuchQuery("q".into()).to_string().contains("q"));
         assert!(CoreError::Malformed("x".into()).to_string().contains("x"));
         let text = CoreError::AfterCycle("a -> b -> a".into()).to_string();
         assert!(

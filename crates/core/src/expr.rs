@@ -330,8 +330,9 @@ impl Expr {
     }
 
     /// A canonical string identity (equality in tests, the text the
-    /// engine ships) — the compact XML serialization, byte for byte
-    /// `self.to_xml().serialize()`.
+    /// engine ships) — the compact XML serialization (§3.1: an
+    /// expression can be viewed as an XML tree), which
+    /// [`Expr::from_xml`] reads back once it is parsed.
     pub fn fingerprint(&self) -> String {
         let mut text = String::new();
         self.emit(&mut text);
@@ -362,8 +363,8 @@ impl Expr {
     }
 
     /// Write the compact XML of this expression into `out` — the one
-    /// description of the wire format besides [`Expr::to_xml`], which
-    /// builds the same document as a tree for [`Expr::from_xml`].
+    /// description of the wire format; [`Expr::from_xml`] is its
+    /// inverse.
     fn write_wire<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
         match self {
             Expr::Tree { tree, at } => {
@@ -436,112 +437,10 @@ impl Expr {
         }
     }
 
-    // -------------------- XML serialization ---------------------------
+    // -------------------- reading the wire form back ------------------
 
-    /// Serialize as an XML tree (§3.1).
-    pub fn to_xml(&self) -> Tree {
-        let mut t = Tree::new("expr");
-        let root = t.root();
-        self.write_xml(&mut t, root);
-        // unwrap the single-child wrapper: root becomes the constructor.
-        // A zero-copy view: the wrapper node stays in the arena, unreached.
-        let only = t.children(root)[0];
-        t.subtree(only).expect("wrapper child is a valid node")
-    }
-
-    fn write_xml(&self, t: &mut Tree, parent: NodeId) {
-        match self {
-            Expr::Tree { tree, at } => {
-                let el = t.add_element(parent, "tree");
-                t.set_attr(el, "at", at.index().to_string())
-                    .expect("element");
-                t.graft(el, tree, tree.root()).expect("element");
-            }
-            Expr::Doc { name, at } => {
-                let el = t.add_element(parent, "doc");
-                t.set_attr(el, "name", name.as_str()).expect("element");
-                t.set_attr(el, "at", at.to_string()).expect("element");
-            }
-            Expr::Apply { query, args } => {
-                let el = t.add_element(parent, "apply");
-                t.set_attr(el, "def-at", query.def_at.index().to_string())
-                    .expect("element");
-                let q = query.query.to_xml();
-                t.graft(el, &q, q.root()).expect("element");
-                let argsel = t.add_element(el, "args");
-                for a in args {
-                    a.write_xml(t, argsel);
-                }
-            }
-            Expr::Send { dest, payload } => {
-                let el = t.add_element(parent, "send");
-                match dest {
-                    SendDest::Peer(p) => {
-                        t.set_attr(el, "peer", p.index().to_string())
-                            .expect("element");
-                    }
-                    SendDest::Nodes(addrs) => {
-                        for a in addrs {
-                            t.add_text_element(el, "forw", format_addr(a));
-                        }
-                    }
-                    SendDest::NewDoc { peer, name } => {
-                        t.set_attr(el, "newdoc-peer", peer.index().to_string())
-                            .expect("element");
-                        t.set_attr(el, "newdoc-name", name.as_str())
-                            .expect("element");
-                    }
-                }
-                let pl = t.add_element(el, "payload");
-                payload.write_xml(t, pl);
-            }
-            Expr::Sc {
-                provider,
-                service,
-                params,
-                forward,
-            } => {
-                let el = t.add_element(parent, "sc");
-                t.add_text_element(el, "peer", provider.to_string());
-                t.add_text_element(el, "service", service.as_str());
-                for (i, p) in params.iter().enumerate() {
-                    let pe = t.add_element(el, format!("param{}", i + 1).as_str());
-                    p.write_xml(t, pe);
-                }
-                for a in forward {
-                    t.add_text_element(el, "forw", format_addr(a));
-                }
-            }
-            Expr::EvalAt { peer, expr } => {
-                let el = t.add_element(parent, "evalat");
-                t.set_attr(el, "peer", peer.index().to_string())
-                    .expect("element");
-                expr.write_xml(t, el);
-            }
-            Expr::Deploy {
-                to,
-                query,
-                as_service,
-            } => {
-                let el = t.add_element(parent, "deploy");
-                t.set_attr(el, "to", to.index().to_string())
-                    .expect("element");
-                t.set_attr(el, "as", as_service.as_str()).expect("element");
-                t.set_attr(el, "def-at", query.def_at.index().to_string())
-                    .expect("element");
-                let q = query.query.to_xml();
-                t.graft(el, &q, q.root()).expect("element");
-            }
-            Expr::Seq(es) => {
-                let el = t.add_element(parent, "seq");
-                for e in es {
-                    e.write_xml(t, el);
-                }
-            }
-        }
-    }
-
-    /// Parse an expression back from its XML form.
+    /// Parse an expression back from its XML form (§3.1): `node` of `t`
+    /// is the constructor element of a parsed [`Expr::fingerprint`].
     pub fn from_xml(t: &Tree, node: NodeId) -> CoreResult<Expr> {
         let label = t
             .label(node)
@@ -990,7 +889,7 @@ mod tests {
     #[test]
     fn xml_roundtrip_all_constructors() {
         for e in samples() {
-            let xml = e.to_xml();
+            let xml = Tree::parse(&e.fingerprint()).unwrap();
             let back = Expr::from_xml(&xml, xml.root())
                 .unwrap_or_else(|err| panic!("{err} for {}", xml.serialize()));
             assert_eq!(e.fingerprint(), back.fingerprint(), "{e}");

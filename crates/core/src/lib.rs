@@ -113,9 +113,9 @@ pub mod prelude {
         SocketTransport, Transport,
     };
     pub use axml_obs::{
-        BinSink, DataTag, EvalMetrics, FanoutSink, FollowReader, FollowStep, JsonlSink,
-        LatencyHistogram, LiveSink, LiveStats, MemStats, MessageKind, Obs, RateWindow, RunReport,
-        SharedBuf, SocketSink, TraceEvent, TraceReader, TraceSink, VecSink,
+        BinSink, DataTag, EvalMetrics, FanoutSink, FollowReader, FollowStep, LatencyHistogram,
+        LiveSink, LiveStats, MemStats, MessageKind, Obs, RateWindow, RunReport, SharedBuf,
+        SocketSink, TraceEvent, TraceReader, TraceSink, VecSink,
     };
     pub use axml_query::Query;
     pub use axml_xml::ids::{DocName, NodeAddr, PeerId, QueryName, ServiceName};

@@ -7,9 +7,8 @@
 use crate::error::{CoreError, CoreResult};
 use crate::service::Service;
 use axml_query::eval::DocResolver;
-use axml_query::Query;
 use axml_xml::equiv::{canonicalize, Canon};
-use axml_xml::ids::{DocName, PeerId, QueryName, ServiceName};
+use axml_xml::ids::{DocName, PeerId, ServiceName};
 use axml_xml::store::{DocStore, Document};
 use axml_xml::tree::Tree;
 use std::collections::BTreeMap;
@@ -21,9 +20,6 @@ pub struct PeerState {
     pub docs: DocStore,
     /// Registered services.
     pub services: BTreeMap<ServiceName, Service>,
-    /// Named queries (definitions a peer owns but has not exposed as
-    /// services).
-    pub queries: BTreeMap<QueryName, Query>,
 }
 
 impl PeerState {
@@ -64,18 +60,6 @@ impl PeerState {
             })
     }
 
-    /// Register a named query.
-    pub fn register_query(&mut self, name: impl Into<QueryName>, q: Query) {
-        self.queries.insert(name.into(), q);
-    }
-
-    /// Look up a named query.
-    pub fn query(&self, name: &QueryName) -> CoreResult<&Query> {
-        self.queries
-            .get(name)
-            .ok_or_else(|| CoreError::NoSuchQuery(name.to_string()))
-    }
-
     /// A canonical snapshot of this peer's documents (name → canonical
     /// form) and service names — one peer's contribution to Σ.
     pub fn snapshot(&self) -> PeerSnapshot {
@@ -108,6 +92,7 @@ pub struct PeerSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_query::Query;
 
     #[test]
     fn docs_and_services() {
@@ -123,12 +108,9 @@ mod tests {
             Err(CoreError::NoSuchDoc { .. })
         ));
         let q = Query::parse("q", "$0//x").unwrap();
-        p.register_service(Service::declarative("s", q.clone()));
+        p.register_service(Service::declarative("s", q));
         assert!(p.service(&"s".into(), PeerId(0)).is_ok());
         assert!(p.service(&"zz".into(), PeerId(0)).is_err());
-        p.register_query("qq", q);
-        assert!(p.query(&"qq".into()).is_ok());
-        assert!(p.query(&"zz".into()).is_err());
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! # Record payload
 //!
 //! One byte of event tag (1–12, [`TraceEvent::kind`] order), then the
-//! variant's fields in declaration order, each fixed-width
+//! variant's fields in declaration order (`TraceEvent::visit` writes
+//! them, `TraceEvent::build` reads them back), each fixed-width
 //! little-endian:
 //!
 //! | field type | encoding |
@@ -32,16 +33,16 @@
 //! | `usize` counts | `u32` LE |
 //! | strings | `u32` LE byte length + UTF-8 bytes |
 //! | `Vec<String>` | `u32` LE element count + each string |
-//! | [`MessageKind`] | 1 byte ([`MessageKind::wire_code`]) |
+//! | [`MessageKind`](crate::kind::MessageKind) | 1 byte ([`wire_code`](crate::kind::MessageKind::wire_code)) |
 //!
 //! The encoding is intentionally *not* general-purpose: it knows the
-//! twelve event shapes and nothing else, which keeps records 3–10×
-//! smaller than their JSONL rendering and decoding allocation-free for
-//! all-numeric events.
+//! twelve event shapes and nothing else, which keeps records a few
+//! dozen bytes each and decoding allocation-free for all-numeric
+//! events. It is the only trace encoding: every sink writes it, every
+//! reader reads it.
 
-use crate::kind::MessageKind;
-use crate::trace::{owned, FieldSink, FieldSource, TraceEvent, TraceStr};
-use axml_net::bytes::{BytesError, Cursor, PutBytes};
+use crate::trace::TraceEvent;
+use axml_net::bytes::{Cursor, PutBytes};
 
 /// The 4-byte magic at offset 0 of every binary trace file.
 pub const MAGIC: [u8; 4] = *b"AXTR";
@@ -52,96 +53,21 @@ pub const VERSION: u8 = 0x01;
 /// The 5-byte file header: magic, then version.
 pub(crate) const HEADER: [u8; 5] = [MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], VERSION];
 
-/// Check a file header. Returns the number of header bytes consumed.
-pub(crate) fn check_header(bytes: &[u8]) -> Result<usize, String> {
-    if bytes.len() < 5 {
-        return Err("file shorter than the 5-byte AXTR header".into());
-    }
-    if bytes[..4] != MAGIC {
+/// Check as much of a file header as `bytes` holds: `Ok(Some(n))` is
+/// a whole valid header of `n` bytes, `Ok(None)` a proper prefix of one
+/// (more bytes may still complete it), `Err` anything else.
+pub(crate) fn check_header(bytes: &[u8]) -> Result<Option<usize>, String> {
+    let seen = bytes.len().min(MAGIC.len());
+    if bytes[..seen] != MAGIC[..seen] {
         return Err("bad magic (not an AXTR trace)".into());
     }
-    if bytes[4] != VERSION {
-        return Err(format!(
-            "unsupported AXTR version {} (this reader speaks {VERSION})",
-            bytes[4]
-        ));
+    match bytes.get(MAGIC.len()) {
+        None => Ok(None),
+        Some(&VERSION) => Ok(Some(HEADER.len())),
+        Some(other) => Err(format!(
+            "unsupported AXTR version {other} (this reader speaks {VERSION})"
+        )),
     }
-    Ok(5)
-}
-
-/// The AXTR side of the field schema: each typed field is its
-/// fixed-width little-endian encoding, names are not stored.
-struct Fields<T>(T);
-
-impl FieldSink for Fields<&mut Vec<u8>> {
-    fn u8(&mut self, _: &'static str, v: u8) {
-        self.0.put_u8(v);
-    }
-    fn u32(&mut self, _: &'static str, v: u32) {
-        self.0.put_u32(v);
-    }
-    fn u64(&mut self, _: &'static str, v: u64) {
-        self.0.put_u64(v);
-    }
-    fn f64(&mut self, _: &'static str, v: f64) {
-        self.0.put_f64(v);
-    }
-    fn bool(&mut self, _: &'static str, v: bool) {
-        self.0.put_u8(v.into());
-    }
-    fn str(&mut self, _: &'static str, v: &str) {
-        self.0.put_str(v);
-    }
-    fn strs(&mut self, _: &'static str, v: &[TraceStr]) {
-        self.0.put_len(v.len());
-        for s in v {
-            self.0.put_str(s);
-        }
-    }
-    fn msg(&mut self, _: &'static str, v: MessageKind) {
-        self.0.put_u8(v.wire_code());
-    }
-}
-
-fn detail(e: BytesError) -> String {
-    e.to_string()
-}
-
-impl FieldSource for Fields<Cursor<'_>> {
-    fn u8(&mut self, _: &'static str) -> Result<u8, String> {
-        self.0.u8().map_err(detail)
-    }
-    fn u32(&mut self, _: &'static str) -> Result<u32, String> {
-        self.0.u32().map_err(detail)
-    }
-    fn u64(&mut self, _: &'static str) -> Result<u64, String> {
-        self.0.u64().map_err(detail)
-    }
-    fn f64(&mut self, _: &'static str) -> Result<f64, String> {
-        self.0.f64().map_err(detail)
-    }
-    fn bool(&mut self, name: &'static str) -> Result<bool, String> {
-        Ok(self.u8(name)? != 0)
-    }
-    fn str(&mut self, _: &'static str) -> Result<TraceStr, String> {
-        self.0.str().map(owned).map_err(detail)
-    }
-    fn strs(&mut self, name: &'static str) -> Result<Vec<TraceStr>, String> {
-        // Collecting stops at the first short read, so a hostile count
-        // costs no allocation up front.
-        (0..self.u32(name)?).map(|_| self.str(name)).collect()
-    }
-    fn msg(&mut self, name: &'static str) -> Result<MessageKind, String> {
-        let code = self.u8(name)?;
-        MessageKind::from_wire_code(code).ok_or_else(|| format!("unknown message-kind code {code}"))
-    }
-}
-
-/// Encode one event as a record payload (no length prefix): the tag
-/// byte, then the fields [`TraceEvent::visit`] lists.
-pub(crate) fn encode_payload(event: &TraceEvent, out: &mut Vec<u8>) {
-    out.put_u8(event.tag());
-    event.visit(&mut Fields(out));
 }
 
 /// Encode one event as a complete framed record (u32 LE length prefix +
@@ -149,16 +75,15 @@ pub(crate) fn encode_payload(event: &TraceEvent, out: &mut Vec<u8>) {
 pub(crate) fn encode_record(event: &TraceEvent, out: &mut Vec<u8>) {
     let start = out.len();
     out.put_u32(0); // patched below
-    encode_payload(event, out);
+    event.visit(out);
     out.patch_len(start, out.len() - start - 4);
 }
 
 /// Decode one record payload (the bytes after the length prefix).
 pub(crate) fn decode_payload(payload: &[u8]) -> Result<TraceEvent, String> {
-    let mut fields = Fields(Cursor::new(payload));
-    let tag = fields.u8("tag")?;
-    let event = TraceEvent::build(tag, &mut fields)?;
-    fields.0.finish().map_err(detail)?;
+    let mut fields = Cursor::new(payload);
+    let event = TraceEvent::build(&mut fields).map_err(|e| e.to_string())?;
+    fields.finish().map_err(|e| e.to_string())?;
     Ok(event)
 }
 
@@ -171,7 +96,7 @@ mod tests {
     fn payload_round_trip_every_kind() {
         for e in &one_of_each() {
             let mut buf = Vec::new();
-            encode_payload(e, &mut buf);
+            e.visit(&mut buf);
             let back = decode_payload(&buf).unwrap();
             assert_eq!(&back, e, "payload {buf:?}");
         }
@@ -189,25 +114,12 @@ mod tests {
 
     #[test]
     fn header_checks() {
-        assert_eq!(check_header(&HEADER), Ok(5));
-        assert!(check_header(b"AXT").is_err());
+        assert_eq!(check_header(&HEADER), Ok(Some(5)));
+        assert_eq!(check_header(b""), Ok(None));
+        assert_eq!(check_header(b"AXT"), Ok(None));
+        assert!(check_header(b"AXE").is_err());
         assert!(check_header(b"NOPE\x01").is_err());
         assert!(check_header(b"AXTR\x7f").unwrap_err().contains("version"));
-    }
-
-    #[test]
-    fn binary_beats_jsonl_on_size() {
-        let mut bin = Vec::new();
-        let mut jsonl = 0usize;
-        for e in &one_of_each() {
-            encode_record(e, &mut bin);
-            jsonl += e.to_json().len() + 1;
-        }
-        assert!(
-            bin.len() * 2 < jsonl,
-            "binary {} vs jsonl {jsonl}",
-            bin.len()
-        );
     }
 
     #[test]
@@ -218,7 +130,7 @@ mod tests {
         assert!(decode_payload(&[2, 1]).is_err());
         // Trailing junk after a valid payload is an error.
         let mut buf = Vec::new();
-        encode_payload(&one_of_each()[1], &mut buf);
+        one_of_each()[1].visit(&mut buf);
         buf.push(0xAB);
         assert!(decode_payload(&buf).unwrap_err().contains("trailing"));
         // Invalid UTF-8 inside a string field.
@@ -238,7 +150,7 @@ mod tests {
             at_ms: f64::NAN,
         };
         let mut buf = Vec::new();
-        encode_payload(&e, &mut buf);
+        e.visit(&mut buf);
         match decode_payload(&buf).unwrap() {
             TraceEvent::Delegation { at_ms, .. } => {
                 assert_eq!(at_ms.to_bits(), f64::NAN.to_bits())

@@ -7,10 +7,13 @@
 //! rendered as `null`. 64-bit counters go through [`JsonObject::num_u64`]
 //! so values above 2⁵³ never round through a float.
 //!
-//! The reader side ([`parse`] → [`JsonValue`]) exists for the trace
-//! pipeline: `TraceEvent`s written by a `JsonlSink` are decoded back by
-//! `crate::reader::TraceReader` without ever leaving this crate. Numbers
-//! keep their raw token, so `u64::MAX` survives a round trip exactly.
+//! JSON is how *reports* leave the process ([`crate::report::RunReport`],
+//! [`crate::metrics::EvalMetrics`], the benchmark ledger); traces do
+//! not use it — they are `AXTR` records ([`crate::codec`]). The reader
+//! side ([`parse`] → [`JsonValue`]) is for the tools and tests that read
+//! those reports back. Numbers keep their raw token, so `u64::MAX`
+//! survives a round trip exactly. Arrays and objects nest up to
+//! 128 deep; deeper input is an error, not a stack overflow.
 
 use std::fmt::Write;
 
@@ -207,10 +210,18 @@ impl JsonValue {
     }
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so without a bound `[[[[…` from outside overflows the stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (one value, optionally surrounded by
 /// whitespace). Returns a description of the first problem on failure.
 pub fn parse(src: &str) -> Result<JsonValue, String> {
-    let mut p = Parser { src, pos: 0 };
+    let mut p = Parser {
+        src,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -223,6 +234,8 @@ pub fn parse(src: &str) -> Result<JsonValue, String> {
 struct Parser<'a> {
     src: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -260,8 +273,18 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.arr(),
-            Some(b'{') => self.obj(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'[' { self.arr() } else { self.obj() };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.num(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
@@ -524,6 +547,17 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("01").is_ok()); // lenient: leading zeros accepted
         assert!(parse("-").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        // Used to overflow the stack and abort the process.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

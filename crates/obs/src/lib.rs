@@ -25,10 +25,10 @@
 //!
 //! See `OBSERVABILITY.md` at the repository root for a guided tour.
 
-//! For out-of-process analysis, [`sink`] streams events to files
-//! ([`sink::JsonlSink`] / [`sink::BinSink`]), [`codec`] defines the
-//! binary record format, and [`reader::TraceReader`] decodes either
-//! format back into [`trace::TraceEvent`]s.
+//! For out-of-process analysis, [`sink::BinSink`] streams events to a
+//! file in the one trace encoding, the `AXTR` record format [`codec`]
+//! defines, and [`reader::TraceReader`] decodes it back into
+//! [`trace::TraceEvent`]s.
 //!
 //! For *live* observability, [`socket_sink::SocketSink`] streams AXTR
 //! frames over TCP to a consumer, [`reader::FollowReader`] tails a
@@ -55,9 +55,9 @@ pub use kind::{DataTag, MessageKind};
 pub use live::{LiveSink, LiveStats, PeerLive};
 pub use mem::MemStats;
 pub use metrics::{EvalMetrics, MsgStats, RuleStats};
-pub use reader::{FollowReader, FollowStep, ReadError, TraceFormat, TraceReader};
+pub use reader::{FollowReader, FollowStep, ReadError, TraceReader};
 pub use report::RunReport;
-pub use sink::{BinSink, FanoutSink, JsonlSink, SharedBuf};
+pub use sink::{BinSink, FanoutSink, SharedBuf};
 pub use socket_sink::SocketSink;
 pub use trace::{TraceEvent, TraceSink, TraceStr, VecSink};
 

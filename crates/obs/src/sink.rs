@@ -1,18 +1,12 @@
 //! Streaming trace sinks: events out of the process as they happen.
 //!
-//! Two wire formats, one contract (see [`TraceSink`]):
-//!
-//! * [`JsonlSink`] — one JSON object per line, the exact
-//!   [`TraceEvent::to_json`] rendering. Greppable, diffable, readable
-//!   by anything.
-//! * [`BinSink`] — the `AXTR` binary format of [`crate::codec`]:
-//!   versioned header + length-prefixed records, 3–10× smaller.
-//!
-//! Both write through an internal [`BufWriter`], so long or continuous
-//! runs stream incrementally and never hold the whole trace in memory;
-//! both flush on [`TraceSink::flush`], on [`Drop`] (best effort) and on
-//! a consuming [`JsonlSink::finish`]/[`BinSink::finish`] that also
-//! returns the writer and the first deferred I/O error, if any.
+//! [`BinSink`] writes the `AXTR` format of [`crate::codec`] — versioned
+//! header + length-prefixed records — through an internal
+//! [`BufWriter`], so long or continuous runs stream incrementally and
+//! never hold the whole trace in memory. It flushes on
+//! [`TraceSink::flush`], on [`Drop`] (best effort) and on a consuming
+//! [`BinSink::finish`] that also returns the writer and the first
+//! deferred I/O error, if any.
 //!
 //! I/O errors are *deferred*: `record` stays infallible (it is called
 //! from the evaluator's hot path), the first error is stashed, later
@@ -28,68 +22,9 @@ use std::cell::RefCell;
 use std::io::{self, BufWriter, Write};
 use std::rc::Rc;
 
-/// A sink writing one [`TraceEvent::to_json`] line per event.
-pub struct JsonlSink<W: Write> {
-    writer: Option<BufWriter<W>>,
-    err: Option<io::Error>,
-    written: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Stream events into `writer` as JSON lines.
-    pub fn new(writer: W) -> Self {
-        Self {
-            writer: Some(BufWriter::new(writer)),
-            err: None,
-            written: 0,
-        }
-    }
-
-    /// Events successfully encoded so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flush and return the writer, surfacing any deferred I/O error.
-    pub fn finish(mut self) -> io::Result<W> {
-        finish(&mut self.writer, &mut self.err)
-    }
-}
-
-impl JsonlSink<std::fs::File> {
-    /// Create (truncate) `path` and stream JSON lines into it.
-    pub fn create(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
-        Ok(Self::new(std::fs::File::create(path)?))
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, event: TraceEvent) {
-        let Some(w) = writer_if_ok(&mut self.writer, &self.err) else {
-            return;
-        };
-        let mut line = event.to_json();
-        line.push('\n');
-        if let Err(e) = w.write_all(line.as_bytes()) {
-            self.err = Some(e);
-        } else {
-            self.written += 1;
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        flush(&mut self.writer, &mut self.err)
-    }
-}
-
-impl<W: Write> Drop for JsonlSink<W> {
-    fn drop(&mut self) {
-        let _ = flush(&mut self.writer, &mut self.err);
-    }
-}
-
 /// A sink writing the `AXTR` binary format (see [`crate::codec`]).
 pub struct BinSink<W: Write> {
+    /// `None` once [`BinSink::finish`] took the writer.
     writer: Option<BufWriter<W>>,
     err: Option<io::Error>,
     written: u64,
@@ -100,18 +35,14 @@ impl<W: Write> BinSink<W> {
     /// Stream events into `writer`; the versioned header is written
     /// immediately.
     pub fn new(writer: W) -> Self {
-        let mut sink = Self {
-            writer: Some(BufWriter::new(writer)),
-            err: None,
+        let mut writer = BufWriter::new(writer);
+        let err = writer.write_all(&codec::HEADER).err();
+        Self {
+            writer: Some(writer),
+            err,
             written: 0,
             scratch: Vec::with_capacity(64),
-        };
-        if let Some(w) = writer_if_ok(&mut sink.writer, &sink.err) {
-            if let Err(e) = w.write_all(&codec::HEADER) {
-                sink.err = Some(e);
-            }
         }
-        sink
     }
 
     /// Events successfully encoded so far.
@@ -121,7 +52,9 @@ impl<W: Write> BinSink<W> {
 
     /// Flush and return the writer, surfacing any deferred I/O error.
     pub fn finish(mut self) -> io::Result<W> {
-        finish(&mut self.writer, &mut self.err)
+        self.flush()?;
+        let w = self.writer.take().expect("finish consumes the sink");
+        w.into_inner().map_err(|e| e.into_error())
     }
 }
 
@@ -137,66 +70,33 @@ impl<W: Write> TraceSink for BinSink<W> {
         if self.err.is_some() {
             return;
         }
-        self.scratch.clear();
-        codec::encode_record(&event, &mut self.scratch);
-        let Some(w) = writer_if_ok(&mut self.writer, &self.err) else {
+        let Some(w) = self.writer.as_mut() else {
             return;
         };
-        if let Err(e) = w.write_all(&self.scratch) {
-            self.err = Some(e);
-        } else {
-            self.written += 1;
+        self.scratch.clear();
+        codec::encode_record(&event, &mut self.scratch);
+        match w.write_all(&self.scratch) {
+            Ok(()) => self.written += 1,
+            Err(e) => self.err = Some(e),
         }
     }
 
+    /// Surface the deferred error, if any, else flush the writer.
     fn flush(&mut self) -> io::Result<()> {
-        flush(&mut self.writer, &mut self.err)
+        if let Some(e) = self.err.take() {
+            return Err(e);
+        }
+        match self.writer.as_mut() {
+            Some(w) => w.flush(),
+            None => Ok(()),
+        }
     }
 }
 
 impl<W: Write> Drop for BinSink<W> {
     fn drop(&mut self) {
-        let _ = flush(&mut self.writer, &mut self.err);
+        let _ = self.flush();
     }
-}
-
-fn writer_if_ok<'a, W: Write>(
-    writer: &'a mut Option<BufWriter<W>>,
-    err: &Option<io::Error>,
-) -> Option<&'a mut BufWriter<W>> {
-    if err.is_some() {
-        return None;
-    }
-    writer.as_mut()
-}
-
-fn take_err(err: &mut Option<io::Error>) -> io::Error {
-    err.take()
-        .unwrap_or_else(|| io::Error::other("trace sink error already taken"))
-}
-
-fn flush<W: Write>(
-    writer: &mut Option<BufWriter<W>>,
-    err: &mut Option<io::Error>,
-) -> io::Result<()> {
-    if err.is_some() {
-        return Err(take_err(err));
-    }
-    match writer.as_mut() {
-        Some(w) => w.flush(),
-        None => Ok(()),
-    }
-}
-
-fn finish<W: Write>(
-    writer: &mut Option<BufWriter<W>>,
-    err: &mut Option<io::Error>,
-) -> io::Result<W> {
-    flush(writer, err)?;
-    let w = writer
-        .take()
-        .expect("finish called once, after flush succeeded");
-    w.into_inner().map_err(|e| e.into_error())
 }
 
 /// A sink that tees every event into several child sinks.
@@ -253,7 +153,7 @@ impl TraceSink for FanoutSink {
 
 /// An `Rc`-shared growable byte buffer implementing [`Write`].
 ///
-/// Hand one clone to a [`JsonlSink`]/[`BinSink`] that disappears into a
+/// Hand one clone to a [`BinSink`] that disappears into a
 /// `Box<dyn TraceSink>`, keep the other, and read the encoded bytes
 /// back after the run — the trick tests and examples use since boxed
 /// sinks cannot be downcast.
@@ -302,22 +202,6 @@ mod tests {
     use crate::trace::tests::one_of_each;
 
     #[test]
-    fn jsonl_sink_writes_lines() {
-        let buf = SharedBuf::new();
-        let mut sink = JsonlSink::new(buf.clone());
-        for e in one_of_each() {
-            sink.record(e);
-        }
-        assert_eq!(sink.written(), one_of_each().len() as u64);
-        sink.flush().unwrap();
-        let text = String::from_utf8(buf.bytes()).unwrap();
-        assert_eq!(text.lines().count(), one_of_each().len());
-        for line in text.lines() {
-            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        }
-    }
-
-    #[test]
     fn bin_sink_writes_header_and_records() {
         let buf = SharedBuf::new();
         let mut sink = BinSink::new(buf.clone());
@@ -339,7 +223,7 @@ mod tests {
     fn drop_flushes_buffered_tail() {
         let buf = SharedBuf::new();
         {
-            let mut sink = JsonlSink::new(buf.clone());
+            let mut sink = BinSink::new(buf.clone());
             sink.record(one_of_each()[0].clone());
             // No explicit flush: the event is smaller than the BufWriter
             // buffer, so only Drop can push it through.
@@ -365,7 +249,7 @@ mod tests {
                 Ok(())
             }
         }
-        let mut sink = JsonlSink::new(FailingWriter);
+        let mut sink = BinSink::new(FailingWriter);
         for e in one_of_each() {
             sink.record(e); // errors are deferred, not panics
         }
@@ -377,23 +261,20 @@ mod tests {
 
     #[test]
     fn fanout_tees_and_flushes() {
-        let jl = SharedBuf::new();
+        let vec = crate::trace::VecSink::new();
         let bin = SharedBuf::new();
         let mut fan = FanoutSink::new()
-            .with(JsonlSink::new(jl.clone()))
+            .with(vec.clone())
             .with(BinSink::new(bin.clone()));
         for e in one_of_each() {
             fan.record(e);
         }
         fan.flush().unwrap();
-        assert_eq!(
-            String::from_utf8(jl.bytes()).unwrap().lines().count(),
-            one_of_each().len()
-        );
+        assert_eq!(vec.take(), one_of_each());
         let events: Vec<_> = TraceReader::new(&bin.bytes()[..])
             .unwrap()
             .collect::<Result<_, _>>()
             .unwrap();
-        assert_eq!(events.len(), one_of_each().len());
+        assert_eq!(events, one_of_each());
     }
 }

@@ -26,8 +26,8 @@
 //! scalar cost instead of a timestamp — optimization is planning, not
 //! simulated execution.
 
-use crate::json::{self, JsonObject, JsonValue};
 use crate::kind::MessageKind;
+use axml_net::bytes::{Cursor, PutBytes};
 use axml_xml::ids::PeerId;
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -203,63 +203,31 @@ pub enum TraceEvent {
     },
 }
 
-/// `(AXTR tag byte, JSON "kind" string)` of every event shape — the one
-/// place the two spellings are paired ([`TraceEvent::tag`] and
-/// [`TraceEvent::build`] name rows by tag byte). Append-only: new
-/// variants take the next free byte, existing rows never change meaning.
-const KINDS: [(u8, &str); 12] = [
-    (1, "definition"),
-    (2, "delegation"),
-    (3, "message"),
-    (4, "delivered"),
-    (5, "task"),
-    (6, "rule"),
-    (7, "plan"),
-    (8, "service-call"),
-    (9, "delta"),
-    (10, "dropped"),
-    (11, "retry"),
-    (12, "failover"),
+/// The short kind name of every event shape, indexed by AXTR tag byte
+/// minus one ([`TraceEvent::tag`] and [`TraceEvent::build`] name rows by
+/// tag byte). Append-only: new variants take the next free byte,
+/// existing rows never change meaning.
+const KINDS: [&str; 12] = [
+    "definition",
+    "delegation",
+    "message",
+    "delivered",
+    "task",
+    "rule",
+    "plan",
+    "service-call",
+    "delta",
+    "dropped",
+    "retry",
+    "failover",
 ];
 
-// `TraceEvent::kind` indexes the table by tag: row `i` holds tag `i + 1`.
-const _: () = {
-    let mut i = 0;
-    while i < KINDS.len() {
-        assert!(KINDS[i].0 as usize == i + 1);
-        i += 1;
-    }
-};
+/// Why a record payload did not decode: a short or non-UTF-8 field
+/// ([`axml_net::bytes::BytesError`]) or an unknown tag or code.
+pub(crate) type DecodeError = Box<dyn std::error::Error>;
 
-/// Where [`TraceEvent::visit`] sends an event's fields, in wire order:
-/// one method per wire type. The JSON object writer (below) and the AXTR
-/// payload writer ([`crate::codec`]) are the two implementations.
-pub(crate) trait FieldSink {
-    fn u8(&mut self, name: &'static str, v: u8);
-    fn u32(&mut self, name: &'static str, v: u32);
-    fn u64(&mut self, name: &'static str, v: u64);
-    fn f64(&mut self, name: &'static str, v: f64);
-    fn bool(&mut self, name: &'static str, v: bool);
-    fn str(&mut self, name: &'static str, v: &str);
-    fn strs(&mut self, name: &'static str, v: &[TraceStr]);
-    fn msg(&mut self, name: &'static str, v: MessageKind);
-}
-
-/// Where [`TraceEvent::build`] reads an event's fields from — the
-/// inverse of [`FieldSink`], same methods, same order.
-pub(crate) trait FieldSource {
-    fn u8(&mut self, name: &'static str) -> Result<u8, String>;
-    fn u32(&mut self, name: &'static str) -> Result<u32, String>;
-    fn u64(&mut self, name: &'static str) -> Result<u64, String>;
-    fn f64(&mut self, name: &'static str) -> Result<f64, String>;
-    fn bool(&mut self, name: &'static str) -> Result<bool, String>;
-    fn str(&mut self, name: &'static str) -> Result<TraceStr, String>;
-    fn strs(&mut self, name: &'static str) -> Result<Vec<TraceStr>, String>;
-    fn msg(&mut self, name: &'static str) -> Result<MessageKind, String>;
-}
-
-/// `usize` counters travel as `u32` in both formats; a count past
-/// `u32::MAX` pins at the maximum instead of wrapping.
+/// `usize` counters travel as `u32`; a count past `u32::MAX` pins at
+/// the maximum instead of wrapping.
 fn count(v: usize) -> u32 {
     u32::try_from(v).unwrap_or(u32::MAX)
 }
@@ -288,15 +256,16 @@ impl TraceEvent {
     /// "message", "delivered", "task", "rule", "plan", "service-call",
     /// "delta", "dropped", "retry", "failover").
     pub fn kind(&self) -> &'static str {
-        KINDS[usize::from(self.tag()) - 1].1
+        KINDS[usize::from(self.tag()) - 1]
     }
 
-    /// Every field of this event as `(name, typed value)`, in wire
-    /// order — the single definition both encodings are written from.
-    /// To add a field: one line here, the matching line in
-    /// [`TraceEvent::build`], and a bump of [`crate::codec::VERSION`].
+    /// Append this event's AXTR record payload to `out`: the tag byte,
+    /// then every field in wire order — the single definition of the
+    /// payload layout. To add a field: one line here, the matching line
+    /// in [`TraceEvent::build`], and a bump of [`crate::codec::VERSION`].
     #[inline]
-    pub(crate) fn visit<S: FieldSink>(&self, s: &mut S) {
+    pub(crate) fn visit(&self, out: &mut Vec<u8>) {
+        out.put_u8(self.tag());
         match self {
             TraceEvent::Definition {
                 def,
@@ -304,15 +273,15 @@ impl TraceEvent {
                 expr,
                 at_ms,
             } => {
-                s.u8("def", *def);
-                s.u32("peer", peer.0);
-                s.str("expr", expr);
-                s.f64("at_ms", *at_ms);
+                out.put_u8(*def);
+                out.put_u32(peer.0);
+                out.put_str(expr);
+                out.put_f64(*at_ms);
             }
             TraceEvent::Delegation { from, to, at_ms } => {
-                s.u32("from", from.0);
-                s.u32("to", to.0);
-                s.f64("at_ms", *at_ms);
+                out.put_u32(from.0);
+                out.put_u32(to.0);
+                out.put_f64(*at_ms);
             }
             TraceEvent::MessageSent {
                 from,
@@ -322,12 +291,12 @@ impl TraceEvent {
                 sent_ms,
                 at_ms,
             } => {
-                s.u32("from", from.0);
-                s.u32("to", to.0);
-                s.msg("msg", *kind);
-                s.u64("bytes", *bytes);
-                s.f64("sent_ms", *sent_ms);
-                s.f64("at_ms", *at_ms);
+                out.put_u32(from.0);
+                out.put_u32(to.0);
+                out.put_u8(kind.wire_code());
+                out.put_u64(*bytes);
+                out.put_f64(*sent_ms);
+                out.put_f64(*at_ms);
             }
             TraceEvent::MessageDelivered {
                 from,
@@ -343,25 +312,25 @@ impl TraceEvent {
                 bytes,
                 at_ms,
             } => {
-                s.u32("from", from.0);
-                s.u32("to", to.0);
-                s.msg("msg", *kind);
-                s.u64("bytes", *bytes);
-                s.f64("at_ms", *at_ms);
+                out.put_u32(from.0);
+                out.put_u32(to.0);
+                out.put_u8(kind.wire_code());
+                out.put_u64(*bytes);
+                out.put_f64(*at_ms);
             }
             TraceEvent::TaskScheduled { peer, task, at_ms } => {
-                s.u32("peer", peer.0);
-                s.str("task", task);
-                s.f64("at_ms", *at_ms);
+                out.put_u32(peer.0);
+                out.put_str(task);
+                out.put_f64(*at_ms);
             }
             TraceEvent::RuleAttempted {
                 rule,
                 accepted,
                 cost,
             } => {
-                s.str("rule", rule);
-                s.bool("accepted", *accepted);
-                s.f64("cost", *cost);
+                out.put_str(rule);
+                out.put_u8((*accepted).into());
+                out.put_f64(*cost);
             }
             TraceEvent::PlanChosen {
                 site,
@@ -369,10 +338,13 @@ impl TraceEvent {
                 cost,
                 trace,
             } => {
-                s.u32("site", site.0);
-                s.u32("explored", count(*explored));
-                s.f64("cost", *cost);
-                s.strs("trace", trace);
+                out.put_u32(site.0);
+                out.put_u32(count(*explored));
+                out.put_f64(*cost);
+                out.put_len(trace.len());
+                for rule in trace {
+                    out.put_str(rule);
+                }
             }
             TraceEvent::ServiceCall {
                 caller,
@@ -381,11 +353,11 @@ impl TraceEvent {
                 call_id,
                 at_ms,
             } => {
-                s.u32("caller", caller.0);
-                s.u32("provider", provider.0);
-                s.str("service", service);
-                s.u64("call_id", *call_id);
-                s.f64("at_ms", *at_ms);
+                out.put_u32(caller.0);
+                out.put_u32(provider.0);
+                out.put_str(service);
+                out.put_u64(*call_id);
+                out.put_f64(*at_ms);
             }
             TraceEvent::SubscriptionDelta {
                 subscription,
@@ -394,11 +366,11 @@ impl TraceEvent {
                 suppressed,
                 at_ms,
             } => {
-                s.u64("subscription", *subscription);
-                s.u32("provider", provider.0);
-                s.u32("fresh", count(*fresh));
-                s.u32("suppressed", count(*suppressed));
-                s.f64("at_ms", *at_ms);
+                out.put_u64(*subscription);
+                out.put_u32(provider.0);
+                out.put_u32(count(*fresh));
+                out.put_u32(count(*suppressed));
+                out.put_f64(*at_ms);
             }
             TraceEvent::RetryScheduled {
                 from,
@@ -408,12 +380,12 @@ impl TraceEvent {
                 backoff_ms,
                 at_ms,
             } => {
-                s.u32("from", from.0);
-                s.u32("to", to.0);
-                s.msg("msg", *kind);
-                s.u32("attempt", *attempt);
-                s.f64("backoff_ms", *backoff_ms);
-                s.f64("at_ms", *at_ms);
+                out.put_u32(from.0);
+                out.put_u32(to.0);
+                out.put_u8(kind.wire_code());
+                out.put_u32(*attempt);
+                out.put_f64(*backoff_ms);
+                out.put_f64(*at_ms);
             }
             TraceEvent::Failover {
                 peer,
@@ -421,209 +393,106 @@ impl TraceEvent {
                 dead,
                 at_ms,
             } => {
-                s.u32("peer", peer.0);
-                s.str("class", class);
-                s.u32("dead", dead.0);
-                s.f64("at_ms", *at_ms);
+                out.put_u32(peer.0);
+                out.put_str(class);
+                out.put_u32(dead.0);
+                out.put_f64(*at_ms);
             }
         }
     }
 
-    /// Rebuild the event with tag byte `tag` by pulling the fields
-    /// [`TraceEvent::visit`] pushed, in the same order.
-    pub(crate) fn build<R: FieldSource>(tag: u8, r: &mut R) -> Result<Self, String> {
-        let peer = |r: &mut R, name| r.u32(name).map(PeerId);
-        Ok(match tag {
+    /// Rebuild an event from the payload [`TraceEvent::visit`] wrote:
+    /// the tag byte, then that variant's fields in the same order.
+    pub(crate) fn build(c: &mut Cursor) -> Result<Self, DecodeError> {
+        let peer = |c: &mut Cursor| c.u32().map(PeerId);
+        let text = |c: &mut Cursor| c.str().map(|s| TraceStr::Owned(s.to_string()));
+        let msg = |c: &mut Cursor| {
+            let code = c.u8()?;
+            MessageKind::from_wire_code(code)
+                .ok_or_else(|| DecodeError::from(format!("unknown message-kind code {code}")))
+        };
+        Ok(match c.u8()? {
             1 => TraceEvent::Definition {
-                def: r.u8("def")?,
-                peer: peer(r, "peer")?,
-                expr: r.str("expr")?,
-                at_ms: r.f64("at_ms")?,
+                def: c.u8()?,
+                peer: peer(c)?,
+                expr: text(c)?,
+                at_ms: c.f64()?,
             },
             2 => TraceEvent::Delegation {
-                from: peer(r, "from")?,
-                to: peer(r, "to")?,
-                at_ms: r.f64("at_ms")?,
+                from: peer(c)?,
+                to: peer(c)?,
+                at_ms: c.f64()?,
             },
             3 => TraceEvent::MessageSent {
-                from: peer(r, "from")?,
-                to: peer(r, "to")?,
-                kind: r.msg("msg")?,
-                bytes: r.u64("bytes")?,
-                sent_ms: r.f64("sent_ms")?,
-                at_ms: r.f64("at_ms")?,
+                from: peer(c)?,
+                to: peer(c)?,
+                kind: msg(c)?,
+                bytes: c.u64()?,
+                sent_ms: c.f64()?,
+                at_ms: c.f64()?,
             },
             4 => TraceEvent::MessageDelivered {
-                from: peer(r, "from")?,
-                to: peer(r, "to")?,
-                kind: r.msg("msg")?,
-                bytes: r.u64("bytes")?,
-                at_ms: r.f64("at_ms")?,
+                from: peer(c)?,
+                to: peer(c)?,
+                kind: msg(c)?,
+                bytes: c.u64()?,
+                at_ms: c.f64()?,
             },
             5 => TraceEvent::TaskScheduled {
-                peer: peer(r, "peer")?,
-                task: r.str("task")?,
-                at_ms: r.f64("at_ms")?,
+                peer: peer(c)?,
+                task: text(c)?,
+                at_ms: c.f64()?,
             },
             6 => TraceEvent::RuleAttempted {
-                rule: r.str("rule")?,
-                accepted: r.bool("accepted")?,
-                cost: r.f64("cost")?,
+                rule: text(c)?,
+                accepted: c.u8()? != 0,
+                cost: c.f64()?,
             },
             7 => TraceEvent::PlanChosen {
-                site: peer(r, "site")?,
-                explored: r.u32("explored")? as usize,
-                cost: r.f64("cost")?,
-                trace: r.strs("trace")?,
+                site: peer(c)?,
+                explored: c.u32()? as usize,
+                cost: c.f64()?,
+                // Collecting stops at the first short read, so a hostile
+                // count costs no allocation up front.
+                trace: (0..c.u32()?).map(|_| text(c)).collect::<Result<_, _>>()?,
             },
             8 => TraceEvent::ServiceCall {
-                caller: peer(r, "caller")?,
-                provider: peer(r, "provider")?,
-                service: r.str("service")?.into_owned(),
-                call_id: r.u64("call_id")?,
-                at_ms: r.f64("at_ms")?,
+                caller: peer(c)?,
+                provider: peer(c)?,
+                service: text(c)?.into_owned(),
+                call_id: c.u64()?,
+                at_ms: c.f64()?,
             },
             9 => TraceEvent::SubscriptionDelta {
-                subscription: r.u64("subscription")?,
-                provider: peer(r, "provider")?,
-                fresh: r.u32("fresh")? as usize,
-                suppressed: r.u32("suppressed")? as usize,
-                at_ms: r.f64("at_ms")?,
+                subscription: c.u64()?,
+                provider: peer(c)?,
+                fresh: c.u32()? as usize,
+                suppressed: c.u32()? as usize,
+                at_ms: c.f64()?,
             },
             10 => TraceEvent::MessageDropped {
-                from: peer(r, "from")?,
-                to: peer(r, "to")?,
-                kind: r.msg("msg")?,
-                bytes: r.u64("bytes")?,
-                at_ms: r.f64("at_ms")?,
+                from: peer(c)?,
+                to: peer(c)?,
+                kind: msg(c)?,
+                bytes: c.u64()?,
+                at_ms: c.f64()?,
             },
             11 => TraceEvent::RetryScheduled {
-                from: peer(r, "from")?,
-                to: peer(r, "to")?,
-                kind: r.msg("msg")?,
-                attempt: r.u32("attempt")?,
-                backoff_ms: r.f64("backoff_ms")?,
-                at_ms: r.f64("at_ms")?,
+                from: peer(c)?,
+                to: peer(c)?,
+                kind: msg(c)?,
+                attempt: c.u32()?,
+                backoff_ms: c.f64()?,
+                at_ms: c.f64()?,
             },
             12 => TraceEvent::Failover {
-                peer: peer(r, "peer")?,
-                class: r.str("class")?.into_owned(),
-                dead: peer(r, "dead")?,
-                at_ms: r.f64("at_ms")?,
+                peer: peer(c)?,
+                class: text(c)?.into_owned(),
+                dead: peer(c)?,
+                at_ms: c.f64()?,
             },
-            other => return Err(format!("unknown event tag {other}")),
+            other => return Err(format!("unknown event tag {other}").into()),
         })
-    }
-
-    /// The event as a single JSON object: `"kind"`, then the fields.
-    pub fn to_json(&self) -> String {
-        let mut o = JsonFields(JsonObject::new());
-        o.0.str("kind", self.kind());
-        self.visit(&mut o);
-        o.0.finish()
-    }
-
-    /// Parse one event back from the JSON produced by
-    /// [`TraceEvent::to_json`] (the `JsonlSink` line format). Inverse of
-    /// `to_json` for every finite-timestamp event; non-finite floats were
-    /// written as `null` and decode as NaN.
-    pub fn from_json(src: &str) -> Result<Self, String> {
-        let v = json::parse(src)?;
-        let kind = v
-            .get("kind")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing \"kind\" field")?;
-        let (tag, _) = KINDS
-            .iter()
-            .find(|(_, k)| *k == kind)
-            .ok_or_else(|| format!("unknown event kind {kind:?}"))?;
-        Self::build(*tag, &mut JsonFields(&v))
-    }
-}
-
-/// The JSON side of the field schema: writing into a [`JsonObject`],
-/// reading (by name, so key order is free) from a parsed object.
-struct JsonFields<T>(T);
-
-impl FieldSink for JsonFields<JsonObject> {
-    fn u8(&mut self, name: &'static str, v: u8) {
-        self.0.num_u64(name, v.into());
-    }
-    fn u32(&mut self, name: &'static str, v: u32) {
-        self.0.num_u64(name, v.into());
-    }
-    fn u64(&mut self, name: &'static str, v: u64) {
-        self.0.num_u64(name, v);
-    }
-    fn f64(&mut self, name: &'static str, v: f64) {
-        self.0.num(name, v);
-    }
-    fn bool(&mut self, name: &'static str, v: bool) {
-        self.0.bool(name, v);
-    }
-    fn str(&mut self, name: &'static str, v: &str) {
-        self.0.str(name, v);
-    }
-    fn strs(&mut self, name: &'static str, v: &[TraceStr]) {
-        self.0.str_array(name, v.iter().map(|s| s.as_ref()));
-    }
-    fn msg(&mut self, name: &'static str, v: MessageKind) {
-        self.0.str(name, v.as_str());
-    }
-}
-
-impl JsonFields<&JsonValue> {
-    fn get<'v, T>(
-        &'v self,
-        name: &str,
-        what: &str,
-        read: impl FnOnce(&'v JsonValue) -> Option<T>,
-    ) -> Result<T, String> {
-        self.0
-            .get(name)
-            .and_then(read)
-            .ok_or_else(|| format!("missing {what} field \"{name}\""))
-    }
-
-    fn int<T: TryFrom<u64>>(&self, name: &str) -> Result<T, String> {
-        T::try_from(self.get(name, "integer", JsonValue::as_u64)?)
-            .map_err(|_| format!("integer field \"{name}\" out of range"))
-    }
-}
-
-pub(crate) fn owned(s: &str) -> TraceStr {
-    TraceStr::Owned(s.to_string())
-}
-
-impl FieldSource for JsonFields<&JsonValue> {
-    fn u8(&mut self, name: &'static str) -> Result<u8, String> {
-        self.int(name)
-    }
-    fn u32(&mut self, name: &'static str) -> Result<u32, String> {
-        self.int(name)
-    }
-    fn u64(&mut self, name: &'static str) -> Result<u64, String> {
-        self.int(name)
-    }
-    fn f64(&mut self, name: &'static str) -> Result<f64, String> {
-        self.get(name, "numeric", JsonValue::as_f64)
-    }
-    fn bool(&mut self, name: &'static str) -> Result<bool, String> {
-        self.get(name, "boolean", JsonValue::as_bool)
-    }
-    fn str(&mut self, name: &'static str) -> Result<TraceStr, String> {
-        self.get(name, "string", JsonValue::as_str).map(owned)
-    }
-    fn strs(&mut self, name: &'static str) -> Result<Vec<TraceStr>, String> {
-        self.get(name, "array", JsonValue::as_arr)?
-            .iter()
-            .map(|e| e.as_str().map(owned))
-            .collect::<Option<_>>()
-            .ok_or_else(|| format!("non-string element in \"{name}\""))
-    }
-    fn msg(&mut self, name: &'static str) -> Result<MessageKind, String> {
-        let kind = self.get(name, "string", JsonValue::as_str)?;
-        MessageKind::parse(kind).ok_or_else(|| format!("unknown message kind {kind:?}"))
     }
 }
 
@@ -754,7 +623,7 @@ impl fmt::Display for TraceEvent {
 ///    sink handed to a system never relies on (2) alone.
 ///
 /// The default implementation is a no-op `Ok(())`: unbuffered sinks
-/// ([`VecSink`], [`StderrSink`]) need nothing more.
+/// ([`VecSink`]) need nothing more.
 pub trait TraceSink {
     /// Consume one event.
     fn record(&mut self, event: TraceEvent);
@@ -826,16 +695,6 @@ impl TraceSink for Box<dyn TraceSink> {
 
     fn flush(&mut self) -> std::io::Result<()> {
         (**self).flush()
-    }
-}
-
-/// A sink that prints each event to stderr as it happens (debugging).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StderrSink;
-
-impl TraceSink for StderrSink {
-    fn record(&mut self, event: TraceEvent) {
-        eprintln!("{event}");
     }
 }
 
@@ -944,49 +803,9 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn display_and_json_render_every_kind() {
+    fn display_renders_every_kind() {
         for e in &one_of_each() {
-            let text = e.to_string();
-            assert!(!text.is_empty());
-            let json = e.to_json();
-            assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-            assert!(
-                json.contains(&format!("\"kind\":\"{}\"", e.kind())),
-                "{json}"
-            );
+            assert!(!e.to_string().is_empty());
         }
-    }
-
-    #[test]
-    fn json_round_trip_every_kind() {
-        for e in &one_of_each() {
-            let back = TraceEvent::from_json(&e.to_json()).unwrap();
-            assert_eq!(&back, e);
-        }
-    }
-
-    #[test]
-    fn from_json_rejects_malformed() {
-        assert!(TraceEvent::from_json("not json").is_err());
-        assert!(TraceEvent::from_json("{}").is_err());
-        assert!(TraceEvent::from_json(r#"{"kind":"martian"}"#).is_err());
-        assert!(TraceEvent::from_json(r#"{"kind":"delegation","from":0}"#).is_err());
-        assert!(TraceEvent::from_json(
-            r#"{"kind":"message","from":0,"to":1,"msg":"warp","bytes":1,"sent_ms":0,"at_ms":1}"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn adversarial_strings_round_trip_json() {
-        let e = TraceEvent::ServiceCall {
-            caller: PeerId(0),
-            provider: PeerId(1),
-            service: "svc\"\\\n\u{1}\u{7f} 中🦀".into(),
-            call_id: u64::MAX,
-            at_ms: 1.0,
-        };
-        let back = TraceEvent::from_json(&e.to_json()).unwrap();
-        assert_eq!(back, e);
     }
 }

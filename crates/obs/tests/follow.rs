@@ -7,9 +7,7 @@
 //! Generation reuses the deterministic SplitMix64 approach of
 //! `prop_roundtrip.rs`: fixed seeds, same large sample every run.
 
-use axml_obs::{
-    BinSink, FollowReader, FollowStep, JsonlSink, ReadError, SharedBuf, TraceEvent, TraceSink,
-};
+use axml_obs::{BinSink, FollowReader, FollowStep, ReadError, SharedBuf, TraceEvent, TraceSink};
 use axml_prng::SplitMix64;
 use axml_xml::ids::PeerId;
 use std::io::{self, Read, Write};
@@ -88,16 +86,6 @@ fn encode_bin(events: &[TraceEvent]) -> Vec<u8> {
     buf.bytes()
 }
 
-fn encode_jsonl(events: &[TraceEvent]) -> Vec<u8> {
-    let buf = SharedBuf::new();
-    let mut sink = JsonlSink::new(buf.clone());
-    for e in events {
-        sink.record(e.clone());
-    }
-    sink.flush().unwrap();
-    buf.bytes()
-}
-
 /// Poll until Pending, collecting events (malformed records fail the
 /// test — these streams are intact).
 fn drain<R: Read>(reader: &mut FollowReader<R>) -> Vec<TraceEvent> {
@@ -117,40 +105,31 @@ fn drain<R: Read>(reader: &mut FollowReader<R>) -> Vec<TraceEvent> {
 fn prop_single_byte_drip_decodes_everything() {
     // The cruelest partial write: every byte arrives alone, with a
     // Pending-producing dry spell after each one.
-    for (name, encode) in [
-        ("bin", encode_bin as fn(&[TraceEvent]) -> Vec<u8>),
-        ("jsonl", encode_jsonl as fn(&[TraceEvent]) -> Vec<u8>),
-    ] {
-        let events = sample_events(20, 0xF0110001);
-        let bytes = encode(&events);
-        let file = SharedFile::new();
-        let mut reader = FollowReader::new(file.clone());
-        let mut got = Vec::new();
-        for b in &bytes {
-            // Source is dry right now…
-            got.extend(drain(&mut reader));
-            assert!(reader.hit_eof(), "{name}: a dry drain ends at EOF");
-            // …then exactly one more byte arrives.
-            file.append(&[*b]);
-        }
+    let events = sample_events(20, 0xF0110001);
+    let bytes = encode_bin(&events);
+    let file = SharedFile::new();
+    let mut reader = FollowReader::new(file.clone());
+    let mut got = Vec::new();
+    for b in &bytes {
+        // Source is dry right now…
         got.extend(drain(&mut reader));
-        assert_eq!(got, events, "{name}: single-byte drip lost events");
-        assert!(matches!(reader.finish(), Ok(None)), "{name}: clean tail");
+        assert!(reader.hit_eof(), "a dry drain ends at EOF");
+        // …then exactly one more byte arrives.
+        file.append(&[*b]);
     }
+    got.extend(drain(&mut reader));
+    assert_eq!(got, events, "single-byte drip lost events");
+    assert!(reader.finish().is_ok(), "clean tail");
 }
 
 #[test]
 fn prop_random_chunk_splits_decode_everything() {
-    // Arbitrary chunking: split each encoding at random points, append
+    // Arbitrary chunking: split the encoding at random points, append
     // chunk by chunk to a shared "file", draining between appends.
     let mut rng = SplitMix64::new(0xF0110002);
     for case in 0..60 {
         let events = sample_events(1 + (case % 25), 0xF0110003 ^ case as u64);
-        let bytes = if case % 2 == 0 {
-            encode_bin(&events)
-        } else {
-            encode_jsonl(&events)
-        };
+        let bytes = encode_bin(&events);
         let file = SharedFile::new();
         let mut reader = FollowReader::new(file.clone());
         let mut got = Vec::new();
@@ -164,7 +143,7 @@ fn prop_random_chunk_splits_decode_everything() {
         }
         got.extend(drain(&mut reader));
         assert_eq!(got, events, "case {case}: chunked follow lost events");
-        assert!(matches!(reader.finish(), Ok(None)), "case {case}");
+        assert!(reader.finish().is_ok(), "case {case}");
     }
 }
 
@@ -174,37 +153,28 @@ fn prop_writer_death_types_the_tail_and_never_panics() {
     // the decodable prefix, then finish() reports either a clean end or
     // a typed Truncated — never a panic, never a fabricated event.
     let events = sample_events(6, 0xF0110004);
-    for (fmt, bytes) in [
-        ("bin", encode_bin(&events)),
-        ("jsonl", encode_jsonl(&events)),
-    ] {
-        for cut in 0..=bytes.len() {
-            if fmt == "jsonl" && cut > 0 && (bytes[cut.min(bytes.len() - 1)] & 0xC0) == 0x80 {
-                continue; // mid-scalar cuts covered by the lossy decode path anyway
+    let bytes = encode_bin(&events);
+    for cut in 0..=bytes.len() {
+        let file = SharedFile::new();
+        file.append(&bytes[..cut]);
+        let mut reader = FollowReader::new(file);
+        let mut got = Vec::new();
+        loop {
+            match reader.poll() {
+                Ok(FollowStep::Event(e)) => got.push(e),
+                Ok(FollowStep::Malformed { .. }) => {}
+                Ok(FollowStep::Pending) => break,
+                Err(e) => panic!("cut {cut}: poll errored on intact prefix: {e}"),
             }
-            let file = SharedFile::new();
-            file.append(&bytes[..cut]);
-            let mut reader = FollowReader::new(file);
-            let mut got = Vec::new();
-            loop {
-                match reader.poll() {
-                    Ok(FollowStep::Event(e)) => got.push(e),
-                    Ok(FollowStep::Malformed { .. }) => {}
-                    Ok(FollowStep::Pending) => break,
-                    Err(e) => panic!("{fmt} cut {cut}: poll errored on intact prefix: {e}"),
-                }
-            }
-            assert!(
-                got.len() <= events.len() && got[..] == events[..got.len()],
-                "{fmt} cut {cut}: decoded events must be a prefix"
-            );
-            match reader.finish() {
-                Ok(None) => {}                         // boundary cut
-                Ok(Some(e)) => got.push(e),            // complete final JSONL line sans newline
-                Err(ReadError::Truncated { .. }) => {} // typed tail damage
-                Err(other) => panic!("{fmt} cut {cut}: unexpected tail error {other}"),
-            }
-            assert!(got[..] == events[..got.len()]);
+        }
+        assert!(
+            got.len() <= events.len() && got[..] == events[..got.len()],
+            "cut {cut}: decoded events must be a prefix"
+        );
+        match reader.finish() {
+            Ok(()) => {}                           // boundary cut
+            Err(ReadError::Truncated { .. }) => {} // typed tail damage
+            Err(other) => panic!("cut {cut}: unexpected tail error {other}"),
         }
     }
 }
@@ -275,16 +245,14 @@ fn bad_header_poisons_the_reader_without_panicking() {
 }
 
 #[test]
-fn malformed_jsonl_record_is_skippable_mid_stream() {
+fn malformed_record_is_skippable_mid_stream() {
     let events = sample_events(4, 0xF0110006);
-    let mut bytes = Vec::new();
-    let encoded = encode_jsonl(&events);
-    let lines: Vec<&[u8]> = encoded.split_inclusive(|&b| b == b'\n').collect();
-    bytes.extend_from_slice(lines[0]);
-    bytes.extend_from_slice(b"{\"type\":\"no-such-event\"}\n");
-    for l in &lines[1..] {
-        bytes.extend_from_slice(l);
-    }
+    let encoded = encode_bin(&events);
+    // A well-framed record (length 2) whose payload is no event: tag 0.
+    let first_end = 5 + 4 + u32::from_le_bytes(encoded[5..9].try_into().unwrap()) as usize;
+    let mut bytes = encoded[..first_end].to_vec();
+    bytes.extend_from_slice(&[2, 0, 0, 0, 0, 0]);
+    bytes.extend_from_slice(&encoded[first_end..]);
     let file = SharedFile::new();
     file.append(&bytes);
     let mut reader = FollowReader::new(file);
@@ -292,7 +260,10 @@ fn malformed_jsonl_record_is_skippable_mid_stream() {
     loop {
         match reader.poll().unwrap() {
             FollowStep::Event(e) => got.push(e),
-            FollowStep::Malformed { .. } => bad += 1,
+            FollowStep::Malformed { record, .. } => {
+                assert_eq!(record, 1);
+                bad += 1;
+            }
             FollowStep::Pending => break,
         }
     }

@@ -2,15 +2,13 @@
 //!
 //! Every other codec test is a round trip, and a round trip passes when
 //! encoder and decoder drift *together* (a swapped field order, a
-//! renamed JSON key, a widened integer). These literals were captured
+//! widened integer). These literals were captured
 //! once from the running code; a refactor must reproduce them byte for
 //! byte and must decode them to the same events. Re-pin only for a
 //! deliberate format change (and bump the format's version byte).
 
 use axml_net::frame::{encode_frame, read_frame, Frame};
-use axml_obs::{
-    BinSink, DataTag, JsonlSink, MessageKind, SharedBuf, TraceEvent, TraceReader, TraceSink,
-};
+use axml_obs::{BinSink, DataTag, MessageKind, SharedBuf, TraceEvent, TraceReader, TraceSink};
 use axml_xml::ids::PeerId;
 
 fn hex(bytes: &[u8]) -> String {
@@ -115,23 +113,6 @@ fn events() -> Vec<TraceEvent> {
     ]
 }
 
-/// The `JsonlSink` rendering of [`events`], one line per event.
-const JSONL: &[&str] = &[
-    r#"{"kind":"definition","def":6,"peer":1,"expr":"sc","at_ms":0.5}"#,
-    r#"{"kind":"delegation","from":0,"to":1,"at_ms":null}"#,
-    r#"{"kind":"message","from":0,"to":1,"msg":"fetch","bytes":128,"sent_ms":1.5,"at_ms":2}"#,
-    r#"{"kind":"delivered","from":3,"to":4000000000,"msg":"response","bytes":18446744073709551615,"at_ms":2.5}"#,
-    r#"{"kind":"task","peer":1,"task":"eval","at_ms":2.5}"#,
-    r#"{"kind":"rule","rule":"R11-push-select","accepted":true,"cost":12.5}"#,
-    r#"{"kind":"plan","site":0,"explored":42,"cost":10,"trace":[]}"#,
-    r#"{"kind":"plan","site":2,"explored":7,"cost":0.001,"trace":["R10-delegate","R11-push-select"]}"#,
-    r#"{"kind":"service-call","caller":0,"provider":1,"service":"svc\"\\\n\u0001\u007f 中🦀","call_id":18446744073709551615,"at_ms":3}"#,
-    r#"{"kind":"delta","subscription":7,"provider":1,"fresh":2,"suppressed":5,"at_ms":4}"#,
-    r#"{"kind":"dropped","from":0,"to":1,"msg":"request","bytes":96,"at_ms":5}"#,
-    r#"{"kind":"retry","from":0,"to":1,"msg":"replica-update","attempt":2,"backoff_ms":12.5,"at_ms":5}"#,
-    r#"{"kind":"failover","peer":0,"class":"catalog","dead":1,"at_ms":6}"#,
-];
-
 /// The `BinSink` rendering of [`events`]: the 5-byte header, then one
 /// hex string per length-prefixed record.
 const AXTR_HEADER: &str = "4158545201";
@@ -167,31 +148,6 @@ fn assert_same_events(decoded: &[TraceEvent], what: &str) {
         } else {
             assert_eq!(got, want, "{what}: event {i}");
         }
-    }
-}
-
-#[test]
-fn jsonl_lines_are_pinned() {
-    let buf = SharedBuf::new();
-    let mut sink = JsonlSink::new(buf.clone());
-    for e in events() {
-        sink.record(e);
-    }
-    sink.flush().unwrap();
-    let written = String::from_utf8(buf.bytes()).unwrap();
-    let lines: Vec<&str> = written.lines().collect();
-    assert_eq!(lines, JSONL, "encoder drifted:\n{written}");
-    assert_eq!(written.len(), JSONL.iter().map(|l| l.len() + 1).sum());
-
-    let golden = JSONL.join("\n") + "\n";
-    let decoded: Vec<TraceEvent> = TraceReader::new(golden.as_bytes())
-        .unwrap()
-        .collect::<Result<_, _>>()
-        .unwrap();
-    assert_same_events(&decoded, "jsonl decoder drifted");
-    for (line, e) in JSONL.iter().zip(&decoded) {
-        assert_eq!(TraceEvent::from_json(line).unwrap().to_json(), *line);
-        assert_eq!(e.to_json(), *line);
     }
 }
 

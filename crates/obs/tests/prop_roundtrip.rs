@@ -1,5 +1,5 @@
 //! Property tests: arbitrary event streams round-trip bit-exactly
-//! through both file sinks, truncated files decode to the intact
+//! through the file sink, truncated files decode to the intact
 //! prefix plus one typed tail error, and on arbitrarily damaged bytes
 //! the batch and follow readers report exactly the same thing.
 //!
@@ -8,8 +8,7 @@
 //! checks the same (large) sample deterministically.
 
 use axml_obs::{
-    BinSink, FollowReader, FollowStep, JsonlSink, ReadError, SharedBuf, TraceEvent, TraceReader,
-    TraceSink,
+    BinSink, FollowReader, FollowStep, ReadError, SharedBuf, TraceEvent, TraceReader, TraceSink,
 };
 use axml_prng::SplitMix64;
 use axml_xml::ids::PeerId;
@@ -18,7 +17,7 @@ use std::collections::VecDeque;
 use std::io::{self, Read};
 use std::rc::Rc;
 
-/// Names stressing the escaping paths: controls, quotes, non-ASCII,
+/// Names stressing the string fields: controls, quotes, non-ASCII,
 /// astral plane, empty.
 const NAMES: &[&str] = &[
     "eval",
@@ -41,9 +40,8 @@ fn arb_name(rng: &mut SplitMix64) -> std::borrow::Cow<'static, str> {
     (*rng.choose(NAMES).unwrap()).into()
 }
 
-/// Finite times only: the JSONL format writes non-finite floats as
-/// `null` (documented caveat), so bit-exactness is promised for the
-/// finite timestamps real runs produce.
+/// Finite times only, so that streams compare with `==` (NaN is pinned
+/// bit for bit by `format_golden.rs` and the codec's unit tests).
 fn arb_time(rng: &mut SplitMix64) -> f64 {
     match rng.gen_range(0u32..10) {
         0 => 0.0,
@@ -55,7 +53,7 @@ fn arb_time(rng: &mut SplitMix64) -> f64 {
 fn arb_bytes(rng: &mut SplitMix64) -> u64 {
     match rng.gen_range(0u32..8) {
         0 => 0,
-        1 => u64::MAX, // exercises exact integer JSON emission
+        1 => u64::MAX,
         _ => rng.gen_range(0u64..1_000_000_000),
     }
 }
@@ -133,16 +131,6 @@ fn arb_stream(rng: &mut SplitMix64, max_len: usize) -> Vec<TraceEvent> {
     (0..n).map(|_| arb_event(rng)).collect()
 }
 
-fn encode_jsonl(events: &[TraceEvent]) -> Vec<u8> {
-    let buf = SharedBuf::new();
-    let mut sink = JsonlSink::new(buf.clone());
-    for e in events {
-        sink.record(e.clone());
-    }
-    sink.flush().unwrap();
-    buf.bytes()
-}
-
 fn encode_bin(events: &[TraceEvent]) -> Vec<u8> {
     let buf = SharedBuf::new();
     let mut sink = BinSink::new(buf.clone());
@@ -179,32 +167,6 @@ fn prop_bin_round_trip() {
 }
 
 #[test]
-fn prop_jsonl_round_trip() {
-    let mut rng = SplitMix64::new(0xB1A5_0002);
-    for _ in 0..200 {
-        let events = arb_stream(&mut rng, 50);
-        let decoded = decode(&encode_jsonl(&events));
-        assert_bit_exact(&events, &decoded);
-    }
-}
-
-#[test]
-fn prop_jsonl_binary_cross_format() {
-    // JSONL-decoded and binary-decoded streams of the same source are
-    // identical, and re-encoding the JSONL-decoded stream as binary
-    // reproduces the original binary file byte for byte.
-    let mut rng = SplitMix64::new(0xB1A5_0003);
-    for _ in 0..100 {
-        let events = arb_stream(&mut rng, 40);
-        let via_jsonl = decode(&encode_jsonl(&events));
-        let bin = encode_bin(&events);
-        let via_bin = decode(&bin);
-        assert_bit_exact(&via_jsonl, &via_bin);
-        assert_eq!(encode_bin(&via_jsonl), bin);
-    }
-}
-
-#[test]
 fn prop_truncated_binary_yields_prefix_and_typed_error() {
     let mut rng = SplitMix64::new(0xB1A5_0004);
     for _ in 0..100 {
@@ -236,45 +198,6 @@ fn prop_truncated_binary_yields_prefix_and_typed_error() {
                     reader.next().is_none(),
                     "reader must fuse after the tail error"
                 );
-            }
-            Some(other) => panic!("expected truncation, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn prop_truncated_jsonl_yields_prefix_and_typed_error() {
-    let mut rng = SplitMix64::new(0xB1A5_0005);
-    for _ in 0..100 {
-        let mut events = arb_stream(&mut rng, 30);
-        if events.is_empty() {
-            events.push(arb_event(&mut rng));
-        }
-        let bytes = encode_jsonl(&events);
-        let cut = rng.gen_range(1..bytes.len());
-        // Avoid cutting in the middle of a multi-byte UTF-8 scalar:
-        // back off to a char boundary (a killed writer can truncate
-        // mid-scalar; the reader then reports an I/O-level error, which
-        // is legitimate but not the case under test here).
-        let mut cut = cut;
-        while cut > 0 && (bytes[cut] & 0xC0) == 0x80 {
-            cut -= 1;
-        }
-        if cut == 0 {
-            continue;
-        }
-        let items: Vec<_> = TraceReader::new(&bytes[..cut]).unwrap().collect();
-        let n_ok = items.iter().take_while(|i| i.is_ok()).count();
-        let prefix: Vec<_> = items
-            .iter()
-            .take(n_ok)
-            .map(|i| i.as_ref().unwrap().clone())
-            .collect();
-        assert_eq!(prefix[..], events[..n_ok]);
-        match items.get(n_ok) {
-            None => {}
-            Some(Err(ReadError::Truncated { .. })) => {
-                assert_eq!(items.len(), n_ok + 1, "nothing after the tail error");
             }
             Some(other) => panic!("expected truncation, got {other:?}"),
         }
@@ -338,10 +261,8 @@ fn follow_verdict(bytes: &[u8], max_chunk: usize, rng: &mut SplitMix64) -> Vec<S
             }
         }
     }
-    match reader.finish() {
-        Ok(None) => {}
-        Ok(Some(e)) => seen.push(format!("{e:?}")),
-        Err(e) => seen.push(e.to_string()),
+    if let Err(e) = reader.finish() {
+        seen.push(e.to_string());
     }
     seen
 }
@@ -352,11 +273,7 @@ fn prop_batch_equals_follow_under_byte_mutations() {
     let (mut with_events, mut with_errors) = (0, 0);
     for case in 0..600 {
         let events = arb_stream(&mut rng, 12);
-        let mut bytes = if case % 2 == 0 {
-            encode_bin(&events)
-        } else {
-            encode_jsonl(&events)
-        };
+        let mut bytes = encode_bin(&events);
         for _ in 0..rng.gen_range(1u32..4) {
             rng.mutate_bytes(&mut bytes);
         }
@@ -383,33 +300,41 @@ fn batch_equals_follow_on_the_reader_drift_regressions() {
     let mut rng = SplitMix64::new(0xB1A5_0007);
     let events = arb_stream(&mut SplitMix64::new(0xB1A5_0008), 20);
 
-    // A complete JSONL line that is not UTF-8. Batch mode used
-    // `read_line`, so it surfaced `Io(InvalidData)` and lost every later
-    // event while follow mode skipped the line.
-    let mut bytes = encode_jsonl(&events);
-    let second_line = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
-    bytes.splice(second_line..second_line, *b"{\"kind\":\"\xFF\xFE\"}\n");
+    // A complete record whose payload does not decode (a string field
+    // that is not UTF-8), mid-stream: both modes report it once and
+    // keep every later event. (Batch mode once lost them all.)
+    let mut bytes = encode_bin(&events);
+    let second = 5 + 4 + u32::from_le_bytes(bytes[5..9].try_into().unwrap()) as usize;
+    let mut bad = vec![0, 0, 0, 0, 5]; // a task event…
+    bad.extend_from_slice(&7u32.to_le_bytes()); // …at peer 7…
+    bad.extend_from_slice(&2u32.to_le_bytes()); // …whose 2-byte name…
+    bad.extend_from_slice(&[0xFF, 0xFE]); // …is no UTF-8
+    bad.extend_from_slice(&1.0f64.to_bits().to_le_bytes());
+    bad[0] = (bad.len() - 4) as u8;
+    bytes.splice(second..second, bad);
     let batch = batch_verdict(&bytes);
     assert_eq!(batch, follow_verdict(&bytes, 40, &mut rng));
     assert_eq!(batch.len(), events.len() + 1);
     assert!(
-        batch[1].starts_with("malformed trace record 1:"),
+        batch[1].starts_with("malformed trace record 1:") && batch[1].contains("UTF-8"),
         "{}",
         batch[1]
     );
     let decoded = batch.iter().filter(|v| !v.contains("malformed")).count();
     assert_eq!(decoded, events.len(), "every later event still decodes");
 
-    // An unterminated line past the 16 MiB record cap. Batch JSONL had
-    // no cap (`read_line` buffered without bound, then reported a torn
-    // tail); now it is the same fatal, typed error in both modes.
-    let endless = vec![b'{'; (16 << 20) + (64 << 10)];
+    // A length prefix past the 16 MiB record cap, with that much input
+    // behind it: the same fatal, typed error in both modes, and neither
+    // buffers the "record" to find out.
+    let mut endless = encode_bin(&events[..1]);
+    endless.extend_from_slice(&((16u32 << 20) + 1).to_le_bytes());
+    endless.resize(endless.len() + (16 << 20) + (64 << 10), b'{');
     let batch = batch_verdict(&endless);
     assert_eq!(batch, follow_verdict(&endless, 64 << 10, &mut rng));
-    assert_eq!(batch.len(), 1, "the cap is fatal: {batch:?}");
+    assert_eq!(batch.len(), 2, "the cap is fatal: {batch:?}");
     assert!(
-        batch[0].starts_with("malformed trace record 0:") && batch[0].contains("cap"),
+        batch[1].starts_with("malformed trace record 1:") && batch[1].contains("cap"),
         "{}",
-        batch[0]
+        batch[1]
     );
 }

@@ -50,6 +50,7 @@ pub fn parse_plan(src: &str, min_arity: usize) -> QueryResult<Plan> {
         n_vars: 0,
         arity: min_arity,
         pred_depth: 0,
+        depth: 0,
     };
     p.ws();
     let (ops, template) = if p.peek_kw("for") || p.peek_kw("let") || p.peek_kw("where") {
@@ -85,7 +86,16 @@ struct P<'a> {
     arity: usize,
     /// How many `[…]` enclose the current position.
     pred_depth: usize,
+    /// How many conditions and template elements enclose the current
+    /// position (see [`MAX_DEPTH`]).
+    depth: usize,
 }
+
+/// How deep conditions (`(…)`, `not(…)`, `[…]`) and template elements
+/// may nest, together. The parser recurses once per level, so without a
+/// bound query text from another peer — `where ((((…` — overflows the
+/// stack.
+const MAX_DEPTH: usize = 128;
 
 impl<'a> P<'a> {
     fn err(&self, msg: impl Into<String>) -> QueryError {
@@ -97,6 +107,17 @@ impl<'a> P<'a> {
 
     fn done(&self) -> bool {
         self.pos >= self.src.len()
+    }
+
+    /// Run `parse` one nesting level down, or refuse past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> QueryResult<T>) -> QueryResult<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn rest(&self) -> &'a str {
@@ -384,17 +405,19 @@ impl<'a> P<'a> {
     // --- conditions ------------------------------------------------------
 
     fn parse_cond(&mut self) -> QueryResult<PredPlan> {
-        let mut lhs = self.parse_and()?;
-        loop {
-            self.ws();
-            if self.eat_kw("or") {
-                self.ws();
-                let rhs = self.parse_and()?;
-                lhs = PredPlan::Or(Box::new(lhs), Box::new(rhs));
-            } else {
-                return Ok(lhs);
+        self.nested(|p| {
+            let mut lhs = p.parse_and()?;
+            loop {
+                p.ws();
+                if p.eat_kw("or") {
+                    p.ws();
+                    let rhs = p.parse_and()?;
+                    lhs = PredPlan::Or(Box::new(lhs), Box::new(rhs));
+                } else {
+                    return Ok(lhs);
+                }
             }
-        }
+        })
     }
 
     fn parse_and(&mut self) -> QueryResult<PredPlan> {
@@ -590,7 +613,7 @@ impl<'a> P<'a> {
                 });
             }
             match self.peek() {
-                Some('<') => children.push(self.parse_template_element()?),
+                Some('<') => children.push(self.nested(Self::parse_template_element)?),
                 Some('{') if !self.rest().starts_with("{{") => {
                     children.push(TemplatePlan::Splice(self.parse_splice()?))
                 }

@@ -4,8 +4,9 @@
 //! §2.2: declarative services are implemented by *"declarative XML query
 //! statements, possibly parameterized"* whose definitions are **visible to
 //! other peers**. A [`Query`] therefore carries its own definition and can
-//! be serialized to an XML tree ([`Query::to_xml`]) — this is what crosses
-//! the wire when the algebra ships code (`send(p2, q@p1)`, definition (8)).
+//! be serialized as XML ([`Query::wire_xml`], read back by
+//! [`Query::from_xml`]) — this is what crosses the wire when the algebra
+//! ships code (`send(p2, q@p1)`, definition (8)).
 //!
 //! A query is either a *leaf* (parsed source + compiled plan) or a
 //! *composition* `q1(q2, …, qn)` (§3.3, rule (11)): the inner queries all
@@ -236,37 +237,8 @@ impl Query {
 
     // ---------------- wire format -------------------------------------
 
-    /// Serialize the query (definition included) as an XML tree — §3.1:
-    /// *"An expression can be viewed (serialized) as an XML tree."*
-    pub fn to_xml(&self) -> Tree {
-        let mut t = Tree::new("query");
-        let root = t.root();
-        self.write_xml(&mut t, root);
-        t
-    }
-
-    fn write_xml(&self, t: &mut Tree, at: axml_xml::tree::NodeId) {
-        t.set_attr(at, "name", self.name.as_str())
-            .expect("query elements are elements");
-        t.set_attr(at, "arity", self.arity.to_string())
-            .expect("query elements are elements");
-        match &self.def.kind {
-            QueryKind::Leaf { source, .. } => {
-                t.add_text_element(at, "source", source.clone());
-            }
-            QueryKind::Composed { outer, inners } => {
-                let comp = t.add_element(at, "compose");
-                let o = t.add_element(comp, "query");
-                outer.write_xml(t, o);
-                for q in inners {
-                    let i = t.add_element(comp, "query");
-                    q.write_xml(t, i);
-                }
-            }
-        }
-    }
-
-    /// Rebuild a query from its XML serialization.
+    /// Rebuild a query from its XML serialization: `node` of `tree` is
+    /// the `<query>` element of a parsed [`Query::wire_xml`].
     pub fn from_xml(tree: &Tree, node: axml_xml::tree::NodeId) -> QueryResult<Query> {
         let name = tree
             .attr(node, "name")
@@ -297,9 +269,10 @@ impl Query {
         ))
     }
 
-    /// The compact serialization of [`Query::to_xml`] — the text that
-    /// crosses the wire when the query is shipped — written straight
-    /// from the definition, once per query (clones share it).
+    /// The query (definition included) as compact XML — §3.1: *"An
+    /// expression can be viewed (serialized) as an XML tree."* This is
+    /// the text that crosses the wire when the query is shipped, written
+    /// straight from the definition, once per query (clones share it).
     pub fn wire_xml(&self) -> &str {
         self.def.wire_xml.get_or_init(|| {
             let mut out = String::new();
@@ -463,7 +436,7 @@ mod tests {
             r#"for $p in $0//pkg where $p/@name = "vim" return {$p}"#,
         )
         .unwrap();
-        let xml = q.to_xml();
+        let xml = Tree::parse(q.wire_xml()).unwrap();
         let back = Query::from_xml(&xml, xml.root()).unwrap();
         assert_eq!(q, back);
         assert_eq!(q.wire_xml(), xml.serialize());
@@ -475,7 +448,7 @@ mod tests {
         let inner = Query::parse("i", "for $p in $0//pkg return {$p}").unwrap();
         let outer = Query::parse("o", "for $t in $0 return <w>{$t}</w>").unwrap();
         let q = Query::compose("c", outer, vec![inner]).unwrap();
-        let xml = q.to_xml();
+        let xml = Tree::parse(q.wire_xml()).unwrap();
         assert_eq!(q.wire_xml(), xml.serialize());
         let back = Query::from_xml(&xml, xml.root()).unwrap();
         assert_eq!(q, back);

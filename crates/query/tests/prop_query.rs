@@ -9,7 +9,7 @@
 
 use axml_prng::SplitMix64;
 use axml_query::eval::NoDocs;
-use axml_query::Query;
+use axml_query::{Query, QueryError};
 use axml_xml::equiv::{canonicalize, forest_equiv, Canon, CanonMultiset};
 use axml_xml::tree::Tree;
 use proptest::prelude::*;
@@ -181,7 +181,7 @@ proptest! {
         q in arb_query(),
         input in proptest::collection::vec(arb_catalog(), 0..3),
     ) {
-        let xml = q.to_xml();
+        let xml = Tree::parse(q.wire_xml()).unwrap();
         let back = Query::from_xml(&xml, xml.root()).unwrap();
         prop_assert_eq!(&q, &back);
         let a = q.eval_batch(std::slice::from_ref(&input)).unwrap();
@@ -239,7 +239,7 @@ fn parse_survives_mutated_sources() {
         let src = String::from_utf8_lossy(&bytes);
         match Query::parse("q", &src) {
             Ok(q) => {
-                let xml = q.to_xml();
+                let xml = Tree::parse(q.wire_xml()).unwrap();
                 let back = Query::from_xml(&xml, xml.root()).unwrap();
                 assert_eq!(q.plan(), back.plan(), "{src:?}");
                 parsed += 1;
@@ -248,4 +248,39 @@ fn parse_survives_mutated_sources() {
         }
     }
     assert!(parsed > 1_000 && rejected > 30_000, "{parsed} / {rejected}");
+}
+
+/// Conditions and template elements nest 128 deep (`MAX_DEPTH` in
+/// `parser.rs`) and no deeper: past the cap the answer is a syntax
+/// error, where 100 000 levels used to overflow the stack and abort the
+/// process.
+#[test]
+fn nesting_is_bounded() {
+    let parens = |n: usize| {
+        let (open, close) = ("(".repeat(n), ")".repeat(n));
+        format!(r#"for $x in $0 where {open}$x/a = "1"{close} return <r/>"#)
+    };
+    let preds = |n: usize| format!("$0/a{}{}", "[b".repeat(n), r#" = "1"]"#.repeat(n));
+    let elements = |n: usize| {
+        let (open, close) = ("<e>".repeat(n), "</e>".repeat(n));
+        format!("for $x in $0 return <r>{open}{close}</r>")
+    };
+    // The `where` condition and each `[…]` are themselves a level.
+    assert!(Query::parse("q", &parens(127)).is_ok());
+    assert!(Query::parse("q", &preds(128)).is_ok());
+    assert!(Query::parse("q", &elements(128)).is_ok());
+    for src in [
+        parens(128),
+        preds(129),
+        elements(129),
+        parens(100_000),
+        preds(100_000),
+        elements(100_000),
+        format!("for $x in $0 where {}", "(".repeat(100_000)),
+    ] {
+        match Query::parse("q", &src) {
+            Err(QueryError::Syntax { msg, .. }) => assert!(msg.contains("deeper than 128")),
+            other => panic!("{:.60}…: {other:?}", src),
+        }
+    }
 }

@@ -8,7 +8,9 @@
 //! Not supported (not needed by the paper's model): DTDs, namespaces as
 //! first-class objects (colons are simply part of names), and mixed-content
 //! whitespace preservation — **whitespace-only text between elements is
-//! dropped**, so `parse(pretty(t))` re-reads the same tree.
+//! dropped**, so `parse(pretty(t))` re-reads the same tree. Elements
+//! nest up to 256 deep; deeper input is a parse error, not a stack
+//! overflow.
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::resolve_entity;
@@ -26,6 +28,10 @@ impl Tree {
         Parser::new(input).parse_document()
     }
 }
+
+/// How deep elements may nest. The parser recurses once per level, so
+/// without a bound a peer sending `<a><a><a>…` overflows the stack.
+const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
     input: &'a str,
@@ -99,7 +105,7 @@ impl<'a> Parser<'a> {
             return Err(self.err("expected root element"));
         }
         let mut tree: Option<Tree> = None;
-        self.parse_element(&mut tree, None)?;
+        self.parse_element(&mut tree, None, 1)?;
         self.skip_misc()?;
         if self.pos != self.bytes.len() {
             return Err(self.err("unexpected content after root element"));
@@ -155,7 +161,16 @@ impl<'a> Parser<'a> {
     ///
     /// On the first (root) call `tree` is `None` and is created from the
     /// root element's name; afterwards children attach under `parent`.
-    fn parse_element(&mut self, tree: &mut Option<Tree>, parent: Option<NodeId>) -> XmlResult<()> {
+    /// `depth` counts this element and its ancestors.
+    fn parse_element(
+        &mut self,
+        tree: &mut Option<Tree>,
+        parent: Option<NodeId>,
+        depth: usize,
+    ) -> XmlResult<()> {
+        if depth > MAX_DEPTH {
+            return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
+        }
         self.expect(b'<')?;
         let name = self.parse_name()?.to_owned();
         let el = match (tree.as_mut(), parent) {
@@ -220,7 +235,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.peek() == Some(b'<') {
-                self.parse_element(tree, Some(el))?;
+                self.parse_element(tree, Some(el), depth + 1)?;
             } else if self.peek().is_none() {
                 return Err(self.err(format!("unexpected end of input inside `<{name}>`")));
             } else {
@@ -377,6 +392,20 @@ mod tests {
         match e {
             XmlError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected error {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "<a>".repeat(depth) + &"</a>".repeat(depth);
+        let at_cap = Tree::parse(&nested(MAX_DEPTH)).unwrap();
+        assert_eq!(at_cap.live_len(), MAX_DEPTH);
+        // Used to overflow the stack and abort the process.
+        for depth in [MAX_DEPTH + 1, 100_000] {
+            match Tree::parse(&nested(depth)) {
+                Err(XmlError::Parse { msg, .. }) => assert!(msg.contains("deeper than 256")),
+                other => panic!("depth {depth}: {other:?}"),
+            }
         }
     }
 

@@ -43,17 +43,12 @@ impl Tree {
             .expect("writing to a byte buffer cannot fail");
     }
 
-    /// Serialize the subtree rooted at `id` with indentation, for humans.
-    pub fn pretty_node(&self, id: NodeId) -> String {
+    /// Serialize the whole tree with indentation, for humans.
+    pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(id, 0, &mut out)
+        self.write_pretty(self.root(), 0, &mut out)
             .expect("writing to a String cannot fail");
         out
-    }
-
-    /// Pretty-print the whole tree.
-    pub fn pretty(&self) -> String {
-        self.pretty_node(self.root())
     }
 
     /// Exact byte length of [`Tree::serialize_node`], computed without

@@ -2,8 +2,7 @@
 //!
 //! The whole point of the zero-copy substrate is that subtrees move by
 //! handle ([`crate::tree::Tree::subtree`]), not by copy. This module makes that claim
-//! *measurable*: every materializing copy (an explicit
-//! [`crate::tree::Tree::deep_copy`], a graft, or a copy-on-write
+//! *measurable*: every materializing copy (a graft, or a copy-on-write
 //! materialization of a shared arena) and every avoided copy (a handle
 //! clone or share of an already-shared arena) is counted in process-wide
 //! atomics. Benchmarks and tests read the counters through

@@ -15,8 +15,7 @@
 //! private copy of the arena only when it is actually shared
 //! (copy-on-write). Transfers, rewrites and pattern matches therefore move
 //! subtrees by handle; the only deep copies left are explicit
-//! ([`Tree::deep_copy`], [`Tree::graft`]) or forced by mutating a shared
-//! arena. All copies and shares are accounted in [`crate::stats`].
+//! ([`Tree::graft`]) or forced by mutating a shared arena. All copies and shares are accounted in [`crate::stats`].
 //!
 //! Sibling *storage* order is preserved (it makes serialization
 //! deterministic and debugging sane) but carries no semantics: equivalence
@@ -223,13 +222,6 @@ impl Tree {
         self.root
     }
 
-    /// Number of nodes ever allocated in the arena (including detached
-    /// tombstones and, for subtree views, nodes outside the view). Use
-    /// [`Tree::subtree_size`] of the root for live counts.
-    pub fn arena_len(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of nodes reachable from the root.
     pub fn live_len(&self) -> usize {
         self.subtree_size(self.root)
@@ -309,7 +301,7 @@ impl Tree {
     }
 
     /// Allocate a detached element node.
-    pub fn new_element(&mut self, label: impl Into<Label>) -> NodeId {
+    fn new_element(&mut self, label: impl Into<Label>) -> NodeId {
         self.alloc(NodeKind::Element {
             label: label.into(),
             attrs: Vec::new(),
@@ -317,7 +309,7 @@ impl Tree {
     }
 
     /// Allocate a detached text node.
-    pub fn new_text(&mut self, text: impl Into<String>) -> NodeId {
+    fn new_text(&mut self, text: impl Into<String>) -> NodeId {
         self.alloc(NodeKind::Text(text.into()))
     }
 
@@ -335,7 +327,7 @@ impl Tree {
     }
 
     /// Attach a detached node as a child of `parent`.
-    pub fn append_child(&mut self, parent: NodeId, child: NodeId) -> XmlResult<()> {
+    fn append_child(&mut self, parent: NodeId, child: NodeId) -> XmlResult<()> {
         if !self.contains(parent) {
             return Err(XmlError::InvalidNode { index: parent.0 });
         }
@@ -529,7 +521,7 @@ impl Tree {
     }
 
     /// Number of nodes in the subtree rooted at `id`.
-    pub fn subtree_size(&self, id: NodeId) -> usize {
+    pub(crate) fn subtree_size(&self, id: NodeId) -> usize {
         self.descendants_with_self(id).count()
     }
 
@@ -569,8 +561,6 @@ impl Tree {
     /// the currency for moving subtrees between engine layers within a
     /// peer. The handle is copy-on-write like any other, so its holder
     /// never observes a later mutation of the source (a pinned snapshot).
-    /// Use [`Tree::deep_copy`] instead when the source is large and
-    /// short-lived and the subtree must outlive it compactly.
     pub fn subtree(&self, id: NodeId) -> XmlResult<Tree> {
         if !self.contains(id) {
             return Err(XmlError::InvalidNode { index: id.0 });
@@ -581,60 +571,6 @@ impl Tree {
             root: id,
             arena_bytes: self.arena_bytes,
         })
-    }
-
-    /// Extract the subtree rooted at `id` into a fresh, compact [`Tree`].
-    ///
-    /// If `id` is a text node, it is wrapped — the result's root is always
-    /// an element — so callers should normally pass elements.
-    pub fn deep_copy(&self, id: NodeId) -> Tree {
-        crate::stats::record_copy(self.subtree_size(id) as u64, self.subtree_heap_bytes(id));
-        match &self.node(id).kind {
-            NodeKind::Element { label, attrs } => {
-                let mut t = Tree::new(*label);
-                t.set_root_attrs(attrs.clone());
-                let root = t.root();
-                for &c in self.children(id) {
-                    self.copy_into(c, &mut t, root);
-                }
-                t
-            }
-            NodeKind::Text(s) => {
-                let mut t = Tree::new("text");
-                let root = t.root();
-                t.add_text(root, s.clone());
-                t
-            }
-        }
-    }
-
-    /// Replace the root's attributes (used by copy paths).
-    fn set_root_attrs(&mut self, new_attrs: Vec<(Label, String)>) {
-        self.arena_bytes += new_attrs
-            .iter()
-            .map(|(k, v)| (k.len() + v.len()) as u64)
-            .sum::<u64>();
-        let root = self.root;
-        if let NodeKind::Element { attrs, .. } = &mut self.node_mut(root).kind {
-            *attrs = new_attrs;
-        }
-    }
-
-    fn copy_into(&self, id: NodeId, dst: &mut Tree, dst_parent: NodeId) {
-        match &self.node(id).kind {
-            NodeKind::Element { label, attrs } => {
-                let el = dst.add_element(dst_parent, *label);
-                for (n, v) in attrs {
-                    dst.set_attr(el, *n, v.clone()).expect("element");
-                }
-                for &c in self.children(id) {
-                    self.copy_into(c, dst, el);
-                }
-            }
-            NodeKind::Text(s) => {
-                dst.add_text(dst_parent, s.clone());
-            }
-        }
     }
 
     /// Copy the subtree of `src` rooted at `src_node` under `parent` in
@@ -671,14 +607,6 @@ impl Tree {
                 el
             }
             NodeKind::Text(s) => self.add_text(parent, s.clone()),
-        }
-    }
-
-    /// Replace the children of `id` with nothing (prune the subtree below).
-    pub fn clear_children(&mut self, id: NodeId) {
-        let children = std::mem::take(&mut self.node_mut(id).children);
-        for c in children {
-            self.node_mut(c).parent = None;
         }
     }
 
@@ -845,17 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_copy_is_compact_and_equal() {
-        let t = sample();
-        let pkg = t.first_child_labeled(t.root(), "pkg").unwrap();
-        let sub = t.deep_copy(pkg);
-        assert_eq!(sub.label(sub.root()).unwrap().as_str(), "pkg");
-        assert_eq!(sub.attr(sub.root(), "name"), Some("vim"));
-        assert_eq!(sub.live_len(), 3);
-        assert_eq!(sub.arena_len(), 3);
-    }
-
-    #[test]
     fn graft_copies_subtree() {
         let src = sample();
         let mut dst = Tree::new("mirror");
@@ -879,15 +796,6 @@ mod tests {
         assert!(t.set_attr(txt, "k", "v").is_err());
         assert!(t.attr(txt, "k").is_none());
         assert!(t.attrs(txt).is_empty());
-    }
-
-    #[test]
-    fn clear_children_prunes() {
-        let mut t = sample();
-        let r = t.root();
-        t.clear_children(r);
-        assert_eq!(t.children(r).len(), 0);
-        assert_eq!(t.live_len(), 1);
     }
 
     // ---- zero-copy handle semantics -----------------------------------
@@ -920,7 +828,7 @@ mod tests {
         assert_eq!(view.parent(view.root()), None);
         assert_eq!(view.live_len(), 3);
         // equality against a compact copy
-        assert_eq!(view, t.deep_copy(pkg));
+        assert_eq!(view, Tree::parse(&t.serialize_node(pkg)).unwrap());
         // invalid ids are typed errors
         assert!(t.subtree(NodeId(999)).is_err());
     }
@@ -1011,7 +919,6 @@ mod tests {
                 "set_attr (new)",
                 Box::new(|t, _, p| t.set_attr(p, "arch", "x86").unwrap()),
             ),
-            ("clear_children", Box::new(|t, _, p| t.clear_children(p))),
             (
                 "graft",
                 Box::new(move |t, r, _| {

@@ -99,7 +99,7 @@ fn mutate_once(t: &mut Tree, rng: &mut SplitMix64) {
         .filter(|&n| t.node(n).is_element())
         .collect();
     let pick = |rng: &mut SplitMix64, xs: &[NodeId]| xs[rng.gen_range(0..xs.len())];
-    match rng.gen_range(0..5u32) {
+    match rng.gen_range(0..4u32) {
         0 => {
             let at = pick(rng, &elements);
             let label = format!("m{}", rng.gen_range(0..20u32));
@@ -115,18 +115,21 @@ fn mutate_once(t: &mut Tree, rng: &mut SplitMix64) {
             let v = format!("v{}", rng.gen_range(0..100u32));
             t.set_attr(at, k.as_str(), v).unwrap();
         }
-        3 => {
+        _ => {
             // detach a non-root node, if any
             let candidates: Vec<NodeId> = live.iter().copied().filter(|&n| n != t.root()).collect();
             if !candidates.is_empty() {
                 t.detach(pick(rng, &candidates)).unwrap();
             }
         }
-        _ => {
-            let at = pick(rng, &elements);
-            t.clear_children(at);
-        }
     }
+}
+
+/// The deep-clone oracle: the subtree at `node` rebuilt from its own
+/// serialization, sharing nothing with `t`. (The generator's text nodes
+/// are non-empty and never adjacent, so the text holds all of it.)
+fn deep_copy(t: &Tree, node: NodeId) -> Tree {
+    Tree::parse(&t.serialize_node(node)).expect("a serialized subtree parses")
 }
 
 proptest! {
@@ -149,7 +152,7 @@ proptest! {
         via_handle.graft(r, &view, view.root()).unwrap();
 
         // by-copy oracle
-        let oracle_sub = t.deep_copy(node);
+        let oracle_sub = deep_copy(&t, node);
         let mut via_copy = Tree::new("sink");
         let r2 = via_copy.root();
         via_copy.graft(r2, &oracle_sub, oracle_sub.root()).unwrap();
@@ -168,7 +171,7 @@ proptest! {
             .collect();
         let node = live[(sel as usize) % live.len()];
         let view = t.subtree(node).unwrap();
-        let copy = t.deep_copy(node);
+        let copy = deep_copy(&t, node);
         prop_assert!(view.shares_arena_with(&t));
         prop_assert_eq!(view.serialize(), copy.serialize());
         prop_assert_eq!(canonical_hash(&view, view.root()), canonical_hash(&copy, copy.root()));
@@ -187,7 +190,7 @@ proptest! {
         let frozen_hash = canonical_hash(&t, t.root());
 
         let mut shared = t.clone();          // O(1) handle
-        let mut oracle = t.deep_copy(t.root()); // compact deep clone
+        let mut oracle = deep_copy(&t, t.root()); // compact deep clone
 
         let mut rng1 = SplitMix64::new(seed);
         let mut rng2 = SplitMix64::new(seed);

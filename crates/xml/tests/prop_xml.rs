@@ -156,23 +156,21 @@ proptest! {
         prop_assert_eq!(canonical_hash(&t, t.root()), canonical_hash(&r, r.root()));
     }
 
-    /// Equivalence is reflexive and symmetric; deep_copy preserves it.
+    /// Equivalence is reflexive and symmetric.
     #[test]
     fn equiv_laws(a in arb_tree(), b in arb_tree()) {
         prop_assert!(whole_tree_equiv(&a, &a));
         prop_assert_eq!(whole_tree_equiv(&a, &b), whole_tree_equiv(&b, &a));
-        let copy = a.deep_copy(a.root());
-        prop_assert!(whole_tree_equiv(&a, &copy));
     }
 
-    /// Grafting a subtree then deep-copying it back preserves equivalence.
+    /// Grafting a subtree then viewing it on its own preserves equivalence.
     #[test]
     fn graft_roundtrip(t in arb_tree()) {
         let mut host = Tree::new("host");
         let hr = host.root();
         let grafted = host.graft(hr, &t, t.root()).unwrap();
         prop_assert!(tree_equiv(&host, grafted, &t, t.root()));
-        let back = host.deep_copy(grafted);
+        let back = host.subtree(grafted).unwrap();
         prop_assert!(whole_tree_equiv(&back, &t));
     }
 

@@ -16,15 +16,29 @@ echo "== tier-1: cargo clippy (warnings are errors, redundant clones denied) =="
 # handle that should have moved — keep the discipline mechanical.
 cargo clippy --workspace --all-targets -- -D warnings -D clippy::redundant_clone
 
-echo "== tier-1: no to_xml()-then-measure under crates/core/src =="
+echo "== tier-1: one wire-format writer (no to_xml/write_xml under crates/{core,query}/src) =="
 # Shipped text, wire sizes and memo keys come from the streaming emitter
-# (Expr::fingerprint / wire_size, Query::wire_xml). Building the XML tree
-# first is for from_xml's inverse and for tests, so outside comments and
-# `#[cfg(test)]` modules the round trip must not come back.
-for f in $(find crates/core/src -name '*.rs'); do
+# (Expr::fingerprint / wire_size, Query::wire_xml); from_xml reads that
+# text back once it is parsed. Outside comments and `#[cfg(test)]`
+# modules, a builder of the same document as a tree is the format
+# described a second time.
+for f in $(find crates/core/src crates/query/src -name '*.rs'); do
     if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
-        | grep -nE 'to_xml\(\)[[:space:]]*\.[[:space:]]*serialize(d_size)?\('; then
-        echo "tier-1: $f serializes or measures through to_xml(); use the emitter" >&2
+        | grep -nE '\b(to|write)_xml\b'; then
+        echo "tier-1: $f builds the wire form as a tree; use the emitter" >&2
+        exit 1
+    fi
+done
+
+echo "== tier-1: one trace format (no Jsonl/TraceFormat/from_json under crates/*/src) =="
+# A trace is AXTR (obs/src/codec.rs): BinSink and SocketSink write it,
+# the Splitter in obs/src/reader.rs reads it. Outside comments and
+# `#[cfg(test)]` modules, a second encoding, a format enum to tell them
+# apart or a JSON event decoder is the twin coming back.
+for f in $(find crates/*/src -name '*.rs'); do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
+        | grep -nE 'Jsonl|TraceFormat|from_json'; then
+        echo "tier-1: $f brings back a second trace encoding; AXTR is the one" >&2
         exit 1
     fi
 done
@@ -142,7 +156,7 @@ timeout 120 cargo run --release -q -p axml-bench --bin axml-cluster \
 echo "== tier-1: trace pipeline round-trip + timeline render smoke =="
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT
-# quickstart with a binary trace file tee'd in; it asserts the decoded
+# quickstart with an AXTR trace file tee'd in; it asserts the decoded
 # file carries every in-memory event before exiting.
 AXML_TRACE_OUT="$TRACE_TMP/quickstart.trc" \
     cargo run --release -q --example quickstart > "$TRACE_TMP/quickstart.out"

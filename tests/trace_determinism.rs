@@ -1,5 +1,5 @@
 //! Property: for a fixed (fault seed, engine seed) pair, the trace
-//! *byte streams* produced by [`JsonlSink`] and [`BinSink`] are
+//! *byte stream* produced by [`BinSink`] is
 //! identical across runs — under active fault injection, including
 //! dropped-message, retry, and failover events. A different fault seed
 //! must produce a different stream (the property is not vacuous).
@@ -68,12 +68,6 @@ fn run_traced(fault_seed: u64, sink: Box<dyn TraceSink>) {
     sys.clear_trace_sink();
 }
 
-fn jsonl_bytes(fault_seed: u64) -> Vec<u8> {
-    let buf = SharedBuf::new();
-    run_traced(fault_seed, Box::new(JsonlSink::new(buf.clone())));
-    buf.bytes()
-}
-
 fn bin_bytes(fault_seed: u64) -> Vec<u8> {
     let buf = SharedBuf::new();
     run_traced(fault_seed, Box::new(BinSink::new(buf.clone())));
@@ -82,7 +76,6 @@ fn bin_bytes(fault_seed: u64) -> Vec<u8> {
 
 #[test]
 fn same_seed_same_trace_bytes_under_faults() {
-    let jsonl = jsonl_bytes(FAULT_SEED);
     let bin = bin_bytes(FAULT_SEED);
 
     // The streams actually witness faults: drops, retries, failovers.
@@ -94,21 +87,14 @@ fn same_seed_same_trace_bytes_under_faults() {
     assert!(count("dropped") > 0, "plan must drop messages");
     assert!(count("retry") > 0, "drops must schedule retries");
     assert!(count("failover") > 0, "outages must force failovers");
-    // And the JSONL text carries the same fault events.
-    let text = String::from_utf8(jsonl.clone()).unwrap();
-    assert!(text.contains(r#""kind":"dropped""#));
-    assert!(text.contains(r#""kind":"retry""#));
-    assert!(text.contains(r#""kind":"failover""#));
 
-    // Same seed ⇒ byte-identical streams, for both encodings.
-    assert_eq!(jsonl, jsonl_bytes(FAULT_SEED), "JSONL stream must replay");
+    // Same seed ⇒ byte-identical stream.
     assert_eq!(bin, bin_bytes(FAULT_SEED), "binary stream must replay");
 }
 
 #[test]
 fn different_seed_different_trace_bytes() {
     // Not vacuous: changing the fault seed reshuffles drops and jitter,
-    // which must show up in the streams.
-    assert_ne!(jsonl_bytes(FAULT_SEED), jsonl_bytes(FAULT_SEED ^ 1));
+    // which must show up in the stream.
     assert_ne!(bin_bytes(FAULT_SEED), bin_bytes(FAULT_SEED ^ 1));
 }

@@ -1,5 +1,5 @@
 //! The out-of-process trace pipeline, end to end: a real workload
-//! streamed through the file sinks, decoded back with [`TraceReader`],
+//! streamed through the file sink, decoded back with [`TraceReader`],
 //! and compared event-for-event against the in-memory [`VecSink`] —
 //! plus the flush-at-quiescence and in-flight-window guarantees the
 //! timeline renderer builds on.
@@ -79,21 +79,16 @@ fn file_sinks_agree_with_vec_sink() {
     let reference = vec_sink.take();
     assert!(!reference.is_empty());
 
-    // Same deterministic workload through both file formats.
-    for make in [
-        (|buf: SharedBuf| Box::new(JsonlSink::new(buf)) as Box<dyn TraceSink>) as fn(_) -> _,
-        (|buf: SharedBuf| Box::new(BinSink::new(buf)) as Box<dyn TraceSink>) as fn(_) -> _,
-    ] {
-        let buf = SharedBuf::new();
-        let n = run_traced(make(buf.clone()));
-        assert_eq!(n, n_ref, "same workload, same results");
-        let bytes = buf.bytes();
-        let decoded: Vec<TraceEvent> = TraceReader::new(&bytes[..])
-            .unwrap()
-            .collect::<Result<_, _>>()
-            .unwrap();
-        assert_eq!(decoded, reference, "decoded stream == in-memory stream");
-    }
+    // Same deterministic workload through the file format.
+    let buf = SharedBuf::new();
+    let n = run_traced(Box::new(BinSink::new(buf.clone())));
+    assert_eq!(n, n_ref, "same workload, same results");
+    let bytes = buf.bytes();
+    let decoded: Vec<TraceEvent> = TraceReader::new(&bytes[..])
+        .unwrap()
+        .collect::<Result<_, _>>()
+        .unwrap();
+    assert_eq!(decoded, reference, "decoded stream == in-memory stream");
 }
 
 #[test]
