@@ -1,12 +1,12 @@
 //! `axml-cluster` — a 3-peer loopback cluster demo.
 //!
 //! Launches three real `peerd` endpoint processes on loopback, builds
-//! an [`AxmlSystem`] over the [`SocketTransport`], evaluates a query
+//! an [`AxmlSystem`] over a [`SocketTransport`] wire, evaluates a query
 //! whose catalog lives across a WAN link, and then proves two things:
 //!
 //! 1. **Differential oracle** — the same workload on the discrete-event
 //!    simulator produces bit-identical results and a reconciling
-//!    `RunReport` (the engine is transport-blind);
+//!    `RunReport` (the wire has no say over time, faults or statistics);
 //! 2. **Physical reconciliation** — every charged message really
 //!    crossed a process boundary: each endpoint's own frame counters
 //!    match the client-side wire ledger.
@@ -31,14 +31,17 @@ const CATALOG: &str = r#"<catalog>
 const QUERY: &str = r#"for $p in $0//pkg where $p/size/text() > 10000
        return <big name="{$p/@name}">{$p/size}</big>"#;
 
-/// Build the demo system on the given transport, run the workload, and
-/// return (serialized results, run report).
+/// Build the demo system over the given wire (none: the simulator
+/// alone), run the workload, and return (serialized results, run report).
 fn run(
-    transport: Box<dyn Transport<axml_core::engine::Wire> + Send>,
+    wire: Option<Box<dyn Transport<axml_core::engine::Wire> + Send>>,
     trace: Option<Box<dyn TraceSink>>,
 ) -> (String, RunReport) {
-    let mut builder = AxmlSystem::builder()
-        .transport(transport)
+    let mut builder = AxmlSystem::builder();
+    if let Some(wire) = wire {
+        builder = builder.transport(wire);
+    }
+    builder = builder
         .peers(["app", "store", "mirror"])
         .link("app", "store", LinkCost::wan())
         .link("app", "mirror", LinkCost::lan())
@@ -89,7 +92,7 @@ fn main() {
         Box::new(BinSink::create(path).expect("create trace file")) as Box<dyn TraceSink>
     });
 
-    let (socket_results, socket_report) = run(Box::new(transport), sink);
+    let (socket_results, socket_report) = run(Some(Box::new(transport)), sink);
 
     // Every endpoint process counted exactly the frames we shipped.
     let reports = handle.reconcile().expect("endpoint counters reconcile");
@@ -105,7 +108,7 @@ fn main() {
         .expect("endpoint processes exit after Bye");
 
     // ---- the differential oracle: same workload on the simulator -----
-    let (sim_results, sim_report) = run(Box::new(SimTransport::new()), None);
+    let (sim_results, sim_report) = run(None, None);
     assert_eq!(socket_results, sim_results, "bit-identical query results");
     assert_eq!(
         socket_report.to_json(),

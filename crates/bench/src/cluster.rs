@@ -3,8 +3,8 @@
 //! A [`ProcessCluster`] stands up one `peerd` endpoint **process** per
 //! peer (the binary ships with this crate), collects the loopback port
 //! each endpoint prints on stdout, and registers the addresses with a
-//! [`SocketTransport`] so that [`axml_net::transport::Transport::add_peer`]
-//! claims them in order. Dropping the cluster reaps every child.
+//! [`SocketTransport`] so that the peers added over it claim them in
+//! order. Dropping the cluster reaps every child.
 //!
 //! ```no_run
 //! use axml_bench::cluster::ProcessCluster;
@@ -26,7 +26,6 @@
 //! [`ProcessCluster::launch_with`] at any binary speaking the endpoint
 //! protocol of [`axml_net::socket::serve_connection`].
 
-use axml_core::engine::Wire;
 use axml_net::socket::SocketTransport;
 use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
@@ -64,7 +63,7 @@ struct PeerProc {
 /// A set of `peerd` endpoint processes on loopback, one per peer.
 ///
 /// See the [module docs](self) for the launch walkthrough; the children
-/// are killed and reaped on drop (a clean [`SocketTransport::shutdown`]
+/// are killed and reaped on drop (a clean [`SocketHandle::shutdown`](axml_net::socket::SocketHandle::shutdown)
 /// makes them exit on their own first).
 pub struct ProcessCluster {
     procs: Vec<PeerProc>,
@@ -125,10 +124,10 @@ impl ProcessCluster {
     }
 
     /// A fresh [`SocketTransport`] with every endpoint pre-registered:
-    /// the first `len()` peers added to it connect to the cluster's
+    /// the first `len()` peers added over it connect to the cluster's
     /// processes in launch order (later peers fall back to thread
     /// endpoints).
-    pub fn transport(&self) -> SocketTransport<Wire> {
+    pub fn transport(&self) -> SocketTransport {
         let mut t = SocketTransport::new();
         for addr in self.addrs() {
             t.register_endpoint(addr);

@@ -52,6 +52,7 @@ impl Dashboard {
     /// The deterministic plain-text snapshot (no ANSI codes).
     pub fn render_plain(&self, source: &str) -> String {
         let l = &self.live;
+        let m = l.metrics();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -77,13 +78,13 @@ impl Dashboard {
             l.goodput_msgs().rate_per_sec(),
             l.goodput_bytes().sparkline()
         );
-        if l.total_dropped() + l.retries() + l.failovers() > 0 {
+        if m.total_dropped() + m.retries + m.failovers > 0 {
             let _ = writeln!(
                 out,
                 "faults   : {} dropped, {} retries, {} failovers",
-                l.total_dropped(),
-                l.retries(),
-                l.failovers()
+                m.total_dropped(),
+                m.retries,
+                m.failovers
             );
         }
         if self.malformed + self.tail_errors > 0 {
@@ -130,7 +131,7 @@ impl Dashboard {
                 row.goodput.sparkline()
             );
         }
-        let kinds: Vec<_> = l.by_kind().collect();
+        let kinds: Vec<_> = m.messages_by_kind().collect();
         if !kinds.is_empty() {
             let _ = write!(out, "kinds    :");
             for (k, s) in kinds {

@@ -298,7 +298,7 @@ mod tests {
         let sched = cell.run.sched.as_ref().expect("sched attached");
         assert!(sched.consistent(), "scheduler ledger leaks");
         assert_eq!(sched.backend, "queue");
-        assert!(cell.live.total_messages() > 0);
+        assert!(cell.live.metrics().total_messages() > 0);
         // Churn left marks: drops and failovers happened.
         assert!(cell.drops > 0, "drop rate must bite");
         assert!(cell.failovers > 0, "outage windows must force failovers");

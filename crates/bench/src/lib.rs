@@ -18,8 +18,8 @@
 //! Wall-clock numbers come from the `benchmark/` package (`axml-perf`),
 //! not from this crate.
 //!
-//! The crate also ships `axml-trace`, a replay CLI that decodes a trace
-//! file (JSONL or AXTR binary, auto-detected) and renders a per-peer
+//! The crate also ships `axml-trace`, a replay CLI that decodes an AXTR
+//! trace file and renders a per-peer
 //! timeline / message sequence chart from [`timeline`]:
 //!
 //! ```text

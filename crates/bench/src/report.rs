@@ -204,7 +204,7 @@ pub fn tail_cells(live: &axml_obs::LiveStats) -> Vec<String> {
     if h.count() == 0 || live.last_ms() <= 0.0 {
         return vec!["-".into(); 4];
     }
-    let goodput = live.total_bytes() as f64 / live.last_ms() * 1000.0;
+    let goodput = live.metrics().total_bytes() as f64 / live.last_ms() * 1000.0;
     vec![
         format!("{:.1}", h.p50_ms()),
         format!("{:.1}", h.p95_ms()),

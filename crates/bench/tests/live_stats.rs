@@ -110,7 +110,10 @@ fn folding_is_incremental_not_batch() {
             "split at {split} diverged"
         );
         assert_eq!(split_fold.events(), one_pass.events());
-        assert_eq!(split_fold.total_bytes(), one_pass.total_bytes());
+        assert_eq!(
+            split_fold.metrics().total_bytes(),
+            one_pass.metrics().total_bytes()
+        );
         assert_eq!(split_fold.latency().count(), one_pass.latency().count());
     }
 }

@@ -47,18 +47,25 @@ const DRIVERS: &[DriverKind] = &[DriverKind::Sequential, DriverKind::Parallel { 
 
 const SEEDS: &[u64] = &[0x7E57_0001, 0x7E57_0002];
 
-/// Run the standard workload for one matrix row on the given transport
+/// A builder over the given wire, or over the simulator alone.
+fn builder_over(wire: Option<Box<dyn Transport<Wire> + Send>>) -> SystemBuilder {
+    match wire {
+        Some(wire) => AxmlSystem::builder().transport(wire),
+        None => AxmlSystem::builder(),
+    }
+}
+
+/// Run the standard workload for one matrix row over the given wire
 /// and return the full observable fingerprint.
 fn run_row(
     topology: &Topology,
     driver: DriverKind,
     seed: u64,
     faulted: bool,
-    transport: Box<dyn Transport<Wire> + Send>,
+    wire: Option<Box<dyn Transport<Wire> + Send>>,
 ) -> String {
     let n = topology.peer_count();
-    let mut sys = AxmlSystem::builder()
-        .transport(transport)
+    let mut sys = builder_over(wire)
         .topology(topology)
         .seed(seed)
         .driver(driver)
@@ -138,7 +145,7 @@ fn run_socket_row(topology: &Topology, driver: DriverKind, seed: u64, faulted: b
     let cluster = ProcessCluster::launch(topology.peer_count()).expect("launch peerd cluster");
     let transport = cluster.transport();
     let handle = transport.handle();
-    let fingerprint = run_row(topology, driver, seed, faulted, Box::new(transport));
+    let fingerprint = run_row(topology, driver, seed, faulted, Some(Box::new(transport)));
     let reports = handle.reconcile().expect("endpoint counters reconcile");
     let shipped: u64 = reports.iter().map(|r| r.frames).sum();
     let messages: u64 = fingerprint
@@ -163,7 +170,7 @@ fn socket_backend_matches_sim_over_the_matrix() {
     for (tname, t) in topologies() {
         for &driver in DRIVERS {
             for &seed in SEEDS {
-                let sim = run_row(&t, driver, seed, false, Box::new(SimTransport::new()));
+                let sim = run_row(&t, driver, seed, false, None);
                 let socket = run_socket_row(&t, driver, seed, false);
                 assert_eq!(
                     sim, socket,
@@ -180,7 +187,7 @@ fn socket_backend_matches_sim_under_faults() {
     // never touch the wire, so the seeded fault stream stays aligned.
     let (tname, t) = &topologies()[0];
     for &driver in DRIVERS {
-        let sim = run_row(t, driver, 0xFA_0157, true, Box::new(SimTransport::new()));
+        let sim = run_row(t, driver, 0xFA_0157, true, None);
         let socket = run_socket_row(t, driver, 0xFA_0157, true);
         assert_eq!(
             sim, socket,
@@ -209,10 +216,9 @@ fn cluster_demo_workload_traces_identically() {
         n: 3,
         cost: LinkCost::wan(),
     };
-    let count_events = |transport: Box<dyn Transport<Wire> + Send>| {
+    let count_events = |wire: Option<Box<dyn Transport<Wire> + Send>>| {
         let sink = VecSink::new();
-        let mut sys = AxmlSystem::builder()
-            .transport(transport)
+        let mut sys = builder_over(wire)
             .topology(&t)
             .seed(7)
             .trace(sink.clone())
@@ -231,8 +237,8 @@ fn cluster_demo_workload_traces_identically() {
         .unwrap();
         sink.take().len()
     };
-    let sim_events = count_events(Box::new(SimTransport::new()));
-    let socket_events = count_events(Box::new(SocketTransport::new()));
+    let sim_events = count_events(None);
+    let socket_events = count_events(Some(Box::new(SocketTransport::new())));
     assert_eq!(sim_events, socket_events, "identical trace streams");
     assert!(sim_events > 0);
 }

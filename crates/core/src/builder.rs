@@ -40,7 +40,7 @@ use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_net::link::{LinkCost, Topology};
 use axml_net::transport::Transport;
-use axml_net::FaultPlan;
+use axml_net::{FaultPlan, SimTransport};
 use axml_obs::TraceSink;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
 use axml_xml::tree::Tree;
@@ -165,26 +165,24 @@ impl SystemBuilder {
         self
     }
 
-    /// Swap the network substrate for an explicit [`Transport`] backend
-    /// (e.g. a socket-backed one). Must come first — peers registered so
-    /// far live on the transport being replaced.
-    pub fn transport(mut self, net: Box<dyn Transport<crate::engine::Wire> + Send>) -> Self {
-        if self.sys.peer_count() > 0 || net.peer_count() > 0 {
+    /// Attach a [`Transport`] wire (e.g. a socket-backed one) under the
+    /// network. Must come first — the wire has to see every peer
+    /// connect, and a scheduler choice or fault plan made so far is reset.
+    pub fn transport(mut self, wire: Box<dyn Transport<crate::engine::Wire> + Send>) -> Self {
+        if self.sys.peer_count() > 0 {
             if self.err.is_none() {
                 self.err = Some(CoreError::Malformed(
-                    "builder: transport() must precede peer declarations and take an empty \
-                     transport"
-                        .into(),
+                    "builder: transport() must precede peer declarations".into(),
                 ));
             }
             return self;
         }
-        self.sys.net = net;
+        self.sys.net = SimTransport::over(wire);
         self
     }
 
     /// Lay down a whole standard topology at once (peers named `p0`…
-    /// `pN-1`) on the current transport backend. Must come first — ids
+    /// `pN-1`). Must come first — ids
     /// are assigned assuming an empty peer set.
     pub fn topology(mut self, t: &Topology) -> Self {
         if self.sys.peer_count() > 0 && self.err.is_none() {

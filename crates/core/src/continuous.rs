@@ -19,9 +19,10 @@
 
 use crate::engine::{EvalSession, Intent};
 use crate::error::{CoreError, CoreResult};
+use crate::expr::PeerRef;
 use crate::message::{AxmlMessage, Body};
 use crate::peer::PeerState;
-use crate::sc::{ActivationMode, ScNode, ScProvider};
+use crate::sc::{ActivationMode, ScNode};
 use crate::system::AxmlSystem;
 use axml_obs::TraceEvent;
 use axml_query::delta::{pick_strategy, DeltaStrategy};
@@ -283,8 +284,8 @@ impl AxmlSystem {
                 sc.forward
             };
             let (provider, service) = match sc.provider {
-                ScProvider::Peer(p) => (p, sc.service),
-                ScProvider::Any => self.pick_any(at, &sc.service, &[])?,
+                PeerRef::At(p) => (p, sc.service),
+                PeerRef::Any => self.pick_any(at, &sc.service, &[])?,
             };
             self.check_peer(provider)?;
             let params: Vec<Vec<Tree>> = sc.params.into_iter().map(|p| vec![p]).collect();
@@ -716,7 +717,7 @@ mod tests {
             let root = t.root();
             let sc = ScNode {
                 id: None,
-                provider: ScProvider::Peer(server),
+                provider: PeerRef::At(server),
                 service: "db-news".into(),
                 params: vec![],
                 forward: vec![NodeAddr::new(archive, "log", log_root)],

@@ -47,7 +47,7 @@ impl AxmlSystem {
         excluded: &[PeerId],
     ) -> CoreResult<(PeerId, N)> {
         self.catalog
-            .pick(self.pick_policy, at, class, &*self.net, excluded)
+            .pick(self.pick_policy, at, class, &self.net, excluded)
     }
 
     /// Definition (9) with optional replica failover: pick a member of

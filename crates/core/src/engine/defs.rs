@@ -8,7 +8,7 @@ use super::pump::{Cont, EvalSession, Intent, Out, Runnable};
 use crate::error::{CoreError, CoreResult};
 use crate::expr::{Expr, PeerRef, SendDest};
 use crate::message::{AxmlMessage, Body};
-use crate::sc::{ActivationMode, ScNode, ScProvider};
+use crate::sc::{ActivationMode, ScNode};
 use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_obs::{DataTag, TraceEvent};
@@ -138,10 +138,6 @@ impl AxmlSystem {
                 params,
                 forward,
             } => {
-                let provider = match provider {
-                    PeerRef::At(p) => ScProvider::Peer(p),
-                    PeerRef::Any => ScProvider::Any,
-                };
                 let slot = s.new_slot(params.len());
                 for (i, p) in params.into_iter().enumerate() {
                     self.schedule(
@@ -568,15 +564,15 @@ impl AxmlSystem {
     fn start_service_call(
         &mut self,
         s: &mut EvalSession,
-        provider: ScProvider,
+        provider: PeerRef,
         call: ScCall<'_>,
         out: Out,
     ) -> CoreResult<()> {
         match provider {
-            ScProvider::Peer(p) => self.dispatch_service_call(s, p, call, out),
+            PeerRef::At(p) => self.dispatch_service_call(s, p, call, out),
             // Definition (9): on a failover the parameters are
             // re-shipped to the newly picked provider.
-            ScProvider::Any => {
+            PeerRef::Any => {
                 self.resolve_any(s, call.caller, call.service, |sys, s, prov, concrete| {
                     let call = ScCall {
                         service: &concrete,
@@ -685,7 +681,7 @@ impl AxmlSystem {
     pub(crate) fn call_service(
         &mut self,
         caller: PeerId,
-        provider: ScProvider,
+        provider: PeerRef,
         service: &ServiceName,
         param_forests: Vec<Vec<Tree>>,
         forward: &[NodeAddr],

@@ -29,7 +29,7 @@
 //! | (6)  | [`crate::expr::Expr::Sc`] — params to provider, provider applies its query, results to the forward list |
 //! | (7)  | `Apply` with a remote definition — query and arguments shipped to the evaluation site |
 //! | (8)  | [`crate::expr::Expr::Deploy`] — a shipped query becomes a new service |
-//! | (9)  | `PeerRef::Any` / `ScProvider::Any` resolved via `pickDoc`/`pickService` |
+//! | (9)  | `PeerRef::Any` resolved via `pickDoc`/`pickService` |
 //!
 //! # Module map
 //!

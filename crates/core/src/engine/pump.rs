@@ -11,9 +11,8 @@
 use super::defs::ScCall;
 use crate::driver::{DriverKind, Speculation};
 use crate::error::{CoreResult, EngineError};
-use crate::expr::Expr;
+use crate::expr::{Expr, PeerRef};
 use crate::message::AxmlMessage;
-use crate::sc::ScProvider;
 use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_net::{FramedPayload, Payload};
@@ -147,7 +146,7 @@ pub(crate) enum Cont {
     ApplyFinish { query: Query, skip: usize, out: Out },
     /// Definition (6): all `sc` parameters evaluated — start the call.
     ScReady {
-        provider: ScProvider,
+        provider: PeerRef,
         service: ServiceName,
         forward: Vec<NodeAddr>,
         out: Out,
@@ -586,7 +585,7 @@ impl AxmlSystem {
 mod tests {
     use super::*;
     use crate::error::CoreError;
-    use crate::expr::{LocatedQuery, PeerRef, SendDest};
+    use crate::expr::{LocatedQuery, SendDest};
     use crate::message::tests::FOREST_RENDERS;
     use axml_net::link::LinkCost;
     use axml_query::Query;

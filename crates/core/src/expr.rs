@@ -24,6 +24,7 @@
 //! charges for shipping *plans*.
 
 use crate::error::{CoreError, CoreResult};
+use crate::sc::read_sc;
 use axml_query::Query;
 use axml_xml::escape::{write_attr, write_text};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
@@ -46,6 +47,30 @@ impl fmt::Display for PeerRef {
             PeerRef::Any => write!(f, "any"),
         }
     }
+}
+
+/// Reads `any` or `p<digits>` — exactly what `Display` writes, so a peer
+/// reference has one text.
+impl std::str::FromStr for PeerRef {
+    type Err = CoreError;
+
+    fn from_str(s: &str) -> CoreResult<PeerRef> {
+        if s == "any" {
+            return Ok(PeerRef::Any);
+        }
+        s.strip_prefix('p')
+            .and_then(digits)
+            .map(|n| PeerRef::At(PeerId(n)))
+            .ok_or_else(|| CoreError::Malformed(format!("bad peer reference `{s}`")))
+    }
+}
+
+/// A number off the wire, as the emitter writes one: ASCII digits and
+/// nothing else (`str::parse` alone would also take a leading `+`).
+fn digits<T: std::str::FromStr>(s: &str) -> Option<T> {
+    s.bytes()
+        .all(|b| b.is_ascii_digit())
+        .then(|| s.parse().ok())?
 }
 
 /// A query together with the peer currently holding its definition; when a
@@ -448,9 +473,9 @@ impl Expr {
             .to_string();
         let peer_attr = |attr: &str| -> CoreResult<PeerId> {
             t.attr(node, attr)
-                .and_then(|v| v.parse::<u32>().ok())
+                .and_then(digits)
                 .map(PeerId)
-                .ok_or_else(|| CoreError::Malformed(format!("<{label}> lacks @{attr}")))
+                .ok_or_else(|| CoreError::Malformed(format!("<{label}> lacks a numeric @{attr}")))
         };
         match label.as_str() {
             "tree" => {
@@ -472,18 +497,12 @@ impl Expr {
                 let name = t
                     .attr(node, "name")
                     .ok_or_else(|| CoreError::Malformed("<doc> lacks @name".into()))?;
-                let at = match t.attr(node, "at") {
-                    Some("any") => PeerRef::Any,
-                    Some(s) => PeerRef::At(PeerId(
-                        s.trim_start_matches('p')
-                            .parse()
-                            .map_err(|_| CoreError::Malformed(format!("bad peer ref `{s}`")))?,
-                    )),
-                    None => return Err(CoreError::Malformed("<doc> lacks @at".into())),
-                };
+                let at = t
+                    .attr(node, "at")
+                    .ok_or_else(|| CoreError::Malformed("<doc> lacks @at".into()))?;
                 Ok(Expr::Doc {
                     name: DocName::new(name),
-                    at,
+                    at: at.parse()?,
                 })
             }
             "apply" => {
@@ -516,16 +535,11 @@ impl Expr {
                     ));
                 }
                 let payload = Box::new(Expr::from_xml(t, inner[0])?);
-                let dest = if let Some(p) = t.attr(node, "peer") {
-                    SendDest::Peer(PeerId(
-                        p.parse()
-                            .map_err(|_| CoreError::Malformed(format!("bad @peer `{p}`")))?,
-                    ))
-                } else if let Some(p) = t.attr(node, "newdoc-peer") {
+                let dest = if t.attr(node, "peer").is_some() {
+                    SendDest::Peer(peer_attr("peer")?)
+                } else if t.attr(node, "newdoc-peer").is_some() {
                     SendDest::NewDoc {
-                        peer: PeerId(p.parse().map_err(|_| {
-                            CoreError::Malformed(format!("bad @newdoc-peer `{p}`"))
-                        })?),
+                        peer: peer_attr("newdoc-peer")?,
                         name: DocName::new(t.attr(node, "newdoc-name").ok_or_else(|| {
                             CoreError::Malformed("<send> lacks @newdoc-name".into())
                         })?),
@@ -543,40 +557,8 @@ impl Expr {
                 Ok(Expr::Send { dest, payload })
             }
             "sc" => {
-                let peer_el = t
-                    .first_child_labeled(node, "peer")
-                    .ok_or_else(|| CoreError::Malformed("<sc> lacks <peer>".into()))?;
-                let provider = match t.text(peer_el).as_str() {
-                    "any" => PeerRef::Any,
-                    s => PeerRef::At(PeerId(
-                        s.trim_start_matches('p')
-                            .parse()
-                            .map_err(|_| CoreError::Malformed(format!("bad provider `{s}`")))?,
-                    )),
-                };
-                let svc_el = t
-                    .first_child_labeled(node, "service")
-                    .ok_or_else(|| CoreError::Malformed("<sc> lacks <service>".into()))?;
-                let service = ServiceName::new(t.text(svc_el));
-                let mut params = Vec::new();
-                for i in 1.. {
-                    match t.first_child_labeled(node, &format!("param{i}")) {
-                        Some(pe) => {
-                            let inner = t.children(pe);
-                            if inner.len() != 1 {
-                                return Err(CoreError::Malformed(format!(
-                                    "<param{i}> must wrap exactly one expression"
-                                )));
-                            }
-                            params.push(Expr::from_xml(t, inner[0])?);
-                        }
-                        None => break,
-                    }
-                }
-                let forward = t
-                    .children_labeled(node, "forw")
-                    .map(|c| parse_addr(&t.text(c)))
-                    .collect::<CoreResult<Vec<_>>>()?;
+                let (provider, service, params, forward) =
+                    read_sc(t, node, |param| Expr::from_xml(t, param))?;
                 Ok(Expr::Sc {
                     provider,
                     service,
@@ -767,12 +749,10 @@ pub fn parse_addr(s: &str) -> CoreResult<NodeAddr> {
     let (idx, peer) = rest
         .split_once("@p")
         .ok_or_else(|| CoreError::Malformed(format!("bad node address `{s}`")))?;
-    let node = idx
-        .parse::<usize>()
-        .map_err(|_| CoreError::Malformed(format!("bad node index in `{s}`")))?;
-    let peer = peer
-        .parse::<u32>()
-        .map_err(|_| CoreError::Malformed(format!("bad peer in `{s}`")))?;
+    let node = digits::<usize>(idx)
+        .ok_or_else(|| CoreError::Malformed(format!("bad node index in `{s}`")))?;
+    let peer =
+        digits::<u32>(peer).ok_or_else(|| CoreError::Malformed(format!("bad peer in `{s}`")))?;
     // The index came off the wire: an overflow is a typed decode error
     // (`CoreError::Xml(IndexOverflow)`), not a panic.
     Ok(NodeAddr::new(PeerId(peer), doc, NodeId::from_index(node)?))

@@ -18,7 +18,8 @@
 //! query/type at hand.
 
 use crate::error::{CoreError, CoreResult};
-use crate::sc::{ActivationMode, ScNode, ScProvider};
+use crate::expr::PeerRef;
+use crate::sc::{ActivationMode, ScNode};
 use crate::system::AxmlSystem;
 use axml_query::plan::PlanTest;
 use axml_query::Query;
@@ -71,9 +72,9 @@ impl AxmlSystem {
             return true;
         }
         let provider = match sc.provider {
-            ScProvider::Peer(p) => p,
+            PeerRef::At(p) => p,
             // Resolution could pick any replica; stay conservative.
-            ScProvider::Any => return true,
+            PeerRef::Any => return true,
         };
         let Ok(svc) = self.peer(provider).service(&sc.service, provider) else {
             return true; // unknown service: the activation itself will error

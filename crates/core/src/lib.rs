@@ -104,7 +104,7 @@ pub mod prelude {
     pub use crate::optimizer::{Explained, Optimizer};
     pub use crate::pick::{Catalog, PickPolicy};
     pub use crate::retry::RetryPolicy;
-    pub use crate::sc::{ActivationMode, ScNode, ScProvider};
+    pub use crate::sc::{ActivationMode, ScNode};
     pub use crate::service::Service;
     pub use crate::system::AxmlSystem;
     pub use axml_net::link::{LinkCost, Topology};

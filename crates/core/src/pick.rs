@@ -9,7 +9,7 @@
 //! and benchmark them against each other (experiment E7).
 
 use crate::error::{CoreError, CoreResult};
-use axml_net::transport::Transport;
+use axml_net::sim::SimTransport;
 use axml_net::Payload;
 use axml_prng::SplitMix64;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
@@ -144,7 +144,7 @@ impl Catalog {
         policy: PickPolicy,
         at: PeerId,
         class: &N,
-        net: &dyn Transport<M>,
+        net: &SimTransport<M>,
         excluded: &[PeerId],
     ) -> CoreResult<(PeerId, N)> {
         let (members, cursors) = N::table(self);
@@ -170,7 +170,7 @@ fn pick_index<N, M: Payload>(
     policy: PickPolicy,
     at: PeerId,
     candidates: &[&(PeerId, N)],
-    net: &dyn Transport<M>,
+    net: &SimTransport<M>,
     cursor: &mut usize,
 ) -> usize {
     match policy {
@@ -204,11 +204,10 @@ fn pick_index<N, M: Payload>(
 mod tests {
     use super::*;
     use axml_net::link::LinkCost;
-    use axml_net::sim::SimTransport as Network;
 
     /// a ⇄ b slow, a ⇄ c lan, b ⇄ c wan.
-    fn net3() -> Network<String> {
-        let mut net: Network<String> = Network::new();
+    fn net3() -> SimTransport<String> {
+        let mut net: SimTransport<String> = SimTransport::new();
         let a = net.add_peer("a");
         let b = net.add_peer("b");
         let c = net.add_peer("c");
@@ -244,7 +243,7 @@ mod tests {
         cat: &mut Catalog,
         policy: PickPolicy,
         class: &str,
-        net: &Network<String>,
+        net: &SimTransport<String>,
         excluded: &[PeerId],
     ) -> Option<(PeerId, String)> {
         let doc = shown(cat.pick(policy, PeerId(0), &DocName::from(class), net, excluded));

@@ -15,8 +15,8 @@
 //!   `@mode="lazy"` for calls activated only when a query needs them.
 
 use crate::error::{CoreError, CoreResult};
-use crate::expr::{format_addr, parse_addr};
-use axml_xml::ids::{NodeAddr, PeerId, ServiceName};
+use crate::expr::{format_addr, parse_addr, PeerRef};
+use axml_xml::ids::{NodeAddr, ServiceName};
 use axml_xml::tree::{NodeId, Tree};
 
 /// The label marking service-call elements.
@@ -36,22 +36,14 @@ pub enum ActivationMode {
     After(String),
 }
 
-/// A provider reference in a document: concrete or generic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScProvider {
-    /// A concrete peer.
-    Peer(PeerId),
-    /// `any` — resolved through the generic-service catalog.
-    Any,
-}
-
 /// A parsed `sc` element.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScNode {
     /// Optional identifier (used by `@after` chains).
     pub id: Option<String>,
-    /// The provider.
-    pub provider: ScProvider,
+    /// The provider: a concrete peer, or `any` — resolved through the
+    /// generic-service catalog.
+    pub provider: PeerRef,
     /// The service to call.
     pub service: ServiceName,
     /// Parameter subtrees (copies).
@@ -73,41 +65,9 @@ impl ScNode {
         if !Self::is_sc(tree, node) {
             return Err(CoreError::Malformed("not an <sc> element".into()));
         }
-        let peer_el = tree
-            .first_child_labeled(node, "peer")
-            .ok_or_else(|| CoreError::Malformed("<sc> lacks <peer>".into()))?;
-        let provider = match tree.text(peer_el).as_str() {
-            "any" => ScProvider::Any,
-            s => ScProvider::Peer(PeerId(
-                s.trim_start_matches('p')
-                    .parse()
-                    .map_err(|_| CoreError::Malformed(format!("bad <peer> `{s}`")))?,
-            )),
-        };
-        let svc_el = tree
-            .first_child_labeled(node, "service")
-            .ok_or_else(|| CoreError::Malformed("<sc> lacks <service>".into()))?;
-        let service = ServiceName::new(tree.text(svc_el));
-        let mut params = Vec::new();
-        for i in 1.. {
-            match tree.first_child_labeled(node, &format!("param{i}")) {
-                Some(pe) => {
-                    let inner = tree.children(pe);
-                    if inner.len() != 1 {
-                        return Err(CoreError::Malformed(format!(
-                            "<param{i}> must wrap exactly one tree"
-                        )));
-                    }
-                    // Zero-copy view into the host document's arena.
-                    params.push(tree.subtree(inner[0])?);
-                }
-                None => break,
-            }
-        }
-        let forward = tree
-            .children_labeled(node, "forw")
-            .map(|c| parse_addr(&tree.text(c)))
-            .collect::<CoreResult<Vec<_>>>()?;
+        // Zero-copy parameter views into the host document's arena.
+        let (provider, service, params, forward) =
+            read_sc(tree, node, |param| Ok(tree.subtree(param)?))?;
         let mode = match (tree.attr(node, "mode"), tree.attr(node, "after")) {
             (_, Some(after)) => ActivationMode::After(after.to_string()),
             (Some("lazy"), None) => ActivationMode::Lazy,
@@ -142,11 +102,7 @@ impl ScNode {
                 tree.set_attr(sc, "after", a.clone()).expect("element");
             }
         }
-        let provider = match self.provider {
-            ScProvider::Peer(p) => p.to_string(),
-            ScProvider::Any => "any".to_string(),
-        };
-        tree.add_text_element(sc, "peer", provider);
+        tree.add_text_element(sc, "peer", self.provider.to_string());
         tree.add_text_element(sc, "service", self.service.as_str());
         for (i, p) in self.params.iter().enumerate() {
             let pe = tree.add_element(sc, format!("param{}", i + 1).as_str());
@@ -187,15 +143,51 @@ impl ScNode {
     }
 }
 
+/// Read what every `<sc>` element carries, in a document ([`ScNode`]) or
+/// in a shipped expression ([`crate::expr::Expr::Sc`]): provider,
+/// service, parameters and forward list. `param` reads the one child of
+/// each `<paramN>` wrapper — a tree to the first, an expression to the
+/// second.
+pub(crate) fn read_sc<P>(
+    tree: &Tree,
+    node: NodeId,
+    mut param: impl FnMut(NodeId) -> CoreResult<P>,
+) -> CoreResult<(PeerRef, ServiceName, Vec<P>, Vec<NodeAddr>)> {
+    let child = |label: &str| {
+        tree.first_child_labeled(node, label)
+            .ok_or_else(|| CoreError::Malformed(format!("<sc> lacks <{label}>")))
+    };
+    let provider = tree.text(child("peer")?).parse()?;
+    let service = ServiceName::new(tree.text(child("service")?));
+    let mut params = Vec::new();
+    for i in 1.. {
+        let Some(wrapper) = tree.first_child_labeled(node, &format!("param{i}")) else {
+            break;
+        };
+        let &[inner] = tree.children(wrapper) else {
+            return Err(CoreError::Malformed(format!(
+                "<param{i}> must wrap exactly one child"
+            )));
+        };
+        params.push(param(inner)?);
+    }
+    let forward = tree
+        .children_labeled(node, "forw")
+        .map(|c| parse_addr(&tree.text(c)))
+        .collect::<CoreResult<Vec<_>>>()?;
+    Ok((provider, service, params, forward))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axml_xml::ids::PeerId;
     use axml_xml::tree::NodeId as N;
 
     fn sample() -> ScNode {
         ScNode {
             id: Some("c1".into()),
-            provider: ScProvider::Peer(PeerId(2)),
+            provider: PeerRef::At(PeerId(2)),
             service: "lookup".into(),
             params: vec![
                 Tree::parse("<q>vim</q>").unwrap(),
@@ -218,7 +210,7 @@ mod tests {
     fn roundtrip_generic_and_defaults() {
         let sc = ScNode {
             id: None,
-            provider: ScProvider::Any,
+            provider: PeerRef::Any,
             service: "search".into(),
             params: vec![],
             forward: vec![],
@@ -252,7 +244,7 @@ mod tests {
         )
         .unwrap();
         let sc = ScNode::parse(&t, t.root()).unwrap();
-        assert_eq!(sc.provider, ScProvider::Peer(PeerId(3)));
+        assert_eq!(sc.provider, PeerRef::At(PeerId(3)));
         assert_eq!(sc.service.as_str(), "news");
         assert_eq!(sc.params.len(), 1);
         assert_eq!(sc.params[0].serialize(), "<topic>db</topic>");

@@ -4,9 +4,8 @@
 //! services of interest here are *declarative*: implemented by a visible
 //! [`Query`], which is what makes the optimizations of §3 possible
 //! (*"the statements implementing such services are visible to other
-//! peers, enabling many optimizations"*). All services are continuous in
-//! the paper's model (§2.2 last paragraph); the [`Service::continuous`]
-//! flag records whether a deployment actually streams.
+//! peers, enabling many optimizations"*). All services are continuous, as
+//! in the paper's model (§2.2 last paragraph).
 
 use axml_query::Query;
 use axml_types::Signature;
@@ -23,8 +22,6 @@ pub struct Service {
     pub query: Query,
     /// The `(τin, τout)` signature.
     pub signature: Signature,
-    /// Does the service keep streaming responses (continuous service)?
-    pub continuous: bool,
 }
 
 impl Service {
@@ -35,19 +32,12 @@ impl Service {
             name: name.into(),
             query,
             signature: Signature::any(arity),
-            continuous: true,
         }
     }
 
     /// Attach a precise signature.
     pub fn with_signature(mut self, signature: Signature) -> Self {
         self.signature = signature;
-        self
-    }
-
-    /// Mark as one-shot (non-continuous).
-    pub fn one_shot(mut self) -> Self {
-        self.continuous = false;
         self
     }
 
@@ -59,13 +49,7 @@ impl Service {
 
 impl fmt::Display for Service {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}{}: {}",
-            self.name,
-            if self.continuous { "~" } else { "" },
-            self.signature
-        )
+        write!(f, "{}: {}", self.name, self.signature)
     }
 }
 
@@ -79,7 +63,6 @@ mod tests {
         let q = Query::parse("impl", "for $x in $0//pkg return {$x}").unwrap();
         let s = Service::declarative("catalog-scan", q);
         assert_eq!(s.arity(), 1);
-        assert!(s.continuous);
         assert_eq!(s.signature.arity(), 1);
         assert_eq!(s.name.as_str(), "catalog-scan");
     }
@@ -87,24 +70,14 @@ mod tests {
     #[test]
     fn builders() {
         let q = Query::parse("impl", "for $x in $0 return {$x}").unwrap();
-        let s = Service::declarative("s", q)
-            .one_shot()
-            .with_signature(Signature::new(
-                vec![TreeType::new("catalog", "xs:anyType")],
-                TreeType::any(),
-            ));
-        assert!(!s.continuous);
+        let s = Service::declarative("s", q).with_signature(Signature::new(
+            vec![TreeType::new("catalog", "xs:anyType")],
+            TreeType::any(),
+        ));
         assert_eq!(
             s.signature.inputs[0].root_label.as_ref().unwrap().as_str(),
             "catalog"
         );
         assert!(s.to_string().contains("s:"), "{s}");
-    }
-
-    #[test]
-    fn display_marks_continuous() {
-        let q = Query::parse("impl", "$0//x").unwrap();
-        let s = Service::declarative("feed", q);
-        assert!(s.to_string().contains("feed~"));
     }
 }

@@ -1,8 +1,9 @@
 //! The AXML system: peers + network + catalog — the paper's state Σ.
 //!
-//! An [`AxmlSystem`] owns the network — behind the pluggable
-//! [`Transport`] trait, so the engine is transport-blind — one
-//! [`PeerState`] per peer, and the generic-reference [`Catalog`].
+//! An [`AxmlSystem`] owns the network — the deterministic
+//! [`SimTransport`] model, with an optional [`Transport`] wire attached
+//! under it — one [`PeerState`] per peer, and the generic-reference
+//! [`Catalog`].
 //! Evaluation of expressions (definitions (1)–(9)) is decomposed into
 //! continuation tasks by the message-driven engine in [`crate::engine`];
 //! continuous service machinery in [`crate::continuous`]. Both drive
@@ -31,10 +32,10 @@ use axml_xml::tree::Tree;
 /// [`AxmlSystem::set_engine_seed`] or the builder's `seed` knob).
 pub(crate) const DEFAULT_ENGINE_SEED: u64 = 0xA001_5EED_0815_4A2F;
 
-/// A complete AXML deployment over a pluggable transport (simulated by
-/// default; socket-backed via [`AxmlSystem::with_transport`]).
+/// A complete AXML deployment over the network model (purely simulated
+/// by default; also socket-shipped via [`AxmlSystem::with_transport`]).
 pub struct AxmlSystem {
-    pub(crate) net: Box<dyn Transport<Wire> + Send>,
+    pub(crate) net: SimTransport<Wire>,
     pub(crate) peers: Vec<PeerState>,
     pub(crate) catalog: Catalog,
     pub(crate) pick_policy: PickPolicy,
@@ -55,10 +56,16 @@ pub struct AxmlSystem {
 }
 
 impl AxmlSystem {
-    /// A system over any [`Transport`] backend. Peers already connected
-    /// to the transport get fresh [`PeerState`]s; the engine never
-    /// learns which backend it is driving.
-    pub fn with_transport(net: Box<dyn Transport<Wire> + Send>) -> Self {
+    /// A system whose accepted cross-peer messages also travel over
+    /// `wire` (e.g. a socket-backed one); the engine never learns
+    /// whether one is attached.
+    pub fn with_transport(wire: Box<dyn Transport<Wire> + Send>) -> Self {
+        Self::from_net(SimTransport::over(wire))
+    }
+
+    /// A system over `net`; peers it already has get fresh
+    /// [`PeerState`]s.
+    fn from_net(net: SimTransport<Wire>) -> Self {
         let peers: Vec<PeerState> = (0..net.peer_count()).map(|_| PeerState::new()).collect();
         let state_epochs = vec![0; peers.len()];
         AxmlSystem {
@@ -82,18 +89,17 @@ impl AxmlSystem {
 
     /// A system over a standard topology.
     pub fn with_topology(topology: &Topology) -> Self {
-        Self::with_transport(Box::new(SimTransport::with_topology(topology)))
+        Self::from_net(SimTransport::with_topology(topology))
     }
 
     /// A fresh empty system; add peers with [`AxmlSystem::add_peer`].
     pub fn new() -> Self {
-        Self::with_transport(Box::new(SimTransport::new()))
+        Self::from_net(SimTransport::new())
     }
 
     /// Register a new peer.
     pub fn add_peer(&mut self, name: impl Into<String>) -> PeerId {
-        let name = name.into();
-        let id = self.net.add_peer(&name);
+        let id = self.net.add_peer(name);
         self.peers.push(PeerState::new());
         self.state_epochs.push(0);
         id
@@ -124,19 +130,18 @@ impl AxmlSystem {
         }
     }
 
-    /// The transport (for link configuration, fault plans, clock
-    /// control — everything on the [`Transport`] trait).
-    pub fn net_mut(&mut self) -> &mut (dyn Transport<Wire> + Send) {
-        &mut *self.net
+    /// The network (for link configuration, fault plans, clock control).
+    pub fn net_mut(&mut self) -> &mut SimTransport<Wire> {
+        &mut self.net
     }
 
-    /// The transport, read-only.
-    pub fn net(&self) -> &(dyn Transport<Wire> + Send) {
-        &*self.net
+    /// The network, read-only.
+    pub fn net(&self) -> &SimTransport<Wire> {
+        &self.net
     }
 
-    /// The short label of the transport backend under this system
-    /// (`"sim"` or `"socket"`).
+    /// `"sim"`, or the label of the wire under this system's network
+    /// (`"socket"`).
     pub fn transport_backend(&self) -> &'static str {
         self.net.backend()
     }

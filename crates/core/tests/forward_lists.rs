@@ -28,7 +28,7 @@ fn forwarding_system(also: Vec<NodeAddr>) -> (AxmlSystem, PeerId, u64) {
         let root = t.root();
         let sc = ScNode {
             id: None,
-            provider: ScProvider::Peer(server),
+            provider: PeerRef::At(server),
             service: "items".into(),
             params: vec![],
             forward,

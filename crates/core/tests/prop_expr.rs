@@ -291,6 +291,56 @@ fn a_send_to_no_nodes_is_not_shippable() {
     assert!(err.to_string().contains("lacks a destination"), "{err}");
 }
 
+/// A peer reference or number has the one text the emitter writes:
+/// `any`, `p<digits>`, `<digits>`. Spellings `str::parse` or a lenient
+/// prefix strip would also take — `pp3`, a bare `3`, `p+3`, `+3` — are
+/// `Malformed`, in a shipped expression and in a document's `<sc>`.
+#[test]
+fn a_peer_reference_has_one_spelling() {
+    let sc = |peer: &str, forw: &str| {
+        format!("<sc><peer>{peer}</peer><service>s</service><forw>{forw}</forw></sc>")
+    };
+    let good = [
+        r#"<doc name="d" at="p3"/>"#.to_string(),
+        r#"<doc name="d" at="any"/>"#.to_string(),
+        r#"<evalat peer="3"><seq/></evalat>"#.to_string(),
+        sc("p3", "doc#1@p3"),
+        sc("any", "doc#1@p3"),
+    ];
+    for text in &good {
+        let xml = Tree::parse(text).unwrap();
+        let e = Expr::from_xml(&xml, xml.root()).unwrap_or_else(|err| panic!("{text}: {err}"));
+        assert_eq!(
+            &e.fingerprint(),
+            text,
+            "the accepted text is the emitted one"
+        );
+    }
+    let mut bad: Vec<String> = ["pp3", "3", "p+3", "p", "P3", "p3 ", ""]
+        .iter()
+        .flat_map(|peer| {
+            [
+                format!(r#"<doc name="d" at="{peer}"/>"#),
+                sc(peer, "doc#1@p3"),
+            ]
+        })
+        .collect();
+    for addr in ["doc#1@p+3", "doc#+1@p3", "doc#1@pp3", "doc#1@3"] {
+        bad.push(sc("p3", addr));
+    }
+    bad.push(r#"<evalat peer="+3"><seq/></evalat>"#.into());
+    bad.push(r#"<send peer="+3"><payload><seq/></payload></send>"#.into());
+    for text in &bad {
+        let xml = Tree::parse(text).unwrap();
+        let err = Expr::from_xml(&xml, xml.root()).expect_err(text);
+        assert!(matches!(err, CoreError::Malformed(_)), "{text}: {err}");
+        if text.starts_with("<sc>") {
+            let err = ScNode::parse(&xml, xml.root()).expect_err(text);
+            assert!(matches!(err, CoreError::Malformed(_)), "{text}: {err}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

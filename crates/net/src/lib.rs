@@ -1,25 +1,27 @@
 #![deny(missing_docs)]
 
-//! # axml-net — the pluggable peer network substrate
+//! # axml-net — the peer network: one model, an optional wire
 //!
 //! The paper assumes *"a finite set of peers"*, each a context of
 //! computation hosting documents and services (§2), exchanging service
 //! calls, responses, data trees and shipped queries. Its §3 optimizations
 //! trade **messages × bytes × link costs** against each other; to measure
-//! them reproducibly the engine talks to the network only through the
-//! [`transport::Transport`] trait, which has two backends:
+//! them reproducibly there is one network, and underneath it whatever
+//! moves the bytes:
 //!
-//! * [`sim::SimTransport`] — the **discrete-event reference
-//!   implementation**: peers, a virtual clock, and an event queue
-//!   delivering messages in timestamp order (deterministic tie-breaking);
-//! * [`socket::SocketTransport`] — the **real multi-process loopback
-//!   backend**: every accepted message is additionally shipped as AXTR
-//!   frames ([`frame`]) over kernel TCP to a per-peer endpoint process
-//!   and digest-acknowledged, while the deterministic model keeps
-//!   governing time, faults and statistics so sim and socket runs stay
-//!   bit-identical (see `TRANSPORT.md`).
+//! * [`sim::SimTransport`] — the **deterministic model** the engine
+//!   holds: peers, a virtual clock, and an event queue delivering
+//!   messages in timestamp order (deterministic tie-breaking);
+//! * [`transport::Transport`] — the **wire** that may be attached under
+//!   it ([`sim::SimTransport::over`]): it is shown each new peer and
+//!   each accepted cross-peer message, and nothing else;
+//! * [`socket::SocketTransport`] — the one real wire: every accepted
+//!   message is additionally shipped as AXTR frames ([`frame`]) over
+//!   kernel TCP to a per-peer endpoint process and digest-acknowledged,
+//!   while the model keeps governing time, faults and statistics so sim
+//!   and socket runs stay bit-identical (see `TRANSPORT.md`).
 //!
-//! Shared across backends:
+//! Around the model:
 //!
 //! * [`link::LinkCost`] — per-link latency, bandwidth and per-message
 //!   overhead; [`link::Topology`] builders for uniform, star and
@@ -29,8 +31,8 @@
 //!   `EXPERIMENTS.md` reports;
 //! * [`sim::FaultPlan`] — seeded drops, jitter, outages and crashes.
 //!
-//! Backends are generic over the message type (anything implementing
-//! [`Payload`]; the socket backend also wants
+//! The model is generic over the message type (anything implementing
+//! [`Payload`]; the socket wire also wants
 //! [`transport::FramedPayload`] to put bytes on the wire), so this crate
 //! stays independent of the AXML semantics — `axml-core` instantiates it
 //! with its own message enum.

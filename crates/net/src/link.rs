@@ -114,10 +114,9 @@ impl Default for LinkCost {
     }
 }
 
-/// Declarative topology descriptions, turned into link matrices by
-/// [`crate::sim::SimTransport::with_topology`] (or laid down through
-/// any backend with
-/// [`Transport::install_topology`](crate::transport::Transport::install_topology)).
+/// Declarative topology descriptions, laid down by
+/// [`SimTransport::with_topology`](crate::sim::SimTransport::with_topology)
+/// or [`install_topology`](crate::sim::SimTransport::install_topology).
 #[derive(Debug, Clone)]
 pub enum Topology {
     /// Every pair of distinct peers connected with the same cost.

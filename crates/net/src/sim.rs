@@ -1,5 +1,5 @@
-//! The discrete-event network simulator — the reference
-//! [`Transport`](crate::transport::Transport) implementation.
+//! The network model: a discrete-event simulator, with an optional
+//! wire under it.
 //!
 //! A [`SimTransport`] owns the peer table, the link model, a virtual clock and
 //! an event scheduler. [`SimTransport::send`] computes the message's arrival time
@@ -7,6 +7,14 @@
 //! event; [`SimTransport::recv`] pops the earliest pending delivery and advances
 //! the clock to it. Ties are broken by send order, so runs are fully
 //! deterministic.
+//!
+//! It is the one network the engine holds. Built with
+//! [`SimTransport::over`] it additionally shows a
+//! [`Transport`] — the socket wire, a test fake —
+//! every peer it registers and every cross-peer message it accepts,
+//! between the fault gate and the delivery queue; time, faults and
+//! statistics stay the model's either way, so a run is bit-identical
+//! with and without a wire.
 //!
 //! Storage is **sparse** so EDOS-scale networks (10⁴–10⁵ peers) fit in
 //! memory: link costs resolve from an optional base [`Topology`] plus
@@ -19,20 +27,17 @@
 //!
 //! ```
 //! use axml_net::sim::SimTransport;
-//! use axml_net::transport::Transport;
 //! use axml_net::link::LinkCost;
 //!
-//! // Drive the simulator through the transport-blind trait surface:
-//! // the same calls work verbatim against the socket backend.
 //! let mut net: SimTransport<String> = SimTransport::new();
-//! let t: &mut dyn Transport<String> = &mut net;
-//! let a = t.add_peer("a");
-//! let b = t.add_peer("b");
-//! t.set_link(a, b, LinkCost::wan());
-//! t.try_send(a, b, "hello".to_string()).unwrap();
-//! let (to, msg, at) = t.recv().unwrap();
+//! let a = net.add_peer("a");
+//! let b = net.add_peer("b");
+//! net.set_link(a, b, LinkCost::wan());
+//! net.try_send(a, b, "hello".to_string()).unwrap();
+//! let (to, msg, at) = net.recv().unwrap();
 //! assert_eq!((to, msg.as_str()), (b, "hello"));
-//! assert_eq!(t.now_ms(), at);
+//! assert_eq!(net.now_ms(), at);
+//! assert_eq!(net.backend(), "sim");
 //! ```
 //!
 //! Each **directed link** carries one message at a time: a second send on
@@ -57,6 +62,7 @@
 use crate::error::{NetError, NetResult};
 use crate::link::{LinkCost, Topology};
 use crate::stats::NetStats;
+use crate::transport::Transport;
 use crate::wheel::{SchedStats, Scheduler, SchedulerKind};
 use crate::Payload;
 use axml_prng::SplitMix64;
@@ -304,6 +310,8 @@ pub struct SimTransport<M> {
     /// Monotone counter of faultable (cross-peer, plan-installed) send
     /// attempts — the index into the plan's per-attempt fault streams.
     attempts: u64,
+    /// What also carries each accepted cross-peer message, if anything.
+    wire: Option<Box<dyn Transport<M> + Send>>,
 }
 
 impl<M: Payload> SimTransport<M> {
@@ -321,7 +329,22 @@ impl<M: Payload> SimTransport<M> {
             seq: 0,
             fault: None,
             attempts: 0,
+            wire: None,
         }
+    }
+
+    /// An empty network whose accepted cross-peer messages also travel
+    /// over `wire` (see [`Transport`] for what the wire is shown).
+    pub fn over(wire: Box<dyn Transport<M> + Send>) -> Self {
+        SimTransport {
+            wire: Some(wire),
+            ..SimTransport::new()
+        }
+    }
+
+    /// `"sim"`, or the attached wire's [`Transport::label`].
+    pub fn backend(&self) -> &'static str {
+        self.wire.as_ref().map_or("sim", |w| w.label())
     }
 
     /// Build a network from a topology; peers are named `p0 … pn-1`.
@@ -330,28 +353,23 @@ impl<M: Payload> SimTransport<M> {
     /// link matrix — this is the 10⁵-peer construction path.
     pub fn with_topology(topology: &Topology) -> Self {
         let mut net = SimTransport::new();
-        let n = topology.peer_count();
-        assert!(n <= u32::MAX as usize, "peer table exceeds u32 indices");
-        net.peer_names = (0..n).map(|i| format!("p{i}")).collect();
-        net.base = Some((topology.clone(), n));
+        net.install_topology(topology);
         net
     }
 
     /// Append a whole [`Topology`] block of peers named
-    /// `p{base} … p{base+n-1}`. On an empty network this is exactly
-    /// [`SimTransport::with_topology`] (O(n), by rule); on a non-empty
-    /// one the block's pairwise costs are laid down as point overrides.
+    /// `p{base} … p{base+n-1}`. On an empty network the topology is
+    /// stored by rule (O(n)); on a non-empty one the block's pairwise
+    /// costs are laid down as point overrides.
     pub fn install_topology(&mut self, topology: &Topology) {
         let at = self.peer_count();
         let n = topology.peer_count();
-        if at == 0 && self.base.is_none() && self.overrides.is_empty() {
-            assert!(n <= u32::MAX as usize, "peer table exceeds u32 indices");
-            self.peer_names = (0..n).map(|i| format!("p{i}")).collect();
-            self.base = Some((topology.clone(), n));
-            return;
-        }
         for i in 0..n {
             self.add_peer(format!("p{}", at + i));
+        }
+        if at == 0 && self.base.is_none() && self.overrides.is_empty() {
+            self.base = Some((topology.clone(), n));
+            return;
         }
         for a in 0..n {
             for b in 0..n {
@@ -368,9 +386,16 @@ impl<M: Payload> SimTransport<M> {
 
     /// Register a peer; links to every existing peer default to
     /// [`LinkCost::lan`] (and to [`LinkCost::local`] for itself).
+    ///
+    /// An attached wire connects its end of the peer — for the socket
+    /// wire that is the `Hello` handshake with the endpoint process.
     pub fn add_peer(&mut self, name: impl Into<String>) -> PeerId {
         let id = PeerId::from_index(self.peer_names.len()).expect("peer table exceeds u32 indices");
-        self.peer_names.push(name.into());
+        let name = name.into();
+        if let Some(wire) = &mut self.wire {
+            wire.connect(id, &name);
+        }
+        self.peer_names.push(name);
         id
     }
 
@@ -496,20 +521,32 @@ impl<M: Payload> SimTransport<M> {
 
     /// Like [`SimTransport::try_send`], but returns the undelivered message
     /// alongside the error so callers can retry the same payload.
+    ///
+    /// Gate → wire → queue: the deterministic fault gate decides first,
+    /// so a refused attempt never reaches the wire; an accepted
+    /// cross-peer message is shipped over the attached wire, if any
+    /// (local deliveries skip it, as they skip the statistics); only
+    /// then is the delivery charged and queued. A wire failure
+    /// ([`NetError::Wire`]) hands the message back like any other refusal.
     pub fn send_attempt(&mut self, from: PeerId, to: PeerId, msg: M) -> Result<f64, (NetError, M)> {
-        match self.fault_gate(from, to) {
-            Ok(jitter) => Ok(self.enqueue(from, to, msg, jitter)),
-            Err(e) => Err((e, msg)),
+        let jitter = match self.fault_gate(from, to) {
+            Ok(jitter) => jitter,
+            Err(e) => return Err((e, msg)),
+        };
+        if from != to {
+            if let Some(wire) = &mut self.wire {
+                if let Err(e) = wire.ship(from, to, &msg) {
+                    return Err((e, msg));
+                }
+            }
         }
+        Ok(self.enqueue(from, to, msg, jitter))
     }
 
     /// The fault half of a send attempt: link state, crash/outage
-    /// windows and the seeded drop/jitter draw, in exactly the order
-    /// [`SimTransport::send_attempt`] applies them. Returns the jitter to
-    /// add to the transfer. Split out so layered transports (the socket
-    /// backend) can run the deterministic gate, ship real bytes, and
-    /// only then [`SimTransport::enqueue`] the accepted message.
-    pub(crate) fn fault_gate(&mut self, from: PeerId, to: PeerId) -> NetResult<f64> {
+    /// windows and the seeded drop/jitter draw. Returns the jitter to
+    /// add to the transfer.
+    fn fault_gate(&mut self, from: PeerId, to: PeerId) -> NetResult<f64> {
         assert!(
             from.index() < self.peer_names.len(),
             "unknown sender {from}"
@@ -549,9 +586,8 @@ impl<M: Payload> SimTransport<M> {
     }
 
     /// The delivery half of a send attempt: charge the link, compute the
-    /// arrival time and queue the delivery event. Must only run after
-    /// [`SimTransport::fault_gate`] accepted the attempt.
-    pub(crate) fn enqueue(&mut self, from: PeerId, to: PeerId, msg: M, jitter: f64) -> f64 {
+    /// arrival time and queue the delivery event.
+    fn enqueue(&mut self, from: PeerId, to: PeerId, msg: M, jitter: f64) -> f64 {
         let cost = self.link(from, to);
         let size = msg.wire_size();
         let transfer = cost.transfer_ms(size) + jitter;

@@ -1,12 +1,12 @@
-//! [`SocketTransport`]: the real multi-process loopback backend.
+//! [`SocketTransport`]: the real multi-process loopback wire.
 //!
 //! Each peer of a [`SocketTransport`] is backed by an **endpoint** — an
 //! OS process (or, for unit tests, a thread) owning a loopback TCP
 //! listener and speaking the AXTR wire protocol of [`crate::frame`].
-//! Every message the deterministic model accepts is *additionally*
-//! shipped as real bytes through the kernel to the receiving peer's
-//! endpoint, which parses the frame, counts it, and acknowledges with a
-//! content digest the sender verifies before the message is allowed to
+//! Every message the network model accepts is *additionally* shipped
+//! as real bytes through the kernel to the receiving peer's endpoint,
+//! which parses the frame, counts it, and acknowledges with a content
+//! digest the sender verifies before the message is allowed to
 //! proceed. A mismatch or connection failure surfaces as the typed
 //! [`NetError::Wire`] — a *physical* failure, distinct from the
 //! modelled fault variants.
@@ -14,18 +14,21 @@
 //! # Layering and determinism
 //!
 //! The engine is a single-process discrete-event coordinator, so the
-//! socket backend keeps the **model** — virtual clock, [`LinkCost`](crate::link::LinkCost)
-//! timing, seeded [`FaultPlan`](crate::sim::FaultPlan) draws, [`NetStats`](crate::stats::NetStats) charging — in an
-//! inner [`SimTransport`], and layers the wire underneath it:
+//! **model** — virtual clock, [`LinkCost`](crate::link::LinkCost)
+//! timing, seeded [`FaultPlan`](crate::sim::FaultPlan) draws,
+//! [`NetStats`](crate::stats::NetStats) charging — stays in the one
+//! [`SimTransport`](crate::sim::SimTransport), and this type is the
+//! [`Transport`] attached under it
+//! ([`SimTransport::over`](crate::sim::SimTransport::over)):
 //!
 //! ```text
-//! send_attempt ──► fault_gate (deterministic: drops, outages, jitter)
+//! send_attempt ──► fault gate (deterministic: drops, outages, jitter)
 //!                    │ accepted
 //!                    ▼
 //!                  AXTR Msg frame ──TCP──► endpoint process ──► Ack
 //!                    │ digest verified               (counts frames)
 //!                    ▼
-//!                  enqueue (virtual arrival time, stats charge)
+//!                  queue (virtual arrival time, stats charge)
 //! ```
 //!
 //! Rejected attempts (drops, outages, crashes) never touch the wire, so
@@ -33,21 +36,23 @@
 //! and a sim run and a socket run with the same seed observe **bit
 //! identical** virtual time, statistics and results — that equivalence
 //! is enforced by `crates/bench/tests/transport_equivalence.rs`. What
-//! the socket backend adds is proof that every charged message really
-//! crossed a process boundary intact: [`SocketTransport::reconcile`]
+//! the socket wire adds is proof that every charged message really
+//! crossed a process boundary intact: [`SocketHandle::reconcile`]
 //! fetches each endpoint's counters and checks them against the
 //! client-side ledger.
 //!
 //! # Example
 //!
 //! ```
+//! use axml_net::sim::SimTransport;
 //! use axml_net::socket::SocketTransport;
-//! use axml_net::transport::Transport;
 //! use axml_net::link::LinkCost;
 //!
 //! // Endpoints default to spawned loopback threads; a real cluster
 //! // registers `peerd` process addresses first (see TRANSPORT.md).
-//! let mut net: SocketTransport<String> = SocketTransport::new();
+//! let wire = SocketTransport::new();
+//! let handle = wire.handle(); // the model takes the wire itself
+//! let mut net: SimTransport<String> = SimTransport::over(Box::new(wire));
 //! let a = net.add_peer("a");
 //! let b = net.add_peer("b");
 //! net.set_link(a, b, LinkCost::wan());
@@ -56,9 +61,9 @@
 //! let (to, msg, _) = net.recv().unwrap();
 //! assert_eq!((to, msg.as_str()), (b, "hello"));
 //! // Every accepted message crossed the kernel: the endpoint saw it.
-//! let reports = net.reconcile().unwrap();
+//! let reports = handle.reconcile().unwrap();
 //! assert_eq!(reports[b.index()].frames, 1);
-//! net.shutdown();
+//! handle.shutdown();
 //! ```
 
 use crate::error::{NetError, NetResult};
@@ -66,14 +71,12 @@ use crate::frame::{
     fnv1a64, read_frame, read_preamble, try_encode_frame, try_encode_msg_with, write_frame,
     write_preamble, Frame, FrameError, MSG_PAYLOAD_AT,
 };
-use crate::sim::SimTransport;
 use crate::transport::{FramedPayload, Transport};
-use crate::Payload;
 use axml_xml::ids::PeerId;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,7 +92,7 @@ pub struct WireStats {
 }
 
 /// An endpoint's own account of the traffic it served, as returned by
-/// its `Stats` frame. [`SocketTransport::reconcile`] checks this against
+/// its `Stats` frame. [`SocketHandle::reconcile`] checks this against
 /// the client-side [`WireStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EndpointReport {
@@ -297,82 +300,31 @@ impl Shared {
     }
 }
 
-/// The real loopback socket backend. See the [module docs](self).
+/// The real loopback socket wire. See the [module docs](self).
 ///
-/// Generic over any message that is both a [`Payload`] (for the cost
-/// model) and a [`FramedPayload`] (so its bytes can cross the wire).
-pub struct SocketTransport<M: Payload + FramedPayload> {
-    sim: SimTransport<M>,
-    shared: Arc<Mutex<Shared>>,
-    /// Endpoint addresses registered ahead of [`Transport::add_peer`]
-    /// calls, claimed in FIFO order (the process-cluster path).
+/// Carries any message that is a [`FramedPayload`] (so its bytes can
+/// cross the process boundary).
+pub struct SocketTransport {
+    endpoints: SocketHandle,
+    /// Endpoint addresses registered ahead of the peers that will claim
+    /// them, in FIFO order (the process-cluster path).
     pending_endpoints: VecDeque<SocketAddr>,
 }
 
 /// A cloneable handle on a [`SocketTransport`]'s endpoint connections.
 ///
-/// Obtain one with [`SocketTransport::handle`] **before** moving the
-/// transport into an engine (e.g. `AxmlSystem::with_transport` boxes it
-/// away behind the `Transport` trait); afterwards the handle still
-/// reconciles endpoint counters and shuts the cluster down.
+/// Obtain one with [`SocketTransport::handle`] **before** boxing the
+/// wire into a network model (`SimTransport::over`,
+/// `AxmlSystem::with_transport`); the handle is then how the wire
+/// ledger is read, the endpoints reconciled and the cluster shut down.
 #[derive(Clone)]
 pub struct SocketHandle {
     shared: Arc<Mutex<Shared>>,
 }
 
 impl SocketHandle {
-    /// See [`SocketTransport::reconcile`].
-    pub fn reconcile(&self) -> NetResult<Vec<EndpointReport>> {
-        self.shared.lock().expect("endpoint table lock").reconcile()
-    }
-
-    /// See [`SocketTransport::wire_stats`].
-    pub fn wire_stats(&self, p: PeerId) -> WireStats {
-        self.shared.lock().expect("endpoint table lock").endpoints[p.index()].wire
-    }
-
-    /// See [`SocketTransport::shutdown`].
-    pub fn shutdown(&self) {
-        self.shared.lock().expect("endpoint table lock").shutdown()
-    }
-}
-
-impl<M: Payload + FramedPayload> SocketTransport<M> {
-    /// An empty socket-backed network. Peers added without a
-    /// pre-registered endpoint get a freshly spawned loopback *thread*
-    /// endpoint; call [`SocketTransport::register_endpoint`] first to
-    /// attach real processes instead.
-    pub fn new() -> Self {
-        SocketTransport {
-            sim: SimTransport::new(),
-            shared: Arc::new(Mutex::new(Shared {
-                endpoints: Vec::new(),
-                closed: false,
-                frame: Vec::new(),
-            })),
-            pending_endpoints: VecDeque::new(),
-        }
-    }
-
-    /// Register the listener address of an external endpoint process
-    /// (e.g. a `peerd` from `axml-bench`'s process cluster). The next
-    /// [`Transport::add_peer`] call claims it; addresses are claimed in
-    /// registration order.
-    pub fn register_endpoint(&mut self, addr: SocketAddr) {
-        self.pending_endpoints.push_back(addr);
-    }
-
-    /// A handle that can reconcile and shut down this transport's
-    /// endpoints after the transport itself has been moved away.
-    pub fn handle(&self) -> SocketHandle {
-        SocketHandle {
-            shared: Arc::clone(&self.shared),
-        }
-    }
-
-    /// Client-side wire ledger for one peer's endpoint.
-    pub fn wire_stats(&self, p: PeerId) -> WireStats {
-        self.shared.lock().expect("endpoint table lock").endpoints[p.index()].wire
+    fn shared(&self) -> MutexGuard<'_, Shared> {
+        self.shared.lock().expect("endpoint table lock")
     }
 
     /// Ask every endpoint for its own traffic counters and verify them
@@ -380,14 +332,59 @@ impl<M: Payload + FramedPayload> SocketTransport<M> {
     /// differential oracle: the deterministic [`NetStats`](crate::stats::NetStats) prove the
     /// *model* matched the simulator, the reconciled reports prove the
     /// counted messages really crossed the process boundary.
-    pub fn reconcile(&mut self) -> NetResult<Vec<EndpointReport>> {
-        self.shared.lock().expect("endpoint table lock").reconcile()
+    pub fn reconcile(&self) -> NetResult<Vec<EndpointReport>> {
+        self.shared().reconcile()
+    }
+
+    /// Client-side wire ledger for one peer's endpoint.
+    pub fn wire_stats(&self, p: PeerId) -> WireStats {
+        self.shared().endpoints[p.index()].wire
+    }
+
+    /// The listener address of a peer's endpoint.
+    pub fn endpoint_addr(&self, p: PeerId) -> SocketAddr {
+        self.shared().endpoints[p.index()].addr
     }
 
     /// Send `Bye` to every endpoint and join locally spawned threads.
-    /// Idempotent; also runs on drop (best effort, errors ignored).
-    pub fn shutdown(&mut self) {
-        self.shared.lock().expect("endpoint table lock").shutdown()
+    /// Idempotent; also runs when the last owner of the endpoint table
+    /// is dropped (best effort, errors ignored).
+    pub fn shutdown(&self) {
+        self.shared().shutdown()
+    }
+}
+
+impl SocketTransport {
+    /// A wire with no endpoints yet. Peers connected without a
+    /// pre-registered endpoint get a freshly spawned loopback *thread*
+    /// endpoint; call [`SocketTransport::register_endpoint`] first to
+    /// attach real processes instead.
+    pub fn new() -> Self {
+        SocketTransport {
+            endpoints: SocketHandle {
+                shared: Arc::new(Mutex::new(Shared {
+                    endpoints: Vec::new(),
+                    closed: false,
+                    frame: Vec::new(),
+                })),
+            },
+            pending_endpoints: VecDeque::new(),
+        }
+    }
+
+    /// Register the listener address of an external endpoint process
+    /// (e.g. a `peerd` from `axml-bench`'s process cluster). The next
+    /// peer the model adds claims it; addresses are claimed in
+    /// registration order.
+    pub fn register_endpoint(&mut self, addr: SocketAddr) {
+        self.pending_endpoints.push_back(addr);
+    }
+
+    /// A handle that reads the wire ledger, reconciles and shuts down
+    /// this wire's endpoints once the wire itself has been moved into
+    /// the network model.
+    pub fn handle(&self) -> SocketHandle {
+        self.endpoints.clone()
     }
 
     /// Connect to `addr`, write the wire preamble and perform the
@@ -435,26 +432,23 @@ impl<M: Payload + FramedPayload> SocketTransport<M> {
         }
         Ok(ep)
     }
-
-    /// The listener address of a peer's endpoint.
-    pub fn endpoint_addr(&self, p: PeerId) -> SocketAddr {
-        self.shared.lock().expect("endpoint table lock").endpoints[p.index()].addr
-    }
 }
 
-impl<M: Payload + FramedPayload> Default for SocketTransport<M> {
+impl Default for SocketTransport {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: Payload + FramedPayload> Drop for SocketTransport<M> {
+impl Drop for SocketTransport {
     fn drop(&mut self) {
         // Outstanding SocketHandles keep the endpoints alive (the whole
-        // point of a handle is reconciling *after* the transport was
+        // point of a handle is reconciling *after* the wire was
         // consumed); the last owner cleans up.
-        if Arc::strong_count(&self.shared) == 1 {
-            self.shutdown();
+        if Arc::strong_count(&self.endpoints.shared) == 1 {
+            if let Ok(mut shared) = self.endpoints.shared.lock() {
+                shared.shutdown();
+            }
         }
     }
 }
@@ -466,8 +460,8 @@ fn wire_err(peer: PeerId, e: FrameError) -> NetError {
     }
 }
 
-impl<M: Payload + FramedPayload> Transport<M> for SocketTransport<M> {
-    fn backend(&self) -> &'static str {
+impl<M: FramedPayload> Transport<M> for SocketTransport {
+    fn label(&self) -> &'static str {
         "socket"
     }
 
@@ -479,8 +473,7 @@ impl<M: Payload + FramedPayload> Transport<M> for SocketTransport<M> {
     ///
     /// Panics if the endpoint cannot be reached or fails the `Hello`
     /// handshake — peer setup is configuration, not a runtime fault.
-    fn add_peer(&mut self, name: &str) -> PeerId {
-        let peer = self.sim.add_peer(name);
+    fn connect(&mut self, peer: PeerId, name: &str) {
         let (addr, thread) = match self.pending_endpoints.pop_front() {
             Some(addr) => (addr, None),
             None => {
@@ -491,44 +484,19 @@ impl<M: Payload + FramedPayload> Transport<M> for SocketTransport<M> {
         };
         let ep = Self::connect_endpoint(peer, name, addr, thread)
             .unwrap_or_else(|e| panic!("endpoint handshake for {peer} at {addr} failed: {e}"));
-        self.shared
-            .lock()
-            .expect("endpoint table lock")
-            .endpoints
-            .push(ep);
-        peer
+        let mut shared = self.endpoints.shared();
+        assert_eq!(
+            peer.index(),
+            shared.endpoints.len(),
+            "peers connect in id order"
+        );
+        shared.endpoints.push(ep);
     }
 
-    fn model(&self) -> &SimTransport<M> {
-        &self.sim
-    }
-
-    fn model_mut(&mut self) -> &mut SimTransport<M> {
-        &mut self.sim
-    }
-
-    /// Runs the deterministic fault gate, ships the accepted message's
-    /// bytes to the receiving endpoint (local `from == to` deliveries
-    /// skip the wire, exactly as the simulator skips charging them),
-    /// verifies the acknowledgement and only then enqueues the virtual
-    /// delivery. Wire failures return [`NetError::Wire`] with the
-    /// message, like every other refused attempt.
-    fn send_attempt(&mut self, from: PeerId, to: PeerId, msg: M) -> Result<f64, (NetError, M)> {
-        let jitter = match self.sim.fault_gate(from, to) {
-            Ok(j) => j,
-            Err(e) => return Err((e, msg)),
-        };
-        if from != to {
-            let shipped = self
-                .shared
-                .lock()
-                .expect("endpoint table lock")
-                .ship(from, to, &msg);
-            if let Err(e) = shipped {
-                return Err((e, msg));
-            }
-        }
-        Ok(self.sim.enqueue(from, to, msg, jitter))
+    /// Ships the message's bytes to the receiving endpoint and verifies
+    /// the acknowledgement digest against them.
+    fn ship(&mut self, from: PeerId, to: PeerId, msg: &M) -> NetResult<()> {
+        self.endpoints.shared().ship(from, to, msg)
     }
 }
 
@@ -676,11 +644,22 @@ mod tests {
     use super::*;
     use crate::frame::MAX_FRAME_LEN;
     use crate::link::LinkCost;
-    use crate::sim::FaultPlan;
+    use crate::sim::{FaultPlan, SimTransport};
+
+    /// A network model over a fresh socket wire with `endpoints`
+    /// pre-registered, and the wire's handle.
+    fn socket_net(endpoints: &[SocketAddr]) -> (SimTransport<String>, SocketHandle) {
+        let mut wire = SocketTransport::new();
+        for &addr in endpoints {
+            wire.register_endpoint(addr);
+        }
+        let handle = wire.handle();
+        (SimTransport::over(Box::new(wire)), handle)
+    }
 
     #[test]
     fn ships_every_accepted_message_and_reconciles() {
-        let mut net: SocketTransport<String> = SocketTransport::new();
+        let (mut net, wire) = socket_net(&[]);
         let a = net.add_peer("a");
         let b = net.add_peer("b");
         net.set_link(a, b, LinkCost::lan());
@@ -690,37 +669,38 @@ mod tests {
         net.send(b, a, "reply".to_string());
         // Local delivery: no wire traffic.
         net.send(a, a, "loop".to_string());
+        assert_eq!(net.backend(), "socket");
         assert_eq!(
-            net.wire_stats(b),
+            wire.wire_stats(b),
             WireStats {
                 frames: 5,
                 payload_bytes: 10
             }
         );
         assert_eq!(
-            net.wire_stats(a),
+            wire.wire_stats(a),
             WireStats {
                 frames: 1,
                 payload_bytes: 5
             }
         );
-        let reports = net.reconcile().unwrap();
+        let reports = wire.reconcile().unwrap();
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[b.index()].frames, 5);
         assert_eq!(reports[a.index()].name, "a");
-        net.shutdown();
+        wire.shutdown();
     }
 
     #[test]
     fn matches_simulator_timing_and_stats_exactly() {
         let mut sim: SimTransport<String> = SimTransport::new();
-        let mut sock: SocketTransport<String> = SocketTransport::new();
+        let (mut sock, wire) = socket_net(&[]);
         for name in ["a", "b", "c"] {
             sim.add_peer(name);
-            Transport::<String>::add_peer(&mut sock, name);
+            sock.add_peer(name);
         }
         let (a, b, c) = (PeerId(0), PeerId(1), PeerId(2));
-        for net in [&mut sim as &mut dyn Transport<String>, &mut sock] {
+        for net in [&mut sim, &mut sock] {
             net.set_link(a, b, LinkCost::wan());
             net.set_link(b, c, LinkCost::lan());
             net.set_fault_plan(FaultPlan::new(7).drop_prob(0.3).jitter_ms(4.0));
@@ -728,41 +708,34 @@ mod tests {
         for i in 0..20 {
             let msg = format!("payload-{i:04}");
             let r1 = sim.send_attempt(a, b, msg.clone());
-            let r2 = Transport::<String>::send_attempt(&mut sock, a, b, msg);
+            let r2 = sock.send_attempt(a, b, msg);
             match (r1, r2) {
                 (Ok(t1), Ok(t2)) => assert_eq!(t1, t2, "arrival {i}"),
                 (Err((e1, _)), Err((e2, _))) => assert_eq!(e1, e2, "fault {i}"),
                 (x, y) => panic!("diverged at {i}: {:?} vs {:?}", x.is_ok(), y.is_ok()),
             }
         }
-        while let (Some(x), Some(y)) = (sim.recv_from(), Transport::<String>::recv_from(&mut sock))
-        {
+        while let (Some(x), Some(y)) = (sim.recv_from(), sock.recv_from()) {
             assert_eq!((x.0, x.1, x.3), (y.0, y.1, y.3));
             assert_eq!(x.2, y.2);
         }
-        assert_eq!(sim.now_ms(), Transport::<String>::now_ms(&sock));
-        assert_eq!(
-            sim.stats().total_bytes(),
-            Transport::<String>::stats(&sock).total_bytes()
-        );
-        assert_eq!(
-            sim.stats().total_messages(),
-            Transport::<String>::stats(&sock).total_messages()
-        );
-        sock.reconcile().unwrap();
-        sock.shutdown();
+        assert_eq!(sim.now_ms(), sock.now_ms());
+        assert_eq!(sim.stats().total_bytes(), sock.stats().total_bytes());
+        assert_eq!(sim.stats().total_messages(), sock.stats().total_messages());
+        wire.reconcile().unwrap();
+        wire.shutdown();
     }
 
     #[test]
     fn dead_endpoint_surfaces_as_typed_wire_error() {
-        let mut net: SocketTransport<String> = SocketTransport::new();
+        let (mut net, wire) = socket_net(&[]);
         let a = net.add_peer("a");
         let b = net.add_peer("b");
         net.set_link(a, b, LinkCost::lan());
         net.send(a, b, "warmup".to_string());
         // Kill b's endpoint out from under the transport.
         {
-            let mut shared = net.shared.lock().unwrap();
+            let mut shared = wire.shared();
             shared.roundtrip(b.index(), &Frame::Bye).unwrap();
             if let Some(h) = shared.endpoints[b.index()].thread.take() {
                 h.join().unwrap();
@@ -781,7 +754,7 @@ mod tests {
         }
         // a's endpoint is still live; shut it down cleanly. b's Bye on
         // drop fails silently against the closed socket, which is fine.
-        net.shutdown();
+        wire.shutdown();
     }
 
     /// An endpoint that answers each `Msg` only `delay` after it arrived.
@@ -826,21 +799,20 @@ mod tests {
         // than any socket buffer, so its `write_all` only completes on a
         // connection that the poll left blocking.
         let (addr, endpoint) = slow_endpoint(REPLY_POLL * 50);
-        let mut net: SocketTransport<String> = SocketTransport::new();
+        let (mut net, wire) = socket_net(&[addr]);
+        let b = net.add_peer("b"); // claims the slow endpoint
         let a = net.add_peer("a");
-        net.register_endpoint(addr);
-        let b = net.add_peer("b");
         net.set_link(a, b, LinkCost::lan());
         net.send(a, b, "small".to_string());
         net.send(a, b, "x".repeat(MAX_FRAME_LEN as usize - 64));
         assert_eq!(
-            net.wire_stats(b),
+            wire.wire_stats(b),
             WireStats {
                 frames: 2,
                 payload_bytes: 5 + MAX_FRAME_LEN as u64 - 64
             }
         );
-        net.shutdown();
+        wire.shutdown();
         endpoint.join().unwrap();
     }
 
@@ -848,14 +820,12 @@ mod tests {
     fn pre_registered_endpoints_are_claimed_in_order() {
         let (addr1, h1) = spawn_endpoint_thread().unwrap();
         let (addr2, h2) = spawn_endpoint_thread().unwrap();
-        let mut net: SocketTransport<String> = SocketTransport::new();
-        net.register_endpoint(addr1);
-        net.register_endpoint(addr2);
+        let (mut net, wire) = socket_net(&[addr1, addr2]);
         let a = net.add_peer("a");
         let b = net.add_peer("b");
-        assert_eq!(net.endpoint_addr(a), addr1);
-        assert_eq!(net.endpoint_addr(b), addr2);
-        net.shutdown();
+        assert_eq!(wire.endpoint_addr(a), addr1);
+        assert_eq!(wire.endpoint_addr(b), addr2);
+        wire.shutdown();
         h1.join().unwrap();
         h2.join().unwrap();
     }

@@ -1,10 +1,46 @@
-//! Property tests for the simulator: conservation of bytes, monotone
-//! clock, deterministic delivery, and per-link FIFO.
+//! Property tests for the network model: conservation of bytes,
+//! monotone clock, deterministic delivery, per-link FIFO, and what an
+//! attached wire is shown.
 
 use axml_net::link::LinkCost;
-use axml_net::sim::SimTransport;
+use axml_net::sim::{FaultPlan, SimTransport};
+use axml_net::transport::Transport;
+use axml_net::{NetError, NetResult};
 use axml_xml::ids::PeerId;
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
+
+/// What a [`Recorder`] was shown, in order.
+#[derive(Default)]
+struct Shown {
+    peers: Vec<(PeerId, String)>,
+    msgs: Vec<(PeerId, PeerId, String)>,
+}
+
+/// A wire that records what it is shown and refuses messages that
+/// start with `!`.
+struct Recorder(Arc<Mutex<Shown>>);
+
+impl Transport<String> for Recorder {
+    fn label(&self) -> &'static str {
+        "recorder"
+    }
+
+    fn connect(&mut self, peer: PeerId, name: &str) {
+        self.0.lock().unwrap().peers.push((peer, name.to_string()));
+    }
+
+    fn ship(&mut self, from: PeerId, to: PeerId, msg: &String) -> NetResult<()> {
+        self.0.lock().unwrap().msgs.push((from, to, msg.clone()));
+        if msg.starts_with('!') {
+            return Err(NetError::Wire {
+                peer: to,
+                detail: "refused".into(),
+            });
+        }
+        Ok(())
+    }
+}
 
 fn arb_link() -> impl Strategy<Value = LinkCost> {
     (0.0f64..100.0, 1.0f64..10_000.0, 0usize..512).prop_map(
@@ -98,5 +134,70 @@ proptest! {
             transcript
         };
         prop_assert_eq!(run(), run());
+    }
+
+    /// Under drops, outages and crashes the wire is shown exactly the
+    /// cross-peer messages the fault gate accepted, in send order, each
+    /// before its delivery is queued; a wire refusal hands the message
+    /// back and charges nothing.
+    #[test]
+    fn the_wire_sees_accepted_cross_peer_traffic_only(
+        seed in 0u64..1_000,
+        msgs in proptest::collection::vec(("!?[a-z]{0,12}", 0u8..3, 0u8..3, 0.0f64..4.0), 1..60),
+    ) {
+        let shown = Arc::new(Mutex::new(Shown::default()));
+        let mut net: SimTransport<String> =
+            SimTransport::over(Box::new(Recorder(Arc::clone(&shown))));
+        prop_assert_eq!(net.backend(), "recorder");
+        let peers: Vec<PeerId> = (0..3).map(|i| net.add_peer(format!("p{i}"))).collect();
+        prop_assert_eq!(
+            &shown.lock().unwrap().peers,
+            &peers.iter().map(|p| (*p, p.to_string())).collect::<Vec<_>>()
+        );
+        net.set_fault_plan(
+            FaultPlan::new(seed)
+                .drop_prob(0.3)
+                .outage(peers[0], peers[1], 10.0, 30.0)
+                .crash(peers[2], 20.0, 10.0, 40.0),
+        );
+        let ledger = |net: &SimTransport<String>| {
+            let s = net.stats();
+            (
+                (s.total_messages(), s.total_bytes(), s.total_dropped()),
+                (s.makespan_ms().to_bits(), net.now_ms().to_bits()),
+                net.pending_len(),
+            )
+        };
+        let mut accepted = Vec::new();
+        for (body, from, to, wait_ms) in &msgs {
+            let (from, to) = (peers[*from as usize], peers[*to as usize]);
+            net.advance(*wait_ms);
+            let before = ledger(&net);
+            match net.send_attempt(from, to, body.clone()) {
+                Ok(_) => {
+                    prop_assert_eq!(net.pending_len(), before.2 + 1);
+                    if from != to {
+                        prop_assert!(!body.starts_with('!'), "a refused message was queued");
+                        accepted.push((from, to, body.clone()));
+                    }
+                }
+                Err((NetError::Wire { peer, .. }, back)) => {
+                    // Shown, then refused: so the wire came before the queue.
+                    accepted.push((from, to, body.clone()));
+                    prop_assert_eq!((peer, &back), (to, body));
+                    prop_assert_eq!(ledger(&net), before, "a wire refusal charges nothing");
+                }
+                Err((e, back)) => {
+                    prop_assert!(
+                        matches!(e, NetError::Dropped(..) | NetError::LinkDown(..) | NetError::PeerDown(_)),
+                        "{e}"
+                    );
+                    prop_assert_eq!(&back, body);
+                    prop_assert_eq!(net.pending_len(), before.2);
+                }
+            }
+            // Nothing the gate refused, and nothing local, reached the wire.
+            prop_assert_eq!(&shown.lock().unwrap().msgs, &accepted);
+        }
     }
 }

@@ -8,8 +8,7 @@ use axml_net::frame::{
     FrameError,
 };
 use axml_net::socket::{serve_connection, spawn_endpoint_thread, SocketTransport};
-use axml_net::transport::Transport;
-use axml_net::{LinkCost, NetError};
+use axml_net::{LinkCost, NetError, SimTransport};
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::thread::JoinHandle;
@@ -250,14 +249,21 @@ fn rogue_endpoint(
     addr
 }
 
+/// A network over a socket wire whose first peer claims the endpoint at
+/// `addr`; later peers get loopback thread endpoints.
+fn over_socket(addr: SocketAddr) -> SimTransport<String> {
+    let mut wire = SocketTransport::new();
+    wire.register_endpoint(addr);
+    SimTransport::over(Box::new(wire))
+}
+
 #[test]
 fn peer_disconnect_surfaces_as_typed_wire_error() {
-    let mut net: SocketTransport<String> = SocketTransport::new();
-    let a = net.add_peer("a");
     // b's endpoint drops the connection right after the handshake.
     let addr = rogue_endpoint(|_reader, _writer| {});
-    net.register_endpoint(addr);
+    let mut net = over_socket(addr);
     let b = net.add_peer("b");
+    let a = net.add_peer("a");
     net.set_link(a, b, LinkCost::lan());
     let err = match net.send_attempt(a, b, "doomed".to_string()) {
         Err((e, msg)) => {
@@ -277,8 +283,6 @@ fn peer_disconnect_surfaces_as_typed_wire_error() {
 
 #[test]
 fn corrupt_acknowledgement_surfaces_as_typed_wire_error() {
-    let mut net: SocketTransport<String> = SocketTransport::new();
-    let a = net.add_peer("a");
     // b's endpoint acknowledges the message with the wrong digest.
     let addr = rogue_endpoint(|mut reader, mut writer| {
         let (seq, frame) = read_frame(&mut reader).unwrap();
@@ -294,8 +298,9 @@ fn corrupt_acknowledgement_surfaces_as_typed_wire_error() {
         .unwrap();
         writer.flush().unwrap();
     });
-    net.register_endpoint(addr);
+    let mut net = over_socket(addr);
     let b = net.add_peer("b");
+    let a = net.add_peer("a");
     net.set_link(a, b, LinkCost::lan());
     let err = match net.send_attempt(a, b, "tampered".to_string()) {
         Err((e, _)) => e,

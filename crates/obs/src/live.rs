@@ -6,6 +6,7 @@
 //! file, the `axml-top` dashboard on a live socket, or a batch replay.
 //! Because every reconcilable counter in `EvalMetrics` has exactly one
 //! paired event emission in the engine, folding the complete stream
+//! through the same `record_*` calls into an `EvalMetrics` of its own
 //! must land on the same numbers: [`LiveStats::reconcile`] checks that
 //! claim counter-for-counter and is asserted at stream end by the
 //! property tests and the dashboard's `--once` mode.
@@ -18,7 +19,7 @@
 
 use crate::hist::{LatencyHistogram, RateWindow};
 use crate::kind::MessageKind;
-use crate::metrics::{EvalMetrics, MsgStats, RuleStats};
+use crate::metrics::{EvalMetrics, MsgStats};
 use crate::trace::TraceEvent;
 use axml_net::NetStats;
 use axml_xml::ids::PeerId;
@@ -64,17 +65,8 @@ pub struct PeerLive {
 #[derive(Debug, Clone)]
 pub struct LiveStats {
     events: u64,
-    defs: [u64; 10],
-    delegations: u64,
-    service_calls: u64,
-    delta_fresh: u64,
-    delta_suppressed: u64,
-    retries: u64,
-    failovers: u64,
-    rules: BTreeMap<String, RuleStats>,
-    by_kind: BTreeMap<MessageKind, MsgStats>,
-    per_link: BTreeMap<(PeerId, PeerId), MsgStats>,
-    dropped: BTreeMap<(PeerId, PeerId), u64>,
+    /// The counters the engine keeps too, folded from their events.
+    metrics: EvalMetrics,
     delivered: BTreeMap<(PeerId, PeerId), MsgStats>,
     peers: BTreeMap<PeerId, PeerLive>,
     latency: LatencyHistogram,
@@ -102,17 +94,7 @@ impl LiveStats {
     pub fn with_window(slot_ms: f64, slots: usize) -> Self {
         Self {
             events: 0,
-            defs: [0; 10],
-            delegations: 0,
-            service_calls: 0,
-            delta_fresh: 0,
-            delta_suppressed: 0,
-            retries: 0,
-            failovers: 0,
-            rules: BTreeMap::new(),
-            by_kind: BTreeMap::new(),
-            per_link: BTreeMap::new(),
-            dropped: BTreeMap::new(),
+            metrics: EvalMetrics::new(),
             delivered: BTreeMap::new(),
             peers: BTreeMap::new(),
             latency: LatencyHistogram::new(),
@@ -143,13 +125,14 @@ impl LiveStats {
         self.events += 1;
         match e {
             TraceEvent::Definition { def, at_ms, .. } => {
-                if let Some(slot) = self.defs.get_mut(*def as usize) {
-                    *slot += 1;
+                // A decoded stream can carry any byte here.
+                if (1..=9).contains(def) {
+                    self.metrics.record_def(*def);
                 }
                 self.touch_clock(*at_ms);
             }
             TraceEvent::Delegation { at_ms, .. } => {
-                self.delegations += 1;
+                self.metrics.delegations += 1;
                 self.touch_clock(*at_ms);
             }
             TraceEvent::MessageSent {
@@ -160,12 +143,7 @@ impl LiveStats {
                 sent_ms,
                 at_ms,
             } => {
-                let l = self.per_link.entry((*from, *to)).or_default();
-                l.messages += 1;
-                l.bytes += bytes;
-                let k = self.by_kind.entry(*kind).or_default();
-                k.messages += 1;
-                k.bytes += bytes;
+                self.metrics.record_message(*from, *to, *kind, *bytes);
                 let flight_ms = at_ms - sent_ms;
                 self.latency.record_ms(flight_ms);
                 {
@@ -207,15 +185,11 @@ impl LiveStats {
                 self.touch_clock(*at_ms);
             }
             TraceEvent::RuleAttempted { rule, accepted, .. } => {
-                let r = self.rules.entry(rule.as_ref().to_string()).or_default();
-                r.attempted += 1;
-                if *accepted {
-                    r.accepted += 1;
-                }
+                self.metrics.record_rule(rule.clone(), *accepted);
             }
             TraceEvent::PlanChosen { .. } => {}
             TraceEvent::ServiceCall { at_ms, .. } => {
-                self.service_calls += 1;
+                self.metrics.service_calls += 1;
                 self.touch_clock(*at_ms);
             }
             TraceEvent::SubscriptionDelta {
@@ -224,24 +198,24 @@ impl LiveStats {
                 at_ms,
                 ..
             } => {
-                self.delta_fresh += *fresh as u64;
-                self.delta_suppressed += *suppressed as u64;
+                self.metrics.delta_fresh += *fresh as u64;
+                self.metrics.delta_suppressed += *suppressed as u64;
                 self.touch_clock(*at_ms);
             }
             TraceEvent::MessageDropped {
                 from, to, at_ms, ..
             } => {
-                *self.dropped.entry((*from, *to)).or_default() += 1;
+                self.metrics.record_drop(*from, *to);
                 self.peer(*from).drops += 1;
                 self.touch_clock(*at_ms);
             }
             TraceEvent::RetryScheduled { from, at_ms, .. } => {
-                self.retries += 1;
+                self.metrics.retries += 1;
                 self.peer(*from).retries += 1;
                 self.touch_clock(*at_ms);
             }
             TraceEvent::Failover { peer, at_ms, .. } => {
-                self.failovers += 1;
+                self.metrics.failovers += 1;
                 self.peer(*peer).failovers += 1;
                 self.touch_clock(*at_ms);
             }
@@ -284,39 +258,16 @@ impl LiveStats {
         self.peers.get(&p)
     }
 
-    /// Per-kind traffic totals, in kind order.
-    pub fn by_kind(&self) -> impl Iterator<Item = (MessageKind, MsgStats)> + '_ {
-        self.by_kind.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Total messages sent (cross-peer).
-    pub fn total_messages(&self) -> u64 {
-        self.per_link.values().map(|s| s.messages).sum()
-    }
-
-    /// Total charged bytes sent.
-    pub fn total_bytes(&self) -> u64 {
-        self.per_link.values().map(|s| s.bytes).sum()
+    /// The counters the engine keeps too — definitions, rules, traffic
+    /// by kind and link, drops, retries, failovers — as folded from
+    /// their events so far.
+    pub fn metrics(&self) -> &EvalMetrics {
+        &self.metrics
     }
 
     /// Messages sent but not yet delivered, across all peers.
     pub fn inflight(&self) -> u64 {
         self.peers.values().map(|p| p.inflight).sum()
-    }
-
-    /// Total send attempts observed dropped.
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped.values().sum()
-    }
-
-    /// Retries observed.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
-    /// Failovers observed.
-    pub fn failovers(&self) -> u64 {
-        self.failovers
     }
 
     /// Check the stream-equals-batch claim: every counter that has a
@@ -330,89 +281,58 @@ impl LiveStats {
     /// `cost_estimates`, the memo counters) are deliberately out of
     /// scope — they are not derivable from any trace.
     pub fn reconcile(&self, metrics: &EvalMetrics, stats: &NetStats) -> Result<(), String> {
-        fn diff(what: &str, ours: impl std::fmt::Debug, theirs: impl std::fmt::Debug) -> String {
-            format!("{what}: stream {ours:?} != batch {theirs:?}")
+        fn same<T: PartialEq + std::fmt::Debug>(
+            what: &str,
+            ours: T,
+            theirs: T,
+        ) -> Result<(), String> {
+            if ours == theirs {
+                return Ok(());
+            }
+            Err(format!("{what}: stream {ours:?} != batch {theirs:?}"))
         }
-        let our_defs: Vec<(u8, u64)> = (1..=9u8)
-            .filter_map(|d| {
-                let n = self.defs[d as usize];
-                (n > 0).then_some((d, n))
-            })
-            .collect();
-        if our_defs != metrics.defs() {
-            return Err(diff("definitions", &our_defs, metrics.defs()));
-        }
-        if self.delegations != metrics.delegations {
-            return Err(diff("delegations", self.delegations, metrics.delegations));
-        }
-        if self.service_calls != metrics.service_calls {
-            return Err(diff(
-                "service_calls",
-                self.service_calls,
-                metrics.service_calls,
+        let ours = &self.metrics;
+        same("definitions", ours.defs(), metrics.defs())?;
+        same("delegations", ours.delegations, metrics.delegations)?;
+        same("service_calls", ours.service_calls, metrics.service_calls)?;
+        same(
+            "deltas",
+            (ours.delta_fresh, ours.delta_suppressed),
+            (metrics.delta_fresh, metrics.delta_suppressed),
+        )?;
+        same("retries", ours.retries, metrics.retries)?;
+        same("failovers", ours.failovers, metrics.failovers)?;
+        same(
+            "rules",
+            ours.rules().collect::<Vec<_>>(),
+            metrics.rules().collect(),
+        )?;
+        same(
+            "by_kind",
+            ours.messages_by_kind().collect::<Vec<_>>(),
+            metrics.messages_by_kind().collect(),
+        )?;
+        let sent: Vec<_> = ours.per_link().collect();
+        same(
+            "per_link (vs metrics)",
+            &sent,
+            &metrics.per_link().collect(),
+        )?;
+        if !ours.reconciles_with(stats) {
+            return Err(format!(
+                "per-link sends or drops: stream {sent:?} / {:?} != net {:?} / {:?}",
+                ours.dropped_links().collect::<Vec<_>>(),
+                stats.links().collect::<Vec<_>>(),
+                stats.dropped_links().collect::<Vec<_>>()
             ));
-        }
-        if (self.delta_fresh, self.delta_suppressed)
-            != (metrics.delta_fresh, metrics.delta_suppressed)
-        {
-            return Err(diff(
-                "deltas",
-                (self.delta_fresh, self.delta_suppressed),
-                (metrics.delta_fresh, metrics.delta_suppressed),
-            ));
-        }
-        if self.retries != metrics.retries {
-            return Err(diff("retries", self.retries, metrics.retries));
-        }
-        if self.failovers != metrics.failovers {
-            return Err(diff("failovers", self.failovers, metrics.failovers));
-        }
-        let their_rules: Vec<(String, RuleStats)> =
-            metrics.rules().map(|(n, r)| (n.to_string(), r)).collect();
-        let our_rules: Vec<(String, RuleStats)> =
-            self.rules.iter().map(|(n, &r)| (n.clone(), r)).collect();
-        if our_rules != their_rules {
-            return Err(diff("rules", &our_rules, &their_rules));
-        }
-        let our_kinds: Vec<(MessageKind, MsgStats)> = self.by_kind().collect();
-        let their_kinds: Vec<(MessageKind, MsgStats)> = metrics.messages_by_kind().collect();
-        if our_kinds != their_kinds {
-            return Err(diff("by_kind", &our_kinds, &their_kinds));
-        }
-        let ours: Vec<(PeerId, PeerId, u64, u64)> = self
-            .per_link
-            .iter()
-            .map(|(&(a, b), s)| (a, b, s.messages, s.bytes))
-            .collect();
-        let theirs: Vec<(PeerId, PeerId, u64, u64)> = metrics
-            .per_link()
-            .map(|(a, b, s)| (a, b, s.messages, s.bytes))
-            .collect();
-        if ours != theirs {
-            return Err(diff("per_link (vs metrics)", &ours, &theirs));
-        }
-        let net_links: Vec<(PeerId, PeerId, u64, u64)> = stats
-            .links()
-            .map(|(a, b, s)| (a, b, s.messages, s.bytes))
-            .collect();
-        if ours != net_links {
-            return Err(diff("per_link (vs net)", &ours, &net_links));
-        }
-        let our_drops: Vec<(PeerId, PeerId, u64)> =
-            self.dropped.iter().map(|(&(a, b), &n)| (a, b, n)).collect();
-        let net_drops: Vec<(PeerId, PeerId, u64)> = stats.dropped_links().collect();
-        if our_drops != net_drops {
-            return Err(diff("drops", &our_drops, &net_drops));
         }
         // Quiescence: every traced send has its matching delivery.
-        let delivered: Vec<(PeerId, PeerId, u64, u64)> = self
+        let delivered: Vec<_> = self
             .delivered
             .iter()
-            .map(|(&(a, b), s)| (a, b, s.messages, s.bytes))
+            .map(|(&(a, b), &s)| (a, b, s))
             .collect();
-        if ours != delivered {
-            return Err(diff("sent vs delivered", &ours, &delivered));
-        }
+        same("sent vs delivered", &sent, &delivered)?;
         if self.inflight() != 0 {
             return Err(format!("{} messages still in flight", self.inflight()));
         }
@@ -421,18 +341,20 @@ impl LiveStats {
         if !self.goodput_bytes.conserves() || !self.goodput_msgs.conserves() {
             return Err("goodput window leaked amounts".into());
         }
-        if self.goodput_bytes.total() != stats.total_bytes() {
-            return Err(diff(
-                "goodput bytes",
-                self.goodput_bytes.total(),
-                stats.total_bytes(),
-            ));
-        }
+        same(
+            "goodput bytes",
+            self.goodput_bytes.total(),
+            stats.total_bytes(),
+        )?;
         // The virtual clock only moves forward: no event can postdate
         // the network's makespan (local deliveries advance the makespan
         // without being traced, so `<=`, not `==`).
         if self.last_ms > stats.makespan_ms() {
-            return Err(diff("last event time", self.last_ms, stats.makespan_ms()));
+            return Err(format!(
+                "last event time: stream {:?} > batch {:?}",
+                self.last_ms,
+                stats.makespan_ms()
+            ));
         }
         Ok(())
     }
@@ -526,8 +448,14 @@ mod tests {
         }
         let folded = sink.stats();
         assert_eq!(folded.events(), direct.events());
-        assert_eq!(folded.total_messages(), direct.total_messages());
-        assert_eq!(folded.total_bytes(), direct.total_bytes());
+        assert_eq!(
+            folded.metrics().total_messages(),
+            direct.metrics().total_messages()
+        );
+        assert_eq!(
+            folded.metrics().total_bytes(),
+            direct.metrics().total_bytes()
+        );
         assert_eq!(folded.last_ms(), direct.last_ms());
         sink.with_stats(|s| assert_eq!(s.events(), direct.events()));
     }

@@ -10,6 +10,7 @@
 
 use crate::json::{array, JsonObject};
 use crate::kind::MessageKind;
+use crate::trace::TraceStr;
 use axml_net::NetStats;
 use axml_xml::ids::PeerId;
 use std::collections::BTreeMap;
@@ -78,7 +79,9 @@ pub struct EvalMetrics {
     pub matcher_hits: u64,
     /// Subscriptions the index proved untouched (evaluation skipped).
     pub matcher_skips: u64,
-    rules: BTreeMap<&'static str, RuleStats>,
+    /// Keyed by a [`TraceStr`] so a rule name decoded from a trace fits
+    /// beside the engine's static ones.
+    rules: BTreeMap<TraceStr, RuleStats>,
     by_kind: BTreeMap<MessageKind, MsgStats>,
     per_link: BTreeMap<(PeerId, PeerId), MsgStats>,
     /// Send attempts the engine observed being dropped by fault
@@ -116,8 +119,8 @@ impl EvalMetrics {
     }
 
     /// Count one rule application attempt (and acceptance).
-    pub fn record_rule(&mut self, rule: &'static str, accepted: bool) {
-        let e = self.rules.entry(rule).or_default();
+    pub fn record_rule(&mut self, rule: impl Into<TraceStr>, accepted: bool) {
+        let e = self.rules.entry(rule.into()).or_default();
         e.attempted += 1;
         if accepted {
             e.accepted += 1;
@@ -125,8 +128,8 @@ impl EvalMetrics {
     }
 
     /// Per-rule attempt/accept counters, in name order.
-    pub fn rules(&self) -> impl Iterator<Item = (&'static str, RuleStats)> + '_ {
-        self.rules.iter().map(|(&k, &v)| (k, v))
+    pub fn rules(&self) -> impl Iterator<Item = (&str, RuleStats)> + '_ {
+        self.rules.iter().map(|(k, &v)| (k.as_ref(), v))
     }
 
     /// Counters for one rule.
@@ -274,8 +277,8 @@ impl EvalMetrics {
         for (&link, n) in &other.dropped {
             *self.dropped.entry(link).or_default() += n;
         }
-        for (&rule, r) in &other.rules {
-            let e = self.rules.entry(rule).or_default();
+        for (rule, r) in &other.rules {
+            let e = self.rules.entry(rule.clone()).or_default();
             e.attempted += r.attempted;
             e.accepted += r.accepted;
         }

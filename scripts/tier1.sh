@@ -118,6 +118,23 @@ for f in $(find crates/*/src -name '*.rs'); do
     fi
 done
 
+echo "== tier-1: one send path (send_attempt, fault_gate, enqueue only in net/src/sim.rs) =="
+# The network model gates a send, shows it to the attached wire and
+# queues the delivery, in that order, in one function. Outside comments
+# and `#[cfg(test)]` modules, a second `fn send_attempt`, or a caller of
+# the gate or the queue from another file, is a wire re-spelling that
+# order for itself — what Transport::ship exists to prevent.
+if [ "$(code crates/net/src/sim.rs | grep -c 'fn send_attempt')" -ne 1 ]; then
+    echo "tier-1: net/src/sim.rs must define send_attempt exactly once" >&2
+    exit 1
+fi
+for f in $(find crates/*/src -name '*.rs' ! -path crates/net/src/sim.rs); do
+    if code "$f" | grep -nE 'fn send_attempt|fault_gate\(|enqueue\('; then
+        echo "tier-1: $f gates or queues a send itself; implement Transport::ship instead" >&2
+        exit 1
+    fi
+done
+
 echo "== tier-1: cargo build --release =="
 cargo build --release
 

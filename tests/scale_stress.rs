@@ -328,11 +328,14 @@ fn edos_reports_reconcile_exactly_under_drops() {
     // counter-for-counter.
     live.reconcile(sys.metrics(), sys.stats())
         .expect("live fold must land on the batch counters exactly");
-    assert_eq!(live.total_messages(), sys.stats().total_messages());
-    assert_eq!(live.total_bytes(), sys.stats().total_bytes());
-    assert_eq!(live.total_dropped(), sys.stats().total_dropped());
+    assert_eq!(
+        live.metrics().total_messages(),
+        sys.stats().total_messages()
+    );
+    assert_eq!(live.metrics().total_bytes(), sys.stats().total_bytes());
+    assert_eq!(live.metrics().total_dropped(), sys.stats().total_dropped());
     assert_eq!(live.inflight(), 0, "every sent message was delivered");
-    assert!(live.retries() > 0, "drops forced retries");
+    assert!(live.metrics().retries > 0, "drops forced retries");
 }
 
 #[test]
