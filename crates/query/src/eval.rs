@@ -12,17 +12,45 @@
 //!   atom, omitted when empty); `path//text()` yields one atom per
 //!   descendant text leaf.
 //! * Comparisons are existential (any pair of atoms may satisfy them) and
-//!   numeric when **both** sides parse as numbers, string-wise otherwise.
+//!   numeric when **both** sides are finite decimal numerals (`1e3 = 1000`
+//!   holds), string-wise otherwise: `nan`, `inf` and `infinity`, which
+//!   `f64::from_str` would also read, are names like any other.
 //! * A top-level bare `{path}` template emits one result tree per matched
 //!   item; atoms become `<text>…</text>` trees.
+//!
+//! ## Evaluation order
+//!
+//! The answer is the nested loop's — the very trees, in the very order,
+//! that binding each `for`/`let` in turn and testing the whole `where`
+//! innermost would give — at a cost proportional to what is scanned and
+//! what is answered:
+//!
+//! * a `for`/`let` path that reads no variable at any depth (step
+//!   predicates included) is a *closed scan*: it is walked the first time
+//!   its loop level is reached and its items are reused for every later
+//!   outer tuple. A level that is never reached never resolves its
+//!   document, and a [`Delta`] narrows a closed scan as it does any other.
+//! * each top-level conjunct of a `where` runs directly after the last
+//!   `for`/`let` binding a variable it reads (before the first loop when
+//!   it reads none), never later than where it stood, conjuncts that land
+//!   together keeping their order. Only errors can tell: a conjunct that
+//!   moved outwards is tested — and may raise, on an unresolved `doc()` —
+//!   for outer tuples the nested loop dropped first or never reached, and
+//!   a scan behind it is not resolved for the tuples it now drops.
+//! * `=`/`<`/…, `exists` and `contains` stop at their first witness, so
+//!   an error only the items after it would have raised does not surface.
 
 use crate::error::{QueryError, QueryResult};
 use crate::plan::{
-    AttrTplPlan, Axis, CmpOp, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan,
-    SourceRef, StartRef, TemplatePlan,
+    note_vars, AttrTplPlan, Axis, CmpOp, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest,
+    PredPlan, SourceRef, StartRef, TemplatePlan, VarId,
 };
 use axml_xml::ids::DocName;
-use axml_xml::tree::{NodeId, NodeKind, Tree};
+use axml_xml::tree::{NodeId, Tree};
+use axml_xml::Label;
+use std::borrow::Cow;
+use std::cell::{OnceCell, RefCell};
+use std::cmp::Ordering;
 
 /// A forest: the trees accumulated so far on one input stream.
 pub type Forest = Vec<Tree>;
@@ -48,42 +76,6 @@ impl DocResolver for std::collections::HashMap<DocName, Tree> {
         self.get(name)
     }
 }
-
-/// One value flowing through a path: a node of some input tree, or an
-/// atomic string (attribute/text value).
-#[derive(Debug, Clone)]
-pub enum PItem<'a> {
-    /// A node inside a context tree.
-    Node {
-        /// The tree.
-        tree: &'a Tree,
-        /// The node.
-        node: NodeId,
-    },
-    /// An atomic string value.
-    Atom(String),
-}
-
-impl PItem<'_> {
-    /// XPath-style atomization: nodes become their string value.
-    pub fn atomize(&self) -> String {
-        match self {
-            PItem::Node { tree, node } => tree.text(*node),
-            PItem::Atom(s) => s.clone(),
-        }
-    }
-}
-
-/// A bound variable value.
-#[derive(Debug, Clone)]
-pub enum BindVal<'a> {
-    /// A single item (`for` variables).
-    One(PItem<'a>),
-    /// A whole sequence (`let` variables).
-    Seq(Vec<PItem<'a>>),
-}
-
-type Binds<'a> = Vec<Option<BindVal<'a>>>;
 
 /// What a semi-naive evaluation reads in place of one whole source: the
 /// part of it that just arrived. [`crate::delta::pick_strategy`] decides
@@ -150,6 +142,154 @@ impl<'a> Ctx<'a> {
     }
 }
 
+/// One value flowing through a path: a node of some input tree, or an
+/// atom — borrowed from the tree it was read in wherever that tree holds
+/// it in one piece.
+#[derive(Debug, Clone)]
+enum Item<'a> {
+    Node(&'a Tree, NodeId),
+    Atom(Cow<'a, str>),
+}
+
+impl<'a> Item<'a> {
+    /// XPath-style atomization: nodes become their string value.
+    fn into_atom(self) -> Cow<'a, str> {
+        match self {
+            Item::Node(tree, node) => string_value(tree, node),
+            Item::Atom(s) => s,
+        }
+    }
+}
+
+/// The concatenated text below `node`: borrowed while a single chain of
+/// only children leads to it, built otherwise.
+fn string_value(tree: &Tree, node: NodeId) -> Cow<'_, str> {
+    match *tree.children(node) {
+        [] => Cow::Borrowed(tree.node(node).as_text().unwrap_or("")),
+        [only] => string_value(tree, only),
+        _ => Cow::Owned(tree.text(node)),
+    }
+}
+
+fn attr(tree: &Tree, node: NodeId, name: Label) -> Option<&str> {
+    let found = tree.attrs(node).iter().find(|(n, _)| *n == name);
+    found.map(|(_, v)| v.as_str())
+}
+
+/// Does `node` pass a node test? (Atom tests select no node.)
+pub(crate) fn node_test_matches(test: &PlanTest, t: &Tree, node: NodeId) -> bool {
+    match test {
+        PlanTest::Label(l) => t.label(node) == Some(*l),
+        PlanTest::Wildcard => t.node(node).is_element(),
+        PlanTest::Text | PlanTest::Attr(_) => false,
+    }
+}
+
+/// The number a comparison reads `s` as: a finite decimal numeral.
+pub(crate) fn numeral(s: &str) -> Option<f64> {
+    // Labels and names (`t17`, `pkg-00042`, `nan`) stop here, unparsed.
+    let first = *s.as_bytes().first()?;
+    if !(first.is_ascii_digit() || matches!(first, b'+' | b'-' | b'.')) {
+        return None;
+    }
+    s.parse().ok().filter(|x: &f64| x.is_finite())
+}
+
+fn satisfied(op: CmpOp, ord: Ordering) -> bool {
+    match op {
+        CmpOp::Eq => ord.is_eq(),
+        CmpOp::Ne => ord.is_ne(),
+        CmpOp::Lt => ord.is_lt(),
+        CmpOp::Le => ord.is_le(),
+        CmpOp::Gt => ord.is_gt(),
+        CmpOp::Ge => ord.is_ge(),
+    }
+}
+
+/// An atom next to its [`numeral`].
+type Atom<'s> = (&'s str, Option<f64>);
+
+/// Compare two atoms: as numbers when both are numerals, else as strings.
+fn compare(op: CmpOp, (a, x): Atom<'_>, (b, y): Atom<'_>) -> bool {
+    let ord = match (x, y) {
+        (Some(x), Some(y)) => x.partial_cmp(&y).expect("numerals are finite"),
+        _ => a.cmp(b),
+    };
+    satisfied(op, ord)
+}
+
+/// The bindings in force, innermost first: one link per loop level (`for`
+/// binds one item of its scan, `let` the whole list — either way the items
+/// stay where the scan put them) and one per step predicate under test,
+/// binding [`CONTEXT`] to its candidate. Each link lives in the stack
+/// frame that made it.
+struct Env<'s, 'a> {
+    var: VarId,
+    items: &'s [Item<'a>],
+    outer: Scope<'s, 'a>,
+}
+
+/// What a path or predicate may read besides the sources.
+type Scope<'s, 'a> = Option<&'s Env<'s, 'a>>;
+
+/// The slot of the context item, which no `for`/`let` can bind.
+const CONTEXT: VarId = VarId::MAX;
+
+fn lookup<'s, 'a>(mut scope: Scope<'s, 'a>, v: VarId) -> QueryResult<&'s [Item<'a>]> {
+    while let Some(e) = scope {
+        if e.var == v {
+            return Ok(e.items);
+        }
+        scope = e.outer;
+    }
+    Err(QueryError::Internal(if v == CONTEXT {
+        "context path outside a predicate".into()
+    } else {
+        format!("variable slot {v} unbound at evaluation time")
+    }))
+}
+
+/// One `for`/`let` of the plan in the order it runs.
+struct Level<'p, 'a> {
+    var: VarId,
+    path: &'p PathPlan,
+    /// `let`: bind the list, not each item in turn.
+    seq: bool,
+    /// For a closed scan, its items once the level has been reached.
+    memo: Option<OnceCell<Vec<Item<'a>>>>,
+    /// The `where` conjuncts that run as soon as this level is bound.
+    then: Vec<&'p PredPlan>,
+}
+
+/// Receives a path's items one by one; answers whether to go on.
+type Sink<'f, 'a> = dyn FnMut(Item<'a>) -> QueryResult<bool> + 'f;
+
+/// Hand `items` to `f` until it answers `false`; whether it never did.
+fn each<T>(
+    items: impl IntoIterator<Item = T>,
+    mut f: impl FnMut(T) -> QueryResult<bool>,
+) -> QueryResult<bool> {
+    for it in items {
+        if !f(it)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// [`each`] over `kids` in preorder — and, when `deep`, over everything
+/// below them.
+fn visit(
+    tree: &Tree,
+    kids: &[NodeId],
+    deep: bool,
+    f: &mut dyn FnMut(NodeId) -> QueryResult<bool>,
+) -> QueryResult<bool> {
+    each(kids, |&c| {
+        Ok(f(c)? && (!deep || visit(tree, tree.children(c), true, f)?))
+    })
+}
+
 impl Plan {
     /// Evaluate the plan over the given forests.
     pub fn eval(&self, inputs: &[Forest], docs: &dyn DocResolver) -> QueryResult<Vec<Tree>> {
@@ -165,414 +305,432 @@ impl Plan {
 
     /// Evaluate under an explicit context (used by the delta evaluator).
     pub fn eval_ctx<'a>(&self, ctx: &Ctx<'a>) -> QueryResult<Vec<Tree>> {
-        // Collect the operator chain innermost-first (Unit excluded).
-        let mut chain: Vec<&Op> = Vec::with_capacity(4);
-        let mut cur = Some(&self.ops);
-        while let Some(op) = cur {
-            if !matches!(op, Op::Unit) {
-                chain.push(op);
-            }
-            cur = op.input();
-        }
-        chain.reverse();
-        let mut binds: Binds<'a> = vec![None; self.n_vars];
+        let (first, levels) = self.levels();
+        let eval = Eval::new(ctx);
         let mut out = Vec::new();
-        self.run(&chain, ctx, &mut binds, &mut out)?;
+        if eval.all_hold(first, None)? {
+            eval.run(&levels, &self.template, None, &mut out)?;
+        }
         Ok(out)
     }
 
-    fn run<'a>(
+    /// The loop levels outermost first, each `where` conjunct placed after
+    /// the last level binding a variable it reads; the conjuncts that read
+    /// none come back on their own, to run before the first level.
+    fn levels<'a>(&self) -> (Vec<&PredPlan>, Vec<Level<'_, 'a>>) {
+        let mut chain: Vec<&Op> = std::iter::successors(Some(&self.ops), |op| op.input()).collect();
+        chain.reverse();
+        let (mut first, mut levels) = (Vec::new(), Vec::<Level>::new());
+        for op in chain {
+            let mut vars = Vec::new();
+            match op {
+                Op::Unit => {}
+                Op::ForEach { var, path, .. } | Op::LetBind { var, path, .. } => {
+                    path.visit_paths(&mut note_vars(&mut vars));
+                    levels.push(Level {
+                        var: *var,
+                        path,
+                        seq: matches!(op, Op::LetBind { .. }),
+                        memo: vars.is_empty().then(OnceCell::new),
+                        then: Vec::new(),
+                    });
+                }
+                Op::Filter { pred, .. } => {
+                    let mut conjuncts = Vec::new();
+                    pred.conjuncts(&mut conjuncts);
+                    for c in conjuncts {
+                        vars.clear();
+                        c.visit_paths(&mut note_vars(&mut vars));
+                        match levels.iter().rposition(|l| vars.contains(&l.var)) {
+                            Some(binder) => levels[binder].then.push(c),
+                            None => first.push(c),
+                        }
+                    }
+                }
+            }
+        }
+        (first, levels)
+    }
+}
+
+/// Does any item that `tail` yields at the node `at` — the node itself
+/// when there is no such trailing step — satisfy all of `preds`? For the
+/// matcher's residuals, which read nothing but their context.
+pub(crate) fn any_satisfies(
+    at: (&Tree, NodeId),
+    tail: Option<(Axis, &PlanTest)>,
+    preds: &[PredPlan],
+) -> QueryResult<bool> {
+    let ctx = Ctx::new(&[], &NoDocs);
+    let eval = Eval::new(&ctx);
+    let stop = &mut |_| Ok(false);
+    let ran_out = match tail {
+        None => eval.admit(Item::Node(at.0, at.1), preds, &[], None, stop)?,
+        Some((axis, test)) => eval.step((axis, test, preds), &[], at, None, None, stop)?,
+    };
+    Ok(!ran_out)
+}
+
+/// One evaluation: the context, and what is worked out once per plan.
+struct Eval<'p, 'a> {
+    ctx: &'p Ctx<'a>,
+    /// The plan's comparison literals (by address) met so far, each next
+    /// to its [`numeral`].
+    literals: RefCell<Vec<(&'p String, Option<f64>)>>,
+}
+
+impl<'p, 'a> Eval<'p, 'a> {
+    fn new(ctx: &'p Ctx<'a>) -> Self {
+        Eval {
+            ctx,
+            literals: RefCell::default(),
+        }
+    }
+
+    /// Bind `levels` outermost first and emit one template instance per
+    /// tuple that passes every conjunct on the way in.
+    fn run(
         &self,
-        ops: &[&Op],
-        ctx: &Ctx<'a>,
-        binds: &mut Binds<'a>,
+        levels: &[Level<'p, 'a>],
+        template: &'p TemplatePlan,
+        scope: Scope<'_, 'a>,
         out: &mut Vec<Tree>,
     ) -> QueryResult<()> {
-        match ops.first() {
-            None => {
-                out.extend(construct(&self.template, ctx, binds)?);
-                Ok(())
-            }
-            Some(Op::ForEach { var, path, .. }) => {
-                let items = eval_path(path, ctx, binds, None)?;
-                for it in items {
-                    binds[*var] = Some(BindVal::One(it));
-                    self.run(&ops[1..], ctx, binds, out)?;
-                }
-                binds[*var] = None;
-                Ok(())
-            }
-            Some(Op::LetBind { var, path, .. }) => {
-                let items = eval_path(path, ctx, binds, None)?;
-                binds[*var] = Some(BindVal::Seq(items));
-                self.run(&ops[1..], ctx, binds, out)?;
-                binds[*var] = None;
-                Ok(())
-            }
-            Some(Op::Filter { pred, .. }) => {
-                if eval_pred(pred, ctx, binds, None)? {
-                    self.run(&ops[1..], ctx, binds, out)?;
-                }
-                Ok(())
-            }
-            Some(Op::Unit) => Err(QueryError::Internal(
-                "Unit inside the operator chain".into(),
-            )),
-        }
-    }
-}
-
-/// Evaluate a path to its item sequence.
-pub fn eval_path<'a>(
-    path: &PathPlan,
-    ctx: &Ctx<'a>,
-    binds: &Binds<'a>,
-    context: Option<&PItem<'a>>,
-) -> QueryResult<Vec<PItem<'a>>> {
-    let mut items: Vec<PItem<'a>> = match &path.start {
-        StartRef::Source(SourceRef::Param(i)) => ctx
-            .param(*i)?
-            .iter()
-            .map(|t| PItem::Node {
-                tree: t,
-                node: t.root(),
-            })
-            .collect(),
-        StartRef::Source(SourceRef::Doc(d)) => {
-            let tree = ctx
-                .docs
-                .resolve(d)
-                .ok_or_else(|| QueryError::UnresolvedDoc(d.to_string()))?;
-            if let Some(Delta::DocChild { doc, child }) = ctx.delta {
-                if doc == d {
-                    return eval_doc_delta(path, tree, child, ctx, binds);
-                }
-            }
-            vec![PItem::Node {
-                tree,
-                node: tree.root(),
-            }]
-        }
-        StartRef::Var(v) => match binds.get(*v).and_then(|b| b.as_ref()) {
-            Some(BindVal::One(it)) => vec![it.clone()],
-            Some(BindVal::Seq(s)) => s.clone(),
-            None => {
-                return Err(QueryError::Internal(format!(
-                    "variable slot {v} unbound at evaluation time"
-                )))
-            }
-        },
-        StartRef::Context => match context {
-            Some(it) => vec![it.clone()],
-            None => {
-                return Err(QueryError::Internal(
-                    "context path outside a predicate".into(),
-                ))
-            }
-        },
-    };
-    for step in &path.steps {
-        items = apply_step(step, &items, ctx, binds)?;
-    }
-    Ok(items)
-}
-
-/// A document path over [`Delta::DocChild`]: what the path yields through
-/// `child` and no other child of the root. Both axes only go down, so the
-/// first step is the only one that looks at the root's children.
-fn eval_doc_delta<'a>(
-    path: &PathPlan,
-    tree: &'a Tree,
-    child: NodeId,
-    ctx: &Ctx<'a>,
-    binds: &Binds<'a>,
-) -> QueryResult<Vec<PItem<'a>>> {
-    // The root's own text and attributes are not a sum over its
-    // children; the picker never narrows such a path.
-    let (first, rest) = match path.steps.split_first() {
-        Some((first, rest)) if !matches!(first.test, PlanTest::Text | PlanTest::Attr(_)) => {
-            (first, rest)
-        }
-        _ => {
-            return Err(QueryError::Internal(
-                "document delta under a path that does not start with an element step".into(),
-            ))
-        }
-    };
-    let below: Vec<NodeId> = match first.axis {
-        Axis::Child => vec![child],
-        Axis::Descendant => tree.descendants_with_self(child).collect(),
-    };
-    let nodes = below
-        .into_iter()
-        .filter(|n| node_test_matches(&first.test, tree, *n))
-        .map(|node| PItem::Node { tree, node })
-        .collect();
-    let mut items = keep_satisfying(first, nodes, ctx, binds)?;
-    for step in rest {
-        items = apply_step(step, &items, ctx, binds)?;
-    }
-    Ok(items)
-}
-
-/// Does `node` pass a node test? (Atom tests select no node.)
-pub(crate) fn node_test_matches(test: &PlanTest, t: &Tree, node: NodeId) -> bool {
-    match test {
-        PlanTest::Label(l) => t.label(node) == Some(*l),
-        PlanTest::Wildcard => t.node(node).is_element(),
-        PlanTest::Text | PlanTest::Attr(_) => false,
-    }
-}
-
-fn apply_step<'a>(
-    step: &PlanStep,
-    items: &[PItem<'a>],
-    ctx: &Ctx<'a>,
-    binds: &Binds<'a>,
-) -> QueryResult<Vec<PItem<'a>>> {
-    let mut out: Vec<PItem<'a>> = Vec::new();
-    for it in items {
-        let (tree, node) = match it {
-            PItem::Node { tree, node } => (*tree, *node),
-            PItem::Atom(_) => continue, // steps do not apply to atoms
+        let Some((level, rest)) = levels.split_first() else {
+            return self.construct(template, scope, out);
         };
-        match (&step.axis, &step.test) {
-            (Axis::Child, PlanTest::Label(l)) => {
-                for c in tree.children_labeled(node, l.as_str()) {
-                    out.push(PItem::Node { tree, node: c });
-                }
-            }
-            (Axis::Child, PlanTest::Wildcard) => {
-                for &c in tree.children(node) {
-                    if tree.node(c).is_element() {
-                        out.push(PItem::Node { tree, node: c });
+        let scanned;
+        let items = match level.memo.as_ref().and_then(OnceCell::get) {
+            Some(memo) => memo,
+            None => {
+                let mut list = Vec::new();
+                self.walk(level.path, scope, &mut |it| {
+                    list.push(it);
+                    Ok(true)
+                })?;
+                match &level.memo {
+                    Some(memo) => memo.get_or_init(|| list),
+                    None => {
+                        scanned = list;
+                        &scanned
                     }
                 }
             }
-            (Axis::Child, PlanTest::Text) => {
-                let v = tree.text(node);
-                if !v.is_empty() {
-                    out.push(PItem::Atom(v));
-                }
-            }
-            (Axis::Child, PlanTest::Attr(a)) => {
-                if let Some(v) = tree.attr(node, a.as_str()) {
-                    out.push(PItem::Atom(v.to_string()));
-                }
-            }
-            (Axis::Descendant, PlanTest::Label(l)) => {
-                for d in tree.descendants_labeled(node, l.as_str()) {
-                    out.push(PItem::Node { tree, node: d });
-                }
-            }
-            (Axis::Descendant, PlanTest::Wildcard) => {
-                for d in tree.descendants(node) {
-                    if tree.node(d).is_element() {
-                        out.push(PItem::Node { tree, node: d });
-                    }
-                }
-            }
-            (Axis::Descendant, PlanTest::Text) => {
-                for d in tree.descendants(node) {
-                    if let NodeKind::Text(t) = tree.node(d).kind() {
-                        out.push(PItem::Atom(t.clone()));
-                    }
-                }
-            }
-            (Axis::Descendant, PlanTest::Attr(a)) => {
-                for d in tree.descendants_with_self(node) {
-                    if let Some(v) = tree.attr(d, a.as_str()) {
-                        out.push(PItem::Atom(v.to_string()));
-                    }
-                }
-            }
-        }
-    }
-    keep_satisfying(step, out, ctx, binds)
-}
-
-/// The items of `out` that satisfy every predicate of `step`.
-fn keep_satisfying<'a>(
-    step: &PlanStep,
-    out: Vec<PItem<'a>>,
-    ctx: &Ctx<'a>,
-    binds: &Binds<'a>,
-) -> QueryResult<Vec<PItem<'a>>> {
-    if step.preds.is_empty() {
-        return Ok(out);
-    }
-    let mut kept = Vec::with_capacity(out.len());
-    'items: for it in out {
-        for pred in &step.preds {
-            if !eval_pred(pred, ctx, binds, Some(&it))? {
-                continue 'items;
-            }
-        }
-        kept.push(it);
-    }
-    Ok(kept)
-}
-
-/// Evaluate a predicate.
-pub fn eval_pred<'a>(
-    pred: &PredPlan,
-    ctx: &Ctx<'a>,
-    binds: &Binds<'a>,
-    context: Option<&PItem<'a>>,
-) -> QueryResult<bool> {
-    Ok(match pred {
-        PredPlan::And(a, b) => {
-            eval_pred(a, ctx, binds, context)? && eval_pred(b, ctx, binds, context)?
-        }
-        PredPlan::Or(a, b) => {
-            eval_pred(a, ctx, binds, context)? || eval_pred(b, ctx, binds, context)?
-        }
-        PredPlan::Not(c) => !eval_pred(c, ctx, binds, context)?,
-        PredPlan::Cmp { lhs, op, rhs } => {
-            let left: Vec<String> = eval_path(lhs, ctx, binds, context)?
-                .iter()
-                .map(PItem::atomize)
-                .collect();
-            let right: Vec<String> = match rhs {
-                OperandPlan::Literal(l) => vec![l.clone()],
-                OperandPlan::Path(p) => eval_path(p, ctx, binds, context)?
-                    .iter()
-                    .map(PItem::atomize)
-                    .collect(),
+        };
+        let mut bind = |items: &[Item<'a>]| -> QueryResult<()> {
+            let env = Env {
+                var: level.var,
+                items,
+                outer: scope,
             };
-            left.iter()
-                .any(|a| right.iter().any(|b| compare(*op, a, b)))
-        }
-        PredPlan::Contains { path, needle } => eval_path(path, ctx, binds, context)?
-            .iter()
-            .any(|it| it.atomize().contains(needle.as_str())),
-        PredPlan::Exists(p) => !eval_path(p, ctx, binds, context)?.is_empty(),
-        PredPlan::CountCmp { path, op, n } => {
-            let count = eval_path(path, ctx, binds, context)?.len() as f64;
-            compare(*op, &count.to_string(), &n.to_string())
-        }
-    })
-}
-
-/// Compare two atoms: numerically when both parse as numbers, else as
-/// strings.
-pub fn compare(op: CmpOp, a: &str, b: &str) -> bool {
-    if let (Ok(x), Ok(y)) = (a.parse::<f64>(), b.parse::<f64>()) {
-        return match op {
-            CmpOp::Eq => x == y,
-            CmpOp::Ne => x != y,
-            CmpOp::Lt => x < y,
-            CmpOp::Le => x <= y,
-            CmpOp::Gt => x > y,
-            CmpOp::Ge => x >= y,
+            if self.all_hold(level.then.iter().copied(), Some(&env))? {
+                self.run(rest, template, Some(&env), out)?;
+            }
+            Ok(())
         };
-    }
-    match op {
-        CmpOp::Eq => a == b,
-        CmpOp::Ne => a != b,
-        CmpOp::Lt => a < b,
-        CmpOp::Le => a <= b,
-        CmpOp::Gt => a > b,
-        CmpOp::Ge => a >= b,
-    }
-}
-
-/// Instantiate a template under the current bindings, producing the result
-/// trees for one binding tuple.
-pub fn construct<'a>(
-    template: &TemplatePlan,
-    ctx: &Ctx<'a>,
-    binds: &Binds<'a>,
-) -> QueryResult<Vec<Tree>> {
-    match template {
-        TemplatePlan::Splice(path) => {
-            // A bare top-level splice: one tree per item.
-            let items = eval_path(path, ctx, binds, None)?;
-            Ok(items
-                .into_iter()
-                .map(|it| match it {
-                    // Zero-copy: result trees are views into the input
-                    // document's arena (copy-on-write if mutated later).
-                    PItem::Node { tree, node } => tree
-                        .subtree(node)
-                        .expect("path items reference valid nodes"),
-                    PItem::Atom(s) => {
-                        let mut t = Tree::new("text");
-                        let r = t.root();
-                        t.add_text(r, s);
-                        t
-                    }
-                })
-                .collect())
+        if level.seq {
+            bind(items)
+        } else {
+            items.iter().map(std::slice::from_ref).try_for_each(bind)
         }
-        TemplatePlan::Text(s) => {
+    }
+
+    /// Feed `f` the items of `path` in the order step-by-step
+    /// materialisation would list them, until `f` answers `false`.
+    /// Returns whether the walk ran to its end.
+    fn walk(
+        &self,
+        path: &'p PathPlan,
+        scope: Scope<'_, 'a>,
+        f: &mut Sink<'_, 'a>,
+    ) -> QueryResult<bool> {
+        let steps = &path.steps[..];
+        let bound = match &path.start {
+            StartRef::Source(SourceRef::Param(i)) => {
+                let roots = self.ctx.param(*i)?;
+                return each(roots, |t| {
+                    self.through(steps, (t, t.root()), None, scope, f)
+                });
+            }
+            StartRef::Source(SourceRef::Doc(d)) => {
+                let tree = self.ctx.docs.resolve(d);
+                let tree = tree.ok_or_else(|| QueryError::UnresolvedDoc(d.to_string()))?;
+                // Under `Delta::DocChild` the path yields what it yields
+                // through `child` and no other child of the root. Both
+                // axes only go down, so the first step is the only one
+                // that looks at the root's children — and it must select
+                // elements: the root's own text and attributes are not a
+                // sum over its children, and the picker never narrows
+                // such a path.
+                let only = match self.ctx.delta {
+                    Some(Delta::DocChild { doc, child }) if doc == d => Some(child),
+                    _ => None,
+                };
+                let first = steps.first().map(|s| &s.test);
+                if only.is_some() && !matches!(first, Some(PlanTest::Label(_) | PlanTest::Wildcard))
+                {
+                    return Err(QueryError::Internal(
+                        "document delta under a path that does not start with an element step"
+                            .into(),
+                    ));
+                }
+                return self.through(steps, (tree, tree.root()), only, scope, f);
+            }
+            StartRef::Var(v) => lookup(scope, *v)?,
+            StartRef::Context => lookup(scope, CONTEXT)?,
+        };
+        each(bound, |it| match it {
+            Item::Node(tree, node) => self.through(steps, (*tree, *node), None, scope, f),
+            Item::Atom(_) if steps.is_empty() => f(it.clone()),
+            Item::Atom(_) => Ok(true), // steps do not apply to atoms
+        })
+    }
+
+    /// The node `at` once no step is left, else [`Eval::step`].
+    fn through(
+        &self,
+        steps: &'p [PlanStep],
+        at: (&'a Tree, NodeId),
+        only: Option<NodeId>,
+        scope: Scope<'_, 'a>,
+        f: &mut Sink<'_, 'a>,
+    ) -> QueryResult<bool> {
+        match steps.split_first() {
+            None => f(Item::Node(at.0, at.1)),
+            Some((s, rest)) => self.step((s.axis, &s.test, &s.preds), rest, at, only, scope, f),
+        }
+    }
+
+    /// One step from `at`, depth-first: each candidate is [admitted]
+    /// before the next is looked at. `only` stands in for the children of
+    /// `at` when given.
+    ///
+    /// [admitted]: Eval::admit
+    fn step(
+        &self,
+        (axis, test, preds): (Axis, &PlanTest, &'p [PredPlan]),
+        rest: &'p [PlanStep],
+        (tree, node): (&'a Tree, NodeId),
+        only: Option<NodeId>,
+        scope: Scope<'_, 'a>,
+        f: &mut Sink<'_, 'a>,
+    ) -> QueryResult<bool> {
+        let only = only.as_ref().map(std::slice::from_ref);
+        let kids = only.unwrap_or_else(|| tree.children(node));
+        let deep = axis == Axis::Descendant;
+        let mut admit = |it| self.admit(it, preds, rest, scope, f);
+        match test {
+            PlanTest::Label(_) | PlanTest::Wildcard => visit(tree, kids, deep, &mut |c| {
+                Ok(!node_test_matches(test, tree, c) || admit(Item::Node(tree, c))?)
+            }),
+            PlanTest::Text if deep => {
+                visit(tree, kids, true, &mut |c| match tree.node(c).as_text() {
+                    Some(t) => admit(Item::Atom(Cow::Borrowed(t))),
+                    None => Ok(true),
+                })
+            }
+            PlanTest::Text => match string_value(tree, node) {
+                v if v.is_empty() => Ok(true),
+                v => admit(Item::Atom(v)),
+            },
+            PlanTest::Attr(a) => {
+                let mut own = |n| match attr(tree, n, *a) {
+                    Some(v) => admit(Item::Atom(Cow::Borrowed(v))),
+                    None => Ok(true),
+                };
+                Ok(own(node)? && (!deep || visit(tree, kids, true, &mut own)?))
+            }
+        }
+    }
+
+    /// A candidate that passes `preds` goes on through `rest`, and to `f`
+    /// once past the last step.
+    fn admit(
+        &self,
+        it: Item<'a>,
+        preds: &'p [PredPlan],
+        rest: &'p [PlanStep],
+        scope: Scope<'_, 'a>,
+        f: &mut Sink<'_, 'a>,
+    ) -> QueryResult<bool> {
+        let context = Env {
+            var: CONTEXT,
+            items: std::slice::from_ref(&it),
+            outer: scope,
+        };
+        if !self.all_hold(preds, Some(&context))? {
+            return Ok(true);
+        }
+        match it {
+            Item::Node(tree, node) => self.through(rest, (tree, node), None, scope, f),
+            atom if rest.is_empty() => f(atom),
+            _ => Ok(true), // steps do not apply to atoms
+        }
+    }
+
+    fn all_hold(
+        &self,
+        preds: impl IntoIterator<Item = &'p PredPlan>,
+        scope: Scope<'_, 'a>,
+    ) -> QueryResult<bool> {
+        each(preds, |p| self.holds(p, scope))
+    }
+
+    fn holds(&self, pred: &'p PredPlan, scope: Scope<'_, 'a>) -> QueryResult<bool> {
+        Ok(match pred {
+            PredPlan::And(a, b) => self.holds(a, scope)? && self.holds(b, scope)?,
+            PredPlan::Or(a, b) => self.holds(a, scope)? || self.holds(b, scope)?,
+            PredPlan::Not(c) => !self.holds(c, scope)?,
+            PredPlan::Cmp { lhs, op, rhs } => {
+                // The right side is listed once, numerals read — in place
+                // while it is a single atom — and the left is then walked
+                // up to its first witness.
+                let (mut one, mut more) = (None, Vec::new());
+                match rhs {
+                    OperandPlan::Literal(l) => one = Some((Cow::Borrowed(&l[..]), self.literal(l))),
+                    OperandPlan::Path(p) => {
+                        self.walk(p, scope, &mut |it| {
+                            let b = it.into_atom();
+                            let y = numeral(&b);
+                            match one {
+                                None => one = Some((b, y)),
+                                Some(_) => more.push((b, y)),
+                            }
+                            Ok(true)
+                        })?;
+                    }
+                }
+                let right = || one.iter().chain(&more);
+                let numeric = right().any(|(_, y)| y.is_some());
+                !self.walk(lhs, scope, &mut |it| {
+                    let a = it.into_atom();
+                    let x = if numeric { numeral(&a) } else { None };
+                    Ok(!right().any(|(b, y)| compare(*op, (&a[..], x), (&b[..], *y))))
+                })?
+            }
+            PredPlan::Contains { path, needle } => !self.walk(path, scope, &mut |it| {
+                Ok(!it.into_atom().contains(needle.as_str()))
+            })?,
+            PredPlan::Exists(p) => !self.walk(p, scope, &mut |_| Ok(false))?,
+            PredPlan::CountCmp { path, op, n } => {
+                let mut count = 0u64;
+                self.walk(path, scope, &mut |_| {
+                    count += 1;
+                    Ok(true)
+                })?;
+                satisfied(*op, count.cmp(n))
+            }
+        })
+    }
+
+    /// The [`numeral`] of a literal of the plan, read at its first use.
+    fn literal(&self, l: &'p String) -> Option<f64> {
+        let mut seen = self.literals.borrow_mut();
+        if let Some((_, n)) = seen.iter().find(|(k, _)| std::ptr::eq(*k, l)) {
+            return *n;
+        }
+        let n = numeral(l);
+        seen.push((l, n));
+        n
+    }
+
+    /// Instantiate the template for one binding tuple.
+    fn construct(
+        &self,
+        template: &'p TemplatePlan,
+        scope: Scope<'_, 'a>,
+        out: &mut Vec<Tree>,
+    ) -> QueryResult<()> {
+        let text = |s: &str| {
             let mut t = Tree::new("text");
             let r = t.root();
-            t.add_text(r, s.clone());
-            Ok(vec![t])
-        }
-        TemplatePlan::Element { label, .. } => {
-            let mut t = Tree::new(*label);
-            let root = t.root();
-            fill_element(template, &mut t, root, ctx, binds)?;
-            Ok(vec![t])
-        }
-    }
-}
-
-/// Fill `at` (already created with the element's label) from the template.
-fn fill_element<'a>(
-    template: &TemplatePlan,
-    t: &mut Tree,
-    at: NodeId,
-    ctx: &Ctx<'a>,
-    binds: &Binds<'a>,
-) -> QueryResult<()> {
-    let TemplatePlan::Element {
-        attrs, children, ..
-    } = template
-    else {
-        return Err(QueryError::Internal("fill_element on non-element".into()));
-    };
-    for (name, v) in attrs {
-        let value = match v {
-            AttrTplPlan::Literal(s) => s.clone(),
-            AttrTplPlan::Splice(p) => {
-                let atoms: Vec<String> = eval_path(p, ctx, binds, None)?
-                    .iter()
-                    .map(PItem::atomize)
-                    .collect();
-                atoms.join(" ")
-            }
+            t.add_text(r, s);
+            t
         };
-        t.set_attr(at, *name, value)
-            .map_err(|e| QueryError::Internal(e.to_string()))?;
-    }
-    for c in children {
-        match c {
-            TemplatePlan::Text(s) => {
-                t.add_text(at, s.clone());
+        match template {
+            // A bare top-level splice: one tree per item.
+            TemplatePlan::Splice(path) => {
+                self.walk(path, scope, &mut |it| {
+                    out.push(match it {
+                        // Zero-copy: result trees are views into the input
+                        // document's arena (copy-on-write if mutated later).
+                        Item::Node(tree, node) => tree
+                            .subtree(node)
+                            .expect("path items reference valid nodes"),
+                        Item::Atom(s) => text(&s),
+                    });
+                    Ok(true)
+                })?;
             }
+            TemplatePlan::Text(s) => out.push(text(s)),
             TemplatePlan::Element { label, .. } => {
-                let el = t.add_element(at, *label);
-                fill_element(c, t, el, ctx, binds)?;
+                let mut t = Tree::new(*label);
+                let root = t.root();
+                self.fill_element(template, &mut t, root, scope)?;
+                out.push(t);
             }
-            TemplatePlan::Splice(p) => {
-                for it in eval_path(p, ctx, binds, None)? {
-                    match it {
-                        PItem::Node { tree, node } => {
-                            t.graft(at, tree, node)
-                                .map_err(|e| QueryError::Internal(e.to_string()))?;
+        }
+        Ok(())
+    }
+
+    /// Fill `at` (already created with the element's label) from the template.
+    fn fill_element(
+        &self,
+        template: &'p TemplatePlan,
+        t: &mut Tree,
+        at: NodeId,
+        scope: Scope<'_, 'a>,
+    ) -> QueryResult<()> {
+        let TemplatePlan::Element {
+            attrs, children, ..
+        } = template
+        else {
+            return Err(QueryError::Internal("fill_element on non-element".into()));
+        };
+        let internal = |e: axml_xml::XmlError| QueryError::Internal(e.to_string());
+        for (name, v) in attrs {
+            let value = match v {
+                AttrTplPlan::Literal(s) => s.clone(),
+                AttrTplPlan::Splice(p) => {
+                    // The atoms, space-joined.
+                    let (mut joined, mut sep) = (String::new(), "");
+                    self.walk(p, scope, &mut |it| {
+                        joined.push_str(sep);
+                        joined.push_str(&it.into_atom());
+                        sep = " ";
+                        Ok(true)
+                    })?;
+                    joined
+                }
+            };
+            t.set_attr(at, *name, value).map_err(internal)?;
+        }
+        for c in children {
+            match c {
+                TemplatePlan::Text(s) => {
+                    t.add_text(at, s.clone());
+                }
+                TemplatePlan::Element { label, .. } => {
+                    let el = t.add_element(at, *label);
+                    self.fill_element(c, t, el, scope)?;
+                }
+                TemplatePlan::Splice(p) => {
+                    self.walk(p, scope, &mut |it| {
+                        match it {
+                            Item::Node(tree, node) => {
+                                t.graft(at, tree, node).map_err(internal)?;
+                            }
+                            Item::Atom(s) => {
+                                t.add_text(at, s);
+                            }
                         }
-                        PItem::Atom(s) => {
-                            t.add_text(at, s);
-                        }
-                    }
+                        Ok(true)
+                    })?;
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -769,23 +927,50 @@ mod tests {
         );
         assert_eq!(out, ["<text>vim</text>", "<text>vi</text>"]);
     }
-}
 
-#[cfg(test)]
-mod count_tests {
-    use super::*;
-    use crate::parser::parse_plan;
-
-    fn run(src: &str, inputs: &[Forest]) -> Vec<String> {
-        let plan = parse_plan(src, inputs.len()).unwrap();
-        plan.eval(inputs, &NoDocs)
-            .unwrap()
-            .iter()
-            .map(Tree::serialize)
-            .collect()
+    #[test]
+    fn names_that_parse_as_floats_compare_as_strings() {
+        let names = ["nan", "NaN", "inf", "INF", "infinity", "Infinity", "1e3"];
+        let pkgs: String = names.map(|n| format!(r#"<pkg name="{n}"/>"#)).concat();
+        let doc = [vec![Tree::parse(&format!("<c>{pkgs}</c>")).unwrap()]];
+        let named = |op: &str, lit: &str| {
+            let src =
+                format!(r#"for $p in $0/pkg where $p/@name {op} "{lit}" return {{$p/@name}}"#);
+            run(&src, &doc)
+        };
+        for name in &names[..6] {
+            assert_eq!(named("=", name), [format!("<text>{name}</text>")]);
+            assert_eq!(named("!=", name).len(), 6, "{name} differs from the rest");
+        }
+        // Numerals still compare as numbers.
+        assert_eq!(named("=", "1000"), ["<text>1e3</text>"]);
+        assert_eq!(named("<", "2e3"), ["<text>1e3</text>"]);
     }
 
-    fn catalog() -> Tree {
+    #[test]
+    fn only_variable_free_scans_are_closed() {
+        let closed = |src: &str| -> Vec<bool> {
+            let plan = parse_plan(src, 2).unwrap();
+            let (_, levels) = plan.levels();
+            levels.iter().map(|l| l.memo.is_some()).collect()
+        };
+        let deep = "for $x in $0//pkg for $y in $1//pkg[@name = $x/@name] return {$y}";
+        assert_eq!(closed(deep), [true, false]);
+        let own = "for $x in $0//pkg for $y in $1//pkg[size > 100000] return {$y}";
+        assert_eq!(closed(own), [true, true]);
+    }
+
+    #[test]
+    fn conjuncts_run_where_their_variables_bind() {
+        let src = r#"for $x in $0/a for $y in $1/b
+            where $x/@k = $y/@k and $x/@k > 1 and exists(doc("d")/e) return {$y}"#;
+        let plan = parse_plan(src, 2).unwrap();
+        let (first, levels) = plan.levels();
+        let then: Vec<usize> = levels.iter().map(|l| l.then.len()).collect();
+        assert_eq!((first.len(), then), (1, vec![1, 1]));
+    }
+
+    fn counted() -> Tree {
         Tree::parse(
             r#"<catalog>
                  <pkg name="gcc"><deps><dep>a</dep><dep>b</dep><dep>c</dep></deps></pkg>
@@ -800,7 +985,7 @@ mod count_tests {
     fn count_in_where_clause() {
         let out = run(
             r#"for $p in $0//pkg where count($p/deps/dep) >= 2 return {$p/@name}"#,
-            &[vec![catalog()]],
+            &[vec![counted()]],
         );
         assert_eq!(out, ["<text>gcc</text>"]);
     }
@@ -809,14 +994,14 @@ mod count_tests {
     fn count_zero_matches() {
         let out = run(
             r#"for $p in $0//pkg where count($p/deps/dep) = 0 return {$p/@name}"#,
-            &[vec![catalog()]],
+            &[vec![counted()]],
         );
         assert_eq!(out, ["<text>sed</text>"]);
     }
 
     #[test]
     fn count_in_path_predicate() {
-        let out = run(r#"$0//pkg[count(deps/dep) = 1]/@name"#, &[vec![catalog()]]);
+        let out = run(r#"$0//pkg[count(deps/dep) = 1]/@name"#, &[vec![counted()]]);
         assert_eq!(out, ["<text>vim</text>"]);
     }
 

@@ -72,14 +72,15 @@
 //! satisfy them on that item — this is what makes the probe selective on
 //! workloads like `for $i in doc("b")/item where $i/@topic = "t7"`.
 
-use crate::eval::{eval_pred, node_test_matches, BindVal, Ctx, NoDocs, PItem};
+use crate::eval::{any_satisfies, node_test_matches, numeral};
 use crate::plan::{
     Axis, CmpOp, Op, OperandPlan, PathPlan, Plan, PlanStep, PlanTest, PredPlan, SourceRef,
     StartRef, VarId,
 };
 use crate::query::Query;
+use crate::rewrite::rewrite_pred_to_context;
 use axml_xml::ids::DocName;
-use axml_xml::tree::{NodeId, NodeKind, Tree};
+use axml_xml::tree::{NodeId, Tree};
 use axml_xml::Label;
 use std::collections::{BTreeSet, HashMap};
 
@@ -98,9 +99,6 @@ enum AcceptKind {
         /// Its (terminal) test — `Text` or `Attr`.
         test: PlanTest,
     },
-    /// `doc("d")/text()`: the document root's string value grows iff the
-    /// delta carries any text.
-    RootText,
 }
 
 /// One registered pattern endpoint.
@@ -309,53 +307,27 @@ impl MatchIndex {
                 let state = self.intern_chain(&steps[..n - 1]);
                 let mut residual = self_contained_preds(&last.preds);
                 residual.extend(fold.iter().cloned());
-                if state == 0 {
-                    match (last.axis, &last.test) {
-                        // A graft never touches the root's attributes.
-                        (Axis::Child, PlanTest::Attr(_)) => {}
-                        (Axis::Child, _) => {
-                            // The root's string value grows iff the delta
-                            // carries text (residual dropped: atoms from
-                            // the *concatenated* value are not per-delta).
-                            self.push_accept(
-                                0,
-                                AcceptEntry {
-                                    sub: id,
-                                    kind: AcceptKind::RootText,
-                                    residual: Vec::new(),
-                                },
-                                added,
-                            );
-                        }
-                        (Axis::Descendant, _) => {
-                            self.push_accept(
-                                0,
-                                AcceptEntry {
-                                    sub: id,
-                                    kind: AcceptKind::Atom {
-                                        axis: last.axis,
-                                        test: last.test.clone(),
-                                    },
-                                    residual,
-                                },
-                                added,
-                            );
-                        }
+                // Accepts at the root state are tried at the delta's own
+                // root, the new child of the document's.
+                if state == 0 && last.axis == Axis::Child {
+                    if matches!(last.test, PlanTest::Attr(_)) {
+                        return; // a graft never touches the root's attributes
                     }
-                } else {
-                    self.push_accept(
-                        state,
-                        AcceptEntry {
-                            sub: id,
-                            kind: AcceptKind::Atom {
-                                axis: last.axis,
-                                test: last.test.clone(),
-                            },
-                            residual,
-                        },
-                        added,
-                    );
+                    // The root's string value grows iff the delta carries
+                    // text (residual dropped: atoms from the *concatenated*
+                    // value are not per-delta).
+                    residual.clear();
                 }
+                let kind = AcceptKind::Atom {
+                    axis: last.axis,
+                    test: last.test.clone(),
+                };
+                let entry = AcceptEntry {
+                    sub: id,
+                    kind,
+                    residual,
+                };
+                self.push_accept(state, entry, added);
             }
         }
     }
@@ -487,23 +459,18 @@ impl MatchIndex {
         if hits.contains(&e.sub) {
             return;
         }
-        let fire = match &e.kind {
-            AcceptKind::Node => residual_ok(&e.residual, &PItem::Node { tree: t, node }),
-            AcceptKind::Atom { axis, test } => atom_items(t, node, *axis, test)
-                .into_iter()
-                .any(|v| residual_ok(&e.residual, &PItem::Atom(v))),
-            AcceptKind::RootText => {
-                debug_assert!(false, "RootText accepts live only at state 0");
-                true
-            }
+        let tail = match &e.kind {
+            AcceptKind::Node => None,
+            AcceptKind::Atom { axis, test } => Some((*axis, test)),
         };
-        if fire {
+        if residual_ok(&e.residual, t, node, tail) {
             hits.insert(e.sub);
         }
     }
 
     /// Accepts at state 0: patterns whose structural prefix is empty, so
-    /// their atoms come from the (virtual) document root itself.
+    /// their atoms come from the (virtual) document root itself — what the
+    /// trailing step yields at the delta's root is what the document gains.
     fn root_accepts(&self, delta: &Tree, hits: &mut BTreeSet<u64>) {
         let acc = &self.states[0].accepts;
         debug_assert!(
@@ -511,29 +478,7 @@ impl MatchIndex {
             "node accepts never land on the root state"
         );
         for e in &acc.scan {
-            if hits.contains(&e.sub) {
-                continue;
-            }
-            let fire = match &e.kind {
-                AcceptKind::RootText => !delta.text(delta.root()).is_empty(),
-                AcceptKind::Atom {
-                    axis: Axis::Descendant,
-                    test,
-                } => {
-                    // New atoms of `doc("d")//text()` / `//@a` are exactly
-                    // the matching atoms anywhere inside the delta.
-                    root_desc_atoms(delta, test)
-                        .into_iter()
-                        .any(|v| residual_ok(&e.residual, &PItem::Atom(v)))
-                }
-                _ => {
-                    debug_assert!(false, "unexpected accept kind at the root state");
-                    true
-                }
-            };
-            if fire {
-                hits.insert(e.sub);
-            }
+            self.try_entry(e, delta, delta.root(), hits);
         }
     }
 }
@@ -567,7 +512,7 @@ fn fold_map(plan: &Plan) -> HashMap<VarId, Vec<PredPlan>> {
     let mut map: HashMap<VarId, Vec<PredPlan>> = HashMap::new();
     for pred in filters {
         let mut conjuncts = Vec::new();
-        split_conjuncts(pred, &mut conjuncts);
+        pred.conjuncts(&mut conjuncts);
         for c in conjuncts {
             if let Some((v, rebased)) = contextualize(c) {
                 if for_vars.contains(&v) {
@@ -579,83 +524,24 @@ fn fold_map(plan: &Plan) -> HashMap<VarId, Vec<PredPlan>> {
     map
 }
 
-fn split_conjuncts<'p>(pred: &'p PredPlan, out: &mut Vec<&'p PredPlan>) {
-    if let PredPlan::And(a, b) = pred {
-        split_conjuncts(a, out);
-        split_conjuncts(b, out);
-    } else {
-        out.push(pred);
-    }
-}
-
 /// If every outer-level path of `pred` starts at one variable `v` and
 /// every nested path is context-relative, return `(v, pred)` with the
 /// outer starts rewritten to [`StartRef::Context`]. Join conjuncts and
 /// absolute references return `None` (they are dropped from residuals —
 /// the structural pattern alone gates those, an over-approximation).
 fn contextualize(pred: &PredPlan) -> Option<(VarId, PredPlan)> {
-    fn check(pred: &PredPlan, outer: bool, var: &mut Option<VarId>, ok: &mut bool) {
-        let on_path = |p: &PathPlan, outer: bool, var: &mut Option<VarId>, ok: &mut bool| {
-            if outer {
-                match p.start {
-                    StartRef::Var(v) => match var {
-                        Some(w) if *w != v => *ok = false,
-                        _ => *var = Some(v),
-                    },
-                    _ => *ok = false,
-                }
-            } else if p.start != StartRef::Context {
-                *ok = false;
-            }
-            for s in &p.steps {
-                for pr in &s.preds {
-                    check(pr, false, var, ok);
-                }
-            }
-        };
-        match pred {
-            PredPlan::And(a, b) | PredPlan::Or(a, b) => {
-                check(a, outer, var, ok);
-                check(b, outer, var, ok);
-            }
-            PredPlan::Not(c) => check(c, outer, var, ok),
-            PredPlan::Cmp { lhs, rhs, .. } => {
-                on_path(lhs, outer, var, ok);
-                if let OperandPlan::Path(p) = rhs {
-                    on_path(p, outer, var, ok);
-                }
-            }
-            PredPlan::Contains { path, .. }
-            | PredPlan::Exists(path)
-            | PredPlan::CountCmp { path, .. } => on_path(path, outer, var, ok),
-        }
-    }
-    fn rebase(pred: &mut PredPlan) {
-        match pred {
-            PredPlan::And(a, b) | PredPlan::Or(a, b) => {
-                rebase(a);
-                rebase(b);
-            }
-            PredPlan::Not(c) => rebase(c),
-            PredPlan::Cmp { lhs, rhs, .. } => {
-                lhs.start = StartRef::Context;
-                if let OperandPlan::Path(p) = rhs {
-                    p.start = StartRef::Context;
-                }
-            }
-            PredPlan::Contains { path, .. }
-            | PredPlan::Exists(path)
-            | PredPlan::CountCmp { path, .. } => path.start = StartRef::Context,
-        }
-    }
     let (mut var, mut ok) = (None, true);
-    check(pred, true, &mut var, &mut ok);
-    let v = var?;
-    if !ok {
-        return None;
-    }
+    pred.paths(&mut |outer| {
+        match outer.start {
+            StartRef::Var(v) if var.is_none_or(|w| w == v) => var = Some(v),
+            _ => ok = false,
+        }
+        let preds = outer.steps.iter().flat_map(|s| &s.preds);
+        preds.for_each(|p| ok &= self_contained(p));
+    });
+    let v = var.filter(|_| ok)?;
     let mut rebased = pred.clone();
-    rebase(&mut rebased);
+    rewrite_pred_to_context(&mut rebased, v);
     Some((v, rebased))
 }
 
@@ -686,7 +572,7 @@ fn split_eq_attr(residual: &mut Vec<PredPlan>) -> Option<(Label, String)> {
             rhs: OperandPlan::Literal(v),
         } = &residual[i]
         {
-            if v.parse::<f64>().is_err()
+            if numeral(v).is_none()
                 && lhs.start == StartRef::Context
                 && lhs.steps.len() == 1
                 && lhs.steps[0].axis == Axis::Child
@@ -703,72 +589,20 @@ fn split_eq_attr(residual: &mut Vec<PredPlan>) -> Option<(Label, String)> {
     None
 }
 
-/// Atoms a trailing step yields at `node` — mirrors the evaluator's
-/// `apply_step` exactly for the four atom-producing combinations.
-fn atom_items(t: &Tree, node: NodeId, axis: Axis, test: &PlanTest) -> Vec<String> {
-    match (axis, test) {
-        (Axis::Child, PlanTest::Text) => {
-            let v = t.text(node);
-            if v.is_empty() {
-                Vec::new()
-            } else {
-                vec![v]
-            }
-        }
-        (Axis::Child, PlanTest::Attr(a)) => t
-            .attr(node, a.as_str())
-            .map(|v| v.to_string())
-            .into_iter()
-            .collect(),
-        (Axis::Descendant, PlanTest::Text) => t
-            .descendants(node)
-            .filter_map(|d| match t.node(d).kind() {
-                NodeKind::Text(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect(),
-        (Axis::Descendant, PlanTest::Attr(a)) => t
-            .descendants_with_self(node)
-            .filter_map(|d| t.attr(d, a.as_str()).map(str::to_string))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Atoms a root-anchored descendant step gains from the delta: every
-/// matching atom anywhere in it (the whole delta is new below the root).
-fn root_desc_atoms(delta: &Tree, test: &PlanTest) -> Vec<String> {
-    match test {
-        PlanTest::Text => delta
-            .descendants_with_self(delta.root())
-            .filter_map(|d| match delta.node(d).kind() {
-                NodeKind::Text(s) => Some(s.clone()),
-                _ => None,
-            })
-            .collect(),
-        PlanTest::Attr(a) => delta
-            .descendants_with_self(delta.root())
-            .filter_map(|d| delta.attr(d, a.as_str()).map(str::to_string))
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Evaluate residual predicates exactly, with the candidate as context.
-/// They are self-contained by construction, so evaluation cannot error;
-/// if it somehow does, err toward reporting (sound direction).
-fn residual_ok(preds: &[PredPlan], item: &PItem<'_>) -> bool {
-    if preds.is_empty() {
-        return true;
-    }
-    let docs = NoDocs;
-    let ctx = Ctx::new(&[], &docs);
-    let binds: Vec<Option<BindVal>> = Vec::new();
-    preds.iter().all(|p| {
-        let r = eval_pred(p, &ctx, &binds, Some(item));
-        debug_assert!(r.is_ok(), "residual predicates are self-contained");
-        r.unwrap_or(true)
-    })
+/// Does some item that `tail` yields at `node` — the node itself without
+/// one — pass the residual predicates? They are checked exactly, by the
+/// evaluator, and are self-contained by construction, so evaluation
+/// cannot error; if it somehow does, err toward reporting (sound
+/// direction).
+fn residual_ok(
+    preds: &[PredPlan],
+    t: &Tree,
+    node: NodeId,
+    tail: Option<(Axis, &PlanTest)>,
+) -> bool {
+    let r = any_satisfies((t, node), tail, preds);
+    debug_assert!(r.is_ok(), "residual predicates are self-contained");
+    r.unwrap_or(true)
 }
 
 #[cfg(test)]

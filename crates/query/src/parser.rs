@@ -911,8 +911,8 @@ mod tests {
         assert_eq!(p.n_vars, 2);
         assert_eq!(p.ops.chain_len(), 4);
         if let Op::Filter { pred, .. } = &p.ops {
-            let mut vars = pred.referenced_vars();
-            vars.sort_unstable();
+            let mut vars = Vec::new();
+            pred.visit_paths(&mut crate::plan::note_vars(&mut vars));
             assert_eq!(vars, vec![0, 1]);
         } else {
             panic!("expected Filter on top");

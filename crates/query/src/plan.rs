@@ -135,16 +135,6 @@ impl PathPlan {
         }
     }
 
-    /// Does this path (including nested predicates) reference variable `v`?
-    pub fn references_var(&self, v: VarId) -> bool {
-        if self.start == StartRef::Var(v) {
-            return true;
-        }
-        self.steps
-            .iter()
-            .any(|s| s.preds.iter().any(|p| p.references_var(v)))
-    }
-
     /// Visit this path, then every path nested (at any depth) in its step
     /// predicates.
     pub(crate) fn visit_paths(&self, f: &mut impl FnMut(&PathPlan)) {
@@ -205,7 +195,8 @@ pub enum PredPlan {
 }
 
 impl PredPlan {
-    fn paths(&self, f: &mut impl FnMut(&PathPlan)) {
+    /// Visit the predicate's own paths, not the ones nested in their steps.
+    pub(crate) fn paths(&self, f: &mut impl FnMut(&PathPlan)) {
         match self {
             PredPlan::And(a, b) | PredPlan::Or(a, b) => {
                 a.paths(f);
@@ -229,24 +220,24 @@ impl PredPlan {
         self.paths(&mut |p| p.visit_paths(f));
     }
 
-    /// Does the predicate reference variable `v` anywhere?
-    pub fn references_var(&self, v: VarId) -> bool {
-        let mut found = false;
-        self.paths(&mut |p| found |= p.references_var(v));
-        found
+    /// The top-level conjuncts of the predicate, left to right.
+    pub(crate) fn conjuncts<'p>(&'p self, out: &mut Vec<&'p PredPlan>) {
+        if let PredPlan::And(a, b) = self {
+            a.conjuncts(out);
+            b.conjuncts(out);
+        } else {
+            out.push(self);
+        }
     }
+}
 
-    /// Variables referenced, in no particular order.
-    pub fn referenced_vars(&self) -> Vec<VarId> {
-        let mut vars = Vec::new();
-        self.paths(&mut |p| {
-            if let StartRef::Var(v) = p.start {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        });
-        vars
+/// A `visit_paths` visitor that lists in `vars`, in first-use order, the
+/// variables the visited paths read — at any depth, so `$y` in
+/// `$x/a[@k = $y/@k]` counts.
+pub(crate) fn note_vars(vars: &mut Vec<VarId>) -> impl FnMut(&PathPlan) + '_ {
+    move |p| match p.start {
+        StartRef::Var(v) if !vars.contains(&v) => vars.push(v),
+        _ => {}
     }
 }
 
@@ -291,19 +282,6 @@ impl TemplatePlan {
     /// Visit every path of the template, at any depth.
     pub(crate) fn visit_paths(&self, f: &mut impl FnMut(&PathPlan)) {
         self.paths(&mut |p| p.visit_paths(f));
-    }
-
-    /// Variables referenced by the template.
-    pub fn referenced_vars(&self) -> Vec<VarId> {
-        let mut vars = Vec::new();
-        self.paths(&mut |p| {
-            if let StartRef::Var(v) = p.start {
-                if !vars.contains(&v) {
-                    vars.push(v);
-                }
-            }
-        });
-        vars
     }
 }
 
@@ -543,15 +521,9 @@ mod tests {
 
     #[test]
     fn references() {
-        let p = sample_plan();
-        if let Op::Filter { pred, .. } = &p.ops {
-            assert!(pred.references_var(0));
-            assert!(!pred.references_var(1));
-            assert_eq!(pred.referenced_vars(), vec![0]);
-        } else {
-            panic!("expected filter on top");
-        }
-        assert_eq!(p.template.referenced_vars(), vec![0]);
+        let mut vars = Vec::new();
+        sample_plan().visit_paths(&mut note_vars(&mut vars));
+        assert_eq!(vars, vec![0]);
     }
 
     #[test]
@@ -573,16 +545,21 @@ mod tests {
     }
 
     #[test]
-    fn path_reference_helpers() {
+    fn nested_variables_are_noted() {
+        // ?2/*[exists(?5)][exists($3)]: reads ?2 and, one level down, ?5.
         let p = PathPlan {
             start: StartRef::Var(2),
             steps: vec![PlanStep {
                 axis: Axis::Child,
                 test: PlanTest::Wildcard,
-                preds: vec![PredPlan::Exists(PathPlan::param(3))],
+                preds: vec![
+                    PredPlan::Exists(PathPlan::var(5)),
+                    PredPlan::Exists(PathPlan::param(3)),
+                ],
             }],
         };
-        assert!(p.references_var(2));
-        assert!(!p.references_var(0));
+        let mut vars = Vec::new();
+        p.visit_paths(&mut note_vars(&mut vars));
+        assert_eq!(vars, vec![2, 5]);
     }
 }

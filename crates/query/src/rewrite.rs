@@ -252,7 +252,9 @@ fn replace_filter_over_foreach(op: &mut Op, replacement: Op) {
     }
 }
 
-fn rewrite_pred_to_context(pred: &mut PredPlan, var: VarId) {
+/// Rebase the outer-level paths of `pred` that start at `var` onto the
+/// context item.
+pub(crate) fn rewrite_pred_to_context(pred: &mut PredPlan, var: VarId) {
     let rewrite = &mut |p: &mut PathPlan| {
         if p.start == StartRef::Var(var) {
             p.start = StartRef::Context;

@@ -1,0 +1,119 @@
+//! The evaluator's allocation budget: work proportional to what a query
+//! scans and what it answers means no allocation per input item, and one
+//! walk of a closed scan however many outer tuples read it. Both are
+//! counted here, with an allocator of this test binary's own.
+
+use axml_query::Query;
+use axml_xml::ids::DocName;
+use axml_xml::tree::Tree;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::HashMap;
+use std::fmt::Write;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    // A thread that is shutting down has no counter left; it is not one
+    // that measures.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
+// thread-local without a destructor, so touching it allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller gave us.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr`/`layout` describe a live `System` allocation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// How many allocations (growing one counts) `f` makes.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.get();
+    let out = f();
+    (ALLOCATIONS.get() - before, out)
+}
+
+/// `sub_churn`'s `watch` selection over a board of `items` items, 20 of
+/// them on the watched topic.
+fn watch(items: usize) -> u64 {
+    let mut xml = String::from("<board>");
+    for i in 0..items {
+        let topic = if i % (items / 20) == 0 { 7 } else { i % 7 };
+        let _ = write!(xml, r#"<item topic="t{topic}">item number {i}</item>"#);
+    }
+    xml.push_str("</board>");
+    let docs: HashMap<DocName, Tree> = [("board".into(), Tree::parse(&xml).unwrap())].into();
+    let src = r#"for $i in doc("board")/item where $i/@topic = "t7" return {$i}"#;
+    let q = Query::parse("watch", src).unwrap();
+    let (n, hits) = allocations(|| q.eval_with_docs(&[], &docs).unwrap());
+    assert_eq!(hits.len(), 20);
+    n
+}
+
+#[test]
+fn a_selection_allocates_for_its_answer_not_its_input() {
+    // Four times the items, the same 20 hits: the one list the scan keeps
+    // doubles twice more, and nothing else may notice.
+    let (small, large) = (watch(1_000), watch(4_000));
+    assert!(
+        small.abs_diff(large) <= 2 && small < 60,
+        "1 000 items: {small} allocations, 4 000 items: {large}"
+    );
+}
+
+/// A catalog of 1 000 packages, every tenth one big; one big package in
+/// ten carries a name the other catalogs share.
+fn catalog(own: &str) -> Vec<Tree> {
+    let mut xml = String::from("<catalog>");
+    for i in 0..1_000 {
+        let size = if i % 10 == 0 { 120_000 + i } else { 30_000 + i };
+        let name = if i % 100 == 0 { "shared" } else { own };
+        let _ = write!(
+            xml,
+            r#"<pkg name="{name}-{i:05}"><size>{size}</size><desc>package {i}</desc></pkg>"#
+        );
+    }
+    xml.push_str("</catalog>");
+    vec![Tree::parse(&xml).unwrap()]
+}
+
+#[test]
+fn a_join_scans_its_closed_side_once() {
+    // `query_ship`'s `double-use` shape: 100 outer tuples over an inner
+    // scan of 1 000 packages that reads no variable, 10 pairs to answer.
+    let src = r#"for $x in $0//pkg[size > 100000] for $y in $1//pkg[size > 100000]
+        where $x/@name = $y/@name return <p>{$x/@name}</p>"#;
+    let q = Query::parse("pair", src).unwrap();
+    let inputs = [catalog("left"), catalog("right")];
+    let (n, pairs) = allocations(|| q.eval_batch(&inputs).unwrap());
+    assert_eq!(pairs.len(), 10);
+    // Two scans' lists (6 allocations each as they double to 128), ten
+    // answers, the plan's own bookkeeping: 71 when this was written.
+    // Walking the inner scan again for each of the 100 outer tuples would
+    // add 600; one allocation per package scanned or pair compared,
+    // thousands.
+    assert!(n < 150, "{n} allocations");
+}

@@ -3,14 +3,19 @@
 //! * the parser answers mutated sources with `Ok` or a typed error, and
 //!   what it accepts round-trips through the wire form,
 //! * continuous (delta) evaluation ≡ batch re-evaluation,
+//! * the evaluator ≡ a materialising reference interpreter on random
+//!   plans, plain and under both `Delta` arms,
 //! * `decompose_selection` and `push_filter_into_path` preserve semantics
 //!   on random inputs — these are the query-level halves of the paper's
 //!   equivalence rules (10)/(11).
 
 use axml_prng::SplitMix64;
-use axml_query::eval::NoDocs;
+use axml_query::eval::{Ctx, Delta, NoDocs};
+use axml_query::parser::parse_plan;
+use axml_query::plan::Plan;
 use axml_query::{Query, QueryError};
 use axml_xml::equiv::{canonicalize, forest_equiv, Canon, CanonMultiset};
+use axml_xml::ids::DocName;
 use axml_xml::tree::Tree;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -282,5 +287,540 @@ fn nesting_is_bounded() {
             Err(QueryError::Syntax { msg, .. }) => assert!(msg.contains("deeper than 128")),
             other => panic!("{:.60}…: {other:?}", src),
         }
+    }
+}
+
+/// The evaluator's reference: every step a `Vec`, every loop nested, the
+/// whole `where` tested innermost, every atom a `String`. Slow on
+/// purpose; what it returns is what a plan means.
+mod reference {
+    use axml_query::plan::*;
+    use axml_xml::ids::DocName;
+    use axml_xml::tree::{NodeId, Tree};
+    use std::collections::HashMap;
+
+    #[derive(Clone)]
+    pub enum It<'a> {
+        Node(&'a Tree, NodeId),
+        Atom(String),
+    }
+
+    pub struct Src<'a> {
+        pub inputs: &'a [Vec<Tree>],
+        pub docs: &'a HashMap<DocName, Tree>,
+    }
+
+    /// `for` binds a one-item list, `let` the whole list.
+    type Binds<'a> = Vec<Option<Vec<It<'a>>>>;
+    type Res<T> = Result<T, String>;
+
+    pub fn eval(plan: &Plan, src: &Src<'_>) -> Res<Vec<String>> {
+        let mut chain: Vec<&Op> = std::iter::successors(Some(&plan.ops), |op| op.input()).collect();
+        chain.reverse();
+        let mut out = Vec::new();
+        run(plan, &chain, src, &mut vec![None; plan.n_vars], &mut out)?;
+        Ok(out)
+    }
+
+    fn run<'a>(
+        plan: &Plan,
+        ops: &[&Op],
+        src: &Src<'a>,
+        binds: &mut Binds<'a>,
+        out: &mut Vec<String>,
+    ) -> Res<()> {
+        let Some((op, rest)) = ops.split_first() else {
+            return construct(&plan.template, src, binds, out);
+        };
+        match op {
+            Op::Unit => run(plan, rest, src, binds, out)?,
+            Op::ForEach { var, path, .. } => {
+                for it in items(path, src, binds, None)? {
+                    binds[*var] = Some(vec![it]);
+                    run(plan, rest, src, binds, out)?;
+                }
+            }
+            Op::LetBind { var, path, .. } => {
+                binds[*var] = Some(items(path, src, binds, None)?);
+                run(plan, rest, src, binds, out)?;
+            }
+            Op::Filter { pred, .. } => {
+                if holds(pred, src, binds, None)? {
+                    run(plan, rest, src, binds, out)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn items<'a>(
+        path: &PathPlan,
+        src: &Src<'a>,
+        binds: &Binds<'a>,
+        context: Option<&It<'a>>,
+    ) -> Res<Vec<It<'a>>> {
+        let mut items = match &path.start {
+            StartRef::Source(SourceRef::Param(i)) => {
+                let forest = src.inputs.get(*i).ok_or("arity")?;
+                forest.iter().map(|t| It::Node(t, t.root())).collect()
+            }
+            StartRef::Source(SourceRef::Doc(d)) => {
+                let t = src.docs.get(d).ok_or("unresolved document")?;
+                vec![It::Node(t, t.root())]
+            }
+            StartRef::Var(v) => binds[*v].clone().ok_or("unbound variable")?,
+            StartRef::Context => vec![context.ok_or("no context")?.clone()],
+        };
+        for step in &path.steps {
+            let mut next = Vec::new();
+            for it in &items {
+                let It::Node(t, n) = *it else { continue };
+                let below: Vec<NodeId> = match step.axis {
+                    Axis::Child => t.children(n).to_vec(),
+                    Axis::Descendant => t.descendants(n).collect(),
+                };
+                match &step.test {
+                    PlanTest::Label(_) | PlanTest::Wildcard => {
+                        let wanted = |c: &NodeId| match &step.test {
+                            PlanTest::Label(l) => t.label(*c) == Some(*l),
+                            _ => t.node(*c).is_element(),
+                        };
+                        next.extend(below.into_iter().filter(wanted).map(|c| It::Node(t, c)));
+                    }
+                    PlanTest::Text if step.axis == Axis::Child => {
+                        next.extend(Some(t.text(n)).filter(|v| !v.is_empty()).map(It::Atom));
+                    }
+                    PlanTest::Text => {
+                        let leaves = below.iter().filter_map(|c| t.node(*c).as_text());
+                        next.extend(leaves.map(|s| It::Atom(s.to_string())));
+                    }
+                    PlanTest::Attr(a) => {
+                        let mut at = vec![n];
+                        if step.axis == Axis::Descendant {
+                            at.extend(below);
+                        }
+                        let values = at.iter().filter_map(|c| t.attr(*c, a.as_str()));
+                        next.extend(values.map(|v| It::Atom(v.to_string())));
+                    }
+                }
+            }
+            items = Vec::new();
+            for it in next {
+                let mut keep = true;
+                for pred in &step.preds {
+                    keep = keep && holds(pred, src, binds, Some(&it))?;
+                }
+                if keep {
+                    items.push(it);
+                }
+            }
+        }
+        Ok(items)
+    }
+
+    fn atoms<'a>(
+        path: &PathPlan,
+        src: &Src<'a>,
+        binds: &Binds<'a>,
+        context: Option<&It<'a>>,
+    ) -> Res<Vec<String>> {
+        let atom = |it: It<'_>| match it {
+            It::Node(t, n) => t.text(n),
+            It::Atom(s) => s,
+        };
+        Ok(items(path, src, binds, context)?
+            .into_iter()
+            .map(atom)
+            .collect())
+    }
+
+    fn holds<'a>(
+        pred: &PredPlan,
+        src: &Src<'a>,
+        binds: &Binds<'a>,
+        context: Option<&It<'a>>,
+    ) -> Res<bool> {
+        Ok(match pred {
+            PredPlan::And(a, b) => holds(a, src, binds, context)? && holds(b, src, binds, context)?,
+            PredPlan::Or(a, b) => holds(a, src, binds, context)? || holds(b, src, binds, context)?,
+            PredPlan::Not(c) => !holds(c, src, binds, context)?,
+            PredPlan::Cmp { lhs, op, rhs } => {
+                let left = atoms(lhs, src, binds, context)?;
+                let right = match rhs {
+                    OperandPlan::Literal(l) => vec![l.clone()],
+                    OperandPlan::Path(p) => atoms(p, src, binds, context)?,
+                };
+                left.iter()
+                    .any(|a| right.iter().any(|b| compare(*op, a, b)))
+            }
+            PredPlan::Contains { path, needle } => {
+                let hay = atoms(path, src, binds, context)?;
+                hay.iter().any(|a| a.contains(needle.as_str()))
+            }
+            PredPlan::Exists(p) => !items(p, src, binds, context)?.is_empty(),
+            PredPlan::CountCmp { path, op, n } => {
+                let count = items(path, src, binds, context)?.len();
+                compare(*op, &count.to_string(), &n.to_string())
+            }
+        })
+    }
+
+    /// Numeric when both sides parse (the generator writes plain decimal
+    /// numerals only), string-wise otherwise.
+    fn compare(op: CmpOp, a: &str, b: &str) -> bool {
+        let ord = match (a.parse::<f64>(), b.parse::<f64>()) {
+            (Ok(x), Ok(y)) => x.partial_cmp(&y).unwrap(),
+            _ => a.cmp(b),
+        };
+        match op {
+            CmpOp::Eq => ord.is_eq(),
+            CmpOp::Ne => ord.is_ne(),
+            CmpOp::Lt => ord.is_lt(),
+            CmpOp::Le => ord.is_le(),
+            CmpOp::Gt => ord.is_gt(),
+            CmpOp::Ge => ord.is_ge(),
+        }
+    }
+
+    fn construct<'a>(
+        template: &TemplatePlan,
+        src: &Src<'a>,
+        binds: &Binds<'a>,
+        out: &mut Vec<String>,
+    ) -> Res<()> {
+        let text = |s: &str| {
+            let mut t = Tree::new("text");
+            let r = t.root();
+            t.add_text(r, s);
+            t.serialize()
+        };
+        match template {
+            TemplatePlan::Splice(p) => {
+                for it in items(p, src, binds, None)? {
+                    out.push(match it {
+                        It::Node(t, n) => t.subtree(n).unwrap().serialize(),
+                        It::Atom(s) => text(&s),
+                    });
+                }
+            }
+            TemplatePlan::Text(s) => out.push(text(s)),
+            TemplatePlan::Element { label, .. } => {
+                let mut t = Tree::new(*label);
+                let root = t.root();
+                fill(template, &mut t, root, src, binds)?;
+                out.push(t.serialize());
+            }
+        }
+        Ok(())
+    }
+
+    fn fill<'a>(
+        template: &TemplatePlan,
+        t: &mut Tree,
+        at: NodeId,
+        src: &Src<'a>,
+        binds: &Binds<'a>,
+    ) -> Res<()> {
+        let TemplatePlan::Element {
+            attrs, children, ..
+        } = template
+        else {
+            unreachable!("only elements are filled");
+        };
+        for (name, v) in attrs {
+            let value = match v {
+                AttrTplPlan::Literal(s) => s.clone(),
+                AttrTplPlan::Splice(p) => atoms(p, src, binds, None)?.join(" "),
+            };
+            t.set_attr(at, *name, value).unwrap();
+        }
+        for c in children {
+            match c {
+                TemplatePlan::Text(s) => drop(t.add_text(at, s.clone())),
+                TemplatePlan::Element { label, .. } => {
+                    let el = t.add_element(at, *label);
+                    fill(c, t, el, src, binds)?;
+                }
+                TemplatePlan::Splice(p) => {
+                    for it in items(p, src, binds, None)? {
+                        match it {
+                            It::Node(tree, n) => drop(t.graft(at, tree, n).unwrap()),
+                            It::Atom(s) => drop(t.add_text(at, s)),
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Seeded random FLWR sources over two parameters and `doc("d")`, and
+/// random small forests for them to read.
+struct PlanGen {
+    rng: SplitMix64,
+    /// The variables bound so far.
+    vars: Vec<String>,
+}
+
+const LABELS: [&str; 3] = ["a", "b", "*"];
+const VALUES: [&str; 6] = ["1", "2", "2.0", "10", "x", "xy"];
+const CMP_OPS: [&str; 6] = ["=", "!=", "<", "<=", ">", ">="];
+
+impl PlanGen {
+    fn pick<'x>(&mut self, xs: &[&'x str]) -> &'x str {
+        xs[self.rng.gen_range(0..xs.len())]
+    }
+
+    /// One element step, sometimes two; with `preds`, some carry a step
+    /// predicate.
+    fn steps(&mut self, preds: bool) -> String {
+        let mut s = String::new();
+        for _ in 0..1 + usize::from(self.rng.gen_bool(0.2)) {
+            s += self.pick(&["/", "//"]);
+            s += self.pick(&LABELS);
+            if preds && self.rng.gen_bool(0.3) {
+                s += &format!("[{}]", self.cond(1, true));
+            }
+        }
+        s
+    }
+
+    /// An atom step to end a path with, more often where the path is read
+    /// as a value than where a loop goes on from its items.
+    fn tail(&mut self, value: bool) -> &'static str {
+        match self.rng.gen_bool(if value { 0.6 } else { 0.15 }) {
+            true => self.pick(&["/@k", "//@k", "/text()", "//text()"]),
+            false => "",
+        }
+    }
+
+    /// A path from a bound variable (when there is one) or a source.
+    fn path(&mut self, preds: bool, value: bool) -> String {
+        if !self.vars.is_empty() && self.rng.gen_bool(0.7) {
+            let at = self.rng.gen_range(0..self.vars.len());
+            let var = self.vars[at].clone();
+            let steps = if self.rng.gen_bool(0.3) {
+                String::new()
+            } else {
+                self.steps(preds)
+            };
+            return format!("{var}{steps}{}", self.tail(value));
+        }
+        let source = self.pick(&["$0", "$1", r#"doc("d")"#]);
+        format!("{source}{}{}", self.steps(preds), self.tail(value))
+    }
+
+    /// An operand: inside a step predicate (`relative`) mostly a path from
+    /// the context, now and then an outer variable.
+    fn operand(&mut self, relative: bool) -> String {
+        if relative && (self.vars.is_empty() || self.rng.gen_bool(0.7)) {
+            self.pick(&["@k", "text()", "a", "b/@k", "*//text()", "a/text()"])
+                .to_string()
+        } else {
+            self.path(false, true)
+        }
+    }
+
+    fn cond(&mut self, depth: usize, relative: bool) -> String {
+        let p = self.operand(relative);
+        let op = self.pick(&CMP_OPS);
+        match self.rng.gen_range(0..if depth < 3 { 9 } else { 6 }) {
+            0 | 1 => format!(r#"{p} {op} "{}""#, self.pick(&VALUES)),
+            2 => format!("{p} {op} {}", self.pick(&["1", "2", "10", "2.5", "-1"])),
+            3 => format!("{p} {op} {}", self.operand(relative)),
+            4 => format!("exists({p})"),
+            5 if self.rng.gen_bool(0.5) => format!(r#"contains({p}, "{}")"#, self.pick(&VALUES)),
+            5 => format!("count({p}) {op} {}", self.rng.gen_range(0..3u32)),
+            6 => format!("not({})", self.cond(depth + 1, relative)),
+            n => format!(
+                "({} {} {})",
+                self.cond(depth + 1, relative),
+                ["or", "and"][n - 7],
+                self.cond(depth + 1, relative)
+            ),
+        }
+    }
+
+    fn template(&mut self) -> String {
+        if self.rng.gen_bool(0.3) {
+            return format!("{{{}}}", self.path(true, false));
+        }
+        format!(
+            r#"<r k="{{{}}}" f="lit">{{{}}}t<s>{{{}}}</s></r>"#,
+            self.path(false, true),
+            self.path(true, false),
+            self.path(false, true)
+        )
+    }
+
+    fn query(&mut self) -> String {
+        self.vars.clear();
+        let mut src = String::new();
+        for i in 0..self.rng.gen_range(1..4usize) {
+            let path = self.path(true, false);
+            let clause = if self.rng.gen_bool(0.2) {
+                format!("let $v{i} := {path} ")
+            } else {
+                format!("for $v{i} in {path} ")
+            };
+            src += &clause;
+            self.vars.push(format!("$v{i}"));
+        }
+        if self.rng.gen_bool(0.7) {
+            let terms: Vec<String> = (0..1 + usize::from(self.rng.gen_bool(0.4)))
+                .map(|_| self.cond(0, false))
+                .collect();
+            src += &format!("where {} ", terms.join(" and "));
+        }
+        src + "return " + &self.template()
+    }
+
+    fn element(&mut self, depth: usize) -> String {
+        let label = self.pick(&LABELS[..2]);
+        let attr = match self.rng.gen_bool(0.6) {
+            true => format!(r#" k="{}""#, self.pick(&VALUES)),
+            false => String::new(),
+        };
+        let mut inner = String::new();
+        for _ in 0..self.rng.gen_range(0..4usize) {
+            if depth < 3 && self.rng.gen_bool(0.6) {
+                inner += &self.element(depth + 1);
+            } else {
+                inner += self.pick(&VALUES);
+            }
+        }
+        format!("<{label}{attr}>{inner}</{label}>")
+    }
+
+    fn tree(&mut self) -> Tree {
+        let kids: String = (0..self.rng.gen_range(1..7usize))
+            .map(|_| self.element(1))
+            .collect();
+        Tree::parse(&format!("<r>{kids}</r>")).unwrap()
+    }
+
+    fn forest(&mut self) -> Vec<Tree> {
+        (0..self.rng.gen_range(0..6usize).min(3))
+            .map(|_| self.tree())
+            .collect()
+    }
+}
+
+/// The evaluator and the reference agree: equal `Ok`/`Err`, and on `Ok`
+/// the same trees in the same order. Returns how many.
+fn assert_same(plan: &Plan, ctx: &Ctx<'_>, src: &reference::Src<'_>, what: &str) -> usize {
+    let got = plan.eval_ctx(ctx);
+    let got = got.map(|ts| ts.iter().map(Tree::serialize).collect::<Vec<_>>());
+    match (got, reference::eval(plan, src)) {
+        (Ok(got), Ok(want)) => {
+            assert_eq!(got, want, "{what}");
+            want.len()
+        }
+        (Err(_), Err(_)) => 0,
+        (got, want) => panic!("{what}: evaluator {got:?}, reference {want:?}"),
+    }
+}
+
+/// Differential test of the evaluator against [`reference`] on seeded
+/// random plans and forests — plain, with a parameter narrowed to its
+/// latest arrivals, and with the document narrowed to one child of its
+/// root (which the reference reads as a document holding that child
+/// alone).
+#[test]
+fn evaluator_equals_the_materialising_reference() {
+    let mut g = PlanGen {
+        rng: SplitMix64::new(0x5EED_0022),
+        vars: Vec::new(),
+    };
+    let d = DocName::new("d");
+    let (mut answering, mut joins) = (0, 0);
+    for case in 0..4_000 {
+        let src = g.query();
+        let plan = parse_plan(&src, 2).unwrap_or_else(|e| panic!("{src}: {e}"));
+        let inputs = [g.forest(), g.forest()];
+        let docs: HashMap<DocName, Tree> = [(d.clone(), g.tree())].into();
+        let what = format!("case {case}: {src}");
+        let plain = reference::Src {
+            inputs: &inputs,
+            docs: &docs,
+        };
+        if assert_same(&plan, &Ctx::new(&inputs, &docs), &plain, &what) > 0 {
+            answering += 1;
+            joins += usize::from(plan.ops.chain_len() > 3);
+        }
+
+        let (param, trees) = (case % 2, g.forest());
+        let mut narrowed = inputs.clone();
+        narrowed[param] = trees.clone();
+        let delta = Delta::Param {
+            param,
+            trees: &trees,
+        };
+        let by_param = reference::Src {
+            inputs: &narrowed,
+            docs: &docs,
+        };
+        let ctx = Ctx::with_delta(&inputs, &docs, delta);
+        assert_same(&plan, &ctx, &by_param, &format!("{what} (param delta)"));
+
+        let whole = &docs[&d];
+        if let Some(&child) = whole.children(whole.root()).last() {
+            let mut alone = Tree::new("r");
+            let root = alone.root();
+            alone.graft(root, whole, child).unwrap();
+            let pruned: HashMap<DocName, Tree> = [(d.clone(), alone)].into();
+            let by_child = reference::Src {
+                inputs: &inputs,
+                docs: &pruned,
+            };
+            let delta = Delta::DocChild { doc: &d, child };
+            let ctx = Ctx::with_delta(&inputs, &docs, delta);
+            assert_same(&plan, &ctx, &by_child, &format!("{what} (doc delta)"));
+        }
+    }
+    // The generator is not vacuous: plans answer, multi-loop ones too.
+    assert!(answering > 1_000 && joins > 400, "{answering} / {joins}");
+}
+
+/// A scan is resolved when its loop level is first reached, and not
+/// before: an unresolved `doc()` in a loop no outer tuple reaches is no
+/// error, in one that is reached it is — closed scan or not.
+#[test]
+fn unreached_scans_resolve_nothing() {
+    let inputs = [
+        vec![Tree::parse(r#"<r><a k="1"/></r>"#).unwrap()],
+        Vec::new(),
+    ];
+    let docs = HashMap::new();
+    let src = reference::Src {
+        inputs: &inputs,
+        docs: &docs,
+    };
+    for (query, ok) in [
+        (
+            r#"for $x in $0/zzz for $y in doc("nope")//a return {$y}"#,
+            true,
+        ),
+        (
+            r#"for $x in $1 for $y in doc("nope")/a[@k = $x/@k] return {$y}"#,
+            true,
+        ),
+        (
+            r#"for $x in $0/a for $y in doc("nope")//a return {$y}"#,
+            false,
+        ),
+        (
+            r#"for $x in $0/a for $y in doc("nope")/a[@k = $x/@k] return {$y}"#,
+            false,
+        ),
+        (
+            r#"for $x in $0/zzz let $y := doc("nope")//a return <r>{$y}</r>"#,
+            true,
+        ),
+    ] {
+        let plan = parse_plan(query, 2).unwrap();
+        assert_eq!(plan.eval(&inputs, &docs).is_ok(), ok, "{query}");
+        assert_same(&plan, &Ctx::new(&inputs, &docs), &src, query);
     }
 }

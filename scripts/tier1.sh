@@ -4,6 +4,17 @@
 #   scripts/tier1.sh           # lint + build + tests + docs
 #
 # Runs entirely offline (the workspace has zero external dependencies).
+#
+# Mechanical gates, beyond fmt/clippy/build/tests/doc:
+#   - eight grep gates, one per "one of each" claim (wire-format writer,
+#     trace format, rendered payloads, byte codec, delta filter, blocking
+#     session, strategy picker, send path) — each explained where it runs;
+#   - crates/query/tests/alloc_budget.rs (swept by `cargo test --workspace`):
+#     the evaluator allocates for what it answers, not per input item, and
+#     walks a closed scan once — counted with the test binary's own
+#     allocator, so "O(scan + answer)" fails a test when it stops holding;
+#   - driver / transport / matcher differential suites, chaos seeds, the
+#     trace round trip, E13/E14 smokes and benchmark/ci.sh, below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
