@@ -320,7 +320,10 @@ impl AxmlSystem {
                 _ => {
                     let svc = self.peers[provider.index()].service(&service, provider)?;
                     let query = svc.query.clone();
-                    (Trigger::DocChange(query.doc_dependencies()), Some(query))
+                    (
+                        Trigger::DocChange(query.doc_dependencies().to_vec()),
+                        Some(query),
+                    )
                 }
             };
             created.push((id, matches!(trigger, Trigger::AfterAnswer(_))));

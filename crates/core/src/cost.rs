@@ -282,7 +282,7 @@ impl CostModel {
     /// Estimate `eval@site(expr)`.
     pub fn estimate(&self, site: PeerId, expr: &Expr) -> EstimatedEval {
         let mut cost = Cost::zero();
-        let value_bytes = self.est(site, expr, &mut cost);
+        let value_bytes = self.est(site, None, expr, &mut cost);
         // Infinities are legal (unreachable links price a plan out), but a
         // NaN would poison every comparison downstream of the beam search.
         debug_assert!(
@@ -297,16 +297,25 @@ impl CostModel {
         self.estimate(site, expr).cost.scalar()
     }
 
-    fn est(&self, site: PeerId, expr: &Expr, cost: &mut Cost) -> f64 {
+    /// The walk behind [`CostModel::estimate`]. `defs` is where the query
+    /// definitions and literal trees that `expr` carries inline live:
+    /// `None` for where each says it does, `Some(p)` once an enclosing
+    /// `EvalAt` has shipped them to `p` — what the engine does to the
+    /// shipped copy with `relocate_query_defs`, priced here without a
+    /// copy. Charges are added in evaluation order, the order the
+    /// relocating walk added them in, so every `Cost` keeps its bits
+    /// (float addition does not reassociate).
+    fn est(&self, site: PeerId, defs: Option<PeerId>, expr: &Expr, cost: &mut Cost) -> f64 {
         match expr {
             Expr::Tree { tree, at } => {
+                let at = defs.unwrap_or(*at);
                 let size = tree.serialized_size() as f64;
-                if *at != site {
+                if at != site {
                     // The evaluator fetches literal trees by reference
                     // (small request), then ships the tree back.
-                    let link_req = self.link(site, *at);
+                    let link_req = self.link(site, at);
                     cost.charge(&link_req, 48.0 + REQUEST_OVERHEAD, false);
-                    let link = self.link(*at, site);
+                    let link = self.link(at, site);
                     cost.charge(&link, size, false);
                 }
                 size
@@ -323,21 +332,22 @@ impl CostModel {
                 size
             }
             Expr::Apply { query, args } => {
-                if query.def_at != site {
+                let def_at = defs.unwrap_or(query.def_at);
+                if def_at != site {
                     cost.charge(
-                        &self.link(query.def_at, site),
+                        &self.link(def_at, site),
                         query.query.wire_size() as f64,
                         false,
                     );
                 }
-                let mut arg_bytes = Vec::with_capacity(args.len());
+                let mut total_args = 0.0;
                 for a in args {
-                    arg_bytes.push(self.est(site, a, cost));
+                    total_args += self.est(site, defs, a, cost);
                 }
-                self.query_result_bytes(site, &query.query, args, &arg_bytes)
+                self.query_result_bytes(site, &query.query, args, total_args)
             }
             Expr::Send { dest, payload } => {
-                let v = self.est(site, payload, cost);
+                let v = self.est(site, defs, payload, cost);
                 match dest {
                     SendDest::Peer(q) => {
                         cost.charge(&self.link(site, *q), v, *q == site);
@@ -366,18 +376,15 @@ impl CostModel {
                         None => return 0.0,
                     },
                 };
-                let mut param_bytes = Vec::with_capacity(params.len());
                 let mut total_params = 0.0;
                 for p in params {
-                    let b = self.est(site, p, cost);
-                    total_params += b;
-                    param_bytes.push(b);
+                    total_params += self.est(site, defs, p, cost);
                 }
                 if prov != site {
                     cost.charge(&self.link(site, prov), total_params + 32.0, false);
                 }
                 let result = match self.service_query(prov, &concrete) {
-                    Some(q) => self.query_result_bytes(prov, q, params, &param_bytes),
+                    Some(q) => self.query_result_bytes(prov, q, params, total_params),
                     None => DEFAULT_QUERY_RATIO * total_params + 64.0,
                 };
                 if forward.is_empty() {
@@ -393,33 +400,35 @@ impl CostModel {
                 }
             }
             Expr::EvalAt { peer, expr: inner } => {
-                let mut shipped;
-                let inner: &Expr = if *peer != site {
-                    cost.charge(&self.link(site, *peer), inner.wire_size() as f64, false);
-                    shipped = (**inner).clone();
-                    shipped.relocate_query_defs(*peer);
-                    &shipped
+                // Crossing to another peer ships the body as it stands
+                // (under the `defs` it arrived with); from there on what
+                // it carries lives at `peer`.
+                let defs = if *peer != site {
+                    let shipped = inner.shipped_size(defs) as f64;
+                    cost.charge(&self.link(site, *peer), shipped, false);
+                    Some(*peer)
                 } else {
-                    inner
+                    defs
                 };
                 if let Expr::Send {
                     dest: SendDest::Peer(back),
                     payload,
-                } = inner
+                } = &**inner
                 {
                     if back == &site {
-                        let v = self.est(*peer, payload, cost);
+                        let v = self.est(*peer, defs, payload, cost);
                         cost.charge(&self.link(*peer, site), v, *peer == site);
                         return v;
                     }
                 }
-                let _ = self.est(*peer, inner, cost);
+                let _ = self.est(*peer, defs, inner, cost);
                 0.0
             }
             Expr::Deploy { to, query, .. } => {
-                if query.def_at != *to {
+                let def_at = defs.unwrap_or(query.def_at);
+                if def_at != *to {
                     cost.charge(
-                        &self.link(query.def_at, *to),
+                        &self.link(def_at, *to),
                         query.query.wire_size() as f64,
                         false,
                     );
@@ -429,7 +438,7 @@ impl CostModel {
             Expr::Seq(es) => {
                 let mut last = 0.0;
                 for e in es {
-                    last = self.est(site, e, cost);
+                    last = self.est(site, defs, e, cost);
                 }
                 last
             }
@@ -437,13 +446,14 @@ impl CostModel {
     }
 
     /// Estimate the result bytes of a query over given argument
-    /// expressions (whose own value sizes are already estimated).
+    /// expressions (whose own value sizes, `args_bytes` in all, are
+    /// already estimated).
     fn query_result_bytes(
         &self,
         site: PeerId,
         query: &Query,
         args: &[Expr],
-        arg_bytes: &[f64],
+        args_bytes: f64,
     ) -> f64 {
         if let Some(plan) = query.plan() {
             // Build stats per parameter where the argument is a document
@@ -485,7 +495,7 @@ impl CostModel {
                 return e.bytes.max(16.0);
             }
         }
-        DEFAULT_QUERY_RATIO * arg_bytes.iter().sum::<f64>() + 64.0
+        DEFAULT_QUERY_RATIO * args_bytes + 64.0
     }
 }
 

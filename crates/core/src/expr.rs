@@ -25,6 +25,7 @@
 
 use crate::error::{CoreError, CoreResult};
 use crate::sc::read_sc;
+use axml_net::bytes::Cursor;
 use axml_query::Query;
 use axml_xml::escape::{write_attr, write_text};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
@@ -178,14 +179,14 @@ pub enum Expr {
 
 impl Expr {
     /// Direct sub-expressions.
-    pub fn children(&self) -> Vec<&Expr> {
+    pub fn children(&self) -> &[Expr] {
         match self {
-            Expr::Tree { .. } | Expr::Doc { .. } | Expr::Deploy { .. } => vec![],
-            Expr::Apply { args, .. } => args.iter().collect(),
-            Expr::Send { payload, .. } => vec![payload],
-            Expr::Sc { params, .. } => params.iter().collect(),
-            Expr::EvalAt { expr, .. } => vec![expr],
-            Expr::Seq(es) => es.iter().collect(),
+            Expr::Tree { .. } | Expr::Doc { .. } | Expr::Deploy { .. } => &[],
+            Expr::Apply { args, .. } => args,
+            Expr::Send { payload, .. } => std::slice::from_ref(payload),
+            Expr::Sc { params, .. } => params,
+            Expr::EvalAt { expr, .. } => std::slice::from_ref(expr),
+            Expr::Seq(es) => es,
         }
     }
 
@@ -256,26 +257,51 @@ impl Expr {
     }
 
     /// Rebuild this expression with sub-expression `index` (in
-    /// [`Expr::children`] order) replaced.
+    /// [`Expr::children`] order) replaced: the node itself and its other
+    /// children are copied, the child being replaced is not.
     pub fn with_child(&self, index: usize, child: Expr) -> Expr {
-        let mut out = self.clone();
-        match &mut out {
-            Expr::Apply { args, .. } => args[index] = child,
-            Expr::Send { payload, .. } => {
+        fn spliced(items: &[Expr], index: usize, child: Expr) -> Vec<Expr> {
+            let mut out = Vec::with_capacity(items.len());
+            out.extend_from_slice(&items[..index]);
+            out.push(child);
+            out.extend_from_slice(&items[index + 1..]);
+            out
+        }
+        match self {
+            Expr::Apply { query, args } => Expr::Apply {
+                query: query.clone(),
+                args: spliced(args, index, child),
+            },
+            Expr::Send { dest, .. } => {
                 assert_eq!(index, 0);
-                **payload = child;
+                Expr::Send {
+                    dest: dest.clone(),
+                    payload: Box::new(child),
+                }
             }
-            Expr::Sc { params, .. } => params[index] = child,
-            Expr::EvalAt { expr, .. } => {
+            Expr::Sc {
+                provider,
+                service,
+                params,
+                forward,
+            } => Expr::Sc {
+                provider: *provider,
+                service: service.clone(),
+                params: spliced(params, index, child),
+                forward: forward.clone(),
+            },
+            Expr::EvalAt { peer, .. } => {
                 assert_eq!(index, 0);
-                **expr = child;
+                Expr::EvalAt {
+                    peer: *peer,
+                    expr: Box::new(child),
+                }
             }
-            Expr::Seq(es) => es[index] = child,
+            Expr::Seq(es) => Expr::Seq(spliced(es, index, child)),
             Expr::Tree { .. } | Expr::Doc { .. } | Expr::Deploy { .. } => {
                 panic!("leaf expression has no children")
             }
         }
-        out
     }
 
     /// Mark everything the expression *carries inline* — query
@@ -284,6 +310,12 @@ impl Expr {
     /// payloads, so after the transfer they live at the recipient and
     /// must be neither re-fetched (definition (5)) nor re-charged
     /// (definition (7)).
+    ///
+    /// Engine-only (`engine/defs.rs`, where the expression really is
+    /// shipped and then evaluated at `to`): the cost model prices the
+    /// same transfer without a copy to relocate, by handing `to` down its
+    /// walk (`CostModel::est`, `Expr::shipped_size`) — `scripts/tier1.sh`
+    /// greps that no other caller appears.
     pub fn relocate_query_defs(&mut self, to: PeerId) {
         match self {
             Expr::Apply { query, args } => {
@@ -360,70 +392,102 @@ impl Expr {
     /// [`Expr::from_xml`] reads back once it is parsed.
     pub fn fingerprint(&self) -> String {
         let mut text = String::new();
-        self.emit(&mut text);
+        self.emit(&mut text, None);
         text
     }
 
     /// Wire size in bytes when this expression is shipped (delegations,
     /// requests): the length of [`Expr::fingerprint`], without the text.
     pub fn wire_size(&self) -> usize {
+        self.shipped_size(None)
+    }
+
+    /// [`Expr::wire_size`] of this expression as it is once
+    /// `relocate_query_defs(p)` has marked what it carries as living at
+    /// `defs = Some(p)` (the peer numbers in the text change, so its
+    /// length may), without making that copy.
+    pub(crate) fn shipped_size(&self, defs: Option<PeerId>) -> usize {
         let mut count = ByteCount(0);
-        self.emit(&mut count);
+        self.emit(&mut count, defs);
         count.0
     }
 
-    /// A 128-bit hash of [`Expr::fingerprint`], without the text: the
-    /// optimizer's memo key and rule (13)'s argument comparison.
+    /// The optimizer's memo key and rule (13)'s argument comparison: 128
+    /// bits that are equal for two expressions exactly when their
+    /// [`Expr::fingerprint`] texts are (up to a 2⁻¹²⁸ collision). Not a
+    /// hash *of* that text: everything but the queries is hashed as the
+    /// text's bytes, and each query stands in it as its
+    /// [`Query::wire_digest`] — taken once per query, not once per
+    /// candidate plan that carries it. Where a query sits is fixed by the
+    /// bytes around it, so equal texts still give equal keys.
     pub(crate) fn fingerprint_hash(&self) -> u128 {
-        let mut hash = Fnv128::new();
-        self.emit(&mut hash);
-        hash.0
+        let mut key = MemoKey::default();
+        self.emit(&mut key, None);
+        key.finish()
     }
 
     // -------------------- the streaming emitter -----------------------
 
-    fn emit(&self, sink: &mut impl fmt::Write) {
-        self.write_wire(sink)
-            .expect("a String, a byte count and a hash accept every write");
+    fn emit(&self, sink: &mut impl WireSink, defs: Option<PeerId>) {
+        self.write_wire(sink, defs)
+            .expect("a String, a byte count and a memo key accept every write");
     }
 
     /// Write the compact XML of this expression into `out` — the one
     /// description of the wire format; [`Expr::from_xml`] is its
-    /// inverse.
-    fn write_wire<W: fmt::Write>(&self, out: &mut W) -> fmt::Result {
+    /// inverse. With `defs = Some(p)`, every peer that
+    /// [`Expr::relocate_query_defs`] would overwrite is written as `p`.
+    ///
+    /// Runs once or more per candidate plan of every search, so it writes
+    /// string pieces and stack-buffered digits only: no formatting
+    /// machinery (`scripts/tier1.sh` greps for it), no allocation.
+    fn write_wire<W: WireSink>(&self, out: &mut W, defs: Option<PeerId>) -> fmt::Result {
         match self {
             Expr::Tree { tree, at } => {
-                write!(out, "<tree at=\"{}\">", at.index())?;
+                out.write_str("<tree at=\"")?;
+                write_peer_index(out, defs.unwrap_or(*at))?;
+                out.write_str("\">")?;
                 tree.write_compact(tree.root(), out)?;
                 out.write_str("</tree>")
             }
             Expr::Doc { name, at } => {
                 out.write_str("<doc name=\"")?;
                 write_attr(out, name.as_str())?;
-                write!(out, "\" at=\"{at}\"/>")
+                out.write_str("\" at=\"")?;
+                write_peer_ref(out, *at)?;
+                out.write_str("\"/>")
             }
             Expr::Apply { query, args } => {
-                write!(out, "<apply def-at=\"{}\">", query.def_at.index())?;
-                out.write_str(query.query.wire_xml())?;
-                write_wrapped(out, "args", args)?;
+                out.write_str("<apply def-at=\"")?;
+                write_peer_index(out, defs.unwrap_or(query.def_at))?;
+                out.write_str("\">")?;
+                out.query(&query.query)?;
+                write_wrapped(out, "args", args, defs)?;
                 out.write_str("</apply>")
             }
             Expr::Send { dest, payload } => {
                 out.write_str("<send")?;
                 match dest {
-                    SendDest::Peer(p) => write!(out, " peer=\"{}\">", p.index())?,
+                    SendDest::Peer(p) => {
+                        out.write_str(" peer=\"")?;
+                        write_peer_index(out, *p)?;
+                        out.write_str("\">")?;
+                    }
                     SendDest::Nodes(addrs) => {
                         out.write_char('>')?;
                         write_forwards(out, addrs)?;
                     }
                     SendDest::NewDoc { peer, name } => {
-                        write!(out, " newdoc-peer=\"{}\" newdoc-name=\"", peer.index())?;
+                        out.write_str(" newdoc-peer=\"")?;
+                        write_peer_index(out, *peer)?;
+                        out.write_str("\" newdoc-name=\"")?;
                         write_attr(out, name.as_str())?;
                         out.write_str("\">")?;
                     }
                 }
-                write_wrapped(out, "payload", std::slice::from_ref(&**payload))?;
-                out.write_str("</send>")
+                out.write_str("<payload>")?;
+                payload.write_wire(out, defs)?;
+                out.write_str("</payload></send>")
             }
             Expr::Sc {
                 provider,
@@ -431,20 +495,28 @@ impl Expr {
                 params,
                 forward,
             } => {
-                write!(out, "<sc><peer>{provider}</peer><service>")?;
+                out.write_str("<sc><peer>")?;
+                write_peer_ref(out, *provider)?;
+                out.write_str("</peer><service>")?;
                 write_text(out, service.as_str())?;
                 out.write_str("</service>")?;
                 for (i, p) in params.iter().enumerate() {
-                    write!(out, "<param{}>", i + 1)?;
-                    p.write_wire(out)?;
-                    write!(out, "</param{}>", i + 1)?;
+                    out.write_str("<param")?;
+                    write_number(out, i as u64 + 1)?;
+                    out.write_char('>')?;
+                    p.write_wire(out, defs)?;
+                    out.write_str("</param")?;
+                    write_number(out, i as u64 + 1)?;
+                    out.write_char('>')?;
                 }
                 write_forwards(out, forward)?;
                 out.write_str("</sc>")
             }
             Expr::EvalAt { peer, expr } => {
-                write!(out, "<evalat peer=\"{}\">", peer.index())?;
-                expr.write_wire(out)?;
+                out.write_str("<evalat peer=\"")?;
+                write_peer_index(out, *peer)?;
+                out.write_str("\">")?;
+                expr.write_wire(out, defs)?;
                 out.write_str("</evalat>")
             }
             Expr::Deploy {
@@ -452,13 +524,17 @@ impl Expr {
                 query,
                 as_service,
             } => {
-                write!(out, "<deploy to=\"{}\" as=\"", to.index())?;
+                out.write_str("<deploy to=\"")?;
+                write_peer_index(out, *to)?;
+                out.write_str("\" as=\"")?;
                 write_attr(out, as_service.as_str())?;
-                write!(out, "\" def-at=\"{}\">", query.def_at.index())?;
-                out.write_str(query.query.wire_xml())?;
+                out.write_str("\" def-at=\"")?;
+                write_peer_index(out, defs.unwrap_or(query.def_at))?;
+                out.write_str("\">")?;
+                out.query(&query.query)?;
                 out.write_str("</deploy>")
             }
-            Expr::Seq(es) => write_wrapped(out, "seq", es),
+            Expr::Seq(es) => write_wrapped(out, "seq", es, defs),
         }
     }
 
@@ -686,25 +762,85 @@ impl fmt::Display for Expr {
 }
 
 /// `<label>` around the given expressions; `<label/>` around none.
-fn write_wrapped<W: fmt::Write>(out: &mut W, label: &str, exprs: &[Expr]) -> fmt::Result {
+fn write_wrapped<W: WireSink>(
+    out: &mut W,
+    label: &str,
+    exprs: &[Expr],
+    defs: Option<PeerId>,
+) -> fmt::Result {
+    out.write_char('<')?;
+    out.write_str(label)?;
     if exprs.is_empty() {
-        return write!(out, "<{label}/>");
+        return out.write_str("/>");
     }
-    write!(out, "<{label}>")?;
+    out.write_char('>')?;
     for e in exprs {
-        e.write_wire(out)?;
+        e.write_wire(out, defs)?;
     }
-    write!(out, "</{label}>")
+    out.write_str("</")?;
+    out.write_str(label)?;
+    out.write_char('>')
 }
 
-/// One `<forw>` element per address.
+/// One `<forw>` element per address, each the escaped text of
+/// [`format_addr`].
 fn write_forwards<W: fmt::Write>(out: &mut W, addrs: &[NodeAddr]) -> fmt::Result {
     for a in addrs {
         out.write_str("<forw>")?;
-        write_text(out, &format_addr(a))?;
+        write_text(out, a.doc.as_str())?;
+        out.write_char('#')?;
+        write_number(out, a.node.index() as u64)?;
+        out.write_str("@p")?;
+        write_number(out, u64::from(a.peer.0))?;
         out.write_str("</forw>")?;
     }
     Ok(())
+}
+
+/// `n` in decimal, from a stack buffer.
+fn write_number<W: fmt::Write>(out: &mut W, mut n: u64) -> fmt::Result {
+    let mut buf = [0u8; 20]; // u64::MAX has 20 digits
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.write_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"))
+}
+
+/// A peer as the bare number attributes carry.
+fn write_peer_index<W: fmt::Write>(out: &mut W, p: PeerId) -> fmt::Result {
+    write_number(out, u64::from(p.0))
+}
+
+/// A peer reference as its `Display` text: `any` or `p<digits>`.
+fn write_peer_ref<W: fmt::Write>(out: &mut W, at: PeerRef) -> fmt::Result {
+    match at {
+        PeerRef::Any => out.write_str("any"),
+        PeerRef::At(p) => {
+            out.write_char('p')?;
+            write_peer_index(out, p)
+        }
+    }
+}
+
+/// What the emitter writes into: pieces of text, and — where a query's
+/// definition goes — the query itself, so that a sink which needs less
+/// than its text (a length, a key) takes what the query already knows.
+trait WireSink: fmt::Write {
+    /// `q`'s [`Query::wire_xml`] goes here.
+    fn query(&mut self, q: &Query) -> fmt::Result;
+}
+
+impl WireSink for String {
+    fn query(&mut self, q: &Query) -> fmt::Result {
+        self.push_str(q.wire_xml());
+        Ok(())
+    }
 }
 
 /// Emitter sink: the number of bytes written.
@@ -717,21 +853,88 @@ impl fmt::Write for ByteCount {
     }
 }
 
-/// Emitter sink: 128-bit FNV-1a of the bytes written, independent of
-/// how the writes were cut.
-struct Fnv128(u128);
-
-impl Fnv128 {
-    fn new() -> Self {
-        Fnv128(0x6c62272e07bb014262b821756295c58d)
+impl WireSink for ByteCount {
+    fn query(&mut self, q: &Query) -> fmt::Result {
+        self.0 += q.wire_size();
+        Ok(())
     }
 }
 
-impl fmt::Write for Fnv128 {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        for &b in s.as_bytes() {
-            self.0 = (self.0 ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013b);
+/// Emitter sink: a 128-bit hash of the bytes written, independent of how
+/// the writes were cut, with each query folded in as its digest. Read
+/// eight bytes to a round: a key is taken of every candidate of every
+/// search, and a byte-wise 128-bit FNV is a wide multiply per byte.
+#[derive(Default)]
+struct MemoKey {
+    state: u128,
+    /// Bytes written since the last whole word, lowest first.
+    word: u64,
+    /// How many of them (0–7).
+    pending: u32,
+    /// Bytes written in all: told apart at the end, a flushed `ab` and
+    /// an `ab` followed by zero bytes are.
+    len: u64,
+}
+
+impl MemoKey {
+    /// One round: a multiply by a dense odd constant (a bijection that
+    /// carries every input bit upwards) and a fold of the high half back
+    /// onto the low one (a bijection too), so that no bit of `word` stays
+    /// where the next round's word could cancel it.
+    fn mix(&mut self, word: u64) {
+        const GOLDEN: u128 = 0x9e37_79b9_7f4a_7c15_f39c_c060_5ced_c835;
+        let h = (self.state ^ u128::from(word)).wrapping_mul(GOLDEN);
+        self.state = h ^ (h >> 64);
+    }
+
+    fn flush(&mut self) {
+        if self.pending > 0 {
+            self.mix(self.word);
+            (self.word, self.pending) = (0, 0);
         }
+    }
+
+    fn finish(mut self) -> u128 {
+        self.flush();
+        self.mix(self.len);
+        self.state
+    }
+}
+
+impl fmt::Write for MemoKey {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.len += s.len() as u64;
+        let mut bytes = Cursor::new(s.as_bytes());
+        // Whole words go in at once, spliced behind the pending bytes…
+        while let Ok(next) = bytes.u64() {
+            if self.pending == 0 {
+                self.mix(next);
+            } else {
+                let held = 8 * self.pending;
+                self.mix(self.word | next << held);
+                self.word = next >> (64 - held);
+            }
+        }
+        // …and what is left of the piece waits for the next one.
+        for &b in bytes.take(bytes.remaining()).expect("what remains") {
+            self.word |= u64::from(b) << (8 * self.pending);
+            self.pending += 1;
+            if self.pending == 8 {
+                self.flush();
+            }
+        }
+        Ok(())
+    }
+}
+
+impl WireSink for MemoKey {
+    fn query(&mut self, q: &Query) -> fmt::Result {
+        // Where a query sits is fixed by the bytes before it, so closing
+        // the open word here cuts equal texts equally.
+        self.flush();
+        let digest = q.wire_digest();
+        self.mix(digest as u64);
+        self.mix((digest >> 64) as u64);
         Ok(())
     }
 }
@@ -932,11 +1135,67 @@ mod tests {
         for e in samples() {
             assert!(e.wire_size() > 10, "{e}");
             assert_eq!(e.wire_size(), e.fingerprint().len());
-            // the hash sink sees the same bytes, however the writes are cut
-            let mut whole = Fnv128::new();
-            fmt::Write::write_str(&mut whole, &e.fingerprint()).unwrap();
-            assert_eq!(e.fingerprint_hash(), whole.0, "{e}");
-            assert!(hashes.insert(whole.0), "{e}");
+            // the key stands for the text: the same expression read back
+            // from it has the same key, another sample has another
+            let xml = Tree::parse(&e.fingerprint()).unwrap();
+            let back = Expr::from_xml(&xml, xml.root()).unwrap();
+            assert_eq!(e.fingerprint_hash(), back.fingerprint_hash(), "{e}");
+            assert!(hashes.insert(e.fingerprint_hash()), "{e}");
+        }
+    }
+
+    /// The key sink takes whole words at once where a piece has them and
+    /// single bytes where it has not: however a text is cut into pieces,
+    /// its key is the same — and another text's is another.
+    #[test]
+    fn the_memo_key_does_not_depend_on_how_writes_are_cut() {
+        fn key_of<'a>(pieces: impl Iterator<Item = &'a str>) -> u128 {
+            let mut key = MemoKey::default();
+            for piece in pieces {
+                fmt::Write::write_str(&mut key, piece).unwrap();
+            }
+            key.finish()
+        }
+        let text: String = samples().iter().map(Expr::fingerprint).collect();
+        assert!(text.is_ascii() && text.len() > 1000);
+        let whole = key_of(std::iter::once(text.as_str()));
+        for step in [1, 2, 3, 7, 8, 9, 11, 16, 23, 64] {
+            let cut = text.as_bytes().chunks(step);
+            let key = key_of(cut.map(|c| std::str::from_utf8(c).unwrap()));
+            assert_eq!(key, whole, "cut every {step} bytes");
+        }
+        // uneven cuts, empty pieces among them
+        let (head, tail) = text.split_at(13);
+        assert_eq!(key_of([head, "", tail].into_iter()), whole);
+        for i in [0, 7, 8, 500, text.len() - 1] {
+            let mut other = text.clone().into_bytes();
+            other[i] ^= 1;
+            let other = String::from_utf8(other).unwrap();
+            assert_ne!(key_of(std::iter::once(other.as_str())), whole, "byte {i}");
+        }
+        assert_ne!(key_of(std::iter::once(&text[1..])), whole);
+    }
+
+    #[test]
+    fn numbers_are_written_as_display_writes_them() {
+        for n in [0, 1, 9, 10, 99, 100, 12_345, u64::from(u32::MAX), u64::MAX] {
+            let mut text = String::new();
+            write_number(&mut text, n).unwrap();
+            assert_eq!(text, n.to_string());
+        }
+    }
+
+    /// `shipped_size(Some(p))` is the wire size of the relocated copy:
+    /// the override reaches every peer `relocate_query_defs` rewrites,
+    /// at every depth, and nothing else.
+    #[test]
+    fn shipped_size_is_the_relocated_copys_wire_size() {
+        for e in samples() {
+            for to in [PeerId(0), PeerId(7), PeerId(1234)] {
+                let mut moved = e.clone();
+                moved.relocate_query_defs(to);
+                assert_eq!(e.shipped_size(Some(to)), moved.wire_size(), "{e} → {to}");
+            }
         }
     }
 

@@ -69,9 +69,12 @@ impl std::fmt::Display for Explained {
 /// The rule-driven optimizer.
 pub struct Optimizer {
     rules: Vec<Box<dyn RewriteRule>>,
-    /// How many of the cheapest open plans are expanded per round.
+    /// How many of the cheapest open plans are expanded per round; four
+    /// times as many stay open between rounds. 0 is read as 1.
     pub beam_width: usize,
-    /// Cap on total candidate expansions.
+    /// Cap on the candidates examined, the input plan included: the
+    /// search stops at the candidate that reaches it, so
+    /// [`Explained::explored`] never exceeds it (nor falls below 1).
     pub max_explored: usize,
     /// Stop after this many expansion rounds without improving the best
     /// plan (convergence cutoff; the rule space is shallow, so small
@@ -141,18 +144,33 @@ impl Optimizer {
         let mut seen: HashSet<u128> = HashSet::new();
         seen.insert(expr.fingerprint_hash());
         note_unique_candidate(&mut obs.metrics);
-        // Open list: (scalar cost, expr, trace). Kept sorted; cheap first.
-        let mut open: Vec<(f64, Expr, Vec<&'static str>)> =
-            vec![(initial_cost.scalar(), expr.clone(), Vec::new())];
+        // A candidate's rule trace is its parent's and one rule more: kept
+        // as (parent's step, rule) links, spelled out for a new best plan.
+        let mut steps: Vec<(Option<usize>, &'static str)> = Vec::new();
+        let trace_to = |steps: &[(Option<usize>, &'static str)], last: usize| {
+            let mut trace = Vec::new();
+            let mut at = Some(last);
+            while let Some((parent, rule)) = at.map(|i| steps[i]) {
+                trace.push(rule);
+                at = parent;
+            }
+            trace.reverse();
+            trace
+        };
+        // Open list: (scalar cost, expr, last step). Kept sorted; cheap first.
+        let mut open: Vec<(f64, Expr, Option<usize>)> =
+            vec![(initial_cost.scalar(), expr.clone(), None)];
         let mut explored = 1usize;
         let mut stale = 0usize;
+        // A beam of width 0 would expand nothing: it is a beam of one.
+        let width = self.beam_width.max(1);
         while !open.is_empty() && explored < self.max_explored && stale <= self.stale_rounds {
             let best_before = best.cost.scalar();
             // Expand up to beam_width cheapest open plans.
             open.sort_by(|a, b| beam_order(a.0, b.0));
-            open.truncate(self.beam_width.max(1) * 4);
-            let batch: Vec<_> = open.drain(..open.len().min(self.beam_width)).collect();
-            for (_, cur, trace) in batch {
+            open.truncate(width * 4);
+            let batch: Vec<_> = open.drain(..open.len().min(width)).collect();
+            'batch: for (_, cur, parent) in batch {
                 for (rule, candidate) in all_rewrites(&self.rules, site, &cur, &ctx) {
                     if !seen.insert(candidate.fingerprint_hash()) {
                         obs.metrics.memo_hits += 1;
@@ -162,8 +180,8 @@ impl Optimizer {
                     explored += 1;
                     obs.metrics.cost_estimates += 1;
                     let cost = model.estimate(site, &candidate).cost;
-                    let mut t = trace.clone();
-                    t.push(rule);
+                    steps.push((parent, rule));
+                    let step = steps.len() - 1;
                     let accepted = cost.scalar() < best.cost.scalar();
                     obs.metrics.record_rule(rule, accepted);
                     obs.emit(|| TraceEvent::RuleAttempted {
@@ -176,13 +194,15 @@ impl Optimizer {
                             site,
                             expr: candidate.clone(),
                             cost,
-                            trace: t.clone(),
+                            trace: trace_to(&steps, step),
                             explored,
                         };
                     }
-                    open.push((cost.scalar(), candidate, t));
+                    open.push((cost.scalar(), candidate, Some(step)));
                     if explored >= self.max_explored {
-                        break;
+                        // the cap ends the search, not just this plan's
+                        // rewrites
+                        break 'batch;
                     }
                 }
             }
@@ -387,6 +407,47 @@ mod tests {
         Optimizer::standard().optimize_with(&model, a, &selective_apply(a, b), &mut obs);
         assert_eq!(obs.metrics.explored, 2 * plan.explored as u64);
         assert!(obs.metrics.memo_consistent());
+    }
+
+    #[test]
+    fn max_explored_caps_the_whole_search() {
+        // Reaching the cap used to leave only one plan's rewrites, so each
+        // remaining plan of the batch admitted one more candidate.
+        let (sys, a, b) = system();
+        let model = CostModel::from_system(&sys);
+        let naive = selective_apply(a, b);
+        for cap in [1, 2, 5, 10, 17, 40] {
+            let mut opt = Optimizer::standard();
+            opt.max_explored = cap;
+            let mut obs = Obs::new();
+            let plan = opt.optimize_with(&model, a, &naive, &mut obs);
+            assert!(
+                plan.explored <= cap,
+                "cap {cap}: explored {}",
+                plan.explored
+            );
+            assert_eq!(obs.metrics.memo_misses, plan.explored as u64, "cap {cap}");
+        }
+    }
+
+    #[test]
+    fn a_beam_of_width_zero_is_a_beam_of_one() {
+        // Width 0 used to keep one plan open but expand none of it: the
+        // search returned the naive plan with `explored == 1`.
+        let (sys, a, b) = system();
+        let model = CostModel::from_system(&sys);
+        let naive = selective_apply(a, b);
+        let search = |width| {
+            let mut opt = Optimizer::standard();
+            opt.beam_width = width;
+            opt.optimize(&model, a, &naive)
+        };
+        let (zero, one) = (search(0), search(1));
+        assert!(zero.explored > 1, "{zero}");
+        assert_eq!(zero.explored, one.explored);
+        assert_eq!(zero.trace, one.trace);
+        assert_eq!(zero.expr.fingerprint(), one.expr.fingerprint());
+        assert_eq!(zero.cost, one.cost);
     }
 
     #[test]

@@ -343,20 +343,25 @@ impl RewriteRule for R13ShareTransfer {
         let Expr::Apply { query, args } = expr else {
             return vec![];
         };
-        // Find two identical remote-data arguments.
-        let mut shared: Option<(usize, usize)> = None;
-        'outer: for i in 0..args.len() {
-            for j in (i + 1)..args.len() {
-                let remote = match data_home(ctx.model, site, &args[i]) {
-                    Some(h) => h != site,
-                    None => false,
-                };
-                if remote && args[i].fingerprint_hash() == args[j].fingerprint_hash() {
-                    shared = Some((i, j));
-                    break 'outer;
-                }
-            }
+        if args.len() < 2 {
+            return vec![];
         }
+        // Find two identical remote-data arguments: the first pair in
+        // (i, j) order. Each argument's home and key are taken once; an
+        // argument equal to a remote one is remote itself, so only
+        // remote arguments need a key.
+        let keys: Vec<Option<u128>> = args
+            .iter()
+            .map(|a| {
+                let remote = data_home(ctx.model, site, a).is_some_and(|h| h != site);
+                remote.then(|| a.fingerprint_hash())
+            })
+            .collect();
+        let shared = keys.iter().enumerate().find_map(|(i, key)| {
+            let key = Some((*key)?);
+            let j = (i + 1..keys.len()).find(|&j| keys[j] == key)?;
+            Some((i, j))
+        });
         let Some((i, j)) = shared else { return vec![] };
         let tmp = ctx.fresh_tmp();
         let mut new_args = args.clone();

@@ -1,16 +1,22 @@
 //! Property tests over *randomly generated expressions* (not just the
 //! seed shapes): the wire format round-trips, evaluation is total on
-//! well-formed expressions, delegation wrapping preserves values, and the
-//! optimizer never changes answers.
+//! well-formed expressions, delegation wrapping preserves values, the
+//! optimizer never changes answers — and what the search does per
+//! candidate (price it, key it, splice it into its parent) agrees with
+//! the slow way of doing the same, kept here as the reference.
 
-use axml_core::cost::CostModel;
+use axml_core::cost::{CostModel, DEFAULT_QUERY_RATIO, REQUEST_OVERHEAD};
 use axml_core::prelude::*;
+use axml_core::rules::{OptContext, R13ShareTransfer, RewriteRule};
+use axml_net::link::saturating_bytes_f64;
 use axml_prng::SplitMix64;
 use axml_xml::equiv::forest_equiv;
 use axml_xml::tree::Tree;
 use proptest::prelude::*;
 
 const N_PEERS: u32 = 3;
+/// The peers of [`build_system`].
+const PEERS: [PeerId; 3] = [PeerId(0), PeerId(1), PeerId(2)];
 
 fn build_system() -> AxmlSystem {
     let mut builder = AxmlSystem::builder().topology(&Topology::Uniform {
@@ -119,25 +125,26 @@ fn arb_query(rng: &mut SplitMix64, depth: u32) -> Query {
     Query::compose(name.as_str(), outer, vec![inner]).unwrap()
 }
 
-fn arb_addrs(rng: &mut SplitMix64, at_least: usize) -> Vec<NodeAddr> {
+fn arb_addrs(rng: &mut SplitMix64, at_least: usize, peers: &[PeerId]) -> Vec<NodeAddr> {
     (0..rng.gen_range(at_least..3usize))
         .map(|_| {
             let node = axml_xml::tree::NodeId::from_index(rng.gen_range(0..9usize)).unwrap();
-            NodeAddr::new(PeerId(rng.gen_range(0..N_PEERS)), awkward(rng), node)
+            NodeAddr::new(*rng.choose(peers).unwrap(), awkward(rng), node)
         })
         .collect()
 }
 
-/// Any expression the constructors admit — not necessarily evaluable.
-fn arb_wire_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
-    let peer = |rng: &mut SplitMix64| PeerId(rng.gen_range(0..N_PEERS));
+/// Any expression the constructors admit over `peers` — not necessarily
+/// evaluable.
+fn arb_wire_expr(rng: &mut SplitMix64, depth: u32, peers: &[PeerId]) -> Expr {
+    let peer = |rng: &mut SplitMix64| *rng.choose(peers).unwrap();
     let peer_ref = |rng: &mut SplitMix64| match rng.gen_range(0..3u32) {
         0 => PeerRef::Any,
-        _ => PeerRef::At(PeerId(rng.gen_range(0..N_PEERS))),
+        _ => PeerRef::At(*rng.choose(peers).unwrap()),
     };
     let children = |rng: &mut SplitMix64| -> Vec<Expr> {
         (0..rng.gen_range(0..3usize))
-            .map(|_| arb_wire_expr(rng, depth.saturating_sub(1)))
+            .map(|_| arb_wire_expr(rng, depth.saturating_sub(1), peers))
             .collect()
     };
     let kind = if depth == 0 {
@@ -180,24 +187,37 @@ fn arb_wire_expr(rng: &mut SplitMix64, depth: u32) -> Expr {
             dest: match rng.gen_range(0..3u32) {
                 0 => SendDest::Peer(peer(rng)),
                 // at least one: see `a_send_to_no_nodes_is_not_shippable`
-                1 => SendDest::Nodes(arb_addrs(rng, 1)),
+                1 => SendDest::Nodes(arb_addrs(rng, 1, peers)),
                 _ => SendDest::NewDoc {
                     peer: peer(rng),
                     name: awkward(rng).into(),
                 },
             },
-            payload: Box::new(arb_wire_expr(rng, depth - 1)),
+            payload: Box::new(arb_wire_expr(rng, depth - 1, peers)),
         },
         5 => Expr::Sc {
             provider: peer_ref(rng),
             service: awkward(rng).into(),
             params: children(rng),
-            forward: arb_addrs(rng, 0),
+            forward: arb_addrs(rng, 0, peers),
         },
-        6 => Expr::EvalAt {
-            peer: peer(rng),
-            expr: Box::new(arb_wire_expr(rng, depth - 1)),
-        },
+        6 => {
+            let at = peer(rng);
+            let mut body = arb_wire_expr(rng, depth - 1, peers);
+            // Half the time a delegation right inside a delegation: to
+            // the same peer (what it carries stays where the outer one
+            // put it) or to another (it moves again).
+            if rng.gen_bool(0.5) {
+                body = Expr::EvalAt {
+                    peer: if rng.gen_bool(0.5) { at } else { peer(rng) },
+                    expr: Box::new(body),
+                };
+            }
+            Expr::EvalAt {
+                peer: at,
+                expr: Box::new(body),
+            }
+        }
         _ => Expr::Seq(children(rng)),
     }
 }
@@ -213,7 +233,7 @@ fn as_received(e: &Expr) -> Expr {
         };
     }
     let mut out = e.clone();
-    for (i, child) in e.children().into_iter().enumerate() {
+    for (i, child) in e.children().iter().enumerate() {
         out = out.with_child(i, as_received(child));
     }
     out
@@ -227,7 +247,7 @@ fn as_received(e: &Expr) -> Expr {
 fn shipped_text_reads_back_as_the_same_expression() {
     let mut rng = SplitMix64::new(0xE317_7E12);
     for case in 0..600 {
-        let e = arb_wire_expr(&mut rng, 3);
+        let e = arb_wire_expr(&mut rng, 3, &PEERS);
         let text = e.fingerprint();
         assert_eq!(e.wire_size(), text.len(), "case {case}: {e}");
         let xml = Tree::parse(&text).unwrap_or_else(|err| panic!("case {case}: {err}: {text}"));
@@ -339,6 +359,359 @@ fn a_peer_reference_has_one_spelling() {
             assert!(matches!(err, CoreError::Malformed(_)), "{text}: {err}");
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// What the optimizer does per candidate, against the slow way.
+// ---------------------------------------------------------------------
+
+/// Three peers of a twelve-peer system, one of them with two digits: a
+/// peer number's length is part of a shipped plan's size.
+const WIDE: [PeerId; 3] = [PeerId(0), PeerId(3), PeerId(11)];
+
+/// Documents, a generic class and a visible service under the names the
+/// generator draws, on unequal links.
+fn estimate_system() -> AxmlSystem {
+    let [a, b, c] = WIDE;
+    let doc = |n: usize| {
+        let items: String = (0..n).map(|i| format!("<v>{i}</v>")).collect();
+        format!("<lit>{items}</lit>")
+    };
+    AxmlSystem::builder()
+        .topology(&Topology::Uniform {
+            n: 12,
+            cost: LinkCost::wan(),
+        })
+        .link(a, b, LinkCost::slow())
+        .link(b, c, LinkCost::lan())
+        .doc(a, "plain", doc(3))
+        .doc(b, "plain", doc(40))
+        .doc(c, "<&>", doc(7))
+        .replica(b, "日本·語", "plain-b", doc(5))
+        .replica(c, "日本·語", "plain-c", doc(9))
+        .service(b, "plain", "for $x in $0//v return <got>{$x/text()}</got>")
+        .service(c, "a\"b", r#"doc("<&>")//v"#)
+        .build()
+        .unwrap()
+}
+
+/// One message of `payload` bytes from `from` to `to`, as the model
+/// charges it (nothing when it stays on one peer).
+fn ship(model: &CostModel, cost: &mut Cost, from: PeerId, to: PeerId, payload: f64) {
+    if from == to {
+        return;
+    }
+    let link = model.link(from, to);
+    let n = saturating_bytes_f64(payload);
+    cost.bytes += link.charged_bytes(n) as f64;
+    cost.messages += 1.0;
+    cost.time_ms += link.transfer_ms(n);
+}
+
+/// The size of `query`'s result over `args` at `site`. Over leaves the
+/// model is asked (its answer there involves no delegation); over
+/// anything else it has only its default ratio.
+fn result_bytes(model: &CostModel, site: PeerId, query: &Query, args: &[Expr], total: f64) -> f64 {
+    if args
+        .iter()
+        .all(|a| matches!(a, Expr::Doc { .. } | Expr::Tree { .. }))
+    {
+        let probe = Expr::Apply {
+            query: LocatedQuery::new(query.clone(), site),
+            args: args.to_vec(),
+        };
+        return model.estimate(site, &probe).value_bytes;
+    }
+    DEFAULT_QUERY_RATIO * total + 64.0
+}
+
+/// `CostModel::estimate`'s walk as it was when it made the copy the
+/// engine makes: at every `EvalAt` that crosses to another peer the body
+/// is cloned and the clone's definitions relocated, and the walk goes on
+/// over the clone. Charges in the same order, so the sums can be
+/// compared bit for bit.
+fn relocating_est(model: &CostModel, site: PeerId, expr: &Expr, cost: &mut Cost) -> f64 {
+    match expr {
+        Expr::Tree { tree, at } => {
+            let size = tree.serialized_size() as f64;
+            if *at != site {
+                ship(model, cost, site, *at, 48.0 + REQUEST_OVERHEAD);
+                ship(model, cost, *at, site, size);
+            }
+            size
+        }
+        Expr::Doc { name, at } => {
+            let Some((home, concrete)) = model.resolve_doc(site, name, at) else {
+                return 0.0;
+            };
+            let size = model.doc_size(home, &concrete).unwrap_or(1024.0);
+            if home != site {
+                ship(model, cost, site, home, expr.wire_size() as f64);
+                ship(model, cost, home, site, size);
+            }
+            size
+        }
+        Expr::Apply { query, args } => {
+            let def = query.query.wire_size() as f64;
+            ship(model, cost, query.def_at, site, def);
+            let mut total = 0.0;
+            for a in args {
+                total += relocating_est(model, site, a, cost);
+            }
+            result_bytes(model, site, &query.query, args, total)
+        }
+        Expr::Send { dest, payload } => {
+            let v = relocating_est(model, site, payload, cost);
+            match dest {
+                SendDest::Peer(q) => ship(model, cost, site, *q, v),
+                SendDest::Nodes(addrs) => {
+                    for a in addrs {
+                        ship(model, cost, site, a.peer, v);
+                    }
+                }
+                SendDest::NewDoc { peer, .. } => ship(model, cost, site, *peer, v),
+            }
+            0.0
+        }
+        Expr::Sc {
+            provider,
+            service,
+            params,
+            forward,
+        } => {
+            let PeerRef::At(prov) = *provider else {
+                // `estimate_system` registers no generic service
+                assert!(model.service_replicas(service).is_empty());
+                return 0.0;
+            };
+            let mut total = 0.0;
+            for p in params {
+                total += relocating_est(model, site, p, cost);
+            }
+            ship(model, cost, site, prov, total + 32.0);
+            let result = match model.service_query(prov, service) {
+                Some(q) => result_bytes(model, prov, q, params, total),
+                None => DEFAULT_QUERY_RATIO * total + 64.0,
+            };
+            if forward.is_empty() {
+                ship(model, cost, prov, site, result);
+                result
+            } else {
+                for a in forward {
+                    ship(model, cost, prov, a.peer, result);
+                }
+                0.0
+            }
+        }
+        Expr::EvalAt { peer, expr: inner } => {
+            let mut shipped = (**inner).clone();
+            if *peer != site {
+                ship(model, cost, site, *peer, shipped.wire_size() as f64);
+                shipped.relocate_query_defs(*peer);
+            }
+            match &shipped {
+                Expr::Send {
+                    dest: SendDest::Peer(back),
+                    payload,
+                } if *back == site => {
+                    let v = relocating_est(model, *peer, payload, cost);
+                    ship(model, cost, *peer, site, v);
+                    v
+                }
+                other => {
+                    relocating_est(model, *peer, other, cost);
+                    0.0
+                }
+            }
+        }
+        Expr::Deploy { to, query, .. } => {
+            let def = query.query.wire_size() as f64;
+            ship(model, cost, query.def_at, *to, def);
+            0.0
+        }
+        Expr::Seq(es) => {
+            let mut last = 0.0;
+            for e in es {
+                last = relocating_est(model, site, e, cost);
+            }
+            last
+        }
+    }
+}
+
+/// How many `EvalAt` nodes of `e` (evaluated at `site`) cross to another
+/// peer under an enclosing crossing, and how many stay where an
+/// enclosing crossing put them: `(moved again, inherited)`.
+fn nested_delegations(e: &Expr, site: PeerId, shipped: bool) -> (usize, usize) {
+    let (here, site, shipped) = match e {
+        Expr::EvalAt { peer, .. } if *peer != site => ((shipped as usize, 0), *peer, true),
+        Expr::EvalAt { peer, .. } => ((0, shipped as usize), *peer, shipped),
+        _ => ((0, 0), site, shipped),
+    };
+    e.children().iter().fold(here, |(m, i), c| {
+        let (cm, ci) = nested_delegations(c, site, shipped);
+        (m + cm, i + ci)
+    })
+}
+
+/// The cost walk hands the site of shipped definitions down instead of
+/// relocating a copy: same value, same cost, to the bit.
+#[test]
+fn estimate_equals_the_relocating_walk() {
+    let sys = estimate_system();
+    let model = CostModel::from_system(&sys);
+    let mut rng = SplitMix64::new(0xC057_E571);
+    let (mut moved_again, mut inherited) = (0, 0);
+    for case in 0..1500 {
+        let mut e = arb_wire_expr(&mut rng, 4, &WIDE);
+        if case % 2 == 1 {
+            // every other case under a delegation of its own
+            e = Expr::EvalAt {
+                peer: *rng.choose(&WIDE).unwrap(),
+                expr: Box::new(e),
+            };
+        }
+        let site = *rng.choose(&WIDE).unwrap();
+        let (m, i) = nested_delegations(&e, site, false);
+        moved_again += m;
+        inherited += i;
+        let got = model.estimate(site, &e);
+        let mut want = Cost::zero();
+        let want_value = relocating_est(&model, site, &e, &mut want);
+        let bits = |c: &Cost, v: f64| [c.bytes, c.messages, c.time_ms, v].map(f64::to_bits);
+        assert_eq!(
+            bits(&got.cost, got.value_bytes),
+            bits(&want, want_value),
+            "case {case} at {site}: {} vs {want} for {e}",
+            got.cost
+        );
+    }
+    assert!(
+        moved_again > 100 && inherited > 100,
+        "nested delegations that move again: {moved_again}, that inherit: {inherited}"
+    );
+}
+
+/// Do `a` and `b` have the same memo key? Asked of the key's other
+/// reader: rule (13) shares a transfer between two remote arguments
+/// exactly when their keys are equal.
+fn same_key(model: &CostModel, a: &Expr, b: &Expr) -> bool {
+    let remote = |e: &Expr| Expr::EvalAt {
+        peer: PeerId(1),
+        expr: Box::new(e.clone()),
+    };
+    let pair = Query::parse("pair", "for $x in $0 for $y in $1 return {$x}").unwrap();
+    let both = Expr::Apply {
+        query: LocatedQuery::new(pair, PeerId(0)),
+        args: vec![remote(a), remote(b)],
+    };
+    !R13ShareTransfer
+        .apply_at(PeerId(0), &both, &OptContext::new(model))
+        .is_empty()
+}
+
+/// The memo key stands for the text: equal for two expressions exactly
+/// when their fingerprints are — though it never reads a query's text,
+/// and reads the rest in pieces cut wherever the emitter cuts them.
+#[test]
+fn memo_keys_are_equal_exactly_when_the_texts_are() {
+    let sys = build_system();
+    let model = CostModel::from_system(&sys);
+    let mut rng = SplitMix64::new(0x4B45_5953);
+    let mut exprs: Vec<Expr> = (0..120)
+        .map(|_| arb_wire_expr(&mut rng, 3, &PEERS))
+        .collect();
+    // The same texts again, from other values: every literal tree and
+    // every query parsed anew, by two routes.
+    for i in 0..40 {
+        let received = as_received(&exprs[i]);
+        let xml = Tree::parse(&received.fingerprint()).unwrap();
+        exprs.push(Expr::from_xml(&xml, xml.root()).unwrap());
+        exprs.push(received);
+    }
+    // One text cut two ways (see `shipped_literal_trees_lose_…` above).
+    let mut split = Tree::new("lit");
+    let root = split.root();
+    split.add_text(root, "b");
+    split.add_text(root, "c");
+    for tree in [split, Tree::parse("<lit>bc</lit>").unwrap()] {
+        exprs.push(Expr::Tree {
+            tree,
+            at: PeerId(1),
+        });
+    }
+    // One source parsed twice, and its one-character variants.
+    for (name, src) in [
+        ("q", "$0//pkg"),
+        ("q", "$0//pkg"),
+        ("q", "$0//pkh"),
+        ("r", "$0//pkg"),
+    ] {
+        exprs.push(Expr::Apply {
+            query: LocatedQuery::new(Query::parse(name, src).unwrap(), PeerId(2)),
+            args: vec![],
+        });
+    }
+    let texts: Vec<String> = exprs.iter().map(Expr::fingerprint).collect();
+    let mut equal_pairs = 0;
+    for i in 0..exprs.len() {
+        for j in i..exprs.len() {
+            let same_text = texts[i] == texts[j];
+            equal_pairs += (same_text && i != j) as usize;
+            assert_eq!(
+                same_key(&model, &exprs[i], &exprs[j]),
+                same_text,
+                "{} vs {}",
+                texts[i],
+                texts[j]
+            );
+        }
+    }
+    assert!(equal_pairs > 40, "{equal_pairs} pairs of equal texts");
+}
+
+/// `with_child` builds the parent around the new child; the result is
+/// what cloning the parent and overwriting the child gives, for every
+/// constructor that has children and every position.
+#[test]
+fn with_child_equals_clone_then_assign() {
+    fn assigned(e: &Expr, index: usize, child: Expr) -> Expr {
+        let mut out = e.clone();
+        match &mut out {
+            Expr::Apply { args, .. } => args[index] = child,
+            Expr::Sc { params, .. } => params[index] = child,
+            Expr::Seq(es) => es[index] = child,
+            Expr::Send { payload, .. } => **payload = child,
+            Expr::EvalAt { expr, .. } => **expr = child,
+            Expr::Tree { .. } | Expr::Doc { .. } | Expr::Deploy { .. } => unreachable!(),
+        }
+        out
+    }
+    let mut rng = SplitMix64::new(0x5B11_CE00);
+    let mut spliced = [0usize; 5];
+    for _ in 0..600 {
+        let e = arb_wire_expr(&mut rng, 3, &PEERS);
+        let kind = match &e {
+            Expr::Apply { .. } => 0,
+            Expr::Sc { .. } => 1,
+            Expr::Seq(_) => 2,
+            Expr::Send { .. } => 3,
+            Expr::EvalAt { .. } => 4,
+            _ => continue,
+        };
+        for index in 0..e.children().len() {
+            let child = arb_wire_expr(&mut rng, 1, &PEERS);
+            let got = e.with_child(index, child.clone());
+            assert_eq!(
+                got.fingerprint(),
+                assigned(&e, index, child).fingerprint(),
+                "child {index} of {e}"
+            );
+            assert_eq!(got.children().len(), e.children().len());
+            spliced[kind] += 1;
+        }
+    }
+    assert!(spliced.iter().all(|&n| n > 20), "{spliced:?}");
 }
 
 proptest! {

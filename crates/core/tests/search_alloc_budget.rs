@@ -1,0 +1,157 @@
+//! The optimizer search's allocation budget: a candidate plan costs what
+//! the rewrite that made it changed — its own nodes, a copy of the spine
+//! above them — and nothing for being keyed, priced or remembered.
+//! Counted here per explored candidate, with an allocator of this test
+//! binary's own, on `tests/optimizer_golden.rs`'s `query_ship` deployment.
+
+use axml_core::cost::CostModel;
+use axml_core::prelude::*;
+use axml_prng::SplitMix64;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::fmt::Write as _;
+
+thread_local! {
+    /// Allocations made by this thread (tests run on threads of their own).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note() {
+    // A thread that is shutting down has no counter left; it is not one
+    // that measures.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a `const`-initialised
+// thread-local without a destructor, so touching it allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note();
+        // SAFETY: same layout the caller gave us.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note();
+        // SAFETY: `ptr`/`layout` describe a live `System` allocation.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+const CLIENT: PeerId = PeerId(0);
+const DATA_1: PeerId = PeerId(1);
+
+/// A catalog of 200 packages, a `selectivity` share of them big.
+fn catalog(selectivity: f64, seed: u64) -> String {
+    let mut rng = SplitMix64::new(seed);
+    let mut xml = String::from("<catalog>");
+    for i in 0..200 {
+        let size = if rng.next_f64() < selectivity {
+            100_001 + rng.gen_range(0..10_000u32)
+        } else {
+            10_000 + rng.gen_range(0..40_000u32)
+        };
+        let tag = rng.gen_range(0..4096u32);
+        write!(
+            xml,
+            r#"<pkg name="pkg-{i:04}-{tag:x}"><size>{size}</size><desc>package {i}</desc></pkg>"#
+        )
+        .unwrap();
+    }
+    xml.push_str("</catalog>");
+    xml
+}
+
+/// What the two selections see of the `query_ship` deployment: its six
+/// peers and links, a catalog at data-1, the four-member generic class.
+fn system() -> AxmlSystem {
+    let c10 = catalog(0.10, 10);
+    AxmlSystem::builder()
+        .peers([
+            "client", "data-1", "data-2", "gateway", "mirror-1", "mirror-2",
+        ])
+        .link("client", "data-1", LinkCost::wan())
+        .link("client", "data-2", LinkCost::slow())
+        .link("data-1", "data-2", LinkCost::lan())
+        .link("client", "gateway", LinkCost::wan())
+        .link("gateway", "data-1", LinkCost::wan())
+        .link("gateway", "data-2", LinkCost::wan())
+        .link("client", "mirror-1", LinkCost::wan())
+        .link("client", "mirror-2", LinkCost::slow())
+        .link("mirror-1", "data-1", LinkCost::wan())
+        .link("mirror-2", "data-1", LinkCost::wan())
+        .doc("data-1", "cat-1", catalog(0.01, 1).as_str())
+        .replica("data-1", "cat-any", "cat-10", c10.as_str())
+        .replica("data-2", "cat-any", "catalog", c10.as_str())
+        .replica("mirror-1", "cat-any", "catalog", c10.as_str())
+        .replica("mirror-2", "cat-any", "catalog", c10.as_str())
+        .build()
+        .unwrap()
+}
+
+/// `select-big` over `doc`: the `remote-selection` and
+/// `generic-doc-selection` shapes, by what `doc` is.
+fn selection(doc: Expr) -> Expr {
+    let select = Query::parse(
+        "select-big",
+        r#"for $p in $0//pkg where $p/size/text() > 100000
+           return <big name="{$p/@name}">{$p/size}</big>"#,
+    )
+    .unwrap();
+    Expr::Apply {
+        query: LocatedQuery::new(select, CLIENT),
+        args: vec![doc],
+    }
+}
+
+#[test]
+fn a_search_allocates_for_the_plans_it_builds_and_little_else() {
+    let sys = system();
+    let model = CostModel::from_system(&sys);
+    let shapes = [
+        (
+            "remote-selection",
+            selection(Expr::Doc {
+                name: "cat-1".into(),
+                at: PeerRef::At(DATA_1),
+            }),
+        ),
+        (
+            "generic-doc-selection",
+            selection(Expr::Doc {
+                name: "cat-any".into(),
+                at: PeerRef::Any,
+            }),
+        ),
+    ];
+    for (name, naive) in shapes {
+        let optimizer = Optimizer::standard();
+        let before = ALLOCATIONS.get();
+        let plan = optimizer.optimize(&model, CLIENT, &naive);
+        let allocations = ALLOCATIONS.get() - before;
+        assert!(plan.explored > 500, "{name}: {plan}");
+        let per_candidate = allocations as f64 / plan.explored as f64;
+        // 16.8 and 15.0 when this was written (plans of ~11 nodes: about
+        // ten allocations are the candidate itself, the rest the rules'
+        // result lists and the model's statistics lookups); the pin is
+        // the larger + 10 %. Formatting the text of every candidate,
+        // cloning it to relocate its definitions and cloning its rule
+        // trace — what the search did before — was 75.
+        assert!(
+            per_candidate < 18.5,
+            "{name}: {allocations} allocations for {} candidates, {per_candidate:.1} each",
+            plan.explored
+        );
+    }
+}

@@ -20,7 +20,7 @@ use crate::parser::parse_plan;
 use crate::plan::Plan;
 use crate::rewrite;
 use axml_xml::escape::{write_attr, write_text};
-use axml_xml::ids::QueryName;
+use axml_xml::ids::{DocName, QueryName};
 use axml_xml::tree::Tree;
 use std::fmt::{self, Write as _};
 use std::sync::{Arc, OnceLock};
@@ -34,10 +34,16 @@ pub struct Query {
 }
 
 /// What clones of a query share. Name, arity and kind never change
-/// after construction, so the wire text is computed at most once.
+/// after construction, so everything derived from them alone is computed
+/// at most once per query, however many plans carry a clone of it.
 struct QueryDef {
     kind: QueryKind,
-    wire_xml: OnceLock<String>,
+    /// The wire text and its 128-bit digest.
+    wire: OnceLock<(String, u128)>,
+    doc_dependencies: OnceLock<Vec<DocName>>,
+    /// Rule (11)'s `(outer, pushed)`: the two derived queries exist once,
+    /// and so do their own wire texts and digests.
+    decomposed: OnceLock<Option<(Query, Query)>>,
 }
 
 #[allow(clippy::large_enum_variant)] // Leaf is by far the common case
@@ -50,7 +56,9 @@ impl QueryDef {
     fn new(kind: QueryKind) -> Arc<Self> {
         Arc::new(QueryDef {
             kind,
-            wire_xml: OnceLock::new(),
+            wire: OnceLock::new(),
+            doc_dependencies: OnceLock::new(),
+            decomposed: OnceLock::new(),
         })
     }
 }
@@ -160,20 +168,23 @@ impl Query {
 
     /// Names of all `doc("…")` sources the query reads, across leaves and
     /// compositions — the documents whose changes can change the query's
-    /// answer (used by the continuous-service trigger logic).
-    pub fn doc_dependencies(&self) -> Vec<axml_xml::ids::DocName> {
+    /// answer (the continuous-service trigger logic; where the optimizer
+    /// may place the query). Collected once per query.
+    pub fn doc_dependencies(&self) -> &[DocName] {
         use crate::plan::{SourceRef, StartRef};
-        let mut out: Vec<axml_xml::ids::DocName> = Vec::new();
-        for plan in self.leaf_plans() {
-            plan.visit_paths(&mut |p| {
-                if let StartRef::Source(SourceRef::Doc(d)) = &p.start {
-                    if !out.contains(d) {
-                        out.push(d.clone());
+        self.def.doc_dependencies.get_or_init(|| {
+            let mut out: Vec<DocName> = Vec::new();
+            for plan in self.leaf_plans() {
+                plan.visit_paths(&mut |p| {
+                    if let StartRef::Source(SourceRef::Doc(d)) = &p.start {
+                        if !out.contains(d) {
+                            out.push(d.clone());
+                        }
                     }
-                }
-            });
-        }
-        out
+                });
+            }
+            out
+        })
     }
 
     /// The source text of a leaf query.
@@ -219,13 +230,17 @@ impl Query {
 
     /// Example 1 — decompose into `(outer, pushed)` with
     /// `self ≡ outer ∘ pushed`, where `pushed` carries the selections.
+    /// Derived once per query: every call hands out clones of the same
+    /// two queries.
     pub fn decompose_selection(&self) -> Option<(Query, Query)> {
-        let plan = self.plan()?;
-        let (outer, pushed) = rewrite::decompose_selection(plan)?;
-        Some((
-            Query::from_plan(format!("{}·outer", self.name).as_str(), outer),
-            Query::from_plan(format!("{}·pushed", self.name).as_str(), pushed),
-        ))
+        let derive = || {
+            let (outer, pushed) = rewrite::decompose_selection(self.plan()?)?;
+            Some((
+                Query::from_plan(format!("{}·outer", self.name).as_str(), outer),
+                Query::from_plan(format!("{}·pushed", self.name).as_str(), pushed),
+            ))
+        };
+        self.def.decomposed.get_or_init(derive).clone()
     }
 
     /// Local optimization: fold a `where` clause into a path predicate.
@@ -274,11 +289,24 @@ impl Query {
     /// the text that crosses the wire when the query is shipped, written
     /// straight from the definition, once per query (clones share it).
     pub fn wire_xml(&self) -> &str {
-        self.def.wire_xml.get_or_init(|| {
+        &self.wire().0
+    }
+
+    /// A 128-bit digest of [`Query::wire_xml`], taken once per query: two
+    /// queries have equal digests exactly when their wire texts are equal
+    /// (up to a 2⁻¹²⁸ collision). The optimizer's memo key mixes this in
+    /// instead of reading the text again for every candidate plan.
+    pub fn wire_digest(&self) -> u128 {
+        self.wire().1
+    }
+
+    fn wire(&self) -> &(String, u128) {
+        self.def.wire.get_or_init(|| {
             let mut out = String::new();
             self.write_wire(&mut out)
                 .expect("writing to a String cannot fail");
-            out
+            let digest = fnv1a128(out.as_bytes());
+            (out, digest)
         })
     }
 
@@ -309,6 +337,15 @@ impl Query {
     pub fn wire_size(&self) -> usize {
         self.wire_xml().len()
     }
+}
+
+/// 128-bit FNV-1a: wide enough to stand for the text it read.
+fn fnv1a128(bytes: &[u8]) -> u128 {
+    let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
+    for &b in bytes {
+        h = (h ^ u128::from(b)).wrapping_mul(0x0000000001000000000000000000013b);
+    }
+    h
 }
 
 impl PartialEq for Query {

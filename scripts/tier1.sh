@@ -6,13 +6,18 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - eight grep gates, one per "one of each" claim (wire-format writer,
+#   - nine grep gates, one per "one of each" claim (wire-format writer,
 #     trace format, rendered payloads, byte codec, delta filter, blocking
-#     session, strategy picker, send path) — each explained where it runs;
+#     session, strategy picker, send path, plans priced in place) — each
+#     explained where it runs;
 #   - crates/query/tests/alloc_budget.rs (swept by `cargo test --workspace`):
 #     the evaluator allocates for what it answers, not per input item, and
 #     walks a closed scan once — counted with the test binary's own
 #     allocator, so "O(scan + answer)" fails a test when it stops holding;
+#   - crates/core/tests/search_alloc_budget.rs (same sweep, same kind of
+#     allocator): an optimizer search allocates for the candidate plans it
+#     builds, under a pinned count per explored candidate — formatting a
+#     candidate's text, or copying it to price it, fails a test;
 #   - driver / transport / matcher differential suites, chaos seeds, the
 #     trace round trip, E13/E14 smokes and benchmark/ci.sh, below.
 set -euo pipefail
@@ -145,6 +150,37 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/net/src/sim.rs); do
         exit 1
     fi
 done
+
+echo "== tier-1: plans are priced in place (relocate_query_defs only in engine/defs.rs, no write! in the emitter) =="
+# The optimizer keys and prices hundreds of candidate plans per search.
+# The engine really ships a plan, so it relocates the copy it ships; the
+# cost model prices the same transfer by handing the new site down its
+# walk (cost.rs, `est`). Outside comments, `#[cfg(test)]` modules and the
+# method's own definition, a second caller is a deep copy per candidate
+# coming back. And Expr::write_wire, which runs for every key and every
+# priced transfer, writes string pieces and stack-buffered digits: a
+# `write!`/`format!` there is the formatting machinery coming back.
+for f in $(find crates/*/src -name '*.rs' ! -path crates/core/src/engine/defs.rs); do
+    if code "$f" | sed -e '/pub fn relocate_query_defs(/,/^    }$/d' \
+        | grep -n 'relocate_query_defs('; then
+        echo "tier-1: $f relocates a copy of a plan; hand the site down instead (cost.rs)" >&2
+        exit 1
+    fi
+done
+emitter() {
+    code crates/core/src/expr.rs | sed -n \
+        -e '/^    fn write_wire</,/^    }$/p' \
+        -e '/^fn write_wrapped</,/^}$/p' \
+        -e '/^fn write_forwards</,/^}$/p'
+}
+if [ "$(emitter | grep -cE '^ *fn write_(wire|wrapped|forwards)<')" -ne 3 ]; then
+    echo "tier-1: expr.rs no longer has write_wire/write_wrapped/write_forwards where this gate looks" >&2
+    exit 1
+fi
+if emitter | grep -nE '(write|format)!\('; then
+    echo "tier-1: the expression emitter formats; write str pieces and write_number" >&2
+    exit 1
+fi
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
