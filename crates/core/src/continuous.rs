@@ -11,11 +11,37 @@
 //! triggered by their predecessor's answers. [`AxmlSystem::feed`] appends a
 //! new tree to a source document and propagates: every subscription whose
 //! service reads that document ships only its **new** results to its sink
-//! — the forward list, or the `sc`'s parent by default. A pump finds them
-//! by one of two arms: it evaluates the service's plan over the appended
-//! child alone where [`pick_strategy`] and the document's history make
-//! that exact, and otherwise re-evaluates in full and filters through
-//! what it delivered before (multiset delta over canonical forms).
+//! — the forward list, or the `sc`'s parent by default.
+//!
+//! **Per call: evaluation.** Definition (2) produces a result per *call*,
+//! not per caller, so the subscriptions of one provider document that
+//! registered the same query with the same parameters — a `Call` —
+//! share what the query computes. Its full answer is kept beside the
+//! document's matching index as a tree of its own (a copy: views of the
+//! document would pin its arena and make every later append copy it):
+//! the first member that has to evaluate in full scans and stores it, the
+//! rest take it. A feed that finds the watchers in step evaluates the
+//! plan over the appended child once per hit call, where
+//! [`pick_strategy`] makes that exact; the result goes to every hit
+//! member and onto the end of the stored answer, so a subscription that
+//! joins a live call later scans nothing. Only calls reading exactly one
+//! document are shared, and only under [`MatcherMode::Shared`].
+//!
+//! **Per subscription: delivery.** What a member has been sent
+//! (`emitted`, `exact`), what of a batch is therefore new to it
+//! (`admit`/`record`/`retract`), its `delivered` count, its
+//! `SubscriptionDelta` event and one `Data` message per sink are its
+//! own, in ascending id order — deliveries, traces and the ledger do not
+//! show whether an answer was computed or taken.
+//!
+//! **When a stored answer holds.** Exactly while the document's
+//! [`Document::stamp`] is `Watch::answers_at` — the stamp the answers
+//! were computed at, or carried to: an in-step feed moves it from the
+//! stamp it found to the stamp it leaves, which keeps the answers of the
+//! calls its probe skipped (the probe's own guarantee) and of the hit
+//! calls it brought up to date, and drops the rest. Any other mutation
+//! moves the stamp alone, a failed feed forgets `answers_at`, and either
+//! way the next full evaluation of a call scans again.
 
 use crate::engine::{EvalSession, Intent};
 use crate::error::{CoreError, CoreResult};
@@ -30,11 +56,14 @@ use axml_query::eval::{Ctx, Delta};
 use axml_query::matcher::MatchIndex;
 use axml_query::plan::SourceRef;
 use axml_query::Query;
-use axml_xml::equiv::CanonMultiset;
+use axml_xml::equiv::{canonicalize, Canon, CanonMultiset};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::store::Document;
 use axml_xml::tree::{NodeId, Tree};
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// What causes a subscription to re-evaluate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,10 +84,11 @@ pub enum MatcherMode {
     /// about). The default.
     #[default]
     Shared,
-    /// Re-evaluate every affected subscription in full — the
-    /// per-subscription reference loop that both of the default's
+    /// Re-evaluate every affected subscription in full, each by itself —
+    /// the per-subscription reference loop that all three of the default's
     /// shortcuts (skipping a subscription, evaluating one over the delta
-    /// alone) must stay bit-identical to.
+    /// alone, sharing one evaluation among the subscriptions of a call)
+    /// must stay bit-identical to.
     Naive,
 }
 
@@ -91,12 +121,19 @@ pub struct Subscription {
     /// hold back a later copy of that result as already delivered, and
     /// an evaluation over the delta alone cannot know to do the same.
     exact: bool,
+    /// The service's query as activation found it: what the matching
+    /// index holds, what `semi_naive` and `call` were derived from, and
+    /// what every pump evaluates — a service redefined under a live
+    /// subscription reaches the calls activated after that. `None` for an
+    /// `@after` call, which is in no index and reads its service as it
+    /// fires.
+    query: Option<Query>,
     /// May a feed of the one document the service reads be answered from
-    /// the appended child alone? [`pick_strategy`]'s verdict on its query,
-    /// taken once by [`SubscriptionTable::insert`] along with the index
-    /// registration and the trigger — like them, it is not revisited if
-    /// the service is redefined under a live subscription.
+    /// the appended child alone? [`pick_strategy`]'s verdict on `query`.
     semi_naive: bool,
+    /// The [`Call`] whose evaluations this subscription shares, if it
+    /// reads exactly one document.
+    call: Option<Arc<CallKey>>,
     /// Total trees delivered.
     pub delivered: usize,
 }
@@ -117,6 +154,113 @@ struct Watch {
     /// silently. It also moves the stamp, so the next feed sees the
     /// mismatch and sends every watcher through the full arm once.
     in_step_at: Option<u64>,
+    /// The distinct calls among the watchers that read this document alone.
+    calls: HashMap<Arc<CallKey>, Call>,
+    /// The document stamp at which every stored [`Call::answer`] is its
+    /// call's answer. One stamp for all of them, so that a feed carries
+    /// the answers of the calls it does not hit by moving it.
+    answers_at: Option<u64>,
+}
+
+/// What tells the calls on one document apart: the digest of the query's
+/// wire text and the canonical forms of the parameter forests. A key is a
+/// bucket, not yet a verdict: parameters equal up to sibling order share
+/// one, and an answer's order and bytes may depend on the order they were
+/// written in — [`Watch::join`] compares them as written.
+type CallKey = (u128, Vec<Vec<Canon>>);
+
+/// One distinct call: a query and its parameters, evaluated once for all
+/// the subscriptions that made it.
+#[derive(Debug)]
+struct Call {
+    /// The parameters, as its first member wrote them.
+    params: Vec<Vec<Tree>>,
+    /// Live subscriptions sharing it; the entry dies with the last.
+    members: usize,
+    /// The full answer at [`Watch::answers_at`], in a tree of its own: one
+    /// child of the root per result, in result order.
+    answer: Option<Tree>,
+}
+
+/// `results` copied under `answer`'s root. Copied, because a result is
+/// usually a view into the document it was found in, and a stored view
+/// would make the next feed's graft copy that whole document first.
+fn append(answer: &mut Tree, results: &[Tree]) {
+    let root = answer.root();
+    for r in results {
+        answer
+            .graft(root, r, r.root())
+            .expect("an answer's root is an element");
+    }
+}
+
+impl Watch {
+    /// Count one more subscription calling `key` with `params`, and say
+    /// which call it shares: none if the bucket's call wrote equivalent
+    /// parameters in another order.
+    fn join(&mut self, key: CallKey, params: &[Vec<Tree>]) -> Option<Arc<CallKey>> {
+        match self.calls.entry(Arc::new(key)) {
+            Entry::Occupied(mut e) => (e.get().params == params).then(|| {
+                e.get_mut().members += 1;
+                Arc::clone(e.key())
+            }),
+            Entry::Vacant(e) => {
+                let key = Arc::clone(e.key());
+                e.insert(Call {
+                    params: params.to_vec(),
+                    members: 1,
+                    answer: None,
+                });
+                Some(key)
+            }
+        }
+    }
+
+    fn leave(&mut self, key: &Arc<CallKey>) {
+        if let Some(call) = self.calls.get_mut(key) {
+            call.members -= 1;
+            if call.members == 0 {
+                self.calls.remove(key);
+            }
+        }
+    }
+
+    /// The results of `key`'s call over a document stamped `stamp`, if
+    /// its answer is stored: views of the answer's own tree.
+    fn answer(&self, key: &Arc<CallKey>, stamp: u64) -> Option<Vec<Tree>> {
+        let answer = self.calls.get(key)?.answer.as_ref()?;
+        let view = |&r| answer.subtree(r).expect("a child of the root");
+        (self.answers_at == Some(stamp))
+            .then(|| answer.children(answer.root()).iter().map(view).collect())
+    }
+
+    /// Store `results` as the answer of `key`'s call over a document
+    /// stamped `stamp`, forgetting the answers of any other stamp.
+    fn keep(&mut self, key: &Arc<CallKey>, stamp: u64, results: &[Tree]) {
+        if self.answers_at != Some(stamp) {
+            self.calls.values_mut().for_each(|c| c.answer = None);
+            self.answers_at = Some(stamp);
+        }
+        if let Some(call) = self.calls.get_mut(key) {
+            append(call.answer.insert(Tree::new("answer")), results);
+        }
+    }
+}
+
+/// What an in-step feed offers the watchers it hits: the child it
+/// appended and, per hit call, what the call's query makes of that child
+/// alone — evaluated for the first member that asks, handed to the
+/// others. It lives on the feed's stack: the results are mostly views
+/// into the fed document, and must be gone before the next feed grafts
+/// into it.
+struct Appended<'a> {
+    delta: Delta<'a>,
+    /// Were the stored answers those of the document before the append —
+    /// and so, for the calls the probe skipped, after it?
+    carried: bool,
+    /// Per call a member of which was pumped: the results over the
+    /// appended child alone, once evaluated.
+    calls: HashMap<Arc<CallKey>, Option<Vec<Tree>>>,
 }
 
 /// All state of the continuous engine. [`SubscriptionTable::insert`] and
@@ -133,25 +277,30 @@ pub(crate) struct SubscriptionTable {
     /// Per (provider, document): its doc-triggered subscriptions. An
     /// entry dies with its last subscription.
     watches: HashMap<(PeerId, DocName), Watch>,
-    /// Per `sc` id: the subscriptions chained `after` it, ascending.
-    after: HashMap<String, Vec<u64>>,
+    /// Per `sc` id: the subscriptions chained `after` it.
+    after: HashMap<String, BTreeSet<u64>>,
     /// Per (hosting peer, document): the live subscriptions its
     /// activation created — makes re-activation idempotent.
-    book: HashMap<(PeerId, DocName), Vec<u64>>,
+    book: HashMap<(PeerId, DocName), BTreeSet<u64>>,
     /// Subscription ids currently being pumped — the re-entrancy guard
     /// that turns an undetected `@after` cycle into a typed error
     /// instead of a stack overflow.
     pump_stack: Vec<u64>,
+    /// Evaluations in full and over an appended child alone, so far —
+    /// what the unit tests hold "once per call" against.
+    #[cfg_attr(not(test), allow(dead_code))]
+    evals: (usize, usize),
 }
 
 impl SubscriptionTable {
     /// Add a subscription; a doc-triggered one registers `query` (its
     /// service's) under every document it reads, looked up in `peers`.
-    fn insert(&mut self, mut sub: Subscription, query: Option<&Query>, peers: &[PeerState]) {
-        match (&sub.trigger, query) {
+    fn insert(&mut self, mut sub: Subscription, query: Option<Query>, peers: &[PeerState]) {
+        match (&sub.trigger, &query) {
             (Trigger::DocChange(deps), Some(query)) => {
                 for d in deps {
-                    self.watches
+                    let watch = self
+                        .watches
                         .entry((sub.provider, d.clone()))
                         .or_insert_with(|| Watch {
                             index: MatchIndex::new(d.clone()),
@@ -159,31 +308,40 @@ impl SubscriptionTable {
                                 .docs
                                 .get(d)
                                 .map(Document::stamp),
-                        })
-                        .index
-                        .register(sub.id, query);
-                }
-                // `in_step_at` vouches for one document, so a
-                // subscription reading several always evaluates in full.
-                if let ([d], Some(plan)) = (deps.as_slice(), query.plan()) {
-                    sub.semi_naive =
-                        pick_strategy(plan, &SourceRef::Doc(d.clone())) == DeltaStrategy::SemiNaive;
+                            calls: HashMap::new(),
+                            answers_at: None,
+                        });
+                    watch.index.register(sub.id, query);
+                    // `in_step_at` and `answers_at` vouch for one document,
+                    // so a subscription reading several always evaluates in
+                    // full, and by itself.
+                    if deps.len() == 1 {
+                        let canon = |t: &Tree| canonicalize(t, t.root());
+                        let params = sub.params.iter().map(|f| f.iter().map(canon).collect());
+                        let key = (query.wire_digest(), params.collect());
+                        sub.call = watch.join(key, &sub.params);
+                        sub.semi_naive = query.plan().is_some_and(|plan| {
+                            pick_strategy(plan, &SourceRef::Doc(d.clone()))
+                                == DeltaStrategy::SemiNaive
+                        });
+                    }
                 }
             }
             (Trigger::AfterAnswer(pred), _) => {
-                self.after.entry(pred.clone()).or_default().push(sub.id);
+                self.after.entry(pred.clone()).or_default().insert(sub.id);
             }
             (Trigger::DocChange(_), None) => {}
         }
         self.book
             .entry((sub.caller, sub.doc.clone()))
             .or_default()
-            .push(sub.id);
+            .insert(sub.id);
+        sub.query = query;
         self.live.insert(sub.id, sub);
     }
 
-    /// Drop a subscription from the table, its indexes, the `after` map
-    /// and the book. Returns whether it existed.
+    /// Drop a subscription from the table, its indexes and calls, the
+    /// `after` map and the book. Returns whether it existed.
     fn remove(&mut self, id: u64) -> bool {
         let Some(sub) = self.live.remove(&id) else {
             return false;
@@ -194,6 +352,9 @@ impl SubscriptionTable {
                     let key = (sub.provider, d);
                     if let Some(w) = self.watches.get_mut(&key) {
                         w.index.remove(id);
+                        if let Some(call) = &sub.call {
+                            w.leave(call);
+                        }
                         if w.index.registered().is_empty() {
                             self.watches.remove(&key);
                         }
@@ -208,9 +369,9 @@ impl SubscriptionTable {
 }
 
 /// Take `id` out of `map[key]`; an entry dies with its last id.
-fn drop_id<K: std::hash::Hash + Eq>(map: &mut HashMap<K, Vec<u64>>, key: &K, id: u64) {
+fn drop_id<K: std::hash::Hash + Eq>(map: &mut HashMap<K, BTreeSet<u64>>, key: &K, id: u64) {
     if let Some(ids) = map.get_mut(key) {
-        ids.retain(|i| *i != id);
+        ids.remove(&id);
         if ids.is_empty() {
             map.remove(key);
         }
@@ -233,7 +394,7 @@ impl AxmlSystem {
     pub fn activate_document(&mut self, at: PeerId, doc: &DocName) -> CoreResult<Vec<u64>> {
         let key = (at, doc.clone());
         if let Some(live) = self.subs.book.get(&key) {
-            return Ok(live.clone());
+            return Ok(live.iter().copied().collect());
         }
         match self.blocking(|sys, s| sys.activate_into(s, at, doc)) {
             Ok((ids, _)) => Ok(ids),
@@ -340,10 +501,12 @@ impl AxmlSystem {
                     trigger,
                     emitted: CanonMultiset::default(),
                     exact: false,
+                    query: None,
                     semi_naive: false,
+                    call: None,
                     delivered: 0,
                 },
-                query.as_ref(),
+                query,
                 &self.peers,
             );
         }
@@ -456,13 +619,20 @@ impl AxmlSystem {
         // document someone else has touched — all of them re-evaluate in
         // full.
         let key = (at, doc.clone());
-        let Some(watch) = self.subs.watches.get(&key) else {
+        let Some(watch) = self.subs.watches.get_mut(&key) else {
             return Ok(0);
         };
         let shared = self.subs.mode == MatcherMode::Shared;
         let in_step = shared && watch.in_step_at == Some(before);
+        // The answers stored for the document as the append found it are,
+        // for the calls the probe skips, the answers after it too; the
+        // hit calls' are taken out as their first member is pumped.
+        let carried = in_step && watch.answers_at == Some(before);
+        if carried {
+            watch.answers_at = Some(fed);
+        }
         let registered = watch.index.registered();
-        let mut pumped = if in_step {
+        let pumped = if in_step {
             watch.index.probe(&tree)
         } else {
             registered.clone()
@@ -473,19 +643,50 @@ impl AxmlSystem {
             self.obs.metrics.matcher_hits += hit;
             self.obs.metrics.matcher_skips += all - hit;
         }
-        let mut delta = in_step.then_some(Delta::DocChild { doc, child });
+        let feed = in_step.then(|| Appended {
+            delta: Delta::DocChild { doc, child },
+            carried,
+            calls: HashMap::new(),
+        });
+        let delivered = self.pump_watchers(s, &key, pumped, feed, fed);
+        // Only now, every pump having delivered: the watchers have seen
+        // the document as this feed's graft left it. A delivery that
+        // landed in it since has moved its stamp past `fed`. After a
+        // pump that failed nothing is vouched for, stored answers
+        // included: some may still lack the child.
+        if let Some(watch) = self.subs.watches.get_mut(&key) {
+            match delivered {
+                Ok(_) => watch.in_step_at = Some(fed),
+                Err(_) => watch.answers_at = None,
+            }
+        }
+        delivered
+    }
+
+    /// Pump the watchers of `key`'s document that a feed has to, in
+    /// ascending id order. `feed` is what the feed appended, while the
+    /// document is as its graft left it (stamped `fed`).
+    fn pump_watchers(
+        &mut self,
+        s: &mut EvalSession,
+        key: &(PeerId, DocName),
+        mut pumped: BTreeSet<u64>,
+        mut feed: Option<Appended<'_>>,
+        fed: u64,
+    ) -> CoreResult<usize> {
+        let (at, doc) = key;
         let mut delivered = 0;
         while let Some(id) = pumped.pop_first() {
-            delivered += self.pump_into(s, id, delta)?;
+            delivered += self.pump_into(s, id, feed.as_mut())?;
             // A delivery that landed in the fed document itself: the
-            // watchers still to come would see more than `child`, and
+            // watchers still to come would see more than the child, and
             // more than the probe looked at. All of them evaluate in
             // full, as the reference does — those skipped included.
             let stamp = || self.peers[at.index()].docs.get(doc).map(Document::stamp);
-            if delta.is_some() && stamp() != Some(fed) {
-                delta = None;
+            if feed.is_some() && stamp() != Some(fed) {
+                feed = None;
                 let hits = pumped.len() as u64;
-                if let Some(watch) = self.subs.watches.get(&key) {
+                if let Some(watch) = self.subs.watches.get(key) {
                     pumped = watch.index.registered().range(id + 1..).copied().collect();
                 }
                 let skipped = pumped.len() as u64 - hits;
@@ -493,17 +694,11 @@ impl AxmlSystem {
                 self.obs.metrics.matcher_skips -= skipped;
             }
         }
-        // Only now, every pump having delivered: the watchers have seen
-        // the document as this feed's graft left it. A delivery that
-        // landed in it since has moved its stamp past `fed`.
-        if let Some(watch) = self.subs.watches.get_mut(&key) {
-            watch.in_step_at = Some(fed);
-        }
         Ok(delivered)
     }
 
     /// Pump one subscription inside an open session: deliver its new
-    /// results and fire `@after` chains. `delta` is the child a feed just
+    /// results and fire `@after` chains. `feed` is the child a feed just
     /// appended to the document the subscription reads, offered when its
     /// earlier deliveries are known to be the answer without that child;
     /// without it the pump re-evaluates in full. Returns the number of
@@ -514,7 +709,7 @@ impl AxmlSystem {
         &mut self,
         s: &mut EvalSession,
         id: u64,
-        delta: Option<Delta<'_>>,
+        feed: Option<&mut Appended<'_>>,
     ) -> CoreResult<usize> {
         let stack = &self.subs.pump_stack;
         if stack.contains(&id) {
@@ -527,9 +722,103 @@ impl AxmlSystem {
             return Err(CoreError::AfterCycle(chain.join(" -> ")));
         }
         self.subs.pump_stack.push(id);
-        let out = self.pump_inner(s, id, delta);
+        let out = self.pump_inner(s, id, feed);
         self.subs.pump_stack.pop();
         out
+    }
+
+    /// Step 2 of a pump: what the provider has for subscription `id` that
+    /// it was not sent before, and how many results it recomputed to find
+    /// that out. Evaluation is per [`Call`] where the subscription has
+    /// one and the mode shares; everything else here is the
+    /// subscription's own.
+    fn new_results<'f>(
+        &mut self,
+        id: u64,
+        feed: Option<&'f mut Appended<'_>>,
+    ) -> CoreResult<(Cow<'f, [Tree]>, usize)> {
+        let table = &mut self.subs;
+        let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
+        let sub = table.live.get_mut(&id).ok_or_else(no_sub)?;
+        let state = &self.peers[sub.provider.index()];
+        let query = match &sub.query {
+            Some(query) => query,
+            None => &state.service(&sub.service, sub.provider)?.query,
+        };
+        // The call's entry, and the stamp of the one document it reads.
+        let mut call = match (table.mode, &sub.call, &sub.trigger) {
+            (MatcherMode::Shared, Some(key), Trigger::DocChange(deps)) => table
+                .watches
+                .get_mut(&(sub.provider, deps[0].clone()))
+                .zip(state.docs.get(&deps[0]).map(Document::stamp))
+                .map(|(watch, stamp)| (watch, key, stamp)),
+            _ => None,
+        };
+        // The first member of a call that a feed pumps takes the stored
+        // answer out: it lacks the child. Evaluating the child puts it
+        // back, brought up to date; a full evaluation replaces it.
+        let mut lacks_child = None;
+        let hit = match (feed, &mut call) {
+            (Some(feed), Some((watch, key, _))) => {
+                let fresh = feed.calls.entry(Arc::clone(key)).or_insert_with(|| {
+                    let stored = watch.calls.get_mut(*key).and_then(|c| c.answer.take());
+                    lacks_child = stored.filter(|_| feed.carried);
+                    None
+                });
+                Some((feed.delta, Some(fresh)))
+            }
+            (feed, _) => feed.map(|feed| (feed.delta, None)),
+        };
+        match query
+            .plan()
+            .zip(hit.filter(|_| sub.semi_naive && sub.exact))
+        {
+            // … from the appended child alone: all of it is new,
+            Some((plan, (delta, shared))) => {
+                let fresh = match shared {
+                    Some(Some(fresh)) => Cow::Borrowed(fresh.as_slice()),
+                    shared => {
+                        table.evals.1 += 1;
+                        let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
+                        // … and the end of the call's answer.
+                        if let (Some(mut answer), Some((watch, key, _))) = (lacks_child, call) {
+                            append(&mut answer, &fresh);
+                            if let Some(call) = watch.calls.get_mut(key) {
+                                call.answer = Some(answer);
+                            }
+                        }
+                        match shared {
+                            Some(slot) => Cow::Borrowed(slot.insert(fresh).as_slice()),
+                            None => Cow::Owned(fresh),
+                        }
+                    }
+                };
+                sub.emitted.record(&fresh);
+                Ok((fresh, 0))
+            }
+            // … or from the current state, less what was delivered before.
+            None => {
+                let stored = call
+                    .as_ref()
+                    .and_then(|(watch, key, stamp)| watch.answer(key, *stamp));
+                let results = match stored {
+                    Some(results) => results,
+                    None => {
+                        table.evals.0 += 1;
+                        let results = query.eval_with_docs(&sub.params, state)?;
+                        if let Some((watch, key, stamp)) = call {
+                            watch.keep(key, stamp, &results);
+                        }
+                        results
+                    }
+                };
+                let recomputed = results.len();
+                let fresh = sub.emitted.admit(results);
+                sub.exact = sub.emitted.delivered() == recomputed;
+                let suppressed = recomputed - fresh.len();
+                Ok((Cow::Owned(fresh), suppressed))
+            }
+        }
     }
 
     /// The pump body. Chained `@after` calls fire as soon as their
@@ -539,33 +828,13 @@ impl AxmlSystem {
         &mut self,
         s: &mut EvalSession,
         id: u64,
-        delta: Option<Delta<'_>>,
+        feed: Option<&mut Appended<'_>>,
     ) -> CoreResult<usize> {
-        let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
-        let sub = self.subs.live.get_mut(&id).ok_or_else(no_sub)?;
-        let provider = sub.provider;
-        let state = &self.peers[provider.index()];
-        let svc = state.service(&sub.service, provider)?;
         // Step 2: the provider computes what is new …
-        let delta = delta.filter(|_| sub.semi_naive && sub.exact);
-        let (fresh, suppressed) = match svc.query.plan().zip(delta) {
-            // … from the appended child alone: all of it is new,
-            Some((plan, delta)) => {
-                let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
-                sub.emitted.record(&fresh);
-                (fresh, 0)
-            }
-            // … or from the current state, less what was delivered before.
-            None => {
-                let results = svc.query.eval_with_docs(&sub.params, state)?;
-                let recomputed = results.len();
-                let fresh = sub.emitted.admit(results);
-                sub.exact = sub.emitted.delivered() == recomputed;
-                let suppressed = recomputed - fresh.len();
-                (fresh, suppressed)
-            }
-        };
-        let (sink, sc_id) = (sub.sink.clone(), sub.sc_id.clone());
+        let (fresh, suppressed) = self.new_results(id, feed)?;
+        let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
+        let sub = self.subs.live.get(&id).ok_or_else(no_sub)?;
+        let (provider, sink, sc_id) = (sub.provider, sub.sink.clone(), sub.sc_id.clone());
         self.obs.metrics.delta_fresh += fresh.len() as u64;
         self.obs.metrics.delta_suppressed += suppressed as u64;
         let now = self.now_ms();
@@ -1245,6 +1514,39 @@ mod matcher_tests {
         assert_eq!(echo_run(MatcherMode::Shared), naive);
     }
 
+    /// A subscription evaluates the query it registered: what the index
+    /// probes, what the picker judged and what a pump runs cannot come
+    /// apart when the service is redefined under it. (a) the probe would
+    /// skip what the new query selects; (b) the picker's verdict on the
+    /// old query would put the new one on the delta arm.
+    #[test]
+    fn a_service_redefined_under_a_live_subscription_splits_no_modes() {
+        let redefine_and_feed = |mode, service: &str, to: &str, items: [(&str, &str); 2]| {
+            let (mut sys, client, server) = board_system();
+            sys.set_matcher_mode(mode);
+            sys.activate_document(client, &"inbox".into()).unwrap();
+            sys.register_declarative_service(server, service, to)
+                .unwrap();
+            let counts = items.map(|(topic, text)| {
+                let item = format!(r#"<item topic="{topic}">{text}</item>"#);
+                sys.feed(server, "board", Tree::parse(&item).unwrap())
+                    .unwrap()
+            });
+            let inbox = sys.peer(client).doc(&"inbox".into(), client).unwrap();
+            (counts, inbox.serialize())
+        };
+        let select_ai = r#"for $i in doc("board")/item where $i/@topic = "ai" return {$i}"#;
+        let wrap_all =
+            r#"let $all := doc("board")/item where exists($all) return <all>{$all}</all>"#;
+        for (service, to) in [("watch-db", select_ai), ("watch-ai", wrap_all)] {
+            let items = [("ai", "a"), ("ai", "b")];
+            let shared = redefine_and_feed(MatcherMode::Shared, service, to, items);
+            let naive = redefine_and_feed(MatcherMode::Naive, service, to, items);
+            assert_eq!(shared, naive, "{service} redefined");
+            assert_eq!(shared.0, [1, 1], "the watchers activated keep their query");
+        }
+    }
+
     #[test]
     fn unsubscribe_unregisters_from_the_index() {
         let (mut sys, client, server) = board_system();
@@ -1259,5 +1561,240 @@ mod matcher_tests {
         .unwrap();
         // Only the surviving subscription is probed.
         assert_eq!(sys.metrics().matcher_probes, 1);
+    }
+}
+
+#[cfg(test)]
+mod call_tests {
+    use super::*;
+
+    const WATCH: &str = r#"for $i in doc("board")/item[@topic = $0/text()] return {$i}"#;
+    const QUOTE: &str =
+        r#"for $i in doc("board")/item[@topic = $0/text()] return <q>{$0}{$i/text()}</q>"#;
+
+    /// A server's `board` with one `db` item and a `watch` service taking
+    /// the topic as its parameter; `inboxes` client documents, the `k`-th
+    /// calling `watch` with `params[k]` (the content of its `<param1>`).
+    fn watchers(mode: MatcherMode, params: &[&str]) -> (AxmlSystem, PeerId, PeerId) {
+        callers(mode, "watch", params)
+    }
+
+    /// The same, calling `service`; `quote` answers like `watch`, each
+    /// item wrapped together with the parameter as it was written.
+    fn callers(mode: MatcherMode, service: &str, params: &[&str]) -> (AxmlSystem, PeerId, PeerId) {
+        let mut b = AxmlSystem::builder()
+            .peers(["client", "server"])
+            .doc(
+                "server",
+                "board",
+                r#"<board><item topic="db">v0</item></board>"#,
+            )
+            .doc("server", "log", "<log/>")
+            .service("server", "watch", WATCH)
+            .service("server", "quote", QUOTE)
+            .service("server", "all", r#"doc("board")/item"#);
+        for (k, p) in params.iter().enumerate() {
+            let sc =
+                format!("<sc><peer>p1</peer><service>{service}</service><param1>{p}</param1></sc>");
+            b = b.doc(
+                "client",
+                format!("inbox{k}"),
+                format!("<in>{sc}</in>").as_str(),
+            );
+        }
+        let mut sys = b.build().unwrap();
+        sys.set_matcher_mode(mode);
+        let (client, server) = (PeerId(0), PeerId(1));
+        for k in 0..params.len() {
+            sys.activate_document(client, &format!("inbox{k}").into())
+                .unwrap();
+        }
+        (sys, client, server)
+    }
+
+    fn item(topic: &str, text: &str) -> Tree {
+        Tree::parse(&format!(r#"<item topic="{topic}">{text}</item>"#)).unwrap()
+    }
+
+    fn inbox(sys: &AxmlSystem, client: PeerId, k: usize) -> String {
+        let name = format!("inbox{k}");
+        sys.peer(client)
+            .doc(&name.as_str().into(), client)
+            .unwrap()
+            .serialize()
+    }
+
+    fn board_watch(sys: &AxmlSystem, server: PeerId) -> &Watch {
+        &sys.subs.watches[&(server, "board".into())]
+    }
+
+    const DB: &str = "<t>db</t>";
+
+    #[test]
+    fn one_evaluation_per_call_however_many_subscribe() {
+        let (mut sys, client, server) = watchers(MatcherMode::Shared, &[DB; 5]);
+        assert_eq!(sys.subs.evals, (1, 0), "five activations, one scan");
+        for (n, text) in ["v1", "v2", "v3"].into_iter().enumerate() {
+            assert_eq!(sys.feed(server, "board", item("db", text)).unwrap(), 5);
+            assert_eq!(sys.subs.evals, (1, n + 1), "one delta evaluation a feed");
+        }
+        sys.feed(server, "board", Tree::new("note")).unwrap();
+        assert_eq!(
+            sys.subs.evals,
+            (1, 3),
+            "a feed the probe skips evaluates nothing"
+        );
+        // A subscription joining the live call scans nothing, and is sent
+        // what the others were, in one batch.
+        let late = format!(
+            "<in><sc><peer>p1</peer><service>watch</service><param1>{DB}</param1></sc></in>"
+        );
+        sys.install_doc(client, "inbox5", Tree::parse(&late).unwrap())
+            .unwrap();
+        sys.activate_document(client, &"inbox5".into()).unwrap();
+        assert_eq!(sys.subs.evals, (1, 3));
+        assert_eq!(inbox(&sys, client, 5), inbox(&sys, client, 0));
+        assert!(inbox(&sys, client, 5).ends_with("v2</item><item topic=\"db\">v3</item></in>"));
+        // The reference evaluates every subscription itself, every time.
+        let (mut naive, _, server) = watchers(MatcherMode::Naive, &[DB; 5]);
+        assert_eq!(naive.subs.evals, (5, 0));
+        naive.feed(server, "board", item("db", "v1")).unwrap();
+        assert_eq!(naive.subs.evals, (10, 0));
+    }
+
+    #[test]
+    fn a_stored_answer_is_a_copy_never_a_view_of_the_document() {
+        let (mut sys, _, server) = watchers(MatcherMode::Shared, &[DB, DB, "<t>ai</t>"]);
+        let check = |sys: &AxmlSystem, stored: usize| {
+            let board = sys.peer(server).doc(&"board".into(), server).unwrap();
+            let watch = board_watch(sys, server);
+            let answers: Vec<_> = watch
+                .calls
+                .values()
+                .filter_map(|c| c.answer.as_ref())
+                .collect();
+            assert_eq!(answers.len(), stored);
+            assert!(answers.iter().all(|a| !a.shares_arena_with(board)));
+            assert_eq!(
+                watch.answers_at,
+                sys.peer(server)
+                    .docs
+                    .get(&"board".into())
+                    .map(Document::stamp)
+            );
+        };
+        check(&sys, 2);
+        for text in ["v1", "v2"] {
+            sys.feed(server, "board", item("db", text)).unwrap();
+            check(&sys, 2);
+        }
+        // An edit no feed made: the answers are of a stamp gone by, and
+        // the next feed's full evaluations replace them.
+        let doc = sys
+            .peer_mut(server)
+            .docs
+            .require_mut(&"board".into())
+            .unwrap();
+        let root = doc.tree().root();
+        doc.tree_mut().add_element(root, "note");
+        let scans = sys.subs.evals.0;
+        assert_eq!(sys.feed(server, "board", item("ai", "w")).unwrap(), 1);
+        assert_eq!(
+            sys.subs.evals.0,
+            scans + 2,
+            "once per call, not per watcher"
+        );
+        check(&sys, 2);
+    }
+
+    #[test]
+    fn a_call_dies_with_its_last_subscription() {
+        let (mut sys, _, server) = watchers(MatcherMode::Shared, &[DB, DB, "<t>ai</t>"]);
+        let ids: Vec<u64> = sys.subscriptions().map(|s| s.id).collect();
+        let members = |sys: &AxmlSystem| {
+            let mut m: Vec<usize> = board_watch(sys, server)
+                .calls
+                .values()
+                .map(|c| c.members)
+                .collect();
+            m.sort();
+            m
+        };
+        assert_eq!(members(&sys), [1, 2]);
+        sys.unsubscribe(ids[0]);
+        assert_eq!(members(&sys), [1, 1]);
+        sys.unsubscribe(ids[1]);
+        assert_eq!(members(&sys), [1], "the db call went with its last member");
+        sys.unsubscribe(ids[2]);
+        assert!(
+            sys.subs.watches.is_empty(),
+            "and the watch with its last call"
+        );
+    }
+
+    #[test]
+    fn parameters_share_a_call_only_as_written() {
+        let (two, swapped) = ("<t>db<x/></t>", "<t><x/>db</t>");
+        let spellings = [two, two, swapped, "<t>db<y/></t>"];
+        let run = |mode| {
+            let (mut sys, client, server) = callers(mode, "quote", &spellings);
+            sys.feed(server, "board", item("db", "v1")).unwrap();
+            (sys, client, server)
+        };
+        let (sys, client, server) = run(MatcherMode::Shared);
+        // Each is sent its own spelling, as the reference sends it.
+        let (naive, ..) = run(MatcherMode::Naive);
+        for k in 0..spellings.len() {
+            assert_eq!(inbox(&sys, client, k), inbox(&naive, client, k));
+        }
+        let quoted = format!("<q>{swapped}v1</q></in>");
+        assert!(inbox(&sys, client, 2).ends_with(&quoted));
+        let calls: Vec<_> = sys.subscriptions().map(|s| s.call.clone()).collect();
+        assert_eq!(calls[0], calls[1], "equal as written: one call");
+        assert!(calls[0].is_some() && calls[3].is_some() && calls[0] != calls[3]);
+        assert_eq!(
+            calls[2], None,
+            "equal up to sibling order: evaluates by itself"
+        );
+        assert_eq!(board_watch(&sys, server).calls.len(), 2);
+        assert_eq!(sys.subs.evals, (3, 3));
+    }
+
+    /// Two calls hit by one feed, the first member of the first failing
+    /// its delivery: the second call's stored answer never got the child.
+    #[test]
+    fn a_failed_feed_leaves_no_answer_behind() {
+        let run = |mode| {
+            let (mut sys, client, server) = watchers(mode, &[DB]);
+            let log_root = sys.peer(server).doc(&"log".into(), server).unwrap().root();
+            let calls = format!(
+                "<in><sc><peer>p1</peer><service>all</service><forw>log#{}@p1</forw></sc>\
+                 <sc><peer>p1</peer><service>watch</service><param1><t>ai</t></param1></sc></in>",
+                log_root.index()
+            );
+            sys.install_doc(client, "inbox1", Tree::parse(&calls).unwrap())
+                .unwrap();
+            sys.activate_document(client, &"inbox1".into()).unwrap();
+            let log = sys.peer_mut(server).docs.remove(&"log".into()).unwrap();
+            // `watch(db)` (the oldest) delivers, `all` fails, `watch(ai)`
+            // is never pumped.
+            sys.feed(server, "board", item("ai", "lost?")).unwrap_err();
+            sys.peer_mut(server).docs.insert(log).unwrap();
+            let late = "<in><sc><peer>p1</peer><service>watch</service><param1><t>ai</t></param1></sc></in>";
+            sys.install_doc(client, "inbox2", Tree::parse(late).unwrap())
+                .unwrap();
+            sys.activate_document(client, &"inbox2".into()).unwrap();
+            (
+                inbox(&sys, client, 2),
+                sys.subs.watches[&(server, "board".into())].answers_at,
+            )
+        };
+        let (shared, answers_at) = run(MatcherMode::Shared);
+        assert!(shared.contains("lost?"), "{shared}");
+        assert_eq!(shared, run(MatcherMode::Naive).0);
+        assert!(
+            answers_at.is_some(),
+            "the late activation scanned and stored"
+        );
     }
 }

@@ -6,10 +6,10 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - nine grep gates, one per "one of each" claim (wire-format writer,
+#   - ten grep gates, one per "one of each" claim (wire-format writer,
 #     trace format, rendered payloads, byte codec, delta filter, blocking
-#     session, strategy picker, send path, plans priced in place) — each
-#     explained where it runs;
+#     session, strategy picker, send path, plans priced in place, one
+#     evaluation per call) — each explained where it runs;
 #   - crates/query/tests/alloc_budget.rs (swept by `cargo test --workspace`):
 #     the evaluator allocates for what it answers, not per input item, and
 #     walks a closed scan once — counted with the test binary's own
@@ -110,17 +110,14 @@ for f in $(find crates/core/src -name '*.rs' ! -path 'crates/core/src/engine/*')
     fi
 done
 
-echo "== tier-1: one strategy picker, one full arm (eval_with_docs once in core/src/continuous.rs) =="
+echo "== tier-1: one strategy picker (DeltaStrategy made only in query/src/delta.rs) =="
 # A pump finds what is new either from the appended child alone or by
 # re-evaluating in full and filtering; delta.rs's pick_strategy decides
-# which is sound. Outside comments and `#[cfg(test)]` modules the engine
-# re-evaluates at one call site, and nothing but pick_strategy makes a
-# DeltaStrategy (match arms and `==` comparisons only read one).
+# which is sound. Outside comments and `#[cfg(test)]` modules nothing but
+# pick_strategy makes a DeltaStrategy (match arms and `==` comparisons
+# only read one). (That the engine evaluates at one site per arm is the
+# tenth gate's, below.)
 code() { sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$1"; }
-if [ "$(code crates/core/src/continuous.rs | grep -c 'eval_with_docs(')" -ne 1 ]; then
-    echo "tier-1: continuous.rs must call eval_with_docs at exactly one site" >&2
-    exit 1
-fi
 for f in $(find crates/*/src -name '*.rs'); do
     made=$(code "$f" | grep -E 'DeltaStrategy::(SemiNaive|Difference)' \
         | grep -cvE '=>|[=!]= *DeltaStrategy::' || true)
@@ -181,6 +178,21 @@ if emitter | grep -nE '(write|format)!\('; then
     echo "tier-1: the expression emitter formats; write str pieces and write_number" >&2
     exit 1
 fi
+
+echo "== tier-1: one evaluation per call (.eval_with_docs( and .eval_ctx( once each in core/src/continuous.rs) =="
+# Subscriptions that make the same call share what its query computes:
+# the full answer is scanned by the first member that needs it and taken
+# by the rest, the results over an appended child are computed for the
+# first hit member and handed to the rest. Both happen in new_results —
+# outside comments and `#[cfg(test)]` modules one place evaluates a
+# subscription's query in full and one over a delta, so that a new call
+# site cannot walk past the shared answer.
+for call in '.eval_with_docs(' '.eval_ctx('; do
+    if [ "$(code crates/core/src/continuous.rs | grep -cF "$call")" -ne 1 ]; then
+        echo "tier-1: continuous.rs must call $call at exactly one site" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: cargo build --release =="
 cargo build --release

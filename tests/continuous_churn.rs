@@ -5,14 +5,17 @@
 //! modes must deliver *bit-identical* results in the same order — the
 //! matcher may only skip work, never change it. The same holds for the
 //! default mode's other shortcut, evaluating a feed's hits over the
-//! appended child alone: the second property drives it over random plan
-//! shapes, duplicate items and mutations of the fed document that no feed
-//! made, against the same reference.
+//! appended child alone, and its third, evaluating once for all the
+//! subscriptions that make the same call: the second property drives both
+//! over random plan shapes, inboxes that collide on a call, duplicate
+//! items, services redefined under their subscribers and mutations of the
+//! fed document that no feed made, against the same reference.
 
 use axml::prelude::*;
 use axml::xml::store::Document;
 use axml::xml::tree::Tree;
 use axml_prng::SplitMix64;
+use std::collections::BTreeMap;
 
 /// Distinct topics; each subscription watches one.
 const TOPICS: usize = 20;
@@ -146,18 +149,20 @@ fn shared_matcher_is_equivalent_under_churn() {
 }
 
 /// Service bodies over `doc("board")`, `{t}` being a topic. The first
-/// six are shapes a feed may answer from the appended child alone (the
+/// seven are shapes a feed may answer from the appended child alone (the
 /// sixth reads only what `echo` forwards into the board, so the probe of
-/// a fed item skips it); the picker must refuse the rest (second
-/// reference to the board, `let`, the root's own value, an outer loop, a
-/// second document).
-const SHAPES: [&str; 14] = [
+/// a fed item skips it; the seventh copies its parameter as written, so
+/// two spellings of one parameter show in the bytes delivered); the
+/// picker must refuse the rest (second reference to the board, `let`,
+/// the root's own value, an outer loop, a second document).
+const SHAPES: [&str; 15] = [
     r#"for $i in doc("board")/item where $i/@topic = "{t}" return {$i}"#,
     r#"for $i in doc("board")//item where $i/@topic = "{t}" return <hit>{$i/text()}</hit>"#,
     r#"doc("board")/item[@topic = "{t}"]"#,
     r#"for $i in doc("board")/*[item/@topic = "{t}"] return <in>{$i/item}</in>"#,
     r#"for $i in doc("board")/item[@topic = $0/text()] for $w in $0 return <w t="{$w/text()}">{$i/text()}</w>"#,
     r#"for $e in doc("board")/echo where $e/@topic = "{t}" return <saw>{$e/text()}</saw>"#,
+    r#"for $i in doc("board")/item[@topic = $0/text()] return <for>{$0}{$i/text()}</for>"#,
     r#"for $a in doc("board")/item for $b in doc("board")/item where $a/@topic = "{t}" and $a/text() = $b/text() return <pair>{$a/text()}</pair>"#,
     r#"let $all := doc("board")/item[@topic = "{t}"] where exists($all) return <all>{$all}</all>"#,
     r#"for $i in doc("board")/item where $i/@topic = "{t}" and count(doc("board")/item) < 12 return {$i}"#,
@@ -169,7 +174,60 @@ const SHAPES: [&str; 14] = [
 ];
 
 const PROP_TOPICS: usize = 4;
-const PROP_INBOXES: usize = 8;
+const PROP_INBOXES: usize = 12;
+
+/// A service call as the generator and its model of who shares what see
+/// it: service name and the parameter as written.
+type PropCall = (String, String);
+
+/// Four spellings of a parameter naming topic `w` (`text()` is the
+/// string value, so the second child carries none): plain, with a second
+/// child, with the two children the other way round (equal up to sibling
+/// order: one key, two calls), and with one value of the second changed.
+fn prop_param(w: usize, spelling: usize) -> String {
+    match spelling {
+        0 => format!("<w>t{w}</w>"),
+        1 => format!(r#"<w>t{w}<x n="1"/></w>"#),
+        2 => format!(r#"<w><x n="1"/>t{w}</w>"#),
+        _ => format!(r#"<w>t{w}<x n="2"/></w>"#),
+    }
+}
+
+/// The shape whose answer shows how its parameter was spelled.
+const COPIES_ITS_PARAM: usize = 6;
+
+/// The calls of each inbox. Half are drawn from those drawn before —
+/// a third of these with the parameter spelled anew — so that inboxes,
+/// and `sc`s within one, collide on a (service, parameter) pair; a fifth
+/// of the fresh draws go to the shape that tells spellings apart.
+fn prop_calls(seed: u64) -> Vec<Vec<PropCall>> {
+    let mut rng = SplitMix64::new(seed ^ 0x5EED_0B0A);
+    let mut drawn: Vec<(String, usize, usize)> = Vec::new();
+    (0..PROP_INBOXES)
+        .map(|_| {
+            (0..rng.gen_range(2..7usize))
+                .map(|_| {
+                    let (service, w, spelling) = if !drawn.is_empty() && rng.gen_bool(0.5) {
+                        let (service, w, spelling) = drawn[rng.gen_range(0..drawn.len())].clone();
+                        match rng.gen_range(0..3u32) {
+                            0 => (service, w, rng.gen_range(0..4)),
+                            _ => (service, w, spelling),
+                        }
+                    } else {
+                        let k = match rng.gen_range(0..5u32) {
+                            0 => COPIES_ITS_PARAM,
+                            _ => rng.gen_range(0..SHAPES.len()),
+                        };
+                        let (t, w) = (rng.gen_range(0..PROP_TOPICS), rng.gen_range(0..PROP_TOPICS));
+                        (format!("s{k}-{t}"), w, rng.gen_range(0..4))
+                    };
+                    drawn.push((service.clone(), w, spelling));
+                    (service, prop_param(w, spelling))
+                })
+                .collect()
+        })
+        .collect()
+}
 
 /// A provider hosting `board` (what is fed), `side` (read by the last
 /// shape and by `relay`) and every shape × topic as a service; a client
@@ -178,7 +236,6 @@ const PROP_INBOXES: usize = 8;
 /// delivery no feed of the board made — and `echo` the board's own, in
 /// the middle of the feed that pumps it.
 fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
-    let mut rng = SplitMix64::new(seed ^ 0x5EED_0B0A);
     let driver = [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }][seed as usize % 2];
     let mut b = AxmlSystem::builder()
         .peers(["provider", "client"])
@@ -205,16 +262,11 @@ fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
             );
         }
     }
-    for d in 0..PROP_INBOXES {
+    for (d, calls) in prop_calls(seed).iter().enumerate() {
         let mut xml = format!("<inbox{d}>");
-        for _ in 0..rng.gen_range(2..7usize) {
-            let (k, t) = (
-                rng.gen_range(0..SHAPES.len()),
-                rng.gen_range(0..PROP_TOPICS),
-            );
-            let w = rng.gen_range(0..PROP_TOPICS);
+        for (service, param) in calls {
             xml.push_str(&format!(
-                "<sc><peer>p0</peer><service>s{k}-{t}</service><param1><w>t{w}</w></param1></sc>"
+                "<sc><peer>p0</peer><service>{service}</service><param1>{param}</param1></sc>"
             ));
         }
         xml.push_str(&format!("</inbox{d}>"));
@@ -236,16 +288,54 @@ fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
     sys
 }
 
+/// The test's own book of who shares a call: the live subscriptions per
+/// (service, how often it was redefined before they activated,
+/// parameter as written).
+#[derive(Default)]
+struct CallBook {
+    redefined: BTreeMap<String, usize>,
+    members: BTreeMap<(String, usize, String), Vec<u64>>,
+    /// Activations between feeds that found their call already live.
+    joins: usize,
+}
+
+impl CallBook {
+    fn activated(&mut self, ids: &[u64], calls: &[PropCall], between_feeds: bool) {
+        for (&id, (service, param)) in ids.iter().zip(calls) {
+            let redefined = self.redefined.get(service).copied().unwrap_or(0);
+            let key = (service.clone(), redefined, param.clone());
+            let members = self.members.entry(key).or_default();
+            self.joins += usize::from(between_feeds && !members.is_empty());
+            members.push(id);
+        }
+    }
+
+    fn unsubscribed(&mut self, id: u64) {
+        self.members.retain(|_, m| {
+            m.retain(|i| *i != id);
+            !m.is_empty()
+        });
+    }
+}
+
 /// One seeded schedule of feeds (some repeating the previous item, some
-/// nested), foreign mutations of the board, activations and
-/// unsubscriptions. Returns the transcript of per-step outcomes and the
-/// final bytes of every document that received anything.
-fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>) {
+/// nested), foreign mutations of the board, activations (many onto a
+/// call that is already live), unsubscriptions (one subscription, or
+/// every member of a call) and redefinitions of a service. Returns the
+/// transcript of per-step outcomes, the final bytes of every document
+/// that received anything, and how many activations joined a live call.
+fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>, usize) {
     let provider = sys.peer_id("provider").unwrap();
     let client = sys.peer_id("client").unwrap();
     let board: DocName = "board".into();
     let mut rng = SplitMix64::new(seed);
     let mut live: Vec<u64> = Vec::new();
+    let mut book = CallBook::default();
+    let calls = prop_calls(seed);
+    let calls_of = |doc: &str| match doc.strip_prefix("inbox") {
+        Some(d) => calls[d.parse::<usize>().unwrap()].clone(),
+        None => vec![(doc.to_string(), String::new())],
+    };
     let mut pending: Vec<String> = (0..PROP_INBOXES).map(|d| format!("inbox{d}")).collect();
     for forwarder in ["relay", "echo"] {
         pending.insert(rng.gen_range(0..4usize), forwarder.into());
@@ -254,18 +344,25 @@ fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>) {
     let activate = |sys: &mut AxmlSystem, doc: String, live: &mut Vec<u64>| {
         let ids = sys.activate_document(client, &doc.as_str().into());
         live.extend(ids.as_ref().unwrap());
-        format!("activate {doc} -> {ids:?}")
+        (
+            format!("activate {doc} -> {ids:?}"),
+            ids.unwrap(),
+            calls_of(&doc),
+        )
     };
     let mut last_item = String::from(r#"<item topic="t0">seed</item>"#);
-    let mut log: Vec<String> = (0..3)
-        .map(|_| activate(sys, pending.pop().unwrap(), &mut live))
-        .collect();
+    let mut log = Vec::new();
+    for _ in 0..3 {
+        let (line, ids, calls) = activate(sys, pending.pop().unwrap(), &mut live);
+        book.activated(&ids, &calls, false);
+        log.push(line);
+    }
     for step in 0..80 {
         let item = format!(
             r#"<item topic="t{}">s{step}</item>"#,
             rng.gen_range(0..PROP_TOPICS)
         );
-        match rng.gen_range(0..20u32) {
+        match rng.gen_range(0..24u32) {
             0..=10 => {
                 let xml = match rng.gen_range(0..4u32) {
                     0 => last_item.clone(),
@@ -312,17 +409,44 @@ fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>) {
                 }
                 log.push("replace".into());
             }
-            16 => {
+            16..=18 => {
                 if let Some(doc) = pending.pop() {
-                    let ids = sys.activate_document(client, &doc.as_str().into()).unwrap();
-                    log.push(format!("activate {doc} -> {ids:?}"));
-                    live.extend(ids);
+                    let (line, ids, calls) = activate(sys, doc, &mut live);
+                    book.activated(&ids, &calls, true);
+                    log.push(line);
+                }
+            }
+            19 => {
+                // A service redefined under whoever subscribes to it: they
+                // keep the query they activated, later callers get this one.
+                let (k, t) = (
+                    rng.gen_range(0..SHAPES.len()),
+                    rng.gen_range(0..PROP_TOPICS),
+                );
+                let body = SHAPES[rng.gen_range(0..SHAPES.len())].replace("{t}", &format!("t{t}"));
+                let name = format!("s{k}-{t}");
+                sys.register_declarative_service(provider, name.as_str(), &body)
+                    .unwrap();
+                log.push(format!("redefine {name}"));
+                *book.redefined.entry(name).or_default() += 1;
+            }
+            20 => {
+                // A whole call gone; a pending inbox may bring it back.
+                let calls = book.members.len();
+                let gone = (calls > 0).then(|| rng.gen_range(0..calls));
+                let gone = gone.and_then(|n| book.members.values().nth(n).cloned());
+                for id in gone.unwrap_or_default() {
+                    assert!(sys.unsubscribe(id));
+                    live.retain(|i| *i != id);
+                    book.unsubscribed(id);
+                    log.push(format!("unsubscribe {id}"));
                 }
             }
             _ => {
                 if !live.is_empty() {
                     let id = live.swap_remove(rng.gen_range(0..live.len()));
                     assert!(sys.unsubscribe(id));
+                    book.unsubscribed(id);
                     log.push(format!("unsubscribe {id}"));
                 }
             }
@@ -339,18 +463,19 @@ fn prop_run(sys: &mut AxmlSystem, seed: u64) -> (Vec<String>, Vec<String>) {
         })
         .collect();
     docs.push(format!("{}", sys.stats().total_bytes()));
-    (log, docs)
+    (log, docs, book.joins)
 }
 
 #[test]
 fn delta_pumps_are_equivalent_to_full_re_evaluation() {
-    let (mut on_delta, mut in_full) = (0, 0);
+    let (mut on_delta, mut in_full, mut joined) = (0, 0, 0);
     for seed in 0..24u64 {
         let seed = 0xD_E17A_0000 + seed;
         let mut shared = prop_build(MatcherMode::Shared, seed);
         let mut naive = prop_build(MatcherMode::Naive, seed);
-        let (log_shared, docs_shared) = prop_run(&mut shared, seed);
-        let (log_naive, docs_naive) = prop_run(&mut naive, seed);
+        let (log_shared, docs_shared, joins) = prop_run(&mut shared, seed);
+        let (log_naive, docs_naive, _) = prop_run(&mut naive, seed);
+        joined += usize::from(joins > 0);
         assert_eq!(
             log_shared, log_naive,
             "transcripts diverged (seed {seed:#x})"
@@ -368,4 +493,10 @@ fn delta_pumps_are_equivalent_to_full_re_evaluation() {
     // Both arms ran: trees the reference re-derived and the default mode
     // never looked at, and trees the default mode re-derived as well.
     assert!(on_delta > 0 && in_full > 0, "{on_delta} / {in_full}");
+    // And the third shortcut had calls to share: in at least half the
+    // schedules an activation between feeds found its call already live.
+    assert!(
+        joined >= 12,
+        "activations joined a live call in {joined} of 24 seeds"
+    );
 }
