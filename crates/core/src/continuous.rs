@@ -32,7 +32,14 @@
 //! (`admit`/`record`/`retract`), its `delivered` count, its
 //! `SubscriptionDelta` event and one `Data` message per sink are its
 //! own, in ascending id order — deliveries, traces and the ledger do not
-//! show whether an answer was computed or taken.
+//! show whether an answer was computed or taken. `emitted` is a
+//! [`CanonMultiset`]: per distinct tree sent, a 128-bit
+//! [`canonical_digest`] and two counts, never the tree or its canonical
+//! form, so a hit member's bookkeeping is one allocation-free digest walk
+//! per fresh result. A member after the first of a call the feed hit
+//! takes the results computed for the first and consults nothing else of
+//! the call. Call keys are digests too: nothing on this path builds a
+//! `Canon`.
 //!
 //! **When a stored answer holds.** Exactly while the document's
 //! [`Document::stamp`] is `Watch::answers_at` — the stamp the answers
@@ -56,7 +63,7 @@ use axml_query::eval::{Ctx, Delta};
 use axml_query::matcher::MatchIndex;
 use axml_query::plan::SourceRef;
 use axml_query::Query;
-use axml_xml::equiv::{canonicalize, Canon, CanonMultiset};
+use axml_xml::equiv::{canonical_digest, CanonMultiset};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::store::Document;
 use axml_xml::tree::{NodeId, Tree};
@@ -163,11 +170,11 @@ struct Watch {
 }
 
 /// What tells the calls on one document apart: the digest of the query's
-/// wire text and the canonical forms of the parameter forests. A key is a
-/// bucket, not yet a verdict: parameters equal up to sibling order share
+/// wire text and the canonical digests of the parameter forests. A key is
+/// a bucket, not yet a verdict: parameters equal up to sibling order share
 /// one, and an answer's order and bytes may depend on the order they were
 /// written in — [`Watch::join`] compares them as written.
-type CallKey = (u128, Vec<Vec<Canon>>);
+type CallKey = (u128, Vec<Vec<u128>>);
 
 /// One distinct call: a query and its parameters, evaluated once for all
 /// the subscriptions that made it.
@@ -316,8 +323,8 @@ impl SubscriptionTable {
                     // so a subscription reading several always evaluates in
                     // full, and by itself.
                     if deps.len() == 1 {
-                        let canon = |t: &Tree| canonicalize(t, t.root());
-                        let params = sub.params.iter().map(|f| f.iter().map(canon).collect());
+                        let digest = |t: &Tree| canonical_digest(t, t.root());
+                        let params = sub.params.iter().map(|f| f.iter().map(digest).collect());
                         let key = (query.wire_digest(), params.collect());
                         sub.call = watch.join(key, &sub.params);
                         sub.semi_naive = query.plan().is_some_and(|plan| {
@@ -740,6 +747,25 @@ impl AxmlSystem {
         let table = &mut self.subs;
         let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
         let sub = table.live.get_mut(&id).ok_or_else(no_sub)?;
+        // A later member of a call the feed has evaluated the child for
+        // takes those results, and consults nothing else of the call.
+        let ready = |feed: &Appended<'_>| {
+            let evaluated = |key| matches!(feed.calls.get(key), Some(Some(_)));
+            table.mode == MatcherMode::Shared
+                && sub.semi_naive
+                && sub.exact
+                && sub.call.as_ref().is_some_and(evaluated)
+        };
+        let feed = match feed {
+            Some(feed) if ready(feed) => {
+                let feed: &'f Appended<'_> = feed;
+                let key = sub.call.as_ref().expect("ready: a call");
+                let fresh = feed.calls[key].as_deref().expect("ready: evaluated");
+                sub.emitted.record(fresh);
+                return Ok((Cow::Borrowed(fresh), 0));
+            }
+            feed => feed,
+        };
         let state = &self.peers[sub.provider.index()];
         let query = match &sub.query {
             Some(query) => query,

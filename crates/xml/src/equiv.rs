@@ -11,6 +11,33 @@
 //! name, children recursively canonicalized and sorted under a total
 //! order. Two trees are equivalent iff their canonical forms are equal;
 //! the canonical hash is the hash of that form.
+//!
+//! ## The canonical digest
+//!
+//! [`canonical_digest`] names a canonical form by 128 bits without
+//! building it, and is what [`CanonMultiset`] — the delta filter every
+//! subscription consults per result — keys by. A text leaf digests its
+//! bytes; an attribute its name and value; an element its label, then the
+//! digests of its attributes, sorted and count-prefixed, then those of its
+//! children, sorted and count-prefixed. Each of the three starts with a
+//! tag of its own and every string goes in length-prefixed, byte by byte
+//! from its text (never through a [`Label`]'s 64-bit content hash, which
+//! two labels may share), so the input sequence spells the canonical form
+//! exactly: two forms are equal iff their sequences are. The sequence is
+//! absorbed into two 64-bit lanes, each step a bijection of the lane
+//! (xor, odd multiply, xor-shift), with a bijective cross-lane finish.
+//! Treating that as a random function, two different canonical forms
+//! share a digest with probability 2⁻¹²⁸ per pair — a set of `n` forms
+//! holds a colliding pair with probability below `n² · 2⁻¹²⁹`. The mix is
+//! not cryptographic: the bound is for trees not chosen to collide.
+//! The walk is iterative (a chain of any depth is digested on a heap
+//! stack, not the call stack), and allocates nothing until a subtree is
+//! deeper than 16 elements or keeps more than 32 digests pending.
+//!
+//! [`Canon`] and [`canonicalize`] stay for what needs the form itself —
+//! [`tree_equiv`], [`forest_equiv`], snapshots compared across peers —
+//! and [`canonical_hash`] keeps hashing the form with `DefaultHasher`, so
+//! its values (pinned by the engine's golden transcript) do not move.
 
 use crate::symbol::Label;
 use crate::tree::{NodeId, NodeKind, Tree};
@@ -58,13 +85,185 @@ pub fn canonicalize(tree: &Tree, node: NodeId) -> Canon {
     }
 }
 
+/// Domain tags: what a digest is the digest of.
+const TEXT: u64 = 1;
+const ATTR: u64 = 2;
+const ELEM: u64 = 3;
+
+/// Two 64-bit lanes absorbing a sequence of words (see the module docs).
+struct Mix {
+    a: u64,
+    b: u64,
+}
+
+impl Mix {
+    fn new(tag: u64) -> Self {
+        let mut m = Mix {
+            a: 0x243f_6a88_85a3_08d3,
+            b: 0x1319_8a2e_0370_7344,
+        };
+        m.word(tag);
+        m
+    }
+
+    /// One step per lane; for a given `w` each is a bijection of the lane.
+    fn word(&mut self, w: u64) {
+        let a = (self.a ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.a = a ^ (a >> 32);
+        let b = (self.b ^ w).wrapping_mul(0xd6e8_feb8_6659_fd93);
+        self.b = b ^ (b >> 29);
+    }
+
+    /// `s`, length-prefixed, one byte per step.
+    fn bytes(&mut self, s: &str) {
+        self.word(s.len() as u64);
+        for &byte in s.as_bytes() {
+            self.word(byte as u64);
+        }
+    }
+
+    /// `digests`, count-prefixed, in the order given.
+    fn digests(&mut self, digests: &[u128]) {
+        self.word(digests.len() as u64);
+        for &d in digests {
+            self.word((d >> 64) as u64);
+            self.word(d as u64);
+        }
+    }
+
+    /// Murmur3's 64-bit finalizer on each lane, the second lane taking
+    /// the first's result: invertible, so the finish loses nothing.
+    fn finish(self) -> u128 {
+        fn fmix(mut x: u64) -> u64 {
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+            x ^= x >> 33;
+            x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+            x ^ (x >> 33)
+        }
+        let hi = fmix(self.a ^ self.b.rotate_left(32));
+        let lo = fmix(self.b.wrapping_add(hi));
+        ((hi as u128) << 64) | lo as u128
+    }
+}
+
+fn text_digest(text: &str) -> u128 {
+    let mut m = Mix::new(TEXT);
+    m.bytes(text);
+    m.finish()
+}
+
+/// A stack kept in an array of `N` until it outgrows it, then on the heap.
+struct Stack<T, const N: usize> {
+    inline: [T; N],
+    len: usize,
+    /// Everything, once spilled (and `len` is then unused).
+    heap: Vec<T>,
+}
+
+impl<T: Copy, const N: usize> Stack<T, N> {
+    /// An empty stack; `fill` only initialises the array.
+    fn new(fill: T) -> Self {
+        Stack {
+            inline: [fill; N],
+            len: 0,
+            heap: Vec::new(),
+        }
+    }
+
+    fn items(&mut self) -> &mut [T] {
+        if self.heap.is_empty() {
+            &mut self.inline[..self.len]
+        } else {
+            &mut self.heap
+        }
+    }
+
+    fn push(&mut self, x: T) {
+        if !self.heap.is_empty() {
+            self.heap.push(x);
+        } else if self.len < N {
+            self.inline[self.len] = x;
+            self.len += 1;
+        } else {
+            self.heap.reserve(2 * N);
+            self.heap.extend_from_slice(&self.inline);
+            self.heap.push(x);
+            self.len = 0;
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        if self.heap.is_empty() {
+            self.len = self.len.min(n);
+        } else {
+            self.heap.truncate(n);
+        }
+    }
+}
+
+/// A 128-bit digest of the canonical form of the subtree of `tree` rooted
+/// at `node`: equal for equivalent subtrees, and different for different
+/// ones except with probability 2⁻¹²⁸ per pair (see the module docs for
+/// what it hashes and what that bound assumes). Allocation-free and
+/// iterative on small trees, on the heap but still iterative on deep ones.
+pub fn canonical_digest(tree: &Tree, node: NodeId) -> u128 {
+    if let NodeKind::Text(t) = tree.node(node).kind() {
+        return text_digest(t);
+    }
+    // The open elements, each with the index of its next child, and the
+    // digests of the children they have finished so far.
+    let mut open: Stack<(NodeId, usize), 16> = Stack::new((node, 0));
+    let mut digests: Stack<u128, 32> = Stack::new(0);
+    open.push((node, 0));
+    loop {
+        let (element, next) = open.items().last_mut().expect("the walk's root is open");
+        let children = tree.children(*element);
+        if let Some(&child) = children.get(*next) {
+            *next += 1;
+            match tree.node(child).kind() {
+                NodeKind::Text(t) => digests.push(text_digest(t)),
+                NodeKind::Element { .. } => open.push((child, 0)),
+            }
+            continue;
+        }
+        // Every child is digested: the element's digest replaces theirs.
+        let NodeKind::Element { label, attrs } = tree.node(*element).kind() else {
+            unreachable!("only elements are opened");
+        };
+        let depth = open.items().len() - 1;
+        open.truncate(depth);
+        let base = digests.items().len() - children.len();
+        for (name, value) in attrs {
+            let mut m = Mix::new(ATTR);
+            m.bytes(name.as_str());
+            m.bytes(value);
+            digests.push(m.finish());
+        }
+        let (kids, attrs) = digests.items()[base..].split_at_mut(children.len());
+        kids.sort_unstable();
+        attrs.sort_unstable();
+        let mut m = Mix::new(ELEM);
+        m.bytes(label.as_str());
+        m.digests(attrs);
+        m.digests(kids);
+        let digest = m.finish();
+        if depth == 0 {
+            return digest;
+        }
+        digests.truncate(base);
+        digests.push(digest);
+    }
+}
+
 /// A grow-only multiset of trees up to equivalence: what an append-only
 /// stream (§2.2 — answers accumulate, none is retracted) has delivered so
 /// far, and so the one place that decides which trees of a re-evaluated
-/// result are new.
+/// result are new. Trees are counted under their [`canonical_digest`], so
+/// the set holds 128 bits per distinct tree, not the tree.
 #[derive(Debug, Clone, Default)]
 pub struct CanonMultiset {
-    copies: HashMap<Canon, Copies>,
+    copies: HashMap<u128, Copies>,
     /// Sum of every tree's delivered copies.
     delivered: usize,
 }
@@ -79,7 +278,7 @@ struct Copies {
 
 impl CanonMultiset {
     fn copies(&mut self, tree: &Tree, node: NodeId) -> &mut Copies {
-        self.copies.entry(canonicalize(tree, node)).or_default()
+        self.copies.entry(canonical_digest(tree, node)).or_default()
     }
 
     /// The multiset of `parent`'s children.
@@ -182,6 +381,10 @@ mod tests {
         let b = Tree::parse("<r><z>1</z><x/><y/></r>").unwrap();
         assert!(whole_tree_equiv(&a, &b));
         assert_eq!(canonical_hash(&a, a.root()), canonical_hash(&b, b.root()));
+        assert_eq!(
+            canonical_digest(&a, a.root()),
+            canonical_digest(&b, b.root())
+        );
     }
 
     #[test]

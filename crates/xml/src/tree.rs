@@ -350,8 +350,9 @@ impl Tree {
                 "node {child} already has a parent; detach it first"
             )));
         }
-        // Reject cycles: parent must not be a descendant of child.
-        let mut cur = Some(parent);
+        // Reject cycles: parent must not be a descendant of child — which
+        // a node without children (every freshly added one) has none of.
+        let mut cur = Some(parent).filter(|_| !self.node(child).children.is_empty());
         while let Some(c) = cur {
             if c == child {
                 return Err(XmlError::Structure(

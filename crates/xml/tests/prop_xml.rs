@@ -1,9 +1,15 @@
 //! Property-based tests for the XML substrate: parser/serializer
-//! round-trips, equivalence-relation laws, and size accounting.
+//! round-trips, equivalence-relation laws, size accounting, and the
+//! canonical digest against the canonical form it names.
 
-use axml_xml::equiv::{canonical_hash, forest_equiv, tree_equiv, whole_tree_equiv};
+use axml_prng::SplitMix64;
+use axml_xml::equiv::{
+    canonical_digest, canonical_hash, canonicalize, forest_equiv, tree_equiv, whole_tree_equiv,
+    Canon, CanonMultiset,
+};
 use axml_xml::tree::{NodeId, Tree};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 /// A recursive strategy generating arbitrary small trees.
 fn arb_tree() -> impl Strategy<Value = Tree> {
@@ -213,6 +219,274 @@ proptest! {
             // anything that parses must round-trip
             let again = Tree::parse(&t.serialize()).unwrap();
             prop_assert!(whole_tree_equiv(&t, &again));
+        }
+    }
+}
+
+/// Copies a tree with every element's attributes and children shuffled
+/// and, if asked, one string changed: the `edit`-th of its labels,
+/// attribute names, attribute values and texts, counted as they are
+/// copied.
+struct Mutator {
+    rng: SplitMix64,
+    edit: Option<usize>,
+    seen: usize,
+}
+
+impl Mutator {
+    fn string(&mut self, s: &str) -> String {
+        let k = self.seen;
+        self.seen += 1;
+        if self.edit != Some(k) {
+            return s.to_string();
+        }
+        let mut chars: Vec<char> = s.chars().collect();
+        if chars.is_empty() {
+            return "q".to_string();
+        }
+        let at = self.rng.gen_range(0..chars.len());
+        chars[at] = if chars[at] == 'q' { 'r' } else { 'q' };
+        chars.into_iter().collect()
+    }
+
+    fn copy(&mut self, t: &Tree) -> Tree {
+        let label = self.string(t.label(t.root()).unwrap().as_str());
+        let mut out = Tree::new(label.as_str());
+        let root = out.root();
+        self.copy_below(t, t.root(), &mut out, root);
+        out
+    }
+
+    fn copy_below(&mut self, src: &Tree, s: NodeId, dst: &mut Tree, d: NodeId) {
+        let mut attrs = src.attrs(s).to_vec();
+        self.rng.shuffle(&mut attrs);
+        for (k, v) in attrs {
+            let (k, v) = (self.string(k.as_str()), self.string(&v));
+            dst.set_attr(d, k.as_str(), v).unwrap();
+        }
+        let mut children = src.children(s).to_vec();
+        self.rng.shuffle(&mut children);
+        for c in children {
+            match src.node(c).as_text() {
+                Some(text) => {
+                    let text = self.string(text);
+                    dst.add_text(d, text);
+                }
+                None => {
+                    let label = self.string(src.label(c).unwrap().as_str());
+                    let el = dst.add_element(d, label.as_str());
+                    self.copy_below(src, c, dst, el);
+                }
+            }
+        }
+    }
+}
+
+/// How many strings [`Mutator::copy`] may edit in `t`.
+fn strings(t: &Tree) -> usize {
+    let count = |n: NodeId| match t.node(n).as_text() {
+        Some(_) => 1,
+        None => 1 + 2 * t.attrs(n).len(),
+    };
+    t.descendants_with_self(t.root()).map(count).sum()
+}
+
+/// `t` with its siblings and attributes shuffled at every depth, and one
+/// of its strings changed by one character if `edit`.
+fn mutant(t: &Tree, rng: &mut SplitMix64, edit: bool) -> Tree {
+    let edit = edit.then(|| rng.gen_range(0..strings(t)));
+    let mut m = Mutator {
+        rng: rng.split(),
+        edit,
+        seen: 0,
+    };
+    m.copy(t)
+}
+
+/// Digest and canonical form of every subtree of `t`.
+fn forms(t: &Tree) -> Vec<(u128, Canon)> {
+    let form = |n| (canonical_digest(t, n), canonicalize(t, n));
+    t.descendants_with_self(t.root()).map(form).collect()
+}
+
+/// The parent's delta filter, keyed by whole canonical forms: the oracle
+/// the digest-keyed [`CanonMultiset`] must answer exactly like.
+#[derive(Default)]
+struct CanonKeyed {
+    /// Per form: copies delivered, copies in the batch being admitted.
+    copies: HashMap<Canon, (usize, usize)>,
+    delivered: usize,
+}
+
+impl CanonKeyed {
+    fn copies(&mut self, tree: &Tree, node: NodeId) -> &mut (usize, usize) {
+        self.copies.entry(canonicalize(tree, node)).or_default()
+    }
+
+    fn of_children(tree: &Tree, parent: NodeId) -> Self {
+        let mut set = Self::default();
+        for &c in tree.children(parent) {
+            set.copies(tree, c).0 += 1;
+        }
+        set.delivered = tree.children(parent).len();
+        set
+    }
+
+    fn record(&mut self, trees: &[Tree]) {
+        for t in trees {
+            self.copies(t, t.root()).0 += 1;
+        }
+        self.delivered += trees.len();
+    }
+
+    fn retract(&mut self, trees: &[Tree]) {
+        for t in trees {
+            let c = self.copies(t, t.root());
+            if c.0 > 0 {
+                c.0 -= 1;
+                self.delivered -= 1;
+            }
+        }
+    }
+
+    fn admit(&mut self, mut results: Vec<Tree>) -> Vec<Tree> {
+        self.copies.values_mut().for_each(|c| c.1 = 0);
+        results.retain(|t| {
+            let c = self.copies(t, t.root());
+            c.1 += 1;
+            let fresh = c.1 > c.0;
+            c.0 = c.0.max(c.1);
+            fresh
+        });
+        self.delivered += results.len();
+        results
+    }
+}
+
+/// Builds the named near-misses below out of text and element children,
+/// which the parser alone cannot (it merges adjacent texts and drops an
+/// empty one).
+fn r_with(children: &[Result<&str, &str>]) -> Tree {
+    let mut t = Tree::new("r");
+    let r = t.root();
+    for c in children {
+        match c {
+            Ok(text) => t.add_text(r, *text),
+            Err(label) => t.add_element(r, *label),
+        };
+    }
+    t
+}
+
+#[test]
+fn the_digest_tells_near_misses_apart() {
+    let xml = |s: &str| Tree::parse(s).unwrap();
+    let pairs = [
+        (
+            "one text `ab` vs two",
+            r_with(&[Ok("ab")]),
+            r_with(&[Ok("a"), Ok("b")]),
+        ),
+        ("an empty text vs none", r_with(&[Ok("")]), r_with(&[])),
+        (
+            "swapped name and value",
+            xml(r#"<r a="b"/>"#),
+            xml(r#"<r b="a"/>"#),
+        ),
+        (
+            "name and value split",
+            xml(r#"<r ab="c"/>"#),
+            xml(r#"<r a="bc"/>"#),
+        ),
+        (
+            "attribute vs child",
+            xml(r#"<r k="v"/>"#),
+            xml("<r><k>v</k></r>"),
+        ),
+        ("text vs element", r_with(&[Ok("x")]), r_with(&[Err("x")])),
+        (
+            "two copies vs one",
+            xml("<r><a/><a/></r>"),
+            xml("<r><a/></r>"),
+        ),
+        (
+            "nested vs siblings",
+            xml("<r><a><b/></a></r>"),
+            xml("<r><a/><b/></r>"),
+        ),
+    ];
+    for (what, a, b) in pairs {
+        assert_ne!(
+            canonicalize(&a, a.root()),
+            canonicalize(&b, b.root()),
+            "{what}"
+        );
+        let digest = |t: &Tree| canonical_digest(t, t.root());
+        assert_ne!(digest(&a), digest(&b), "{what}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Two subtrees have one digest exactly when they have one canonical
+    /// form — over a tree, a copy of it shuffled at every depth, and a
+    /// shuffled copy with one character of a label, name, value or text
+    /// changed, every subtree of each against every subtree of the others.
+    #[test]
+    fn the_digest_is_the_canonical_form(t in arb_tree(), seed in any::<u64>()) {
+        let mut rng = SplitMix64::new(seed);
+        let (shuffled, edited) = (mutant(&t, &mut rng, false), mutant(&t, &mut rng, true));
+        prop_assert_eq!(canonical_digest(&t, t.root()), canonical_digest(&shuffled, shuffled.root()));
+        let all: Vec<(u128, Canon)> = [&t, &shuffled, &edited].into_iter().flat_map(forms).collect();
+        for (da, ca) in &all {
+            for (db, cb) in &all {
+                prop_assert_eq!(da == db, ca == cb, "{:?} vs {:?}", ca, cb);
+            }
+        }
+    }
+
+    /// The digest-keyed multiset answers random `record` / `admit` /
+    /// `retract` / `of_children` sequences exactly as the `Canon`-keyed
+    /// one did: the same trees in the same order, the same counts —
+    /// over a pool of trees, their shuffled copies and near misses.
+    #[test]
+    fn the_multiset_answers_as_the_canon_keyed_one(
+        base in proptest::collection::vec(arb_tree(), 1..4),
+        ops in proptest::collection::vec((0u8..4, proptest::collection::vec(0usize..12, 0..8)), 1..16),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let pool: Vec<Tree> = base
+            .iter()
+            .flat_map(|t| [t.clone(), mutant(t, &mut rng, false), mutant(t, &mut rng, true)])
+            .collect();
+        let pick = |ix: &[usize]| ix.iter().map(|i| pool[i % pool.len()].clone()).collect::<Vec<_>>();
+        let ser = |ts: &[Tree]| ts.iter().map(Tree::serialize).collect::<Vec<_>>();
+        let (mut set, mut oracle) = (CanonMultiset::default(), CanonKeyed::default());
+        for (op, ix) in ops {
+            let trees = pick(&ix);
+            match op {
+                0 => {
+                    set.record(&trees);
+                    oracle.record(&trees);
+                }
+                1 => prop_assert_eq!(ser(&set.admit(trees.clone())), ser(&oracle.admit(trees))),
+                2 => {
+                    set.retract(&trees);
+                    oracle.retract(&trees);
+                }
+                _ => {
+                    let mut parent = Tree::new("parent");
+                    let root = parent.root();
+                    for t in &trees {
+                        parent.graft(root, t, t.root()).unwrap();
+                    }
+                    set = CanonMultiset::of_children(&parent, root);
+                    oracle = CanonKeyed::of_children(&parent, root);
+                }
+            }
+            prop_assert_eq!(set.delivered(), oracle.delivered);
         }
     }
 }

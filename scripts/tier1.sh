@@ -18,6 +18,10 @@
 #     allocator): an optimizer search allocates for the candidate plans it
 #     builds, under a pinned count per explored candidate — formatting a
 #     candidate's text, or copying it to price it, fails a test;
+#   - crates/xml/tests/digest_alloc_budget.rs (same sweep, same kind of
+#     allocator): a canonical digest allocates nothing, so counting a tree
+#     already delivered allocates nothing and a batch admitted to the
+#     delta filter costs it only the growth of its map;
 #   - driver / transport / matcher differential suites, chaos seeds, the
 #     trace round trip, E13/E14 smokes and benchmark/ci.sh, below.
 set -euo pipefail
@@ -86,15 +90,24 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/net/src/bytes.rs); do
     fi
 done
 
-echo "== tier-1: one delta filter (HashMap<Canon only in xml/src/equiv.rs) =="
+echo "== tier-1: one delta filter (no map keyed by Canon, no canonicalize( on the delivery paths) =="
 # "Which of these trees were already delivered" is answered by
-# axml_xml::equiv::CanonMultiset alone. Outside comments and
-# `#[cfg(test)]` modules, another map keyed by `Canon` is a second copy
-# of that logic.
-for f in $(find crates/*/src -name '*.rs' ! -path crates/xml/src/equiv.rs); do
+# axml_xml::equiv::CanonMultiset alone, and it keys by the 128-bit
+# canonical digest. Outside comments and `#[cfg(test)]` modules, a map or
+# set keyed by `Canon` anywhere is a second copy of that logic (or the
+# first one gone back to holding whole trees), and a canonical form built
+# where subscriptions are fed, activated or lazily filled is the
+# per-result tree the digest exists to avoid.
+for f in $(find crates/*/src -name '*.rs'); do
     if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
-        | grep -nE 'HashMap<[[:space:]]*(axml_xml::equiv::)?Canon\b'; then
-        echo "tier-1: $f keeps its own canonical multiset; use CanonMultiset" >&2
+        | grep -nE '(HashMap|HashSet|BTreeMap|BTreeSet)<[[:space:]]*\(?[[:space:]]*(axml_xml::)?(equiv::)?Canon\b'; then
+        echo "tier-1: $f keys a map by Canon; CanonMultiset keys by canonical_digest" >&2
+        exit 1
+    fi
+done
+for f in crates/core/src/continuous.rs crates/query/src/delta.rs crates/core/src/lazy.rs; do
+    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" | grep -n 'canonicalize('; then
+        echo "tier-1: $f builds a canonical form on a delivery path; use canonical_digest" >&2
         exit 1
     fi
 done
