@@ -748,7 +748,8 @@ impl AxmlSystem {
         let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
         let sub = table.live.get_mut(&id).ok_or_else(no_sub)?;
         // A later member of a call the feed has evaluated the child for
-        // takes those results, and consults nothing else of the call.
+        // takes those results, and consults nothing else of the call:
+        // this is the one place a member borrows what another evaluated.
         let ready = |feed: &Appended<'_>| {
             let evaluated = |key| matches!(feed.calls.get(key), Some(Some(_)));
             table.mode == MatcherMode::Shared
@@ -801,23 +802,18 @@ impl AxmlSystem {
         {
             // … from the appended child alone: all of it is new,
             Some((plan, (delta, shared))) => {
-                let fresh = match shared {
-                    Some(Some(fresh)) => Cow::Borrowed(fresh.as_slice()),
-                    shared => {
-                        table.evals.1 += 1;
-                        let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
-                        // … and the end of the call's answer.
-                        if let (Some(mut answer), Some((watch, key, _))) = (lacks_child, call) {
-                            append(&mut answer, &fresh);
-                            if let Some(call) = watch.calls.get_mut(key) {
-                                call.answer = Some(answer);
-                            }
-                        }
-                        match shared {
-                            Some(slot) => Cow::Borrowed(slot.insert(fresh).as_slice()),
-                            None => Cow::Owned(fresh),
-                        }
+                table.evals.1 += 1;
+                let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
+                // … and the end of the call's answer.
+                if let (Some(mut answer), Some((watch, key, _))) = (lacks_child, call) {
+                    append(&mut answer, &fresh);
+                    if let Some(call) = watch.calls.get_mut(key) {
+                        call.answer = Some(answer);
                     }
+                }
+                let fresh = match shared {
+                    Some(slot) => Cow::Borrowed(slot.insert(fresh).as_slice()),
+                    None => Cow::Owned(fresh),
                 };
                 sub.emitted.record(&fresh);
                 Ok((fresh, 0))

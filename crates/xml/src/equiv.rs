@@ -29,7 +29,11 @@
 //! Treating that as a random function, two different canonical forms
 //! share a digest with probability 2⁻¹²⁸ per pair — a set of `n` forms
 //! holds a colliding pair with probability below `n² · 2⁻¹²⁹`. The mix is
-//! not cryptographic: the bound is for trees not chosen to collide.
+//! not cryptographic, so the lanes start from a seed drawn once per
+//! process (from `RandomState`): a digest never leaves the process or
+//! decides an order, so results do not depend on the seed, and a peer
+//! cannot work out offline two trees that collide — the second of which a
+//! subscriber holding the first would never be sent.
 //! The walk is iterative (a chain of any depth is digested on a heap
 //! stack, not the call stack), and allocates nothing until a subtree is
 //! deeper than 16 elements or keeps more than 32 digests pending.
@@ -41,8 +45,9 @@
 
 use crate::symbol::Label;
 use crate::tree::{NodeId, NodeKind, Tree};
-use std::collections::hash_map::{DefaultHasher, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::{DefaultHasher, HashMap, RandomState};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// The canonical (order-normalized) form of a subtree.
 ///
@@ -98,10 +103,12 @@ struct Mix {
 
 impl Mix {
     fn new(tag: u64) -> Self {
-        let mut m = Mix {
-            a: 0x243f_6a88_85a3_08d3,
-            b: 0x1319_8a2e_0370_7344,
-        };
+        static SEED: OnceLock<(u64, u64)> = OnceLock::new();
+        let &(a, b) = SEED.get_or_init(|| {
+            let keys = RandomState::new();
+            (keys.hash_one(0u8), keys.hash_one(1u8))
+        });
+        let mut m = Mix { a, b };
         m.word(tag);
         m
     }
@@ -205,8 +212,9 @@ impl<T: Copy, const N: usize> Stack<T, N> {
 /// A 128-bit digest of the canonical form of the subtree of `tree` rooted
 /// at `node`: equal for equivalent subtrees, and different for different
 /// ones except with probability 2⁻¹²⁸ per pair (see the module docs for
-/// what it hashes and what that bound assumes). Allocation-free and
-/// iterative on small trees, on the heap but still iterative on deep ones.
+/// what it hashes and what that bound assumes). Seeded once per process,
+/// so compare digests only within one. Allocation-free and iterative on
+/// small trees, on the heap but still iterative on deep ones.
 pub fn canonical_digest(tree: &Tree, node: NodeId) -> u128 {
     if let NodeKind::Text(t) = tree.node(node).kind() {
         return text_digest(t);
