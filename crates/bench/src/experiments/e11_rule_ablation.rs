@@ -60,13 +60,13 @@ pub fn run() -> Report {
         let sys = build();
         let model = CostModel::from_system(&sys);
         let opt = Optimizer::with_rules(rules);
-        let plan = opt.optimize(&model, site, &naive);
+        let mut search = Obs::new();
+        let plan = opt.optimize_with(&model, site, &naive, &mut search);
         let mut sys2 = build();
         let (_, bytes, _, ms) = measure(&mut sys2, site, &plan.expr);
-        // the row's snapshot: re-run the search against this system's
-        // observability handle (for the rule counters) on top of the
+        // the row's snapshot: the search's rule counters on top of the
         // already-measured execution traffic
-        let _ = opt.optimize_with(&model, site, &naive, sys2.obs_mut());
+        sys2.obs_mut().metrics.merge(&search.metrics);
         let run = sys2
             .run_report(format!("E11 {config}"))
             .with_copy(axml_xml::stats::CopyStats::snapshot().delta_since(&copy0));

@@ -100,6 +100,51 @@ fn shapes() -> Vec<(&'static str, Expr)> {
     ]
 }
 
+/// One row: search `naive` with `opt` on a fresh system, time the same
+/// search again (a reuse of the plan the first one chose), and measure
+/// the naive and the chosen plan. The search and the chosen plan's run
+/// land in one report.
+fn row(r: &mut Report, label: String, title: String, opt: &Optimizer, naive: &Expr) -> RunReport {
+    let site = PeerId(0);
+    let copy0 = axml_xml::stats::CopyStats::snapshot();
+    let mut s2 = build();
+    let model = CostModel::from_system(&s2);
+    let t0 = Instant::now();
+    let plan = opt.optimize_with(&model, site, naive, s2.obs_mut());
+    let search_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let mut warm = Obs::new();
+    let t0 = Instant::now();
+    let reuse = opt.optimize_with(&model, site, naive, &mut warm);
+    let reuse_us = t0.elapsed().as_secs_f64() * 1e6;
+    assert_eq!(
+        warm.metrics.explored, 0,
+        "{label}: the second search is a reuse"
+    );
+    assert_eq!(reuse.expr.fingerprint(), plan.expr.fingerprint());
+    let mut s1 = build();
+    let (n1, b1, _, _) = measure(&mut s1, site, naive);
+    let out = s2.eval(site, &plan.expr).expect("plan evaluates");
+    let (n2, b2) = (out.len(), s2.stats().total_bytes());
+    assert_eq!(n1, n2, "{label}: answers must agree");
+    let run = s2
+        .run_report(title)
+        .with_copy(axml_xml::stats::CopyStats::snapshot().delta_since(&copy0));
+    r.row_with_run(
+        vec![
+            label,
+            fmt_bytes(b1),
+            fmt_bytes(b2),
+            fmt_ratio(b1, b2),
+            plan.explored.to_string(),
+            format!("{search_ms:.1}"),
+            format!("{reuse_us:.0}"),
+            plan.trace.join("+"),
+        ],
+        run.clone(),
+    );
+    run
+}
+
 /// Run E8.
 pub fn run() -> Report {
     let mut r = Report::new(
@@ -112,76 +157,33 @@ pub fn run() -> Report {
             "ratio",
             "explored",
             "search ms",
+            "reuse µs",
             "trace",
         ],
     );
-    let site = PeerId(0);
     // Part 1: the four shapes at the standard beam.
     for (name, naive) in shapes() {
-        let copy0 = axml_xml::stats::CopyStats::snapshot();
-        let sys = build();
-        let model = CostModel::from_system(&sys);
-        let t0 = Instant::now();
-        let plan = Optimizer::standard().optimize(&model, site, &naive);
-        let search_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mut s1 = build();
-        let (n1, b1, _, _) = measure(&mut s1, site, &naive);
-        let mut s2 = build();
-        let (n2, b2, _, _) = measure(&mut s2, site, &plan.expr);
-        assert_eq!(n1, n2, "{name}: answers must agree");
-        // this row's search + optimized-run snapshot
-        let _ = Optimizer::standard().optimize_with(&model, site, &naive, s2.obs_mut());
-        let run = s2
-            .run_report(format!("E8 optimized plan ({name})"))
-            .with_copy(axml_xml::stats::CopyStats::snapshot().delta_since(&copy0));
-        r.attach_run(run.clone());
-        r.row_with_run(
-            vec![
-                name.to_string(),
-                fmt_bytes(b1),
-                fmt_bytes(b2),
-                fmt_ratio(b1, b2),
-                plan.explored.to_string(),
-                format!("{search_ms:.1}"),
-                plan.trace.join("+"),
-            ],
-            run,
+        let title = format!("E8 optimized plan ({name})");
+        let run = row(
+            &mut r,
+            name.to_string(),
+            title,
+            &Optimizer::standard(),
+            &naive,
         );
+        r.attach_run(run);
     }
     // Part 2: beam ablation on the first shape.
     let naive = shapes().remove(0).1;
     for &beam in BEAMS {
-        let copy0 = axml_xml::stats::CopyStats::snapshot();
-        let sys = build();
-        let model = CostModel::from_system(&sys);
         let mut opt = Optimizer::standard();
         opt.beam_width = beam;
-        let t0 = Instant::now();
-        let plan = opt.optimize(&model, site, &naive);
-        let search_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let mut s1 = build();
-        let (_, b1, _, _) = measure(&mut s1, site, &naive);
-        let mut s2 = build();
-        let (_, b2, _, _) = measure(&mut s2, site, &plan.expr);
-        let _ = opt.optimize_with(&model, site, &naive, s2.obs_mut());
-        let run = s2
-            .run_report(format!("E8 beam ablation (beam={beam})"))
-            .with_copy(axml_xml::stats::CopyStats::snapshot().delta_since(&copy0));
-        r.row_with_run(
-            vec![
-                format!("beam={beam}"),
-                fmt_bytes(b1),
-                fmt_bytes(b2),
-                fmt_ratio(b1, b2),
-                plan.explored.to_string(),
-                format!("{search_ms:.1}"),
-                plan.trace.join("+"),
-            ],
-            run,
-        );
+        let title = format!("E8 beam ablation (beam={beam})");
+        row(&mut r, format!("beam={beam}"), title, &opt, &naive);
     }
     r.note("ratios > 1 mean the optimizer shipped fewer bytes than naive");
     r.note("small beams already capture most of the win (shallow rule space)");
+    r.note("reuse µs: the same search again on the same system, answered from its plan cache");
     r
 }
 

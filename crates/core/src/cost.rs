@@ -14,7 +14,8 @@
 //! conservative — the benchmarks compare *measured* traffic; the model
 //! only has to rank candidate plans correctly.
 
-use crate::expr::{Expr, PeerRef, SendDest};
+use crate::expr::{Expr, MemoKey, PeerRef, SendDest};
+use crate::optimizer::PlanCache;
 use crate::peer::PeerState;
 use crate::pick::PickPolicy;
 use crate::system::AxmlSystem;
@@ -26,6 +27,7 @@ use axml_xml::tree::Tree;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Estimated cost of an evaluation.
@@ -151,19 +153,89 @@ impl AxmlSystem {
     }
 }
 
+/// The document statistics of a [`CostModel`] and whose were read. The
+/// fields are private to this module, so every read goes through
+/// [`Statistics::of`], which notes the peer: the optimizer reuses a plan
+/// while the peers whose statistics priced it keep their state epoch,
+/// and a read the set missed would let a plan outlive the state that
+/// priced it.
+mod statistics {
+    use super::PeerStats;
+    use axml_xml::ids::PeerId;
+    use std::cell::Cell;
+    use std::sync::Arc;
+
+    #[derive(Debug, Clone)]
+    pub(super) struct Statistics {
+        /// Per peer, shared with the system's cache.
+        stats: Vec<Arc<PeerStats>>,
+        /// The state epoch each peer's statistics were collected at.
+        epochs: Vec<u64>,
+        /// Whose statistics were read since the last `forget_reads`.
+        read: Vec<Cell<bool>>,
+    }
+
+    impl Statistics {
+        pub(super) fn new(stats: Vec<Arc<PeerStats>>, epochs: Vec<u64>) -> Self {
+            let read = vec![Cell::new(false); stats.len()];
+            Statistics {
+                stats,
+                epochs,
+                read,
+            }
+        }
+
+        /// `at`'s statistics, noting that they were read.
+        pub(super) fn of(&self, at: PeerId) -> Option<&PeerStats> {
+            let stats = self.stats.get(at.index())?;
+            self.read[at.index()].set(true);
+            Some(stats)
+        }
+
+        pub(super) fn forget_reads(&self) {
+            for r in &self.read {
+                r.set(false);
+            }
+        }
+
+        pub(super) fn reads(&self) -> Vec<(PeerId, u64)> {
+            self.read
+                .iter()
+                .zip(&self.epochs)
+                .enumerate()
+                .filter(|(_, (read, _))| read.get())
+                .map(|(p, (_, &epoch))| (PeerId(p as u32), epoch))
+                .collect()
+        }
+
+        pub(super) fn reads_hold(&self, reads: &[(PeerId, u64)]) -> bool {
+            reads
+                .iter()
+                .all(|(p, epoch)| self.epochs.get(p.index()) == Some(epoch))
+        }
+    }
+}
+
 /// A snapshot of the cost-relevant state of an [`AxmlSystem`]. The
 /// document statistics are shared with the system's cache, so taking a
 /// snapshot costs O(peers² + services + catalog), not O(data).
+///
+/// The snapshot also notes whose statistics it was asked for, so that
+/// the optimizer can reuse a plan for as long as the peers whose
+/// statistics priced it keep their state epoch (DESIGN.md §3.5, "A plan
+/// is searched once per state it read").
 #[derive(Debug, Clone)]
 pub struct CostModel {
     n_peers: usize,
     links: Vec<Vec<LinkCost>>,
     up: Vec<Vec<bool>>,
-    stats: Vec<Arc<PeerStats>>,
+    stats: statistics::Statistics,
     services: HashMap<(PeerId, ServiceName), Query>,
     doc_replicas: HashMap<DocName, Vec<(PeerId, DocName)>>,
     service_replicas: HashMap<ServiceName, Vec<(PeerId, ServiceName)>>,
     pick: PickPolicy,
+    /// The system's plan cache, handed to the optimizer.
+    pub(crate) plans: Arc<PlanCache>,
 }
 
 impl CostModel {
@@ -189,13 +261,92 @@ impl CostModel {
             n_peers: n,
             links,
             up,
-            stats: sys.peer_stats(),
+            stats: statistics::Statistics::new(sys.peer_stats(), sys.state_epochs.clone()),
             services,
             // The catalog is read through its public views.
             doc_replicas: sys.catalog_view().into_iter().collect(),
             service_replicas: sys.catalog_service_view().into_iter().collect(),
             pick: sys.pick_policy(),
+            plans: Arc::clone(&sys.plans),
         }
+    }
+
+    /// Start a new read set.
+    pub(crate) fn forget_reads(&self) {
+        self.stats.forget_reads();
+    }
+
+    /// The peers whose statistics were read since
+    /// [`CostModel::forget_reads`], each with the state epoch they were
+    /// collected at.
+    pub(crate) fn reads(&self) -> Vec<(PeerId, u64)> {
+        self.stats.reads()
+    }
+
+    /// Does every peer of `reads` still stand at the epoch noted there?
+    pub(crate) fn reads_hold(&self, reads: &[(PeerId, u64)]) -> bool {
+        self.stats.reads_hold(reads)
+    }
+
+    /// A 128-bit digest of everything the model knows besides the
+    /// statistics: peer count, links and whether they are up, visible
+    /// services (by [`Query::wire_digest`]), replica classes and the pick
+    /// policy. Taken by value on purpose: `AxmlSystem::net_mut` hands out
+    /// the network itself, so no setter of the system sees a link change,
+    /// and a counter bumped by the system's setters would miss it. The
+    /// maps are unordered, so their entries are digested one by one and
+    /// summed.
+    pub(crate) fn facts_digest(&self) -> u128 {
+        fn text(key: &mut MemoKey, s: &str) {
+            key.word(s.len() as u64);
+            key.write_str(s).expect("a memo key accepts every write");
+        }
+        fn sum<T>(entries: impl Iterator<Item = T>, each: impl Fn(&mut MemoKey, T)) -> u128 {
+            entries.fold(0u128, |acc, entry| {
+                let mut key = MemoKey::default();
+                each(&mut key, entry);
+                acc.wrapping_add(key.finish())
+            })
+        }
+        // A class is its name and its members in order (`First` and
+        // `Closest` read the order).
+        fn classes<N: AsRef<str>>(key: &mut MemoKey, classes: &HashMap<N, Vec<(PeerId, N)>>) {
+            key.word(classes.len() as u64);
+            key.digest(sum(classes.iter(), |k, (class, members)| {
+                text(k, class.as_ref());
+                for (p, name) in members {
+                    k.word(u64::from(p.0));
+                    text(k, name.as_ref());
+                }
+            }));
+        }
+        let mut key = MemoKey::default();
+        key.word(self.n_peers as u64);
+        for (links, up) in self.links.iter().zip(&self.up) {
+            for (link, &up) in links.iter().zip(up) {
+                key.word(link.latency_ms.to_bits());
+                key.word(link.bytes_per_ms.to_bits());
+                key.word(link.per_msg_bytes as u64);
+                key.word(up as u64);
+            }
+        }
+        key.word(self.services.len() as u64);
+        key.digest(sum(self.services.iter(), |k, ((p, name), query)| {
+            k.word(u64::from(p.0));
+            text(k, name.as_str());
+            k.digest(query.wire_digest());
+        }));
+        classes(&mut key, &self.doc_replicas);
+        classes(&mut key, &self.service_replicas);
+        let (policy, seed) = match self.pick {
+            PickPolicy::First => (0, 0),
+            PickPolicy::Closest => (1, 0),
+            PickPolicy::Random(seed) => (2, seed),
+            PickPolicy::RoundRobin => (3, 0),
+        };
+        key.word(policy);
+        key.word(seed);
+        key.finish()
     }
 
     /// Number of peers in the snapshot.
@@ -218,7 +369,7 @@ impl CostModel {
     }
 
     fn doc_stats(&self, at: PeerId, name: &DocName) -> Option<&ForestStats> {
-        self.stats.get(at.index())?.docs.get(name)
+        self.stats.of(at)?.docs.get(name)
     }
 
     /// The size of a document, if known.
@@ -487,7 +638,7 @@ impl CostModel {
                 // doc("…") sources read the evaluation site's documents.
                 let mut all = stats;
                 if all.is_empty() {
-                    if let Some(ps) = self.stats.get(site.index()) {
+                    if let Some(ps) = self.stats.of(site) {
                         all.push(Cow::Borrowed(&ps.all));
                     }
                 }
@@ -696,16 +847,14 @@ mod tests {
     fn cached_statistics_follow_every_mutation_path() {
         fn assert_fresh(sys: &AxmlSystem, after: &str) {
             let model = CostModel::from_system(sys);
-            for (cached, peer) in model.stats.iter().zip(&sys.peers) {
-                assert_eq!(**cached, PeerStats::collect(peer), "stale after {after}");
-            }
             // and the next snapshot shares every peer's statistics
             let again = CostModel::from_system(sys);
-            assert!(model
-                .stats
-                .iter()
-                .zip(&again.stats)
-                .all(|(a, b)| Arc::ptr_eq(a, b)));
+            for (p, peer) in sys.peers.iter().enumerate() {
+                let p = PeerId(p as u32);
+                let cached = model.stats.of(p).unwrap();
+                assert_eq!(*cached, PeerStats::collect(peer), "stale after {after}");
+                assert!(std::ptr::eq(cached, again.stats.of(p).unwrap()));
+            }
         }
         let (mut sys, a, b) = system();
         let root = |sys: &AxmlSystem, at: PeerId, doc: &str| {
@@ -766,7 +915,10 @@ mod tests {
         let warm = CostModel::from_system(&sys);
         assert!(sys.feed(b, "no-such-doc", item("lost")).is_err());
         let still = CostModel::from_system(&sys);
-        assert!(Arc::ptr_eq(&warm.stats[b.index()], &still.stats[b.index()]));
+        assert!(std::ptr::eq(
+            warm.stats.of(b).unwrap(),
+            still.stats.of(b).unwrap()
+        ));
         let q = Query::parse("all", "$0/*").unwrap();
         let (_, activated) = sys.query_document(a, &"lazy".into(), &q).unwrap();
         assert_eq!(activated, 1);

@@ -864,8 +864,11 @@ impl WireSink for ByteCount {
 /// the writes were cut, with each query folded in as its digest. Read
 /// eight bytes to a round: a key is taken of every candidate of every
 /// search, and a byte-wise 128-bit FNV is a wide multiply per byte.
+///
+/// The cost model also digests its non-statistics facts with it
+/// (`CostModel::facts_digest`), as whole words and length-prefixed text.
 #[derive(Default)]
-struct MemoKey {
+pub(crate) struct MemoKey {
     state: u128,
     /// Bytes written since the last whole word, lowest first.
     word: u64,
@@ -894,7 +897,19 @@ impl MemoKey {
         }
     }
 
-    fn finish(mut self) -> u128 {
+    /// A whole word, after whatever text came before it.
+    pub(crate) fn word(&mut self, word: u64) {
+        self.flush();
+        self.mix(word);
+    }
+
+    /// A 128-bit digest, as two words.
+    pub(crate) fn digest(&mut self, digest: u128) {
+        self.word(digest as u64);
+        self.word((digest >> 64) as u64);
+    }
+
+    pub(crate) fn finish(mut self) -> u128 {
         self.flush();
         self.mix(self.len);
         self.state
@@ -931,10 +946,7 @@ impl WireSink for MemoKey {
     fn query(&mut self, q: &Query) -> fmt::Result {
         // Where a query sits is fixed by the bytes before it, so closing
         // the open word here cuts equal texts equally.
-        self.flush();
-        let digest = q.wire_digest();
-        self.mix(digest as u64);
-        self.mix((digest >> 64) as u64);
+        self.digest(q.wire_digest());
         Ok(())
     }
 }

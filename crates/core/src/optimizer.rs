@@ -9,13 +9,78 @@
 //! [`Explained`] plan carrying the rewrite trace, so callers — and the
 //! benchmarks — can see exactly which paper rules produced the final
 //! strategy.
+//!
+//! A search is a pure function of the naive plan, the optimizer's
+//! configuration and what the cost model told it, so each system keeps
+//! the plans it chose (`PlanCache`) and a repeated search is a lookup
+//! for as long as the peers whose statistics it read keep their state
+//! epoch and the model's other facts are equal (DESIGN.md §3.5, "A plan
+//! is searched once per state it read").
 
 use crate::cost::{Cost, CostModel};
 use crate::expr::Expr;
 use crate::rules::{all_rewrites, standard_rules, OptContext, RewriteRule};
 use axml_obs::{EvalMetrics, Obs, TraceEvent};
 use axml_xml::ids::PeerId;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::sync::Mutex;
+
+/// How many chosen plans a system keeps; a full cache is emptied before
+/// the next one goes in.
+const PLAN_CACHE_CAP: usize = 256;
+
+/// The plans a system's optimizers chose, by what asked for them. Its
+/// map is private to this module: a plan leaves it only through
+/// [`PlanCache::reuse`], which checks what the search read.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCache(Mutex<HashMap<PlanKey, Reuse>>);
+
+impl PlanCache {
+    /// The stored plan for `key`, if what its search read still stands
+    /// in `model`, whose other facts digest to `facts`.
+    fn reuse(&self, key: &PlanKey, model: &CostModel, facts: u128) -> Option<Explained> {
+        self.0
+            .lock()
+            .expect("a thread panicked holding the plan cache")
+            .get(key)
+            .filter(|r| r.facts == facts && model.reads_hold(&r.reads))
+            .map(|r| r.plan.clone())
+    }
+
+    /// Keep a search's plan, replacing what `key` held.
+    fn store(&self, key: PlanKey, reuse: Reuse) {
+        let mut plans = self
+            .0
+            .lock()
+            .expect("a thread panicked holding the plan cache");
+        if plans.len() >= PLAN_CACHE_CAP && !plans.contains_key(&key) {
+            plans.clear();
+        }
+        plans.insert(key, reuse);
+    }
+}
+
+/// One search's question: the naive plan (its memo key), the site, and
+/// the optimizer's configuration. A rule is known by its name.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct PlanKey {
+    naive: u128,
+    site: PeerId,
+    rules: Vec<&'static str>,
+    beam_width: usize,
+    max_explored: usize,
+    stale_rounds: usize,
+}
+
+/// One search's answer and what it depended on.
+#[derive(Debug)]
+struct Reuse {
+    plan: Explained,
+    /// The peers whose statistics the search read, with their epochs.
+    reads: Vec<(PeerId, u64)>,
+    /// [`CostModel::facts_digest`] of the model it searched.
+    facts: u128,
+}
 
 /// Total order on scalar plan costs for the beam's open list.
 ///
@@ -118,6 +183,11 @@ impl Optimizer {
     /// and — when `obs` has a sink — a [`TraceEvent::RuleAttempted`] per
     /// candidate plus a final [`TraceEvent::PlanChosen`].
     ///
+    /// A search this system already made, over the same statistics and
+    /// facts, is not made again: its plan comes back as it was (`explored`
+    /// included), no counter moves, and the one event is a `PlanChosen`
+    /// with `explored: 0`.
+    ///
     /// Typically called as
     /// `opt.optimize_with(&model, site, &e, sys.obs_mut())` so the search
     /// shows up in the same report as the evaluation (`CostModel` copies
@@ -129,6 +199,39 @@ impl Optimizer {
         expr: &Expr,
         obs: &mut Obs,
     ) -> Explained {
+        let key = PlanKey {
+            naive: expr.fingerprint_hash(),
+            site,
+            rules: self.rule_names(),
+            beam_width: self.beam_width,
+            max_explored: self.max_explored,
+            stale_rounds: self.stale_rounds,
+        };
+        let facts = model.facts_digest();
+        if let Some(plan) = model.plans.reuse(&key, model, facts) {
+            obs.emit(|| TraceEvent::PlanChosen {
+                site,
+                explored: 0,
+                cost: plan.cost.scalar(),
+                trace: plan.trace.iter().map(|&r| r.into()).collect(),
+            });
+            return plan;
+        }
+        model.forget_reads();
+        let plan = self.search(model, site, expr, obs);
+        model.plans.store(
+            key,
+            Reuse {
+                plan: plan.clone(),
+                reads: model.reads(),
+                facts,
+            },
+        );
+        plan
+    }
+
+    /// The beam search itself.
+    fn search(&self, model: &CostModel, site: PeerId, expr: &Expr, obs: &mut Obs) -> Explained {
         let ctx = OptContext::new(model);
         let misses_before = obs.metrics.memo_misses;
         let explored_before = obs.metrics.explored;
@@ -369,27 +472,38 @@ mod tests {
         // A pathological link prices every remote transfer at +∞; the
         // search must still terminate with a well-defined plan instead of
         // letting non-finite comparisons corrupt the beam.
-        let mut sys = AxmlSystem::new();
-        let a = sys.add_peer("client");
-        let b = sys.add_peer("server");
-        sys.net_mut().set_link(
-            a,
-            b,
-            LinkCost {
-                latency_ms: f64::INFINITY,
-                bytes_per_ms: f64::MIN_POSITIVE,
-                per_msg_bytes: 0,
-            },
-        );
-        sys.install_doc(b, "catalog", Tree::parse(&catalog_xml(20)).unwrap())
-            .unwrap();
-        let model = CostModel::from_system(&sys);
+        let build = || {
+            let mut sys = AxmlSystem::new();
+            let a = sys.add_peer("client");
+            let b = sys.add_peer("server");
+            sys.net_mut().set_link(
+                a,
+                b,
+                LinkCost {
+                    latency_ms: f64::INFINITY,
+                    bytes_per_ms: f64::MIN_POSITIVE,
+                    per_msg_bytes: 0,
+                },
+            );
+            sys.install_doc(b, "catalog", Tree::parse(&catalog_xml(20)).unwrap())
+                .unwrap();
+            (sys, a, b)
+        };
+        let (sys, a, b) = build();
         let naive = selective_apply(a, b);
+        // two independent searches, each the first on its own system
+        let model = CostModel::from_system(&sys);
         let p1 = Optimizer::standard().optimize(&model, a, &naive);
-        let p2 = Optimizer::standard().optimize(&model, a, &naive);
+        let p2 = Optimizer::standard().optimize(&CostModel::from_system(&build().0), a, &naive);
         assert!(p1.cost.scalar().is_infinite(), "all plans are remote: {p1}");
         assert_eq!(p1.expr.fingerprint(), p2.expr.fingerprint(), "stable");
         assert_eq!(p1.explored, p2.explored);
+        assert_eq!(p1.trace, p2.trace);
+        // and the first system reuses its plan, infinite cost and all
+        let mut obs = Obs::new();
+        let p3 = Optimizer::standard().optimize_with(&model, a, &naive, &mut obs);
+        assert_eq!(obs.metrics.explored, 0, "a reuse");
+        assert_eq!(p3.cost.scalar().to_bits(), p1.cost.scalar().to_bits());
     }
 
     #[test]
@@ -403,10 +517,74 @@ mod tests {
         assert_eq!(obs.metrics.memo_misses, plan.explored as u64);
         assert_eq!(obs.metrics.explored, plan.explored as u64);
         assert!(obs.metrics.memo_consistent());
-        // and the invariant survives a second, cumulative search
+        // the same search again on this system is a reuse: the same plan,
+        // and no counter moves
+        let before = obs.metrics.to_json();
+        let again =
+            Optimizer::standard().optimize_with(&model, a, &selective_apply(a, b), &mut obs);
+        assert_eq!(again.explored, plan.explored);
+        assert_eq!(obs.metrics.to_json(), before);
+        // and the invariant survives a second, cumulative search on
+        // another system
+        let (other, _, _) = system();
+        let model = CostModel::from_system(&other);
         Optimizer::standard().optimize_with(&model, a, &selective_apply(a, b), &mut obs);
         assert_eq!(obs.metrics.explored, 2 * plan.explored as u64);
         assert!(obs.metrics.memo_consistent());
+    }
+
+    /// A reuse emits one `PlanChosen` with `explored: 0` and nothing else;
+    /// what invalidates it is what the search read, and only that.
+    #[test]
+    fn a_reuse_is_one_plan_chosen_event_until_what_the_search_read_moves() {
+        use axml_obs::VecSink;
+        let (mut sys, a, b) = system();
+        let naive = selective_apply(a, b);
+        let search = |sys: &AxmlSystem| {
+            let mut obs = Obs::new();
+            let sink = VecSink::new();
+            obs.set_sink(Box::new(sink.clone()));
+            let plan = Optimizer::standard().optimize_with(
+                &CostModel::from_system(sys),
+                a,
+                &naive,
+                &mut obs,
+            );
+            (plan, sink.events())
+        };
+        let (cold, events) = search(&sys);
+        assert!(events.len() > 1, "a search emits per candidate");
+        let (warm, events) = search(&sys);
+        assert_eq!(warm.expr.fingerprint(), cold.expr.fingerprint());
+        assert_eq!(warm.explored, cold.explored);
+        assert!(
+            matches!(
+                events.as_slice(),
+                [TraceEvent::PlanChosen { explored: 0, .. }]
+            ),
+            "{events:?}"
+        );
+        // a document at the client is read by nobody's search here
+        sys.install_doc(a, "note", Tree::parse("<n/>").unwrap())
+            .unwrap();
+        assert_eq!(
+            search(&sys).1.len(),
+            1,
+            "the client's statistics were not read"
+        );
+        // the server's catalog was
+        sys.feed(b, "catalog", Tree::parse(r#"<pkg name="x"/>"#).unwrap())
+            .unwrap();
+        assert!(
+            search(&sys).1.len() > 1,
+            "the server's statistics were read"
+        );
+        // and a link is a fact, compared by value
+        assert_eq!(search(&sys).1.len(), 1);
+        sys.net_mut().set_link(a, b, LinkCost::slow());
+        assert!(search(&sys).1.len() > 1, "a link changed");
+        sys.net_mut().set_link(a, b, LinkCost::wan());
+        assert!(search(&sys).1.len() > 1, "and changed back");
     }
 
     #[test]

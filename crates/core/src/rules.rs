@@ -40,17 +40,27 @@ impl<'a> OptContext<'a> {
         }
     }
 
-    /// A fresh temporary document name.
-    pub fn fresh_tmp(&self) -> DocName {
-        let n = self.tmp_counter.get();
-        self.tmp_counter.set(n + 1);
-        DocName::new(format!("·tmp{n}"))
+    /// A temporary document name that `site` does not host yet: the next
+    /// of `·tmp0`, `·tmp1`, … in this search that the site's statistics
+    /// do not list. (Each search counts from `·tmp0`, so a plan that
+    /// already ran once has left its name behind.)
+    pub fn fresh_tmp(&self, site: PeerId) -> DocName {
+        loop {
+            let n = self.tmp_counter.get();
+            self.tmp_counter.set(n + 1);
+            let name = DocName::new(format!("·tmp{n}"));
+            if self.model.doc_size(site, &name).is_none() {
+                return name;
+            }
+        }
     }
 }
 
 /// One equivalence rule.
 pub trait RewriteRule {
-    /// Short identifier, e.g. `"R10-delegate"`.
+    /// Short identifier, e.g. `"R10-delegate"`. The optimizer knows a rule
+    /// by its name when it reuses a plan: two rules of one name must
+    /// propose the same rewrites.
     fn name(&self) -> &'static str;
     /// Does the rewritten plan leave Σ exactly as the original (true for
     /// all rules except the materializing rule (13))?
@@ -363,7 +373,7 @@ impl RewriteRule for R13ShareTransfer {
             Some((i, j))
         });
         let Some((i, j)) = shared else { return vec![] };
-        let tmp = ctx.fresh_tmp();
+        let tmp = ctx.fresh_tmp(site);
         let mut new_args = args.clone();
         let local_ref = Expr::Doc {
             name: tmp.clone(),
@@ -769,6 +779,37 @@ mod tests {
         assert!(forest_equiv(&v1, &v2));
         // and the shared plan moved the catalog across the wan only once
         assert!(s2.stats().link(b, a).bytes < s1.stats().link(b, a).bytes);
+    }
+
+    /// Each search names its temporary documents from `·tmp0`; the names
+    /// the site already hosts are skipped, so a rule-(13) plan can run
+    /// again on the system it ran on (the second run used to fail with
+    /// `DuplicateDocument("·tmp0")`).
+    #[test]
+    fn r13_plans_run_again_on_one_system() {
+        let (mut sys, a, b, _c) = system();
+        let pair = Query::parse(
+            "pair",
+            "for $x in $0//pkg for $y in $1//pkg where $x/@name = $y/@name return <m>{$x/@name}</m>",
+        )
+        .unwrap();
+        let cat = Expr::Doc {
+            name: "catalog".into(),
+            at: PeerRef::At(b),
+        };
+        let naive = Expr::Apply {
+            query: LocatedQuery::new(pair, a),
+            args: vec![cat.clone(), cat],
+        };
+        let want = system().0.eval(a, &naive).unwrap();
+        let opt = crate::optimizer::Optimizer::with_rules(vec![Box::new(R13ShareTransfer)]);
+        for run in 0..3 {
+            let plan = opt.optimize(&CostModel::from_system(&sys), a, &naive);
+            assert_eq!(plan.trace, ["R13-share-transfer"], "run {run}");
+            let got = sys.eval(a, &plan.expr).unwrap();
+            assert!(forest_equiv(&want, &got), "run {run}");
+            assert!(sys.peer(a).docs.get(&format!("·tmp{run}").into()).is_some());
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@ use axml_query::Query;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
 use axml_xml::store::Document;
 use axml_xml::tree::Tree;
+use std::sync::Arc;
 
 /// Default seed for the engine's tie-breaking PRNG (override with
 /// [`AxmlSystem::set_engine_seed`] or the builder's `seed` knob).
@@ -50,6 +51,9 @@ pub struct AxmlSystem {
     /// The cost model's document statistics, valid per peer while its
     /// state epoch stands (see [`crate::cost`]).
     pub(crate) stats_cache: crate::cost::StatsCache,
+    /// Chosen plans, valid while what their search read stands (see
+    /// [`crate::optimizer`]).
+    pub(crate) plans: Arc<crate::optimizer::PlanCache>,
     pub(crate) par_stats: ParallelStats,
     pub(crate) retry: RetryPolicy,
     pub(crate) failover: bool,
@@ -81,6 +85,7 @@ impl AxmlSystem {
             driver: DriverKind::Sequential,
             state_epochs,
             stats_cache: Default::default(),
+            plans: Default::default(),
             par_stats: ParallelStats::default(),
             retry: RetryPolicy::none(),
             failover: false,

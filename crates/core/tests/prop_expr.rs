@@ -3,11 +3,12 @@
 //! well-formed expressions, delegation wrapping preserves values, the
 //! optimizer never changes answers — and what the search does per
 //! candidate (price it, key it, splice it into its parent) agrees with
-//! the slow way of doing the same, kept here as the reference.
+//! the slow way of doing the same, kept here as the reference; and a plan
+//! the system reuses is the plan a cold search would choose.
 
 use axml_core::cost::{CostModel, DEFAULT_QUERY_RATIO, REQUEST_OVERHEAD};
 use axml_core::prelude::*;
-use axml_core::rules::{OptContext, R13ShareTransfer, RewriteRule};
+use axml_core::rules::{standard_rules, OptContext, R13ShareTransfer, RewriteRule};
 use axml_net::link::saturating_bytes_f64;
 use axml_prng::SplitMix64;
 use axml_xml::equiv::forest_equiv;
@@ -712,6 +713,367 @@ fn with_child_equals_clone_then_assign() {
         }
     }
     assert!(spliced.iter().all(|&n| n > 20), "{spliced:?}");
+}
+
+// ---------------------------------------------------------------------
+// A reused plan is the plan a cold search would choose.
+// ---------------------------------------------------------------------
+
+const SELECT: &str =
+    r#"for $p in $0//pkg where $p/size/text() > 4000 return <big>{$p/@name}</big>"#;
+/// What `scan@p1` may be (re)defined as. It reads its parameter only, so
+/// a search through it reads no statistics of p1's: redefining it moves
+/// p1's epoch, but only the service itself, a fact, can tell the search.
+const SCANS: [&str; 3] = [
+    "for $p in $0//pkg return {$p}",
+    "for $p in $0//pkg where $p/size/text() > 2000 return {$p}",
+    "$0//pkg/@name",
+];
+
+/// A catalog of `n` packages.
+fn cat(n: usize) -> String {
+    let items: String = (0..n)
+        .map(|i| format!(r#"<pkg name="c{i}"><size>{}</size></pkg>"#, i * 700))
+        .collect();
+    format!("<cat>{items}</cat>")
+}
+
+/// Four peers on unequal links: a catalog at p1 and at p2, both members
+/// of `cat-any`, and a visible `scan` service at p1.
+fn reuse_system() -> AxmlSystem {
+    AxmlSystem::builder()
+        .topology(&Topology::Uniform {
+            n: 4,
+            cost: LinkCost::wan(),
+        })
+        .link(PeerId(0), PeerId(2), LinkCost::lan())
+        .link(PeerId(1), PeerId(2), LinkCost::lan())
+        .link(PeerId(0), PeerId(3), LinkCost::slow())
+        .replica(PeerId(1), "cat-any", "cat", cat(12))
+        .replica(PeerId(2), "cat-any", "cat", cat(8))
+        .service(PeerId(1), "scan", SCANS[0])
+        .pick_policy(PickPolicy::First)
+        .build()
+        .unwrap()
+}
+
+/// The naive plans searched, all at p0.
+fn reuse_shapes() -> Vec<Expr> {
+    let q = |name: &str, src: &str| Query::parse(name, src).unwrap();
+    let doc = |name: &str, at| Expr::Doc {
+        name: name.into(),
+        at,
+    };
+    let apply = |query, args| Expr::Apply {
+        query: LocatedQuery::new(query, PeerId(0)),
+        args,
+    };
+    let cat1 = || doc("cat", PeerRef::At(PeerId(1)));
+    vec![
+        apply(q("select", SELECT), vec![cat1()]),
+        apply(q("select", SELECT), vec![doc("cat-any", PeerRef::Any)]),
+        apply(
+            q("fmt", "for $t in $0 return <w>{$t/@name}</w>"),
+            vec![Expr::Sc {
+                provider: PeerRef::At(PeerId(1)),
+                service: "scan".into(),
+                params: vec![Expr::Tree {
+                    tree: Tree::parse(&cat(3)).unwrap(),
+                    at: PeerId(0),
+                }],
+                forward: vec![],
+            }],
+        ),
+        apply(
+            q(
+                "pair",
+                "for $x in $0//pkg for $y in $1//pkg where $x/@name = $y/@name return <m>{$x/@name}</m>",
+            ),
+            vec![cat1(), cat1()],
+        ),
+        Expr::EvalAt {
+            peer: PeerId(2),
+            expr: Box::new(Expr::Send {
+                dest: SendDest::Peer(PeerId(0)),
+                payload: Box::new(doc("cat", PeerRef::At(PeerId(2)))),
+            }),
+        },
+    ]
+}
+
+/// The optimizer configurations searched with: each is a key of its own.
+/// Without rule (9) a generic document stays generic, so the plan turns
+/// on the pick policy.
+fn reuse_config(i: usize) -> Optimizer {
+    let mut opt = match i {
+        4 => Optimizer::with_rules(
+            standard_rules()
+                .into_iter()
+                .filter(|r| !["R9-generic", "R16-push-over-sc"].contains(&r.name()))
+                .collect(),
+        ),
+        _ => Optimizer::standard(),
+    };
+    match i {
+        1 => opt.beam_width = 2,
+        2 => opt.max_explored = 40,
+        3 => opt.stale_rounds = 0,
+        _ => {}
+    }
+    opt
+}
+
+/// One change to the system between searches.
+#[derive(Debug)]
+enum Mutation {
+    /// `install_doc` (an existing name is refused, which is a no-op).
+    Install {
+        at: PeerId,
+        name: &'static str,
+        items: u32,
+    },
+    /// `send` of one item to the root of a hosted document.
+    Graft {
+        at: PeerId,
+        doc: &'static str,
+        size: u32,
+    },
+    /// `feed` of one item.
+    Feed {
+        at: PeerId,
+        doc: &'static str,
+        size: u32,
+    },
+    SetLink {
+        a: PeerId,
+        b: PeerId,
+        cost: LinkCost,
+    },
+    FailLink {
+        a: PeerId,
+        b: PeerId,
+    },
+    RestoreLink {
+        a: PeerId,
+        b: PeerId,
+    },
+    /// A fault plan outage over `a`–`b` from now on, and time moving on.
+    Outage {
+        a: PeerId,
+        b: PeerId,
+        ms: f64,
+    },
+    Redefine {
+        scan: usize,
+    },
+    AddReplica {
+        at: PeerId,
+        name: &'static str,
+    },
+    Pick(PickPolicy),
+}
+
+fn item(size: u32) -> Tree {
+    Tree::parse(&format!(r#"<pkg name="n{size}"><size>{size}</size></pkg>"#)).unwrap()
+}
+
+impl Mutation {
+    fn draw(rng: &mut SplitMix64) -> Self {
+        let peer = |rng: &mut SplitMix64| PeerId(rng.gen_range(0..4u32));
+        let pair = |rng: &mut SplitMix64| {
+            let a = rng.gen_range(0..4u32);
+            (PeerId(a), PeerId((a + 1 + rng.gen_range(0..3u32)) % 4))
+        };
+        let docs = ["cat", "extra", "·tmp0", "·tmp1"];
+        match rng.gen_range(0..10u32) {
+            0 => Mutation::Install {
+                at: peer(rng),
+                name: rng.choose(&docs).unwrap(),
+                items: rng.gen_range(1..20u32),
+            },
+            1 => Mutation::Graft {
+                at: peer(rng),
+                doc: rng.choose(&docs).unwrap(),
+                size: rng.gen_range(0..9000u32),
+            },
+            2 => Mutation::Feed {
+                at: PeerId(rng.gen_range(1..3u32)),
+                doc: "cat",
+                size: rng.gen_range(0..9000u32),
+            },
+            3 => {
+                let (a, b) = pair(rng);
+                let cost = *rng
+                    .choose(&[LinkCost::lan(), LinkCost::wan(), LinkCost::slow()])
+                    .unwrap();
+                Mutation::SetLink { a, b, cost }
+            }
+            4 => {
+                let (a, b) = pair(rng);
+                Mutation::FailLink { a, b }
+            }
+            5 => {
+                let (a, b) = pair(rng);
+                Mutation::RestoreLink { a, b }
+            }
+            6 => {
+                let (a, b) = pair(rng);
+                let ms = rng.gen_range(1..100u32) as f64;
+                Mutation::Outage { a, b, ms }
+            }
+            7 => Mutation::Redefine {
+                scan: rng.gen_range(0..SCANS.len() as u32) as usize,
+            },
+            8 => Mutation::AddReplica {
+                at: peer(rng),
+                name: rng.choose(&["cat", "extra"]).unwrap(),
+            },
+            // the model prices all but `Closest` at the first member
+            _ => Mutation::Pick(
+                *rng.choose(&[
+                    PickPolicy::First,
+                    PickPolicy::Closest,
+                    PickPolicy::Closest,
+                    PickPolicy::RoundRobin,
+                    PickPolicy::Random(7),
+                ])
+                .unwrap(),
+            ),
+        }
+    }
+
+    /// Apply to `sys`. What the system refuses (a duplicate name, a send
+    /// over a dead link) is refused the same way on every replay.
+    fn apply(&self, sys: &mut AxmlSystem) {
+        match *self {
+            Mutation::Install { at, name, items } => {
+                let xml: String = (0..items).map(|i| format!("<v>{i}</v>")).collect();
+                let _ = sys.install_doc(at, name, Tree::parse(&format!("<d>{xml}</d>")).unwrap());
+            }
+            Mutation::Graft { at, doc, size } => {
+                let Some(d) = sys.peer(at).docs.get(&doc.into()) else {
+                    return;
+                };
+                let root = NodeAddr::new(at, doc, d.tree().root());
+                let send = Expr::Send {
+                    dest: SendDest::Nodes(vec![root]),
+                    payload: Box::new(Expr::Tree {
+                        tree: item(size),
+                        at,
+                    }),
+                };
+                let _ = sys.eval(at, &send);
+            }
+            Mutation::Feed { at, doc, size } => {
+                let _ = sys.feed(at, doc, item(size));
+            }
+            Mutation::SetLink { a, b, cost } => sys.net_mut().set_link(a, b, cost),
+            Mutation::FailLink { a, b } => sys.net_mut().fail_link(a, b),
+            Mutation::RestoreLink { a, b } => sys.net_mut().restore_link(a, b),
+            Mutation::Outage { a, b, ms } => {
+                let now = sys.now_ms();
+                let plan = FaultPlan::new(1).outage(a, b, now, now + 2.0 * ms);
+                sys.net_mut().set_fault_plan(plan);
+                sys.net_mut().advance(ms);
+            }
+            Mutation::Redefine { scan } => {
+                sys.register_declarative_service(PeerId(1), "scan", SCANS[scan])
+                    .unwrap();
+            }
+            Mutation::AddReplica { at, name } => {
+                sys.catalog_mut().add_doc_replica("cat-any", at, name);
+            }
+            Mutation::Pick(policy) => sys.set_pick_policy(policy),
+        }
+    }
+}
+
+/// Random searches interleaved with random mutations. Every plan the
+/// system hands back — searched or reused — equals, in plan, trace, cost
+/// bits and `explored`, the plan a cold search chooses on a system
+/// rebuilt from the same construction and mutation log (whose first
+/// search is cold by construction).
+#[test]
+fn a_reused_plan_is_the_plan_a_cold_search_chooses() {
+    let (mut hits, mut invalidated) = (0, 0);
+    for seed in 0..4 {
+        let (h, i) = reuse_run(SplitMix64::new(0x9E05_ED00 + seed));
+        hits += h;
+        invalidated += i;
+    }
+    // 707 and 287 when this was written
+    assert!(
+        hits >= 350 && invalidated >= 140,
+        "{hits} reuses, {invalidated} searches made again"
+    );
+}
+
+/// One run of [`a_reused_plan_is_the_plan_a_cold_search_chooses`]: how
+/// many searches were reuses, and how many searched a key again.
+fn reuse_run(mut rng: SplitMix64) -> (usize, usize) {
+    let shapes = reuse_shapes();
+    let mut warm = reuse_system();
+    let mut log: Vec<Mutation> = Vec::new();
+    let mut searched = std::collections::HashSet::new();
+    let mut recent: Vec<(usize, usize)> = Vec::new();
+    let (mut hits, mut invalidated) = (0, 0);
+    for step in 0..300 {
+        if rng.gen_range(0..10u32) == 0 {
+            let m = Mutation::draw(&mut rng);
+            m.apply(&mut warm);
+            log.push(m);
+            continue;
+        }
+        // Half the time one of the last keys again, so that most
+        // mutations fall between two searches of one key; otherwise
+        // mostly the standard configuration and the one whose plans turn
+        // on the pick policy.
+        let (shape, config) = match rng.gen_bool(0.5) {
+            true if !recent.is_empty() => *rng.choose(&recent).unwrap(),
+            _ => (
+                rng.gen_range(0..5u32) as usize,
+                *rng.choose(&[0, 0, 0, 1, 2, 3, 4, 4]).unwrap(),
+            ),
+        };
+        recent.retain(|&k| k != (shape, config));
+        recent.push((shape, config));
+        if recent.len() > 4 {
+            recent.remove(0);
+        }
+        let opt = reuse_config(config);
+        let mut obs = Obs::new();
+        let got = opt.optimize_with(
+            &CostModel::from_system(&warm),
+            PeerId(0),
+            &shapes[shape],
+            &mut obs,
+        );
+        assert!(obs.metrics.memo_consistent());
+        if obs.metrics.explored == 0 {
+            hits += 1;
+        } else if !searched.insert((shape, config)) {
+            invalidated += 1;
+        }
+        let mut cold_sys = reuse_system();
+        for m in &log {
+            m.apply(&mut cold_sys);
+        }
+        let want = opt.optimize(
+            &CostModel::from_system(&cold_sys),
+            PeerId(0),
+            &shapes[shape],
+        );
+        let bits = |c: &Cost| [c.bytes, c.messages, c.time_ms].map(f64::to_bits);
+        assert!(
+            got.expr.fingerprint() == want.expr.fingerprint()
+                && got.trace == want.trace
+                && bits(&got.cost) == bits(&want.cost)
+                && got.explored == want.explored,
+            "step {step}, shape {shape}, config {config}, after {:?}:\n reused {got}\n cold   {want}",
+            log.last()
+        );
+    }
+    (hits, invalidated)
 }
 
 proptest! {

@@ -1,8 +1,10 @@
 //! The optimizer search's allocation budget: a candidate plan costs what
 //! the rewrite that made it changed — its own nodes, a copy of the spine
-//! above them — and nothing for being keyed, priced or remembered.
-//! Counted here per explored candidate, with an allocator of this test
-//! binary's own, on `tests/optimizer_golden.rs`'s `query_ship` deployment.
+//! above them — and nothing for being keyed, priced or remembered; and a
+//! search the system already made costs a copy of the plan it chose.
+//! Counted here, per explored candidate and per reuse, with an allocator
+//! of this test binary's own, on `tests/optimizer_golden.rs`'s
+//! `query_ship` deployment.
 
 use axml_core::cost::CostModel;
 use axml_core::prelude::*;
@@ -115,11 +117,9 @@ fn selection(doc: Expr) -> Expr {
     }
 }
 
-#[test]
-fn a_search_allocates_for_the_plans_it_builds_and_little_else() {
-    let sys = system();
-    let model = CostModel::from_system(&sys);
-    let shapes = [
+/// The two shapes whose searches are counted.
+fn shapes() -> [(&'static str, Expr); 2] {
+    [
         (
             "remote-selection",
             selection(Expr::Doc {
@@ -134,8 +134,15 @@ fn a_search_allocates_for_the_plans_it_builds_and_little_else() {
                 at: PeerRef::Any,
             }),
         ),
-    ];
-    for (name, naive) in shapes {
+    ]
+}
+
+#[test]
+fn a_search_allocates_for_the_plans_it_builds_and_little_else() {
+    for (name, naive) in shapes() {
+        // the first search on its system: cold by construction
+        let sys = system();
+        let model = CostModel::from_system(&sys);
         let optimizer = Optimizer::standard();
         let before = ALLOCATIONS.get();
         let plan = optimizer.optimize(&model, CLIENT, &naive);
@@ -152,6 +159,33 @@ fn a_search_allocates_for_the_plans_it_builds_and_little_else() {
             per_candidate < 18.5,
             "{name}: {allocations} allocations for {} candidates, {per_candidate:.1} each",
             plan.explored
+        );
+    }
+}
+
+/// The same search again on the same system is O(plan): it allocates
+/// what a copy of the chosen plan takes, and a few more for the key.
+#[test]
+fn a_reuse_allocates_a_copy_of_the_plan_and_little_else() {
+    for (name, naive) in shapes() {
+        let sys = system();
+        let optimizer = Optimizer::standard();
+        let cold = optimizer.optimize(&CostModel::from_system(&sys), CLIENT, &naive);
+        let model = CostModel::from_system(&sys);
+        let mut obs = Obs::new();
+        let before = ALLOCATIONS.get();
+        let warm = optimizer.optimize_with(&model, CLIENT, &naive, &mut obs);
+        let allocations = ALLOCATIONS.get() - before;
+        assert_eq!(obs.metrics.explored, 0, "{name}: searched again");
+        assert_eq!(warm.explored, cold.explored);
+        let before = ALLOCATIONS.get();
+        let copy = warm.clone();
+        let copying = ALLOCATIONS.get() - before;
+        drop(copy);
+        // one more when this was written: the key's list of rule names
+        assert!(
+            allocations <= copying + 2,
+            "{name}: a reuse allocated {allocations}, a copy of the plan {copying}"
         );
     }
 }

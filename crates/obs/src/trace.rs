@@ -118,11 +118,11 @@ pub enum TraceEvent {
         /// The candidate's estimated scalar cost.
         cost: f64,
     },
-    /// The optimizer finished a search.
+    /// The optimizer finished a search, or reused the plan of one.
     PlanChosen {
         /// The evaluation site optimized for.
         site: PeerId,
-        /// Candidates examined.
+        /// Candidates examined: 0 for a reused plan.
         explored: usize,
         /// Estimated scalar cost of the winner.
         cost: f64,

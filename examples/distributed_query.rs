@@ -37,15 +37,12 @@ fn measure(build: &dyn Fn() -> AxmlSystem, site: PeerId, e: &Expr) -> (usize, u6
 
 fn show(title: &str, build: &dyn Fn() -> AxmlSystem, site: PeerId, naive: &Expr) {
     println!("\n————— {title} —————");
-    let sys = build();
-    let model = CostModel::from_system(&sys);
-    let plan = Optimizer::standard().optimize(&model, site, naive);
     let (n1, b1, t1) = measure(build, site, naive);
-    // Measure the optimized plan on a system with metrics flowing, and
-    // re-run the search against the same observer so the report also
-    // carries the rule-application counters.
+    // Search and measure the optimized plan on one system with metrics
+    // flowing, so the report carries the rule-application counters too.
     let mut sys2 = build();
-    let _ = Optimizer::standard().optimize_with(&model, site, naive, sys2.obs_mut());
+    let model = CostModel::from_system(&sys2);
+    let plan = Optimizer::standard().optimize_with(&model, site, naive, sys2.obs_mut());
     let out2 = sys2.eval(site, &plan.expr).unwrap();
     let (n2, b2, t2) = (
         out2.len(),

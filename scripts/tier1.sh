@@ -10,6 +10,11 @@
 #     trace format, rendered payloads, byte codec, delta filter, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call) — each explained where it runs;
+#   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
+#     search_chooses (swept by `cargo test --workspace`): searches
+#     interleaved with mutations of documents, links, outages, services,
+#     replica classes and the pick policy; every plan the system hands
+#     back equals a cold search on a rebuilt system, to the cost bit;
 #   - crates/query/tests/alloc_budget.rs (swept by `cargo test --workspace`):
 #     the evaluator allocates for what it answers, not per input item, and
 #     walks a closed scan once — counted with the test binary's own
@@ -17,7 +22,9 @@
 #   - crates/core/tests/search_alloc_budget.rs (same sweep, same kind of
 #     allocator): an optimizer search allocates for the candidate plans it
 #     builds, under a pinned count per explored candidate — formatting a
-#     candidate's text, or copying it to price it, fails a test;
+#     candidate's text, or copying it to price it, fails a test — and a
+#     reused plan costs a copy of it (a_reuse_allocates_a_copy_of_the_
+#     plan_and_little_else);
 #   - crates/xml/tests/digest_alloc_budget.rs (same sweep, same kind of
 #     allocator): a canonical digest allocates nothing, so counting a tree
 #     already delivered allocates nothing and a batch admitted to the
