@@ -37,8 +37,18 @@
 //!   moved outwards is tested — and may raise, on an unresolved `doc()` —
 //!   for outer tuples the nested loop dropped first or never reached, and
 //!   a scan behind it is not resolved for the tuples it now drops.
-//! * `=`/`<`/…, `exists` and `contains` stop at their first witness, so
-//!   an error only the items after it would have raised does not surface.
+//! * a closed `for` with a conjunct `A = B`, `A` reading only the level's
+//!   variable and `B` only outer ones, neither a source, is a *join*: on
+//!   first reaching the level, `A` is walked per scanned item into a
+//!   sorted index keyed by atom (a finite decimal numeral by its value,
+//!   `-0` as `0`; anything else by its text), so keys are equal exactly
+//!   when `=` holds. Each outer tuple looks up the keys of `B` and binds
+//!   only the items found, once each, in scan order; each still runs
+//!   every conjunct of the level, the join's included.
+//! * `=`/`<`/…, `exists` and `contains` stop at their first witness, and
+//!   a join never binds an item its equality rejects, so an error that
+//!   only a witness after the first one, or an item a join pruned, would
+//!   have raised does not surface.
 
 use crate::error::{QueryError, QueryResult};
 use crate::plan::{
@@ -49,7 +59,7 @@ use axml_xml::ids::DocName;
 use axml_xml::tree::{NodeId, Tree};
 use axml_xml::Label;
 use std::borrow::Cow;
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
 
 /// A forest: the trees accumulated so far on one input stream.
@@ -163,11 +173,13 @@ impl<'a> Item<'a> {
 
 /// The concatenated text below `node`: borrowed while a single chain of
 /// only children leads to it, built otherwise.
-fn string_value(tree: &Tree, node: NodeId) -> Cow<'_, str> {
-    match *tree.children(node) {
-        [] => Cow::Borrowed(tree.node(node).as_text().unwrap_or("")),
-        [only] => string_value(tree, only),
-        _ => Cow::Owned(tree.text(node)),
+fn string_value(tree: &Tree, mut node: NodeId) -> Cow<'_, str> {
+    loop {
+        match *tree.children(node) {
+            [] => return Cow::Borrowed(tree.node(node).as_text().unwrap_or("")),
+            [only] => node = only,
+            _ => return Cow::Owned(tree.text(node)),
+        }
     }
 }
 
@@ -208,6 +220,25 @@ fn satisfied(op: CmpOp, ord: Ordering) -> bool {
 
 /// An atom next to its [`numeral`].
 type Atom<'s> = (&'s str, Option<f64>);
+
+/// What an equality compares an atom by: two keys are equal exactly when
+/// [`compare`] finds the atoms `=`.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum Key<'a> {
+    /// The bits of a numeral's value, `-0` read as `0`.
+    Num(u64),
+    Str(Cow<'a, str>),
+}
+
+impl<'a> Key<'a> {
+    fn of(atom: Cow<'a, str>) -> Self {
+        match numeral(&atom) {
+            Some(0.0) => Key::Num(0), // `-0.0` too
+            Some(x) => Key::Num(x.to_bits()),
+            None => Key::Str(atom),
+        }
+    }
+}
 
 /// Compare two atoms: as numbers when both are numerals, else as strings.
 fn compare(op: CmpOp, (a, x): Atom<'_>, (b, y): Atom<'_>) -> bool {
@@ -259,6 +290,19 @@ struct Level<'p, 'a> {
     memo: Option<OnceCell<Vec<Item<'a>>>>,
     /// The `where` conjuncts that run as soon as this level is bound.
     then: Vec<&'p PredPlan>,
+    /// For a closed `for`, an equality among `then` that picks its items.
+    join: Option<Join<'p, 'a>>,
+}
+
+/// A conjunct `own = outer` of a closed `for` level (see the module docs).
+struct Join<'p, 'a> {
+    own: &'p PathPlan,
+    outer: &'p PathPlan,
+    /// The keys of `own` over the scan, each next to its item's position;
+    /// sorted, once the level has been reached.
+    index: OnceCell<Vec<(Key<'a>, usize)>>,
+    /// The positions the current outer tuple picks — one buffer for all.
+    hits: Cell<Vec<usize>>,
 }
 
 /// Receives a path's items one by one; answers whether to go on.
@@ -278,16 +322,32 @@ fn each<T>(
 }
 
 /// [`each`] over `kids` in preorder — and, when `deep`, over everything
-/// below them.
+/// below them, keeping the siblings still to come on a stack of its own.
 fn visit(
     tree: &Tree,
     kids: &[NodeId],
     deep: bool,
     f: &mut dyn FnMut(NodeId) -> QueryResult<bool>,
 ) -> QueryResult<bool> {
-    each(kids, |&c| {
-        Ok(f(c)? && (!deep || visit(tree, tree.children(c), true, f)?))
-    })
+    if !deep {
+        return each(kids, |&c| f(c));
+    }
+    let (mut next, mut later) = (kids, Vec::new());
+    loop {
+        while let Some((&c, rest)) = next.split_first() {
+            if !f(c)? {
+                return Ok(false);
+            }
+            if !rest.is_empty() {
+                later.push(rest);
+            }
+            next = tree.children(c);
+        }
+        match later.pop() {
+            Some(up) => next = up,
+            None => return Ok(true),
+        }
+    }
 }
 
 impl Plan {
@@ -333,6 +393,7 @@ impl Plan {
                         seq: matches!(op, Op::LetBind { .. }),
                         memo: vars.is_empty().then(OnceCell::new),
                         then: Vec::new(),
+                        join: None,
                     });
                 }
                 Op::Filter { pred, .. } => {
@@ -349,8 +410,43 @@ impl Plan {
                 }
             }
         }
+        for level in levels.iter_mut().filter(|l| l.memo.is_some() && !l.seq) {
+            level.join = level.then.iter().find_map(|c| join(c, level.var));
+        }
         (first, levels)
     }
+}
+
+/// The [`Join`] conjunct `c` makes for a closed `for` level binding `var`.
+fn join<'p, 'a>(c: &'p PredPlan, var: VarId) -> Option<Join<'p, 'a>> {
+    let PredPlan::Cmp {
+        lhs,
+        op: CmpOp::Eq,
+        rhs: OperandPlan::Path(rhs),
+    } = c
+    else {
+        return None;
+    };
+    // The variables a side reads, unless it reads a source.
+    let reads = |p: &PathPlan| {
+        let (mut vars, mut source) = (Vec::new(), false);
+        p.visit_paths(&mut |q| match q.start {
+            StartRef::Var(v) if !vars.contains(&v) => vars.push(v),
+            StartRef::Source(_) => source = true,
+            _ => {}
+        });
+        (!source).then_some(vars)
+    };
+    let is_own = |p| reads(p).is_some_and(|vars| vars == [var]);
+    let is_outer = |p| reads(p).is_some_and(|vars| !vars.is_empty() && !vars.contains(&var));
+    let sides = [(lhs, rhs), (rhs, lhs)];
+    let (own, outer) = sides.into_iter().find(|&(a, b)| is_own(a) && is_outer(b))?;
+    Some(Join {
+        own,
+        outer,
+        index: OnceCell::new(),
+        hits: Cell::default(),
+    })
 }
 
 /// Does any item that `tail` yields at the node `at` — the node itself
@@ -428,11 +524,62 @@ impl<'p, 'a> Eval<'p, 'a> {
             }
             Ok(())
         };
-        if level.seq {
-            bind(items)
-        } else {
-            items.iter().map(std::slice::from_ref).try_for_each(bind)
-        }
+        let Some(join) = &level.join else {
+            return if level.seq {
+                bind(items)
+            } else {
+                items.iter().map(std::slice::from_ref).try_for_each(bind)
+            };
+        };
+        let mut hits = join.hits.take();
+        let picked = self.probe(level.var, join, items, scope, &mut hits);
+        let bind_hit = |&i: &usize| bind(std::slice::from_ref(&items[i]));
+        let bound = picked.and_then(|()| hits.iter().try_for_each(bind_hit));
+        join.hits.set(hits);
+        bound
+    }
+
+    /// Into `hits`, ascending and once each, the positions of the `items`
+    /// of the level binding `var` that share a key with the current outer
+    /// tuple's `join.outer`; the index of `join.own` is built on first use.
+    fn probe(
+        &self,
+        var: VarId,
+        join: &Join<'p, 'a>,
+        items: &[Item<'a>],
+        scope: Scope<'_, 'a>,
+        hits: &mut Vec<usize>,
+    ) -> QueryResult<()> {
+        let index = match join.index.get() {
+            Some(index) => index,
+            None => {
+                let mut index = Vec::with_capacity(items.len());
+                for (at, item) in items.iter().enumerate() {
+                    let env = Env {
+                        var,
+                        items: std::slice::from_ref(item),
+                        outer: None,
+                    };
+                    self.walk(join.own, Some(&env), &mut |it| {
+                        index.push((Key::of(it.into_atom()), at));
+                        Ok(true)
+                    })?;
+                }
+                index.sort_unstable();
+                join.index.get_or_init(|| index)
+            }
+        };
+        hits.clear();
+        self.walk(join.outer, scope, &mut |it| {
+            let key = Key::of(it.into_atom());
+            let from = index.partition_point(|(k, _)| *k < key);
+            let found = index[from..].iter().take_while(|(k, _)| *k == key);
+            hits.extend(found.map(|&(_, at)| at));
+            Ok(true)
+        })?;
+        hits.sort_unstable();
+        hits.dedup();
+        Ok(())
     }
 
     /// Feed `f` the items of `path` in the order step-by-step

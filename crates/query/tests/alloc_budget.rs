@@ -1,7 +1,8 @@
 //! The evaluator's allocation budget: work proportional to what a query
-//! scans and what it answers means no allocation per input item, and one
-//! walk of a closed scan however many outer tuples read it. Both are
-//! counted here, with an allocator of this test binary's own.
+//! scans and what it answers means no allocation per input item, one walk
+//! of a closed scan however many outer tuples read it, and no allocation
+//! per outer tuple that a join's index turns away. All are counted here,
+//! with an allocator of this test binary's own.
 
 use axml_query::Query;
 use axml_xml::ids::DocName;
@@ -84,13 +85,17 @@ fn a_selection_allocates_for_its_answer_not_its_input() {
     );
 }
 
-/// A catalog of 1 000 packages, every tenth one big; one big package in
-/// ten carries a name the other catalogs share.
-fn catalog(own: &str) -> Vec<Tree> {
+/// A catalog of `n` packages, every tenth one big; among the first 1 000,
+/// one big package in ten carries a name the other catalogs share.
+fn catalog(own: &str, n: usize) -> Vec<Tree> {
     let mut xml = String::from("<catalog>");
-    for i in 0..1_000 {
+    for i in 0..n {
         let size = if i % 10 == 0 { 120_000 + i } else { 30_000 + i };
-        let name = if i % 100 == 0 { "shared" } else { own };
+        let name = if i % 100 == 0 && i < 1_000 {
+            "shared"
+        } else {
+            own
+        };
         let _ = write!(
             xml,
             r#"<pkg name="{name}-{i:05}"><size>{size}</size><desc>package {i}</desc></pkg>"#
@@ -107,13 +112,40 @@ fn a_join_scans_its_closed_side_once() {
     let src = r#"for $x in $0//pkg[size > 100000] for $y in $1//pkg[size > 100000]
         where $x/@name = $y/@name return <p>{$x/@name}</p>"#;
     let q = Query::parse("pair", src).unwrap();
-    let inputs = [catalog("left"), catalog("right")];
+    let inputs = [catalog("left", 1_000), catalog("right", 1_000)];
     let (n, pairs) = allocations(|| q.eval_batch(&inputs).unwrap());
     assert_eq!(pairs.len(), 10);
-    // Two scans' lists (6 allocations each as they double to 128), ten
-    // answers, the plan's own bookkeeping: 71 when this was written.
-    // Walking the inner scan again for each of the 100 outer tuples would
-    // add 600; one allocation per package scanned or pair compared,
-    // thousands.
+    // Two scans' lists (6 allocations each as they double to 128), the
+    // join's index and its buffer of picked items, ten answers, the plan's
+    // own bookkeeping: 78 when this was written. Walking the inner scan
+    // again for each of the 100 outer tuples would add 600; one allocation
+    // per package scanned or pair compared, thousands.
     assert!(n < 150, "{n} allocations");
+}
+
+/// `pair` with an inner scan of `inner` packages: 100 outer tuples, the
+/// same 10 pairs to answer however many packages the inner scan holds.
+fn probed(inner: usize) -> u64 {
+    let src = r#"for $x in $0//pkg[size > 100000] for $y in $1//pkg
+        where $x/@name = $y/@name return <p>{$x/@name}</p>"#;
+    let q = Query::parse("pair", src).unwrap();
+    let inputs = [catalog("left", 1_000), catalog("right", inner)];
+    let (n, pairs) = allocations(|| q.eval_batch(&inputs).unwrap());
+    assert_eq!(pairs.len(), 10);
+    n
+}
+
+#[test]
+fn a_join_probes_instead_of_rescanning() {
+    // Four times the inner items: the scan's list doubles twice more (the
+    // index is sized from it at once), and nothing else may notice — an
+    // outer tuple that picks no item allocates nothing, one that picks
+    // some reuses the level's buffer. 81 and 83 when this was written.
+    let (small, large) = (probed(1_000), probed(4_000));
+    assert_eq!(
+        large,
+        small + 2,
+        "1 000 items: {small} allocations, 4 000 items: {large}"
+    );
+    assert!(small < 150, "{small} allocations");
 }

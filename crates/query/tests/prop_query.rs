@@ -12,7 +12,7 @@
 use axml_prng::SplitMix64;
 use axml_query::eval::{Ctx, Delta, NoDocs};
 use axml_query::parser::parse_plan;
-use axml_query::plan::Plan;
+use axml_query::plan::{CmpOp, Op, OperandPlan, PathPlan, Plan, PredPlan, StartRef, VarId};
 use axml_query::{Query, QueryError};
 use axml_xml::equiv::{canonicalize, forest_equiv, Canon, CanonMultiset};
 use axml_xml::ids::DocName;
@@ -465,11 +465,13 @@ mod reference {
         })
     }
 
-    /// Numeric when both sides parse (the generator writes plain decimal
-    /// numerals only), string-wise otherwise.
+    /// Numeric when both sides read as finite numbers (the generator
+    /// writes no `nan` or `inf`; a value like `1e310001000`, which overflows,
+    /// is a name), string-wise otherwise.
     fn compare(op: CmpOp, a: &str, b: &str) -> bool {
-        let ord = match (a.parse::<f64>(), b.parse::<f64>()) {
-            (Ok(x), Ok(y)) => x.partial_cmp(&y).unwrap(),
+        let finite = |s: &str| s.parse::<f64>().ok().filter(|x| x.is_finite());
+        let ord = match (finite(a), finite(b)) {
+            (Some(x), Some(y)) => x.partial_cmp(&y).unwrap(),
             _ => a.cmp(b),
         };
         match op {
@@ -564,7 +566,10 @@ struct PlanGen {
 }
 
 const LABELS: [&str; 3] = ["a", "b", "*"];
-const VALUES: [&str; 6] = ["1", "2", "2.0", "10", "x", "xy"];
+/// Names, and numerals of which some are one number spelled two ways.
+const VALUES: [&str; 11] = [
+    "1", "2", "2.0", "+2", "10", "0", "-0", "1e3", "1000", "x", "xy",
+];
 const CMP_OPS: [&str; 6] = ["=", "!=", "<", "<=", ">", ">="];
 
 impl PlanGen {
@@ -600,15 +605,32 @@ impl PlanGen {
         if !self.vars.is_empty() && self.rng.gen_bool(0.7) {
             let at = self.rng.gen_range(0..self.vars.len());
             let var = self.vars[at].clone();
-            let steps = if self.rng.gen_bool(0.3) {
-                String::new()
-            } else {
-                self.steps(preds)
-            };
-            return format!("{var}{steps}{}", self.tail(value));
+            return self.path_from(&var, preds, value);
         }
+        self.source_path(preds, value)
+    }
+
+    fn source_path(&mut self, preds: bool, value: bool) -> String {
         let source = self.pick(&["$0", "$1", r#"doc("d")"#]);
         format!("{source}{}{}", self.steps(preds), self.tail(value))
+    }
+
+    fn path_from(&mut self, var: &str, preds: bool, value: bool) -> String {
+        let steps = if self.rng.gen_bool(0.3) {
+            String::new()
+        } else {
+            self.steps(preds)
+        };
+        format!("{var}{steps}{}", self.tail(value))
+    }
+
+    /// A path from `var` that ends in atoms — one side of a join.
+    fn atoms_from(&mut self, var: &str) -> String {
+        let steps = match self.rng.gen_bool(0.5) {
+            true => self.steps(true),
+            false => String::new(),
+        };
+        format!("{var}{steps}{}", self.pick(&["//@k", "//text()"]))
     }
 
     /// An operand: inside a step predicate (`relative`) mostly a path from
@@ -656,9 +678,16 @@ impl PlanGen {
 
     fn query(&mut self) -> String {
         self.vars.clear();
-        let mut src = String::new();
+        let (mut src, mut terms) = (String::new(), Vec::new());
         for i in 0..self.rng.gen_range(1..4usize) {
-            let path = self.path(true, false);
+            // Now and then a join: a scan of a source, and an equality
+            // between atoms from it and from an earlier variable. (Some are
+            // none: the scan is a `let`, or its side reads both variables.)
+            let join = i > 0 && self.rng.gen_bool(0.2);
+            let path = match join {
+                true => self.source_path(true, false),
+                false => self.path(true, false),
+            };
             let clause = if self.rng.gen_bool(0.2) {
                 format!("let $v{i} := {path} ")
             } else {
@@ -666,11 +695,27 @@ impl PlanGen {
             };
             src += &clause;
             self.vars.push(format!("$v{i}"));
+            if join {
+                let earlier = self.vars[self.rng.gen_range(0..i)].clone();
+                let own = match self.rng.gen_bool(0.25) {
+                    true => self.atoms_from(&format!("$v{i}//*[@k = {earlier}//@k]")),
+                    false => self.atoms_from(&format!("$v{i}")),
+                };
+                let outer = self.atoms_from(&earlier);
+                terms.push(match self.rng.gen_bool(0.5) {
+                    true => format!("{own} = {outer}"),
+                    false => format!("{outer} = {own}"),
+                });
+            }
         }
-        if self.rng.gen_bool(0.7) {
-            let terms: Vec<String> = (0..1 + usize::from(self.rng.gen_bool(0.4)))
-                .map(|_| self.cond(0, false))
-                .collect();
+        if self.rng.gen_bool(if terms.is_empty() { 0.7 } else { 0.4 }) {
+            for _ in 0..1 + usize::from(self.rng.gen_bool(0.4)) {
+                let at = self.rng.gen_range(0..terms.len() + 1);
+                let cond = self.cond(0, false);
+                terms.insert(at, cond);
+            }
+        }
+        if !terms.is_empty() {
             src += &format!("where {} ", terms.join(" and "));
         }
         src + "return " + &self.template()
@@ -722,11 +767,104 @@ fn assert_same(plan: &Plan, ctx: &Ctx<'_>, src: &reference::Src<'_>, what: &str)
     }
 }
 
+/// The starts of `path` and of every path in its step predicates.
+fn starts<'p>(path: &'p PathPlan, out: &mut Vec<&'p StartRef>) {
+    out.push(&path.start);
+    for pred in path.steps.iter().flat_map(|s| &s.preds) {
+        pred_starts(pred, out);
+    }
+}
+
+fn pred_starts<'p>(pred: &'p PredPlan, out: &mut Vec<&'p StartRef>) {
+    match pred {
+        PredPlan::And(a, b) | PredPlan::Or(a, b) => {
+            pred_starts(a, out);
+            pred_starts(b, out);
+        }
+        PredPlan::Not(c) => pred_starts(c, out),
+        PredPlan::Cmp { lhs, rhs, .. } => {
+            starts(lhs, out);
+            if let OperandPlan::Path(p) = rhs {
+                starts(p, out);
+            }
+        }
+        PredPlan::Contains { path, .. }
+        | PredPlan::CountCmp { path, .. }
+        | PredPlan::Exists(path) => starts(path, out),
+    }
+}
+
+/// Whether a `where` conjunct of `plan` is one the evaluator answers from
+/// a join's index (`eval.rs`, "Evaluation order"): `A = B` with `A`
+/// reading only the variable of a closed `for` and `B` only variables
+/// bound before it, neither reading a source.
+fn has_join(plan: &Plan) -> bool {
+    let mut ops: Vec<&Op> = std::iter::successors(Some(&plan.ops), |op| op.input()).collect();
+    ops.reverse();
+    // The variables a path reads, or `None` if it reads a source.
+    let vars = |p: &PathPlan| -> Option<Vec<VarId>> {
+        let mut all = Vec::new();
+        starts(p, &mut all);
+        let mut vars = Vec::new();
+        for start in all {
+            match start {
+                StartRef::Var(v) => vars.push(*v),
+                StartRef::Source(_) => return None,
+                StartRef::Context => {}
+            }
+        }
+        Some(vars)
+    };
+    // Each loop's variable, in binding order, and whether it is a closed `for`.
+    let loops: Vec<(VarId, bool)> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::ForEach { var, path, .. } => {
+                let mut all = Vec::new();
+                starts(path, &mut all);
+                Some((*var, all.iter().all(|s| !matches!(s, StartRef::Var(_)))))
+            }
+            Op::LetBind { var, .. } => Some((*var, false)),
+            _ => None,
+        })
+        .collect();
+    let at = |v: VarId| loops.iter().position(|l| l.0 == v);
+    let joins = |own: &PathPlan, outer: &PathPlan| match (vars(own), vars(outer)) {
+        (Some(own), Some(outer)) if !own.is_empty() && !outer.is_empty() => {
+            let v = own[0];
+            own.iter().all(|w| *w == v)
+                && loops[at(v).unwrap()].1
+                && outer.iter().all(|w| at(*w) < at(v))
+        }
+        _ => false,
+    };
+    let mut conjuncts: Vec<&PredPlan> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Op::Filter { pred, .. } => Some(pred),
+            _ => None,
+        })
+        .collect();
+    while let Some(c) = conjuncts.pop() {
+        match c {
+            PredPlan::And(a, b) => conjuncts.extend([&**a, &**b]),
+            PredPlan::Cmp {
+                lhs,
+                op: CmpOp::Eq,
+                rhs: OperandPlan::Path(rhs),
+            } if joins(lhs, rhs) || joins(rhs, lhs) => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
 /// Differential test of the evaluator against [`reference`] on seeded
 /// random plans and forests — plain, with a parameter narrowed to its
 /// latest arrivals, and with the document narrowed to one child of its
 /// root (which the reference reads as a document holding that child
-/// alone).
+/// alone). A good share of the plans join a closed scan to an outer
+/// variable, over numerals spelled more than one way.
 #[test]
 fn evaluator_equals_the_materialising_reference() {
     let mut g = PlanGen {
@@ -734,10 +872,11 @@ fn evaluator_equals_the_materialising_reference() {
         vars: Vec::new(),
     };
     let d = DocName::new("d");
-    let (mut answering, mut joins) = (0, 0);
+    let (mut answering, mut joins, mut indexed) = (0, 0, 0);
     for case in 0..4_000 {
         let src = g.query();
         let plan = parse_plan(&src, 2).unwrap_or_else(|e| panic!("{src}: {e}"));
+        indexed += usize::from(has_join(&plan));
         let inputs = [g.forest(), g.forest()];
         let docs: HashMap<DocName, Tree> = [(d.clone(), g.tree())].into();
         let what = format!("case {case}: {src}");
@@ -779,8 +918,10 @@ fn evaluator_equals_the_materialising_reference() {
             assert_same(&plan, &ctx, &by_child, &format!("{what} (doc delta)"));
         }
     }
-    // The generator is not vacuous: plans answer, multi-loop ones too.
+    // The generator is not vacuous: plans answer, multi-loop ones too, and
+    // enough of them take a join's index.
     assert!(answering > 1_000 && joins > 400, "{answering} / {joins}");
+    assert!(indexed >= 300, "{indexed} plans with a join");
 }
 
 /// A scan is resolved when its loop level is first reached, and not

@@ -463,20 +463,9 @@ impl Tree {
     /// Concatenated text of all text descendants of `id` (the XPath
     /// `string()` value).
     pub fn text(&self, id: NodeId) -> String {
-        let mut out = String::new();
-        self.collect_text(id, &mut out);
-        out
-    }
-
-    fn collect_text(&self, id: NodeId, out: &mut String) {
-        match &self.node(id).kind {
-            NodeKind::Text(t) => out.push_str(t),
-            NodeKind::Element { .. } => {
-                for &c in &self.node(id).children {
-                    self.collect_text(c, out);
-                }
-            }
-        }
+        self.descendants_with_self(id)
+            .filter_map(|n| self.node(n).as_text())
+            .collect()
     }
 
     /// Preorder traversal of the subtree rooted at `id` (including `id`).

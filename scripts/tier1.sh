@@ -19,6 +19,14 @@
 #     the evaluator allocates for what it answers, not per input item, and
 #     walks a closed scan once — counted with the test binary's own
 #     allocator, so "O(scan + answer)" fails a test when it stops holding;
+#     a_join_probes_instead_of_rescanning pins that a join's inner scan
+#     growing 1 000 → 4 000 items costs exactly its list's two doublings;
+#   - crates/query/tests/prop_query.rs::evaluator_equals_the_materialising_
+#     reference (same sweep): the evaluator ≡ a nested-loop reference on
+#     4 000 seeded plans, of which at least 300 take a join's index;
+#   - crates/query/tests/deep_chain.rs (same sweep, alone in its binary):
+#     a 200 000-deep chain through the evaluator on a 64 KiB stack, so a
+#     walk that recurses per tree level aborts the run;
 #   - crates/core/tests/search_alloc_budget.rs (same sweep, same kind of
 #     allocator): an optimizer search allocates for the candidate plans it
 #     builds, under a pinned count per explored candidate — formatting a
