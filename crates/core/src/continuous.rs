@@ -38,8 +38,7 @@
 //! form, so a hit member's bookkeeping is one allocation-free digest walk
 //! per fresh result. A member after the first of a call the feed hit
 //! takes the results computed for the first and consults nothing else of
-//! the call. Call keys are digests too: nothing on this path builds a
-//! `Canon`.
+//! the call. Call keys are digests too.
 //!
 //! **When a stored answer holds.** Exactly while the document's
 //! [`Document::stamp`] is `Watch::answers_at` — the stamp the answers

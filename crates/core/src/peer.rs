@@ -7,7 +7,7 @@
 use crate::error::{CoreError, CoreResult};
 use crate::service::Service;
 use axml_query::eval::DocResolver;
-use axml_xml::equiv::{canonicalize, Canon};
+use axml_xml::equiv::canonical_digest;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
 use axml_xml::store::{DocStore, Document};
 use axml_xml::tree::Tree;
@@ -61,13 +61,18 @@ impl PeerState {
     }
 
     /// A canonical snapshot of this peer's documents (name → canonical
-    /// form) and service names — one peer's contribution to Σ.
+    /// digest) and service names — one peer's contribution to Σ.
     pub fn snapshot(&self) -> PeerSnapshot {
         PeerSnapshot {
             docs: self
                 .docs
                 .iter()
-                .map(|d| (d.name().clone(), canonicalize(d.tree(), d.tree().root())))
+                .map(|d| {
+                    (
+                        d.name().clone(),
+                        canonical_digest(d.tree(), d.tree().root()),
+                    )
+                })
                 .collect(),
             services: self.services.keys().cloned().collect(),
         }
@@ -80,11 +85,13 @@ impl DocResolver for PeerState {
     }
 }
 
-/// Canonical image of one peer's state, comparable across runs.
+/// Canonical image of one peer's state, comparable across runs of one
+/// process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PeerSnapshot {
-    /// Documents by name, canonicalized (sibling order erased).
-    pub docs: BTreeMap<DocName, Canon>,
+    /// Documents by name, each as its [`canonical_digest`] (sibling order
+    /// erased; the digest's key is per process).
+    pub docs: BTreeMap<DocName, u128>,
     /// Installed service names.
     pub services: Vec<ServiceName>,
 }

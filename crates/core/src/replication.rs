@@ -80,17 +80,14 @@ impl AxmlSystem {
     }
 
     /// Are all replicas of the class currently equivalent (unordered
-    /// deep-equivalence of their trees)?
+    /// deep-equivalence of their trees: equal root digests)?
     pub fn replicas_consistent(&self, class: &DocName) -> CoreResult<bool> {
-        let members = self.catalog.doc_replicas(class);
-        let mut canon: Option<axml_xml::equiv::Canon> = None;
-        for (peer, concrete) in members {
+        let mut first = None;
+        for (peer, concrete) in self.catalog.doc_replicas(class) {
             let tree = self.peer(*peer).doc(concrete, *peer)?;
-            let c = axml_xml::equiv::canonicalize(tree, tree.root());
-            match &canon {
-                None => canon = Some(c),
-                Some(first) if *first != c => return Ok(false),
-                Some(_) => {}
+            let digest = axml_xml::equiv::canonical_digest(tree, tree.root());
+            if *first.get_or_insert(digest) != digest {
+                return Ok(false);
             }
         }
         Ok(true)

@@ -1,4 +1,5 @@
-//! Unordered deep-equivalence of trees and canonical hashing.
+//! Unordered deep-equivalence of trees, and the one canonical walk that
+//! decides it.
 //!
 //! The AXML model treats trees as **unordered** (§2.1), and the paper's
 //! generic documents (§2.3) are *equivalence classes* of documents. The
@@ -7,93 +8,73 @@
 //! base case — used here and extended behaviourally in `axml-core` — is
 //! equality of trees up to sibling reordering.
 //!
-//! We decide it by computing a **canonical form**: attributes sorted by
-//! name, children recursively canonicalized and sorted under a total
-//! order. Two trees are equivalent iff their canonical forms are equal;
-//! the canonical hash is the hash of that form.
+//! ## One walk
 //!
-//! ## The canonical digest
-//!
-//! [`canonical_digest`] names a canonical form by 128 bits without
-//! building it, and is what [`CanonMultiset`] — the delta filter every
-//! subscription consults per result — keys by. A text leaf digests its
-//! bytes; an attribute its name and value; an element its label, then the
-//! digests of its attributes, sorted and count-prefixed, then those of its
-//! children, sorted and count-prefixed. Each of the three starts with a
-//! tag of its own and every string goes in length-prefixed, byte by byte
-//! from its text (never through a [`Label`]'s 64-bit content hash, which
-//! two labels may share), so the input sequence spells the canonical form
-//! exactly: two forms are equal iff their sequences are. The sequence is
-//! absorbed into two 64-bit lanes, each step a bijection of the lane
-//! (xor, odd multiply, xor-shift), with a bijective cross-lane finish.
-//! Treating that as a random function, two different canonical forms
-//! share a digest with probability 2⁻¹²⁸ per pair — a set of `n` forms
-//! holds a colliding pair with probability below `n² · 2⁻¹²⁹`. The mix is
-//! not cryptographic, so the lanes start from a seed drawn once per
-//! process (from `RandomState`): a digest never leaves the process or
-//! decides an order, so results do not depend on the seed, and a peer
-//! cannot work out offline two trees that collide — the second of which a
-//! subscriber holding the first would never be sent.
+//! A tree's *canonical form* is the tree with every element's attributes
+//! and children sorted, the children canonical themselves; two trees are
+//! equivalent iff their forms are equal. One walk names a form by 128 bits
+//! without building it. A text leaf digests its bytes; an attribute its
+//! name and value; an element its label, then the digests of its
+//! attributes, sorted and count-prefixed, then those of its children,
+//! sorted and count-prefixed. Each of the three starts with a tag of its
+//! own and every string goes in length-prefixed, byte by byte from its
+//! text (never through a [`Label`](crate::symbol::Label)'s 64-bit content
+//! hash, which two labels may share), so the input sequence spells the
+//! canonical form exactly: two forms are equal iff their sequences are.
+//! The sequence is absorbed into two 64-bit lanes, each step a bijection
+//! of the lane (xor, odd multiply, xor-shift), with a bijective cross-lane
+//! finish. Treating that as a random function, two different canonical
+//! forms share a digest with probability 2⁻¹²⁸ per pair — a set of `n`
+//! forms holds a colliding pair with probability below `n² · 2⁻¹²⁹`.
 //! The walk is iterative (a chain of any depth is digested on a heap
 //! stack, not the call stack), and allocates nothing until a subtree is
 //! deeper than 16 elements or keeps more than 32 digests pending.
 //!
-//! [`Canon`] and [`canonicalize`] stay for what needs the form itself —
-//! [`tree_equiv`], [`forest_equiv`], snapshots compared across peers —
-//! and [`canonical_hash`] keeps hashing the form with `DefaultHasher`, so
-//! its values (pinned by the engine's golden transcript) do not move.
+//! ## Two keys
+//!
+//! The lanes start from a key, and the walk runs under one of two:
+//!
+//! - **The per-process key** ([`canonical_digest`]), drawn once per
+//!   process from `RandomState`. Everything that compares trees inside a
+//!   process uses it: the delta filter [`CanonMultiset`] every
+//!   subscription consults per result, [`tree_equiv`], [`forest_equiv`],
+//!   and `axml-core`'s Σ snapshots and replica check. The mix is not
+//!   cryptographic and peers send the trees it digests, so a key they
+//!   cannot know keeps a peer from working out offline two trees that
+//!   collide — the second of which a subscriber holding the first would
+//!   never be sent. Such a digest never leaves the process or decides an
+//!   order, so no result depends on the key.
+//! - **The fixed key** ([`canonical_hash`], folded to 64 bits), a
+//!   constant. It names a tree on the wire — the `ref` of a fetch request —
+//!   so it must be the same in every process and on every toolchain, which
+//!   a constant key and a walk that reads label bytes guarantee (a
+//!   `std` hasher promises neither). It only names: nothing is looked up
+//!   or filtered by it.
 
-use crate::symbol::Label;
 use crate::tree::{NodeId, NodeKind, Tree};
-use std::collections::hash_map::{DefaultHasher, HashMap, RandomState};
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::collections::hash_map::{HashMap, RandomState};
+use std::hash::BuildHasher;
 use std::sync::OnceLock;
-
-/// The canonical (order-normalized) form of a subtree.
-///
-/// `Canon` has a derived total order, which is what makes child sorting —
-/// and therefore equivalence — well-defined.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Canon {
-    /// A text leaf.
-    Text(String),
-    /// An element with sorted attributes and sorted canonical children.
-    Elem {
-        /// Element label.
-        label: Label,
-        /// Attributes sorted by name.
-        attrs: Vec<(Label, String)>,
-        /// Children in canonical order.
-        children: Vec<Canon>,
-    },
-}
-
-/// Compute the canonical form of the subtree of `tree` rooted at `node`.
-pub fn canonicalize(tree: &Tree, node: NodeId) -> Canon {
-    match &tree.node(node).kind() {
-        NodeKind::Text(t) => Canon::Text(t.clone()),
-        NodeKind::Element { label, attrs } => {
-            let mut attrs = attrs.clone();
-            attrs.sort();
-            let mut children: Vec<Canon> = tree
-                .children(node)
-                .iter()
-                .map(|&c| canonicalize(tree, c))
-                .collect();
-            children.sort();
-            Canon::Elem {
-                label: *label,
-                attrs,
-                children,
-            }
-        }
-    }
-}
 
 /// Domain tags: what a digest is the digest of.
 const TEXT: u64 = 1;
 const ATTR: u64 = 2;
 const ELEM: u64 = 3;
+
+/// What the two lanes start from (see the module docs' two keys).
+type Key = (u64, u64);
+
+/// The per-process key, drawn on first use.
+fn process_key() -> Key {
+    static KEY: OnceLock<Key> = OnceLock::new();
+    *KEY.get_or_init(|| {
+        let keys = RandomState::new();
+        (keys.hash_one(0u8), keys.hash_one(1u8))
+    })
+}
+
+/// The fixed key: the first 128 bits of π's fraction.
+const WIRE_KEY: Key = (0x243f_6a88_85a3_08d3, 0x1319_8a2e_0370_7344);
 
 /// Two 64-bit lanes absorbing a sequence of words (see the module docs).
 struct Mix {
@@ -102,12 +83,7 @@ struct Mix {
 }
 
 impl Mix {
-    fn new(tag: u64) -> Self {
-        static SEED: OnceLock<(u64, u64)> = OnceLock::new();
-        let &(a, b) = SEED.get_or_init(|| {
-            let keys = RandomState::new();
-            (keys.hash_one(0u8), keys.hash_one(1u8))
-        });
+    fn new((a, b): Key, tag: u64) -> Self {
         let mut m = Mix { a, b };
         m.word(tag);
         m
@@ -154,8 +130,8 @@ impl Mix {
     }
 }
 
-fn text_digest(text: &str) -> u128 {
-    let mut m = Mix::new(TEXT);
+fn text_digest(key: Key, text: &str) -> u128 {
+    let mut m = Mix::new(key, TEXT);
     m.bytes(text);
     m.finish()
 }
@@ -212,12 +188,26 @@ impl<T: Copy, const N: usize> Stack<T, N> {
 /// A 128-bit digest of the canonical form of the subtree of `tree` rooted
 /// at `node`: equal for equivalent subtrees, and different for different
 /// ones except with probability 2⁻¹²⁸ per pair (see the module docs for
-/// what it hashes and what that bound assumes). Seeded once per process,
-/// so compare digests only within one. Allocation-free and iterative on
-/// small trees, on the heap but still iterative on deep ones.
+/// what it hashes and what that bound assumes). Under the per-process
+/// key, so compare digests only within one process. Allocation-free and
+/// iterative on small trees, on the heap but still iterative on deep ones.
 pub fn canonical_digest(tree: &Tree, node: NodeId) -> u128 {
+    digest(process_key(), tree, node)
+}
+
+/// A 64-bit canonical hash: equivalent trees always hash equal. The walk
+/// of [`canonical_digest`] under the fixed key, its two halves xored: the
+/// same value in every process and on every toolchain, so it can name a
+/// tree on the wire.
+pub fn canonical_hash(tree: &Tree, node: NodeId) -> u64 {
+    let d = digest(WIRE_KEY, tree, node);
+    (d >> 64) as u64 ^ d as u64
+}
+
+/// The canonical walk under `key`.
+fn digest(key: Key, tree: &Tree, node: NodeId) -> u128 {
     if let NodeKind::Text(t) = tree.node(node).kind() {
-        return text_digest(t);
+        return text_digest(key, t);
     }
     // The open elements, each with the index of its next child, and the
     // digests of the children they have finished so far.
@@ -230,7 +220,7 @@ pub fn canonical_digest(tree: &Tree, node: NodeId) -> u128 {
         if let Some(&child) = children.get(*next) {
             *next += 1;
             match tree.node(child).kind() {
-                NodeKind::Text(t) => digests.push(text_digest(t)),
+                NodeKind::Text(t) => digests.push(text_digest(key, t)),
                 NodeKind::Element { .. } => open.push((child, 0)),
             }
             continue;
@@ -243,7 +233,7 @@ pub fn canonical_digest(tree: &Tree, node: NodeId) -> u128 {
         open.truncate(depth);
         let base = digests.items().len() - children.len();
         for (name, value) in attrs {
-            let mut m = Mix::new(ATTR);
+            let mut m = Mix::new(key, ATTR);
             m.bytes(name.as_str());
             m.bytes(value);
             digests.push(m.finish());
@@ -251,7 +241,7 @@ pub fn canonical_digest(tree: &Tree, node: NodeId) -> u128 {
         let (kids, attrs) = digests.items()[base..].split_at_mut(children.len());
         kids.sort_unstable();
         attrs.sort_unstable();
-        let mut m = Mix::new(ELEM);
+        let mut m = Mix::new(key, ELEM);
         m.bytes(label.as_str());
         m.digests(attrs);
         m.digests(kids);
@@ -349,9 +339,9 @@ impl CanonMultiset {
 
 /// Unordered deep-equivalence of two subtrees (possibly from different
 /// trees): equal labels, equal attribute sets, and equal *multisets* of
-/// equivalent children.
+/// equivalent children — equal [`canonical_digest`]s.
 pub fn tree_equiv(a: &Tree, na: NodeId, b: &Tree, nb: NodeId) -> bool {
-    canonicalize(a, na) == canonicalize(b, nb)
+    canonical_digest(a, na) == canonical_digest(b, nb)
 }
 
 /// Equivalence of whole trees.
@@ -362,21 +352,12 @@ pub fn whole_tree_equiv(a: &Tree, b: &Tree) -> bool {
 /// Equivalence of two *forests* (multisets of trees) — used for comparing
 /// query results and stream contents, where arrival order is non-semantic.
 pub fn forest_equiv(a: &[Tree], b: &[Tree]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut ca: Vec<Canon> = a.iter().map(|t| canonicalize(t, t.root())).collect();
-    let mut cb: Vec<Canon> = b.iter().map(|t| canonicalize(t, t.root())).collect();
-    ca.sort();
-    cb.sort();
-    ca == cb
-}
-
-/// A 64-bit canonical hash: equivalent trees always hash equal.
-pub fn canonical_hash(tree: &Tree, node: NodeId) -> u64 {
-    let mut h = DefaultHasher::new();
-    canonicalize(tree, node).hash(&mut h);
-    h.finish()
+    let sorted = |f: &[Tree]| {
+        let mut digests: Vec<u128> = f.iter().map(|t| canonical_digest(t, t.root())).collect();
+        digests.sort_unstable();
+        digests
+    };
+    a.len() == b.len() && sorted(a) == sorted(b)
 }
 
 #[cfg(test)]
@@ -393,6 +374,23 @@ mod tests {
             canonical_digest(&a, a.root()),
             canonical_digest(&b, b.root())
         );
+    }
+
+    #[test]
+    fn the_canonical_hash_is_pinned() {
+        // A test binary is a process of its own, with its own per-process
+        // key and interning order: literals that hold here hold in all.
+        let hash = |xml: &str| {
+            let t = Tree::parse(xml).unwrap();
+            canonical_hash(&t, t.root())
+        };
+        assert_eq!(hash("<a/>"), 0xc98b_58fe_abd0_4e07);
+        assert_eq!(
+            hash(r#"<pkg name="vim"><size>4000</size></pkg>"#),
+            0xf2d9_c329_8101_68b7
+        );
+        assert_eq!(hash("<r><x/><y>1</y></r>"), 0x9806_1a30_0064_71f1);
+        assert_eq!(hash("<r><y>1</y><x/></r>"), 0x9806_1a30_0064_71f1);
     }
 
     #[test]

@@ -435,9 +435,10 @@ mod tests {
 
     #[test]
     fn nested_structure() {
-        let t = Tree::parse("<r><l1><l2><l3>deep</l3></l2></l1><l1b/></r>").unwrap();
+        let src = "<r><l1><l2><l3>deep</l3></l2></l1><l1b/></r>";
+        let t = Tree::parse(src).unwrap();
         assert_eq!(t.subtree_size(t.root()), 6);
-        assert_eq!(t.depth(t.root()), 5);
+        assert_eq!(t.serialize(), src);
         assert_eq!(t.text(t.root()), "deep");
     }
 

@@ -35,8 +35,8 @@
 //! [`Symbol::cmp`] is lexicographic on the string (so canonical child
 //! ordering, serialization, and equivalence are byte-identical across
 //! processes regardless of interning order) and [`Symbol`]'s `Hash` feeds
-//! the *content* hash cached at intern time (so canonical hashes are
-//! stable across processes too).
+//! the *content* hash cached at intern time. (Canonical hashes read the
+//! label's bytes, not either.)
 
 use std::collections::HashMap;
 use std::fmt;
@@ -62,7 +62,7 @@ const SHARD_MASK: u32 = (SHARDS as u32) - 1;
 /// Stable 64-bit FNV-1a — the workspace's one implementation. Over a
 /// label's bytes it picks the interner shard and is the cached content
 /// hash; `axml-net` uses it as the frame-acknowledgement digest. Must
-/// never change: canonical hashes across peer processes depend on it.
+/// never change: acknowledgements across peer processes depend on it.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -212,8 +212,9 @@ impl Ord for Symbol {
 }
 
 impl Hash for Symbol {
-    /// Writes the cached content hash: O(1) in the text length, and
-    /// stable across processes (canonical hashes depend on it).
+    /// Writes the cached content hash: O(1) in the text length. Canonical
+    /// digests and hashes do not depend on it: their walk reads a label's
+    /// bytes, since two labels may share a content hash.
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.content_hash());
     }
@@ -328,13 +329,12 @@ mod tests {
 
     #[test]
     fn hash_consistent_with_eq_and_content() {
-        use std::collections::hash_map::DefaultHasher;
-        let h = |l: &Symbol| {
-            let mut s = DefaultHasher::new();
-            l.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&Symbol::new("x")), h(&Symbol::new("x")));
+        use std::hash::BuildHasher;
+        let keys = std::collections::hash_map::RandomState::new();
+        assert_eq!(
+            keys.hash_one(Symbol::new("x")),
+            keys.hash_one(Symbol::new("x"))
+        );
         // content hash is the raw FNV — stable across processes.
         assert_eq!(Symbol::new("x").content_hash(), fnv1a64(b"x"));
     }

@@ -515,16 +515,6 @@ impl Tree {
         self.descendants_with_self(id).count()
     }
 
-    /// Depth of the subtree rooted at `id` (a single node has depth 1).
-    pub fn depth(&self, id: NodeId) -> usize {
-        1 + self
-            .children(id)
-            .iter()
-            .map(|&c| self.depth(c))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Approximate heap footprint of the subtree rooted at `id`.
     pub(crate) fn subtree_heap_bytes(&self, id: NodeId) -> u64 {
         self.descendants_with_self(id)
@@ -620,31 +610,12 @@ impl PartialEq for Tree {
         if Arc::ptr_eq(&self.nodes, &other.nodes) && self.root == other.root {
             return true;
         }
-        fn node_eq(a: &Tree, na: NodeId, b: &Tree, nb: NodeId) -> bool {
-            match (&a.node(na).kind, &b.node(nb).kind) {
-                (NodeKind::Text(x), NodeKind::Text(y)) => x == y,
-                (
-                    NodeKind::Element {
-                        label: la,
-                        attrs: aa,
-                    },
-                    NodeKind::Element {
-                        label: lb,
-                        attrs: ab,
-                    },
-                ) => {
-                    la == lb
-                        && aa == ab
-                        && a.children(na).len() == b.children(nb).len()
-                        && a.children(na)
-                            .iter()
-                            .zip(b.children(nb))
-                            .all(|(&ca, &cb)| node_eq(a, ca, b, cb))
-                }
-                _ => false,
-            }
+        // The preorder of (kind, child count) determines an ordered tree.
+        fn shape(t: &Tree) -> impl Iterator<Item = (&NodeKind, usize)> {
+            t.descendants_with_self(t.root)
+                .map(move |n| (t.node(n).kind(), t.children(n).len()))
         }
-        node_eq(self, self.root, other, other.root)
+        shape(self).eq(shape(other))
     }
 }
 
@@ -715,7 +686,8 @@ mod tests {
         // catalog, 2×(pkg, version, text) = 7
         assert_eq!(t.subtree_size(t.root()), 7);
         assert_eq!(t.descendants(t.root()).count(), 6);
-        assert_eq!(t.depth(t.root()), 4);
+        let depth = |n| std::iter::successors(Some(n), |&n| t.parent(n)).count();
+        assert_eq!(t.descendants_with_self(t.root()).map(depth).max(), Some(4));
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! A chain far deeper than any call stack goes through the delta filter:
-//! the canonical digest walks it with a stack of its own. (Alone in its
-//! binary: a walk that recursed would abort the process, not fail a test.)
+//! Chains far deeper than any call stack go through the delta filter,
+//! equivalence, the canonical hash and `Tree ==`: each walks them with a
+//! stack of its own. (Alone in its binary: a walk that recursed would
+//! abort the process, not fail a test.)
 
-use axml_xml::equiv::CanonMultiset;
+use axml_xml::equiv::{canonical_hash, forest_equiv, tree_equiv, whole_tree_equiv, CanonMultiset};
 use axml_xml::tree::Tree;
 use std::slice::from_ref;
 
@@ -21,23 +22,67 @@ fn chain(bottom: &str) -> Tree {
     chain
 }
 
+/// Runs `f` on a thread with a small stack: any walk that recursed once
+/// per level would overflow it.
+fn on_a_small_stack(f: impl FnOnce() + Send + 'static) {
+    std::thread::Builder::new()
+        .stack_size(64 * 1024)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+/// Two equal chains and one that differs at the bottom.
+fn chains() -> (Tree, Tree, Tree) {
+    (chain("end"), chain("end"), chain("END"))
+}
+
 #[test]
 fn the_delta_filter_takes_a_chain_deeper_than_the_stack() {
-    let (a, twin, b) = (chain("end"), chain("end"), chain("END"));
-    let mut set = CanonMultiset::default();
-    set.record(from_ref(&a));
-    assert_eq!(set.delivered(), 1);
-    // an equal chain is not new, the one that differs at the bottom is
-    let fresh = set.admit(vec![twin.clone(), b.clone()]);
-    assert_eq!(fresh.len(), 1);
-    assert!(fresh[0].shares_arena_with(&b));
-    assert_eq!(set.delivered(), 2);
-    set.retract(&fresh);
-    set.retract(from_ref(&twin));
-    assert_eq!(set.delivered(), 0);
-    assert_eq!(set.admit(vec![a.clone(), b]).len(), 2);
+    let (a, twin, b) = chains();
+    on_a_small_stack(move || {
+        let mut set = CanonMultiset::default();
+        set.record(from_ref(&a));
+        assert_eq!(set.delivered(), 1);
+        // an equal chain is not new, the one that differs at the bottom is
+        let fresh = set.admit(vec![twin.clone(), b.clone()]);
+        assert_eq!(fresh.len(), 1);
+        assert!(fresh[0].shares_arena_with(&b));
+        assert_eq!(set.delivered(), 2);
+        set.retract(&fresh);
+        set.retract(from_ref(&twin));
+        assert_eq!(set.delivered(), 0);
+        assert_eq!(set.admit(vec![a.clone(), b]).len(), 2);
 
-    // the chain below the root, as the one child of a document
-    let below = CanonMultiset::of_children(&a, a.root());
-    assert_eq!(below.delivered(), 1);
+        // the chain below the root, as the one child of a document
+        let below = CanonMultiset::of_children(&a, a.root());
+        assert_eq!(below.delivered(), 1);
+    });
+}
+
+#[test]
+fn equivalence_hash_and_equality_take_chains_deeper_than_the_stack() {
+    let (a, twin, b) = chains();
+    on_a_small_stack(move || {
+        assert!(whole_tree_equiv(&a, &twin));
+        assert!(!whole_tree_equiv(&a, &b));
+        let below = twin.children(twin.root())[0];
+        assert!(!tree_equiv(&a, a.root(), &twin, below));
+        let (ab, b_twin, a_twin) = (
+            [a.clone(), b.clone()],
+            [b.clone(), twin.clone()],
+            [a.clone(), twin.clone()],
+        );
+        assert!(forest_equiv(&ab, &b_twin));
+        assert!(!forest_equiv(&ab, &a_twin));
+
+        let hash = |t: &Tree| canonical_hash(t, t.root());
+        assert_eq!(hash(&a), hash(&twin));
+        assert_ne!(hash(&a), hash(&b));
+
+        // `assert!`, not `assert_eq!`: a failure would print the trees.
+        assert!(a == twin);
+        assert!(a != b);
+    });
 }

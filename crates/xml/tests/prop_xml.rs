@@ -1,15 +1,49 @@
 //! Property-based tests for the XML substrate: parser/serializer
 //! round-trips, equivalence-relation laws, size accounting, and the
-//! canonical digest against the canonical form it names.
+//! canonical walk against the canonical form it names.
 
 use axml_prng::SplitMix64;
 use axml_xml::equiv::{
-    canonical_digest, canonical_hash, canonicalize, forest_equiv, tree_equiv, whole_tree_equiv,
-    Canon, CanonMultiset,
+    canonical_digest, canonical_hash, forest_equiv, tree_equiv, whole_tree_equiv, CanonMultiset,
 };
-use axml_xml::tree::{NodeId, Tree};
+use axml_xml::symbol::Label;
+use axml_xml::tree::{NodeId, NodeKind, Tree};
 use proptest::prelude::*;
 use std::collections::HashMap;
+
+/// The canonical form of a subtree, built: the oracle the canonical walk
+/// is checked against. Its derived total order is what makes sorting the
+/// children — and so the form — well-defined.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+enum Canon {
+    Text(String),
+    Elem {
+        label: Label,
+        attrs: Vec<(Label, String)>,
+        children: Vec<Canon>,
+    },
+}
+
+fn canonicalize(tree: &Tree, node: NodeId) -> Canon {
+    match tree.node(node).kind() {
+        NodeKind::Text(t) => Canon::Text(t.clone()),
+        NodeKind::Element { label, attrs } => {
+            let mut attrs = attrs.clone();
+            attrs.sort();
+            let mut children: Vec<Canon> = tree
+                .children(node)
+                .iter()
+                .map(|&c| canonicalize(tree, c))
+                .collect();
+            children.sort();
+            Canon::Elem {
+                label: *label,
+                attrs,
+                children,
+            }
+        }
+    }
+}
 
 /// A recursive strategy generating arbitrary small trees.
 fn arb_tree() -> impl Strategy<Value = Tree> {
@@ -303,9 +337,9 @@ fn mutant(t: &Tree, rng: &mut SplitMix64, edit: bool) -> Tree {
     m.copy(t)
 }
 
-/// Digest and canonical form of every subtree of `t`.
-fn forms(t: &Tree) -> Vec<(u128, Canon)> {
-    let form = |n| (canonical_digest(t, n), canonicalize(t, n));
+/// Every subtree of `t`, with its canonical form.
+fn subtrees(t: &Tree) -> Vec<(&Tree, NodeId, Canon)> {
+    let form = |n| (t, n, canonicalize(t, n));
     t.descendants_with_self(t.root()).map(form).collect()
 }
 
@@ -429,21 +463,47 @@ fn the_digest_tells_near_misses_apart() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// Two subtrees have one digest exactly when they have one canonical
-    /// form — over a tree, a copy of it shuffled at every depth, and a
-    /// shuffled copy with one character of a label, name, value or text
-    /// changed, every subtree of each against every subtree of the others.
+    /// Two subtrees have one digest, are `tree_equiv` and have one
+    /// canonical hash each exactly when they have one canonical form —
+    /// over a tree, a copy of it shuffled at every depth, and a shuffled
+    /// copy with one character of a label, name, value or text changed,
+    /// every subtree of each against every subtree of the others.
     #[test]
     fn the_digest_is_the_canonical_form(t in arb_tree(), seed in any::<u64>()) {
         let mut rng = SplitMix64::new(seed);
         let (shuffled, edited) = (mutant(&t, &mut rng, false), mutant(&t, &mut rng, true));
         prop_assert_eq!(canonical_digest(&t, t.root()), canonical_digest(&shuffled, shuffled.root()));
-        let all: Vec<(u128, Canon)> = [&t, &shuffled, &edited].into_iter().flat_map(forms).collect();
-        for (da, ca) in &all {
-            for (db, cb) in &all {
-                prop_assert_eq!(da == db, ca == cb, "{:?} vs {:?}", ca, cb);
+        let all: Vec<_> = [&t, &shuffled, &edited].into_iter().flat_map(subtrees).collect();
+        for (a, na, ca) in &all {
+            for (b, nb, cb) in &all {
+                let same = ca == cb;
+                prop_assert_eq!(canonical_digest(a, *na) == canonical_digest(b, *nb), same, "{:?} vs {:?}", ca, cb);
+                prop_assert_eq!(tree_equiv(a, *na, b, *nb), same, "{:?} vs {:?}", ca, cb);
+                prop_assert_eq!(canonical_hash(a, *na) == canonical_hash(b, *nb), same, "{:?} vs {:?}", ca, cb);
             }
         }
+    }
+
+    /// Two forests are `forest_equiv` exactly when their sorted canonical
+    /// forms are equal — forests drawn from a tree, a shuffled copy and a
+    /// near miss, so that both answers come up.
+    #[test]
+    fn forest_equiv_is_the_sorted_canonical_forms(
+        t in arb_tree(),
+        seed in any::<u64>(),
+        left in proptest::collection::vec(0usize..3, 0..4),
+        right in proptest::collection::vec(0usize..3, 0..4),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let pool = [t.clone(), mutant(&t, &mut rng, false), mutant(&t, &mut rng, true)];
+        let forest = |picks: &[usize]| picks.iter().map(|&i| pool[i].clone()).collect::<Vec<_>>();
+        let sorted = |f: &[Tree]| {
+            let mut forms: Vec<Canon> = f.iter().map(|t| canonicalize(t, t.root())).collect();
+            forms.sort();
+            forms
+        };
+        let (a, b) = (forest(&left), forest(&right));
+        prop_assert_eq!(forest_equiv(&a, &b), sorted(&a) == sorted(&b));
     }
 
     /// The digest-keyed multiset answers random `record` / `admit` /

@@ -6,10 +6,10 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - ten grep gates, one per "one of each" claim (wire-format writer,
-#     trace format, rendered payloads, byte codec, delta filter, blocking
-#     session, strategy picker, send path, plans priced in place, one
-#     evaluation per call) — each explained where it runs;
+#   - nine grep gates, one per "one of each" claim (wire-format writer,
+#     trace format, rendered payloads, byte codec, blocking session,
+#     strategy picker, send path, plans priced in place, one evaluation
+#     per call) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -24,9 +24,11 @@
 #   - crates/query/tests/prop_query.rs::evaluator_equals_the_materialising_
 #     reference (same sweep): the evaluator ≡ a nested-loop reference on
 #     4 000 seeded plans, of which at least 300 take a join's index;
-#   - crates/query/tests/deep_chain.rs (same sweep, alone in its binary):
-#     a 200 000-deep chain through the evaluator on a 64 KiB stack, so a
-#     walk that recurses per tree level aborts the run;
+#   - crates/query/tests/deep_chain.rs and crates/xml/tests/deep_chain.rs
+#     (same sweep, each alone in its binary): 200 000-deep chains through
+#     the evaluator, and through the delta filter, equivalence, the
+#     canonical hash and Tree ==, on a 64 KiB stack, so a walk that
+#     recurses per tree level aborts the run;
 #   - crates/core/tests/search_alloc_budget.rs (same sweep, same kind of
 #     allocator): an optimizer search allocates for the candidate plans it
 #     builds, under a pinned count per explored candidate — formatting a
@@ -105,28 +107,6 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/net/src/bytes.rs); do
     fi
 done
 
-echo "== tier-1: one delta filter (no map keyed by Canon, no canonicalize( on the delivery paths) =="
-# "Which of these trees were already delivered" is answered by
-# axml_xml::equiv::CanonMultiset alone, and it keys by the 128-bit
-# canonical digest. Outside comments and `#[cfg(test)]` modules, a map or
-# set keyed by `Canon` anywhere is a second copy of that logic (or the
-# first one gone back to holding whole trees), and a canonical form built
-# where subscriptions are fed, activated or lazily filled is the
-# per-result tree the digest exists to avoid.
-for f in $(find crates/*/src -name '*.rs'); do
-    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
-        | grep -nE '(HashMap|HashSet|BTreeMap|BTreeSet)<[[:space:]]*\(?[[:space:]]*(axml_xml::)?(equiv::)?Canon\b'; then
-        echo "tier-1: $f keys a map by Canon; CanonMultiset keys by canonical_digest" >&2
-        exit 1
-    fi
-done
-for f in crates/core/src/continuous.rs crates/query/src/delta.rs crates/core/src/lazy.rs; do
-    if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" | grep -n 'canonicalize('; then
-        echo "tier-1: $f builds a canonical form on a delivery path; use canonical_digest" >&2
-        exit 1
-    fi
-done
-
 echo "== tier-1: one blocking-session wrapper (new_session() only in core/src/engine/) =="
 # Every blocking entry point opens its session through
 # AxmlSystem::blocking (engine/pump.rs), which also owns the
@@ -144,7 +124,7 @@ echo "== tier-1: one strategy picker (DeltaStrategy made only in query/src/delta
 # which is sound. Outside comments and `#[cfg(test)]` modules nothing but
 # pick_strategy makes a DeltaStrategy (match arms and `==` comparisons
 # only read one). (That the engine evaluates at one site per arm is the
-# tenth gate's, below.)
+# ninth gate's, below.)
 code() { sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$1"; }
 for f in $(find crates/*/src -name '*.rs'); do
     made=$(code "$f" | grep -E 'DeltaStrategy::(SemiNaive|Difference)' \
