@@ -32,14 +32,19 @@ type Pinned = (&'static str, fn(DriverKind) -> String, &'static str);
 /// other field as recorded): `SubscriptionDelta.suppressed` counts trees
 /// evaluated and found already delivered, and a feed's pump that evaluates
 /// the appended child alone no longer evaluates them.
+/// The `results=` column was re-pinned once when `canonical_hash` became
+/// the canonical digest walk under a fixed key (the hash a fetch request
+/// carries as its `ref`): the hashes it folds moved, and nothing else did —
+/// the `ref` is fixed-width hex, so messages, bytes, clock and trace kept
+/// their values.
 #[rustfmt::skip]
 const GOLDEN: [Pinned; 6] = [
-    ("algebra", algebra, "results=bfbc2be98e31ff53 msgs=43 bytes=12140 dropped=0 defs=[(1, 21), (2, 4), (3, 3), (4, 2), (5, 9), (6, 9), (7, 1), (8, 1)] calls=9 retries=0 failovers=0 now=409da6a53b8e4b88 trace=fb4f91c9dbf34d11/6904"),
-    ("generic_picks", generic_picks, "results=ce458fe703a43db9 msgs=60 bytes=6990 dropped=0 defs=[(1, 32), (5, 15), (6, 16), (9, 33)] calls=16 retries=0 failovers=0 now=406f69bab21815a2 trace=c1aa07d420c785f8/9693"),
-    ("retried_drop", retried_drop, "results=1b22e92fc40eb005 msgs=39 bytes=12287 dropped=17 defs=[(1, 10), (5, 10), (6, 10)] calls=10 retries=16 failovers=0 now=40a17328dca2a610 trace=55a3234c1b83c01e/6091"),
-    ("doc_failover", doc_failover, "results=42d0f5b04b60c295 msgs=24 bytes=3552 dropped=3 defs=[(1, 12), (5, 13), (9, 13)] calls=0 retries=9 failovers=1 now=407dc29ec721e9e0 trace=b37c1d50dfdcb801/4005"),
-    ("service_failover", service_failover, "results=3cd3fd013cdb5f25 msgs=32 bytes=2720 dropped=0 defs=[(1, 16), (6, 17), (9, 17)] calls=17 retries=6 failovers=1 now=4084d8003b2c8102 trace=d49d4d646e5717e2/5630"),
-    ("continuous", continuous, "results=932561659faab177 msgs=16 bytes=3775 dropped=0 defs=[(6, 1)] calls=5 retries=0 failovers=0 now=40741d013a92a305 trace=d23f72dbdca895e6/1713"),
+    ("algebra", algebra, "results=c2304751e1de2c46 msgs=43 bytes=12140 dropped=0 defs=[(1, 21), (2, 4), (3, 3), (4, 2), (5, 9), (6, 9), (7, 1), (8, 1)] calls=9 retries=0 failovers=0 now=409da6a53b8e4b88 trace=fb4f91c9dbf34d11/6904"),
+    ("generic_picks", generic_picks, "results=595ab719c48b29b9 msgs=60 bytes=6990 dropped=0 defs=[(1, 32), (5, 15), (6, 16), (9, 33)] calls=16 retries=0 failovers=0 now=406f69bab21815a2 trace=c1aa07d420c785f8/9693"),
+    ("retried_drop", retried_drop, "results=fc8863e886469326 msgs=39 bytes=12287 dropped=17 defs=[(1, 10), (5, 10), (6, 10)] calls=10 retries=16 failovers=0 now=40a17328dca2a610 trace=55a3234c1b83c01e/6091"),
+    ("doc_failover", doc_failover, "results=9e6d9a1709592d9d msgs=24 bytes=3552 dropped=3 defs=[(1, 12), (5, 13), (9, 13)] calls=0 retries=9 failovers=1 now=407dc29ec721e9e0 trace=b37c1d50dfdcb801/4005"),
+    ("service_failover", service_failover, "results=516b54a9c782d3a5 msgs=32 bytes=2720 dropped=0 defs=[(1, 16), (6, 17), (9, 17)] calls=17 retries=6 failovers=1 now=4084d8003b2c8102 trace=d49d4d646e5717e2/5630"),
+    ("continuous", continuous, "results=5b9e5a18545800fe msgs=16 bytes=3775 dropped=0 defs=[(6, 1)] calls=5 retries=0 failovers=0 now=40741d013a92a305 trace=d23f72dbdca895e6/1713"),
 ];
 
 const CATALOG: &str = concat!(
