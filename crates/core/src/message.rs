@@ -7,8 +7,10 @@
 //!
 //! A payload is a [`Body`]: the trees themselves plus their exact
 //! serialized length, which is all the simulator asks for. Only a
-//! socket-backed transport needs bytes, and the message then walks each
-//! tree once, straight into the frame buffer.
+//! socket-backed transport needs bytes, and the message then renders each
+//! tree once, straight into the frame buffer, through
+//! [`Tree::serialize_into`]: a walk, or — for a whole document shipped
+//! twice since it last changed — a copy of the bytes its arena kept.
 
 use crate::error::{CoreError, CoreResult};
 use axml_net::bytes::{BytesError, Cursor, PutBytes};
@@ -381,7 +383,8 @@ impl Payload for AxmlMessage {
 }
 
 /// The one byte emitter for data: append the concatenated compact
-/// serializations of `trees` to `out`, each tree walked once.
+/// serializations of `trees` to `out`, each tree rendered once (walked,
+/// or copied from its arena's bytes memo).
 pub(crate) fn write_forest(trees: &[Tree], out: &mut Vec<u8>) {
     #[cfg(test)]
     tests::FOREST_RENDERS.set(tests::FOREST_RENDERS.get() + 1);

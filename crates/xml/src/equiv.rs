@@ -51,6 +51,7 @@
 //!   `std` hasher promises neither). It only names: nothing is looked up
 //!   or filtered by it.
 
+use crate::stack::Stack;
 use crate::tree::{NodeId, NodeKind, Tree};
 use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::BuildHasher;
@@ -134,55 +135,6 @@ fn text_digest(key: Key, text: &str) -> u128 {
     let mut m = Mix::new(key, TEXT);
     m.bytes(text);
     m.finish()
-}
-
-/// A stack kept in an array of `N` until it outgrows it, then on the heap.
-struct Stack<T, const N: usize> {
-    inline: [T; N],
-    len: usize,
-    /// Everything, once spilled (and `len` is then unused).
-    heap: Vec<T>,
-}
-
-impl<T: Copy, const N: usize> Stack<T, N> {
-    /// An empty stack; `fill` only initialises the array.
-    fn new(fill: T) -> Self {
-        Stack {
-            inline: [fill; N],
-            len: 0,
-            heap: Vec::new(),
-        }
-    }
-
-    fn items(&mut self) -> &mut [T] {
-        if self.heap.is_empty() {
-            &mut self.inline[..self.len]
-        } else {
-            &mut self.heap
-        }
-    }
-
-    fn push(&mut self, x: T) {
-        if !self.heap.is_empty() {
-            self.heap.push(x);
-        } else if self.len < N {
-            self.inline[self.len] = x;
-            self.len += 1;
-        } else {
-            self.heap.reserve(2 * N);
-            self.heap.extend_from_slice(&self.inline);
-            self.heap.push(x);
-            self.len = 0;
-        }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        if self.heap.is_empty() {
-            self.len = self.len.min(n);
-        } else {
-            self.heap.truncate(n);
-        }
-    }
 }
 
 /// A 128-bit digest of the canonical form of the subtree of `tree` rooted

@@ -9,10 +9,42 @@
 //! compact form into any [`fmt::Write`] sink, so a caller that only
 //! counts or hashes the bytes builds no string either, and
 //! [`Tree::serialize_into`] appends it to a byte buffer.
+//!
+//! ## The bytes memo
+//!
+//! [`Tree::serialize_into`] is how a socket-backed transport renders a
+//! shipped tree, and a peer ships the same unchanged document again and
+//! again. So for a whole document (a handle rooted at its arena's slot 0,
+//! the rule the size memo follows) the arena remembers its renders: the
+//! first since the arena last changed only notes that it happened, the
+//! second keeps a copy of the bytes beside the memoized size, and every
+//! later one copies them instead of walking the tree. Only a document
+//! rendered twice pays the memory, and the simulator, which never
+//! renders, pays none. Every mutation goes through `Tree::nodes_mut`,
+//! which forgets both memos; a copy-on-write copy starts without them;
+//! a subtree view neither reads nor fills them. [`Tree::serialize`] and
+//! [`Tree::serialize_node`] always walk: they build a string for a
+//! reader, and are what the serializer's own speed is measured by.
+//!
+//! Both walks here — the bytes and the sizes — keep their open elements
+//! on a stack of their own, so a tree of any depth renders and measures
+//! without touching the call stack (and without allocating while it is
+//! at most 16 elements deep).
 
 use crate::escape::{escaped_attr_len, escaped_text_len, write_attr, write_text};
+use crate::stack::Stack;
+use crate::symbol::Label;
 use crate::tree::{NodeId, NodeKind, Tree};
 use std::fmt;
+
+/// Bytes the attributes take in a start tag.
+fn attrs_len(attrs: &[(Label, String)]) -> usize {
+    attrs
+        .iter()
+        // space + name + ="..."
+        .map(|(n, v)| 1 + n.len() + 2 + escaped_attr_len(v) + 1)
+        .sum()
+}
 
 impl Tree {
     /// Serialize the subtree rooted at `id` compactly.
@@ -28,8 +60,11 @@ impl Tree {
         self.serialize_node(self.root())
     }
 
-    /// Append the bytes of [`Tree::serialize`] to `out` — one walk,
-    /// straight into a buffer that may already hold a frame's head.
+    /// Append the bytes of [`Tree::serialize`] to `out`, a buffer that
+    /// may already hold a frame's head: one walk straight into it, or,
+    /// for a whole document rendered twice since it last changed, a copy
+    /// of the bytes its arena kept (see the module docs' bytes memo). The
+    /// second render of a whole document allocates once, for that copy.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
         /// UTF-8 text into a byte buffer.
         struct Bytes<'a>(&'a mut Vec<u8>);
@@ -39,8 +74,17 @@ impl Tree {
                 Ok(())
             }
         }
-        self.write_compact(self.root(), &mut Bytes(out))
+        let root = self.root();
+        if let Some(bytes) = self.memoized_bytes(root) {
+            out.extend_from_slice(bytes);
+            return;
+        }
+        #[cfg(test)]
+        tests::WALKS.set(tests::WALKS.get() + 1);
+        let start = out.len();
+        self.write_compact(root, &mut Bytes(out))
             .expect("writing to a byte buffer cannot fail");
+        self.memoize_bytes(root, &out[start..]);
     }
 
     /// Serialize the whole tree with indentation, for humans.
@@ -74,28 +118,48 @@ impl Tree {
     }
 
     fn sizes_below(&self, id: NodeId, visit: &mut impl FnMut(NodeId, usize)) -> usize {
-        let size = match &self.node(id).kind {
-            NodeKind::Text(t) => escaped_text_len(t),
-            NodeKind::Element { label, attrs } => {
-                let name = label.len();
-                let attrs_len: usize = attrs
-                    .iter()
-                    // space + name + ="..."
-                    .map(|(n, v)| 1 + n.len() + 2 + escaped_attr_len(v) + 1)
-                    .sum();
-                let children = self.children(id);
-                if children.is_empty() {
-                    // <name attrs/>
-                    1 + name + attrs_len + 2
-                } else {
-                    // <name attrs> + children + </name>
-                    let inner: usize = children.iter().map(|&c| self.sizes_below(c, visit)).sum();
-                    (1 + name + attrs_len + 1) + inner + (2 + name + 1)
+        // The open elements, each with the children still to measure and
+        // its size so far: both tags, plus the children measured.
+        let mut open: Stack<(NodeId, &[NodeId], usize), 16> = Stack::new((id, &[], 0));
+        let mut node = id;
+        loop {
+            // Open elements down to a leaf, and measure it.
+            let mut size = match &self.node(node).kind {
+                NodeKind::Text(t) => escaped_text_len(t),
+                NodeKind::Element { label, attrs } => {
+                    let name = label.len();
+                    // <name attrs
+                    let start = 1 + name + attrs_len(attrs);
+                    match self.children(node).split_first() {
+                        // <name attrs> + children + </name>
+                        Some((&first, rest)) => {
+                            open.push((node, rest, start + 1 + 2 + name + 1));
+                            node = first;
+                            continue;
+                        }
+                        // <name attrs/>
+                        None => start + 2,
+                    }
                 }
+            };
+            visit(node, size);
+            // Hand the size to the parent; close the parents it completes.
+            loop {
+                let Some(top) = open.items().last_mut() else {
+                    return size;
+                };
+                top.2 += size;
+                if let Some((&child, rest)) = top.1.split_first() {
+                    top.1 = rest;
+                    node = child;
+                    break;
+                }
+                let (element, _, full) = *top;
+                size = full;
+                visit(element, size);
+                open.pop();
             }
-        };
-        visit(id, size);
-        size
+        }
     }
 
     /// Wire size of the whole tree.
@@ -106,30 +170,51 @@ impl Tree {
     /// Write the compact serialization of the subtree rooted at `id`
     /// into `out` — byte for byte what [`Tree::serialize_node`] returns.
     pub fn write_compact<W: fmt::Write>(&self, id: NodeId, out: &mut W) -> fmt::Result {
-        match &self.node(id).kind {
-            NodeKind::Text(t) => write_text(out, t),
-            NodeKind::Element { label, attrs } => {
-                out.write_char('<')?;
-                out.write_str(label.as_str())?;
-                for (n, v) in attrs {
-                    out.write_char(' ')?;
-                    out.write_str(n.as_str())?;
-                    out.write_str("=\"")?;
-                    write_attr(out, v)?;
-                    out.write_char('"')?;
-                }
-                let children = self.children(id);
-                if children.is_empty() {
-                    out.write_str("/>")
-                } else {
-                    out.write_char('>')?;
-                    for &c in children {
-                        self.write_compact(c, out)?;
+        // The open elements, each with its label and the children still
+        // to write.
+        let mut open: Stack<(&str, &[NodeId]), 16> = Stack::new(("", &[]));
+        let mut node = id;
+        loop {
+            match &self.node(node).kind {
+                NodeKind::Text(t) => write_text(out, t)?,
+                NodeKind::Element { label, attrs } => {
+                    let label = label.as_str();
+                    out.write_char('<')?;
+                    out.write_str(label)?;
+                    for (n, v) in attrs {
+                        out.write_char(' ')?;
+                        out.write_str(n.as_str())?;
+                        out.write_str("=\"")?;
+                        write_attr(out, v)?;
+                        out.write_char('"')?;
                     }
-                    out.write_str("</")?;
-                    out.write_str(label.as_str())?;
-                    out.write_char('>')
+                    match self.children(node).split_first() {
+                        Some((&first, rest)) => {
+                            out.write_char('>')?;
+                            open.push((label, rest));
+                            node = first;
+                            continue;
+                        }
+                        None => out.write_str("/>")?,
+                    }
                 }
+            }
+            // Close the elements whose children are all written; the next
+            // child of the innermost one left open is the next node.
+            loop {
+                let Some(top) = open.items().last_mut() else {
+                    return Ok(());
+                };
+                if let Some((&child, rest)) = top.1.split_first() {
+                    top.1 = rest;
+                    node = child;
+                    break;
+                }
+                let label = top.0;
+                out.write_str("</")?;
+                out.write_str(label)?;
+                out.write_char('>')?;
+                open.pop();
             }
         }
     }
@@ -183,8 +268,57 @@ impl Tree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    thread_local! {
+        /// Walks `serialize_into` made on this thread, rather than copy.
+        pub(crate) static WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The walks of `f`'s `serialize_into` calls on this thread.
+    fn walks(f: impl FnOnce()) -> usize {
+        let before = WALKS.get();
+        f();
+        WALKS.get() - before
+    }
+
+    /// The bound of the bytes memo: a document is walked by its first two
+    /// renders since it last changed, and copied from then on.
+    #[test]
+    fn a_document_is_walked_twice_then_copied() {
+        let mut t = Tree::new("catalog");
+        let r = t.root();
+        let p = t.add_element(r, "pkg");
+        t.set_attr(p, "name", "a&b").unwrap();
+        t.add_text_element(p, "version", "1<2");
+        for round in 0..2 {
+            let want = t.serialize().into_bytes();
+            let render = || {
+                let mut out = b"head".to_vec();
+                t.serialize_into(&mut out);
+                assert_eq!(out[4..], want, "round {round}");
+            };
+            assert_eq!(walks(render), 1, "the first render walks");
+            assert_eq!(t.memoized_bytes(r), None, "…and keeps nothing");
+            assert_eq!(walks(render), 1, "the second render walks");
+            assert_eq!(t.memoized_bytes(r), Some(&want[..]), "…and keeps the bytes");
+            for _ in 0..3 {
+                assert_eq!(walks(render), 0, "later renders copy");
+            }
+            // a handle sharing the arena finds the bytes; a view does not
+            let whole = t.clone();
+            assert_eq!(walks(|| whole.serialize_into(&mut Vec::new())), 0);
+            let view = t.subtree(p).unwrap();
+            for _ in 0..3 {
+                assert_eq!(walks(|| view.serialize_into(&mut Vec::new())), 1);
+            }
+            // unshared again, so the mutation changes this very arena and
+            // the next two renders walk again
+            drop((whole, view));
+            t.add_element(r, "extra");
+        }
+    }
 
     #[test]
     fn compact_roundtrip_shape() {

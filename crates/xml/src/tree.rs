@@ -25,8 +25,8 @@ use crate::error::{XmlError, XmlResult};
 use crate::symbol::Label;
 use std::fmt;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a node inside one [`Tree`] — an element of the paper's
 /// node-id set `N`, scoped to the owning document.
@@ -139,16 +139,21 @@ pub(crate) fn node_heap_bytes(n: &Node) -> u64 {
     }
 }
 
-/// The node arena, plus the one fact memoized about it as a whole: the
-/// serialized size of the subtree at slot 0 — where [`Tree::new`] puts
-/// the root, so the size of every handle that is not a subtree view.
+/// The node arena, plus the two facts memoized about it as a whole, both
+/// about the subtree at slot 0 — where [`Tree::new`] puts the root, so
+/// the whole of every handle that is not a subtree view: its serialized
+/// size, and its serialized bytes once it has been rendered twice.
 /// An arena is immutable while it is shared; [`Tree::nodes_mut`], the one
-/// way to change it, forgets the size, and a copy-on-write copy starts
-/// without one.
+/// way to change it, forgets both, and a copy-on-write copy starts
+/// without either.
 pub(crate) struct Arena {
     nodes: Vec<Node>,
     /// 0 while unknown (no serialization is empty).
     root_size: AtomicUsize,
+    /// Set by the first render of slot 0's subtree.
+    root_rendered: AtomicBool,
+    /// The bytes of that subtree, kept by its second render.
+    root_bytes: OnceLock<Box<[u8]>>,
 }
 
 impl Arena {
@@ -156,6 +161,8 @@ impl Arena {
         Arena {
             nodes,
             root_size: AtomicUsize::new(0),
+            root_rendered: AtomicBool::new(false),
+            root_bytes: OnceLock::new(),
         }
     }
 }
@@ -234,7 +241,8 @@ impl Tree {
 
     /// Mutable arena access: materializes a private copy first if the
     /// arena is shared (copy-on-write). Every mutation comes through
-    /// here, so this is also where the memoized size is forgotten.
+    /// here, so this is also where the memoized size and bytes are
+    /// forgotten.
     fn nodes_mut(&mut self) -> &mut Vec<Node> {
         if Arc::strong_count(&self.nodes) > 1 {
             crate::stats::record_cow();
@@ -242,6 +250,10 @@ impl Tree {
         }
         let arena = Arc::make_mut(&mut self.nodes);
         *arena.root_size.get_mut() = 0;
+        // only a rendered arena can hold bytes
+        if std::mem::take(arena.root_rendered.get_mut()) {
+            arena.root_bytes.take();
+        }
         &mut arena.nodes
     }
 
@@ -265,6 +277,28 @@ impl Tree {
     pub(crate) fn memoize_size(&self, id: NodeId, size: usize) {
         if id.0 == 0 {
             self.nodes.root_size.store(size, Ordering::Relaxed);
+        }
+    }
+
+    /// The memoized serialization of the subtree rooted at `id`: kept
+    /// only for slot 0, and only once [`Tree::memoize_bytes`] has seen it
+    /// rendered twice since the arena last changed.
+    pub(crate) fn memoized_bytes(&self, id: NodeId) -> Option<&[u8]> {
+        if id.0 != 0 {
+            return None;
+        }
+        self.nodes.root_bytes.get().map(|bytes| &bytes[..])
+    }
+
+    /// Note that `bytes`, the serialization of the subtree rooted at
+    /// `id`, were just rendered. For slot 0 the first render only notes
+    /// that it happened and the second keeps a copy, so a document
+    /// rendered once costs no memory.
+    pub(crate) fn memoize_bytes(&self, id: NodeId, bytes: &[u8]) {
+        // Relaxed: the flag only counts renders; the bytes, a pure
+        // function of the (immutable) arena, are published by the OnceLock.
+        if id.0 == 0 && self.nodes.root_rendered.swap(true, Ordering::Relaxed) {
+            self.nodes.root_bytes.get_or_init(|| bytes.into());
         }
     }
 
@@ -826,11 +860,11 @@ mod tests {
         assert!(d.bytes_copied > 0);
     }
 
-    /// Every mutating API forgets the memoized size — on the handle's own
-    /// arena, or on the private copy it makes of a shared one, whose
-    /// other holders keep theirs.
+    /// Every mutating API forgets the memoized size and bytes — on the
+    /// handle's own arena, or on the private copy it makes of a shared
+    /// one, whose other holders keep theirs.
     #[test]
-    fn every_mutation_forgets_the_memoized_size() {
+    fn every_mutation_forgets_the_memos() {
         // (the tree, its root, its first `pkg`)
         type Mutation = Box<dyn Fn(&mut Tree, NodeId, NodeId)>;
         let src = Tree::parse("<x k=\"&lt;\">t &amp; u</x>").unwrap();
@@ -894,13 +928,19 @@ mod tests {
                 let (root, pkg) = (t.root(), t.first_child_labeled(t.root(), "pkg").unwrap());
                 let before = t.serialized_size();
                 assert_eq!(t.memoized_size(root), Some(before), "{name}: memo seeded");
+                let bytes = t.serialize().into_bytes();
+                t.serialize_into(&mut Vec::new());
+                t.serialize_into(&mut Vec::new());
+                assert_eq!(t.memoized_bytes(root), Some(&bytes[..]), "{name}: kept");
                 let holder = shared.then(|| t.clone());
                 mutate(&mut t, root, pkg);
                 assert_eq!(t.memoized_size(root), None, "{name} shared={shared}");
+                assert_eq!(t.memoized_bytes(root), None, "{name} shared={shared}");
                 assert_eq!(t.serialized_size(), t.serialize().len(), "{name}");
                 assert_eq!(t.memoized_size(root), Some(t.serialize().len()));
                 if let Some(h) = holder {
                     assert_eq!(h.memoized_size(root), Some(before), "{name}: holder");
+                    assert_eq!(h.memoized_bytes(root), Some(&bytes[..]), "{name}: holder");
                     assert_eq!(h.serialize().len(), before);
                 }
             }

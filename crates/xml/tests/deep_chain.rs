@@ -1,6 +1,7 @@
 //! Chains far deeper than any call stack go through the delta filter,
-//! equivalence, the canonical hash and `Tree ==`: each walks them with a
-//! stack of its own. (Alone in its binary: a walk that recursed would
+//! equivalence, the canonical hash, `Tree ==`, serialization (the walk,
+//! the bytes memo and `Debug`) and size accounting: each walks them with
+//! a stack of its own. (Alone in its binary: a walk that recursed would
 //! abort the process, not fail a test.)
 
 use axml_xml::equiv::{canonical_hash, forest_equiv, tree_equiv, whole_tree_equiv, CanonMultiset};
@@ -84,5 +85,41 @@ fn equivalence_hash_and_equality_take_chains_deeper_than_the_stack() {
         // `assert!`, not `assert_eq!`: a failure would print the trees.
         assert!(a == twin);
         assert!(a != b);
+    });
+}
+
+#[test]
+fn serialization_and_sizes_take_a_chain_deeper_than_the_stack() {
+    let a = chain("end");
+    on_a_small_stack(move || {
+        // DEPTH - 1 `<link>…</link>` around one `<end/>`
+        let len = (DEPTH - 1) * "<link></link>".len() + "<end/>".len();
+        let text = a.serialize_node(a.root());
+        assert_eq!(text.len(), len);
+        let opened = (DEPTH - 1) * "<link>".len();
+        assert_eq!(text.find("<end/>"), Some(opened));
+        assert!(text[..opened].starts_with("<link><link>") && text.ends_with("</link></link>"));
+        // twice to walk and keep the bytes, a third time to copy them
+        for _ in 0..3 {
+            let mut out = Vec::new();
+            a.serialize_into(&mut out);
+            assert!(out == text.as_bytes());
+        }
+        assert_eq!(format!("{a:?}").len(), "Tree()".len() + len);
+
+        let below = a.subtree(a.children(a.root())[0]).unwrap();
+        assert_eq!(below.serialized_size(), len - "<link></link>".len());
+        assert_eq!(a.serialized_size(), len);
+        // one visit per node, children before their parent
+        let (mut visits, mut last) = (0, None);
+        let total = a.serialized_sizes(a.root(), &mut |n, size| {
+            if let Some(child) = last {
+                assert_eq!(a.children(n), [child]);
+            }
+            assert_eq!(size, "<end/>".len() + visits * "<link></link>".len());
+            visits += 1;
+            last = Some(n);
+        });
+        assert_eq!((total, visits, last), (len, DEPTH, Some(a.root())));
     });
 }

@@ -27,8 +27,20 @@
 #   - crates/query/tests/deep_chain.rs and crates/xml/tests/deep_chain.rs
 #     (same sweep, each alone in its binary): 200 000-deep chains through
 #     the evaluator, and through the delta filter, equivalence, the
-#     canonical hash and Tree ==, on a 64 KiB stack, so a walk that
-#     recurses per tree level aborts the run;
+#     canonical hash, Tree ==, serialize_into (walk and bytes memo),
+#     serialize_node, Debug, serialized_size and serialized_sizes, on a
+#     64 KiB stack, so a walk that recurses per tree level aborts the run;
+#   - crates/xml/tests/bytes_memo.rs (same sweep): the bytes memo is a
+#     render — over random trees and random sequences of every public
+#     mutator, serialize_into gives the bytes of a fresh walk, for the
+#     tree, a mutated copy-on-write copy and its original, subtree views,
+#     and two threads rendering one handle at once;
+#   - xml's serialize::tests::a_document_is_walked_twice_then_copied and
+#     crates/xml/tests/render_alloc_budget.rs (same sweep, the latter
+#     with its own allocator): a document's first two renders since it
+#     last changed walk it and the rest copy, and rendering a 2 000-package
+#     catalog into a buffer with room allocates 0 times, except exactly
+#     once (the kept copy) on the second render;
 #   - crates/core/tests/search_alloc_budget.rs (same sweep, same kind of
 #     allocator): an optimizer search allocates for the candidate plans it
 #     builds, under a pinned count per explored candidate — formatting a
