@@ -37,6 +37,20 @@
 //!   moved outwards is tested — and may raise, on an unresolved `doc()` —
 //!   for outer tuples the nested loop dropped first or never reached, and
 //!   a scan behind it is not resolved for the tuples it now drops.
+//! * of those, a closed `for`'s *own* conjuncts — the ones whose paths, at
+//!   any depth, start at its variable or a predicate's context, so that
+//!   they read one item and nothing else — filter its scan as it is
+//!   walked, once; the rest run per tuple, in their order. An own
+//!   conjunct cannot raise, so this changes no answer; an item it rejects
+//!   is never bound, so the level's other conjuncts never raise on it.
+//! * with no [`Delta`] in force, the filtered items of a closed scan that
+//!   starts at a `doc()`, or at a parameter holding one tree, are kept on
+//!   that tree's arena ([`Tree::memo_scan`]) when they are elements read
+//!   from the start node alone — every path in the scan's step predicates
+//!   starts at their context — under the scan's steps and own conjuncts,
+//!   compared by `==`. Another evaluation of an equal scan over the
+//!   unchanged arena, of this plan or any other, reads them instead of
+//!   walking; a change to the arena forgets them.
 //! * a closed `for` with a conjunct `A = B`, `A` reading only the level's
 //!   variable and `B` only outer ones, neither a source, is a *join*: on
 //!   first reaching the level, `A` is walked per scanned item into a
@@ -56,8 +70,9 @@ use crate::plan::{
     PredPlan, SourceRef, StartRef, TemplatePlan, VarId,
 };
 use axml_xml::ids::DocName;
-use axml_xml::tree::{NodeId, Tree};
+use axml_xml::tree::{NodeId, ScanKey, Tree};
 use axml_xml::Label;
+use std::any::Any;
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
@@ -288,6 +303,12 @@ struct Level<'p, 'a> {
     seq: bool,
     /// For a closed scan, its items once the level has been reached.
     memo: Option<OnceCell<Vec<Item<'a>>>>,
+    /// Whether the arena the closed scan starts in may keep its items:
+    /// they are elements, read from the start node alone.
+    kept: bool,
+    /// For a closed `for`, the `where` conjuncts that read its variable
+    /// and nothing else: they filter the scan.
+    own: Vec<&'p PredPlan>,
     /// The `where` conjuncts that run as soon as this level is bound.
     then: Vec<&'p PredPlan>,
     /// For a closed `for`, an equality among `then` that picks its items.
@@ -387,11 +408,17 @@ impl Plan {
                 Op::Unit => {}
                 Op::ForEach { var, path, .. } | Op::LetBind { var, path, .. } => {
                     path.visit_paths(&mut note_vars(&mut vars));
+                    let last = path.steps.last().map(|s| &s.test);
+                    let elements = matches!(last, Some(PlanTest::Label(_) | PlanTest::Wildcard));
+                    let mut preds = path.steps.iter().flat_map(|s| &s.preds);
+                    let local = preds.all(|p| reads_only(p, CONTEXT));
                     levels.push(Level {
                         var: *var,
                         path,
                         seq: matches!(op, Op::LetBind { .. }),
                         memo: vars.is_empty().then(OnceCell::new),
+                        kept: vars.is_empty() && elements && local,
+                        own: Vec::new(),
                         then: Vec::new(),
                         join: None,
                     });
@@ -411,9 +438,42 @@ impl Plan {
             }
         }
         for level in levels.iter_mut().filter(|l| l.memo.is_some() && !l.seq) {
-            level.join = level.then.iter().find_map(|c| join(c, level.var));
+            let var = level.var;
+            (level.own, level.then) = level.then.iter().partition(|c| reads_only(c, var));
+            level.join = level.then.iter().find_map(|c| join(c, var));
         }
         (first, levels)
+    }
+}
+
+/// Whether each path of `c`, at any depth, starts at `var` or at a
+/// context — with `var` [`CONTEXT`], at a context.
+fn reads_only(c: &PredPlan, var: VarId) -> bool {
+    let mut only = true;
+    c.visit_paths(&mut |p| {
+        only &= matches!(p.start, StartRef::Context) || p.start == StartRef::Var(var)
+    });
+    only
+}
+
+/// What a closed scan's items are kept on its arena under: the steps from
+/// its start and the conjuncts that filter it.
+struct Fragment<'p> {
+    steps: &'p [PlanStep],
+    own: &'p [&'p PredPlan],
+}
+
+impl ScanKey for Fragment<'_> {
+    fn is(&self, kept: &(dyn Any + Send + Sync)) -> bool {
+        let kept = kept.downcast_ref::<(Vec<PlanStep>, Vec<PredPlan>)>();
+        kept.is_some_and(|(steps, own)| {
+            *steps == self.steps && own.iter().eq(self.own.iter().copied())
+        })
+    }
+
+    fn keep(&self) -> Box<dyn Any + Send + Sync> {
+        let own: Vec<PredPlan> = self.own.iter().map(|&c| c.clone()).collect();
+        Box::new((self.steps.to_vec(), own))
     }
 }
 
@@ -499,11 +559,7 @@ impl<'p, 'a> Eval<'p, 'a> {
         let items = match level.memo.as_ref().and_then(OnceCell::get) {
             Some(memo) => memo,
             None => {
-                let mut list = Vec::new();
-                self.walk(level.path, scope, &mut |it| {
-                    list.push(it);
-                    Ok(true)
-                })?;
+                let list = self.scan(level, scope)?;
                 match &level.memo {
                     Some(memo) => memo.get_or_init(|| list),
                     None => {
@@ -537,6 +593,61 @@ impl<'p, 'a> Eval<'p, 'a> {
         let bound = picked.and_then(|()| hits.iter().try_for_each(bind_hit));
         join.hits.set(hits);
         bound
+    }
+
+    /// The items of `level`'s path that pass its own conjuncts, in scan
+    /// order: read from the arena the scan starts in when it keeps them
+    /// (see the module docs), else walked — and then kept, if it may.
+    fn scan(&self, level: &Level<'p, 'a>, scope: Scope<'_, 'a>) -> QueryResult<Vec<Item<'a>>> {
+        let walked = || {
+            let mut list = Vec::new();
+            self.walk(level.path, scope, &mut |it| {
+                let env = Env {
+                    var: level.var,
+                    items: std::slice::from_ref(&it),
+                    outer: None,
+                };
+                if self.all_hold(level.own.iter().copied(), Some(&env))? {
+                    list.push(it);
+                }
+                Ok(true)
+            })?;
+            Ok(list)
+        };
+        let tree = match &level.path.start {
+            _ if !level.kept || self.ctx.delta.is_some() => None,
+            StartRef::Source(SourceRef::Doc(d)) => Some(self.doc(d)?),
+            StartRef::Source(SourceRef::Param(i)) => match self.ctx.param(*i)? {
+                [tree] => Some(tree),
+                _ => None,
+            },
+            _ => None,
+        };
+        let Some(tree) = tree else {
+            return walked();
+        };
+        let key = Fragment {
+            steps: &level.path.steps,
+            own: &level.own,
+        };
+        let mut fresh = None;
+        let found = tree.memo_scan(&key, || {
+            let list = walked()?;
+            let node = |it: &Item| match it {
+                Item::Node(_, node) => *node,
+                Item::Atom(_) => unreachable!("a kept scan ends in an element step"),
+            };
+            let found = list.iter().map(node).collect();
+            fresh = Some(list);
+            Ok(found)
+        })?;
+        Ok(fresh.unwrap_or_else(|| found.iter().map(|&n| Item::Node(tree, n)).collect()))
+    }
+
+    /// The tree of the document `d`.
+    fn doc(&self, d: &DocName) -> QueryResult<&'a Tree> {
+        let tree = self.ctx.docs.resolve(d);
+        tree.ok_or_else(|| QueryError::UnresolvedDoc(d.to_string()))
     }
 
     /// Into `hits`, ascending and once each, the positions of the `items`
@@ -600,8 +711,7 @@ impl<'p, 'a> Eval<'p, 'a> {
                 });
             }
             StartRef::Source(SourceRef::Doc(d)) => {
-                let tree = self.ctx.docs.resolve(d);
-                let tree = tree.ok_or_else(|| QueryError::UnresolvedDoc(d.to_string()))?;
+                let tree = self.doc(d)?;
                 // Under `Delta::DocChild` the path yields what it yields
                 // through `child` and no other child of the root. Both
                 // axes only go down, so the first step is the only one
@@ -1094,27 +1204,38 @@ mod tests {
         assert_eq!(named("<", "2e3"), ["<text>1e3</text>"]);
     }
 
+    /// Which scans are closed, and which of those an arena may keep:
+    /// elements read from the start node alone.
     #[test]
     fn only_variable_free_scans_are_closed() {
-        let closed = |src: &str| -> Vec<bool> {
+        let closed = |src: &str| -> Vec<(bool, bool)> {
             let plan = parse_plan(src, 2).unwrap();
             let (_, levels) = plan.levels();
-            levels.iter().map(|l| l.memo.is_some()).collect()
+            levels.iter().map(|l| (l.memo.is_some(), l.kept)).collect()
         };
         let deep = "for $x in $0//pkg for $y in $1//pkg[@name = $x/@name] return {$y}";
-        assert_eq!(closed(deep), [true, false]);
-        let own = "for $x in $0//pkg for $y in $1//pkg[size > 100000] return {$y}";
-        assert_eq!(closed(own), [true, true]);
+        assert_eq!(closed(deep), [(true, true), (false, false)]);
+        let own = r#"for $x in $0//pkg for $y in doc("d")//pkg[size > 100000] return {$y}"#;
+        assert_eq!(closed(own), [(true, true), (true, true)]);
+        let source = r#"for $i in doc("board")/item[@topic = $0/text()] return {$i}"#;
+        assert_eq!(closed(source), [(true, false)]);
+        let atoms = r#"for $n in $0//pkg/@name let $d := doc("d") return {$n}"#;
+        assert_eq!(closed(atoms), [(true, false), (true, false)]);
     }
 
     #[test]
     fn conjuncts_run_where_their_variables_bind() {
-        let src = r#"for $x in $0/a for $y in $1/b
-            where $x/@k = $y/@k and $x/@k > 1 and exists(doc("d")/e) return {$y}"#;
+        // A closed `for`'s own conjuncts filter its scan; the rest of the
+        // level's conjuncts run per tuple, and so do a `let`'s.
+        let src = r#"for $x in $0/a for $y in $1/b let $z := $0/c
+            where $x/@k = $y/@k and $x/@k > 1 and exists(doc("d")/e)
+            and $y/@k = doc("d")/@k and exists($z/d) and $y/e[@k = "1"]/@j != "2"
+            return {$y}"#;
         let plan = parse_plan(src, 2).unwrap();
         let (first, levels) = plan.levels();
+        let own: Vec<usize> = levels.iter().map(|l| l.own.len()).collect();
         let then: Vec<usize> = levels.iter().map(|l| l.then.len()).collect();
-        assert_eq!((first.len(), then), (1, vec![1, 1]));
+        assert_eq!((first.len(), own, then), (1, vec![1, 1, 0], vec![0, 2, 1]));
     }
 
     fn counted() -> Tree {

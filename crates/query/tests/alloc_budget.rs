@@ -1,8 +1,9 @@
 //! The evaluator's allocation budget: work proportional to what a query
 //! scans and what it answers means no allocation per input item, one walk
-//! of a closed scan however many outer tuples read it, and no allocation
-//! per outer tuple that a join's index turns away. All are counted here,
-//! with an allocator of this test binary's own.
+//! of a closed scan however many outer tuples read it, no allocation per
+//! outer tuple that a join's index turns away, and — once an unchanged
+//! arena keeps a closed scan — no walk of it at all. All are counted
+//! here, with an allocator of this test binary's own.
 
 use axml_query::Query;
 use axml_xml::ids::DocName;
@@ -148,4 +149,51 @@ fn a_join_probes_instead_of_rescanning() {
         "1 000 items: {small} allocations, 4 000 items: {large}"
     );
     assert!(small < 150, "{small} allocations");
+}
+
+/// A catalog of `n` packages, ten of them big, however many there are.
+fn ten_big(n: usize) -> Vec<Tree> {
+    let mut xml = String::from("<catalog>");
+    for i in 0..n {
+        let size = if i % (n / 10) == 0 { 120_000 } else { 30_000 } + i;
+        let _ = write!(
+            xml,
+            r#"<pkg name="pkg-{i:05}"><size>{size}</size><desc>package {i}</desc></pkg>"#
+        );
+    }
+    xml.push_str("</catalog>");
+    vec![Tree::parse(&xml).unwrap()]
+}
+
+/// The allocations of a first and a second `select-big` over one catalog
+/// of `n` packages.
+fn selected_twice(n: usize) -> (u64, u64) {
+    let src = r#"for $p in $0//pkg where $p/size/text() > 100000
+        return <big name="{$p/@name}">{$p/size}</big>"#;
+    let q = Query::parse("select-big", src).unwrap();
+    let inputs = [ten_big(n)];
+    let (first, a) = allocations(|| q.eval_batch(&inputs).unwrap());
+    let (second, b) = allocations(|| q.eval_batch(&inputs).unwrap());
+    assert_eq!(a, b);
+    assert_eq!(b.len(), 10);
+    (first, second)
+}
+
+#[test]
+fn a_repeated_closed_scan_reads_the_arena() {
+    // `query_ship`'s `select-big`, twice over one unchanged catalog: the
+    // first evaluation walks the catalog and keeps the ten packages its
+    // own conjunct passes on the arena; the second reads them, so it
+    // allocates for its ten answers, whatever the catalog's size.
+    let ((first_small, small), (first_large, large)) =
+        (selected_twice(1_000), selected_twice(4_000));
+    assert_eq!(
+        small, large,
+        "1 000 items: {small} allocations, 4 000 items: {large}"
+    );
+    // The kept list holds the packages that pass: the first walk's list
+    // does not grow with the catalog either.
+    assert_eq!(first_small, first_large);
+    // 110 and 121 when this was written, ~10 per answer tree built.
+    assert!(small < first_small && small < 120, "{small} allocations");
 }

@@ -26,10 +26,10 @@
 //! [`Tree::serialize_node`] always walk: they build a string for a
 //! reader, and are what the serializer's own speed is measured by.
 //!
-//! Both walks here — the bytes and the sizes — keep their open elements
-//! on a stack of their own, so a tree of any depth renders and measures
-//! without touching the call stack (and without allocating while it is
-//! at most 16 elements deep).
+//! The walks here — the bytes, the sizes and the pretty form — keep their
+//! open elements on a stack of their own, so a tree of any depth renders
+//! and measures without touching the call stack (and without allocating
+//! while it is at most 16 elements deep).
 
 use crate::escape::{escaped_attr_len, escaped_text_len, write_attr, write_text};
 use crate::stack::Stack;
@@ -90,7 +90,7 @@ impl Tree {
     /// Serialize the whole tree with indentation, for humans.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(self.root(), 0, &mut out)
+        self.write_pretty(self.root(), &mut out)
             .expect("writing to a String cannot fail");
         out
     }
@@ -219,51 +219,68 @@ impl Tree {
         }
     }
 
-    fn write_pretty(&self, id: NodeId, depth: usize, out: &mut String) -> fmt::Result {
-        let pad = "  ".repeat(depth);
-        match &self.node(id).kind {
-            NodeKind::Text(t) => {
-                out.push_str(&pad);
-                write_text(out, t)?;
-                out.push('\n');
+    fn write_pretty(&self, id: NodeId, out: &mut String) -> fmt::Result {
+        let pad = |out: &mut String, depth: usize| (0..depth).for_each(|_| out.push_str("  "));
+        // The open elements — one indentation step each — with their
+        // labels and the children still to write.
+        let mut open: Stack<(&str, &[NodeId]), 16> = Stack::new(("", &[]));
+        let mut node = id;
+        loop {
+            pad(out, open.items().len());
+            match &self.node(node).kind {
+                NodeKind::Text(t) => {
+                    write_text(out, t)?;
+                    out.push('\n');
+                }
+                NodeKind::Element { label, attrs } => {
+                    let label = label.as_str();
+                    out.push('<');
+                    out.push_str(label);
+                    for (n, v) in attrs {
+                        out.push(' ');
+                        out.push_str(n.as_str());
+                        out.push_str("=\"");
+                        write_attr(out, v)?;
+                        out.push('"');
+                    }
+                    let children = self.children(node);
+                    if children.is_empty() {
+                        out.push_str("/>\n");
+                    } else if children.iter().any(|&c| !self.node(c).is_element()) {
+                        // Mixed or text content: render the whole subtree
+                        // compactly so indentation never pollutes text nodes.
+                        out.push('>');
+                        for &c in children {
+                            self.write_compact(c, out)?;
+                        }
+                        out.push_str("</");
+                        out.push_str(label);
+                        out.push_str(">\n");
+                    } else {
+                        out.push_str(">\n");
+                        open.push((label, children));
+                    }
+                }
             }
-            NodeKind::Element { label, attrs } => {
-                out.push_str(&pad);
-                out.push('<');
-                out.push_str(label.as_str());
-                for (n, v) in attrs {
-                    out.push(' ');
-                    out.push_str(n.as_str());
-                    out.push_str("=\"");
-                    write_attr(out, v)?;
-                    out.push('"');
+            // Close the elements whose children are all written; the next
+            // child of the innermost one left open is the next node.
+            loop {
+                let Some(top) = open.items().last_mut() else {
+                    return Ok(());
+                };
+                if let Some((&child, rest)) = top.1.split_first() {
+                    top.1 = rest;
+                    node = child;
+                    break;
                 }
-                let children = self.children(id);
-                if children.is_empty() {
-                    out.push_str("/>\n");
-                } else if children.iter().any(|&c| !self.node(c).is_element()) {
-                    // Mixed or text content: render the whole subtree
-                    // compactly so indentation never pollutes text nodes.
-                    out.push('>');
-                    for &c in children {
-                        self.write_compact(c, out)?;
-                    }
-                    out.push_str("</");
-                    out.push_str(label.as_str());
-                    out.push_str(">\n");
-                } else {
-                    out.push_str(">\n");
-                    for &c in children {
-                        self.write_pretty(c, depth + 1, out)?;
-                    }
-                    out.push_str(&pad);
-                    out.push_str("</");
-                    out.push_str(label.as_str());
-                    out.push_str(">\n");
-                }
+                let label = top.0;
+                open.pop();
+                pad(out, open.items().len());
+                out.push_str("</");
+                out.push_str(label);
+                out.push_str(">\n");
             }
         }
-        Ok(())
     }
 }
 

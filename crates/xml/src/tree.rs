@@ -23,10 +23,11 @@
 
 use crate::error::{XmlError, XmlResult};
 use crate::symbol::Label;
+use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Identifier of a node inside one [`Tree`] — an element of the paper's
 /// node-id set `N`, scoped to the owning document.
@@ -139,13 +140,15 @@ pub(crate) fn node_heap_bytes(n: &Node) -> u64 {
     }
 }
 
-/// The node arena, plus the two facts memoized about it as a whole, both
-/// about the subtree at slot 0 — where [`Tree::new`] puts the root, so
-/// the whole of every handle that is not a subtree view: its serialized
-/// size, and its serialized bytes once it has been rendered twice.
+/// The node arena, plus three facts memoized about it. Two are about the
+/// subtree at slot 0 — where [`Tree::new`] puts the root, so the whole of
+/// every handle that is not a subtree view: its serialized size, and its
+/// serialized bytes once it has been rendered twice. The third is the
+/// nodes that recent scans found ([`Tree::memo_scan`]), each under the
+/// node it started from and a key of the scan's own.
 /// An arena is immutable while it is shared; [`Tree::nodes_mut`], the one
-/// way to change it, forgets both, and a copy-on-write copy starts
-/// without either.
+/// way to change it, forgets all three, and a copy-on-write copy starts
+/// without any.
 pub(crate) struct Arena {
     nodes: Vec<Node>,
     /// 0 while unknown (no serialization is empty).
@@ -154,6 +157,28 @@ pub(crate) struct Arena {
     root_rendered: AtomicBool,
     /// The bytes of that subtree, kept by its second render.
     root_bytes: OnceLock<Box<[u8]>>,
+    /// The last `SCANS_KEPT` scans, oldest first.
+    scans: Mutex<Vec<Scan>>,
+}
+
+/// How many scans an arena keeps; a new one evicts the oldest.
+const SCANS_KEPT: usize = 16;
+
+/// One scan kept on an arena: where it started, what it was, what it found.
+struct Scan {
+    start: NodeId,
+    key: Box<dyn Any + Send + Sync>,
+    found: Arc<[NodeId]>,
+}
+
+/// What [`Tree::memo_scan`] tells kept scans apart by. Keys come from
+/// queries other peers send, so a kept scan is found only by a key that
+/// equals it — never by a digest alone.
+pub trait ScanKey {
+    /// Is `kept`, the key an earlier scan was kept under, equal to this one?
+    fn is(&self, kept: &(dyn Any + Send + Sync)) -> bool;
+    /// This key, owned, to keep beside the scan it names.
+    fn keep(&self) -> Box<dyn Any + Send + Sync>;
 }
 
 impl Arena {
@@ -163,7 +188,13 @@ impl Arena {
             root_size: AtomicUsize::new(0),
             root_rendered: AtomicBool::new(false),
             root_bytes: OnceLock::new(),
+            scans: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The kept scans, whatever a thread that panicked holding them left.
+    fn scans(&self) -> std::sync::MutexGuard<'_, Vec<Scan>> {
+        self.scans.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -241,7 +272,7 @@ impl Tree {
 
     /// Mutable arena access: materializes a private copy first if the
     /// arena is shared (copy-on-write). Every mutation comes through
-    /// here, so this is also where the memoized size and bytes are
+    /// here, so this is also where the memoized size, bytes and scans are
     /// forgotten.
     fn nodes_mut(&mut self) -> &mut Vec<Node> {
         if Arc::strong_count(&self.nodes) > 1 {
@@ -254,7 +285,52 @@ impl Tree {
         if std::mem::take(arena.root_rendered.get_mut()) {
             arena.root_bytes.take();
         }
+        arena
+            .scans
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clear();
         &mut arena.nodes
+    }
+
+    /// The nodes `scan` finds from this handle's root, kept on the arena
+    /// while it is unchanged: a later call with the same root and a key
+    /// equal to `key` — through this handle or any other sharing the
+    /// arena — gets them without scanning. `scan` must answer only from
+    /// the nodes at and below the root, the same every time `key` is
+    /// equal; it runs without the arena's lock held, and an error it
+    /// returns keeps nothing.
+    ///
+    /// An arena keeps its last 16 scans, forgets them all when it
+    /// changes, and a copy-on-write copy starts without them.
+    pub fn memo_scan<E>(
+        &self,
+        key: &dyn ScanKey,
+        scan: impl FnOnce() -> Result<Arc<[NodeId]>, E>,
+    ) -> Result<Arc<[NodeId]>, E> {
+        let start = self.root;
+        let kept = |scans: &[Scan]| {
+            let scan = scans.iter().find(|s| s.start == start && key.is(&*s.key));
+            scan.map(|s| Arc::clone(&s.found))
+        };
+        if let Some(found) = kept(&self.nodes.scans()) {
+            return Ok(found);
+        }
+        let found = scan()?;
+        let mut scans = self.nodes.scans();
+        // a thread that raced this one may have kept the same scan
+        if let Some(theirs) = kept(&scans) {
+            return Ok(theirs);
+        }
+        if scans.len() == SCANS_KEPT {
+            scans.remove(0);
+        }
+        scans.push(Scan {
+            start,
+            key: key.keep(),
+            found: Arc::clone(&found),
+        });
+        Ok(found)
     }
 
     /// The memoized serialized size of the subtree rooted at `id`: known
@@ -605,22 +681,35 @@ impl Tree {
             src.subtree_size(src_node) as u64,
             src.subtree_heap_bytes(src_node),
         );
-        Ok(self.graft_rec(parent, src, src_node))
+        // Copy in preorder without a stack: a copy's children so far say
+        // which child of its source comes next, and both trees' parent
+        // links lead back up.
+        let root = self.copy_node(parent, src, src_node);
+        let (mut from, mut to) = (src_node, root);
+        loop {
+            if let Some(&child) = src.children(from).get(self.children(to).len()) {
+                to = self.copy_node(to, src, child);
+                from = child;
+            } else if from == src_node {
+                return Ok(root);
+            } else {
+                from = src.node(from).parent.expect("below the copied root");
+                to = self.node(to).parent.expect("below the copy");
+            }
+        }
     }
 
-    fn graft_rec(&mut self, parent: NodeId, src: &Tree, src_node: NodeId) -> NodeId {
-        match &src.node(src_node).kind {
+    /// Copy the node `node` of `src`, without its children, under `at`.
+    fn copy_node(&mut self, at: NodeId, src: &Tree, node: NodeId) -> NodeId {
+        match &src.node(node).kind {
             NodeKind::Element { label, attrs } => {
-                let el = self.add_element(parent, *label);
+                let el = self.add_element(at, *label);
                 for (n, v) in attrs {
                     self.set_attr(el, *n, v.clone()).expect("element");
                 }
-                for &c in src.children(src_node) {
-                    self.graft_rec(el, src, c);
-                }
                 el
             }
-            NodeKind::Text(s) => self.add_text(parent, s.clone()),
+            NodeKind::Text(s) => self.add_text(at, s.clone()),
         }
     }
 
@@ -775,6 +864,10 @@ mod tests {
         let got = dst.graft(dst.root(), &src, src.root()).unwrap();
         assert_eq!(dst.label(got).unwrap().as_str(), "catalog");
         assert_eq!(dst.subtree_size(dst.root()), 8);
+        // copied in preorder: the copy's nodes are numbered as the source's
+        let ids: Vec<NodeId> = dst.descendants_with_self(got).collect();
+        assert_eq!(ids, (1..8).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(dst.serialize_node(got), src.serialize());
         // grafting under a text node fails
         let txt = dst.add_text(dst.root(), "x");
         assert!(dst.graft(txt, &src, src.root()).is_err());
@@ -860,8 +953,58 @@ mod tests {
         assert!(d.bytes_copied > 0);
     }
 
-    /// Every mutating API forgets the memoized size and bytes — on the
-    /// handle's own arena, or on the private copy it makes of a shared
+    /// A scan key for tests: a name.
+    struct Named(&'static str);
+
+    impl ScanKey for Named {
+        fn is(&self, kept: &(dyn Any + Send + Sync)) -> bool {
+            kept.downcast_ref::<&str>() == Some(&self.0)
+        }
+
+        fn keep(&self) -> Box<dyn Any + Send + Sync> {
+            Box::new(self.0)
+        }
+    }
+
+    /// Whether `memo_scan` of `key` on `t` scanned (the scan finds the
+    /// root's children).
+    fn scans(t: &Tree, key: &'static str) -> bool {
+        let mut ran = false;
+        let found = t.memo_scan(&Named(key), || {
+            ran = true;
+            Ok::<_, ()>(t.children(t.root()).into())
+        });
+        assert_eq!(found.unwrap()[..], *t.children(t.root()));
+        ran
+    }
+
+    #[test]
+    fn a_scan_is_kept_by_start_and_key() {
+        let t = sample();
+        assert!(scans(&t, "a"), "the first scan scans");
+        assert!(!scans(&t, "a"), "…and is kept");
+        let whole = t.subtree(t.root()).unwrap();
+        assert!(!scans(&whole, "a"), "…for every handle of the arena");
+        assert!(scans(&t, "b"), "another key scans");
+        let pkg = t.first_child_labeled(t.root(), "pkg").unwrap();
+        let view = t.subtree(pkg).unwrap();
+        assert!(scans(&view, "a"), "another start scans");
+        assert!(!scans(&view, "a"));
+        // an error keeps nothing
+        assert_eq!(t.memo_scan(&Named("c"), || Err("no")), Err("no"));
+        assert!(scans(&t, "c"));
+        // sixteen newer keys evict the oldest
+        let keys = ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"];
+        let more = ["k8", "k9", "ka", "kb", "kc", "kd", "ke", "kf"];
+        for key in keys.iter().chain(&more) {
+            assert!(scans(&t, key));
+        }
+        assert!(scans(&t, "a"), "evicted");
+        assert!(!scans(&t, "kf"));
+    }
+
+    /// Every mutating API forgets the memoized size, bytes and scans — on
+    /// the handle's own arena, or on the private copy it makes of a shared
     /// one, whose other holders keep theirs.
     #[test]
     fn every_mutation_forgets_the_memos() {
@@ -932,15 +1075,18 @@ mod tests {
                 t.serialize_into(&mut Vec::new());
                 t.serialize_into(&mut Vec::new());
                 assert_eq!(t.memoized_bytes(root), Some(&bytes[..]), "{name}: kept");
+                assert!(scans(&t, "s") && !scans(&t, "s"), "{name}: scan kept");
                 let holder = shared.then(|| t.clone());
                 mutate(&mut t, root, pkg);
                 assert_eq!(t.memoized_size(root), None, "{name} shared={shared}");
                 assert_eq!(t.memoized_bytes(root), None, "{name} shared={shared}");
+                assert!(scans(&t, "s"), "{name} shared={shared}: scan forgotten");
                 assert_eq!(t.serialized_size(), t.serialize().len(), "{name}");
                 assert_eq!(t.memoized_size(root), Some(t.serialize().len()));
                 if let Some(h) = holder {
                     assert_eq!(h.memoized_size(root), Some(before), "{name}: holder");
                     assert_eq!(h.memoized_bytes(root), Some(&bytes[..]), "{name}: holder");
+                    assert!(!scans(&h, "s"), "{name}: holder");
                     assert_eq!(h.serialize().len(), before);
                 }
             }

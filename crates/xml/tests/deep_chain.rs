@@ -1,8 +1,8 @@
 //! Chains far deeper than any call stack go through the delta filter,
 //! equivalence, the canonical hash, `Tree ==`, serialization (the walk,
-//! the bytes memo and `Debug`) and size accounting: each walks them with
-//! a stack of its own. (Alone in its binary: a walk that recursed would
-//! abort the process, not fail a test.)
+//! the bytes memo, `Debug` and the pretty form), size accounting and
+//! `graft`: each walks them with a stack of its own. (Alone in its binary:
+//! a walk that recursed would abort the process, not fail a test.)
 
 use axml_xml::equiv::{canonical_hash, forest_equiv, tree_equiv, whole_tree_equiv, CanonMultiset};
 use axml_xml::tree::Tree;
@@ -121,5 +121,51 @@ fn serialization_and_sizes_take_a_chain_deeper_than_the_stack() {
             last = Some(n);
         });
         assert_eq!((total, visits, last), (len, DEPTH, Some(a.root())));
+    });
+}
+
+#[test]
+fn a_chain_deeper_than_the_stack_is_grafted_whole() {
+    let a = chain("end");
+    on_a_small_stack(move || {
+        let mut copy = Tree::new("top");
+        let top = copy.root();
+        let got = copy.graft(top, &a, a.root()).unwrap();
+        // the copy's nodes are numbered in the source's preorder
+        let ids: Vec<usize> = copy.descendants_with_self(got).map(|n| n.index()).collect();
+        assert_eq!(ids.len(), DEPTH);
+        assert!(ids.iter().enumerate().all(|(i, &id)| id == got.index() + i));
+        // `assert!`, not `assert_eq!`: a failure would print the trees.
+        assert!(copy.subtree(got).unwrap() == a);
+    });
+}
+
+#[test]
+fn a_chain_deeper_than_the_stack_prints_pretty() {
+    // Each level is indented one step further, so the pretty form grows
+    // with the square of the depth: a shorter chain, still far deeper
+    // than a 64 KiB stack holds frames.
+    const LEVELS: usize = 4_000;
+    let (link, end) = (Tree::new("link"), Tree::new("end"));
+    let mut chain = Tree::new("link");
+    let mut tip = chain.root();
+    for _ in 2..LEVELS {
+        tip = chain.graft(tip, &link, link.root()).unwrap();
+    }
+    chain.graft(tip, &end, end.root()).unwrap();
+    on_a_small_stack(move || {
+        let pretty = chain.pretty();
+        let lines: Vec<&str> = pretty.lines().collect();
+        assert_eq!(lines.len(), 2 * LEVELS - 1);
+        for (depth, line) in lines.iter().enumerate() {
+            // opened down to `<end/>`, then closed back up
+            let level = depth.min(2 * LEVELS - 2 - depth);
+            let want = match depth {
+                d if d < LEVELS - 1 => "<link>",
+                d if d == LEVELS - 1 => "<end/>",
+                _ => "</link>",
+            };
+            assert!(line.len() == 2 * level + want.len() && line.ends_with(want));
+        }
     });
 }

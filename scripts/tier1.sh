@@ -6,10 +6,10 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - nine grep gates, one per "one of each" claim (wire-format writer,
+#   - ten grep gates, one per "one of each" claim (wire-format writer,
 #     trace format, rendered payloads, byte codec, blocking session,
 #     strategy picker, send path, plans priced in place, one evaluation
-#     per call) — each explained where it runs;
+#     per call, one scan memo) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -20,7 +20,17 @@
 #     walks a closed scan once — counted with the test binary's own
 #     allocator, so "O(scan + answer)" fails a test when it stops holding;
 #     a_join_probes_instead_of_rescanning pins that a join's inner scan
-#     growing 1 000 → 4 000 items costs exactly its list's two doublings;
+#     growing 1 000 → 4 000 items costs exactly its list's two doublings,
+#     and a_repeated_closed_scan_reads_the_arena that a second select-big
+#     over an unchanged 1 000- or 4 000-package catalog allocates the same
+#     count, for its answers only;
+#   - crates/query/tests/scan_memo.rs (same sweep): a closed scan an arena
+#     keeps answers as a fresh walk — over random catalogs and closed-scan
+#     queries, every answer equals the evaluation over freshly parsed
+#     inputs, twice on one handle, across every public mutator, for a
+#     copy-on-write copy and its original, subtree views and two threads;
+#     under either Delta the memo is neither read nor filled, and a step
+#     predicate reading a second source is never kept;
 #   - crates/query/tests/prop_query.rs::evaluator_equals_the_materialising_
 #     reference (same sweep): the evaluator ≡ a nested-loop reference on
 #     4 000 seeded plans, of which at least 300 take a join's index;
@@ -29,7 +39,9 @@
 #     the evaluator, and through the delta filter, equivalence, the
 #     canonical hash, Tree ==, serialize_into (walk and bytes memo),
 #     serialize_node, Debug, serialized_size and serialized_sizes, on a
-#     64 KiB stack, so a walk that recurses per tree level aborts the run;
+#     64 KiB stack, and through graft and pretty (a 4 000-deep chain:
+#     the pretty form grows with the square of the depth), so a walk that
+#     recurses per tree level aborts the run;
 #   - crates/xml/tests/bytes_memo.rs (same sweep): the bytes memo is a
 #     render — over random trees and random sequences of every public
 #     mutator, serialize_into gives the bytes of a fresh walk, for the
@@ -213,6 +225,33 @@ for call in '.eval_with_docs(' '.eval_ctx('; do
         exit 1
     fi
 done
+
+echo "== tier-1: one scan memo (memo_scan( only in query/src/eval.rs's closed-scan path) =="
+# An arena keeps a closed scan's filtered nodes under a key only the
+# evaluator knows how to build and check: the scan's steps and own
+# conjuncts, compared by `==`, read and filled only with no Delta in
+# force. Outside comments, `#[cfg(test)]` modules and the method's own
+# definition in xml/src/tree.rs, one call site — Eval::scan — so that
+# nothing else keeps a scan under a key that does not name all it read.
+for f in $(find crates/*/src -name '*.rs' ! -path crates/xml/src/tree.rs); do
+    calls=$(code "$f" | grep -c 'memo_scan(' || true)
+    case "$f" in
+        crates/query/src/eval.rs) want=1 ;;
+        *) want=0 ;;
+    esac
+    if [ "$calls" -ne "$want" ]; then
+        echo "tier-1: $f calls memo_scan( $calls times; only Eval::scan keeps scans" >&2
+        exit 1
+    fi
+done
+if [ "$(code crates/query/src/eval.rs | sed -n '/^    fn scan(/,/^    }$/p' | grep -c 'memo_scan(')" -ne 1 ]; then
+    echo "tier-1: eval.rs calls memo_scan( outside Eval::scan" >&2
+    exit 1
+fi
+if code crates/xml/src/tree.rs | sed -e '/pub fn memo_scan/,/^    }$/d' | grep -n 'memo_scan('; then
+    echo "tier-1: xml/src/tree.rs calls memo_scan( itself" >&2
+    exit 1
+fi
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
