@@ -408,7 +408,7 @@ fn collapsing_actually_happens_on_duplicate_fanin() {
             "scan",
             r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
         )
-        .parallel(4)
+        .driver(DriverKind::Parallel { threads: 4 })
         .build()
         .unwrap();
     let coord = sys.peer_id("coord").unwrap();

@@ -195,7 +195,6 @@ impl SystemBuilder {
             self.sys.net.install_topology(t);
             for _ in 0..t.peer_count() {
                 self.sys.peers.push(crate::peer::PeerState::new());
-                self.sys.state_epochs.push(0);
             }
         }
         self
@@ -321,20 +320,6 @@ impl SystemBuilder {
     /// one precomputes independent work on a worker pool.
     pub fn driver(mut self, driver: DriverKind) -> Self {
         self.sys.set_driver(driver);
-        self
-    }
-
-    /// Shorthand for `.driver(DriverKind::Parallel { threads })`
-    /// (`threads == 0` means "use the machine's available parallelism").
-    pub fn parallel(self, threads: usize) -> Self {
-        self.driver(DriverKind::Parallel { threads })
-    }
-
-    /// Select the transport's event-scheduler backend (see
-    /// [`AxmlSystem::set_scheduler`]): the reference priority queue or
-    /// the O(1)-advance event wheel, bit-identical in delivery order.
-    pub fn scheduler(mut self, kind: axml_net::wheel::SchedulerKind) -> Self {
-        self.sys.set_scheduler(kind);
         self
     }
 

@@ -98,11 +98,13 @@ pub const DEFAULT_QUERY_RATIO: f64 = 0.3;
 pub const REQUEST_OVERHEAD: f64 = 0.0;
 
 /// What the cost model knows about the documents one peer hosts.
-/// Collected once per state epoch of the peer — the stamp
-/// [`AxmlSystem::touch_peer`] bumps on every mutation of Σ|p — and shared
-/// by `Arc` with every model snapshot taken until the peer changes.
+/// Collected once per [`PeerState::stamp`] — which every mutable door of
+/// Σ|p draws afresh — and shared by `Arc` with every model snapshot taken
+/// until the peer changes.
 #[derive(Debug, PartialEq)]
 pub(crate) struct PeerStats {
+    /// The peer's stamp when these were collected.
+    at: (u64, u64),
     /// Per document; its serialized size is the statistics' `total_bytes`.
     docs: HashMap<DocName, ForestStats>,
     /// Over all hosted documents together (what `doc("…")` sources read).
@@ -113,6 +115,7 @@ impl PeerStats {
     fn collect(peer: &PeerState) -> Self {
         let trees: Vec<Tree> = peer.docs.iter().map(|d| d.tree().clone()).collect();
         PeerStats {
+            at: peer.stamp(),
             docs: peer
                 .docs
                 .names()
@@ -124,30 +127,25 @@ impl PeerStats {
     }
 }
 
-/// Per-peer statistics cache: the state epoch the entry was collected
-/// at, and the statistics.
-pub(crate) type StatsCache = Mutex<Vec<Option<(u64, Arc<PeerStats>)>>>;
+/// Per-peer statistics cache, each entry valid while its peer's stamp is
+/// the one it was collected at.
+pub(crate) type StatsCache = Mutex<Vec<Option<Arc<PeerStats>>>>;
 
 impl AxmlSystem {
     /// Every peer's document statistics, re-collected only for peers
-    /// whose state epoch moved since the cached entry was taken.
+    /// whose stamp moved since the cached entry was taken.
     fn peer_stats(&self) -> Vec<Arc<PeerStats>> {
         let mut cache = self
             .stats_cache
             .lock()
             .expect("a thread panicked while collecting statistics");
         cache.resize(self.peers.len(), None);
-        let fresh = self.peers.iter().zip(&self.state_epochs);
         cache
             .iter_mut()
-            .zip(fresh)
-            .map(|(entry, (peer, &epoch))| match entry {
-                Some((at, stats)) if *at == epoch => Arc::clone(stats),
-                _ => {
-                    let stats = Arc::new(PeerStats::collect(peer));
-                    *entry = Some((epoch, Arc::clone(&stats)));
-                    stats
-                }
+            .zip(&self.peers)
+            .map(|(entry, peer)| match entry {
+                Some(stats) if stats.at == peer.stamp() => Arc::clone(stats),
+                _ => Arc::clone(entry.insert(Arc::new(PeerStats::collect(peer)))),
             })
             .collect()
     }
@@ -156,9 +154,8 @@ impl AxmlSystem {
 /// The document statistics of a [`CostModel`] and whose were read. The
 /// fields are private to this module, so every read goes through
 /// [`Statistics::of`], which notes the peer: the optimizer reuses a plan
-/// while the peers whose statistics priced it keep their state epoch,
-/// and a read the set missed would let a plan outlive the state that
-/// priced it.
+/// while the peers whose statistics priced it keep their stamp, and a
+/// read the set missed would let a plan outlive the state that priced it.
 mod statistics {
     use super::PeerStats;
     use axml_xml::ids::PeerId;
@@ -169,20 +166,14 @@ mod statistics {
     pub(super) struct Statistics {
         /// Per peer, shared with the system's cache.
         stats: Vec<Arc<PeerStats>>,
-        /// The state epoch each peer's statistics were collected at.
-        epochs: Vec<u64>,
         /// Whose statistics were read since the last `forget_reads`.
         read: Vec<Cell<bool>>,
     }
 
     impl Statistics {
-        pub(super) fn new(stats: Vec<Arc<PeerStats>>, epochs: Vec<u64>) -> Self {
+        pub(super) fn new(stats: Vec<Arc<PeerStats>>) -> Self {
             let read = vec![Cell::new(false); stats.len()];
-            Statistics {
-                stats,
-                epochs,
-                read,
-            }
+            Statistics { stats, read }
         }
 
         /// `at`'s statistics, noting that they were read.
@@ -198,20 +189,20 @@ mod statistics {
             }
         }
 
-        pub(super) fn reads(&self) -> Vec<(PeerId, u64)> {
+        pub(super) fn reads(&self) -> Vec<(PeerId, (u64, u64))> {
             self.read
                 .iter()
-                .zip(&self.epochs)
+                .zip(&self.stats)
                 .enumerate()
                 .filter(|(_, (read, _))| read.get())
-                .map(|(p, (_, &epoch))| (PeerId(p as u32), epoch))
+                .map(|(p, (_, stats))| (PeerId(p as u32), stats.at))
                 .collect()
         }
 
-        pub(super) fn reads_hold(&self, reads: &[(PeerId, u64)]) -> bool {
+        pub(super) fn reads_hold(&self, reads: &[(PeerId, (u64, u64))]) -> bool {
             reads
                 .iter()
-                .all(|(p, epoch)| self.epochs.get(p.index()) == Some(epoch))
+                .all(|(p, at)| self.stats.get(p.index()).map(|s| s.at) == Some(*at))
         }
     }
 }
@@ -222,8 +213,8 @@ mod statistics {
 ///
 /// The snapshot also notes whose statistics it was asked for, so that
 /// the optimizer can reuse a plan for as long as the peers whose
-/// statistics priced it keep their state epoch (DESIGN.md §3.5, "A plan
-/// is searched once per state it read").
+/// statistics priced it keep their stamp (DESIGN.md §3.5, "A plan is
+/// searched once per state it read").
 #[derive(Debug, Clone)]
 pub struct CostModel {
     n_peers: usize,
@@ -253,7 +244,7 @@ impl CostModel {
         let mut services = HashMap::new();
         for p in 0..n {
             let pid = PeerId(p as u32);
-            for (name, svc) in &sys.peer(pid).services {
+            for (name, svc) in sys.peer(pid).services() {
                 services.insert((pid, name.clone()), svc.query.clone());
             }
         }
@@ -261,7 +252,7 @@ impl CostModel {
             n_peers: n,
             links,
             up,
-            stats: statistics::Statistics::new(sys.peer_stats(), sys.state_epochs.clone()),
+            stats: statistics::Statistics::new(sys.peer_stats()),
             services,
             // The catalog is read through its public views.
             doc_replicas: sys.catalog_view().into_iter().collect(),
@@ -277,14 +268,14 @@ impl CostModel {
     }
 
     /// The peers whose statistics were read since
-    /// [`CostModel::forget_reads`], each with the state epoch they were
+    /// [`CostModel::forget_reads`], each with the stamp they were
     /// collected at.
-    pub(crate) fn reads(&self) -> Vec<(PeerId, u64)> {
+    pub(crate) fn reads(&self) -> Vec<(PeerId, (u64, u64))> {
         self.stats.reads()
     }
 
-    /// Does every peer of `reads` still stand at the epoch noted there?
-    pub(crate) fn reads_hold(&self, reads: &[(PeerId, u64)]) -> bool {
+    /// Does every peer of `reads` still stand at the stamp noted there?
+    pub(crate) fn reads_hold(&self, reads: &[(PeerId, (u64, u64))]) -> bool {
         self.stats.reads_hold(reads)
     }
 
@@ -841,8 +832,8 @@ mod tests {
     }
 
     /// Every mutation path of Σ invalidates exactly through the peer's
-    /// state epoch: after each one the (warm) cached model equals
-    /// statistics collected from scratch.
+    /// stamp: after each one the (warm) cached model equals statistics
+    /// collected from scratch.
     #[test]
     fn cached_statistics_follow_every_mutation_path() {
         fn assert_fresh(sys: &AxmlSystem, after: &str) {
@@ -926,10 +917,26 @@ mod tests {
         assert!(sys.unsubscribe(subs[0]));
         sys.feed(b, "catalog", item("unheard")).unwrap();
         assert_fresh(&sys, "unsubscribe + feed");
+        let older = sys.peer(a).docs.clone();
         let inbox = sys.peer_mut(a).docs.require_mut(&"inbox".into()).unwrap();
         let r = inbox.tree().root();
         inbox.tree_mut().add_text_element(r, "note", "by hand");
-        assert_fresh(&sys, "peer_mut");
+        assert_fresh(&sys, "peer_mut require_mut");
+        let inbox = sys.peer_mut(a).docs.get_mut(&"inbox".into()).unwrap();
+        let r = inbox.tree().root();
+        inbox.tree_mut().add_text_element(r, "note", "again");
+        assert_fresh(&sys, "peer_mut get_mut");
+        let docs = &mut sys.peer_mut(a).docs;
+        docs.insert(axml_xml::store::Document::new("extra", item("extra")))
+            .unwrap();
+        assert_fresh(&sys, "peer_mut insert");
+        let docs = &mut sys.peer_mut(a).docs;
+        docs.insert_or_replace(axml_xml::store::Document::new("extra", item("replaced")));
+        assert_fresh(&sys, "peer_mut insert_or_replace");
+        sys.peer_mut(a).docs.remove(&"inbox".into()).unwrap();
+        assert_fresh(&sys, "peer_mut remove");
+        sys.peer_mut(a).docs = older;
+        assert_fresh(&sys, "assigning an older store");
     }
 
     #[test]

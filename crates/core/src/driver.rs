@@ -14,15 +14,15 @@
 //! 1. **Speculative precompute** (workers): the heavy, *pure* pieces of
 //!    a wave — query evaluations against a peer's documents — run on a
 //!    scoped worker pool over an immutable borrow of Σ. Each job
-//!    snapshots the owning peer's
-//!    *state epoch* (a counter bumped on every peer-state mutation).
+//!    snapshots the owning peer's [`PeerState::stamp`], which every
+//!    mutable door of Σ|p draws afresh.
 //! 2. **Ordered commit** (coordinator): the wave is then replayed in
 //!    exactly the sequential order through exactly the sequential code
 //!    path. Right before committing an entry the driver stages its
 //!    precomputed value in the session's `Speculation` hook — the
 //!    only channel between this module and the engine — and the
 //!    committing task takes it at the point where it would otherwise
-//!    compute inline. A precomputed result is used only if its epoch
+//!    compute inline. A precomputed result is used only if its stamp
 //!    still matches — i.e. no earlier commit in the wave mutated that
 //!    peer — otherwise it is discarded and recomputed inline. Everything with
 //!    global ordering (network sends, call ids, metrics, trace events,
@@ -37,11 +37,11 @@
 //!
 //! On top of the pool the parallel driver adds deterministic **request
 //! collapsing**: identical service invocations (same provider, service
-//! and parameter forests, same state epoch) within a session are
+//! and parameter forests, same provider stamp) within a session are
 //! evaluated once and the result reused — in-wave via job
 //! deduplication, across waves via a session-scoped cache. Because
 //! service bodies are pure functions of the provider's documents and
-//! the parameters, and the epoch guard invalidates on any mutation,
+//! the parameters, and the stamp guard invalidates on any mutation,
 //! collapsed calls return bit-identical forests. The sequential driver
 //! never collapses: it stays the plain reference.
 //!
@@ -92,7 +92,7 @@ pub struct ParallelStats {
     pub waves: u64,
     /// Precompute jobs executed by worker threads.
     pub jobs: u64,
-    /// Precomputed results whose epoch still matched at commit.
+    /// Precomputed results whose stamp still matched at commit.
     pub precomp_used: u64,
     /// Precomputed results discarded because an earlier commit in the
     /// wave mutated the owning peer (recomputed inline).
@@ -118,7 +118,7 @@ impl ParallelStats {
 
 /// A pure precompute job extracted from one wave entry. Jobs only ever
 /// *read* Σ; everything they need beyond Σ is borrowed from the wave
-/// itself, so results are functions of (inputs, peer state @ epoch).
+/// itself, so results are functions of (inputs, peer state @ stamp).
 enum Job<'a> {
     /// [`Cont::ApplyFinish`]: run the query over the gathered forests.
     Apply {
@@ -191,21 +191,20 @@ fn params_key(params: &[Vec<Tree>]) -> Vec<u8> {
 }
 
 /// A speculative result of either job kind — a forest, or why there is
-/// none — tagged with the peer and the state epoch it was computed
-/// against. The committing coordinator uses it only if the epoch still
-/// matches.
+/// none — tagged with the peer and the stamp it was computed against.
+/// The committing coordinator uses it only if the stamp still matches.
 #[derive(Clone)]
 struct Precomp {
     peer: PeerId,
-    epoch: u64,
+    at: (u64, u64),
     result: CoreResult<Vec<Tree>>,
 }
 
 /// Run one job against an immutable Σ. This mirrors — statement for
 /// statement — what the commit path would compute inline, so a valid
-/// (epoch-matching) precomp is substitutable without observable
+/// (stamp-matching) precomp is substitutable without observable
 /// difference.
-fn run_job(peers: &[PeerState], epochs: &[u64], job: &Job<'_>) -> Precomp {
+fn run_job(peers: &[PeerState], job: &Job<'_>) -> Precomp {
     let (peer, result) = match job {
         Job::Apply { peer, query, input } => (
             *peer,
@@ -221,7 +220,7 @@ fn run_job(peers: &[PeerState], epochs: &[u64], job: &Job<'_>) -> Precomp {
     };
     Precomp {
         peer,
-        epoch: epochs[peer.index()],
+        at: peers[peer.index()].stamp(),
         result,
     }
 }
@@ -263,7 +262,6 @@ struct WaveStats {
 /// worker ran what.
 fn precompute(
     peers: &[PeerState],
-    epochs: &[u64],
     jobs: Vec<(usize, Job<'_>)>,
     slots: usize,
     threads: usize,
@@ -319,7 +317,7 @@ fn precompute(
                 scope.spawn(move || {
                     bucket
                         .into_iter()
-                        .map(|(ix, job)| (ix, run_job(peers, epochs, job)))
+                        .map(|(ix, job)| (ix, run_job(peers, job)))
                         .collect::<Vec<_>>()
                 })
             })
@@ -358,10 +356,10 @@ pub(crate) struct Speculation {
     collapse: bool,
     /// The precomputed value of the wave entry being committed.
     staged: Option<Precomp>,
-    /// Session-scoped service-result cache, `call → (epoch, results)`:
-    /// an entry is reused only while the provider's state epoch is
-    /// unchanged, so a hit is bit-identical to recomputing.
-    svc_cache: HashMap<CallKey, (u64, Vec<Tree>)>,
+    /// Session-scoped service-result cache, `call → (stamp, results)`:
+    /// an entry is reused only while the provider's stamp is unchanged,
+    /// so a hit is bit-identical to recomputing.
+    svc_cache: HashMap<CallKey, ((u64, u64), Vec<Tree>)>,
 }
 
 impl Speculation {
@@ -447,7 +445,7 @@ impl AxmlSystem {
             .enumerate()
             .filter_map(|(i, j)| j.map(|j| (i, j)))
             .collect();
-        let (pre, wave) = precompute(&self.peers, &self.state_epochs, jobs, slots, threads);
+        let (pre, wave) = precompute(&self.peers, jobs, slots, threads);
         self.par_stats.waves += 1;
         self.par_stats.jobs += wave.jobs;
         self.par_stats.dedup_hits += wave.dedup_hits;
@@ -455,14 +453,14 @@ impl AxmlSystem {
     }
 
     /// The staged precomputed result if it is valid (same peer, same
-    /// epoch), or `None` to compute inline; stale ones are counted.
+    /// stamp), or `None` to compute inline; stale ones are counted.
     pub(crate) fn take_precomp(
         &mut self,
         s: &mut EvalSession,
         peer: PeerId,
     ) -> Option<CoreResult<Vec<Tree>>> {
         let staged = s.spec.staged.take()?;
-        if staged.peer == peer && staged.epoch == self.state_epochs[peer.index()] {
+        if staged.peer == peer && staged.at == self.peers[peer.index()].stamp() {
             self.par_stats.precomp_used += 1;
             Some(staged.result)
         } else {
@@ -473,9 +471,9 @@ impl AxmlSystem {
 
     /// The provider-side evaluation of one service call: a valid result
     /// precomputed by the parallel driver's workers, else — in collapsing
-    /// sessions — the epoch-guarded session cache, else inline. All three
+    /// sessions — the stamp-guarded session cache, else inline. All three
     /// are bit-identical: service bodies are pure in (parameters,
-    /// provider state @ epoch).
+    /// provider state @ stamp).
     pub(crate) fn service_results(
         &mut self,
         s: &mut EvalSession,
@@ -483,14 +481,14 @@ impl AxmlSystem {
         service: &ServiceName,
         params: &[Vec<Tree>],
     ) -> CoreResult<Vec<Tree>> {
-        let epoch = self.state_epochs[prov.index()];
+        let at = self.peers[prov.index()].stamp();
         let collapse = s.spec.collapse;
         let key = collapse.then(|| (prov, service.clone(), params_key(params)));
         let results = match self.take_precomp(s, prov) {
             Some(result) => result?,
             None => {
                 let hit = key.as_ref().and_then(|k| s.spec.svc_cache.get(k));
-                if let Some((_, results)) = hit.filter(|(cached_at, _)| *cached_at == epoch) {
+                if let Some((_, results)) = hit.filter(|(cached_at, _)| *cached_at == at) {
                     self.par_stats.cache_hits += 1;
                     return Ok(results.clone());
                 }
@@ -500,7 +498,7 @@ impl AxmlSystem {
         // Feed the session cache so later identical calls collapse onto
         // this evaluation.
         if let Some(k) = key {
-            s.spec.svc_cache.insert(k, (epoch, results.clone()));
+            s.spec.svc_cache.insert(k, (at, results.clone()));
         }
         Ok(results)
     }

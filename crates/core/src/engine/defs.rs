@@ -256,7 +256,6 @@ impl AxmlSystem {
                 } else {
                     self.peers[to.index()]
                         .register_service(Service::declarative(as_service, query.query));
-                    self.touch_peer(to);
                     self.fill(s, out, Vec::new())?;
                 }
                 Ok(())
@@ -743,26 +742,23 @@ impl AxmlSystem {
         Ok(gate)
     }
 
-    /// Graft a forest under the addressed node.
+    /// Graft a forest under the addressed node. The address is checked
+    /// through the read doors first, so a failed graft moves no stamp.
     pub(crate) fn graft_at(&mut self, addr: &NodeAddr, forest: &[Tree]) -> CoreResult<()> {
-        let peer = &mut self.peers[addr.peer.index()];
-        let doc = peer
-            .docs
-            .get_mut(&addr.doc)
-            .ok_or_else(|| CoreError::NoSuchDoc {
-                doc: addr.doc.clone(),
-                at: addr.peer,
-            })?;
-        let tree = doc.tree_mut();
-        if !tree.contains(addr.node) {
+        let docs = &mut self.peers[addr.peer.index()].docs;
+        let doc = docs.get(&addr.doc).ok_or_else(|| CoreError::NoSuchDoc {
+            doc: addr.doc.clone(),
+            at: addr.peer,
+        })?;
+        if !doc.tree().contains(addr.node) {
             return Err(CoreError::Xml(axml_xml::XmlError::InvalidNode {
                 index: addr.node.index() as u32,
             }));
         }
+        let tree = docs.require_mut(&addr.doc)?.tree_mut();
         for t in forest {
             tree.graft(addr.node, t, t.root())?;
         }
-        self.touch_peer(addr.peer);
         Ok(())
     }
 
@@ -777,7 +773,6 @@ impl AxmlSystem {
         for t in forest {
             doc.graft(root, t, t.root()).expect("fresh root");
         }
-        self.touch_peer(at);
         self.peers[at.index()].install_doc(Document::new(name.clone(), doc))
     }
 

@@ -512,7 +512,6 @@ impl AxmlSystem {
                 notify,
             } => {
                 self.peers[to.index()].register_service(Service::declarative(as_service, query));
-                self.touch_peer(to);
                 self.fill(s, notify, Vec::new())
             }
             Intent::Invoke {
@@ -889,7 +888,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(sys.peer(b).services.contains_key(&"names".into()));
+        assert!(sys.peer(b).services().contains_key(&"names".into()));
         // and the deployed service is callable
         let out = sys
             .eval(

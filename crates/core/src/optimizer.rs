@@ -13,8 +13,8 @@
 //! A search is a pure function of the naive plan, the optimizer's
 //! configuration and what the cost model told it, so each system keeps
 //! the plans it chose (`PlanCache`) and a repeated search is a lookup
-//! for as long as the peers whose statistics it read keep their state
-//! epoch and the model's other facts are equal (DESIGN.md §3.5, "A plan
+//! for as long as the peers whose statistics it read keep their stamp
+//! and the model's other facts are equal (DESIGN.md §3.5, "A plan
 //! is searched once per state it read").
 
 use crate::cost::{Cost, CostModel};
@@ -76,8 +76,8 @@ struct PlanKey {
 #[derive(Debug)]
 struct Reuse {
     plan: Explained,
-    /// The peers whose statistics the search read, with their epochs.
-    reads: Vec<(PeerId, u64)>,
+    /// The peers whose statistics the search read, with their stamps.
+    reads: Vec<(PeerId, (u64, u64))>,
     /// [`CostModel::facts_digest`] of the model it searched.
     facts: u128,
 }

@@ -9,17 +9,20 @@ use crate::service::Service;
 use axml_query::eval::DocResolver;
 use axml_xml::equiv::canonical_digest;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
-use axml_xml::store::{DocStore, Document};
+use axml_xml::store::{fresh_stamp, DocStore, Document};
 use axml_xml::tree::Tree;
 use std::collections::BTreeMap;
 
-/// The local state of one peer.
+/// The local state of one peer, Σ|p. It changes only through the
+/// mutable doors of its [`DocStore`] and [`PeerState::register_service`],
+/// each of which draws a fresh [`PeerState::stamp`].
 #[derive(Debug, Clone, Default)]
 pub struct PeerState {
     /// Hosted documents.
     pub docs: DocStore,
-    /// Registered services.
-    pub services: BTreeMap<ServiceName, Service>,
+    services: BTreeMap<ServiceName, Service>,
+    /// Drawn by `register_service`; 0 for a table it never moved.
+    services_stamp: u64,
 }
 
 impl PeerState {
@@ -47,7 +50,22 @@ impl PeerState {
 
     /// Register a service (replacing any previous definition).
     pub fn register_service(&mut self, service: Service) {
+        self.services_stamp = fresh_stamp();
         self.services.insert(service.name.clone(), service);
+    }
+
+    /// Registered services, by name.
+    pub fn services(&self) -> &BTreeMap<ServiceName, Service> {
+        &self.services
+    }
+
+    /// The mutation stamp of Σ|p: the documents' [`DocStore::stamp`] and
+    /// the service table's, compared for equality only. Two reads
+    /// returning the same pair saw the same documents and services —
+    /// what every cache of a function of Σ|p keys on. (Not their `max`:
+    /// `docs` may be assigned a store carrying an older stamp.)
+    pub fn stamp(&self) -> (u64, u64) {
+        (self.docs.stamp(), self.services_stamp)
     }
 
     /// Look up a service.

@@ -47,9 +47,8 @@ pub struct AxmlSystem {
     pub(crate) engine_seed: u64,
     pub(crate) sessions: u64,
     pub(crate) driver: DriverKind,
-    pub(crate) state_epochs: Vec<u64>,
     /// The cost model's document statistics, valid per peer while its
-    /// state epoch stands (see [`crate::cost`]).
+    /// [`PeerState::stamp`] stands (see [`crate::cost`]).
     pub(crate) stats_cache: crate::cost::StatsCache,
     /// Chosen plans, valid while what their search read stands (see
     /// [`crate::optimizer`]).
@@ -71,7 +70,6 @@ impl AxmlSystem {
     /// [`PeerState`]s.
     fn from_net(net: SimTransport<Wire>) -> Self {
         let peers: Vec<PeerState> = (0..net.peer_count()).map(|_| PeerState::new()).collect();
-        let state_epochs = vec![0; peers.len()];
         AxmlSystem {
             net,
             peers,
@@ -83,7 +81,6 @@ impl AxmlSystem {
             engine_seed: DEFAULT_ENGINE_SEED,
             sessions: 0,
             driver: DriverKind::Sequential,
-            state_epochs,
             stats_cache: Default::default(),
             plans: Default::default(),
             par_stats: ParallelStats::default(),
@@ -106,7 +103,6 @@ impl AxmlSystem {
     pub fn add_peer(&mut self, name: impl Into<String>) -> PeerId {
         let id = self.net.add_peer(name);
         self.peers.push(PeerState::new());
-        self.state_epochs.push(0);
         id
     }
 
@@ -120,19 +116,12 @@ impl AxmlSystem {
         &self.peers[p.index()]
     }
 
-    /// Mutable access to a peer's state.
+    /// Mutable access to a peer's state. Whatever it changes moves the
+    /// peer's [`PeerState::stamp`] — the documents' doors and
+    /// `register_service` draw it — so every cache of a function of Σ|p
+    /// (statistics, plans, precomputes) sees the change.
     pub fn peer_mut(&mut self, p: PeerId) -> &mut PeerState {
-        self.touch_peer(p);
         &mut self.peers[p.index()]
-    }
-
-    /// Record a mutation of `p`'s state Σ|p: bumps the peer's epoch so
-    /// speculative results computed against the old state are discarded
-    /// instead of committed (see [`crate::driver`]).
-    pub(crate) fn touch_peer(&mut self, p: PeerId) {
-        if let Some(e) = self.state_epochs.get_mut(p.index()) {
-            *e += 1;
-        }
     }
 
     /// The network (for link configuration, fault plans, clock control).
@@ -189,7 +178,6 @@ impl AxmlSystem {
         tree: Tree,
     ) -> CoreResult<()> {
         self.check_peer(at)?;
-        self.touch_peer(at);
         self.peers[at.index()].install_doc(Document::new(name, tree))
     }
 
@@ -211,7 +199,6 @@ impl AxmlSystem {
     /// Register a declarative service on a peer.
     pub fn register_service(&mut self, at: PeerId, service: Service) -> CoreResult<()> {
         self.check_peer(at)?;
-        self.touch_peer(at);
         self.peers[at.index()].register_service(service);
         Ok(())
     }
@@ -379,7 +366,7 @@ mod tests {
         let a = sys.add_peer("a");
         sys.register_declarative_service(a, "scan", "for $x in $0//pkg return {$x}")
             .unwrap();
-        assert!(sys.peer(a).services.contains_key(&"scan".into()));
+        assert!(sys.peer(a).services().contains_key(&"scan".into()));
         assert!(sys
             .register_declarative_service(PeerId(3), "x", "$0")
             .is_err());

@@ -723,7 +723,7 @@ const SELECT: &str =
     r#"for $p in $0//pkg where $p/size/text() > 4000 return <big>{$p/@name}</big>"#;
 /// What `scan@p1` may be (re)defined as. It reads its parameter only, so
 /// a search through it reads no statistics of p1's: redefining it moves
-/// p1's epoch, but only the service itself, a fact, can tell the search.
+/// p1's stamp, but only the service itself, a fact, can tell the search.
 const SCANS: [&str; 3] = [
     "for $p in $0//pkg return {$p}",
     "for $p in $0//pkg where $p/size/text() > 2000 return {$p}",

@@ -1,0 +1,244 @@
+//! A peer's stamp is its state: every door that changes Σ|p moves
+//! `PeerState::stamp`, and nothing else does — no read, and no mutation
+//! that is rejected. The caches of functions of Σ|p (cost-model
+//! statistics, chosen plans, the parallel driver's precomputes and its
+//! collapsed service calls) are valid exactly while it holds.
+
+use axml_core::prelude::*;
+use axml_query::Query;
+use axml_xml::ids::{NodeAddr, PeerId};
+use axml_xml::store::Document;
+use axml_xml::tree::{NodeId, Tree};
+
+/// A client `a` and a server `b` over a WAN. `b` hosts a catalog and a
+/// service over it; each hosts one replica of the class `cat`; `a` has
+/// an `inbox` to send into.
+fn system() -> (AxmlSystem, PeerId, PeerId) {
+    let mut sys = AxmlSystem::new();
+    let a = sys.add_peer("a");
+    let b = sys.add_peer("b");
+    sys.net_mut().set_link(a, b, LinkCost::wan());
+    sys.install_doc(b, "catalog", Tree::parse("<catalog/>").unwrap())
+        .unwrap();
+    sys.register_declarative_service(b, "pkgs", r#"doc("catalog")/pkg"#)
+        .unwrap();
+    sys.install_doc(a, "inbox", Tree::parse("<inbox/>").unwrap())
+        .unwrap();
+    sys.install_replica(a, "cat", "cat-a", Tree::parse("<cat/>").unwrap())
+        .unwrap();
+    sys.install_replica(b, "cat", "cat-b", Tree::parse("<cat/>").unwrap())
+        .unwrap();
+    (sys, a, b)
+}
+
+fn item(v: &str) -> Tree {
+    Tree::parse(&format!(r#"<pkg name="{v}"/>"#)).unwrap()
+}
+
+fn stamps(sys: &AxmlSystem) -> Vec<(u64, u64)> {
+    (0..sys.peer_count())
+        .map(|p| sys.peer(PeerId(p as u32)).stamp())
+        .collect()
+}
+
+/// Run `door` and assert that it moved `p`'s stamp.
+fn moves(sys: &mut AxmlSystem, p: PeerId, what: &str, door: impl FnOnce(&mut AxmlSystem)) {
+    let before = sys.peer(p).stamp();
+    door(sys);
+    assert_ne!(sys.peer(p).stamp(), before, "{what} must move the stamp");
+}
+
+/// Run `op` and assert that no peer's stamp moved.
+fn holds(sys: &mut AxmlSystem, what: &str, op: impl FnOnce(&mut AxmlSystem)) {
+    let before = stamps(sys);
+    op(sys);
+    assert_eq!(stamps(sys), before, "{what} must not move a stamp");
+}
+
+fn root(sys: &AxmlSystem, at: PeerId, doc: &str) -> NodeAddr {
+    let t = sys.peer(at).doc(&doc.into(), at).unwrap();
+    NodeAddr::new(at, doc, t.root())
+}
+
+fn send(dest: SendDest, at: PeerId) -> Expr {
+    Expr::Send {
+        dest,
+        payload: Box::new(Expr::Tree {
+            tree: item("sent"),
+            at,
+        }),
+    }
+}
+
+#[test]
+fn every_door_moves_the_stamp() {
+    let (mut sys, a, b) = system();
+    moves(&mut sys, a, "install_doc", |sys| {
+        sys.install_doc(a, "d", Tree::parse("<d/>").unwrap())
+            .unwrap()
+    });
+    moves(&mut sys, b, "install_replica", |sys| {
+        sys.install_replica(b, "cls", "cls-b", Tree::parse("<c/>").unwrap())
+            .unwrap()
+    });
+    moves(&mut sys, b, "register_service", |sys| {
+        let q = Query::parse("all", r#"doc("catalog")/*"#).unwrap();
+        sys.register_service(b, Service::declarative("all", q))
+            .unwrap()
+    });
+    moves(&mut sys, b, "register_declarative_service", |sys| {
+        sys.register_declarative_service(b, "one", r#"doc("catalog")/pkg"#)
+            .unwrap()
+    });
+    moves(&mut sys, b, "feed", |sys| {
+        sys.feed(b, "catalog", item("fed")).unwrap();
+    });
+    for (p, side) in [(a, "origin"), (b, "sibling")] {
+        moves(&mut sys, p, &format!("feed_replicas ({side})"), |sys| {
+            sys.feed_replicas(a, &"cat".into(), item("update")).unwrap();
+        });
+    }
+    for (p, at) in [(a, a), (a, b)] {
+        let dest = SendDest::Nodes(vec![root(&sys, a, "inbox")]);
+        moves(&mut sys, p, "a send to nodes", |sys| {
+            sys.eval(at, &send(dest, at)).unwrap();
+        });
+    }
+    for (name, at) in [("fresh-local", a), ("fresh-remote", b)] {
+        let dest = SendDest::NewDoc {
+            peer: a,
+            name: name.into(),
+        };
+        moves(&mut sys, a, "a send to a new document", |sys| {
+            sys.eval(at, &send(dest, at)).unwrap();
+        });
+    }
+    for (name, to) in [("deployed-local", a), ("deployed-remote", b)] {
+        let query = LocatedQuery::new(Query::parse(name, "$0/*").unwrap(), a);
+        let deploy = Expr::Deploy {
+            to,
+            query,
+            as_service: name.into(),
+        };
+        moves(&mut sys, to, "a Deploy", |sys| {
+            sys.eval(a, &deploy).unwrap();
+        });
+    }
+    let lazy = ScNode {
+        id: None,
+        provider: PeerRef::At(b),
+        service: "pkgs".into(),
+        params: vec![],
+        forward: vec![],
+        mode: ActivationMode::Lazy,
+    };
+    let mut t = Tree::parse("<d/>").unwrap();
+    let r = t.root();
+    lazy.write(&mut t, r);
+    sys.install_doc(a, "lazy", t).unwrap();
+    moves(&mut sys, a, "a lazy activation", |sys| {
+        let q = Query::parse("all", "$0/*").unwrap();
+        let (_, activated) = sys.query_document(a, &"lazy".into(), &q).unwrap();
+        assert_eq!(activated, 1);
+    });
+    let older = sys.peer(a).docs.clone();
+    moves(&mut sys, a, "docs.get_mut", |sys| {
+        sys.peer_mut(a).docs.get_mut(&"inbox".into()).unwrap();
+    });
+    moves(&mut sys, a, "docs.require_mut", |sys| {
+        sys.peer_mut(a).docs.require_mut(&"inbox".into()).unwrap();
+    });
+    moves(&mut sys, a, "docs.insert", |sys| {
+        let doc = Document::new("extra", item("extra"));
+        sys.peer_mut(a).docs.insert(doc).unwrap();
+    });
+    moves(&mut sys, a, "docs.insert_or_replace", |sys| {
+        let doc = Document::new("extra", item("replaced"));
+        sys.peer_mut(a).docs.insert_or_replace(doc);
+    });
+    moves(&mut sys, a, "docs.remove", |sys| {
+        sys.peer_mut(a).docs.remove(&"extra".into()).unwrap();
+    });
+    moves(&mut sys, a, "assigning an older store", |sys| {
+        sys.peer_mut(a).docs = older;
+    });
+}
+
+#[test]
+fn every_read_keeps_the_stamp() {
+    let (mut sys, a, b) = system();
+    sys.feed(b, "catalog", item("vim")).unwrap();
+    holds(&mut sys, "peer()", |sys| {
+        let _ = (sys.peer(a).docs.len(), sys.peer(b).services().len());
+    });
+    holds(&mut sys, "CostModel::from_system", |sys| {
+        CostModel::from_system(sys);
+    });
+    holds(&mut sys, "snapshot", |sys| {
+        sys.snapshot();
+    });
+    holds(&mut sys, "peer_mut without a mutation", |sys| {
+        sys.peer_mut(a).docs.get(&"inbox".into()).unwrap();
+    });
+    let names = Query::parse("names", "$0//pkg/@name").unwrap();
+    for at in [a, b] {
+        let query = Expr::Apply {
+            query: LocatedQuery::new(names.clone(), at),
+            args: vec![Expr::Doc {
+                name: "catalog".into(),
+                at: PeerRef::At(b),
+            }],
+        };
+        holds(&mut sys, "a pure query", |sys| {
+            assert_eq!(sys.eval(at, &query).unwrap().len(), 1);
+        });
+    }
+}
+
+#[test]
+fn every_rejected_mutation_keeps_the_stamp() {
+    let (mut sys, a, b) = system();
+    holds(&mut sys, "a duplicate install_doc", |sys| {
+        assert!(sys
+            .install_doc(a, "inbox", Tree::parse("<x/>").unwrap())
+            .is_err());
+    });
+    holds(&mut sys, "a feed into an unknown document", |sys| {
+        assert!(sys.feed(b, "no-such-doc", item("lost")).is_err());
+    });
+    for at in [a, b] {
+        let dest = SendDest::NewDoc {
+            peer: a,
+            name: "inbox".into(),
+        };
+        holds(&mut sys, "a send to a taken document name", |sys| {
+            assert!(sys.eval(at, &send(dest, at)).is_err());
+        });
+    }
+}
+
+/// A send to a node the document does not have is rejected before the
+/// document is borrowed mutably: neither the peer's stamp nor the
+/// document's moves, so its watchers keep their shortcuts and the
+/// peer's statistics and plans stay warm.
+#[test]
+fn a_failed_graft_moves_no_stamp() {
+    let (mut sys, a, b) = system();
+    let nowhere = NodeAddr::new(a, "inbox", NodeId::from_index(999).unwrap());
+    let doc_stamp = |sys: &AxmlSystem| sys.peer(a).docs.get(&"inbox".into()).unwrap().stamp();
+    for at in [a, b] {
+        let before = doc_stamp(&sys);
+        let dest = SendDest::Nodes(vec![nowhere.clone()]);
+        holds(&mut sys, "a graft under a missing node", |sys| {
+            let e = sys.eval(at, &send(dest, at)).unwrap_err();
+            assert!(
+                matches!(
+                    e,
+                    CoreError::Xml(axml_xml::XmlError::InvalidNode { index: 999 })
+                ),
+                "{e:?}"
+            );
+        });
+        assert_eq!(doc_stamp(&sys), before, "the document's stamp holds");
+    }
+}

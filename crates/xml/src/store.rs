@@ -10,12 +10,17 @@ use crate::tree::{NodeId, Tree};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The source of [`Document::stamp`]s. One counter for the whole process,
-/// so a document that is removed and installed again under its old name
-/// can never come back carrying a stamp its predecessor once had.
-static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+/// The source of every stamp: [`Document::stamp`], [`DocStore::stamp`] and
+/// a peer's service table. One counter for the whole process, so a
+/// document or store that is replaced by an older copy, or removed and
+/// installed again, can never come back carrying a stamp its predecessor
+/// once had. It starts at 1: stamp 0 is an empty store or service table
+/// that no door has moved yet.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
-fn fresh_stamp() -> u64 {
+/// Draw a stamp no earlier draw returned. For a holder of state whose
+/// every mutable door draws one, so that equal stamps mean equal state.
+pub fn fresh_stamp() -> u64 {
     // Relaxed: the value only has to be unique; it publishes nothing.
     NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
 }
@@ -74,6 +79,7 @@ impl Document {
 #[derive(Debug, Default, Clone)]
 pub struct DocStore {
     docs: BTreeMap<DocName, Document>,
+    stamp: u64,
 }
 
 impl DocStore {
@@ -88,14 +94,26 @@ impl DocStore {
         if self.docs.contains_key(doc.name()) {
             return Err(XmlError::DuplicateDocument(doc.name().to_string()));
         }
-        self.docs.insert(doc.name().clone(), doc);
+        self.insert_or_replace(doc);
         Ok(())
     }
 
     /// Install or replace a document (used by replication maintenance,
     /// which is outside the uniqueness rule).
     pub fn insert_or_replace(&mut self, doc: Document) {
+        self.stamp = fresh_stamp();
         self.docs.insert(doc.name().clone(), doc);
+    }
+
+    /// The store's mutation stamp: drawn afresh by every mutable door
+    /// that succeeds ([`DocStore::insert`], [`DocStore::insert_or_replace`],
+    /// [`DocStore::get_mut`], [`DocStore::require_mut`], a
+    /// [`DocStore::remove`] that removes), 0 for a store no door has
+    /// moved. Two reads returning the same stamp saw the same documents —
+    /// a clone carries its stamp, and a store replaced by an older clone
+    /// reads as changed.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Look up a document by name.
@@ -105,7 +123,9 @@ impl DocStore {
 
     /// Look up a document by name, mutably.
     pub fn get_mut(&mut self, name: &DocName) -> Option<&mut Document> {
-        self.docs.get_mut(name)
+        let doc = self.docs.get_mut(name)?;
+        self.stamp = fresh_stamp();
+        Some(doc)
     }
 
     /// Like [`DocStore::get`] but with a typed error.
@@ -116,14 +136,15 @@ impl DocStore {
 
     /// Like [`DocStore::get_mut`] but with a typed error.
     pub fn require_mut(&mut self, name: &DocName) -> XmlResult<&mut Document> {
-        self.docs
-            .get_mut(name)
+        self.get_mut(name)
             .ok_or_else(|| XmlError::NoSuchDocument(name.to_string()))
     }
 
     /// Remove a document, returning it.
     pub fn remove(&mut self, name: &DocName) -> Option<Document> {
-        self.docs.remove(name)
+        let doc = self.docs.remove(name)?;
+        self.stamp = fresh_stamp();
+        Some(doc)
     }
 
     /// True if a document with this name exists.
@@ -267,6 +288,41 @@ mod tests {
         s.remove(&"d".into()).unwrap();
         s.insert(doc("d", "<a><b/></a>")).unwrap();
         assert!(s.get(&"d".into()).unwrap().stamp() > v2);
+    }
+
+    #[test]
+    fn store_stamp_moves_with_every_door_that_succeeds() {
+        let mut s = DocStore::new();
+        assert_eq!(s.stamp(), 0, "no door moved it yet");
+        let mut last = s.stamp();
+        let mut moved = |s: &DocStore, how: &str| {
+            assert!(s.stamp() > last, "{how} moves the stamp");
+            last = s.stamp();
+        };
+        s.insert(doc("d", "<a/>")).unwrap();
+        moved(&s, "insert");
+        s.insert_or_replace(doc("d", "<b/>"));
+        moved(&s, "insert_or_replace");
+        s.get_mut(&"d".into()).unwrap();
+        moved(&s, "get_mut");
+        s.require_mut(&"d".into()).unwrap();
+        moved(&s, "require_mut");
+        let older = s.clone();
+        assert_eq!(older.stamp(), s.stamp(), "a clone is the same store");
+        s.remove(&"d".into()).unwrap();
+        moved(&s, "remove");
+        // Failed doors and reads keep it.
+        s.insert(doc("e", "<a/>")).unwrap();
+        let held = s.stamp();
+        assert!(s.insert(doc("e", "<b/>")).is_err());
+        assert!(s.get_mut(&"x".into()).is_none());
+        assert!(s.require_mut(&"x".into()).is_err());
+        assert!(s.remove(&"x".into()).is_none());
+        let _ = (s.get(&"e".into()), s.require(&"e".into()), s.len());
+        assert_eq!(s.stamp(), held);
+        // An older copy put back reads as changed.
+        s = older;
+        assert_ne!(s.stamp(), held);
     }
 
     #[test]

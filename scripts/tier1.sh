@@ -6,10 +6,10 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - ten grep gates, one per "one of each" claim (wire-format writer,
+#   - eleven grep gates, one per "one of each" claim (wire-format writer,
 #     trace format, rendered payloads, byte codec, blocking session,
 #     strategy picker, send path, plans priced in place, one evaluation
-#     per call, one scan memo) — each explained where it runs;
+#     per call, one scan memo, one clock) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -250,6 +250,35 @@ if [ "$(code crates/query/src/eval.rs | sed -n '/^    fn scan(/,/^    }$/p' | gr
 fi
 if code crates/xml/src/tree.rs | sed -e '/pub fn memo_scan/,/^    }$/d' | grep -n 'memo_scan('; then
     echo "tier-1: xml/src/tree.rs calls memo_scan( itself" >&2
+    exit 1
+fi
+
+echo "== tier-1: one clock (stamps drawn only in xml/src/store.rs and PeerState::register_service) =="
+# Σ|p stamps itself: every mutable door of a DocStore and the service
+# table's one door draw from the process-wide counter, and every cache
+# of a function of Σ|p compares PeerState::stamp(). Outside comments and
+# `#[cfg(test)]` modules, a per-system epoch beside it (state_epochs,
+# touch_peer) is a second clock that callers must remember to move, and
+# a draw anywhere else is a door the state does not own.
+for f in $(find crates -name '*.rs'); do
+    if code "$f" | grep -nE 'state_epochs|touch_peer'; then
+        echo "tier-1: $f keeps a second clock for Σ|p; read PeerState::stamp()" >&2
+        exit 1
+    fi
+done
+for f in $(find crates/*/src -name '*.rs' ! -path crates/xml/src/store.rs); do
+    draws=$(code "$f" | grep -cE 'fresh_stamp\(|NEXT_STAMP' || true)
+    case "$f" in
+        crates/core/src/peer.rs) want=1 ;; # register_service
+        *) want=0 ;;
+    esac
+    if [ "$draws" -ne "$want" ]; then
+        echo "tier-1: $f draws a stamp $draws times; only the doors of Σ|p do" >&2
+        exit 1
+    fi
+done
+if [ "$(code crates/core/src/peer.rs | sed -n '/pub fn register_service(/,/^    }$/p' | grep -c 'fresh_stamp(')" -ne 1 ]; then
+    echo "tier-1: core/src/peer.rs draws a stamp outside register_service" >&2
     exit 1
 fi
 

@@ -229,7 +229,7 @@ fn definition_8_code_shipping() {
         )
         .unwrap();
     assert!(out.is_empty());
-    assert!(sys.peer(p1).services.contains_key(&"wrapper".into()));
+    assert!(sys.peer(p1).services().contains_key(&"wrapper".into()));
     assert_eq!(sys.stats().link(p0, p1).messages, 1);
 }
 
