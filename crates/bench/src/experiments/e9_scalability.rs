@@ -38,6 +38,11 @@ pub struct ParEvalRun {
     /// The parallel run's report — must serialize identically to
     /// `seq_report`.
     pub par_report: RunReport,
+    /// The sequential run's driver counters (all zero: it collapses
+    /// nothing).
+    pub seq_stats: ParallelStats,
+    /// The parallel run's driver counters: its duplicate collapses.
+    pub par_stats: ParallelStats,
     /// Network bytes (identical across drivers by construction).
     pub bytes: u64,
     /// Network messages.
@@ -55,7 +60,15 @@ fn par_eval_once(
     n: usize,
     catalog_size: usize,
     driver: DriverKind,
-) -> (f64, RunReport, u64, u64, f64, Vec<TraceEvent>) {
+) -> (
+    f64,
+    RunReport,
+    ParallelStats,
+    u64,
+    u64,
+    f64,
+    Vec<TraceEvent>,
+) {
     let mut sys = AxmlSystem::builder()
         .peers(["coord", "provider"])
         .link("coord", "provider", LinkCost::wan())
@@ -96,6 +109,7 @@ fn par_eval_once(
     (
         wall_ms,
         report,
+        sys.parallel_stats(),
         sys.stats().total_bytes(),
         sys.stats().total_messages(),
         sys.stats().makespan_ms(),
@@ -105,15 +119,17 @@ fn par_eval_once(
 
 /// Measure one fan-in configuration under both drivers.
 pub fn par_eval(n: usize, catalog_size: usize) -> ParEvalRun {
-    let (seq_wall_ms, seq_report, bytes, msgs, makespan, events) =
+    let (seq_wall_ms, seq_report, seq_stats, bytes, msgs, makespan, events) =
         par_eval_once(n, catalog_size, DriverKind::Sequential);
-    let (par_wall_ms, par_report, ..) =
+    let (par_wall_ms, par_report, par_stats, ..) =
         par_eval_once(n, catalog_size, DriverKind::Parallel { threads: 4 });
     ParEvalRun {
         seq_wall_ms,
         par_wall_ms,
         seq_report,
         par_report,
+        seq_stats,
+        par_stats,
         bytes,
         msgs,
         makespan,

@@ -28,13 +28,20 @@ fn par_eval_reports_match_and_duplicates_collapse() {
     // Sharing must be doing real work (the provider's catalog arena
     // moves as a handle, never as a deep clone).
     assert!(d.bytes_shared > 0, "fan-in moved nothing by handle: {d:?}");
-    // 8 duplicate evaluations collapse to 1 under the parallel
-    // driver; even on one core the wall clock must reflect it.
-    let speedup = m.seq_wall_ms / m.par_wall_ms.max(1e-9);
-    assert!(
-        speedup > 1.2,
-        "expected collapsing to win clearly: seq {:.2} ms vs par {:.2} ms ({speedup:.2}x)",
-        m.seq_wall_ms,
-        m.par_wall_ms
+    // 8 duplicate evaluations collapse to 1 under the parallel driver,
+    // and the sequential reference collapses none. Counted, not timed:
+    // a closed scan over an unchanged catalog is walked once either way,
+    // so the wall clocks (E9's table keeps them) no longer tell them
+    // apart reliably.
+    let par = m.par_stats;
+    assert_eq!(
+        par.cache_hits + par.dedup_hits,
+        8 - 1,
+        "duplicates did not collapse onto one evaluation: {par:?}"
+    );
+    assert_eq!(
+        m.seq_stats,
+        axml_core::ParallelStats::default(),
+        "the sequential driver collapsed calls"
     );
 }

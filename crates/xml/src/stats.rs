@@ -1,13 +1,21 @@
 //! Copy/share accounting for the zero-copy substrate.
 //!
 //! The whole point of the zero-copy substrate is that subtrees move by
-//! handle ([`crate::tree::Tree::subtree`]), not by copy. This module makes that claim
-//! *measurable*: every materializing copy (a graft, or a copy-on-write
-//! materialization of a shared arena) and every avoided copy (a handle
-//! clone or share of an already-shared arena) is counted in process-wide
-//! atomics. Benchmarks and tests read the counters through
-//! [`CopyStats::snapshot`] / [`CopyStats::delta_since`]; the E9 fan-in
-//! benchmark asserts on the copied/shared ratio.
+//! handle ([`crate::tree::Tree::subtree`]), not by copy. This module makes
+//! that claim *measurable* in process-wide atomics, three ways:
+//!
+//! - a materializing copy (a graft, or a copy-on-write materialization of
+//!   a shared arena) adds its nodes and heap bytes to the `*_copied`
+//!   counters;
+//! - a whole-arena handle clone (`Tree::clone`) adds the arena's nodes
+//!   and heap bytes to the `*_shared` counters: the deep copy it avoided;
+//! - a subtree view ([`crate::tree::Tree::subtree`]) is counted as one
+//!   event in `handle_shares`, with no size — a view costs O(1), and
+//!   sizing it would walk it.
+//!
+//! Benchmarks and tests read the counters through [`CopyStats::snapshot`]
+//! / [`CopyStats::delta_since`]; the E9 fan-in gate bounds the bytes
+//! copied.
 //!
 //! Counters are monotone and lock-free (`Relaxed` atomics — they are
 //! telemetry, not synchronization). `reset` exists for single-threaded
@@ -28,8 +36,8 @@ pub(crate) fn record_copy(nodes: u64, bytes: u64) {
     BYTES_COPIED.fetch_add(bytes, Ordering::Relaxed);
 }
 
-/// Record an avoided copy: a handle was shared instead of deep-copying
-/// `nodes` nodes / `bytes` heap bytes.
+/// Record an avoided copy: a whole arena of `nodes` nodes / `bytes` heap
+/// bytes was shared by a handle clone instead of deep-copied.
 pub(crate) fn record_share(nodes: u64, bytes: u64) {
     NODES_SHARED.fetch_add(nodes, Ordering::Relaxed);
     BYTES_SHARED.fetch_add(bytes, Ordering::Relaxed);
@@ -41,10 +49,9 @@ pub(crate) fn record_cow() {
     COW_MATERIALIZATIONS.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Record one O(1) subtree handle share ([`crate::tree::Tree::share`] /
-/// [`crate::tree::Tree::subtree`]). Counted as an event only: the subtree's
-/// byte size is not known in O(1), and the whole arena's bytes are already
-/// credited at handle-clone time.
+/// Record one O(1) subtree view ([`crate::tree::Tree::subtree`]). Counted
+/// as an event only: the subtree's size is not known in O(1), and the
+/// whole arena's bytes are already credited at handle-clone time.
 pub(crate) fn record_handle_share() {
     HANDLE_SHARES.fetch_add(1, Ordering::Relaxed);
 }
@@ -52,18 +59,20 @@ pub(crate) fn record_handle_share() {
 /// A point-in-time snapshot of the process-wide copy/share counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CopyStats {
-    /// Heap bytes materialized by deep copies (deep-copy, graft, and
-    /// copy-on-write materialization).
+    /// Heap bytes materialized by copies (grafts and copy-on-write
+    /// materializations).
     pub bytes_copied: u64,
-    /// Nodes materialized by deep copies.
+    /// Nodes materialized by copies.
     pub nodes_copied: u64,
-    /// Heap bytes whose copy was avoided by sharing a handle.
+    /// Heap bytes of whole arenas that a handle clone shared instead of
+    /// copying. Subtree views add nothing here.
     pub bytes_shared: u64,
-    /// Nodes whose copy was avoided by sharing a handle.
+    /// Nodes of whole arenas that a handle clone shared instead of
+    /// copying. Subtree views add nothing here.
     pub nodes_shared: u64,
     /// Number of copy-on-write arena materializations.
     pub cow_materializations: u64,
-    /// Number of O(1) subtree handle shares (`share`/`subtree`).
+    /// Number of O(1) subtree views taken (`Tree::subtree`).
     pub handle_shares: u64,
 }
 

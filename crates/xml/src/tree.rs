@@ -22,6 +22,7 @@
 //! ([`crate::equiv`]) and query evaluation treat children as a multiset.
 
 use crate::error::{XmlError, XmlResult};
+use crate::stack::Stack;
 use crate::symbol::Label;
 use std::any::Any;
 use std::fmt;
@@ -410,87 +411,34 @@ impl Tree {
         }
     }
 
-    /// Allocate a detached element node.
-    fn new_element(&mut self, label: impl Into<Label>) -> NodeId {
-        self.alloc(NodeKind::Element {
-            label: label.into(),
-            attrs: Vec::new(),
-        })
-    }
-
-    /// Allocate a detached text node.
-    fn new_text(&mut self, text: impl Into<String>) -> NodeId {
-        self.alloc(NodeKind::Text(text.into()))
-    }
-
-    fn alloc(&mut self, kind: NodeKind) -> NodeId {
+    /// Push a fresh node of `kind` as the last child of `parent`, linked
+    /// both ways on one borrow of the arena.
+    fn add_child(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
+        assert!(
+            self.contains(parent) && self.node(parent).is_element(),
+            "parent {parent} must be a valid element"
+        );
         let node = Node {
             kind,
-            parent: None,
+            parent: Some(parent),
             children: Vec::new(),
         };
-        self.arena_bytes += node_heap_bytes(&node);
-        let nodes = self.nodes_mut();
-        let id = NodeId::from_arena(nodes.len());
-        nodes.push(node);
-        id
-    }
-
-    /// Attach a detached node as a child of `parent`.
-    fn append_child(&mut self, parent: NodeId, child: NodeId) -> XmlResult<()> {
-        if !self.contains(parent) {
-            return Err(XmlError::InvalidNode { index: parent.0 });
-        }
-        if !self.contains(child) {
-            return Err(XmlError::InvalidNode { index: child.0 });
-        }
-        if parent == child {
-            return Err(XmlError::Structure("cannot attach a node to itself".into()));
-        }
-        if child == self.root {
-            return Err(XmlError::Structure(
-                "cannot attach the root under another node".into(),
-            ));
-        }
-        if !self.node(parent).is_element() {
-            return Err(XmlError::NotAnElement { index: parent.0 });
-        }
-        if self.node(child).parent.is_some() {
-            return Err(XmlError::Structure(format!(
-                "node {child} already has a parent; detach it first"
-            )));
-        }
-        // Reject cycles: parent must not be a descendant of child — which
-        // a node without children (every freshly added one) has none of.
-        let mut cur = Some(parent).filter(|_| !self.node(child).children.is_empty());
-        while let Some(c) = cur {
-            if c == child {
-                return Err(XmlError::Structure(
-                    "attachment would create a cycle".into(),
-                ));
-            }
-            cur = self.node(c).parent;
-        }
-        self.node_mut(child).parent = Some(parent);
-        self.node_mut(parent).children.push(child);
-        self.arena_bytes += std::mem::size_of::<NodeId>() as u64;
-        Ok(())
+        self.arena_bytes += node_heap_bytes(&node) + std::mem::size_of::<NodeId>() as u64;
+        push_child(self.nodes_mut(), node)
     }
 
     /// Convenience: allocate and attach an element child, returning its id.
     pub fn add_element(&mut self, parent: NodeId, label: impl Into<Label>) -> NodeId {
-        let id = self.new_element(label);
-        self.append_child(parent, id)
-            .expect("add_element: parent must be a valid element");
-        id
+        let kind = NodeKind::Element {
+            label: label.into(),
+            attrs: Vec::new(),
+        };
+        self.add_child(parent, kind)
     }
 
     /// Convenience: allocate and attach a text child, returning its id.
     pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
-        let id = self.new_text(text);
-        self.append_child(parent, id)
-            .expect("add_text: parent must be a valid element");
-        id
+        self.add_child(parent, NodeKind::Text(text.into()))
     }
 
     /// Convenience: `<label>text</label>` under `parent`.
@@ -505,8 +453,8 @@ impl Tree {
         el
     }
 
-    /// Detach `id` from its parent. The subtree stays in the arena (it can
-    /// be re-attached) but is no longer reachable from the root.
+    /// Detach `id` from its parent. The subtree stays in the arena but is
+    /// no longer reachable from the root.
     pub fn detach(&mut self, id: NodeId) -> XmlResult<()> {
         if !self.contains(id) {
             return Err(XmlError::InvalidNode { index: id.0 });
@@ -582,15 +530,20 @@ impl Tree {
     pub fn descendants_with_self(&self, id: NodeId) -> Descendants<'_> {
         Descendants {
             tree: self,
-            stack: vec![id],
+            first: Some(id),
+            open: Stack::new((id, 0)),
         }
     }
 
     /// Preorder traversal of the strict descendants of `id`.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
-        let mut stack: Vec<NodeId> = self.children(id).to_vec();
-        stack.reverse();
-        Descendants { tree: self, stack }
+        let mut open = Stack::new((id, 0));
+        open.push((id, 0));
+        Descendants {
+            tree: self,
+            first: None,
+            open,
+        }
     }
 
     /// Child elements of `id` with the given label.
@@ -625,37 +578,18 @@ impl Tree {
         self.descendants_with_self(id).count()
     }
 
-    /// Approximate heap footprint of the subtree rooted at `id`.
-    pub(crate) fn subtree_heap_bytes(&self, id: NodeId) -> u64 {
-        self.descendants_with_self(id)
-            .map(|n| node_heap_bytes(self.node(n)))
-            .sum()
-    }
-
-    /// Credit a subtree share to the copy-avoided counters. The walk is
-    /// O(|subtree|) — proportional to the copy it replaced, and far
-    /// cheaper (no allocation) — so accounting never changes the
-    /// asymptotics of a share.
-    fn credit_subtree_share(&self, id: NodeId) {
-        let (mut nodes, mut bytes) = (0u64, 0u64);
-        for n in self.descendants_with_self(id) {
-            nodes += 1;
-            bytes += node_heap_bytes(self.node(n));
-        }
-        crate::stats::record_handle_share();
-        crate::stats::record_share(nodes, bytes);
-    }
-
     /// A zero-copy [`Tree`] handle scoped to the subtree rooted at `id`:
     /// shares the arena, so it is O(1) and keeps the whole arena alive —
     /// the currency for moving subtrees between engine layers within a
     /// peer. The handle is copy-on-write like any other, so its holder
     /// never observes a later mutation of the source (a pinned snapshot).
+    /// It counts one [`crate::stats::CopyStats::handle_shares`] and walks
+    /// nothing.
     pub fn subtree(&self, id: NodeId) -> XmlResult<Tree> {
         if !self.contains(id) {
             return Err(XmlError::InvalidNode { index: id.0 });
         }
-        self.credit_subtree_share(id);
+        crate::stats::record_handle_share();
         Ok(Tree {
             nodes: Arc::clone(&self.nodes),
             root: id,
@@ -677,46 +611,76 @@ impl Tree {
         if !self.node(parent).is_element() {
             return Err(XmlError::NotAnElement { index: parent.0 });
         }
-        crate::stats::record_copy(
-            src.subtree_size(src_node) as u64,
-            src.subtree_heap_bytes(src_node),
-        );
-        // Copy in preorder without a stack: a copy's children so far say
-        // which child of its source comes next, and both trees' parent
-        // links lead back up.
-        let root = self.copy_node(parent, src, src_node);
+        // Copy in preorder without a stack, on one borrow of the arena: a
+        // copy's children so far say which child of its source comes
+        // next, and both trees' parent links lead back up.
+        let nodes = self.nodes_mut();
+        let (mut copied, mut bytes) = (1, node_heap_bytes(src.node(src_node)));
+        let root = push_copy(nodes, parent, src.node(src_node));
         let (mut from, mut to) = (src_node, root);
         loop {
-            if let Some(&child) = src.children(from).get(self.children(to).len()) {
-                to = self.copy_node(to, src, child);
+            if let Some(&child) = src.children(from).get(nodes[to.index()].children.len()) {
+                let node = src.node(child);
+                copied += 1;
+                bytes += node_heap_bytes(node);
+                to = push_copy(nodes, to, node);
                 from = child;
             } else if from == src_node {
-                return Ok(root);
+                break;
             } else {
                 from = src.node(from).parent.expect("below the copied root");
-                to = self.node(to).parent.expect("below the copy");
+                to = nodes[to.index()].parent.expect("below the copy");
             }
         }
-    }
-
-    /// Copy the node `node` of `src`, without its children, under `at`.
-    fn copy_node(&mut self, at: NodeId, src: &Tree, node: NodeId) -> NodeId {
-        match &src.node(node).kind {
-            NodeKind::Element { label, attrs } => {
-                let el = self.add_element(at, *label);
-                for (n, v) in attrs {
-                    self.set_attr(el, *n, v.clone()).expect("element");
-                }
-                el
-            }
-            NodeKind::Text(s) => self.add_text(at, s.clone()),
-        }
+        crate::stats::record_copy(copied, bytes);
+        // a node's bytes count the links to its children: the copied
+        // root's link from `parent` is one more
+        self.arena_bytes += bytes + std::mem::size_of::<NodeId>() as u64;
+        Ok(root)
     }
 
     /// Do two handles reference the same arena (structural sharing)?
     pub fn shares_arena_with(&self, other: &Tree) -> bool {
         Arc::ptr_eq(&self.nodes, &other.nodes)
     }
+}
+
+/// Push `node` onto the arena and onto its parent's children.
+fn push_child(nodes: &mut Vec<Node>, node: Node) -> NodeId {
+    let id = NodeId::from_arena(nodes.len());
+    let parent = node.parent.expect("a child has a parent");
+    nodes.push(node);
+    nodes[parent.index()].children.push(id);
+    id
+}
+
+/// Push a copy of `src`, without its children, as the last child of `at`.
+/// The copy's attributes grow push by push, as `set_attr` grows them, so
+/// a copy holds the heap a tree built node by node holds.
+fn push_copy(nodes: &mut Vec<Node>, at: NodeId, src: &Node) -> NodeId {
+    let kind = match &src.kind {
+        NodeKind::Element { label, .. } => NodeKind::Element {
+            label: *label,
+            attrs: Vec::new(),
+        },
+        NodeKind::Text(s) => NodeKind::Text(s.clone()),
+    };
+    let id = push_child(
+        nodes,
+        Node {
+            kind,
+            parent: Some(at),
+            children: Vec::new(),
+        },
+    );
+    if let (NodeKind::Element { attrs: to, .. }, NodeKind::Element { attrs, .. }) =
+        (&mut nodes[id.index()].kind, &src.kind)
+    {
+        for (name, value) in attrs {
+            to.push((*name, value.clone()));
+        }
+    }
+    id
 }
 
 impl fmt::Debug for Tree {
@@ -747,20 +711,40 @@ impl Eq for Tree {}
 /// Preorder iterator over a subtree. See [`Tree::descendants_with_self`].
 pub struct Descendants<'a> {
     tree: &'a Tree,
-    stack: Vec<NodeId>,
+    /// The start node, while it is still to be yielded.
+    first: Option<NodeId>,
+    /// The open nodes with children, each with the index of the child it
+    /// yields next: memory grows with depth, not width.
+    open: Stack<(NodeId, usize), 16>,
+}
+
+impl Descendants<'_> {
+    /// Yield `id`, opening it if it has children.
+    fn enter(&mut self, id: NodeId) -> Option<NodeId> {
+        if !self.tree.children(id).is_empty() {
+            self.open.push((id, 0));
+        }
+        Some(id)
+    }
 }
 
 impl Iterator for Descendants<'_> {
     type Item = NodeId;
 
     fn next(&mut self) -> Option<NodeId> {
-        let id = self.stack.pop()?;
-        // Push children reversed so the traversal visits them in storage
-        // order (purely cosmetic: order is non-semantic).
-        for &c in self.tree.children(id).iter().rev() {
-            self.stack.push(c);
+        if let Some(id) = self.first.take() {
+            return self.enter(id);
         }
-        Some(id)
+        // Children are visited in storage order (purely cosmetic: order
+        // is non-semantic).
+        loop {
+            let (id, next) = self.open.items().last_mut()?;
+            if let Some(&child) = self.tree.children(*id).get(*next) {
+                *next += 1;
+                return self.enter(child);
+            }
+            self.open.pop();
+        }
     }
 }
 
@@ -814,47 +798,50 @@ mod tests {
     }
 
     #[test]
-    fn detach_and_reattach() {
+    fn descendants_is_the_recursive_preorder() {
+        fn preorder(t: &Tree, id: NodeId, out: &mut Vec<NodeId>) {
+            out.push(id);
+            for &c in t.children(id) {
+                preorder(t, c, out);
+            }
+        }
+        // wider than the inline frames, and deeper
+        let mut t = sample();
+        let mut at = t.root();
+        for i in 0..40 {
+            at = t.add_element(at, "d");
+            t.add_text(at, format!("{i}"));
+            for _ in 0..i % 3 {
+                t.add_element(at, "leaf");
+            }
+        }
+        for id in [t.root(), NodeId(1), NodeId(8), at] {
+            let mut want = Vec::new();
+            preorder(&t, id, &mut want);
+            assert_eq!(t.descendants_with_self(id).collect::<Vec<_>>(), want);
+            assert_eq!(t.descendants(id).collect::<Vec<_>>(), want[1..]);
+        }
+    }
+
+    #[test]
+    fn detach_unlinks_the_subtree() {
         let mut t = sample();
         let r = t.root();
         let pkg = t.first_child_labeled(r, "pkg").unwrap();
         t.detach(pkg).unwrap();
         assert_eq!(t.children(r).len(), 1);
         assert_eq!(t.parent(pkg), None);
-        t.append_child(r, pkg).unwrap();
-        assert_eq!(t.children(r).len(), 2);
+        assert_eq!(t.live_len(), 4);
         assert!(t.detach(r).is_err(), "root cannot be detached");
     }
 
     #[test]
-    fn append_rejects_cycles_and_double_parents() {
-        let mut t = Tree::new("a");
-        let r = t.root();
-        let b = t.add_element(r, "b");
-        let c = t.add_element(b, "c");
-        // b already has a parent
-        assert!(matches!(t.append_child(c, b), Err(XmlError::Structure(_))));
-        t.detach(b).unwrap();
-        // now attaching b under its own descendant c is a cycle
-        assert!(matches!(t.append_child(c, b), Err(XmlError::Structure(_))));
-        assert!(t.append_child(r, b).is_ok());
-        // self-attachment
-        let d = t.new_element("d");
-        assert!(t.append_child(d, d).is_err());
-        // the root can never become a child
-        assert!(matches!(t.append_child(b, r), Err(XmlError::Structure(_))));
-    }
-
-    #[test]
-    fn append_rejects_text_parent() {
+    #[should_panic(expected = "parent n1 must be a valid element")]
+    fn adding_under_a_text_node_panics() {
         let mut t = Tree::new("a");
         let r = t.root();
         let txt = t.add_text(r, "hello");
-        let e = t.new_element("e");
-        assert!(matches!(
-            t.append_child(txt, e),
-            Err(XmlError::NotAnElement { .. })
-        ));
+        t.add_element(txt, "e");
     }
 
     #[test]
@@ -1012,25 +999,6 @@ mod tests {
         type Mutation = Box<dyn Fn(&mut Tree, NodeId, NodeId)>;
         let src = Tree::parse("<x k=\"&lt;\">t &amp; u</x>").unwrap();
         let mutations: Vec<(&str, Mutation)> = vec![
-            (
-                "new_element",
-                Box::new(|t, _, _| {
-                    t.new_element("e");
-                }),
-            ),
-            (
-                "new_text",
-                Box::new(|t, _, _| {
-                    t.new_text("loose");
-                }),
-            ),
-            (
-                "append_child",
-                Box::new(|t, r, _| {
-                    let e = t.new_element("e");
-                    t.append_child(r, e).unwrap();
-                }),
-            ),
             (
                 "add_element",
                 Box::new(|t, r, _| {

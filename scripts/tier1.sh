@@ -6,10 +6,11 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - eleven grep gates, one per "one of each" claim (wire-format writer,
+#   - twelve grep gates, one per "one of each" claim (wire-format writer,
 #     trace format, rendered payloads, byte codec, blocking session,
 #     strategy picker, send path, plans priced in place, one evaluation
-#     per call, one scan memo, one clock) — each explained where it runs;
+#     per call, one scan memo, one clock, a view is a handle) — each
+#     explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -279,6 +280,44 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/xml/src/store.rs); do
 done
 if [ "$(code crates/core/src/peer.rs | sed -n '/pub fn register_service(/,/^    }$/p' | grep -c 'fresh_stamp(')" -ne 1 ]; then
     echo "tier-1: core/src/peer.rs draws a stamp outside register_service" >&2
+    exit 1
+fi
+
+echo "== tier-1: a view is a handle (Tree::subtree walks nothing, graft borrows the arena once) =="
+# A subtree view is a bounds check, an Arc clone and one counter bump:
+# crediting CopyStats with its size would walk it. A graft copies on one
+# borrow of the arena, and its vectors grow push by push as building the
+# copy node by node grows them — an exact-capacity copy moves the heap
+# shape of every workload, which the benchmark's reference kernel reads
+# (ROADMAP item 1). Outside comments and `#[cfg(test)]` modules of
+# xml/src/tree.rs: subtree's body has no loop and no walk, graft's calls
+# nodes_mut() once, graft and push_copy reserve nothing, and the
+# view-sizing walk and the graft's pre-walk do not come back.
+# a method of Tree, or a free function
+body() {
+    code crates/xml/src/tree.rs | sed -n \
+        -e "/^    pub fn $1(/,/^    }\$/p" -e "/^fn $1(/,/^}\$/p"
+}
+for f in subtree graft push_copy; do
+    if [ "$(body "$f" | grep -cE "fn $f\(")" -ne 1 ]; then
+        echo "tier-1: xml/src/tree.rs no longer has one fn $f where this gate looks" >&2
+        exit 1
+    fi
+done
+if body subtree | grep -nE '\b(for|while|loop)\b|descendants'; then
+    echo "tier-1: Tree::subtree walks its subtree; a view is O(1)" >&2
+    exit 1
+fi
+if [ "$(body graft | grep -c 'nodes_mut()')" -ne 1 ]; then
+    echo "tier-1: Tree::graft must borrow the arena (nodes_mut()) exactly once" >&2
+    exit 1
+fi
+if { body graft; body push_copy; } | grep -nE 'with_capacity|reserve'; then
+    echo "tier-1: a graft reserves; grow the copy push by push, as building it does" >&2
+    exit 1
+fi
+if code crates/xml/src/tree.rs | grep -nE 'credit_subtree_share|subtree_heap_bytes'; then
+    echo "tier-1: xml/src/tree.rs sizes a subtree to credit CopyStats; count a view as an event" >&2
     exit 1
 fi
 
