@@ -3,7 +3,8 @@
 //! §3.3's rewrite rules describe *equivalent* strategies; choosing among
 //! them needs an estimate of what each one ships. [`CostModel`] snapshots
 //! the cost-relevant facts of a system — link parameters, document sizes
-//! and statistics, visible service definitions, replica catalogs — and
+//! and statistics, visible service definitions, replica catalogs — by
+//! sharing them, each stamped by the doors that change it, and
 //! [`CostModel::estimate`] predicts, without executing, the traffic of
 //! `eval@site(expr)`: a mirror of the evaluator in [`crate::engine`] that
 //! adds up *estimated* transfers instead of performing them.
@@ -14,12 +15,13 @@
 //! conservative — the benchmarks compare *measured* traffic; the model
 //! only has to rank candidate plans correctly.
 
-use crate::expr::{Expr, MemoKey, PeerRef, SendDest};
+use crate::expr::{Expr, PeerRef, SendDest};
 use crate::optimizer::PlanCache;
 use crate::peer::PeerState;
-use crate::pick::PickPolicy;
+use crate::pick::{closest, Members, PickPolicy};
 use crate::system::AxmlSystem;
 use axml_net::link::LinkCost;
+use axml_net::sim::LinkTable;
 use axml_query::estimate::{estimate as estimate_query, ForestStats};
 use axml_query::Query;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
@@ -27,7 +29,6 @@ use axml_xml::tree::Tree;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 /// Estimated cost of an evaluation.
@@ -97,18 +98,21 @@ pub const DEFAULT_QUERY_RATIO: f64 = 0.3;
 /// serialized expression.
 pub const REQUEST_OVERHEAD: f64 = 0.0;
 
-/// What the cost model knows about the documents one peer hosts.
-/// Collected once per [`PeerState::stamp`] — which every mutable door of
-/// Σ|p draws afresh — and shared by `Arc` with every model snapshot taken
-/// until the peer changes.
+/// What the cost model knows about the documents and services one peer
+/// hosts. Collected once per [`PeerState::stamp`] — which every mutable
+/// door of Σ|p draws afresh — and shared by `Arc` with every model
+/// snapshot taken until the peer changes.
 #[derive(Debug, PartialEq)]
 pub(crate) struct PeerStats {
-    /// The peer's stamp when these were collected.
+    /// The peer's stamp when these were collected: the documents' and
+    /// the service table's.
     at: (u64, u64),
     /// Per document; its serialized size is the statistics' `total_bytes`.
     docs: HashMap<DocName, ForestStats>,
     /// Over all hosted documents together (what `doc("…")` sources read).
     all: ForestStats,
+    /// The visible definition of each registered service.
+    services: HashMap<ServiceName, Query>,
 }
 
 impl PeerStats {
@@ -123,6 +127,11 @@ impl PeerStats {
                 .map(|(name, t)| (name.clone(), ForestStats::collect(std::slice::from_ref(t))))
                 .collect(),
             all: ForestStats::collect(&trees),
+            services: peer
+                .services()
+                .iter()
+                .map(|(name, svc)| (name.clone(), svc.query.clone()))
+                .collect(),
         }
     }
 }
@@ -156,10 +165,14 @@ impl AxmlSystem {
 /// [`Statistics::of`], which notes the peer: the optimizer reuses a plan
 /// while the peers whose statistics priced it keep their stamp, and a
 /// read the set missed would let a plan outlive the state that priced it.
+/// A peer's services are read through [`Statistics::services`], which
+/// notes nothing: they are compared by stamp with the model's other facts.
 mod statistics {
     use super::PeerStats;
-    use axml_xml::ids::PeerId;
+    use axml_query::Query;
+    use axml_xml::ids::{PeerId, ServiceName};
     use std::cell::Cell;
+    use std::collections::HashMap;
     use std::sync::Arc;
 
     #[derive(Debug, Clone)]
@@ -181,6 +194,11 @@ mod statistics {
             let stats = self.stats.get(at.index())?;
             self.read[at.index()].set(true);
             Some(stats)
+        }
+
+        /// `at`'s service definitions, noting no read.
+        pub(super) fn services(&self, at: PeerId) -> Option<&HashMap<ServiceName, Query>> {
+            Some(&self.stats.get(at.index())?.services)
         }
 
         pub(super) fn forget_reads(&self) {
@@ -207,24 +225,40 @@ mod statistics {
     }
 }
 
-/// A snapshot of the cost-relevant state of an [`AxmlSystem`]. The
-/// document statistics are shared with the system's cache, so taking a
-/// snapshot costs O(peers² + services + catalog), not O(data).
+/// What a [`CostModel`] knows besides the document statistics, as the
+/// stamps it stood at — compared with `==`, never ordered: a peer or a
+/// catalog can be assigned an older clone. Equal facts priced the same
+/// links, replica classes, services and pick policy.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Facts {
+    /// The link table's stamp.
+    links: u64,
+    /// The catalog's stamp.
+    catalog: u64,
+    /// Every peer's services stamp, so its length is the peer count.
+    services: Vec<u64>,
+    pick: PickPolicy,
+}
+
+/// A snapshot of the cost-relevant state of an [`AxmlSystem`]. The link
+/// table, the catalog's member tables and the per-peer statistics (with
+/// the services) are shared with the system, each standing at the stamp
+/// the snapshot noted, so taking one costs O(peers) `Arc` clones, not
+/// O(data).
 ///
 /// The snapshot also notes whose statistics it was asked for, so that
 /// the optimizer can reuse a plan for as long as the peers whose
-/// statistics priced it keep their stamp (DESIGN.md §3.5, "A plan is
-/// searched once per state it read").
+/// statistics priced it keep their stamp and the other facts (links,
+/// catalog, services, pick policy) are equal (DESIGN.md §3.5, "A plan
+/// is searched once per state it read").
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    n_peers: usize,
-    links: Vec<Vec<LinkCost>>,
-    up: Vec<Vec<bool>>,
+    links: Arc<LinkTable>,
     stats: statistics::Statistics,
-    services: HashMap<(PeerId, ServiceName), Query>,
-    doc_replicas: HashMap<DocName, Vec<(PeerId, DocName)>>,
-    service_replicas: HashMap<ServiceName, Vec<(PeerId, ServiceName)>>,
-    pick: PickPolicy,
+    doc_replicas: Arc<Members<DocName>>,
+    service_replicas: Arc<Members<ServiceName>>,
+    /// Everything the model knows besides the statistics, by stamp.
+    pub(crate) facts: Facts,
     /// The system's plan cache, handed to the optimizer.
     pub(crate) plans: Arc<PlanCache>,
 }
@@ -232,32 +266,19 @@ pub struct CostModel {
 impl CostModel {
     /// Snapshot a system.
     pub fn from_system(sys: &AxmlSystem) -> Self {
-        let n = sys.peer_count();
-        let mut links = vec![vec![LinkCost::local(); n]; n];
-        let mut up = vec![vec![true; n]; n];
-        for a in 0..n {
-            for b in 0..n {
-                links[a][b] = sys.net().link(PeerId(a as u32), PeerId(b as u32));
-                up[a][b] = sys.net().link_up(PeerId(a as u32), PeerId(b as u32));
-            }
-        }
-        let mut services = HashMap::new();
-        for p in 0..n {
-            let pid = PeerId(p as u32);
-            for (name, svc) in sys.peer(pid).services() {
-                services.insert((pid, name.clone()), svc.query.clone());
-            }
-        }
+        let stats = sys.peer_stats();
+        let (doc_replicas, service_replicas, catalog) = sys.catalog.tables();
         CostModel {
-            n_peers: n,
-            links,
-            up,
-            stats: statistics::Statistics::new(sys.peer_stats()),
-            services,
-            // The catalog is read through its public views.
-            doc_replicas: sys.catalog_view().into_iter().collect(),
-            service_replicas: sys.catalog_service_view().into_iter().collect(),
-            pick: sys.pick_policy(),
+            links: Arc::clone(sys.net().links()),
+            facts: Facts {
+                links: sys.net().links().stamp(),
+                catalog,
+                services: stats.iter().map(|s| s.at.1).collect(),
+                pick: sys.pick_policy(),
+            },
+            stats: statistics::Statistics::new(stats),
+            doc_replicas,
+            service_replicas,
             plans: Arc::clone(&sys.plans),
         }
     }
@@ -279,84 +300,23 @@ impl CostModel {
         self.stats.reads_hold(reads)
     }
 
-    /// A 128-bit digest of everything the model knows besides the
-    /// statistics: peer count, links and whether they are up, visible
-    /// services (by [`Query::wire_digest`]), replica classes and the pick
-    /// policy. Taken by value on purpose: `AxmlSystem::net_mut` hands out
-    /// the network itself, so no setter of the system sees a link change,
-    /// and a counter bumped by the system's setters would miss it. The
-    /// maps are unordered, so their entries are digested one by one and
-    /// summed.
-    pub(crate) fn facts_digest(&self) -> u128 {
-        fn text(key: &mut MemoKey, s: &str) {
-            key.word(s.len() as u64);
-            key.write_str(s).expect("a memo key accepts every write");
-        }
-        fn sum<T>(entries: impl Iterator<Item = T>, each: impl Fn(&mut MemoKey, T)) -> u128 {
-            entries.fold(0u128, |acc, entry| {
-                let mut key = MemoKey::default();
-                each(&mut key, entry);
-                acc.wrapping_add(key.finish())
-            })
-        }
-        // A class is its name and its members in order (`First` and
-        // `Closest` read the order).
-        fn classes<N: AsRef<str>>(key: &mut MemoKey, classes: &HashMap<N, Vec<(PeerId, N)>>) {
-            key.word(classes.len() as u64);
-            key.digest(sum(classes.iter(), |k, (class, members)| {
-                text(k, class.as_ref());
-                for (p, name) in members {
-                    k.word(u64::from(p.0));
-                    text(k, name.as_ref());
-                }
-            }));
-        }
-        let mut key = MemoKey::default();
-        key.word(self.n_peers as u64);
-        for (links, up) in self.links.iter().zip(&self.up) {
-            for (link, &up) in links.iter().zip(up) {
-                key.word(link.latency_ms.to_bits());
-                key.word(link.bytes_per_ms.to_bits());
-                key.word(link.per_msg_bytes as u64);
-                key.word(up as u64);
-            }
-        }
-        key.word(self.services.len() as u64);
-        key.digest(sum(self.services.iter(), |k, ((p, name), query)| {
-            k.word(u64::from(p.0));
-            text(k, name.as_str());
-            k.digest(query.wire_digest());
-        }));
-        classes(&mut key, &self.doc_replicas);
-        classes(&mut key, &self.service_replicas);
-        let (policy, seed) = match self.pick {
-            PickPolicy::First => (0, 0),
-            PickPolicy::Closest => (1, 0),
-            PickPolicy::Random(seed) => (2, seed),
-            PickPolicy::RoundRobin => (3, 0),
-        };
-        key.word(policy);
-        key.word(seed);
-        key.finish()
-    }
-
     /// Number of peers in the snapshot.
     pub fn peer_count(&self) -> usize {
-        self.n_peers
+        self.facts.services.len()
     }
 
     /// Link cost between two peers. A failed (down) link is returned as a
     /// poisoned cost so any plan crossing it is ranked out — the optimizer
     /// routes around partitions (rule (12) right-to-left finds relays).
     pub fn link(&self, a: PeerId, b: PeerId) -> LinkCost {
-        if a != b && !self.up[a.index()][b.index()] {
+        if a != b && !self.links.link_up(a, b) {
             return LinkCost {
                 latency_ms: 1e12,
                 bytes_per_ms: 1e-6,
                 per_msg_bytes: 0,
             };
         }
-        self.links[a.index()][b.index()]
+        self.links.link(a, b)
     }
 
     fn doc_stats(&self, at: PeerId, name: &DocName) -> Option<&ForestStats> {
@@ -370,7 +330,7 @@ impl CostModel {
 
     /// The visible definition of a service (declarative services only).
     pub fn service_query(&self, at: PeerId, name: &ServiceName) -> Option<&Query> {
-        self.services.get(&(at, name.clone()))
+        self.stats.services(at)?.get(name)
     }
 
     /// Replicas of a generic document class.
@@ -408,11 +368,8 @@ impl CostModel {
     /// requester at `site` under the system's pick policy — for `d@any`
     /// and `s@any` alike.
     fn resolve_any<N: Clone>(&self, site: PeerId, members: &[(PeerId, N)]) -> Option<(PeerId, N)> {
-        let nominal_ms = |p: PeerId| self.link(site, p).transfer_ms(65536);
-        match self.pick {
-            PickPolicy::Closest => members
-                .iter()
-                .min_by(|(a, _), (b, _)| nominal_ms(*a).total_cmp(&nominal_ms(*b))),
+        match self.facts.pick {
+            PickPolicy::Closest => closest(members, |p| self.link(site, p)).map(|i| &members[i]),
             // First/Random/RoundRobin: the first member is the
             // deterministic representative (exact for First, a
             // representative sample otherwise).

@@ -864,11 +864,8 @@ impl WireSink for ByteCount {
 /// the writes were cut, with each query folded in as its digest. Read
 /// eight bytes to a round: a key is taken of every candidate of every
 /// search, and a byte-wise 128-bit FNV is a wide multiply per byte.
-///
-/// The cost model also digests its non-statistics facts with it
-/// (`CostModel::facts_digest`), as whole words and length-prefixed text.
 #[derive(Default)]
-pub(crate) struct MemoKey {
+struct MemoKey {
     state: u128,
     /// Bytes written since the last whole word, lowest first.
     word: u64,
@@ -898,18 +895,18 @@ impl MemoKey {
     }
 
     /// A whole word, after whatever text came before it.
-    pub(crate) fn word(&mut self, word: u64) {
+    fn word(&mut self, word: u64) {
         self.flush();
         self.mix(word);
     }
 
     /// A 128-bit digest, as two words.
-    pub(crate) fn digest(&mut self, digest: u128) {
+    fn digest(&mut self, digest: u128) {
         self.word(digest as u64);
         self.word((digest >> 64) as u64);
     }
 
-    pub(crate) fn finish(mut self) -> u128 {
+    fn finish(mut self) -> u128 {
         self.flush();
         self.mix(self.len);
         self.state

@@ -9,11 +9,15 @@
 //! and benchmark them against each other (experiment E7).
 
 use crate::error::{CoreError, CoreResult};
+use axml_net::link::LinkCost;
 use axml_net::sim::SimTransport;
 use axml_net::Payload;
 use axml_prng::SplitMix64;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
+use axml_xml::store::fresh_stamp;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// How a peer picks among the members of an equivalence class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +34,7 @@ pub enum PickPolicy {
 }
 
 /// The members of every class of one kind, in registration order.
-type Members<N> = BTreeMap<N, Vec<(PeerId, N)>>;
+pub(crate) type Members<N> = BTreeMap<N, Vec<(PeerId, N)>>;
 
 /// A name that can denote an equivalence class. Documents and services
 /// are the two kinds; each has its own member table and its own
@@ -63,12 +67,21 @@ impl ClassName for ServiceName {
 /// assumption about the structure of the peer network, e.g. whether a
 /// DHT-style index is present"*); the catalog models whatever lookup
 /// facility exists, and the cost model can charge a lookup if desired.
+///
+/// The two member tables sit behind `Arc`s that the cost model shares.
+/// They change only through [`Catalog::add_doc_replica`] and
+/// [`Catalog::add_service_replica`], which copy on write and draw a
+/// fresh catalog stamp; a pick moves only the cursors, which no model
+/// reads.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    docs: Members<DocName>,
-    services: Members<ServiceName>,
+    docs: Arc<Members<DocName>>,
+    services: Arc<Members<ServiceName>>,
     rr_state: BTreeMap<DocName, usize>,
     rr_state_svc: BTreeMap<ServiceName, usize>,
+    /// Drawn by the two `add_*_replica` doors; 0 for a catalog neither
+    /// moved. Compared for equality only.
+    stamp: u64,
 }
 
 impl Catalog {
@@ -84,10 +97,11 @@ impl Catalog {
         peer: PeerId,
         concrete: impl Into<DocName>,
     ) {
-        self.docs
+        Arc::make_mut(&mut self.docs)
             .entry(class.into())
             .or_default()
             .push((peer, concrete.into()));
+        self.stamp = fresh_stamp();
     }
 
     /// Declare `concrete@peer` a member of the service class `class`.
@@ -97,10 +111,11 @@ impl Catalog {
         peer: PeerId,
         concrete: impl Into<ServiceName>,
     ) {
-        self.services
+        Arc::make_mut(&mut self.services)
             .entry(class.into())
             .or_default()
             .push((peer, concrete.into()));
+        self.stamp = fresh_stamp();
     }
 
     /// Members of a document class.
@@ -113,20 +128,20 @@ impl Catalog {
         self.services.get(class).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// All document classes with their members.
-    pub fn doc_classes(&self) -> Vec<(DocName, Vec<(PeerId, DocName)>)> {
-        self.docs
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// The catalog's mutation stamp: two reads returning the same stamp
+    /// saw the same classes, members and member order.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
-    /// All service classes with their members.
-    pub fn service_classes(&self) -> Vec<(ServiceName, Vec<(PeerId, ServiceName)>)> {
-        self.services
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect()
+    /// The shared document and service member tables, and the stamp
+    /// they stand at.
+    pub(crate) fn tables(&self) -> (Arc<Members<DocName>>, Arc<Members<ServiceName>>, u64) {
+        (
+            Arc::clone(&self.docs),
+            Arc::clone(&self.services),
+            self.stamp,
+        )
     }
 
     /// `pickDoc(d@any)` / `pickService(s@any)` evaluated at `at` —
@@ -166,6 +181,24 @@ impl Catalog {
 
 const NOMINAL_BYTES: usize = 64 * 1024;
 
+/// The `Closest` rule of definition (9), for the runtime pick and the
+/// cost model alike: the index of the member whose link from the picker
+/// (`link`, by the member's peer) carries a nominal 64 KiB transfer
+/// soonest — the first such member on a tie, `None` for no members.
+pub(crate) fn closest<N, T: Borrow<(PeerId, N)>>(
+    members: &[T],
+    link: impl Fn(PeerId) -> LinkCost,
+) -> Option<usize> {
+    let cost = |m: &T| link(m.borrow().0).transfer_ms(NOMINAL_BYTES);
+    members
+        .iter()
+        .enumerate()
+        // `total_cmp`, like the optimizer's beam ordering: a NaN link
+        // cost must not make the choice order-dependent.
+        .min_by(|(_, a), (_, b)| cost(a).total_cmp(&cost(b)))
+        .map(|(i, _)| i)
+}
+
 fn pick_index<N, M: Payload>(
     policy: PickPolicy,
     at: PeerId,
@@ -175,16 +208,7 @@ fn pick_index<N, M: Payload>(
 ) -> usize {
     match policy {
         PickPolicy::First => 0,
-        PickPolicy::Closest => {
-            let cost = |c: &&(PeerId, N)| net.link(at, c.0).transfer_ms(NOMINAL_BYTES);
-            candidates
-                .iter()
-                .enumerate()
-                // `total_cmp`, like the optimizer's beam ordering: a NaN
-                // link cost must not make the choice order-dependent.
-                .min_by(|(_, a), (_, b)| cost(a).total_cmp(&cost(b)))
-                .map_or(0, |(i, _)| i)
-        }
+        PickPolicy::Closest => closest(candidates, |p| net.link(at, p)).unwrap_or(0),
         PickPolicy::Random(seed) => {
             // Derive the choice from the seed, the site and the class size
             // so repeated picks are deterministic but well spread.

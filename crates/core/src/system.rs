@@ -284,16 +284,6 @@ impl AxmlSystem {
         self.peers.iter().map(PeerState::snapshot).collect()
     }
 
-    /// All generic document classes with their members (cost-model view).
-    pub fn catalog_view(&self) -> Vec<(DocName, Vec<(PeerId, DocName)>)> {
-        self.catalog.doc_classes()
-    }
-
-    /// All generic service classes with their members (cost-model view).
-    pub fn catalog_service_view(&self) -> Vec<(ServiceName, Vec<(PeerId, ServiceName)>)> {
-        self.catalog.service_classes()
-    }
-
     pub(crate) fn check_peer(&self, p: PeerId) -> CoreResult<()> {
         if p.index() < self.peers.len() {
             Ok(())

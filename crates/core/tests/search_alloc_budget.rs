@@ -1,10 +1,12 @@
 //! The optimizer search's allocation budget: a candidate plan costs what
 //! the rewrite that made it changed — its own nodes, a copy of the spine
-//! above them — and nothing for being keyed, priced or remembered; and a
-//! search the system already made costs a copy of the plan it chose.
-//! Counted here, per explored candidate and per reuse, with an allocator
-//! of this test binary's own, on `tests/optimizer_golden.rs`'s
-//! `query_ship` deployment.
+//! above them — and nothing for being keyed, priced or remembered; a
+//! search the system already made costs a copy of the plan it chose; and
+//! the cost-model snapshot both start from shares the system's tables.
+//! Counted here, per explored candidate, per reuse and per snapshot,
+//! with an allocator of this test binary's own, on
+//! `tests/optimizer_golden.rs`'s `query_ship` deployment and on uniform
+//! networks.
 
 use axml_core::cost::CostModel;
 use axml_core::prelude::*;
@@ -188,4 +190,26 @@ fn a_reuse_allocates_a_copy_of_the_plan_and_little_else() {
             "{name}: a reuse allocated {allocations}, a copy of the plan {copying}"
         );
     }
+}
+
+/// A snapshot shares the link table, the catalog's member tables and the
+/// (warm) per-peer statistics with the system: it costs O(peers) `Arc`
+/// clones, and its allocations do not grow with the peer count.
+#[test]
+fn a_snapshot_costs_o_peers() {
+    let snapshot = |n: usize| {
+        let sys = AxmlSystem::with_topology(&Topology::Uniform {
+            n,
+            cost: LinkCost::wan(),
+        });
+        // the first snapshot collects every peer's statistics
+        drop(CostModel::from_system(&sys));
+        let before = ALLOCATIONS.get();
+        let model = CostModel::from_system(&sys);
+        let allocations = ALLOCATIONS.get() - before;
+        assert_eq!(model.peer_count(), n);
+        allocations
+    };
+    let (small, large) = (snapshot(64), snapshot(512));
+    assert_eq!(small, large, "64 peers: {small} allocations, 512: {large}");
 }

@@ -2,9 +2,12 @@
 //! `PeerState::stamp`, and nothing else does — no read, and no mutation
 //! that is rejected. The caches of functions of Σ|p (cost-model
 //! statistics, chosen plans, the parallel driver's precomputes and its
-//! collapsed service calls) are valid exactly while it holds.
+//! collapsed service calls) are valid exactly while it holds. The rest
+//! of what the cost model reads — the link table and the catalog —
+//! stamps itself the same way.
 
 use axml_core::prelude::*;
+use axml_net::sim::LinkTable;
 use axml_query::Query;
 use axml_xml::ids::{NodeAddr, PeerId};
 use axml_xml::store::Document;
@@ -240,5 +243,97 @@ fn a_failed_graft_moves_no_stamp() {
             );
         });
         assert_eq!(doc_stamp(&sys), before, "the document's stamp holds");
+    }
+}
+
+/// Run `op` and tell whether it moved the link table's stamp and the
+/// catalog's, asserting that it moved no peer's.
+fn moved(sys: &mut AxmlSystem, what: &str, op: impl FnOnce(&mut AxmlSystem)) -> (bool, bool) {
+    let table = |sys: &AxmlSystem| (sys.net().links().stamp(), sys.catalog().stamp());
+    let before = table(sys);
+    holds(sys, what, op);
+    let after = table(sys);
+    (after.0 != before.0, after.1 != before.1)
+}
+
+/// What else the cost model reads stamps itself the same way: each door
+/// of the link table and of the catalog moves its own stamp, and a pick,
+/// a send, the clock and a fault plan move neither (nor a peer's).
+#[test]
+fn the_link_table_and_the_catalog_stamp_their_doors() {
+    let (mut sys, a, b) = system();
+    let (links, catalog, neither) = ((true, false), (false, true), (false, false));
+    let mut door = |what: &str, op: &dyn Fn(&mut AxmlSystem), want: (bool, bool)| {
+        assert_eq!(moved(&mut sys, what, op), want, "{what}");
+    };
+    door(
+        "set_link",
+        &|s| s.net_mut().set_link(a, b, LinkCost::slow()),
+        links,
+    );
+    door(
+        "set_link_directed",
+        &|s| s.net_mut().set_link_directed(b, a, LinkCost::lan()),
+        links,
+    );
+    door("fail_link", &|s| s.net_mut().fail_link(a, b), links);
+    door("restore_link", &|s| s.net_mut().restore_link(a, b), links);
+    door(
+        "add_doc_replica",
+        &|s| s.catalog_mut().add_doc_replica("cat", b, "catalog"),
+        catalog,
+    );
+    door(
+        "add_service_replica",
+        &|s| s.catalog_mut().add_service_replica("any-pkgs", b, "pkgs"),
+        catalog,
+    );
+    door("advance", &|s| s.net_mut().advance(5.0), neither);
+    door(
+        "set_fault_plan",
+        &|s| s.net_mut().set_fault_plan(FaultPlan::new(7).jitter_ms(1.0)),
+        neither,
+    );
+    door(
+        "a send",
+        &|s| {
+            s.eval(a, &send(SendDest::Peer(b), a)).unwrap();
+        },
+        neither,
+    );
+    // A round-robin pick moves its class's cursor, which no model reads:
+    // `cat` is `<cat/>` at a and b, then `<catalog/>` at b.
+    sys.set_pick_policy(PickPolicy::RoundRobin);
+    let any = Expr::Doc {
+        name: "cat".into(),
+        at: PeerRef::Any,
+    };
+    let mut picked = Vec::new();
+    for _ in 0..3 {
+        let op = |s: &mut AxmlSystem| picked.push(s.eval(a, &any).unwrap());
+        assert_eq!(moved(&mut sys, "a round-robin pick", op), (false, false));
+    }
+    assert_eq!(picked[0], picked[1]);
+    assert_ne!(picked[0], picked[2], "the cursor went round");
+}
+
+/// `install_topology` lays down a block of links by rule on an empty
+/// network and by point overrides on a non-empty one; either way the
+/// table's stamp moves, and a snapshot taken before keeps its links.
+#[test]
+fn install_topology_moves_the_link_stamp() {
+    let block = Topology::Uniform {
+        n: 2,
+        cost: LinkCost::wan(),
+    };
+    let mut net: SimTransport<String> = SimTransport::new();
+    for peers in [2, 4] {
+        let before: std::sync::Arc<LinkTable> = net.links().clone();
+        net.install_topology(&block);
+        assert_eq!(net.peer_count(), peers);
+        assert_ne!(net.links().stamp(), before.stamp(), "{peers} peers");
+        let (p, q) = (PeerId(peers as u32 - 2), PeerId(peers as u32 - 1));
+        assert_eq!(net.link(p, q), LinkCost::wan());
+        assert_eq!(before.link(p, q), LinkCost::lan(), "the snapshot holds");
     }
 }

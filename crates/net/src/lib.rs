@@ -71,7 +71,7 @@ pub mod wheel;
 
 pub use error::{NetError, NetResult};
 pub use link::{LinkCost, Topology};
-pub use sim::{CrashSchedule, FaultPlan, Outage, SimTransport};
+pub use sim::{CrashSchedule, FaultPlan, LinkTable, Outage, SimTransport};
 pub use socket::SocketTransport;
 pub use stats::{LinkStats, NetStats, PeerTraffic};
 pub use transport::{FramedPayload, Transport};

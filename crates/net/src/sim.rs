@@ -18,8 +18,9 @@
 //!
 //! Storage is **sparse** so EDOS-scale networks (10⁴–10⁵ peers) fit in
 //! memory: link costs resolve from an optional base [`Topology`] plus
-//! point overrides, and per-link busy/failed state exists only for
-//! links actually touched — O(peers + touched links), never O(peers²).
+//! point overrides (one shared, stamped [`LinkTable`]), and per-link
+//! busy/failed state exists only for links actually touched —
+//! O(peers + touched links), never O(peers²).
 //! The delivery queue itself is pluggable
 //! ([`SimTransport::set_scheduler`]): the reference binary heap or the
 //! O(1)-advance hierarchical event wheel of [`crate::wheel`], which
@@ -67,7 +68,9 @@ use crate::wheel::{SchedStats, Scheduler, SchedulerKind};
 use crate::Payload;
 use axml_prng::SplitMix64;
 use axml_xml::ids::PeerId;
+use axml_xml::store::fresh_stamp;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// A transient outage window: the **directed** link `from → to` is
 /// unusable while `start_ms <= now < end_ms` on the virtual clock.
@@ -281,13 +284,16 @@ impl FaultPlan {
     }
 }
 
-/// A simulated network of peers.
+/// The link rule of a network: what each directed link costs and
+/// whether it is administratively up.
 ///
-/// Storage is sparse (see the [module docs](self)): link costs come
-/// from an optional base [`Topology`] plus point overrides, and
-/// busy/failed link state is kept only for links actually touched.
-pub struct SimTransport<M> {
-    peer_names: Vec<String>,
+/// A [`SimTransport`] keeps it behind an `Arc`; each of its doors
+/// (`set_link`, `set_link_directed`, `fail_link`, `restore_link`,
+/// `install_topology`) copies it on write and draws a fresh
+/// [`LinkTable::stamp`]. A clone of the `Arc` keeps the links as they
+/// were, and two tables with one stamp hold the same links.
+#[derive(Debug, Clone, Default)]
+pub struct LinkTable {
     /// Base pairwise costs for the first `.1` peers (installed by
     /// [`SimTransport::with_topology`]); links involving later peers
     /// default to [`LinkCost::lan`] / [`LinkCost::local`].
@@ -296,6 +302,49 @@ pub struct SimTransport<M> {
     overrides: HashMap<(u32, u32), LinkCost>,
     /// Administratively failed directed links.
     admin_down: HashSet<(u32, u32)>,
+    /// Drawn by every door; 0 for a table none moved.
+    stamp: u64,
+}
+
+impl LinkTable {
+    /// The cost of the directed link `from → to`: a point override if
+    /// one was set, the base topology's pairwise cost if both ends are
+    /// in it, [`LinkCost::local`] to self, [`LinkCost::lan`] otherwise.
+    pub fn link(&self, from: PeerId, to: PeerId) -> LinkCost {
+        if let Some(&c) = self.overrides.get(&(from.0, to.0)) {
+            return c;
+        }
+        if from == to {
+            return LinkCost::local();
+        }
+        if let Some((topo, n)) = &self.base {
+            if from.index() < *n && to.index() < *n {
+                return topo.link(from.index(), to.index());
+            }
+        }
+        LinkCost::lan()
+    }
+
+    /// Is the directed link administratively up?
+    pub fn link_up(&self, from: PeerId, to: PeerId) -> bool {
+        !self.admin_down.contains(&(from.0, to.0))
+    }
+
+    /// The table's mutation stamp, compared for equality only.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
+    }
+}
+
+/// A simulated network of peers.
+///
+/// Storage is sparse (see the [module docs](self)): link costs come
+/// from an optional base [`Topology`] plus point overrides, and
+/// busy/failed link state is kept only for links actually touched.
+pub struct SimTransport<M> {
+    peer_names: Vec<String>,
+    /// The link rule, shared with whoever snapshots it.
+    links: Arc<LinkTable>,
     /// Per touched directed link: the time its current transfer
     /// finishes. Sends on a busy link start when it frees up (per-link
     /// serialization); sends on distinct links overlap. Point-queried
@@ -319,9 +368,7 @@ impl<M: Payload> SimTransport<M> {
     pub fn new() -> Self {
         SimTransport {
             peer_names: Vec::new(),
-            base: None,
-            overrides: HashMap::new(),
-            admin_down: HashSet::new(),
+            links: Arc::default(),
             busy_until: HashMap::new(),
             sched: Scheduler::new(SchedulerKind::Queue),
             stats: NetStats::new(),
@@ -367,18 +414,17 @@ impl<M: Payload> SimTransport<M> {
         for i in 0..n {
             self.add_peer(format!("p{}", at + i));
         }
-        if at == 0 && self.base.is_none() && self.overrides.is_empty() {
-            self.base = Some((topology.clone(), n));
+        let table = Arc::make_mut(&mut self.links);
+        table.stamp = fresh_stamp();
+        if at == 0 && table.base.is_none() && table.overrides.is_empty() {
+            table.base = Some((topology.clone(), n));
             return;
         }
         for a in 0..n {
             for b in 0..n {
                 if a != b {
-                    self.set_link_directed(
-                        PeerId((at + a) as u32),
-                        PeerId((at + b) as u32),
-                        topology.link(a, b),
-                    );
+                    let key = ((at + a) as u32, (at + b) as u32);
+                    table.overrides.insert(key, topology.link(a, b));
                 }
             }
         }
@@ -404,19 +450,23 @@ impl<M: Payload> SimTransport<M> {
     /// [`NetError::LinkDown`] from [`SimTransport::try_send`] (the infallible
     /// [`SimTransport::send`] panics).
     pub fn fail_link(&mut self, a: PeerId, b: PeerId) {
-        self.admin_down.insert((a.0, b.0));
-        self.admin_down.insert((b.0, a.0));
+        let table = Arc::make_mut(&mut self.links);
+        table.admin_down.extend([(a.0, b.0), (b.0, a.0)]);
+        table.stamp = fresh_stamp();
     }
 
     /// Undo a [`SimTransport::fail_link`].
     pub fn restore_link(&mut self, a: PeerId, b: PeerId) {
-        self.admin_down.remove(&(a.0, b.0));
-        self.admin_down.remove(&(b.0, a.0));
+        let table = Arc::make_mut(&mut self.links);
+        table.admin_down.remove(&(a.0, b.0));
+        table.admin_down.remove(&(b.0, a.0));
+        table.stamp = fresh_stamp();
     }
 
-    /// Is the directed link currently usable?
-    pub fn link_up(&self, from: PeerId, to: PeerId) -> bool {
-        !self.admin_down.contains(&(from.0, to.0))
+    /// The link table: what every link costs and whether it is up. A
+    /// clone of the `Arc` is a snapshot the network's doors never move.
+    pub fn links(&self) -> &Arc<LinkTable> {
+        &self.links
     }
 
     /// Install a fault plan; replaces any previous plan and resets the
@@ -444,7 +494,7 @@ impl<M: Payload> SimTransport<M> {
         if from == to {
             return true;
         }
-        if self.admin_down.contains(&(from.0, to.0)) {
+        if !self.links.link_up(from, to) {
             return false;
         }
         match &self.fault {
@@ -477,31 +527,23 @@ impl<M: Payload> SimTransport<M> {
 
     /// Configure both directions of a link.
     pub fn set_link(&mut self, a: PeerId, b: PeerId, cost: LinkCost) {
-        self.overrides.insert((a.0, b.0), cost);
-        self.overrides.insert((b.0, a.0), cost);
+        let table = Arc::make_mut(&mut self.links);
+        table
+            .overrides
+            .extend([((a.0, b.0), cost), ((b.0, a.0), cost)]);
+        table.stamp = fresh_stamp();
     }
 
     /// Configure one direction of a link.
     pub fn set_link_directed(&mut self, from: PeerId, to: PeerId, cost: LinkCost) {
-        self.overrides.insert((from.0, to.0), cost);
+        let table = Arc::make_mut(&mut self.links);
+        table.overrides.insert((from.0, to.0), cost);
+        table.stamp = fresh_stamp();
     }
 
-    /// The cost of the directed link `from → to`: a point override if
-    /// one was set, the base topology's pairwise cost if both ends are
-    /// in it, [`LinkCost::local`] to self, [`LinkCost::lan`] otherwise.
+    /// The cost of the directed link `from → to` ([`LinkTable::link`]).
     pub fn link(&self, from: PeerId, to: PeerId) -> LinkCost {
-        if let Some(&c) = self.overrides.get(&(from.0, to.0)) {
-            return c;
-        }
-        if from == to {
-            return LinkCost::local();
-        }
-        if let Some((topo, n)) = &self.base {
-            if from.index() < *n && to.index() < *n {
-                return topo.link(from.index(), to.index());
-            }
-        }
-        LinkCost::lan()
+        self.links.link(from, to)
     }
 
     /// Send `msg` from `from` to `to`; returns the arrival time (ms).
@@ -554,7 +596,7 @@ impl<M: Payload> SimTransport<M> {
         assert!(to.index() < self.peer_names.len(), "unknown receiver {to}");
         let mut jitter = 0.0;
         if from != to {
-            if self.admin_down.contains(&(from.0, to.0)) {
+            if !self.links.link_up(from, to) {
                 return Err(NetError::LinkDown(from, to));
             }
             if let Some(plan) = &self.fault {

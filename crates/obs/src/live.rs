@@ -277,9 +277,9 @@ impl LiveStats {
     /// goodput windows must conserve bytes. Returns the first
     /// divergence as a message, `Ok(())` if the fold reconciles.
     ///
-    /// Counters with *no* event emission (`seq_steps`,
-    /// `cost_estimates`, the memo counters) are deliberately out of
-    /// scope — they are not derivable from any trace.
+    /// Counters with *no* event emission (`seq_steps`, `explored`,
+    /// `memo_hits`) are deliberately out of scope — they are not
+    /// derivable from any trace.
     pub fn reconcile(&self, metrics: &EvalMetrics, stats: &NetStats) -> Result<(), String> {
         fn same<T: PartialEq + std::fmt::Debug>(
             what: &str,

@@ -46,18 +46,12 @@ pub struct EvalMetrics {
     pub seq_steps: u64,
     /// Service activations (§2.2 step 1), one-shot and continuous.
     pub service_calls: u64,
-    /// Cost-model estimates requested by the optimizer.
-    pub cost_estimates: u64,
     /// Optimizer memo hits: candidates pruned because their fingerprint
     /// was already explored.
     pub memo_hits: u64,
-    /// Optimizer memo misses: fingerprints seen for the first time.
-    pub memo_misses: u64,
-    /// Optimizer candidates explored (estimated). Every explored
-    /// candidate is exactly one memo miss, so `memo_misses == explored`
-    /// — equivalently, hits + misses = explored + duplicates — is an
-    /// invariant; [`EvalMetrics::memo_consistent`] checks it and
-    /// [`crate::RunReport`] folds it into `reconciled`.
+    /// Optimizer candidates explored: each is one fingerprint seen for
+    /// the first time (a memo miss) and one cost-model estimate, so this
+    /// one counter is all three.
     pub explored: u64,
     /// Continuous-subscription results delivered (never seen before).
     pub delta_fresh: u64,
@@ -193,7 +187,7 @@ impl EvalMetrics {
 
     /// Optimizer memo hit rate in `[0, 1]` (`None` before any search).
     pub fn memo_hit_rate(&self) -> Option<f64> {
-        let total = self.memo_hits + self.memo_misses;
+        let total = self.memo_hits + self.explored;
         (total > 0).then(|| self.memo_hits as f64 / total as f64)
     }
 
@@ -226,15 +220,6 @@ impl EvalMetrics {
         theirs == ours && their_drops == our_drops
     }
 
-    /// The optimizer memo-counter invariant: every explored candidate is
-    /// exactly one memo miss (and every pruned duplicate one hit), so
-    /// `memo_hits + memo_misses == explored + duplicates` reduces to
-    /// `memo_misses == explored`. A divergence means the search's
-    /// accounting drifted and the beam-tuning numbers can't be trusted.
-    pub fn memo_consistent(&self) -> bool {
-        self.memo_misses == self.explored
-    }
-
     /// The shared-matcher accounting invariant: every subscription a
     /// probe considered was either reported (and re-evaluated) or
     /// skipped — `matcher_probes == matcher_hits + matcher_skips`. A
@@ -263,9 +248,7 @@ impl EvalMetrics {
         self.delegations += other.delegations;
         self.seq_steps += other.seq_steps;
         self.service_calls += other.service_calls;
-        self.cost_estimates += other.cost_estimates;
         self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
         self.explored += other.explored;
         self.delta_fresh += other.delta_fresh;
         self.delta_suppressed += other.delta_suppressed;
@@ -319,9 +302,7 @@ impl EvalMetrics {
             e.finish()
         }));
         o.raw("rules", &rules);
-        o.num_u64("cost_estimates", self.cost_estimates);
         o.num_u64("memo_hits", self.memo_hits);
-        o.num_u64("memo_misses", self.memo_misses);
         o.num_u64("explored", self.explored);
         o.num_u64("delta_fresh", self.delta_fresh);
         o.num_u64("delta_suppressed", self.delta_suppressed);
@@ -436,7 +417,7 @@ mod tests {
         assert_eq!(m.memo_hit_rate(), None);
         assert_eq!(m.delta_suppression_rate(), None);
         m.memo_hits = 3;
-        m.memo_misses = 1;
+        m.explored = 1;
         m.delta_fresh = 1;
         m.delta_suppressed = 3;
         assert_eq!(m.memo_hit_rate(), Some(0.75));
@@ -461,18 +442,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_invariant() {
-        let mut m = EvalMetrics::new();
-        assert!(m.memo_consistent(), "zeroed metrics are consistent");
-        m.memo_misses = 4;
-        m.explored = 4;
-        m.memo_hits = 7;
-        assert!(m.memo_consistent());
-        m.memo_misses = 5;
-        assert!(!m.memo_consistent(), "a drifted miss count must be caught");
-    }
-
-    #[test]
     fn merge_is_per_worker_sum() {
         use crate::kind::DataTag;
         let send = MessageKind::Data(DataTag::Send);
@@ -480,7 +449,6 @@ mod tests {
         a.record_def(2);
         a.record_rule("R10-delegate", true);
         a.record_message(PeerId(0), PeerId(1), send, 100);
-        a.memo_misses = 2;
         a.explored = 2;
         let mut b = EvalMetrics::new();
         b.record_def(2);
@@ -489,7 +457,6 @@ mod tests {
         b.record_message(PeerId(0), PeerId(1), send, 50);
         b.record_message(PeerId(1), PeerId(0), send, 10);
         b.memo_hits = 3;
-        b.memo_misses = 1;
         b.explored = 1;
         let mut merged = a.clone();
         merged.merge(&b);
@@ -504,7 +471,7 @@ mod tests {
         );
         assert_eq!(merged.total_messages(), 3);
         assert_eq!(merged.total_bytes(), 160);
-        assert!(merged.memo_consistent());
+        assert_eq!((merged.explored, merged.memo_hits), (3, 3));
         // merge is commutative: the barrier order of workers can't matter
         let mut flipped = b.clone();
         flipped.merge(&a);

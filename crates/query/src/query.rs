@@ -243,13 +243,6 @@ impl Query {
         self.def.decomposed.get_or_init(derive).clone()
     }
 
-    /// Local optimization: fold a `where` clause into a path predicate.
-    pub fn push_filter_into_path(&self) -> Option<Query> {
-        let plan = self.plan()?;
-        let folded = rewrite::push_filter_into_path(plan)?;
-        Some(Query::from_plan(self.name.as_str(), folded))
-    }
-
     // ---------------- wire format -------------------------------------
 
     /// Rebuild a query from its XML serialization: `node` of `tree` is
@@ -523,18 +516,5 @@ mod tests {
         let q = Query::parse("q", "$0//pkg").unwrap();
         assert_eq!(q.to_string(), "q/1");
         assert!(format!("{q:?}").contains("$0//pkg"));
-    }
-
-    #[test]
-    fn push_filter_query_api() {
-        let q = Query::parse(
-            "q",
-            r#"for $p in $0//pkg where $p/size/text() > 1000 return {$p}"#,
-        )
-        .unwrap();
-        let folded = q.push_filter_into_path().unwrap();
-        let a = q.eval_batch(&[vec![catalog()]]).unwrap();
-        let b = folded.eval_batch(&[vec![catalog()]]).unwrap();
-        assert!(forest_equiv(&a, &b));
     }
 }

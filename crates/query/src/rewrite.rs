@@ -8,8 +8,6 @@
 //!   over the transferred forest). `axml-core`'s rule R11/PushSelections
 //!   combines it with query delegation (rule 10) to ship `σ(q2)` to the
 //!   data's peer and only transfer the selected subset.
-//! * [`push_filter_into_path`] folds a `where` clause into a path
-//!   predicate — a purely local simplification used as an ablation.
 //! * [`rename_var`]/[`map_paths`] are the supporting plumbing.
 
 use crate::plan::{
@@ -183,75 +181,6 @@ pub fn decompose_selection(q: &Plan) -> Option<(Plan, Plan)> {
     Some((outer, pushed))
 }
 
-/// Fold a `Filter` that sits directly above a `ForEach` into the scan
-/// path's final step predicate, when the filter only looks *downward* from
-/// the scanned variable. A purely local rewrite: the plan computes the
-/// same results with one fewer operator.
-pub fn push_filter_into_path(q: &Plan) -> Option<Plan> {
-    // Find the lowest Filter directly above the ForEach it constrains.
-    let Op::Filter { pred, input } = find_filter_over_foreach(&q.ops)? else {
-        return None;
-    };
-    let Op::ForEach {
-        var,
-        path,
-        input: scan_input,
-    } = &**input
-    else {
-        return None;
-    };
-    if path.steps.is_empty() {
-        return None; // no step to attach the predicate to
-    }
-    // Predicate must reference only `var`.
-    let mut only_var = true;
-    pred.visit_paths(&mut |p| {
-        only_var &= matches!(p.start, StartRef::Var(v) if v == *var);
-    });
-    if !only_var {
-        return None;
-    }
-    // Rewrite `var`-rooted paths to context-rooted.
-    let mut rewritten = pred.clone();
-    rewrite_pred_to_context(&mut rewritten, *var);
-    let mut new_path = path.clone();
-    new_path
-        .steps
-        .last_mut()
-        .expect("steps checked non-empty")
-        .preds
-        .push(rewritten);
-    let new_scan = Op::ForEach {
-        var: *var,
-        path: new_path,
-        input: scan_input.clone(),
-    };
-    let mut out = q.clone();
-    replace_filter_over_foreach(&mut out.ops, new_scan);
-    Some(out)
-}
-
-fn find_filter_over_foreach(op: &Op) -> Option<&Op> {
-    match op {
-        Op::Filter { input, .. } if matches!(**input, Op::ForEach { .. }) => Some(op),
-        _ => op.input().and_then(find_filter_over_foreach),
-    }
-}
-
-fn replace_filter_over_foreach(op: &mut Op, replacement: Op) {
-    let is_target = matches!(op, Op::Filter { input, .. } if matches!(**input, Op::ForEach { .. }));
-    if is_target {
-        *op = replacement;
-        return;
-    }
-    match op {
-        Op::Unit => {}
-        Op::ForEach { input, .. } | Op::LetBind { input, .. } | Op::Filter { input, .. } => {
-            replace_filter_over_foreach(input, replacement)
-        }
-    }
-}
-
 /// Rebase the outer-level paths of `pred` that start at `var` onto the
 /// context item.
 pub(crate) fn rewrite_pred_to_context(pred: &mut PredPlan, var: VarId) {
@@ -350,28 +279,6 @@ mod tests {
             .eval(&[pushed.eval(&[input], &NoDocs).unwrap()], &NoDocs)
             .unwrap();
         assert!(forest_equiv(&direct, &composed));
-    }
-
-    #[test]
-    fn push_filter_folds_into_predicate() {
-        let q = plan(r#"for $p in $0//pkg where $p/size/text() > 1000 return {$p/@name}"#);
-        let folded = push_filter_into_path(&q).expect("should fold");
-        assert_eq!(folded.ops.chain_len(), 2, "Filter merged away");
-        let direct = q.eval(&[vec![catalog()]], &NoDocs).unwrap();
-        let opt = folded.eval(&[vec![catalog()]], &NoDocs).unwrap();
-        assert!(forest_equiv(&direct, &opt));
-    }
-
-    #[test]
-    fn push_filter_rejects_cross_var() {
-        let q = plan(r#"for $a in $0/x for $b in $0/y where $a/k = $b/k return <r/>"#);
-        assert!(push_filter_into_path(&q).is_none());
-    }
-
-    #[test]
-    fn push_filter_rejects_stepless_scan() {
-        let q = plan(r#"for $t in $0 where $t/k/text() = "1" return {$t}"#);
-        assert!(push_filter_into_path(&q).is_none());
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //! * continuous (delta) evaluation ≡ batch re-evaluation,
 //! * the evaluator ≡ a materialising reference interpreter on random
 //!   plans, plain and under both `Delta` arms,
-//! * `decompose_selection` and `push_filter_into_path` preserve semantics
-//!   on random inputs — these are the query-level halves of the paper's
-//!   equivalence rules (10)/(11).
+//! * `decompose_selection` preserves semantics on random inputs — the
+//!   query-level half of the paper's equivalence rules (10)/(11).
 
 use axml_prng::SplitMix64;
 use axml_query::eval::{Ctx, Delta, NoDocs};
@@ -178,19 +177,6 @@ proptest! {
             prop_assert!(forest_equiv(&direct, &composed));
             prop_assert!(mid.len() >= composed.len() || composed.is_empty()
                 || mid.len() == composed.len());
-        }
-    }
-
-    /// Folding a filter into a path predicate preserves results.
-    #[test]
-    fn push_filter_preserves(
-        q in arb_query(),
-        input in proptest::collection::vec(arb_catalog(), 0..4),
-    ) {
-        if let Some(folded) = q.push_filter_into_path() {
-            let a = q.eval_batch(std::slice::from_ref(&input)).unwrap();
-            let b = folded.eval_batch(&[input]).unwrap();
-            prop_assert!(forest_equiv(&a, &b));
         }
     }
 

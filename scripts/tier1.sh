@@ -57,9 +57,10 @@
 #   - crates/core/tests/search_alloc_budget.rs (same sweep, same kind of
 #     allocator): an optimizer search allocates for the candidate plans it
 #     builds, under a pinned count per explored candidate — formatting a
-#     candidate's text, or copying it to price it, fails a test — and a
+#     candidate's text, or copying it to price it, fails a test — a
 #     reused plan costs a copy of it (a_reuse_allocates_a_copy_of_the_
-#     plan_and_little_else);
+#     plan_and_little_else), and a cost-model snapshot allocates as much
+#     for 512 peers as for 64 (a_snapshot_costs_o_peers);
 #   - crates/xml/tests/digest_alloc_budget.rs (same sweep, same kind of
 #     allocator): a canonical digest allocates nothing, so counting a tree
 #     already delivered allocates nothing and a batch admitted to the
@@ -254,13 +255,19 @@ if code crates/xml/src/tree.rs | sed -e '/pub fn memo_scan/,/^    }$/d' | grep -
     exit 1
 fi
 
-echo "== tier-1: one clock (stamps drawn only in xml/src/store.rs and PeerState::register_service) =="
+echo "== tier-1: one clock (stamps drawn only by the doors of Σ|p, the link table and the catalog) =="
 # Σ|p stamps itself: every mutable door of a DocStore and the service
-# table's one door draw from the process-wide counter, and every cache
-# of a function of Σ|p compares PeerState::stamp(). Outside comments and
-# `#[cfg(test)]` modules, a per-system epoch beside it (state_epochs,
+# table's one door draw from the process-wide counter. So does the rest
+# of what the cost model reads: the network's link table (set_link,
+# set_link_directed, fail_link, restore_link, install_topology) and the
+# catalog's member tables (add_doc_replica, add_service_replica). Every
+# cache of a function of them compares stamps. Outside comments and
+# `#[cfg(test)]` modules, a per-system epoch beside them (state_epochs,
 # touch_peer) is a second clock that callers must remember to move, and
-# a draw anywhere else is a door the state does not own.
+# a draw anywhere but inside those doors is a door the state does not
+# own. The cost model shares those tables instead of copying them: a
+# digest of copies (facts_digest), a copy of the catalog (catalog_view)
+# or a link matrix in cost.rs is the per-snapshot copy coming back.
 for f in $(find crates -name '*.rs'); do
     if code "$f" | grep -nE 'state_epochs|touch_peer'; then
         echo "tier-1: $f keeps a second clock for Σ|p; read PeerState::stamp()" >&2
@@ -271,15 +278,34 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/xml/src/store.rs); do
     draws=$(code "$f" | grep -cE 'fresh_stamp\(|NEXT_STAMP' || true)
     case "$f" in
         crates/core/src/peer.rs) want=1 ;; # register_service
+        crates/core/src/pick.rs) want=2 ;; # the catalog's two doors
+        crates/net/src/sim.rs) want=5 ;;   # the link table's five doors
         *) want=0 ;;
     esac
     if [ "$draws" -ne "$want" ]; then
-        echo "tier-1: $f draws a stamp $draws times; only the doors of Σ|p do" >&2
+        echo "tier-1: $f draws a stamp $draws times; only the doors of the state do" >&2
         exit 1
     fi
 done
-if [ "$(code crates/core/src/peer.rs | sed -n '/pub fn register_service(/,/^    }$/p' | grep -c 'fresh_stamp(')" -ne 1 ]; then
-    echo "tier-1: core/src/peer.rs draws a stamp outside register_service" >&2
+# each door draws once, so with the counts above every draw is in a door
+for door in core/src/peer.rs:register_service \
+    core/src/pick.rs:add_doc_replica core/src/pick.rs:add_service_replica \
+    net/src/sim.rs:set_link net/src/sim.rs:set_link_directed \
+    net/src/sim.rs:fail_link net/src/sim.rs:restore_link \
+    net/src/sim.rs:install_topology; do
+    f="crates/${door%%:*}"
+    fn="${door#*:}"
+    if [ "$(code "$f" | sed -n "/^    pub fn $fn(/,/^    }\$/p" | grep -c 'fresh_stamp(')" -ne 1 ]; then
+        echo "tier-1: $f: $fn must draw exactly one stamp" >&2
+        exit 1
+    fi
+done
+if grep -rnE 'facts_digest|catalog_view' crates/core/src; then
+    echo "tier-1: crates/core/src digests or copies the model's facts; share them and compare stamps" >&2
+    exit 1
+fi
+if code crates/core/src/cost.rs | grep -nE 'Vec<Vec<(LinkCost|bool)>>'; then
+    echo "tier-1: core/src/cost.rs copies the links into a matrix; read the shared LinkTable" >&2
     exit 1
 fi
 

@@ -296,7 +296,6 @@ fn digest(sys: &AxmlSystem, naive: &Expr) -> String {
     let model = CostModel::from_system(sys);
     let mut obs = Obs::new();
     let plan = Optimizer::standard().optimize_with(&model, CLIENT, naive, &mut obs);
-    assert!(obs.metrics.memo_consistent());
     let text = plan.expr.fingerprint();
     format!(
         "plan={:016x}/{} trace={:?} explored={} hits={} cost={:016x}/{:016x}/{:016x}",
