@@ -1,14 +1,17 @@
 //! **E4 — rule (13): transfer sharing.** A query uses the same remote
-//! document `k` times; the naive plan transfers it `k` times, the rule-(13)
-//! plan materializes it once in a local temp document and reads that.
+//! document `k` times; the naive plan transfers it `k` times. The shared
+//! plan is what [`R13ShareTransfer`] makes of it, applied until it
+//! proposes nothing: the query reads one argument wherever it read any of
+//! the `k`, so the document crosses once.
 //!
 //! Expected shape: naive traffic grows linearly in `k`; shared traffic is
-//! flat; speedup ≈ `k`. (The shared plan extends Σ with the temp document —
-//! the space-for-bandwidth trade the paper points out.)
+//! flat; speedup ≈ `k`. The shared plan leaves Σ as it found it.
 
 use crate::report::{fmt_bytes, fmt_ratio, Report};
 use crate::workload::{catalog, measure, two_peer};
-use axml_core::expr::{Expr, LocatedQuery, PeerRef, SendDest};
+use axml_core::cost::CostModel;
+use axml_core::expr::{Expr, LocatedQuery, PeerRef};
+use axml_core::rules::{R13ShareTransfer, RewriteRule};
 use axml_query::Query;
 
 /// How many times the document is used.
@@ -53,30 +56,22 @@ pub fn run() -> Report {
 
         let (mut sys, client, _server) = two_peer(tree.clone());
         let naive = Expr::Apply {
-            query: LocatedQuery::new(q.clone(), client),
-            args: vec![remote.clone(); k],
+            query: LocatedQuery::new(q, client),
+            args: vec![remote; k],
         };
         let (n1, b1, _m, _t) = measure(&mut sys, client, &naive);
 
         let (mut sys2, client2, _server2) = two_peer(tree);
-        let local = Expr::Doc {
-            name: "shared-tmp".into(),
-            at: PeerRef::At(client2),
-        };
-        let shared = Expr::Seq(vec![
-            Expr::Send {
-                dest: SendDest::NewDoc {
-                    peer: client2,
-                    name: "shared-tmp".into(),
-                },
-                payload: Box::new(remote),
-            },
-            Expr::Apply {
-                query: LocatedQuery::new(q, client2),
-                args: vec![local; k],
-            },
-        ]);
+        let model = CostModel::from_system(&sys2);
+        let mut shared = naive;
+        while let Some(next) = R13ShareTransfer.apply_at(client2, &shared, &model).pop() {
+            shared = next;
+        }
         let (n2, b2, _m2, _t2) = measure(&mut sys2, client2, &shared);
+        assert!(
+            sys2.peer(client2).docs.is_empty(),
+            "the shared plan leaves no document at the client (k={k})"
+        );
         assert_eq!(n1, n2, "strategies must agree at k={k}");
         let run = sys2
             .run_report(format!("E4 shared plan (k={k})"))
@@ -94,7 +89,6 @@ pub fn run() -> Report {
         );
     }
     r.note("naive transfers the document once per use; shared once total");
-    r.note("the shared plan leaves a temp document behind (Σ extension)");
     r
 }
 

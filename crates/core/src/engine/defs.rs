@@ -261,7 +261,7 @@ impl AxmlSystem {
                 Ok(())
             }
 
-            // ---- sequencing (rule (13) plans) -------------------------
+            // ---- sequencing ------------------------------------------
             Expr::Seq(es) => {
                 self.obs.metrics.seq_steps += es.len() as u64;
                 let mut rest: VecDeque<Expr> = es.into();

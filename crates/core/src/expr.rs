@@ -15,7 +15,7 @@
 //! | `send(p2, q@p1)` (code shipping, def. (8)) | [`Expr::Deploy`] |
 //! | `sc(p\|any, s, params, forws)`          | [`Expr::Sc`] |
 //! | `eval@p(e)` as a *sub*-expression (rules (14)–(16)) | [`Expr::EvalAt`] |
-//! | store-then-reuse sequencing (rule (13)) | [`Expr::Seq`] |
+//! | left-to-right sequencing                | [`Expr::Seq`] |
 //!
 //! Expressions serialize to XML trees (*"an expression can be viewed
 //! (serialized) as an XML tree, whose root is labeled with the expression
@@ -173,7 +173,7 @@ pub enum Expr {
         as_service: ServiceName,
     },
     /// Evaluate sub-expressions left to right; the value is the last one's
-    /// (used by rule (13)'s store-then-reuse plans).
+    /// (e.g. store a value with `send(d@p, …)`, then read `d@p`).
     Seq(Vec<Expr>),
 }
 

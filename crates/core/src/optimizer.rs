@@ -19,7 +19,7 @@
 
 use crate::cost::{Cost, CostModel, Facts};
 use crate::expr::Expr;
-use crate::rules::{all_rewrites, standard_rules, OptContext, RewriteRule};
+use crate::rules::{all_rewrites, standard_rules, RewriteRule};
 use axml_obs::{Obs, TraceEvent};
 use axml_xml::ids::PeerId;
 use std::collections::{HashMap, HashSet};
@@ -224,7 +224,6 @@ impl Optimizer {
 
     /// The beam search itself.
     fn search(&self, model: &CostModel, site: PeerId, expr: &Expr, obs: &mut Obs) -> Explained {
-        let ctx = OptContext::new(model);
         let explored_before = obs.metrics.explored;
         let initial_cost = model.estimate(site, expr).cost;
         let mut best = Explained {
@@ -264,7 +263,7 @@ impl Optimizer {
             open.truncate(width * 4);
             let batch: Vec<_> = open.drain(..open.len().min(width)).collect();
             'batch: for (_, cur, parent) in batch {
-                for (rule, candidate) in all_rewrites(&self.rules, site, &cur, &ctx) {
+                for (rule, candidate) in all_rewrites(&self.rules, site, &cur, model) {
                     if !seen.insert(candidate.fingerprint_hash()) {
                         obs.metrics.memo_hits += 1;
                         continue;

@@ -8,7 +8,7 @@
 
 use axml_core::cost::{CostModel, DEFAULT_QUERY_RATIO, REQUEST_OVERHEAD};
 use axml_core::prelude::*;
-use axml_core::rules::{standard_rules, OptContext, R13ShareTransfer, RewriteRule};
+use axml_core::rules::{standard_rules, R13ShareTransfer, RewriteRule};
 use axml_net::link::saturating_bytes_f64;
 use axml_prng::SplitMix64;
 use axml_xml::equiv::forest_equiv;
@@ -607,7 +607,7 @@ fn same_key(model: &CostModel, a: &Expr, b: &Expr) -> bool {
         args: vec![remote(a), remote(b)],
     };
     !R13ShareTransfer
-        .apply_at(PeerId(0), &both, &OptContext::new(model))
+        .apply_at(PeerId(0), &both, model)
         .is_empty()
 }
 

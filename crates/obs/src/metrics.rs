@@ -42,7 +42,7 @@ pub struct EvalMetrics {
     defs: [u64; 10],
     /// Delegated evaluations (`eval@p`, the rules (14)–(16) plan shape).
     pub delegations: u64,
-    /// Sequence steps evaluated (rule (13) plan shape).
+    /// Sequence steps evaluated (`seq(e1, …, en)`).
     pub seq_steps: u64,
     /// Service activations (§2.2 step 1), one-shot and continuous.
     pub service_calls: u64,

@@ -243,6 +243,52 @@ impl Query {
         self.def.decomposed.get_or_init(derive).clone()
     }
 
+    /// Rule (13) — the query that reads one argument where `self` reads
+    /// the same argument twice, as `$keep` and `$drop` (`keep < drop <
+    /// arity`): `self(…, F, …, F, …) ≡ shared(…, F, …)`. Every read of
+    /// `$drop` becomes a read of `$keep`, every later parameter moves one
+    /// place down, and the arity drops by one. A composition shares the
+    /// parameter in each inner query.
+    pub fn share_param(&self, keep: usize, drop: usize) -> Query {
+        use crate::plan::{SourceRef, StartRef};
+        assert!(
+            keep < drop && drop < self.arity,
+            "share_param({keep}, {drop}) of a query of arity {}",
+            self.arity
+        );
+        let name = format!("{}·shared", self.name);
+        match &self.def.kind {
+            QueryKind::Leaf { plan, .. } => {
+                let mut plan = plan.clone();
+                rewrite::map_paths(&mut plan, &mut |p| {
+                    if let StartRef::Source(SourceRef::Param(i)) = &mut p.start {
+                        if *i == drop {
+                            *i = keep;
+                        } else if *i > drop {
+                            *i -= 1;
+                        }
+                    }
+                });
+                plan.arity -= 1;
+                Query::from_plan(name.as_str(), plan)
+            }
+            QueryKind::Composed { outer, inners } => {
+                let inners = inners
+                    .iter()
+                    .map(|q| {
+                        if q.arity > drop {
+                            q.share_param(keep, drop)
+                        } else {
+                            q.clone()
+                        }
+                    })
+                    .collect();
+                Query::compose(name.as_str(), outer.clone(), inners)
+                    .expect("the outer query's arity is unchanged")
+            }
+        }
+    }
+
     // ---------------- wire format -------------------------------------
 
     /// Rebuild a query from its XML serialization: `node` of `tree` is

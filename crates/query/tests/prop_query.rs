@@ -6,7 +6,8 @@
 //! * the evaluator ≡ a materialising reference interpreter on random
 //!   plans, plain and under both `Delta` arms,
 //! * `decompose_selection` preserves semantics on random inputs — the
-//!   query-level half of the paper's equivalence rules (10)/(11).
+//!   query-level half of the paper's equivalence rules (10)/(11) — and so
+//!   does `share_param`, rule (13)'s.
 
 use axml_prng::SplitMix64;
 use axml_query::eval::{Ctx, Delta, NoDocs};
@@ -922,6 +923,69 @@ fn evaluator_equals_the_materialising_reference() {
     // enough of them take a join's index.
     assert!(answering > 1_000 && joins > 400, "{answering} / {joins}");
     assert!(indexed >= 300, "{indexed} plans with a join");
+}
+
+/// Rule (13)'s query rewrite: a query reading one forest `F` as both `$i`
+/// and `$j` ≡ `share_param(i, j)` reading it once, as `$i`. Seeded plans
+/// over three parameters (the generator's `$0`/`$1` moved to two of the
+/// three places, so a parameter after `$j` is read and moves down), every
+/// pair `i < j`, the other parameters random; each fourth case shares
+/// the parameter through a composition, one of whose inner queries does
+/// not read `$j`.
+#[test]
+fn sharing_a_parameter_reads_the_forest_once() {
+    let mut g = PlanGen {
+        rng: SplitMix64::new(0x5EED_0013),
+        vars: Vec::new(),
+    };
+    let docs: HashMap<DocName, Tree> = [(DocName::new("d"), g.tree())].into();
+    let pair = Query::parse(
+        "pair",
+        "for $a in $0 for $b in $1 return <p>{$a/@k}{$b}</p>",
+    )
+    .unwrap();
+    let unary = Query::parse("unary", "$0//a").unwrap();
+    let mut answering = 0;
+    for case in 0..1_500 {
+        // `$0`/`$1` to two distinct places of three, through a placeholder
+        // so the two renamings do not chain.
+        let to = [[0, 1], [0, 2], [1, 2], [2, 0], [1, 0], [2, 1]][case % 6];
+        let src = g
+            .query()
+            .replace("$0", "$P")
+            .replace("$1", &format!("${}", to[1]))
+            .replace("$P", &format!("${}", to[0]));
+        let mut q = Query::parse_with_arity("q", &src, 3).unwrap_or_else(|e| panic!("{src}: {e}"));
+        if case % 4 == 3 {
+            q = Query::compose("c", pair.clone(), vec![q, unary.clone()]).unwrap();
+        }
+        let (i, j) = [(0, 1), (0, 2), (1, 2)][case / 6 % 3];
+        let f = g.forest();
+        let mut inputs = [g.forest(), g.forest(), g.forest()];
+        inputs[i] = f.clone();
+        inputs[j] = f;
+        let mut once = inputs.to_vec();
+        once.remove(j);
+        let shared = q.share_param(i, j);
+        assert_eq!(shared.arity(), 2, "case {case}: {src}");
+        match (
+            q.eval_with_docs(&inputs, &docs),
+            shared.eval_with_docs(&once, &docs),
+        ) {
+            (Ok(want), Ok(got)) => {
+                answering += usize::from(!want.is_empty());
+                assert!(
+                    forest_equiv(&want, &got),
+                    "case {case} ({i}, {j}): {src}\n  {} vs {} trees",
+                    want.len(),
+                    got.len()
+                );
+            }
+            (Err(_), Err(_)) => {}
+            (want, got) => panic!("case {case} ({i}, {j}): {src}\n  {want:?}\n  {got:?}"),
+        }
+    }
+    assert!(answering > 300, "{answering} cases answer");
 }
 
 /// A scan is resolved when its loop level is first reached, and not

@@ -274,14 +274,6 @@ fn main() {
     // ---- rule inventory --------------------------------------------------
     println!("\nactive rule set:");
     for r in rules::standard_rules() {
-        println!(
-            "  {:22} {}",
-            r.name(),
-            if r.preserves_sigma() {
-                "Σ-preserving"
-            } else {
-                "extends Σ (materializing)"
-            }
-        );
+        println!("  {}", r.name());
     }
 }

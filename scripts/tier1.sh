@@ -6,11 +6,11 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - twelve grep gates, one per "one of each" claim (wire-format writer,
-#     trace format, rendered payloads, byte codec, blocking session,
-#     strategy picker, send path, plans priced in place, one evaluation
-#     per call, one scan memo, one clock, a view is a handle) — each
-#     explained where it runs;
+#   - thirteen grep gates, one per "one of each" claim (wire-format
+#     writer, trace format, rendered payloads, byte codec, blocking
+#     session, strategy picker, send path, plans priced in place, one
+#     evaluation per call, one scan memo, one clock, a view is a handle,
+#     Σ is left as found) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -344,6 +344,26 @@ if { body graft; body push_copy; } | grep -nE 'with_capacity|reserve'; then
 fi
 if code crates/xml/src/tree.rs | grep -nE 'credit_subtree_share|subtree_heap_bytes'; then
     echo "tier-1: xml/src/tree.rs sizes a subtree to credit CopyStats; count a view as an event" >&2
+    exit 1
+fi
+
+echo "== tier-1: Σ is left as found (no rule writes a document, no temporary names) =="
+# Every equivalence rule leaves Σ as it found it: rule (13) shares a
+# transfer through one query parameter (Query::share_param), not through
+# a temporary document stored at the site. What only such a document
+# needed — a per-search name counter, a probe for a free name, a flag
+# excusing a rule from Σ equality and the context that carried them —
+# is gone from code, tests and examples. Outside comments and
+# `#[cfg(test)]` modules rules.rs builds no document-creating send and no
+# sequence (match arms and the `Expr::Seq(_)` pattern only read one).
+if grep -rnE 'fresh_tmp|tmp_counter|preserves_sigma|OptContext' \
+    crates/*/src crates/*/tests tests examples; then
+    echo "tier-1: the temporary-document machinery is back; every rule leaves Σ as found" >&2
+    exit 1
+fi
+if code crates/core/src/rules.rs | grep -E 'SendDest::NewDoc|Expr::Seq' \
+    | grep -vE '=>|Expr::Seq\(_\)'; then
+    echo "tier-1: core/src/rules.rs builds a plan that writes Σ; share through a query parameter" >&2
     exit 1
 fi
 
