@@ -35,10 +35,12 @@
 //! show whether an answer was computed or taken. `emitted` is a
 //! [`CanonMultiset`]: per distinct tree sent, a 128-bit
 //! [`canonical_digest`] and two counts, never the tree or its canonical
-//! form, so a hit member's bookkeeping is one allocation-free digest walk
-//! per fresh result. A member after the first of a call the feed hit
-//! takes the results computed for the first and consults nothing else of
-//! the call. Call keys are digests too.
+//! form. What a feed computes for a hit call is digested once, for all
+//! of the call's members: the digests sit beside the results, and a
+//! member after the first takes both, records the digests and walks no
+//! tree. Its own share of the feed is a lookup of itself and one of its
+//! call's slot, a count per result, and its delivery. Call keys are
+//! digests too.
 //!
 //! **When a stored answer holds.** Exactly while the document's
 //! [`Document::stamp`] is `Watch::answers_at` — the stamp the answers
@@ -68,7 +70,8 @@ use axml_xml::store::Document;
 use axml_xml::tree::{NodeId, Tree};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
+use std::mem::take;
 use std::sync::Arc;
 
 /// What causes a subscription to re-evaluate.
@@ -186,6 +189,9 @@ struct Call {
     /// The full answer at [`Watch::answers_at`], in a tree of its own: one
     /// child of the root per result, in result order.
     answer: Option<Tree>,
+    /// The canonical digests of `answer`'s results, in result order: what
+    /// a member taking the answer admits it by, walking none of it.
+    digests: Vec<u128>,
 }
 
 /// `results` copied under `answer`'s root. Copied, because a result is
@@ -216,6 +222,7 @@ impl Watch {
                     params: params.to_vec(),
                     members: 1,
                     answer: None,
+                    digests: Vec::new(),
                 });
                 Some(key)
             }
@@ -232,25 +239,39 @@ impl Watch {
     }
 
     /// The results of `key`'s call over a document stamped `stamp`, if
-    /// its answer is stored: views of the answer's own tree.
-    fn answer(&self, key: &Arc<CallKey>, stamp: u64) -> Option<Vec<Tree>> {
-        let answer = self.calls.get(key)?.answer.as_ref()?;
+    /// its answer is stored: views of the answer's own tree, and their
+    /// digests.
+    fn answer(&self, key: &Arc<CallKey>, stamp: u64) -> Option<(Vec<Tree>, &[u128])> {
+        let call = self.calls.get(key)?;
+        let answer = call.answer.as_ref()?;
         let view = |&r| answer.subtree(r).expect("a child of the root");
-        (self.answers_at == Some(stamp))
-            .then(|| answer.children(answer.root()).iter().map(view).collect())
+        (self.answers_at == Some(stamp)).then(|| {
+            let results = answer.children(answer.root()).iter().map(view);
+            (results.collect(), &call.digests[..])
+        })
     }
 
-    /// Store `results` as the answer of `key`'s call over a document
-    /// stamped `stamp`, forgetting the answers of any other stamp.
-    fn keep(&mut self, key: &Arc<CallKey>, stamp: u64, results: &[Tree]) {
+    /// Store `results`, whose digests are `digests`, as the answer of
+    /// `key`'s call over a document stamped `stamp`, forgetting the
+    /// answers of any other stamp.
+    fn keep(&mut self, key: &Arc<CallKey>, stamp: u64, results: &[Tree], digests: &[u128]) {
         if self.answers_at != Some(stamp) {
             self.calls.values_mut().for_each(|c| c.answer = None);
             self.answers_at = Some(stamp);
         }
         if let Some(call) = self.calls.get_mut(key) {
             append(call.answer.insert(Tree::new("answer")), results);
+            call.digests = digests.to_vec();
         }
     }
+}
+
+/// The canonical digests of `trees`, in order.
+fn digests(trees: &[Tree]) -> Vec<u128> {
+    trees
+        .iter()
+        .map(|t| canonical_digest(t, t.root()))
+        .collect()
 }
 
 /// What an in-step feed offers the watchers it hits: the child it
@@ -266,7 +287,25 @@ struct Appended<'a> {
     carried: bool,
     /// Per call a member of which was pumped: the results over the
     /// appended child alone, once evaluated.
-    calls: HashMap<Arc<CallKey>, Option<Vec<Tree>>>,
+    calls: HashMap<Arc<CallKey>, Option<Fresh>>,
+}
+
+/// What a call's query made of an appended child: the results, and their
+/// canonical digests — walked once, for every member of the call.
+struct Fresh {
+    trees: Vec<Tree>,
+    digests: Vec<u128>,
+}
+
+/// What one pump found new for its subscription.
+struct Found<'f> {
+    fresh: Cow<'f, [Tree]>,
+    /// Results recomputed and held back as sent before.
+    suppressed: usize,
+    provider: PeerId,
+    /// Where `fresh` goes, and the `@after` calls that fire once it has
+    /// gone; `None` when nothing is fresh.
+    route: Option<(Vec<NodeAddr>, Vec<u64>)>,
 }
 
 /// All state of the continuous engine. [`SubscriptionTable::insert`] and
@@ -274,9 +313,9 @@ struct Appended<'a> {
 /// subscription, so its parts cannot disagree.
 #[derive(Debug, Default)]
 pub(crate) struct SubscriptionTable {
-    /// The live subscriptions. Ids come from one counter, so ascending
-    /// id is activation order.
-    live: BTreeMap<u64, Subscription>,
+    /// The live subscriptions, by id. Ids come from one counter, so
+    /// ascending id is activation order.
+    live: HashMap<u64, Subscription>,
     /// Deliveries are identical in both modes; only evaluation work (and
     /// the `matcher_*` counters) differ.
     mode: MatcherMode,
@@ -296,6 +335,10 @@ pub(crate) struct SubscriptionTable {
     /// what the unit tests hold "once per call" against.
     #[cfg_attr(not(test), allow(dead_code))]
     evals: (usize, usize),
+    /// Results handed to the canonical walk so far: digested for a call,
+    /// or recorded, admitted or retracted by one subscription.
+    #[cfg_attr(not(test), allow(dead_code))]
+    walks: usize,
 }
 
 impl SubscriptionTable {
@@ -736,109 +779,156 @@ impl AxmlSystem {
     /// it was not sent before, and how many results it recomputed to find
     /// that out. Evaluation is per [`Call`] where the subscription has
     /// one and the mode shares; everything else here is the
-    /// subscription's own.
+    /// subscription's own. The subscription is looked up once, here: the
+    /// delivery to come takes its sinks and `@after` calls from the
+    /// answer, and counts as delivered already.
     fn new_results<'f>(
         &mut self,
         id: u64,
         feed: Option<&'f mut Appended<'_>>,
-    ) -> CoreResult<(Cow<'f, [Tree]>, usize)> {
-        let table = &mut self.subs;
+    ) -> CoreResult<Found<'f>> {
+        let SubscriptionTable {
+            live,
+            mode,
+            watches,
+            after,
+            evals,
+            walks,
+            ..
+        } = &mut self.subs;
         let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
-        let sub = table.live.get_mut(&id).ok_or_else(no_sub)?;
-        // A later member of a call the feed has evaluated the child for
-        // takes those results, and consults nothing else of the call:
-        // this is the one place a member borrows what another evaluated.
-        let ready = |feed: &Appended<'_>| {
-            let evaluated = |key| matches!(feed.calls.get(key), Some(Some(_)));
-            table.mode == MatcherMode::Shared
-                && sub.semi_naive
-                && sub.exact
-                && sub.call.as_ref().is_some_and(evaluated)
-        };
-        let feed = match feed {
-            Some(feed) if ready(feed) => {
-                let feed: &'f Appended<'_> = feed;
-                let key = sub.call.as_ref().expect("ready: a call");
-                let fresh = feed.calls[key].as_deref().expect("ready: evaluated");
-                sub.emitted.record(fresh);
-                return Ok((Cow::Borrowed(fresh), 0));
-            }
-            feed => feed,
-        };
-        let state = &self.peers[sub.provider.index()];
-        let query = match &sub.query {
-            Some(query) => query,
-            None => &state.service(&sub.service, sub.provider)?.query,
-        };
-        // The call's entry, and the stamp of the one document it reads.
-        let mut call = match (table.mode, &sub.call, &sub.trigger) {
-            (MatcherMode::Shared, Some(key), Trigger::DocChange(deps)) => table
-                .watches
-                .get_mut(&(sub.provider, deps[0].clone()))
-                .zip(state.docs.get(&deps[0]).map(Document::stamp))
-                .map(|(watch, stamp)| (watch, key, stamp)),
-            _ => None,
-        };
-        // The first member of a call that a feed pumps takes the stored
-        // answer out: it lacks the child. Evaluating the child puts it
-        // back, brought up to date; a full evaluation replaces it.
-        let mut lacks_child = None;
-        let hit = match (feed, &mut call) {
-            (Some(feed), Some((watch, key, _))) => {
-                let fresh = feed.calls.entry(Arc::clone(key)).or_insert_with(|| {
-                    let stored = watch.calls.get_mut(*key).and_then(|c| c.answer.take());
-                    lacks_child = stored.filter(|_| feed.carried);
-                    None
+        let sub = live.get_mut(&id).ok_or_else(no_sub)?;
+        let shared = *mode == MatcherMode::Shared;
+        // May its results come from the appended child alone?
+        let by_delta = sub.semi_naive && sub.exact;
+        // The feed's slot for the subscription's call, reached with one
+        // hash of its key, and whether the call is new to the feed.
+        let (appended, slot) = match feed {
+            Some(feed) => {
+                let appended = (feed.delta, feed.carried);
+                let slot = sub.call.as_ref().filter(|_| shared).map(|key| {
+                    match feed.calls.entry(Arc::clone(key)) {
+                        Entry::Occupied(e) => (e.into_mut(), false),
+                        Entry::Vacant(e) => (e.insert(None), true),
+                    }
                 });
-                Some((feed.delta, Some(fresh)))
+                (Some(appended), slot)
             }
-            (feed, _) => feed.map(|feed| (feed.delta, None)),
+            None => (None, None),
         };
-        match query
-            .plan()
-            .zip(hit.filter(|_| sub.semi_naive && sub.exact))
-        {
-            // … from the appended child alone: all of it is new,
-            Some((plan, (delta, shared))) => {
-                table.evals.1 += 1;
-                let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
-                // … and the end of the call's answer.
-                if let (Some(mut answer), Some((watch, key, _))) = (lacks_child, call) {
-                    append(&mut answer, &fresh);
-                    if let Some(call) = watch.calls.get_mut(key) {
-                        call.answer = Some(answer);
-                    }
+        let (fresh, suppressed) = 'found: {
+            let slot = match slot {
+                // A later member of a call the feed has evaluated the
+                // child for takes those results and their digests, and
+                // consults nothing else of the call: this is the one
+                // place a member borrows what another evaluated.
+                Some((evaluated, _)) if by_delta && evaluated.is_some() => {
+                    let evaluated: &'f Option<Fresh> = evaluated;
+                    let found = evaluated.as_ref().expect("evaluated");
+                    sub.emitted.record_digests(&found.digests);
+                    break 'found (Cow::Borrowed(&found.trees[..]), 0);
                 }
-                let fresh = match shared {
-                    Some(slot) => Cow::Borrowed(slot.insert(fresh).as_slice()),
-                    None => Cow::Owned(fresh),
-                };
-                sub.emitted.record(&fresh);
-                Ok((fresh, 0))
-            }
-            // … or from the current state, less what was delivered before.
-            None => {
-                let stored = call
-                    .as_ref()
-                    .and_then(|(watch, key, stamp)| watch.answer(key, *stamp));
-                let results = match stored {
-                    Some(results) => results,
-                    None => {
-                        table.evals.0 += 1;
-                        let results = query.eval_with_docs(&sub.params, state)?;
-                        if let Some((watch, key, stamp)) = call {
-                            watch.keep(key, stamp, &results);
+                slot => slot,
+            };
+            let state = &self.peers[sub.provider.index()];
+            let query = match &sub.query {
+                Some(query) => query,
+                None => &state.service(&sub.service, sub.provider)?.query,
+            };
+            // The call's entry, and the stamp of the one document it reads.
+            let mut call = match (shared, &sub.call, &sub.trigger) {
+                (true, Some(key), Trigger::DocChange(deps)) => watches
+                    .get_mut(&(sub.provider, deps[0].clone()))
+                    .zip(state.docs.get(&deps[0]).map(Document::stamp))
+                    .map(|(watch, stamp)| (watch, key, stamp)),
+                _ => None,
+            };
+            // The first member of a call that a feed pumps takes the stored
+            // answer out: it lacks the child. Evaluating the child puts it
+            // back, brought up to date; a full evaluation replaces it.
+            let lacks_child = match (&slot, &mut call, appended) {
+                (Some((_, true)), Some((watch, key, _)), Some((_, carried))) => {
+                    let call = watch.calls.get_mut(*key);
+                    let stored = call.and_then(|c| Some((c.answer.take()?, take(&mut c.digests))));
+                    stored.filter(|_| carried)
+                }
+                _ => None,
+            };
+            match query.plan().zip(appended.filter(|_| by_delta)) {
+                // … from the appended child alone: all of it is new,
+                Some((plan, (delta, _))) => {
+                    evals.1 += 1;
+                    let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
+                    *walks += fresh.len();
+                    let Some((slot, _)) = slot else {
+                        sub.emitted.record(&fresh);
+                        break 'found (Cow::Owned(fresh), 0);
+                    };
+                    let digests = digests(&fresh);
+                    // … and the end of the call's answer.
+                    if let (Some((mut answer, mut known)), Some((watch, key, _))) =
+                        (lacks_child, call)
+                    {
+                        append(&mut answer, &fresh);
+                        known.extend_from_slice(&digests);
+                        if let Some(call) = watch.calls.get_mut(key) {
+                            call.answer = Some(answer);
+                            call.digests = known;
                         }
-                        results
                     }
-                };
-                let recomputed = results.len();
-                let fresh = sub.emitted.admit(results);
-                sub.exact = sub.emitted.delivered() == recomputed;
-                let suppressed = recomputed - fresh.len();
-                Ok((Cow::Owned(fresh), suppressed))
+                    let found: &'f Fresh = slot.insert(Fresh {
+                        trees: fresh,
+                        digests,
+                    });
+                    sub.emitted.record_digests(&found.digests);
+                    (Cow::Borrowed(&found.trees[..]), 0)
+                }
+                // … or from the current state, less what was delivered before.
+                // A call's answer is digested once, by the member that
+                // evaluates it; a subscription of its own digests its own.
+                None => {
+                    let stored = call
+                        .as_ref()
+                        .and_then(|(watch, key, stamp)| watch.answer(key, *stamp));
+                    let (results, known) = match stored {
+                        Some((results, known)) => (results, Some(Cow::Borrowed(known))),
+                        None => {
+                            evals.0 += 1;
+                            let results = query.eval_with_docs(&sub.params, state)?;
+                            let known = call.map(|(watch, key, stamp)| {
+                                let known = digests(&results);
+                                watch.keep(key, stamp, &results, &known);
+                                Cow::Owned(known)
+                            });
+                            *walks += results.len();
+                            (results, known)
+                        }
+                    };
+                    let recomputed = results.len();
+                    let fresh = match known {
+                        Some(known) => sub.emitted.admit_digests(results, &known),
+                        None => sub.emitted.admit(results),
+                    };
+                    sub.exact = sub.emitted.delivered() == recomputed;
+                    let suppressed = recomputed - fresh.len();
+                    (Cow::Owned(fresh), suppressed)
+                }
             }
-        }
+        };
+        let route = (!fresh.is_empty()).then(|| {
+            sub.delivered += fresh.len();
+            let chained = sub.sc_id.as_ref().and_then(|sc_id| after.get(sc_id));
+            (
+                sub.sink.clone(),
+                chained.into_iter().flatten().copied().collect(),
+            )
+        });
+        Ok(Found {
+            fresh,
+            suppressed,
+            provider: sub.provider,
+            route,
+        })
     }
 
     /// The pump body. Chained `@after` calls fire as soon as their
@@ -851,10 +941,12 @@ impl AxmlSystem {
         feed: Option<&mut Appended<'_>>,
     ) -> CoreResult<usize> {
         // Step 2: the provider computes what is new …
-        let (fresh, suppressed) = self.new_results(id, feed)?;
-        let no_sub = || CoreError::Malformed(format!("no subscription {id}"));
-        let sub = self.subs.live.get(&id).ok_or_else(no_sub)?;
-        let (provider, sink, sc_id) = (sub.provider, sub.sink.clone(), sub.sc_id.clone());
+        let Found {
+            fresh,
+            suppressed,
+            provider,
+            route,
+        } = self.new_results(id, feed)?;
         self.obs.metrics.delta_fresh += fresh.len() as u64;
         self.obs.metrics.delta_suppressed += suppressed as u64;
         let now = self.now_ms();
@@ -866,9 +958,9 @@ impl AxmlSystem {
             suppressed,
             at_ms: now,
         });
-        if fresh.is_empty() {
+        let Some((sink, chained)) = route else {
             return Ok(0);
-        }
+        };
         // Step 3: ship to the sink (repeatedly, for continuous services).
         // Only what was issued to every sink counts as delivered: after
         // a failure the whole batch is new again at the next pump (and
@@ -877,18 +969,19 @@ impl AxmlSystem {
         // the sinks before the failing one get the batch a second time:
         // delivery is at least once per sink, exactly once when no
         // delivery fails.
-        let issued = self.deliver_to_nodes(s, provider, &sink, &fresh);
-        let sub = self.subs.live.get_mut(&id).ok_or_else(no_sub)?;
-        if let Err(e) = issued {
-            sub.emitted.retract(&fresh);
-            sub.exact = false;
+        if let Err(e) = self.deliver_to_nodes(s, provider, &sink, &fresh) {
+            // Take back what `new_results` counted ahead of the delivery.
+            self.subs.walks += fresh.len();
+            if let Some(sub) = self.subs.live.get_mut(&id) {
+                sub.emitted.retract(&fresh);
+                sub.exact = false;
+                sub.delivered -= fresh.len();
+            }
             return Err(e);
         }
-        sub.delivered += fresh.len();
         let mut total = fresh.len();
         // §2.2: a call chained `after` this one activates per answer batch.
-        let chained = sc_id.and_then(|my_id| self.subs.after.get(&my_id).cloned());
-        for c in chained.unwrap_or_default() {
+        for c in chained {
             total += self.pump_into(s, c, None)?;
         }
         Ok(total)
@@ -896,7 +989,9 @@ impl AxmlSystem {
 
     /// The live subscriptions, in activation order.
     pub fn subscriptions(&self) -> impl ExactSizeIterator<Item = &Subscription> + '_ {
-        self.subs.live.values()
+        let mut live: Vec<&Subscription> = self.subs.live.values().collect();
+        live.sort_unstable_by_key(|sub| sub.id);
+        live.into_iter()
     }
 
     /// Cancel a subscription: the call stops streaming (results already
@@ -1680,6 +1775,55 @@ mod call_tests {
         assert_eq!(naive.subs.evals, (5, 0));
         naive.feed(server, "board", item("db", "v1")).unwrap();
         assert_eq!(naive.subs.evals, (10, 0));
+    }
+
+    #[test]
+    fn a_feed_digests_each_fresh_result_once_per_call() {
+        let k = 5;
+        let (mut sys, client, server) = watchers(MatcherMode::Shared, &[DB; 5]);
+        assert_eq!(sys.subs.walks, 1, "five activations, one answer of one");
+        for (n, text) in ["v1", "v2", "v3"].into_iter().enumerate() {
+            let walks = sys.subs.walks;
+            assert_eq!(sys.feed(server, "board", item("db", text)).unwrap(), k);
+            assert_eq!(sys.subs.evals, (1, n + 1));
+            assert_eq!(
+                sys.subs.walks,
+                walks + 1,
+                "one fresh result, one walk for {k} members"
+            );
+        }
+        // A subscription joining the live call admits the stored answer by
+        // the digests stored beside it.
+        let late = format!(
+            "<in><sc><peer>p1</peer><service>watch</service><param1>{DB}</param1></sc></in>"
+        );
+        sys.install_doc(client, "late", Tree::parse(&late).unwrap())
+            .unwrap();
+        let walks = sys.subs.walks;
+        sys.activate_document(client, &"late".into()).unwrap();
+        assert_eq!(sys.subs.walks, walks, "four results, none walked");
+        assert_eq!(sys.subscriptions().last().unwrap().delivered, 4);
+        // The reference admits the whole answer, member by member.
+        let (mut naive, _, server) = watchers(MatcherMode::Naive, &[DB; 5]);
+        let walks = naive.subs.walks;
+        naive.feed(server, "board", item("db", "v1")).unwrap();
+        assert_eq!(naive.subs.walks, walks + 2 * k, "v0 and v1, per member");
+    }
+
+    #[test]
+    fn subscriptions_are_listed_in_activation_order() {
+        let (mut sys, client, _) = watchers(MatcherMode::Shared, &[DB, DB, "<t>ai</t>", DB]);
+        let ids: Vec<u64> = sys.subscriptions().map(|s| s.id).collect();
+        assert!(sys.unsubscribe(ids[1]));
+        let late = format!(
+            "<in><sc><peer>p1</peer><service>watch</service><param1>{DB}</param1></sc></in>"
+        );
+        sys.install_doc(client, "late", Tree::parse(&late).unwrap())
+            .unwrap();
+        let new = sys.activate_document(client, &"late".into()).unwrap();
+        let listed: Vec<u64> = sys.subscriptions().map(|s| s.id).collect();
+        assert_eq!(listed, [ids[0], ids[2], ids[3], new[0]]);
+        assert!(listed.windows(2).all(|w| w[0] < w[1]), "{listed:?}");
     }
 
     #[test]

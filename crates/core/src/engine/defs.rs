@@ -742,20 +742,17 @@ impl AxmlSystem {
         Ok(gate)
     }
 
-    /// Graft a forest under the addressed node. The address is checked
-    /// through the read doors first, so a failed graft moves no stamp.
+    /// Graft a forest under the addressed node, found with one lookup
+    /// that checks it before it borrows: a failed graft moves no stamp.
     pub(crate) fn graft_at(&mut self, addr: &NodeAddr, forest: &[Tree]) -> CoreResult<()> {
         let docs = &mut self.peers[addr.peer.index()].docs;
-        let doc = docs.get(&addr.doc).ok_or_else(|| CoreError::NoSuchDoc {
-            doc: addr.doc.clone(),
-            at: addr.peer,
+        let tree = docs.node_mut(&addr.doc, addr.node).map_err(|e| match e {
+            axml_xml::XmlError::NoSuchDocument(_) => CoreError::NoSuchDoc {
+                doc: addr.doc.clone(),
+                at: addr.peer,
+            },
+            e => e.into(),
         })?;
-        if !doc.tree().contains(addr.node) {
-            return Err(CoreError::Xml(axml_xml::XmlError::InvalidNode {
-                index: addr.node.index() as u32,
-            }));
-        }
-        let tree = docs.require_mut(&addr.doc)?.tree_mut();
         for t in forest {
             tree.graft(addr.node, t, t.root())?;
         }

@@ -151,6 +151,13 @@ fn every_door_moves_the_stamp() {
     moves(&mut sys, a, "docs.require_mut", |sys| {
         sys.peer_mut(a).docs.require_mut(&"inbox".into()).unwrap();
     });
+    let inbox = root(&sys, a, "inbox").node;
+    moves(&mut sys, a, "docs.node_mut", |sys| {
+        sys.peer_mut(a)
+            .docs
+            .node_mut(&"inbox".into(), inbox)
+            .unwrap();
+    });
     moves(&mut sys, a, "docs.insert", |sys| {
         let doc = Document::new("extra", item("extra"));
         sys.peer_mut(a).docs.insert(doc).unwrap();
@@ -244,6 +251,25 @@ fn a_failed_graft_moves_no_stamp() {
         });
         assert_eq!(doc_stamp(&sys), before, "the document's stamp holds");
     }
+    // the same, into a document the peer does not host
+    let elsewhere = NodeAddr::new(a, "no-such-doc", NodeId::from_index(0).unwrap());
+    for at in [a, b] {
+        let dest = SendDest::Nodes(vec![elsewhere.clone()]);
+        holds(&mut sys, "a graft into a missing document", |sys| {
+            let e = sys.eval(at, &send(dest, at)).unwrap_err();
+            assert!(matches!(e, CoreError::NoSuchDoc { .. }), "{e:?}");
+        });
+    }
+    // and the door itself, asked for either
+    let before = doc_stamp(&sys);
+    holds(&mut sys, "a rejected node_mut", |sys| {
+        let docs = &mut sys.peer_mut(a).docs;
+        assert!(docs.node_mut(&"inbox".into(), nowhere.node).is_err());
+        assert!(docs
+            .node_mut(&"no-such-doc".into(), elsewhere.node)
+            .is_err());
+    });
+    assert_eq!(doc_stamp(&sys), before, "the document's stamp holds");
 }
 
 /// Run `op` and tell whether it moved the link table's stamp and the

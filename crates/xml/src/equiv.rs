@@ -43,7 +43,15 @@
 //!   cannot know keeps a peer from working out offline two trees that
 //!   collide — the second of which a subscriber holding the first would
 //!   never be sent. Such a digest never leaves the process or decides an
-//!   order, so no result depends on the key.
+//!   order, so no result depends on the key. The same secrecy lets
+//!   [`CanonMultiset`]'s map hash a digest by folding it (xoring its two
+//!   halves) instead of hashing it again. A `std` map SipHashes its keys
+//!   so that whoever chooses them cannot pile many into one bucket. Here
+//!   a peer chooses trees, and the bucket a tree lands in is read off a
+//!   digest under a key the peer never sees: it cannot tell which trees
+//!   would share one, so it cannot aim. The finish mixes each half
+//!   fully, so their xor is as evenly spread as either: in the low bits
+//!   that pick a bucket and in the top seven a probe compares first.
 //! - **The fixed key** ([`canonical_hash`], folded to 64 bits), a
 //!   constant. It names a tree on the wire — the `ref` of a fetch request —
 //!   so it must be the same in every process and on every toolchain, which
@@ -54,7 +62,7 @@
 use crate::stack::Stack;
 use crate::tree::{NodeId, NodeKind, Tree};
 use std::collections::hash_map::{HashMap, RandomState};
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 /// Domain tags: what a digest is the digest of.
@@ -206,6 +214,39 @@ fn digest(key: Key, tree: &Tree, node: NodeId) -> u128 {
     }
 }
 
+/// Hashes a [`canonical_digest`] by folding it: the map key is already a
+/// keyed, evenly spread 128-bit value (see the module docs' two keys).
+#[derive(Clone, Default)]
+struct FoldDigest;
+
+impl BuildHasher for FoldDigest {
+    type Hasher = Folded;
+
+    fn build_hasher(&self) -> Folded {
+        Folded(0)
+    }
+}
+
+/// The state of [`FoldDigest`]: the folded digest.
+struct Folded(u64);
+
+impl Hasher for Folded {
+    fn write_u128(&mut self, digest: u128) {
+        self.0 ^= (digest >> 64) as u64 ^ digest as u64;
+    }
+
+    /// Not reached by a `u128` key; any other input is mixed byte by byte.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// A grow-only multiset of trees up to equivalence: what an append-only
 /// stream (§2.2 — answers accumulate, none is retracted) has delivered so
 /// far, and so the one place that decides which trees of a re-evaluated
@@ -213,7 +254,7 @@ fn digest(key: Key, tree: &Tree, node: NodeId) -> u128 {
 /// the set holds 128 bits per distinct tree, not the tree.
 #[derive(Debug, Clone, Default)]
 pub struct CanonMultiset {
-    copies: HashMap<u128, Copies>,
+    copies: HashMap<u128, Copies, FoldDigest>,
     /// Sum of every tree's delivered copies.
     delivered: usize,
 }
@@ -258,6 +299,16 @@ impl CanonMultiset {
         self.delivered += trees.len();
     }
 
+    /// [`CanonMultiset::record`] of the trees whose [`canonical_digest`]s
+    /// these are, for a caller that digested them already: it walks no
+    /// tree, and allocates nothing for a digest the set holds.
+    pub fn record_digests(&mut self, digests: &[u128]) {
+        for &d in digests {
+            self.copies.entry(d).or_default().delivered += 1;
+        }
+        self.delivered += digests.len();
+    }
+
     /// Take back one delivered copy of every tree of `trees` — for trees
     /// [`CanonMultiset::record`] or [`CanonMultiset::admit`] just counted
     /// whose delivery then failed, so that they are new again next time.
@@ -275,10 +326,29 @@ impl CanonMultiset {
     /// `k`-th copy of a tree within this batch is new iff fewer than `k`
     /// copies were delivered before. Everything let through counts as
     /// delivered from then on.
-    pub fn admit(&mut self, mut results: Vec<Tree>) -> Vec<Tree> {
+    pub fn admit(&mut self, results: Vec<Tree>) -> Vec<Tree> {
+        self.admit_by(results, |t| canonical_digest(t, t.root()))
+    }
+
+    /// [`CanonMultiset::admit`] of results whose [`canonical_digest`]s
+    /// are `digests`, in result order, for a caller that digested them
+    /// already: it walks no tree.
+    pub fn admit_digests(&mut self, results: Vec<Tree>, digests: &[u128]) -> Vec<Tree> {
+        assert_eq!(results.len(), digests.len(), "a digest per result");
+        let mut digests = digests.iter();
+        self.admit_by(results, |_| *digests.next().expect("a digest per result"))
+    }
+
+    /// `admit`, each result counted under `digest(result)`; `retain`
+    /// visits the results once each, in order.
+    fn admit_by(
+        &mut self,
+        mut results: Vec<Tree>,
+        mut digest: impl FnMut(&Tree) -> u128,
+    ) -> Vec<Tree> {
         self.copies.values_mut().for_each(|c| c.batch = 0);
         results.retain(|t| {
-            let c = self.copies(t, t.root());
+            let c = self.copies.entry(digest(t)).or_default();
             c.batch += 1;
             let fresh = c.batch > c.delivered;
             c.delivered = c.delivered.max(c.batch);

@@ -107,8 +107,9 @@ impl DocStore {
 
     /// The store's mutation stamp: drawn afresh by every mutable door
     /// that succeeds ([`DocStore::insert`], [`DocStore::insert_or_replace`],
-    /// [`DocStore::get_mut`], [`DocStore::require_mut`], a
-    /// [`DocStore::remove`] that removes), 0 for a store no door has
+    /// [`DocStore::get_mut`], [`DocStore::require_mut`],
+    /// [`DocStore::node_mut`], a [`DocStore::remove`] that removes), 0 for
+    /// a store no door has
     /// moved. Two reads returning the same stamp saw the same documents —
     /// a clone carries its stamp, and a store replaced by an older clone
     /// reads as changed.
@@ -186,6 +187,24 @@ impl DocStore {
             });
         }
         Ok(doc.tree())
+    }
+
+    /// [`DocStore::node`], mutably: the tree of a document that has the
+    /// node, for writing under it. Both are checked before anything is
+    /// borrowed mutably, so only a lookup that succeeds moves a stamp —
+    /// the store's, and the document's through [`Document::tree_mut`].
+    pub fn node_mut(&mut self, name: &DocName, node: NodeId) -> XmlResult<&mut Tree> {
+        let doc = self
+            .docs
+            .get_mut(name)
+            .ok_or_else(|| XmlError::NoSuchDocument(name.to_string()))?;
+        if !doc.tree().contains(node) {
+            return Err(XmlError::InvalidNode {
+                index: node.index() as u32,
+            });
+        }
+        self.stamp = fresh_stamp();
+        Ok(doc.tree_mut())
     }
 }
 

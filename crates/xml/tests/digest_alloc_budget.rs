@@ -89,6 +89,20 @@ fn recording_a_delivered_tree_allocates_nothing() {
 }
 
 #[test]
+fn recording_known_digests_allocates_nothing() {
+    let batch: Vec<Tree> = (0..64).map(item).collect();
+    let digests: Vec<u128> = batch
+        .iter()
+        .map(|t| canonical_digest(t, t.root()))
+        .collect();
+    let mut set = CanonMultiset::default();
+    set.record(&batch);
+    let (n, _) = allocations(|| set.record_digests(&digests));
+    assert_eq!(n, 0);
+    assert_eq!(set.delivered(), 128);
+}
+
+#[test]
 fn admitting_a_batch_allocates_for_the_map_only() {
     let batch: Vec<Tree> = (0..1_000).map(item).collect();
     // what a map of as many 128-bit keys costs to grow, by itself

@@ -549,4 +549,53 @@ proptest! {
             prop_assert_eq!(set.delivered(), oracle.delivered);
         }
     }
+
+    /// The multiset's map hashes a digest by folding it; it still answers
+    /// random interleavings of `record`, `record_digests`, `admit`,
+    /// `admit_digests` and `retract` exactly as the `Canon`-keyed one —
+    /// and counting trees by their digests is counting the trees.
+    #[test]
+    fn the_folded_multiset_answers_as_the_canon_keyed_one(
+        base in proptest::collection::vec(arb_tree(), 1..4),
+        ops in proptest::collection::vec((0u8..4, proptest::collection::vec(0usize..12, 0..8)), 1..24),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SplitMix64::new(seed);
+        let pool: Vec<Tree> = base
+            .iter()
+            .flat_map(|t| [t.clone(), mutant(t, &mut rng, false), mutant(t, &mut rng, true)])
+            .collect();
+        let pick = |ix: &[usize]| ix.iter().map(|i| pool[i % pool.len()].clone()).collect::<Vec<_>>();
+        let ser = |ts: &[Tree]| ts.iter().map(Tree::serialize).collect::<Vec<_>>();
+        let (mut set, mut oracle) = (CanonMultiset::default(), CanonKeyed::default());
+        for (op, ix) in ops {
+            let trees = pick(&ix);
+            match op {
+                0 => set.record(&trees),
+                1 => {
+                    let digests: Vec<u128> = trees.iter().map(|t| canonical_digest(t, t.root())).collect();
+                    set.record_digests(&digests);
+                }
+                2 => {
+                    set.retract(&trees);
+                    oracle.retract(&trees);
+                    prop_assert_eq!(set.delivered(), oracle.delivered);
+                    continue;
+                }
+                _ => {
+                    let fresh = if ix.len() % 2 == 0 {
+                        set.admit(trees.clone())
+                    } else {
+                        let digests: Vec<u128> = trees.iter().map(|t| canonical_digest(t, t.root())).collect();
+                        set.admit_digests(trees.clone(), &digests)
+                    };
+                    prop_assert_eq!(ser(&fresh), ser(&oracle.admit(trees)));
+                    prop_assert_eq!(set.delivered(), oracle.delivered);
+                    continue;
+                }
+            }
+            oracle.record(&trees);
+            prop_assert_eq!(set.delivered(), oracle.delivered);
+        }
+    }
 }

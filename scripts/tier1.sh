@@ -6,11 +6,12 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - thirteen grep gates, one per "one of each" claim (wire-format
+#   - fourteen grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
-#     Σ is left as found) — each explained where it runs;
+#     Σ is left as found, a member walks no tree) — each explained where
+#     it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -227,6 +228,23 @@ for call in '.eval_with_docs(' '.eval_ctx('; do
         exit 1
     fi
 done
+
+echo "== tier-1: a member walks no tree (emitted.record( once in core/src/continuous.rs, the multiset's map folds) =="
+# What a feed computes for a hit call is digested once, beside the
+# results, and every member records those digests: outside comments and
+# `#[cfg(test)]` modules continuous.rs hands fresh trees to a member's
+# multiset at one site, the arm of a subscription that shares no call.
+# The multiset's map hashes its keys, already keyed digests, by folding
+# them (FoldDigest in xml/src/equiv.rs), not by SipHashing them again.
+if [ "$(code crates/core/src/continuous.rs | grep -cF 'emitted.record(')" -ne 1 ]; then
+    echo "tier-1: continuous.rs must record trees at one site; a member records its call's digests" >&2
+    exit 1
+fi
+if [ "$(code crates/xml/src/equiv.rs | sed -n '/^pub struct CanonMultiset {/,/^}/p' \
+    | grep -cE 'HashMap<u128, *Copies, *FoldDigest>')" -ne 1 ]; then
+    echo "tier-1: CanonMultiset's map must hash its digests with FoldDigest" >&2
+    exit 1
+fi
 
 echo "== tier-1: one scan memo (memo_scan( only in query/src/eval.rs's closed-scan path) =="
 # An arena keeps a closed scan's filtered nodes under a key only the
