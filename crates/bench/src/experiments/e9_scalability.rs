@@ -7,9 +7,9 @@
 //!    relocation targets; measure explored candidates and search time as
 //!    peers are added.
 //! 3. *Parallel evaluation driver*: `n` identical service calls fan in
-//!    on one provider; the sequential reference evaluates the service
-//!    `n` times while the parallel driver collapses the duplicates onto
-//!    one evaluation — wall-clock speedup with bit-identical reports.
+//!    on one provider, which evaluates the service once and reuses the
+//!    answer `n − 1` times under either driver — wall clocks of both
+//!    drivers with bit-identical reports.
 
 use crate::report::{fmt_bytes, tail_cells, Report};
 use crate::workload::{catalog, naive_apply, selective_query};
@@ -38,10 +38,11 @@ pub struct ParEvalRun {
     /// The parallel run's report — must serialize identically to
     /// `seq_report`.
     pub par_report: RunReport,
-    /// The sequential run's driver counters (all zero: it collapses
-    /// nothing).
+    /// The sequential run's driver counters (all zero: it has no pool).
+    /// Its reused calls are `seq_report.metrics.service_reuses`.
     pub seq_stats: ParallelStats,
-    /// The parallel run's driver counters: its duplicate collapses.
+    /// The parallel run's driver counters: waves and precomputes. Its
+    /// reused calls are in `par_report`, equal to the sequential ones.
     pub par_stats: ParallelStats,
     /// Network bytes (identical across drivers by construction).
     pub bytes: u64,
@@ -323,7 +324,7 @@ pub fn run() -> Report {
     r.note("fan-out: one published item costs exactly n deliveries (delta semantics)");
     r.note("fan-out makespan: deliveries overlap — critical path, not the serial byte sum");
     r.note("optimizer: candidates grow with relocation targets; memoization bounds the blow-up");
-    r.note("par-eval: n duplicate calls collapse onto one evaluation; reports stay bit-identical");
+    r.note("par-eval: the provider evaluates n duplicate calls once and reuses the answer n-1 times under both drivers; reports stay bit-identical");
     r.note(
         "tail columns: per-message latency quantiles + goodput folded live from the trace stream",
     );

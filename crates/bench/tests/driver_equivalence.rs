@@ -233,9 +233,9 @@ fn w_fanout_feed(d: DriverKind) -> String {
 }
 
 /// E9 series 3 shape: duplicate-heavy fan-in — one tree fires many
-/// *identical* calls at one provider. Under the parallel driver these
-/// collapse onto one evaluation (request collapsing); the observable
-/// outcome must not change at all.
+/// *identical* calls at one provider. Under either driver the provider
+/// evaluates them once and reuses the answer; the observable outcome
+/// must not change at all.
 fn w_fanin_collapse(d: DriverKind) -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["coord", "provider"])
@@ -399,41 +399,45 @@ fn thread_count_never_changes_the_answer() {
 
 #[test]
 fn collapsing_actually_happens_on_duplicate_fanin() {
-    let mut sys = AxmlSystem::builder()
-        .peers(["coord", "provider"])
-        .link("coord", "provider", LinkCost::wan())
-        .doc("provider", "catalog", catalog(50, 0.1, 0xD9))
-        .service(
-            "provider",
-            "scan",
-            r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
+    for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 4 }] {
+        let mut sys = AxmlSystem::builder()
+            .peers(["coord", "provider"])
+            .link("coord", "provider", LinkCost::wan())
+            .doc("provider", "catalog", catalog(50, 0.1, 0xD9))
+            .service(
+                "provider",
+                "scan",
+                r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
+            )
+            .driver(driver)
+            .build()
+            .unwrap();
+        let coord = sys.peer_id("coord").unwrap();
+        let mut batch = String::from("<batch>");
+        for _ in 0..6 {
+            batch.push_str("<sc><peer>p1</peer><service>scan</service></sc>");
+        }
+        batch.push_str("</batch>");
+        sys.eval(
+            coord,
+            &Expr::Tree {
+                tree: Tree::parse(&batch).unwrap(),
+                at: coord,
+            },
         )
-        .driver(DriverKind::Parallel { threads: 4 })
-        .build()
         .unwrap();
-    let coord = sys.peer_id("coord").unwrap();
-    let mut batch = String::from("<batch>");
-    for _ in 0..6 {
-        batch.push_str("<sc><peer>p1</peer><service>scan</service></sc>");
+        let m = sys.metrics();
+        assert_eq!(
+            (m.service_calls, m.service_reuses),
+            (6, 5),
+            "{driver:?}: 6 identical calls should run the service once"
+        );
+        assert_eq!(
+            sys.parallel_stats().invalidated,
+            0,
+            "{driver:?}: nothing mutated the provider"
+        );
     }
-    batch.push_str("</batch>");
-    sys.eval(
-        coord,
-        &Expr::Tree {
-            tree: Tree::parse(&batch).unwrap(),
-            at: coord,
-        },
-    )
-    .unwrap();
-    let stats = sys.parallel_stats();
-    assert!(
-        stats.dedup_hits + stats.cache_hits >= 5,
-        "6 identical calls should collapse to one evaluation: {stats:?}"
-    );
-    assert_eq!(
-        stats.invalidated, 0,
-        "nothing mutated the provider: {stats:?}"
-    );
 }
 
 /// Determinism stress: every workload, repeated, across thread counts.

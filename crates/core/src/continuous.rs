@@ -1211,7 +1211,8 @@ mod tests {
     fn feed_unknown_doc_errors() {
         let (mut sys, _client, server) = news_system();
         // Nothing changed, so nothing computed against the peer's state
-        // (cost-model statistics, driver precomputes) goes stale.
+        // (cost-model statistics, precomputed evaluations, kept service
+        // answers) goes stale.
         let stamp = sys.peer(server).stamp();
         assert!(sys
             .feed(server, "nope", Tree::parse("<x/>").unwrap())

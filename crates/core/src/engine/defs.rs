@@ -8,6 +8,7 @@ use super::pump::{Cont, EvalSession, Intent, Out, Runnable};
 use crate::error::{CoreError, CoreResult};
 use crate::expr::{Expr, PeerRef, SendDest};
 use crate::message::{AxmlMessage, Body};
+use crate::peer::PeerState;
 use crate::sc::{ActivationMode, ScNode};
 use crate::service::Service;
 use crate::system::AxmlSystem;
@@ -650,7 +651,7 @@ impl AxmlSystem {
             param_forests,
             forward,
         } = call;
-        let results = self.service_results(s, prov, service, &param_forests)?;
+        let results = self.service_results(prov, service, param_forests)?;
         if forward.is_empty() {
             if prov != caller {
                 self.send_wire(
@@ -672,6 +673,27 @@ impl AxmlSystem {
             self.register_pending(s, gate, prov, Cont::Discard { out })?;
             Ok(())
         }
+    }
+
+    /// §2.2 step 2, the provider-side evaluation of every service call:
+    /// the answer the provider's memo kept for this call at its current
+    /// stamp, else the service body run on the parameters (and kept when
+    /// it succeeds). Either way the same forest, under every driver.
+    fn service_results(
+        &mut self,
+        prov: PeerId,
+        service: &ServiceName,
+        params: Vec<Vec<Tree>>,
+    ) -> CoreResult<Vec<Tree>> {
+        let state = &mut self.peers[prov.index()];
+        let at = state.stamp();
+        if let Some(results) = state.calls.get(at, service, &params) {
+            self.obs.metrics.service_reuses += 1;
+            return Ok(results.to_vec());
+        }
+        let results = run_service(state, prov, service, &params)?;
+        state.calls.keep(service, params, results.clone());
+        Ok(results)
     }
 
     /// The engine form of [`AxmlSystem::call_service`]'s old synchronous
@@ -785,6 +807,24 @@ impl AxmlSystem {
             at_ms,
         });
     }
+}
+
+/// Apply `prov`'s implementation query of `service` to the parameter
+/// forests.
+fn run_service(
+    state: &PeerState,
+    prov: PeerId,
+    service: &ServiceName,
+    params: &[Vec<Tree>],
+) -> CoreResult<Vec<Tree>> {
+    let svc = state.service(service, prov)?;
+    if svc.arity() != params.len() {
+        return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
+            expected: svc.arity(),
+            got: params.len(),
+        }));
+    }
+    Ok(svc.query.eval_with_docs(params, state)?)
 }
 
 /// Re-pin the location of the outermost data reference to `loc` (used

@@ -34,21 +34,23 @@
 //! # Module map
 //!
 //! * `pump` — [`Wire`], `Intent`, `Runnable`, `Cont`, `EvalSession` and
-//!   the loop: `schedule`, the sequential `run_session`,
+//!   the loop: `schedule`, the one session loop `run_session`,
 //!   `next_arrival_batch`, `deliver`, `apply_intent`, slot fill/park;
 //!   also `blocking`, the one place a session is opened — `eval`,
 //!   `activate_document`, `feed`, `feed_replicas` and the lazy
 //!   activations' `call_service` all go through it. Names no policy.
 //! * `defs` — definitions (1)–(8): `step_eval`, `resume` and the
-//!   service-call steps of §2.2.
+//!   service-call steps of §2.2, whose provider-side evaluation
+//!   (`service_results`) reuses an answer through the provider's
+//!   stamp-guarded call memo under every driver.
 //! * `send` — **choke point 1**: `send_wire` and its backoff, the only
 //!   reader of [`crate::retry::RetryPolicy`].
 //! * `any` — **choke point 2**: definition (9), the only reader of the
 //!   failover switch, the [`crate::pick::PickPolicy`] and the catalog's
 //!   pick; one resolve-with-failover loop for documents and services.
 //! * [`crate::driver`] — **choke point 3**: the parallel driver's
-//!   speculative precompute and request collapsing, reaching the
-//!   committing task through the session's `Speculation` hook.
+//!   speculative precompute of a ready wave, reaching the committing
+//!   task through the value staged on the session.
 
 mod any;
 mod defs;
@@ -56,4 +58,4 @@ mod pump;
 mod send;
 
 pub use pump::Wire;
-pub(crate) use pump::{Cont, Delivery, EvalSession, Intent, Runnable};
+pub(crate) use pump::{Cont, EvalSession, Intent, Runnable};

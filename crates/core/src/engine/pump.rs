@@ -5,11 +5,11 @@
 //!
 //! The pump knows nothing about retry, `@any` failover or speculative
 //! precompute: sends go through [`super::send`], generic references
-//! through [`super::any`], and the parallel driver keeps its state in the
-//! session's [`Speculation`] hook, which only [`crate::driver`] reads.
+//! through [`super::any`], and a ready wave's precomputed values come
+//! from [`crate::driver`], staged on the session one task at a time.
 
 use super::defs::ScCall;
-use crate::driver::{DriverKind, Speculation};
+use crate::driver::Precomp;
 use crate::error::{CoreResult, EngineError};
 use crate::expr::{Expr, PeerRef};
 use crate::message::AxmlMessage;
@@ -201,13 +201,13 @@ impl Cont {
 /// mailbox: what is left of it is what the trace reports (`kind`, `size`)
 /// and what the receiver acts on (`intent`, `forests`).
 pub(crate) struct Delivery {
-    pub(crate) from: PeerId,
-    pub(crate) to: PeerId,
-    pub(crate) at: f64,
+    from: PeerId,
+    to: PeerId,
+    at: f64,
     kind: MessageKind,
     size: usize,
-    pub(crate) intent: Intent,
-    pub(crate) forests: Vec<Vec<Tree>>,
+    intent: Intent,
+    forests: Vec<Vec<Tree>>,
 }
 
 /// One evaluation session: everything the engine needs besides Σ.
@@ -221,14 +221,14 @@ pub(crate) struct EvalSession {
     /// peers that actually receive something get an entry, so a session
     /// over 10⁵ peers costs O(touched peers), and the ascending key
     /// iteration reproduces the dense `0..n` drain order bit-exactly.
-    pub(crate) mailboxes: BTreeMap<u32, VecDeque<Delivery>>,
+    mailboxes: BTreeMap<u32, VecDeque<Delivery>>,
     rng: SplitMix64,
     /// Result trees delivered by arrival-side subscription pumps
     /// (replica maintenance accumulates its downstream count here).
     pub(crate) delivered: usize,
-    /// The parallel driver's session-side hook (inert under the
-    /// sequential reference); only [`crate::driver`] looks inside.
-    pub(crate) spec: Speculation,
+    /// The precomputed value of the ready task being run, if the
+    /// driver's pool made one; only [`crate::driver`] looks inside.
+    pub(crate) staged: Option<Precomp>,
 }
 
 impl EvalSession {
@@ -318,7 +318,7 @@ impl AxmlSystem {
             mailboxes: BTreeMap::new(),
             rng: SplitMix64::new(self.engine_seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             delivered: 0,
-            spec: Speculation::new(self.driver),
+            staged: None,
         }
     }
 
@@ -342,10 +342,7 @@ impl AxmlSystem {
     /// way the trace sink is flushed (best effort) so file-backed sinks
     /// are durable up to every quiescence point.
     pub(crate) fn run_session(&mut self, s: &mut EvalSession) -> CoreResult<()> {
-        let r = match self.driver {
-            DriverKind::Sequential => self.run_session_sequential(s),
-            DriverKind::Parallel { threads } => self.run_session_parallel(s, threads),
-        };
+        let r = self.drain(s);
         if r.is_err() {
             self.net.clear_in_flight();
         }
@@ -355,11 +352,21 @@ impl AxmlSystem {
         r
     }
 
-    /// The single-threaded reference loop (see [`crate::driver`]).
-    fn run_session_sequential(&mut self, s: &mut EvalSession) -> CoreResult<()> {
+    /// The session loop, one for every driver (see [`crate::driver`]).
+    /// A ready wave is what the queue holds when the wave starts: the
+    /// tasks it spawns land behind it, so running waves whole is the
+    /// FIFO order, and a pool of more than one thread precomputes each
+    /// wave before it runs.
+    fn drain(&mut self, s: &mut EvalSession) -> CoreResult<()> {
+        let threads = self.driver.threads();
         loop {
-            while let Some(task) = s.ready.pop_front() {
-                self.run_task(s, task)?;
+            while !s.ready.is_empty() {
+                let mut pre = self.precompute_wave(s, threads).into_iter();
+                for _ in 0..s.ready.len() {
+                    let task = s.ready.pop_front().expect("the wave is still queued");
+                    s.staged = pre.next().flatten();
+                    self.run_task(s, task)?;
+                }
             }
             if !self.next_arrival_batch(s) {
                 break;
@@ -381,9 +388,9 @@ impl AxmlSystem {
     /// shuffle the batch with the session PRNG (deterministic
     /// tie-breaking, not biased by send order) and enqueue each message
     /// into its receiver's mailbox. Returns `false` when nothing is in
-    /// flight. Both drivers share this — it is the *only* consumer of
-    /// the session PRNG, which keeps the stream identical across them.
-    pub(crate) fn next_arrival_batch(&mut self, s: &mut EvalSession) -> bool {
+    /// flight. It is the *only* consumer of the session PRNG, which keeps
+    /// the stream identical across drivers.
+    fn next_arrival_batch(&mut self, s: &mut EvalSession) -> bool {
         if !self.net.has_pending() {
             return false;
         }
@@ -413,7 +420,7 @@ impl AxmlSystem {
 
     /// A quiescent session with a continuation still parked lost the
     /// fill that would have resumed it.
-    pub(crate) fn check_quiescent(&self, s: &EvalSession) -> CoreResult<()> {
+    fn check_quiescent(&self, s: &EvalSession) -> CoreResult<()> {
         let mut parked = s.slots.iter().filter_map(|slot| slot.parked.as_ref());
         match parked.next() {
             Some(&(peer, _)) => Err(EngineError::Stalled {
@@ -432,7 +439,7 @@ impl AxmlSystem {
         }
     }
 
-    pub(crate) fn deliver(&mut self, s: &mut EvalSession, d: Delivery) -> CoreResult<()> {
+    fn deliver(&mut self, s: &mut EvalSession, d: Delivery) -> CoreResult<()> {
         let (from, to, kind, at_ms) = (d.from, d.to, d.kind, d.at);
         let bytes = self.net.link(from, to).charged_bytes_u64(d.size);
         self.obs.emit(|| TraceEvent::MessageDelivered {

@@ -385,7 +385,7 @@ impl Payload for AxmlMessage {
 /// The one byte emitter for data: append the concatenated compact
 /// serializations of `trees` to `out`, each tree rendered once (walked,
 /// or copied from its arena's bytes memo).
-pub(crate) fn write_forest(trees: &[Tree], out: &mut Vec<u8>) {
+fn write_forest(trees: &[Tree], out: &mut Vec<u8>) {
     #[cfg(test)]
     tests::FOREST_RENDERS.set(tests::FOREST_RENDERS.get() + 1);
     for t in trees {

@@ -23,6 +23,61 @@ pub struct PeerState {
     services: BTreeMap<ServiceName, Service>,
     /// Drawn by `register_service`; 0 for a table it never moved.
     services_stamp: u64,
+    /// The last answers of this peer's services (not part of Σ|p).
+    pub(crate) calls: CallMemo,
+}
+
+/// How many answers a peer keeps; a new one evicts the oldest.
+const CALLS_KEPT: usize = 16;
+
+/// A provider's last service answers. By definition (6) an answer is a
+/// function of the service, the parameter forests and Σ|p, so one kept
+/// at the current [`PeerState::stamp`] is the answer a fresh evaluation
+/// would give. Parameters are told apart by ordered [`Tree`] equality,
+/// so a reused answer is bit-identical, not only equivalent. An answer
+/// may be a view of one of the peer's documents; like any holder of a
+/// view, the memo makes the next write to that document copy it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct CallMemo {
+    /// The stamp every kept answer was computed at.
+    at: (u64, u64),
+    /// Oldest first.
+    kept: Vec<(ServiceName, Vec<Vec<Tree>>, Vec<Tree>)>,
+}
+
+impl CallMemo {
+    /// The answer kept for `service` over `params` at stamp `at`; every
+    /// kept answer is forgotten once the stamp has moved.
+    pub(crate) fn get(
+        &mut self,
+        at: (u64, u64),
+        service: &ServiceName,
+        params: &[Vec<Tree>],
+    ) -> Option<&[Tree]> {
+        if self.at != at {
+            self.kept.clear();
+            self.at = at;
+        }
+        let hit = self
+            .kept
+            .iter()
+            .find(|(s, p, _)| s == service && p == params);
+        hit.map(|(_, _, results)| results.as_slice())
+    }
+
+    /// Keep an answer computed at the stamp the last [`CallMemo::get`]
+    /// was asked about.
+    pub(crate) fn keep(
+        &mut self,
+        service: &ServiceName,
+        params: Vec<Vec<Tree>>,
+        results: Vec<Tree>,
+    ) {
+        if self.kept.len() == CALLS_KEPT {
+            self.kept.remove(0);
+        }
+        self.kept.push((service.clone(), params, results));
+    }
 }
 
 impl PeerState {

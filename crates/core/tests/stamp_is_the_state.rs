@@ -1,10 +1,10 @@
 //! A peer's stamp is its state: every door that changes Σ|p moves
 //! `PeerState::stamp`, and nothing else does — no read, and no mutation
 //! that is rejected. The caches of functions of Σ|p (cost-model
-//! statistics, chosen plans, the parallel driver's precomputes and its
-//! collapsed service calls) are valid exactly while it holds. The rest
-//! of what the cost model reads — the link table and the catalog —
-//! stamps itself the same way.
+//! statistics, chosen plans, the parallel driver's precomputes and the
+//! answers a provider keeps for repeated calls) are valid exactly while
+//! it holds. The rest of what the cost model reads — the link table and
+//! the catalog — stamps itself the same way.
 
 use axml_core::prelude::*;
 use axml_net::sim::LinkTable;
@@ -362,4 +362,154 @@ fn install_topology_moves_the_link_stamp() {
         assert_eq!(net.link(p, q), LinkCost::wan());
         assert_eq!(before.link(p, q), LinkCost::lan(), "the snapshot holds");
     }
+}
+
+/// `service` at `b` called from `a` over `params` (one forest each).
+fn call(
+    sys: &mut AxmlSystem,
+    a: PeerId,
+    b: PeerId,
+    service: &str,
+    params: &[Tree],
+) -> CoreResult<Vec<Tree>> {
+    let params = params
+        .iter()
+        .map(|t| Expr::Tree {
+            tree: t.clone(),
+            at: a,
+        })
+        .collect();
+    let sc = Expr::Sc {
+        provider: PeerRef::At(b),
+        service: service.into(),
+        params,
+        forward: vec![],
+    };
+    sys.eval(a, &sc)
+}
+
+/// What a fresh evaluation of the service body says, at `b`'s state now.
+fn fresh(sys: &AxmlSystem, b: PeerId, service: &str, params: &[Tree]) -> Vec<Tree> {
+    let forests: Vec<Vec<Tree>> = params.iter().map(|t| vec![t.clone()]).collect();
+    let state = sys.peer(b);
+    let svc = state.service(&service.into(), b).unwrap();
+    svc.query.eval_with_docs(&forests, state).unwrap()
+}
+
+/// `call` that asserts the answer is the fresh one, and tells whether the
+/// provider reused a kept answer for it.
+fn exact(sys: &mut AxmlSystem, a: PeerId, b: PeerId, service: &str, params: &[Tree]) -> bool {
+    let reuses = sys.metrics().service_reuses;
+    let got = call(sys, a, b, service, params).unwrap();
+    assert_eq!(
+        got,
+        fresh(sys, b, service, params),
+        "{service} answered stale"
+    );
+    sys.metrics().service_reuses - reuses == 1
+}
+
+/// A `named` service at `b`: the catalog's packages named like `$0`.
+fn with_named(sys: &mut AxmlSystem, b: PeerId) {
+    sys.register_declarative_service(
+        b,
+        "named",
+        r#"for $p in doc("catalog")/pkg for $w in $0 where $p/@name = $w/@name return {$p}"#,
+    )
+    .unwrap();
+}
+
+fn graft_pkg(sys: &mut AxmlSystem, b: PeerId, name: &str) {
+    let doc = sys.peer_mut(b).docs.get_mut(&"catalog".into()).unwrap();
+    let t = doc.tree_mut();
+    let (root, pkg) = (t.root(), item(name));
+    t.graft(root, &pkg, pkg.root()).unwrap();
+}
+
+/// The provider's call memo is exact: an answer is reused only while
+/// the provider's stamp holds, each door that changes Σ|p forgets it,
+/// the memo keeps 16 answers, and a failed call keeps nothing.
+#[test]
+fn the_call_memo_is_exact() {
+    let (mut sys, a, b) = system();
+    with_named(&mut sys, b);
+    sys.feed(b, "catalog", item("vim")).unwrap();
+    assert!(!exact(&mut sys, a, b, "pkgs", &[]), "a first call runs");
+    assert!(
+        exact(&mut sys, a, b, "pkgs", &[]),
+        "a repeated call is reused"
+    );
+    assert!(exact(&mut sys, b, b, "pkgs", &[]), "from any caller");
+    let vim = call(&mut sys, a, b, "named", &[item("vim")]).unwrap();
+    assert_eq!(vim, vec![item("vim")], "the parameter selects");
+
+    graft_pkg(&mut sys, b, "emacs");
+    assert!(!exact(&mut sys, a, b, "pkgs", &[]), "docs.get_mut forgets");
+    assert_eq!(call(&mut sys, a, b, "pkgs", &[]).unwrap().len(), 2);
+    sys.peer_mut(b)
+        .docs
+        .insert_or_replace(Document::new("catalog", Tree::parse("<catalog/>").unwrap()));
+    assert!(
+        !exact(&mut sys, a, b, "pkgs", &[]),
+        "insert_or_replace forgets"
+    );
+    assert!(call(&mut sys, a, b, "pkgs", &[]).unwrap().is_empty());
+    sys.register_declarative_service(b, "pkgs", r#"doc("catalog")"#)
+        .unwrap();
+    assert!(!exact(&mut sys, a, b, "pkgs", &[]), "a new body forgets");
+    assert!(exact(&mut sys, a, b, "pkgs", &[]));
+
+    // 17 distinct parameter forests: the first is evicted, the last kept.
+    let wants: Vec<Tree> = (0..17).map(|i| item(&format!("p{i}"))).collect();
+    for w in &wants {
+        assert!(!exact(&mut sys, a, b, "named", std::slice::from_ref(w)));
+    }
+    assert!(!exact(&mut sys, a, b, "named", &wants[..1]), "evicted");
+    assert!(exact(&mut sys, a, b, "named", &wants[16..]), "kept");
+
+    // Errors are never kept: a wrong arity fails every time, uncounted.
+    let reuses = sys.metrics().service_reuses;
+    for _ in 0..2 {
+        assert!(call(&mut sys, a, b, "named", &[]).is_err());
+    }
+    assert_eq!(sys.metrics().service_reuses, reuses);
+}
+
+/// Calls interleaved with every kind of change to the provider, on one
+/// seeded sequence: each answer equals a fresh evaluation.
+#[test]
+fn a_seeded_mix_of_calls_and_changes_never_reads_a_stale_answer() {
+    let (mut sys, a, b) = system();
+    with_named(&mut sys, b);
+    let mut rng = axml_prng::SplitMix64::new(0x5EED_0036);
+    let names = ["vim", "emacs", "nano", "ed"];
+    let (mut calls, mut reused) = (0, 0);
+    for step in 0..400 {
+        let name = names[rng.gen_range(0..names.len())];
+        match rng.gen_range(0..10u32) {
+            0 => sys.feed(b, "catalog", item(name)).map(drop).unwrap(),
+            1 => graft_pkg(&mut sys, b, name),
+            2 => sys.peer_mut(b).docs.insert_or_replace(Document::new(
+                "catalog",
+                Tree::parse(&format!(r#"<catalog><pkg name="{name}"/></catalog>"#)).unwrap(),
+            )),
+            3 => {
+                let body = [r#"doc("catalog")/pkg"#, r#"doc("catalog")/pkg/@name"#][step % 2];
+                sys.register_declarative_service(b, "pkgs", body).unwrap();
+            }
+            4..=6 => {
+                calls += 1;
+                reused += usize::from(exact(&mut sys, a, b, "pkgs", &[]));
+            }
+            _ => {
+                let caller = [a, b][rng.gen_range(0..2usize)];
+                calls += 1;
+                reused += usize::from(exact(&mut sys, caller, b, "named", &[item(name)]));
+            }
+        }
+    }
+    assert!(
+        calls > 200 && reused > 50,
+        "{reused} of {calls} calls reused"
+    );
 }

@@ -46,6 +46,9 @@ pub struct EvalMetrics {
     pub seq_steps: u64,
     /// Service activations (§2.2 step 1), one-shot and continuous.
     pub service_calls: u64,
+    /// One-shot service calls whose provider reused an answer it kept
+    /// at its current state instead of running the service body again.
+    pub service_reuses: u64,
     /// Optimizer memo hits: candidates pruned because their fingerprint
     /// was already explored.
     pub memo_hits: u64,
@@ -248,6 +251,7 @@ impl EvalMetrics {
         self.delegations += other.delegations;
         self.seq_steps += other.seq_steps;
         self.service_calls += other.service_calls;
+        self.service_reuses += other.service_reuses;
         self.memo_hits += other.memo_hits;
         self.explored += other.explored;
         self.delta_fresh += other.delta_fresh;
@@ -294,6 +298,7 @@ impl EvalMetrics {
         o.num_u64("delegations", self.delegations);
         o.num_u64("seq_steps", self.seq_steps);
         o.num_u64("service_calls", self.service_calls);
+        o.num_u64("service_reuses", self.service_reuses);
         let rules = array(self.rules().map(|(name, r)| {
             let mut e = JsonObject::new();
             e.str("rule", name)

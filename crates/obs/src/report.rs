@@ -184,8 +184,8 @@ impl std::fmt::Display for RunReport {
         if m.delegations + m.seq_steps + m.service_calls > 0 {
             writeln!(
                 f,
-                "plan shapes: {} delegations, {} seq steps, {} service calls",
-                m.delegations, m.seq_steps, m.service_calls
+                "plan shapes: {} delegations, {} seq steps, {} service calls ({} reused)",
+                m.delegations, m.seq_steps, m.service_calls, m.service_reuses
             )?;
         }
         let rules: Vec<_> = m.rules().collect();

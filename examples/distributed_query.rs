@@ -216,11 +216,11 @@ fn main() {
     let _ = c;
 
     // ---- scenario 6: the parallel evaluation driver ----------------------
-    // Eight identical calls fan in on one provider. The sequential
-    // reference evaluates the service eight times; the parallel driver
-    // collapses the duplicates onto a single evaluation — with the
-    // same results, the same traffic and the same report, bit for bit.
-    println!("\n————— Parallel driver: duplicate fan-in collapses —————");
+    // Eight identical calls fan in on one provider, which evaluates the
+    // service once and reuses the answer for the other seven under
+    // either driver — with the same results, the same traffic and the
+    // same report, bit for bit.
+    println!("\n————— Parallel driver: duplicate fan-in is reused —————");
     let build6 = |driver: DriverKind| {
         AxmlSystem::builder()
             .peers(["coord", "provider"])
@@ -257,15 +257,13 @@ fn main() {
             sys.stats().total_messages(),
             sys.stats().total_bytes()
         );
-        let ps = sys.parallel_stats();
-        if ps.jobs + ps.cache_hits + ps.dedup_hits > 0 {
-            println!(
-                "{:12} {} waves, {} duplicate(s) collapsed",
-                "",
-                ps.waves,
-                ps.dedup_hits + ps.cache_hits
-            );
-        }
+        println!(
+            "{:12} {} waves, {} of {} call(s) reused",
+            "",
+            sys.parallel_stats().waves,
+            sys.metrics().service_reuses,
+            sys.metrics().service_calls
+        );
         reports.push(sys.run_report("fan-in").to_json());
     }
     assert_eq!(reports[0], reports[1], "drivers must agree bit-for-bit");

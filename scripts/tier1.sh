@@ -6,12 +6,12 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - fourteen grep gates, one per "one of each" claim (wire-format
+#   - fifteen grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
-#     Σ is left as found, a member walks no tree) — each explained where
-#     it runs;
+#     Σ is left as found, a member walks no tree, one collapse path) —
+#     each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -382,6 +382,27 @@ fi
 if code crates/core/src/rules.rs | grep -E 'SendDest::NewDoc|Expr::Seq' \
     | grep -vE '=>|Expr::Seq\(_\)'; then
     echo "tier-1: core/src/rules.rs builds a plan that writes Σ; share through a query parameter" >&2
+    exit 1
+fi
+
+echo "== tier-1: one collapse path (identical service calls reuse one answer in engine/defs.rs) =="
+# By definition (6) a service's answer is a function of its parameters
+# and the provider's state, so the provider-side evaluation
+# (service_results in engine/defs.rs) reuses an answer kept at the
+# provider's current stamp, under every driver. A second cache of
+# answers — the parallel driver's session cache, its in-wave dedup of
+# identical calls, a rendered parameter key — is a twin of that memo,
+# and a driver that precomputes an invoke evaluates services off that
+# path. Outside comments and `#[cfg(test)]` modules core/src names none
+# of them, and driver.rs does not look at an invoke.
+for f in $(find crates/core/src -name '*.rs'); do
+    if code "$f" | grep -nE 'svc_cache|collapse_key|params_key|dedup_hits'; then
+        echo "tier-1: $f keeps a second service-call cache; reuse answers through the provider's memo" >&2
+        exit 1
+    fi
+done
+if grep -n 'Intent::Invoke' crates/core/src/driver.rs; then
+    echo "tier-1: core/src/driver.rs precomputes service calls; the provider's memo reuses them" >&2
     exit 1
 fi
 
