@@ -65,7 +65,11 @@ while [ "$lo" -le "$hi" ]; do
     hi=$((hi - 1))
 done
 
-[ -d "$src/.git" ] || git clone --quiet --no-checkout "$root" "$src"
+if [ -d "$src/.git" ]; then
+    git -C "$src" fetch --quiet origin
+else
+    git clone --quiet --no-checkout "$root" "$src"
+fi
 for pair in "${order[@]}"; do
     read -r pr rev <<<"$pair"
     out="$root/BENCH_$pr.json"
@@ -83,7 +87,7 @@ for pair in "${order[@]}"; do
         cd "$src"
         "$CARGO_TARGET_DIR/release/axml-perf" bench --seconds "$seconds" \
             --repeat "$repeat" --seed "$seed" --out "$out" >"$work/bench_$pr.log" 2>&1
-    ) || echo "backfill: PR $pr bench exited non-zero (see the spread lines above)" >&2
+    ) || echo "backfill: PR $pr bench exited non-zero; its reasons follow" >&2
     grep -E 'exceeds its bound|check_ok = 0' "$work/bench_$pr.log" >&2 || true
     [ -f "$out" ] || { echo "backfill: PR $pr wrote no ledger" >&2; tail -20 "$work/bench_$pr.log" >&2; exit 1; }
 done
