@@ -651,10 +651,7 @@ impl AxmlSystem {
             doc: doc.clone(),
             at,
         };
-        let d = self.peers[at.index()]
-            .docs
-            .get_mut(doc)
-            .ok_or_else(no_doc)?;
+        let d = self.peer_mut(at).docs.get_mut(doc).ok_or_else(no_doc)?;
         let (before, root) = (d.stamp(), d.tree().root());
         let child = d.tree_mut().graft(root, &tree, tree.root())?;
         let fed = d.stamp();

@@ -692,7 +692,7 @@ impl AxmlSystem {
             return Ok(results.to_vec());
         }
         let results = run_service(state, prov, service, &params)?;
-        state.calls.keep(service, params, results.clone());
+        state.calls.keep(at, service, params, results.clone());
         Ok(results)
     }
 
@@ -767,7 +767,7 @@ impl AxmlSystem {
     /// Graft a forest under the addressed node, found with one lookup
     /// that checks it before it borrows: a failed graft moves no stamp.
     pub(crate) fn graft_at(&mut self, addr: &NodeAddr, forest: &[Tree]) -> CoreResult<()> {
-        let docs = &mut self.peers[addr.peer.index()].docs;
+        let docs = &mut self.peer_mut(addr.peer).docs;
         let tree = docs.node_mut(&addr.doc, addr.node).map_err(|e| match e {
             axml_xml::XmlError::NoSuchDocument(_) => CoreError::NoSuchDoc {
                 doc: addr.doc.clone(),

@@ -35,8 +35,11 @@ const CALLS_KEPT: usize = 16;
 /// at the current [`PeerState::stamp`] is the answer a fresh evaluation
 /// would give. Parameters are told apart by ordered [`Tree`] equality,
 /// so a reused answer is bit-identical, not only equivalent. An answer
-/// may be a view of one of the peer's documents; like any holder of a
-/// view, the memo makes the next write to that document copy it.
+/// may be a view of one of the peer's documents, and a view held here
+/// would make the next write to that document copy all of it. So every
+/// door that moves the stamp forgets the memo first:
+/// [`PeerState::install_doc`], [`PeerState::register_service`], and
+/// `AxmlSystem::peer_mut`, a system's one way to its documents' doors.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CallMemo {
     /// The stamp every kept answer was computed at.
@@ -46,17 +49,15 @@ pub(crate) struct CallMemo {
 }
 
 impl CallMemo {
-    /// The answer kept for `service` over `params` at stamp `at`; every
-    /// kept answer is forgotten once the stamp has moved.
+    /// The answer kept for `service` over `params` at stamp `at`.
     pub(crate) fn get(
-        &mut self,
+        &self,
         at: (u64, u64),
         service: &ServiceName,
         params: &[Vec<Tree>],
     ) -> Option<&[Tree]> {
         if self.at != at {
-            self.kept.clear();
-            self.at = at;
+            return None;
         }
         let hit = self
             .kept
@@ -65,18 +66,28 @@ impl CallMemo {
         hit.map(|(_, _, results)| results.as_slice())
     }
 
-    /// Keep an answer computed at the stamp the last [`CallMemo::get`]
-    /// was asked about.
+    /// Keep an answer computed at stamp `at`, forgetting every answer
+    /// kept at another stamp.
     pub(crate) fn keep(
         &mut self,
+        at: (u64, u64),
         service: &ServiceName,
         params: Vec<Vec<Tree>>,
         results: Vec<Tree>,
     ) {
+        if self.at != at {
+            self.forget();
+            self.at = at;
+        }
         if self.kept.len() == CALLS_KEPT {
             self.kept.remove(0);
         }
         self.kept.push((service.clone(), params, results));
+    }
+
+    /// Forget every kept answer.
+    pub(crate) fn forget(&mut self) {
+        self.kept.clear();
     }
 }
 
@@ -88,6 +99,7 @@ impl PeerState {
 
     /// Install a document (fails on name clash — §2.1 uniqueness).
     pub fn install_doc(&mut self, doc: Document) -> CoreResult<()> {
+        self.calls.forget();
         self.docs.insert(doc)?;
         Ok(())
     }
@@ -105,6 +117,7 @@ impl PeerState {
 
     /// Register a service (replacing any previous definition).
     pub fn register_service(&mut self, service: Service) {
+        self.calls.forget();
         self.services_stamp = fresh_stamp();
         self.services.insert(service.name.clone(), service);
     }

@@ -119,9 +119,13 @@ impl AxmlSystem {
     /// Mutable access to a peer's state. Whatever it changes moves the
     /// peer's [`PeerState::stamp`] — the documents' doors and
     /// `register_service` draw it — so every cache of a function of Σ|p
-    /// (statistics, plans, precomputes) sees the change.
+    /// (statistics, plans, precomputes) sees the change. It forgets the
+    /// peer's kept service answers, which may be views of the documents
+    /// about to be written.
     pub fn peer_mut(&mut self, p: PeerId) -> &mut PeerState {
-        &mut self.peers[p.index()]
+        let state = &mut self.peers[p.index()];
+        state.calls.forget();
+        state
     }
 
     /// The network (for link configuration, fault plans, clock control).

@@ -13,13 +13,11 @@
 # Revs are visited alternately from the two ends of the list (first,
 # last, second, second-to-last, …), so a drift of the machine during
 # the campaign does not line up with the PR order. Every rev runs the
-# same seeds and run length:
+# same seeds and run length (fixed here, so every ledger is comparable):
+# 3 runs of 3 s per workload, seeds 100, 101, 102.
 #
-#   BACKFILL_SECONDS (default 3)   seconds per run
-#   BACKFILL_REPEAT  (default 3)   end-to-end runs per workload
-#   BACKFILL_SEED    (default 100) first seed (seeds S, S+1, …)
-#   BACKFILL_DIR     (default a fresh temporary directory) checkout and
-#                    build directory; removed at the end unless given
+#   BACKFILL_DIR (default a fresh temporary directory) checkout and
+#                build directory; removed at the end unless given
 #
 # Building rewrites `benchmark/Cargo.lock`; the checkout restores it
 # before the run, so each ledger's `git_rev` is the clean rev. A ledger
@@ -29,9 +27,9 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 [ "$#" -gt 0 ] || { echo "usage: $0 <rev>|<pr>=<rev> …" >&2; exit 2; }
 
-seconds="${BACKFILL_SECONDS:-3}"
-repeat="${BACKFILL_REPEAT:-3}"
-seed="${BACKFILL_SEED:-100}"
+seconds=3
+repeat=3
+seed=100
 work="${BACKFILL_DIR:-}"
 if [ -z "$work" ]; then
     work="$(mktemp -d)"
