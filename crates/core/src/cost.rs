@@ -10,10 +10,21 @@
 //! adds up *estimated* transfers instead of performing them.
 //!
 //! Result sizes of queries come from `axml-query`'s cardinality estimator
-//! over per-document statistics; unknown shapes fall back to documented
-//! default selectivities. Estimates are intentionally cheap and
-//! conservative — the benchmarks compare *measured* traffic; the model
-//! only has to rank candidate plans correctly.
+//! over per-document statistics (range and equality predicates priced
+//! from the documents' values, constructed results sized from their
+//! templates); a query over a value known only by its size falls back to
+//! [`DEFAULT_QUERY_RATIO`]. A value's estimate is a function of the value,
+//! not of how a plan spells it: the walk hands each value on as a
+//! [`View`] that borrows the statistics of the documents it was drawn
+//! from, so `outer(pushed(x))` prices as `q(x)`, `eval@p(send(p, e))` as
+//! `e`, `d@any` as the replica the runtime picks and a shared argument as
+//! the two it replaced (`tests/value_estimates.rs`), and equivalent plans
+//! differ only by what they ship. The benchmarks compare *measured*
+//! traffic; the model only has to rank candidate plans correctly, and
+//! `tests/optimizer_ranking.rs` checks that it does: on the `query_ship`
+//! and E8 shapes, the chosen plan measures within 2 % of the fewest bytes
+//! and 1 % of the least virtual time among the first 300 equivalent
+//! plans, whose estimated and measured times agree in rank (Kendall's τ).
 
 use crate::expr::{Expr, PeerRef, SendDest};
 use crate::optimizer::PlanCache;
@@ -22,11 +33,9 @@ use crate::pick::{closest, Members, PickPolicy};
 use crate::system::AxmlSystem;
 use axml_net::link::LinkCost;
 use axml_net::sim::LinkTable;
-use axml_query::estimate::{estimate as estimate_query, ForestStats};
+use axml_query::estimate::{estimate as estimate_query, ForestStats, View};
 use axml_query::Query;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
-use axml_xml::tree::Tree;
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -94,9 +103,6 @@ pub struct EstimatedEval {
 /// Default result-size ratio when a query's output cannot be estimated
 /// from statistics.
 pub const DEFAULT_QUERY_RATIO: f64 = 0.3;
-/// Nominal size of a remote-evaluation request envelope beyond the
-/// serialized expression.
-pub const REQUEST_OVERHEAD: f64 = 0.0;
 
 /// What the cost model knows about the documents and services one peer
 /// hosts. Collected once per [`PeerState::stamp`] — which every mutable
@@ -109,24 +115,23 @@ pub(crate) struct PeerStats {
     at: (u64, u64),
     /// Per document; its serialized size is the statistics' `total_bytes`.
     docs: HashMap<DocName, ForestStats>,
-    /// Over all hosted documents together (what `doc("…")` sources read).
-    all: ForestStats,
     /// The visible definition of each registered service.
     services: HashMap<ServiceName, Query>,
 }
 
 impl PeerStats {
     fn collect(peer: &PeerState) -> Self {
-        let trees: Vec<Tree> = peer.docs.iter().map(|d| d.tree().clone()).collect();
         PeerStats {
             at: peer.stamp(),
             docs: peer
                 .docs
                 .names()
-                .zip(&trees)
-                .map(|(name, t)| (name.clone(), ForestStats::collect(std::slice::from_ref(t))))
+                .zip(peer.docs.iter())
+                .map(|(name, d)| {
+                    let stats = ForestStats::collect(std::slice::from_ref(d.tree()));
+                    (name.clone(), stats)
+                })
                 .collect(),
-            all: ForestStats::collect(&trees),
             services: peer
                 .services()
                 .iter()
@@ -381,7 +386,7 @@ impl CostModel {
     /// Estimate `eval@site(expr)`.
     pub fn estimate(&self, site: PeerId, expr: &Expr) -> EstimatedEval {
         let mut cost = Cost::zero();
-        let value_bytes = self.est(site, None, expr, &mut cost);
+        let value_bytes = self.est(site, None, expr, &mut cost).bytes;
         // Infinities are legal (unreachable links price a plan out), but a
         // NaN would poison every comparison downstream of the beam search.
         debug_assert!(
@@ -396,15 +401,27 @@ impl CostModel {
         self.estimate(site, expr).cost.scalar()
     }
 
-    /// The walk behind [`CostModel::estimate`]. `defs` is where the query
-    /// definitions and literal trees that `expr` carries inline live:
-    /// `None` for where each says it does, `Some(p)` once an enclosing
-    /// `EvalAt` has shipped them to `p` — what the engine does to the
-    /// shipped copy with `relocate_query_defs`, priced here without a
-    /// copy. Charges are added in evaluation order, the order the
-    /// relocating walk added them in, so every `Cost` keeps its bits
-    /// (float addition does not reassociate).
-    fn est(&self, site: PeerId, defs: Option<PeerId>, expr: &Expr, cost: &mut Cost) -> f64 {
+    /// The walk behind [`CostModel::estimate`]: the traffic of
+    /// `eval@site(expr)` into `cost`, and the value it produces at `site`
+    /// as a [`View`] — a function of the value, not of how the plan spells
+    /// it. A wrapper that only moves a value (`eval@p(send(site, e))`)
+    /// hands on its view; a query reads its arguments' views, which
+    /// borrow the documents' statistics.
+    ///
+    /// `defs` is where the query definitions and literal trees that
+    /// `expr` carries inline live: `None` for where each says it does,
+    /// `Some(p)` once an enclosing `EvalAt` has shipped them to `p` — what
+    /// the engine does to the shipped copy with `relocate_query_defs`,
+    /// priced here without a copy. Charges are added in evaluation order,
+    /// the order the relocating walk added them in, so every `Cost` keeps
+    /// its bits (float addition does not reassociate).
+    fn est<'m>(
+        &'m self,
+        site: PeerId,
+        defs: Option<PeerId>,
+        expr: &Expr,
+        cost: &mut Cost,
+    ) -> View<'m> {
         match expr {
             Expr::Tree { tree, at } => {
                 let at = defs.unwrap_or(*at);
@@ -412,23 +429,24 @@ impl CostModel {
                 if at != site {
                     // The evaluator fetches literal trees by reference
                     // (small request), then ships the tree back.
-                    let link_req = self.link(site, at);
-                    cost.charge(&link_req, 48.0 + REQUEST_OVERHEAD, false);
-                    let link = self.link(at, site);
-                    cost.charge(&link, size, false);
+                    cost.charge(&self.link(site, at), 48.0, false);
+                    cost.charge(&self.link(at, site), size, false);
                 }
-                size
+                // known by its size: no statistics are kept for literals
+                View::sized(size)
             }
             Expr::Doc { name, at } => {
                 let Some((home, concrete)) = self.resolve_doc(site, name, at) else {
-                    return 0.0;
+                    return View::empty();
                 };
-                let size = self.doc_size(home, &concrete).unwrap_or(1024.0);
+                let value = self
+                    .doc_stats(home, &concrete)
+                    .map_or_else(|| View::sized(1024.0), View::of);
                 if home != site {
                     cost.charge(&self.link(site, home), expr.wire_size() as f64, false);
-                    cost.charge(&self.link(home, site), size, false);
+                    cost.charge(&self.link(home, site), value.bytes, false);
                 }
-                size
+                value
             }
             Expr::Apply { query, args } => {
                 let def_at = defs.unwrap_or(query.def_at);
@@ -439,14 +457,12 @@ impl CostModel {
                         false,
                     );
                 }
-                let mut total_args = 0.0;
-                for a in args {
-                    total_args += self.est(site, defs, a, cost);
-                }
-                self.query_result_bytes(site, &query.query, args, total_args)
+                let args: Vec<View<'m>> =
+                    args.iter().map(|a| self.est(site, defs, a, cost)).collect();
+                self.query_value(site, &query.query, &args)
             }
             Expr::Send { dest, payload } => {
-                let v = self.est(site, defs, payload, cost);
+                let v = self.est(site, defs, payload, cost).bytes;
                 match dest {
                     SendDest::Peer(q) => {
                         cost.charge(&self.link(site, *q), v, *q == site);
@@ -460,7 +476,7 @@ impl CostModel {
                         cost.charge(&self.link(site, *peer), v, *peer == site);
                     }
                 }
-                0.0
+                View::empty()
             }
             Expr::Sc {
                 provider,
@@ -472,30 +488,31 @@ impl CostModel {
                     PeerRef::At(p) => (*p, service.clone()),
                     PeerRef::Any => match self.resolve_any(site, self.service_replicas(service)) {
                         Some(m) => m,
-                        None => return 0.0,
+                        None => return View::empty(),
                     },
                 };
-                let mut total_params = 0.0;
-                for p in params {
-                    total_params += self.est(site, defs, p, cost);
-                }
+                let params: Vec<View<'m>> = params
+                    .iter()
+                    .map(|p| self.est(site, defs, p, cost))
+                    .collect();
                 if prov != site {
-                    cost.charge(&self.link(site, prov), total_params + 32.0, false);
+                    let total: f64 = params.iter().map(|p| p.bytes).sum();
+                    cost.charge(&self.link(site, prov), total + 32.0, false);
                 }
                 let result = match self.service_query(prov, &concrete) {
-                    Some(q) => self.query_result_bytes(prov, q, params, total_params),
-                    None => DEFAULT_QUERY_RATIO * total_params + 64.0,
+                    Some(q) => self.query_value(prov, q, &params),
+                    None => opaque_result(&params),
                 };
                 if forward.is_empty() {
                     if prov != site {
-                        cost.charge(&self.link(prov, site), result, false);
+                        cost.charge(&self.link(prov, site), result.bytes, false);
                     }
                     result
                 } else {
                     for a in forward {
-                        cost.charge(&self.link(prov, a.peer), result, a.peer == prov);
+                        cost.charge(&self.link(prov, a.peer), result.bytes, a.peer == prov);
                     }
-                    0.0
+                    View::empty()
                 }
             }
             Expr::EvalAt { peer, expr: inner } => {
@@ -516,12 +533,12 @@ impl CostModel {
                 {
                     if back == &site {
                         let v = self.est(*peer, defs, payload, cost);
-                        cost.charge(&self.link(*peer, site), v, *peer == site);
+                        cost.charge(&self.link(*peer, site), v.bytes, *peer == site);
                         return v;
                     }
                 }
                 let _ = self.est(*peer, defs, inner, cost);
-                0.0
+                View::empty()
             }
             Expr::Deploy { to, query, .. } => {
                 let def_at = defs.unwrap_or(query.def_at);
@@ -532,10 +549,10 @@ impl CostModel {
                         false,
                     );
                 }
-                0.0
+                View::empty()
             }
             Expr::Seq(es) => {
-                let mut last = 0.0;
+                let mut last = View::empty();
                 for e in es {
                     last = self.est(site, defs, e, cost);
                 }
@@ -544,58 +561,33 @@ impl CostModel {
         }
     }
 
-    /// Estimate the result bytes of a query over given argument
-    /// expressions (whose own value sizes, `args_bytes` in all, are
-    /// already estimated).
-    fn query_result_bytes(
-        &self,
-        site: PeerId,
-        query: &Query,
-        args: &[Expr],
-        args_bytes: f64,
-    ) -> f64 {
-        if let Some(plan) = query.plan() {
-            // Build stats per parameter where the argument is a document
-            // reference with known statistics.
-            let mut stats: Vec<Cow<ForestStats>> = Vec::with_capacity(args.len());
-            let mut usable = !args.is_empty() || plan.arity == 0;
-            for a in args {
-                match a {
-                    Expr::Doc { name, at } => {
-                        match self
-                            .resolve_doc(site, name, at)
-                            .and_then(|(p, n)| self.doc_stats(p, &n))
-                        {
-                            Some(s) => stats.push(Cow::Borrowed(s)),
-                            None => {
-                                usable = false;
-                                break;
-                            }
-                        }
-                    }
-                    Expr::Tree { tree, .. } => {
-                        stats.push(Cow::Owned(ForestStats::collect(std::slice::from_ref(tree))));
-                    }
-                    _ => {
-                        usable = false;
-                        break;
-                    }
-                }
+    /// The value of `query` over `args` evaluated at `site`, whose
+    /// `doc("…")` sources read `site`'s documents. A composition feeds
+    /// its inner queries' values to the outer one; a query over an
+    /// argument known only by its size falls back to
+    /// [`DEFAULT_QUERY_RATIO`].
+    fn query_value<'m>(&'m self, site: PeerId, query: &Query, args: &[View<'m>]) -> View<'m> {
+        let value = match query.composition() {
+            Some((outer, inners)) => {
+                let mid: Vec<View<'m>> = inners
+                    .iter()
+                    .map(|q| self.query_value(site, q, args))
+                    .collect();
+                return self.query_value(site, outer, &mid);
             }
-            if usable {
-                // doc("…") sources read the evaluation site's documents.
-                let mut all = stats;
-                if all.is_empty() {
-                    if let Some(ps) = self.stats.of(site) {
-                        all.push(Cow::Borrowed(&ps.all));
-                    }
-                }
-                let e = estimate_query(plan, &all);
-                return e.bytes.max(16.0);
-            }
-        }
-        DEFAULT_QUERY_RATIO * args_bytes + 64.0
+            None => query.plan().and_then(|plan| {
+                estimate_query(plan, args, &|name: &DocName| self.doc_stats(site, name))
+            }),
+        };
+        value.unwrap_or_else(|| opaque_result(args))
     }
+}
+
+/// What a query or service answers over `args` when their statistics
+/// cannot say: a fixed share of what it reads.
+fn opaque_result<'m>(args: &[View<'m>]) -> View<'m> {
+    let read: f64 = args.iter().map(|a| a.bytes).sum();
+    View::sized(DEFAULT_QUERY_RATIO * read + 64.0)
 }
 
 #[cfg(test)]

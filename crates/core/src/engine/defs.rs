@@ -178,7 +178,7 @@ impl AxmlSystem {
                 if peer != at {
                     // The delegated plan crosses the wire (embedded
                     // query definitions travel with it).
-                    let expr_xml = shipped.fingerprint().into();
+                    let expr_xml = Body::expr(shipped.clone());
                     shipped.relocate_query_defs(peer);
                     // Capture the common delegation shape: the inner
                     // expression sends its value straight back to us.
@@ -474,8 +474,9 @@ impl AxmlSystem {
                 r#"<fetch kind="tree" at="p{}" ref="{:016x}"/>"#,
                 loc.0,
                 axml_xml::equiv::canonical_hash(tree, tree.root())
-            ),
-            other => other.fingerprint(),
+            )
+            .into(),
+            other => Body::expr(other.clone()),
         };
         let mut local = expr;
         relocate(&mut local, loc);
@@ -484,7 +485,7 @@ impl AxmlSystem {
             at,
             loc,
             AxmlMessage::Request {
-                expr_xml: request_xml.into(),
+                expr_xml: request_xml,
             },
             Intent::EvalAndReply {
                 expr: local,

@@ -592,7 +592,7 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::expr::{LocatedQuery, SendDest};
-    use crate::message::tests::FOREST_RENDERS;
+    use crate::message::tests::BODY_RENDERS;
     use axml_net::link::LinkCost;
     use axml_query::Query;
     use axml_xml::equiv::forest_equiv;
@@ -669,7 +669,7 @@ mod tests {
     #[test]
     fn def5_remote_doc_fetch() {
         let (mut sys, a, _b) = two_peer_system();
-        let rendered = FOREST_RENDERS.get();
+        let rendered = BODY_RENDERS.get();
         let out = sys
             .eval(
                 a,
@@ -686,7 +686,7 @@ mod tests {
         );
         // request + data back
         assert_eq!(sys.stats().total_messages(), 2);
-        assert_eq!(FOREST_RENDERS.get(), rendered, "charged by length alone");
+        assert_eq!(BODY_RENDERS.get(), rendered, "charged by length alone");
         assert!(sys.stats().total_bytes() > out[0].serialized_size() as u64);
     }
 
@@ -760,7 +760,13 @@ mod tests {
                 }),
             }),
         };
+        let rendered = BODY_RENDERS.get();
         let out_del = sys.eval(a, &delegated).unwrap();
+        assert_eq!(
+            BODY_RENDERS.get(),
+            rendered,
+            "shipped text charged by length"
+        );
         let del_bytes = sys.stats().total_bytes();
         assert!(forest_equiv(&out_naive, &out_del));
         assert!(
@@ -847,9 +853,9 @@ mod tests {
             }],
             forward: vec![],
         };
-        let rendered = FOREST_RENDERS.get();
+        let rendered = BODY_RENDERS.get();
         let out = sys.eval(a, &e).unwrap();
-        assert_eq!(FOREST_RENDERS.get(), rendered, "charged by length alone");
+        assert_eq!(BODY_RENDERS.get(), rendered, "charged by length alone");
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].serialize(), "<size>90000</size>");
         // invoke + response
@@ -871,9 +877,9 @@ mod tests {
             params: vec![],
             forward: vec![NodeAddr::new(c, "log", log_root)],
         };
-        let rendered = FOREST_RENDERS.get();
+        let rendered = BODY_RENDERS.get();
         let out = sys.eval(a, &e).unwrap();
-        assert_eq!(FOREST_RENDERS.get(), rendered, "charged by length alone");
+        assert_eq!(BODY_RENDERS.get(), rendered, "charged by length alone");
         assert!(out.is_empty(), "results went to the forward list");
         let log = sys.peer(c).docs.get(&"log".into()).unwrap().tree();
         assert_eq!(log.children(log.root()).len(), 3);

@@ -396,6 +396,12 @@ impl Expr {
         text
     }
 
+    /// Append [`Expr::fingerprint`]'s text to `out` — what a socket frame
+    /// carries of a shipped expression — without building a `String`.
+    pub(crate) fn write_fingerprint(&self, out: &mut Vec<u8>) {
+        self.emit(&mut Bytes(out), None);
+    }
+
     /// Wire size in bytes when this expression is shipped (delegations,
     /// requests): the length of [`Expr::fingerprint`], without the text.
     pub fn wire_size(&self) -> usize {
@@ -430,7 +436,7 @@ impl Expr {
 
     fn emit(&self, sink: &mut impl WireSink, defs: Option<PeerId>) {
         self.write_wire(sink, defs)
-            .expect("a String, a byte count and a memo key accept every write");
+            .expect("a String, a buffer, a byte count and a memo key accept every write");
     }
 
     /// Write the compact XML of this expression into `out` — the one
@@ -839,6 +845,23 @@ trait WireSink: fmt::Write {
 impl WireSink for String {
     fn query(&mut self, q: &Query) -> fmt::Result {
         self.push_str(q.wire_xml());
+        Ok(())
+    }
+}
+
+/// Emitter sink: the bytes themselves, appended to a buffer.
+struct Bytes<'b>(&'b mut Vec<u8>);
+
+impl fmt::Write for Bytes<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.extend_from_slice(s.as_bytes());
+        Ok(())
+    }
+}
+
+impl WireSink for Bytes<'_> {
+    fn query(&mut self, q: &Query) -> fmt::Result {
+        self.0.extend_from_slice(q.wire_xml().as_bytes());
         Ok(())
     }
 }

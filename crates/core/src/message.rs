@@ -13,18 +13,20 @@
 //! twice since it last changed — a copy of the bytes its arena kept.
 
 use crate::error::{CoreError, CoreResult};
+use crate::expr::Expr;
 use axml_net::bytes::{BytesError, Cursor, PutBytes};
 use axml_net::Payload;
 use axml_obs::{DataTag, MessageKind};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::tree::{NodeId, Tree};
 
-/// A message payload, rendered on demand: a forest of tree handles, or
-/// text that already exists as a string (a shipped expression, a query
+/// A message payload, rendered on demand: a forest of tree handles, a
+/// shipped expression, or text that already exists as a string (a query
 /// definition, a decoded frame). The byte length is known up front — for
 /// a forest from [`Tree::serialized_size`], which the arena memoizes, so
-/// measuring an unchanged document again is O(1). Two bodies are equal
-/// when they render to the same bytes.
+/// measuring an unchanged document again is O(1); for an expression from
+/// [`Expr::wire_size`], which counts its text without writing it. Two
+/// bodies are equal when they render to the same bytes.
 #[derive(Debug, Clone)]
 pub struct Body {
     src: Src,
@@ -35,9 +37,28 @@ pub struct Body {
 enum Src {
     Text(String),
     Forest(Vec<Tree>),
+    Expr(Expr),
 }
 
 impl Body {
+    /// The text of `expr` ([`Expr::fingerprint`]), not yet rendered.
+    pub(crate) fn expr(expr: Expr) -> Body {
+        let len = expr.wire_size();
+        debug_assert_eq!(
+            len,
+            {
+                let mut text = Vec::new();
+                expr.write_fingerprint(&mut text);
+                text.len()
+            },
+            "wire size of {expr}"
+        );
+        Body {
+            src: Src::Expr(expr),
+            len,
+        }
+    }
+
     /// The concatenated compact serializations of `trees`, not yet
     /// rendered. Takes the handles: the message is their one holder.
     pub fn forest(trees: Vec<Tree>) -> Body {
@@ -64,6 +85,11 @@ impl Body {
         match &self.src {
             Src::Text(s) => out.extend_from_slice(s.as_bytes()),
             Src::Forest(trees) => write_forest(trees, out),
+            Src::Expr(e) => {
+                #[cfg(test)]
+                tests::BODY_RENDERS.set(tests::BODY_RENDERS.get() + 1);
+                e.write_fingerprint(out);
+            }
         }
         debug_assert_eq!(out.len() - start, self.len, "body length drifted");
     }
@@ -72,7 +98,7 @@ impl Body {
     fn into_forest(self) -> Vec<Tree> {
         match self.src {
             Src::Forest(trees) => trees,
-            Src::Text(_) => Vec::new(),
+            Src::Text(_) | Src::Expr(_) => Vec::new(),
         }
     }
 
@@ -387,7 +413,7 @@ impl Payload for AxmlMessage {
 /// or copied from its arena's bytes memo).
 fn write_forest(trees: &[Tree], out: &mut Vec<u8>) {
     #[cfg(test)]
-    tests::FOREST_RENDERS.set(tests::FOREST_RENDERS.get() + 1);
+    tests::BODY_RENDERS.set(tests::BODY_RENDERS.get() + 1);
     for t in trees {
         t.serialize_into(out);
     }
@@ -398,16 +424,27 @@ pub(crate) mod tests {
     use super::*;
 
     thread_local! {
-        /// Forests rendered on this thread: none, in a test on the simulator.
-        pub(crate) static FOREST_RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Forests and expressions rendered on this thread: none, in a
+        /// test on the simulator.
+        pub(crate) static BODY_RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
-    /// The counter the simulator tests hold at zero does count.
+    /// The counter the simulator tests hold at zero does count, and an
+    /// expression renders to its fingerprint.
     #[test]
-    fn rendering_a_forest_is_counted() {
-        let before = FOREST_RENDERS.get();
+    fn rendering_a_body_is_counted() {
+        let before = BODY_RENDERS.get();
         assert_eq!(Body::forest(vec![Tree::new("t")]).rendered(), b"<t/>");
-        assert_eq!(FOREST_RENDERS.get(), before + 1);
+        assert_eq!(BODY_RENDERS.get(), before + 1);
+        let e = Expr::Doc {
+            name: "a&b".into(),
+            at: crate::expr::PeerRef::At(PeerId(3)),
+        };
+        let body = Body::expr(e.clone());
+        assert_eq!(body.len(), e.fingerprint().len());
+        assert_eq!(body.rendered(), e.fingerprint().as_bytes());
+        assert_eq!(body, Body::from(e.fingerprint()));
+        assert_eq!(BODY_RENDERS.get(), before + 3);
     }
 
     /// Cross-commit pin: the bytes `SocketTransport` ships (and the

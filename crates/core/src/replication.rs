@@ -121,14 +121,14 @@ mod tests {
     fn updates_reach_every_replica() {
         let (mut sys, a, _b, _c) = build();
         assert!(sys.replicas_consistent(&"cat".into()).unwrap());
-        let rendered = crate::message::tests::FOREST_RENDERS.get();
+        let rendered = crate::message::tests::BODY_RENDERS.get();
         sys.feed_replicas(
             a,
             &"cat".into(),
             Tree::parse(r#"<pkg name="vim"/>"#).unwrap(),
         )
         .unwrap();
-        let now = crate::message::tests::FOREST_RENDERS.get();
+        let now = crate::message::tests::BODY_RENDERS.get();
         assert_eq!(now, rendered, "the simulator charges by length alone");
         assert!(sys.replicas_consistent(&"cat".into()).unwrap());
         for (peer, name) in [

@@ -6,7 +6,7 @@
 //! the slow way of doing the same, kept here as the reference; and a plan
 //! the system reuses is the plan a cold search would choose.
 
-use axml_core::cost::{CostModel, DEFAULT_QUERY_RATIO, REQUEST_OVERHEAD};
+use axml_core::cost::CostModel;
 use axml_core::prelude::*;
 use axml_core::rules::{standard_rules, R13ShareTransfer, RewriteRule};
 use axml_net::link::saturating_bytes_f64;
@@ -409,21 +409,13 @@ fn ship(model: &CostModel, cost: &mut Cost, from: PeerId, to: PeerId, payload: f
     cost.time_ms += link.transfer_ms(n);
 }
 
-/// The size of `query`'s result over `args` at `site`. Over leaves the
-/// model is asked (its answer there involves no delegation); over
-/// anything else it has only its default ratio.
-fn result_bytes(model: &CostModel, site: PeerId, query: &Query, args: &[Expr], total: f64) -> f64 {
-    if args
-        .iter()
-        .all(|a| matches!(a, Expr::Doc { .. } | Expr::Tree { .. }))
-    {
-        let probe = Expr::Apply {
-            query: LocatedQuery::new(query.clone(), site),
-            args: args.to_vec(),
-        };
-        return model.estimate(site, &probe).value_bytes;
-    }
-    DEFAULT_QUERY_RATIO * total + 64.0
+/// The value `probe` produces at `site`, as the model estimates it. A
+/// value is a function of the value, not of how the plan spells it or
+/// where its definitions were shipped, so the model is asked for the
+/// results of queries and service calls over any arguments; the walk
+/// below prices only where they travel.
+fn value_of(model: &CostModel, site: PeerId, probe: Expr) -> f64 {
+    model.estimate(site, &probe).value_bytes
 }
 
 /// `CostModel::estimate`'s walk as it was when it made the copy the
@@ -436,7 +428,7 @@ fn relocating_est(model: &CostModel, site: PeerId, expr: &Expr, cost: &mut Cost)
         Expr::Tree { tree, at } => {
             let size = tree.serialized_size() as f64;
             if *at != site {
-                ship(model, cost, site, *at, 48.0 + REQUEST_OVERHEAD);
+                ship(model, cost, site, *at, 48.0);
                 ship(model, cost, *at, site, size);
             }
             size
@@ -455,11 +447,14 @@ fn relocating_est(model: &CostModel, site: PeerId, expr: &Expr, cost: &mut Cost)
         Expr::Apply { query, args } => {
             let def = query.query.wire_size() as f64;
             ship(model, cost, query.def_at, site, def);
-            let mut total = 0.0;
             for a in args {
-                total += relocating_est(model, site, a, cost);
+                relocating_est(model, site, a, cost);
             }
-            result_bytes(model, site, &query.query, args, total)
+            let probe = Expr::Apply {
+                query: LocatedQuery::new(query.query.clone(), site),
+                args: args.clone(),
+            };
+            value_of(model, site, probe)
         }
         Expr::Send { dest, payload } => {
             let v = relocating_est(model, site, payload, cost);
@@ -490,10 +485,13 @@ fn relocating_est(model: &CostModel, site: PeerId, expr: &Expr, cost: &mut Cost)
                 total += relocating_est(model, site, p, cost);
             }
             ship(model, cost, site, prov, total + 32.0);
-            let result = match model.service_query(prov, service) {
-                Some(q) => result_bytes(model, prov, q, params, total),
-                None => DEFAULT_QUERY_RATIO * total + 64.0,
+            let probe = Expr::Sc {
+                provider: *provider,
+                service: service.clone(),
+                params: params.clone(),
+                forward: vec![],
             };
+            let result = value_of(model, site, probe);
             if forward.is_empty() {
                 ship(model, cost, prov, site, result);
                 result

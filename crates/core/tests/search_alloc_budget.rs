@@ -149,7 +149,12 @@ fn a_search_allocates_for_the_plans_it_builds_and_little_else() {
         let before = ALLOCATIONS.get();
         let plan = optimizer.optimize(&model, CLIENT, &naive);
         let allocations = ALLOCATIONS.get() - before;
-        assert!(plan.explored > 500, "{name}: {plan}");
+        // Enough candidates to average over: 365 and 386 since the model
+        // prices a value the same however a plan spells it (the search
+        // finds its plan in the first round and stops after the stale
+        // rounds; it explored 694 and 603 while misestimates kept
+        // improving on each other).
+        assert!(plan.explored > 300, "{name}: {plan}");
         let per_candidate = allocations as f64 / plan.explored as f64;
         // 16.8 and 15.0 when this was written (plans of ~11 nodes: about
         // ten allocations are the candidate itself, the rest the rules'

@@ -211,9 +211,10 @@ proptest! {
     /// Estimation sanity: non-negative and zero on empty input.
     #[test]
     fn estimates_sane(q in arb_query(), input in proptest::collection::vec(arb_catalog(), 0..4)) {
-        use axml_query::estimate::{estimate, ForestStats};
+        use axml_query::estimate::{estimate, ForestStats, View};
         if let Some(plan) = q.plan() {
-            let e = estimate(plan, &[ForestStats::collect(&input)]);
+            let stats = ForestStats::collect(&input);
+            let e = estimate(plan, &[View::of(&stats)], &|_| None).unwrap();
             prop_assert!(e.cardinality >= 0.0);
             prop_assert!(e.bytes >= 0.0);
             if input.is_empty() {

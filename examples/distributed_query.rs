@@ -75,6 +75,11 @@ fn main() {
     let c = PeerId(2);
 
     // ---- scenario 1: pushing selections (Example 1, rules 10+11) -------
+    // Example 1 splits the query and ships only the selected packages
+    // (rule 11, then rule 10 on the selection). Delegating the whole query
+    // (rule 10) ships the constructed hits instead, which are smaller than
+    // the packages they are built from, so that is the plan printed:
+    // `eval@p1(send(p0, sel/1@p0(catalog@p1)))`.
     let build1 = || {
         AxmlSystem::builder()
             .peers(["client", "data"])
@@ -102,6 +107,9 @@ fn main() {
     );
 
     // ---- scenario 2: rule 16, pushing a query over a service call ------
+    // Rule (14) relocating the whole query to the provider ships what
+    // rule (16) would, and is found first:
+    // `eval@p1(send(p0, fmt/1@p0(sc(p1, all-pkgs, [], []))))`.
     let build2 = || {
         let mut sys = build1();
         sys.register_declarative_service(

@@ -112,11 +112,12 @@ echo "== tier-1: payloads are measured, not rendered (no serialize on the engine
 # exist only where a socket asks for them, through Body's one emitter.
 # Outside comments and `#[cfg(test)]` modules, the engine, the continuous
 # and replication paths, the driver and the message codec build no string
-# out of a tree.
+# out of a tree, nor out of a shipped expression (a request carries the
+# expression, measured by Expr::wire_size).
 for f in crates/core/src/engine/*.rs crates/core/src/continuous.rs \
     crates/core/src/replication.rs crates/core/src/driver.rs crates/core/src/message.rs; do
     if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
-        | grep -nE '\.serialize\(\)|serialize_node\(|serialize_forest'; then
+        | grep -nE '\.serialize\(\)|serialize_node\(|serialize_forest|\.fingerprint\(\)'; then
         echo "tier-1: $f renders a tree to a string; carry a Body instead" >&2
         exit 1
     fi
