@@ -286,18 +286,6 @@ impl ForestStats {
         stats
     }
 
-    /// Average serialized size of a subtree rooted at `label`.
-    pub fn avg_bytes(&self, label: &Label) -> f64 {
-        self.labels
-            .get(label)
-            .map_or(0.0, |s| s.per_occurrence(s.total_bytes))
-    }
-
-    /// Equality selectivity for values under `label`.
-    pub fn eq_selectivity(&self, label: &Label) -> f64 {
-        eq_selectivity(self.labels.get(label))
-    }
-
     /// The statistics of `nodes`' label or attribute, if kept.
     fn of(&self, nodes: Nodes) -> Option<&LabelStats> {
         match nodes {
@@ -805,10 +793,12 @@ mod tests {
         let s = ForestStats::collect(&f);
         assert_eq!(s.n_trees, 10);
         assert_eq!(s.labels[&Label::new("pkg")].count, 10);
-        assert!(s.avg_bytes(&Label::new("pkg")) > 10.0);
-        assert_eq!(s.avg_bytes(&Label::new("nothing")), 0.0);
+        let pkg = &s.labels[&Label::new("pkg")];
+        assert!(pkg.per_occurrence(pkg.total_bytes) > 10.0);
+        assert!(!s.labels.contains_key(&Label::new("nothing")));
         // sizes are distinct → selectivity ~ 1/10
-        assert!((s.eq_selectivity(&Label::new("size")) - 0.1).abs() < 1e-9);
+        let sizes = s.labels.get(&Label::new("size"));
+        assert!((eq_selectivity(sizes) - 0.1).abs() < 1e-9);
         let size = &s.labels[&Label::new("size")];
         assert_eq!(size.numerals, 10);
         assert_eq!(
