@@ -6,10 +6,9 @@
 //! 2. *Optimizer vs peer count*: the search space grows with candidate
 //!    relocation targets; measure explored candidates and search time as
 //!    peers are added.
-//! 3. *Parallel evaluation driver*: `n` identical service calls fan in
-//!    on one provider, which evaluates the service once and reuses the
-//!    answer `n − 1` times under either driver — wall clocks of both
-//!    drivers with bit-identical reports.
+//! 3. *Reuse*: `n` identical service calls fan in on one provider,
+//!    which evaluates the service once and reuses the answer `n − 1`
+//!    times.
 
 use crate::report::{fmt_bytes, tail_cells, Report};
 use crate::workload::{catalog, naive_apply, selective_query};
@@ -24,52 +23,30 @@ pub const CLIENTS: &[usize] = &[2, 4, 8, 16, 32];
 /// Peer counts swept in the optimizer series.
 pub const PEERS: &[usize] = &[2, 4, 8, 16];
 
-/// Duplicate-call counts swept in the parallel-evaluation series.
+/// Duplicate-call counts swept in the reuse series.
 pub const FANIN: &[usize] = &[2, 4, 8];
 
-/// One measured configuration of the parallel-evaluation series.
-pub struct ParEvalRun {
-    /// Wall-clock milliseconds under the sequential reference driver.
-    pub seq_wall_ms: f64,
-    /// Wall-clock milliseconds under `Parallel { threads: 4 }`.
-    pub par_wall_ms: f64,
-    /// The sequential run's report.
-    pub seq_report: RunReport,
-    /// The parallel run's report — must serialize identically to
-    /// `seq_report`.
-    pub par_report: RunReport,
-    /// The sequential run's driver counters (all zero: it has no pool).
-    /// Its reused calls are `seq_report.metrics.service_reuses`.
-    pub seq_stats: ParallelStats,
-    /// The parallel run's driver counters: waves and precomputes. Its
-    /// reused calls are in `par_report`, equal to the sequential ones.
-    pub par_stats: ParallelStats,
-    /// Network bytes (identical across drivers by construction).
+/// One measured configuration of the reuse series.
+pub struct FanInRun {
+    /// Wall-clock milliseconds of the evaluation.
+    pub wall_ms: f64,
+    /// The run's report; its reused calls are
+    /// `report.metrics.service_reuses`.
+    pub report: RunReport,
+    /// Network bytes.
     pub bytes: u64,
     /// Network messages.
     pub msgs: u64,
     /// Virtual-clock makespan (ms).
     pub makespan: f64,
-    /// Trace events from the sequential run (the drivers' reports are
-    /// bit-identical, so one stream stands for both).
+    /// The run's trace events.
     pub events: Vec<TraceEvent>,
 }
 
 /// Build the fan-in system (coordinator + provider, WAN) and run the
-/// `n`-duplicate batch under `driver`, timing the evaluation.
-fn par_eval_once(
-    n: usize,
-    catalog_size: usize,
-    driver: DriverKind,
-) -> (
-    f64,
-    RunReport,
-    ParallelStats,
-    u64,
-    u64,
-    f64,
-    Vec<TraceEvent>,
-) {
+/// `n`-duplicate batch, timing the evaluation.
+pub fn fan_in(n: usize, catalog_size: usize) -> FanInRun {
+    let sink = VecSink::new();
     let mut sys = AxmlSystem::builder()
         .peers(["coord", "provider"])
         .link("coord", "provider", LinkCost::wan())
@@ -80,17 +57,10 @@ fn par_eval_once(
             r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
         )
         .seed(0xE9)
-        .driver(driver)
         .build()
         .unwrap();
     let coord = sys.peer_id("coord").unwrap();
-    // Trace only the sequential run: VecSink is single-threaded, and the
-    // drivers' reports are asserted bit-identical anyway.
-    let sink = VecSink::new();
-    let traced = matches!(driver, DriverKind::Sequential);
-    if traced {
-        sys.set_trace_sink(Box::new(sink.clone()));
-    }
+    sys.set_trace_sink(Box::new(sink.clone()));
     let mut batch = String::from("<batch>");
     for _ in 0..n {
         batch.push_str("<sc><peer>p1</peer><service>scan</service></sc>");
@@ -103,38 +73,14 @@ fn par_eval_once(
     let t0 = Instant::now();
     sys.eval(coord, &e).unwrap();
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    if traced {
-        sys.flush_trace().unwrap();
-    }
-    let report = sys.run_report(format!("E9 par-eval ({n} duplicate calls)"));
-    (
+    sys.flush_trace().unwrap();
+    FanInRun {
         wall_ms,
-        report,
-        sys.parallel_stats(),
-        sys.stats().total_bytes(),
-        sys.stats().total_messages(),
-        sys.stats().makespan_ms(),
-        sink.take(),
-    )
-}
-
-/// Measure one fan-in configuration under both drivers.
-pub fn par_eval(n: usize, catalog_size: usize) -> ParEvalRun {
-    let (seq_wall_ms, seq_report, seq_stats, bytes, msgs, makespan, events) =
-        par_eval_once(n, catalog_size, DriverKind::Sequential);
-    let (par_wall_ms, par_report, par_stats, ..) =
-        par_eval_once(n, catalog_size, DriverKind::Parallel { threads: 4 });
-    ParEvalRun {
-        seq_wall_ms,
-        par_wall_ms,
-        seq_report,
-        par_report,
-        seq_stats,
-        par_stats,
-        bytes,
-        msgs,
-        makespan,
-        events,
+        report: sys.run_report(format!("E9 reuse ({n} duplicate calls)")),
+        bytes: sys.stats().total_bytes(),
+        msgs: sys.stats().total_messages(),
+        makespan: sys.stats().makespan_ms(),
+        events: sink.take(),
     }
 }
 
@@ -152,9 +98,8 @@ pub fn run() -> Report {
             "serial ms",
             "explored",
             "search ms",
-            "seq wall ms",
-            "par4 wall ms",
-            "speedup",
+            "wall ms",
+            "reused",
             "p50 ms",
             "p95 ms",
             "p99 ms",
@@ -237,7 +182,6 @@ pub fn run() -> Report {
             "-".into(),
             "-".into(),
             "-".into(),
-            "-".into(),
         ];
         cells.extend(tail_cells(&live));
         r.row_with_run(cells, run);
@@ -281,32 +225,23 @@ pub fn run() -> Report {
                 "-".into(),
                 "-".into(),
                 "-".into(),
-                "-".into(),
             ],
             run,
         );
     }
-    // --- series 3: sequential vs parallel evaluation driver -----------------
+    // --- series 3: duplicate calls reuse one answer ------------------------
     for &n in FANIN {
         let copy0 = axml_xml::stats::CopyStats::snapshot();
-        let m = par_eval(n, 1500);
-        assert_eq!(
-            m.seq_report.to_json(),
-            m.par_report.to_json(),
-            "par-eval n={n}: drivers must produce identical reports"
-        );
-        // Attach the copy delta only after the drivers' reports have been
-        // compared bit-for-bit (the delta spans both runs).
+        let m = fan_in(n, 1500);
         let run = m
-            .par_report
+            .report
             .with_copy(axml_xml::stats::CopyStats::snapshot().delta_since(&copy0));
         let mut live = LiveStats::new();
         for e in &m.events {
             live.fold(e);
         }
-        let speedup = m.seq_wall_ms / m.par_wall_ms.max(1e-9);
         let mut cells = vec![
-            "par-eval".into(),
+            "reuse".into(),
             n.to_string(),
             fmt_bytes(m.bytes),
             m.msgs.to_string(),
@@ -314,9 +249,8 @@ pub fn run() -> Report {
             "-".into(),
             "-".into(),
             "-".into(),
-            format!("{:.1}", m.seq_wall_ms),
-            format!("{:.1}", m.par_wall_ms),
-            format!("{speedup:.1}x"),
+            format!("{:.1}", m.wall_ms),
+            run.metrics.service_reuses.to_string(),
         ];
         cells.extend(tail_cells(&live));
         r.row_with_run(cells, run);
@@ -324,7 +258,7 @@ pub fn run() -> Report {
     r.note("fan-out: one published item costs exactly n deliveries (delta semantics)");
     r.note("fan-out makespan: deliveries overlap — critical path, not the serial byte sum");
     r.note("optimizer: candidates grow with relocation targets; memoization bounds the blow-up");
-    r.note("par-eval: the provider evaluates n duplicate calls once and reuses the answer n-1 times under both drivers; reports stay bit-identical");
+    r.note("reuse: the provider evaluates n duplicate calls once and reuses the answer n-1 times");
     r.note(
         "tail columns: per-message latency quantiles + goodput folded live from the trace stream",
     );

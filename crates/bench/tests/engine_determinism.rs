@@ -1,28 +1,26 @@
-//! Driver equivalence: the parallel evaluation driver must be
-//! *bit-for-bit* indistinguishable from the sequential reference —
-//! identical result trees, identical final state Σ, identical
-//! `NetStats` and `RunReport` — over a matrix of workloads shaped
-//! after the experiment suite (E1–E11): remote query application,
-//! optimized plans, delegation chains, service calls with parameters
-//! and forward lists, deployment, generic references, subscription
-//! fan-out and duplicate-heavy fan-in — plus faulted rows (E12-style):
-//! seeded drops, outage windows, retries and replica failover must play
-//! out identically under both drivers.
+//! Engine determinism: two fresh builds of one workload from one seed
+//! must be *bit-for-bit* indistinguishable — identical result trees,
+//! identical final state Σ, identical `NetStats` and `RunReport` — over
+//! a matrix of workloads shaped after the experiment suite (E1–E11):
+//! remote query application, optimized plans, delegation chains,
+//! service calls with parameters and forward lists, deployment, generic
+//! references, subscription fan-out and duplicate-heavy fan-in — plus
+//! faulted rows (E12-style): seeded drops, outage windows, retries and
+//! replica failover must play out identically on every run.
 //!
-//! Every workload builds its system twice from the same seed, runs it
-//! once under each driver and compares a composite fingerprint:
-//! serialized evaluation output + `{:?}` of the Σ snapshot + the
-//! `RunReport` JSON (which embeds metrics, per-peer traffic and the
-//! reconciliation flag).
+//! Every workload builds its system from its seed, runs it and returns
+//! a composite fingerprint: serialized evaluation output + `{:?}` of the
+//! Σ snapshot + the `RunReport` JSON (which embeds metrics, per-peer
+//! traffic and the reconciliation flag).
 
 use axml_bench::workload::{catalog, naive_apply, selective_query, two_peer};
 use axml_core::cost::CostModel;
 use axml_core::prelude::*;
 use axml_xml::tree::Tree;
 
-/// One workload: builds a system, runs it under the given driver, and
-/// returns the full observable fingerprint for comparison.
-type Workload = fn(DriverKind) -> String;
+/// One workload: builds a system, runs it, and returns the full
+/// observable fingerprint for comparison.
+type Workload = fn() -> String;
 
 fn seal(sys: AxmlSystem, out: String) -> String {
     format!(
@@ -37,18 +35,16 @@ fn forest(trees: &[Tree]) -> String {
 }
 
 /// E1: naive remote query application `q(catalog@server)`.
-fn w_apply_naive(d: DriverKind) -> String {
+fn w_apply_naive() -> String {
     let (mut sys, client, server) = two_peer(catalog(60, 0.1, 0xD1));
-    sys.set_driver(d);
     let e = naive_apply(selective_query(), client, server);
     let out = forest(&sys.eval(client, &e).unwrap());
     seal(sys, out)
 }
 
 /// E2: the same request, but through the cost-based optimizer.
-fn w_apply_optimized(d: DriverKind) -> String {
+fn w_apply_optimized() -> String {
     let (mut sys, client, server) = two_peer(catalog(60, 0.1, 0xD2));
-    sys.set_driver(d);
     let naive = naive_apply(selective_query(), client, server);
     let model = CostModel::from_system(&sys);
     let plan = Optimizer::standard().optimize_with(&model, client, &naive, sys.obs_mut());
@@ -58,7 +54,7 @@ fn w_apply_optimized(d: DriverKind) -> String {
 
 /// E3: a delegation chain — evaluate at the gateway an evaluation at
 /// the origin (nested `EvalAt`), the result relayed back hop by hop.
-fn w_evalat_chain(d: DriverKind) -> String {
+fn w_evalat_chain() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["edge", "gateway", "origin"])
         .link("edge", "gateway", LinkCost::wan())
@@ -66,7 +62,6 @@ fn w_evalat_chain(d: DriverKind) -> String {
         .doc("origin", "catalog", catalog(40, 0.2, 0xD3))
         .build()
         .unwrap();
-    sys.set_driver(d);
     let edge = sys.peer_id("edge").unwrap();
     let gw = sys.peer_id("gateway").unwrap();
     let origin = sys.peer_id("origin").unwrap();
@@ -83,7 +78,7 @@ fn w_evalat_chain(d: DriverKind) -> String {
 
 /// E6-style: a service call with a computed parameter and a forward
 /// list shipping the results to a third peer's log document.
-fn w_sc_param_forward(d: DriverKind) -> String {
+fn w_sc_param_forward() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["caller", "provider", "archive"])
         .link("caller", "provider", LinkCost::wan())
@@ -98,7 +93,6 @@ fn w_sc_param_forward(d: DriverKind) -> String {
         )
         .build()
         .unwrap();
-    sys.set_driver(d);
     let caller = sys.peer_id("caller").unwrap();
     let provider = sys.peer_id("provider").unwrap();
     let archive = sys.peer_id("archive").unwrap();
@@ -124,9 +118,8 @@ fn w_sc_param_forward(d: DriverKind) -> String {
 
 /// E8-style: deploy a query as a service on a remote peer, then call
 /// it — a `Seq` plan mixing code shipping and invocation.
-fn w_deploy_then_call(d: DriverKind) -> String {
+fn w_deploy_then_call() -> String {
     let (mut sys, client, server) = two_peer(catalog(25, 0.4, 0xD5));
-    sys.set_driver(d);
     let q = selective_query();
     let e = Expr::Seq(vec![
         Expr::Deploy {
@@ -150,9 +143,8 @@ fn w_deploy_then_call(d: DriverKind) -> String {
 
 /// Definition (3): install the evaluation result as a new document on
 /// another peer (`send(d@p2, e)`).
-fn w_send_newdoc(d: DriverKind) -> String {
+fn w_send_newdoc() -> String {
     let (mut sys, client, server) = two_peer(catalog(20, 0.5, 0xD6));
-    sys.set_driver(d);
     let e = Expr::Send {
         dest: SendDest::NewDoc {
             peer: client,
@@ -169,14 +161,13 @@ fn w_send_newdoc(d: DriverKind) -> String {
 
 /// E5/E10-style: a generic reference resolved against replicas on
 /// several mirrors (the pick happens inside the session).
-fn w_pick_any(d: DriverKind) -> String {
+fn w_pick_any() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["client", "near", "far"])
         .link("client", "near", LinkCost::lan())
         .link("client", "far", LinkCost::slow())
         .build()
         .unwrap();
-    sys.set_driver(d);
     let client = sys.peer_id("client").unwrap();
     let near = sys.peer_id("near").unwrap();
     let far = sys.peer_id("far").unwrap();
@@ -195,7 +186,7 @@ fn w_pick_any(d: DriverKind) -> String {
 /// E9 series 1: subscription fan-out — n clients activate an inbox
 /// `sc` against one provider, which then feeds two items. The n
 /// same-burst deliveries exercise the engine's tie-breaking PRNG.
-fn w_fanout_feed(d: DriverKind) -> String {
+fn w_fanout_feed() -> String {
     let n = 4;
     let mut builder = AxmlSystem::builder()
         .peer("provider")
@@ -217,7 +208,6 @@ fn w_fanout_feed(d: DriverKind) -> String {
             );
     }
     let mut sys = builder.seed(0xD8).build().unwrap();
-    sys.set_driver(d);
     let provider = sys.peer_id("provider").unwrap();
     for i in 0..n {
         let c = sys.peer_id(&format!("client-{i}")).unwrap();
@@ -233,10 +223,9 @@ fn w_fanout_feed(d: DriverKind) -> String {
 }
 
 /// E9 series 3 shape: duplicate-heavy fan-in — one tree fires many
-/// *identical* calls at one provider. Under either driver the provider
-/// evaluates them once and reuses the answer; the observable outcome
-/// must not change at all.
-fn w_fanin_collapse(d: DriverKind) -> String {
+/// *identical* calls at one provider. The provider evaluates them once
+/// and reuses the answer; the observable outcome must not change at all.
+fn w_fanin_collapse() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["coord", "provider"])
         .link("coord", "provider", LinkCost::wan())
@@ -249,7 +238,6 @@ fn w_fanin_collapse(d: DriverKind) -> String {
         .seed(0xD9)
         .build()
         .unwrap();
-    sys.set_driver(d);
     let coord = sys.peer_id("coord").unwrap();
     let mut batch = String::from("<batch>");
     for _ in 0..6 {
@@ -265,9 +253,8 @@ fn w_fanin_collapse(d: DriverKind) -> String {
 }
 
 /// A `Seq` plan mixing every shape above in one session.
-fn w_seq_mixed(d: DriverKind) -> String {
+fn w_seq_mixed() -> String {
     let (mut sys, client, server) = two_peer(catalog(30, 0.2, 0xDA));
-    sys.set_driver(d);
     let q = selective_query();
     let e = Expr::Seq(vec![
         Expr::Deploy {
@@ -294,13 +281,12 @@ fn w_seq_mixed(d: DriverKind) -> String {
 }
 
 /// Faulted E12-style: repeated remote fetches through a lossy link
-/// (10% seeded drops + jitter) with the standard retry policy. Both
-/// drivers must observe the *same* drops at the same attempts: same
+/// (10% seeded drops + jitter) with the standard retry policy. Every
+/// run must observe the *same* drops at the same attempts: same
 /// outcomes, same retry counters, same `NetStats` (the report JSON in
 /// the fingerprint embeds all three, drop maps included).
-fn w_faulted_fetch(d: DriverKind) -> String {
+fn w_faulted_fetch() -> String {
     let (mut sys, client, server) = two_peer(catalog(30, 0.2, 0xDB));
-    sys.set_driver(d);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.net_mut()
         .set_fault_plan(FaultPlan::new(0xFA_117).drop_prob(0.10).jitter_ms(0.5));
@@ -320,15 +306,14 @@ fn w_faulted_fetch(d: DriverKind) -> String {
 /// Faulted generic references: `cat@any` over two mirrors while the
 /// route to the near one blinks through outage windows — failover
 /// re-picks the far mirror. The failover decisions (and their trace
-/// counters) must be identical under both drivers.
-fn w_faulted_failover(d: DriverKind) -> String {
+/// counters) must be identical on every run.
+fn w_faulted_failover() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["client", "near", "far"])
         .link("client", "near", LinkCost::lan())
         .link("client", "far", LinkCost::wan())
         .build()
         .unwrap();
-    sys.set_driver(d);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.set_failover(true);
     let client = sys.peer_id("client").unwrap();
@@ -373,88 +358,56 @@ const WORKLOADS: &[(&str, Workload)] = &[
 ];
 
 #[test]
-fn parallel_driver_matches_sequential_on_every_workload() {
+fn two_fresh_builds_from_one_seed_give_one_fingerprint() {
     for (name, w) in WORKLOADS {
-        let seq = w(DriverKind::Sequential);
-        let par = w(DriverKind::Parallel { threads: 4 });
-        assert_eq!(seq, par, "workload `{name}` diverged under Parallel{{4}}");
-    }
-}
-
-#[test]
-fn thread_count_never_changes_the_answer() {
-    // 1 thread forces the all-inline skip path; 2 exercises an
-    // uneven worker split. Both must still match the reference.
-    for (name, w) in [WORKLOADS[1], WORKLOADS[7], WORKLOADS[8]] {
-        let seq = w(DriverKind::Sequential);
-        for threads in [1, 2] {
-            let par = w(DriverKind::Parallel { threads });
-            assert_eq!(
-                seq, par,
-                "workload `{name}` diverged at {threads} thread(s)"
-            );
-        }
+        assert_eq!(w(), w(), "workload `{name}` diverged between two builds");
     }
 }
 
 #[test]
 fn collapsing_actually_happens_on_duplicate_fanin() {
-    for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 4 }] {
-        let mut sys = AxmlSystem::builder()
-            .peers(["coord", "provider"])
-            .link("coord", "provider", LinkCost::wan())
-            .doc("provider", "catalog", catalog(50, 0.1, 0xD9))
-            .service(
-                "provider",
-                "scan",
-                r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
-            )
-            .driver(driver)
-            .build()
-            .unwrap();
-        let coord = sys.peer_id("coord").unwrap();
-        let mut batch = String::from("<batch>");
-        for _ in 0..6 {
-            batch.push_str("<sc><peer>p1</peer><service>scan</service></sc>");
-        }
-        batch.push_str("</batch>");
-        sys.eval(
-            coord,
-            &Expr::Tree {
-                tree: Tree::parse(&batch).unwrap(),
-                at: coord,
-            },
+    let mut sys = AxmlSystem::builder()
+        .peers(["coord", "provider"])
+        .link("coord", "provider", LinkCost::wan())
+        .doc("provider", "catalog", catalog(50, 0.1, 0xD9))
+        .service(
+            "provider",
+            "scan",
+            r#"for $p in doc("catalog")//pkg where $p/size/text() > 100000 return {$p/@name}"#,
         )
+        .build()
         .unwrap();
-        let m = sys.metrics();
-        assert_eq!(
-            (m.service_calls, m.service_reuses),
-            (6, 5),
-            "{driver:?}: 6 identical calls should run the service once"
-        );
-        assert_eq!(
-            sys.parallel_stats().invalidated,
-            0,
-            "{driver:?}: nothing mutated the provider"
-        );
+    let coord = sys.peer_id("coord").unwrap();
+    let mut batch = String::from("<batch>");
+    for _ in 0..6 {
+        batch.push_str("<sc><peer>p1</peer><service>scan</service></sc>");
     }
+    batch.push_str("</batch>");
+    sys.eval(
+        coord,
+        &Expr::Tree {
+            tree: Tree::parse(&batch).unwrap(),
+            at: coord,
+        },
+    )
+    .unwrap();
+    let m = sys.metrics();
+    assert_eq!(
+        (m.service_calls, m.service_reuses),
+        (6, 5),
+        "6 identical calls should run the service once"
+    );
 }
 
-/// Determinism stress: every workload, repeated, across thread counts.
+/// Determinism stress: every workload, rebuilt and rerun five times.
 /// Slow by design — run with `cargo test -- --ignored`.
 #[test]
 #[ignore = "stress loop; run explicitly via tier1.sh"]
 fn determinism_stress_loop() {
     for (name, w) in WORKLOADS {
-        let reference = w(DriverKind::Sequential);
-        for threads in [1, 2, 4] {
-            for rep in 0..3 {
-                let par = w(DriverKind::Parallel { threads });
-                assert_eq!(
-                    reference, par,
-                    "workload `{name}` rep {rep} diverged at {threads} thread(s)"
-                );
-            }
+        let reference = w();
+        for rep in 0..5 {
+            assert_eq!(reference, w(), "workload `{name}` rep {rep} diverged");
         }
     }
 }

@@ -2,7 +2,7 @@
 //! *bit-for-bit* indistinguishable from the discrete-event reference —
 //! identical result trees, identical final state Σ, identical
 //! `NetStats` and `RunReport` (no wall-clock fields exist in either) —
-//! over a matrix of topologies × drivers × seeds, plus a faulted row.
+//! over a matrix of topologies × seeds, plus a faulted row.
 //!
 //! Every socket row runs against **real endpoint OS processes**: a
 //! [`ProcessCluster`] of `peerd`s on loopback TCP, one per peer. After
@@ -43,8 +43,6 @@ fn topologies() -> Vec<(&'static str, Topology)> {
     ]
 }
 
-const DRIVERS: &[DriverKind] = &[DriverKind::Sequential, DriverKind::Parallel { threads: 4 }];
-
 const SEEDS: &[u64] = &[0x7E57_0001, 0x7E57_0002];
 
 /// A builder over the given wire, or over the simulator alone.
@@ -59,7 +57,6 @@ fn builder_over(wire: Option<Box<dyn Transport<Wire> + Send>>) -> SystemBuilder 
 /// and return the full observable fingerprint.
 fn run_row(
     topology: &Topology,
-    driver: DriverKind,
     seed: u64,
     faulted: bool,
     wire: Option<Box<dyn Transport<Wire> + Send>>,
@@ -68,7 +65,6 @@ fn run_row(
     let mut sys = builder_over(wire)
         .topology(topology)
         .seed(seed)
-        .driver(driver)
         .build()
         .unwrap();
     let client = PeerId(0);
@@ -141,11 +137,11 @@ fn run_row(
 
 /// Run one socket row against real `peerd` processes, then reconcile
 /// the endpoints against the client ledger and `NetStats`.
-fn run_socket_row(topology: &Topology, driver: DriverKind, seed: u64, faulted: bool) -> String {
+fn run_socket_row(topology: &Topology, seed: u64, faulted: bool) -> String {
     let cluster = ProcessCluster::launch(topology.peer_count()).expect("launch peerd cluster");
     let transport = cluster.transport();
     let handle = transport.handle();
-    let fingerprint = run_row(topology, driver, seed, faulted, Some(Box::new(transport)));
+    let fingerprint = run_row(topology, seed, faulted, Some(Box::new(transport)));
     let reports = handle.reconcile().expect("endpoint counters reconcile");
     let shipped: u64 = reports.iter().map(|r| r.frames).sum();
     let messages: u64 = fingerprint
@@ -168,15 +164,13 @@ fn run_socket_row(topology: &Topology, driver: DriverKind, seed: u64, faulted: b
 #[test]
 fn socket_backend_matches_sim_over_the_matrix() {
     for (tname, t) in topologies() {
-        for &driver in DRIVERS {
-            for &seed in SEEDS {
-                let sim = run_row(&t, driver, seed, false, None);
-                let socket = run_socket_row(&t, driver, seed, false);
-                assert_eq!(
-                    sim, socket,
-                    "row {tname} × {driver:?} × {seed:#x} diverged between backends"
-                );
-            }
+        for &seed in SEEDS {
+            let sim = run_row(&t, seed, false, None);
+            let socket = run_socket_row(&t, seed, false);
+            assert_eq!(
+                sim, socket,
+                "row {tname} × {seed:#x} diverged between backends"
+            );
         }
     }
 }
@@ -186,14 +180,9 @@ fn socket_backend_matches_sim_under_faults() {
     // Drops and retries must play out identically: rejected attempts
     // never touch the wire, so the seeded fault stream stays aligned.
     let (tname, t) = &topologies()[0];
-    for &driver in DRIVERS {
-        let sim = run_row(t, driver, 0xFA_0157, true, None);
-        let socket = run_socket_row(t, driver, 0xFA_0157, true);
-        assert_eq!(
-            sim, socket,
-            "faulted row {tname} × {driver:?} diverged between backends"
-        );
-    }
+    let sim = run_row(t, 0xFA_0157, true, None);
+    let socket = run_socket_row(t, 0xFA_0157, true);
+    assert_eq!(sim, socket, "faulted row {tname} diverged between backends");
 }
 
 #[test]

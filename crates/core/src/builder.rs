@@ -32,7 +32,6 @@
 //! returned by `build()`; later steps are skipped, so a chain never
 //! panics halfway through.
 
-use crate::driver::DriverKind;
 use crate::error::{CoreError, CoreResult};
 use crate::pick::PickPolicy;
 use crate::retry::RetryPolicy;
@@ -312,14 +311,6 @@ impl SystemBuilder {
     /// Seed the engine's deterministic tie-breaking PRNG.
     pub fn seed(mut self, seed: u64) -> Self {
         self.sys.set_engine_seed(seed);
-        self
-    }
-
-    /// Select the evaluation driver ([`DriverKind`]). Both drivers
-    /// produce bit-identical results, stats and reports; the parallel
-    /// one precomputes independent work on a worker pool.
-    pub fn driver(mut self, driver: DriverKind) -> Self {
-        self.sys.set_driver(driver);
         self
     }
 

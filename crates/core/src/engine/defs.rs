@@ -174,32 +174,25 @@ impl AxmlSystem {
                     to,
                     at_ms: now,
                 });
-                let mut shipped = *inner;
                 if peer != at {
                     // The delegated plan crosses the wire (embedded
-                    // query definitions travel with it).
-                    let expr_xml = Body::expr(shipped.clone());
-                    shipped.relocate_query_defs(peer);
-                    // Capture the common delegation shape: the inner
-                    // expression sends its value straight back to us.
-                    let intent = match shipped {
-                        Expr::Send {
-                            dest: SendDest::Peer(back),
-                            payload,
-                        } if back == at => Intent::EvalAndReply {
-                            expr: *payload,
+                    // query definitions travel with it); the receiver
+                    // takes it out of the request (`Intent::open`).
+                    self.send_wire(
+                        s,
+                        at,
+                        peer,
+                        AxmlMessage::Request {
+                            expr_xml: Body::expr(*inner),
+                        },
+                        Intent::Shipped {
                             reply_to: at,
                             tag: DataTag::DelegatedResult,
                             out,
                         },
-                        other => Intent::EvalHere {
-                            expr: other,
-                            done: out,
-                        },
-                    };
-                    self.send_wire(s, at, peer, AxmlMessage::Request { expr_xml }, intent)
+                    )
                 } else {
-                    match shipped {
+                    match *inner {
                         Expr::Send {
                             dest: SendDest::Peer(back),
                             payload,
@@ -298,10 +291,7 @@ impl AxmlSystem {
     ) -> CoreResult<()> {
         match cont {
             Cont::ApplyFinish { query, skip, out } => {
-                let res = match self.take_precomp(s, peer) {
-                    Some(result) => result?,
-                    None => query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?,
-                };
+                let res = query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?;
                 self.fill(s, out, res)?;
                 Ok(())
             }
@@ -469,31 +459,31 @@ impl AxmlSystem {
         out: Out,
     ) -> CoreResult<()> {
         self.record_def(5, at, "fetch");
-        let request_xml = match &expr {
-            Expr::Tree { tree, .. } => format!(
-                r#"<fetch kind="tree" at="p{}" ref="{:016x}"/>"#,
-                loc.0,
-                axml_xml::equiv::canonical_hash(tree, tree.root())
-            )
-            .into(),
-            other => Body::expr(other.clone()),
+        let (expr_xml, intent) = match &expr {
+            Expr::Tree { tree, .. } => (
+                format!(
+                    r#"<fetch kind="tree" at="p{}" ref="{:016x}"/>"#,
+                    loc.0,
+                    axml_xml::equiv::canonical_hash(tree, tree.root())
+                )
+                .into(),
+                Intent::EvalAndReply {
+                    expr,
+                    reply_to: at,
+                    tag: DataTag::Fetch,
+                    out,
+                },
+            ),
+            _ => (
+                Body::expr(expr),
+                Intent::Shipped {
+                    reply_to: at,
+                    tag: DataTag::Fetch,
+                    out,
+                },
+            ),
         };
-        let mut local = expr;
-        relocate(&mut local, loc);
-        self.send_wire(
-            s,
-            at,
-            loc,
-            AxmlMessage::Request {
-                expr_xml: request_xml,
-            },
-            Intent::EvalAndReply {
-                expr: local,
-                reply_to: at,
-                tag: DataTag::Fetch,
-                out,
-            },
-        )
+        self.send_wire(s, at, loc, AxmlMessage::Request { expr_xml }, intent)
     }
 
     /// Definition (1) + (6): copy a tree, activating its immediate `sc`
@@ -679,7 +669,7 @@ impl AxmlSystem {
     /// §2.2 step 2, the provider-side evaluation of every service call:
     /// the answer the provider's memo kept for this call at its current
     /// stamp, else the service body run on the parameters (and kept when
-    /// it succeeds). Either way the same forest, under every driver.
+    /// it succeeds). Either way the same forest.
     fn service_results(
         &mut self,
         prov: PeerId,
@@ -828,12 +818,46 @@ fn run_service(
     Ok(svc.query.eval_with_docs(params, state)?)
 }
 
-/// Re-pin the location of the outermost data reference to `loc` (used
-/// when the owner evaluates a fetched expression locally).
-fn relocate(expr: &mut Expr, loc: PeerId) {
-    match expr {
-        Expr::Tree { at, .. } => *at = loc,
-        Expr::Doc { at, .. } => *at = PeerRef::At(loc),
-        _ => {}
+impl Intent {
+    /// Open a message at its receiver `to`: the intent to apply and the
+    /// forests the message carried. A request's shipped expression is
+    /// taken out of its body here — as a data message hands its trees
+    /// over — relocated to `to` and evaluated there: a fetch replies
+    /// with its value, a delegation replies when the expression sends
+    /// its value straight back to the delegating peer and otherwise
+    /// fills `out` with ∅ once done.
+    pub(super) fn open(self, msg: AxmlMessage, to: PeerId) -> (Intent, Vec<Vec<Tree>>) {
+        let Intent::Shipped { reply_to, tag, out } = self else {
+            return (self, msg.into_forests());
+        };
+        let mut expr = msg
+            .into_shipped()
+            .expect("a shipped intent travels with its expression");
+        expr.relocate_query_defs(to);
+        let intent = match (tag, expr) {
+            (
+                DataTag::DelegatedResult,
+                Expr::Send {
+                    dest: SendDest::Peer(back),
+                    payload,
+                },
+            ) if back == reply_to => Intent::EvalAndReply {
+                expr: *payload,
+                reply_to,
+                tag,
+                out,
+            },
+            (DataTag::DelegatedResult, other) => Intent::EvalHere {
+                expr: other,
+                done: out,
+            },
+            (tag, expr) => Intent::EvalAndReply {
+                expr,
+                reply_to,
+                tag,
+                out,
+            },
+        };
+        (intent, Vec::new())
     }
 }

@@ -42,15 +42,12 @@
 //! * `defs` — definitions (1)–(8): `step_eval`, `resume` and the
 //!   service-call steps of §2.2, whose provider-side evaluation
 //!   (`service_results`) reuses an answer through the provider's
-//!   stamp-guarded call memo under every driver.
+//!   stamp-guarded call memo.
 //! * `send` — **choke point 1**: `send_wire` and its backoff, the only
 //!   reader of [`crate::retry::RetryPolicy`].
 //! * `any` — **choke point 2**: definition (9), the only reader of the
 //!   failover switch, the [`crate::pick::PickPolicy`] and the catalog's
 //!   pick; one resolve-with-failover loop for documents and services.
-//! * [`crate::driver`] — **choke point 3**: the parallel driver's
-//!   speculative precompute of a ready wave, reaching the committing
-//!   task through the value staged on the session.
 
 mod any;
 mod defs;
@@ -58,4 +55,4 @@ mod pump;
 mod send;
 
 pub use pump::Wire;
-pub(crate) use pump::{Cont, EvalSession, Intent, Runnable};
+pub(crate) use pump::{EvalSession, Intent};

@@ -3,13 +3,10 @@
 //! `EvalSession` to quiescence — drain ready tasks, then deliver the
 //! earliest batch of in-flight messages to the peers' mailboxes, repeat.
 //!
-//! The pump knows nothing about retry, `@any` failover or speculative
-//! precompute: sends go through [`super::send`], generic references
-//! through [`super::any`], and a ready wave's precomputed values come
-//! from [`crate::driver`], staged on the session one task at a time.
+//! The pump knows nothing about retry or `@any` failover: sends go
+//! through [`super::send`], generic references through [`super::any`].
 
 use super::defs::ScCall;
-use crate::driver::Precomp;
 use crate::error::{CoreResult, EngineError};
 use crate::expr::{Expr, PeerRef};
 use crate::message::AxmlMessage;
@@ -77,6 +74,14 @@ pub(crate) enum Intent {
     /// General `eval@p`: the receiver evaluates `expr`; the delegating
     /// side's value is ∅, filled into `done` once the inner completes.
     EvalHere { expr: Expr, done: Out },
+    /// A request whose message carries the expression to evaluate
+    /// (a delegation, a fetch by name): opened into `EvalAndReply` or
+    /// `EvalHere` at the receiver ([`Intent::open`]), never applied.
+    Shipped {
+        reply_to: PeerId,
+        tag: DataTag,
+        out: Out,
+    },
     /// Definition (4) / forward lists: graft the forest under `addr`.
     Graft { addr: NodeAddr, notify: Out },
     /// `send(d@p, t)`: install the forest as a new document at the
@@ -213,10 +218,10 @@ pub(crate) struct Delivery {
 /// One evaluation session: everything the engine needs besides Σ.
 ///
 /// Sessions are pure data — all logic lives in `AxmlSystem` methods so
-/// the driver can borrow peers, network and observability freely.
+/// the loop can borrow peers, network and observability freely.
 pub(crate) struct EvalSession {
     slots: Vec<Slot>,
-    pub(crate) ready: VecDeque<Runnable>,
+    ready: VecDeque<Runnable>,
     /// Per-peer arrival mailboxes, keyed by peer index. Sparse — only
     /// peers that actually receive something get an entry, so a session
     /// over 10⁵ peers costs O(touched peers), and the ascending key
@@ -226,9 +231,6 @@ pub(crate) struct EvalSession {
     /// Result trees delivered by arrival-side subscription pumps
     /// (replica maintenance accumulates its downstream count here).
     pub(crate) delivered: usize,
-    /// The precomputed value of the ready task being run, if the
-    /// driver's pool made one; only [`crate::driver`] looks inside.
-    pub(crate) staged: Option<Precomp>,
 }
 
 impl EvalSession {
@@ -318,7 +320,6 @@ impl AxmlSystem {
             mailboxes: BTreeMap::new(),
             rng: SplitMix64::new(self.engine_seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             delivered: 0,
-            staged: None,
         }
     }
 
@@ -352,21 +353,14 @@ impl AxmlSystem {
         r
     }
 
-    /// The session loop, one for every driver (see [`crate::driver`]).
-    /// A ready wave is what the queue holds when the wave starts: the
-    /// tasks it spawns land behind it, so running waves whole is the
-    /// FIFO order, and a pool of more than one thread precomputes each
-    /// wave before it runs.
+    /// The session loop: run ready tasks in FIFO order (the tasks one
+    /// spawns land behind those already queued), then deliver the
+    /// earliest batch of arrivals mailbox by mailbox, until both are
+    /// empty.
     fn drain(&mut self, s: &mut EvalSession) -> CoreResult<()> {
-        let threads = self.driver.threads();
         loop {
-            while !s.ready.is_empty() {
-                let mut pre = self.precompute_wave(s, threads).into_iter();
-                for _ in 0..s.ready.len() {
-                    let task = s.ready.pop_front().expect("the wave is still queued");
-                    s.staged = pre.next().flatten();
-                    self.run_task(s, task)?;
-                }
+            while let Some(task) = s.ready.pop_front() {
+                self.run_task(s, task)?;
             }
             if !self.next_arrival_batch(s) {
                 break;
@@ -389,7 +383,7 @@ impl AxmlSystem {
     /// tie-breaking, not biased by send order) and enqueue each message
     /// into its receiver's mailbox. Returns `false` when nothing is in
     /// flight. It is the *only* consumer of the session PRNG, which keeps
-    /// the stream identical across drivers.
+    /// the stream a function of the arrival sequence alone.
     fn next_arrival_batch(&mut self, s: &mut EvalSession) -> bool {
         if !self.net.has_pending() {
             return false;
@@ -401,14 +395,16 @@ impl AxmlSystem {
         let mut batch = Vec::new();
         while self.net.peek_arrival() == Some(t) {
             let (from, to, wire, at) = self.net.recv_from().expect("peeked arrival must pop");
+            let (kind, size) = (wire.msg.kind(), wire.msg.wire_size());
+            let (intent, forests) = wire.intent.open(wire.msg, to);
             batch.push(Delivery {
                 from,
                 to,
                 at,
-                kind: wire.msg.kind(),
-                size: wire.msg.wire_size(),
-                intent: wire.intent,
-                forests: wire.msg.into_forests(),
+                kind,
+                size,
+                intent,
+                forests,
             });
         }
         s.rng.shuffle(&mut batch);
@@ -466,6 +462,7 @@ impl AxmlSystem {
         let forest = |forests: Vec<Vec<Tree>>| forests.into_iter().next().unwrap_or_default();
         match intent {
             Intent::None => Ok(()),
+            Intent::Shipped { .. } => unreachable!("a shipped intent is opened on arrival"),
             Intent::Reply { out } => self.fill(s, out, forest(forests)),
             Intent::EvalAndReply {
                 expr,
@@ -620,9 +617,8 @@ mod tests {
     fn unfilled_slot_is_a_lost_result_not_an_empty_one() {
         use crate::error::EngineError;
         // A slot part nothing ever wrote to must surface as a typed
-        // error: with deliveries coming from worker threads, silently
-        // turning a lost delivery into an empty forest would be the
-        // worst kind of bug to chase.
+        // error: silently turning a lost delivery into an empty forest
+        // would be the worst kind of bug to chase.
         let mut sys = AxmlSystem::new();
         sys.add_peer("a");
         let mut s = sys.new_session();

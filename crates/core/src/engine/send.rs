@@ -20,7 +20,7 @@ impl AxmlSystem {
     /// Set the engine's [`RetryPolicy`] for failed send attempts. The
     /// default is [`RetryPolicy::none`]: the first transient failure
     /// surfaces immediately as a typed error, the engine's historical
-    /// behavior. Both drivers honor the policy identically.
+    /// behavior.
     pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
         self.retry = policy;
     }
@@ -51,7 +51,8 @@ impl AxmlSystem {
         self.check_peer(from)?;
         self.check_peer(to)?;
         if from == to {
-            return self.apply_intent(s, to, intent, msg.into_forests());
+            let (intent, forests) = intent.open(msg, to);
+            return self.apply_intent(s, to, intent, forests);
         }
         let kind = msg.kind();
         let charged = self.net.link(from, to).charged_bytes_u64(msg.wire_size());
@@ -125,8 +126,7 @@ impl AxmlSystem {
     /// The jittered backoff before 0-based retry `attempt` on the
     /// `from → to` link. The jitter stream is derived from the engine
     /// seed, the link, and the global retry counter — never from the
-    /// session PRNG — so it is identical across drivers and reproducible
-    /// from the seed.
+    /// session PRNG — so it is reproducible from the seed.
     fn retry_backoff_ms(&self, from: PeerId, to: PeerId, attempt: u32) -> f64 {
         let base = self.retry.backoff_ms(attempt);
         if self.retry.jitter <= 0.0 || base <= 0.0 {

@@ -70,7 +70,6 @@
 pub mod builder;
 pub mod continuous;
 pub mod cost;
-pub mod driver;
 pub mod engine;
 pub mod error;
 pub mod expr;
@@ -87,7 +86,6 @@ pub mod service;
 pub mod system;
 
 pub use builder::{DocSource, PeerSel, SystemBuilder};
-pub use driver::{DriverKind, ParallelStats};
 pub use error::{CoreError, CoreResult, EngineError};
 pub use expr::{Expr, LocatedQuery, PeerRef, SendDest};
 pub use retry::RetryPolicy;
@@ -98,7 +96,6 @@ pub mod prelude {
     pub use crate::builder::{DocSource, PeerSel, SystemBuilder};
     pub use crate::continuous::{MatcherMode, Subscription, Trigger};
     pub use crate::cost::{Cost, CostModel};
-    pub use crate::driver::{DriverKind, ParallelStats};
     pub use crate::error::{CoreError, CoreResult, EngineError};
     pub use crate::expr::{Expr, LocatedQuery, PeerRef, SendDest};
     pub use crate::optimizer::{Explained, Optimizer};
@@ -106,11 +103,12 @@ pub mod prelude {
     pub use crate::retry::RetryPolicy;
     pub use crate::sc::{ActivationMode, ScNode};
     pub use crate::service::Service;
-    pub use crate::system::AxmlSystem;
+    pub use crate::system::{AxmlSystem, DriverKind};
     pub use axml_net::link::{LinkCost, Topology};
+    pub use axml_net::wheel::SchedulerKind;
     pub use axml_net::{
-        CrashSchedule, FaultPlan, FramedPayload, Outage, SchedStats, SchedulerKind, SimTransport,
-        SocketTransport, Transport,
+        CrashSchedule, FaultPlan, FramedPayload, Outage, SchedStats, SimTransport, SocketTransport,
+        Transport,
     };
     pub use axml_obs::{
         BinSink, DataTag, EvalMetrics, FanoutSink, FollowReader, FollowStep, LatencyHistogram,

@@ -102,6 +102,14 @@ impl Body {
         }
     }
 
+    /// The expression the body carries, if it was made by [`Body::expr`].
+    fn into_expr(self) -> Option<Expr> {
+        match self.src {
+            Src::Expr(e) => Some(e),
+            Src::Text(_) | Src::Forest(_) => None,
+        }
+    }
+
     fn put(&self, out: &mut Vec<u8>) {
         out.put_len(self.len);
         self.write_into(out);
@@ -223,6 +231,15 @@ impl AxmlMessage {
             | AxmlMessage::Response { payload, .. }
             | AxmlMessage::InstallDoc { payload, .. } => vec![payload.into_forest()],
             AxmlMessage::Request { .. } | AxmlMessage::DeployQuery { .. } => Vec::new(),
+        }
+    }
+
+    /// The expression a request ships, handed to the receiver; `None`
+    /// for every other message and for a request whose body is text.
+    pub(crate) fn into_shipped(self) -> Option<Expr> {
+        match self {
+            AxmlMessage::Request { expr_xml } => expr_xml.into_expr(),
+            _ => None,
         }
     }
 

@@ -12,8 +12,8 @@
 //!
 //! All waiting happens on the simulated clock and the jitter stream is
 //! derived deterministically from the engine seed, so retried runs stay
-//! bit-reproducible and driver-independent: both `DriverKind`s perform
-//! sends only on the committing coordinator, in the same global order.
+//! bit-reproducible: the one session loop performs sends in one global
+//! order.
 
 /// When and how the engine retries failed send attempts.
 ///

@@ -10,7 +10,6 @@
 //! every cross-peer byte through the engine's wire path so the
 //! statistics measure real traffic.
 
-use crate::driver::{DriverKind, ParallelStats};
 use crate::engine::Wire;
 use crate::error::{CoreError, CoreResult};
 use crate::peer::{PeerSnapshot, PeerState};
@@ -20,7 +19,6 @@ use crate::service::Service;
 use axml_net::link::Topology;
 use axml_net::sim::SimTransport;
 use axml_net::transport::Transport;
-use axml_net::wheel::SchedulerKind;
 use axml_net::NetStats;
 use axml_obs::{EvalMetrics, Obs, RunReport, TraceSink};
 use axml_query::Query;
@@ -28,6 +26,21 @@ use axml_xml::ids::{DocName, PeerId, ServiceName};
 use axml_xml::store::Document;
 use axml_xml::tree::Tree;
 use std::sync::Arc;
+
+/// Selects nothing: every session runs the engine's one loop. Kept so
+/// callers that still name a driver compile; it goes with ROADMAP item
+/// 2(b).
+#[derive(Debug, Clone, Copy, Default)]
+pub enum DriverKind {
+    /// The one loop.
+    #[default]
+    Sequential,
+    /// The one loop as well.
+    Parallel {
+        /// Ignored.
+        threads: usize,
+    },
+}
 
 /// Default seed for the engine's tie-breaking PRNG (override with
 /// [`AxmlSystem::set_engine_seed`] or the builder's `seed` knob).
@@ -46,14 +59,12 @@ pub struct AxmlSystem {
     pub(crate) obs: Obs,
     pub(crate) engine_seed: u64,
     pub(crate) sessions: u64,
-    pub(crate) driver: DriverKind,
     /// The cost model's document statistics, valid per peer while its
     /// [`PeerState::stamp`] stands (see [`crate::cost`]).
     pub(crate) stats_cache: crate::cost::StatsCache,
     /// Chosen plans, valid while what their search read stands (see
     /// [`crate::optimizer`]).
     pub(crate) plans: Arc<crate::optimizer::PlanCache>,
-    pub(crate) par_stats: ParallelStats,
     pub(crate) retry: RetryPolicy,
     pub(crate) failover: bool,
 }
@@ -80,10 +91,8 @@ impl AxmlSystem {
             obs: Obs::new(),
             engine_seed: DEFAULT_ENGINE_SEED,
             sessions: 0,
-            driver: DriverKind::Sequential,
             stats_cache: Default::default(),
             plans: Default::default(),
-            par_stats: ParallelStats::default(),
             retry: RetryPolicy::none(),
             failover: false,
         }
@@ -119,7 +128,7 @@ impl AxmlSystem {
     /// Mutable access to a peer's state. Whatever it changes moves the
     /// peer's [`PeerState::stamp`] — the documents' doors and
     /// `register_service` draw it — so every cache of a function of Σ|p
-    /// (statistics, plans, precomputes) sees the change. It forgets the
+    /// (statistics, plans, kept answers) sees the change. It forgets the
     /// peer's kept service answers, which may be views of the documents
     /// about to be written.
     pub fn peer_mut(&mut self, p: PeerId) -> &mut PeerState {
@@ -144,18 +153,14 @@ impl AxmlSystem {
         self.net.backend()
     }
 
-    /// Select the transport's event-scheduler backend (the reference
-    /// priority queue or the O(1)-advance event wheel). Delivery order
-    /// is bit-identical across backends, so results never depend on
-    /// this choice — only scheduler cost does.
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        self.net.set_scheduler(kind);
-    }
+    /// Selects nothing: the network has one scheduler (see
+    /// [`axml_net::wheel::SchedulerKind`]). It goes with ROADMAP item
+    /// 2(b).
+    pub fn set_scheduler(&mut self, _kind: axml_net::wheel::SchedulerKind) {}
 
-    /// The active event-scheduler backend.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.net.scheduler_kind()
-    }
+    /// Selects nothing: every session runs the one loop (see
+    /// [`DriverKind`]). It goes with ROADMAP item 2(b).
+    pub fn set_driver(&mut self, _driver: DriverKind) {}
 
     /// Set the engine's deterministic tie-breaking seed. Sessions derive
     /// their PRNG from this seed plus a session counter, so the same
@@ -270,8 +275,9 @@ impl AxmlSystem {
     /// Snapshot metrics + network stats as a [`RunReport`]. The
     /// scheduler ledger is attached automatically: its push/pop/clear
     /// counters are a function of the message sequence alone, so they
-    /// stay byte-identical across drivers (memory snapshots, which are
-    /// not, must be attached explicitly with `RunReport::with_mem`).
+    /// stay byte-identical across runs of one seed (memory snapshots,
+    /// which are not, must be attached explicitly with
+    /// `RunReport::with_mem`).
     pub fn run_report(&self, title: impl Into<String>) -> RunReport {
         RunReport::new(title, &self.obs.metrics, self.net.stats())
             .with_sched(self.net.sched_stats())

@@ -1,9 +1,8 @@
 //! A peer's stamp is its state: every door that changes Σ|p moves
 //! `PeerState::stamp`, and nothing else does — no read, and no mutation
 //! that is rejected. The caches of functions of Σ|p (cost-model
-//! statistics, chosen plans, the parallel driver's precomputes and the
-//! answers a provider keeps for repeated calls) are valid exactly while
-//! it holds. The rest of what the cost model reads — the link table and
+//! statistics, chosen plans and the answers a provider keeps for
+//! repeated calls) are valid exactly while it holds. The rest of what the cost model reads — the link table and
 //! the catalog — stamps itself the same way.
 
 use axml_core::prelude::*;

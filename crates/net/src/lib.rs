@@ -75,7 +75,7 @@ pub use sim::{CrashSchedule, FaultPlan, LinkTable, Outage, SimTransport};
 pub use socket::SocketTransport;
 pub use stats::{LinkStats, NetStats, PeerTraffic};
 pub use transport::{FramedPayload, Transport};
-pub use wheel::{EventWheel, SchedStats, Scheduler, SchedulerKind};
+pub use wheel::{SchedStats, Scheduler};
 
 /// Anything that can cross a link: reports its own wire size in bytes.
 pub trait Payload {

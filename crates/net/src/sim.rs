@@ -21,10 +21,7 @@
 //! point overrides (one shared, stamped [`LinkTable`]), and per-link
 //! busy/failed state exists only for links actually touched —
 //! O(peers + touched links), never O(peers²).
-//! The delivery queue itself is pluggable
-//! ([`SimTransport::set_scheduler`]): the reference binary heap or the
-//! O(1)-advance hierarchical event wheel of [`crate::wheel`], which
-//! deliver in **bit-identical** order.
+//! The delivery queue is the binary heap of [`crate::wheel`].
 //!
 //! ```
 //! use axml_net::sim::SimTransport;
@@ -64,7 +61,7 @@ use crate::error::{NetError, NetResult};
 use crate::link::{LinkCost, Topology};
 use crate::stats::NetStats;
 use crate::transport::Transport;
-use crate::wheel::{SchedStats, Scheduler, SchedulerKind};
+use crate::wheel::{SchedStats, Scheduler};
 use crate::Payload;
 use axml_prng::SplitMix64;
 use axml_xml::ids::PeerId;
@@ -137,8 +134,7 @@ impl CrashSchedule {
 /// Drop and jitter draws come from a PRNG seeded by
 /// `(seed, from, to, attempt#)`, where `attempt#` is a monotone
 /// per-network counter of faultable send attempts — two runs with the
-/// same seed and the same send sequence fault identically, on both
-/// evaluation drivers.
+/// same seed and the same send sequence fault identically.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
@@ -370,7 +366,7 @@ impl<M: Payload> SimTransport<M> {
             peer_names: Vec::new(),
             links: Arc::default(),
             busy_until: HashMap::new(),
-            sched: Scheduler::new(SchedulerKind::Queue),
+            sched: Scheduler::default(),
             stats: NetStats::new(),
             clock_ms: 0.0,
             seq: 0,
@@ -693,23 +689,7 @@ impl<M: Payload> SimTransport<M> {
         self.sched.len()
     }
 
-    /// The active event-scheduler backend.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.sched.kind()
-    }
-
-    /// Select the event-scheduler backend, migrating any pending
-    /// events and carrying the counters over. Delivery order is
-    /// bit-identical across backends, so this is safe mid-run.
-    pub fn set_scheduler(&mut self, kind: SchedulerKind) {
-        if self.sched.kind() == kind {
-            return;
-        }
-        let sched = std::mem::replace(&mut self.sched, Scheduler::new(kind));
-        self.sched = sched.convert(kind);
-    }
-
-    /// Event-scheduler counters (pushes, pops, clears, wheel cascades).
+    /// Event-scheduler counters (pushes, pops, clears).
     pub fn sched_stats(&self) -> SchedStats {
         self.sched.stats()
     }

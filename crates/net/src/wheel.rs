@@ -1,85 +1,38 @@
-//! The O(1)-advance hierarchical event wheel and the pluggable
-//! [`Scheduler`] facade over it.
+//! The event scheduler: one binary heap of in-flight deliveries.
 //!
-//! The discrete-event simulator orders in-flight deliveries by
-//! `(arrival time, send sequence)`. The reference structure is a binary
-//! heap — O(log n) per operation, perfectly adequate up to a few
-//! thousand peers. At EDOS scale (10⁴–10⁵ peers polling mirrors) the
-//! heap's pointer-chasing comparisons on boxed messages become the
-//! scheduler tax, so large runs can select the classic alternative: a
-//! **hierarchical timing wheel** ([`EventWheel`]) — four levels of 256
-//! slots, each level covering 8 more bits of the tick space, with
-//! amortized O(1) insert and O(1) advance between occupied slots
-//! (bitmap-guided, no per-empty-tick scanning).
+//! The discrete-event simulator delivers in `(arrival time, send
+//! sequence)` order: the earliest `at` first, and among deliveries due
+//! at the same virtual instant the one sent first. [`Scheduler`] is a
+//! `BinaryHeap` ordered by that key, with a u64 push/pop/clear ledger
+//! ([`SchedStats`]) that the run report reconciles.
+//! `crates/net/tests/prop_wheel.rs` holds it to a sorted oracle over
+//! random push/pop/clear interleavings, exact ties and far-future jumps.
 //!
-//! ## The equivalence contract
-//!
-//! Both backends deliver **bit-identically**: pops come out in strictly
-//! ascending `(at, seq)` order — exactly the reference heap's order,
-//! including ties at the same virtual timestamp (send order wins) and
-//! events quantized into the same wheel tick (slots are sorted by the
-//! *exact* `(at, seq)` key at drain time, so tick resolution affects
-//! efficiency, never order). `crates/net/tests/prop_wheel.rs` holds the
-//! two backends to this contract across randomized schedules, ties and
-//! far-future jumps; the engine-level fingerprint tests in
-//! `tests/scale_stress.rs` extend it end-to-end.
-//!
-//! The one requirement on callers (upheld by the simulator, asserted
-//! here): pushes are **never earlier than the last pop** — virtual time
-//! only moves forward, so an arrival can never be scheduled before a
-//! delivery that already happened.
-//!
-//! ## Tick space
-//!
-//! Arrival times are quantized to [`RESOLUTION_MS`] ticks. The four
-//! levels cover 32 bits of tick space (~12 virtual days at 0.25 ms per
-//! tick); events beyond the current 2³²-tick epoch park in an overflow
-//! heap and are re-anchored into the wheel when the epoch drains — the
-//! "far-future jump across wheel rollover" path. The `f64 → u64` tick
-//! conversion **saturates** (Rust's `as` semantics), so absurd arrival
-//! times collapse into the last tick rather than wrapping — and since
-//! slot drains sort by the exact key, even fully saturated ticks still
-//! deliver in correct `(at, seq)` order.
+//! The simulator never pushes an arrival earlier than the last delivery
+//! it popped (a send starts at the current clock, and the clock only
+//! advances to delivered arrival times); the heap does not rely on it.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// Which event-scheduler backend a [`SimTransport`](crate::sim::SimTransport)
-/// uses for its in-flight delivery queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// Selects nothing: there is one scheduler, the heap. Kept so callers
+/// that still name a scheduler compile; it goes with ROADMAP item 2(b).
+#[derive(Debug, Clone, Copy, Default)]
 pub enum SchedulerKind {
-    /// The reference binary heap (the historical implementation).
+    /// The heap.
     #[default]
     Queue,
-    /// The hierarchical event wheel — same delivery order, O(1) advance.
+    /// The heap as well.
     Wheel,
-}
-
-impl SchedulerKind {
-    /// A short label for reports (`"queue"` / `"wheel"`).
-    pub fn label(self) -> &'static str {
-        match self {
-            SchedulerKind::Queue => "queue",
-            SchedulerKind::Wheel => "wheel",
-        }
-    }
-}
-
-impl std::fmt::Display for SchedulerKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
 }
 
 /// Saturation-audited (u64) scheduler counters, snapshot by
 /// [`Scheduler::stats`]. At quiescence every scheduled event was either
 /// delivered or cleared: `scheduled == delivered + cleared + pending`
-/// ([`SchedStats::consistent`]) — the wheel-counter reconciliation
-/// folded into `RunReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// ([`SchedStats::consistent`]) — the reconciliation folded into
+/// `RunReport`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedStats {
-    /// Backend label (`"queue"` / `"wheel"`).
-    pub backend: &'static str,
     /// Events pushed since construction.
     pub scheduled: u64,
     /// Events popped (delivered).
@@ -88,10 +41,9 @@ pub struct SchedStats {
     pub cleared: u64,
     /// Events pending at snapshot time.
     pub pending: u64,
-    /// Wheel only: events redistributed on a level advance.
+    /// Always 0: a heap redistributes nothing. Kept for callers that
+    /// still read it; it goes with ROADMAP item 2(b).
     pub cascades: u64,
-    /// Wheel only: events parked beyond the current tick epoch.
-    pub overflowed: u64,
     /// High-water mark of pending events.
     pub peak_pending: u64,
 }
@@ -104,51 +56,17 @@ impl SchedStats {
     }
 }
 
-impl Default for SchedStats {
-    fn default() -> Self {
-        SchedStats {
-            backend: SchedulerKind::Queue.label(),
-            scheduled: 0,
-            delivered: 0,
-            cleared: 0,
-            pending: 0,
-            cascades: 0,
-            overflowed: 0,
-            peak_pending: 0,
-        }
-    }
-}
-
-/// Virtual milliseconds per wheel tick. Correctness is independent of
-/// the resolution (slot drains sort by the exact key); it only tunes how
-/// many events share a slot.
-pub const RESOLUTION_MS: f64 = 0.25;
-
-const LEVELS: usize = 4;
-const SLOTS: usize = 256;
-const SLOT_WORDS: usize = SLOTS / 64;
-
-/// Quantize an arrival time to its tick. Saturating: `+∞` and anything
-/// past `u64::MAX` ticks collapse to the last tick (order is still exact
-/// — see the module docs).
-#[inline]
-fn tick_of(at: f64) -> u64 {
-    (at / RESOLUTION_MS) as u64
-}
-
-struct Entry<T> {
+/// Min-order heap entry: earliest `at` wins, ties by `seq` ascending
+/// (send order) — the delivery order.
+struct HeapEntry<T> {
     at: f64,
     seq: u64,
     item: T,
 }
 
-/// Min-order heap entry: earliest `at` wins, ties by `seq` ascending
-/// (send order) — the reference delivery order.
-struct HeapEntry<T>(Entry<T>);
-
 impl<T> PartialEq for HeapEntry<T> {
     fn eq(&self, other: &Self) -> bool {
-        self.0.at == other.0.at && self.0.seq == other.0.seq
+        self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -164,585 +82,86 @@ impl<T> Ord for HeapEntry<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap: invert so the earliest event wins.
         other
-            .0
             .at
-            .partial_cmp(&self.0.at)
+            .partial_cmp(&self.at)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| other.0.seq.cmp(&self.0.seq))
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
-/// Exact `(at, seq)` comparison used for slot sorts and ready-buffer
-/// insertion.
-#[inline]
-fn key_le(a_at: f64, a_seq: u64, b_at: f64, b_seq: u64) -> bool {
-    match a_at.partial_cmp(&b_at).unwrap_or(Ordering::Equal) {
-        Ordering::Less => true,
-        Ordering::Greater => false,
-        Ordering::Equal => a_seq <= b_seq,
-    }
-}
-
-/// The hierarchical timing wheel. See the [module docs](self) for the
-/// structure and the equivalence contract.
-pub struct EventWheel<T> {
-    /// `levels[l][slot]`: pending entries whose tick shares the cursor's
-    /// prefix above bit `8·(l+1)` and selects `slot` at bits
-    /// `8·l .. 8·(l+1)`.
-    levels: [Vec<Vec<Entry<T>>>; LEVELS],
-    /// Occupancy bitmaps, one bit per slot per level.
-    occ: [[u64; SLOT_WORDS]; LEVELS],
-    /// Events beyond the current 2³²-tick epoch, min-ordered.
-    overflow: BinaryHeap<HeapEntry<T>>,
-    /// The drained current tick, sorted ascending by `(at, seq)`; the
-    /// wheel's pop front. Refilled lazily (on pop), so the cursor never
-    /// runs ahead of delivered virtual time.
-    ready: VecDeque<Entry<T>>,
-    /// The cursor: tick of the entries in `ready` — equivalently, the
-    /// tick of the last delivered batch (0 before any delivery). Every
-    /// event still in the wheel proper has a strictly larger tick.
-    cur_tick: u64,
-    len: usize,
-    cascades: u64,
-    overflowed: u64,
-}
-
-impl<T> EventWheel<T> {
-    /// An empty wheel.
-    pub fn new() -> Self {
-        EventWheel {
-            levels: std::array::from_fn(|_| (0..SLOTS).map(|_| Vec::new()).collect()),
-            occ: [[0; SLOT_WORDS]; LEVELS],
-            overflow: BinaryHeap::new(),
-            ready: VecDeque::new(),
-            cur_tick: 0,
-            len: 0,
-            cascades: 0,
-            overflowed: 0,
-        }
-    }
-
-    /// Pending events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is the wheel empty?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Events redistributed on level advances so far.
-    pub fn cascades(&self) -> u64 {
-        self.cascades
-    }
-
-    /// Events that were parked beyond the current tick epoch so far.
-    pub fn overflowed(&self) -> u64 {
-        self.overflowed
-    }
-
-    /// Discard every pending event.
-    pub fn clear(&mut self) {
-        if self.len == 0 {
-            return;
-        }
-        for level in &mut self.levels {
-            for slot in level {
-                slot.clear();
-            }
-        }
-        self.occ = [[0; SLOT_WORDS]; LEVELS];
-        self.overflow.clear();
-        self.ready.clear();
-        self.len = 0;
-    }
-
-    /// Schedule `item` at `(at, seq)`.
-    ///
-    /// Contract (asserted): `at` quantizes to a tick no earlier than the
-    /// last delivered batch's tick — arrivals never precede delivered
-    /// virtual time. (The simulator upholds this structurally: a send
-    /// starts at the current clock, and the clock only advances to
-    /// delivered arrival times.)
-    pub fn push(&mut self, at: f64, seq: u64, item: T) {
-        let t = tick_of(at);
-        assert!(
-            t >= self.cur_tick,
-            "event wheel: push at tick {t} behind the cursor {} — \
-             arrivals must not precede delivered virtual time",
-            self.cur_tick
-        );
-        let e = Entry { at, seq, item };
-        self.len += 1;
-        if t == self.cur_tick {
-            // Joins the drained current tick: sorted insert keeps the
-            // ready buffer the exact heap order.
-            let mut lo = 0;
-            let mut hi = self.ready.len();
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let x = &self.ready[mid];
-                if key_le(x.at, x.seq, e.at, e.seq) {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            self.ready.insert(lo, e);
-            return;
-        }
-        self.place(e, t);
-    }
-
-    /// Deliver the earliest pending event.
-    pub fn pop(&mut self) -> Option<(f64, u64, T)> {
-        if self.ready.is_empty() {
-            if self.len == 0 {
-                return None;
-            }
-            self.refill();
-        }
-        let e = self.ready.pop_front().expect("refill produced events");
-        self.len -= 1;
-        Some((e.at, e.seq, e.item))
-    }
-
-    /// Arrival time of the earliest pending event, if any.
-    ///
-    /// O(1) while the current batch is live; otherwise an O(slot) scan
-    /// of the first occupied slot (every entry there precedes every
-    /// entry in any later slot or level, so its minimum is global).
-    pub fn peek_at(&self) -> Option<f64> {
-        if let Some(e) = self.ready.front() {
-            return Some(e.at);
-        }
-        if self.len == 0 {
-            return None;
-        }
-        for level in 0..LEVELS {
-            let pos = ((self.cur_tick >> (8 * level)) & 0xFF) as usize;
-            let from = if level == 0 { pos } else { pos + 1 };
-            if let Some(s) = next_occupied(&self.occ[level], from) {
-                let mut best = f64::INFINITY;
-                for e in &self.levels[level][s] {
-                    if e.at < best {
-                        best = e.at;
-                    }
-                }
-                return Some(best);
-            }
-        }
-        self.overflow.peek().map(|e| e.0.at)
-    }
-
-    /// File an entry into the wheel proper (tick strictly after the
-    /// cursor, or the cursor itself during cascades/re-anchors).
-    fn place(&mut self, e: Entry<T>, t: u64) {
-        if t >> 32 != self.cur_tick >> 32 {
-            // Beyond the wheel's 2³²-tick epoch: park in the overflow
-            // heap, strictly later than everything the wheel holds.
-            self.overflowed += 1;
-            self.overflow.push(HeapEntry(e));
-            return;
-        }
-        let level = if t >> 8 == self.cur_tick >> 8 {
-            0
-        } else if t >> 16 == self.cur_tick >> 16 {
-            1
-        } else if t >> 24 == self.cur_tick >> 24 {
-            2
-        } else {
-            3
-        };
-        let slot = ((t >> (8 * level)) & 0xFF) as usize;
-        self.levels[level][slot].push(e);
-        self.occ[level][slot / 64] |= 1u64 << (slot % 64);
-    }
-
-    /// Take a slot's entries and clear its occupancy bit.
-    fn drain_slot(&mut self, level: usize, slot: usize) -> Vec<Entry<T>> {
-        self.occ[level][slot / 64] &= !(1u64 << (slot % 64));
-        std::mem::take(&mut self.levels[level][slot])
-    }
-
-    /// Advance the cursor to the next occupied tick and drain it into
-    /// the ready buffer. Preconditions: ready empty, `len > 0`.
-    fn refill(&mut self) {
-        debug_assert!(self.ready.is_empty() && self.len > 0);
-        loop {
-            // Level 0: the next occupied slot at or after the cursor in
-            // the current 256-tick window is the next event tick.
-            if let Some(s) = next_occupied(&self.occ[0], (self.cur_tick & 0xFF) as usize) {
-                let mut v = self.drain_slot(0, s);
-                v.sort_by(|a, b| {
-                    a.at.partial_cmp(&b.at)
-                        .unwrap_or(Ordering::Equal)
-                        .then_with(|| a.seq.cmp(&b.seq))
-                });
-                self.cur_tick = (self.cur_tick & !0xFF) | s as u64;
-                self.ready.extend(v);
-                return;
-            }
-            // Window exhausted: jump to the next occupied slot of the
-            // first non-empty higher level and cascade it down. A
-            // level-L slot equal to the cursor's own position would have
-            // been filed at a lower level, so the scan starts past it.
-            let mut advanced = false;
-            for level in 1..LEVELS {
-                let pos = ((self.cur_tick >> (8 * level)) & 0xFF) as usize;
-                if let Some(s) = next_occupied(&self.occ[level], pos + 1) {
-                    let v = self.drain_slot(level, s);
-                    let keep = !(((1u64) << (8 * (level + 1))) - 1);
-                    self.cur_tick = (self.cur_tick & keep) | ((s as u64) << (8 * level));
-                    self.cascades += v.len() as u64;
-                    for e in v {
-                        let t = tick_of(e.at);
-                        self.place(e, t);
-                    }
-                    advanced = true;
-                    break;
-                }
-            }
-            if advanced {
-                continue;
-            }
-            // Epoch exhausted: re-anchor at the overflow minimum and
-            // pull its epoch back into the wheel.
-            let top = self
-                .overflow
-                .peek()
-                .expect("event wheel: len > 0 with empty levels and empty overflow");
-            self.cur_tick = tick_of(top.0.at);
-            while let Some(top) = self.overflow.peek() {
-                let t = tick_of(top.0.at);
-                if t >> 32 != self.cur_tick >> 32 {
-                    break;
-                }
-                let HeapEntry(e) = self.overflow.pop().expect("peeked overflow entry");
-                self.place(e, t);
-            }
-        }
-    }
-}
-
-impl<T> Default for EventWheel<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Next set bit at or after `from` in a 256-bit occupancy map.
-#[inline]
-fn next_occupied(bm: &[u64; SLOT_WORDS], from: usize) -> Option<usize> {
-    if from >= SLOTS {
-        return None;
-    }
-    let mut w = from / 64;
-    let mut word = bm[w] & (!0u64 << (from % 64));
-    loop {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-        w += 1;
-        if w == SLOT_WORDS {
-            return None;
-        }
-        word = bm[w];
-    }
-}
-
-/// The selectable event scheduler: the reference heap or the event
-/// wheel, behind one surface, with u64 push/pop/clear accounting.
-/// Delivery order is identical across backends (the module-level
-/// equivalence contract).
+/// The in-flight delivery queue, with u64 push/pop/clear accounting.
 pub struct Scheduler<T> {
-    backend: Backend<T>,
+    heap: BinaryHeap<HeapEntry<T>>,
     scheduled: u64,
     delivered: u64,
     cleared: u64,
     peak_pending: u64,
 }
 
-enum Backend<T> {
-    Queue(BinaryHeap<HeapEntry<T>>),
-    // Boxed: the wheel's slot array dwarfs the heap variant.
-    Wheel(Box<EventWheel<T>>),
-}
-
-impl<T> Scheduler<T> {
-    /// An empty scheduler on the given backend.
-    pub fn new(kind: SchedulerKind) -> Self {
+impl<T> Default for Scheduler<T> {
+    fn default() -> Self {
         Scheduler {
-            backend: match kind {
-                SchedulerKind::Queue => Backend::Queue(BinaryHeap::new()),
-                SchedulerKind::Wheel => Backend::Wheel(Box::default()),
-            },
+            heap: BinaryHeap::new(),
             scheduled: 0,
             delivered: 0,
             cleared: 0,
             peak_pending: 0,
         }
     }
+}
 
-    /// The active backend.
-    pub fn kind(&self) -> SchedulerKind {
-        match &self.backend {
-            Backend::Queue(_) => SchedulerKind::Queue,
-            Backend::Wheel(_) => SchedulerKind::Wheel,
-        }
+impl<T> Scheduler<T> {
+    /// An empty scheduler. The argument selects nothing (see
+    /// [`SchedulerKind`]).
+    pub fn new(_kind: SchedulerKind) -> Self {
+        Self::default()
     }
 
     /// Schedule `item` at `(at, seq)`.
     pub fn push(&mut self, at: f64, seq: u64, item: T) {
-        match &mut self.backend {
-            Backend::Queue(h) => h.push(HeapEntry(Entry { at, seq, item })),
-            Backend::Wheel(w) => w.push(at, seq, item),
-        }
+        self.heap.push(HeapEntry { at, seq, item });
         self.scheduled += 1;
-        self.peak_pending = self.peak_pending.max(self.len() as u64);
+        self.peak_pending = self.peak_pending.max(self.heap.len() as u64);
     }
 
     /// Deliver the earliest pending event.
     pub fn pop(&mut self) -> Option<(f64, u64, T)> {
-        let popped = match &mut self.backend {
-            Backend::Queue(h) => h.pop().map(|HeapEntry(e)| (e.at, e.seq, e.item)),
-            Backend::Wheel(w) => w.pop(),
-        };
-        if popped.is_some() {
-            self.delivered += 1;
-        }
-        popped
+        let HeapEntry { at, seq, item } = self.heap.pop()?;
+        self.delivered += 1;
+        Some((at, seq, item))
     }
 
     /// Arrival time of the earliest pending event, if any.
     pub fn peek_at(&self) -> Option<f64> {
-        match &self.backend {
-            Backend::Queue(h) => h.peek().map(|e| e.0.at),
-            Backend::Wheel(w) => w.peek_at(),
-        }
+        self.heap.peek().map(|e| e.at)
     }
 
     /// Pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Queue(h) => h.len(),
-            Backend::Wheel(w) => w.len(),
-        }
+        self.heap.len()
     }
 
     /// Is the scheduler empty?
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Discard every pending event (counted in
     /// [`SchedStats::cleared`] so the ledger keeps balancing).
     pub fn clear(&mut self) {
-        self.cleared += self.len() as u64;
-        match &mut self.backend {
-            Backend::Queue(h) => h.clear(),
-            Backend::Wheel(w) => w.clear(),
-        }
+        self.cleared += self.heap.len() as u64;
+        self.heap.clear();
     }
 
     /// Snapshot the counters.
     pub fn stats(&self) -> SchedStats {
-        let (cascades, overflowed) = match &self.backend {
-            Backend::Queue(_) => (0, 0),
-            Backend::Wheel(w) => (w.cascades(), w.overflowed()),
-        };
         SchedStats {
-            backend: self.kind().label(),
             scheduled: self.scheduled,
             delivered: self.delivered,
             cleared: self.cleared,
-            pending: self.len() as u64,
-            cascades,
-            overflowed,
+            pending: self.heap.len() as u64,
+            cascades: 0,
             peak_pending: self.peak_pending,
         }
-    }
-
-    /// Rebuild on a different backend, migrating every pending event
-    /// (delivery order is preserved — both backends agree on it) and
-    /// carrying the counters over. A no-op if `kind` is already active.
-    pub fn convert(mut self, kind: SchedulerKind) -> Self {
-        if self.kind() == kind {
-            return self;
-        }
-        let mut out = Scheduler::new(kind);
-        // Drain in delivery order; pushes arrive time-ascending, which
-        // both backends accept from a fresh state.
-        while let Some((at, seq, item)) = match &mut self.backend {
-            Backend::Queue(h) => h.pop().map(|HeapEntry(e)| (e.at, e.seq, e.item)),
-            Backend::Wheel(w) => w.pop(),
-        } {
-            match &mut out.backend {
-                Backend::Queue(h) => h.push(HeapEntry(Entry { at, seq, item })),
-                Backend::Wheel(w) => w.push(at, seq, item),
-            }
-        }
-        out.scheduled = self.scheduled;
-        out.delivered = self.delivered;
-        out.cleared = self.cleared;
-        out.peak_pending = self.peak_pending;
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Pop everything, asserting ascending (at, seq).
-    fn drain(s: &mut Scheduler<u32>) -> Vec<(f64, u64, u32)> {
-        let mut out = Vec::new();
-        let mut last: Option<(f64, u64)> = None;
-        while let Some(e) = s.pop() {
-            if let Some((lat, lseq)) = last {
-                assert!(
-                    key_le(lat, lseq, e.0, e.1),
-                    "out of order: ({lat},{lseq}) then ({},{})",
-                    e.0,
-                    e.1
-                );
-            }
-            last = Some((e.0, e.1));
-            out.push(e);
-        }
-        out
-    }
-
-    type Drained = Vec<(f64, u64, u32)>;
-
-    fn both(kinds_seed: impl Fn(&mut Scheduler<u32>)) -> (Drained, Drained) {
-        let mut q = Scheduler::new(SchedulerKind::Queue);
-        let mut w = Scheduler::new(SchedulerKind::Wheel);
-        kinds_seed(&mut q);
-        kinds_seed(&mut w);
-        (drain(&mut q), drain(&mut w))
-    }
-
-    #[test]
-    fn identical_order_on_ties_and_spreads() {
-        let (q, w) = both(|s| {
-            s.push(5.0, 0, 10);
-            s.push(1.0, 1, 11);
-            s.push(5.0, 2, 12); // tie with seq 0 at the same instant
-            s.push(1.0 + 1e-9, 3, 13); // same tick as 1.0, later at
-            s.push(10_000.0, 4, 14);
-        });
-        assert_eq!(q, w);
-        assert_eq!(
-            q.iter().map(|e| e.2).collect::<Vec<_>>(),
-            vec![11, 13, 10, 12, 14]
-        );
-    }
-
-    #[test]
-    fn far_future_overflow_round_trips() {
-        // Beyond 2³² ticks (~12 virtual days at 0.25 ms/tick): the wheel
-        // parks these in the overflow heap and re-anchors.
-        let far = RESOLUTION_MS * (u64::from(u32::MAX) as f64 + 10.0);
-        let (q, w) = both(|s| {
-            s.push(far + 3.0, 0, 1);
-            s.push(0.5, 1, 2);
-            s.push(far + 3.0, 2, 3);
-            s.push(far * 2.0, 3, 4);
-        });
-        assert_eq!(q, w);
-        assert_eq!(w.len(), 4);
-    }
-
-    #[test]
-    fn saturated_ticks_still_order_exactly() {
-        // Ticks saturate at u64::MAX for absurd times; order must stay
-        // exact because slots sort by the true (at, seq) key.
-        let huge = f64::MAX / 4.0;
-        let (q, w) = both(|s| {
-            s.push(huge, 0, 1);
-            s.push(huge / 2.0, 1, 2);
-            s.push(huge, 2, 3);
-        });
-        assert_eq!(q, w);
-        assert_eq!(q.iter().map(|e| e.2).collect::<Vec<_>>(), vec![2, 1, 3]);
-    }
-
-    #[test]
-    fn interleaved_push_pop_keeps_order() {
-        let mut w = Scheduler::<u32>::new(SchedulerKind::Wheel);
-        let mut q = Scheduler::<u32>::new(SchedulerKind::Queue);
-        for s in [&mut w, &mut q] {
-            s.push(2.0, 0, 1);
-            s.push(7.0, 1, 2);
-            assert_eq!(s.pop().map(|e| e.2), Some(1));
-            // New arrivals after a pop are ≥ the delivered time.
-            s.push(3.0, 2, 3);
-            s.push(7.0, 3, 4);
-        }
-        assert_eq!(drain(&mut w), drain(&mut q));
-    }
-
-    #[test]
-    #[should_panic(expected = "behind the cursor")]
-    fn pushes_behind_delivered_time_are_rejected() {
-        let mut w = EventWheel::new();
-        w.push(100.0, 0, 1u32);
-        w.pop();
-        w.push(200.0, 1, 2);
-        w.push(1.0, 2, 3); // before the delivered tick: contract breach
-    }
-
-    #[test]
-    fn stats_ledger_balances() {
-        let mut s = Scheduler::new(SchedulerKind::Wheel);
-        for i in 0..10u64 {
-            s.push(i as f64, i, i as u32);
-        }
-        for _ in 0..4 {
-            s.pop();
-        }
-        s.clear();
-        let st = s.stats();
-        assert_eq!(st.backend, "wheel");
-        assert_eq!(
-            (st.scheduled, st.delivered, st.cleared, st.pending),
-            (10, 4, 6, 0)
-        );
-        assert!(st.consistent());
-        assert_eq!(st.peak_pending, 10);
-    }
-
-    #[test]
-    fn convert_migrates_pending_events_and_counters() {
-        let mut s = Scheduler::new(SchedulerKind::Queue);
-        for i in 0..20u64 {
-            s.push((i % 7) as f64 + 1.0, i, i as u32);
-        }
-        s.pop();
-        let reference: Vec<_> = {
-            let mut c = Scheduler::new(SchedulerKind::Queue);
-            for i in 0..20u64 {
-                c.push((i % 7) as f64 + 1.0, i, i as u32);
-            }
-            c.pop();
-            drain(&mut c)
-        };
-        let mut s = s.convert(SchedulerKind::Wheel);
-        assert_eq!(s.kind(), SchedulerKind::Wheel);
-        assert_eq!(s.stats().scheduled, 20);
-        assert_eq!(s.stats().delivered, 1);
-        assert_eq!(drain(&mut s), reference);
-    }
-
-    #[test]
-    fn empty_scheduler_behaves() {
-        let mut s: Scheduler<u32> = Scheduler::new(SchedulerKind::Wheel);
-        assert!(s.is_empty());
-        assert_eq!(s.pop(), None);
-        assert_eq!(s.peek_at(), None);
-        s.clear();
-        assert!(s.stats().consistent());
     }
 }

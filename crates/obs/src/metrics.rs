@@ -238,10 +238,8 @@ impl EvalMetrics {
         (self.matcher_probes > 0).then(|| self.matcher_skips as f64 / self.matcher_probes as f64)
     }
 
-    /// Merge another accumulator into this one — the primitive behind
-    /// per-worker metric accumulators in a concurrent driver: workers
-    /// count into private `EvalMetrics` and the coordinator merges them
-    /// at a barrier. Merging is commutative and associative, and
+    /// Merge another accumulator into this one (e.g. a search's counters
+    /// counted apart from the run's). Merging is commutative and associative, and
     /// [`EvalMetrics::reconciles_with`] holds for the merged metrics
     /// whenever each part reconciled against its share of the traffic.
     pub fn merge(&mut self, other: &EvalMetrics) {

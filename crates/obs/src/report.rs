@@ -32,16 +32,13 @@ pub struct RunReport {
     /// `None` by default: the counters are process-wide, so a system
     /// cannot attribute them to itself — the measuring harness attaches
     /// the delta explicitly via [`RunReport::with_copy`]. Rendered as
-    /// `"copy":null` in JSON when absent, keeping reports from
-    /// different drivers byte-comparable.
+    /// `"copy":null` in JSON when absent, keeping reports of
+    /// otherwise identical runs byte-comparable.
     pub copy: Option<CopyStats>,
     /// The event scheduler's ledger for the run, attached via
     /// [`RunReport::with_sched`]. The push/pop/clear counters are a
-    /// function of the message sequence alone and therefore identical
-    /// across drivers; `backend`/`cascades`/`overflowed` differ across
-    /// scheduler *kinds*, so byte-comparisons spanning scheduler
-    /// backends must strip this field. `"sched":null` in JSON when
-    /// absent.
+    /// function of the message sequence alone. `"sched":null` in JSON
+    /// when absent.
     pub sched: Option<SchedStats>,
     /// Memory snapshot (peak RSS + interner pressure), attached via
     /// [`RunReport::with_mem`]. Strictly opt-in: RSS is process-wide
@@ -109,14 +106,11 @@ impl RunReport {
             None => o.raw("sched", "null"),
             Some(s) => {
                 let mut e = JsonObject::new();
-                e.str("backend", s.backend);
                 e.num_u64("scheduled", s.scheduled)
                     .num_u64("delivered", s.delivered)
                     .num_u64("cleared", s.cleared)
                     .num_u64("pending", s.pending)
-                    .num_u64("peak_pending", s.peak_pending)
-                    .num_u64("cascades", s.cascades)
-                    .num_u64("overflowed", s.overflowed);
+                    .num_u64("peak_pending", s.peak_pending);
                 o.raw("sched", &e.finish())
             }
         };
@@ -251,15 +245,8 @@ impl std::fmt::Display for RunReport {
         if let Some(s) = &self.sched {
             writeln!(
                 f,
-                "scheduler  : {} — {} scheduled, {} delivered, {} cleared, {} pending (peak {}), {} cascades, {} overflowed",
-                s.backend,
-                s.scheduled,
-                s.delivered,
-                s.cleared,
-                s.pending,
-                s.peak_pending,
-                s.cascades,
-                s.overflowed
+                "scheduler  : {} scheduled, {} delivered, {} cleared, {} pending (peak {})",
+                s.scheduled, s.delivered, s.cleared, s.pending, s.peak_pending
             )?;
         }
         if let Some(mem) = &self.mem {
@@ -414,7 +401,7 @@ mod tests {
             "{text}"
         );
         // parity: two unattached reports stay byte-identical even though
-        // the field exists (the driver-equivalence assertions rely on it)
+        // the field exists (the engine determinism assertions rely on it)
         assert_eq!(sample().to_json(), sample().to_json());
     }
 
@@ -425,25 +412,25 @@ mod tests {
         assert!(json.contains("\"sched\":null"), "{json}");
         assert!(json.contains("\"mem\":null"), "{json}");
         let good = SchedStats {
-            backend: "wheel",
             scheduled: 10,
             delivered: 7,
             cleared: 2,
             pending: 1,
-            cascades: 3,
-            overflowed: 1,
+            cascades: 0,
             peak_pending: 4,
         };
         let r = sample().with_sched(good);
         assert!(r.reconciled, "a balanced ledger keeps the report green");
         let json = r.to_json();
-        assert!(json.contains("\"sched\":{\"backend\":\"wheel\""), "{json}");
-        assert!(json.contains("\"peak_pending\":4"), "{json}");
+        assert!(
+            json.contains(
+                "\"sched\":{\"scheduled\":10,\"delivered\":7,\"cleared\":2,\"pending\":1,\"peak_pending\":4}"
+            ),
+            "{json}"
+        );
         let text = r.to_string();
         assert!(
-            text.contains(
-                "scheduler  : wheel — 10 scheduled, 7 delivered, 2 cleared, 1 pending (peak 4), 3 cascades, 1 overflowed"
-            ),
+            text.contains("scheduler  : 10 scheduled, 7 delivered, 2 cleared, 1 pending (peak 4)"),
             "{text}"
         );
         // A leaky ledger (scheduled != delivered + cleared + pending)

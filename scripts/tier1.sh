@@ -6,12 +6,12 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - fifteen grep gates, one per "one of each" claim (wire-format
+#   - sixteen grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
-#     Σ is left as found, a member walks no tree, one collapse path) —
-#     each explained where it runs;
+#     Σ is left as found, a member walks no tree, one collapse path, one
+#     scheduler and one driver) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -66,8 +66,9 @@
 #     allocator): a canonical digest allocates nothing, so counting a tree
 #     already delivered allocates nothing and a batch admitted to the
 #     delta filter costs it only the growth of its map;
-#   - driver / transport / matcher differential suites, chaos seeds, the
-#     trace round trip, E13/E14 smokes and benchmark/ci.sh, below.
+#   - engine determinism / transport / matcher differential suites, chaos
+#     seeds, the trace round trip, E13/E14 smokes and benchmark/ci.sh,
+#     below.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,11 +112,11 @@ echo "== tier-1: payloads are measured, not rendered (no serialize on the engine
 # A message body is tree handles plus a length (message.rs's Body); bytes
 # exist only where a socket asks for them, through Body's one emitter.
 # Outside comments and `#[cfg(test)]` modules, the engine, the continuous
-# and replication paths, the driver and the message codec build no string
-# out of a tree, nor out of a shipped expression (a request carries the
+# and replication paths and the message codec build no string out of a
+# tree, nor out of a shipped expression (a request carries the
 # expression, measured by Expr::wire_size).
 for f in crates/core/src/engine/*.rs crates/core/src/continuous.rs \
-    crates/core/src/replication.rs crates/core/src/driver.rs crates/core/src/message.rs; do
+    crates/core/src/replication.rs crates/core/src/message.rs; do
     if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
         | grep -nE '\.serialize\(\)|serialize_node\(|serialize_forest|\.fingerprint\(\)'; then
         echo "tier-1: $f renders a tree to a string; carry a Body instead" >&2
@@ -390,20 +391,59 @@ echo "== tier-1: one collapse path (identical service calls reuse one answer in 
 # By definition (6) a service's answer is a function of its parameters
 # and the provider's state, so the provider-side evaluation
 # (service_results in engine/defs.rs) reuses an answer kept at the
-# provider's current stamp, under every driver. A second cache of
-# answers — the parallel driver's session cache, its in-wave dedup of
-# identical calls, a rendered parameter key — is a twin of that memo,
-# and a driver that precomputes an invoke evaluates services off that
-# path. Outside comments and `#[cfg(test)]` modules core/src names none
-# of them, and driver.rs does not look at an invoke.
+# provider's current stamp. A second cache of answers — a session
+# cache, an in-wave dedup of identical calls, a rendered parameter key —
+# is a twin of that memo. Outside comments and `#[cfg(test)]` modules
+# core/src names none of them.
 for f in $(find crates/core/src -name '*.rs'); do
     if code "$f" | grep -nE 'svc_cache|collapse_key|params_key|dedup_hits'; then
         echo "tier-1: $f keeps a second service-call cache; reuse answers through the provider's memo" >&2
         exit 1
     fi
 done
-if grep -n 'Intent::Invoke' crates/core/src/driver.rs; then
-    echo "tier-1: core/src/driver.rs precomputes service calls; the provider's memo reuses them" >&2
+
+echo "== tier-1: one scheduler, one driver (one heap in net/src/wheel.rs, one session loop, no worker pool) =="
+# The simulator delivers from one binary heap ordered by (at, seq)
+# (net/src/wheel.rs), and every session runs the engine's one FIFO loop
+# (drain in engine/pump.rs). Outside comments and `#[cfg(test)]`
+# modules, a second scheduler backend (an EventWheel, a Backend
+# dispatch, a tick resolution) in net/src, or a worker pool beside the
+# loop (a thread::scope, a precomputed value, a value staged on the
+# session) in core/src, is a twin coming back. DriverKind and
+# SchedulerKind select nothing: they are named only by their
+# definitions, Scheduler::new, the two no-op setters and the prelude.
+for f in $(find crates/net/src -name '*.rs'); do
+    if code "$f" | grep -nE 'EventWheel|Backend::|RESOLUTION_MS'; then
+        echo "tier-1: $f brings back a second scheduler; the heap is the one" >&2
+        exit 1
+    fi
+done
+for f in $(find crates/core/src -name '*.rs'); do
+    if code "$f" | grep -nE 'thread::scope|Precomp|staged'; then
+        echo "tier-1: $f runs work beside the session loop; the one loop is the driver" >&2
+        exit 1
+    fi
+done
+for f in $(find crates/*/src -name '*.rs'); do
+    named=$(code "$f" | grep -cE '\b(DriverKind|SchedulerKind)\b' || true)
+    case "$f" in
+        crates/net/src/wheel.rs) want=2 ;;   # the enum, Scheduler::new
+        crates/core/src/system.rs) want=3 ;; # the enum, the two setters
+        crates/core/src/lib.rs) want=2 ;;    # the prelude
+        *) want=0 ;;
+    esac
+    if [ "$named" -ne "$want" ]; then
+        echo "tier-1: $f names DriverKind/SchedulerKind $named times; they select nothing" >&2
+        exit 1
+    fi
+done
+if [ "$(code crates/core/src/system.rs \
+    | grep -cE '^    pub fn set_(driver|scheduler)\(&mut self, _[a-z]+: [A-Za-z_:]+\) \{\}$')" -ne 2 ]; then
+    echo "tier-1: AxmlSystem::set_driver/set_scheduler must stay empty" >&2
+    exit 1
+fi
+if [ "$(code crates/net/src/wheel.rs | grep -cE '^    pub fn new\(_kind: SchedulerKind\) -> Self \{$')" -ne 1 ]; then
+    echo "tier-1: Scheduler::new must ignore its SchedulerKind" >&2
     exit 1
 fi
 
@@ -419,13 +459,13 @@ cargo test --workspace -q
 echo "== tier-1: cargo doc --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-echo "== tier-1: driver equivalence (sequential vs parallel, bit-for-bit) =="
-RUST_BACKTRACE=1 cargo test --release -q -p axml-bench --test driver_equivalence
-RUST_BACKTRACE=1 cargo test --release -q -p axml-bench --test driver_equivalence -- --ignored
+echo "== tier-1: engine determinism (two fresh builds from one seed, bit-for-bit) =="
+RUST_BACKTRACE=1 cargo test --release -q -p axml-bench --test engine_determinism
+RUST_BACKTRACE=1 cargo test --release -q -p axml-bench --test engine_determinism -- --ignored
 
 echo "== tier-1: chaos matrix under two extra pinned fault seeds =="
 # tests/chaos.rs always covers its three built-in seeds; AXML_CHAOS_SEED
-# appends one more per run. Any non-reconciling report, driver
+# appends one more per run. Any non-reconciling report, seed-replay
 # divergence, or fault-transparency violation fails the test.
 AXML_CHAOS_SEED=0x7E570001 \
     RUST_BACKTRACE=1 cargo test --release -q --test chaos
@@ -433,7 +473,7 @@ AXML_CHAOS_SEED=0x7E570002 \
     RUST_BACKTRACE=1 cargo test --release -q --test chaos
 
 echo "== tier-1: socket transport smoke (real peerd processes, hard timeout) =="
-# The sim-vs-socket differential oracle (topology × driver × seed matrix,
+# The sim-vs-socket differential oracle (topology × seed matrix,
 # every socket row against real endpoint processes), then the runnable
 # 3-peer loopback cluster demo, each under a hard timeout so a wedged
 # endpoint process can never hang the gate.
@@ -468,7 +508,7 @@ cmp "$TRACE_TMP/top1.out" "$TRACE_TMP/top2.out"
 grep -q "axml-top" "$TRACE_TMP/top1.out"
 grep -q "latency" "$TRACE_TMP/top1.out"
 
-echo "== tier-1: shared matcher differential (churn suite, both drivers) =="
+echo "== tier-1: shared matcher differential (churn suite) =="
 # Shared vs naive matcher modes must deliver bit-identical results under
 # interleaved activation/unsubscription/feed churn at 1k+ subscriptions.
 timeout 300 env RUST_BACKTRACE=1 \
@@ -481,12 +521,12 @@ grep -q "E13" "$TRACE_TMP/e13.out"
 grep -q "skipped" "$TRACE_TMP/e13.out"
 
 echo "== tier-1: E14 smoke (EDOS-scale peak-RSS budget) =="
-# The 10⁴-peer replica network under churn, default driver and scheduler.
-# In --smoke mode the experiment asserts that peak RSS stays inside the
-# budget and prints the rss-budget-ok marker we require below. (That the
-# four driver × scheduler combinations agree at this scale is
-# tests/scale_stress.rs's job, run by `cargo test` above.) The
-# hard timeout keeps a wedged scheduler from hanging the gate.
+# The 10⁴-peer replica network under churn. In --smoke mode the
+# experiment asserts that peak RSS stays inside the budget and prints the
+# rss-budget-ok marker we require below. (That two runs from one seed
+# agree at this scale is tests/scale_stress.rs's job, run by `cargo test`
+# above.) The hard timeout keeps a wedged scheduler from hanging the
+# gate.
 timeout 300 cargo run --release -q -p axml-bench --bin experiments -- \
     e14 --smoke > "$TRACE_TMP/e14.out"
 grep -q "E14" "$TRACE_TMP/e14.out"

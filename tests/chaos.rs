@@ -1,18 +1,16 @@
 //! The seeded chaos matrix: drop rates × outage schedules × topologies,
-//! each run under both drivers with retry + failover enabled.
+//! each run with retry + failover enabled.
 //!
 //! Invariants checked for every cell:
 //!
-//! 1. **Driver equivalence under faults** — `Sequential` and `Parallel`
-//!    produce the same per-eval outcomes (success *and* failure), the
-//!    same retry/failover/drop counters, the same `NetStats`, and the
-//!    same `RunReport` JSON, byte for byte.
+//! 1. **Seed determinism under faults** — re-running a cell on a fresh
+//!    system with the same seed produces the same per-eval outcomes
+//!    (success *and* failure), the same retry/failover/drop counters,
+//!    the same `NetStats`, and the same `RunReport` JSON, byte for byte.
 //! 2. **Fault transparency** — every eval that *succeeds* under faults
 //!    returns a forest bit-identical to the fault-free reference run.
 //! 3. **Reconciliation** — every `RunReport` reconciles the engine's
 //!    metrics against the network's statistics, drop-for-drop.
-//! 4. **Seed determinism** — re-running a cell with the same seed
-//!    reproduces it exactly.
 //!
 //! The matrix runs under three built-in seeds; the `AXML_CHAOS_SEED`
 //! environment variable (decimal or `0x`-hex) appends a fourth —
@@ -74,7 +72,7 @@ const CATALOG: &str = concat!(
 
 /// Build a system for `topo` and return it with the client id, the
 /// primary provider id, and the eval workload.
-fn build(topo: Topo, driver: DriverKind) -> (AxmlSystem, PeerId, PeerId, Vec<Expr>) {
+fn build(topo: Topo) -> (AxmlSystem, PeerId, PeerId, Vec<Expr>) {
     match topo {
         Topo::Pair => {
             let sys = AxmlSystem::builder()
@@ -82,7 +80,6 @@ fn build(topo: Topo, driver: DriverKind) -> (AxmlSystem, PeerId, PeerId, Vec<Exp
                 .link("client", "server", LinkCost::wan())
                 .doc("server", "catalog", CATALOG)
                 .service("server", "names", r#"doc("catalog")//pkg/@name"#)
-                .driver(driver)
                 .build()
                 .unwrap();
             let client = sys.peer_id("client").unwrap();
@@ -103,7 +100,7 @@ fn build(topo: Topo, driver: DriverKind) -> (AxmlSystem, PeerId, PeerId, Vec<Exp
             (sys, client, server, exprs)
         }
         Topo::Mirrors => {
-            let mut b = AxmlSystem::builder().peer("client").driver(driver);
+            let mut b = AxmlSystem::builder().peer("client");
             for i in 0..3 {
                 let name = format!("mirror-{i}");
                 let cost = LinkCost {
@@ -177,9 +174,9 @@ struct Outcome {
     bytes: u64,
 }
 
-/// Run the workload for one cell under one driver.
-fn run_cell(topo: Topo, driver: DriverKind, seed: u64, drop: f64, sched: Sched) -> Outcome {
-    let (mut sys, client, primary, exprs) = build(topo, driver);
+/// Run the workload for one cell.
+fn run_cell(topo: Topo, seed: u64, drop: f64, sched: Sched) -> Outcome {
+    let (mut sys, client, primary, exprs) = build(topo);
     sys.set_engine_seed(seed ^ 0x0B5E_55ED);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.set_failover(true);
@@ -208,7 +205,7 @@ fn run_cell(topo: Topo, driver: DriverKind, seed: u64, drop: f64, sched: Sched) 
 
 /// The fault-free reference for a topology (faults off, same workload).
 fn reference(topo: Topo) -> Vec<String> {
-    let (mut sys, client, _primary, exprs) = build(topo, DriverKind::Sequential);
+    let (mut sys, client, _primary, exprs) = build(topo);
     exprs
         .iter()
         .map(|e| {
@@ -229,9 +226,7 @@ fn chaos_matrix_is_deterministic_and_reconciles() {
         for seed in seeds() {
             for drop in DROP_RATES {
                 for sched in [Sched::Calm, Sched::Outages, Sched::Crashes] {
-                    let seq = run_cell(topo, DriverKind::Sequential, seed, drop, sched);
-                    let par =
-                        run_cell(topo, DriverKind::Parallel { threads: 0 }, seed, drop, sched);
+                    let seq = run_cell(topo, seed, drop, sched);
                     let cell = format!(
                         "topo={} seed={seed:#x} drop={drop} sched={}",
                         if topo == Topo::Pair {
@@ -245,9 +240,6 @@ fn chaos_matrix_is_deterministic_and_reconciles() {
                             Sched::Crashes => "crashes",
                         }
                     );
-                    // (1) both drivers: identical outcomes, counters,
-                    // stats, reports — byte for byte.
-                    assert_eq!(seq, par, "driver divergence at {cell}");
                     // (3) every report reconciles.
                     assert!(seq.reconciled, "non-reconciling report at {cell}");
                     // (2) successful evals are bit-identical to the
@@ -260,8 +252,9 @@ fn chaos_matrix_is_deterministic_and_reconciles() {
                             );
                         }
                     }
-                    // (4) same seed ⇒ same run.
-                    let again = run_cell(topo, DriverKind::Sequential, seed, drop, sched);
+                    // (1) same seed ⇒ same outcomes, counters, stats,
+                    // reports — byte for byte.
+                    let again = run_cell(topo, seed, drop, sched);
                     assert_eq!(seq, again, "seed replay diverged at {cell}");
                 }
             }
@@ -274,13 +267,7 @@ fn chaos_runs_actually_fault_and_recover() {
     // Sanity that the matrix is not vacuous: at 10% drop the mirrors
     // topology drops messages, retries them, and fails over during
     // outages — and still completes every eval.
-    let o = run_cell(
-        Topo::Mirrors,
-        DriverKind::Sequential,
-        BUILTIN_SEEDS[0],
-        0.10,
-        Sched::Outages,
-    );
+    let o = run_cell(Topo::Mirrors, BUILTIN_SEEDS[0], 0.10, Sched::Outages);
     assert!(o.dropped > 0, "expected injected drops, got none");
     assert!(o.retries > 0, "drops and outages must schedule retries");
     assert!(o.failovers > 0, "outages must force failovers");
@@ -291,13 +278,7 @@ fn chaos_runs_actually_fault_and_recover() {
     );
     // The pair topology has nowhere to fail over: outages there must
     // surface as typed exhaustion, not hangs or silent corruption.
-    let p = run_cell(
-        Topo::Pair,
-        DriverKind::Sequential,
-        BUILTIN_SEEDS[0],
-        0.0,
-        Sched::Outages,
-    );
+    let p = run_cell(Topo::Pair, BUILTIN_SEEDS[0], 0.0, Sched::Outages);
     assert!(
         p.evals.iter().any(|r| r.is_err()),
         "pair outages must fail some evals"

@@ -1,7 +1,7 @@
 //! Churn suite for the shared subscription matcher: activations and
 //! unsubscriptions interleaved with feeds at 1k+ subscriptions,
 //! differentially comparing [`MatcherMode::Shared`] against
-//! [`MatcherMode::Naive`] across seeds and across both drivers. The two
+//! [`MatcherMode::Naive`] across seeds. The two
 //! modes must deliver *bit-identical* results in the same order — the
 //! matcher may only skip work, never change it. The same holds for the
 //! default mode's other shortcut, evaluating a feed's hits over the
@@ -36,11 +36,10 @@ fn shape() -> (usize, usize) {
 
 /// Provider with `TOPICS` watch services plus `batches` client documents
 /// of `per_batch` subscriptions each, topics round-robin.
-fn build(driver: DriverKind, mode: MatcherMode) -> AxmlSystem {
+fn build(mode: MatcherMode) -> AxmlSystem {
     let (batches, per_batch) = shape();
     let mut b = AxmlSystem::builder()
         .peers(["provider", "client"])
-        .driver(driver)
         .link("provider", "client", LinkCost::lan())
         .doc("provider", "board", "<board/>");
     for t in 0..TOPICS {
@@ -122,29 +121,24 @@ fn churn(sys: &mut AxmlSystem, seed: u64) -> (Vec<usize>, Vec<String>) {
 
 #[test]
 fn shared_matcher_is_equivalent_under_churn() {
-    for driver in [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }] {
-        for seed in [0xC0FF_EE01u64, 0xC0FF_EE02] {
-            let mut shared = build(driver, MatcherMode::Shared);
-            let mut naive = build(driver, MatcherMode::Naive);
-            let (d_shared, s_shared) = churn(&mut shared, seed);
-            let (d_naive, s_naive) = churn(&mut naive, seed);
-            assert_eq!(
-                d_shared, d_naive,
-                "delivery counts diverged ({driver:?}, seed {seed:#x})"
-            );
-            assert_eq!(
-                s_shared, s_naive,
-                "inbox bytes diverged ({driver:?}, seed {seed:#x})"
-            );
-            let m = shared.metrics();
-            assert!(m.matcher_skips > 0, "churn must exercise the skip path");
-            assert!(m.matcher_consistent());
-            assert_eq!(naive.metrics().matcher_probes, 0);
-            assert!(
-                shared.run_report("churn").reconciled,
-                "shared-mode run must reconcile"
-            );
-        }
+    for seed in [0xC0FF_EE01u64, 0xC0FF_EE02] {
+        let mut shared = build(MatcherMode::Shared);
+        let mut naive = build(MatcherMode::Naive);
+        let (d_shared, s_shared) = churn(&mut shared, seed);
+        let (d_naive, s_naive) = churn(&mut naive, seed);
+        assert_eq!(
+            d_shared, d_naive,
+            "delivery counts diverged (seed {seed:#x})"
+        );
+        assert_eq!(s_shared, s_naive, "inbox bytes diverged (seed {seed:#x})");
+        let m = shared.metrics();
+        assert!(m.matcher_skips > 0, "churn must exercise the skip path");
+        assert!(m.matcher_consistent());
+        assert_eq!(naive.metrics().matcher_probes, 0);
+        assert!(
+            shared.run_report("churn").reconciled,
+            "shared-mode run must reconcile"
+        );
     }
 }
 
@@ -236,10 +230,8 @@ fn prop_calls(seed: u64) -> Vec<Vec<PropCall>> {
 /// delivery no feed of the board made — and `echo` the board's own, in
 /// the middle of the feed that pumps it.
 fn prop_build(mode: MatcherMode, seed: u64) -> AxmlSystem {
-    let driver = [DriverKind::Sequential, DriverKind::Parallel { threads: 2 }][seed as usize % 2];
     let mut b = AxmlSystem::builder()
         .peers(["provider", "client"])
-        .driver(driver)
         .link("provider", "client", LinkCost::lan())
         .doc(
             "provider",

@@ -1,6 +1,6 @@
 //! Pinned engine behaviour *across commits*.
 //!
-//! The equivalence suites (`driver_equivalence`, `transport_equivalence`,
+//! The equivalence suites (`engine_determinism`, `transport_equivalence`,
 //! `chaos`, `trace_determinism`) compare two runs of the same build, so
 //! they cannot see a refactor that changes both sides the same way. This
 //! test pins, for a fixed-seed scenario set, digests recorded once on a
@@ -11,12 +11,11 @@
 //!
 //! The scenarios cover definitions (1)–(9), forward lists, delegation,
 //! sequencing, `@after` chains, lazy activation, replica maintenance, a
-//! retried drop, a document-class failover and a service-class failover,
-//! each under `Sequential` and `Parallel { threads: 2 }`.
+//! retried drop, a document-class failover and a service-class failover.
 //!
-//! Both drivers must reproduce the one pinned row per scenario. A
-//! mismatch prints the drifted rows; re-pin them only for a change that
-//! is *meant* to alter observable engine behaviour.
+//! Each scenario must reproduce its pinned row. A mismatch prints the
+//! drifted rows; re-pin them only for a change that is *meant* to alter
+//! observable engine behaviour.
 
 use axml::net::frame::fnv1a64;
 use axml::prelude::*;
@@ -25,7 +24,7 @@ use axml::xml::tree::Tree;
 use std::fmt::Write as _;
 
 /// One pinned row: scenario name, scenario, digest.
-type Pinned = (&'static str, fn(DriverKind) -> String, &'static str);
+type Pinned = (&'static str, fn() -> String, &'static str);
 
 /// Digests recorded on commit f0c5c6b (PR 11), before the engine split.
 /// PR 16 re-pinned the `continuous` row's `trace=` hash (same length, every
@@ -151,7 +150,7 @@ fn root_addr(sys: &AxmlSystem, at: PeerId, doc: &str) -> NodeAddr {
 
 /// Definitions (1)–(8), forward lists, delegation and sequencing on a
 /// fault-free four-peer network.
-fn algebra(driver: DriverKind) -> String {
+fn algebra() -> String {
     let sys = AxmlSystem::builder()
         .peers(["p0", "p1", "p2", "p3"])
         .link("p0", "p1", LinkCost::wan())
@@ -169,7 +168,6 @@ fn algebra(driver: DriverKind) -> String {
             "over",
             r#"for $n in doc("data")/n where $n/text() > $0/text() return {$n}"#,
         )
-        .driver(driver)
         .seed(0x601D_0001)
         .build()
         .unwrap();
@@ -240,8 +238,8 @@ fn algebra(driver: DriverKind) -> String {
     r.eval(p0, &over(p1, vec![]));
     r.eval(p0, &over(p1, vec![log, vault.clone()]));
     r.eval(p1, &over(p1, vec![]));
-    // Duplicate fan-in: the same call twice in one wave (the parallel
-    // driver collapses it; the observable run must not change).
+    // Duplicate fan-in: the same call twice in one wave (the provider's
+    // call memo reuses the answer; the observable run must not change).
     let both = Query::parse("both", "for $x in $0 return {$x}").unwrap();
     r.eval(p0, &Expr::Seq(vec![over(p1, vec![]), over(p1, vec![])]));
     r.eval(
@@ -345,15 +343,8 @@ fn algebra(driver: DriverKind) -> String {
 
 /// A client plus three mirrors carrying a document class and a service
 /// class, optionally under a fault plan with retry + failover on.
-fn mirrors(
-    driver: DriverKind,
-    seed: u64,
-    faults: Option<fn(PeerId, [PeerId; 3]) -> FaultPlan>,
-) -> Run {
-    let mut b = AxmlSystem::builder()
-        .peer("client")
-        .driver(driver)
-        .seed(seed);
+fn mirrors(seed: u64, faults: Option<fn(PeerId, [PeerId; 3]) -> FaultPlan>) -> Run {
+    let mut b = AxmlSystem::builder().peer("client").seed(seed);
     for i in 0..3 {
         let name = format!("mirror-{i}");
         let cost = LinkCost {
@@ -402,8 +393,8 @@ fn any_over(at: PeerId) -> Expr {
 
 /// Definition (9) under every pick policy, fault-free: remote picks, a
 /// pick that resolves to the evaluating peer, and an empty class.
-fn generic_picks(driver: DriverKind) -> String {
-    let mut r = mirrors(driver, 0x601D_0002, None);
+fn generic_picks() -> String {
+    let mut r = mirrors(0x601D_0002, None);
     let client = r.sys.peer_id("client").unwrap();
     let m1 = r.sys.peer_id("mirror-1").unwrap();
     for policy in [
@@ -434,13 +425,12 @@ fn generic_picks(driver: DriverKind) -> String {
 
 /// A 30 % drop plan with the standard retry budget on a single link:
 /// drops are retried with jittered backoff; some evals still exhaust.
-fn retried_drop(driver: DriverKind) -> String {
+fn retried_drop() -> String {
     let mut sys = AxmlSystem::builder()
         .peers(["client", "server"])
         .link("client", "server", LinkCost::wan())
         .doc("server", "catalog", CATALOG)
         .service("server", "names", r#"doc("catalog")//pkg/@name"#)
-        .driver(driver)
         .seed(0x601D_0003)
         .retry(RetryPolicy::standard())
         .build()
@@ -468,9 +458,8 @@ fn retried_drop(driver: DriverKind) -> String {
 
 /// `d@any` with the closest mirror's route down for windows the retry
 /// budget cannot outlast: the pick fails over to a live replica.
-fn doc_failover(driver: DriverKind) -> String {
+fn doc_failover() -> String {
     let mut r = mirrors(
-        driver,
         0x601D_0004,
         Some(|client, ms| {
             let mut p = FaultPlan::new(0xFA11_0D0C).drop_prob(0.05).jitter_ms(0.4);
@@ -494,9 +483,8 @@ fn doc_failover(driver: DriverKind) -> String {
 
 /// `s@any` with the closest provider crashing periodically: parameters
 /// are re-shipped to the next live member of the service class.
-fn service_failover(driver: DriverKind) -> String {
+fn service_failover() -> String {
     let mut r = mirrors(
-        driver,
         0x601D_0005,
         Some(|_, ms| {
             FaultPlan::new(0xFA11_5E2F)
@@ -521,7 +509,7 @@ fn service_failover(driver: DriverKind) -> String {
 /// Continuous services: activation (concrete, `any` and forwarded
 /// sinks), an `@after` chain, feeds, lazy activation, replica
 /// maintenance and unsubscription.
-fn continuous(driver: DriverKind) -> String {
+fn continuous() -> String {
     let item = r#"for $i in doc("news")/item where $i/@topic = "db" return {$i}"#;
     let mut sys = AxmlSystem::builder()
         .peers(["client", "server", "mirror", "archive"])
@@ -549,7 +537,6 @@ fn continuous(driver: DriverKind) -> String {
         .service("server", "stamp", r#"doc("stamps")/mark"#)
         .service_replica("db-news-any", "server", "db-news")
         .service_replica("db-news-any", "mirror", "db-news-m")
-        .driver(driver)
         .seed(0x601D_0006)
         .build()
         .unwrap();
@@ -611,17 +598,11 @@ fn continuous(driver: DriverKind) -> String {
 
 #[test]
 fn engine_behaviour_matches_the_pinned_digests() {
-    let drivers = [
-        ("seq", DriverKind::Sequential),
-        ("par2", DriverKind::Parallel { threads: 2 }),
-    ];
     let mut drifted = String::new();
     for (name, run, pinned) in GOLDEN {
-        for (label, driver) in drivers {
-            let actual = run(driver);
-            if actual != pinned {
-                writeln!(drifted, "{name}/{label}: {actual}").unwrap();
-            }
+        let actual = run();
+        if actual != pinned {
+            writeln!(drifted, "{name}/seq: {actual}").unwrap();
         }
     }
     assert!(

@@ -4,11 +4,10 @@
 //!   concurrent-looking update sequences and bit-for-bit reproducibility
 //!   of whole runs;
 //! * the **EDOS tier** — a 10⁴-peer replica network (mirroring the E14
-//!   experiment's structure) asserting that run fingerprints are
-//!   bit-identical across the `Sequential`/`Parallel` engine drivers
-//!   *and* both event-scheduler backends (`queue`/`wheel`), plus exact
-//!   `RunReport` ↔ `NetStats` ↔ `LiveStats` reconciliation under a
-//!   nonzero drop rate, and O(n) construction at 10⁵ peers.
+//!   experiment's structure) asserting that two fresh runs from one seed
+//!   give one fingerprint, plus exact `RunReport` ↔ `NetStats` ↔
+//!   `LiveStats` reconciliation under a nonzero drop rate, and O(n)
+//!   construction at 10⁵ peers.
 
 use axml::core::cost::CostModel;
 use axml::net::frame::fnv1a64;
@@ -175,7 +174,7 @@ fn whole_runs_are_deterministic() {
 }
 
 // ---------------------------------------------------------------------
-// EDOS tier: 10⁴–10⁵ peers, sparse structures, scheduler equivalence.
+// EDOS tier: 10⁴–10⁵ peers, sparse structures, seed determinism.
 // ---------------------------------------------------------------------
 
 /// Peers in the EDOS smoke network.
@@ -194,13 +193,11 @@ const EDOS_DROP: f64 = 0.03;
 /// Build the E14-shaped network: uniform WAN, mirrored catalog +
 /// declarative service, clients with LAN home routes, seeded drop-only
 /// faults. Construction is O(peers + mirrors + clients).
-fn edos_system(driver: DriverKind, sched: SchedulerKind) -> (AxmlSystem, Vec<PeerId>) {
+fn edos_system() -> (AxmlSystem, Vec<PeerId>) {
     let mut sys = AxmlSystem::with_topology(&Topology::Uniform {
         n: EDOS_PEERS,
         cost: LinkCost::wan(),
     });
-    sys.set_driver(driver);
-    sys.set_scheduler(sched);
     sys.set_pick_policy(PickPolicy::Closest);
     sys.set_retry_policy(RetryPolicy::standard());
     sys.set_failover(true);
@@ -228,8 +225,8 @@ fn edos_system(driver: DriverKind, sched: SchedulerKind) -> (AxmlSystem, Vec<Pee
 
 /// Run the deterministic poll schedule; return the transcript
 /// fingerprint plus everything needed for reconciliation checks.
-fn edos_run(driver: DriverKind, sched: SchedulerKind) -> (u64, usize, AxmlSystem, LiveStats) {
-    let (mut sys, clients) = edos_system(driver, sched);
+fn edos_run() -> (u64, usize, AxmlSystem, LiveStats) {
+    let (mut sys, clients) = edos_system();
     let sink = LiveSink::new();
     sys.set_trace_sink(Box::new(sink.clone()));
     let mut transcript = String::new();
@@ -270,43 +267,24 @@ fn edos_run(driver: DriverKind, sched: SchedulerKind) -> (u64, usize, AxmlSystem
 }
 
 #[test]
-fn edos_fingerprints_match_across_drivers_and_schedulers() {
-    let combos = [
-        (DriverKind::Sequential, SchedulerKind::Queue, "seq/queue"),
-        (DriverKind::Sequential, SchedulerKind::Wheel, "seq/wheel"),
-        (
-            DriverKind::Parallel { threads: 0 },
-            SchedulerKind::Queue,
-            "par/queue",
-        ),
-        (
-            DriverKind::Parallel { threads: 0 },
-            SchedulerKind::Wheel,
-            "par/wheel",
-        ),
-    ];
+fn edos_fingerprint_is_reproducible_from_its_seed() {
     let mut reference = None;
-    for (driver, sched, label) in combos {
-        let (fp, ok, sys, _) = edos_run(driver, sched);
-        assert_eq!(
-            sys.scheduler_kind(),
-            sched,
-            "{label}: scheduler backend must stick"
-        );
+    for run in 0..2 {
+        let (fp, ok, ..) = edos_run();
         assert_eq!(
             ok, EDOS_POLLS,
-            "{label}: drop-only faults with retry + failover lose nothing"
+            "run {run}: drop-only faults with retry + failover lose nothing"
         );
         match reference {
             None => reference = Some(fp),
-            Some(r) => assert_eq!(fp, r, "{label}: fingerprint diverged from seq/queue"),
+            Some(r) => assert_eq!(fp, r, "run {run}: fingerprint diverged from the first run"),
         }
     }
 }
 
 #[test]
 fn edos_reports_reconcile_exactly_under_drops() {
-    let (_, ok, sys, live) = edos_run(DriverKind::Sequential, SchedulerKind::Wheel);
+    let (_, ok, sys, live) = edos_run();
     assert_eq!(ok, EDOS_POLLS);
     // The drop rate actually bit — this is reconciliation *under
     // faults*, not a calm-network tautology.
@@ -316,7 +294,6 @@ fn edos_reports_reconcile_exactly_under_drops() {
     let report = sys.run_report("edos reconcile");
     assert!(report.reconciled, "metrics, net stats and ledger agree");
     let sched = report.sched.expect("run_report attaches the ledger");
-    assert_eq!(sched.backend, "wheel");
     assert!(
         sched.consistent(),
         "scheduled == delivered + cleared + pending"
