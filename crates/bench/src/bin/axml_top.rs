@@ -15,8 +15,9 @@
 //! * `FILE --follow` tails a growing file with
 //!   [`axml_obs::FollowReader`], redrawing every `--interval` ms
 //!   (default 200) until interrupted or `--duration` elapses.
-//! * `--listen ADDR` accepts one [`axml_obs::SocketSink`] TCP
-//!   connection and renders live until the producer closes the socket.
+//! * `--listen ADDR` accepts one TCP connection from a producer's
+//!   [`axml_obs::BinSink::connect`] and renders live until the producer
+//!   closes the socket.
 //!
 //! Stream damage is never fatal to the dashboard: malformed records are
 //! counted on the `stream :` line and a truncated tail is reported on
@@ -193,8 +194,9 @@ fn follow_file(path: &str, args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `--listen ADDR`: accept one SocketSink connection and render until
-/// the producer closes it (or `--duration` elapses).
+/// `--listen ADDR`: accept one `BinSink::connect` connection and render
+/// until the producer closes it (or `--duration` elapses). Leaving early
+/// closes the socket, and the producer's next trace flush reports it.
 fn listen_socket(addr: &str, args: &Args) -> ExitCode {
     let listener = match TcpListener::bind(addr) {
         Ok(l) => l,
@@ -207,7 +209,7 @@ fn listen_socket(addr: &str, args: &Args) -> ExitCode {
         .local_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| addr.to_string());
-    eprintln!("axml-top: listening on {local} — waiting for a SocketSink connection");
+    eprintln!("axml-top: listening on {local} — waiting for a trace (BinSink::connect)");
     let (stream, peer) = match listener.accept() {
         Ok(x) => x,
         Err(e) => {

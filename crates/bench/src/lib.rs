@@ -27,7 +27,7 @@
 //! ```
 //!
 //! …and `axml-top`, a live dashboard that follows a growing trace file
-//! (or accepts a `SocketSink` TCP stream with `--listen`) and renders
+//! (or, with `--listen`, the TCP stream of a `BinSink::connect`) and renders
 //! per-peer latency quantiles and goodput sparklines from [`dashboard`]:
 //!
 //! ```text

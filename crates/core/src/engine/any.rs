@@ -23,11 +23,6 @@ impl AxmlSystem {
         self.failover = enabled;
     }
 
-    /// Whether replica failover is enabled.
-    pub fn failover_enabled(&self) -> bool {
-        self.failover
-    }
-
     /// Set the `pickDoc`/`pickService` policy (definition (9)).
     pub fn set_pick_policy(&mut self, policy: PickPolicy) {
         self.pick_policy = policy;

@@ -25,11 +25,6 @@ impl AxmlSystem {
         self.retry = policy;
     }
 
-    /// The engine's current retry policy.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
     /// Send a message with its receiver-side intent. Local sends are
     /// free (matching `NetStats` semantics): the intent applies now.
     ///

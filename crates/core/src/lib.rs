@@ -113,7 +113,7 @@ pub mod prelude {
     pub use axml_obs::{
         BinSink, DataTag, EvalMetrics, FanoutSink, FollowReader, FollowStep, LatencyHistogram,
         LiveSink, LiveStats, MemStats, MessageKind, Obs, RateWindow, RunReport, SharedBuf,
-        SocketSink, TraceEvent, TraceReader, TraceSink, VecSink,
+        TraceEvent, TraceReader, TraceSink, VecSink,
     };
     pub use axml_query::Query;
     pub use axml_xml::ids::{DocName, NodeAddr, PeerId, QueryName, ServiceName};

@@ -74,7 +74,7 @@ use crate::frame::{
 use crate::transport::{FramedPayload, Transport};
 use axml_xml::ids::PeerId;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -582,61 +582,6 @@ pub fn spawn_endpoint_thread() -> io::Result<(SocketAddr, JoinHandle<()>)> {
         }
     });
     Ok((addr, handle))
-}
-
-/// Connect to `addr` with capped exponential backoff between attempts.
-///
-/// Used by consumers that must ride out a listener that is not up yet
-/// or briefly gone — the streaming trace sink (`axml-obs`) reconnects
-/// through this after a consumer restart. Backoff starts at `base_ms`,
-/// doubles per attempt, and is capped at `cap_ms`; the sleep is taken
-/// in ≤25 ms slices so a `cancelled()` flag (a closing sink, a ctrl-C)
-/// aborts promptly instead of sleeping out the full backoff. Returns
-/// the last connection error after `attempts` failures, or
-/// `ErrorKind::Interrupted` when cancelled.
-pub fn connect_with_backoff(
-    addr: SocketAddr,
-    attempts: u32,
-    base_ms: u64,
-    cap_ms: u64,
-    cancelled: impl Fn() -> bool,
-) -> io::Result<TcpStream> {
-    let mut last = io::Error::new(io::ErrorKind::AddrNotAvailable, "no connection attempts");
-    for attempt in 0..attempts.max(1) {
-        if cancelled() {
-            return Err(io::Error::new(io::ErrorKind::Interrupted, "cancelled"));
-        }
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last = e,
-        }
-        if attempt + 1 == attempts.max(1) {
-            break; // no point backing off after the final failure
-        }
-        // capped exponential backoff, sliced so cancellation is prompt
-        let backoff = base_ms
-            .saturating_mul(1u64 << attempt.min(16))
-            .min(cap_ms.max(base_ms));
-        let mut slept = 0;
-        while slept < backoff {
-            if cancelled() {
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "cancelled"));
-            }
-            let slice = (backoff - slept).min(25);
-            std::thread::sleep(Duration::from_millis(slice));
-            slept += slice;
-        }
-    }
-    Err(last)
-}
-
-/// Read a whole stream to EOF (helper for endpoints draining a dying
-/// connection). Kept crate-internal behaviour but public for reuse by
-/// the bench launcher's diagnostics.
-pub fn drain(stream: &mut TcpStream) -> io::Result<u64> {
-    let mut sink = Vec::new();
-    let n = stream.read_to_end(&mut sink)?;
-    Ok(n as u64)
 }
 
 #[cfg(test)]

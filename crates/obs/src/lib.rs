@@ -25,16 +25,17 @@
 //!
 //! See `OBSERVABILITY.md` at the repository root for a guided tour.
 
-//! For out-of-process analysis, [`sink::BinSink`] streams events to a
-//! file in the one trace encoding, the `AXTR` record format [`codec`]
-//! defines, and [`reader::TraceReader`] decodes it back into
+//! For out-of-process analysis, [`sink::BinSink`] streams events in the
+//! one trace encoding, the `AXTR` record format [`codec`] defines, to a
+//! file ([`sink::BinSink::create`]) or a TCP consumer
+//! ([`sink::BinSink::connect`]), on the recording thread: no thread runs
+//! in this crate. [`reader::TraceReader`] decodes a trace back into
 //! [`trace::TraceEvent`]s.
 //!
-//! For *live* observability, [`socket_sink::SocketSink`] streams AXTR
-//! frames over TCP to a consumer, [`reader::FollowReader`] tails a
-//! growing file or socket incrementally, and [`live::LiveStats`] folds
-//! the event stream into rolling latency histograms ([`hist`]), goodput
-//! windows and per-peer gauges — reconciling with the batch
+//! For *live* observability, [`reader::FollowReader`] tails a growing
+//! file or socket incrementally, and [`live::LiveStats`] folds the event
+//! stream into rolling latency histograms ([`hist`]), goodput windows
+//! and per-peer gauges — reconciling with the batch
 //! [`metrics::EvalMetrics`] when the stream ends.
 
 pub mod codec;
@@ -47,7 +48,6 @@ pub mod metrics;
 pub mod reader;
 pub mod report;
 pub mod sink;
-pub mod socket_sink;
 pub mod trace;
 
 pub use hist::{LatencyHistogram, RateWindow};
@@ -58,7 +58,6 @@ pub use metrics::{EvalMetrics, MsgStats, RuleStats};
 pub use reader::{FollowReader, FollowStep, ReadError, TraceReader};
 pub use report::RunReport;
 pub use sink::{BinSink, FanoutSink, SharedBuf};
-pub use socket_sink::SocketSink;
 pub use trace::{TraceEvent, TraceSink, TraceStr, VecSink};
 
 /// The observability handle: metrics plus an optional trace sink.

@@ -276,7 +276,7 @@ pub enum FollowStep {
 
 /// An incremental decoder for a *growing* trace: a file another process
 /// is still appending to, or a live socket fed by
-/// [`crate::socket_sink::SocketSink`].
+/// [`crate::sink::BinSink::connect`].
 ///
 /// Unlike [`TraceReader`] — which treats end-of-input as the end of the
 /// trace and types the damage — a `FollowReader` treats end-of-input as

@@ -8,9 +8,16 @@
 //! [`BinSink::finish`] that also returns the writer and the first
 //! deferred I/O error, if any.
 //!
+//! One writer serves files ([`BinSink::create`]) and live consumers
+//! ([`BinSink::connect`], a TCP stream such as `axml-top --listen`
+//! accepts), on the recording thread. A consumer that stalls therefore
+//! holds the recording thread at the next full buffer or flush, as a
+//! slow disk does for a file.
+//!
 //! I/O errors are *deferred*: `record` stays infallible (it is called
 //! from the evaluator's hot path), the first error is stashed, later
 //! records become no-ops, and the error surfaces from `flush`/`finish`.
+//! A consumer that hangs up is such an error; there is no reconnect.
 //!
 //! [`FanoutSink`] tees one event stream into several sinks;
 //! [`SharedBuf`] is an `Rc`-shared in-memory writer for tests and
@@ -20,6 +27,7 @@ use crate::codec;
 use crate::trace::{TraceEvent, TraceSink};
 use std::cell::RefCell;
 use std::io::{self, BufWriter, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::rc::Rc;
 
 /// A sink writing the `AXTR` binary format (see [`crate::codec`]).
@@ -62,6 +70,17 @@ impl BinSink<std::fs::File> {
     /// Create (truncate) `path` and stream binary records into it.
     pub fn create(path: impl AsRef<std::path::Path>) -> io::Result<Self> {
         Ok(Self::new(std::fs::File::create(path)?))
+    }
+}
+
+impl BinSink<TcpStream> {
+    /// Connect to a live consumer at `addr` and stream binary records to
+    /// it, with `TCP_NODELAY` set so a flush leaves at once. Nobody
+    /// listening fails here.
+    pub fn connect(addr: SocketAddr) -> io::Result<Self> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Self::new(stream))
     }
 }
 
@@ -257,6 +276,30 @@ mod tests {
         // surfaces once flush pushes them at the writer.
         let err = sink.flush().unwrap_err();
         assert_eq!(err.to_string(), "disk on fire");
+    }
+
+    #[test]
+    fn connect_without_a_listener_fails_at_construction() {
+        // Bind-then-drop: nothing listens on the port any more.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .unwrap();
+        assert!(BinSink::connect(addr).is_err());
+    }
+
+    #[test]
+    fn a_consumer_that_hangs_up_surfaces_at_a_flush() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut sink = BinSink::connect(listener.local_addr().unwrap()).unwrap();
+        drop(listener.accept().unwrap());
+        // The kernel may take the first write after the close; the
+        // reset the closed end answers it with fails a later one.
+        let failed = (0..200).any(|_| {
+            sink.record(one_of_each()[0].clone());
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            sink.flush().is_err()
+        });
+        assert!(failed, "a closed consumer must surface as a flush error");
     }
 
     #[test]

@@ -42,11 +42,6 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
-    /// `rand`-compatible constructor name, easing drop-in replacement.
-    pub fn seed_from_u64(seed: u64) -> Self {
-        Self::new(seed)
-    }
-
     /// The next raw 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

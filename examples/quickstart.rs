@@ -20,7 +20,8 @@
 //! `cargo run -p axml-bench --bin axml-trace -- run.trc`.
 //!
 //! Set `AXML_TRACE_TCP=127.0.0.1:PORT` to *also* stream the trace live
-//! over TCP with a [`SocketSink`] — start
+//! over TCP, through the same binary writer connected to a socket
+//! ([`BinSink::connect`]) — start
 //! `cargo run -p axml-bench --bin axml-top -- --listen 127.0.0.1:PORT`
 //! first and watch the run as it happens.
 
@@ -46,7 +47,8 @@ fn main() {
     // ---- build the system --------------------------------------------
     // Tracing on from the start: keep one sink handle, give the builder
     // its clone. With AXML_TRACE_OUT set, tee the same stream into a
-    // binary trace file for offline replay with `axml-trace`.
+    // binary trace file for offline replay with `axml-trace`; with
+    // AXML_TRACE_TCP set, into a socket `axml-top --listen` reads live.
     let sink = VecSink::new();
     let trace_out = std::env::var("AXML_TRACE_OUT").ok();
     let trace_tcp = std::env::var("AXML_TRACE_TCP").ok();
@@ -57,7 +59,7 @@ fn main() {
         }
         if let Some(addr) = &trace_tcp {
             let addr = addr.parse().expect("AXML_TRACE_TCP is host:port");
-            fan = fan.with(SocketSink::connect(addr).expect("trace consumer listening"));
+            fan = fan.with(BinSink::connect(addr).expect("trace consumer listening"));
         }
         Box::new(fan)
     } else {

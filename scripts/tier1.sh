@@ -6,12 +6,13 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - sixteen grep gates, one per "one of each" claim (wire-format
+#   - seventeen grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
 #     Σ is left as found, a member walks no tree, one collapse path, one
-#     scheduler and one driver) — each explained where it runs;
+#     scheduler and one driver, the runtime spawns no thread) — each
+#     explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -96,10 +97,10 @@ for f in $(find crates/core/src crates/query/src -name '*.rs'); do
 done
 
 echo "== tier-1: one trace format (no Jsonl/TraceFormat/from_json under crates/*/src) =="
-# A trace is AXTR (obs/src/codec.rs): BinSink and SocketSink write it,
-# the Splitter in obs/src/reader.rs reads it. Outside comments and
-# `#[cfg(test)]` modules, a second encoding, a format enum to tell them
-# apart or a JSON event decoder is the twin coming back.
+# A trace is AXTR (obs/src/codec.rs): BinSink writes it, to a file or
+# a socket, and the Splitter in obs/src/reader.rs reads it. Outside
+# comments and `#[cfg(test)]` modules, a second encoding, a format enum
+# to tell them apart or a JSON event decoder is the twin coming back.
 for f in $(find crates/*/src -name '*.rs'); do
     if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" \
         | grep -nE 'Jsonl|TraceFormat|from_json'; then
@@ -444,6 +445,39 @@ if [ "$(code crates/core/src/system.rs \
 fi
 if [ "$(code crates/net/src/wheel.rs | grep -cE '^    pub fn new\(_kind: SchedulerKind\) -> Self \{$')" -ne 1 ]; then
     echo "tier-1: Scheduler::new must ignore its SchedulerKind" >&2
+    exit 1
+fi
+
+echo "== tier-1: the runtime spawns no thread (thread spawns only in net/src/socket.rs's spawn_endpoint_thread) =="
+# Every session runs on the calling thread, and a trace leaves the
+# process through BinSink on that thread too, to a file or a socket.
+# Outside comments and `#[cfg(test)]` modules, the one thread under
+# crates/*/src is the loopback endpoint SocketTransport serves a peer
+# from when no peerd process was registered for it
+# (spawn_endpoint_thread); a thread::spawn, thread::Builder or
+# thread::scope anywhere else is a writer thread, a worker pool or a
+# background loop coming back. The threaded socket sink's names, and
+# the reconnect helper only it called, are gone from code, tests and
+# examples.
+spawns='thread::(spawn|Builder|scope)'
+for f in $(find crates/*/src -name '*.rs'); do
+    spawned=$(code "$f" | grep -cE "$spawns" || true)
+    case "$f" in
+        crates/net/src/socket.rs) want=1 ;; # spawn_endpoint_thread
+        *) want=0 ;;
+    esac
+    if [ "$spawned" -ne "$want" ]; then
+        echo "tier-1: $f spawns a thread $spawned times; the runtime runs on the calling thread" >&2
+        exit 1
+    fi
+done
+if [ "$(code crates/net/src/socket.rs | sed -n '/^pub fn spawn_endpoint_thread(/,/^}$/p' \
+    | grep -cE "$spawns")" -ne 1 ]; then
+    echo "tier-1: net/src/socket.rs spawns its thread outside spawn_endpoint_thread" >&2
+    exit 1
+fi
+if grep -rnE 'SocketSink|socket_sink|connect_with_backoff' crates src tests examples; then
+    echo "tier-1: the threaded socket sink is back; a live trace is BinSink::connect" >&2
     exit 1
 fi
 

@@ -1,12 +1,15 @@
 //! The out-of-process trace pipeline, end to end: a real workload
 //! streamed through the file sink, decoded back with [`TraceReader`],
 //! and compared event-for-event against the in-memory [`VecSink`] —
+//! the same writer over a socket, decoded live by a [`FollowReader`] —
 //! plus the flush-at-quiescence and in-flight-window guarantees the
 //! timeline renderer builds on.
 
 use axml::obs::{ReadError, TraceEvent, TraceReader};
 use axml::prelude::*;
 use axml::xml::tree::Tree;
+use std::net::TcpListener;
+use std::time::{Duration, Instant};
 
 fn catalog(n: usize) -> Tree {
     let mut xml = String::from("<catalog>");
@@ -162,4 +165,97 @@ fn truncated_trace_of_real_run_decodes_prefix() {
         items.last(),
         Some(Err(ReadError::Truncated { .. }))
     ));
+}
+
+#[test]
+fn live_trace_over_tcp_decodes_and_reconciles() {
+    // The consumer: one accepted connection followed to EOF, the way
+    // `axml-top --listen` follows it.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let consumer = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut reader = FollowReader::new(stream);
+        let mut events = Vec::new();
+        loop {
+            match reader.poll().expect("no fatal error on a live stream") {
+                FollowStep::Event(e) => events.push(e),
+                FollowStep::Malformed { record, detail } => panic!("record {record}: {detail}"),
+                FollowStep::Pending if reader.hit_eof() => break,
+                FollowStep::Pending => assert!(Instant::now() < deadline, "live stream hung"),
+            }
+        }
+        (events, reader.finish())
+    });
+
+    // The producer: an optimized evaluation and a subscription feed,
+    // teed into memory and onto the socket.
+    let vec_sink = VecSink::new();
+    let (metrics, stats) = {
+        let mut sys = AxmlSystem::builder()
+            .peers(["client", "server"])
+            .link("client", "server", LinkCost::wan())
+            .doc("server", "catalog", catalog(200))
+            .doc("server", "wire", "<wire/>")
+            .service(
+                "server",
+                "big",
+                r#"for $p in doc("wire")/pkg where $p/size/text() > 5000 return {$p}"#,
+            )
+            .build()
+            .unwrap();
+        let client = sys.peer_id("client").unwrap();
+        let server = sys.peer_id("server").unwrap();
+        sys.set_trace_sink(Box::new(
+            FanoutSink::new()
+                .with(vec_sink.clone())
+                .with(BinSink::connect(addr).unwrap()),
+        ));
+        let q = Query::parse(
+            "find-big",
+            r#"for $p in $0//pkg where $p/size/text() > 5000 return <big>{$p/@name}</big>"#,
+        )
+        .unwrap();
+        let naive = Expr::Apply {
+            query: LocatedQuery::new(q, client),
+            args: vec![Expr::Doc {
+                name: "catalog".into(),
+                at: PeerRef::At(server),
+            }],
+        };
+        let model = CostModel::from_system(&sys);
+        let plan = Optimizer::standard().optimize_with(&model, client, &naive, sys.obs_mut());
+        assert!(!sys.eval(client, &plan.expr).unwrap().is_empty());
+        let watch = Tree::parse("<watch><sc><peer>p1</peer><service>big</service></sc></watch>");
+        sys.install_doc(client, "watch", watch.unwrap()).unwrap();
+        sys.activate_document(client, &"watch".into()).unwrap();
+        for size in [9000, 10, 7000] {
+            let item = format!(r#"<pkg name="n{size}"><size>{size}</size></pkg>"#);
+            sys.feed(server, "wire", Tree::parse(&item).unwrap())
+                .unwrap();
+        }
+        (sys.metrics().clone(), sys.stats().clone())
+    }; // dropping the system flushes the sink and closes the socket
+
+    let (events, tail) = consumer.join().unwrap();
+    tail.expect("the stream ends on a record boundary");
+    let reference = vec_sink.take();
+    assert!(reference
+        .iter()
+        .any(|e| matches!(e, TraceEvent::RuleAttempted { accepted: true, .. })));
+    assert!(reference
+        .iter()
+        .any(|e| matches!(e, TraceEvent::SubscriptionDelta { .. })));
+    assert_eq!(events, reference, "live stream == in-memory stream");
+    let mut live = LiveStats::new();
+    for e in &events {
+        live.fold(e);
+    }
+    if let Err(why) = live.reconcile(&metrics, &stats) {
+        panic!("the live stream diverged from the run's books: {why}");
+    }
 }
