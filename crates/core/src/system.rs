@@ -259,9 +259,11 @@ impl AxmlSystem {
     }
 
     /// Detach the trace sink (tracing reverts to zero-cost). The sink
-    /// is flushed before it is returned, so buffered file sinks lose no
-    /// tail events on detach.
-    pub fn clear_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+    /// is flushed before it is dropped, so buffered file sinks lose no
+    /// tail events on detach, and a flush that fails — a full disk, a
+    /// socket consumer that left — is returned (see
+    /// [`axml_obs::Obs::clear_sink`]).
+    pub fn clear_trace_sink(&mut self) -> std::io::Result<()> {
         self.obs.clear_sink()
     }
 

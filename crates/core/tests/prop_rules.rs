@@ -10,6 +10,9 @@
 //!
 //! * the produced forests (canonical multiset equality);
 //! * the final Σ snapshots, equal for every rule.
+//!
+//! Every plan the rules reach also decodes from its wire form to itself,
+//! rewritten queries included.
 
 use axml_core::cost::CostModel;
 use axml_core::prelude::*;
@@ -17,6 +20,10 @@ use axml_core::rules::{all_rewrites, standard_rules};
 use axml_xml::equiv::forest_equiv;
 use axml_xml::tree::Tree;
 use proptest::prelude::*;
+use std::collections::{HashSet, VecDeque};
+
+/// Plans visited per seed by `reached_plans_decode_to_themselves`.
+const REACHED: usize = 150;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -170,6 +177,17 @@ fn seed_exprs(s: &Scenario, a: PeerId, b: PeerId) -> Vec<Expr> {
     ]
 }
 
+/// Every query `e` applies or deploys, outermost first.
+fn queries_in(e: &Expr) -> Vec<&Query> {
+    let own = match e {
+        Expr::Apply { query, .. } | Expr::Deploy { query, .. } => Some(&query.query),
+        _ => None,
+    };
+    own.into_iter()
+        .chain(e.children().iter().flat_map(queries_in))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -234,5 +252,33 @@ proptest! {
         let xml = Tree::parse(&e.fingerprint()).unwrap();
         let back = Expr::from_xml(&xml, xml.root()).unwrap();
         prop_assert_eq!(e.fingerprint(), back.fingerprint());
+    }
+
+    /// Every plan reached breadth-first from a seed (the first
+    /// [`REACHED`]) decodes from its wire form to an expression with the
+    /// same text and equal queries: a rewritten query ships as text that
+    /// parses back to it.
+    #[test]
+    fn reached_plans_decode_to_themselves(s in arb_scenario(), seed_idx in 0usize..7) {
+        let (sys, a, b, _c) = build_system(&s);
+        let model = CostModel::from_system(&sys);
+        let rules = standard_rules();
+        let naive = seed_exprs(&s, a, b).swap_remove(seed_idx);
+        let mut seen = HashSet::from([naive.fingerprint()]);
+        let mut queue = VecDeque::from([naive]);
+        while let Some(e) = queue.pop_front() {
+            let text = e.fingerprint();
+            let xml = Tree::parse(&text).unwrap();
+            let back = Expr::from_xml(&xml, xml.root());
+            prop_assert!(back.is_ok(), "{e} does not decode: {:?}", back.err());
+            let back = back.unwrap();
+            prop_assert_eq!(back.fingerprint(), text);
+            prop_assert_eq!(queries_in(&back), queries_in(&e));
+            for (_, c) in all_rewrites(&rules, a, &e, &model) {
+                if seen.len() < REACHED && seen.insert(c.fingerprint()) {
+                    queue.push_back(c);
+                }
+            }
+        }
     }
 }

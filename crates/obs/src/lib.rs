@@ -86,14 +86,14 @@ impl Obs {
 
     /// Detach the current sink (tracing reverts to zero-cost). The sink
     /// is flushed first — per the [`TraceSink`] contract, no buffered
-    /// tail event is lost by detaching. A flush failure is reported on
-    /// stderr (the sink is still returned so the caller can retry).
-    pub fn clear_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        let mut sink = self.sink.take()?;
-        if let Err(e) = sink.flush() {
-            eprintln!("axml-obs: flush on sink detach failed: {e}");
+    /// tail event is lost by detaching — and then dropped; the flush's
+    /// error, such as a file sink's deferred write error or a socket
+    /// consumer that left, is the answer. With no sink attached, `Ok`.
+    pub fn clear_sink(&mut self) -> std::io::Result<()> {
+        match self.sink.take() {
+            Some(mut sink) => sink.flush(),
+            None => Ok(()),
         }
-        Some(sink)
     }
 
     /// Flush the attached sink, if any (see [`TraceSink::flush`]).
@@ -163,7 +163,7 @@ mod tests {
             at_ms: 1.5,
         });
         assert_eq!(sink.len(), 1);
-        assert!(obs.clear_sink().is_some());
+        obs.clear_sink().unwrap();
         obs.emit(|| unreachable!("sink detached"));
         assert_eq!(sink.len(), 1);
     }
@@ -188,8 +188,25 @@ mod tests {
         assert_eq!(flushes.get(), 0);
         obs.flush().unwrap();
         assert_eq!(flushes.get(), 1);
-        assert!(obs.clear_sink().is_some());
+        obs.clear_sink().unwrap();
         assert_eq!(flushes.get(), 2, "detach must flush");
         assert!(obs.flush().is_ok(), "flush with no sink is a no-op");
+        assert!(obs.clear_sink().is_ok(), "detach with no sink is a no-op");
+    }
+
+    #[test]
+    fn clear_sink_reports_a_failed_flush() {
+        struct BrokenSink;
+        impl TraceSink for BrokenSink {
+            fn record(&mut self, _: TraceEvent) {}
+            fn flush(&mut self) -> std::io::Result<()> {
+                Err(std::io::ErrorKind::BrokenPipe.into())
+            }
+        }
+        let mut obs = Obs::new();
+        obs.set_sink(Box::new(BrokenSink));
+        let err = obs.clear_sink().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        assert!(!obs.enabled(), "a failed sink is detached all the same");
     }
 }

@@ -619,8 +619,9 @@ impl fmt::Display for TraceEvent {
 ///    call `flush` (or a consuming `finish`, where offered) first.
 /// 3. **Callers flush at quiescence.** The engine flushes the installed
 ///    sink when a session runs to quiescence, and
-///    `AxmlSystem::clear_trace_sink` flushes before detaching, so a
-///    sink handed to a system never relies on (2) alone.
+///    `AxmlSystem::clear_trace_sink` flushes before detaching and
+///    returns that flush's error, so a sink handed to a system never
+///    relies on (2) alone.
 ///
 /// The default implementation is a no-op `Ok(())`: unbuffered sinks
 /// ([`VecSink`]) need nothing more.

@@ -18,7 +18,9 @@
 //! pred     ::= '[' cond ']'
 //! cond     ::= or-combination of comparisons, contains(), exists(),
 //!              count(path) op N
-//! template ::= '<'name attrs'>' (template | '{' path '}' | text)* '</'name'>'
+//! template ::= '<'name attr*'>' (template | '{' path '}' | text)* '</'name'>'
+//! attr     ::= name '=' ( '"{' path '}"' | string )
+//! string   ::= '"' (char | '\"' | '\\' | '\n')* '"'
 //! ```
 //!
 //! Names are resolved while reading: `$x` becomes the variable slot its
@@ -29,7 +31,8 @@
 //! `$0//pkg` is shorthand for `for $v in $0//pkg return {$v}`.
 //!
 //! The parser is whitespace-lenient between tokens and reports syntax
-//! errors with byte offsets; the first mistake in source order wins.
+//! errors with byte offsets; the first mistake in source order wins. A
+//! [`Plan`]'s `Display` writes the text this parser reads back.
 
 use crate::error::{QueryError, QueryResult};
 use crate::plan::{
@@ -623,27 +626,15 @@ impl<'a> P<'a> {
         }
     }
 
+    /// `"{path}"`, or a literal read like every other string.
     fn parse_attr_template(&mut self) -> QueryResult<AttrTplPlan> {
+        if !self.rest().starts_with("\"{") {
+            return Ok(AttrTplPlan::Literal(self.parse_string()?));
+        }
         self.expect("\"")?;
-        if self.peek() == Some('{') {
-            let p = self.parse_splice()?;
-            self.expect("\"")?;
-            return Ok(AttrTplPlan::Splice(p));
-        }
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                Some('"') => return Ok(AttrTplPlan::Literal(out)),
-                Some('\\') => match self.bump() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some(c) => return Err(self.err(format!("bad escape `\\{c}`"))),
-                    None => return Err(self.err("unterminated attribute")),
-                },
-                Some(c) => out.push(c),
-                None => return Err(self.err("unterminated attribute")),
-            }
-        }
+        let p = self.parse_splice()?;
+        self.expect("\"")?;
+        Ok(AttrTplPlan::Splice(p))
     }
 
     /// Literal text up to the next tag or splice. Consumes at least one
@@ -758,6 +749,14 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn attribute_literals_are_strings() {
+        let q = plan(r#"for $x in $0 return <a k="two\nlines \"q\" \\"/>"#).unwrap();
+        assert!(matches!(&q.template, TemplatePlan::Element { attrs, .. }
+            if attrs == &[(Label::new("k"), AttrTplPlan::Literal("two\nlines \"q\" \\".into()))]));
+        assert!(plan(r#"for $x in $0 return <a k="\t"/>"#).is_err());
     }
 
     #[test]

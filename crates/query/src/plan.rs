@@ -16,11 +16,13 @@
 //!
 //! Plans are plain data with structural equality — the rewrite rules of
 //! [`crate::rewrite`] and the distributed optimizer of `axml-core`
-//! manipulate them directly, DataFusion-style.
+//! manipulate them directly, DataFusion-style. A plan's `Display` is the
+//! query text [`crate::parser::parse_plan`] reads back: what a query
+//! ships as and how it prints, however the plan was made.
 
 use axml_xml::ids::DocName;
 use axml_xml::Label;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Index of a variable slot in the binding tuple.
 pub type VarId = usize;
@@ -391,16 +393,59 @@ impl Plan {
 }
 
 // ------------------------------------------------------------------
-// Display (EXPLAIN output)
+// Display: the surface syntax `parser::parse_plan` reads back
 // ------------------------------------------------------------------
 
+/// Write variable slot `v` as the name the printer gives it: `$a` … `$z`,
+/// then `$a1` … `$z1`, and so on.
+fn write_var(f: &mut fmt::Formatter<'_>, v: VarId) -> fmt::Result {
+    write!(f, "${}", char::from(b'a' + (v % 26) as u8))?;
+    match v / 26 {
+        0 => Ok(()),
+        n => write!(f, "{n}"),
+    }
+}
+
+/// Write `s` as a `"…"` literal, escaped the way the parser's one
+/// string reader unescapes it.
+fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            c => f.write_char(c)?,
+        }
+    }
+    f.write_char('"')
+}
+
+/// Write a comparison literal: bare where the parser reads it back as a
+/// number (`-`? digits, then `.` digits*), quoted otherwise.
+fn write_literal(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    let unsigned = s.strip_prefix('-').unwrap_or(s);
+    let (int, frac) = unsigned.split_once('.').unwrap_or((unsigned, ""));
+    let digits = |t: &str| t.bytes().all(|b| b.is_ascii_digit());
+    if !int.is_empty() && digits(int) && digits(frac) {
+        f.write_str(s)
+    } else {
+        write_string(f, s)
+    }
+}
+
 impl fmt::Display for StartRef {
+    /// A context path starts at its first step, so it prints nothing.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StartRef::Source(SourceRef::Param(i)) => write!(f, "${i}"),
-            StartRef::Source(SourceRef::Doc(d)) => write!(f, "doc({d})"),
-            StartRef::Var(v) => write!(f, "?{v}"),
-            StartRef::Context => write!(f, "."),
+            StartRef::Source(SourceRef::Doc(d)) => {
+                f.write_str("doc(")?;
+                write_string(f, d.as_str())?;
+                f.write_char(')')
+            }
+            StartRef::Var(v) => write_var(f, *v),
+            StartRef::Context => Ok(()),
         }
     }
 }
@@ -408,16 +453,18 @@ impl fmt::Display for StartRef {
 impl fmt::Display for PathPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.start)?;
-        for s in &self.steps {
-            let sep = match s.axis {
-                Axis::Child => "/",
-                Axis::Descendant => "//",
-            };
+        for (i, s) in self.steps.iter().enumerate() {
+            match s.axis {
+                // A relative path begins with its first test.
+                Axis::Child if i == 0 && self.start == StartRef::Context => {}
+                Axis::Child => f.write_char('/')?,
+                Axis::Descendant => f.write_str("//")?,
+            }
             match &s.test {
-                PlanTest::Label(l) => write!(f, "{sep}{l}")?,
-                PlanTest::Wildcard => write!(f, "{sep}*")?,
-                PlanTest::Text => write!(f, "{sep}text()")?,
-                PlanTest::Attr(a) => write!(f, "{sep}@{a}")?,
+                PlanTest::Label(l) => write!(f, "{l}")?,
+                PlanTest::Wildcard => f.write_char('*')?,
+                PlanTest::Text => f.write_str("text()")?,
+                PlanTest::Attr(a) => write!(f, "@{a}")?,
             }
             for p in &s.preds {
                 write!(f, "[{p}]")?;
@@ -428,41 +475,114 @@ impl fmt::Display for PathPlan {
 }
 
 impl fmt::Display for PredPlan {
+    /// `and` binds tighter than `or` and both group to the left, so an
+    /// operand is parenthesised only where reading it back would regroup.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let operand = |f: &mut fmt::Formatter<'_>, p: &PredPlan, paren: bool| match paren {
+            true => write!(f, "({p})"),
+            false => write!(f, "{p}"),
+        };
+        match self {
+            PredPlan::And(a, b) => {
+                operand(f, a, matches!(**a, PredPlan::Or(..)))?;
+                f.write_str(" and ")?;
+                operand(f, b, matches!(**b, PredPlan::And(..) | PredPlan::Or(..)))
+            }
+            PredPlan::Or(a, b) => {
+                write!(f, "{a} or ")?;
+                operand(f, b, matches!(**b, PredPlan::Or(..)))
+            }
+            PredPlan::Not(c) => write!(f, "not({c})"),
+            PredPlan::Cmp { lhs, op, rhs } => {
+                write!(f, "{lhs} {} ", op.symbol())?;
+                match rhs {
+                    OperandPlan::Literal(l) => write_literal(f, l),
+                    OperandPlan::Path(p) => write!(f, "{p}"),
+                }
+            }
+            PredPlan::Contains { path, needle } => {
+                write!(f, "contains({path}, ")?;
+                write_string(f, needle)?;
+                f.write_char(')')
+            }
+            PredPlan::Exists(p) => write!(f, "exists({p})"),
+            PredPlan::CountCmp { path, op, n } => write!(f, "count({path}) {} {n}", op.symbol()),
+        }
+    }
+}
+
+impl fmt::Display for TemplatePlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PredPlan::And(a, b) => write!(f, "({a} and {b})"),
-            PredPlan::Or(a, b) => write!(f, "({a} or {b})"),
-            PredPlan::Not(c) => write!(f, "not({c})"),
-            PredPlan::Cmp { lhs, op, rhs } => match rhs {
-                OperandPlan::Literal(l) => write!(f, "{lhs} {} \"{l}\"", op.symbol()),
-                OperandPlan::Path(p) => write!(f, "{lhs} {} {p}", op.symbol()),
-            },
-            PredPlan::Contains { path, needle } => write!(f, "contains({path}, \"{needle}\")"),
-            PredPlan::Exists(p) => write!(f, "exists({p})"),
-            PredPlan::CountCmp { path, op, n } => {
-                write!(f, "count({path}) {} {n}", op.symbol())
+            TemplatePlan::Element {
+                label,
+                attrs,
+                children,
+            } => {
+                write!(f, "<{label}")?;
+                for (name, value) in attrs {
+                    write!(f, " {name}=")?;
+                    match value {
+                        AttrTplPlan::Literal(s) => write_string(f, s)?,
+                        AttrTplPlan::Splice(p) => write!(f, "\"{{{p}}}\"")?,
+                    }
+                }
+                if children.is_empty() {
+                    return f.write_str("/>");
+                }
+                f.write_char('>')?;
+                for c in children {
+                    write!(f, "{c}")?;
+                }
+                write!(f, "</{label}>")
             }
+            TemplatePlan::Text(s) => {
+                for c in s.chars() {
+                    match c {
+                        '{' => f.write_str("{{")?,
+                        '}' => f.write_str("}}")?,
+                        '<' => f.write_str("&lt;")?,
+                        '&' => f.write_str("&amp;")?,
+                        c => f.write_char(c)?,
+                    }
+                }
+                Ok(())
+            }
+            TemplatePlan::Splice(p) => write!(f, "{{{p}}}"),
         }
     }
 }
 
 impl fmt::Display for Plan {
+    /// The query text: the clauses from the bottom of the chain up, then
+    /// `return` and the template — or, for one `for` whose template copies
+    /// its variable, the bare path. `parse_plan(&plan.to_string(),
+    /// plan.arity)` gives the plan back when its variable slots are
+    /// numbered in binding order, as the parser numbers them.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Construct")?;
-        let mut cur = Some(&self.ops);
-        let mut depth = 1;
-        while let Some(op) = cur {
-            let pad = "  ".repeat(depth);
-            match op {
-                Op::Unit => writeln!(f, "{pad}Unit")?,
-                Op::ForEach { var, path, .. } => writeln!(f, "{pad}ForEach ?{var} ← {path}")?,
-                Op::LetBind { var, path, .. } => writeln!(f, "{pad}Let ?{var} := {path}")?,
-                Op::Filter { pred, .. } => writeln!(f, "{pad}Filter {pred}")?,
+        if let Op::ForEach { var, path, input } = &self.ops {
+            if **input == Op::Unit && self.template == TemplatePlan::Splice(PathPlan::var(*var)) {
+                return write!(f, "{path}");
             }
-            cur = op.input();
-            depth += 1;
         }
-        Ok(())
+        let chain: Vec<&Op> = std::iter::successors(Some(&self.ops), |op| op.input()).collect();
+        for op in chain.into_iter().rev() {
+            match op {
+                Op::Unit => {}
+                Op::ForEach { var, path, .. } => {
+                    f.write_str("for ")?;
+                    write_var(f, *var)?;
+                    write!(f, " in {path} ")?;
+                }
+                Op::LetBind { var, path, .. } => {
+                    f.write_str("let ")?;
+                    write_var(f, *var)?;
+                    write!(f, " := {path} ")?;
+                }
+                Op::Filter { pred, .. } => write!(f, "where {pred} ")?,
+            }
+        }
+        write!(f, "return {}", self.template)
     }
 }
 
@@ -471,7 +591,7 @@ mod tests {
     use super::*;
 
     fn sample_plan() -> Plan {
-        // for ?0 in $0//pkg where ?0/@name = "vim" return <hit>{?0}</hit>
+        // for $a in $0//pkg where $a/@name = "vim" return <hit>{$a}</hit>
         let scan = Op::ForEach {
             var: 0,
             path: PathPlan {
@@ -527,13 +647,14 @@ mod tests {
     }
 
     #[test]
-    fn display_explains() {
+    fn display_prints_the_query_text() {
         let p = sample_plan();
-        let s = p.to_string();
-        assert!(s.contains("Construct"), "{s}");
-        assert!(s.contains("Filter ?0/@name = \"vim\""), "{s}");
-        assert!(s.contains("ForEach ?0 ← $0//pkg"), "{s}");
-        assert!(s.contains("Unit"), "{s}");
+        let text = p.to_string();
+        assert_eq!(
+            text,
+            r#"for $a in $0//pkg where $a/@name = "vim" return <hit>{$a}</hit>"#
+        );
+        assert_eq!(crate::parser::parse_plan(&text, p.arity).unwrap(), p);
     }
 
     #[test]
@@ -546,7 +667,7 @@ mod tests {
 
     #[test]
     fn nested_variables_are_noted() {
-        // ?2/*[exists(?5)][exists($3)]: reads ?2 and, one level down, ?5.
+        // $c/*[exists($f)][exists($3)]: reads slot 2 and, one level down, 5.
         let p = PathPlan {
             start: StartRef::Var(2),
             steps: vec![PlanStep {

@@ -8,10 +8,11 @@
 //! [`Query::from_xml`]) — this is what crosses the wire when the algebra
 //! ships code (`send(p2, q@p1)`, definition (8)).
 //!
-//! A query is either a *leaf* (parsed source + compiled plan) or a
-//! *composition* `q1(q2, …, qn)` (§3.3, rule (11)): the inner queries all
-//! consume the composition's inputs, and the outer query consumes their
-//! results.
+//! A query is either a *leaf* — its compiled [`Plan`], which ships as the
+//! query text the plan prints and the receiver parses, whether the plan
+//! was parsed or made by a rewrite — or a *composition* `q1(q2, …, qn)`
+//! (§3.3, rule (11)): the inner queries all consume the composition's
+//! inputs, and the outer query consumes their results.
 
 use crate::delta::ContinuousEval;
 use crate::error::{QueryError, QueryResult};
@@ -48,7 +49,7 @@ struct QueryDef {
 
 #[allow(clippy::large_enum_variant)] // Leaf is by far the common case
 enum QueryKind {
-    Leaf { source: String, plan: Plan },
+    Leaf(Plan),
     Composed { outer: Query, inners: Vec<Query> },
 }
 
@@ -81,23 +82,19 @@ impl Query {
         Ok(Query {
             name: name.into(),
             arity: plan.arity,
-            def: QueryDef::new(QueryKind::Leaf {
-                source: src.to_string(),
-                plan,
-            }),
+            def: QueryDef::new(QueryKind::Leaf(plan)),
         })
     }
 
-    /// Build a query directly from a plan (used by rewrites). The source
-    /// text is regenerated best-effort for display.
+    /// Build a query directly from a plan (used by rewrites). It ships as
+    /// the text the plan prints, which parses back to an equal query when
+    /// the plan numbers its variable slots in binding order, as the parser
+    /// does — and as rule (11)'s split and rule (13)'s sharing leave them.
     pub fn from_plan(name: impl Into<QueryName>, plan: Plan) -> Self {
         Query {
             name: name.into(),
             arity: plan.arity,
-            def: QueryDef::new(QueryKind::Leaf {
-                source: format!("<compiled>\n{plan}"),
-                plan,
-            }),
+            def: QueryDef::new(QueryKind::Leaf(plan)),
         }
     }
 
@@ -141,7 +138,7 @@ impl Query {
     /// The compiled plan of a leaf query.
     pub fn plan(&self) -> Option<&Plan> {
         match &self.def.kind {
-            QueryKind::Leaf { plan, .. } => Some(plan),
+            QueryKind::Leaf(plan) => Some(plan),
             QueryKind::Composed { .. } => None,
         }
     }
@@ -150,7 +147,7 @@ impl Query {
     pub fn composition(&self) -> Option<(&Query, &[Query])> {
         match &self.def.kind {
             QueryKind::Composed { outer, inners } => Some((outer, inners)),
-            QueryKind::Leaf { .. } => None,
+            QueryKind::Leaf(_) => None,
         }
     }
 
@@ -158,7 +155,7 @@ impl Query {
     /// composition the outer's, then each inner's.
     pub fn leaf_plans(&self) -> Vec<&Plan> {
         match &self.def.kind {
-            QueryKind::Leaf { plan, .. } => vec![plan],
+            QueryKind::Leaf(plan) => vec![plan],
             QueryKind::Composed { outer, inners } => std::iter::once(outer)
                 .chain(inners)
                 .flat_map(Query::leaf_plans)
@@ -187,14 +184,6 @@ impl Query {
         })
     }
 
-    /// The source text of a leaf query.
-    pub fn source(&self) -> Option<&str> {
-        match &self.def.kind {
-            QueryKind::Leaf { source, .. } => Some(source),
-            QueryKind::Composed { .. } => None,
-        }
-    }
-
     /// Evaluate over input forests with no external documents.
     pub fn eval_batch(&self, inputs: &[Forest]) -> QueryResult<Vec<Tree>> {
         self.eval_with_docs(inputs, &NoDocs)
@@ -207,7 +196,7 @@ impl Query {
         docs: &dyn DocResolver,
     ) -> QueryResult<Vec<Tree>> {
         match &self.def.kind {
-            QueryKind::Leaf { plan, .. } => plan.eval(inputs, docs),
+            QueryKind::Leaf(plan) => plan.eval(inputs, docs),
             QueryKind::Composed { outer, inners } => {
                 let mid: Vec<Forest> = inners
                     .iter()
@@ -221,7 +210,7 @@ impl Query {
     /// Start a continuous (incremental) evaluation of a **leaf** query.
     pub fn continuous<'d>(&self, docs: &'d dyn DocResolver) -> QueryResult<ContinuousEval<'d>> {
         match &self.def.kind {
-            QueryKind::Leaf { plan, .. } => Ok(ContinuousEval::new(plan.clone(), docs)),
+            QueryKind::Leaf(plan) => Ok(ContinuousEval::new(plan.clone(), docs)),
             QueryKind::Composed { .. } => Err(QueryError::NotApplicable(
                 "continuous evaluation of compositions: evaluate stage by stage".into(),
             )),
@@ -258,7 +247,7 @@ impl Query {
         );
         let name = format!("{}·shared", self.name);
         match &self.def.kind {
-            QueryKind::Leaf { plan, .. } => {
+            QueryKind::Leaf(plan) => {
                 let mut plan = plan.clone();
                 rewrite::map_paths(&mut plan, &mut |p| {
                     if let StartRef::Source(SourceRef::Param(i)) = &mut p.start {
@@ -354,9 +343,9 @@ impl Query {
         write_attr(out, self.name.as_str())?;
         write!(out, "\" arity=\"{}\">", self.arity)?;
         match &self.def.kind {
-            QueryKind::Leaf { source, .. } => {
+            QueryKind::Leaf(plan) => {
                 out.push_str("<source>");
-                write_text(out, source)?;
+                write!(XmlText(out), "{plan}")?;
                 out.push_str("</source>");
             }
             QueryKind::Composed { outer, inners } => {
@@ -378,6 +367,15 @@ impl Query {
     }
 }
 
+/// Escapes text as it is written into an element's content.
+struct XmlText<'a>(&'a mut String);
+
+impl fmt::Write for XmlText<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        write_text(self.0, s)
+    }
+}
+
 /// 128-bit FNV-1a: wide enough to stand for the text it read.
 fn fnv1a128(bytes: &[u8]) -> u128 {
     let mut h: u128 = 0x6c62272e07bb014262b821756295c58d;
@@ -393,7 +391,7 @@ impl PartialEq for Query {
             return false;
         }
         match (&self.def.kind, &other.def.kind) {
-            (QueryKind::Leaf { plan: a, .. }, QueryKind::Leaf { plan: b, .. }) => a == b,
+            (QueryKind::Leaf(a), QueryKind::Leaf(b)) => a == b,
             (
                 QueryKind::Composed {
                     outer: oa,
@@ -414,9 +412,7 @@ impl Eq for Query {}
 impl fmt::Debug for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.def.kind {
-            QueryKind::Leaf { source, .. } => {
-                write!(f, "Query({} /{}: {source})", self.name, self.arity)
-            }
+            QueryKind::Leaf(plan) => write!(f, "Query({} /{}: {plan})", self.name, self.arity),
             QueryKind::Composed { outer, inners } => {
                 write!(f, "Query({} = {:?}(", self.name, outer.name)?;
                 for (i, q) in inners.iter().enumerate() {
@@ -464,7 +460,10 @@ mod tests {
         assert_eq!(q.name().as_str(), "big");
         let out = q.eval_batch(&[vec![catalog()]]).unwrap();
         assert_eq!(out.len(), 2);
-        assert!(q.source().unwrap().contains("for $p"));
+        assert_eq!(
+            q.plan().unwrap().to_string(),
+            "for $a in $0//pkg where $a/size/text() > 1000 return {$a/@name}"
+        );
         assert!(!q.is_composed());
     }
 
@@ -533,6 +532,46 @@ mod tests {
         assert!(forest_equiv(&a, &b));
     }
 
+    /// Two queries that differ only in their template are two queries,
+    /// and so are their rewritten forms: rule (13)'s shared query and rule
+    /// (11)'s outer query ship the template in their wire text, which
+    /// parses back to the same query.
+    #[test]
+    fn rewritten_queries_keep_their_templates_apart() {
+        let round_trip = |q: &Query| {
+            let xml = Tree::parse(q.wire_xml()).unwrap();
+            assert_eq!(&Query::from_xml(&xml, xml.root()).unwrap(), q);
+        };
+        let pair = |template: &str| {
+            let src = format!(
+                "for $x in $0//pkg for $y in $1//pkg where $x/size/text() > 1000 return {template}"
+            );
+            Query::parse("q", &src).unwrap()
+        };
+        let (a, b) = (pair("<big>{$x/@name}</big>"), pair("<small>{$y}</small>"));
+        let (shared_a, shared_b) = (a.share_param(0, 1), b.share_param(0, 1));
+        assert_ne!(shared_a.wire_digest(), shared_b.wire_digest());
+        round_trip(&shared_a);
+
+        let select = |template: &str| {
+            let src = format!("for $p in $0//pkg where $p/size/text() > 1000 return {template}");
+            Query::parse("q", &src).unwrap()
+        };
+        let (a, b) = (
+            select("<big>{$p/@name}</big>"),
+            select("<small>{$p/size}</small>"),
+        );
+        let ((outer_a, pushed_a), (outer_b, pushed_b)) = (
+            a.decompose_selection().unwrap(),
+            b.decompose_selection().unwrap(),
+        );
+        assert_ne!(outer_a.wire_digest(), outer_b.wire_digest());
+        // The pushed halves are one query: the same scan and selection.
+        assert_eq!(pushed_a.wire_digest(), pushed_b.wire_digest());
+        round_trip(&outer_a);
+        round_trip(&pushed_a);
+    }
+
     #[test]
     fn from_xml_rejects_garbage() {
         let t = Tree::parse("<query/>").unwrap();
@@ -561,6 +600,6 @@ mod tests {
     fn display_and_debug() {
         let q = Query::parse("q", "$0//pkg").unwrap();
         assert_eq!(q.to_string(), "q/1");
-        assert!(format!("{q:?}").contains("$0//pkg"));
+        assert_eq!(format!("{q:?}"), "Query(q /1: $0//pkg)");
     }
 }

@@ -2,6 +2,8 @@
 //!
 //! * the parser answers mutated sources with `Ok` or a typed error, and
 //!   what it accepts round-trips through the wire form,
+//! * a plan prints as text the parser reads back to the same plan, for
+//!   mutated sources, seeded random plans and their rule (13) rewrites,
 //! * continuous (delta) evaluation ≡ batch re-evaluation,
 //! * the evaluator ≡ a materialising reference interpreter on random
 //!   plans, plain and under both `Delta` arms,
@@ -226,8 +228,9 @@ proptest! {
 
 /// Query text arrives from other peers (definition (8), shipped
 /// expressions): whatever the bytes, `Query::parse` returns — a plan or a
-/// typed error, never a panic, never a loop — and what it accepts survives
-/// the wire form with an equal plan.
+/// typed error, never a panic, never a loop — and what it accepts prints
+/// as text that parses back to the same plan, and survives the wire form
+/// with an equal plan.
 #[test]
 fn parse_survives_mutated_sources() {
     const SOURCES: [&str; 4] = [
@@ -246,6 +249,11 @@ fn parse_survives_mutated_sources() {
         let src = String::from_utf8_lossy(&bytes);
         match Query::parse("q", &src) {
             Ok(q) => {
+                let p = q.plan().unwrap();
+                let printed = p.to_string();
+                let back =
+                    parse_plan(&printed, p.arity).unwrap_or_else(|e| panic!("{printed}: {e}"));
+                assert_eq!(&back, p, "{src:?} printed as {printed:?}");
                 let xml = Tree::parse(q.wire_xml()).unwrap();
                 let back = Query::from_xml(&xml, xml.root()).unwrap();
                 assert_eq!(q.plan(), back.plan(), "{src:?}");
@@ -926,13 +934,32 @@ fn evaluator_equals_the_materialising_reference() {
     assert!(indexed >= 300, "{indexed} plans with a join");
 }
 
+/// A plan prints as the text the parser reads back to the same plan:
+/// seeded random FLWR sources (the generator of the test above), each
+/// parsed, printed and parsed again.
+#[test]
+fn printed_plans_parse_back() {
+    let mut g = PlanGen {
+        rng: SplitMix64::new(0x5EED_0041),
+        vars: Vec::new(),
+    };
+    for case in 0..4_000 {
+        let src = g.query();
+        let plan = parse_plan(&src, 2).unwrap_or_else(|e| panic!("{src}: {e}"));
+        let printed = plan.to_string();
+        let back = parse_plan(&printed, plan.arity)
+            .unwrap_or_else(|e| panic!("case {case}: {src}\n  printed as {printed}: {e}"));
+        assert_eq!(back, plan, "case {case}: {src}\n  printed as {printed}");
+    }
+}
+
 /// Rule (13)'s query rewrite: a query reading one forest `F` as both `$i`
 /// and `$j` ≡ `share_param(i, j)` reading it once, as `$i`. Seeded plans
 /// over three parameters (the generator's `$0`/`$1` moved to two of the
 /// three places, so a parameter after `$j` is read and moves down), every
 /// pair `i < j`, the other parameters random; each fourth case shares
 /// the parameter through a composition, one of whose inner queries does
-/// not read `$j`.
+/// not read `$j`. The shared query's wire form reads back to it.
 #[test]
 fn sharing_a_parameter_reads_the_forest_once() {
     let mut g = PlanGen {
@@ -969,6 +996,9 @@ fn sharing_a_parameter_reads_the_forest_once() {
         once.remove(j);
         let shared = q.share_param(i, j);
         assert_eq!(shared.arity(), 2, "case {case}: {src}");
+        let xml = Tree::parse(shared.wire_xml()).unwrap();
+        let back = Query::from_xml(&xml, xml.root()).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(back, shared, "case {case}: {src}");
         match (
             q.eval_with_docs(&inputs, &docs),
             shared.eval_with_docs(&once, &docs),

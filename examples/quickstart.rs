@@ -23,7 +23,9 @@
 //! over TCP, through the same binary writer connected to a socket
 //! ([`BinSink::connect`]) — start
 //! `cargo run -p axml-bench --bin axml-top -- --listen 127.0.0.1:PORT`
-//! first and watch the run as it happens.
+//! first and watch the run as it happens. If either binary sink fails —
+//! the disk fills, the consumer leaves — the run exits with status 1
+//! when it detaches the tee at the end.
 
 use axml::prelude::*;
 use axml::xml::tree::Tree;
@@ -52,7 +54,8 @@ fn main() {
     let sink = VecSink::new();
     let trace_out = std::env::var("AXML_TRACE_OUT").ok();
     let trace_tcp = std::env::var("AXML_TRACE_TCP").ok();
-    let tee: Box<dyn TraceSink> = if trace_out.is_some() || trace_tcp.is_some() {
+    let teed = trace_out.is_some() || trace_tcp.is_some();
+    let tee: Box<dyn TraceSink> = if teed {
         let mut fan = FanoutSink::new().with(sink.clone());
         if let Some(path) = &trace_out {
             fan = fan.with(BinSink::create(path).expect("create trace file"));
@@ -82,7 +85,7 @@ fn main() {
            return <big name="{$p/@name}">{$p/size}</big>"#,
     )
     .unwrap();
-    println!("query: {}", q.source().unwrap().trim());
+    println!("query: {}", q.plan().expect("a parsed query is a leaf"));
 
     // ---- naive evaluation ----------------------------------------------
     let naive = Expr::Apply {
@@ -148,11 +151,18 @@ fn main() {
     println!("as JSON:\n{}", report.to_json());
     assert!(report.reconciled, "metrics reconcile with NetStats exactly");
 
-    // ---- the trace file ---------------------------------------------------
+    // ---- the tee -----------------------------------------------------------
+    // Detaching flushes the tee. A binary sink that failed — a full disk,
+    // a trace consumer that left — reports it here, and fails the run.
+    if teed {
+        if let Err(e) = sys.clear_trace_sink() {
+            eprintln!("trace sink failed: {e}");
+            std::process::exit(1);
+        }
+    }
     // The tee'd binary file holds the same stream the VecSink saw:
-    // detaching flushes it, and decoding it back gives event parity.
+    // decoding it back gives event parity.
     if let Some(path) = trace_out {
-        sys.clear_trace_sink();
         traced += sink.len();
         let mut n_file = 0usize;
         for record in TraceReader::open(&path).expect("trace file readable") {

@@ -6,13 +6,13 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - seventeen grep gates, one per "one of each" claim (wire-format
+#   - eighteen grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
 #     Σ is left as found, a member walks no tree, one collapse path, one
-#     scheduler and one driver, the runtime spawns no thread) — each
-#     explained where it runs;
+#     scheduler and one driver, the runtime spawns no thread, one query
+#     printer) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -478,6 +478,24 @@ if [ "$(code crates/net/src/socket.rs | sed -n '/^pub fn spawn_endpoint_thread(/
 fi
 if grep -rnE 'SocketSink|socket_sink|connect_with_backoff' crates src tests examples; then
     echo "tier-1: the threaded socket sink is back; a live trace is BinSink::connect" >&2
+    exit 1
+fi
+
+echo "== tier-1: one query printer (no <compiled> marker, no stored query source) =="
+# A leaf query is its plan: it ships as the text Plan's Display prints,
+# which parser::parse_plan reads back, whether the plan was parsed or
+# made by a rewrite. Outside comments and `#[cfg(test)]` modules, a
+# `<compiled>` marker under crates/*/src, or a `source:` field or an
+# `fn source(` in query/src/query.rs, is a second text kept beside the
+# plan.
+for f in $(find crates/*/src -name '*.rs'); do
+    if code "$f" | grep -n '<compiled>'; then
+        echo "tier-1: $f marks a query text as compiled; ship the printed plan" >&2
+        exit 1
+    fi
+done
+if code crates/query/src/query.rs | grep -nE '\bsource:|fn source\('; then
+    echo "tier-1: query/src/query.rs keeps a query's source beside its plan; the plan prints it" >&2
     exit 1
 fi
 

@@ -101,7 +101,7 @@ impl Run {
 
     /// The digest line for this run.
     fn digest(mut self) -> String {
-        self.sys.clear_trace_sink();
+        self.sys.clear_trace_sink().unwrap();
         let m = self.sys.metrics();
         let st = self.sys.stats();
         let report = self.sys.run_report("golden");

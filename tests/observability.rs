@@ -236,7 +236,7 @@ fn sink_can_be_attached_and_cleared() {
     assert!(!sink.is_empty(), "events flow once a sink is installed");
 
     let n = sink.len();
-    sys.clear_trace_sink();
+    sys.clear_trace_sink().unwrap();
     sys.eval(p, &naive(p, p2)).unwrap();
     assert_eq!(sink.len(), n, "no events after clearing the sink");
     assert_eq!(sys.metrics().total_bytes(), 3 * bytes_before);

@@ -30,20 +30,25 @@ use shapes::*;
 /// templates, a wrapped or pushed value read through the same view): each
 /// new plan measures fewer bytes and no more virtual time than the one
 /// it replaced (`tests/optimizer_ranking.rs` measures them), and
-/// `sc-forward` keeps its plan with a new estimate.
+/// `sc-forward` keeps its plan with a new estimate. Ten rows were
+/// re-pinned once more when a leaf query came to ship as the text its
+/// plan prints: every shipped query's text changed, and rewritten ones
+/// gained their return template. `qs/double-use` now shares its read
+/// (rule (13)) before delegating; `sc-forward` and the relay triangle
+/// ship no query text and held.
 #[rustfmt::skip]
 const GOLDEN: [(&str, &str); 12] = [
-    ("qs/remote-selection-1", "plan=fdc898b7136b0800/466 trace=[\"R11-push-selections\"] explored=365 hits=60 cost=40542872b020c49c/4088b00000000000/4000000000000000"),
-    ("qs/remote-selection-10", "plan=38d111cf30ab0511/313 trace=[\"R10-delegate\"] explored=355 hits=57 cost=40546027525460aa/409d580000000000/4000000000000000"),
-    ("qs/remote-selection-50", "plan=57fd1d091dede0f5/313 trace=[\"R10-delegate\"] explored=355 hits=57 cost=40552d77318fc504/40b7000000000000/4000000000000000"),
-    ("qs/query-over-sc", "plan=370f9ed2d3b1b45e/292 trace=[\"R14-relocate\"] explored=322 hits=42 cost=40543d21ff2e48e8/4092a80000000000/4000000000000000"),
-    ("qs/generic-doc-selection", "plan=38d111cf30ab0511/313 trace=[\"R10-delegate\", \"R9-generic\"] explored=435 hits=56 cost=40546027525460aa/409d580000000000/4000000000000000"),
-    ("qs/double-use", "plan=bd079c0caa155459/361 trace=[\"R10-delegate\"] explored=322 hits=48 cost=40542dab9f559b3d/408be00000000000/4000000000000000"),
+    ("qs/remote-selection-1", "plan=d86ffd9b22dee8a7/439 trace=[\"R11-push-selections\"] explored=365 hits=60 cost=405426594af4f0d8/4087680000000000/4000000000000000"),
+    ("qs/remote-selection-10", "plan=31e158af7188b283/302 trace=[\"R10-delegate\"] explored=355 hits=57 cost=40545f972474538f/409d2c0000000000/4000000000000000"),
+    ("qs/remote-selection-50", "plan=200a2bf2512d664f/302 trace=[\"R10-delegate\"] explored=355 hits=57 cost=40552ce703afb7e9/40b6f50000000000/4000000000000000"),
+    ("qs/query-over-sc", "plan=610c562d272bb217/292 trace=[\"R14-relocate\"] explored=317 hits=41 cost=40543d21ff2e48e8/4092a80000000000/4000000000000000"),
+    ("qs/generic-doc-selection", "plan=31e158af7188b283/302 trace=[\"R10-delegate\", \"R9-generic\"] explored=435 hits=56 cost=40545f972474538f/409d2c0000000000/4000000000000000"),
+    ("qs/double-use", "plan=6136b2e1dcab63ae/330 trace=[\"R13-share-transfer\", \"R10-delegate\"] explored=477 hits=83 cost=40542c154c985f07/408ae80000000000/4000000000000000"),
     ("qs/sc-forward", "plan=b51ea3b0ae37dbfd/144 trace=[\"R15-sc-relocate\"] explored=290 hits=35 cost=40542083126e978d/4083d80000000000/4000000000000000"),
-    ("e8/remote-selection", "plan=ca7fe378f5bc6710/314 trace=[\"R10-delegate\"] explored=134 hits=54 cost=4054538ef34d6a16/4099800000000000/4000000000000000"),
-    ("e8/query-over-sc", "plan=370f9ed2d3b1b45e/292 trace=[\"R14-relocate\"] explored=134 hits=35 cost=40543851eb851eb8/4091300000000000/4000000000000000"),
-    ("e8/generic-doc-selection", "plan=ca7fe378f5bc6710/314 trace=[\"R10-delegate\", \"R9-generic\"] explored=209 hits=51 cost=4054538ef34d6a16/4099800000000000/4000000000000000"),
-    ("e8/double-use", "plan=9743397ff189b8a8/357 trace=[\"R13-share-transfer\", \"R10-delegate\"] explored=184 hits=67 cost=405444ea4a8c154c/4095080000000000/4000000000000000"),
+    ("e8/remote-selection", "plan=6f1c414f869740e6/303 trace=[\"R10-delegate\"] explored=134 hits=54 cost=405452fec56d5cfa/4099540000000000/4000000000000000"),
+    ("e8/query-over-sc", "plan=610c562d272bb217/292 trace=[\"R14-relocate\"] explored=134 hits=35 cost=40543851eb851eb8/4091300000000000/4000000000000000"),
+    ("e8/generic-doc-selection", "plan=6f1c414f869740e6/303 trace=[\"R10-delegate\", \"R9-generic\"] explored=209 hits=51 cost=405452fec56d5cfa/4099540000000000/4000000000000000"),
+    ("e8/double-use", "plan=421f7113926592d1/326 trace=[\"R13-share-transfer\", \"R10-delegate\"] explored=184 hits=67 cost=40544353f7ced916/40948c0000000000/4000000000000000"),
     ("relay-triangle", "plan=5b60ea13b53a3f8d/163 trace=[\"R12-add-stop\"] explored=46 hits=75 cost=400407b352a84381/40d4cc4000000000/4010000000000000"),
 ];
 

@@ -1,7 +1,8 @@
 //! The deployments and naive plans the optimizer tests share: the seven
 //! `query_ship` plan shapes (`benchmark/src/workloads/query_ship.rs`) on
-//! its six-peer deployment, and experiment E8's four shapes on its
-//! three-peer one, all over seeded 200- and 400-package catalogs.
+//! its six-peer deployment, plus one more on it that rule (13) rewrites
+//! twice over, and experiment E8's four shapes on its three-peer one,
+//! all over seeded 200- and 400-package catalogs.
 
 use axml::prelude::*;
 use axml::xml::tree::Tree;
@@ -182,6 +183,33 @@ pub fn query_ship_shapes() -> Vec<(&'static str, Expr)> {
             ),
         ),
     ]
+}
+
+/// Two queries of one name that differ only in their templates, each
+/// reading `cat-10` twice, under a query that joins their results: the
+/// `pair` query above returning `<p>{$x/@name}</p>` and returning
+/// `<q>{$y/size}</q>`. Rule (13) shares the read in each, then in
+/// `both`, only if the two `pair·shared` queries ship distinct texts.
+#[allow(dead_code)] // read by tests/query_wire.rs alone
+pub fn same_named_pairs() -> (&'static str, Expr) {
+    let pair = |template: &str| {
+        let src = format!(
+            r#"for $x in $0//pkg[size > 100000] for $y in $1//pkg[size > 100000]
+               where $x/@name = $y/@name return {template}"#
+        );
+        apply(
+            query("pair", &src),
+            vec![doc_at("cat-10", DATA_1), doc_at("cat-10", DATA_1)],
+        )
+    };
+    let both = query("both", "for $a in $0 for $b in $1 return <r>{$a}{$b}</r>");
+    (
+        "qs/same-named-pairs",
+        apply(
+            both,
+            vec![pair("<p>{$x/@name}</p>"), pair("<q>{$y/size}</q>")],
+        ),
+    )
 }
 
 /// Experiment E8's deployment (`crates/bench/src/experiments/e8_optimizer.rs`).

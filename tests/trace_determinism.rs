@@ -65,7 +65,7 @@ fn run_traced(fault_seed: u64, sink: Box<dyn TraceSink>) {
         )
         .expect("retry + failover complete every eval");
     }
-    sys.clear_trace_sink();
+    sys.clear_trace_sink().unwrap();
 }
 
 fn bin_bytes(fault_seed: u64) -> Vec<u8> {

@@ -70,7 +70,7 @@ fn run_traced(sink: Box<dyn TraceSink>) -> usize {
     let (mut sys, hub, mirrors) = fanout();
     sys.set_trace_sink(sink);
     let out = sys.eval(hub, &fanout_expr(hub, &mirrors)).unwrap();
-    sys.clear_trace_sink();
+    sys.clear_trace_sink().unwrap();
     out.len()
 }
 
