@@ -369,10 +369,8 @@ impl SubscriptionTable {
                         let params = sub.params.iter().map(|f| f.iter().map(digest).collect());
                         let key = (query.wire_digest(), params.collect());
                         sub.call = watch.join(key, &sub.params);
-                        sub.semi_naive = query.plan().is_some_and(|plan| {
-                            pick_strategy(plan, &SourceRef::Doc(d.clone()))
-                                == DeltaStrategy::SemiNaive
-                        });
+                        sub.semi_naive = pick_strategy(query.plan(), &SourceRef::Doc(d.clone()))
+                            == DeltaStrategy::SemiNaive;
                     }
                 }
             }
@@ -851,11 +849,14 @@ impl AxmlSystem {
                 }
                 _ => None,
             };
-            match query.plan().zip(appended.filter(|_| by_delta)) {
+            match appended.filter(|_| by_delta) {
                 // … from the appended child alone: all of it is new,
-                Some((plan, (delta, _))) => {
+                Some((delta, _)) => {
                     evals.1 += 1;
-                    let fresh = plan.eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
+                    let fresh =
+                        query
+                            .plan()
+                            .eval_ctx(&Ctx::with_delta(&sub.params, state, delta))?;
                     *walks += fresh.len();
                     let Some((slot, _)) = slot else {
                         sub.emitted.record(&fresh);

@@ -333,7 +333,9 @@ impl CostModel {
         self.doc_stats(at, name).map(|s| s.total_bytes as f64)
     }
 
-    /// The visible definition of a service (declarative services only).
+    /// The visible definition of a service; `None` only when `at` has no
+    /// service of that name (every [`crate::service::Service`] is
+    /// declarative).
     pub fn service_query(&self, at: PeerId, name: &ServiceName) -> Option<&Query> {
         self.stats.services(at)?.get(name)
     }
@@ -562,24 +564,15 @@ impl CostModel {
     }
 
     /// The value of `query` over `args` evaluated at `site`, whose
-    /// `doc("…")` sources read `site`'s documents. A composition feeds
-    /// its inner queries' values to the outer one; a query over an
+    /// `doc("…")` sources read `site`'s documents. A query over an
     /// argument known only by its size falls back to
-    /// [`DEFAULT_QUERY_RATIO`].
+    /// [`DEFAULT_QUERY_RATIO`]. A composition `q1(q2(…))` is an `Apply`
+    /// over an `Apply`, priced one query at a time.
     fn query_value<'m>(&'m self, site: PeerId, query: &Query, args: &[View<'m>]) -> View<'m> {
-        let value = match query.composition() {
-            Some((outer, inners)) => {
-                let mid: Vec<View<'m>> = inners
-                    .iter()
-                    .map(|q| self.query_value(site, q, args))
-                    .collect();
-                return self.query_value(site, outer, &mid);
-            }
-            None => query.plan().and_then(|plan| {
-                estimate_query(plan, args, &|name: &DocName| self.doc_stats(site, name))
-            }),
-        };
-        value.unwrap_or_else(|| opaque_result(args))
+        estimate_query(query.plan(), args, &|name: &DocName| {
+            self.doc_stats(site, name)
+        })
+        .unwrap_or_else(|| opaque_result(args))
     }
 }
 

@@ -994,7 +994,7 @@ pub fn parse_addr(s: &str) -> CoreResult<NodeAddr> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample_query() -> Query {
@@ -1247,4 +1247,27 @@ mod tests {
             assert!(Expr::from_xml(&t, t.root()).is_err(), "{bad}");
         }
     }
+
+    /// The retired `<compose>` query form, carried in an `<apply>`: a
+    /// query without a `<source>` is a typed error, not a panic.
+    #[test]
+    fn from_xml_rejects_a_composed_query() {
+        let t = Tree::parse(RETIRED_APPLY).unwrap();
+        let e = Expr::from_xml(&t, t.root()).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                CoreError::Query(axml_query::QueryError::Malformed(ref m)) if m.contains("<source>")
+            ),
+            "{e:?}"
+        );
+    }
+
+    /// An `<apply>` of a query in the retired `<compose>` wire form.
+    pub(crate) const RETIRED_APPLY: &str = concat!(
+        r#"<apply def-at="0"><query name="c" arity="1"><compose>"#,
+        r#"<query name="o" arity="1"><source>$0</source></query>"#,
+        r#"<query name="i" arity="1"><source>$0//pkg</source></query>"#,
+        r#"</compose></query><args><doc name="d" at="1"/></args></apply>"#
+    );
 }

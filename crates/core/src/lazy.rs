@@ -36,19 +36,17 @@ use std::collections::HashSet;
 /// of these labels cannot affect the query's answer.
 fn query_label_footprint(q: &Query) -> (HashSet<Label>, bool) {
     let (mut labels, mut wildcard) = (HashSet::new(), false);
-    for plan in q.leaf_plans() {
-        plan.visit_paths(&mut |p| {
-            for s in &p.steps {
-                match &s.test {
-                    PlanTest::Label(l) => {
-                        labels.insert(*l);
-                    }
-                    PlanTest::Wildcard => wildcard = true,
-                    PlanTest::Text | PlanTest::Attr(_) => {}
+    q.plan().visit_paths(&mut |p| {
+        for s in &p.steps {
+            match &s.test {
+                PlanTest::Label(l) => {
+                    labels.insert(*l);
                 }
+                PlanTest::Wildcard => wildcard = true,
+                PlanTest::Text | PlanTest::Attr(_) => {}
             }
-        });
-    }
+        }
+    });
     (labels, wildcard)
 }
 

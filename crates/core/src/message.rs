@@ -525,4 +525,29 @@ pub(crate) mod tests {
             assert_eq!(hex(msg), *want, "{msg:?}");
         }
     }
+
+    /// A request carrying the retired `<compose>` query form decodes —
+    /// `decode` carries bodies as text and reads none — and reading its
+    /// expression then answers a typed error, not a panic.
+    #[test]
+    fn a_retired_composition_decodes_to_a_typed_error() {
+        use crate::expr::tests::RETIRED_APPLY;
+        let request = AxmlMessage::Request {
+            expr_xml: RETIRED_APPLY.into(),
+        };
+        let AxmlMessage::Request { expr_xml } =
+            AxmlMessage::decode(&request.frame_bytes()).unwrap()
+        else {
+            panic!("a request decodes as a request")
+        };
+        let t = Tree::parse(std::str::from_utf8(&expr_xml.rendered()).unwrap()).unwrap();
+        let e = Expr::from_xml(&t, t.root()).unwrap_err();
+        assert!(
+            matches!(
+                e,
+                CoreError::Query(axml_query::QueryError::Malformed(ref m)) if m.contains("<source>")
+            ),
+            "{e:?}"
+        );
+    }
 }

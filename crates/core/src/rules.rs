@@ -452,7 +452,7 @@ impl RewriteRule for R16PushOverSc {
             return vec![]; // results don't come back: q has nothing to read
         }
         let Some(q1) = model.service_query(*p1, service) else {
-            return vec![]; // not a declarative service: definition invisible
+            return vec![]; // no such service at p1
         };
         if *p1 == site {
             return vec![];

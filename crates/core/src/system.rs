@@ -260,9 +260,10 @@ impl AxmlSystem {
 
     /// Detach the trace sink (tracing reverts to zero-cost). The sink
     /// is flushed before it is dropped, so buffered file sinks lose no
-    /// tail events on detach, and a flush that fails — a full disk, a
-    /// socket consumer that left — is returned (see
-    /// [`axml_obs::Obs::clear_sink`]).
+    /// tail events on detach. The first flush that failed since the last
+    /// detach — this one, or one at a session's quiescence point; a full
+    /// disk, a socket consumer that left — is returned, even when later
+    /// flushes succeeded (see [`axml_obs::Obs::clear_sink`]).
     pub fn clear_trace_sink(&mut self) -> std::io::Result<()> {
         self.obs.clear_sink()
     }
@@ -411,5 +412,52 @@ mod tests {
         let after = sys.snapshot();
         assert_ne!(before, after);
         assert_eq!(after.len(), 2);
+    }
+
+    /// A trace sink whose first flush fails: the evaluations answer as
+    /// they would untraced, and detaching returns the failure although
+    /// the sink's later flushes succeeded.
+    #[test]
+    fn a_failed_quiescence_flush_is_returned_on_detach() {
+        use crate::expr::{Expr, PeerRef};
+        use axml_obs::TraceEvent;
+        struct FailsOnce(bool);
+        impl TraceSink for FailsOnce {
+            fn record(&mut self, _: TraceEvent) {}
+            fn flush(&mut self) -> std::io::Result<()> {
+                if std::mem::replace(&mut self.0, true) {
+                    Ok(())
+                } else {
+                    Err(std::io::ErrorKind::BrokenPipe.into())
+                }
+            }
+        }
+        let run = |traced: bool| {
+            let mut sys = AxmlSystem::new();
+            let a = sys.add_peer("a");
+            let b = sys.add_peer("b");
+            sys.net_mut().set_link(a, b, LinkCost::wan());
+            sys.install_doc(b, "d", Tree::parse("<x><y/><y/></x>").unwrap())
+                .unwrap();
+            if traced {
+                sys.set_trace_sink(Box::new(FailsOnce(false)));
+            }
+            let fetch = Expr::Doc {
+                name: "d".into(),
+                at: PeerRef::At(b),
+            };
+            let answers: Vec<Vec<String>> = (0..2)
+                .map(|_| {
+                    let out = sys.eval(a, &fetch).unwrap();
+                    out.iter().map(Tree::serialize).collect()
+                })
+                .collect();
+            (answers, sys.clear_trace_sink())
+        };
+        let (plain, detached) = run(false);
+        assert!(detached.is_ok());
+        let (traced, detached) = run(true);
+        assert_eq!(traced, plain);
+        assert_eq!(detached.unwrap_err().kind(), std::io::ErrorKind::BrokenPipe);
     }
 }

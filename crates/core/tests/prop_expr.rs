@@ -110,20 +110,14 @@ fn awkward(rng: &mut SplitMix64) -> &'static str {
     rng.choose(&AWKWARD).unwrap()
 }
 
-fn arb_query(rng: &mut SplitMix64, depth: u32) -> Query {
+fn arb_query(rng: &mut SplitMix64) -> Query {
     const SRCS: [&str; 3] = [
         "$0//pkg",
         r#"for $x in $0//pkg where $x/@name = "a&b" and $x/size/text() > 4000 return <big>{$x/@name}</big>"#,
         "for $x in $0//v return <got>{$x/text()}</got>",
     ];
     let name = format!("q{}", awkward(rng));
-    if depth == 0 || rng.gen_bool(0.6) {
-        return Query::parse(name.as_str(), rng.choose(&SRCS).unwrap()).unwrap();
-    }
-    // every source above is unary, so outer(inner) composes
-    let outer = arb_query(rng, depth - 1);
-    let inner = arb_query(rng, depth - 1);
-    Query::compose(name.as_str(), outer, vec![inner]).unwrap()
+    Query::parse(name.as_str(), rng.choose(&SRCS).unwrap()).unwrap()
 }
 
 fn arb_addrs(rng: &mut SplitMix64, at_least: usize, peers: &[PeerId]) -> Vec<NodeAddr> {
@@ -177,11 +171,11 @@ fn arb_wire_expr(rng: &mut SplitMix64, depth: u32, peers: &[PeerId]) -> Expr {
         }
         2 => Expr::Deploy {
             to: peer(rng),
-            query: LocatedQuery::new(arb_query(rng, 2), peer(rng)),
+            query: LocatedQuery::new(arb_query(rng), peer(rng)),
             as_service: awkward(rng).into(),
         },
         3 => Expr::Apply {
-            query: LocatedQuery::new(arb_query(rng, 2), peer(rng)),
+            query: LocatedQuery::new(arb_query(rng), peer(rng)),
             args: children(rng),
         },
         4 => Expr::Send {

@@ -70,6 +70,9 @@ pub struct Obs {
     /// Cumulative counters (always on; plain integer increments).
     pub metrics: EvalMetrics,
     sink: Option<Box<dyn TraceSink>>,
+    /// The first flush that failed since the sink was last detached,
+    /// answered by [`Obs::clear_sink`].
+    failed: Option<std::io::Error>,
 }
 
 impl Obs {
@@ -86,22 +89,36 @@ impl Obs {
 
     /// Detach the current sink (tracing reverts to zero-cost). The sink
     /// is flushed first — per the [`TraceSink`] contract, no buffered
-    /// tail event is lost by detaching — and then dropped; the flush's
-    /// error, such as a file sink's deferred write error or a socket
-    /// consumer that left, is the answer. With no sink attached, `Ok`.
+    /// tail event is lost by detaching — and then dropped. The answer is
+    /// the first flush that failed since the last detach, this one
+    /// included — a file sink's deferred write error, a socket consumer
+    /// that left — even when a later flush succeeded: events lost then
+    /// stay lost. With no sink attached and no failure kept, `Ok`.
     pub fn clear_sink(&mut self) -> std::io::Result<()> {
-        match self.sink.take() {
+        let last = match self.sink.take() {
             Some(mut sink) => sink.flush(),
             None => Ok(()),
+        };
+        match self.failed.take() {
+            Some(first) => Err(first),
+            None => last,
         }
     }
 
-    /// Flush the attached sink, if any (see [`TraceSink::flush`]).
+    /// Flush the attached sink, if any (see [`TraceSink::flush`]). The
+    /// first failure is also kept for [`Obs::clear_sink`], so a caller
+    /// that ignores this answer — the engine at a quiescence point —
+    /// loses nothing.
     pub fn flush(&mut self) -> std::io::Result<()> {
-        match self.sink.as_mut() {
+        let r = match self.sink.as_mut() {
             Some(sink) => sink.flush(),
             None => Ok(()),
+        };
+        if let Err(e) = &r {
+            self.failed
+                .get_or_insert_with(|| std::io::Error::new(e.kind(), e.to_string()));
         }
+        r
     }
 
     /// Whether a sink is attached.
@@ -124,6 +141,7 @@ impl std::fmt::Debug for Obs {
         f.debug_struct("Obs")
             .field("metrics", &self.metrics)
             .field("sink", &self.sink.as_ref().map(|_| "attached"))
+            .field("failed", &self.failed)
             .finish()
     }
 }
@@ -208,5 +226,33 @@ mod tests {
         let err = obs.clear_sink().unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
         assert!(!obs.enabled(), "a failed sink is detached all the same");
+    }
+
+    /// A sink whose first flush fails and whose later ones succeed.
+    struct FailsOnce(bool);
+
+    impl TraceSink for FailsOnce {
+        fn record(&mut self, _: TraceEvent) {}
+        fn flush(&mut self) -> std::io::Result<()> {
+            if std::mem::replace(&mut self.0, true) {
+                Ok(())
+            } else {
+                Err(std::io::Error::new(std::io::ErrorKind::BrokenPipe, "gone"))
+            }
+        }
+    }
+
+    #[test]
+    fn clear_sink_reports_the_first_failed_flush() {
+        let mut obs = Obs::new();
+        obs.set_sink(Box::new(FailsOnce(false)));
+        assert!(obs.flush().is_err());
+        assert!(obs.flush().is_ok(), "the sink recovered");
+        let err = obs.clear_sink().unwrap_err();
+        assert_eq!(
+            (err.kind(), err.to_string()),
+            (std::io::ErrorKind::BrokenPipe, "gone".into())
+        );
+        assert!(obs.clear_sink().is_ok(), "the failure is answered once");
     }
 }

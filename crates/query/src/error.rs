@@ -31,6 +31,9 @@ pub enum QueryError {
     UnresolvedDoc(String),
     /// A rewrite was requested on a query shape it does not apply to.
     NotApplicable(String),
+    /// A wire form that does not describe a query: a `<query>` element
+    /// without `@name`, `@arity` or `<source>`.
+    Malformed(String),
     /// Internal invariant violation (a bug).
     Internal(String),
 }
@@ -51,6 +54,7 @@ impl fmt::Display for QueryError {
             }
             QueryError::UnresolvedDoc(d) => write!(f, "cannot resolve doc(\"{d}\")"),
             QueryError::NotApplicable(msg) => write!(f, "rewrite not applicable: {msg}"),
+            QueryError::Malformed(msg) => write!(f, "malformed query wire form: {msg}"),
             QueryError::Internal(msg) => write!(f, "internal query error: {msg}"),
         }
     }
@@ -85,6 +89,9 @@ mod tests {
         assert!(QueryError::NotApplicable("shape".into())
             .to_string()
             .contains("shape"));
+        assert!(QueryError::Malformed("@name".into())
+            .to_string()
+            .contains("@name"));
         assert!(QueryError::Internal("bug".into())
             .to_string()
             .contains("bug"));

@@ -936,7 +936,7 @@ mod tests {
                 .iter()
                 .map(Tree::serialized_size)
                 .sum();
-            let e = est(q.plan().unwrap(), &s).1;
+            let e = est(q.plan(), &s).1;
             let ratio = e / measured as f64;
             assert!(
                 (1.0 / 1.5..=1.5).contains(&ratio),
@@ -958,9 +958,9 @@ mod tests {
         .unwrap();
         let (outer, pushed) = q.decompose_selection().unwrap();
         let s = ForestStats::collect(&[catalog(1000, 0.1, 10)]);
-        let whole = estimate(q.plan().unwrap(), &[View::of(&s)], &no_docs).unwrap();
-        let inner = estimate(pushed.plan().unwrap(), &[View::of(&s)], &no_docs).unwrap();
-        let split = estimate(outer.plan().unwrap(), &[inner], &no_docs).unwrap();
+        let whole = estimate(q.plan(), &[View::of(&s)], &no_docs).unwrap();
+        let inner = estimate(pushed.plan(), &[View::of(&s)], &no_docs).unwrap();
+        let split = estimate(outer.plan(), &[inner], &no_docs).unwrap();
         assert_eq!(
             (whole.cardinality, whole.bytes),
             (split.cardinality, split.bytes)

@@ -18,9 +18,10 @@
 //!   **continuous/incremental evaluator** ([`eval`], [`delta`]) — the
 //!   paper's services and queries are all continuous (§2.2), consuming
 //!   streams of trees that accumulate under nodes,
-//! * **composition and decomposition** of queries — the basis of the
-//!   paper's equivalence rule (11) and of Example 1 (*pushing
-//!   selections*) ([`rewrite`]), and
+//! * **decomposition** of queries — the basis of the paper's equivalence
+//!   rule (11) and of Example 1 (*pushing selections*) ([`rewrite`]);
+//!   the composition `q1(q2(…))` it yields is the algebra's, an `Apply`
+//!   over an `Apply` in `axml-core`, not a kind of [`Query`], and
 //! * **cardinality and result-size estimation** feeding the distributed
 //!   cost model of `axml-core` ([`estimate`]).
 //!

@@ -24,13 +24,12 @@
 //! path yields *new* items, and every new item — together with its whole
 //! match chain below the document root — lies inside `T`. It therefore
 //! suffices to collect **every** doc-rooted [`PathPlan`] anywhere in the
-//! plan (scan chains, `where` predicates, nested step predicates,
-//! construction templates, and every leaf of a composed query) as a
-//! pattern, and to report a subscription iff one of its patterns matches
-//! somewhere in `T`. This also covers negated and cardinality predicates:
-//! flipping them requires a doc-path change, which is itself a pattern
-//! hit; results that merely *shrink* deliver nothing fresh either way
-//! (delta semantics are append-only).
+//! plan (scan chains, `where` predicates, nested step predicates and
+//! construction templates) as a pattern, and to report a subscription
+//! iff one of its patterns matches somewhere in `T`. This also covers
+//! negated and cardinality predicates: flipping them requires a doc-path
+//! change, which is itself a pattern hit; results that merely *shrink*
+//! deliver nothing fresh either way (delta semantics are append-only).
 //!
 //! ## What the index stores
 //!
@@ -181,9 +180,7 @@ impl MatchIndex {
         self.remove(id);
         self.registered.insert(id);
         let mut added = 0usize;
-        for plan in query.leaf_plans() {
-            self.collect_plan(id, plan, &mut added);
-        }
+        self.collect_plan(id, query.plan(), &mut added);
         if self.always.contains(&id) {
             return Registration::Fallback;
         }
@@ -767,18 +764,6 @@ mod tests {
         assert_eq!(hits(&m, "<item/>"), vec![1]);
         assert_eq!(hits(&m, "<item><hide/></item>"), vec![] as Vec<u64>);
         assert_eq!(hits(&m, "<item><tag/><tag/></item>"), vec![1, 2]);
-    }
-
-    #[test]
-    fn composed_queries_union_leaf_patterns() {
-        let inner = q(r#"for $i in doc("d")/item return {$i}"#);
-        let outer = Query::parse("outer", r#"for $x in $0 return {$x}"#).unwrap();
-        let composed = Query::compose("comp", outer, vec![inner]).unwrap();
-        let mut m = ix("d");
-        let reg = m.register(3, &composed);
-        assert!(matches!(reg, Registration::Indexed { .. }));
-        assert_eq!(hits(&m, "<item/>"), vec![3]);
-        assert!(hits(&m, "<other/>").is_empty());
     }
 
     #[test]

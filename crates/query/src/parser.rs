@@ -27,7 +27,9 @@
 //! `for`/`let` clause bound (a clause's variable is in scope only *after*
 //! the clause's own path, and may be bound once), `$N` raises the arity,
 //! a path inside `[…]` may start at a test and is then relative to the
-//! predicate's context node, and `@attr`/`text()` end a path. A bare path
+//! predicate's context node — `not`, `contains`, `count`, `exists` and
+//! `doc` start a call only when `(` follows, so `[doc = "x"]` compares a
+//! `<doc>` child — and `@attr`/`text()` end a path. A bare path
 //! `$0//pkg` is shorthand for `for $v in $0//pkg return {$v}`.
 //!
 //! The parser is whitespace-lenient between tokens and reports syntax
@@ -177,6 +179,18 @@ impl<'a> P<'a> {
         } else {
             false
         }
+    }
+
+    /// Does a call of `name` start here — the name, then `(`? Without the
+    /// `(`, a predicate reads `name` as the first step of a relative path
+    /// (`$0//pkg[doc = "x"]`).
+    fn peek_call(&self, name: &str) -> bool {
+        self.peek_kw(name) && self.rest()[name.len()..].trim_start().starts_with('(')
+    }
+
+    /// Consume `name` if a call of it starts here.
+    fn eat_call(&mut self, name: &str) -> bool {
+        self.peek_call(name) && self.eat_kw(name)
     }
 
     fn parse_name(&mut self) -> QueryResult<&'a str> {
@@ -331,7 +345,7 @@ impl<'a> P<'a> {
     fn parse_cond_path(&mut self) -> QueryResult<PathPlan> {
         match self.peek() {
             Some('$') => self.parse_path(),
-            Some(_) if self.peek_kw("doc") => self.parse_path(),
+            Some(_) if self.peek_call("doc") => self.parse_path(),
             Some(c) if c.is_alphabetic() || c == '_' || c == '@' || c == '*' => {
                 if self.pred_depth == 0 {
                     return Err(QueryError::UnboundVariable(
@@ -439,7 +453,7 @@ impl<'a> P<'a> {
 
     fn parse_prim_cond(&mut self) -> QueryResult<PredPlan> {
         self.ws();
-        if self.eat_kw("not") {
+        if self.eat_call("not") {
             self.ws();
             self.expect("(")?;
             let c = self.parse_cond()?;
@@ -447,7 +461,7 @@ impl<'a> P<'a> {
             self.expect(")")?;
             return Ok(PredPlan::Not(Box::new(c)));
         }
-        if self.eat_kw("contains") {
+        if self.eat_call("contains") {
             self.ws();
             self.expect("(")?;
             self.ws();
@@ -460,7 +474,7 @@ impl<'a> P<'a> {
             self.expect(")")?;
             return Ok(PredPlan::Contains { path, needle });
         }
-        if self.eat_kw("count") {
+        if self.eat_call("count") {
             self.ws();
             self.expect("(")?;
             self.ws();
@@ -478,7 +492,7 @@ impl<'a> P<'a> {
                 .map_err(|_| self.err("count(…) compares against a non-negative integer"))?;
             return Ok(PredPlan::CountCmp { path, op, n });
         }
-        if self.eat_kw("exists") {
+        if self.eat_call("exists") {
             self.ws();
             self.expect("(")?;
             self.ws();
@@ -930,5 +944,49 @@ mod tests {
             cur = op.input();
         }
         assert!(found_let);
+    }
+
+    /// A predicate's relative path may start at an element named like a
+    /// function: `not`, `contains`, `count`, `exists` and `doc` call only
+    /// when `(` follows. Each such query parses, selects the packages
+    /// whose child says so, and prints text that parses back to it.
+    #[test]
+    fn function_names_start_relative_paths() {
+        let catalog = axml_xml::tree::Tree::parse(
+            r#"<catalog>
+                 <pkg name="a"><doc>x</doc><not>1</not><contains>y</contains><count>3</count><exists>z</exists></pkg>
+                 <pkg name="b"><doc>w</doc><not>2</not><contains>x</contains><count>1</count></pkg>
+                 <pkg name="c"/>
+               </catalog>"#,
+        )
+        .unwrap();
+        let docs: HashMap<DocName, axml_xml::tree::Tree> = [(
+            DocName::new("d"),
+            axml_xml::tree::Tree::parse("<r><doc>x</doc></r>").unwrap(),
+        )]
+        .into();
+        for (src, want) in [
+            (r#"$0//pkg[doc = "x"]/@name"#, "a"),
+            (r#"$0//pkg[not = 2]/@name"#, "b"),
+            (r#"$0//pkg[contains = "y"]/@name"#, "a"),
+            (r#"$0//pkg[count > 2]/@name"#, "a"),
+            (r#"$0//pkg[exists = "z"]/@name"#, "a"),
+            (r#"$0//pkg[not (doc = "x")]/@name"#, "bc"),
+            (r#"$0//pkg[contains(contains, "x")]/@name"#, "b"),
+            (r#"$0//pkg[count(count) >= 1]/@name"#, "ab"),
+            (r#"$0//pkg[exists(exists)]/@name"#, "a"),
+            (r#"$0//pkg[doc/text() = doc("d")/doc/text()]/@name"#, "a"),
+        ] {
+            let p = plan(src).unwrap_or_else(|e| panic!("{src}: {e}"));
+            let got: String = p
+                .eval(&[vec![catalog.clone()]], &docs)
+                .unwrap()
+                .iter()
+                .map(|t| t.text(t.root()))
+                .collect();
+            assert_eq!(got, want, "{src}");
+            let printed = p.to_string();
+            assert_eq!(plan(&printed).unwrap(), p, "{src} printed as {printed}");
+        }
     }
 }

@@ -197,31 +197,16 @@ proptest! {
         prop_assert!(forest_equiv(&a, &b));
     }
 
-    /// Composition evaluates stage-wise identically to manual piping.
-    #[test]
-    fn composition_is_piping(
-        input in proptest::collection::vec(arb_catalog(), 0..4),
-    ) {
-        let inner = Query::parse("i", r#"for $p in $0//pkg where $p/size/text() > 100 return {$p}"#).unwrap();
-        let outer = Query::parse("o", "for $t in $0 return <w>{$t/@name}</w>").unwrap();
-        let comp = Query::compose("c", outer.clone(), vec![inner.clone()]).unwrap();
-        let direct = comp.eval_batch(std::slice::from_ref(&input)).unwrap();
-        let piped = outer.eval_batch(&[inner.eval_batch(&[input]).unwrap()]).unwrap();
-        prop_assert!(forest_equiv(&direct, &piped));
-    }
-
     /// Estimation sanity: non-negative and zero on empty input.
     #[test]
     fn estimates_sane(q in arb_query(), input in proptest::collection::vec(arb_catalog(), 0..4)) {
         use axml_query::estimate::{estimate, ForestStats, View};
-        if let Some(plan) = q.plan() {
-            let stats = ForestStats::collect(&input);
-            let e = estimate(plan, &[View::of(&stats)], &|_| None).unwrap();
-            prop_assert!(e.cardinality >= 0.0);
-            prop_assert!(e.bytes >= 0.0);
-            if input.is_empty() {
-                prop_assert_eq!(e.cardinality, 0.0);
-            }
+        let stats = ForestStats::collect(&input);
+        let e = estimate(q.plan(), &[View::of(&stats)], &|_| None).unwrap();
+        prop_assert!(e.cardinality >= 0.0);
+        prop_assert!(e.bytes >= 0.0);
+        if input.is_empty() {
+            prop_assert_eq!(e.cardinality, 0.0);
         }
     }
 }
@@ -249,7 +234,7 @@ fn parse_survives_mutated_sources() {
         let src = String::from_utf8_lossy(&bytes);
         match Query::parse("q", &src) {
             Ok(q) => {
-                let p = q.plan().unwrap();
+                let p = q.plan();
                 let printed = p.to_string();
                 let back =
                     parse_plan(&printed, p.arity).unwrap_or_else(|e| panic!("{printed}: {e}"));
@@ -957,9 +942,8 @@ fn printed_plans_parse_back() {
 /// and `$j` ≡ `share_param(i, j)` reading it once, as `$i`. Seeded plans
 /// over three parameters (the generator's `$0`/`$1` moved to two of the
 /// three places, so a parameter after `$j` is read and moves down), every
-/// pair `i < j`, the other parameters random; each fourth case shares
-/// the parameter through a composition, one of whose inner queries does
-/// not read `$j`. The shared query's wire form reads back to it.
+/// pair `i < j`, the other parameters random. The shared query's wire
+/// form reads back to it.
 #[test]
 fn sharing_a_parameter_reads_the_forest_once() {
     let mut g = PlanGen {
@@ -967,12 +951,6 @@ fn sharing_a_parameter_reads_the_forest_once() {
         vars: Vec::new(),
     };
     let docs: HashMap<DocName, Tree> = [(DocName::new("d"), g.tree())].into();
-    let pair = Query::parse(
-        "pair",
-        "for $a in $0 for $b in $1 return <p>{$a/@k}{$b}</p>",
-    )
-    .unwrap();
-    let unary = Query::parse("unary", "$0//a").unwrap();
     let mut answering = 0;
     for case in 0..1_500 {
         // `$0`/`$1` to two distinct places of three, through a placeholder
@@ -983,10 +961,7 @@ fn sharing_a_parameter_reads_the_forest_once() {
             .replace("$0", "$P")
             .replace("$1", &format!("${}", to[1]))
             .replace("$P", &format!("${}", to[0]));
-        let mut q = Query::parse_with_arity("q", &src, 3).unwrap_or_else(|e| panic!("{src}: {e}"));
-        if case % 4 == 3 {
-            q = Query::compose("c", pair.clone(), vec![q, unary.clone()]).unwrap();
-        }
+        let q = Query::parse_with_arity("q", &src, 3).unwrap_or_else(|e| panic!("{src}: {e}"));
         let (i, j) = [(0, 1), (0, 2), (1, 2)][case / 6 % 3];
         let f = g.forest();
         let mut inputs = [g.forest(), g.forest(), g.forest()];

@@ -85,7 +85,7 @@ fn main() {
            return <big name="{$p/@name}">{$p/size}</big>"#,
     )
     .unwrap();
-    println!("query: {}", q.plan().expect("a parsed query is a leaf"));
+    println!("query: {}", q.plan());
 
     // ---- naive evaluation ----------------------------------------------
     let naive = Expr::Apply {

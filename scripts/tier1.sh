@@ -6,13 +6,14 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - eighteen grep gates, one per "one of each" claim (wire-format
+#   - twenty grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
 #     Σ is left as found, a member walks no tree, one collapse path, one
 #     scheduler and one driver, the runtime spawns no thread, one query
-#     printer) — each explained where it runs;
+#     printer, one composition, library crates print nothing) — each
+#     explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -498,6 +499,40 @@ if code crates/query/src/query.rs | grep -nE '\bsource:|fn source\('; then
     echo "tier-1: query/src/query.rs keeps a query's source beside its plan; the plan prints it" >&2
     exit 1
 fi
+
+echo "== tier-1: one composition (a query is its plan; q1(q2) is a nested Apply) =="
+# Composition belongs to the algebra: rules (11) and (16) build
+# q1(q2(…)) as an Expr::Apply whose argument is an Expr::Apply, priced
+# and evaluated through definitions (2)/(7). Outside comments and
+# `#[cfg(test)]` modules, a `Composed` kind, an `fn compose`, a
+# `leaf_plans` or `composition(` accessor, or a `<compose>` wire element
+# under crates/*/src is a second composition inside axml-query, and a
+# `Query::compose` call anywhere under crates/, tests/, examples/ or
+# src/ one more.
+for f in $(find crates/*/src -name '*.rs'); do
+    if code "$f" | grep -nE 'Composed|fn compose\b|leaf_plans|composition\(|<compose>'; then
+        echo "tier-1: $f keeps a second query composition; build an Apply over an Apply" >&2
+        exit 1
+    fi
+done
+if grep -rn 'Query::compose' crates tests examples src --include='*.rs'; then
+    echo "tier-1: Query::compose is gone; build an Apply over an Apply" >&2
+    exit 1
+fi
+
+echo "== tier-1: library crates print nothing (no print!/eprint!/dbg! in the runtime) =="
+# A library reports through its return values and the trace, never on
+# the console: a failed trace flush at a quiescence point is kept by
+# Obs and returned by clear_trace_sink. Outside comments and
+# `#[cfg(test)]` modules, no println!, eprintln!, print!, eprint! or
+# dbg! under the runtime crates' src/ (binaries live in axml-bench and
+# examples/).
+for f in $(find crates/{xml,types,query,net,core,obs,prng}/src -name '*.rs'); do
+    if code "$f" | grep -nE '\b(e?println|e?print|dbg)!'; then
+        echo "tier-1: $f prints from a library crate; return the error or trace it" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
