@@ -278,10 +278,21 @@ mod tests {
 
     #[test]
     fn per_row_runs_plot_and_export() {
+        use axml_obs::TraceEvent;
         let mut metrics = axml_obs::EvalMetrics::new();
-        metrics.record_def(1);
-        metrics.record_def(7);
-        metrics.record_rule("R10-delegate", true);
+        for (def, expr) in [(1, "tree"), (7, "apply")] {
+            metrics.fold(&TraceEvent::Definition {
+                def,
+                peer: axml_xml::ids::PeerId(0),
+                expr: expr.into(),
+                at_ms: 0.0,
+            });
+        }
+        metrics.fold(&TraceEvent::RuleAttempted {
+            rule: "R10-delegate".into(),
+            accepted: true,
+            cost: 0.0,
+        });
         let stats = axml_net::NetStats::new();
         let mut r = Report::new("E0", "demo", vec!["k", "bytes"]);
         r.row(vec!["1".into(), "100".into()]);

@@ -513,13 +513,11 @@ impl AxmlSystem {
                 };
                 self.send_wire(s, at, provider, msg, Intent::None)?;
             }
-            self.obs.metrics.service_calls += 1;
             let now = self.now_ms();
-            let service_name = service.as_str().to_string();
-            self.obs.emit(|| TraceEvent::ServiceCall {
+            self.obs.record(TraceEvent::ServiceCall {
                 caller: at,
                 provider,
-                service: service_name,
+                service: service.as_str().to_string(),
                 call_id: id,
                 at_ms: now,
             });
@@ -945,14 +943,11 @@ impl AxmlSystem {
             provider,
             route,
         } = self.new_results(id, feed)?;
-        self.obs.metrics.delta_fresh += fresh.len() as u64;
-        self.obs.metrics.delta_suppressed += suppressed as u64;
         let now = self.now_ms();
-        let fresh_n = fresh.len();
-        self.obs.emit(|| TraceEvent::SubscriptionDelta {
+        self.obs.record(TraceEvent::SubscriptionDelta {
             subscription: id,
             provider,
-            fresh: fresh_n,
+            fresh: fresh.len(),
             suppressed,
             at_ms: now,
         });

@@ -74,9 +74,8 @@ impl AxmlSystem {
             match attempt(self, s, member, concrete) {
                 Err(e) if self.failover && unreachable_provider(&e) => {
                     excluded.push(member);
-                    self.obs.metrics.failovers += 1;
                     let now = self.net.now_ms();
-                    self.obs.emit(|| TraceEvent::Failover {
+                    self.obs.record(TraceEvent::Failover {
                         peer: at,
                         class: class.to_string(),
                         dead: member,

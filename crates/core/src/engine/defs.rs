@@ -166,12 +166,10 @@ impl AxmlSystem {
 
             // ---- rules (14)–(16): delegated evaluation ----------------
             Expr::EvalAt { peer, expr: inner } => {
-                self.obs.metrics.delegations += 1;
                 let now = self.now_ms();
-                let (from, to) = (at, peer);
-                self.obs.emit(|| TraceEvent::Delegation {
-                    from,
-                    to,
+                self.obs.record(TraceEvent::Delegation {
+                    from: at,
+                    to: peer,
                     at_ms: now,
                 });
                 if peer != at {
@@ -589,10 +587,9 @@ impl AxmlSystem {
         let caller = call.caller;
         self.check_peer(prov)?;
         self.record_def(6, caller, "sc");
-        self.obs.metrics.service_calls += 1;
         let call_id = self.fresh_call_id();
         let now = self.now_ms();
-        self.obs.emit(|| TraceEvent::ServiceCall {
+        self.obs.record(TraceEvent::ServiceCall {
             caller,
             provider: prov,
             service: call.service.as_str().to_string(),
@@ -786,12 +783,12 @@ impl AxmlSystem {
         self.peers[at.index()].install_doc(Document::new(name.clone(), doc))
     }
 
-    /// Count one firing of paper definition `def` and, when a trace sink
-    /// is attached, stream the matching [`TraceEvent::Definition`].
+    /// Record one firing of paper definition `def` at `peer`: its
+    /// [`TraceEvent::Definition`] is counted and, when a sink is
+    /// attached, streamed.
     pub(crate) fn record_def(&mut self, def: u8, peer: PeerId, expr: &'static str) {
-        self.obs.metrics.record_def(def);
         let at_ms = self.net.now_ms();
-        self.obs.emit(|| TraceEvent::Definition {
+        self.obs.record(TraceEvent::Definition {
             def,
             peer,
             expr: expr.into(),

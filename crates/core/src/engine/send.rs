@@ -68,8 +68,7 @@ impl AxmlSystem {
                     if dropped {
                         // A drop consumed the attempt on the wire; both
                         // layers must agree it happened (reconciliation).
-                        self.obs.metrics.record_drop(from, to);
-                        self.obs.emit(|| TraceEvent::MessageDropped {
+                        self.obs.record(TraceEvent::MessageDropped {
                             from,
                             to,
                             kind,
@@ -93,8 +92,7 @@ impl AxmlSystem {
                     }
                     let backoff_ms = self.retry_backoff_ms(from, to, attempt);
                     attempt += 1;
-                    self.obs.metrics.retries += 1;
-                    self.obs.emit(|| TraceEvent::RetryScheduled {
+                    self.obs.record(TraceEvent::RetryScheduled {
                         from,
                         to,
                         kind,
@@ -106,8 +104,7 @@ impl AxmlSystem {
                 }
             }
         };
-        self.obs.metrics.record_message(from, to, kind, charged);
-        self.obs.emit(|| TraceEvent::MessageSent {
+        self.obs.record(TraceEvent::MessageSent {
             from,
             to,
             kind,

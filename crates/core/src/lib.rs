@@ -29,9 +29,9 @@
 //!
 //! Every evaluation step is observable: the evaluator, optimizer and
 //! subscription engine record `axml_obs` [`TraceEvent`](axml_obs::TraceEvent)s
-//! (definition fired, rule applied, message sent, delta shipped) through
-//! an optional [`TraceSink`](axml_obs::TraceSink) — zero-cost when none
-//! is installed — and aggregate [`EvalMetrics`](axml_obs::EvalMetrics)
+//! (definition fired, rule applied, message sent, delta shipped) into
+//! an optional [`TraceSink`](axml_obs::TraceSink), and aggregate
+//! [`EvalMetrics`](axml_obs::EvalMetrics) — the fold of those events —
 //! that reconcile *exactly* with the network layer's `NetStats`. Use
 //! [`AxmlSystem::set_trace_sink`](system::AxmlSystem::set_trace_sink) to
 //! attach a sink and

@@ -274,8 +274,7 @@ impl Optimizer {
                     steps.push((parent, rule));
                     let step = steps.len() - 1;
                     let accepted = cost.scalar() < best.cost.scalar();
-                    obs.metrics.record_rule(rule, accepted);
-                    obs.emit(|| TraceEvent::RuleAttempted {
+                    obs.record(TraceEvent::RuleAttempted {
                         rule: rule.into(),
                         accepted,
                         cost: cost.scalar(),

@@ -258,7 +258,7 @@ impl AxmlSystem {
         self.obs.set_sink(sink);
     }
 
-    /// Detach the trace sink (tracing reverts to zero-cost). The sink
+    /// Detach the trace sink (events are then only counted). The sink
     /// is flushed before it is dropped, so buffered file sinks lose no
     /// tail events on detach. The first flush that failed since the last
     /// detach — this one, or one at a session's quiescence point; a full

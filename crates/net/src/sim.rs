@@ -146,8 +146,6 @@ pub struct FaultPlan {
 
 /// Domain separator for per-attempt fault streams.
 const FAULT_STREAM_SALT: u64 = 0xFA17_1A7E_D00D_5EED;
-/// Domain separator for the random-outage generator.
-const OUTAGE_GEN_SALT: u64 = 0x007A_6E5C_07ED_CA5E;
 
 impl FaultPlan {
     /// A plan with no faults; compose with the builder methods.
@@ -206,27 +204,6 @@ impl FaultPlan {
             start_ms,
             end_ms,
         });
-        self
-    }
-
-    /// Generate `count` seeded outage windows over the given links:
-    /// each picks a link uniformly, a start in `[0, horizon_ms)` and a
-    /// length in `(0, max_len_ms]`, derived from this plan's seed.
-    pub fn random_outages(
-        mut self,
-        links: &[(PeerId, PeerId)],
-        count: usize,
-        horizon_ms: f64,
-        max_len_ms: f64,
-    ) -> Self {
-        assert!(!links.is_empty(), "random_outages needs candidate links");
-        let mut rng = SplitMix64::new(self.seed ^ OUTAGE_GEN_SALT);
-        for _ in 0..count {
-            let &(a, b) = rng.choose(links).expect("non-empty links");
-            let start = rng.gen_range(0.0..horizon_ms);
-            let len = rng.gen_range(0.0..max_len_ms).max(1e-3);
-            self = self.outage(a, b, start, start + len);
-        }
         self
     }
 
@@ -976,18 +953,6 @@ mod tests {
         assert!(at >= base.0, "jitter only adds delay");
         assert!(at < base.0 + 25.0);
         assert_eq!(net.stats().total_bytes(), base.1, "charges unchanged");
-    }
-
-    #[test]
-    fn random_outages_derive_from_seed() {
-        let a = PeerId(0);
-        let b = PeerId(1);
-        let p1 = FaultPlan::new(9).random_outages(&[(a, b)], 3, 100.0, 10.0);
-        let p2 = FaultPlan::new(9).random_outages(&[(a, b)], 3, 100.0, 10.0);
-        assert_eq!(p1.outages(), p2.outages());
-        assert_eq!(p1.outages().len(), 6, "both directions per window");
-        let p3 = FaultPlan::new(10).random_outages(&[(a, b)], 3, 100.0, 10.0);
-        assert_ne!(p1.outages(), p3.outages());
     }
 
     #[test]

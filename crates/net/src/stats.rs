@@ -75,11 +75,6 @@ impl NetStats {
         }
     }
 
-    /// Messages lost to fault injection on one directed link.
-    pub fn dropped_on(&self, from: PeerId, to: PeerId) -> u64 {
-        self.dropped.get(&(from, to)).copied().unwrap_or_default()
-    }
-
     /// Total messages lost to fault injection.
     pub fn total_dropped(&self) -> u64 {
         self.dropped.values().sum()
@@ -248,8 +243,6 @@ mod tests {
         s.record_drop(PeerId(1), PeerId(0));
         s.record_drop(PeerId(2), PeerId(2)); // local: ignored
         assert_eq!(s.total_dropped(), 2);
-        assert_eq!(s.dropped_on(PeerId(0), PeerId(1)), 1);
-        assert_eq!(s.dropped_on(PeerId(2), PeerId(0)), 0);
         assert_eq!(s.total_messages(), 1, "drops never count as traffic");
         let order: Vec<_> = s.dropped_links().map(|(a, b, n)| (a.0, b.0, n)).collect();
         assert_eq!(order, [(0, 1, 1), (1, 0, 1)]);

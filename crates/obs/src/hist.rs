@@ -40,11 +40,8 @@ pub const BUCKETS: usize = 65;
 pub struct LatencyHistogram {
     counts: [u64; BUCKETS],
     count: u64,
-    /// Exact observed extrema in microseconds (quantiles clip to them).
+    /// Exact observed maximum in microseconds (quantiles clip to it).
     max_us: u64,
-    min_us: u64,
-    /// Exact sum in microseconds (for the mean).
-    sum_us: u64,
 }
 
 impl Default for LatencyHistogram {
@@ -80,8 +77,6 @@ impl LatencyHistogram {
             counts: [0; BUCKETS],
             count: 0,
             max_us: 0,
-            min_us: u64::MAX,
-            sum_us: 0,
         }
     }
 
@@ -97,9 +92,7 @@ impl LatencyHistogram {
         };
         self.counts[bucket_of(us)] += 1;
         self.count += 1;
-        self.sum_us = self.sum_us.saturating_add(us);
         self.max_us = self.max_us.max(us);
-        self.min_us = self.min_us.min(us);
     }
 
     /// Total samples recorded.
@@ -113,24 +106,6 @@ impl LatencyHistogram {
             0.0
         } else {
             self.max_us as f64 / 1000.0
-        }
-    }
-
-    /// Exact observed minimum, in milliseconds (0 when empty).
-    pub fn min_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min_us as f64 / 1000.0
-        }
-    }
-
-    /// Exact mean, in milliseconds (0 when empty).
-    pub fn mean_ms(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_us as f64 / self.count as f64 / 1000.0
         }
     }
 
@@ -173,16 +148,14 @@ impl LatencyHistogram {
         self.quantile_ms(0.99)
     }
 
-    /// Merge another histogram into this one (bucket-wise sum; extrema
-    /// and sums combine exactly). Commutative and associative.
+    /// Merge another histogram into this one (bucket-wise sum; the
+    /// maximum combines exactly). Commutative and associative.
     pub fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
         self.count += other.count;
-        self.sum_us = self.sum_us.saturating_add(other.sum_us);
         self.max_us = self.max_us.max(other.max_us);
-        self.min_us = self.min_us.min(other.min_us);
     }
 
     /// Raw bucket counts (index = the sample's log₂ bucket).
@@ -283,13 +256,15 @@ impl RateWindow {
         }
     }
 
-    /// Record `amount` at virtual time `at_ms`.
+    /// Record `amount` at virtual time `at_ms`. Sums saturate at
+    /// `u64::MAX` — a decoded stream may carry any amount — and a
+    /// saturated window still conserves.
     pub fn record(&mut self, at_ms: f64, amount: u64) {
         let slot = self.slot_index(at_ms).max(self.head_slot);
         self.advance_to(slot);
         let idx = (slot % self.ring.len() as u64) as usize;
-        self.ring[idx] += amount;
-        self.total += amount;
+        self.ring[idx] = self.ring[idx].saturating_add(amount);
+        self.total = self.total.saturating_add(amount);
         self.touched = true;
     }
 
@@ -304,13 +279,12 @@ impl RateWindow {
             let new_base = slot - n + 1;
             if new_base - self.base_slot >= n {
                 // the whole live window falls off at once
-                let live: u64 = self.ring.iter().sum();
-                self.evicted += live;
+                self.evicted = self.evicted.saturating_add(self.live_total());
                 self.ring.iter_mut().for_each(|v| *v = 0);
             } else {
                 for s in self.base_slot..new_base {
                     let idx = (s % n) as usize;
-                    self.evicted += self.ring[idx];
+                    self.evicted = self.evicted.saturating_add(self.ring[idx]);
                     self.ring[idx] = 0;
                 }
             }
@@ -325,14 +299,14 @@ impl RateWindow {
     }
 
     /// Sum over the live slots only.
-    pub fn live_total(&self) -> u64 {
-        self.ring.iter().sum()
+    fn live_total(&self) -> u64 {
+        self.ring.iter().fold(0, |sum, &v| sum.saturating_add(v))
     }
 
     /// The conservation law: evicted + live == total. Exact by
     /// construction; the reconciliation tests assert it anyway.
     pub fn conserves(&self) -> bool {
-        self.evicted + self.live_total() == self.total
+        self.evicted.saturating_add(self.live_total()) == self.total
     }
 
     /// Average rate over the live window, per second of virtual time
@@ -347,7 +321,7 @@ impl RateWindow {
     }
 
     /// The live slots oldest-to-newest (for sparklines).
-    pub fn slot_values(&self) -> Vec<u64> {
+    fn slot_values(&self) -> Vec<u64> {
         let n = self.ring.len() as u64;
         let live = (self.head_slot - self.base_slot) + 1;
         (0..live.min(n))
@@ -394,7 +368,6 @@ mod tests {
         assert_eq!(h.p50_ms(), 0.0);
         assert_eq!(h.p99_ms(), 0.0);
         assert_eq!(h.max_ms(), 0.0);
-        assert_eq!(h.mean_ms(), 0.0);
     }
 
     #[test]
@@ -450,8 +423,6 @@ mod tests {
         assert_eq!(h.p50_ms(), 7.5);
         assert_eq!(h.p99_ms(), 7.5);
         assert_eq!(h.max_ms(), 7.5);
-        assert_eq!(h.min_ms(), 7.5);
-        assert_eq!(h.mean_ms(), 7.5);
     }
 
     #[test]
@@ -481,6 +452,16 @@ mod tests {
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged, both);
+    }
+
+    #[test]
+    fn a_saturated_window_conserves() {
+        let mut w = RateWindow::new(10.0, 2);
+        for at_ms in [0.0, 5.0, 25.0, 1e6] {
+            w.record(at_ms, u64::MAX);
+        }
+        assert_eq!(w.total(), u64::MAX);
+        assert!(w.conserves());
     }
 
     #[test]

@@ -9,16 +9,19 @@
 //!
 //! * [`trace::TraceEvent`] — a structured event stream (definition
 //!   fired, rule attempted, message sent, subscription delta shipped)
-//!   recorded through the zero-cost-when-disabled [`trace::TraceSink`]
-//!   trait. When no sink is attached, the entire tracing path is one
-//!   branch on an `Option` — event payloads are built inside closures
-//!   and never constructed.
+//!   streamed to a [`trace::TraceSink`]. A counted occurrence is
+//!   recorded once, [`Obs::record`]: its event is folded into the
+//!   metrics and then handed to the sink, if one is attached. The kinds
+//!   no counter reads go through [`Obs::emit`], whose closure runs only
+//!   when a sink is attached.
 //! * [`metrics::EvalMetrics`] — always-on cheap counters: expressions
 //!   evaluated per paper definition (1)–(9), rewrite-rule applications
-//!   attempted/accepted per rule, cost-model invocations, optimizer
-//!   memo hits, continuous-delta suppression, and a per-kind/per-link
-//!   message breakdown that reconciles *exactly* with
-//!   [`axml_net::NetStats`].
+//!   attempted/accepted per rule, optimizer candidates and memo hits,
+//!   continuous-delta suppression, and a per-kind/per-link message
+//!   breakdown that reconciles *exactly* with [`axml_net::NetStats`].
+//!   Every counter that has an event is the fold of that event
+//!   ([`metrics::EvalMetrics::fold`], the one mapping from events to
+//!   counters).
 //! * [`report::RunReport`] — a human-readable + JSON summary combining
 //!   both with the network statistics, emitted by the experiment
 //!   harness and the examples.
@@ -35,8 +38,9 @@
 //! For *live* observability, [`reader::FollowReader`] tails a growing
 //! file or socket incrementally, and [`live::LiveStats`] folds the event
 //! stream into rolling latency histograms ([`hist`]), goodput windows
-//! and per-peer gauges — reconciling with the batch
-//! [`metrics::EvalMetrics`] when the stream ends.
+//! and per-peer gauges, and its counters through the same
+//! [`metrics::EvalMetrics::fold`] — so they equal the run's when the
+//! stream is complete.
 
 pub mod codec;
 pub mod hist;
@@ -63,11 +67,13 @@ pub use trace::{TraceEvent, TraceSink, TraceStr, VecSink};
 /// The observability handle: metrics plus an optional trace sink.
 ///
 /// Embedded in `AxmlSystem` (one per system) and passed to the optimizer
-/// explicitly. [`Obs::emit`] takes a closure so that event construction
-/// — allocations included — happens only when a sink is attached.
+/// explicitly. [`Obs::record`] counts an event and streams it;
+/// [`Obs::emit`] takes a closure so that building an event no counter
+/// reads happens only when a sink is attached.
 #[derive(Default)]
 pub struct Obs {
-    /// Cumulative counters (always on; plain integer increments).
+    /// Cumulative counters (always on): the fold of every recorded
+    /// event, plus the few counters no event carries.
     pub metrics: EvalMetrics,
     sink: Option<Box<dyn TraceSink>>,
     /// The first flush that failed since the sink was last detached,
@@ -87,7 +93,7 @@ impl Obs {
         self.sink.replace(sink)
     }
 
-    /// Detach the current sink (tracing reverts to zero-cost). The sink
+    /// Detach the current sink (events are then only counted). The sink
     /// is flushed first — per the [`TraceSink`] contract, no buffered
     /// tail event is lost by detaching — and then dropped. The answer is
     /// the first flush that failed since the last detach, this one
@@ -126,8 +132,21 @@ impl Obs {
         self.sink.is_some()
     }
 
-    /// Record an event. `build` runs only if a sink is attached, so the
-    /// disabled path costs a single branch.
+    /// Record one counted occurrence: fold `event` into [`Obs::metrics`]
+    /// ([`EvalMetrics::fold`]), then hand it to the sink, if one is
+    /// attached. The event is built whether or not a sink is — the
+    /// counters read it.
+    #[inline]
+    pub fn record(&mut self, event: TraceEvent) {
+        self.metrics.fold(&event);
+        if let Some(sink) = self.sink.as_mut() {
+            sink.record(event);
+        }
+    }
+
+    /// Stream an event no counter reads (`TaskScheduled`,
+    /// `MessageDelivered`, `PlanChosen`). `build` runs only if a sink is
+    /// attached, so the disabled path costs a single branch.
     #[inline]
     pub fn emit(&mut self, build: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = self.sink.as_mut() {
@@ -184,6 +203,27 @@ mod tests {
         obs.clear_sink().unwrap();
         obs.emit(|| unreachable!("sink detached"));
         assert_eq!(sink.len(), 1);
+    }
+
+    #[test]
+    fn record_counts_with_and_without_a_sink() {
+        let events = trace::tests::one_of_each();
+        let mut bare = Obs::new();
+        for e in &events {
+            bare.record(e.clone());
+        }
+        assert_eq!(bare.metrics.def_count(6), 1);
+        assert_eq!(bare.metrics.total_messages(), 1);
+        assert_eq!(bare.metrics.rule("R11-push-select").accepted, 1);
+        assert_eq!((bare.metrics.service_calls, bare.metrics.retries), (1, 1));
+        let mut traced = Obs::new();
+        let sink = VecSink::new();
+        traced.set_sink(Box::new(sink.clone()));
+        for e in &events {
+            traced.record(e.clone());
+        }
+        assert_eq!(sink.take(), events, "each event arrives exactly once");
+        assert_eq!(traced.metrics.to_json(), bare.metrics.to_json());
     }
 
     #[test]

@@ -1,21 +1,22 @@
 //! [`LiveStats`] — the streaming counterpart of [`crate::EvalMetrics`].
 //!
-//! `EvalMetrics` is incremented *inside* the engine; `LiveStats` is
-//! folded *outside* it, one [`TraceEvent`] at a time, by whoever is
-//! consuming the trace stream — a follow-mode reader tailing a growing
-//! file, the `axml-top` dashboard on a live socket, or a batch replay.
-//! Because every reconcilable counter in `EvalMetrics` has exactly one
-//! paired event emission in the engine, folding the complete stream
-//! through the same `record_*` calls into an `EvalMetrics` of its own
-//! must land on the same numbers: [`LiveStats::reconcile`] checks that
-//! claim counter-for-counter and is asserted at stream end by the
-//! property tests and the dashboard's `--once` mode.
+//! The engine counts each occurrence by recording its event
+//! ([`crate::Obs::record`], which folds it into its `EvalMetrics` with
+//! [`EvalMetrics::fold`]); `LiveStats` is folded *outside* it, one
+//! [`TraceEvent`] at a time, by whoever is consuming the trace stream — a
+//! follow-mode reader tailing a growing file, the `axml-top` dashboard on
+//! a live socket, or a batch replay. There is one mapping from events to
+//! counters, and `LiveStats::fold` applies that same `EvalMetrics::fold`
+//! to the decoded stream, so the two land on the same numbers exactly
+//! when the stream is complete: [`LiveStats::reconcile`] checks that
+//! counter-for-counter and is asserted at stream end by the property
+//! tests and the dashboard's `--once` mode.
 //!
-//! On top of the reconcilable counters, `LiveStats` derives what the
-//! batch layer cannot: per-message latency quantiles (from the
-//! `[sent_ms, at_ms]` in-flight window of every [`TraceEvent::MessageSent`]),
-//! sliding goodput windows over virtual time, per-peer in-flight
-//! gauges, and per-peer × per-[`MessageKind`] breakdowns.
+//! On top of the counters, `LiveStats` derives what the batch layer
+//! cannot: per-message latency quantiles (from the `[sent_ms, at_ms]`
+//! in-flight window of every [`TraceEvent::MessageSent`]), sliding
+//! goodput windows over virtual time, per-peer in-flight gauges, and
+//! per-peer × per-[`MessageKind`] breakdowns.
 
 use crate::hist::{LatencyHistogram, RateWindow};
 use crate::kind::MessageKind;
@@ -62,7 +63,7 @@ pub struct PeerLive {
 /// any time; at stream end, [`LiveStats::reconcile`] against the run's
 /// `EvalMetrics`/`NetStats` proves the stream was complete and the fold
 /// correct.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LiveStats {
     events: u64,
     /// The counters the engine keeps too, folded from their events.
@@ -73,45 +74,18 @@ pub struct LiveStats {
     goodput_bytes: RateWindow,
     goodput_msgs: RateWindow,
     last_ms: f64,
-    window_slot_ms: f64,
-    window_slots: usize,
-}
-
-impl Default for LiveStats {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl LiveStats {
-    /// A fresh aggregator with the default goodput window geometry.
+    /// A fresh aggregator; its goodput windows are
+    /// [`crate::hist::DEFAULT_SLOTS`] slots of
+    /// [`crate::hist::DEFAULT_SLOT_MS`] virtual milliseconds.
     pub fn new() -> Self {
-        Self::with_window(crate::hist::DEFAULT_SLOT_MS, crate::hist::DEFAULT_SLOTS)
-    }
-
-    /// A fresh aggregator whose goodput windows use `slots` slots of
-    /// `slot_ms` virtual milliseconds each.
-    pub fn with_window(slot_ms: f64, slots: usize) -> Self {
-        Self {
-            events: 0,
-            metrics: EvalMetrics::new(),
-            delivered: BTreeMap::new(),
-            peers: BTreeMap::new(),
-            latency: LatencyHistogram::new(),
-            goodput_bytes: RateWindow::new(slot_ms, slots),
-            goodput_msgs: RateWindow::new(slot_ms, slots),
-            last_ms: 0.0,
-            window_slot_ms: slot_ms,
-            window_slots: slots,
-        }
+        Self::default()
     }
 
     fn peer(&mut self, p: PeerId) -> &mut PeerLive {
-        let (slot_ms, slots) = (self.window_slot_ms, self.window_slots);
-        self.peers.entry(p).or_insert_with(|| PeerLive {
-            goodput: RateWindow::new(slot_ms, slots),
-            ..PeerLive::default()
-        })
+        self.peers.entry(p).or_default()
     }
 
     fn touch_clock(&mut self, at_ms: f64) {
@@ -120,21 +94,17 @@ impl LiveStats {
         }
     }
 
-    /// Fold one event into the aggregate.
+    /// Fold one event into the aggregate: its counters through
+    /// [`EvalMetrics::fold`], the engine's own mapping, then the gauges,
+    /// histograms and windows only a stream has.
     pub fn fold(&mut self, e: &TraceEvent) {
         self.events += 1;
+        self.metrics.fold(e);
         match e {
-            TraceEvent::Definition { def, at_ms, .. } => {
-                // A decoded stream can carry any byte here.
-                if (1..=9).contains(def) {
-                    self.metrics.record_def(*def);
-                }
-                self.touch_clock(*at_ms);
-            }
-            TraceEvent::Delegation { at_ms, .. } => {
-                self.metrics.delegations += 1;
-                self.touch_clock(*at_ms);
-            }
+            TraceEvent::Definition { at_ms, .. }
+            | TraceEvent::Delegation { at_ms, .. }
+            | TraceEvent::ServiceCall { at_ms, .. }
+            | TraceEvent::SubscriptionDelta { at_ms, .. } => self.touch_clock(*at_ms),
             TraceEvent::MessageSent {
                 from,
                 to,
@@ -143,17 +113,16 @@ impl LiveStats {
                 sent_ms,
                 at_ms,
             } => {
-                self.metrics.record_message(*from, *to, *kind, *bytes);
                 let flight_ms = at_ms - sent_ms;
                 self.latency.record_ms(flight_ms);
                 {
                     let s = self.peer(*from);
                     s.sent_messages += 1;
-                    s.sent_bytes += bytes;
+                    s.sent_bytes = s.sent_bytes.saturating_add(*bytes);
                     s.inflight += 1;
                     let sk = s.by_kind.entry(*kind).or_default();
                     sk.messages += 1;
-                    sk.bytes += bytes;
+                    sk.bytes = sk.bytes.saturating_add(*bytes);
                 }
                 self.peer(*to).latency.record_ms(flight_ms);
                 self.touch_clock(*sent_ms);
@@ -167,7 +136,7 @@ impl LiveStats {
             } => {
                 let d = self.delivered.entry((*from, *to)).or_default();
                 d.messages += 1;
-                d.bytes += bytes;
+                d.bytes = d.bytes.saturating_add(*bytes);
                 self.goodput_bytes.record(*at_ms, *bytes);
                 self.goodput_msgs.record(*at_ms, 1);
                 {
@@ -176,7 +145,7 @@ impl LiveStats {
                 }
                 let r = self.peer(*to);
                 r.recv_messages += 1;
-                r.recv_bytes += bytes;
+                r.recv_bytes = r.recv_bytes.saturating_add(*bytes);
                 r.goodput.record(*at_ms, *bytes);
                 self.touch_clock(*at_ms);
             }
@@ -184,38 +153,16 @@ impl LiveStats {
                 self.peer(*peer).tasks += 1;
                 self.touch_clock(*at_ms);
             }
-            TraceEvent::RuleAttempted { rule, accepted, .. } => {
-                self.metrics.record_rule(rule.clone(), *accepted);
-            }
-            TraceEvent::PlanChosen { .. } => {}
-            TraceEvent::ServiceCall { at_ms, .. } => {
-                self.metrics.service_calls += 1;
-                self.touch_clock(*at_ms);
-            }
-            TraceEvent::SubscriptionDelta {
-                fresh,
-                suppressed,
-                at_ms,
-                ..
-            } => {
-                self.metrics.delta_fresh += *fresh as u64;
-                self.metrics.delta_suppressed += *suppressed as u64;
-                self.touch_clock(*at_ms);
-            }
-            TraceEvent::MessageDropped {
-                from, to, at_ms, ..
-            } => {
-                self.metrics.record_drop(*from, *to);
+            TraceEvent::RuleAttempted { .. } | TraceEvent::PlanChosen { .. } => {}
+            TraceEvent::MessageDropped { from, at_ms, .. } => {
                 self.peer(*from).drops += 1;
                 self.touch_clock(*at_ms);
             }
             TraceEvent::RetryScheduled { from, at_ms, .. } => {
-                self.metrics.retries += 1;
                 self.peer(*from).retries += 1;
                 self.touch_clock(*at_ms);
             }
             TraceEvent::Failover { peer, at_ms, .. } => {
-                self.metrics.failovers += 1;
                 self.peer(*peer).failovers += 1;
                 self.touch_clock(*at_ms);
             }
@@ -251,11 +198,6 @@ impl LiveStats {
     /// Per-peer rows, in peer-id order.
     pub fn peers(&self) -> impl Iterator<Item = (PeerId, &PeerLive)> + '_ {
         self.peers.iter().map(|(&p, row)| (p, row))
-    }
-
-    /// One peer's row, if the stream mentioned it.
-    pub fn peer_row(&self, p: PeerId) -> Option<&PeerLive> {
-        self.peers.get(&p)
     }
 
     /// The counters the engine keeps too — definitions, rules, traffic
@@ -393,24 +335,9 @@ impl LiveSink {
         Self::default()
     }
 
-    /// A sink whose goodput windows use a custom geometry (see
-    /// [`LiveStats::with_window`]).
-    pub fn with_window(slot_ms: f64, slots: usize) -> Self {
-        Self {
-            live: std::rc::Rc::new(std::cell::RefCell::new(LiveStats::with_window(
-                slot_ms, slots,
-            ))),
-        }
-    }
-
     /// A snapshot of the aggregator so far.
     pub fn stats(&self) -> LiveStats {
         self.live.borrow().clone()
-    }
-
-    /// Borrow the aggregator for a read without cloning histograms.
-    pub fn with_stats<R>(&self, f: impl FnOnce(&LiveStats) -> R) -> R {
-        f(&self.live.borrow())
     }
 }
 
@@ -424,7 +351,7 @@ impl crate::trace::TraceSink for LiveSink {
 mod tests {
     use super::*;
     use crate::kind::DataTag;
-    use crate::trace::tests::one_of_each;
+    use crate::trace::tests::{def, one_of_each};
 
     #[test]
     fn folds_every_event_kind_without_panicking() {
@@ -457,7 +384,6 @@ mod tests {
             direct.metrics().total_bytes()
         );
         assert_eq!(folded.last_ms(), direct.last_ms());
-        sink.with_stats(|s| assert_eq!(s.events(), direct.events()));
     }
 
     #[test]
@@ -473,7 +399,8 @@ mod tests {
             at_ms: 5.0,
         });
         assert_eq!(live.inflight(), 1);
-        assert_eq!(live.peer_row(PeerId(0)).unwrap().sent_messages, 1);
+        let sender = live.peers().next().unwrap();
+        assert_eq!((sender.0, sender.1.sent_messages), (PeerId(0), 1));
         live.fold(&TraceEvent::MessageDelivered {
             from: PeerId(0),
             to: PeerId(1),
@@ -482,7 +409,7 @@ mod tests {
             at_ms: 5.0,
         });
         assert_eq!(live.inflight(), 0);
-        let p1 = live.peer_row(PeerId(1)).unwrap();
+        let (_, p1) = live.peers().find(|(p, _)| *p == PeerId(1)).unwrap();
         assert_eq!(p1.recv_bytes, 100);
         assert_eq!(p1.latency.count(), 1);
         assert_eq!(p1.latency.max_ms(), 4.0, "in-flight window is 4 ms");
@@ -495,49 +422,51 @@ mod tests {
         let mut live = LiveStats::new();
         let mut m = EvalMetrics::new();
         let mut s = NetStats::new();
-        // one definition, one message sent+delivered, one drop+retry
-        m.record_def(6);
-        live.fold(&TraceEvent::Definition {
-            def: 6,
-            peer: PeerId(0),
-            expr: "sc".into(),
-            at_ms: 0.5,
-        });
-        m.record_drop(PeerId(0), PeerId(1));
+        // one definition, one drop+retry, one message sent+delivered
+        let run = [
+            TraceEvent::Definition {
+                def: 6,
+                peer: PeerId(0),
+                expr: "sc".into(),
+                at_ms: 0.5,
+            },
+            TraceEvent::MessageDropped {
+                from: PeerId(0),
+                to: PeerId(1),
+                kind,
+                bytes: 64,
+                at_ms: 1.0,
+            },
+            TraceEvent::RetryScheduled {
+                from: PeerId(0),
+                to: PeerId(1),
+                kind,
+                attempt: 1,
+                backoff_ms: 2.0,
+                at_ms: 1.0,
+            },
+            TraceEvent::MessageSent {
+                from: PeerId(0),
+                to: PeerId(1),
+                kind,
+                bytes: 64,
+                sent_ms: 3.0,
+                at_ms: 7.0,
+            },
+            TraceEvent::MessageDelivered {
+                from: PeerId(0),
+                to: PeerId(1),
+                kind,
+                bytes: 64,
+                at_ms: 7.0,
+            },
+        ];
+        for e in &run {
+            m.fold(e);
+            live.fold(e);
+        }
         s.record_drop(PeerId(0), PeerId(1));
-        live.fold(&TraceEvent::MessageDropped {
-            from: PeerId(0),
-            to: PeerId(1),
-            kind,
-            bytes: 64,
-            at_ms: 1.0,
-        });
-        m.retries += 1;
-        live.fold(&TraceEvent::RetryScheduled {
-            from: PeerId(0),
-            to: PeerId(1),
-            kind,
-            attempt: 1,
-            backoff_ms: 2.0,
-            at_ms: 1.0,
-        });
-        m.record_message(PeerId(0), PeerId(1), kind, 64);
         s.record(PeerId(0), PeerId(1), 64, 4.0, 7.0);
-        live.fold(&TraceEvent::MessageSent {
-            from: PeerId(0),
-            to: PeerId(1),
-            kind,
-            bytes: 64,
-            sent_ms: 3.0,
-            at_ms: 7.0,
-        });
-        live.fold(&TraceEvent::MessageDelivered {
-            from: PeerId(0),
-            to: PeerId(1),
-            kind,
-            bytes: 64,
-            at_ms: 7.0,
-        });
         live.reconcile(&m, &s).unwrap();
         assert!(live.reconciles_with(&m, &s));
     }
@@ -547,15 +476,10 @@ mod tests {
         let mut live = LiveStats::new();
         let mut m = EvalMetrics::new();
         let s = NetStats::new();
-        m.record_def(1);
+        m.fold(&def(1));
         let err = live.reconcile(&m, &s).unwrap_err();
         assert!(err.contains("definitions"), "{err}");
-        live.fold(&TraceEvent::Definition {
-            def: 1,
-            peer: PeerId(0),
-            expr: "tree".into(),
-            at_ms: 0.0,
-        });
+        live.fold(&def(1));
         live.reconcile(&m, &s).unwrap();
         // an undelivered send breaks quiescence
         live.fold(&TraceEvent::MessageSent {

@@ -1,16 +1,18 @@
 //! Per-phase evaluation metrics: cheap, always-on counters.
 //!
-//! Unlike [`crate::trace`] events (off unless a sink is attached),
-//! metrics are plain integer increments and stay on permanently — they
-//! are the numbers the experiment tables and `RunReport`s are built
-//! from. The message counters intentionally mirror
+//! Unlike a trace (off unless a sink is attached), metrics stay on
+//! permanently — they are the numbers the experiment tables and
+//! `RunReport`s are built from. A counter that has a
+//! [`crate::trace`] event is the fold of that event
+//! ([`EvalMetrics::fold`]), whether or not a sink streams it. The
+//! message counters intentionally mirror
 //! [`axml_net::NetStats`] semantics (local deliveries free, bytes =
 //! payload + per-message link overhead) so the two can be reconciled
 //! exactly; [`EvalMetrics::reconciles_with`] checks it.
 
 use crate::json::{array, JsonObject};
 use crate::kind::MessageKind;
-use crate::trace::TraceStr;
+use crate::trace::{TraceEvent, TraceStr};
 use axml_net::NetStats;
 use axml_xml::ids::PeerId;
 use std::collections::BTreeMap;
@@ -94,10 +96,63 @@ impl EvalMetrics {
         Self::default()
     }
 
-    /// Count one firing of paper definition `def` (1–9).
-    pub fn record_def(&mut self, def: u8) {
-        debug_assert!((1..=9).contains(&def), "definitions are numbered 1-9");
-        self.defs[def as usize] += 1;
+    /// Count one event: the one mapping from trace events to counters.
+    /// The engine records each counted occurrence through
+    /// [`crate::Obs::record`], which calls this, and [`crate::LiveStats`]
+    /// applies it to a decoded stream — so folding a complete trace lands
+    /// on the engine's numbers. Local messages and drops (`from == to`)
+    /// are free and ignored, matching [`NetStats`]; a definition number
+    /// outside 1–9 (a decoded stream can carry any byte) is ignored too,
+    /// and byte sums saturate rather than overflow.
+    /// `TaskScheduled`, `MessageDelivered` and `PlanChosen` count nothing.
+    /// Inlined, so that at an engine site, where the kind is known, only
+    /// its arm is left.
+    #[inline]
+    pub fn fold(&mut self, e: &TraceEvent) {
+        match e {
+            TraceEvent::Definition { def, .. } => {
+                if (1..=9).contains(def) {
+                    self.defs[*def as usize] += 1;
+                }
+            }
+            TraceEvent::Delegation { .. } => self.delegations += 1,
+            TraceEvent::MessageSent {
+                from,
+                to,
+                kind,
+                bytes,
+                ..
+            } if from != to => {
+                let k = self.by_kind.entry(*kind).or_default();
+                k.messages += 1;
+                k.bytes = k.bytes.saturating_add(*bytes);
+                let l = self.per_link.entry((*from, *to)).or_default();
+                l.messages += 1;
+                l.bytes = l.bytes.saturating_add(*bytes);
+            }
+            TraceEvent::RuleAttempted { rule, accepted, .. } => {
+                let r = self.rules.entry(rule.clone()).or_default();
+                r.attempted += 1;
+                r.accepted += *accepted as u64;
+            }
+            TraceEvent::ServiceCall { .. } => self.service_calls += 1,
+            TraceEvent::SubscriptionDelta {
+                fresh, suppressed, ..
+            } => {
+                self.delta_fresh += *fresh as u64;
+                self.delta_suppressed += *suppressed as u64;
+            }
+            TraceEvent::MessageDropped { from, to, .. } if from != to => {
+                *self.dropped.entry((*from, *to)).or_default() += 1;
+            }
+            TraceEvent::RetryScheduled { .. } => self.retries += 1,
+            TraceEvent::Failover { .. } => self.failovers += 1,
+            TraceEvent::MessageSent { .. }
+            | TraceEvent::MessageDropped { .. }
+            | TraceEvent::TaskScheduled { .. }
+            | TraceEvent::MessageDelivered { .. }
+            | TraceEvent::PlanChosen { .. } => {}
+        }
     }
 
     /// Evaluations counted for definition `def`.
@@ -115,15 +170,6 @@ impl EvalMetrics {
             .collect()
     }
 
-    /// Count one rule application attempt (and acceptance).
-    pub fn record_rule(&mut self, rule: impl Into<TraceStr>, accepted: bool) {
-        let e = self.rules.entry(rule.into()).or_default();
-        e.attempted += 1;
-        if accepted {
-            e.accepted += 1;
-        }
-    }
-
     /// Per-rule attempt/accept counters, in name order.
     pub fn rules(&self) -> impl Iterator<Item = (&str, RuleStats)> + '_ {
         self.rules.iter().map(|(k, &v)| (k.as_ref(), v))
@@ -132,30 +178,6 @@ impl EvalMetrics {
     /// Counters for one rule.
     pub fn rule(&self, name: &str) -> RuleStats {
         self.rules.get(name).copied().unwrap_or_default()
-    }
-
-    /// Count one cross-peer message of `bytes` charged bytes (local
-    /// deliveries, `from == to`, are free and ignored — matching
-    /// [`NetStats`]).
-    pub fn record_message(&mut self, from: PeerId, to: PeerId, kind: MessageKind, bytes: u64) {
-        if from == to {
-            return;
-        }
-        let k = self.by_kind.entry(kind).or_default();
-        k.messages += 1;
-        k.bytes += bytes;
-        let l = self.per_link.entry((from, to)).or_default();
-        l.messages += 1;
-        l.bytes += bytes;
-    }
-
-    /// Count one send attempt the network dropped (fault injection).
-    /// Local sends never fault and are ignored for symmetry with
-    /// [`EvalMetrics::record_message`].
-    pub fn record_drop(&mut self, from: PeerId, to: PeerId) {
-        if from != to {
-            *self.dropped.entry((from, to)).or_default() += 1;
-        }
     }
 
     /// Dropped-attempt counters per directed link, in id order.
@@ -339,13 +361,17 @@ impl EvalMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kind::DataTag;
+    use crate::trace::tests::{def, dropped, rule, sent};
 
     #[test]
     fn def_counters() {
         let mut m = EvalMetrics::new();
-        m.record_def(1);
-        m.record_def(5);
-        m.record_def(5);
+        m.fold(&def(1));
+        m.fold(&def(5));
+        m.fold(&def(5));
+        m.fold(&def(0));
+        m.fold(&def(10)); // out of range, as a decoded stream may carry
         assert_eq!(m.def_count(5), 2);
         assert_eq!(m.def_count(2), 0);
         assert_eq!(m.defs(), vec![(1, 1), (5, 2)]);
@@ -354,9 +380,9 @@ mod tests {
     #[test]
     fn rule_counters() {
         let mut m = EvalMetrics::new();
-        m.record_rule("R11-push-select", true);
-        m.record_rule("R11-push-select", false);
-        m.record_rule("R10-delegate", false);
+        m.fold(&rule("R11-push-select", true));
+        m.fold(&rule("R11-push-select", false));
+        m.fold(&rule("R10-delegate", false));
         assert_eq!(
             m.rule("R11-push-select"),
             RuleStats {
@@ -370,12 +396,11 @@ mod tests {
 
     #[test]
     fn message_counters_skip_local() {
-        use crate::kind::DataTag;
         let fetch = MessageKind::Data(DataTag::Fetch);
         let mut m = EvalMetrics::new();
-        m.record_message(PeerId(0), PeerId(1), fetch, 100);
-        m.record_message(PeerId(0), PeerId(1), fetch, 50);
-        m.record_message(PeerId(2), PeerId(2), fetch, 999);
+        m.fold(&sent(0, 1, fetch, 100));
+        m.fold(&sent(0, 1, fetch, 50));
+        m.fold(&sent(2, 2, fetch, 999));
         assert_eq!(m.total_messages(), 2);
         assert_eq!(m.total_bytes(), 150);
         let kinds: Vec<_> = m.messages_by_kind().collect();
@@ -387,12 +412,7 @@ mod tests {
     fn reconciliation_against_netstats() {
         let mut m = EvalMetrics::new();
         let mut s = NetStats::new();
-        m.record_message(
-            PeerId(0),
-            PeerId(1),
-            MessageKind::Data(crate::kind::DataTag::Send),
-            128,
-        );
+        m.fold(&sent(0, 1, MessageKind::Data(DataTag::Send), 128));
         s.record(PeerId(0), PeerId(1), 128, 1.0, 1.0);
         assert!(m.reconciles_with(&s));
         s.record(PeerId(1), PeerId(0), 64, 1.0, 2.0);
@@ -405,12 +425,12 @@ mod tests {
         let mut s = NetStats::new();
         s.record_drop(PeerId(0), PeerId(1));
         assert!(!m.reconciles_with(&s), "unobserved drop must not pass");
-        m.record_drop(PeerId(0), PeerId(1));
+        m.fold(&dropped(0, 1));
         assert!(m.reconciles_with(&s));
         assert_eq!(m.total_dropped(), 1);
-        m.record_drop(PeerId(2), PeerId(2)); // local: ignored
+        m.fold(&dropped(2, 2)); // local: ignored
         assert!(m.reconciles_with(&s));
-        m.record_drop(PeerId(0), PeerId(1));
+        m.fold(&dropped(0, 1));
         assert!(!m.reconciles_with(&s), "count mismatch must not pass");
     }
 
@@ -446,19 +466,18 @@ mod tests {
 
     #[test]
     fn merge_is_per_worker_sum() {
-        use crate::kind::DataTag;
         let send = MessageKind::Data(DataTag::Send);
         let mut a = EvalMetrics::new();
-        a.record_def(2);
-        a.record_rule("R10-delegate", true);
-        a.record_message(PeerId(0), PeerId(1), send, 100);
+        a.fold(&def(2));
+        a.fold(&rule("R10-delegate", true));
+        a.fold(&sent(0, 1, send, 100));
         a.explored = 2;
         let mut b = EvalMetrics::new();
-        b.record_def(2);
-        b.record_def(7);
-        b.record_rule("R10-delegate", false);
-        b.record_message(PeerId(0), PeerId(1), send, 50);
-        b.record_message(PeerId(1), PeerId(0), send, 10);
+        b.fold(&def(2));
+        b.fold(&def(7));
+        b.fold(&rule("R10-delegate", false));
+        b.fold(&sent(0, 1, send, 50));
+        b.fold(&sent(1, 0, send, 10));
         b.memo_hits = 3;
         b.explored = 1;
         let mut merged = a.clone();
@@ -491,14 +510,9 @@ mod tests {
     #[test]
     fn reset_and_json() {
         let mut m = EvalMetrics::new();
-        m.record_def(2);
-        m.record_message(
-            PeerId(0),
-            PeerId(1),
-            MessageKind::Data(crate::kind::DataTag::Send),
-            10,
-        );
-        m.record_rule("R12-add-stop", false);
+        m.fold(&def(2));
+        m.fold(&sent(0, 1, MessageKind::Data(DataTag::Send), 10));
+        m.fold(&rule("R12-add-stop", false));
         let json = m.to_json();
         assert!(
             json.contains("\"definitions\":[{\"def\":2,\"count\":1}]"),

@@ -290,20 +290,17 @@ impl std::fmt::Display for RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::tests::{def, dropped, rule, sent};
     use axml_xml::ids::PeerId;
 
     fn sample() -> RunReport {
         let mut m = EvalMetrics::new();
         let mut s = NetStats::new();
-        m.record_def(1);
-        m.record_def(5);
-        m.record_rule("R11-push-select", true);
-        m.record_message(
-            PeerId(0),
-            PeerId(1),
-            crate::kind::MessageKind::Data(crate::kind::DataTag::Fetch),
-            120,
-        );
+        let fetch = crate::kind::MessageKind::Data(crate::kind::DataTag::Fetch);
+        for e in [def(1), def(5), rule("R11-push-select", true)] {
+            m.fold(&e);
+        }
+        m.fold(&sent(0, 1, fetch, 120));
         s.record(PeerId(0), PeerId(1), 120, 3.0, 3.0);
         RunReport::new("sample", &m, &s)
     }
@@ -362,7 +359,7 @@ mod tests {
         let mut m = EvalMetrics::new();
         let mut s = NetStats::new();
         s.record_drop(PeerId(0), PeerId(1));
-        m.record_drop(PeerId(0), PeerId(1));
+        m.fold(&dropped(0, 1));
         m.retries = 2;
         m.failovers = 1;
         let r = RunReport::new("faulty", &m, &s);

@@ -803,6 +803,48 @@ pub(crate) mod tests {
         ]
     }
 
+    /// A `Definition` event firing paper definition `def`.
+    pub(crate) fn def(def: u8) -> TraceEvent {
+        TraceEvent::Definition {
+            def,
+            peer: PeerId(0),
+            expr: "tree".into(),
+            at_ms: 0.0,
+        }
+    }
+
+    /// One attempt of `rule` by the optimizer.
+    pub(crate) fn rule(rule: &'static str, accepted: bool) -> TraceEvent {
+        TraceEvent::RuleAttempted {
+            rule: rule.into(),
+            accepted,
+            cost: 0.0,
+        }
+    }
+
+    /// A message of `bytes` charged bytes from `from` to `to`.
+    pub(crate) fn sent(from: u32, to: u32, kind: MessageKind, bytes: u64) -> TraceEvent {
+        TraceEvent::MessageSent {
+            from: PeerId(from),
+            to: PeerId(to),
+            kind,
+            bytes,
+            sent_ms: 0.0,
+            at_ms: 1.0,
+        }
+    }
+
+    /// A send attempt from `from` to `to` lost to fault injection.
+    pub(crate) fn dropped(from: u32, to: u32) -> TraceEvent {
+        TraceEvent::MessageDropped {
+            from: PeerId(from),
+            to: PeerId(to),
+            kind: MessageKind::Request,
+            bytes: 8,
+            at_ms: 0.0,
+        }
+    }
+
     #[test]
     fn display_renders_every_kind() {
         for e in &one_of_each() {

@@ -8,7 +8,8 @@
 //! checks the same (large) sample deterministically.
 
 use axml_obs::{
-    BinSink, FollowReader, FollowStep, ReadError, SharedBuf, TraceEvent, TraceReader, TraceSink,
+    BinSink, FollowReader, FollowStep, LiveStats, Obs, ReadError, SharedBuf, TraceEvent,
+    TraceReader, TraceSink,
 };
 use axml_prng::SplitMix64;
 use axml_xml::ids::PeerId;
@@ -63,9 +64,10 @@ fn arb_kind(rng: &mut SplitMix64) -> axml_obs::MessageKind {
 }
 
 fn arb_event(rng: &mut SplitMix64) -> TraceEvent {
-    match rng.gen_range(0u32..9) {
+    match rng.gen_range(0u32..12) {
+        // 0 and 10–12 are out of range: a decoded stream may carry them
         0 => TraceEvent::Definition {
-            def: rng.gen_range(1u32..=9) as u8,
+            def: rng.gen_range(0u32..=12) as u8,
             peer: arb_peer(rng),
             expr: arb_name(rng),
             at_ms: arb_time(rng),
@@ -116,11 +118,32 @@ fn arb_event(rng: &mut SplitMix64) -> TraceEvent {
             call_id: arb_bytes(rng),
             at_ms: arb_time(rng),
         },
-        _ => TraceEvent::SubscriptionDelta {
+        8 => TraceEvent::SubscriptionDelta {
             subscription: arb_bytes(rng),
             provider: arb_peer(rng),
             fresh: rng.gen_range(0usize..1000),
             suppressed: rng.gen_range(0usize..1000),
+            at_ms: arb_time(rng),
+        },
+        9 => TraceEvent::MessageDropped {
+            from: arb_peer(rng),
+            to: arb_peer(rng),
+            kind: arb_kind(rng),
+            bytes: arb_bytes(rng),
+            at_ms: arb_time(rng),
+        },
+        10 => TraceEvent::RetryScheduled {
+            from: arb_peer(rng),
+            to: arb_peer(rng),
+            kind: arb_kind(rng),
+            attempt: rng.gen_range(0u32..100),
+            backoff_ms: arb_time(rng),
+            at_ms: arb_time(rng),
+        },
+        _ => TraceEvent::Failover {
+            peer: arb_peer(rng),
+            class: arb_name(rng).into_owned(),
+            dead: arb_peer(rng),
             at_ms: arb_time(rng),
         },
     }
@@ -158,11 +181,29 @@ fn assert_bit_exact(a: &[TraceEvent], b: &[TraceEvent]) {
 #[test]
 fn prop_bin_round_trip() {
     let mut rng = SplitMix64::new(0xB1A5_0001);
-    for case in 0..200 {
+    for _ in 0..200 {
         let events = arb_stream(&mut rng, 50);
-        let decoded = decode(&encode_bin(&events));
+        // recorded as the engine records them: counted, then encoded
+        let buf = SharedBuf::new();
+        let mut obs = Obs::new();
+        obs.set_sink(Box::new(BinSink::new(buf.clone())));
+        for e in &events {
+            obs.record(e.clone());
+        }
+        obs.clear_sink().unwrap();
+        let decoded = decode(&buf.bytes());
         assert_bit_exact(&events, &decoded);
-        let _ = case;
+        // one mapping from events to counters: the decoded stream's fold
+        // counts what recording counted
+        let mut live = LiveStats::new();
+        for e in &decoded {
+            live.fold(e);
+        }
+        assert_eq!(live.metrics().to_json(), obs.metrics.to_json());
+        assert!(live
+            .metrics()
+            .dropped_links()
+            .eq(obs.metrics.dropped_links()));
     }
 }
 

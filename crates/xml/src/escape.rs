@@ -48,26 +48,12 @@ pub fn write_attr<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
     write_escaped(out, s, true)
 }
 
-/// Escape text content: `&`, `<`, `>` are replaced by entities.
-pub fn escape_text(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    write_text(&mut out, s).expect("writing to a String cannot fail");
-    out
-}
-
-/// Escape an attribute value (double-quoted): also escapes `"`.
-pub fn escape_attr(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    write_attr(&mut out, s).expect("writing to a String cannot fail");
-    out
-}
-
-/// Number of bytes `escape_text(s)` would produce, without allocating.
+/// Number of bytes [`write_text`] writes for `s`, without allocating.
 pub fn escaped_text_len(s: &str) -> usize {
     escaped_len(s, false)
 }
 
-/// Number of bytes `escape_attr(s)` would produce, without allocating.
+/// Number of bytes [`write_attr`] writes for `s`, without allocating.
 pub fn escaped_attr_len(s: &str) -> usize {
     escaped_len(s, true)
 }
@@ -98,6 +84,21 @@ pub fn resolve_entity(name: &str) -> Option<char> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Escape text content into a fresh string: the allocating
+    /// reference the length functions are checked against.
+    fn escape_text(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        write_text(&mut out, s).expect("writing to a String cannot fail");
+        out
+    }
+
+    /// Escape an attribute value into a fresh string (see `escape_text`).
+    fn escape_attr(s: &str) -> String {
+        let mut out = String::with_capacity(s.len());
+        write_attr(&mut out, s).expect("writing to a String cannot fail");
+        out
+    }
 
     #[test]
     fn escapes_text() {

@@ -173,11 +173,6 @@ impl DocStore {
         self.docs.keys()
     }
 
-    /// Total wire size of all documents (storage accounting).
-    pub fn total_size(&self) -> usize {
-        self.docs.values().map(|d| d.tree().serialized_size()).sum()
-    }
-
     /// Resolve a node inside a document: convenience for forward lists.
     pub fn node(&self, name: &DocName, node: NodeId) -> XmlResult<&Tree> {
         let doc = self.require(name)?;
@@ -256,15 +251,13 @@ mod tests {
     }
 
     #[test]
-    fn sizes_and_removal() {
+    fn removal() {
         let mut s = DocStore::new();
         s.insert(doc("d", "<a><b>xy</b></a>")).unwrap();
-        assert_eq!(s.total_size(), "<a><b>xy</b></a>".len());
         assert!(!s.is_empty());
         let d = s.remove(&"d".into()).unwrap();
         assert_eq!(d.into_tree().serialize(), "<a><b>xy</b></a>");
         assert!(s.is_empty());
-        assert_eq!(s.total_size(), 0);
     }
 
     #[test]

@@ -6,14 +6,14 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - twenty grep gates, one per "one of each" claim (wire-format
+#   - twenty-one grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
 #     Σ is left as found, a member walks no tree, one collapse path, one
 #     scheduler and one driver, the runtime spawns no thread, one query
-#     printer, one composition, library crates print nothing) — each
-#     explained where it runs;
+#     printer, one composition, one count per event, library crates
+#     print nothing) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -519,6 +519,22 @@ if grep -rn 'Query::compose' crates tests examples src --include='*.rs'; then
     echo "tier-1: Query::compose is gone; build an Apply over an Apply" >&2
     exit 1
 fi
+
+echo "== tier-1: one count per event (a counted occurrence is recorded once, through Obs::record) =="
+# A counter that has a trace event is the fold of that event: the engine
+# records the occurrence (Obs::record, which folds it with
+# EvalMetrics::fold before any sink sees it), and LiveStats applies the
+# same fold to a decoded stream. Outside comments and `#[cfg(test)]`
+# modules, under crates/*/src but not crates/obs/src, a metrics.record_
+# call, an update of a counter an event carries, or a lazy emit of a
+# counted kind is a second derivation of the metrics coming back.
+counted='Definition|Delegation|MessageSent|RuleAttempted|ServiceCall|SubscriptionDelta|MessageDropped|RetryScheduled|Failover'
+for f in $(find crates/*/src -name '*.rs' ! -path 'crates/obs/src/*'); do
+    if code "$f" | grep -nE "metrics\.record_|metrics\.(delegations|service_calls|delta_fresh|delta_suppressed|retries|failovers) *[-+*]?=[^=]|emit\((move )?\|\| *TraceEvent::($counted)\b"; then
+        echo "tier-1: $f counts an event beside its emission; record it with Obs::record" >&2
+        exit 1
+    fi
+done
 
 echo "== tier-1: library crates print nothing (no print!/eprint!/dbg! in the runtime) =="
 # A library reports through its return values and the trace, never on
