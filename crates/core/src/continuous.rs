@@ -517,7 +517,7 @@ impl AxmlSystem {
             self.obs.record(TraceEvent::ServiceCall {
                 caller: at,
                 provider,
-                service: service.as_str().to_string(),
+                service: service.shared(),
                 call_id: id,
                 at_ms: now,
             });

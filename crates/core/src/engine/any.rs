@@ -77,7 +77,7 @@ impl AxmlSystem {
                     let now = self.net.now_ms();
                     self.obs.record(TraceEvent::Failover {
                         peer: at,
-                        class: class.to_string(),
+                        class: class.shared(),
                         dead: member,
                         at_ms: now,
                     });

@@ -592,7 +592,7 @@ impl AxmlSystem {
         self.obs.record(TraceEvent::ServiceCall {
             caller,
             provider: prov,
-            service: call.service.as_str().to_string(),
+            service: call.service.shared(),
             call_id,
             at_ms: now,
         });

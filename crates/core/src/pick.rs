@@ -43,12 +43,17 @@ pub(crate) type Members<N> = BTreeMap<N, Vec<(PeerId, N)>>;
 pub(crate) trait ClassName: Ord + Clone + std::fmt::Display {
     /// The paper's name of the pick function for this kind.
     const PICK: &'static str;
+    /// The class name's shared string.
+    fn shared(&self) -> Arc<str>;
     /// This kind's member table and cursors.
     fn table(catalog: &mut Catalog) -> (&Members<Self>, &mut BTreeMap<Self, usize>);
 }
 
 impl ClassName for DocName {
     const PICK: &'static str = "pickDoc";
+    fn shared(&self) -> Arc<str> {
+        DocName::shared(self)
+    }
     fn table(catalog: &mut Catalog) -> (&Members<Self>, &mut BTreeMap<Self, usize>) {
         (&catalog.docs, &mut catalog.rr_state)
     }
@@ -56,6 +61,9 @@ impl ClassName for DocName {
 
 impl ClassName for ServiceName {
     const PICK: &'static str = "pickService";
+    fn shared(&self) -> Arc<str> {
+        ServiceName::shared(self)
+    }
     fn table(catalog: &mut Catalog) -> (&Members<Self>, &mut BTreeMap<Self, usize>) {
         (&catalog.services, &mut catalog.rr_state_svc)
     }

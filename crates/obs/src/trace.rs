@@ -33,6 +33,7 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A name-like trace field: `&'static str` at emission time (the engine
 /// only ever emits static names — zero allocation on the hot path), an
@@ -135,8 +136,9 @@ pub enum TraceEvent {
         caller: PeerId,
         /// The resolved provider.
         provider: PeerId,
-        /// The resolved (concrete) service name.
-        service: String,
+        /// The resolved (concrete) service name, shared with the name the
+        /// engine holds: recording a call copies no string.
+        service: Arc<str>,
         /// Correlation id.
         call_id: u64,
         /// Simulated time at activation.
@@ -194,8 +196,9 @@ pub enum TraceEvent {
     Failover {
         /// The peer resolving the generic reference.
         peer: PeerId,
-        /// The equivalence-class name being resolved.
-        class: String,
+        /// The equivalence-class name being resolved, shared like
+        /// [`TraceEvent::ServiceCall`]'s `service`.
+        class: Arc<str>,
         /// The replica peer that was given up on.
         dead: PeerId,
         /// Simulated time of the failover decision.
@@ -459,7 +462,7 @@ impl TraceEvent {
             8 => TraceEvent::ServiceCall {
                 caller: peer(c)?,
                 provider: peer(c)?,
-                service: text(c)?.into_owned(),
+                service: text(c)?.into(),
                 call_id: c.u64()?,
                 at_ms: c.f64()?,
             },
@@ -487,7 +490,7 @@ impl TraceEvent {
             },
             12 => TraceEvent::Failover {
                 peer: peer(c)?,
-                class: text(c)?.into_owned(),
+                class: text(c)?.into(),
                 dead: peer(c)?,
                 at_ms: c.f64()?,
             },

@@ -68,7 +68,7 @@ fn sample_events(n: usize, seed: u64) -> Vec<TraceEvent> {
             _ => TraceEvent::ServiceCall {
                 caller: PeerId(2),
                 provider: PeerId(3),
-                service: "scan \"quoted\" 中".to_string(),
+                service: "scan \"quoted\" 中".into(),
                 call_id: rng.gen_range(0u64..1000),
                 at_ms: i as f64,
             },

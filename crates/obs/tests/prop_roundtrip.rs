@@ -114,7 +114,7 @@ fn arb_event(rng: &mut SplitMix64) -> TraceEvent {
         7 => TraceEvent::ServiceCall {
             caller: arb_peer(rng),
             provider: arb_peer(rng),
-            service: arb_name(rng).into_owned(),
+            service: arb_name(rng).into(),
             call_id: arb_bytes(rng),
             at_ms: arb_time(rng),
         },
@@ -142,7 +142,7 @@ fn arb_event(rng: &mut SplitMix64) -> TraceEvent {
         },
         _ => TraceEvent::Failover {
             peer: arb_peer(rng),
-            class: arb_name(rng).into_owned(),
+            class: arb_name(rng).into(),
             dead: arb_peer(rng),
             at_ms: arb_time(rng),
         },

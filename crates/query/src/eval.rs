@@ -76,6 +76,7 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// A forest: the trees accumulated so far on one input stream.
 pub type Forest = Vec<Tree>;
@@ -200,7 +201,7 @@ fn string_value(tree: &Tree, mut node: NodeId) -> Cow<'_, str> {
 
 fn attr(tree: &Tree, node: NodeId, name: Label) -> Option<&str> {
     let found = tree.attrs(node).iter().find(|(n, _)| *n == name);
-    found.map(|(_, v)| v.as_str())
+    found.map(|(_, v)| &**v)
 }
 
 /// Does `node` pass a node test? (Atom tests select no node.)
@@ -945,19 +946,23 @@ impl<'p, 'a> Eval<'p, 'a> {
             return Err(QueryError::Internal("fill_element on non-element".into()));
         };
         let internal = |e: axml_xml::XmlError| QueryError::Internal(e.to_string());
+        // Each string is made once, from a borrow; a spliced node's
+        // children are grafted, which shares their strings.
         for (name, v) in attrs {
-            let value = match v {
-                AttrTplPlan::Literal(s) => s.clone(),
+            let value: Arc<str> = match v {
+                AttrTplPlan::Literal(s) => s.as_str().into(),
                 AttrTplPlan::Splice(p) => {
-                    // The atoms, space-joined.
-                    let (mut joined, mut sep) = (String::new(), "");
+                    // The atoms, space-joined: borrowed while there is one.
+                    let mut joined: Option<Cow<'a, str>> = None;
                     self.walk(p, scope, &mut |it| {
-                        joined.push_str(sep);
-                        joined.push_str(&it.into_atom());
-                        sep = " ";
+                        let atom = it.into_atom();
+                        joined = Some(match joined.take() {
+                            None => atom,
+                            Some(j) => Cow::Owned(j.into_owned() + " " + &atom),
+                        });
                         Ok(true)
                     })?;
-                    joined
+                    joined.as_deref().unwrap_or("").into()
                 }
             };
             t.set_attr(at, *name, value).map_err(internal)?;
@@ -965,7 +970,7 @@ impl<'p, 'a> Eval<'p, 'a> {
         for c in children {
             match c {
                 TemplatePlan::Text(s) => {
-                    t.add_text(at, s.clone());
+                    t.add_text(at, s.as_str());
                 }
                 TemplatePlan::Element { label, .. } => {
                     let el = t.add_element(at, *label);
@@ -978,7 +983,7 @@ impl<'p, 'a> Eval<'p, 'a> {
                                 t.graft(at, tree, node).map_err(internal)?;
                             }
                             Item::Atom(s) => {
-                                t.add_text(at, s);
+                                t.add_text(at, &*s);
                             }
                         }
                         Ok(true)

@@ -82,6 +82,7 @@ use axml_xml::ids::DocName;
 use axml_xml::tree::{NodeId, Tree};
 use axml_xml::Label;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Index of a structural state (0 = the document root).
 type StateId = usize;
@@ -110,10 +111,11 @@ struct AcceptEntry {
 }
 
 /// Accept entries at one state, with the `@a = "v"` fast path hoisted
-/// into a value-keyed map.
+/// into a map by attribute, then by value. A value is a shared string, so
+/// the probe looks a delta's values up by borrow.
 #[derive(Debug, Default)]
 struct Accepts {
-    eq_attr: HashMap<(Label, String), Vec<AcceptEntry>>,
+    eq_attr: HashMap<Label, HashMap<Arc<str>, Vec<AcceptEntry>>>,
     scan: Vec<AcceptEntry>,
 }
 
@@ -204,9 +206,12 @@ impl MatchIndex {
         if was {
             for st in &mut self.states {
                 st.accepts.scan.retain(|e| e.sub != id);
-                st.accepts.eq_attr.retain(|_, v| {
-                    v.retain(|e| e.sub != id);
-                    !v.is_empty()
+                st.accepts.eq_attr.retain(|_, by_value| {
+                    by_value.retain(|_, v| {
+                        v.retain(|e| e.sub != id);
+                        !v.is_empty()
+                    });
+                    !by_value.is_empty()
                 });
             }
         }
@@ -332,13 +337,13 @@ impl MatchIndex {
     fn push_accept(&mut self, state: StateId, mut e: AcceptEntry, added: &mut usize) {
         *added += 1;
         if matches!(e.kind, AcceptKind::Node) {
-            if let Some(key) = split_eq_attr(&mut e.residual) {
-                self.states[state]
-                    .accepts
-                    .eq_attr
-                    .entry(key)
-                    .or_default()
-                    .push(e);
+            if let Some((a, v)) = split_eq_attr(&mut e.residual) {
+                let by_value = self.states[state].accepts.eq_attr.entry(a).or_default();
+                if let Some(entries) = by_value.get_mut(v.as_str()) {
+                    entries.push(e);
+                } else {
+                    by_value.insert(v.as_str().into(), vec![e]);
+                }
                 return;
             }
         }
@@ -440,7 +445,8 @@ impl MatchIndex {
         let acc = &self.states[s].accepts;
         if !acc.eq_attr.is_empty() {
             for (a, v) in t.attrs(node) {
-                if let Some(entries) = acc.eq_attr.get(&(*a, v.clone())) {
+                let by_value = acc.eq_attr.get(a);
+                if let Some(entries) = by_value.and_then(|m| m.get(&**v)) {
                     for e in entries {
                         self.try_entry(e, t, node, hits);
                     }

@@ -197,3 +197,73 @@ fn a_repeated_closed_scan_reads_the_arena() {
     // 110 and 121 when this was written, ~10 per answer tree built.
     assert!(small < first_small && small < 120, "{small} allocations");
 }
+
+/// The allocations of a second evaluation of `for $p in $0//pkg where
+/// $p/size/text() > 100000 return <template>` over one catalog of
+/// 1 000 packages with ten big ones: the scan is kept, so what remains
+/// is the answers.
+fn selected_again(template: &str) -> u64 {
+    let src = format!("for $p in $0//pkg where $p/size/text() > 100000 return {template}");
+    let q = Query::parse("select-big", &src).unwrap();
+    let inputs = [ten_big(1_000)];
+    q.eval_batch(&inputs).unwrap();
+    let (n, answers) = allocations(|| q.eval_batch(&inputs).unwrap());
+    assert_eq!(answers.len(), 10);
+    n
+}
+
+#[test]
+fn a_template_answer_costs_its_handle_slots_and_new_strings() {
+    // `query_ship`'s `select-big` template against answering with views
+    // of the packages, which build nothing: the difference is what ten
+    // constructed answers cost. One answer is its arena's handle, its
+    // slots (room for 4 at once, so the 3 nodes never regrow it), the
+    // name's one string and the list holding it. The grafted `size`
+    // keeps its children inline and shares its text, so it costs no
+    // block of its own (it cost 4 of 8 when child lists and strings
+    // were heap blocks of their own).
+    let built = selected_again(r#"<big name="{$p/@name}">{$p/size}</big>"#);
+    let views = selected_again("{$p}");
+    assert!(
+        built - views <= 4 * 10,
+        "{} allocations per answer",
+        (built - views) as f64 / 10.0
+    );
+}
+
+#[test]
+fn a_probe_allocates_nothing_per_attribute() {
+    // 8 000 subscriptions like `sub_churn`'s, filtering on one of 8
+    // attributes for one of 1 000 values: the index keys them by
+    // attribute, then by value.
+    let mut index = axml_query::MatchIndex::new("board".into());
+    for id in 0..8_000u64 {
+        let src = format!(
+            r#"for $i in doc("board")/item where $i/@a{} = "v{}" return {{$i}}"#,
+            id % 8,
+            id % 1_000
+        );
+        index.register(id, &Query::parse("watch", &src).unwrap());
+    }
+    // One-item deltas that hit nobody, with 1 indexed attribute or 8:
+    // looking a value up borrows it, so the probe's cost does not depend
+    // on how many attributes the item carries.
+    let probe = |attrs: usize| {
+        let mut xml = String::from("<item");
+        for a in 0..attrs {
+            let _ = write!(xml, r#" a{a}="nobody's value {a}""#);
+        }
+        xml.push_str(">text</item>");
+        let delta = Tree::parse(&xml).unwrap();
+        let (n, hits) = allocations(|| index.probe(&delta));
+        assert!(hits.is_empty());
+        n
+    };
+    let (one, eight) = (probe(1), probe(8));
+    assert_eq!(one, eight, "1 attribute: {one} allocations, 8: {eight}");
+    // An item that some subscriptions watch is found by the same lookup.
+    let delta = Tree::parse(r#"<item a0="nobody" a3="v3" a7="v7"/>"#).unwrap();
+    let hits = index.probe(&delta);
+    assert_eq!(hits.len(), 16);
+    assert!(hits.iter().all(|id| [3, 7].contains(&(id % 1_000))));
+}

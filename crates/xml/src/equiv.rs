@@ -59,7 +59,7 @@
 //!   `std` hasher promises neither). It only names: nothing is looked up
 //!   or filtered by it.
 
-use crate::stack::Stack;
+use crate::small::Small;
 use crate::tree::{NodeId, NodeKind, Tree};
 use std::collections::hash_map::{HashMap, RandomState};
 use std::hash::{BuildHasher, Hasher};
@@ -171,8 +171,8 @@ fn digest(key: Key, tree: &Tree, node: NodeId) -> u128 {
     }
     // The open elements, each with the index of its next child, and the
     // digests of the children they have finished so far.
-    let mut open: Stack<(NodeId, usize), 16> = Stack::new((node, 0));
-    let mut digests: Stack<u128, 32> = Stack::new(0);
+    let mut open: Small<(NodeId, usize), 16> = Small::new((node, 0));
+    let mut digests: Small<u128, 32> = Small::new(0);
     open.push((node, 0));
     loop {
         let (element, next) = open.items().last_mut().expect("the walk's root is open");

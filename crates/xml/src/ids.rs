@@ -59,6 +59,11 @@ macro_rules! name_newtype {
                 &self.0
             }
 
+            /// The name's shared string: a count bump, no copy.
+            pub fn shared(&self) -> Arc<str> {
+                Arc::clone(&self.0)
+            }
+
             /// Byte length of the name (wire-size accounting).
             pub fn len(&self) -> usize {
                 self.0.len()

@@ -49,7 +49,7 @@ pub mod escape;
 pub mod ids;
 pub mod parse;
 pub mod serialize;
-mod stack;
+mod small;
 pub mod stats;
 pub mod store;
 pub mod symbol;

@@ -15,6 +15,7 @@
 use crate::error::{XmlError, XmlResult};
 use crate::escape::resolve_entity;
 use crate::tree::{NodeId, Tree};
+use std::borrow::Cow;
 
 impl Tree {
     /// Parse an XML string into a tree.
@@ -172,13 +173,13 @@ impl<'a> Parser<'a> {
             return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
         }
         self.expect(b'<')?;
-        let name = self.parse_name()?.to_owned();
+        let name = self.parse_name()?;
         let el = match (tree.as_mut(), parent) {
             (None, _) => {
-                *tree = Some(Tree::new(name.as_str()));
+                *tree = Some(Tree::new(name));
                 tree.as_ref().expect("just set").root()
             }
-            (Some(t), Some(p)) => t.add_element(p, name.as_str()),
+            (Some(t), Some(p)) => t.add_element(p, name),
             (Some(_), None) => unreachable!("non-root parse always has a parent"),
         };
         // attributes
@@ -191,17 +192,16 @@ impl<'a> Parser<'a> {
                     if before == self.pos {
                         return Err(self.err("expected whitespace before attribute"));
                     }
-                    let aname = self.parse_name()?.to_owned();
+                    let aname = self.parse_name()?;
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
                     let t = tree.as_mut().expect("tree exists");
-                    if t.attr(el, &aname).is_some() {
+                    if t.attr(el, aname).is_some() {
                         return Err(self.err(format!("duplicate attribute `{aname}`")));
                     }
-                    t.set_attr(el, aname.as_str(), value)
-                        .expect("el is an element");
+                    t.set_attr(el, aname, value).expect("el is an element");
                 }
                 Some(c) => return Err(self.err(format!("unexpected `{}` in tag", c as char))),
                 None => return Err(self.err("unexpected end of input in tag")),
@@ -248,7 +248,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_attr_value(&mut self) -> XmlResult<String> {
+    fn parse_attr_value(&mut self) -> XmlResult<Cow<'a, str>> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => {
                 self.bump();
@@ -256,48 +256,47 @@ impl<'a> Parser<'a> {
             }
             _ => return Err(self.err("expected quoted attribute value")),
         };
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                Some(q) if q == quote => {
-                    self.bump();
-                    return Ok(out);
-                }
-                Some(b'&') => out.push(self.parse_entity()?),
-                Some(b'<') => return Err(self.err("`<` is not allowed in attribute values")),
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == quote || b == b'&' || b == b'<' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                    out.push_str(&self.input[start..self.pos]);
-                }
-                None => return Err(self.err("unterminated attribute value")),
+        let value = self.chars(|b| b == quote || b == b'<')?;
+        match self.peek() {
+            Some(b'<') => Err(self.err("`<` is not allowed in attribute values")),
+            Some(_) => {
+                self.bump();
+                Ok(value)
             }
+            None => Err(self.err("unterminated attribute value")),
         }
     }
 
-    fn parse_text(&mut self) -> XmlResult<String> {
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None | Some(b'<') => return Ok(out),
-                Some(b'&') => out.push(self.parse_entity()?),
-                Some(_) => {
-                    let start = self.pos;
-                    while let Some(b) = self.peek() {
-                        if b == b'<' || b == b'&' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                    out.push_str(&self.input[start..self.pos]);
-                }
+    fn parse_text(&mut self) -> XmlResult<Cow<'a, str>> {
+        self.chars(|b| b == b'<')
+    }
+
+    /// Character data up to the first byte `end` accepts (or the end of
+    /// the input), with its references resolved: a slice of the input
+    /// when it holds none, else decoded into a string sized for the raw
+    /// text (a reference is never shorter than what it stands for). So
+    /// the tree makes the common string once, from a borrow.
+    fn chars(&mut self, end: impl Fn(u8) -> bool) -> XmlResult<Cow<'a, str>> {
+        let start = self.pos;
+        let run = |p: &mut Self| {
+            while p.peek().is_some_and(|b| !end(b) && b != b'&') {
+                p.bump();
             }
+        };
+        run(self);
+        if self.peek() != Some(b'&') {
+            return Ok(Cow::Borrowed(&self.input[start..self.pos]));
         }
+        let raw = self.input[start..].bytes().take_while(|&b| !end(b)).count();
+        let mut out = String::with_capacity(raw);
+        out.push_str(&self.input[start..self.pos]);
+        while self.peek() == Some(b'&') {
+            out.push(self.parse_entity()?);
+            let from = self.pos;
+            run(self);
+            out.push_str(&self.input[from..self.pos]);
+        }
+        Ok(Cow::Owned(out))
     }
 
     fn parse_entity(&mut self) -> XmlResult<char> {
@@ -319,12 +318,12 @@ impl<'a> Parser<'a> {
         Err(self.err("unterminated entity reference"))
     }
 
-    fn parse_cdata(&mut self) -> XmlResult<String> {
+    fn parse_cdata(&mut self) -> XmlResult<&'a str> {
         debug_assert!(self.starts_with("<![CDATA["));
         self.bump_n("<![CDATA[".len());
         match self.input[self.pos..].find("]]>") {
             Some(off) => {
-                let text = self.input[self.pos..self.pos + off].to_owned();
+                let text = &self.input[self.pos..self.pos + off];
                 self.bump_n(off + 3);
                 Ok(text)
             }

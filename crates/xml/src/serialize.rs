@@ -32,13 +32,14 @@
 //! while it is at most 16 elements deep).
 
 use crate::escape::{escaped_attr_len, escaped_text_len, write_attr, write_text};
-use crate::stack::Stack;
+use crate::small::Small;
 use crate::symbol::Label;
 use crate::tree::{NodeId, NodeKind, Tree};
 use std::fmt;
+use std::sync::Arc;
 
 /// Bytes the attributes take in a start tag.
-fn attrs_len(attrs: &[(Label, String)]) -> usize {
+fn attrs_len(attrs: &[(Label, Arc<str>)]) -> usize {
     attrs
         .iter()
         // space + name + ="..."
@@ -120,7 +121,7 @@ impl Tree {
     fn sizes_below(&self, id: NodeId, visit: &mut impl FnMut(NodeId, usize)) -> usize {
         // The open elements, each with the children still to measure and
         // its size so far: both tags, plus the children measured.
-        let mut open: Stack<(NodeId, &[NodeId], usize), 16> = Stack::new((id, &[], 0));
+        let mut open: Small<(NodeId, &[NodeId], usize), 16> = Small::new((id, &[], 0));
         let mut node = id;
         loop {
             // Open elements down to a leaf, and measure it.
@@ -172,7 +173,7 @@ impl Tree {
     pub fn write_compact<W: fmt::Write>(&self, id: NodeId, out: &mut W) -> fmt::Result {
         // The open elements, each with its label and the children still
         // to write.
-        let mut open: Stack<(&str, &[NodeId]), 16> = Stack::new(("", &[]));
+        let mut open: Small<(&str, &[NodeId]), 16> = Small::new(("", &[]));
         let mut node = id;
         loop {
             match &self.node(node).kind {
@@ -223,7 +224,7 @@ impl Tree {
         let pad = |out: &mut String, depth: usize| (0..depth).for_each(|_| out.push_str("  "));
         // The open elements — one indentation step each — with their
         // labels and the children still to write.
-        let mut open: Stack<(&str, &[NodeId]), 16> = Stack::new(("", &[]));
+        let mut open: Small<(&str, &[NodeId]), 16> = Small::new(("", &[]));
         let mut node = id;
         loop {
             pad(out, open.items().len());

@@ -17,12 +17,22 @@
 //! subtrees by handle; the only deep copies left are explicit
 //! ([`Tree::graft`]) or forced by mutating a shared arena. All copies and shares are accounted in [`crate::stats`].
 //!
+//! ## Allocation-lean nodes
+//!
+//! A [`Node`] is one 64-byte slot. Its child list holds up to 3 ids
+//! inline and moves to the heap only beyond that, and its text and
+//! attribute values are `Arc<str>`. So even a deep copy — a graft, or the
+//! copy-on-write copy of an arena — copies slots and bumps string counts;
+//! a node of 3 children or fewer and its strings cost no heap block of
+//! their own. [`Tree::new`] makes room for 4 nodes, so a small answer
+//! never regrows its arena.
+//!
 //! Sibling *storage* order is preserved (it makes serialization
 //! deterministic and debugging sane) but carries no semantics: equivalence
 //! ([`crate::equiv`]) and query evaluation treat children as a multiset.
 
 use crate::error::{XmlError, XmlResult};
-use crate::stack::Stack;
+use crate::small::Small;
 use crate::symbol::Label;
 use std::any::Any;
 use std::fmt;
@@ -72,22 +82,38 @@ pub enum NodeKind {
     Element {
         /// The element label from `L`.
         label: Label,
-        /// Attributes in insertion order. Names are unique.
-        attrs: Vec<(Label, String)>,
+        /// Attributes in insertion order. Names are unique. A value is
+        /// shared, so copying it bumps a count.
+        attrs: Vec<(Label, Arc<str>)>,
     },
-    /// A text leaf.
-    Text(String),
+    /// A text leaf, shared like an attribute value.
+    Text(Arc<str>),
 }
+
+/// Ids a node keeps inline: as many as fit in a `Vec`'s footprint.
+const INLINE_CHILDREN: usize = 3;
 
 /// One node of the arena.
 #[derive(Debug, Clone)]
 pub struct Node {
     pub(crate) kind: NodeKind,
     pub(crate) parent: Option<NodeId>,
-    pub(crate) children: Vec<NodeId>,
+    pub(crate) children: Small<NodeId, INLINE_CHILDREN>,
 }
 
+// An arena slot is one cache line; a wider child list or kind breaks it.
+const _: () = assert!(std::mem::size_of::<Node>() == 64);
+
 impl Node {
+    /// A node with no children yet.
+    fn new(kind: NodeKind, parent: Option<NodeId>) -> Self {
+        Node {
+            kind,
+            parent,
+            children: Small::new(NodeId(0)),
+        }
+    }
+
     /// The node's kind.
     pub fn kind(&self) -> &NodeKind {
         &self.kind
@@ -102,7 +128,7 @@ impl Node {
 
     /// The node's children, in storage order.
     pub fn children(&self) -> &[NodeId] {
-        &self.children
+        self.children.as_slice()
     }
 
     /// The element label, if this is an element.
@@ -130,8 +156,7 @@ impl Node {
 /// Approximate heap footprint of one node (arena slot + label/attr/text
 /// payloads + child-index vector) — the unit of the copy/share counters.
 pub(crate) fn node_heap_bytes(n: &Node) -> u64 {
-    let base = std::mem::size_of::<Node>() as u64
-        + (n.children.len() * std::mem::size_of::<NodeId>()) as u64;
+    let base = std::mem::size_of::<Node>() as u64 + std::mem::size_of_val(n.children()) as u64;
     match &n.kind {
         NodeKind::Element { label, attrs } => {
             base + label.len() as u64
@@ -240,17 +265,17 @@ impl Clone for Tree {
 impl Tree {
     /// Create a tree whose root is an element labeled `root_label`.
     pub fn new(root_label: impl Into<Label>) -> Self {
-        let root = Node {
-            kind: NodeKind::Element {
-                label: root_label.into(),
-                attrs: Vec::new(),
-            },
-            parent: None,
-            children: Vec::new(),
+        let kind = NodeKind::Element {
+            label: root_label.into(),
+            attrs: Vec::new(),
         };
+        let root = Node::new(kind, None);
         let bytes = node_heap_bytes(&root);
+        // room for a few nodes: a small answer never grows its arena
+        let mut nodes = Vec::with_capacity(4);
+        nodes.push(root);
         Tree {
-            nodes: Arc::new(Arena::new(vec![root])),
+            nodes: Arc::new(Arena::new(nodes)),
             root: NodeId(0),
             arena_bytes: bytes,
         }
@@ -396,7 +421,7 @@ impl Tree {
 
     /// Children of `id`, in storage order.
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+        self.node(id).children()
     }
 
     /// Parent of `id`, clipped at this handle's root: the root of a
@@ -418,11 +443,7 @@ impl Tree {
             self.contains(parent) && self.node(parent).is_element(),
             "parent {parent} must be a valid element"
         );
-        let node = Node {
-            kind,
-            parent: Some(parent),
-            children: Vec::new(),
-        };
+        let node = Node::new(kind, Some(parent));
         self.arena_bytes += node_heap_bytes(&node) + std::mem::size_of::<NodeId>() as u64;
         push_child(self.nodes_mut(), node)
     }
@@ -437,7 +458,8 @@ impl Tree {
     }
 
     /// Convenience: allocate and attach a text child, returning its id.
-    pub fn add_text(&mut self, parent: NodeId, text: impl Into<String>) -> NodeId {
+    /// Pass a `&str` to make the string once, or an `Arc<str>` to share it.
+    pub fn add_text(&mut self, parent: NodeId, text: impl Into<Arc<str>>) -> NodeId {
         self.add_child(parent, NodeKind::Text(text.into()))
     }
 
@@ -446,7 +468,7 @@ impl Tree {
         &mut self,
         parent: NodeId,
         label: impl Into<Label>,
-        text: impl Into<String>,
+        text: impl Into<Arc<str>>,
     ) -> NodeId {
         let el = self.add_element(parent, label);
         self.add_text(el, text);
@@ -475,7 +497,7 @@ impl Tree {
         &mut self,
         id: NodeId,
         name: impl Into<Label>,
-        value: impl Into<String>,
+        value: impl Into<Arc<str>>,
     ) -> XmlResult<()> {
         let name = name.into();
         let value = value.into();
@@ -505,13 +527,13 @@ impl Tree {
             NodeKind::Element { attrs, .. } => attrs
                 .iter()
                 .find(|(n, _)| n.as_str() == name)
-                .map(|(_, v)| v.as_str()),
+                .map(|(_, v)| &**v),
             NodeKind::Text(_) => None,
         }
     }
 
     /// All attributes of an element (empty for text nodes).
-    pub fn attrs(&self, id: NodeId) -> &[(Label, String)] {
+    pub fn attrs(&self, id: NodeId) -> &[(Label, Arc<str>)] {
         match &self.node(id).kind {
             NodeKind::Element { attrs, .. } => attrs,
             NodeKind::Text(_) => &[],
@@ -531,13 +553,13 @@ impl Tree {
         Descendants {
             tree: self,
             first: Some(id),
-            open: Stack::new((id, 0)),
+            open: Small::new((id, 0)),
         }
     }
 
     /// Preorder traversal of the strict descendants of `id`.
     pub fn descendants(&self, id: NodeId) -> Descendants<'_> {
-        let mut open = Stack::new((id, 0));
+        let mut open = Small::new((id, 0));
         open.push((id, 0));
         Descendants {
             tree: self,
@@ -619,7 +641,7 @@ impl Tree {
         let root = push_copy(nodes, parent, src.node(src_node));
         let (mut from, mut to) = (src_node, root);
         loop {
-            if let Some(&child) = src.children(from).get(nodes[to.index()].children.len()) {
+            if let Some(&child) = src.children(from).get(nodes[to.index()].children().len()) {
                 let node = src.node(child);
                 copied += 1;
                 bytes += node_heap_bytes(node);
@@ -655,8 +677,9 @@ fn push_child(nodes: &mut Vec<Node>, node: Node) -> NodeId {
 }
 
 /// Push a copy of `src`, without its children, as the last child of `at`.
-/// The copy's attributes grow push by push, as `set_attr` grows them, so
-/// a copy holds the heap a tree built node by node holds.
+/// Its strings are shared, not copied. The copy's attributes grow push by
+/// push, as `set_attr` grows them, so a copy holds the heap a tree built
+/// node by node holds.
 fn push_copy(nodes: &mut Vec<Node>, at: NodeId, src: &Node) -> NodeId {
     let kind = match &src.kind {
         NodeKind::Element { label, .. } => NodeKind::Element {
@@ -665,14 +688,7 @@ fn push_copy(nodes: &mut Vec<Node>, at: NodeId, src: &Node) -> NodeId {
         },
         NodeKind::Text(s) => NodeKind::Text(s.clone()),
     };
-    let id = push_child(
-        nodes,
-        Node {
-            kind,
-            parent: Some(at),
-            children: Vec::new(),
-        },
-    );
+    let id = push_child(nodes, Node::new(kind, Some(at)));
     if let (NodeKind::Element { attrs: to, .. }, NodeKind::Element { attrs, .. }) =
         (&mut nodes[id.index()].kind, &src.kind)
     {
@@ -715,7 +731,7 @@ pub struct Descendants<'a> {
     first: Option<NodeId>,
     /// The open nodes with children, each with the index of the child it
     /// yields next: memory grows with depth, not width.
-    open: Stack<(NodeId, usize), 16>,
+    open: Small<(NodeId, usize), 16>,
 }
 
 impl Descendants<'_> {

@@ -10,16 +10,17 @@ use axml_xml::symbol::Label;
 use axml_xml::tree::{NodeId, NodeKind, Tree};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The canonical form of a subtree, built: the oracle the canonical walk
 /// is checked against. Its derived total order is what makes sorting the
 /// children — and so the form — well-defined.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Canon {
-    Text(String),
+    Text(Arc<str>),
     Elem {
         label: Label,
-        attrs: Vec<(Label, String)>,
+        attrs: Vec<(Label, Arc<str>)>,
         children: Vec<Canon>,
     },
 }

@@ -337,7 +337,7 @@ echo "== tier-1: a view is a handle (Tree::subtree walks nothing, graft borrows 
 # borrow of the arena, and its vectors grow push by push as building the
 # copy node by node grows them — an exact-capacity copy moves the heap
 # shape of every workload, which the benchmark's reference kernel reads
-# (ROADMAP item 1). Outside comments and `#[cfg(test)]` modules of
+# (ROADMAP item 2(a)). Outside comments and `#[cfg(test)]` modules of
 # xml/src/tree.rs: subtree's body has no loop and no walk, graft's calls
 # nodes_mut() once, graft and push_copy reserve nothing, and the
 # view-sizing walk and the graft's pre-walk do not come back.
