@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 //! # axml-bench — the experiment harness
 //!
 //! The EDBT 2006 paper has **no empirical evaluation section** (no tables,

@@ -15,6 +15,7 @@ use crate::system::AxmlSystem;
 use axml_obs::{DataTag, TraceEvent};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::store::Document;
+use axml_xml::symbol::Label;
 use axml_xml::tree::Tree;
 use std::collections::VecDeque;
 use std::iter::repeat_n;
@@ -775,7 +776,11 @@ impl AxmlSystem {
         name: &DocName,
         forest: &[Tree],
     ) -> CoreResult<()> {
-        let mut doc = Tree::new(name.as_str());
+        // The name may have arrived in a message: intern it within the
+        // label budget.
+        let label = Label::try_new(name.as_str())
+            .map_err(|full| CoreError::Malformed(format!("new document `{name}`: {full}")))?;
+        let mut doc = Tree::new(label);
         let root = doc.root();
         for t in forest {
             doc.graft(root, t, t.root()).expect("fresh root");

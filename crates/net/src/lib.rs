@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # axml-net — the peer network: one model, an optional wire
 //!

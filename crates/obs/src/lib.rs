@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # axml-obs — observability for distributed AXML evaluation
 //!

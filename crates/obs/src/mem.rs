@@ -29,8 +29,8 @@ pub struct MemStats {
 }
 
 impl MemStats {
-    /// Snapshot the current process. Cheap: one `/proc` read plus a
-    /// lock-free walk of the interner shards.
+    /// Snapshot the current process. Cheap: one `/proc` read plus the
+    /// interner's two counters, read under its lock.
     pub fn snapshot() -> Self {
         let (peak_rss_bytes, current_rss_bytes) = rss_bytes();
         let (interner_symbols, interner_bytes) = axml_xml::symbol::interner_stats();
@@ -95,7 +95,7 @@ mod tests {
             assert!(m.peak_rss_mb() > 0.0);
         }
         // The interner always holds something once any test interned.
-        axml_xml::symbol::Symbol::new("mem-stats-probe");
+        axml_xml::symbol::Label::new("mem-stats-probe");
         let m2 = MemStats::snapshot();
         assert!(m2.interner_symbols > 0);
         assert!(

@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # axml-prng — deterministic, dependency-free pseudo-randomness
 //!

@@ -208,6 +208,17 @@ impl<'a> P<'a> {
         Ok(&self.src[start..self.pos])
     }
 
+    /// Parse a name and intern it within the label budget: a fresh name
+    /// past it is an error at the name's start.
+    fn parse_label(&mut self) -> QueryResult<Label> {
+        let offset = self.pos;
+        let name = self.parse_name()?;
+        Label::try_new(name).map_err(|full| QueryError::Syntax {
+            msg: full.to_string(),
+            offset,
+        })
+    }
+
     fn parse_string(&mut self) -> QueryResult<String> {
         self.expect("\"")?;
         let mut out = String::new();
@@ -408,14 +419,14 @@ impl<'a> P<'a> {
 
     fn parse_test(&mut self) -> QueryResult<PlanTest> {
         if self.eat("@") {
-            Ok(PlanTest::Attr(Label::new(self.parse_name()?)))
+            Ok(PlanTest::Attr(self.parse_label()?))
         } else if self.eat("*") {
             Ok(PlanTest::Wildcard)
         } else if self.eat("text()") {
             Ok(PlanTest::Text)
         } else {
             // Including an element actually named `text`.
-            Ok(PlanTest::Label(Label::new(self.parse_name()?)))
+            Ok(PlanTest::Label(self.parse_label()?))
         }
     }
 
@@ -583,8 +594,7 @@ impl<'a> P<'a> {
 
     fn parse_template_element(&mut self) -> QueryResult<TemplatePlan> {
         self.expect("<")?;
-        let name = self.parse_name()?;
-        let label = Label::new(name);
+        let label = self.parse_label()?;
         let mut attrs = Vec::new();
         loop {
             self.ws();
@@ -602,7 +612,7 @@ impl<'a> P<'a> {
                     break;
                 }
                 Some(c) if c.is_alphabetic() || c == '_' => {
-                    let aname = Label::new(self.parse_name()?);
+                    let aname = self.parse_label()?;
                     self.ws();
                     self.expect("=")?;
                     self.ws();
@@ -616,9 +626,9 @@ impl<'a> P<'a> {
         loop {
             if self.eat("</") {
                 let close = self.parse_name()?;
-                if close != name {
+                if close != label.as_str() {
                     return Err(self.err(format!(
-                        "mismatched template tag: `{name}` closed by `{close}`"
+                        "mismatched template tag: `{label}` closed by `{close}`"
                     )));
                 }
                 self.ws();
@@ -635,7 +645,7 @@ impl<'a> P<'a> {
                     children.push(TemplatePlan::Splice(self.parse_splice()?))
                 }
                 Some(_) => children.push(self.parse_template_text()?),
-                None => return Err(self.err(format!("unterminated template `<{name}>`"))),
+                None => return Err(self.err(format!("unterminated template `<{label}>`"))),
             }
         }
     }

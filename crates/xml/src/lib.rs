@@ -1,4 +1,5 @@
 #![deny(missing_docs)]
+#![forbid(unsafe_code)]
 
 //! # axml-xml — the XML data model for distributed AXML
 //!
@@ -19,8 +20,9 @@
 //! * the **unordered deep-equivalence** and canonical hashing used as the
 //!   structural basis for the paper's document-equivalence classes
 //!   ([`equiv`]),
-//! * the **zero-copy substrate**: labels are interned [`symbol::Symbol`]s
-//!   (`u32` handles, O(1) equality/hash, `Copy`), trees are copy-on-write
+//! * the **zero-copy substrate**: labels are interned [`symbol::Label`]s
+//!   (a pointer to the label's one entry: O(1) equality/hash, `Copy`,
+//!   bounded against outside bytes), trees are copy-on-write
 //!   handles over a shared arena, and subtrees move between layers as
 //!   O(1) views of it ([`tree::Tree::subtree`]) — with every copy and
 //!   avoided copy accounted in [`stats`].
@@ -59,5 +61,5 @@ pub use error::{XmlError, XmlResult};
 pub use ids::{DocName, NodeAddr, PeerId, QueryName, ServiceName};
 pub use stats::CopyStats;
 pub use store::{DocStore, Document};
-pub use symbol::{Label, Symbol};
+pub use symbol::Label;
 pub use tree::{Node, NodeId, NodeKind, Tree};

@@ -14,6 +14,7 @@
 
 use crate::error::{XmlError, XmlResult};
 use crate::escape::resolve_entity;
+use crate::symbol::Label;
 use crate::tree::{NodeId, Tree};
 use std::borrow::Cow;
 
@@ -158,6 +159,14 @@ impl<'a> Parser<'a> {
         Ok(&self.input[start..self.pos])
     }
 
+    /// Parse a name and intern it within the label budget: a fresh name
+    /// past it is an error at the name's start.
+    fn parse_label(&mut self) -> XmlResult<Label> {
+        let (line, col) = (self.line, self.col);
+        let name = self.parse_name()?;
+        Label::try_new(name).map_err(|full| XmlError::parse(full.to_string(), line, col))
+    }
+
     /// Parse `<name attrs> children </name>` or `<name attrs/>`.
     ///
     /// On the first (root) call `tree` is `None` and is created from the
@@ -173,7 +182,7 @@ impl<'a> Parser<'a> {
             return Err(self.err(format!("elements nested deeper than {MAX_DEPTH}")));
         }
         self.expect(b'<')?;
-        let name = self.parse_name()?;
+        let name = self.parse_label()?;
         let el = match (tree.as_mut(), parent) {
             (None, _) => {
                 *tree = Some(Tree::new(name));
@@ -192,13 +201,13 @@ impl<'a> Parser<'a> {
                     if before == self.pos {
                         return Err(self.err("expected whitespace before attribute"));
                     }
-                    let aname = self.parse_name()?;
+                    let aname = self.parse_label()?;
                     self.skip_ws();
                     self.expect(b'=')?;
                     self.skip_ws();
                     let value = self.parse_attr_value()?;
                     let t = tree.as_mut().expect("tree exists");
-                    if t.attr(el, aname).is_some() {
+                    if t.attr(el, aname.as_str()).is_some() {
                         return Err(self.err(format!("duplicate attribute `{aname}`")));
                     }
                     t.set_attr(el, aname, value).expect("el is an element");
@@ -218,7 +227,7 @@ impl<'a> Parser<'a> {
             if self.starts_with("</") {
                 self.bump_n(2);
                 let close = self.parse_name()?;
-                if close != name {
+                if close != name.as_str() {
                     return Err(self.err(format!(
                         "mismatched closing tag: expected `</{name}>`, found `</{close}>`"
                     )));
