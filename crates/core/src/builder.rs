@@ -35,7 +35,6 @@
 use crate::error::{CoreError, CoreResult};
 use crate::pick::PickPolicy;
 use crate::retry::RetryPolicy;
-use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_net::link::{LinkCost, Topology};
 use axml_net::transport::Transport;
@@ -271,15 +270,6 @@ impl SystemBuilder {
         self.step(|sys| {
             let at = at.expect("resolve recorded the error");
             sys.register_declarative_service(at, name, &src)
-        })
-    }
-
-    /// Register a pre-built [`Service`] (e.g. one with a typed signature).
-    pub fn service_obj(mut self, at: impl Into<PeerSel>, service: Service) -> Self {
-        let at = self.resolve(at.into());
-        self.step(|sys| {
-            let at = at.expect("resolve recorded the error");
-            sys.register_service(at, service)
         })
     }
 

@@ -811,9 +811,9 @@ fn run_service(
     params: &[Vec<Tree>],
 ) -> CoreResult<Vec<Tree>> {
     let svc = state.service(service, prov)?;
-    if svc.arity() != params.len() {
+    if svc.query.arity() != params.len() {
         return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
-            expected: svc.arity(),
+            expected: svc.query.arity(),
             got: params.len(),
         }));
     }

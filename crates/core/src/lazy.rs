@@ -5,50 +5,27 @@
 //!   evaluate some query over the enclosing document \[2\]"* —
 //!   [`AxmlSystem::query_document`]: given a query over a document with
 //!   `mode="lazy"` calls, activate only the calls whose results the query
-//!   may need (decided from the query's label footprint against each
-//!   service's output type), then evaluate;
+//!   may need, then evaluate. Both what a call can answer and what the
+//!   query can see are read off the plans (`axml_query::shape`);
 //! * *"or in order to turn d0's XML type in some other desired type
 //!   \[6\]"* — [`AxmlSystem::activate_to_type`]: activate lazy calls one
 //!   by one until the document validates against a target type.
 //!
 //! Both are conservative approximations of the cited papers' full
 //! machinery (lazy AXML uses query rewriting; \[6\] uses regular
-//! rewritings over types), preserving their observable contract: no
-//! irrelevant call fires, and the result is correct for the
-//! query/type at hand.
+//! rewritings over types), preserving their observable contract: the
+//! result is the one full activation gives, for the query/type at hand.
 
 use crate::error::{CoreError, CoreResult};
 use crate::expr::PeerRef;
 use crate::sc::{ActivationMode, ScNode};
 use crate::system::AxmlSystem;
-use axml_query::plan::PlanTest;
+use axml_query::shape::Footprint;
 use axml_query::Query;
 use axml_types::{Schema, TypeName};
 use axml_xml::equiv::CanonMultiset;
 use axml_xml::ids::{DocName, PeerId};
 use axml_xml::tree::{NodeId, Tree};
-use axml_xml::Label;
-use std::collections::HashSet;
-
-/// The set of element labels a query navigates through or constructs
-/// from — its *label footprint* — and whether it uses a wildcard step
-/// that could match anything. A service whose output cannot contain any
-/// of these labels cannot affect the query's answer.
-fn query_label_footprint(q: &Query) -> (HashSet<Label>, bool) {
-    let (mut labels, mut wildcard) = (HashSet::new(), false);
-    q.plan().visit_paths(&mut |p| {
-        for s in &p.steps {
-            match &s.test {
-                PlanTest::Label(l) => {
-                    labels.insert(*l);
-                }
-                PlanTest::Wildcard => wildcard = true,
-                PlanTest::Text | PlanTest::Attr(_) => {}
-            }
-        }
-    });
-    (labels, wildcard)
-}
 
 /// Graft `results` under `parent`, skipping trees already present among
 /// the existing children (canonical multiset delta) — repeated
@@ -60,27 +37,27 @@ fn graft_delta(tree: &mut Tree, parent: NodeId, results: Vec<Tree>) -> CoreResul
     Ok(())
 }
 
+fn at_root() -> CoreError {
+    CoreError::Malformed("lazy sc at document root".into())
+}
+
 impl AxmlSystem {
-    /// May the results of `sc` be relevant to a query with the given
-    /// label footprint? Conservative: only a *declared* output root label
-    /// that is absent from the footprint proves irrelevance; wildcards
-    /// (or `//text()`-only queries) count as relevant.
-    fn call_maybe_relevant(&self, sc: &ScNode, footprint: &HashSet<Label>, wildcard: bool) -> bool {
-        if wildcard {
+    /// May the results of `sc`, the lazy call at `sc_id` in `tree`, matter
+    /// to a query with footprint `fp`? Yes if it can select a node of an
+    /// answer ([`Footprint::sees`]) or reads whole an ancestor of `sc`, or
+    /// if the answers are unknown (any replica, no such service) or
+    /// forwarded elsewhere.
+    fn call_maybe_relevant(&self, tree: &Tree, sc_id: NodeId, sc: &ScNode, fp: &Footprint) -> bool {
+        let PeerRef::At(provider) = sc.provider else {
             return true;
-        }
-        let provider = match sc.provider {
-            PeerRef::At(p) => p,
-            // Resolution could pick any replica; stay conservative.
-            PeerRef::Any => return true,
         };
         let Ok(svc) = self.peer(provider).service(&sc.service, provider) else {
             return true; // unknown service: the activation itself will error
         };
-        match &svc.signature.output.root_label {
-            Some(l) => footprint.contains(l),
-            None => true,
-        }
+        let mut above = std::iter::successors(tree.parent(sc_id), |&n| tree.parent(n));
+        !sc.forward.is_empty()
+            || fp.sees(&svc.query.plan().answers())
+            || above.any(|n| tree.label(n).is_some_and(|l| fp.whole.has(l)))
     }
 
     /// Lazy query evaluation (the `[2]` policy): activate exactly the
@@ -99,15 +76,13 @@ impl AxmlSystem {
                 "query_document expects a unary query over the document".into(),
             ));
         }
-        let (footprint, wildcard) = query_label_footprint(query);
+        let fp = query.plan().footprint();
         let tree = self.peer(at).doc(doc, at)?.clone();
         let mut activated = 0usize;
         for sc_id in ScNode::find_all(&tree, tree.root()) {
             let sc = ScNode::parse(&tree, sc_id)?;
-            if sc.mode != ActivationMode::Lazy {
-                continue;
-            }
-            if !self.call_maybe_relevant(&sc, &footprint, wildcard) {
+            if sc.mode != ActivationMode::Lazy || !self.call_maybe_relevant(&tree, sc_id, &sc, &fp)
+            {
                 continue;
             }
             // Activate one-shot: results accumulate as siblings of the sc
@@ -116,14 +91,8 @@ impl AxmlSystem {
             let results = self.call_service(at, sc.provider, &sc.service, params, &sc.forward)?;
             activated += 1;
             if sc.forward.is_empty() {
-                let parent = {
-                    let stored = self.peer(at).doc(doc, at)?;
-                    stored
-                        .parent(sc_id)
-                        .ok_or_else(|| CoreError::Malformed("lazy sc at document root".into()))?
-                };
-                let state = self.peer_mut(at);
-                let d = state.docs.require_mut(doc)?;
+                let d = self.peer_mut(at).docs.require_mut(doc)?;
+                let parent = d.tree().parent(sc_id).ok_or_else(at_root)?;
                 graft_delta(d.tree_mut(), parent, results)?;
             }
         }
@@ -169,12 +138,8 @@ impl AxmlSystem {
             // Replace the lazy sc with its results (the activated call has
             // done its type-level job; keeping the sc would keep the
             // document invalid under closed content models).
-            let state = self.peer_mut(at);
-            let d = state.docs.require_mut(doc)?;
-            let parent = d
-                .tree()
-                .parent(sc_id)
-                .ok_or_else(|| CoreError::Malformed("lazy sc at document root".into()))?;
+            let d = self.peer_mut(at).docs.require_mut(doc)?;
+            let parent = d.tree().parent(sc_id).ok_or_else(at_root)?;
             d.tree_mut().detach(sc_id)?;
             graft_delta(d.tree_mut(), parent, results)?;
         }
@@ -186,7 +151,7 @@ mod tests {
     use super::*;
     use crate::service::Service;
     use axml_net::link::LinkCost;
-    use axml_types::{Content, Signature, TreeType};
+    use axml_types::Content;
 
     /// A document with two lazy calls: one feeding <news>, one <stock>.
     fn build() -> (AxmlSystem, PeerId, PeerId) {
@@ -208,27 +173,15 @@ mod tests {
             r#"for $i in doc("src")/item where $i/@kind = "news" return <news>{$i/text()}</news>"#,
         )
         .unwrap();
-        sys.register_service(
-            server,
-            Service::declarative("news-svc", news_q).with_signature(Signature::new(
-                vec![],
-                TreeType::new("news", TypeName::any()),
-            )),
-        )
-        .unwrap();
+        sys.register_service(server, Service::declarative("news-svc", news_q))
+            .unwrap();
         let stock_q = Query::parse(
             "stock",
             r#"for $i in doc("src")/item where $i/@kind = "stock" return <stock>{$i/text()}</stock>"#,
         )
         .unwrap();
-        sys.register_service(
-            server,
-            Service::declarative("stock-svc", stock_q).with_signature(Signature::new(
-                vec![],
-                TreeType::new("stock", TypeName::any()),
-            )),
-        )
-        .unwrap();
+        sys.register_service(server, Service::declarative("stock-svc", stock_q))
+            .unwrap();
         sys.install_doc(
             client,
             "digest",
@@ -260,6 +213,65 @@ mod tests {
         assert!(!doc.serialize().contains("<stock>"));
     }
 
+    /// `<d2>` holds one lazy call to a service returning `ret` for the
+    /// stock item. Returns `query`'s answer count and calls fired, and
+    /// the answer count once a wildcard query has fired every call.
+    fn lazy_then_full(ret: &str, query: &str) -> (usize, usize, usize) {
+        let src = format!(r#"for $i in doc("src")/item where $i/@kind = "stock" return {ret}"#);
+        let q = Query::parse("q", query).unwrap();
+        let all = Query::parse("all", "$0/*").unwrap();
+        let d2: DocName = "d2".into();
+        let run = |fire_all: bool| {
+            let (mut sys, client, server) = build();
+            let svc = Service::declarative("svc", Query::parse("svc", &src).unwrap());
+            sys.register_service(server, svc).unwrap();
+            let doc = r#"<d2><sc mode="lazy"><peer>p1</peer><service>svc</service></sc></d2>"#;
+            sys.install_doc(client, "d2", Tree::parse(doc).unwrap())
+                .unwrap();
+            if fire_all {
+                sys.query_document(client, &d2, &all).unwrap();
+            }
+            let (out, fired) = sys.query_document(client, &d2, &q).unwrap();
+            (out.len(), fired)
+        };
+        let (lazy, fired) = run(false);
+        (lazy, fired, run(true).0)
+    }
+
+    #[test]
+    fn an_answer_type_is_read_off_the_plan() {
+        // the root the plan constructs (it was once declared `news`)
+        assert_eq!(
+            lazy_then_full("<stock>{$i/text()}</stock>", "$0//stock"),
+            (1, 1, 1)
+        );
+        // a label the plan constructs below the root
+        assert_eq!(
+            lazy_then_full("<news><stock>{$i/text()}</stock></news>", "$0//stock"),
+            (1, 1, 1)
+        );
+        // text the plan splices below the root: `p1`, `svc` and `42`
+        assert_eq!(
+            lazy_then_full("<news>{$i/text()}</news>", "$0//text()"),
+            (3, 1, 3)
+        );
+        // and a call whose answers the query cannot see stays lazy
+        assert_eq!(
+            lazy_then_full("<news>{$i/text()}</news>", "$0//stock"),
+            (0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn a_call_under_an_element_read_whole_fires() {
+        // `$0` copies the whole document, answers included
+        let (lazy, fired, full) = lazy_then_full("<news/>", "$0");
+        assert_eq!((fired, lazy), (1, full));
+        // `text()` reads the string value of `d2`, answers included
+        let (lazy, fired, full) = lazy_then_full("<news>x</news>", "$0/text()");
+        assert_eq!((fired, lazy), (1, full));
+    }
+
     #[test]
     fn wildcard_queries_activate_everything() {
         let (mut sys, client, _server) = build();
@@ -282,21 +294,6 @@ mod tests {
             "no duplicates after re-running the query"
         );
         assert!(!doc.serialize().contains("<stock>"));
-    }
-
-    #[test]
-    fn footprint_computation() {
-        let q = Query::parse(
-            "q",
-            r#"for $x in $0//news/wire where $x/tag = "db" return <out>{$x}</out>"#,
-        )
-        .unwrap();
-        let (fp, wildcard) = query_label_footprint(&q);
-        assert!(!wildcard);
-        assert!(fp.contains(&Label::new("news")));
-        assert!(fp.contains(&Label::new("wire")));
-        assert!(fp.contains(&Label::new("tag")));
-        assert!(!fp.contains(&Label::new("stock")));
     }
 
     #[test]

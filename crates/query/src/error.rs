@@ -8,11 +8,11 @@ pub type QueryResult<T> = Result<T, QueryError>;
 /// Errors from the query subsystem.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum QueryError {
-    /// Syntax error in the textual query, with 1-based position.
+    /// Syntax error in the textual query, with its position.
     Syntax {
         /// Description of the problem.
         msg: String,
-        /// 1-based character offset in the query text.
+        /// 0-based byte offset into the query text.
         offset: usize,
     },
     /// A `$var` was used without being bound by a `for`/`let` clause, or a
@@ -98,5 +98,18 @@ mod tests {
         assert!(QueryError::DuplicateVariable("$x".into())
             .to_string()
             .contains("twice"));
+    }
+
+    #[test]
+    fn syntax_offsets_are_0_based_bytes() {
+        // `b` is the sixth character in both, but `é` takes two bytes
+        for (src, at) in [("$0/a b", 5), ("$0/é b", 6)] {
+            let e = crate::Query::parse("q", src).unwrap_err();
+            assert!(
+                matches!(e, QueryError::Syntax { offset, .. } if offset == at),
+                "{src}: {e}"
+            );
+            assert_eq!(&src[at..], "b");
+        }
     }
 }

@@ -22,9 +22,12 @@
 //! * **decomposition** of queries — the basis of the paper's equivalence
 //!   rule (11) and of Example 1 (*pushing selections*) ([`rewrite`]);
 //!   the composition `q1(q2(…))` it yields is the algebra's, an `Apply`
-//!   over an `Apply` in `axml-core`, not a kind of [`Query`], and
+//!   over an `Apply` in `axml-core`, not a kind of [`Query`],
 //! * **cardinality and result-size estimation** feeding the distributed
-//!   cost model of `axml-core` ([`estimate`]).
+//!   cost model of `axml-core` ([`estimate`]), and
+//! * what a plan's answers can hold and what a query can see of a tree,
+//!   both read off the plan — a declarative service's output type is its
+//!   plan's, and lazy activation compares the two ([`shape`]).
 //!
 //! ```
 //! use axml_query::Query;
@@ -51,6 +54,7 @@ pub mod parser;
 pub mod plan;
 pub mod query;
 pub mod rewrite;
+pub mod shape;
 
 pub use error::{QueryError, QueryResult};
 pub use matcher::{MatchIndex, Registration};

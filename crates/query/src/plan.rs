@@ -262,7 +262,7 @@ pub enum TemplatePlan {
 }
 
 impl TemplatePlan {
-    fn paths(&self, f: &mut impl FnMut(&PathPlan)) {
+    pub(crate) fn paths(&self, f: &mut impl FnMut(&PathPlan)) {
         match self {
             TemplatePlan::Element {
                 attrs, children, ..

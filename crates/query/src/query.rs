@@ -54,8 +54,8 @@ impl Query {
         Self::parse_with_arity(name, src, 0)
     }
 
-    /// Parse with a minimum arity (for services whose signature declares
-    /// more parameters than the body reads).
+    /// Parse with a minimum arity (for services that take more parameters
+    /// than the body reads).
     pub fn parse_with_arity(
         name: impl Into<QueryName>,
         src: &str,

@@ -36,8 +36,6 @@ pub enum TypeError {
         /// What went wrong there.
         msg: String,
     },
-    /// Two signatures (or types) are incompatible.
-    Incompatible(String),
 }
 
 impl fmt::Display for TypeError {
@@ -61,7 +59,6 @@ impl fmt::Display for TypeError {
                 "label `{label}` in type `{in_type}` bound to both `{first}` and `{second}`"
             ),
             TypeError::Invalid { path, msg } => write!(f, "invalid at {path}: {msg}"),
-            TypeError::Incompatible(msg) => write!(f, "incompatible types: {msg}"),
         }
     }
 }
@@ -89,9 +86,6 @@ mod tests {
         }
         .to_string()
         .contains("/a/b"));
-        assert!(TypeError::Incompatible("x".into())
-            .to_string()
-            .contains("x"));
         assert!(TypeError::InconsistentLabel {
             label: "l".into(),
             in_type: "T".into(),

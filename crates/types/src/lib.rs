@@ -4,8 +4,7 @@
 //! # axml-types — the XML type system Θ
 //!
 //! §2.1 of the paper assumes *"the set Θ of all XML tree types, as
-//! expressed for instance in XML Schema"*, and gives every Web service a
-//! type signature `(τin, τout)` with `τin ∈ Θⁿ`. This crate implements the
+//! expressed for instance in XML Schema"*. This crate implements the
 //! fragment of XML Schema the paper actually needs:
 //!
 //! * **regular tree grammars**: named element types with regex content
@@ -16,10 +15,9 @@
 //!   construction, works directly on the model AST,
 //! * **schemas** with the single-type (consistent element declaration)
 //!   restriction of XML Schema, validated at construction ([`schema`]),
-//! * **validation** of trees against types, with error paths, and
-//! * **service signatures** `(τin, τout)` with a conservative
-//!   compatibility check used when wiring service-call parameters
-//!   ([`signature`]).
+//! * **validation** of trees against types, with error paths — what
+//!   type-driven activation checks a document against. (A declarative
+//!   service's `(τin, τout)` is its plan's: `axml_query::shape`.)
 //!
 //! ```
 //! use axml_types::schema::SchemaBuilder;
@@ -41,9 +39,7 @@
 pub mod content;
 pub mod error;
 pub mod schema;
-pub mod signature;
 
 pub use content::Content;
 pub use error::{TypeError, TypeResult};
 pub use schema::{Schema, SchemaBuilder, TypeName};
-pub use signature::{Signature, TreeType};

@@ -6,7 +6,8 @@
 //!
 //! 1. **Lazy AXML** (§2.2, the \[2\] policy): a portal document embeds
 //!    `mode="lazy"` calls to a news service and a stock service; a query
-//!    asking only for news fires only the news call.
+//!    asking only for news fires only the news call — the stock service's
+//!    plan says its answers are `<stock>` elements holding text.
 //! 2. **Type-driven activation** (the \[6\] policy): the same portal must
 //!    reach a schema type that requires at least one `news` element; calls
 //!    are activated until it validates.
@@ -40,25 +41,12 @@ fn main() {
                  <sc mode="lazy"><peer>p1</peer><service>stock-svc</service></sc>
                </portal>"#,
         );
-    // Two declarative services with typed outputs.
-    for (svc, kind, out_label) in [
-        ("news-svc", "news", "news"),
-        ("stock-svc", "stock", "stock"),
-    ] {
-        let q = Query::parse(
-            svc,
-            &format!(
-                r#"for $i in doc("wire")/item where $i/@kind = "{kind}" return <{out_label}>{{$i/text()}}</{out_label}>"#
-            ),
-        )
-        .unwrap();
-        builder = builder.service_obj(
-            "server",
-            Service::declarative(svc, q).with_signature(Signature::new(
-                vec![],
-                TreeType::new(out_label, axml::types::schema::TypeName::any()),
-            )),
+    // Two declarative services: what each can answer is read off its plan.
+    for (svc, kind) in [("news-svc", "news"), ("stock-svc", "stock")] {
+        let src = format!(
+            r#"for $i in doc("wire")/item where $i/@kind = "{kind}" return <{kind}>{{$i/text()}}</{kind}>"#
         );
+        builder = builder.service("server", svc, &src);
     }
     let mut sys = builder.build().unwrap();
     let client = sys.peer_id("client").unwrap();
@@ -76,6 +64,11 @@ fn main() {
         println!("  {}", r.serialize());
     }
     assert_eq!(activated, 1, "the stock call never fires");
+    println!(
+        "{} message(s), {:.1} virtual ms",
+        sys.stats().total_messages(),
+        sys.now_ms()
+    );
 
     // ---- act 2: type-driven activation ----------------------------------
     println!("\n== act 2: type-driven activation ==");

@@ -6,14 +6,15 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - twenty-one grep gates, one per "one of each" claim (wire-format
+#   - twenty-two grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
 #     Σ is left as found, a member walks no tree, one collapse path, one
 #     scheduler and one driver, the runtime spawns no thread, one query
 #     printer, one composition, one count per event, library crates
-#     print nothing) — each explained where it runs;
+#     print nothing, a service's type is its plan) — each explained
+#     where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -546,6 +547,21 @@ echo "== tier-1: library crates print nothing (no print!/eprint!/dbg! in the run
 for f in $(find crates/{xml,types,query,net,core,obs,prng}/src -name '*.rs'); do
     if code "$f" | grep -nE '\b(e?println|e?print|dbg)!'; then
         echo "tier-1: $f prints from a library crate; return the error or trace it" >&2
+        exit 1
+    fi
+done
+
+echo "== tier-1: a service's type is its plan (no declared signature under crates/*/src, src/, examples/) =="
+# A declarative service's statement is visible (§2.1), so what it can
+# answer is read off its plan (Plan::answers in query/src/shape.rs), and
+# lazy activation compares that with the query's footprint. Outside
+# comments and `#[cfg(test)]` modules, a Signature or TreeType type, a
+# with_signature setter or a service_obj door for a service built with
+# one is a declared τout coming back beside the plan — a second answer
+# to the same question, which nothing checks against the first.
+for f in $(find crates/*/src src examples -name '*.rs'); do
+    if code "$f" | grep -nE '\b(Signature|TreeType|with_signature|service_obj)\b'; then
+        echo "tier-1: $f declares a service's type; read it off the plan (Plan::answers)" >&2
         exit 1
     fi
 done

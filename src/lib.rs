@@ -17,10 +17,11 @@
 //! * [`xml`] (`axml-xml`) — unordered XML trees, parser/serializer,
 //!   documents, canonical equivalence;
 //! * [`types`] (`axml-types`) — the type system Θ: regular tree grammars,
-//!   derivative-based content models, service signatures;
+//!   derivative-based content models, validation;
 //! * [`query`] (`axml-query`) — the declarative query language: FLWR
 //!   syntax, logical plans, batch + continuous evaluation, composition
-//!   and decomposition, cardinality estimation;
+//!   and decomposition, cardinality estimation, and what a plan's answers
+//!   can hold — a declarative service's output type is its plan's;
 //! * [`net`] (`axml-net`) — the simulated peer network: link cost models,
 //!   topologies, per-link statistics;
 //! * [`core`] (`axml-core`) — the paper's contribution: AXML documents
@@ -78,7 +79,7 @@ pub mod prelude {
     pub use axml_core::cost::CostModel;
     pub use axml_core::prelude::*;
     pub use axml_query::Query;
-    pub use axml_types::{Content, Schema, SchemaBuilder, Signature, TreeType};
+    pub use axml_types::{Content, Schema, SchemaBuilder};
     pub use axml_xml::equiv::{forest_equiv, tree_equiv, whole_tree_equiv};
     pub use axml_xml::tree::{NodeId, Tree};
 }

@@ -5,6 +5,7 @@
 use axml::prelude::*;
 use axml::types::content::Content;
 use axml::xml::tree::Tree;
+use axml::xml::Label;
 
 /// The catalog schema used throughout (axml-types over axml-xml).
 fn catalog_schema() -> Schema {
@@ -41,28 +42,17 @@ fn typed_catalog_distribution() {
     let cat = catalog(50);
     schema.validate(&cat, "CatalogT").expect("catalog is valid");
 
-    // A typed service: the signature constrains input and output.
-    let q = Query::parse(
-        "lookup",
-        r#"for $p in doc("catalog")//pkg where $p/@name = $0/text() return {$p/version}"#,
-    )
-    .unwrap();
-    let service = Service::declarative("lookup", q).with_signature(Signature::new(
-        vec![TreeType::new("want", TypeName::any())],
-        TreeType::new("version", "TextT"),
-    ));
-    // type-check the signature plumbing on a sample input
+    // A declarative service: its output type is read off its plan.
+    let src = r#"for $p in doc("catalog")//pkg where $p/@name = $0/text() return {$p/version}"#;
+    let tau_out = Query::parse("lookup", src).unwrap().plan().answers();
+    assert_eq!(tau_out.root.labels, [Label::new("version")]);
     let sample = Tree::parse("<want>pkg-7</want>").unwrap();
-    service
-        .signature
-        .check_input(&schema, std::slice::from_ref(&sample))
-        .unwrap();
 
     let mut sys = AxmlSystem::builder()
         .peers(["a", "b"])
         .link("a", "b", LinkCost::wan())
         .doc("b", "catalog", cat)
-        .service_obj("b", service)
+        .service("b", "lookup", src)
         .build()
         .unwrap();
     let (a, b) = (sys.peer_id("a").unwrap(), sys.peer_id("b").unwrap());
@@ -82,16 +72,11 @@ fn typed_catalog_distribution() {
         )
         .unwrap();
     assert_eq!(out.len(), 1);
-    // …and the response validates against τout.
-    service_output_checks(&schema, &out[0]);
-}
-
-use axml::types::schema::TypeName;
-
-fn service_output_checks(schema: &Schema, tree: &Tree) {
-    let tt = TreeType::new("version", "TextT");
-    tt.check(schema, tree)
-        .expect("response validates against τout");
+    // …and the response is what the plan says it can be, and validates.
+    assert!(tau_out.root.has(out[0].label(out[0].root()).unwrap()));
+    schema
+        .validate(&out[0], "TextT")
+        .expect("the response's content validates");
 }
 
 #[test]
