@@ -118,8 +118,8 @@ pub struct Subscription {
     pub service: ServiceName,
     /// Parameter forests (shipped once, at activation — step 1).
     pub params: Vec<Vec<Tree>>,
-    /// Where results accumulate.
-    pub sink: Vec<NodeAddr>,
+    /// Where results accumulate. Shared with each pump's delivery.
+    pub sink: Arc<[NodeAddr]>,
     /// What re-triggers evaluation.
     pub trigger: Trigger,
     /// Everything delivered so far.
@@ -290,22 +290,24 @@ struct Appended<'a> {
     calls: HashMap<Arc<CallKey>, Option<Fresh>>,
 }
 
-/// What a call's query made of an appended child: the results, and their
-/// canonical digests — walked once, for every member of the call.
+/// What a call's query made of an appended child: the results, in the
+/// body every member's delivery shares, and their canonical digests —
+/// measured and walked once, for every member of the call.
 struct Fresh {
-    trees: Vec<Tree>,
+    body: Body,
     digests: Vec<u128>,
 }
 
-/// What one pump found new for its subscription.
-struct Found<'f> {
-    fresh: Cow<'f, [Tree]>,
+/// What one pump found new for its subscription: the results, in a
+/// [`Body::shared`] body.
+struct Found {
+    fresh: Body,
     /// Results recomputed and held back as sent before.
     suppressed: usize,
     provider: PeerId,
     /// Where `fresh` goes, and the `@after` calls that fire once it has
     /// gone; `None` when nothing is fresh.
-    route: Option<(Vec<NodeAddr>, Vec<u64>)>,
+    route: Option<(Arc<[NodeAddr]>, Vec<u64>)>,
 }
 
 /// All state of the continuous engine. [`SubscriptionTable::insert`] and
@@ -443,8 +445,8 @@ impl AxmlSystem {
         if let Some(live) = self.subs.book.get(&key) {
             return Ok(live.iter().copied().collect());
         }
-        match self.blocking(|sys, s| sys.activate_into(s, at, doc)) {
-            Ok((ids, _)) => Ok(ids),
+        match self.blocking(|sys, s| sys.activate_into(s, at, doc), |_, ids| Ok(ids)) {
+            Ok(ids) => Ok(ids),
             Err(e) => {
                 for id in self.subs.book.remove(&key).unwrap_or_default() {
                     self.subs.remove(id);
@@ -483,13 +485,13 @@ impl AxmlSystem {
         let mut created = Vec::new();
         for (sc_node, sc) in calls {
             // Default sink: the sc's parent node in this document.
-            let sink = if sc.forward.is_empty() {
+            let sink: Arc<[NodeAddr]> = if sc.forward.is_empty() {
                 let parent = tree
                     .parent(sc_node)
                     .ok_or_else(|| CoreError::Malformed("sc element at document root".into()))?;
-                vec![NodeAddr::new(at, doc.clone(), parent)]
+                Arc::from([NodeAddr::new(at, doc.clone(), parent)])
             } else {
-                sc.forward
+                sc.forward.into()
             };
             let (provider, service) = match sc.provider {
                 PeerRef::At(p) => (p, sc.service),
@@ -508,7 +510,7 @@ impl AxmlSystem {
                 let msg = AxmlMessage::Invoke {
                     service: service.clone(),
                     params: params.iter().cloned().map(Body::forest).collect(),
-                    forward: sink.clone(),
+                    forward: sink.to_vec(),
                     call_id: id,
                 };
                 self.send_wire(s, at, provider, msg, Intent::None)?;
@@ -629,8 +631,7 @@ impl AxmlSystem {
     /// delivered downstream.
     pub fn feed(&mut self, at: PeerId, doc: impl Into<DocName>, tree: Tree) -> CoreResult<usize> {
         let doc = doc.into();
-        let (n, _) = self.blocking(|sys, s| sys.feed_into(s, at, &doc, tree))?;
-        Ok(n)
+        self.blocking(|sys, s| sys.feed_into(s, at, &doc, tree), |_, n| Ok(n))
     }
 
     /// [`AxmlSystem::feed`] within an already-running session (used by
@@ -775,11 +776,7 @@ impl AxmlSystem {
     /// subscription's own. The subscription is looked up once, here: the
     /// delivery to come takes its sinks and `@after` calls from the
     /// answer, and counts as delivered already.
-    fn new_results<'f>(
-        &mut self,
-        id: u64,
-        feed: Option<&'f mut Appended<'_>>,
-    ) -> CoreResult<Found<'f>> {
+    fn new_results(&mut self, id: u64, feed: Option<&mut Appended<'_>>) -> CoreResult<Found> {
         let SubscriptionTable {
             live,
             mode,
@@ -812,14 +809,12 @@ impl AxmlSystem {
         let (fresh, suppressed) = 'found: {
             let slot = match slot {
                 // A later member of a call the feed has evaluated the
-                // child for takes those results and their digests, and
-                // consults nothing else of the call: this is the one
-                // place a member borrows what another evaluated.
-                Some((evaluated, _)) if by_delta && evaluated.is_some() => {
-                    let evaluated: &'f Option<Fresh> = evaluated;
-                    let found = evaluated.as_ref().expect("evaluated");
+                // child for shares those results' body and takes their
+                // digests, and consults nothing else of the call: this is
+                // the one place a member takes what another evaluated.
+                Some((Some(found), _)) if by_delta => {
                     sub.emitted.record_digests(&found.digests);
-                    break 'found (Cow::Borrowed(&found.trees[..]), 0);
+                    break 'found (found.body.clone(), 0);
                 }
                 slot => slot,
             };
@@ -858,7 +853,7 @@ impl AxmlSystem {
                     *walks += fresh.len();
                     let Some((slot, _)) = slot else {
                         sub.emitted.record(&fresh);
-                        break 'found (Cow::Owned(fresh), 0);
+                        break 'found (Body::shared(fresh), 0);
                     };
                     let digests = digests(&fresh);
                     // … and the end of the call's answer.
@@ -872,12 +867,12 @@ impl AxmlSystem {
                             call.digests = known;
                         }
                     }
-                    let found: &'f Fresh = slot.insert(Fresh {
-                        trees: fresh,
+                    let found = slot.insert(Fresh {
+                        body: Body::shared(fresh),
                         digests,
                     });
                     sub.emitted.record_digests(&found.digests);
-                    (Cow::Borrowed(&found.trees[..]), 0)
+                    (found.body.clone(), 0)
                 }
                 // … or from the current state, less what was delivered before.
                 // A call's answer is digested once, by the member that
@@ -907,15 +902,16 @@ impl AxmlSystem {
                     };
                     sub.exact = sub.emitted.delivered() == recomputed;
                     let suppressed = recomputed - fresh.len();
-                    (Cow::Owned(fresh), suppressed)
+                    (Body::shared(fresh), suppressed)
                 }
             }
         };
-        let route = (!fresh.is_empty()).then(|| {
-            sub.delivered += fresh.len();
+        let results = fresh.trees().len();
+        let route = (results > 0).then(|| {
+            sub.delivered += results;
             let chained = sub.sc_id.as_ref().and_then(|sc_id| after.get(sc_id));
             (
-                sub.sink.clone(),
+                Arc::clone(&sub.sink),
                 chained.into_iter().flatten().copied().collect(),
             )
         });
@@ -943,11 +939,12 @@ impl AxmlSystem {
             provider,
             route,
         } = self.new_results(id, feed)?;
+        let results = fresh.trees();
         let now = self.now_ms();
         self.obs.record(TraceEvent::SubscriptionDelta {
             subscription: id,
             provider,
-            fresh: fresh.len(),
+            fresh: results.len(),
             suppressed,
             at_ms: now,
         });
@@ -964,15 +961,15 @@ impl AxmlSystem {
         // delivery fails.
         if let Err(e) = self.deliver_to_nodes(s, provider, &sink, &fresh) {
             // Take back what `new_results` counted ahead of the delivery.
-            self.subs.walks += fresh.len();
+            self.subs.walks += results.len();
             if let Some(sub) = self.subs.live.get_mut(&id) {
-                sub.emitted.retract(&fresh);
+                sub.emitted.retract(results);
                 sub.exact = false;
-                sub.delivered -= fresh.len();
+                sub.delivered -= results.len();
             }
             return Err(e);
         }
-        let mut total = fresh.len();
+        let mut total = results.len();
         // §2.2: a call chained `after` this one activates per answer batch.
         for c in chained {
             total += self.pump_into(s, c, None)?;
@@ -1801,6 +1798,27 @@ mod call_tests {
         let walks = naive.subs.walks;
         naive.feed(server, "board", item("db", "v1")).unwrap();
         assert_eq!(naive.subs.walks, walks + 2 * k, "v0 and v1, per member");
+    }
+
+    #[test]
+    fn a_feed_measures_each_call_s_fresh_results_once() {
+        use crate::message::tests::BODY_MEASURES;
+        let k = 5;
+        let (mut sys, _, server) = watchers(MatcherMode::Shared, &[DB; 5]);
+        for text in ["v1", "v2", "v3"] {
+            let measured = BODY_MEASURES.get();
+            assert_eq!(sys.feed(server, "board", item("db", text)).unwrap(), k);
+            assert_eq!(
+                BODY_MEASURES.get(),
+                measured + 1,
+                "one body for the {k} members' messages"
+            );
+        }
+        // The reference evaluates, and so measures, member by member.
+        let (mut naive, _, server) = watchers(MatcherMode::Naive, &[DB; 5]);
+        let measured = BODY_MEASURES.get();
+        naive.feed(server, "board", item("db", "v1")).unwrap();
+        assert_eq!(BODY_MEASURES.get(), measured + k);
     }
 
     #[test]

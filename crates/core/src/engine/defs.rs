@@ -7,7 +7,7 @@
 use super::pump::{Cont, EvalSession, Intent, Out, Runnable};
 use crate::error::{CoreError, CoreResult};
 use crate::expr::{Expr, PeerRef, SendDest};
-use crate::message::{AxmlMessage, Body};
+use crate::message::{AxmlMessage, Body, Cargo};
 use crate::peer::PeerState;
 use crate::sc::{ActivationMode, ScNode};
 use crate::service::Service;
@@ -18,7 +18,7 @@ use axml_xml::store::Document;
 use axml_xml::symbol::Label;
 use axml_xml::tree::Tree;
 use std::collections::VecDeque;
-use std::iter::repeat_n;
+use std::mem::take;
 
 /// One service activation: who calls what, with which parameter
 /// forests and forward list. The provider travels beside it — generic
@@ -286,8 +286,10 @@ impl AxmlSystem {
         s: &mut EvalSession,
         peer: PeerId,
         cont: Cont,
-        input: Vec<Vec<Tree>>,
+        input: &mut Vec<Vec<Tree>>,
     ) -> CoreResult<()> {
+        // A continuation that waits on one part takes it whole.
+        let first = |input: &mut Vec<Vec<Tree>>| input.first_mut().map(take).unwrap_or_default();
         match cont {
             Cont::ApplyFinish { query, skip, out } => {
                 let res = query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?;
@@ -305,14 +307,14 @@ impl AxmlSystem {
                 ScCall {
                     caller: peer,
                     service: &service,
-                    param_forests: input,
+                    param_forests: input.iter_mut().map(take).collect(),
                     forward: &forward,
                 },
                 out,
             ),
             Cont::SendPeer { dest, out } => {
                 self.record_def(3, peer, "send");
-                let forest = input.into_iter().next().unwrap_or_default();
+                let forest = first(input);
                 if dest != peer {
                     self.send_wire(
                         s,
@@ -334,8 +336,8 @@ impl AxmlSystem {
             }
             Cont::SendNodes { addrs, out } => {
                 self.record_def(4, peer, "send-nodes");
-                let forest = input.into_iter().next().unwrap_or_default();
-                let gate = self.deliver_to_nodes(s, peer, &addrs, &forest)?;
+                let forest = first(input);
+                let gate = self.deliver_to_nodes(s, peer, &addrs, &Body::shared(forest))?;
                 self.register_pending(s, gate, peer, Cont::Discard { out })?;
                 Ok(())
             }
@@ -345,7 +347,7 @@ impl AxmlSystem {
                 out,
             } => {
                 self.record_def(3, peer, "send-newdoc");
-                let forest = input.into_iter().next().unwrap_or_default();
+                let forest = first(input);
                 if dest != peer {
                     let gate = s.new_slot(1);
                     self.send_wire(
@@ -386,7 +388,7 @@ impl AxmlSystem {
             Cont::SeqStep { mut rest, out } => {
                 match rest.pop_front() {
                     None => {
-                        let last = input.into_iter().next().unwrap_or_default();
+                        let last = first(input);
                         self.fill(s, out, last)?;
                     }
                     Some(next) => {
@@ -409,8 +411,7 @@ impl AxmlSystem {
                 tag,
                 remote_out,
             } => {
-                let forest = input.into_iter().next().unwrap_or_default();
-                let payload = Body::forest(forest);
+                let payload = Body::forest(first(input));
                 let reply = AxmlMessage::Data { payload, tag };
                 self.send_wire(s, peer, reply_to, reply, Intent::Reply { out: remote_out })
             }
@@ -658,7 +659,7 @@ impl AxmlSystem {
                 Ok(())
             }
         } else {
-            let gate = self.deliver_to_nodes(s, prov, forward, &results)?;
+            let gate = self.deliver_to_nodes(s, prov, forward, &Body::shared(results))?;
             self.register_pending(s, gate, prov, Cont::Discard { out })?;
             Ok(())
         }
@@ -702,33 +703,31 @@ impl AxmlSystem {
             param_forests,
             forward,
         };
-        let (slot, mut s) = self.blocking(|sys, s| {
-            let slot = s.new_slot(1);
-            sys.start_service_call(s, provider, call, (slot, 0))?;
-            Ok(slot)
-        })?;
-        Ok(s.take(slot)?)
+        self.blocking(
+            |sys, s| {
+                let slot = s.new_slot(1);
+                sys.start_service_call(s, provider, call, (slot, 0))?;
+                Ok(slot)
+            },
+            |s, slot| Ok(s.take(slot)?),
+        )
     }
 
-    /// Definition (4): one concurrent delivery per `n@p` address.
-    /// Returns the gate slot that becomes ready once every graft landed.
-    /// An address naming an unknown peer fails the whole list before
-    /// anything is sent.
+    /// Definition (4): one concurrent delivery per `n@p` address of
+    /// `body`, a [`Body::shared`] one: measured once, and shared by every
+    /// message that carries it. Returns the gate slot that becomes ready
+    /// once every graft landed. An address naming an unknown peer fails
+    /// the whole list before anything is sent.
     pub(crate) fn deliver_to_nodes(
         &mut self,
         s: &mut EvalSession,
         from: PeerId,
         addrs: &[NodeAddr],
-        forest: &[Tree],
+        body: &Body,
     ) -> CoreResult<usize> {
         for addr in addrs {
             self.check_peer(addr.peer)?;
         }
-        // One body for all remote sinks, measured once: `repeat_n` copies
-        // its handles for every sink but the last, which gets the body.
-        let remote = addrs.iter().filter(|a| a.peer != from).count();
-        let body = (remote > 0).then(|| Body::forest(forest.to_vec()));
-        let mut bodies = body.into_iter().flat_map(|b| repeat_n(b, remote));
         let gate = s.new_slot(addrs.len());
         for (i, addr) in addrs.iter().enumerate() {
             if addr.peer != from {
@@ -737,7 +736,7 @@ impl AxmlSystem {
                     from,
                     addr.peer,
                     AxmlMessage::Data {
-                        payload: bodies.next().expect("one body per remote sink"),
+                        payload: body.clone(),
                         tag: DataTag::Forward,
                     },
                     Intent::Graft {
@@ -746,7 +745,7 @@ impl AxmlSystem {
                     },
                 )?;
             } else {
-                self.graft_at(addr, forest)?;
+                self.graft_at(addr, body.trees())?;
                 self.fill(s, (gate, i), Vec::new())?;
             }
         }
@@ -822,15 +821,15 @@ fn run_service(
 
 impl Intent {
     /// Open a message at its receiver `to`: the intent to apply and the
-    /// forests the message carried. A request's shipped expression is
+    /// cargo the message carried. A request's shipped expression is
     /// taken out of its body here — as a data message hands its trees
     /// over — relocated to `to` and evaluated there: a fetch replies
     /// with its value, a delegation replies when the expression sends
     /// its value straight back to the delegating peer and otherwise
     /// fills `out` with ∅ once done.
-    pub(super) fn open(self, msg: AxmlMessage, to: PeerId) -> (Intent, Vec<Vec<Tree>>) {
+    pub(super) fn open(self, msg: AxmlMessage, to: PeerId) -> (Intent, Cargo) {
         let Intent::Shipped { reply_to, tag, out } = self else {
-            return (self, msg.into_forests());
+            return (self, msg.into_cargo());
         };
         let mut expr = msg
             .into_shipped()
@@ -860,6 +859,6 @@ impl Intent {
                 out,
             },
         };
-        (intent, Vec::new())
+        (intent, Cargo::Nothing)
     }
 }

@@ -35,10 +35,11 @@
 //!
 //! * `pump` — [`Wire`], `Intent`, `Runnable`, `Cont`, `EvalSession` and
 //!   the loop: `schedule`, the one session loop `run_session`,
-//!   `next_arrival_batch`, `deliver`, `apply_intent`, slot fill/park;
-//!   also `blocking`, the one place a session is opened — `eval`,
-//!   `activate_document`, `feed`, `feed_replicas` and the lazy
-//!   activations' `call_service` all go through it. Names no policy.
+//!   `next_arrival_batch` (one arrival buffer), `deliver`,
+//!   `apply_intent`, slot fill/park (flat result slots); also
+//!   `blocking`, the one place a session is opened and handed back for
+//!   reuse — `eval`, `activate_document`, `feed`, `feed_replicas` and the
+//!   lazy activations' `call_service` all go through it. Names no policy.
 //! * `defs` — definitions (1)–(8): `step_eval`, `resume` and the
 //!   service-call steps of §2.2, whose provider-side evaluation
 //!   (`service_results`) reuses an answer through the provider's

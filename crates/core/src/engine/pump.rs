@@ -1,7 +1,15 @@
 //! The core pump: what travels ([`Wire`], `Intent`), what waits
 //! (`Runnable`, `Cont`, result slots) and the loop that drives an
 //! `EvalSession` to quiescence — drain ready tasks, then deliver the
-//! earliest batch of in-flight messages to the peers' mailboxes, repeat.
+//! earliest batch of in-flight messages from the session's one arrival
+//! buffer, receiver by receiver, repeat.
+//!
+//! A session moves a message without allocating once its buffers have
+//! grown: the arrival buffer, the ready queue, the slot table, the parts
+//! every slot's results land in and the inputs a resumed continuation
+//! reads are buffers the session keeps, and the system keeps its last
+//! finished session for the next one to reuse ([`AxmlSystem::blocking`]).
+//! A delivery carries the message's payload as it travelled ([`Cargo`]).
 //!
 //! The pump knows nothing about retry or `@any` failover: sends go
 //! through [`super::send`], generic references through [`super::any`].
@@ -9,7 +17,7 @@
 use super::defs::ScCall;
 use crate::error::{CoreResult, EngineError};
 use crate::expr::{Expr, PeerRef};
-use crate::message::AxmlMessage;
+use crate::message::{AxmlMessage, Cargo};
 use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_net::{FramedPayload, Payload};
@@ -18,7 +26,13 @@ use axml_prng::SplitMix64;
 use axml_query::Query;
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::tree::{NodeId, Tree};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+
+/// The room, in entries, each buffer of a finished session keeps for the
+/// next one: an ordinary session fits, and the rare one that fanned out
+/// to thousands of calls (a document's activation) hands what it grew
+/// back instead of holding it for the system's lifetime.
+const KEPT_ROOM: usize = 256;
 
 /// A result destination: `(slot, part)` inside the session's slot table.
 pub(crate) type Out = (usize, usize);
@@ -54,9 +68,8 @@ impl std::fmt::Debug for Wire {
     }
 }
 
-/// The effect a message has when it reaches its receiver's mailbox. The
-/// forests it works on are the ones the message carried
-/// ([`AxmlMessage::into_forests`]).
+/// The effect a message has when it reaches its receiver. The trees it
+/// works on are the ones the message carried ([`AxmlMessage::into_cargo`]).
 pub(crate) enum Intent {
     /// Pure data transfer; the send's value was already determined.
     None,
@@ -107,9 +120,11 @@ pub(crate) enum Intent {
     ReplicaFeed { doc: DocName },
 }
 
-/// One fixed-arity result slot: ready when every part is filled.
+/// One fixed-arity result slot: its parts are the session's
+/// `parts[first..first + len]`, and it is ready when every one is filled.
 struct Slot {
-    parts: Vec<Option<Vec<Tree>>>,
+    first: usize,
+    len: usize,
     missing: usize,
     /// The continuation (and the peer it runs at) parked on this slot;
     /// the fill of the last part resumes it.
@@ -120,11 +135,12 @@ struct Slot {
 pub(crate) enum Runnable {
     /// Decompose `expr` at a peer; its value lands in `out`.
     Eval { at: PeerId, expr: Expr, out: Out },
-    /// Resume a continuation whose inputs are all available.
+    /// Resume a continuation whose inputs — the parts of `slot` — are
+    /// all available.
     Resume {
         peer: PeerId,
         cont: Cont,
-        input: Vec<Vec<Tree>>,
+        slot: usize,
     },
 }
 
@@ -202,9 +218,9 @@ impl Cont {
     }
 }
 
-/// A message popped off the network and opened, parked in its receiver's
-/// mailbox: what is left of it is what the trace reports (`kind`, `size`)
-/// and what the receiver acts on (`intent`, `forests`).
+/// A message popped off the network and opened, waiting in the arrival
+/// buffer: what is left of it is what the trace reports (`kind`, `size`)
+/// and what the receiver acts on (`intent`, `cargo`).
 pub(crate) struct Delivery {
     from: PeerId,
     to: PeerId,
@@ -212,21 +228,28 @@ pub(crate) struct Delivery {
     kind: MessageKind,
     size: usize,
     intent: Intent,
-    forests: Vec<Vec<Tree>>,
+    cargo: Cargo,
 }
 
 /// One evaluation session: everything the engine needs besides Σ.
 ///
 /// Sessions are pure data — all logic lives in `AxmlSystem` methods so
-/// the loop can borrow peers, network and observability freely.
+/// the loop can borrow peers, network and observability freely. Its
+/// buffers outlive it: the system keeps the last finished session,
+/// emptied, and the next one reuses their room.
 pub(crate) struct EvalSession {
     slots: Vec<Slot>,
+    /// Every slot's parts, slot after slot.
+    parts: Vec<Option<Vec<Tree>>>,
+    /// The inputs of the continuation being resumed, taken out of its
+    /// slot: one buffer for every resume.
+    inputs: Vec<Vec<Tree>>,
     ready: VecDeque<Runnable>,
-    /// Per-peer arrival mailboxes, keyed by peer index. Sparse — only
-    /// peers that actually receive something get an entry, so a session
-    /// over 10⁵ peers costs O(touched peers), and the ascending key
-    /// iteration reproduces the dense `0..n` drain order bit-exactly.
-    mailboxes: BTreeMap<u32, VecDeque<Delivery>>,
+    /// The arrivals of the earliest pending instant, in delivery order:
+    /// by receiver index, and per receiver in the order the session PRNG
+    /// shuffled the batch into. One buffer for every receiver, so a
+    /// session over 10⁵ peers costs O(arrivals).
+    arrivals: Vec<Delivery>,
     rng: SplitMix64,
     /// Result trees delivered by arrival-side subscription pumps
     /// (replica maintenance accumulates its downstream count here).
@@ -236,12 +259,21 @@ pub(crate) struct EvalSession {
 impl EvalSession {
     /// Allocate a slot with `parts` ordered parts (0 parts = ready now).
     pub(crate) fn new_slot(&mut self, parts: usize) -> usize {
+        let first = self.parts.len();
+        self.parts.resize_with(first + parts, || None);
         self.slots.push(Slot {
-            parts: vec![None; parts],
+            first,
+            len: parts,
             missing: parts,
             parked: None,
         });
         self.slots.len() - 1
+    }
+
+    /// The parts of `slot`.
+    fn parts_of(&mut self, slot: usize) -> &mut [Option<Vec<Tree>>] {
+        let Slot { first, len, .. } = self.slots[slot];
+        &mut self.parts[first..first + len]
     }
 
     /// Take the first part of a finished slot (the session's result).
@@ -251,20 +283,34 @@ impl EvalSession {
     /// empty answer. (A part filled with an empty forest is a perfectly
     /// valid result and comes back as `Ok(vec![])`.)
     pub(crate) fn take(&mut self, slot: usize) -> Result<Vec<Tree>, EngineError> {
-        self.slots[slot]
-            .parts
-            .get_mut(0)
+        self.parts_of(slot)
+            .first_mut()
             .and_then(Option::take)
             .ok_or(EngineError::LostResult { slot, part: 0 })
     }
 
-    fn gather(&mut self, slot: usize) -> Result<Vec<Vec<Tree>>, EngineError> {
-        self.slots[slot]
-            .parts
-            .iter_mut()
-            .enumerate()
-            .map(|(part, p)| p.take().ok_or(EngineError::LostResult { slot, part }))
-            .collect()
+    /// Take the parts of a finished slot into `input`, in part order.
+    fn gather(&mut self, slot: usize, input: &mut Vec<Vec<Tree>>) -> Result<(), EngineError> {
+        for (part, p) in self.parts_of(slot).iter_mut().enumerate() {
+            input.push(p.take().ok_or(EngineError::LostResult { slot, part })?);
+        }
+        Ok(())
+    }
+
+    /// Drop everything the session holds — a tree kept here would pin
+    /// its arena, and a later write to it would copy the whole arena —
+    /// keeping up to [`KEPT_ROOM`] entries of the room its buffers grew.
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.parts.clear();
+        self.inputs.clear();
+        self.ready.clear();
+        self.arrivals.clear();
+        self.slots.shrink_to(KEPT_ROOM);
+        self.parts.shrink_to(KEPT_ROOM);
+        self.inputs.shrink_to(KEPT_ROOM);
+        self.ready.shrink_to(KEPT_ROOM);
+        self.arrivals.shrink_to(KEPT_ROOM);
     }
 }
 
@@ -274,50 +320,62 @@ impl AxmlSystem {
     /// task run, every in-flight message delivered).
     pub fn eval(&mut self, at: PeerId, expr: &Expr) -> CoreResult<Vec<Tree>> {
         self.check_peer(at)?;
-        let (root, mut s) = self.blocking(|sys, s| {
-            let root = s.new_slot(1);
-            sys.schedule(
-                s,
-                Runnable::Eval {
-                    at,
-                    expr: expr.clone(),
-                    out: (root, 0),
-                },
-            );
-            Ok(root)
-        })?;
-        Ok(s.take(root)?)
+        self.blocking(
+            |sys, s| {
+                let root = s.new_slot(1);
+                sys.schedule(
+                    s,
+                    Runnable::Eval {
+                        at,
+                        expr: expr.clone(),
+                        out: (root, 0),
+                    },
+                );
+                Ok(root)
+            },
+            |s, root| Ok(s.take(root)?),
+        )
     }
 
     /// The shape of every blocking entry point: open a session, let
-    /// `seed` put work into it, drive it to quiescence, and hand back
-    /// `seed`'s value with the finished session. If `seed` itself fails
-    /// the messages it already sent are dropped from the network.
-    pub(crate) fn blocking<T>(
+    /// `seed` put work into it, drive it to quiescence, and answer what
+    /// `finish` takes from the finished session and `seed`'s value. If
+    /// `seed` itself fails the messages it already sent are dropped from
+    /// the network. Either way the session is handed back, emptied, for
+    /// the next one to reuse.
+    pub(crate) fn blocking<T, R>(
         &mut self,
         seed: impl FnOnce(&mut Self, &mut EvalSession) -> CoreResult<T>,
-    ) -> CoreResult<(T, EvalSession)> {
+        finish: impl FnOnce(&mut EvalSession, T) -> CoreResult<R>,
+    ) -> CoreResult<R> {
         let mut s = self.new_session();
-        match seed(self, &mut s) {
-            Ok(v) => {
-                self.run_session(&mut s)?;
-                Ok((v, s))
-            }
+        let answer = match seed(self, &mut s) {
+            Ok(v) => self.run_session(&mut s).and_then(|()| finish(&mut s, v)),
             Err(e) => {
                 self.net.clear_in_flight();
                 Err(e)
             }
-        }
+        };
+        s.clear();
+        self.kept_session = Some(s);
+        answer
     }
 
-    /// A fresh session with a deterministic, per-session PRNG seed.
+    /// A session with a deterministic, per-session PRNG seed, in the
+    /// buffers of the last finished one when there is one.
     fn new_session(&mut self) -> EvalSession {
         let n = self.sessions;
         self.sessions += 1;
+        let (slots, parts, inputs, ready, arrivals) = match self.kept_session.take() {
+            Some(s) => (s.slots, s.parts, s.inputs, s.ready, s.arrivals),
+            None => Default::default(),
+        };
         EvalSession {
-            slots: Vec::new(),
-            ready: VecDeque::new(),
-            mailboxes: BTreeMap::new(),
+            slots,
+            parts,
+            inputs,
+            ready,
+            arrivals,
             rng: SplitMix64::new(self.engine_seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             delivered: 0,
         }
@@ -354,7 +412,7 @@ impl AxmlSystem {
 
     /// The session loop: run ready tasks in FIFO order (the tasks one
     /// spawns land behind those already queued), then deliver the
-    /// earliest batch of arrivals mailbox by mailbox, until both are
+    /// earliest batch of arrivals receiver by receiver, until both are
     /// empty.
     fn drain(&mut self, s: &mut EvalSession) -> CoreResult<()> {
         loop {
@@ -364,25 +422,25 @@ impl AxmlSystem {
             if !self.next_arrival_batch(s) {
                 break;
             }
-            // Deliveries never push into mailboxes (only
-            // `next_arrival_batch` does), so taking the whole map and
-            // draining in ascending peer order is exactly the old dense
-            // `0..n` per-peer scan.
-            for (_, mut mb) in std::mem::take(&mut s.mailboxes) {
-                while let Some(d) = mb.pop_front() {
-                    self.deliver(s, d)?;
-                }
-            }
+            // Deliveries never add arrivals (only `next_arrival_batch`
+            // does), so the batch is delivered whole, in buffer order,
+            // out of a buffer taken off the session for the while.
+            let mut arrivals = std::mem::take(&mut s.arrivals);
+            let delivered = arrivals.drain(..).try_for_each(|d| self.deliver(s, d));
+            s.arrivals = arrivals;
+            delivered?;
         }
         self.check_quiescent(s)
     }
 
-    /// Pop every message arriving at the earliest pending instant,
-    /// shuffle the batch with the session PRNG (deterministic
-    /// tie-breaking, not biased by send order) and enqueue each message
-    /// into its receiver's mailbox. Returns `false` when nothing is in
-    /// flight. It is the *only* consumer of the session PRNG, which keeps
-    /// the stream a function of the arrival sequence alone.
+    /// Pop every message arriving at the earliest pending instant into
+    /// the arrival buffer, shuffle it with the session PRNG
+    /// (deterministic tie-breaking, not biased by send order), then sort
+    /// it stably by receiver index: each receiver gets its arrivals in
+    /// shuffled order, receivers in ascending index order. Returns
+    /// `false` when nothing is in flight. It is the *only* consumer of
+    /// the session PRNG, which keeps the stream a function of the
+    /// arrival sequence alone.
     fn next_arrival_batch(&mut self, s: &mut EvalSession) -> bool {
         if !self.net.has_pending() {
             return false;
@@ -391,25 +449,22 @@ impl AxmlSystem {
             .net
             .peek_arrival()
             .expect("pending messages have an arrival time");
-        let mut batch = Vec::new();
         while self.net.peek_arrival() == Some(t) {
             let (from, to, wire, at) = self.net.recv_from().expect("peeked arrival must pop");
             let (kind, size) = (wire.msg.kind(), wire.msg.wire_size());
-            let (intent, forests) = wire.intent.open(wire.msg, to);
-            batch.push(Delivery {
+            let (intent, cargo) = wire.intent.open(wire.msg, to);
+            s.arrivals.push(Delivery {
                 from,
                 to,
                 at,
                 kind,
                 size,
                 intent,
-                forests,
+                cargo,
             });
         }
-        s.rng.shuffle(&mut batch);
-        for d in batch {
-            s.mailboxes.entry(d.to.0).or_default().push_back(d);
-        }
+        s.rng.shuffle(&mut s.arrivals);
+        s.arrivals.sort_by_key(|d| d.to.0);
         true
     }
 
@@ -430,7 +485,17 @@ impl AxmlSystem {
     pub(crate) fn run_task(&mut self, s: &mut EvalSession, task: Runnable) -> CoreResult<()> {
         match task {
             Runnable::Eval { at, expr, out } => self.step_eval(s, at, expr, out),
-            Runnable::Resume { peer, cont, input } => self.resume(s, peer, cont, input),
+            Runnable::Resume { peer, cont, slot } => {
+                // The session's input buffer, taken off it for the while.
+                let mut input = std::mem::take(&mut s.inputs);
+                let resumed = match s.gather(slot, &mut input) {
+                    Ok(()) => self.resume(s, peer, cont, &mut input),
+                    Err(e) => Err(e.into()),
+                };
+                input.clear();
+                s.inputs = input;
+                resumed
+            }
         }
     }
 
@@ -444,25 +509,24 @@ impl AxmlSystem {
             bytes,
             at_ms,
         });
-        self.apply_intent(s, to, d.intent, d.forests)
+        self.apply_intent(s, to, d.intent, d.cargo)
     }
 
-    /// Run a message's receiver-side effect at `to` over the `forests`
-    /// it carried (local sends apply it at once, cross-peer ones on
+    /// Run a message's receiver-side effect at `to` over the `cargo` it
+    /// carried (local sends apply it at once, cross-peer ones on
     /// delivery).
     pub(super) fn apply_intent(
         &mut self,
         s: &mut EvalSession,
         to: PeerId,
         intent: Intent,
-        forests: Vec<Vec<Tree>>,
+        cargo: Cargo,
     ) -> CoreResult<()> {
-        // Every variant but `Invoke` works on the message's one forest.
-        let forest = |forests: Vec<Vec<Tree>>| forests.into_iter().next().unwrap_or_default();
+        // Every variant but `Invoke` works on the message's one payload.
         match intent {
             Intent::None => Ok(()),
             Intent::Shipped { .. } => unreachable!("a shipped intent is opened on arrival"),
-            Intent::Reply { out } => self.fill(s, out, forest(forests)),
+            Intent::Reply { out } => self.fill(s, out, cargo.into_forest()),
             Intent::EvalAndReply {
                 expr,
                 reply_to,
@@ -502,11 +566,11 @@ impl AxmlSystem {
                 self.register_pending(s, slot, to, Cont::Discard { out: done })
             }
             Intent::Graft { addr, notify } => {
-                self.graft_at(&addr, &forest(forests))?;
+                self.graft_at(&addr, cargo.trees())?;
                 self.fill(s, notify, Vec::new())
             }
             Intent::InstallDoc { name, notify } => {
-                self.install_new_doc(to, &name, &forest(forests))?;
+                self.install_new_doc(to, &name, cargo.trees())?;
                 self.fill(s, notify, Vec::new())
             }
             Intent::Deploy {
@@ -527,14 +591,14 @@ impl AxmlSystem {
                 let call = ScCall {
                     caller,
                     service: &service,
-                    param_forests: forests,
+                    param_forests: cargo.into_params(),
                     forward: &forward,
                 };
                 self.run_service_at(s, to, call, call_id, out)
             }
             Intent::ReplicaFeed { doc } => {
-                for tree in forest(forests) {
-                    s.delivered += self.feed_into(s, to, &doc, tree)?;
+                for tree in cargo.trees() {
+                    s.delivered += self.feed_into(s, to, &doc, tree.clone())?;
                 }
                 Ok(())
             }
@@ -551,13 +615,15 @@ impl AxmlSystem {
         forest: Vec<Tree>,
     ) -> CoreResult<()> {
         let slot = &mut s.slots[out.0];
-        debug_assert!(slot.parts[out.1].is_none(), "slot part filled twice");
-        slot.parts[out.1] = Some(forest);
+        debug_assert!(out.1 < slot.len, "no part {} in slot {}", out.1, out.0);
+        let part = &mut s.parts[slot.first + out.1];
+        debug_assert!(part.is_none(), "slot part filled twice");
+        *part = Some(forest);
         slot.missing -= 1;
         if slot.missing == 0 {
             if let Some((peer, cont)) = slot.parked.take() {
-                let input = s.gather(out.0)?;
-                self.schedule(s, Runnable::Resume { peer, cont, input });
+                let slot = out.0;
+                self.schedule(s, Runnable::Resume { peer, cont, slot });
             }
         }
         Ok(())
@@ -573,8 +639,7 @@ impl AxmlSystem {
         cont: Cont,
     ) -> CoreResult<()> {
         if s.slots[slot].missing == 0 {
-            let input = s.gather(slot)?;
-            self.schedule(s, Runnable::Resume { peer, cont, input });
+            self.schedule(s, Runnable::Resume { peer, cont, slot });
         } else {
             debug_assert!(s.slots[slot].parked.is_none(), "slot parked twice");
             s.slots[slot].parked = Some((peer, cont));

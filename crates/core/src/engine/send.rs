@@ -46,8 +46,8 @@ impl AxmlSystem {
         self.check_peer(from)?;
         self.check_peer(to)?;
         if from == to {
-            let (intent, forests) = intent.open(msg, to);
-            return self.apply_intent(s, to, intent, forests);
+            let (intent, cargo) = intent.open(msg, to);
+            return self.apply_intent(s, to, intent, cargo);
         }
         let kind = msg.kind();
         let charged = self.net.link(from, to).charged_bytes_u64(msg.wire_size());

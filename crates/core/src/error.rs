@@ -25,7 +25,7 @@ pub enum EngineError {
         /// Kind of the undeliverable message.
         kind: MessageKind,
     },
-    /// An evaluation session drained its ready queue and its mailboxes
+    /// An evaluation session drained its ready queue and its arrivals
     /// but continuations were still waiting — a lost completion.
     Stalled {
         /// The peer owning the first orphaned continuation.

@@ -21,10 +21,12 @@
 //!   a network-aware **cost model** ([`cost`]) and a **cost-based
 //!   optimizer** with explain traces ([`optimizer`]),
 //! * `pickDoc`/`pickService` policies for generic references ([`pick`]),
-//! * a **message-driven evaluation engine** — per-peer mailboxes and
-//!   continuation tasks over the discrete-event network, so independent
-//!   transfers overlap ([`engine`]) — and a fluent [`builder`] for
-//!   declarative system construction.
+//! * a **message-driven evaluation engine** — continuation tasks over
+//!   the discrete-event network, with one arrival buffer that delivers
+//!   each instant's messages receiver by receiver, so independent
+//!   transfers overlap, in a session the system keeps and reuses, so a
+//!   message moves without allocating ([`engine`]) — and a fluent
+//!   [`builder`] for declarative system construction.
 //!
 //! ## Observability
 //!

@@ -6,7 +6,11 @@
 //! by the links' per-message overhead).
 //!
 //! A payload is a [`Body`]: the trees themselves plus their exact
-//! serialized length, which is all the simulator asks for. Only a
+//! serialized length, which is all the simulator asks for. A forest that
+//! several messages carry — a feed's fresh results to every member of
+//! the call, a forward list's sinks — is measured once and shared by
+//! them all. On arrival a message hands its receiver its `Cargo`:
+//! the payload, or an `Invoke`'s parameters. Only a
 //! socket-backed transport needs bytes, and the message then renders each
 //! tree once, straight into the frame buffer, through
 //! [`Tree::serialize_into`]: a walk, or — for a whole document shipped
@@ -19,6 +23,7 @@ use axml_net::Payload;
 use axml_obs::{DataTag, MessageKind};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::tree::{NodeId, Tree};
+use std::sync::Arc;
 
 /// A message payload, rendered on demand: a forest of tree handles, a
 /// shipped expression, or text that already exists as a string (a query
@@ -37,6 +42,8 @@ pub struct Body {
 enum Src {
     Text(String),
     Forest(Vec<Tree>),
+    /// A forest several messages carry: a clone bumps a count.
+    Shared(Arc<[Tree]>),
     Expr(Expr),
 }
 
@@ -47,7 +54,7 @@ impl Body {
         debug_assert_eq!(
             len,
             {
-                let mut text = Vec::new();
+                let mut text = Vec::with_capacity(len);
                 expr.write_fingerprint(&mut text);
                 text.len()
             },
@@ -62,10 +69,18 @@ impl Body {
     /// The concatenated compact serializations of `trees`, not yet
     /// rendered. Takes the handles: the message is their one holder.
     pub fn forest(trees: Vec<Tree>) -> Body {
-        let len = trees.iter().map(Tree::serialized_size).sum();
         Body {
+            len: measure(&trees),
             src: Src::Forest(trees),
-            len,
+        }
+    }
+
+    /// [`Body::forest`] for a forest several messages carry: measured
+    /// once, and every clone of the body shares the trees.
+    pub(crate) fn shared(trees: Vec<Tree>) -> Body {
+        Body {
+            len: measure(&trees),
+            src: Src::Shared(trees.into()),
         }
     }
 
@@ -85,6 +100,7 @@ impl Body {
         match &self.src {
             Src::Text(s) => out.extend_from_slice(s.as_bytes()),
             Src::Forest(trees) => write_forest(trees, out),
+            Src::Shared(trees) => write_forest(trees, out),
             Src::Expr(e) => {
                 #[cfg(test)]
                 tests::BODY_RENDERS.set(tests::BODY_RENDERS.get() + 1);
@@ -95,9 +111,20 @@ impl Body {
     }
 
     /// The trees the body carries (a text body carries none).
+    pub(crate) fn trees(&self) -> &[Tree] {
+        match &self.src {
+            Src::Forest(trees) => trees,
+            Src::Shared(trees) => trees,
+            Src::Text(_) | Src::Expr(_) => &[],
+        }
+    }
+
+    /// The trees the body carries, taken: moved out of a forest of its
+    /// own, handles copied out of a shared one.
     fn into_forest(self) -> Vec<Tree> {
         match self.src {
             Src::Forest(trees) => trees,
+            Src::Shared(trees) => trees.to_vec(),
             Src::Text(_) | Src::Expr(_) => Vec::new(),
         }
     }
@@ -106,7 +133,7 @@ impl Body {
     fn into_expr(self) -> Option<Expr> {
         match self.src {
             Src::Expr(e) => Some(e),
-            Src::Text(_) | Src::Forest(_) => None,
+            Src::Text(_) | Src::Forest(_) | Src::Shared(_) => None,
         }
     }
 
@@ -144,6 +171,52 @@ impl PartialEq for Body {
 }
 
 impl Eq for Body {}
+
+/// The serialized length of `trees`: the one measurement of a forest a
+/// body is made from.
+fn measure(trees: &[Tree]) -> usize {
+    #[cfg(test)]
+    tests::BODY_MEASURES.set(tests::BODY_MEASURES.get() + 1);
+    trees.iter().map(Tree::serialized_size).sum()
+}
+
+/// What a message hands its receiver on arrival
+/// ([`AxmlMessage::into_cargo`]): its one payload, or an `Invoke`'s
+/// parameters. Nothing is copied or rewrapped on the way.
+pub(crate) enum Cargo {
+    /// The payload of a `Data`, `Response` or `InstallDoc`.
+    Payload(Body),
+    /// An `Invoke`'s parameters, one body per parameter.
+    Params(Vec<Body>),
+    /// Shipped text only: a request or a deployed query.
+    Nothing,
+}
+
+impl Cargo {
+    /// The payload's trees (none for the other kinds).
+    pub(crate) fn trees(&self) -> &[Tree] {
+        match self {
+            Cargo::Payload(body) => body.trees(),
+            Cargo::Params(_) | Cargo::Nothing => &[],
+        }
+    }
+
+    /// The payload's forest, taken (empty for the other kinds).
+    pub(crate) fn into_forest(self) -> Vec<Tree> {
+        match self {
+            Cargo::Payload(body) => body.into_forest(),
+            Cargo::Params(_) | Cargo::Nothing => Vec::new(),
+        }
+    }
+
+    /// The parameter forests, taken (none for the other kinds).
+    pub(crate) fn into_params(self) -> Vec<Vec<Tree>> {
+        match self {
+            Cargo::Params(params) => params.into_iter().map(Body::into_forest).collect(),
+            Cargo::Payload(_) | Cargo::Nothing => Vec::new(),
+        }
+    }
+}
 
 /// Bytes a length-prefixed field of `len` bytes takes in a frame.
 const fn field(len: usize) -> usize {
@@ -219,18 +292,15 @@ impl AxmlMessage {
         }
     }
 
-    /// The forests the message carries, handed to the receiver: one per
-    /// parameter for an `Invoke`, the payload's for the variants that
-    /// have one, none for shipped text.
-    pub(crate) fn into_forests(self) -> Vec<Vec<Tree>> {
+    /// What the message hands its receiver: the payload of the variants
+    /// that have one, an `Invoke`'s parameters, nothing for shipped text.
+    pub(crate) fn into_cargo(self) -> Cargo {
         match self {
-            AxmlMessage::Invoke { params, .. } => {
-                params.into_iter().map(Body::into_forest).collect()
-            }
+            AxmlMessage::Invoke { params, .. } => Cargo::Params(params),
             AxmlMessage::Data { payload, .. }
             | AxmlMessage::Response { payload, .. }
-            | AxmlMessage::InstallDoc { payload, .. } => vec![payload.into_forest()],
-            AxmlMessage::Request { .. } | AxmlMessage::DeployQuery { .. } => Vec::new(),
+            | AxmlMessage::InstallDoc { payload, .. } => Cargo::Payload(payload),
+            AxmlMessage::Request { .. } | AxmlMessage::DeployQuery { .. } => Cargo::Nothing,
         }
     }
 
@@ -444,6 +514,8 @@ pub(crate) mod tests {
         /// Forests and expressions rendered on this thread: none, in a
         /// test on the simulator.
         pub(crate) static BODY_RENDERS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+        /// Forests measured into a body on this thread.
+        pub(crate) static BODY_MEASURES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     }
 
     /// The counter the simulator tests hold at zero does count, and an

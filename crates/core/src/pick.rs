@@ -15,7 +15,6 @@ use axml_net::Payload;
 use axml_prng::SplitMix64;
 use axml_xml::ids::{DocName, PeerId, ServiceName};
 use axml_xml::store::fresh_stamp;
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -171,19 +170,24 @@ impl Catalog {
         excluded: &[PeerId],
     ) -> CoreResult<(PeerId, N)> {
         let (members, cursors) = N::table(self);
-        let candidates: Vec<&(PeerId, N)> = members
-            .get(class)
-            .into_iter()
-            .flatten()
-            .filter(|(p, _)| {
+        let members = members.get(class).map_or(&[][..], Vec::as_slice);
+        // The candidates are walked where they are registered, and the
+        // pick is an index among them.
+        let candidates = || {
+            members.iter().filter(|(p, _)| {
                 excluded.is_empty() || (!excluded.contains(p) && net.reachable(at, *p))
             })
-            .collect();
-        if candidates.is_empty() {
+        };
+        let count = candidates().count();
+        if count == 0 {
             return Err(CoreError::EmptyEquivalenceClass(class.to_string()));
         }
         let cursor = cursors.entry(class.clone()).or_insert(0);
-        Ok(candidates[pick_index(policy, at, &candidates, net, cursor)].clone())
+        let i = pick_index(policy, at, candidates(), count, net, cursor);
+        Ok(candidates()
+            .nth(i)
+            .expect("an index among the candidates")
+            .clone())
     }
 }
 
@@ -193,13 +197,13 @@ const NOMINAL_BYTES: usize = 64 * 1024;
 /// cost model alike: the index of the member whose link from the picker
 /// (`link`, by the member's peer) carries a nominal 64 KiB transfer
 /// soonest — the first such member on a tie, `None` for no members.
-pub(crate) fn closest<N, T: Borrow<(PeerId, N)>>(
-    members: &[T],
+pub(crate) fn closest<'m, N: 'm>(
+    members: impl IntoIterator<Item = &'m (PeerId, N)>,
     link: impl Fn(PeerId) -> LinkCost,
 ) -> Option<usize> {
-    let cost = |m: &T| link(m.borrow().0).transfer_ms(NOMINAL_BYTES);
+    let cost = |m: &(PeerId, N)| link(m.0).transfer_ms(NOMINAL_BYTES);
     members
-        .iter()
+        .into_iter()
         .enumerate()
         // `total_cmp`, like the optimizer's beam ordering: a NaN link
         // cost must not make the choice order-dependent.
@@ -207,10 +211,12 @@ pub(crate) fn closest<N, T: Borrow<(PeerId, N)>>(
         .map(|(i, _)| i)
 }
 
-fn pick_index<N, M: Payload>(
+/// The index among the `count` `candidates` that `policy` picks.
+fn pick_index<'m, N: 'm, M: Payload>(
     policy: PickPolicy,
     at: PeerId,
-    candidates: &[&(PeerId, N)],
+    candidates: impl Iterator<Item = &'m (PeerId, N)>,
+    count: usize,
     net: &SimTransport<M>,
     cursor: &mut usize,
 ) -> usize {
@@ -222,10 +228,10 @@ fn pick_index<N, M: Payload>(
             // so repeated picks are deterministic but well spread.
             let mut rng = SplitMix64::new(seed ^ ((at.0 as u64) << 32) ^ *cursor as u64);
             *cursor += 1;
-            rng.gen_range(0..candidates.len())
+            rng.gen_range(0..count)
         }
         PickPolicy::RoundRobin => {
-            let i = *cursor % candidates.len();
+            let i = *cursor % count;
             *cursor += 1;
             i
         }

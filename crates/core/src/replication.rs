@@ -32,8 +32,10 @@ impl AxmlSystem {
         class: &DocName,
         tree: Tree,
     ) -> CoreResult<usize> {
-        let (local, s) = self.blocking(|sys, s| sys.feed_replicas_into(s, origin, class, tree))?;
-        Ok(local + s.delivered)
+        self.blocking(
+            |sys, s| sys.feed_replicas_into(s, origin, class, tree),
+            |s, local| Ok(local + s.delivered),
+        )
     }
 
     fn feed_replicas_into(
@@ -59,8 +61,8 @@ impl AxmlSystem {
         let delivered = self.feed_into(s, origin, &origin_doc, tree.clone())?;
         // …then one charged transfer per sibling replica; the sibling's
         // own write (and its subscription pumps) happens on arrival. The
-        // update is measured once for all of them.
-        let update = Body::forest(vec![tree]);
+        // update is measured once, and shared, for all of them.
+        let update = Body::shared(vec![tree]);
         for (peer, concrete) in members {
             if peer == origin {
                 continue;

@@ -10,7 +10,7 @@
 //! every cross-peer byte through the engine's wire path so the
 //! statistics measure real traffic.
 
-use crate::engine::Wire;
+use crate::engine::{EvalSession, Wire};
 use crate::error::{CoreError, CoreResult};
 use crate::peer::{PeerSnapshot, PeerState};
 use crate::pick::{Catalog, PickPolicy};
@@ -59,6 +59,9 @@ pub struct AxmlSystem {
     pub(crate) obs: Obs,
     pub(crate) engine_seed: u64,
     pub(crate) sessions: u64,
+    /// The last finished evaluation session, emptied: the next one
+    /// reuses its buffers (see [`crate::engine`]).
+    pub(crate) kept_session: Option<EvalSession>,
     /// The cost model's document statistics, valid per peer while its
     /// [`PeerState::stamp`] stands (see [`crate::cost`]).
     pub(crate) stats_cache: crate::cost::StatsCache,
@@ -91,6 +94,7 @@ impl AxmlSystem {
             obs: Obs::new(),
             engine_seed: DEFAULT_ENGINE_SEED,
             sessions: 0,
+            kept_session: None,
             stats_cache: Default::default(),
             plans: Default::default(),
             retry: RetryPolicy::none(),

@@ -899,7 +899,7 @@ impl<'p, 'a> Eval<'p, 'a> {
         scope: Scope<'_, 'a>,
         out: &mut Vec<Tree>,
     ) -> QueryResult<()> {
-        let text = |s: &str| {
+        let text = |s: Arc<str>| {
             let mut t = Tree::new("text");
             let r = t.root();
             t.add_text(r, s);
@@ -915,12 +915,12 @@ impl<'p, 'a> Eval<'p, 'a> {
                         Item::Node(tree, node) => tree
                             .subtree(node)
                             .expect("path items reference valid nodes"),
-                        Item::Atom(s) => text(&s),
+                        Item::Atom(s) => text(s.into()),
                     });
                     Ok(true)
                 })?;
             }
-            TemplatePlan::Text(s) => out.push(text(s)),
+            TemplatePlan::Text(s) => out.push(text(Arc::clone(s))),
             TemplatePlan::Element { label, .. } => {
                 let mut t = Tree::new(*label);
                 let root = t.root();
@@ -946,11 +946,11 @@ impl<'p, 'a> Eval<'p, 'a> {
             return Err(QueryError::Internal("fill_element on non-element".into()));
         };
         let internal = |e: axml_xml::XmlError| QueryError::Internal(e.to_string());
-        // Each string is made once, from a borrow; a spliced node's
-        // children are grafted, which shares their strings.
+        // A literal shares the plan's string, a spliced string is made
+        // once, from a borrow, and grafted children share their strings.
         for (name, v) in attrs {
             let value: Arc<str> = match v {
-                AttrTplPlan::Literal(s) => s.as_str().into(),
+                AttrTplPlan::Literal(s) => Arc::clone(s),
                 AttrTplPlan::Splice(p) => {
                     // The atoms, space-joined: borrowed while there is one.
                     let mut joined: Option<Cow<'a, str>> = None;
@@ -970,7 +970,7 @@ impl<'p, 'a> Eval<'p, 'a> {
         for c in children {
             match c {
                 TemplatePlan::Text(s) => {
-                    t.add_text(at, s.as_str());
+                    t.add_text(at, Arc::clone(s));
                 }
                 TemplatePlan::Element { label, .. } => {
                     let el = t.add_element(at, *label);

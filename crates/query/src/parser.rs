@@ -653,7 +653,7 @@ impl<'a> P<'a> {
     /// `"{path}"`, or a literal read like every other string.
     fn parse_attr_template(&mut self) -> QueryResult<AttrTplPlan> {
         if !self.rest().starts_with("\"{") {
-            return Ok(AttrTplPlan::Literal(self.parse_string()?));
+            return Ok(AttrTplPlan::Literal(self.parse_string()?.into()));
         }
         self.expect("\"")?;
         let p = self.parse_splice()?;
@@ -689,7 +689,7 @@ impl<'a> P<'a> {
                 }
             }
         }
-        Ok(TemplatePlan::Text(out))
+        Ok(TemplatePlan::Text(out.into()))
     }
 }
 
@@ -768,7 +768,7 @@ mod tests {
         match &q.template {
             TemplatePlan::Element { children, .. } => {
                 assert!(matches!(&children[0], TemplatePlan::Text(t)
-                    if t == "literal {braces} <tag> & "));
+                    if &**t == "literal {braces} <tag> & "));
                 assert_eq!(children[1], TemplatePlan::Splice(PathPlan::var(0)));
             }
             other => panic!("{other:?}"),

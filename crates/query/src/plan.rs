@@ -23,6 +23,7 @@
 use axml_xml::ids::DocName;
 use axml_xml::Label;
 use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 /// Index of a variable slot in the binding tuple.
 pub type VarId = usize;
@@ -255,8 +256,8 @@ pub enum TemplatePlan {
         /// Children.
         children: Vec<TemplatePlan>,
     },
-    /// Literal text.
-    Text(String),
+    /// Literal text, shared by every answer that copies it.
+    Text(Arc<str>),
     /// Copy every node/atom the path yields.
     Splice(PathPlan),
 }
@@ -290,8 +291,8 @@ impl TemplatePlan {
 /// Compiled attribute template.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttrTplPlan {
-    /// Literal value.
-    Literal(String),
+    /// Literal value, shared by every answer that copies it.
+    Literal(Arc<str>),
     /// Space-joined atomization of a path.
     Splice(PathPlan),
 }

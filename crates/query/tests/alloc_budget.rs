@@ -232,6 +232,22 @@ fn a_template_answer_costs_its_handle_slots_and_new_strings() {
 }
 
 #[test]
+fn a_template_literal_is_shared_not_copied() {
+    // A literal attribute value or text in a template is the plan's own
+    // string: every answer that copies it bumps a count. Ten answers cost
+    // 3 blocks each beyond views of the packages, none of them for the
+    // literal (40 blocks when every answer copied it).
+    let views = selected_again("{$p}");
+    for template in [
+        r#"<big kind="pkg">{$p/size}</big>"#,
+        "<big>{$p/size}<note>big package</note></big>",
+    ] {
+        let built = selected_again(template);
+        assert_eq!(built - views, 30, "{template}");
+    }
+}
+
+#[test]
 fn a_probe_allocates_nothing_per_attribute() {
     // 8 000 subscriptions like `sub_churn`'s, filtering on one of 8
     // attributes for one of 1 000 values: the index keys them by

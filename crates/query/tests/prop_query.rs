@@ -526,7 +526,7 @@ mod reference {
         };
         for (name, v) in attrs {
             let value = match v {
-                AttrTplPlan::Literal(s) => s.clone(),
+                AttrTplPlan::Literal(s) => s.to_string(),
                 AttrTplPlan::Splice(p) => atoms(p, src, binds, None)?.join(" "),
             };
             t.set_attr(at, *name, value).unwrap();

@@ -65,6 +65,12 @@
 #     reused plan costs a copy of it (a_reuse_allocates_a_copy_of_the_
 #     plan_and_little_else), and a cost-model snapshot allocates as much
 #     for 512 peers as for 64 (a_snapshot_costs_o_peers);
+#   - crates/core/tests/session_alloc_budget.rs (same sweep, same kind of
+#     allocator): moving a message through a session allocates nothing
+#     once the system's kept session has grown — a steady-state
+#     catalog@any fetch on a 64-peer WAN allocates at most 3 times, and a
+#     feed of one call costs at most 3 allocations per member beyond the
+#     first;
 #   - crates/xml/tests/digest_alloc_budget.rs (same sweep, same kind of
 #     allocator): a canonical digest allocates nothing, so counting a tree
 #     already delivered allocates nothing and a batch admitted to the
@@ -139,16 +145,36 @@ for f in $(find crates/*/src -name '*.rs' ! -path crates/net/src/bytes.rs); do
     fi
 done
 
-echo "== tier-1: one blocking-session wrapper (new_session() only in core/src/engine/) =="
+echo "== tier-1: one blocking-session wrapper (new_session() only in core/src/engine/, an EvalSession built only there) =="
 # Every blocking entry point opens its session through
 # AxmlSystem::blocking (engine/pump.rs), which also owns the
-# clear-in-flight-on-error rule.
+# clear-in-flight-on-error rule and hands the finished session back for
+# the next one to reuse. Outside comments and `#[cfg(test)]` modules,
+# an `EvalSession { … }` literal appears once, in new_session, so no
+# session is built beside the reused one.
 for f in $(find crates/core/src -name '*.rs' ! -path 'crates/core/src/engine/*'); do
     if sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" | grep -n 'new_session()'; then
         echo "tier-1: $f opens an EvalSession itself; go through AxmlSystem::blocking" >&2
         exit 1
     fi
 done
+built() { grep -E '\bEvalSession *\{' | grep -cvE '(struct|impl|->) +EvalSession' || true; }
+for f in $(find crates/core/src -name '*.rs'); do
+    made=$(sed -e '/#\[cfg(test)\]/,$d' -e '/^ *\/\//d' "$f" | built)
+    case "$f" in
+        crates/core/src/engine/pump.rs) want=1 ;; # new_session's
+        *) want=0 ;;
+    esac
+    if [ "$made" -ne "$want" ]; then
+        echo "tier-1: $f builds an EvalSession $made times; new_session builds the one" >&2
+        exit 1
+    fi
+done
+if [ "$(sed -e '/#\[cfg(test)\]/,$d' crates/core/src/engine/pump.rs \
+    | sed -n '/^    fn new_session(/,/^    }$/p' | built)" -ne 1 ]; then
+    echo "tier-1: engine/pump.rs must build its EvalSession in new_session" >&2
+    exit 1
+fi
 
 echo "== tier-1: one strategy picker (DeltaStrategy made only in query/src/delta.rs) =="
 # A pump finds what is new either from the appended child alone or by
