@@ -484,11 +484,10 @@ impl AxmlSystem {
         self.check_after_cycles(&calls)?;
         let mut created = Vec::new();
         for (sc_node, sc) in calls {
+            let params = sc.param_forests();
             // Default sink: the sc's parent node in this document.
             let sink: Arc<[NodeAddr]> = if sc.forward.is_empty() {
-                let parent = tree
-                    .parent(sc_node)
-                    .ok_or_else(|| CoreError::Malformed("sc element at document root".into()))?;
+                let parent = ScNode::host(&tree, sc_node)?;
                 Arc::from([NodeAddr::new(at, doc.clone(), parent)])
             } else {
                 sc.forward.into()
@@ -498,7 +497,6 @@ impl AxmlSystem {
                 PeerRef::Any => self.pick_any(at, &sc.service, &[])?,
             };
             self.check_peer(provider)?;
-            let params: Vec<Vec<Tree>> = sc.params.into_iter().map(|p| vec![p]).collect();
             // The subscription id doubles as the call id of the wire
             // frame and of the `ServiceCall` trace event — assign it
             // *before* building either, so all three always agree.

@@ -7,7 +7,7 @@
 use super::pump::{Cont, EvalSession, Intent, Out, Runnable};
 use crate::error::{CoreError, CoreResult};
 use crate::expr::{Expr, PeerRef, SendDest};
-use crate::message::{AxmlMessage, Body, Cargo};
+use crate::message::{AxmlMessage, Body};
 use crate::peer::PeerState;
 use crate::sc::{ActivationMode, ScNode};
 use crate::service::Service;
@@ -80,7 +80,7 @@ impl AxmlSystem {
                         query.def_at,
                         at,
                         AxmlMessage::Data {
-                            payload: query.query.wire_xml().into(),
+                            payload: Body::query(query.query.clone()),
                             tag: DataTag::QueryDef,
                         },
                         Intent::Reply { out: (slot, 0) },
@@ -115,22 +115,12 @@ impl AxmlSystem {
 
             // ---- definitions (3)/(4) + send-to-new-doc ----------------
             Expr::Send { dest, payload } => {
-                let slot = s.new_slot(1);
-                self.schedule(
-                    s,
-                    Runnable::Eval {
-                        at,
-                        expr: *payload,
-                        out: (slot, 0),
-                    },
-                );
                 let cont = match dest {
                     SendDest::Peer(q) => Cont::SendPeer { dest: q, out },
                     SendDest::Nodes(addrs) => Cont::SendNodes { addrs, out },
                     SendDest::NewDoc { peer, name } => Cont::SendNewDoc { peer, name, out },
                 };
-                self.register_pending(s, slot, at, cont)?;
-                Ok(())
+                self.eval_then(s, at, *payload, cont)
             }
 
             // ---- definition (6): service calls ------------------------
@@ -176,7 +166,7 @@ impl AxmlSystem {
                 if peer != at {
                     // The delegated plan crosses the wire (embedded
                     // query definitions travel with it); the receiver
-                    // takes it out of the request (`Intent::open`).
+                    // takes it out of the request.
                     self.send_wire(
                         s,
                         at,
@@ -184,8 +174,7 @@ impl AxmlSystem {
                         AxmlMessage::Request {
                             expr_xml: Body::expr(*inner),
                         },
-                        Intent::Shipped {
-                            reply_to: at,
+                        Intent::Request {
                             tag: DataTag::DelegatedResult,
                             out,
                         },
@@ -205,18 +194,7 @@ impl AxmlSystem {
                                 },
                             );
                         }
-                        other => {
-                            let slot = s.new_slot(1);
-                            self.schedule(
-                                s,
-                                Runnable::Eval {
-                                    at: peer,
-                                    expr: other,
-                                    out: (slot, 0),
-                                },
-                            );
-                            self.register_pending(s, slot, peer, Cont::Discard { out })?;
-                        }
+                        other => self.eval_then(s, peer, other, Cont::Discard { out })?,
                     }
                     Ok(())
                 }
@@ -236,14 +214,10 @@ impl AxmlSystem {
                         query.def_at,
                         to,
                         AxmlMessage::DeployQuery {
-                            query_xml: query.query.wire_xml().into(),
-                            as_service: as_service.clone(),
-                        },
-                        Intent::Deploy {
-                            query: query.query,
+                            query_xml: Body::query(query.query),
                             as_service,
-                            notify: (gate, 0),
                         },
+                        Intent::Reply { out: (gate, 0) },
                     )?;
                     self.register_pending(s, gate, at, Cont::Discard { out })?;
                 } else {
@@ -259,23 +233,8 @@ impl AxmlSystem {
                 self.obs.metrics.seq_steps += es.len() as u64;
                 let mut rest: VecDeque<Expr> = es.into();
                 match rest.pop_front() {
-                    None => {
-                        self.fill(s, out, Vec::new())?;
-                        Ok(())
-                    }
-                    Some(first) => {
-                        let slot = s.new_slot(1);
-                        self.schedule(
-                            s,
-                            Runnable::Eval {
-                                at,
-                                expr: first,
-                                out: (slot, 0),
-                            },
-                        );
-                        self.register_pending(s, slot, at, Cont::SeqStep { rest, out })?;
-                        Ok(())
-                    }
+                    None => self.fill(s, out, Vec::new()),
+                    Some(first) => self.eval_then(s, at, first, Cont::SeqStep { rest, out }),
                 }
             }
         }
@@ -355,13 +314,10 @@ impl AxmlSystem {
                         peer,
                         dest,
                         AxmlMessage::InstallDoc {
-                            name: name.clone(),
+                            name,
                             payload: Body::forest(forest),
                         },
-                        Intent::InstallDoc {
-                            name,
-                            notify: (gate, 0),
-                        },
+                        Intent::Reply { out: (gate, 0) },
                     )?;
                     self.register_pending(s, gate, peer, Cont::Discard { out })?;
                 } else {
@@ -385,27 +341,10 @@ impl AxmlSystem {
                 self.fill(s, out, vec![tree])?;
                 Ok(())
             }
-            Cont::SeqStep { mut rest, out } => {
-                match rest.pop_front() {
-                    None => {
-                        let last = first(input);
-                        self.fill(s, out, last)?;
-                    }
-                    Some(next) => {
-                        let slot = s.new_slot(1);
-                        self.schedule(
-                            s,
-                            Runnable::Eval {
-                                at: peer,
-                                expr: next,
-                                out: (slot, 0),
-                            },
-                        );
-                        self.register_pending(s, slot, peer, Cont::SeqStep { rest, out })?;
-                    }
-                }
-                Ok(())
-            }
+            Cont::SeqStep { mut rest, out } => match rest.pop_front() {
+                None => self.fill(s, out, first(input)),
+                Some(next) => self.eval_then(s, peer, next, Cont::SeqStep { rest, out }),
+            },
             Cont::ReplyData {
                 reply_to,
                 tag,
@@ -459,31 +398,62 @@ impl AxmlSystem {
         out: Out,
     ) -> CoreResult<()> {
         self.record_def(5, at, "fetch");
-        let (expr_xml, intent) = match &expr {
+        let (expr_xml, intent) = match expr {
             Expr::Tree { tree, .. } => (
                 format!(
                     r#"<fetch kind="tree" at="p{}" ref="{:016x}"/>"#,
                     loc.0,
-                    axml_xml::equiv::canonical_hash(tree, tree.root())
+                    axml_xml::equiv::canonical_hash(&tree, tree.root())
                 )
                 .into(),
-                Intent::EvalAndReply {
-                    expr,
-                    reply_to: at,
-                    tag: DataTag::Fetch,
-                    out,
-                },
+                Intent::FetchTree { tree, out },
             ),
-            _ => (
+            expr => (
                 Body::expr(expr),
-                Intent::Shipped {
-                    reply_to: at,
+                Intent::Request {
                     tag: DataTag::Fetch,
                     out,
                 },
             ),
         };
         self.send_wire(s, at, loc, AxmlMessage::Request { expr_xml }, intent)
+    }
+
+    /// A request arriving at `to` from `from`: its shipped expression is
+    /// taken out of the body — as a data message hands its trees over —
+    /// relocated to `to` and evaluated there. A fetch replies to the
+    /// sender with its value; a delegation replies when the expression
+    /// sends its value straight back, and otherwise fills `out` with ∅
+    /// once done.
+    pub(super) fn run_request(
+        &mut self,
+        s: &mut EvalSession,
+        from: PeerId,
+        to: PeerId,
+        body: Body,
+        tag: DataTag,
+        out: Out,
+    ) -> CoreResult<()> {
+        let mut expr = body.into_expr()?;
+        expr.relocate_query_defs(to);
+        let reply = Cont::ReplyData {
+            reply_to: from,
+            tag,
+            remote_out: out,
+        };
+        match (tag, expr) {
+            (
+                DataTag::DelegatedResult,
+                Expr::Send {
+                    dest: SendDest::Peer(back),
+                    payload,
+                },
+            ) if back == from => self.eval_then(s, to, *payload, reply),
+            (DataTag::DelegatedResult, other) => {
+                self.eval_then(s, to, other, Cont::Discard { out })
+            }
+            (_, expr) => self.eval_then(s, to, expr, reply),
+        }
     }
 
     /// Definition (1) + (6): copy a tree, activating its immediate `sc`
@@ -506,10 +476,7 @@ impl AxmlSystem {
                 continue;
             }
             let parent = if sc.forward.is_empty() {
-                Some(
-                    copy.parent(sc_id)
-                        .ok_or_else(|| CoreError::Malformed("sc at document root".into()))?,
-                )
+                Some(ScNode::host(&copy, sc_id)?)
             } else {
                 None
             };
@@ -523,14 +490,13 @@ impl AxmlSystem {
         let mut grafts = Vec::with_capacity(active.len());
         for (i, (sc, parent)) in active.into_iter().enumerate() {
             grafts.push(parent);
-            let params: Vec<Vec<Tree>> = sc.params.iter().map(|p| vec![p.clone()]).collect();
             self.start_service_call(
                 s,
                 sc.provider,
                 ScCall {
                     caller: at,
                     service: &sc.service,
-                    param_forests: params,
+                    param_forests: sc.param_forests(),
                     forward: &sc.forward,
                 },
                 (slot, i),
@@ -550,8 +516,8 @@ impl AxmlSystem {
     }
 
     /// §2.2's activation steps 1–3 / definition (6), as engine tasks:
-    /// resolve the provider, ship the parameters, and let the `Invoke`
-    /// intent run the service on arrival.
+    /// resolve the provider, ship the parameters, and let the provider
+    /// run the service when the `Invoke` arrives.
     fn start_service_call(
         &mut self,
         s: &mut EvalSession,
@@ -612,13 +578,7 @@ impl AxmlSystem {
                     forward: call.forward.to_vec(),
                     call_id,
                 },
-                Intent::Invoke {
-                    caller,
-                    service: call.service.clone(),
-                    forward: call.forward.to_vec(),
-                    call_id,
-                    out,
-                },
+                Intent::Reply { out },
             )
         } else {
             self.run_service_at(s, prov, call, call_id, out)
@@ -817,48 +777,4 @@ fn run_service(
         }));
     }
     Ok(svc.query.eval_with_docs(params, state)?)
-}
-
-impl Intent {
-    /// Open a message at its receiver `to`: the intent to apply and the
-    /// cargo the message carried. A request's shipped expression is
-    /// taken out of its body here — as a data message hands its trees
-    /// over — relocated to `to` and evaluated there: a fetch replies
-    /// with its value, a delegation replies when the expression sends
-    /// its value straight back to the delegating peer and otherwise
-    /// fills `out` with ∅ once done.
-    pub(super) fn open(self, msg: AxmlMessage, to: PeerId) -> (Intent, Cargo) {
-        let Intent::Shipped { reply_to, tag, out } = self else {
-            return (self, msg.into_cargo());
-        };
-        let mut expr = msg
-            .into_shipped()
-            .expect("a shipped intent travels with its expression");
-        expr.relocate_query_defs(to);
-        let intent = match (tag, expr) {
-            (
-                DataTag::DelegatedResult,
-                Expr::Send {
-                    dest: SendDest::Peer(back),
-                    payload,
-                },
-            ) if back == reply_to => Intent::EvalAndReply {
-                expr: *payload,
-                reply_to,
-                tag,
-                out,
-            },
-            (DataTag::DelegatedResult, other) => Intent::EvalHere {
-                expr: other,
-                done: out,
-            },
-            (tag, expr) => Intent::EvalAndReply {
-                expr,
-                reply_to,
-                tag,
-                out,
-            },
-        };
-        (intent, Cargo::Nothing)
-    }
 }

@@ -1,8 +1,9 @@
 //! The message-driven evaluation engine.
 //!
 //! Evaluation of an expression is decomposed into **continuation
-//! tasks** (one per pending definition (1)–(9) step), messages carry an
-//! `Intent` describing their receiver-side effect, and an `EvalSession`
+//! tasks** (one per pending definition (1)–(9) step), a message's
+//! receiver reads what to do off the message (with an `Intent` beside it
+//! for what the frame does not carry yet), and an `EvalSession`
 //! drives tasks and in-flight messages to quiescence. Independent
 //! transfers genuinely overlap — the makespan of a fan-out is its
 //! critical path, not the sum of its byte costs — while per-link
@@ -35,8 +36,8 @@
 //!
 //! * `pump` — [`Wire`], `Intent`, `Runnable`, `Cont`, `EvalSession` and
 //!   the loop: `schedule`, the one session loop `run_session`,
-//!   `next_arrival_batch` (one arrival buffer), `deliver`,
-//!   `apply_intent`, slot fill/park (flat result slots); also
+//!   `next_arrival_batch` (one arrival buffer), `deliver`, the one
+//!   receiver `receive`, slot fill/park (flat result slots); also
 //!   `blocking`, the one place a session is opened and handed back for
 //!   reuse — `eval`, `activate_document`, `feed`, `feed_replicas` and the
 //!   lazy activations' `call_service` all go through it. Names no policy.

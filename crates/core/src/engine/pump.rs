@@ -9,19 +9,23 @@
 //! every slot's results land in and the inputs a resumed continuation
 //! reads are buffers the session keeps, and the system keeps its last
 //! finished session for the next one to reuse ([`AxmlSystem::blocking`]).
-//! A delivery carries the message's payload as it travelled ([`Cargo`]).
+//!
+//! A delivery is the message as it travelled, and its receiver reads it
+//! (`receive`): what to evaluate, which service to run for whom, where
+//! its answers go and what to install all come out of the message. The
+//! `Intent` beside it holds only what the wire does not carry yet.
 //!
 //! The pump knows nothing about retry or `@any` failover: sends go
 //! through [`super::send`], generic references through [`super::any`].
 
 use super::defs::ScCall;
-use crate::error::{CoreResult, EngineError};
+use crate::error::{CoreError, CoreResult, EngineError};
 use crate::expr::{Expr, PeerRef};
-use crate::message::{AxmlMessage, Cargo};
+use crate::message::{AxmlMessage, Body};
 use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_net::{FramedPayload, Payload};
-use axml_obs::{DataTag, MessageKind, TraceEvent};
+use axml_obs::{DataTag, TraceEvent};
 use axml_prng::SplitMix64;
 use axml_query::Query;
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
@@ -37,10 +41,9 @@ const KEPT_ROOM: usize = 256;
 /// A result destination: `(slot, part)` inside the session's slot table.
 pub(crate) type Out = (usize, usize);
 
-/// What travels on a link: the charged message plus the receiver-side
-/// continuation. Only `msg` contributes to the wire size, and only `msg`
-/// holds the trees in transit — intents are bookkeeping for the
-/// simulation, not payload.
+/// What travels on a link: the charged message plus what its receiver
+/// needs that the message does not carry yet. Only `msg` contributes to
+/// the wire size, and only `msg` holds the trees in transit.
 pub struct Wire {
     pub(crate) msg: AxmlMessage,
     pub(crate) intent: Intent,
@@ -53,10 +56,11 @@ impl Payload for Wire {
 }
 
 impl FramedPayload for Wire {
-    /// Only the [`AxmlMessage`] crosses the wire: the `Intent` is the
-    /// sender-side continuation bookkeeping (which slot a reply fills),
-    /// not message content — a real remote peer would reconstruct it
-    /// from correlation ids.
+    /// Only the [`AxmlMessage`] crosses the wire. The receiver reads
+    /// everything it acts on from the message, except what the `Intent`
+    /// still holds: the slot a reply fills, a request's reply tag, a
+    /// fetched tree literal, a forwarded graft's address and a replica
+    /// update's document — the facts the frame does not carry yet.
     fn frame_payload(&self, out: &mut Vec<u8>) {
         self.msg.write_frame(out)
     }
@@ -68,55 +72,30 @@ impl std::fmt::Debug for Wire {
     }
 }
 
-/// The effect a message has when it reaches its receiver. The trees it
-/// works on are the ones the message carried ([`AxmlMessage::into_cargo`]).
+/// What a message's receiver needs beyond the message itself: each
+/// variant is a fact the frame does not carry yet. Everything else —
+/// the expression a request ships, the service, parameters, forward list
+/// and call id of an `Invoke`, the name of a new document, a deployed
+/// query, and the caller or reply peer (the sender) — the receiver reads
+/// off the message (`receive`).
 pub(crate) enum Intent {
-    /// Pure data transfer; the send's value was already determined.
+    /// No effect at the receiver: a send's data, or the accounting-only
+    /// `Invoke` of a continuous activation.
     None,
-    /// Fill a waiting slot with the message's forest (responses, fetched
-    /// data; ∅ for shipped text, whose arrival is all that is awaited).
+    /// The slot the message's effect fills: a reply's forest, a call's
+    /// answer (an `Invoke`), or ∅ once a document or query is installed
+    /// (a remote definition, whose arrival is all that is awaited, also
+    /// fills ∅).
     Reply { out: Out },
-    /// Definition (5) / delegated-send shape: the receiver evaluates
-    /// `expr` and ships the result back as `Data(tag)` into `out`.
-    EvalAndReply {
-        expr: Expr,
-        reply_to: PeerId,
-        tag: DataTag,
-        out: Out,
-    },
-    /// General `eval@p`: the receiver evaluates `expr`; the delegating
-    /// side's value is ∅, filled into `done` once the inner completes.
-    EvalHere { expr: Expr, done: Out },
-    /// A request whose message carries the expression to evaluate
-    /// (a delegation, a fetch by name): opened into `EvalAndReply` or
-    /// `EvalHere` at the receiver ([`Intent::open`]), never applied.
-    Shipped {
-        reply_to: PeerId,
-        tag: DataTag,
-        out: Out,
-    },
+    /// A request shipping an expression: the tag its reply carries
+    /// (definition (5)'s fetch or a delegation) and the slot it fills.
+    Request { tag: DataTag, out: Out },
+    /// A `<fetch ref=…>` request: the tree literal the reference names.
+    FetchTree { tree: Tree, out: Out },
     /// Definition (4) / forward lists: graft the forest under `addr`.
     Graft { addr: NodeAddr, notify: Out },
-    /// `send(d@p, t)`: install the forest as a new document at the
-    /// receiver.
-    InstallDoc { name: DocName, notify: Out },
-    /// Definition (8): register the shipped query as a service.
-    Deploy {
-        query: Query,
-        as_service: ServiceName,
-        notify: Out,
-    },
-    /// Definition (6) step 1 arriving: the provider runs the service over
-    /// the parameter forests.
-    Invoke {
-        caller: PeerId,
-        service: ServiceName,
-        forward: Vec<NodeAddr>,
-        call_id: u64,
-        out: Out,
-    },
-    /// Replica maintenance: graft the update into the receiving replica
-    /// and pump its subscriptions.
+    /// Replica maintenance: the receiving replica's document, whose
+    /// subscriptions the update pumps.
     ReplicaFeed { doc: DocName },
 }
 
@@ -218,17 +197,13 @@ impl Cont {
     }
 }
 
-/// A message popped off the network and opened, waiting in the arrival
-/// buffer: what is left of it is what the trace reports (`kind`, `size`)
-/// and what the receiver acts on (`intent`, `cargo`).
+/// A message popped off the network, waiting in the arrival buffer as it
+/// travelled.
 pub(crate) struct Delivery {
     from: PeerId,
     to: PeerId,
     at: f64,
-    kind: MessageKind,
-    size: usize,
-    intent: Intent,
-    cargo: Cargo,
+    wire: Wire,
 }
 
 /// One evaluation session: everything the engine needs besides Σ.
@@ -451,17 +426,7 @@ impl AxmlSystem {
             .expect("pending messages have an arrival time");
         while self.net.peek_arrival() == Some(t) {
             let (from, to, wire, at) = self.net.recv_from().expect("peeked arrival must pop");
-            let (kind, size) = (wire.msg.kind(), wire.msg.wire_size());
-            let (intent, cargo) = wire.intent.open(wire.msg, to);
-            s.arrivals.push(Delivery {
-                from,
-                to,
-                at,
-                kind,
-                size,
-                intent,
-                cargo,
-            });
+            s.arrivals.push(Delivery { from, to, at, wire });
         }
         s.rng.shuffle(&mut s.arrivals);
         s.arrivals.sort_by_key(|d| d.to.0);
@@ -500,8 +465,9 @@ impl AxmlSystem {
     }
 
     fn deliver(&mut self, s: &mut EvalSession, d: Delivery) -> CoreResult<()> {
-        let (from, to, kind, at_ms) = (d.from, d.to, d.kind, d.at);
-        let bytes = self.net.link(from, to).charged_bytes_u64(d.size);
+        let (from, to, at_ms, Wire { msg, intent }) = (d.from, d.to, d.at, d.wire);
+        let kind = msg.kind();
+        let bytes = self.net.link(from, to).charged_bytes_u64(msg.wire_size());
         self.obs.emit(|| TraceEvent::MessageDelivered {
             from,
             to,
@@ -509,99 +475,87 @@ impl AxmlSystem {
             bytes,
             at_ms,
         });
-        self.apply_intent(s, to, d.intent, d.cargo)
+        self.receive(s, from, to, msg, intent)
     }
 
-    /// Run a message's receiver-side effect at `to` over the `cargo` it
-    /// carried (local sends apply it at once, cross-peer ones on
-    /// delivery).
-    pub(super) fn apply_intent(
+    /// The receiver: run at `to` the effect of `msg`, which `from` sent
+    /// (local sends receive at once, cross-peer ones on delivery). The
+    /// message says what to do; `intent` adds only what it does not
+    /// carry yet.
+    pub(super) fn receive(
         &mut self,
         s: &mut EvalSession,
+        from: PeerId,
         to: PeerId,
+        msg: AxmlMessage,
         intent: Intent,
-        cargo: Cargo,
     ) -> CoreResult<()> {
-        // Every variant but `Invoke` works on the message's one payload.
-        match intent {
-            Intent::None => Ok(()),
-            Intent::Shipped { .. } => unreachable!("a shipped intent is opened on arrival"),
-            Intent::Reply { out } => self.fill(s, out, cargo.into_forest()),
-            Intent::EvalAndReply {
-                expr,
-                reply_to,
-                tag,
-                out,
-            } => {
-                let slot = s.new_slot(1);
-                self.schedule(
-                    s,
-                    Runnable::Eval {
-                        at: to,
-                        expr,
-                        out: (slot, 0),
-                    },
-                );
-                self.register_pending(
-                    s,
-                    slot,
-                    to,
-                    Cont::ReplyData {
-                        reply_to,
-                        tag,
-                        remote_out: out,
-                    },
-                )
+        match (msg, intent) {
+            (_, Intent::None) => Ok(()),
+            (AxmlMessage::Request { expr_xml }, Intent::Request { tag, out }) => {
+                self.run_request(s, from, to, expr_xml, tag, out)
             }
-            Intent::EvalHere { expr, done } => {
-                let slot = s.new_slot(1);
-                self.schedule(
-                    s,
-                    Runnable::Eval {
-                        at: to,
-                        expr,
-                        out: (slot, 0),
-                    },
-                );
-                self.register_pending(s, slot, to, Cont::Discard { out: done })
-            }
-            Intent::Graft { addr, notify } => {
-                self.graft_at(&addr, cargo.trees())?;
-                self.fill(s, notify, Vec::new())
-            }
-            Intent::InstallDoc { name, notify } => {
-                self.install_new_doc(to, &name, cargo.trees())?;
-                self.fill(s, notify, Vec::new())
-            }
-            Intent::Deploy {
-                query,
-                as_service,
-                notify,
-            } => {
-                self.peers[to.index()].register_service(Service::declarative(as_service, query));
-                self.fill(s, notify, Vec::new())
-            }
-            Intent::Invoke {
-                caller,
-                service,
-                forward,
-                call_id,
-                out,
-            } => {
-                let call = ScCall {
-                    caller,
-                    service: &service,
-                    param_forests: cargo.into_params(),
-                    forward: &forward,
+            (AxmlMessage::Request { .. }, Intent::FetchTree { tree, out }) => {
+                let reply = Cont::ReplyData {
+                    reply_to: from,
+                    tag: DataTag::Fetch,
+                    remote_out: out,
                 };
-                self.run_service_at(s, to, call, call_id, out)
+                self.eval_then(s, to, Expr::Tree { tree, at: to }, reply)
             }
-            Intent::ReplicaFeed { doc } => {
-                for tree in cargo.trees() {
+            (
+                AxmlMessage::Data { payload, .. } | AxmlMessage::Response { payload, .. },
+                Intent::Reply { out },
+            ) => self.fill(s, out, payload.into_forest()),
+            (AxmlMessage::Data { payload, .. }, Intent::Graft { addr, notify }) => {
+                self.graft_at(&addr, payload.trees())?;
+                self.fill(s, notify, Vec::new())
+            }
+            (AxmlMessage::Data { payload, .. }, Intent::ReplicaFeed { doc }) => {
+                for tree in payload.trees() {
                     s.delivered += self.feed_into(s, to, &doc, tree.clone())?;
                 }
                 Ok(())
             }
+            // Definition (6) step 1 arriving: the provider runs the
+            // service over the parameter forests for the sender.
+            (
+                AxmlMessage::Invoke {
+                    service,
+                    params,
+                    forward,
+                    call_id,
+                },
+                Intent::Reply { out },
+            ) => {
+                let call = ScCall {
+                    caller: from,
+                    service: &service,
+                    param_forests: params.into_iter().map(Body::into_forest).collect(),
+                    forward: &forward,
+                };
+                self.run_service_at(s, to, call, call_id, out)
+            }
+            // Definition (8): the shipped query becomes a service.
+            (
+                AxmlMessage::DeployQuery {
+                    query_xml,
+                    as_service,
+                },
+                Intent::Reply { out },
+            ) => {
+                let query = query_xml.into_query()?;
+                self.peers[to.index()].register_service(Service::declarative(as_service, query));
+                self.fill(s, out, Vec::new())
+            }
+            (AxmlMessage::InstallDoc { name, payload }, Intent::Reply { out }) => {
+                self.install_new_doc(to, &name, payload.trees())?;
+                self.fill(s, out, Vec::new())
+            }
+            (msg, _) => Err(CoreError::Malformed(format!(
+                "no receiver for a {} message with this intent",
+                msg.kind()
+            ))),
         }
     }
 
@@ -629,6 +583,27 @@ impl AxmlSystem {
         Ok(())
     }
 
+    /// Evaluate `expr` at `at` into a fresh one-part slot and park `cont`
+    /// on it: every step that waits on one value.
+    pub(super) fn eval_then(
+        &mut self,
+        s: &mut EvalSession,
+        at: PeerId,
+        expr: Expr,
+        cont: Cont,
+    ) -> CoreResult<()> {
+        let slot = s.new_slot(1);
+        self.schedule(
+            s,
+            Runnable::Eval {
+                at,
+                expr,
+                out: (slot, 0),
+            },
+        );
+        self.register_pending(s, slot, at, cont)
+    }
+
     /// Park `cont` on `slot` until it is ready (resuming immediately if
     /// it already is — e.g. zero-part gates or all-local fills).
     pub(super) fn register_pending(
@@ -651,13 +626,14 @@ impl AxmlSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::CoreError;
     use crate::expr::{LocatedQuery, SendDest};
     use crate::message::tests::BODY_RENDERS;
     use axml_net::link::LinkCost;
-    use axml_query::Query;
+    use axml_net::transport::Transport;
+    use axml_net::NetResult;
+    use axml_obs::MessageKind;
     use axml_xml::equiv::forest_equiv;
-    use axml_xml::ids::NodeAddr;
+    use std::sync::{Arc, Mutex};
 
     fn catalog_xml() -> &'static str {
         r#"<catalog>
@@ -1110,5 +1086,167 @@ mod tests {
         };
         let out2 = sys.eval(a, &relocated).unwrap();
         assert!(forest_equiv(&out1, &out2));
+    }
+
+    /// A wire that checks every message it is handed: the frame decodes
+    /// back to the message, so each fact its receiver reads crosses the
+    /// wire. It notes the kinds it saw, and whether an `Invoke` carried a
+    /// forward list.
+    struct DecodeCheck(Arc<Mutex<Vec<(MessageKind, bool)>>>);
+
+    impl Transport<Wire> for DecodeCheck {
+        fn label(&self) -> &'static str {
+            "decode-check"
+        }
+
+        fn connect(&mut self, _: PeerId, _: &str) {}
+
+        fn ship(&mut self, _: PeerId, _: PeerId, w: &Wire) -> NetResult<()> {
+            let decoded = AxmlMessage::decode(&w.msg.frame_bytes()).unwrap();
+            assert_eq!(decoded, w.msg, "a frame decodes to its message");
+            let forwards =
+                matches!(&w.msg, AxmlMessage::Invoke { forward, .. } if !forward.is_empty());
+            self.0.lock().unwrap().push((w.msg.kind(), forwards));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_shipped_message_decodes_to_itself() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut sys = AxmlSystem::builder()
+            .transport(Box::new(DecodeCheck(seen.clone())))
+            .peers(["client", "server", "archive"])
+            .link("client", "server", LinkCost::wan())
+            .link("client", "archive", LinkCost::wan())
+            .link("server", "archive", LinkCost::wan())
+            .doc("server", "catalog", catalog_xml())
+            .doc("archive", "log", "<log/>")
+            .service("server", "names", r#"doc("catalog")//pkg/@name"#)
+            .service(
+                "server",
+                "lookup",
+                r#"for $p in doc("catalog")//pkg where $p/@name = $0/text() return {$p/size}"#,
+            )
+            .replica("client", "cat", "cat-a", "<catalog/>")
+            .replica("server", "cat", "cat-b", "<catalog/>")
+            .build()
+            .unwrap();
+        let (a, b, c) = (PeerId(0), PeerId(1), PeerId(2));
+        let q = |src| Query::parse("q", src).unwrap();
+        let catalog = Expr::Doc {
+            name: "catalog".into(),
+            at: PeerRef::At(b),
+        };
+        let log_root = sys.peer(c).docs.get(&"log".into()).unwrap().tree().root();
+        let plans = [
+            // A fetch by name (Request, Data fetch) and of a tree literal.
+            catalog.clone(),
+            Expr::Tree {
+                tree: Tree::parse("<t>1</t>").unwrap(),
+                at: b,
+            },
+            // A delegation whose value comes straight back.
+            Expr::EvalAt {
+                peer: b,
+                expr: Box::new(Expr::Send {
+                    dest: SendDest::Peer(a),
+                    payload: Box::new(catalog.clone()),
+                }),
+            },
+            // A send to a third peer, evaluated by delegation.
+            Expr::EvalAt {
+                peer: b,
+                expr: Box::new(Expr::Send {
+                    dest: SendDest::Peer(c),
+                    payload: Box::new(catalog),
+                }),
+            },
+            // A remote definition (Data query-def).
+            Expr::Apply {
+                query: LocatedQuery::new(q("$0//pkg/@name"), b),
+                args: vec![Expr::Tree {
+                    tree: Tree::parse("<x><pkg name=\"n\"/></x>").unwrap(),
+                    at: a,
+                }],
+            },
+            // A call answered by a Response, one with a forward list.
+            Expr::Sc {
+                provider: PeerRef::At(b),
+                service: "names".into(),
+                params: vec![],
+                forward: vec![],
+            },
+            Expr::Sc {
+                provider: PeerRef::At(b),
+                service: "lookup".into(),
+                params: vec![Expr::Tree {
+                    tree: Tree::parse("<q>gcc</q>").unwrap(),
+                    at: a,
+                }],
+                forward: vec![NodeAddr::new(c, "log", log_root)],
+            },
+            Expr::Deploy {
+                to: b,
+                query: LocatedQuery::new(q(r#"doc("catalog")//pkg"#), a),
+                as_service: "pkgs".into(),
+            },
+            Expr::Send {
+                dest: SendDest::NewDoc {
+                    peer: b,
+                    name: "copy".into(),
+                },
+                payload: Box::new(Expr::Tree {
+                    tree: Tree::parse("<copy/>").unwrap(),
+                    at: a,
+                }),
+            },
+        ];
+        for plan in &plans {
+            sys.eval(a, plan).unwrap();
+        }
+        sys.feed_replicas(a, &"cat".into(), Tree::parse("<pkg/>").unwrap())
+            .unwrap();
+        let seen = seen.lock().unwrap();
+        for kind in MessageKind::ALL {
+            assert!(seen.iter().any(|&(k, _)| k == kind), "no {kind} shipped");
+        }
+        assert!(
+            seen.iter().any(|&(_, forwards)| forwards),
+            "an Invoke forwards"
+        );
+    }
+
+    /// Send `msg` from the client to the server with the intent `intent`
+    /// builds for a fresh slot, and run the session to its end.
+    fn receive_over_wire(msg: AxmlMessage, intent: impl FnOnce(Out) -> Intent) -> CoreResult<()> {
+        let (mut sys, a, b) = two_peer_system();
+        let mut s = sys.new_session();
+        let out = (s.new_slot(1), 0);
+        sys.send_wire(&mut s, a, b, msg, intent(out))?;
+        sys.run_session(&mut s)
+    }
+
+    /// A request decodes with a text body; its receiver answers a typed
+    /// error instead of evaluating it.
+    #[test]
+    fn a_request_with_a_text_body_is_malformed() {
+        let msg = AxmlMessage::Request {
+            expr_xml: r#"<doc name="catalog" at="p1"/>"#.into(),
+        };
+        let tag = DataTag::Fetch;
+        let r = receive_over_wire(msg, |out| Intent::Request { tag, out });
+        assert!(matches!(r, Err(CoreError::Malformed(_))), "{r:?}");
+    }
+
+    /// Likewise a deployed query whose body is text.
+    #[test]
+    fn a_deployed_text_body_is_malformed() {
+        let msg = AxmlMessage::DeployQuery {
+            query_xml: "<query/>".into(),
+            as_service: "q1".into(),
+        };
+        let r = receive_over_wire(msg, |out| Intent::Reply { out });
+        assert!(matches!(r, Err(CoreError::Malformed(_))), "{r:?}");
     }
 }

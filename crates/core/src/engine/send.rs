@@ -25,8 +25,9 @@ impl AxmlSystem {
         self.retry = policy;
     }
 
-    /// Send a message with its receiver-side intent. Local sends are
-    /// free (matching `NetStats` semantics): the intent applies now.
+    /// Send a message with what its receiver needs beside it. Local sends
+    /// are free (matching `NetStats` semantics): the receiver reads the
+    /// message now.
     ///
     /// Cross-peer sends go through the retry loop: each failed attempt
     /// with a *transient* [`NetError`] (injected drop, outage window,
@@ -46,8 +47,7 @@ impl AxmlSystem {
         self.check_peer(from)?;
         self.check_peer(to)?;
         if from == to {
-            let (intent, cargo) = intent.open(msg, to);
-            return self.apply_intent(s, to, intent, cargo);
+            return self.receive(s, from, to, msg, intent);
         }
         let kind = msg.kind();
         let charged = self.net.link(from, to).charged_bytes_u64(msg.wire_size());

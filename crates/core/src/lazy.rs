@@ -37,10 +37,6 @@ fn graft_delta(tree: &mut Tree, parent: NodeId, results: Vec<Tree>) -> CoreResul
     Ok(())
 }
 
-fn at_root() -> CoreError {
-    CoreError::Malformed("lazy sc at document root".into())
-}
-
 impl AxmlSystem {
     /// May the results of `sc`, the lazy call at `sc_id` in `tree`, matter
     /// to a query with footprint `fp`? Yes if it can select a node of an
@@ -87,12 +83,12 @@ impl AxmlSystem {
             }
             // Activate one-shot: results accumulate as siblings of the sc
             // (or at its forward targets).
-            let params: Vec<Vec<Tree>> = sc.params.iter().map(|p| vec![p.clone()]).collect();
+            let params = sc.param_forests();
             let results = self.call_service(at, sc.provider, &sc.service, params, &sc.forward)?;
             activated += 1;
             if sc.forward.is_empty() {
                 let d = self.peer_mut(at).docs.require_mut(doc)?;
-                let parent = d.tree().parent(sc_id).ok_or_else(at_root)?;
+                let parent = ScNode::host(d.tree(), sc_id)?;
                 graft_delta(d.tree_mut(), parent, results)?;
             }
         }
@@ -132,14 +128,14 @@ impl AxmlSystem {
                 schema.validate(&tree, ty.clone())?;
                 unreachable!("validate just failed above");
             };
-            let params: Vec<Vec<Tree>> = sc.params.iter().map(|p| vec![p.clone()]).collect();
+            let params = sc.param_forests();
             let results = self.call_service(at, sc.provider, &sc.service, params, &sc.forward)?;
             activated += 1;
             // Replace the lazy sc with its results (the activated call has
             // done its type-level job; keeping the sc would keep the
             // document invalid under closed content models).
             let d = self.peer_mut(at).docs.require_mut(doc)?;
-            let parent = d.tree().parent(sc_id).ok_or_else(at_root)?;
+            let parent = ScNode::host(d.tree(), sc_id)?;
             d.tree_mut().detach(sc_id)?;
             graft_delta(d.tree_mut(), parent, results)?;
         }

@@ -5,14 +5,15 @@
 //! cost model charges (XML payloads travel serialized; headers are modelled
 //! by the links' per-message overhead).
 //!
-//! A payload is a [`Body`]: the trees themselves plus their exact
-//! serialized length, which is all the simulator asks for. A forest that
-//! several messages carry — a feed's fresh results to every member of
-//! the call, a forward list's sinks — is measured once and shared by
-//! them all. On arrival a message hands its receiver its `Cargo`:
-//! the payload, or an `Invoke`'s parameters. Only a
-//! socket-backed transport needs bytes, and the message then renders each
-//! tree once, straight into the frame buffer, through
+//! A payload is a [`Body`]: the trees themselves, or a shipped expression
+//! or query, plus their exact serialized length, which is all the
+//! simulator asks for. A forest that several messages carry — a feed's
+//! fresh results to every member of the call, a forward list's sinks — is
+//! measured once and shared by them all. The receiver reads the message
+//! itself: it takes the trees, the expression or the query out of the
+//! body, and the names, forward list and call id out of the other fields.
+//! Only a socket-backed transport needs bytes, and the message then
+//! renders each tree once, straight into the frame buffer, through
 //! [`Tree::serialize_into`]: a walk, or — for a whole document shipped
 //! twice since it last changed — a copy of the bytes its arena kept.
 
@@ -21,17 +22,19 @@ use crate::expr::Expr;
 use axml_net::bytes::{BytesError, Cursor, PutBytes};
 use axml_net::Payload;
 use axml_obs::{DataTag, MessageKind};
+use axml_query::Query;
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
 use axml_xml::tree::{NodeId, Tree};
 use std::sync::Arc;
 
 /// A message payload, rendered on demand: a forest of tree handles, a
-/// shipped expression, or text that already exists as a string (a query
-/// definition, a decoded frame). The byte length is known up front — for
-/// a forest from [`Tree::serialized_size`], which the arena memoizes, so
-/// measuring an unchanged document again is O(1); for an expression from
-/// [`Expr::wire_size`], which counts its text without writing it. Two
-/// bodies are equal when they render to the same bytes.
+/// shipped expression or query, or text that already exists as a string
+/// (a fetch reference, a decoded frame). The byte length is known up
+/// front — for a forest from [`Tree::serialized_size`], which the arena
+/// memoizes, so measuring an unchanged document again is O(1); for an
+/// expression from [`Expr::wire_size`], which counts its text without
+/// writing it; for a query from [`Query::wire_size`], the text the query
+/// keeps. Two bodies are equal when they render to the same bytes.
 #[derive(Debug, Clone)]
 pub struct Body {
     src: Src,
@@ -45,6 +48,7 @@ enum Src {
     /// A forest several messages carry: a clone bumps a count.
     Shared(Arc<[Tree]>),
     Expr(Expr),
+    Query(Query),
 }
 
 impl Body {
@@ -63,6 +67,15 @@ impl Body {
         Body {
             src: Src::Expr(expr),
             len,
+        }
+    }
+
+    /// The wire text of `query` ([`Query::wire_xml`]), which the query
+    /// keeps: the body holds the query, not a copy of its text.
+    pub(crate) fn query(query: Query) -> Body {
+        Body {
+            len: query.wire_size(),
+            src: Src::Query(query),
         }
     }
 
@@ -99,6 +112,7 @@ impl Body {
         let start = out.len();
         match &self.src {
             Src::Text(s) => out.extend_from_slice(s.as_bytes()),
+            Src::Query(q) => out.extend_from_slice(q.wire_xml().as_bytes()),
             Src::Forest(trees) => write_forest(trees, out),
             Src::Shared(trees) => write_forest(trees, out),
             Src::Expr(e) => {
@@ -110,30 +124,45 @@ impl Body {
         debug_assert_eq!(out.len() - start, self.len, "body length drifted");
     }
 
-    /// The trees the body carries (a text body carries none).
+    /// The trees the body carries (text, an expression or a query
+    /// carries none).
     pub(crate) fn trees(&self) -> &[Tree] {
         match &self.src {
             Src::Forest(trees) => trees,
             Src::Shared(trees) => trees,
-            Src::Text(_) | Src::Expr(_) => &[],
+            Src::Text(_) | Src::Expr(_) | Src::Query(_) => &[],
         }
     }
 
     /// The trees the body carries, taken: moved out of a forest of its
     /// own, handles copied out of a shared one.
-    fn into_forest(self) -> Vec<Tree> {
+    pub(crate) fn into_forest(self) -> Vec<Tree> {
         match self.src {
             Src::Forest(trees) => trees,
             Src::Shared(trees) => trees.to_vec(),
-            Src::Text(_) | Src::Expr(_) => Vec::new(),
+            Src::Text(_) | Src::Expr(_) | Src::Query(_) => Vec::new(),
         }
     }
 
-    /// The expression the body carries, if it was made by [`Body::expr`].
-    fn into_expr(self) -> Option<Expr> {
+    /// The expression the body carries, if it was made by [`Body::expr`];
+    /// a decoded body is text and carries none.
+    pub(crate) fn into_expr(self) -> CoreResult<Expr> {
         match self.src {
-            Src::Expr(e) => Some(e),
-            Src::Text(_) | Src::Forest(_) | Src::Shared(_) => None,
+            Src::Expr(e) => Ok(e),
+            _ => Err(CoreError::Malformed(
+                "a request body is not an expression".into(),
+            )),
+        }
+    }
+
+    /// The query the body carries, if it was made by [`Body::query`]; a
+    /// decoded body is text and carries none.
+    pub(crate) fn into_query(self) -> CoreResult<Query> {
+        match self.src {
+            Src::Query(q) => Ok(q),
+            _ => Err(CoreError::Malformed(
+                "a deployed body is not a query".into(),
+            )),
         }
     }
 
@@ -178,44 +207,6 @@ fn measure(trees: &[Tree]) -> usize {
     #[cfg(test)]
     tests::BODY_MEASURES.set(tests::BODY_MEASURES.get() + 1);
     trees.iter().map(Tree::serialized_size).sum()
-}
-
-/// What a message hands its receiver on arrival
-/// ([`AxmlMessage::into_cargo`]): its one payload, or an `Invoke`'s
-/// parameters. Nothing is copied or rewrapped on the way.
-pub(crate) enum Cargo {
-    /// The payload of a `Data`, `Response` or `InstallDoc`.
-    Payload(Body),
-    /// An `Invoke`'s parameters, one body per parameter.
-    Params(Vec<Body>),
-    /// Shipped text only: a request or a deployed query.
-    Nothing,
-}
-
-impl Cargo {
-    /// The payload's trees (none for the other kinds).
-    pub(crate) fn trees(&self) -> &[Tree] {
-        match self {
-            Cargo::Payload(body) => body.trees(),
-            Cargo::Params(_) | Cargo::Nothing => &[],
-        }
-    }
-
-    /// The payload's forest, taken (empty for the other kinds).
-    pub(crate) fn into_forest(self) -> Vec<Tree> {
-        match self {
-            Cargo::Payload(body) => body.into_forest(),
-            Cargo::Params(_) | Cargo::Nothing => Vec::new(),
-        }
-    }
-
-    /// The parameter forests, taken (none for the other kinds).
-    pub(crate) fn into_params(self) -> Vec<Vec<Tree>> {
-        match self {
-            Cargo::Params(params) => params.into_iter().map(Body::into_forest).collect(),
-            Cargo::Payload(_) | Cargo::Nothing => Vec::new(),
-        }
-    }
 }
 
 /// Bytes a length-prefixed field of `len` bytes takes in a frame.
@@ -289,27 +280,6 @@ impl AxmlMessage {
             AxmlMessage::Response { .. } => MessageKind::Response,
             AxmlMessage::DeployQuery { .. } => MessageKind::DeployQuery,
             AxmlMessage::InstallDoc { .. } => MessageKind::InstallDoc,
-        }
-    }
-
-    /// What the message hands its receiver: the payload of the variants
-    /// that have one, an `Invoke`'s parameters, nothing for shipped text.
-    pub(crate) fn into_cargo(self) -> Cargo {
-        match self {
-            AxmlMessage::Invoke { params, .. } => Cargo::Params(params),
-            AxmlMessage::Data { payload, .. }
-            | AxmlMessage::Response { payload, .. }
-            | AxmlMessage::InstallDoc { payload, .. } => Cargo::Payload(payload),
-            AxmlMessage::Request { .. } | AxmlMessage::DeployQuery { .. } => Cargo::Nothing,
-        }
-    }
-
-    /// The expression a request ships, handed to the receiver; `None`
-    /// for every other message and for a request whose body is text.
-    pub(crate) fn into_shipped(self) -> Option<Expr> {
-        match self {
-            AxmlMessage::Request { expr_xml } => expr_xml.into_expr(),
-            _ => None,
         }
     }
 

@@ -86,6 +86,19 @@ impl ScNode {
         })
     }
 
+    /// The node a call at `node` in `tree` answers under by default (§2.2
+    /// step 3: results accumulate as siblings of the `sc`): its parent.
+    pub fn host(tree: &Tree, node: NodeId) -> CoreResult<NodeId> {
+        tree.parent(node)
+            .ok_or_else(|| CoreError::Malformed("sc element at document root".into()))
+    }
+
+    /// The parameter forests the call ships: one forest per parameter,
+    /// holding its subtree.
+    pub fn param_forests(&self) -> Vec<Vec<Tree>> {
+        self.params.iter().map(|p| vec![p.clone()]).collect()
+    }
+
     /// Append this call as an `sc` child of `parent` in `tree`; returns
     /// the new element.
     pub fn write(&self, tree: &mut Tree, parent: NodeId) -> NodeId {

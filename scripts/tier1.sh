@@ -6,15 +6,15 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - twenty-two grep gates, one per "one of each" claim (wire-format
+#   - twenty-three grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
 #     Σ is left as found, a member walks no tree, one collapse path, one
 #     scheduler and one driver, the runtime spawns no thread, one query
 #     printer, one composition, one count per event, library crates
-#     print nothing, a service's type is its plan) — each explained
-#     where it runs;
+#     print nothing, a service's type is its plan, an intent holds only
+#     what the wire lacks) — each explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -588,6 +588,29 @@ echo "== tier-1: a service's type is its plan (no declared signature under crate
 for f in $(find crates/*/src src examples -name '*.rs'); do
     if code "$f" | grep -nE '\b(Signature|TreeType|with_signature|service_obj)\b'; then
         echo "tier-1: $f declares a service's type; read it off the plan (Plan::answers)" >&2
+        exit 1
+    fi
+done
+
+echo "== tier-1: an intent holds only what the wire lacks (one receiver reads the message) =="
+# A message's receiver (engine/pump.rs's receive) takes from the message
+# everything the message carries: a request's expression, an Invoke's
+# service, forward list and call id, a new document's name, a deployed
+# query, and the sender as caller and reply peer. Outside comments and
+# `#[cfg(test)]` modules, a field of `enum Intent` naming one of those is
+# a second copy of a fact the frame already holds, which the receiver
+# would read instead of the message; and the retired second path
+# (Cargo, into_cargo, into_shipped, Intent::open, apply_intent) stays
+# gone from crates/core/src.
+for f in $(find crates/core/src -name '*.rs'); do
+    if code "$f" | sed -n '/enum Intent\b/,/^}/p' \
+        | grep -nE '\b(caller|service|forward|call_id|as_service|query|name|reply_to) *:'; then
+        echo "tier-1: $f gives Intent a field the message carries; read it off the AxmlMessage" >&2
+        exit 1
+    fi
+    if code "$f" | sed -n '/impl Intent\b/,/^}/p' | grep -nE '\bfn open\b' \
+        || code "$f" | grep -nE '\bCargo\b|\binto_cargo\b|\binto_shipped\b|Intent::open\b|\bapply_intent\b'; then
+        echo "tier-1: $f brings back a second receiver path; use receive in engine/pump.rs" >&2
         exit 1
     fi
 done
