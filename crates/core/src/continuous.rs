@@ -503,7 +503,9 @@ impl AxmlSystem {
             let id = self.fresh_call_id();
             // Step 1 happens once: ship the parameters now. The message
             // is pure accounting — the subscription machinery reads the
-            // provider's state directly, so no receiver-side intent.
+            // provider's state directly, so no receiver-side intent, and
+            // a call to oneself ships nothing (ROADMAP item 20 gives the
+            // `Invoke` its effect).
             if provider != at {
                 let msg = AxmlMessage::Invoke {
                     service: service.clone(),

@@ -3,14 +3,17 @@
 //! parked continuation, and the service-call steps of §2.2 run between
 //! them. Generic references (definition (9)) are handed to
 //! [`super::any`]; every message leaves through [`super::send`].
+//! A step sends its message even to its own peer, and only the receiver
+//! runs the effect (`run_request`, `run_service_at`, `graft_at`,
+//! `install_new_doc`). Local forms stay for (1)/(5), (2)/(7) and
+//! delegation, which the paper defines apart.
 
 use super::pump::{Cont, EvalSession, Intent, Out, Runnable};
 use crate::error::{CoreError, CoreResult};
-use crate::expr::{Expr, PeerRef, SendDest};
+use crate::expr::{Expr, LocatedQuery, PeerRef, SendDest};
 use crate::message::{AxmlMessage, Body};
 use crate::peer::PeerState;
 use crate::sc::{ActivationMode, ScNode};
-use crate::service::Service;
 use crate::system::AxmlSystem;
 use axml_obs::{DataTag, TraceEvent};
 use axml_xml::ids::{DocName, NodeAddr, PeerId, ServiceName};
@@ -62,31 +65,31 @@ impl AxmlSystem {
 
             // ---- definitions (2)/(7): query application ---------------
             Expr::Apply { query, args } => {
-                if query.query.arity() != args.len() {
+                let LocatedQuery { query, def_at } = query;
+                if query.arity() != args.len() {
                     return Err(CoreError::Query(axml_query::QueryError::ArityMismatch {
-                        expected: query.query.arity(),
+                        expected: query.arity(),
                         got: args.len(),
                     }));
                 }
-                // Definition (7): a remote definition is shipped to the
-                // evaluation site; part 0 gates on its arrival.
-                let gated = query.def_at != at;
-                let skip = usize::from(gated);
-                let slot = s.new_slot(args.len() + skip);
-                if gated {
+                let slot = s.new_slot(args.len());
+                if def_at != at {
+                    // Definition (7): the definition is shipped to the
+                    // evaluation site, whose receiver applies it.
                     self.record_def(7, at, "apply");
                     self.send_wire(
                         s,
-                        query.def_at,
+                        def_at,
                         at,
                         AxmlMessage::Data {
-                            payload: Body::query(query.query.clone()),
+                            payload: Body::query(query),
                             tag: DataTag::QueryDef,
                         },
-                        Intent::Reply { out: (slot, 0) },
+                        Intent::Apply { args: slot, out },
                     )?;
                 } else {
                     self.record_def(2, at, "apply");
+                    self.register_pending(s, slot, at, Cont::ApplyFinish { query, out })?;
                 }
                 // Arguments evaluate concurrently — remote fetches for
                 // different arguments overlap on independent links.
@@ -96,20 +99,10 @@ impl AxmlSystem {
                         Runnable::Eval {
                             at,
                             expr: a,
-                            out: (slot, skip + i),
+                            out: (slot, i),
                         },
                     );
                 }
-                self.register_pending(
-                    s,
-                    slot,
-                    at,
-                    Cont::ApplyFinish {
-                        query: query.query,
-                        skip,
-                        out,
-                    },
-                )?;
                 Ok(())
             }
 
@@ -207,25 +200,18 @@ impl AxmlSystem {
                 as_service,
             } => {
                 self.record_def(8, at, "deploy");
-                if query.def_at != to {
-                    let gate = s.new_slot(1);
-                    self.send_wire(
-                        s,
-                        query.def_at,
-                        to,
-                        AxmlMessage::DeployQuery {
-                            query_xml: Body::query(query.query),
-                            as_service,
-                        },
-                        Intent::Reply { out: (gate, 0) },
-                    )?;
-                    self.register_pending(s, gate, at, Cont::Discard { out })?;
-                } else {
-                    self.peers[to.index()]
-                        .register_service(Service::declarative(as_service, query.query));
-                    self.fill(s, out, Vec::new())?;
-                }
-                Ok(())
+                let gate = s.new_slot(1);
+                self.send_wire(
+                    s,
+                    query.def_at,
+                    to,
+                    AxmlMessage::DeployQuery {
+                        query_xml: Body::query(query.query),
+                        as_service,
+                    },
+                    Intent::Reply { out: (gate, 0) },
+                )?;
+                self.register_pending(s, gate, at, Cont::Discard { out })
             }
 
             // ---- sequencing ------------------------------------------
@@ -250,8 +236,8 @@ impl AxmlSystem {
         // A continuation that waits on one part takes it whole.
         let first = |input: &mut Vec<Vec<Tree>>| input.first_mut().map(take).unwrap_or_default();
         match cont {
-            Cont::ApplyFinish { query, skip, out } => {
-                let res = query.eval_with_docs(&input[skip..], &self.peers[peer.index()])?;
+            Cont::ApplyFinish { query, out } => {
+                let res = query.eval_with_docs(input, &self.peers[peer.index()])?;
                 self.fill(s, out, res)?;
                 Ok(())
             }
@@ -274,6 +260,7 @@ impl AxmlSystem {
             Cont::SendPeer { dest, out } => {
                 self.record_def(3, peer, "send");
                 let forest = first(input);
+                // Kept local: a send's data has no effect at its receiver.
                 if dest != peer {
                     self.send_wire(
                         s,
@@ -306,25 +293,18 @@ impl AxmlSystem {
                 out,
             } => {
                 self.record_def(3, peer, "send-newdoc");
-                let forest = first(input);
-                if dest != peer {
-                    let gate = s.new_slot(1);
-                    self.send_wire(
-                        s,
-                        peer,
-                        dest,
-                        AxmlMessage::InstallDoc {
-                            name,
-                            payload: Body::forest(forest),
-                        },
-                        Intent::Reply { out: (gate, 0) },
-                    )?;
-                    self.register_pending(s, gate, peer, Cont::Discard { out })?;
-                } else {
-                    self.install_new_doc(dest, &name, &forest)?;
-                    self.fill(s, out, Vec::new())?;
-                }
-                Ok(())
+                let gate = s.new_slot(1);
+                self.send_wire(
+                    s,
+                    peer,
+                    dest,
+                    AxmlMessage::InstallDoc {
+                        name,
+                        payload: Body::forest(first(input)),
+                    },
+                    Intent::Reply { out: (gate, 0) },
+                )?;
+                self.register_pending(s, gate, peer, Cont::Discard { out })
             }
             Cont::TreeFinish {
                 mut tree,
@@ -542,9 +522,9 @@ impl AxmlSystem {
         }
     }
 
-    /// The resolved-provider half of definition (6): charge the call,
-    /// ship the parameters (or run locally when the provider is the
-    /// caller).
+    /// The resolved-provider half of definition (6): charge the call and
+    /// ship the parameters. A provider calling its own service sends
+    /// itself the `Invoke`, which its receiver runs at once.
     fn dispatch_service_call(
         &mut self,
         s: &mut EvalSession,
@@ -567,26 +547,24 @@ impl AxmlSystem {
         // Step 1: params to the provider (the service runs on arrival —
         // a missing service or arity clash is still charged the invoke,
         // exactly as a real provider would reject after receiving).
-        if prov != caller {
-            self.send_wire(
-                s,
-                caller,
-                prov,
-                AxmlMessage::Invoke {
-                    service: call.service.clone(),
-                    params: call.param_forests.into_iter().map(Body::forest).collect(),
-                    forward: call.forward.to_vec(),
-                    call_id,
-                },
-                Intent::Reply { out },
-            )
-        } else {
-            self.run_service_at(s, prov, call, call_id, out)
-        }
+        self.send_wire(
+            s,
+            caller,
+            prov,
+            AxmlMessage::Invoke {
+                service: call.service.clone(),
+                params: call.param_forests.into_iter().map(Body::forest).collect(),
+                forward: call.forward.to_vec(),
+                call_id,
+            },
+            Intent::Reply { out },
+        )
     }
 
-    /// §2.2 steps 2–3 at the provider: apply the implementation query,
-    /// then ship results back (or to the forward list).
+    /// §2.2 steps 2–3 at the provider, run by the `Invoke`'s receiver:
+    /// apply the implementation query, then ship results back (or to the
+    /// forward list). Kept local: an answer to one's own call, which as a
+    /// `Response` would measure (walk) every result view.
     pub(super) fn run_service_at(
         &mut self,
         s: &mut EvalSession,
@@ -675,7 +653,9 @@ impl AxmlSystem {
 
     /// Definition (4): one concurrent delivery per `n@p` address of
     /// `body`, a [`Body::shared`] one: measured once, and shared by every
-    /// message that carries it. Returns the gate slot that becomes ready
+    /// message that carries it. Each is a `Data(Forward)` whose receiver
+    /// grafts the forest, an address on `from` itself included (a local
+    /// send receives at once). Returns the gate slot that becomes ready
     /// once every graft landed. An address naming an unknown peer fails
     /// the whole list before anything is sent.
     pub(crate) fn deliver_to_nodes(
@@ -690,31 +670,26 @@ impl AxmlSystem {
         }
         let gate = s.new_slot(addrs.len());
         for (i, addr) in addrs.iter().enumerate() {
-            if addr.peer != from {
-                self.send_wire(
-                    s,
-                    from,
-                    addr.peer,
-                    AxmlMessage::Data {
-                        payload: body.clone(),
-                        tag: DataTag::Forward,
-                    },
-                    Intent::Graft {
-                        addr: addr.clone(),
-                        notify: (gate, i),
-                    },
-                )?;
-            } else {
-                self.graft_at(addr, body.trees())?;
-                self.fill(s, (gate, i), Vec::new())?;
-            }
+            self.send_wire(
+                s,
+                from,
+                addr.peer,
+                AxmlMessage::Data {
+                    payload: body.clone(),
+                    tag: DataTag::Forward,
+                },
+                Intent::Graft {
+                    addr: addr.clone(),
+                    notify: (gate, i),
+                },
+            )?;
         }
         Ok(gate)
     }
 
     /// Graft a forest under the addressed node, found with one lookup
     /// that checks it before it borrows: a failed graft moves no stamp.
-    pub(crate) fn graft_at(&mut self, addr: &NodeAddr, forest: &[Tree]) -> CoreResult<()> {
+    pub(super) fn graft_at(&mut self, addr: &NodeAddr, forest: &[Tree]) -> CoreResult<()> {
         let docs = &mut self.peer_mut(addr.peer).docs;
         let tree = docs.node_mut(&addr.doc, addr.node).map_err(|e| match e {
             axml_xml::XmlError::NoSuchDocument(_) => CoreError::NoSuchDoc {

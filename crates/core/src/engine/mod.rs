@@ -3,7 +3,8 @@
 //! Evaluation of an expression is decomposed into **continuation
 //! tasks** (one per pending definition (1)–(9) step), a message's
 //! receiver reads what to do off the message (with an `Intent` beside it
-//! for what the frame does not carry yet), and an `EvalSession`
+//! for what the frame does not carry yet) and writes its effect, also
+//! for a send to oneself, and an `EvalSession`
 //! drives tasks and in-flight messages to quiescence. Independent
 //! transfers genuinely overlap — the makespan of a fan-out is its
 //! critical path, not the sum of its byte costs — while per-link
@@ -44,7 +45,7 @@
 //! * `defs` — definitions (1)–(8): `step_eval`, `resume` and the
 //!   service-call steps of §2.2, whose provider-side evaluation
 //!   (`service_results`) reuses an answer through the provider's
-//!   stamp-guarded call memo.
+//!   stamp-guarded call memo, and the effects only `receive` runs.
 //! * `send` — **choke point 1**: `send_wire` and its backoff, the only
 //!   reader of [`crate::retry::RetryPolicy`].
 //! * `any` — **choke point 2**: definition (9), the only reader of the

@@ -11,9 +11,10 @@
 //! finished session for the next one to reuse ([`AxmlSystem::blocking`]).
 //!
 //! A delivery is the message as it travelled, and its receiver reads it
-//! (`receive`): what to evaluate, which service to run for whom, where
-//! its answers go and what to install all come out of the message. The
-//! `Intent` beside it holds only what the wire does not carry yet.
+//! (`receive`): what to evaluate or apply, which service to run for whom,
+//! where its answers go and what to install all come out of the message.
+//! The `Intent` beside it holds only what the wire does not carry yet.
+//! A send to oneself is received at once, so `receive` writes every effect.
 //!
 //! The pump knows nothing about retry or `@any` failover: sends go
 //! through [`super::send`], generic references through [`super::any`].
@@ -58,9 +59,9 @@ impl Payload for Wire {
 impl FramedPayload for Wire {
     /// Only the [`AxmlMessage`] crosses the wire. The receiver reads
     /// everything it acts on from the message, except what the `Intent`
-    /// still holds: the slot a reply fills, a request's reply tag, a
-    /// fetched tree literal, a forwarded graft's address and a replica
-    /// update's document — the facts the frame does not carry yet.
+    /// still holds: the slots a reply fills or a definition applies to, a
+    /// request's reply tag, a fetched tree literal, a forwarded graft's
+    /// address and a replica update's document — what the frame lacks.
     fn frame_payload(&self, out: &mut Vec<u8>) {
         self.msg.write_frame(out)
     }
@@ -74,19 +75,20 @@ impl std::fmt::Debug for Wire {
 
 /// What a message's receiver needs beyond the message itself: each
 /// variant is a fact the frame does not carry yet. Everything else —
-/// the expression a request ships, the service, parameters, forward list
-/// and call id of an `Invoke`, the name of a new document, a deployed
-/// query, and the caller or reply peer (the sender) — the receiver reads
-/// off the message (`receive`).
+/// the expression or query a request or remote definition ships, the
+/// service, parameters, forward list and call id of an `Invoke`, the name
+/// of a new document, a deployed query, and the caller or reply peer
+/// (the sender) — the receiver reads off the message (`receive`).
 pub(crate) enum Intent {
     /// No effect at the receiver: a send's data, or the accounting-only
     /// `Invoke` of a continuous activation.
     None,
     /// The slot the message's effect fills: a reply's forest, a call's
-    /// answer (an `Invoke`), or ∅ once a document or query is installed
-    /// (a remote definition, whose arrival is all that is awaited, also
-    /// fills ∅).
+    /// answer (an `Invoke`), or ∅ once a document or query is installed.
     Reply { out: Out },
+    /// Definition (7): the slot of the arguments a `Data(QueryDef)`'s
+    /// query is applied to, and the slot its answer fills.
+    Apply { args: usize, out: Out },
     /// A request shipping an expression: the tag its reply carries
     /// (definition (5)'s fetch or a delegation) and the slot it fills.
     Request { tag: DataTag, out: Out },
@@ -141,9 +143,9 @@ impl Runnable {
 
 /// The suspended remainder of one definition's evaluation.
 pub(crate) enum Cont {
-    /// Definitions (2)/(7): run the query over the gathered argument
-    /// forests (`skip` leading parts are the remote-definition gate).
-    ApplyFinish { query: Query, skip: usize, out: Out },
+    /// Definitions (2)/(7): run the local query, or the one a
+    /// `Data(QueryDef)` brought, over the gathered argument forests.
+    ApplyFinish { query: Query, out: Out },
     /// Definition (6): all `sc` parameters evaluated — start the call.
     ScReady {
         provider: PeerRef,
@@ -155,7 +157,7 @@ pub(crate) enum Cont {
     SendPeer { dest: PeerId, out: Out },
     /// Definition (4): payload evaluated — deliver to the node list.
     SendNodes { addrs: Vec<NodeAddr>, out: Out },
-    /// `send(d@p, t)`: payload evaluated — install the new document.
+    /// `send(d@p, t)`: payload evaluated — ship the new document.
     SendNewDoc {
         peer: PeerId,
         name: DocName,
@@ -478,10 +480,10 @@ impl AxmlSystem {
         self.receive(s, from, to, msg, intent)
     }
 
-    /// The receiver: run at `to` the effect of `msg`, which `from` sent
-    /// (local sends receive at once, cross-peer ones on delivery). The
-    /// message says what to do; `intent` adds only what it does not
-    /// carry yet.
+    /// The receiver, the one writer of a message's effect: run at `to`
+    /// the effect of `msg`, which `from` sent (local sends receive at
+    /// once, cross-peer ones on delivery). The message says what to do;
+    /// `intent` adds only what it does not carry yet.
     pub(super) fn receive(
         &mut self,
         s: &mut EvalSession,
@@ -507,6 +509,11 @@ impl AxmlSystem {
                 AxmlMessage::Data { payload, .. } | AxmlMessage::Response { payload, .. },
                 Intent::Reply { out },
             ) => self.fill(s, out, payload.into_forest()),
+            // Definition (7): the site applies the query it was sent.
+            (AxmlMessage::Data { payload, .. }, Intent::Apply { args, out }) => {
+                let query = payload.into_query()?;
+                self.register_pending(s, args, to, Cont::ApplyFinish { query, out })
+            }
             (AxmlMessage::Data { payload, .. }, Intent::Graft { addr, notify }) => {
                 self.graft_at(&addr, payload.trees())?;
                 self.fill(s, notify, Vec::new())
@@ -1219,11 +1226,15 @@ mod tests {
 
     /// Send `msg` from the client to the server with the intent `intent`
     /// builds for a fresh slot, and run the session to its end.
-    fn receive_over_wire(msg: AxmlMessage, intent: impl FnOnce(Out) -> Intent) -> CoreResult<()> {
+    fn receive_over_wire(
+        msg: AxmlMessage,
+        intent: impl FnOnce(&mut EvalSession, Out) -> Intent,
+    ) -> CoreResult<()> {
         let (mut sys, a, b) = two_peer_system();
         let mut s = sys.new_session();
         let out = (s.new_slot(1), 0);
-        sys.send_wire(&mut s, a, b, msg, intent(out))?;
+        let intent = intent(&mut s, out);
+        sys.send_wire(&mut s, a, b, msg, intent)?;
         sys.run_session(&mut s)
     }
 
@@ -1235,7 +1246,7 @@ mod tests {
             expr_xml: r#"<doc name="catalog" at="p1"/>"#.into(),
         };
         let tag = DataTag::Fetch;
-        let r = receive_over_wire(msg, |out| Intent::Request { tag, out });
+        let r = receive_over_wire(msg, |_, out| Intent::Request { tag, out });
         assert!(matches!(r, Err(CoreError::Malformed(_))), "{r:?}");
     }
 
@@ -1246,7 +1257,77 @@ mod tests {
             query_xml: "<query/>".into(),
             as_service: "q1".into(),
         };
-        let r = receive_over_wire(msg, |out| Intent::Reply { out });
+        let r = receive_over_wire(msg, |_, out| Intent::Reply { out });
         assert!(matches!(r, Err(CoreError::Malformed(_))), "{r:?}");
+    }
+
+    /// Likewise a remote definition whose body is text: the evaluation
+    /// site has no query to apply, and no copy of the sender's to fall
+    /// back on.
+    #[test]
+    fn a_remote_definition_with_a_text_body_is_malformed() {
+        let msg = AxmlMessage::Data {
+            payload: "<query/>".into(),
+            tag: DataTag::QueryDef,
+        };
+        let r = receive_over_wire(msg, |s, out| Intent::Apply {
+            args: s.new_slot(0),
+            out,
+        });
+        assert!(matches!(r, Err(CoreError::Malformed(_))), "{r:?}");
+    }
+
+    /// Definition (7) applies the query the evaluation site was sent: a
+    /// `Data(QueryDef)` whose body holds another query than the `Apply`
+    /// that the same arguments go to answers with the shipped one.
+    #[test]
+    fn a_remote_definition_applies_the_query_in_its_body() {
+        let (mut sys, a, b) = two_peer_system();
+        let q = |name, src| Query::parse(name, src).unwrap();
+        let applied = q("names", "$0//pkg/@name");
+        let shipped = q("sizes", "$0//pkg/size");
+        let catalog = Tree::parse(catalog_xml()).unwrap();
+        let arg = || Expr::Tree {
+            tree: catalog.clone(),
+            at: a,
+        };
+        let names = sys
+            .eval(
+                a,
+                &Expr::Apply {
+                    query: LocatedQuery::new(applied, b),
+                    args: vec![arg()],
+                },
+            )
+            .unwrap();
+        let sizes = shipped
+            .eval_with_docs(&[vec![catalog.clone()]], sys.peer(a))
+            .unwrap();
+
+        // The same remote application, with `shipped` in the body.
+        let mut s = sys.new_session();
+        let root = s.new_slot(1);
+        let args = s.new_slot(1);
+        let msg = AxmlMessage::Data {
+            payload: Body::query(shipped),
+            tag: DataTag::QueryDef,
+        };
+        let intent = Intent::Apply {
+            args,
+            out: (root, 0),
+        };
+        sys.send_wire(&mut s, b, a, msg, intent).unwrap();
+        sys.schedule(
+            &mut s,
+            Runnable::Eval {
+                at: a,
+                expr: arg(),
+                out: (args, 0),
+            },
+        );
+        sys.run_session(&mut s).unwrap();
+        let out = s.take(root).unwrap();
+        assert!(!forest_equiv(&names, &sizes), "the two queries differ here");
+        assert!(forest_equiv(&out, &sizes), "{out:?}");
     }
 }

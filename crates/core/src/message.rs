@@ -161,7 +161,7 @@ impl Body {
         match self.src {
             Src::Query(q) => Ok(q),
             _ => Err(CoreError::Malformed(
-                "a deployed body is not a query".into(),
+                "a shipped query body is not a query".into(),
             )),
         }
     }

@@ -6,7 +6,7 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - twenty-three grep gates, one per "one of each" claim (wire-format
+#   - twenty-four grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
@@ -14,7 +14,8 @@
 #     scheduler and one driver, the runtime spawns no thread, one query
 #     printer, one composition, one count per event, library crates
 #     print nothing, a service's type is its plan, an intent holds only
-#     what the wire lacks) — each explained where it runs;
+#     what the wire lacks, a message's effect has one writer) — each
+#     explained where it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -614,6 +615,30 @@ for f in $(find crates/core/src -name '*.rs'); do
         exit 1
     fi
 done
+
+echo "== tier-1: a message's effect has one writer (the receiver runs it, local sends too) =="
+# send_wire hands a send whose sender is its receiver to receive at once,
+# so no step writes a message's effect in a local branch of its own.
+# Outside comments and `#[cfg(test)]` modules, each effect helper under
+# crates/core/src/engine is called once, by engine/pump.rs's receive; a
+# second call is a local twin of the message. And a remote definition is
+# applied from the query its Data(QueryDef) carries, parked on the
+# argument slot: enum Cont has no `skip` over a gate part.
+for fn in 'graft_at' 'install_new_doc' 'run_service_at' 'Service::declarative'; do
+    calls=""
+    for f in $(find crates/core/src/engine -name '*.rs'); do
+        n=$(code "$f" | grep -E "(^|[^[:alnum:]_])${fn}\(" | grep -cvE "fn ${fn}\(" || true)
+        if [ "$n" -gt 0 ]; then calls="$calls $f:$n"; fi
+    done
+    if [ "$calls" != " crates/core/src/engine/pump.rs:1" ]; then
+        echo "tier-1: ${fn}( is called at${calls:- no site}, not once in engine/pump.rs's receive; send the message instead" >&2
+        exit 1
+    fi
+done
+if code crates/core/src/engine/pump.rs | sed -n '/enum Cont\b/,/^}/p' | grep -nE '\bskip\b'; then
+    echo "tier-1: Cont skips a gate part; the receiver of a Data(QueryDef) parks ApplyFinish on the argument slot" >&2
+    exit 1
+fi
 
 echo "== tier-1: cargo build --release =="
 cargo build --release
