@@ -1225,7 +1225,8 @@ mod tests {
     }
 
     /// Send `msg` from the client to the server with the intent `intent`
-    /// builds for a fresh slot, and run the session to its end.
+    /// builds for a fresh slot of the session (which it may add slots
+    /// to), and run the session to its end.
     fn receive_over_wire(
         msg: AxmlMessage,
         intent: impl FnOnce(&mut EvalSession, Out) -> Intent,
