@@ -18,6 +18,18 @@
 //! * A top-level bare `{path}` template emits one result tree per matched
 //!   item; atoms become `<text>…</text>` trees.
 //!
+//! ## How answers are built
+//!
+//! A bare `{path}` answers with O(1) views of the nodes it selects
+//! ([`Tree::subtree`]); an atom or a top-level text answers with a
+//! `<text>` tree of its own. An element template builds every answer of
+//! one evaluation side by side in one arena ([`Builder`]), which is frozen
+//! when the evaluation ends: each answer is then a handle onto it, in the
+//! order the nested loop produced them, and the first sits at slot 0. An
+//! atom read whole from one text node or one attribute value carries that
+//! node's string, so an answer that splices it shares it; only a joined
+//! or concatenated atom is a new string.
+//!
 //! ## Evaluation order
 //!
 //! The answer is the nested loop's — the very trees, in the very order,
@@ -70,12 +82,13 @@ use crate::plan::{
     PredPlan, SourceRef, StartRef, TemplatePlan, VarId,
 };
 use axml_xml::ids::DocName;
-use axml_xml::tree::{NodeId, ScanKey, Tree};
+use axml_xml::tree::{Builder, NodeId, NodeKind, ScanKey, Tree};
 use axml_xml::Label;
 use std::any::Any;
 use std::borrow::Cow;
 use std::cell::{Cell, OnceCell, RefCell};
 use std::cmp::Ordering;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// A forest: the trees accumulated so far on one input stream.
@@ -169,39 +182,81 @@ impl<'a> Ctx<'a> {
 }
 
 /// One value flowing through a path: a node of some input tree, or an
-/// atom — borrowed from the tree it was read in wherever that tree holds
-/// it in one piece.
+/// atom.
 #[derive(Debug, Clone)]
 enum Item<'a> {
     Node(&'a Tree, NodeId),
-    Atom(Cow<'a, str>),
+    Atom(Str<'a>),
 }
 
 impl<'a> Item<'a> {
     /// XPath-style atomization: nodes become their string value.
-    fn into_atom(self) -> Cow<'a, str> {
+    fn into_str(self) -> Str<'a> {
         match self {
             Item::Node(tree, node) => string_value(tree, node),
             Item::Atom(s) => s,
         }
     }
-}
 
-/// The concatenated text below `node`: borrowed while a single chain of
-/// only children leads to it, built otherwise.
-fn string_value(tree: &Tree, mut node: NodeId) -> Cow<'_, str> {
-    loop {
-        match *tree.children(node) {
-            [] => return Cow::Borrowed(tree.node(node).as_text().unwrap_or("")),
-            [only] => node = only,
-            _ => return Cow::Owned(tree.text(node)),
+    /// The atom, to compare.
+    fn into_atom(self) -> Cow<'a, str> {
+        match self.into_str() {
+            Str::Held(s) => Cow::Borrowed(s),
+            Str::Built(s) => Cow::Owned(s),
         }
     }
 }
 
-fn attr(tree: &Tree, node: NodeId, name: Label) -> Option<&str> {
+/// An atom's string: the very string of the tree it was read in wherever
+/// that tree holds it in one piece — one text node or one attribute
+/// value — so an answer that splices it bumps a count; built otherwise.
+#[derive(Debug, Clone)]
+enum Str<'a> {
+    Held(&'a Arc<str>),
+    Built(String),
+}
+
+impl Str<'_> {
+    /// The string, for a tree to hold.
+    fn shared(self) -> Arc<str> {
+        match self {
+            Str::Held(s) => Arc::clone(s),
+            Str::Built(s) => s.into(),
+        }
+    }
+}
+
+impl Deref for Str<'_> {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Str::Held(s) => s,
+            Str::Built(s) => s,
+        }
+    }
+}
+
+/// The concatenated text below `node`: the text node's own string while a
+/// single chain of only children leads to one, built otherwise.
+fn string_value(tree: &Tree, mut node: NodeId) -> Str<'_> {
+    loop {
+        match *tree.children(node) {
+            [] => {
+                return match tree.node(node).kind() {
+                    NodeKind::Text(t) => Str::Held(t),
+                    NodeKind::Element { .. } => Str::Built(String::new()),
+                }
+            }
+            [only] => node = only,
+            _ => return Str::Built(tree.text(node)),
+        }
+    }
+}
+
+fn attr(tree: &Tree, node: NodeId, name: Label) -> Option<&Arc<str>> {
     let found = tree.attrs(node).iter().find(|(n, _)| *n == name);
-    found.map(|(_, v)| &**v)
+    found.map(|(_, v)| v)
 }
 
 /// Does `node` pass a node test? (Atom tests select no node.)
@@ -389,11 +444,11 @@ impl Plan {
     pub fn eval_ctx<'a>(&self, ctx: &Ctx<'a>) -> QueryResult<Vec<Tree>> {
         let (first, levels) = self.levels();
         let eval = Eval::new(ctx);
-        let mut out = Vec::new();
+        let mut out = Answers::default();
         if eval.all_hold(first, None)? {
             eval.run(&levels, &self.template, None, &mut out)?;
         }
-        Ok(out)
+        Ok(out.into_trees())
     }
 
     /// The loop levels outermost first, each `where` conjunct placed after
@@ -551,7 +606,7 @@ impl<'p, 'a> Eval<'p, 'a> {
         levels: &[Level<'p, 'a>],
         template: &'p TemplatePlan,
         scope: Scope<'_, 'a>,
-        out: &mut Vec<Tree>,
+        out: &mut Answers,
     ) -> QueryResult<()> {
         let Some((level, rest)) = levels.split_first() else {
             return self.construct(template, scope, out);
@@ -781,19 +836,17 @@ impl<'p, 'a> Eval<'p, 'a> {
             PlanTest::Label(_) | PlanTest::Wildcard => visit(tree, kids, deep, &mut |c| {
                 Ok(!node_test_matches(test, tree, c) || admit(Item::Node(tree, c))?)
             }),
-            PlanTest::Text if deep => {
-                visit(tree, kids, true, &mut |c| match tree.node(c).as_text() {
-                    Some(t) => admit(Item::Atom(Cow::Borrowed(t))),
-                    None => Ok(true),
-                })
-            }
+            PlanTest::Text if deep => visit(tree, kids, true, &mut |c| match tree.node(c).kind() {
+                NodeKind::Text(t) => admit(Item::Atom(Str::Held(t))),
+                NodeKind::Element { .. } => Ok(true),
+            }),
             PlanTest::Text => match string_value(tree, node) {
                 v if v.is_empty() => Ok(true),
                 v => admit(Item::Atom(v)),
             },
             PlanTest::Attr(a) => {
                 let mut own = |n| match attr(tree, n, *a) {
-                    Some(v) => admit(Item::Atom(Cow::Borrowed(v))),
+                    Some(v) => admit(Item::Atom(Str::Held(v))),
                     None => Ok(true),
                 };
                 Ok(own(node)? && (!deep || visit(tree, kids, true, &mut own)?))
@@ -897,7 +950,7 @@ impl<'p, 'a> Eval<'p, 'a> {
         &self,
         template: &'p TemplatePlan,
         scope: Scope<'_, 'a>,
-        out: &mut Vec<Tree>,
+        out: &mut Answers,
     ) -> QueryResult<()> {
         let text = |s: Arc<str>| {
             let mut t = Tree::new("text");
@@ -909,23 +962,21 @@ impl<'p, 'a> Eval<'p, 'a> {
             // A bare top-level splice: one tree per item.
             TemplatePlan::Splice(path) => {
                 self.walk(path, scope, &mut |it| {
-                    out.push(match it {
+                    out.handles.push(match it {
                         // Zero-copy: result trees are views into the input
                         // document's arena (copy-on-write if mutated later).
                         Item::Node(tree, node) => tree
                             .subtree(node)
                             .expect("path items reference valid nodes"),
-                        Item::Atom(s) => text(s.into()),
+                        Item::Atom(s) => text(s.shared()),
                     });
                     Ok(true)
                 })?;
             }
-            TemplatePlan::Text(s) => out.push(text(Arc::clone(s))),
+            TemplatePlan::Text(s) => out.handles.push(text(Arc::clone(s))),
             TemplatePlan::Element { label, .. } => {
-                let mut t = Tree::new(*label);
-                let root = t.root();
-                self.fill_element(template, &mut t, root, scope)?;
-                out.push(t);
+                let root = out.built.add_root(*label);
+                self.fill_element(template, &mut out.built, root, scope)?;
             }
         }
         Ok(())
@@ -935,7 +986,7 @@ impl<'p, 'a> Eval<'p, 'a> {
     fn fill_element(
         &self,
         template: &'p TemplatePlan,
-        t: &mut Tree,
+        t: &mut Builder,
         at: NodeId,
         scope: Scope<'_, 'a>,
     ) -> QueryResult<()> {
@@ -945,27 +996,32 @@ impl<'p, 'a> Eval<'p, 'a> {
         else {
             return Err(QueryError::Internal("fill_element on non-element".into()));
         };
-        let internal = |e: axml_xml::XmlError| QueryError::Internal(e.to_string());
-        // A literal shares the plan's string, a spliced string is made
-        // once, from a borrow, and grafted children share their strings.
+        // A literal shares the plan's string, an atom read whole shares
+        // its tree's, and copied children share their strings: only a
+        // joined atom is a new string.
         for (name, v) in attrs {
             let value: Arc<str> = match v {
                 AttrTplPlan::Literal(s) => Arc::clone(s),
                 AttrTplPlan::Splice(p) => {
-                    // The atoms, space-joined: borrowed while there is one.
-                    let mut joined: Option<Cow<'a, str>> = None;
+                    // The atoms, space-joined: held while there is one.
+                    let mut joined: Option<Str<'a>> = None;
                     self.walk(p, scope, &mut |it| {
-                        let atom = it.into_atom();
+                        let atom = it.into_str();
                         joined = Some(match joined.take() {
                             None => atom,
-                            Some(j) => Cow::Owned(j.into_owned() + " " + &atom),
+                            Some(Str::Built(mut j)) => {
+                                j.push(' ');
+                                j.push_str(&atom);
+                                Str::Built(j)
+                            }
+                            Some(j) => Str::Built([&*j, " ", &*atom].concat()),
                         });
                         Ok(true)
                     })?;
-                    joined.as_deref().unwrap_or("").into()
+                    joined.map_or_else(|| "".into(), Str::shared)
                 }
             };
-            t.set_attr(at, *name, value).map_err(internal)?;
+            t.set_attr(at, *name, value);
         }
         for c in children {
             match c {
@@ -980,10 +1036,10 @@ impl<'p, 'a> Eval<'p, 'a> {
                     self.walk(p, scope, &mut |it| {
                         match it {
                             Item::Node(tree, node) => {
-                                t.graft(at, tree, node).map_err(internal)?;
+                                t.copy(at, tree, node);
                             }
                             Item::Atom(s) => {
-                                t.add_text(at, &*s);
+                                t.add_text(at, s.shared());
                             }
                         }
                         Ok(true)
@@ -992,6 +1048,26 @@ impl<'p, 'a> Eval<'p, 'a> {
             }
         }
         Ok(())
+    }
+}
+
+/// One evaluation's answers so far: a template answers either with
+/// handles — views of input nodes, atoms and text, each a tree of its
+/// own — or, for an element template, with trees built side by side.
+#[derive(Default)]
+struct Answers {
+    handles: Vec<Tree>,
+    built: Builder,
+}
+
+impl Answers {
+    /// The answers in the order they were made.
+    fn into_trees(self) -> Vec<Tree> {
+        if self.handles.is_empty() {
+            self.built.finish()
+        } else {
+            self.handles
+        }
     }
 }
 

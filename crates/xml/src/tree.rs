@@ -24,8 +24,18 @@
 //! attribute values are `Arc<str>`. So even a deep copy — a graft, or the
 //! copy-on-write copy of an arena — copies slots and bumps string counts;
 //! a node of 3 children or fewer and its strings cost no heap block of
-//! their own. [`Tree::new`] makes room for 4 nodes, so a small answer
-//! never regrows its arena.
+//! their own. [`Tree::new`] makes room for 4 nodes, so a small tree built
+//! on its own never regrows its arena.
+//!
+//! ## Answers built side by side
+//!
+//! The trees one query evaluation constructs are built in one arena by a
+//! [`Builder`]: an owned `Vec` that no handle shares yet, so a push pays
+//! no copy-on-write check and forgets no memo. When the evaluation ends,
+//! the arena goes behind one `Arc` and every answer is an O(1) handle onto
+//! it, the first at slot 0. Its copies are counted once, with the totals a
+//! graft per copy would record. A builder's copy and [`Tree::graft`] are
+//! one copy loop.
 //!
 //! Sibling *storage* order is preserved (it makes serialization
 //! deterministic and debugging sane) but carries no semantics: equivalence
@@ -439,13 +449,10 @@ impl Tree {
     /// Push a fresh node of `kind` as the last child of `parent`, linked
     /// both ways on one borrow of the arena.
     fn add_child(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
-        assert!(
-            self.contains(parent) && self.node(parent).is_element(),
-            "parent {parent} must be a valid element"
-        );
-        let node = Node::new(kind, Some(parent));
-        self.arena_bytes += node_heap_bytes(&node) + std::mem::size_of::<NodeId>() as u64;
-        push_child(self.nodes_mut(), node)
+        assert_element(&self.nodes, parent);
+        let (id, bytes) = push_new(self.nodes_mut(), parent, kind);
+        self.arena_bytes += bytes;
+        id
     }
 
     /// Convenience: allocate and attach an element child, returning its id.
@@ -504,21 +511,10 @@ impl Tree {
         if !self.contains(id) {
             return Err(XmlError::InvalidNode { index: id.0 });
         }
-        let added = name.len() as u64 + value.len() as u64;
-        match &mut self.node_mut(id).kind {
-            NodeKind::Element { attrs, .. } => {
-                if let Some(slot) = attrs.iter_mut().find(|(n, _)| *n == name) {
-                    let removed = name.len() as u64 + slot.1.len() as u64;
-                    slot.1 = value;
-                    self.arena_bytes = self.arena_bytes.saturating_sub(removed) + added;
-                } else {
-                    attrs.push((name, value));
-                    self.arena_bytes += added;
-                }
-                Ok(())
-            }
-            NodeKind::Text(_) => Err(XmlError::NotAnElement { index: id.0 }),
-        }
+        let bytes = put_attr(self.node_mut(id), name, value);
+        let (removed, added) = bytes.ok_or(XmlError::NotAnElement { index: id.0 })?;
+        self.arena_bytes = self.arena_bytes.saturating_sub(removed) + added;
+        Ok(())
     }
 
     /// Read an attribute value.
@@ -633,27 +629,7 @@ impl Tree {
         if !self.node(parent).is_element() {
             return Err(XmlError::NotAnElement { index: parent.0 });
         }
-        // Copy in preorder without a stack, on one borrow of the arena: a
-        // copy's children so far say which child of its source comes
-        // next, and both trees' parent links lead back up.
-        let nodes = self.nodes_mut();
-        let (mut copied, mut bytes) = (1, node_heap_bytes(src.node(src_node)));
-        let root = push_copy(nodes, parent, src.node(src_node));
-        let (mut from, mut to) = (src_node, root);
-        loop {
-            if let Some(&child) = src.children(from).get(nodes[to.index()].children().len()) {
-                let node = src.node(child);
-                copied += 1;
-                bytes += node_heap_bytes(node);
-                to = push_copy(nodes, to, node);
-                from = child;
-            } else if from == src_node {
-                break;
-            } else {
-                from = src.node(from).parent.expect("below the copied root");
-                to = nodes[to.index()].parent.expect("below the copy");
-            }
-        }
+        let (root, copied, bytes) = copy_subtree(self.nodes_mut(), parent, src, src_node);
         crate::stats::record_copy(copied, bytes);
         // a node's bytes count the links to its children: the copied
         // root's link from `parent` is one more
@@ -664,6 +640,180 @@ impl Tree {
     /// Do two handles reference the same arena (structural sharing)?
     pub fn shares_arena_with(&self, other: &Tree) -> bool {
         Arc::ptr_eq(&self.nodes, &other.nodes)
+    }
+}
+
+/// Trees built side by side in one arena that no handle shares yet — the
+/// answers of one evaluation. The arena is a plain owned `Vec`, so a push
+/// needs no copy-on-write check and forgets no memo.
+/// [`Builder::finish`] puts it behind one `Arc` and hands out one handle
+/// per tree, in the order the trees were begun: the first sits at slot 0,
+/// so it keeps the arena's size and bytes memos ([`Tree::new`]'s root is
+/// there too). The copies ([`Builder::copy`]) are counted in
+/// [`crate::stats`] once, by `finish`, with the totals [`Tree::graft`]ing
+/// each would record.
+///
+/// Every method takes ids of this builder's own nodes, and panics on
+/// another id, as [`Tree::add_element`] does.
+#[derive(Debug, Default)]
+pub struct Builder {
+    nodes: Vec<Node>,
+    roots: Vec<NodeId>,
+    /// Heap bytes of the arena, counted as [`Tree`] counts them.
+    bytes: u64,
+    /// The nodes and heap bytes the copies copied.
+    copied: (u64, u64),
+}
+
+impl Builder {
+    /// An empty builder; it allocates on its first push.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Begin a new tree whose root is an element labeled `label`.
+    pub fn add_root(&mut self, label: impl Into<Label>) -> NodeId {
+        let kind = NodeKind::Element {
+            label: label.into(),
+            attrs: Vec::new(),
+        };
+        let root = Node::new(kind, None);
+        self.bytes += node_heap_bytes(&root);
+        let id = NodeId::from_arena(self.nodes.len());
+        self.nodes.push(root);
+        self.roots.push(id);
+        id
+    }
+
+    /// Attach an element child to `parent`, returning its id.
+    pub fn add_element(&mut self, parent: NodeId, label: impl Into<Label>) -> NodeId {
+        let kind = NodeKind::Element {
+            label: label.into(),
+            attrs: Vec::new(),
+        };
+        self.add_child(parent, kind)
+    }
+
+    /// Attach a text child to `parent`, returning its id. Pass an
+    /// `Arc<str>` to share the string.
+    pub fn add_text(&mut self, parent: NodeId, text: impl Into<Arc<str>>) -> NodeId {
+        self.add_child(parent, NodeKind::Text(text.into()))
+    }
+
+    fn add_child(&mut self, parent: NodeId, kind: NodeKind) -> NodeId {
+        assert_element(&self.nodes, parent);
+        let (id, bytes) = push_new(&mut self.nodes, parent, kind);
+        self.bytes += bytes;
+        id
+    }
+
+    /// Set an attribute on the element `id` (replacing an existing value).
+    pub fn set_attr(&mut self, id: NodeId, name: impl Into<Label>, value: impl Into<Arc<str>>) {
+        let bytes = put_attr(&mut self.nodes[id.index()], name.into(), value.into());
+        let (removed, added) = bytes.unwrap_or_else(|| panic!("{id} must be an element"));
+        self.bytes = self.bytes.saturating_sub(removed) + added;
+    }
+
+    /// Copy the subtree of `src` rooted at `src_node` under `parent`, as
+    /// [`Tree::graft`] does; returns the id of the copied root.
+    pub fn copy(&mut self, parent: NodeId, src: &Tree, src_node: NodeId) -> NodeId {
+        assert_element(&self.nodes, parent);
+        let (root, copied, bytes) = copy_subtree(&mut self.nodes, parent, src, src_node);
+        self.copied.0 += copied;
+        self.copied.1 += bytes;
+        self.bytes += bytes + std::mem::size_of::<NodeId>() as u64;
+        root
+    }
+
+    /// Freeze the arena and hand out one handle per tree begun, in order.
+    /// Each is O(1), shares the arena and is copy-on-write like any other
+    /// handle; each reports the whole arena's heap bytes, so a clone of
+    /// one credits [`crate::stats::CopyStats::bytes_shared`] with all of
+    /// them.
+    pub fn finish(self) -> Vec<Tree> {
+        if self.roots.is_empty() {
+            return Vec::new();
+        }
+        let (copied, bytes) = self.copied;
+        crate::stats::record_copy(copied, bytes);
+        let nodes = Arc::new(Arena::new(self.nodes));
+        let tree = |&root: &NodeId| Tree {
+            nodes: Arc::clone(&nodes),
+            root,
+            arena_bytes: self.bytes,
+        };
+        self.roots.iter().map(tree).collect()
+    }
+}
+
+/// Panic unless `parent` is an element of `nodes`: only an element takes
+/// children.
+fn assert_element(nodes: &[Node], parent: NodeId) {
+    assert!(
+        nodes.get(parent.index()).is_some_and(Node::is_element),
+        "parent {parent} must be a valid element"
+    );
+}
+
+/// Push a fresh node of `kind` as the last child of `parent`; returns its
+/// id and the heap bytes it adds to the arena, its parent's link to it
+/// included.
+fn push_new(nodes: &mut Vec<Node>, parent: NodeId, kind: NodeKind) -> (NodeId, u64) {
+    let node = Node::new(kind, Some(parent));
+    let bytes = node_heap_bytes(&node) + std::mem::size_of::<NodeId>() as u64;
+    (push_child(nodes, node), bytes)
+}
+
+/// Set attribute `name` of `node` to `value`, replacing an existing value;
+/// returns the heap bytes the node drops and adds, or `None` for a text
+/// node.
+fn put_attr(node: &mut Node, name: Label, value: Arc<str>) -> Option<(u64, u64)> {
+    let NodeKind::Element { attrs, .. } = &mut node.kind else {
+        return None;
+    };
+    let added = name.len() as u64 + value.len() as u64;
+    match attrs.iter_mut().find(|(n, _)| *n == name) {
+        Some(slot) => {
+            let removed = name.len() as u64 + slot.1.len() as u64;
+            slot.1 = value;
+            Some((removed, added))
+        }
+        None => {
+            attrs.push((name, value));
+            Some((0, added))
+        }
+    }
+}
+
+/// Copy the subtree of `src` rooted at `src_node` as the last child of
+/// `parent`; returns the copied root, and the nodes and heap bytes copied.
+///
+/// The copy runs in preorder without a stack: a copy's children so far say
+/// which child of its source comes next, and both trees' parent links lead
+/// back up. It reserves nothing, so its vectors grow push by push, as
+/// building the copy node by node grows them.
+fn copy_subtree(
+    nodes: &mut Vec<Node>,
+    parent: NodeId,
+    src: &Tree,
+    src_node: NodeId,
+) -> (NodeId, u64, u64) {
+    let (mut copied, mut bytes) = (1, node_heap_bytes(src.node(src_node)));
+    let root = push_copy(nodes, parent, src.node(src_node));
+    let (mut from, mut to) = (src_node, root);
+    loop {
+        if let Some(&child) = src.children(from).get(nodes[to.index()].children().len()) {
+            let node = src.node(child);
+            copied += 1;
+            bytes += node_heap_bytes(node);
+            to = push_copy(nodes, to, node);
+            from = child;
+        } else if from == src_node {
+            return (root, copied, bytes);
+        } else {
+            from = src.node(from).parent.expect("below the copied root");
+            to = nodes[to.index()].parent.expect("below the copy");
+        }
     }
 }
 
@@ -888,6 +1038,82 @@ mod tests {
         assert!(t.set_attr(txt, "k", "v").is_err());
         assert!(t.attr(txt, "k").is_none());
         assert!(t.attrs(txt).is_empty());
+    }
+
+    /// `<big name rank>` answers for three of `src`'s packages, each with a
+    /// copy of its version and a note: built side by side, and each built
+    /// on its own with `Tree::new`, `set_attr`, `graft` and `add_element`.
+    fn answers(src: &Tree) -> (Vec<Tree>, Vec<Tree>) {
+        let pkgs = src.children(src.root()).iter().cycle().take(3);
+        let (mut b, mut alone) = (Builder::new(), Vec::new());
+        for (i, &pkg) in pkgs.enumerate() {
+            let name = src.attr(pkg, "name").unwrap();
+            let version = src.first_child_labeled(pkg, "version").unwrap();
+            let r = b.add_root("big");
+            b.set_attr(r, "name", name);
+            b.set_attr(r, "rank", "?");
+            b.set_attr(r, "rank", i.to_string());
+            let copy = b.copy(r, src, version);
+            assert_eq!(b.nodes[copy.index()].label(), src.label(version));
+            let note = b.add_element(r, "note");
+            b.add_text(note, "built");
+
+            let mut t = Tree::new("big");
+            let tr = t.root();
+            t.set_attr(tr, "name", name).unwrap();
+            t.set_attr(tr, "rank", "?").unwrap();
+            t.set_attr(tr, "rank", i.to_string()).unwrap();
+            t.graft(tr, src, version).unwrap();
+            let note = t.add_element(tr, "note");
+            t.add_text(note, "built");
+            alone.push(t);
+        }
+        (b.finish(), alone)
+    }
+
+    #[test]
+    fn trees_built_side_by_side_are_handles_of_one_arena() {
+        let src = sample();
+        let (built, alone) = answers(&src);
+        // in order, each equal to the tree built on its own
+        assert_eq!(built, alone);
+        assert!(built.iter().all(|t| t.shares_arena_with(&built[0])));
+        assert!(!built[0].shares_arena_with(&src));
+        assert_eq!(built[0].root(), NodeId(0));
+        assert!(built.iter().all(|t| t.parent(t.root()).is_none()));
+        // each handle counts the whole arena: the trees' own bytes, summed
+        let bytes: u64 = alone.iter().map(|t| t.arena_bytes).sum();
+        assert!(built.iter().all(|t| t.arena_bytes == bytes), "{bytes}");
+        // the first sits at slot 0, which keeps the size memo
+        let size = built[0].serialized_size();
+        assert_eq!(size, alone[0].serialize().len());
+        assert_eq!(built[0].memoized_size(NodeId(0)), Some(size));
+        assert_eq!(built[1].serialized_size(), alone[1].serialize().len());
+        // nothing begun, nothing built
+        assert!(Builder::new().finish().is_empty());
+    }
+
+    #[test]
+    fn a_write_to_a_built_tree_copies_on_write() {
+        let src = sample();
+        let source = src.serialize();
+        let (mut built, alone) = answers(&src);
+        let r = built[1].root();
+        built[1].set_attr(r, "name", "changed").unwrap();
+        assert_eq!(built[1].attr(r, "name"), Some("changed"));
+        assert!(!built[1].shares_arena_with(&built[0]));
+        assert!(built[0].shares_arena_with(&built[2]));
+        assert_eq!([&built[0], &built[2]], [&alone[0], &alone[2]]);
+        assert_eq!(src.serialize(), source);
+    }
+
+    #[test]
+    #[should_panic(expected = "n1 must be an element")]
+    fn a_builder_sets_attributes_on_elements_only() {
+        let mut b = Builder::new();
+        let r = b.add_root("a");
+        let text = b.add_text(r, "t");
+        b.set_attr(text, "k", "v");
     }
 
     // ---- zero-copy handle semantics -----------------------------------

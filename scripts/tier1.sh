@@ -6,7 +6,7 @@
 # Runs entirely offline (the workspace has zero external dependencies).
 #
 # Mechanical gates, beyond fmt/clippy/build/tests/doc:
-#   - twenty-four grep gates, one per "one of each" claim (wire-format
+#   - twenty-five grep gates, one per "one of each" claim (wire-format
 #     writer, trace format, rendered payloads, byte codec, blocking
 #     session, strategy picker, send path, plans priced in place, one
 #     evaluation per call, one scan memo, one clock, a view is a handle,
@@ -14,8 +14,9 @@
 #     scheduler and one driver, the runtime spawns no thread, one query
 #     printer, one composition, one count per event, library crates
 #     print nothing, a service's type is its plan, an intent holds only
-#     what the wire lacks, a message's effect has one writer) — each
-#     explained where it runs;
+#     what the wire lacks, a message's effect has one writer, an
+#     evaluation builds its answers in one arena) — each explained where
+#     it runs;
 #   - crates/core/tests/prop_expr.rs::a_reused_plan_is_the_plan_a_cold_
 #     search_chooses (swept by `cargo test --workspace`): searches
 #     interleaved with mutations of documents, links, outages, services,
@@ -29,7 +30,12 @@
 #     growing 1 000 → 4 000 items costs exactly its list's two doublings,
 #     and a_repeated_closed_scan_reads_the_arena that a second select-big
 #     over an unchanged 1 000- or 4 000-package catalog allocates the same
-#     count, for its answers only;
+#     count, for its answers only; ten answers built side by side in one
+#     arena cost at most 16 blocks beyond views of the packages
+#     (a_template_answer_costs_its_handle_slots_and_new_strings), exactly
+#     16 and 7 for two templates with literals (a_template_literal_is_
+#     shared_not_copied), none of them for a string an input or the plan
+#     already holds;
 #   - crates/query/tests/scan_memo.rs (same sweep): a closed scan an arena
 #     keeps answers as a fresh walk — over random catalogs and closed-scan
 #     queries, every answer equals the evaluation over freshly parsed
@@ -637,6 +643,19 @@ for fn in 'graft_at' 'install_new_doc' 'run_service_at' 'Service::declarative'; 
 done
 if code crates/core/src/engine/pump.rs | sed -n '/enum Cont\b/,/^}/p' | grep -nE '\bskip\b'; then
     echo "tier-1: Cont skips a gate part; the receiver of a Data(QueryDef) parks ApplyFinish on the argument slot" >&2
+    exit 1
+fi
+
+echo "== tier-1: an evaluation builds its answers in one arena (Tree::new( once in query/src/eval.rs) =="
+# An element template's answers are built side by side in one arena
+# (axml_xml::tree::Builder), frozen when the evaluation ends: each answer
+# is an O(1) handle onto it, and the copy counters move once. Outside
+# comments and `#[cfg(test)]` modules, query/src/eval.rs calls
+# Tree::new( once, for the <text> wrapper of an atom answer (ROADMAP item
+# 27 deletes it); another call is an answer in an arena of its own.
+n=$(code crates/query/src/eval.rs | grep -oE 'Tree::new\(' | wc -l)
+if [ "$n" -ne 1 ]; then
+    echo "tier-1: query/src/eval.rs calls Tree::new( $n times, not once (the atom wrapper); build answers with a Builder" >&2
     exit 1
 fi
 
